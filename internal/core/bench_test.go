@@ -100,6 +100,52 @@ func BenchmarkSchedulerRedistributeIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerRescheduleDeep measures one gap-expiry kick against a
+// 100k-deep backlog the O(1) budget gate cannot dismiss: the cluster is
+// saturated by jobs running above their minimum (so shrinking could free
+// slots) that outrank the whole backlog (so no waiting job may take them).
+// Every kick therefore places nothing, and what it costs is what it costs
+// to find that out: one placeable test per need bucket, against the
+// drain-sort-resubmit of all 100k jobs the drain loop pays.
+func BenchmarkSchedulerRescheduleDeep(b *testing.B) {
+	const backlog = 100_000
+	now := time.Unix(0, 0)
+	s, err := NewScheduler(Config{Policy: Elastic, Capacity: 64, RescaleGap: time.Minute},
+		benchActuator{}, func() time.Time { return now })
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 4; j++ {
+		if err := s.Submit(&Job{ID: fmt.Sprintf("run%d", j), Priority: 9, MinReplicas: 4, MaxReplicas: 16}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for j := 0; j < backlog; j++ {
+		job := &Job{
+			ID:          fmt.Sprintf("j%06d", j),
+			Priority:    1 + j%5,
+			MinReplicas: 2 << (j % 4), // 2, 4, 8, 16: four need buckets
+			MaxReplicas: 32,
+		}
+		if err := s.Submit(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.FreeSlots() != 0 || s.NumQueued() != backlog || s.maxFreeable() == 0 {
+		b.Fatalf("setup: free=%d queued=%d freeable=%d, want a saturated, shrinkable cluster with the whole backlog waiting",
+			s.FreeSlots(), s.NumQueued(), s.maxFreeable())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(90 * time.Second)
+		s.Reschedule()
+	}
+	if s.NumQueued() != backlog {
+		b.Fatalf("%d queued after the kicks, want %d", s.NumQueued(), backlog)
+	}
+}
+
 // TestRedistributeIncrementalNoAllocs pins the allocation-free property the
 // benchmark above measures, deterministically: a gap-expiry kick against a
 // saturated cluster with a deep backlog must not allocate. (The benchmark

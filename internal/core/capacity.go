@@ -153,9 +153,6 @@ func (s *Scheduler) reclaim(need int) {
 		j.lastActionNs = s.tnowNs
 		s.removeRunning(j)
 		s.queue.push(j)
-		if jn := s.jobNeed(j); jn < s.minNeed {
-			s.minNeed = jn
-		}
 		s.capStats.Requeues++
 		s.capStats.SlotsReclaimed += freed
 		s.record(DecisionPreempt, j)

@@ -24,9 +24,11 @@
 //
 // The scheduler is incremental: redistribution passes early-out when no
 // slot, queue, or capacity state changed since the last completed pass (and
-// no blocking rescale gap has expired), backlog drains are skipped when the
-// free-plus-freeable budget cannot place even the smallest waiting job, and
-// priority/gap comparisons run on cached integer keys. The early-outs are
+// no blocking rescale gap has expired), the wait queue is one heap per
+// distinct slot need so a rescale-gap kick touches only the waiting jobs that
+// can act (nothing at all when the free-plus-freeable budget cannot place
+// even the smallest waiting job), and priority/gap comparisons run on cached
+// integer keys. The early-outs are
 // decision-transparent — Config.FullRedistribute disables them, and the
 // equivalence tests pin incremental ≡ full across policies and workloads.
 // docs/ARCHITECTURE.md lists the invariants.

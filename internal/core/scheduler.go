@@ -144,10 +144,14 @@ type Config struct {
 //     a scan of the running set.
 //   - runMinSum = Σ running policy-minimums, maintained by
 //     insertRunning/removeRunning.
-//   - minNeed is a conservative (never above the true value) bound on the
-//     smallest slot count any waiting job needs; it only ever under-shoots,
-//     so gates that compare budgets against it skip work but never skip a
-//     placeable job.
+//   - the wait queue is one heap per distinct slot need, so the smallest
+//     waiting need (queue.minNeed) is exact and "the job that schedules
+//     first among those a budget could fit" is an O(buckets) question.
+//   - a waiting job does anything in submit iff it is placeable: free plus
+//     what Figure 2's feasibility walk counts for its priority covers its
+//     need. Reschedule's placeable-only pass (placeWaiting) touches only
+//     those jobs; the drain loop (drainResubmit) is the reference it must
+//     equal, and the fallback wherever the pass's argument does not hold.
 //   - clean means the last redistribute ran to completion and no slot,
 //     queue, or capacity state changed since; cleanUntil is the earliest
 //     rescale-gap expiry that could unblock an expansion the pass skipped.
@@ -170,11 +174,6 @@ type Scheduler struct {
 
 	running []*Job
 	queue   jobQueue
-	// minNeed is a conservative lower bound (never above the true value) on
-	// the smallest slot count any waiting job needs to start, maxSlotNeed
-	// when the queue is empty. redistribute uses it to skip scanning
-	// backlogs that cannot possibly place a job.
-	minNeed int
 	free    int
 	// runMinSum is the sum of policy-minimum replicas over the running
 	// set, maintained incrementally so maxFreeable is O(1).
@@ -195,9 +194,9 @@ type Scheduler struct {
 
 	// Scratch buffers reused across scheduling passes so the hot path
 	// allocates nothing per event.
-	runScratch  []*Job
-	popScratch  []*Job
-	needScratch []int
+	runScratch     []*Job
+	refusedScratch []*Job
+	needScratch    []int
 }
 
 // NewScheduler creates a scheduler over an empty cluster with the given
@@ -213,8 +212,7 @@ func NewScheduler(cfg Config, act Actuator, now func() time.Time) (*Scheduler, e
 		// Moldable = elastic that never rescales (paper §4.3.2).
 		cfg.RescaleGap = time.Duration(math.MaxInt64)
 	}
-	s := &Scheduler{cfg: cfg, act: act, now: now, free: cfg.Capacity, minNeed: maxSlotNeed,
-		gapNs: int64(cfg.RescaleGap)}
+	s := &Scheduler{cfg: cfg, act: act, now: now, free: cfg.Capacity, gapNs: int64(cfg.RescaleGap)}
 	s.queue.s = s
 	return s, nil
 }
@@ -259,16 +257,13 @@ func (s *Scheduler) VisitRunning(fn func(*Job) bool) {
 }
 
 // VisitQueued calls fn for each waiting job, stopping early when fn returns
-// false. Iteration order is the queue's internal heap order, not priority
-// order — use Queued when order matters. Like VisitRunning it does not copy,
-// and fn must not mutate the jobs or call back into scheduling methods.
-func (s *Scheduler) VisitQueued(fn func(*Job) bool) {
-	for _, j := range s.queue.jobs {
-		if !fn(j) {
-			return
-		}
-	}
-}
+// false. Iteration order is the queue's internal layout — bucket order
+// (ascending slot need), then heap order within a bucket; not sorted, and
+// free to change with the queue's implementation, so callers whose result
+// depends on order must impose their own (or use Queued). Like VisitRunning
+// it does not copy, and fn must not mutate the jobs or call back into
+// scheduling methods.
+func (s *Scheduler) VisitQueued(fn func(*Job) bool) { s.queue.visit(fn) }
 
 // NumRunning reports the running-job count without copying (the per-event
 // fast path for drivers that only need the length).
@@ -465,9 +460,6 @@ func (s *Scheduler) expand(j *Job, to int) bool {
 func (s *Scheduler) enqueue(j *Job) {
 	j.State = StateQueued
 	s.queue.push(j)
-	if need := s.jobNeed(j); need < s.minNeed {
-		s.minNeed = need
-	}
 	s.dirty()
 	s.record(DecisionEnqueue, j)
 }
@@ -510,10 +502,6 @@ func (s *Scheduler) Submit(j *Job) error {
 // completed job is an error and the scheduler is left untouched. On success
 // the job's state becomes StateWithdrawn and the scheduler drops every
 // reference to it.
-//
-// minNeed is deliberately left as-is: it is a conservative lower bound
-// (never above the true value), so a stale-low value after removing the
-// smallest queued job costs at most one redundant feasibility walk.
 func (s *Scheduler) Withdraw(j *Job) error {
 	if j.State != StateQueued && j.State != StatePreempted {
 		return fmt.Errorf("core: withdraw %s: state %v, want Queued or Preempted", j.ID, j.State)
@@ -526,6 +514,30 @@ func (s *Scheduler) Withdraw(j *Job) error {
 	s.dirty()
 	s.record(DecisionWithdraw, j)
 	return nil
+}
+
+// placeable is Figure 2's feasibility pass: walk running jobs from the lowest
+// priority upward, counting how many slots shrinking them to their minimum
+// could free, until free plus that count covers need. Jobs inside their
+// rescale gap are skipped and the walk stops at the first job with priority
+// above job's. No actuation happens here. What the walk can count only grows
+// with job's priority — the monotonicity placeWaiting's bucket argument
+// rests on.
+func (s *Scheduler) placeable(job *Job, need int) bool {
+	numToFree := need - s.free
+	for i := len(s.running) - 1; i >= 0 && numToFree > 0; i-- {
+		j := s.running[i]
+		if !s.gapOK(j) {
+			continue
+		}
+		if s.effPriority(j) > s.effPriority(job) {
+			break
+		}
+		if jmin, _ := s.bounds(j); j.Replicas > jmin {
+			numToFree -= j.Replicas - jmin
+		}
+	}
+	return numToFree <= 0
 }
 
 func (s *Scheduler) submit(job *Job) {
@@ -561,29 +573,7 @@ func (s *Scheduler) submit(job *Job) {
 		return
 	}
 
-	// Feasibility pass (Figure 2, first loop): walk running jobs from the
-	// lowest priority upward, counting how many slots shrinking them to
-	// their minimum could free. Stop at jobs with priority above the new
-	// job's. No actuation happens in this pass.
-	numToFree := minR - s.free + overhead
-	for i := len(s.running) - 1; i >= 0 && numToFree > 0; i-- {
-		j := s.running[i]
-		if !s.gapOK(j) {
-			continue
-		}
-		if s.effPriority(j) > s.effPriority(job) {
-			break
-		}
-		jmin, _ := s.bounds(j)
-		if j.Replicas > jmin {
-			newReplicas := j.Replicas - numToFree
-			if newReplicas < jmin {
-				newReplicas = jmin
-			}
-			numToFree -= j.Replicas - newReplicas
-		}
-	}
-	if numToFree > 0 {
+	if !s.placeable(job, minR+overhead) {
 		// Shrinking cannot make room; optionally try preemption, else
 		// queue the job.
 		if s.cfg.EnablePreemption && s.tryPreempt(job, minR, overhead) {
@@ -654,9 +644,6 @@ func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
 		j.lastActionNs = s.tnowNs
 		s.removeRunning(j)
 		s.queue.push(j)
-		if need := s.jobNeed(j); need < s.minNeed {
-			s.minNeed = need
-		}
 		s.record(DecisionPreempt, j)
 	}
 	return s.free >= minR+overhead
@@ -697,62 +684,116 @@ func (s *Scheduler) Kick() {
 // slots. Drivers call this when a rescale gap expires — the simulator via a
 // timer event, the operator via its requeue-after reconcile loop.
 //
-// Once no remaining waiting job could start even if every running job were
-// shrunk to its minimum (or preempted outright), the rest of the backlog is
-// re-queued wholesale instead of being re-submitted one by one — a deep
-// backlog costs one sort, not len(queue) placement passes. When even the
-// smallest waiting requirement (minNeed) exceeds that bound the drain is
-// skipped outright, so a saturated cluster pays O(1) per kick rather than a
-// backlog sort. With EnableLog both shortcuts are disabled so every
-// re-placement attempt stays in the audit trail.
+// "Every queued job" is what the decisions must equal, not what the pass
+// touches. With EnableLog (the audit trail records each re-placement
+// attempt) and with FullRedistribute the whole queue goes through the drain
+// loop. Otherwise nothing happens at all when even the smallest waiting need
+// exceeds what shrinking — or preempting — the whole running set could free,
+// and what does happen is the placeable-only pass wherever its argument
+// holds.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
-		skipDrain := !s.cfg.EnableLog && !s.cfg.FullRedistribute &&
-			s.free+s.maxFreeable() < s.minNeed
-		if !skipDrain {
-			s.rescheduleQueue()
+		switch {
+		case s.cfg.EnableLog || s.cfg.FullRedistribute:
+			s.drainResubmit(nil)
+		case s.free+s.maxFreeable() < s.queue.minNeed():
+			// No waiting job could start: every submit would re-enqueue.
+		case s.cfg.AgingRate > 0 || s.cfg.EnablePreemption || s.free < 0 || s.queue.preempted > 0:
+			// Aging reorders buckets against each other over time,
+			// preemption lets a job that is not placeable act anyway, a
+			// negative free pool breaks the budget bound, and a waiting
+			// job still in StatePreempted has that marker erased by the
+			// drain loop's re-enqueue (drivers read it at the next start),
+			// which only the drain loop reproduces.
+			s.drainResubmit(nil)
+		default:
+			s.placeWaiting()
 		}
 	}
 	s.redistribute()
 }
 
-// rescheduleQueue drains the wait queue in priority order and re-places each
-// job through the Figure 2 submission logic, bulk-requeueing the backlog
-// tail once no remaining job could possibly start.
-func (s *Scheduler) rescheduleQueue() {
+// placeWaiting is the drain loop restricted to the jobs it would not merely
+// re-enqueue. Write B(p) = free + F(p) for the budget of a waiting job of
+// priority p, F(p) being what placeable's walk counts; a job acts in submit
+// iff B(prio) ≥ need. F is monotone in p, so when a bucket's head fails the
+// test every job behind it (same need, no higher priority) fails it too. And
+// B never grows while every job the pass touches starts: a start that needed
+// shrinks takes all of free, a start that did not takes its allocation, and a
+// job started with a zero rescale gap adds to F less than it took. So a
+// bucket whose head fails is dead for the rest of the pass, and the drain
+// loop's submissions that do anything are exactly: best head among the live
+// buckets, while one is placeable.
+//
+// A popped job that does not end up running (the actuator refused, or the
+// cost/benefit gate vetoed the shrinks it needed) may have left shrunk jobs
+// behind, so B grew; the drain loop finishes the pass for the jobs ordered
+// after it.
+func (s *Scheduler) placeWaiting() {
+	s.queue.revive()
+	for {
+		bi := s.queue.best(s.free+s.maxFreeable(), true)
+		if bi < 0 {
+			return
+		}
+		b := &s.queue.buckets[bi]
+		if !s.placeable(b.jobs[0], b.need) {
+			b.dead = true
+			continue
+		}
+		j := s.queue.pop(bi)
+		s.submit(j)
+		if j.State != StateRunning {
+			s.drainResubmit(j)
+			return
+		}
+	}
+}
+
+// drainResubmit is the reference scheduling loop: drain the wait queue in
+// priority order and re-place, through the Figure 2 submission logic, every
+// job ordered after the cursor (every job when after is nil; the jobs up to
+// and including the cursor go straight back). Without EnableLog, once no
+// remaining waiting job could start even if every running job were shrunk to
+// its minimum (or preempted outright), the rest of the backlog is re-queued
+// wholesale instead of being re-submitted one by one; with EnableLog every
+// re-placement attempt stays in the audit trail.
+func (s *Scheduler) drainResubmit(after *Job) {
 	drained := s.queue.drainSorted()
-	s.minNeed = maxSlotNeed
+	rest := drained
+	if after != nil {
+		at := sort.Search(len(drained), func(k int) bool { return s.before(after, drained[k]) })
+		s.queue.bulkAdd(drained[:at])
+		rest = drained[at:]
+	}
 	if s.cfg.EnableLog {
-		for _, j := range drained {
+		for _, j := range rest {
 			s.submit(j)
 		}
 	} else {
-		// needs[i] = smallest slot requirement among drained[i:].
+		// needs[i] = smallest slot requirement among rest[i:].
 		needs := s.needScratch[:0]
-		for range drained {
+		for range rest {
 			needs = append(needs, 0)
 		}
 		s.needScratch = needs
-		for i := len(drained) - 1; i >= 0; i-- {
-			n := s.jobNeed(drained[i])
-			if i+1 < len(drained) && needs[i+1] < n {
+		for i := len(rest) - 1; i >= 0; i-- {
+			n := s.jobNeed(rest[i])
+			if i+1 < len(rest) && needs[i+1] < n {
 				n = needs[i+1]
 			}
 			needs[i] = n
 		}
-		for i, j := range drained {
+		for i, j := range rest {
 			if s.free+s.maxFreeable() < needs[i] {
-				if needs[i] < s.minNeed {
-					s.minNeed = needs[i]
-				}
-				s.queue.bulkAdd(drained[i:])
+				s.queue.bulkAdd(rest[i:])
 				break
 			}
 			s.submit(j)
 		}
 	}
-	s.queue.recycleDrained(drained)
+	clear(drained)
 }
 
 // maxFreeable is an upper bound on the worker slots a submission could free
@@ -799,24 +840,21 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 
 // redistribute walks all running and queued jobs in decreasing priority
 // order, growing each below-max job as far as free slots allow (Figure 3).
-// The running snapshot and the queue heap are merged lazily, and a backlog
-// whose smallest slot requirement exceeds the free capacity is skipped
-// without being scanned at all.
+// The running snapshot and the queue's buckets are merged lazily. Free slots
+// only fall during the pass, so under out-of-order allocation a bucket whose
+// need exceeds them can never place a job and is not looked at; StrictFCFS
+// looks at the overall queue head and stops there when it does not fit.
 //
 // Two early-outs make the pass incremental (FullRedistribute disables
 // both; both are decision-transparent, see the equivalence tests):
 //
-//   - free ≤ 0: the Figure 3 loop cannot expand or start anything, so only
-//     the queue-empty minNeed reset survives.
+//   - free ≤ 0: the Figure 3 loop cannot expand or start anything.
 //   - clean: the previous pass ran to completion, nothing mutated since,
 //     and no rescale gap that blocked an expansion has expired yet
 //     (cleanUntil) — re-running it would replay the identical no-op scan.
 func (s *Scheduler) redistribute() {
 	if !s.cfg.FullRedistribute {
 		if s.free <= 0 {
-			if s.queue.Len() == 0 {
-				s.minNeed = maxSlotNeed
-			}
 			s.clean = true
 			s.cleanUntilNs = 0
 			return
@@ -834,14 +872,9 @@ func (s *Scheduler) redistribute() {
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
 	overhead := s.cfg.JobOverheadSlots
-	// When not even the smallest waiting requirement (minNeed already
-	// includes the per-job overhead) fits the free slots — and out-of-order
-	// allocation is on, so skipped jobs gate nothing — the backlog cannot
-	// place a job and is left untouched.
-	popQueue := s.queue.Len() > 0 &&
-		(s.cfg.StrictFCFS || s.free >= s.minNeed)
-	popped := s.popScratch[:0]
-	poppedMin := maxSlotNeed
+	// refused collects queue jobs whose start the actuator refused; they go
+	// back once the pass is over.
+	refused := s.refusedScratch[:0]
 	// Track what could invalidate a clean skip of the next pass: the
 	// earliest gap expiry among blocked expansions (Unix ns, 0 = none),
 	// and whether any actuation failed (an external actuator might accept
@@ -849,14 +882,21 @@ func (s *Scheduler) redistribute() {
 	var blockedExpiryNs int64
 	attemptFailed := false
 	ri := 0
+	// bi is the queue's candidate bucket, recomputed whenever free or the
+	// queue changed.
+	bi, stale := -1, true
 	for s.free > 0 {
-		takeQueue := false
-		if popQueue && s.queue.Len() > 0 {
-			takeQueue = ri >= len(run) || s.before(s.queue.peek(), run[ri])
-		} else if ri >= len(run) {
+		if stale {
+			limit := s.free
+			if s.cfg.StrictFCFS {
+				limit = maxSlotNeed
+			}
+			bi, stale = s.queue.best(limit, false), false
+		}
+		if bi < 0 && ri >= len(run) {
 			break
 		}
-		if !takeQueue {
+		if bi < 0 || ri < len(run) && !s.before(s.queue.head(bi), run[ri]) {
 			j := run[ri]
 			ri++
 			jmin, jmax := s.bounds(j)
@@ -874,50 +914,35 @@ func (s *Scheduler) redistribute() {
 					add = s.free
 				}
 				if j.Replicas+add >= jmin && add > 0 {
-					if !s.expand(j, j.Replicas+add) {
+					if s.expand(j, j.Replicas+add) {
+						stale = true
+					} else {
 						attemptFailed = true
 					}
 				}
 			}
 			continue
 		}
-		j := s.queue.pop()
-		jmin, jmax := s.bounds(j)
-		avail := s.free - overhead
-		if avail < jmin {
-			popped = append(popped, j)
-			if need := jmin + overhead; need < poppedMin {
-				poppedMin = need
-			}
-			if s.cfg.StrictFCFS {
-				break // no backfilling past the queue head
-			}
-			continue
+		if s.queue.buckets[bi].need > s.free {
+			break // StrictFCFS: no backfilling past the queue head
 		}
-		replicas := avail
+		j := s.queue.pop(bi)
+		stale = true
+		_, jmax := s.bounds(j)
+		replicas := s.free - overhead
 		if replicas > jmax {
 			replicas = jmax
 		}
 		if !s.start(j, replicas) {
 			attemptFailed = true
-			popped = append(popped, j)
-			if need := jmin + overhead; need < poppedMin {
-				poppedMin = need
-			}
+			refused = append(refused, j)
 		}
 	}
-	if len(popped) > 0 {
-		if s.queue.Len() == 0 {
-			// The whole backlog was scanned, so poppedMin is exactly
-			// the smallest requirement still waiting.
-			s.minNeed = poppedMin
-		}
-		s.queue.bulkAdd(popped)
-	} else if s.queue.Len() == 0 {
-		s.minNeed = maxSlotNeed
+	for _, j := range refused {
+		s.queue.push(j)
 	}
-	s.popScratch = popped[:0]
-	clear(popped)
+	clear(refused)
+	s.refusedScratch = refused[:0]
 	clear(run)
 	s.runScratch = run[:0]
 	// The pass is now a fixed point of the current state: mark it clean so

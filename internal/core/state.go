@@ -142,14 +142,8 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 	s.running = running
 	s.sortJobs(s.running) // exported order is already sorted; re-sorting is cheap insurance
 	s.runMinSum = runMinSum
-	s.queue.jobs = s.queue.jobs[:0]
+	s.queue.reset()
 	s.queue.bulkAdd(queued)
-	s.minNeed = maxSlotNeed
-	for _, j := range queued {
-		if need := s.jobNeed(j); need < s.minNeed {
-			s.minNeed = need
-		}
-	}
 	s.clean = false
 	s.cleanUntilNs = 0
 	s.reclaiming = false

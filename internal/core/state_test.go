@@ -277,3 +277,68 @@ func TestExportStateIntoReusesBuffers(t *testing.T) {
 		t.Errorf("ExportStateInto allocates %.0f times per snapshot", allocs)
 	}
 }
+
+// TestSchedulerStateRoundTripManyBuckets round-trips a scheduler whose
+// waiting jobs span four distinct slot needs, one of them a checkpointed
+// requeue: the snapshot lists them in priority order whatever bucket they
+// sit in, restoring rebuilds every bucket, and the restored scheduler starts
+// the same jobs the source does when slots free up.
+func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
+	build := func() (*Scheduler, *testClock, *Job) {
+		s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute})
+		blocker := job("blocker", 9, 12, 12)
+		victim := job("victim", 1, 4, 4)
+		for _, j := range []*Job{blocker, victim} {
+			if err := s.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.SetCapacity(12); err != nil { // requeues victim, checkpointed
+			t.Fatal(err)
+		}
+		for i, minR := range []int{2, 3, 8, 2, 8, 3} {
+			clk.advance(time.Second)
+			if err := s.Submit(job("w"+itoa(i), 2+i%3, minR, minR+4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, clk, blocker
+	}
+	src, sclk, blocker := build()
+	nonEmpty := 0
+	for _, b := range src.queue.buckets {
+		if len(b.jobs) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 3 || src.queue.preempted != 1 {
+		t.Fatalf("scenario lost its point: %d non-empty buckets, %d preempted waiting", nonEmpty, src.queue.preempted)
+	}
+	st := src.ExportState()
+	for i := 1; i < len(st.Queued); i++ {
+		if !src.before(&st.Queued[i-1], &st.Queued[i]) {
+			t.Fatalf("snapshot not in priority order at %d: %s then %s", i, st.Queued[i-1].ID, st.Queued[i].ID)
+		}
+	}
+
+	dst, _, dclk := newSched(t, Config{Policy: Elastic, Capacity: 4, RescaleGap: time.Minute})
+	dclk.t = sclk.t
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if back := dst.ExportState(); !reflect.DeepEqual(st, back) {
+		t.Errorf("round trip diverged:\nexported: %+v\nrestored: %+v", st, back)
+	}
+	if dst.queue.minNeed() != src.queue.minNeed() || dst.queue.preempted != src.queue.preempted {
+		t.Errorf("restored queue: minNeed %d preempted %d, source %d / %d",
+			dst.queue.minNeed(), dst.queue.preempted, src.queue.minNeed(), src.queue.preempted)
+	}
+	// Free the cluster on both and compare what they do with it.
+	sclk.advance(2 * time.Minute)
+	dclk.advance(2 * time.Minute)
+	src.OnJobComplete(blocker)
+	dst.OnJobComplete(findRestoredJob(t, dst, "blocker"))
+	if a, b := src.ExportState(), dst.ExportState(); !reflect.DeepEqual(a, b) {
+		t.Errorf("schedulers diverged after the restore:\nsource:   %+v\nrestored: %+v", a, b)
+	}
+}

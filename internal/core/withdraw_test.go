@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestWithdrawQueuedJob(t *testing.T) {
 	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8})
@@ -86,5 +89,54 @@ func TestWithdrawKeepsSchedulerConsistent(t *testing.T) {
 	}
 	if a.State != StateWithdrawn {
 		t.Errorf("a is %v, want Withdrawn", a.State)
+	}
+}
+
+// TestWithdrawFromInsideABucket withdraws a job that is neither the queue's
+// head nor its bucket's: the bucket must close the hole and keep handing out
+// the rest in priority order, and the other buckets must not notice.
+func TestWithdrawFromInsideABucket(t *testing.T) {
+	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8})
+	blocker := job("blocker", 9, 8, 8)
+	if err := s.Submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	// Six waiting jobs needing 4 slots, two needing 2.
+	var fours []*Job
+	for i, prio := range []int{8, 7, 6, 5, 4, 3} {
+		j := job("four"+itoa(i), prio, 4, 4)
+		fours = append(fours, j)
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twos := []*Job{job("two0", 2, 2, 2), job("two1", 1, 2, 2)}
+	for _, j := range twos {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bi, ok := s.queue.find(4)
+	if !ok || s.queue.buckets[bi].jobs[0] == fours[3] {
+		t.Fatalf("setup: need-4 bucket missing or four3 at its head")
+	}
+	if err := s.Withdraw(fours[3]); err != nil {
+		t.Fatal(err)
+	}
+	if fours[3].State != StateWithdrawn || s.NumQueued() != 7 || s.queue.minNeed() != 2 {
+		t.Fatalf("four3 %v, %d queued, minNeed %d", fours[3].State, s.NumQueued(), s.queue.minNeed())
+	}
+	var got []string
+	for _, j := range s.Queued() {
+		got = append(got, j.ID)
+	}
+	want := []string{"four0", "four1", "four2", "four4", "four5", "two0", "two1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("waiting order %v, want %v", got, want)
+	}
+	s.OnJobComplete(blocker)
+	if fours[0].State != StateRunning || fours[1].State != StateRunning || fours[2].State != StateQueued {
+		t.Errorf("after the blocker left: four0 %v, four1 %v, four2 %v; want the first two running",
+			fours[0].State, fours[1].State, fours[2].State)
 	}
 }

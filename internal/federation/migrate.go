@@ -278,8 +278,18 @@ func rebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simulator
 			plan = 1
 		}
 		st.plan = float64(plan)
+		// A float sum depends on its order, and the snapshot's order is the
+		// member queue's internal layout. Impose the coordinator's own:
+		// one job at a time, classes ascending.
+		var waiting [model.XLarge + 1]int
 		for _, q := range st.queued {
-			st.drainT += queuedWork(machines[i], backends[i].Capacity(), specs[q.Class])
+			waiting[q.Class]++
+		}
+		for c, n := range waiting {
+			work := queuedWork(machines[i], backends[i].Capacity(), specs[model.Class(c)])
+			for ; n > 0; n-- {
+				st.drainT += work
+			}
 		}
 		st.drainT /= st.plan
 		states[i] = st

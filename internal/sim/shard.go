@@ -41,8 +41,8 @@ type shardStats struct {
 // never to a wrong one.
 //
 // Why adoption is exact: a drained scheduler holds no jobs, its free-slot
-// count equals its capacity, its queue floor (minNeed) is at the +inf
-// sentinel, and its pending-kick clock is unarmed — all of which a freshly
+// count equals its capacity, its wait queue is empty (no smallest waiting
+// need), and its pending-kick clock is unarmed — all of which a freshly
 // constructed scheduler at the same capacity reproduces identically. The
 // only cross-boundary state is therefore the capacity in force, which the
 // planner hands each epoch via core.SchedulerState, and the accumulated

@@ -137,8 +137,11 @@ func (s *Simulator) CurrentCapacity() int { return s.sched.Capacity() }
 func (s *Simulator) UsedSlots() int { return s.sched.Capacity() - s.sched.FreeSlots() }
 
 // QueuedJobs snapshots the waiting queue (queued and checkpoint-preempted
-// jobs) in the scheduler's internal heap order — deterministic for a
-// deterministic run, but not sorted; coordinators impose their own order.
+// jobs) in the scheduler's internal layout — bucket order (ascending slot
+// need), then heap order within a bucket. That is deterministic for a
+// deterministic run, but not sorted, and it changes whenever the queue's
+// implementation does: coordinators impose their own order on anything
+// order-sensitive, float sums included.
 func (s *Simulator) QueuedJobs() []QueuedJob {
 	out := make([]QueuedJob, 0, s.sched.NumQueued())
 	s.sched.VisitQueued(func(j *core.Job) bool {
