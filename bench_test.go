@@ -275,14 +275,14 @@ func BenchmarkFig7SubmissionGapSweep(b *testing.B) {
 	gaps := []float64{0, 60, 120, 180, 240, 300}
 	for i := 0; i < b.N; i++ {
 		once("fig7", func() {
-			pts, err := sim.SubmissionGapSweep(gaps, 16, 100, 180)
+			pts, err := sim.SubmissionGapSweep(gaps, 16, 100, 180, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			fmt.Println("\nFig 7 (submission-gap sweep, 100 seeds): gap,policy,metrics")
 			printSweep("fig7", pts)
 		})
-		if _, err := sim.SubmissionGapSweep([]float64{90}, 16, 5, 180); err != nil {
+		if _, err := sim.SubmissionGapSweep([]float64{90}, 16, 5, 180, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,14 +294,14 @@ func BenchmarkFig8RescaleGapSweep(b *testing.B) {
 	rgaps := []float64{0, 120, 300, 600, 900, 1200}
 	for i := 0; i < b.N; i++ {
 		once("fig8", func() {
-			pts, err := sim.RescaleGapSweep(rgaps, 16, 100, 180)
+			pts, err := sim.RescaleGapSweep(rgaps, 16, 100, 180, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			fmt.Println("\nFig 8 (rescale-gap sweep, 100 seeds): rescale_gap,policy,metrics")
 			printSweep("fig8", pts)
 		})
-		if _, err := sim.RescaleGapSweep([]float64{180}, 16, 5, 180); err != nil {
+		if _, err := sim.RescaleGapSweep([]float64{180}, 16, 5, 180, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

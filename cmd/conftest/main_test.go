@@ -14,8 +14,8 @@ import (
 // disk — and error reporting picked a file — in per-run random order.
 func TestSaveStreamsOrderDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	ref := &conformance.Stream{Version: 1, Label: "ref"}
-	got := &conformance.Stream{Version: 1, Label: "got"}
+	ref := &conformance.Stream{Version: conformance.StreamVersion, Label: "ref"}
+	got := &conformance.Stream{Version: conformance.StreamVersion, Label: "got"}
 	base := filepath.Join(dir, "case")
 	if err := saveStreams(base, ref, got); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@
 //	elasticsim -trace wl.csv               # replay a saved trace (JSON or CSV)
 //	elasticsim -availability spot          # spot preemptions over the scenario run
 //	elasticsim -availability failures -mttf 900          # tune the failure rate
-//	elasticsim -seeds 100 -jobs 16         # paper-scale averaging
+//	elasticsim -sweep gap -seeds 100 -jobs 16   # paper-scale averaging
 //	elasticsim -parallel 1 -sweep gap      # sequential reference run
 //	elasticsim -scenario burst -shards 8   # shard the event loop by time epoch
 //	elasticsim -scenario burst -save-workload wl.json   # export a workload
@@ -47,7 +47,7 @@ func main() {
 	var (
 		sweep    = flag.String("sweep", "", `sweep to run: "gap" (Fig. 7), "rescale" (Fig. 8), "scenario", "availability", or "federation"`)
 		table1   = flag.Bool("table1", false, "run the Table 1 simulation")
-		jobs     = flag.Int("jobs", 16, "jobs per workload")
+		jobs     = flag.Int("jobs", 16, "jobs per workload (-sweep gap|rescale only; scenarios and traces carry their own job count)")
 		seeds    = flag.Int("seeds", 100, "random workloads to average over")
 		scenario = flag.String("scenario", "", "workload scenario: uniform | poisson | burst | diurnal | trace")
 		tracePth = flag.String("trace", "", "workload trace file to replay (JSON or CSV; implies -scenario trace)")
@@ -56,7 +56,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "seed for -scenario / -save-workload runs")
 		saveWL   = flag.String("save-workload", "", "write the selected scenario's workload to this path and exit")
 		jsonPath = flag.String("json", "", "also write the results as a metrics.Report to this path")
-		workldFl = flag.String("workload", "", "deprecated alias of -trace")
 
 		clusters  = flag.Int("clusters", 1, "member clusters in a federated run (1 = single cluster)")
 		routeFl   = flag.String("route", "round_robin", "federation routing policy: round_robin | least_loaded | priority | random")
@@ -76,9 +75,6 @@ func main() {
 	)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
-	if *tracePth == "" {
-		*tracePth = *workldFl
-	}
 	// explicitScenario distinguishes a user-chosen -scenario from the
 	// "-trace implies -scenario trace" normalization below; -sweep
 	// scenario keeps its historical default (all scenarios plus the
@@ -115,14 +111,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// routeSet/clustersSet distinguish explicit flags from their defaults:
-	// the federation sweep covers all routes unless one was asked for, and
-	// defaults to a 4-member fleet only when -clusters was not given.
-	routeSet, clustersSet := false, false
+	// routeSet/clustersSet/jobsSet distinguish explicit flags from their
+	// defaults: the federation sweep covers all routes unless one was asked
+	// for, and defaults to a 4-member fleet only when -clusters was not given.
+	routeSet, clustersSet, jobsSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
 		routeSet = routeSet || f.Name == "route"
 		clustersSet = clustersSet || f.Name == "clusters"
+		jobsSet = jobsSet || f.Name == "jobs"
 	})
+	// -jobs sizes the uniform workloads of the gap and rescale sweeps and
+	// nothing else; everywhere else it would be silently ignored.
+	if jobsSet && *sweep != "gap" && *sweep != "rescale" {
+		log.Fatal("-jobs applies to -sweep gap|rescale only (scenario generators and traces carry their own job count)")
+	}
 	// Reject -clusters where it would be silently ignored, mirroring the
 	// -availability incompatibility errors; the federated branches stamp
 	// their clusters/route/skew params themselves, so no report can claim
@@ -209,10 +211,10 @@ func main() {
 		var err error
 		xName := "submission_gap"
 		if *sweep == "gap" {
-			points, err = sim.SubmissionGapSweepWorkers([]float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}, *jobs, *seeds, 180, *parallel)
+			points, err = sim.SubmissionGapSweep([]float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}, *jobs, *seeds, 180, *parallel)
 		} else {
 			xName = "rescale_gap"
-			points, err = sim.RescaleGapSweepWorkers([]float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}, *jobs, *seeds, 180, *parallel)
+			points, err = sim.RescaleGapSweep([]float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}, *jobs, *seeds, 180, *parallel)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -181,8 +181,7 @@ func RandomWorkload(n int, gapSeconds float64, seed int64) Workload {
 
 // SimOption customizes one Simulate call. Options compose freely and apply
 // in argument order over the default configuration (64 slots, 180 s rescale
-// gap, the calibrated default machine) — every former Simulate* entry point
-// is a spelling of Simulate plus options.
+// gap, the calibrated default machine).
 type SimOption func(*SimConfig)
 
 // WithRescaleGap sets the rescale gap T_rescale_gap in seconds (default
@@ -233,29 +232,14 @@ func WithSimConfig(cfg SimConfig) SimOption {
 //	Simulate(p, w, WithShards(8))                       // sharded + streaming
 //	Simulate(p, w, WithAvailability(tr), WithStreaming()) // capacity trace
 //
-// Every combination is bit-identical to the legacy Simulate* entry point it
-// replaces (pinned by the facade equivalence tests).
+// Every combination is bit-identical to sim.Run on the sim.Config it spells
+// (pinned by the facade option tests).
 func Simulate(p Policy, w Workload, opts ...SimOption) (SimResult, error) {
 	cfg := sim.DefaultConfig(p)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	return sim.Run(cfg, w)
-}
-
-// SimulateStreaming is Simulate in streaming mode.
-//
-// Deprecated: Use Simulate with WithStreaming (and WithRescaleGap).
-func SimulateStreaming(p Policy, w Workload, rescaleGapSeconds float64) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithStreaming())
-}
-
-// SimulateParallel is Simulate with the event loop sharded across `shards`
-// goroutines by time epoch.
-//
-// Deprecated: Use Simulate with WithShards (and WithRescaleGap).
-func SimulateParallel(p Policy, w Workload, rescaleGapSeconds float64, shards int) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithShards(shards))
 }
 
 // Workload scenarios (the internal/workload engine): generators produce
@@ -311,12 +295,12 @@ func LoadWorkload(path string) (Workload, error) { return workload.LoadFile(path
 // workers <= 0 uses every CPU, workers == 1 is the sequential reference path
 // (results are bit-identical either way).
 func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGapSeconds float64, workers int) ([]SweepPoint, error) {
-	return sim.SubmissionGapSweepWorkers(gaps, jobs, seeds, rescaleGapSeconds, workers)
+	return sim.SubmissionGapSweep(gaps, jobs, seeds, rescaleGapSeconds, workers)
 }
 
 // RescaleGapSweep runs the Figure 8 sweep on a bounded worker pool.
 func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGapSeconds float64, workers int) ([]SweepPoint, error) {
-	return sim.RescaleGapSweepWorkers(rescaleGaps, jobs, seeds, submissionGapSeconds, workers)
+	return sim.RescaleGapSweep(rescaleGaps, jobs, seeds, submissionGapSeconds, workers)
 }
 
 // ScenarioSweep averages every scenario under every policy across seeds on a
@@ -384,22 +368,6 @@ func ReplayAvailabilityTrace(name string, tr AvailabilityTrace) AvailabilityProf
 	return workload.ReplayAvailability(name, tr)
 }
 
-// SimulateAvailability runs a workload under a policy on a time-varying
-// cluster.
-//
-// Deprecated: Use Simulate with WithAvailability (and WithRescaleGap).
-func SimulateAvailability(p Policy, w Workload, rescaleGapSeconds float64, tr AvailabilityTrace) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithAvailability(tr))
-}
-
-// SimulateAvailabilityStreaming is SimulateAvailability in O(running jobs)
-// memory.
-//
-// Deprecated: Use Simulate with WithAvailability and WithStreaming.
-func SimulateAvailabilityStreaming(p Policy, w Workload, rescaleGapSeconds float64, tr AvailabilityTrace) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithAvailability(tr), WithStreaming())
-}
-
 // AvailabilitySweep averages one workload scenario under every availability
 // profile × policy across seeds on a bounded worker pool.
 func AvailabilitySweep(profiles []AvailabilityProfile, gen WorkloadGenerator, seeds int, rescaleGapSeconds float64, workers int) ([]ScenarioResult, error) {
@@ -408,7 +376,7 @@ func AvailabilitySweep(profiles []AvailabilityProfile, gen WorkloadGenerator, se
 
 // EmulateAvailability generates one seed of a workload scenario and an
 // availability profile and runs both through the full k8s+operator
-// emulation — the cluster-backend twin of SimulateAvailability.
+// emulation — the cluster-backend twin of Simulate with WithAvailability.
 func EmulateAvailability(cfg ClusterConfig, g WorkloadGenerator, p AvailabilityProfile, seed int64) (SimResult, error) {
 	return cluster.RunAvailability(cfg, g, p, seed)
 }

@@ -248,7 +248,7 @@ func Table1Actual() (map[core.Policy]sim.Result, error) {
 
 // RunGenerator generates one seed of a workload scenario and runs it through
 // the full emulation — the cluster-backend twin of generating and handing the
-// workload to sim.RunPolicy.
+// workload to sim.Run.
 func RunGenerator(cfg Config, g workload.Generator, seed int64) (sim.Result, error) {
 	w, err := g.Generate(seed)
 	if err != nil {
@@ -259,7 +259,7 @@ func RunGenerator(cfg Config, g workload.Generator, seed int64) (sim.Result, err
 
 // RunAvailability generates one seed of a workload scenario and an
 // availability profile and runs both through the full emulation — the
-// cluster-backend twin of sim.RunPolicyAvailability. The trace gets a
+// cluster-backend twin of a sim run with Config.Availability set. The trace gets a
 // restore-to-base event past its horizon so a profile ending mid-outage
 // cannot strand the backlog, mirroring sim.AvailabilitySweep.
 func RunAvailability(cfg Config, g workload.Generator, p workload.AvailabilityProfile, seed int64) (sim.Result, error) {

@@ -111,7 +111,9 @@ func TestAvailabilityProfileComparableAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simres, err := sim.RunPolicyAvailability(core.Elastic, w, 180, tr.WithRestore(64, horizon))
+	simcfg := sim.DefaultConfig(core.Elastic)
+	simcfg.Availability = tr.WithRestore(64, horizon)
+	simres, err := sim.Run(simcfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

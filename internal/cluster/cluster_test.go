@@ -215,7 +215,7 @@ func TestActualAgreesWithSimulation(t *testing.T) {
 	// Kubernetes to start up the pods").
 	w := sim.Table1Workload()
 	for _, p := range core.AllPolicies() {
-		simRes, err := sim.RunPolicy(p, w, 180)
+		simRes, err := sim.Run(sim.DefaultConfig(p), w)
 		if err != nil {
 			t.Fatal(err)
 		}

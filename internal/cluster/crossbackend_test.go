@@ -9,7 +9,7 @@ import (
 )
 
 // TestCrossBackendAgreement pins the two backends to each other: the same
-// small scenario through the discrete-event simulator (sim.RunPolicy) and
+// small scenario through the discrete-event simulator (sim.Run) and
 // the full k8s+operator emulation (RunExperiment) must complete the same job
 // set with the same per-job peak replica counts, and their per-job timing
 // metrics must agree within the pod-startup and rescale-protocol overheads
@@ -22,7 +22,7 @@ func TestCrossBackendAgreement(t *testing.T) {
 	}
 	w := sim.RandomWorkload(8, 120, 3)
 	for _, p := range []core.Policy{core.Elastic, core.RigidMax} {
-		simRes, err := sim.RunPolicy(p, w, 180)
+		simRes, err := sim.Run(sim.DefaultConfig(p), w)
 		if err != nil {
 			t.Fatalf("%v sim: %v", p, err)
 		}

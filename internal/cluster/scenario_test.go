@@ -34,7 +34,7 @@ func TestAllGeneratorsRunThroughBothBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: generate: %v", g.Name(), err)
 		}
-		simRes, err := sim.RunPolicy(core.Elastic, w, 180)
+		simRes, err := sim.Run(sim.DefaultConfig(core.Elastic), w)
 		if err != nil {
 			t.Fatalf("%s: sim backend: %v", g.Name(), err)
 		}

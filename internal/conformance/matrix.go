@@ -150,8 +150,9 @@ func matrixScenarios(seed int64) ([]Scenario, error) {
 }
 
 // Cases enumerates the matrix: sim cells (incremental vs FullRedistribute,
-// streaming vs retained, every shard width vs sequential — logged decision
-// streams and bit-exact result summaries), the aging+preemption extension
+// streaming vs retained, every shard width vs sequential — decision streams
+// and bit-exact result summaries on the production path — plus the logged vs
+// unlogged observer-neutrality contract), the aging+preemption extension
 // cells, federation cells (sequential vs parallel vs repeated, rebalance
 // off and on, per route × policy, with member decision streams), and
 // cluster-emulation repeat-determinism cells.
@@ -203,11 +204,19 @@ type simCandidate struct {
 	shards    int
 }
 
-// simCase pins one (seed, policy) cell across all three workload shapes:
-// decision-stream equality with logging on (the reference is the
-// full-redistribute scheduler), then bit-exact result summaries with
-// logging off — the configuration where every incremental shortcut and the
-// streaming mode are live.
+// summaryOnly is st without its decision log — the part of a run that must
+// not depend on whether the log was on.
+func summaryOnly(st *Stream) *Stream {
+	return &Stream{Version: st.Version, Summary: st.Summary}
+}
+
+// simCase pins one (seed, policy) cell across all five workload shapes.
+// Every candidate runs logged, on the path production runs — the
+// placeable-only pass and its fallbacks, coalesced kicks, the streaming mode,
+// every shard width — and must reproduce the full-redistribute reference's
+// decision stream and bit-exact summary. One more run with the log off must
+// leave the same summary, per-job digest included: observing a run does not
+// change it.
 func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 	name := fmt.Sprintf("sim/%s/seed%d", p, seed)
 	return Case{Name: name, Run: func() ([]Failure, error) {
@@ -228,38 +237,19 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 			}
 			caseName := name + "/" + sc.Name
 
-			// Decision streams, logging on. (EnableLog disables the
-			// drain shortcut in every mode, so this isolates the
-			// redistribute early-outs and the shard reconciliation.)
 			ref, err := run(true, true, false, 0)
 			if err != nil {
 				return nil, err
 			}
-			got, err := run(false, true, false, 0)
+			incremental, err := run(false, true, false, 0)
 			if err != nil {
 				return nil, err
 			}
-			fails = check(fails, opt, caseName, "incremental/logged", ref, got)
-			for _, shards := range opt.Shards {
-				got, err := run(false, true, false, shards)
-				if err != nil {
-					return nil, err
-				}
-				fails = check(fails, opt, caseName, fmt.Sprintf("shards%d/logged", shards), ref, got)
-			}
-
-			// Bit-exact summaries (including the per-job digest), logging
-			// off — the default path with every shortcut live. Streaming
-			// candidates carry no digest and compare on the aggregates,
-			// which the streaming mode documents as bit-identical.
-			ref, err = run(true, false, false, 0)
-			if err != nil {
-				return nil, err
-			}
-			candidates := []simCandidate{
-				{name: "incremental"},
-				{name: "streaming", streaming: true},
-			}
+			fails = check(fails, opt, caseName, "incremental", ref, incremental)
+			// Streaming candidates carry no digest and compare on the
+			// decisions and the aggregates, which the streaming mode
+			// documents as bit-identical.
+			candidates := []simCandidate{{name: "streaming", streaming: true}}
 			for _, shards := range opt.Shards {
 				candidates = append(candidates, simCandidate{
 					name: fmt.Sprintf("shards%d", shards), shards: shards,
@@ -272,20 +262,27 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 				})
 			}
 			for _, cand := range candidates {
-				got, err := run(false, false, cand.streaming, cand.shards)
+				got, err := run(false, true, cand.streaming, cand.shards)
 				if err != nil {
 					return nil, err
 				}
 				fails = check(fails, opt, caseName, cand.name, ref, got)
 			}
+
+			unlogged, err := run(false, false, false, 0)
+			if err != nil {
+				return nil, err
+			}
+			fails = check(fails, opt, caseName, "unlogged", summaryOnly(incremental), unlogged)
 		}
 		return fails, nil
 	}}
 }
 
 // extensionsCase re-pins the contract with aging and preemption on — the
-// configuration where the incremental scheduler must decline to cache and
-// kick coalescing turns itself off.
+// configuration where the incremental scheduler must decline to cache, every
+// Reschedule takes the drain loop and kick coalescing turns itself off —
+// decision streams and summaries against the full-redistribute reference.
 func extensionsCase(opt MatrixOptions, p core.Policy) Case {
 	name := fmt.Sprintf("sim-extensions/%s", p)
 	return Case{Name: name, Run: func() ([]Failure, error) {
@@ -297,6 +294,7 @@ func extensionsCase(opt MatrixOptions, p core.Policy) Case {
 			cfg := sim.DefaultConfig(p)
 			cfg.AgingRate = 0.01
 			cfg.EnablePreemption = true
+			cfg.LogDecisions = true
 			cfg.FullRedistribute = full
 			cfg.Shards = shards
 			return RecordSim(cfg, w)

@@ -37,10 +37,11 @@ import (
 	"elastichpc/internal/sim"
 )
 
-// StreamVersion is the stream format generation written by this package.
-// Readers accept generations 1..StreamVersion and reject newer ones rather
-// than misinterpreting them.
-const StreamVersion = 1
+// StreamVersion is the stream format generation written by this package, and
+// the only one it reads. Generation 2 logs effects only; generation 1 also
+// logged every waiting job a scheduling pass put back, so the two cannot be
+// compared entry for entry and a generation-1 stream is rejected at decode.
+const StreamVersion = 2
 
 // epochNs anchors decision timestamps: both the simulator and the cluster
 // emulation start their virtual clocks at 2025-01-01T00:00:00Z, so every
@@ -56,8 +57,8 @@ type Stream struct {
 	// Meta records how the stream was produced — a RunSpec's key/value
 	// encoding, which Replay turns back into an executable run.
 	Meta map[string]string `json:"meta,omitempty"`
-	// Decisions is the scheduler's decision log, oldest first (empty when
-	// the run did not enable decision logging).
+	// Decisions is the scheduler's decision log — its effects, oldest first
+	// (empty when the run did not enable decision logging).
 	Decisions []Decision `json:"decisions,omitempty"`
 	// Migrations is the federation rebalancer's move log (fleet runs only).
 	Migrations []Migration `json:"migrations,omitempty"`
@@ -270,8 +271,11 @@ func jobsDigest(res sim.Result) string {
 // Validate checks the stream's structural integrity: a readable version and
 // no doubly-nested members.
 func (s *Stream) Validate() error {
-	if s.Version < 1 || s.Version > StreamVersion {
-		return fmt.Errorf("conformance: stream version %d, this build reads 1..%d", s.Version, StreamVersion)
+	if s.Version == 1 {
+		return fmt.Errorf("conformance: stream version 1 logged every re-enqueue, version %d logs effects only: re-record the stream with this build", StreamVersion)
+	}
+	if s.Version != StreamVersion {
+		return fmt.Errorf("conformance: stream version %d, this build reads %d", s.Version, StreamVersion)
 	}
 	for i, m := range s.Members {
 		if m == nil {

@@ -69,8 +69,30 @@ func TestStreamVersionValidation(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("Load accepted a future stream version")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "members": [{"version": 1, "members": [{"version": 1}]}]}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 2, "members": [{"version": 2, "members": [{"version": 2}]}]}`)); err == nil {
 		t.Error("Load accepted doubly-nested members")
+	}
+}
+
+// TestStreamVersion1Rejected: a generation-1 stream logged every re-enqueue,
+// so it cannot be diffed against an effects-only stream; decode refuses it and
+// says what to do.
+func TestStreamVersion1Rejected(t *testing.T) {
+	st := recordedSim(t, core.Elastic, nil)
+	var sb strings.Builder
+	if err := st.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(sb.String(), `"version": 2`, `"version": 1`, 1)
+	if v1 == sb.String() {
+		t.Fatal("saved stream carries no version 2 marker to rewrite")
+	}
+	_, err := Load(strings.NewReader(v1))
+	if err == nil {
+		t.Fatal("Load accepted a version 1 stream")
+	}
+	if !strings.Contains(err.Error(), "re-record") {
+		t.Errorf("version 1 rejection does not say to re-record: %v", err)
 	}
 }
 

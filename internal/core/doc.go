@@ -32,4 +32,9 @@
 // decision-transparent — Config.FullRedistribute disables them, and the
 // equivalence tests pin incremental ≡ full across policies and workloads.
 // docs/ARCHITECTURE.md lists the invariants.
+//
+// The decision log (Config.EnableLog, Scheduler.Log) is an audit trail of
+// effects; a waiting job that a pass examines and puts back is not one. So
+// the scheduler takes one path whether or not anyone is watching: record and
+// recordCapacity are the only readers of EnableLog.
 package core

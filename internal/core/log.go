@@ -44,7 +44,10 @@ func (k DecisionKind) String() string {
 }
 
 // Decision is one entry in the scheduler's decision log — the audit trail
-// of every policy action, with the slot accounting at the time it was made.
+// of every effect the policy had, with the slot accounting at the time it
+// was made. DecisionEnqueue marks a job's first entry into the wait queue
+// (Submit could not start it); a waiting job put back by a later pass is not
+// logged again.
 type Decision struct {
 	At        time.Time
 	Kind      DecisionKind

@@ -117,10 +117,13 @@ type Config struct {
 	StrictFCFS bool
 	// CostBenefit optionally gates rescales on application progress.
 	CostBenefit *CostBenefit
-	// EnableLog records every scheduling decision for retrieval via
+	// EnableLog records the scheduler's effects for retrieval via
 	// Scheduler.Log — the audit trail operators want when a rescale storm
-	// needs explaining. Entries land in a bounded ring buffer, so steady
-	// state logging allocates nothing per decision.
+	// needs explaining: start, shrink, expand, preempt, complete, capacity,
+	// withdraw, and a job's first entry into the wait queue. Only record and
+	// recordCapacity read the flag, so logging never changes what the
+	// scheduler does. Entries land in a bounded ring buffer, so steady state
+	// logging allocates nothing per decision.
 	EnableLog bool
 	// FullRedistribute disables the incremental-scheduling early-outs:
 	// every redistribute runs the full Figure 3 pass and every Reschedule
@@ -456,12 +459,12 @@ func (s *Scheduler) expand(j *Job, to int) bool {
 	return true
 }
 
-// enqueue places j on the internal priority queue.
+// enqueue places j on the internal priority queue. It logs nothing: Submit
+// records a job's first entry, and a job a pass puts back is not an effect.
 func (s *Scheduler) enqueue(j *Job) {
 	j.State = StateQueued
 	s.queue.push(j)
 	s.dirty()
-	s.record(DecisionEnqueue, j)
 }
 
 // removeRunning deletes j from the running list.
@@ -492,6 +495,9 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.prio = float64(j.Priority)
 	j.submitNs = j.SubmitTime.UnixNano()
 	s.submit(j)
+	if j.State == StateQueued {
+		s.record(DecisionEnqueue, j)
+	}
 	return nil
 }
 
@@ -684,18 +690,18 @@ func (s *Scheduler) Kick() {
 // slots. Drivers call this when a rescale gap expires — the simulator via a
 // timer event, the operator via its requeue-after reconcile loop.
 //
-// "Every queued job" is what the decisions must equal, not what the pass
-// touches. With EnableLog (the audit trail records each re-placement
-// attempt) and with FullRedistribute the whole queue goes through the drain
-// loop. Otherwise nothing happens at all when even the smallest waiting need
-// exceeds what shrinking — or preempting — the whole running set could free,
-// and what does happen is the placeable-only pass wherever its argument
-// holds.
+// "Every queued job" is what the effects must equal, not what the pass
+// touches. With FullRedistribute — the reference — the whole queue goes
+// through the drain loop. Otherwise nothing happens at all when even the
+// smallest waiting need exceeds what shrinking — or preempting — the whole
+// running set could free, and what does happen is the placeable-only pass
+// wherever its argument holds. A job put back on the queue is not logged, so
+// none of this depends on EnableLog.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
 		switch {
-		case s.cfg.EnableLog || s.cfg.FullRedistribute:
+		case s.cfg.FullRedistribute:
 			s.drainResubmit(nil)
 		case s.free+s.maxFreeable() < s.queue.minNeed():
 			// No waiting job could start: every submit would re-enqueue.
@@ -754,11 +760,11 @@ func (s *Scheduler) placeWaiting() {
 // drainResubmit is the reference scheduling loop: drain the wait queue in
 // priority order and re-place, through the Figure 2 submission logic, every
 // job ordered after the cursor (every job when after is nil; the jobs up to
-// and including the cursor go straight back). Without EnableLog, once no
-// remaining waiting job could start even if every running job were shrunk to
-// its minimum (or preempted outright), the rest of the backlog is re-queued
-// wholesale instead of being re-submitted one by one; with EnableLog every
-// re-placement attempt stays in the audit trail.
+// and including the cursor go straight back). Once no remaining waiting job
+// could start even if every running job were shrunk to its minimum (or
+// preempted outright), the rest of the backlog is re-queued wholesale instead
+// of being re-submitted one by one — each of those submits would only have
+// put its job back, which is neither a decision nor a log entry.
 func (s *Scheduler) drainResubmit(after *Job) {
 	drained := s.queue.drainSorted()
 	rest := drained
@@ -767,31 +773,25 @@ func (s *Scheduler) drainResubmit(after *Job) {
 		s.queue.bulkAdd(drained[:at])
 		rest = drained[at:]
 	}
-	if s.cfg.EnableLog {
-		for _, j := range rest {
-			s.submit(j)
+	// needs[i] = smallest slot requirement among rest[i:].
+	needs := s.needScratch[:0]
+	for range rest {
+		needs = append(needs, 0)
+	}
+	s.needScratch = needs
+	for i := len(rest) - 1; i >= 0; i-- {
+		n := s.jobNeed(rest[i])
+		if i+1 < len(rest) && needs[i+1] < n {
+			n = needs[i+1]
 		}
-	} else {
-		// needs[i] = smallest slot requirement among rest[i:].
-		needs := s.needScratch[:0]
-		for range rest {
-			needs = append(needs, 0)
+		needs[i] = n
+	}
+	for i, j := range rest {
+		if s.free+s.maxFreeable() < needs[i] {
+			s.queue.bulkAdd(rest[i:])
+			break
 		}
-		s.needScratch = needs
-		for i := len(rest) - 1; i >= 0; i-- {
-			n := s.jobNeed(rest[i])
-			if i+1 < len(rest) && needs[i+1] < n {
-				n = needs[i+1]
-			}
-			needs[i] = n
-		}
-		for i, j := range rest {
-			if s.free+s.maxFreeable() < needs[i] {
-				s.queue.bulkAdd(rest[i:])
-				break
-			}
-			s.submit(j)
-		}
+		s.submit(j)
 	}
 	clear(drained)
 }

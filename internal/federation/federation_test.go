@@ -190,7 +190,7 @@ func TestSingleMemberFederationMatchesPlainSim(t *testing.T) {
 	// A 1-cluster federation is the degenerate case: the fleet metrics must
 	// equal the plain simulator's result for the same workload.
 	w := testWorkload(t, 32)
-	plain, err := sim.RunPolicy(core.Elastic, w, 180)
+	plain, err := sim.Run(sim.DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestReadRejectsWrongSchema(t *testing.T) {
 
 func TestFromResultAndSweepConverters(t *testing.T) {
 	w := sim.RandomWorkload(8, 90, 1)
-	res, err := sim.RunPolicy(core.Elastic, w, 180)
+	res, err := sim.Run(sim.DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFromResultAndSweepConverters(t *testing.T) {
 		t.Errorf("FromResult mismatch: %+v vs %+v", run, res)
 	}
 
-	pts, err := sim.SubmissionGapSweep([]float64{0, 150}, 8, 2, 180)
+	pts, err := sim.SubmissionGapSweep([]float64{0, 150}, 8, 2, 180, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

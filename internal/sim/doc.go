@@ -27,5 +27,6 @@
 // apply before completions and kicks; ties within each class keep trace,
 // workload, and push order respectively. Streaming and retained runs
 // accumulate their aggregates through the identical call sequence and agree
-// bit-for-bit, as do sequential and parallel sweep executions.
+// bit-for-bit, as do sequential and parallel sweep executions — and logged
+// and unlogged runs: Config.LogDecisions only observes.
 package sim

@@ -92,6 +92,13 @@ func planHorizon(plans []epochPlan, k int) float64 {
 	return math.Inf(1)
 }
 
+// planWindow is epoch k's window: its share of the inputs, up to the next
+// epoch's start.
+func planWindow(plans []epochPlan, k int) window {
+	return window{subHi: plans[k].subHi, capHi: plans[k].capHi,
+		horizon: planHorizon(plans, k), final: k == len(plans)-1}
+}
+
 // planEpochs cuts the workload into at most cfg.Shards epochs at predicted
 // drain instants, spreading the cuts toward equal submission counts. One
 // plan covering everything is returned when the workload offers no usable
@@ -235,6 +242,9 @@ func (s *Simulator) boundaryIdle() bool {
 // reconcile sequentially, merge exactly. See the package comment above for
 // why the result is bit-identical to the sequential loop.
 func (s *Simulator) runSharded(w Workload) (Result, error) {
+	if err := s.cfg.Availability.Validate(); err != nil {
+		return Result{}, err
+	}
 	order := submissionOrder(w)
 	ranks := submissionRanks(w, order)
 	specs := model.Specs()
@@ -244,12 +254,8 @@ func (s *Simulator) runSharded(w Workload) (Result, error) {
 	}
 	if len(plans) == 1 {
 		// No usable cut: run the plain sequential loop in place.
-		s.prepare(w, order, ranks, specs,
-			0, len(w.Jobs), 0, len(s.cfg.Availability.Events), math.Inf(1), true)
-		if err := s.runWindow(); err != nil {
-			return Result{}, err
-		}
-		return s.collect(w)
+		s.prepare(w, order, ranks, specs, 0, 0, window{})
+		return s.Finish()
 	}
 
 	sims := make([]*Simulator, len(plans))
@@ -269,9 +275,7 @@ func (s *Simulator) runSharded(w Workload) (Result, error) {
 			}
 		}
 		sub.rec = &runLog{}
-		sub.prepare(w, order, ranks, specs,
-			pl.subLo, pl.subHi, pl.capLo, pl.capHi,
-			planHorizon(plans, k), k == len(plans)-1)
+		sub.prepare(w, order, ranks, specs, pl.subLo, pl.capLo, planWindow(plans, k))
 		sims[k] = sub
 	}
 
@@ -310,8 +314,7 @@ func (s *Simulator) runSharded(w Workload) (Result, error) {
 		// weight. Flag it to bail out of its run early, then re-execute its
 		// window sequentially on the live chain.
 		sims[next].abandoned.Store(true)
-		live.extend(plans[next].subHi, plans[next].capHi,
-			planHorizon(plans, next), next == len(plans)-1)
+		live.extend(planWindow(plans, next))
 		liveErr = live.runWindow()
 		s.stats.reexecuted++
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -132,11 +131,12 @@ type Config struct {
 	// before completions and kicks; ties within each class keep trace,
 	// workload, and push order respectively. Empty means fixed capacity.
 	Availability workload.AvailabilityTrace
-	// LogDecisions records every scheduling decision for retrieval via
-	// Simulator.Decisions — the audit trail for debugging a run. Default
-	// off: the streaming hot path then allocates nothing per decision,
-	// and with it on the entries land in core's bounded ring buffer
-	// (oldest overwritten past 100k).
+	// LogDecisions records the scheduler's effects (core.Config.EnableLog)
+	// for retrieval via Simulator.Decisions — the audit trail for debugging
+	// a run. It changes nothing else: the run's events, decisions and Result
+	// are the same with it on or off. Default off: the streaming hot path
+	// then allocates nothing per decision, and with it on the entries land
+	// in core's bounded ring buffer (oldest overwritten past 100k).
 	LogDecisions bool
 	// FullRedistribute disables the scheduler's incremental early-outs
 	// (see core.Config.FullRedistribute) — the reference mode the
@@ -418,23 +418,18 @@ func (s *Simulator) push(at float64, kind evKind, job *simJob, seq int64) {
 // and a submission at the same instant always see the drop land before the
 // job is placed, and replaying the same trace is bit-for-bit reproducible.
 //
-// With Config.Shards > 1 the run executes in the sharded mode (see
-// shard.go); decisions and the Result are bit-identical to the sequential
-// mode either way.
+// The sequential run is the stepping API's Begin followed by Finish — one
+// loop driver for batch and stepped runs. With Config.Shards > 1 the run
+// executes in the sharded mode (see shard.go); decisions and the Result are
+// bit-identical to the sequential mode either way.
 func (s *Simulator) Run(w Workload) (Result, error) {
-	if err := s.cfg.Availability.Validate(); err != nil {
-		return Result{}, err
-	}
 	if s.cfg.Shards > 1 {
 		return s.runSharded(w)
 	}
-	order := submissionOrder(w)
-	s.prepare(w, order, submissionRanks(w, order), model.Specs(),
-		0, len(w.Jobs), 0, len(s.cfg.Availability.Events), math.Inf(1), true)
-	if err := s.runWindow(); err != nil {
+	if err := s.Begin(w); err != nil {
 		return Result{}, err
 	}
-	return s.collect(w)
+	return s.Finish()
 }
 
 // submissionOrder returns the workload's indices in stable submission-time
@@ -492,41 +487,47 @@ func submissionRanks(w Workload, order []int32) []int32 {
 	return ranks
 }
 
-// prepare installs a cursor window: the submission indices [subLo, subHi)
-// of order, the availability events [capLo, capHi), and an event horizon.
-// ranks may be nil (no ID-rank interning). A sequential run owns the whole
-// workload with an infinite horizon.
+// window bounds what one runWindow call may consume: the submission indices
+// below subHi, the availability events below capHi, and heap events before
+// horizon. final marks the run's last window, whose trailing capacity events
+// are skipped.
+type window struct {
+	subHi, capHi int
+	horizon      float64
+	final        bool
+}
+
+// prepare installs the workload and a first window that starts at submission
+// index subLo and availability event capLo. ranks may be nil (no ID-rank
+// interning). Both cursors only move forward from there; extend moves the
+// window's far edge.
 func (s *Simulator) prepare(w Workload, order, ranks []int32, specs map[model.Class]model.Spec,
-	subLo, subHi, capLo, capHi int, horizon float64, final bool) {
+	subLo, capLo int, win window) {
 	s.w = w
 	s.order = order
 	s.ranks = ranks
 	s.specs = specs
-	s.cursor, s.subHi = subLo, subHi
-	s.capi, s.capHi = capLo, capHi
-	s.horizon = horizon
-	s.final = final
+	s.cursor, s.capi = subLo, capLo
+	s.extend(win)
 	// Equal-timestamp events coalesce into one scheduler pass: the kick
 	// re-arm (an O(running) gap scan) runs once per batch instead of per
 	// event. Mid-batch state can only matter to a kick when priorities
 	// drift with time (aging), preemption can fire without a gap check, or
 	// a cost/benefit gate consults time-varying progress — in those
 	// configurations every event re-arms individually, preserving the
-	// historical sequence exactly. The audit log also sees mid-batch kicks
-	// (a no-op Reschedule still logs its re-enqueue wave), so LogDecisions
-	// keeps per-event arming too.
-	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption &&
-		s.cfg.CostBenefit == nil && !s.cfg.LogDecisions
+	// historical sequence exactly. Whether the run is logged is not one of
+	// them: a kick that starts nothing appends nothing to the log.
+	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption && s.cfg.CostBenefit == nil
 	s.limit = 5_000_000 + 64*len(w.Jobs) + 16*len(s.cfg.Availability.Events)
 }
 
-// extend grows the window to cover the next epoch — the reconciliation
-// pass's re-execution step when a backlog crossed an epoch boundary.
-func (s *Simulator) extend(subHi, capHi int, horizon float64, final bool) {
-	s.subHi = subHi
-	s.capHi = capHi
-	s.horizon = horizon
-	s.final = final
+// extend moves the window's far edge: the next epoch when the reconciliation
+// pass re-executes a successor on the live chain, the next step of a stepped
+// run, the whole remainder in Finish.
+func (s *Simulator) extend(win window) {
+	s.subHi, s.capHi = win.subHi, win.capHi
+	s.horizon = win.horizon
+	s.final = win.final
 }
 
 // runWindow drives the event loop over the prepared cursor window until the
@@ -1018,64 +1019,12 @@ func (s *Simulator) collect(w Workload) (Result, error) {
 }
 
 // Run constructs a simulator for cfg and runs w to completion — the single
-// entry point the RunPolicy* wrappers, the federation members, the sweeps,
-// and the migration path all build runs through.
+// entry point the facade, the federation members, the sweeps, and the
+// migration path all build runs through.
 func Run(cfg Config, w Workload) (Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	return s.Run(w)
-}
-
-// RunPolicy is a convenience wrapper: simulate workload w under policy p.
-func RunPolicy(p core.Policy, w Workload, rescaleGap float64) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	return Run(cfg, w)
-}
-
-// RunPolicyStreaming is RunPolicy in streaming mode: only the aggregate
-// metrics are computed, in O(running jobs) memory — the mode for
-// multi-million-job workloads.
-func RunPolicyStreaming(p core.Policy, w Workload, rescaleGap float64) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Streaming = true
-	return Run(cfg, w)
-}
-
-// RunPolicyAvailability is RunPolicy under a time-varying cluster: the
-// capacity trace drives SetCapacity events through the event loop,
-// interleaved with the workload's submissions.
-func RunPolicyAvailability(p core.Policy, w Workload, rescaleGap float64, avail workload.AvailabilityTrace) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Availability = avail
-	return Run(cfg, w)
-}
-
-// RunPolicyParallel is RunPolicyStreaming in the sharded execution mode:
-// the event loop is partitioned into up to shards speculative time epochs
-// that run concurrently and reconcile into a Result bit-identical to the
-// sequential mode (see Config.Shards). shards <= 1 is the sequential path;
-// a workload with fewer cluster-drain boundaries than shards degrades
-// gracefully to fewer epochs.
-func RunPolicyParallel(p core.Policy, w Workload, rescaleGap float64, shards int) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Streaming = true
-	cfg.Shards = shards
-	return Run(cfg, w)
-}
-
-// RunPolicyAvailabilityStreaming is RunPolicyAvailability in streaming mode;
-// the aggregates (resilience metrics included) are bit-identical to the
-// retained mode.
-func RunPolicyAvailabilityStreaming(p core.Policy, w Workload, rescaleGap float64, avail workload.AvailabilityTrace) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Availability = avail
-	cfg.Streaming = true
-	return Run(cfg, w)
 }

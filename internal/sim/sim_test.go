@@ -11,11 +11,19 @@ import (
 
 func run(t *testing.T, p core.Policy, w Workload, rescaleGap float64) Result {
 	t.Helper()
-	res, err := RunPolicy(p, w, rescaleGap)
+	cfg := DefaultConfig(p)
+	cfg.RescaleGap = rescaleGap
+	res, err := Run(cfg, w)
 	if err != nil {
-		t.Fatalf("RunPolicy(%v): %v", p, err)
+		t.Fatalf("Run(%v): %v", p, err)
 	}
 	return res
+}
+
+// streamingMode returns cfg in streaming mode.
+func streamingMode(cfg Config) Config {
+	cfg.Streaming = true
+	return cfg
 }
 
 func singleJob(class model.Class, prio int, at float64) Workload {
@@ -72,7 +80,7 @@ func TestAllJobsCompleteUnderAllPoliciesManySeeds(t *testing.T) {
 		for _, gap := range []float64{0, 90, 300} {
 			w := RandomWorkload(16, gap, seed)
 			for _, p := range core.AllPolicies() {
-				res, err := RunPolicy(p, w, 180)
+				res, err := Run(DefaultConfig(p), w)
 				if err != nil {
 					t.Fatalf("seed %d gap %g policy %v: %v", seed, gap, p, err)
 				}
@@ -349,7 +357,7 @@ func TestTable1Simulation(t *testing.T) {
 }
 
 func TestSweepsRunSmall(t *testing.T) {
-	pts, err := SubmissionGapSweep([]float64{0, 150, 300}, 8, 2, 180)
+	pts, err := SubmissionGapSweep([]float64{0, 150, 300}, 8, 2, 180, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +374,7 @@ func TestSweepsRunSmall(t *testing.T) {
 			}
 		}
 	}
-	rpts, err := RescaleGapSweep([]float64{0, 600}, 8, 2, 180)
+	rpts, err := RescaleGapSweep([]float64{0, 600}, 8, 2, 180, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +431,7 @@ func TestStreamingMatchesRetained(t *testing.T) {
 			w := RandomWorkload(16, gap, seed)
 			for _, p := range core.AllPolicies() {
 				retained := run(t, p, w, 180)
-				streaming, err := RunPolicyStreaming(p, w, 180)
+				streaming, err := Run(streamingMode(DefaultConfig(p)), w)
 				if err != nil {
 					t.Fatalf("seed %d gap %g %v streaming: %v", seed, gap, p, err)
 				}
@@ -452,11 +460,11 @@ func TestStreamingRecyclesUnderBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retained, err := RunPolicy(core.Elastic, w, 180)
+	retained, err := Run(DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streaming, err := RunPolicyStreaming(core.Elastic, w, 180)
+	streaming, err := Run(streamingMode(DefaultConfig(core.Elastic)), w)
 	if err != nil {
 		t.Fatal(err)
 	}

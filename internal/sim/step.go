@@ -10,10 +10,11 @@ import (
 
 // This file is the simulator's stepping API — the co-simulation surface the
 // federation rebalancer drives. A batch run (Simulator.Run) owns the whole
-// timeline at once; a stepped run advances the same event loop in bounded
-// windows (Begin → StepTo… → Finish) and, between windows, lets an external
-// coordinator inspect the waiting queue and move jobs in and out
-// (QueuedJobs / Withdraw / Inject / Preempt / Kick).
+// timeline at once: it is Begin followed by Finish, with no StepTo between. A
+// stepped run advances the same event loop in bounded windows (Begin →
+// StepTo… → Finish) and, between windows, lets an external coordinator
+// inspect the waiting queue and move jobs in and out (QueuedJobs / Withdraw /
+// Inject / Preempt / Kick).
 //
 // Determinism contract: a stepped run is a pure function of (Config,
 // workload, the sequence of StepTo instants, and the mutations applied
@@ -57,15 +58,15 @@ type QueuedJob struct {
 	Checkpointed bool
 }
 
-// Begin installs the workload for a stepped run. No events are processed
-// until the first StepTo. Sharded execution (Config.Shards) does not apply
-// to stepped runs; the window machinery below is the sequential loop's.
+// Begin installs the workload with an empty window: no events are processed
+// until the first StepTo, or Finish. Sharded execution (Config.Shards) does
+// not apply; the window machinery below is the sequential loop's.
 func (s *Simulator) Begin(w Workload) error {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return err
 	}
 	order := submissionOrder(w)
-	s.prepare(w, order, submissionRanks(w, order), model.Specs(), 0, 0, 0, 0, 0, false)
+	s.prepare(w, order, submissionRanks(w, order), model.Specs(), 0, 0, window{})
 	return nil
 }
 
@@ -83,7 +84,7 @@ func (s *Simulator) StepTo(t float64) error {
 	for capHi < len(ev) && ev[capHi].At < t {
 		capHi++
 	}
-	s.extend(subHi, capHi, t, false)
+	s.extend(window{subHi: subHi, capHi: capHi, horizon: t})
 	if err := s.runWindow(); err != nil {
 		return err
 	}
@@ -91,10 +92,10 @@ func (s *Simulator) StepTo(t float64) error {
 	return nil
 }
 
-// Finish drains the remaining timeline and collects the result, exactly as
-// the tail of a batch run would.
+// Finish opens the window over everything that remains, drains the timeline
+// and collects the result. Straight after Begin that is the whole batch run.
 func (s *Simulator) Finish() (Result, error) {
-	s.extend(len(s.order), len(s.cfg.Availability.Events), math.Inf(1), true)
+	s.extend(window{subHi: len(s.order), capHi: len(s.cfg.Availability.Events), horizon: math.Inf(1), final: true})
 	if err := s.runWindow(); err != nil {
 		return Result{}, err
 	}

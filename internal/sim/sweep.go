@@ -123,18 +123,14 @@ func sweepGrid(xs []float64, seeds, workers int, run func(x float64, p core.Poli
 
 // SubmissionGapSweep reproduces Figure 7: for each submission gap, run
 // `seeds` random 16-job workloads under every policy with T_rescale_gap =
-// 180 s and average the metrics. Runs on all CPUs; see
-// SubmissionGapSweepWorkers to pin the worker count.
-func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64) ([]SweepPoint, error) {
-	return SubmissionGapSweepWorkers(gaps, jobs, seeds, rescaleGap, 0)
-}
-
-// SubmissionGapSweepWorkers is SubmissionGapSweep on a bounded worker pool:
-// workers <= 0 uses every CPU, workers == 1 is the sequential reference path
-// (bit-identical results either way).
-func SubmissionGapSweepWorkers(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
+// 180 s and average the metrics, on a bounded worker pool: workers <= 0 uses
+// every CPU, workers == 1 is the sequential reference path (bit-identical
+// results either way).
+func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := sweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
-		return RunPolicy(p, RandomWorkload(jobs, gap, seed), rescaleGap)
+		cfg := DefaultConfig(p)
+		cfg.RescaleGap = rescaleGap
+		return Run(cfg, RandomWorkload(jobs, gap, seed))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("submission gap sweep: %w", err)
@@ -143,15 +139,12 @@ func SubmissionGapSweepWorkers(gaps []float64, jobs, seeds int, rescaleGap float
 }
 
 // RescaleGapSweep reproduces Figure 8: fixed 180 s submission gap, varying
-// T_rescale_gap.
-func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64) ([]SweepPoint, error) {
-	return RescaleGapSweepWorkers(rescaleGaps, jobs, seeds, submissionGap, 0)
-}
-
-// RescaleGapSweepWorkers is RescaleGapSweep with an explicit worker count.
-func RescaleGapSweepWorkers(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
+// T_rescale_gap; workers as in SubmissionGapSweep.
+func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := sweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
-		return RunPolicy(p, RandomWorkload(jobs, submissionGap, seed), rg)
+		cfg := DefaultConfig(p)
+		cfg.RescaleGap = rg
+		return Run(cfg, RandomWorkload(jobs, submissionGap, seed))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rescale gap sweep: %w", err)
@@ -187,7 +180,9 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 		if err != nil {
 			return Result{}, err
 		}
-		return RunPolicy(p, w, rescaleGap)
+		cfg := DefaultConfig(p)
+		cfg.RescaleGap = rescaleGap
+		return Run(cfg, w)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario sweep: %w", err)
@@ -237,11 +232,7 @@ func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Gen
 			return Result{}, err
 		}
 		cfg.Availability = tr.WithRestore(cfg.Capacity, horizon)
-		s, err := New(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		return s.Run(w)
+		return Run(cfg, w)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("availability sweep: %w", err)
@@ -275,7 +266,7 @@ func Table1Simulation() (map[core.Policy]Result, error) {
 	w := Table1Workload()
 	out := make(map[core.Policy]Result, 4)
 	for _, p := range core.AllPolicies() {
-		res, err := RunPolicy(p, w, 180)
+		res, err := Run(DefaultConfig(p), w)
 		if err != nil {
 			return nil, fmt.Errorf("policy %v: %w", p, err)
 		}

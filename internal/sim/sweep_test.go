@@ -57,11 +57,11 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		par = 4
 	}
 
-	seq, err := SubmissionGapSweepWorkers([]float64{0, 150}, 8, 3, 180, 1)
+	seq, err := SubmissionGapSweep([]float64{0, 150}, 8, 3, 180, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SubmissionGapSweepWorkers([]float64{0, 150}, 8, 3, 180, par)
+	got, err := SubmissionGapSweep([]float64{0, 150}, 8, 3, 180, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		t.Errorf("submission-gap sweep diverges under parallel execution:\nseq %+v\npar %+v", seq, got)
 	}
 
-	rseq, err := RescaleGapSweepWorkers([]float64{0, 600}, 8, 3, 180, 1)
+	rseq, err := RescaleGapSweep([]float64{0, 600}, 8, 3, 180, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rgot, err := RescaleGapSweepWorkers([]float64{0, 600}, 8, 3, 180, par)
+	rgot, err := RescaleGapSweep([]float64{0, 600}, 8, 3, 180, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 }
 
 func TestSweepRejectsBadSeeds(t *testing.T) {
-	if _, err := SubmissionGapSweep([]float64{90}, 8, 0, 180); err == nil {
+	if _, err := SubmissionGapSweep([]float64{90}, 8, 0, 180, 0); err == nil {
 		t.Error("accepted seeds=0")
 	}
 }
@@ -153,7 +153,7 @@ func BenchmarkSweep(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := SubmissionGapSweepWorkers(gaps, jobs, seeds, 180, bc.workers); err != nil {
+				if _, err := SubmissionGapSweep(gaps, jobs, seeds, 180, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,7 +15,7 @@ import (
 )
 
 // Document is the serialized JSON workload format (version 1, unchanged from
-// the original internal/trace format so existing trace files keep loading).
+// the original trace format so existing trace files keep loading).
 type Document struct {
 	// Version guards against format drift.
 	Version int `json:"version"`

@@ -7,11 +7,9 @@ import (
 	"elastichpc"
 )
 
-// TestSimOptionsEquivalence pins the facade's API contract: every legacy
-// Simulate* entry point must produce a result bit-identical to the unified
-// Simulate call with the corresponding options. The deprecated wrappers stay
-// until the next major revision precisely because this equivalence lets
-// callers migrate mechanically.
+// TestSimOptionsEquivalence pins what each named option means: a Simulate call
+// spelled with options must produce a result bit-identical to the run on the
+// explicit SimConfig with exactly those fields set.
 func TestSimOptionsEquivalence(t *testing.T) {
 	w := elastichpc.RandomWorkload(48, 45, 7)
 	prof := elastichpc.SpotPreemptionProfile{MeanGap: 400, Slots: 24, MeanOutage: 200}
@@ -23,40 +21,28 @@ func TestSimOptionsEquivalence(t *testing.T) {
 	p := elastichpc.Elastic
 
 	cases := []struct {
-		name   string
-		legacy func() (elastichpc.SimResult, error)
-		opts   []elastichpc.SimOption
+		name string
+		set  func(*elastichpc.SimConfig)
+		opts []elastichpc.SimOption
 	}{
 		{
 			name: "streaming",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateStreaming(p, w, gap)
-			},
+			set:  func(c *elastichpc.SimConfig) { c.Streaming = true },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithStreaming()},
 		},
 		{
 			name: "parallel",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateParallel(p, w, gap, 4)
-			},
+			set:  func(c *elastichpc.SimConfig) { c.Streaming, c.Shards = true, 4 },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithShards(4)},
 		},
 		{
 			name: "availability",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateAvailability(p, w, gap, tr)
-			},
+			set:  func(c *elastichpc.SimConfig) { c.Availability = tr },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithAvailability(tr)},
 		},
 		{
 			name: "availability streaming",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateAvailabilityStreaming(p, w, gap, tr)
-			},
+			set:  func(c *elastichpc.SimConfig) { c.Availability, c.Streaming = tr, true },
 			opts: []elastichpc.SimOption{
 				elastichpc.WithRescaleGap(gap), elastichpc.WithAvailability(tr), elastichpc.WithStreaming(),
 			},
@@ -64,7 +50,11 @@ func TestSimOptionsEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.legacy()
+			cfg := elastichpc.SimConfig{
+				Policy: p, Capacity: 64, RescaleGap: gap, Machine: elastichpc.DefaultMachine(),
+			}
+			tc.set(&cfg)
+			want, err := elastichpc.Simulate(p, w, elastichpc.WithSimConfig(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +63,7 @@ func TestSimOptionsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("options path diverged from the legacy entry point:\nlegacy:  %+v\noptions: %+v", want, got)
+				t.Errorf("options path diverged from the explicit config:\nconfig:  %+v\noptions: %+v", want, got)
 			}
 		})
 	}
