@@ -16,11 +16,12 @@
 //	    Run the equivalence matrix; on divergence, write each cell's
 //	    reference and candidate streams under dir. Exit 1 on divergence.
 //
-// Spec flags (with -record): -backend sim|cluster|federation, -scenario
-// uniform|burst, -jobs, -gap, -waves, -seed, -policy, -capacity,
-// -rescale-gap, -shards, -streaming, -full, -log, -drain, -aging,
-// -preempt; federation only: -route, -members, -skew, -rebalance,
-// -migrate-running, -workers.
+// Spec flags (with -record) are runspec's Engine and EngineFleet groups:
+// -backend sim|cluster|federation, -scenario uniform|burst, -jobs, -gap,
+// -waves, -seed, -policy, -capacity, -rescale-gap, -shards, -streaming,
+// -full, -log, -drain, -aging, -preempt; federation only: -route, -members,
+// -skew, -rebalance, -migrate-running, -workers. A flag the chosen mode does
+// not read is rejected.
 package main
 
 import (
@@ -31,8 +32,7 @@ import (
 	"strings"
 
 	"elastichpc/internal/conformance"
-	"elastichpc/internal/core"
-	"elastichpc/internal/federation"
+	"elastichpc/internal/runspec"
 )
 
 func main() {
@@ -49,48 +49,36 @@ func run() int {
 		out       = flag.String("out", "", "output path for the recorded stream (default stdout)")
 		artifacts = flag.String("artifacts", "", "directory for diverging matrix streams")
 		window    = flag.Int("window", conformance.DefaultWindow, "decisions of context around a divergence")
-
-		backend  = flag.String("backend", "sim", "execution backend: sim, cluster, federation")
-		scenario = flag.String("scenario", "uniform", "workload shape: uniform, burst")
-		jobs     = flag.Int("jobs", 60, "total job count")
-		gap      = flag.Float64("gap", 0, "inter-arrival or wave gap in seconds (0 = scenario default)")
-		waves    = flag.Int("waves", 3, "burst wave count")
-		seed     = flag.Int64("seed", 1, "workload generator seed")
-		policy   = flag.String("policy", "elastic", "scheduling policy")
-		capacity = flag.Int("capacity", 0, "cluster slot count (0 = backend default)")
-		rescale  = flag.Float64("rescale-gap", 0, "rescale gap in seconds (0 = default)")
-		shards   = flag.Int("shards", 0, "sharded event-loop width (sim backend)")
-		stream   = flag.Bool("streaming", false, "streaming mode: aggregates only")
-		full     = flag.Bool("full", false, "reference full-redistribute scheduler")
-		logDec   = flag.Bool("log", true, "record the decision log")
-		drain    = flag.Bool("drain", false, "overlay a maintenance-drain availability trace")
-		aging    = flag.Float64("aging", 0, "queue aging rate")
-		preempt  = flag.Bool("preempt", false, "enable preemption")
-
-		route          = flag.String("route", "round_robin", "federation routing policy")
-		members        = flag.Int("members", 3, "federation member count")
-		skew           = flag.Float64("skew", 0, "federation capacity skew")
-		rebalance      = flag.Float64("rebalance", 0, "rebalance round interval in seconds (0 = off)")
-		migrateRunning = flag.Bool("migrate-running", false, "let the rebalancer move running jobs")
-		workers        = flag.Int("workers", 0, "member worker pool (0 = all CPUs, 1 = sequential)")
 	)
+	// The recorded stream is the point of -record, so its log defaults on.
+	spec := runspec.Spec(conformance.DefaultSpec())
+	spec.Log = true
+	const specFlags = runspec.Engine | runspec.EngineFleet
+	spec.Bind(flag.CommandLine, specFlags)
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*record, *replay != "", *doDiff, *matrix} {
+	// The four modes, in the order of their selector flags.
+	modes := []runspec.Mode{
+		{Name: "-record", Reads: specFlags, Also: []string{"out"}},
+		{Name: "-replay", Also: []string{"out", "window"}},
+		{Name: "-diff", Also: []string{"window"}},
+		{Name: "-matrix", Also: []string{"artifacts", "window"}},
+	}
+	mode, selected := 0, 0
+	for i, on := range []bool{*record, *replay != "", *doDiff, *matrix} {
 		if on {
-			modes++
+			mode = i
+			selected++
 		}
 	}
-	if modes != 1 {
+	if selected != 1 {
 		fmt.Fprintln(os.Stderr, "conftest: exactly one of -record, -replay, -diff, -matrix is required")
 		flag.Usage()
 		return 2
 	}
 
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
+		return fail(err)
 	}
 
 	switch {
@@ -107,24 +95,7 @@ func run() int {
 		return replayFile(*replay, *out, *window)
 
 	default: // -record
-		p, err := core.PolicyByName(*policy)
-		if err != nil {
-			return fail(err)
-		}
-		r, err := federation.RouteByName(*route)
-		if err != nil {
-			return fail(err)
-		}
-		spec := conformance.RunSpec{
-			Backend: *backend, Scenario: *scenario, Jobs: *jobs, Gap: *gap,
-			Waves: *waves, Seed: *seed, Policy: p, Capacity: *capacity,
-			RescaleGap: *rescale, Shards: *shards, Streaming: *stream,
-			Full: *full, Log: *logDec, Drain: *drain, Aging: *aging,
-			Preempt: *preempt, Route: r, Members: *members, Skew: *skew,
-			RebalanceEvery: *rebalance, MigrateRunning: *migrateRunning,
-			Workers: *workers,
-		}
-		st, err := spec.Execute()
+		st, err := conformance.RunSpec(spec).Execute()
 		if err != nil {
 			return fail(err)
 		}
@@ -133,6 +104,12 @@ func run() int {
 		}
 		return 0
 	}
+}
+
+// fail reports an operational error (as opposed to a divergence, exit 1).
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "conftest:", err)
+	return 2
 }
 
 // emit writes a stream to the -out path, or stdout when unset.
@@ -151,13 +128,11 @@ func emit(st *conformance.Stream, out string) error {
 func diffFiles(aPath, bPath string, window int) int {
 	a, err := conformance.LoadFile(aPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	b, err := conformance.LoadFile(bPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	d := conformance.Compare(a, b)
 	fmt.Print(d.Format(a, b, window))
@@ -171,23 +146,19 @@ func diffFiles(aPath, bPath string, window int) int {
 func replayFile(path, out string, window int) int {
 	recorded, err := conformance.LoadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	spec, err := conformance.SpecFromMeta(recorded.Meta)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	replayed, err := spec.Execute()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	if out != "" {
 		if err := replayed.SaveFile(out); err != nil {
-			fmt.Fprintln(os.Stderr, "conftest:", err)
-			return 2
+			return fail(err)
 		}
 	}
 	d := conformance.Compare(recorded, replayed)
@@ -207,8 +178,7 @@ func runMatrix(artifacts string, window int) int {
 	opt.Window = window
 	fails, cases, err := conformance.RunMatrix(opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "conftest:", err)
-		return 2
+		return fail(err)
 	}
 	if len(fails) == 0 {
 		fmt.Printf("conformance matrix: %d cases, all streams identical\n", cases)
@@ -223,12 +193,10 @@ func runMatrix(artifacts string, window int) int {
 		base := filepath.Join(artifacts, fmt.Sprintf("%03d-%s-%s",
 			i, sanitize(f.Case), sanitize(f.Candidate)))
 		if err := os.MkdirAll(artifacts, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "conftest:", err)
-			return 2
+			return fail(err)
 		}
 		if err := saveStreams(base, f.Ref, f.Got); err != nil {
-			fmt.Fprintln(os.Stderr, "conftest:", err)
-			return 2
+			return fail(err)
 		}
 		fmt.Printf("streams saved to %s.{ref,got}.json\n", base)
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,5 +44,86 @@ func TestSaveStreamsOrderDeterministic(t *testing.T) {
 		if !strings.Contains(err.Error(), "case.ref.json") {
 			t.Fatalf("error does not deterministically name the ref file: %v", err)
 		}
+	}
+}
+
+// runAsMain makes the test binary stand in for the conftest binary: a child
+// started with it set runs main() on its own arguments instead of the tests.
+const runAsMain = "CONFTEST_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runAsMain) == "1" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// conftest starts the CLI with args in dir.
+func conftest(dir, args string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], strings.Fields(args)...)
+	cmd.Env = append(os.Environ(), runAsMain+"=1")
+	cmd.Dir = dir
+	return cmd
+}
+
+// TestFlagsRejectedWhereIgnored: spec flags describe the run -record
+// executes; the other modes take theirs from a stream or the fixed matrix, so
+// a spec flag there — `-matrix -policy moldable` still ran every policy — is
+// an error naming the flag, as is -migrate-running with no rebalancer to
+// heed it.
+func TestFlagsRejectedWhereIgnored(t *testing.T) {
+	for _, c := range []struct{ args, names string }{
+		{"-matrix -policy moldable", "-policy"},
+		{"-diff -seed 3 a.json b.json", "-seed"},
+		{"-replay testdata/golden/stream.json -jobs 12", "-jobs"},
+		{"-record -backend federation -migrate-running", "-migrate-running"},
+		{"-matrix -out x.json", "-out"},
+		{"-record -matrix", "exactly one"},
+	} {
+		out, err := conftest("", c.args).CombinedOutput()
+		if err == nil {
+			t.Errorf("conftest %s: accepted, want %s rejected", c.args, c.names)
+		} else if !strings.Contains(string(out), c.names) {
+			t.Errorf("conftest %s: failed without naming %s:\n%s", c.args, c.names, out)
+		}
+	}
+}
+
+// TestRecordReplayGolden pins -record and -replay end to end: the recorded
+// stream and both stdouts are the bytes the commit before the spec moved onto
+// runspec produced, but for one Meta key (rebalance_every became rebalance,
+// the flag's name), and the stream replays.
+func TestRecordReplayGolden(t *testing.T) {
+	golden := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dir := t.TempDir()
+	out, err := conftest(dir, "-record -backend federation -rebalance 300 -out stream.json").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, golden("record.stdout")) {
+		t.Errorf("-record stdout differs from the golden:\n%s", out)
+	}
+	stream, err := os.ReadFile(filepath.Join(dir, "stream.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream, golden("stream.json")) {
+		t.Error("recorded stream differs from testdata/golden/stream.json")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "stream.json"), golden("stream.json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = conftest(dir, "-replay stream.json").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, golden("replay.stdout")) {
+		t.Errorf("-replay stdout differs from the golden:\n%s", out)
 	}
 }

@@ -1,7 +1,9 @@
 // Command elasticsim runs the discrete-event scheduling simulator of paper
 // §4.3.1 and prints the series behind Figures 7 and 8 and the Simulation
 // columns of Table 1, plus the scenario sweeps of the workload engine.
-// Sweeps fan out over a bounded worker pool (-parallel).
+// Sweeps fan out over a bounded worker pool (-parallel). The run is described
+// by a runspec.Spec; each mode below declares the flags it reads, and a flag
+// the selected mode does not read is rejected, never silently dropped.
 //
 // Usage:
 //
@@ -33,497 +35,294 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/metrics"
 	"elastichpc/internal/profiling"
+	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
+// The modes, in selection order. Each declares the flags it reads; any other
+// flag on the command line is rejected rather than silently dropped.
+const (
+	saveAvailability = iota
+	saveWorkload
+	sweepFigure
+	sweepScenario
+	sweepAvailability
+	sweepFederation
+	table1
+	fleetRun
+	singleRun
+	noMode
+)
+
+var modes = []runspec.Mode{
+	saveAvailability:  {Name: "-save-availability", Reads: runspec.Scenario | runspec.Seed | runspec.Availability},
+	saveWorkload:      {Name: "-save-workload", Reads: runspec.Scenario | runspec.Seed},
+	sweepFigure:       {Name: "-sweep gap|rescale", Reads: runspec.Jobs | runspec.Parallel, Also: []string{"seeds"}},
+	sweepScenario:     {Name: "-sweep scenario", Reads: runspec.Scenario | runspec.Parallel, Also: []string{"seeds"}},
+	sweepAvailability: {Name: "-sweep availability", Reads: runspec.Scenario | runspec.Availability | runspec.Parallel, Also: []string{"seeds"}},
+	sweepFederation:   {Name: "-sweep federation", Reads: runspec.Scenario | runspec.Fleet | runspec.Skew | runspec.Parallel, Also: []string{"seeds"}},
+	table1:            {Name: "-table1"},
+	fleetRun:          {Name: "-clusters N", Reads: runspec.Scenario | runspec.Seed | runspec.Fleet | runspec.Skew | runspec.Rebalance | runspec.Parallel},
+	// An explicit -clusters 1 asks for exactly this mode.
+	singleRun: {Name: "-scenario/-trace/-availability", Reads: runspec.Scenario | runspec.Seed | runspec.Availability | runspec.Shards, Also: []string{"clusters"}},
+	noMode:    {Name: "a run with no mode selected"},
+}
+
+var sweeps = map[string]int{
+	"gap": sweepFigure, "rescale": sweepFigure, "scenario": sweepScenario,
+	"availability": sweepAvailability, "federation": sweepFederation,
+}
+
 func main() {
 	var (
-		sweep    = flag.String("sweep", "", `sweep to run: "gap" (Fig. 7), "rescale" (Fig. 8), "scenario", "availability", or "federation"`)
-		table1   = flag.Bool("table1", false, "run the Table 1 simulation")
-		jobs     = flag.Int("jobs", 16, "jobs per workload (-sweep gap|rescale only; scenarios and traces carry their own job count)")
-		seeds    = flag.Int("seeds", 100, "random workloads to average over")
-		scenario = flag.String("scenario", "", "workload scenario: uniform | poisson | burst | diurnal | trace")
-		tracePth = flag.String("trace", "", "workload trace file to replay (JSON or CSV; implies -scenario trace)")
-		parallel = flag.Int("parallel", 0, "sweep worker count (0 = all CPUs, 1 = sequential)")
-		shards   = flag.Int("shards", 0, "shard a single run's event loop across N time epochs (0/1 = sequential; results are bit-identical)")
-		seed     = flag.Int64("seed", 7, "seed for -scenario / -save-workload runs")
-		saveWL   = flag.String("save-workload", "", "write the selected scenario's workload to this path and exit")
-		jsonPath = flag.String("json", "", "also write the results as a metrics.Report to this path")
-
-		clusters  = flag.Int("clusters", 1, "member clusters in a federated run (1 = single cluster)")
-		routeFl   = flag.String("route", "round_robin", "federation routing policy: round_robin | least_loaded | priority | random")
-		skew      = flag.Float64("skew", 0, "federation capacity skew: member i gets base×(1+skew·i) slots")
-		rebalance = flag.Float64("rebalance", 0, "federation rebalance round period, seconds (0 = off): checkpoint-migrate jobs off backlogged/draining members")
-		migRun    = flag.Bool("migrate-running", false, "let the rebalancer checkpoint-preempt and migrate running jobs off draining members (needs -rebalance)")
-
-		availFl   = flag.String("availability", "", "capacity profile: failures | spot | drain | tides | trace")
-		availTr   = flag.String("availability-trace", "", "capacity trace file for -availability trace (implies it)")
-		mttf      = flag.Float64("mttf", 0, "failures profile: mean time to failure, seconds (0 = default)")
-		mttr      = flag.Float64("mttr", 0, "failures profile: mean time to repair, seconds (0 = default)")
-		preempt   = flag.Int("preempt", 0, "spot profile: slots reclaimed per preemption event (0 = default)")
+		sweep     = flag.String("sweep", "", `sweep to run: "gap" (Fig. 7), "rescale" (Fig. 8), "scenario", "availability", or "federation"`)
+		doTable1  = flag.Bool("table1", false, "run the Table 1 simulation")
+		seeds     = flag.Int("seeds", 100, "random workloads a sweep averages over")
+		saveWL    = flag.String("save-workload", "", "write the selected scenario's workload to this path and exit")
 		saveAvail = flag.String("save-availability", "", "write the selected availability profile's capacity trace to this path and exit")
+		jsonPath  = flag.String("json", "", "also write the results as a metrics.Report to this path")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this path on exit")
 	)
+	spec := runspec.Default()
+	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Jobs|runspec.Availability|
+		runspec.Shards|runspec.Fleet|runspec.Skew|runspec.Rebalance|runspec.Parallel)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
-	// explicitScenario distinguishes a user-chosen -scenario from the
-	// "-trace implies -scenario trace" normalization below; -sweep
-	// scenario keeps its historical default (all scenarios plus the
-	// trace) only in the implied case.
-	explicitScenario := *scenario != ""
-	if *tracePth != "" && *scenario == "" {
-		*scenario = "trace"
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	mode := noMode
+	switch {
+	case *saveAvail != "":
+		mode = saveAvailability
+	case *saveWL != "":
+		mode = saveWorkload
+	case *sweep != "":
+		var ok bool
+		if mode, ok = sweeps[*sweep]; !ok {
+			log.Fatalf(`unknown sweep %q (have "gap", "rescale", "scenario", "availability", "federation")`, *sweep)
+		}
+	case *doTable1:
+		mode = table1
+	case spec.Members > 1:
+		mode = fleetRun
+	case runspec.Set(flag.CommandLine, runspec.Scenario|runspec.Availability):
+		mode = singleRun
 	}
-	if *availTr != "" && *availFl == "" {
-		*availFl = "trace"
+	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
+		log.Fatal(err)
+	}
+	if mode == noMode {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if mode == sweepFederation && !set["clusters"] {
+		spec.Members = 4 // the default swept fleet; an explicit -clusters (even 1) is honored
+	}
+	spec.Resolve()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	params := runspec.Params(flag.CommandLine, modes[mode])
+	gen, err := spec.Generator()
+	if err != nil {
+		log.Fatal(err)
+	}
+	profile, err := spec.Profile()
+	if err != nil {
+		log.Fatal(err)
 	}
 	// base is the cluster capacity the simulator runs with; availability
 	// traces are generated and restored against the same value so outage
 	// depths always line up with the simulated cluster.
 	base := sim.DefaultConfig(core.Elastic).Capacity
-	var profile workload.AvailabilityProfile
-	if *availFl != "" {
-		var err error
-		profile, err = workload.AvailabilityScenario(*availFl, workload.AvailabilityOptions{
-			MTTF: *mttf, MTTR: *mttr, PreemptSlots: *preempt, TracePath: *availTr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	var report *metrics.Report
-	params := map[string]string{
-		"jobs": strconv.Itoa(*jobs), "seeds": strconv.Itoa(*seeds), "seed": strconv.FormatInt(*seed, 10),
-	}
-	if profile != nil {
-		params["availability"] = profile.Name()
-	}
-	route, err := federation.RouteByName(*routeFl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// routeSet/clustersSet/jobsSet distinguish explicit flags from their
-	// defaults: the federation sweep covers all routes unless one was asked
-	// for, and defaults to a 4-member fleet only when -clusters was not given.
-	routeSet, clustersSet, jobsSet := false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		routeSet = routeSet || f.Name == "route"
-		clustersSet = clustersSet || f.Name == "clusters"
-		jobsSet = jobsSet || f.Name == "jobs"
-	})
-	// -jobs sizes the uniform workloads of the gap and rescale sweeps and
-	// nothing else; everywhere else it would be silently ignored.
-	if jobsSet && *sweep != "gap" && *sweep != "rescale" {
-		log.Fatal("-jobs applies to -sweep gap|rescale only (scenario generators and traces carry their own job count)")
-	}
-	// Reject -clusters where it would be silently ignored, mirroring the
-	// -availability incompatibility errors; the federated branches stamp
-	// their clusters/route/skew params themselves, so no report can claim
-	// a federation that never ran.
-	if *clusters < 1 {
-		log.Fatalf("-clusters %d: a federation needs at least 1 member", *clusters)
-	}
-	if *clusters > 1 {
-		if *sweep != "" && *sweep != "federation" {
-			log.Fatalf("-clusters does not apply to -sweep %s (use -sweep federation)", *sweep)
-		}
-		if *table1 {
-			log.Fatal("-clusters does not apply to -table1 (the Table 1 reproduction is single-cluster)")
-		}
-		if *saveWL != "" || *saveAvail != "" {
-			log.Fatal("-clusters does not apply to the -save-* export modes")
-		}
-	} else if (routeSet || *skew != 0 || *rebalance != 0 || *migRun) && *sweep != "federation" {
-		// The converse mistake: federation flags on a single-cluster run
-		// would be silently dropped.
-		log.Fatal("-route/-skew/-rebalance need a federation: pass -clusters N or -sweep federation")
-	}
-	if *migRun && *rebalance == 0 {
-		log.Fatal("-migrate-running needs -rebalance")
-	}
-	if *rebalance != 0 && *sweep == "federation" {
-		log.Fatal("-rebalance does not apply to -sweep federation (it compares routing policies on the batch path)")
-	}
-	// -shards drives the sharded event loop of a single simulation; sweeps
-	// and federations parallelize across runs instead (-parallel), so reject
-	// the flag where it would be silently ignored.
-	if *shards > 1 && (*sweep != "" || *table1 || *clusters > 1 || *saveWL != "" || *saveAvail != "") {
-		log.Fatal("-shards applies to single-cluster single-workload runs (sweeps and federations parallelize with -parallel)")
-	}
 
-	switch {
-	case *saveAvail != "":
+	var runs []metrics.Run
+	var swept *metrics.Sweep
+	switch mode {
+	case saveAvailability:
 		if profile == nil {
 			log.Fatal("-save-availability needs -availability")
 		}
-		w, _ := pickWorkload(*scenario, *tracePth, *seed)
-		tr, err := profile.Events(*seed, base, sim.AvailabilityHorizon(w))
+		_, tr, err := sim.Inputs(gen, profile, spec.Seed, base)
 		if err != nil {
 			log.Fatal(err)
 		}
-		comment := fmt.Sprintf("%s profile, seed %d, base %d", profile.Name(), *seed, base)
+		comment := fmt.Sprintf("%s profile, seed %d, base %d", spec.Availability, spec.Seed, base)
 		if err := workload.SaveAvailabilityFile(*saveAvail, tr, comment); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d capacity events)\n", *saveAvail, len(tr.Events))
-	case *sweep == "availability":
-		gen := pickGenerator(*scenario, *tracePth)
+	case saveWorkload:
+		w, err := gen.Generate(spec.Seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := workload.SaveFile(*saveWL, w, fmt.Sprintf("%s scenario, seed %d", spec.Scenario, spec.Seed)); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s\n", *saveWL)
+	case sweepFigure:
+		// Figure 7 varies the submission gap at T_rescale_gap = 180 s;
+		// Figure 8 varies T_rescale_gap at a 180 s submission gap.
+		xName, run := "submission_gap", sim.SubmissionGapSweep
+		xs := []float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}
+		if *sweep == "rescale" {
+			xName, run = "rescale_gap", sim.RescaleGapSweep
+			xs = []float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}
+		}
+		points, err := run(xs, spec.Jobs, *seeds, 180, spec.Workers)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sw := metrics.FromSweep(xName, xName+" (s)", points)
+		metrics.WriteCSV(os.Stdout, xName, sw, metrics.PaperColumns)
+		swept = &sw
+	case sweepScenario:
+		// With -scenario, sweep just that one; otherwise every built-in
+		// scenario, plus the trace if one is given.
+		gens := []workload.Generator{gen}
+		if !set["scenario"] {
+			delete(params, "scenario")
+			gens = workload.DefaultScenarios()
+			if spec.Trace != "" {
+				gens = append(gens, gen)
+			}
+		}
+		results, err := sim.ScenarioSweep(gens, *seeds, 180, spec.Workers)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sw := metrics.FromScenarios(results)
+		metrics.WriteCSV(os.Stdout, "scenario", sw, metrics.PaperColumns)
+		swept = &sw
+	case sweepAvailability:
 		profiles := workload.DefaultAvailabilityProfiles()
 		if profile != nil {
 			profiles = []workload.AvailabilityProfile{profile}
 		}
-		results, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, *parallel)
+		results, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, spec.Workers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printAvailability(results)
-		r := metrics.New("elasticsim", metrics.KindSweep)
-		r.Params = params
 		sw := metrics.FromScenarios(results)
 		sw.Name = "availability"
-		r.Sweeps = []metrics.Sweep{sw}
-		report = &r
-	case *saveWL != "":
-		w, comment := pickWorkload(*scenario, *tracePth, *seed)
-		if err := workload.SaveFile(*saveWL, w, comment); err != nil {
-			log.Fatal(err)
+		metrics.WriteCSV(os.Stdout, "availability", sw, []string{"utilization", "goodput", "total_time_s",
+			"weighted_response_s", "weighted_completion_s", "shrinks", "requeues", "work_lost_s"})
+		swept = &sw
+	case sweepFederation:
+		// With -route, sweep just that one; otherwise every routing policy.
+		routes := []federation.Route{spec.Route}
+		if !set["route"] {
+			delete(params, "route")
+			routes = federation.AllRoutes()
 		}
-		fmt.Printf("wrote %s\n", *saveWL)
-	case *sweep == "gap" || *sweep == "rescale":
-		// These sweeps are defined over the uniform workload family; a
-		// scenario selection would be silently ignored, so reject it.
-		if *scenario != "" || *tracePth != "" {
-			log.Fatalf("-scenario/-trace do not apply to -sweep %s (use -sweep scenario)", *sweep)
-		}
-		if profile != nil {
-			log.Fatalf("-availability does not apply to -sweep %s (use -sweep availability)", *sweep)
-		}
-		var points []sim.SweepPoint
-		var err error
-		xName := "submission_gap"
-		if *sweep == "gap" {
-			points, err = sim.SubmissionGapSweep([]float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}, *jobs, *seeds, 180, *parallel)
-		} else {
-			xName = "rescale_gap"
-			points, err = sim.RescaleGapSweep([]float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}, *jobs, *seeds, 180, *parallel)
-		}
+		results, err := federation.Sweep(routes, gen, spec.Members, *seeds, 180, spec.Skew, spec.Workers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printSweep(xName, points)
-		r := metrics.New("elasticsim", metrics.KindSweep)
-		r.Params = params
-		r.Sweeps = []metrics.Sweep{metrics.FromSweep(xName, xName+" (s)", points)}
-		report = &r
-	case *sweep == "federation":
-		if profile != nil {
-			log.Fatal("-availability does not apply to -sweep federation (set per-member traces through the library)")
-		}
-		gen := pickGenerator(*scenario, *tracePth)
-		n := *clusters
-		if !clustersSet {
-			n = 4 // default fleet; an explicit -clusters (even 1) is honored
-		}
-		// Default: every routing policy; with an explicit -route, just that
-		// one. -skew applies to the swept fleet either way.
-		routes := federation.AllRoutes()
-		if routeSet {
-			routes = []federation.Route{route}
-			params["route"] = route.String()
-		}
-		params["clusters"] = strconv.Itoa(n)
-		params["skew"] = strconv.FormatFloat(*skew, 'g', -1, 64)
-		results, err := federation.Sweep(routes, gen, n, *seeds, 180, *skew, *parallel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printRoutes(results)
-		r := metrics.New("elasticsim", metrics.KindSweep)
-		r.Params = params
 		sw := metrics.FromScenarios(results)
-		sw.Name = "federation"
-		sw.X = "route index"
-		r.Sweeps = []metrics.Sweep{sw}
-		report = &r
-	case *sweep == "scenario":
-		if profile != nil {
-			log.Fatal("-availability does not apply to -sweep scenario (use -sweep availability)")
-		}
-		// Default: every built-in scenario, plus the trace if one is given.
-		// With -scenario, sweep just that one.
-		var gens []workload.Generator
-		switch {
-		case explicitScenario:
-			g, err := workload.Scenario(*scenario, *tracePth)
-			if err != nil {
-				log.Fatal(err)
-			}
-			gens = []workload.Generator{g}
-		default:
-			gens = workload.DefaultScenarios()
-			if *tracePth != "" {
-				gens = append(gens, workload.Trace{Path: *tracePth})
-			}
-		}
-		results, err := sim.ScenarioSweep(gens, *seeds, 180, *parallel)
+		sw.Name, sw.X = "federation", "route index"
+		metrics.WriteCSV(os.Stdout, "route", sw, []string{"utilization", "imbalance", "total_time_s",
+			"weighted_response_s", "weighted_completion_s"})
+		swept = &sw
+	case table1:
+		runs = runWorkload("Table 1 (Simulation columns): 16 jobs, 90 s submission gap, T_rescale_gap = 180 s",
+			"table1", sim.Table1Workload(), workload.AvailabilityTrace{}, 0)
+	case fleetRun:
+		w, err := gen.Generate(spec.Seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printScenarios(results)
-		r := metrics.New("elasticsim", metrics.KindSweep)
-		r.Params = params
-		r.Sweeps = []metrics.Sweep{metrics.FromScenarios(results)}
-		report = &r
-	case *sweep != "":
-		log.Fatalf(`unknown sweep %q (have "gap", "rescale", "scenario", "availability", "federation")`, *sweep)
-	case *table1:
-		if profile != nil {
-			log.Fatal("-availability does not apply to -table1 (the Table 1 reproduction is fixed-capacity)")
-		}
-		report = runTable1(params)
-	case *clusters > 1:
-		if profile != nil {
-			log.Fatal("-availability does not apply to -clusters (set per-member traces through the library)")
-		}
-		g := pickGenerator(*scenario, *tracePth)
-		w, err := g.Generate(*seed)
+		runs = runFederation(spec, w)
+	case singleRun:
+		w, avail, err := sim.Inputs(gen, profile, spec.Seed, base)
 		if err != nil {
 			log.Fatal(err)
 		}
-		params["clusters"] = strconv.Itoa(*clusters)
-		params["route"] = route.String()
-		params["skew"] = strconv.FormatFloat(*skew, 'g', -1, 64)
-		rb := federation.RebalanceConfig{Every: *rebalance, MigrateRunning: *migRun}
-		if *rebalance != 0 {
-			params["rebalance"] = strconv.FormatFloat(*rebalance, 'g', -1, 64)
-			params["migrate_running"] = strconv.FormatBool(*migRun)
+		title := fmt.Sprintf("Replaying %d-job %s workload", len(w.Jobs), spec.Scenario)
+		if !avail.Empty() {
+			title += fmt.Sprintf(" with %d capacity events", len(avail.Events))
 		}
-		report = runFederation(g.Name(), w, *clusters, route, *skew, rb, *seed, *parallel, params)
-	case *scenario != "" || *tracePth != "" || profile != nil:
-		g := pickGenerator(*scenario, *tracePth)
-		w, err := g.Generate(*seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var avail workload.AvailabilityTrace
-		if profile != nil {
-			horizon := sim.AvailabilityHorizon(w)
-			avail, err = profile.Events(*seed, base, horizon)
-			if err != nil {
-				log.Fatal(err)
-			}
-			avail = avail.WithRestore(base, horizon)
-		}
-		if *shards > 1 {
-			params["shards"] = strconv.Itoa(*shards)
-		}
-		report = runWorkload(g.Name(), w, avail, *shards, params)
-	default:
-		flag.Usage()
-		os.Exit(2)
+		runs = runWorkload(title+" under all policies (T_rescale_gap = 180 s)", spec.Scenario, w, avail, spec.Shards)
 	}
 
 	if *jsonPath != "" {
-		if report == nil {
+		report := metrics.New("elasticsim", metrics.KindRun)
+		report.Params, report.Runs = params, runs
+		if swept != nil {
+			report.Kind, report.Sweeps = metrics.KindSweep, []metrics.Sweep{*swept}
+		} else if runs == nil {
 			log.Fatalf("-json: mode produces no metrics report")
 		}
-		if err := metrics.Write(*jsonPath, *report); err != nil {
+		if err := metrics.Write(*jsonPath, report); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
 }
 
-// pickGenerator resolves -scenario/-trace to a workload generator, falling
-// back to the paper's uniform 16-job, 90 s-gap scenario when none is given.
-func pickGenerator(scenario, tracePath string) workload.Generator {
-	if scenario == "" {
-		return workload.Uniform{Jobs: 16, Gap: 90}
+// runFederation routes one workload across the spec's fleet under every
+// scheduling policy and prints the fleet metrics plus the per-cluster job
+// split; a non-zero spec.RebalanceEvery turns on the checkpoint-migrating
+// rebalancer.
+func runFederation(spec runspec.Spec, w sim.Workload) []metrics.Run {
+	// With the rebalancer on, the header names its period and a Migrations
+	// column sits before the per-cluster job split.
+	round, migrations := "", ""
+	if spec.RebalanceEvery > 0 {
+		round = fmt.Sprintf(", rebalance every %g s", spec.RebalanceEvery)
+		migrations = fmt.Sprintf(" %10s", "Migrations")
 	}
-	g, err := workload.Scenario(scenario, tracePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return g
-}
-
-// pickWorkload builds the workload selected by -scenario/-seed; with no
-// scenario it falls back to the historical default, the Table 1 workload.
-func pickWorkload(scenario, tracePath string, seed int64) (sim.Workload, string) {
-	if scenario == "" && tracePath != "" {
-		scenario = "trace"
-	}
-	if scenario == "" {
-		return sim.Table1Workload(), "table 1 workload (seed 7, 90s gap)"
-	}
-	g, err := workload.Scenario(scenario, tracePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := g.Generate(seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return w, fmt.Sprintf("%s scenario, seed %d", g.Name(), seed)
-}
-
-func printSweep(xName string, points []sim.SweepPoint) {
-	fmt.Printf("%s,policy,utilization,total_time_s,weighted_response_s,weighted_completion_s\n", xName)
-	for _, pt := range points {
-		for _, p := range core.AllPolicies() {
-			avg := pt.ByPolicy[p]
-			fmt.Printf("%.0f,%s,%.4f,%.1f,%.2f,%.2f\n",
-				pt.X, p, avg.Utilization, avg.TotalTime, avg.WeightedResponse, avg.WeightedCompletion)
-		}
-	}
-}
-
-func printScenarios(results []sim.ScenarioResult) {
-	fmt.Println("scenario,policy,utilization,total_time_s,weighted_response_s,weighted_completion_s")
-	for _, sr := range results {
-		for _, p := range core.AllPolicies() {
-			avg := sr.ByPolicy[p]
-			fmt.Printf("%s,%s,%.4f,%.1f,%.2f,%.2f\n",
-				sr.Name, p, avg.Utilization, avg.TotalTime, avg.WeightedResponse, avg.WeightedCompletion)
-		}
-	}
-}
-
-func printAvailability(results []sim.ScenarioResult) {
-	fmt.Println("availability,policy,utilization,goodput,total_time_s,weighted_response_s,weighted_completion_s,shrinks,requeues,work_lost_s")
-	for _, sr := range results {
-		for _, p := range core.AllPolicies() {
-			avg := sr.ByPolicy[p]
-			fmt.Printf("%s,%s,%.4f,%.4f,%.1f,%.2f,%.2f,%.1f,%.1f,%.1f\n",
-				sr.Name, p, avg.Utilization, avg.GoodputFrac, avg.TotalTime,
-				avg.WeightedResponse, avg.WeightedCompletion,
-				avg.ForcedShrinks, avg.Requeues, avg.WorkLostSec)
-		}
-	}
-}
-
-func printRoutes(results []sim.ScenarioResult) {
-	fmt.Println("route,policy,utilization,imbalance,total_time_s,weighted_response_s,weighted_completion_s")
-	for _, sr := range results {
-		for _, p := range core.AllPolicies() {
-			avg := sr.ByPolicy[p]
-			fmt.Printf("%s,%s,%.4f,%.4f,%.1f,%.2f,%.2f\n",
-				sr.Name, p, avg.Utilization, avg.Imbalance, avg.TotalTime, avg.WeightedResponse, avg.WeightedCompletion)
-		}
-	}
-}
-
-// runFederation routes one workload across a fleet of member clusters under
-// every scheduling policy and prints the fleet metrics plus the per-cluster
-// job split. workers bounds the member pool like -parallel bounds sweeps;
-// a non-zero rb turns on the checkpoint-migrating rebalancer.
-func runFederation(name string, w sim.Workload, clusters int, route federation.Route, skew float64, rb federation.RebalanceConfig, seed int64, workers int, params map[string]string) *metrics.Report {
-	rebalancing := rb.Every > 0
-	if rebalancing {
-		fmt.Printf("Routing %d-job %s workload across %d clusters (%s route, skew %g, rebalance every %g s) under all policies\n",
-			len(w.Jobs), name, clusters, route, skew, rb.Every)
-		fmt.Printf("%-14s %12s %12s %16s %18s %10s %10s %s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)", "Imbalance", "Migrations", "Jobs/cluster")
-	} else {
-		fmt.Printf("Routing %d-job %s workload across %d clusters (%s route, skew %g) under all policies\n",
-			len(w.Jobs), name, clusters, route, skew)
-		fmt.Printf("%-14s %12s %12s %16s %18s %10s %s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)", "Imbalance", "Jobs/cluster")
-	}
-	rep := metrics.New("elasticsim", metrics.KindRun)
-	rep.Params = params
+	fmt.Printf("Routing %d-job %s workload across %d clusters (%s route, skew %g%s) under all policies\n",
+		len(w.Jobs), spec.Scenario, spec.Members, spec.Route, spec.Skew, round)
+	fmt.Printf("%-14s %12s %12s %16s %18s %10s%s %s\n",
+		"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)", "Imbalance", migrations, "Jobs/cluster")
+	var runs []metrics.Run
 	for _, p := range core.AllPolicies() {
-		base := sim.DefaultConfig(p)
-		base.RescaleGap = 180
 		r, err := federation.Run(federation.Config{
-			Members:   federation.Skewed(base, clusters, skew),
-			Route:     route,
-			RouteSeed: seed,
-			Workers:   workers,
-			Rebalance: rb,
+			Members:   federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew),
+			Route:     spec.Route,
+			RouteSeed: spec.Seed,
+			Workers:   spec.Workers,
+			Rebalance: federation.RebalanceConfig{Every: spec.RebalanceEvery, MigrateRunning: spec.MigrateRunning},
 		}, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if rebalancing {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %9.2f%% %10d %v\n",
-				p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion,
-				100*r.Imbalance, len(r.Migrations), r.JobsPerMember)
-		} else {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %9.2f%% %v\n",
-				p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion,
-				100*r.Imbalance, r.JobsPerMember)
+		if spec.RebalanceEvery > 0 {
+			migrations = fmt.Sprintf(" %10d", len(r.Migrations))
 		}
-		rep.Runs = append(rep.Runs, metrics.FromFederation(name, r))
+		fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %9.2f%%%s %v\n",
+			p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion,
+			100*r.Imbalance, migrations, r.JobsPerMember)
+		runs = append(runs, metrics.FromFederation(spec.Scenario, r))
 	}
-	return &rep
+	return runs
 }
 
-func runWorkload(name string, w sim.Workload, avail workload.AvailabilityTrace, shards int, params map[string]string) *metrics.Report {
-	withAvail := !avail.Empty()
-	if withAvail {
-		fmt.Printf("Replaying %d-job %s workload with %d capacity events under all policies (T_rescale_gap = 180 s)\n",
-			len(w.Jobs), name, len(avail.Events))
-		fmt.Printf("%-14s %12s %12s %16s %18s %9s %8s %8s %12s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)",
-			"Goodput", "Shrinks", "Requeues", "Lost (r·s)")
-	} else {
-		fmt.Printf("Replaying %d-job %s workload under all policies (T_rescale_gap = 180 s)\n", len(w.Jobs), name)
-		fmt.Printf("%-14s %12s %12s %16s %18s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)")
-	}
-	rep := metrics.New("elasticsim", metrics.KindRun)
-	rep.Params = params
+// runWorkload runs one workload under every policy and prints the table.
+func runWorkload(title, name string, w sim.Workload, avail workload.AvailabilityTrace, shards int) []metrics.Run {
+	fmt.Println(title)
+	var runs []metrics.Run
 	for _, p := range core.AllPolicies() {
 		cfg := sim.DefaultConfig(p)
-		cfg.RescaleGap = 180
 		cfg.Availability = avail
 		cfg.Shards = shards
-		s, err := sim.New(cfg)
+		r, err := sim.Run(cfg, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := s.Run(w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if withAvail {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %8.2f%% %8d %8d %12.1f\n",
-				p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion,
-				100*r.GoodputFrac, r.ForcedShrinks, r.Requeues, r.WorkLostSec)
-		} else {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f\n",
-				p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion)
-		}
-		rep.Runs = append(rep.Runs, metrics.FromResult(name, r))
+		runs = append(runs, metrics.FromResult(name, r))
 	}
-	return &rep
-}
-
-func runTable1(params map[string]string) *metrics.Report {
-	results, err := sim.Table1Simulation()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Table 1 (Simulation columns): 16 jobs, 90 s submission gap, T_rescale_gap = 180 s")
-	fmt.Printf("%-14s %12s %12s %16s %18s\n",
-		"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)")
-	rep := metrics.New("elasticsim", metrics.KindRun)
-	rep.Params = params
-	for _, p := range core.AllPolicies() {
-		r := results[p]
-		fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f\n",
-			p, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion)
-		rep.Runs = append(rep.Runs, metrics.FromResult("table1", r))
-	}
-	return &rep
+	metrics.WritePolicyTable(os.Stdout, runs, !avail.Empty())
+	return runs
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +51,96 @@ func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 		if err != nil {
 			t.Errorf("elasticsim -sweep %s -jobs 4: %v\n%s", sweep, err, out)
 		}
+	}
+}
+
+// TestFlagsRejectedWhereIgnored: a flag the chosen mode does not read, or a
+// value that tunes something the run did not select, is an error that names
+// the flag — never parsed and dropped. The first six rows were accepted
+// before the modes declared what they read (`-scenario burst -seeds 5` ran
+// one seed and stamped "seeds": "5" into the report); the rest are the
+// rejections that already existed, which must keep rejecting.
+func TestFlagsRejectedWhereIgnored(t *testing.T) {
+	for _, c := range []struct{ args, names string }{
+		{"-scenario burst -seeds 5", "-seeds"},
+		{"-trace testdata/wl.csv -seeds 5", "-seeds"},
+		{"-clusters 3 -seeds 5", "-seeds"},
+		{"-scenario burst -parallel 2", "-parallel"},
+		{"-sweep scenario -seeds 1 -seed 3", "-seed "},
+		{"-scenario burst -mttf 900", "-mttf"},
+		{"-scenario burst -trace testdata/wl.csv", "-trace"},
+
+		{"-clusters 0 -scenario burst", "-clusters"},
+		{"-clusters 3 -sweep scenario", "-clusters"},
+		{"-clusters 3 -table1", "-clusters"},
+		{"-clusters 3 -save-workload x.json", "-clusters"},
+		{"-scenario burst -route random", "-route"},
+		{"-scenario burst -skew 0.5", "-skew"},
+		{"-scenario burst -rebalance 300", "-rebalance"},
+		{"-clusters 3 -migrate-running", "-migrate-running"},
+		{"-sweep federation -seeds 1 -rebalance 300", "-rebalance"},
+		{"-table1 -shards 4", "-shards"},
+		{"-clusters 3 -shards 4", "-shards"},
+		{"-sweep gap -seeds 1 -shards 4", "-shards"},
+		{"-save-availability x.csv", "-availability"},
+		{"-sweep gap -seeds 1 -scenario burst", "-scenario"},
+		{"-sweep rescale -seeds 1 -availability spot", "-availability"},
+		{"-sweep federation -seeds 1 -availability spot", "-availability"},
+		{"-sweep scenario -seeds 1 -availability spot", "-availability"},
+		{"-sweep bogus", "bogus"},
+		{"-table1 -availability spot", "-availability"},
+		{"-clusters 3 -availability spot", "-availability"},
+		{"-scenario burst -save-workload " + os.DevNull + " -json x.json", "-json"},
+	} {
+		out, err := elasticsim(strings.Fields(c.args)...)
+		if err == nil {
+			t.Errorf("elasticsim %s: accepted, want %s rejected", c.args, c.names)
+		} else if !strings.Contains(out, c.names) {
+			t.Errorf("elasticsim %s: failed without naming %s:\n%s", c.args, c.names, out)
+		}
+	}
+}
+
+// TestGoldens pins stdout and the -json report byte for byte. The files were
+// recorded at the commit before the CLIs moved onto runspec; only the
+// reports' "params" blocks were re-recorded since (they now list the flags
+// the mode read instead of a fixed jobs/seeds/seed stamp).
+func TestGoldens(t *testing.T) {
+	for name, args := range map[string]string{
+		"table1":       "-table1",
+		"burst-seed3":  "-scenario burst -seed 3",
+		"uniform-spot": "-scenario uniform -availability spot",
+		// The spelling bench/'s CLI probe uses.
+		"trace-avail":        "-trace testdata/wl.csv -json $JSON -availability-trace testdata/cap.csv",
+		"fleet-rebalance":    "-clusters 3 -route least_loaded -rebalance 300",
+		"sweep-gap":          "-sweep gap -seeds 2 -jobs 8 -parallel 1",
+		"sweep-availability": "-sweep availability -seeds 1",
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			report := filepath.Join(t.TempDir(), "report.json")
+			if !strings.Contains(args, "$JSON") {
+				args += " -json $JSON"
+			}
+			cmd := exec.Command(os.Args[0], strings.Fields(strings.ReplaceAll(args, "$JSON", report))...)
+			cmd.Env = append(os.Environ(), runAsMain+"=1")
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("elasticsim %s: %v", args, err)
+			}
+			got, err := os.ReadFile(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ext, have := range map[string][]byte{".stdout": stdout, ".json": got} {
+				want, err := os.ReadFile(filepath.Join("testdata", "golden", name+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(have, want) {
+					t.Errorf("%s%s differs from the golden:\n%s", name, ext, have)
+				}
+			}
+		})
 	}
 }

@@ -26,11 +26,25 @@ import (
 	"elastichpc/internal/federation"
 	"elastichpc/internal/metrics"
 	"elastichpc/internal/model"
+	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
-	"elastichpc/internal/workload"
 )
 
 var ascii = flag.Bool("ascii", false, "render profiles as ASCII charts instead of CSV")
+
+// The modes, in selection order (main's run table is parallel). Each declares
+// the flags it reads; any other flag on the command line is rejected rather
+// than silently dropped.
+var modes = []runspec.Mode{
+	{Name: "-table1"},
+	{Name: "-profiles", Also: []string{"ascii"}},
+	{Name: "-xlarge-timeline"},
+	{Name: "-sweep", Also: []string{"seeds"}},
+	{Name: "-clusters N", Reads: runspec.Scenario | runspec.Seed | runspec.Fleet, Also: []string{"ckpt-period"}},
+	// An explicit -clusters 1 asks for exactly this mode.
+	{Name: "-scenario/-trace/-availability", Reads: runspec.Scenario | runspec.Seed | runspec.Availability, Also: []string{"ckpt-period", "clusters"}},
+	{Name: "a run with no mode selected"},
+}
 
 func main() {
 	var (
@@ -40,60 +54,41 @@ func main() {
 		sweep    = flag.Bool("sweep", false, "cross-validate the Figure 7 submission-gap sweep through the emulation")
 		seeds    = flag.Int("seeds", 3, "workloads per sweep point (emulation sweeps are slower than DES)")
 		jsonPath = flag.String("json", "", "also write the results as a metrics.Report to this path")
-
-		scenario = flag.String("scenario", "", "workload scenario to emulate: uniform | poisson | burst | diurnal | trace")
-		tracePth = flag.String("trace", "", "workload trace file for -scenario trace (implies it)")
-		seed     = flag.Int64("seed", 7, "scenario and availability generation seed")
-		availFl  = flag.String("availability", "", "capacity profile: failures | spot | drain | tides | trace")
-		availTr  = flag.String("availability-trace", "", "capacity trace file for -availability trace (implies it)")
-		mttf     = flag.Float64("mttf", 0, "failures profile: mean time to failure, seconds (0 = default)")
-		mttr     = flag.Float64("mttr", 0, "failures profile: mean time to repair, seconds (0 = default)")
-		preempt  = flag.Int("preempt", 0, "spot profile: slots reclaimed per preemption event (0 = default)")
-		ckpt     = flag.Int("ckpt-period", 1000, "periodic checkpoint interval in iterations for availability runs (0 = restart from scratch)")
-
-		clusters = flag.Int("clusters", 1, "emulated member clusters behind the federation router (1 = single cluster)")
-		routeFl  = flag.String("route", "round_robin", "fleet routing policy for -clusters: round_robin | least_loaded | priority | random")
+		ckpt     = flag.Int("ckpt-period", 1000, "periodic checkpoint interval in iterations for scenario runs (0 = restart from scratch)")
 	)
+	spec := runspec.Default()
+	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Availability|runspec.Fleet)
 	flag.Parse()
-	if *tracePth != "" && *scenario == "" {
-		*scenario = "trace"
+
+	mode := len(modes) - 1
+	for i, on := range []bool{*table1, *profiles, *xlarge, *sweep, spec.Members > 1,
+		runspec.Set(flag.CommandLine, runspec.Scenario|runspec.Availability)} {
+		if on {
+			mode = i
+			break
+		}
 	}
-	if *availTr != "" && *availFl == "" {
-		*availFl = "trace"
-	}
-	route, err := federation.RouteByName(*routeFl)
-	if err != nil {
+	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		log.Fatal(err)
 	}
-	if *clusters < 1 {
-		log.Fatalf("-clusters %d: a fleet needs at least 1 member", *clusters)
-	}
-	if *clusters > 1 {
-		if *table1 || *profiles || *xlarge || *sweep {
-			log.Fatal("-clusters applies to scenario emulation only")
-		}
-		if *availFl != "" {
-			log.Fatal("-availability does not apply to -clusters (set per-member traces through the library)")
-		}
+	spec.Resolve()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
-	var report *metrics.Report
-	switch {
-	case *table1:
-		report = runTable1()
-	case *profiles:
-		report = runProfiles()
-	case *xlarge:
-		report = runXLargeTimeline()
-	case *sweep:
-		report = runSweep(*seeds)
-	case *clusters > 1:
-		report = runFleet(*scenario, *tracePth, *clusters, route, *seed, *ckpt)
-	case *scenario != "" || *availFl != "":
-		report = runScenario(*scenario, *tracePth, *availFl, *availTr, *seed, *mttf, *mttr, *preempt, *ckpt)
-	default:
+	run := []func() *metrics.Report{
+		runTable1, runProfiles, runXLargeTimeline,
+		func() *metrics.Report { return runSweep(*seeds) },
+		func() *metrics.Report { return runFleet(spec, *ckpt) },
+		func() *metrics.Report { return runScenario(spec, *ckpt) },
+	}
+	if mode == len(run) {
 		flag.Usage()
 		os.Exit(2)
+	}
+	report := run[mode]()
+	if report.Params == nil {
+		report.Params = runspec.Params(flag.CommandLine, modes[mode])
 	}
 
 	if *jsonPath != "" {
@@ -106,65 +101,34 @@ func main() {
 
 // runScenario emulates one seeded workload scenario — optionally under a
 // time-varying capacity profile — for every policy: the kubesim twin of
-// `elasticsim -scenario X -availability Y`, sharing the same generators so
-// the two backends stay directly comparable.
-func runScenario(scenario, tracePath, availName, availTrace string, seed int64, mttf, mttr float64, preempt, ckpt int) *metrics.Report {
-	gen := workload.Generator(workload.Uniform{Jobs: 16, Gap: 90})
-	if scenario != "" {
-		g, err := workload.Scenario(scenario, tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen = g
+// `elasticsim -scenario X -availability Y`, deriving its inputs from the same
+// spec so the two backends stay directly comparable.
+func runScenario(spec runspec.Spec, ckpt int) *metrics.Report {
+	gen, err := spec.Generator()
+	if err != nil {
+		log.Fatal(err)
 	}
-	var profile workload.AvailabilityProfile
-	if availName != "" {
-		p, err := workload.AvailabilityScenario(availName, workload.AvailabilityOptions{
-			MTTF: mttf, MTTR: mttr, PreemptSlots: preempt, TracePath: availTrace,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		profile = p
+	profile, err := spec.Profile()
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	rep := metrics.New("kubesim", metrics.KindRun)
-	rep.Params = map[string]string{"scenario": gen.Name(), "seed": fmt.Sprint(seed)}
 	if profile != nil {
-		rep.Params["availability"] = profile.Name()
 		fmt.Printf("Emulating %s workload under %s capacity profile (seed %d, ckpt every %d iters)\n",
-			gen.Name(), profile.Name(), seed, ckpt)
-		fmt.Printf("%-14s %12s %12s %16s %18s %9s %8s %8s %12s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)",
-			"Goodput", "Shrinks", "Requeues", "Lost (r·s)")
+			gen.Name(), profile.Name(), spec.Seed, ckpt)
 	} else {
-		fmt.Printf("Emulating %s workload (seed %d)\n", gen.Name(), seed)
-		fmt.Printf("%-14s %12s %12s %16s %18s\n",
-			"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)")
+		fmt.Printf("Emulating %s workload (seed %d)\n", gen.Name(), spec.Seed)
 	}
+	rep := metrics.New("kubesim", metrics.KindRun)
 	for _, p := range core.AllPolicies() {
 		cfg := cluster.DefaultConfig(p)
 		cfg.CheckpointPeriod = ckpt
-		var res sim.Result
-		var err error
-		if profile != nil {
-			res, err = cluster.RunAvailability(cfg, gen, profile, seed)
-		} else {
-			res, err = cluster.RunGenerator(cfg, gen, seed)
-		}
+		res, err := cluster.RunAvailability(cfg, gen, profile, spec.Seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if profile != nil {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %8.2f%% %8d %8d %12.1f\n",
-				p, res.TotalTime, 100*res.Utilization, res.WeightedResponse, res.WeightedCompletion,
-				100*res.GoodputFrac, res.ForcedShrinks, res.Requeues, res.WorkLostSec)
-		} else {
-			fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f\n",
-				p, res.TotalTime, 100*res.Utilization, res.WeightedResponse, res.WeightedCompletion)
-		}
 		rep.Runs = append(rep.Runs, metrics.FromResult(gen.Name(), res))
 	}
+	metrics.WritePolicyTable(os.Stdout, rep.Runs, profile != nil)
 	return &rep
 }
 
@@ -175,38 +139,29 @@ func runScenario(scenario, tracePath, availName, availTrace string, seed int64, 
 // simulator. Rebalancing needs steppable (simulator) members and is
 // deliberately not offered here; use `elasticsim -clusters -rebalance` for
 // the co-simulated fleet.
-func runFleet(scenario, tracePath string, clusters int, route federation.Route, seed int64, ckpt int) *metrics.Report {
-	gen := workload.Generator(workload.Uniform{Jobs: 16, Gap: 90})
-	if scenario != "" {
-		g, err := workload.Scenario(scenario, tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gen = g
-	}
-	w, err := gen.Generate(seed)
+func runFleet(spec runspec.Spec, ckpt int) *metrics.Report {
+	gen, err := spec.Generator()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	rep := metrics.New("kubesim", metrics.KindRun)
-	rep.Params = map[string]string{
-		"scenario": gen.Name(), "seed": fmt.Sprint(seed),
-		"clusters": fmt.Sprint(clusters), "route": route.String(),
+	w, err := gen.Generate(spec.Seed)
+	if err != nil {
+		log.Fatal(err)
 	}
+	rep := metrics.New("kubesim", metrics.KindRun)
 	fmt.Printf("Emulating %s workload across %d clusters, %s routing (seed %d)\n",
-		gen.Name(), clusters, route, seed)
+		spec.Scenario, spec.Members, spec.Route, spec.Seed)
 	fmt.Printf("%-14s %12s %12s %16s %18s %10s %14s\n",
 		"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)",
 		"Imbalance", "Jobs/cluster")
 	for _, p := range core.AllPolicies() {
-		backends := make([]federation.Member, clusters)
+		backends := make([]federation.Member, spec.Members)
 		for i := range backends {
 			cfg := cluster.DefaultConfig(p)
 			cfg.CheckpointPeriod = ckpt
 			backends[i] = federation.NewClusterMember(cfg)
 		}
-		res, err := federation.Run(federation.Config{Backends: backends, Route: route, RouteSeed: seed}, w)
+		res, err := federation.Run(federation.Config{Backends: backends, Route: spec.Route, RouteSeed: spec.Seed}, w)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,7 +172,7 @@ func runFleet(scenario, tracePath string, clusters int, route federation.Route, 
 		fmt.Printf("%-14s %12.0f %11.2f%% %16.2f %18.2f %10.3f %14s\n",
 			p, res.TotalTime, 100*res.Utilization, res.WeightedResponse, res.WeightedCompletion,
 			res.Imbalance, strings.Join(counts, "/"))
-		rep.Runs = append(rep.Runs, metrics.FromFederation(gen.Name(), res))
+		rep.Runs = append(rep.Runs, metrics.FromFederation(spec.Scenario, res))
 	}
 	return &rep
 }
@@ -227,34 +182,28 @@ func runFleet(scenario, tracePath string, clusters int, route federation.Route, 
 // (their sweep is simulation-only because "an experimental study ... would
 // be infeasible"; a deterministic virtual-clock emulation makes it cheap).
 func runSweep(seeds int) *metrics.Report {
-	rep := metrics.New("kubesim", metrics.KindSweep)
+	pts, err := sim.SweepGrid([]float64{0, 60, 120, 180, 240, 300}, seeds, 1,
+		func(gap float64, p core.Policy, seed int64) (sim.Result, error) {
+			return cluster.RunExperiment(cluster.DefaultConfig(p), sim.RandomWorkload(16, gap, seed))
+		}, (*sim.AverageResult).Accumulate)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sw := metrics.Sweep{Name: "submission_gap_actual", X: "submission gap (s)"}
-	fmt.Println("submission_gap,policy,utilization,total_time_s,weighted_response_s,weighted_completion_s")
-	for _, gap := range []float64{0, 60, 120, 180, 240, 300} {
-		pt := metrics.Point{X: gap}
+	for _, pt := range pts {
+		mp := metrics.Point{X: pt.X}
 		for _, p := range core.AllPolicies() {
-			var util, total, resp, comp float64
-			for seed := int64(0); seed < int64(seeds); seed++ {
-				w := sim.RandomWorkload(16, gap, seed)
-				res, err := cluster.RunExperiment(cluster.DefaultConfig(p), w)
-				if err != nil {
-					log.Fatal(err)
-				}
-				util += res.Utilization
-				total += res.TotalTime
-				resp += res.WeightedResponse
-				comp += res.WeightedCompletion
-			}
-			n := float64(seeds)
-			fmt.Printf("%.0f,%s,%.4f,%.1f,%.2f,%.2f\n", gap, p, util/n, total/n, resp/n, comp/n)
-			pt.Runs = append(pt.Runs, metrics.Run{
+			avg := pt.ByPolicy[p]
+			mp.Runs = append(mp.Runs, metrics.Run{
 				Policy: p.String(), Seeds: seeds, Jobs: 16,
-				TotalTime: total / n, Utilization: util / n,
-				WeightedResponse: resp / n, WeightedCompletion: comp / n,
+				TotalTime: avg.TotalTime, Utilization: avg.Utilization,
+				WeightedResponse: avg.WeightedResponse, WeightedCompletion: avg.WeightedCompletion,
 			})
 		}
-		sw.Points = append(sw.Points, pt)
+		sw.Points = append(sw.Points, mp)
 	}
+	metrics.WriteCSV(os.Stdout, "submission_gap", sw, metrics.PaperColumns)
+	rep := metrics.New("kubesim", metrics.KindSweep)
 	rep.Sweeps = []metrics.Sweep{sw}
 	return &rep
 }

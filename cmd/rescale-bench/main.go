@@ -30,6 +30,7 @@ import (
 	"elastichpc/internal/apps"
 	"elastichpc/internal/charm"
 	"elastichpc/internal/metrics"
+	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
@@ -45,32 +46,25 @@ func main() {
 		mode     = flag.String("mode", "", "shrink | expand | size | avail | timeline")
 		scale    = flag.Int("scale", 8, "divide paper grid sizes by this factor")
 		iters    = flag.Int("iters", 30, "iterations to run before rescaling")
-		scenario = flag.String("scenario", "", "derive -mode size grids from this workload scenario (uniform | poisson | burst | diurnal | trace)")
-		tracePth = flag.String("trace", "", "workload trace file for -scenario trace (implies it)")
-		seed     = flag.Int64("seed", 7, "scenario generation seed")
-		parallel = flag.Int("parallel", 1, "measurement points to run concurrently (timings get noisier above 1)")
 		jsonPath = flag.String("json", "", "also write the phase breakdown as a metrics.Report (kind bench); not supported by -mode timeline")
-		availFl  = flag.String("availability", "", "-mode avail: capacity profile whose transitions to measure (failures | spot | drain | tides | trace)")
-		availTr  = flag.String("availability-trace", "", "capacity trace file for -availability trace (implies it)")
-		mttf     = flag.Float64("mttf", 0, "failures profile: mean time to failure, seconds (0 = default)")
-		mttr     = flag.Float64("mttr", 0, "failures profile: mean time to repair, seconds (0 = default)")
-		preempt  = flag.Int("preempt", 0, "spot profile: slots reclaimed per preemption event (0 = default)")
 	)
+	// -parallel defaults to one point at a time: timings share cores above 1.
+	spec := runspec.Default()
+	spec.Workers = 1
+	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Availability|runspec.Parallel)
 	flag.Parse()
-	if *tracePth != "" && *scenario == "" {
-		*scenario = "trace"
+	fromScenario := spec.Scenario != "" || spec.Trace != ""
+	spec.Resolve()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
 	}
-	if *availTr != "" && *availFl == "" {
-		*availFl = "trace"
-	}
-	if *availFl != "" && *mode != "avail" {
+	if spec.Availability != "" && *mode != "avail" {
 		log.Fatalf("-availability only applies to -mode avail, not -mode %s", *mode)
 	}
-	if *parallel > 1 {
-		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between points; timings are noisier\n", *parallel)
+	if spec.Workers > 1 {
+		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between points; timings are noisier\n", spec.Workers)
 	}
-
-	if *scenario != "" && *mode != "size" {
+	if fromScenario && *mode != "size" {
 		// Scenarios select grid sizes, which only the size sweep varies.
 		log.Fatalf("-scenario/-trace do not apply to -mode %s (only -mode size derives grids from a scenario)", *mode)
 	}
@@ -88,7 +82,7 @@ func main() {
 			points = append(points, point{x: p, from: p, to: p * 2, grid: 8192 / *scale})
 		}
 	case "size":
-		grids, source, err := sizeGrids(*scenario, *tracePth, *seed, *scale)
+		grids, source, err := sizeGrids(spec, fromScenario, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,15 +91,12 @@ func main() {
 			points = append(points, point{x: n, from: 32, to: 16, grid: n})
 		}
 	case "avail":
-		if *availFl == "" {
-			log.Fatal("-mode avail needs -availability")
-		}
-		pts, err := availPoints(*availFl, *availTr, *seed, *scale, *mttf, *mttr, *preempt)
+		pts, err := availPoints(spec, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("# availability transitions of profile %q seed %d (job replicas = capacity/4, grid %d)\n",
-			*availFl, *seed, 8192 / *scale)
+			spec.Availability, spec.Seed, 8192 / *scale)
 		for _, pt := range pts {
 			fmt.Printf("# transition %d: %d -> %d replicas\n", pt.x, pt.from, pt.to)
 		}
@@ -130,7 +121,7 @@ func main() {
 	}
 	fmt.Printf("%s,lb_s,ckpt_s,restart_s,restore_s,total_s,bytes\n", header)
 	rows := make([]charm.RescaleStats, len(points))
-	if err := sim.RunTasks(len(points), *parallel, func(i int) error {
+	if err := sim.RunTasks(len(points), spec.Workers, func(i int) error {
 		rows[i] = runOnce(points[i], *iters)
 		return nil
 	}); err != nil {
@@ -168,14 +159,15 @@ func main() {
 // rescale at a quarter of the slots (the paper's experiments average ~4
 // concurrent jobs on the 64-slot cluster), clamped to the runtime-practical
 // [2, 32] replica range and deduplicated. x is the transition index.
-func availPoints(name, tracePath string, seed int64, scale int, mttf, mttr float64, preempt int) ([]point, error) {
-	profile, err := workload.AvailabilityScenario(name, workload.AvailabilityOptions{
-		MTTF: mttf, MTTR: mttr, PreemptSlots: preempt, TracePath: tracePath,
-	})
+func availPoints(spec runspec.Spec, scale int) ([]point, error) {
+	profile, err := spec.Profile()
 	if err != nil {
 		return nil, err
 	}
-	trans, err := workload.AvailabilityTransitions(profile, seed, 64, 4*3600)
+	if profile == nil {
+		return nil, fmt.Errorf("-mode avail needs -availability")
+	}
+	trans, err := workload.AvailabilityTransitions(profile, spec.Seed, 64, 4*3600)
 	if err != nil {
 		return nil, err
 	}
@@ -203,24 +195,24 @@ func availPoints(name, tracePath string, seed int64, scale int, mttf, mttr float
 		}
 	}
 	if len(pts) == 0 {
-		return nil, fmt.Errorf("availability profile %q yields no measurable transitions", name)
+		return nil, fmt.Errorf("availability profile %q yields no measurable transitions", spec.Availability)
 	}
 	return pts, nil
 }
 
 // sizeGrids picks the -mode size grid dimensions: Figure 5c's fixed list, or
 // the distinct grids of a scenario's job classes.
-func sizeGrids(scenario, tracePath string, seed int64, scale int) ([]int, string, error) {
-	if scenario == "" {
+func sizeGrids(spec runspec.Spec, fromScenario bool, scale int) ([]int, string, error) {
+	if !fromScenario {
 		return []int{512 / scale * 8, 2048 / scale * 8, 8192 / scale * 8}, "Fig. 5c defaults", nil
 	}
-	raw, source, err := workload.ScenarioGrids(scenario, tracePath, seed)
+	raw, source, err := workload.ScenarioGrids(spec.Scenario, spec.Trace, spec.Seed)
 	if err != nil {
 		return nil, "", err
 	}
 	grids := workload.MapGrids(raw, func(n int) int { return n / scale * 8 })
 	if len(grids) == 0 {
-		return nil, "", fmt.Errorf("scenario %q yields no usable grids at -scale %d", scenario, scale)
+		return nil, "", fmt.Errorf("scenario %q yields no usable grids at -scale %d", spec.Scenario, scale)
 	}
 	return grids, source, nil
 }

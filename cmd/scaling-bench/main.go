@@ -31,37 +31,40 @@ import (
 	"elastichpc/internal/charm"
 	"elastichpc/internal/metrics"
 	"elastichpc/internal/profiling"
+	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
 func main() {
 	var (
-		app      = flag.String("app", "", "jacobi | leanmd")
-		scale    = flag.Int("scale", 8, "divide paper problem sizes by this factor")
-		iters    = flag.Int("iters", 20, "iterations to time")
-		maxPE    = flag.Int("maxpes", maxReasonablePEs(), "largest replica count to test")
-		scenario = flag.String("scenario", "", "derive Jacobi grids from this workload scenario (uniform | poisson | burst | diurnal | trace)")
-		tracePth = flag.String("trace", "", "workload trace file for -scenario trace (implies it)")
-		seed     = flag.Int64("seed", 7, "scenario generation seed")
-		parallel = flag.Int("parallel", 1, "benchmark cells to run concurrently (timings get noisier above 1)")
-		jsonPath = flag.String("json", "", "also write the cells as a metrics.Report (kind bench) to this path")
-		availFl  = flag.String("availability", "", "derive the replica counts from this capacity profile's levels (failures | spot | drain | tides | trace)")
-		availTr  = flag.String("availability-trace", "", "capacity trace file for -availability trace (implies it)")
-		mttf     = flag.Float64("mttf", 0, "failures profile: mean time to failure, seconds (0 = default)")
-		mttr     = flag.Float64("mttr", 0, "failures profile: mean time to repair, seconds (0 = default)")
-		preempt  = flag.Int("preempt", 0, "spot profile: slots reclaimed per preemption event (0 = default)")
-
+		app        = flag.String("app", "", "jacobi | leanmd")
+		scale      = flag.Int("scale", 8, "divide paper problem sizes by this factor")
+		iters      = flag.Int("iters", 20, "iterations to time")
+		maxPE      = flag.Int("maxpes", maxReasonablePEs(), "largest replica count to test")
+		jsonPath   = flag.String("json", "", "also write the cells as a metrics.Report (kind bench) to this path")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this path on exit")
 	)
+	// -parallel defaults to one cell at a time: timings share cores above 1.
+	spec := runspec.Default()
+	spec.Workers = 1
+	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Availability|runspec.Parallel)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
-	if *tracePth != "" && *scenario == "" {
-		*scenario = "trace"
+	fromScenario := spec.Scenario != "" || spec.Trace != ""
+	if fromScenario && *app == "leanmd" {
+		// Scenario job classes map to Jacobi grids; LeanMD's cell grids
+		// are fixed, so a scenario selection would be silently ignored.
+		log.Fatal("-scenario/-trace do not apply to -app leanmd (scenarios map to Jacobi grid sizes)")
 	}
-	if *availTr != "" && *availFl == "" {
-		*availFl = "trace"
+	spec.Resolve()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	profile, err := spec.Profile()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The replica axis: Figure 4's power-of-two ladder, or — with a
@@ -69,14 +72,8 @@ func main() {
 	// actually pass through, so the curve covers the replica counts an
 	// availability experiment forces jobs onto.
 	replicas := []int{2, 4, 8, 16, 32, 64}
-	if *availFl != "" {
-		profile, err := workload.AvailabilityScenario(*availFl, workload.AvailabilityOptions{
-			MTTF: *mttf, MTTR: *mttr, PreemptSlots: *preempt, TracePath: *availTr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		levels, err := workload.AvailabilityLevels(profile, *seed, 64, 4*3600)
+	if profile != nil {
+		levels, err := workload.AvailabilityLevels(profile, spec.Seed, 64, 4*3600)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,9 +84,9 @@ func main() {
 			}
 		}
 		if len(replicas) == 0 {
-			log.Fatalf("availability profile %q yields no usable replica counts", *availFl)
+			log.Fatalf("availability profile %q yields no usable replica counts", spec.Availability)
 		}
-		fmt.Fprintf(os.Stderr, "# replica counts from availability profile %q seed %d: %v\n", *availFl, *seed, replicas)
+		fmt.Fprintf(os.Stderr, "# replica counts from availability profile %q seed %d: %v\n", spec.Availability, spec.Seed, replicas)
 	}
 	var pes []int
 	for _, p := range replicas {
@@ -100,13 +97,13 @@ func main() {
 	if len(pes) == 0 {
 		log.Fatalf("no replica counts fit under -maxpes %d (had %v)", *maxPE, replicas)
 	}
-	if *parallel > 1 {
-		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between cells; timings are noisier\n", *parallel)
+	if spec.Workers > 1 {
+		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between cells; timings are noisier\n", spec.Workers)
 	}
 
 	switch *app {
 	case "jacobi":
-		grids, source, err := jacobiGrids(*scenario, *tracePth, *seed, *scale)
+		grids, source, err := jacobiGrids(spec, fromScenario, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,7 +117,7 @@ func main() {
 			}
 		}
 		times := make([]float64, len(cells))
-		if err := sim.RunTasks(len(cells), *parallel, func(i int) error {
+		if err := sim.RunTasks(len(cells), spec.Workers, func(i int) error {
 			times[i] = runJacobi(cells[i].grid, cells[i].pes, *iters)
 			return nil
 		}); err != nil {
@@ -137,11 +134,6 @@ func main() {
 		}
 		writeReport(*jsonPath, rep)
 	case "leanmd":
-		if *scenario != "" {
-			// Scenario job classes map to Jacobi grids; LeanMD's cell grids
-			// are fixed, so a scenario selection would be silently ignored.
-			log.Fatal("-scenario/-trace do not apply to -app leanmd (scenarios map to Jacobi grid sizes)")
-		}
 		fmt.Println("# Fig 4b: LeanMD strong scaling; time per step (s)")
 		fmt.Println("cells,replicas,time_per_step_s")
 		type cell struct {
@@ -155,7 +147,7 @@ func main() {
 			}
 		}
 		times := make([]float64, len(cells))
-		if err := sim.RunTasks(len(cells), *parallel, func(i int) error {
+		if err := sim.RunTasks(len(cells), spec.Workers, func(i int) error {
 			times[i] = runLeanMD(cells[i].dims, cells[i].pes, *iters)
 			return nil
 		}); err != nil {
@@ -191,17 +183,17 @@ func writeReport(path string, rep metrics.Report) {
 // jacobiGrids picks the grid sizes to benchmark: Figure 4a's fixed list, or —
 // when a scenario is selected — the distinct grids of the job classes that
 // workload actually submits, scaled down by scale.
-func jacobiGrids(scenario, tracePath string, seed int64, scale int) ([]int, string, error) {
-	if scenario == "" {
+func jacobiGrids(spec runspec.Spec, fromScenario bool, scale int) ([]int, string, error) {
+	if !fromScenario {
 		return []int{2048 / scale, 8192 / scale, 16384 / scale}, "Fig. 4a defaults", nil
 	}
-	raw, source, err := workload.ScenarioGrids(scenario, tracePath, seed)
+	raw, source, err := workload.ScenarioGrids(spec.Scenario, spec.Trace, spec.Seed)
 	if err != nil {
 		return nil, "", err
 	}
 	grids := workload.MapGrids(raw, func(n int) int { return n / scale })
 	if len(grids) == 0 {
-		return nil, "", fmt.Errorf("scenario %q yields no usable grids at -scale %d", scenario, scale)
+		return nil, "", fmt.Errorf("scenario %q yields no usable grids at -scale %d", spec.Scenario, scale)
 	}
 	return grids, source, nil
 }

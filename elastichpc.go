@@ -374,6 +374,14 @@ func AvailabilitySweep(profiles []AvailabilityProfile, gen WorkloadGenerator, se
 	return sim.AvailabilitySweep(profiles, gen, seeds, rescaleGapSeconds, workers)
 }
 
+// Inputs derives a run's inputs the one way every entry point does: the
+// seed's workload and, given a profile (nil = fixed capacity), its capacity
+// trace over the workload's horizon against base slots, restore event
+// included. Hand the pair to Simulate (WithAvailability) or Emulate.
+func Inputs(g WorkloadGenerator, p AvailabilityProfile, seed int64, base int) (Workload, AvailabilityTrace, error) {
+	return sim.Inputs(g, p, seed, base)
+}
+
 // EmulateAvailability generates one seed of a workload scenario and an
 // availability profile and runs both through the full k8s+operator
 // emulation — the cluster-backend twin of Simulate with WithAvailability.

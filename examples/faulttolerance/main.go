@@ -85,20 +85,13 @@ const seed = 7
 // discrete-event simulator.
 func spotSimulated() {
 	fmt.Println("=== Act 2: spot preemptions, every policy (DES simulator) ===")
-	gen := elastichpc.UniformScenario{Jobs: 16, Gap: 90}
-	w, err := gen.Generate(seed)
+	// The same inputs Act 3's EmulateAvailability derives: the seed's
+	// workload and the profile's trace, restored to base past the horizon
+	// so a trace ending mid-outage cannot strand rigid jobs.
+	w, tr, err := elastichpc.Inputs(elastichpc.UniformScenario{Jobs: 16, Gap: 90}, spotProfile(), seed, 64)
 	if err != nil {
 		log.Fatal(err)
 	}
-	horizon := w.Span() + 4*3600
-	tr, err := spotProfile().Events(seed, 64, horizon)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Restore to base past the horizon, like every other availability
-	// entry point: a trace ending mid-outage would pin the cluster small
-	// forever and strand rigid jobs.
-	tr = tr.WithRestore(64, horizon)
 	fmt.Printf("16 uniform jobs, %d capacity events (seed %d)\n", len(tr.Events), seed)
 	fmt.Printf("%-14s %10s %9s %9s %9s %12s\n",
 		"Scheduler", "Total (s)", "Goodput", "Shrinks", "Requeues", "Lost (r·s)")

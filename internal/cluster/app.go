@@ -250,29 +250,18 @@ func Table1Actual() (map[core.Policy]sim.Result, error) {
 // the full emulation — the cluster-backend twin of generating and handing the
 // workload to sim.Run.
 func RunGenerator(cfg Config, g workload.Generator, seed int64) (sim.Result, error) {
-	w, err := g.Generate(seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return RunExperiment(cfg, w)
+	return RunAvailability(cfg, g, nil, seed)
 }
 
-// RunAvailability generates one seed of a workload scenario and an
-// availability profile and runs both through the full emulation — the
-// cluster-backend twin of a sim run with Config.Availability set. The trace gets a
-// restore-to-base event past its horizon so a profile ending mid-outage
-// cannot strand the backlog, mirroring sim.AvailabilitySweep.
+// RunAvailability derives one seed of a workload scenario and an
+// availability profile (nil = fixed capacity) with the recipe the simulator
+// uses, sim.Inputs, and runs both through the full emulation — the
+// cluster-backend twin of a sim run with Config.Availability set.
 func RunAvailability(cfg Config, g workload.Generator, p workload.AvailabilityProfile, seed int64) (sim.Result, error) {
-	w, err := g.Generate(seed)
+	w, tr, err := sim.Inputs(g, p, seed, cfg.Nodes*cfg.CPUPerNode)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	base := cfg.Nodes * cfg.CPUPerNode
-	horizon := sim.AvailabilityHorizon(w)
-	tr, err := p.Events(seed, base, horizon)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg.Availability = tr.WithRestore(base, horizon)
+	cfg.Availability = tr
 	return RunExperiment(cfg, w)
 }

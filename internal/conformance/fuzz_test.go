@@ -2,6 +2,9 @@ package conformance
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"elastichpc/internal/core"
@@ -69,6 +72,50 @@ func FuzzShardEquivalence(f *testing.F) {
 		if d := Compare(ref, got); !d.Empty() {
 			t.Fatalf("seed %d policy %s shards %d diverged:\n%s",
 				seed, p, shards, d.Format(ref, got, 0))
+		}
+	})
+}
+
+// FuzzSpecFromMeta fuzzes the decoder every -replay goes through. The input is
+// a Meta map spelled as key=value lines. Hostile maps are an error, never a
+// panic, and an accepted one re-encodes to a map that decodes to the same
+// run. The two runs are compared as encodings: a NaN knob is not equal to
+// itself as a value, and Meta drops fleet knobs a non-federation backend never
+// reads.
+func FuzzSpecFromMeta(f *testing.F) {
+	st, err := LoadFile("../../cmd/conftest/testdata/golden/stream.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := make([]string, 0, len(st.Meta))
+	for k := range st.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var lines []string
+	for _, k := range keys {
+		lines = append(lines, k+"="+st.Meta[k])
+	}
+	f.Add(strings.Join(lines, "\n"))
+	f.Add("backend=sim\nscenario=burst\njobs=48\nwaves=3\ndrain=true\nshards=8\nrescale_gap=60\npreempt=T")
+	f.Add("policy=turbo")
+	f.Add("gap=NaN\nmembers=-1")
+	f.Fuzz(func(t *testing.T, text string) {
+		meta := map[string]string{}
+		for _, line := range strings.Split(text, "\n") {
+			k, v, _ := strings.Cut(line, "=")
+			meta[k] = v
+		}
+		spec, err := SpecFromMeta(meta)
+		if err != nil {
+			return
+		}
+		again, err := SpecFromMeta(spec.Meta())
+		if err != nil {
+			t.Fatalf("re-encoded meta %v does not decode: %v", spec.Meta(), err)
+		}
+		if !reflect.DeepEqual(spec.Meta(), again.Meta()) {
+			t.Fatalf("round trip changed the spec:\nfirst:  %v\nsecond: %v", spec.Meta(), again.Meta())
 		}
 	})
 }

@@ -213,10 +213,10 @@ func summaryOnly(st *Stream) *Stream {
 // simCase pins one (seed, policy) cell across all five workload shapes.
 // Every candidate runs logged, on the path production runs — the
 // placeable-only pass and its fallbacks, coalesced kicks, the streaming mode,
-// every shard width — and must reproduce the full-redistribute reference's
-// decision stream and bit-exact summary. One more run with the log off must
-// leave the same summary, per-job digest included: observing a run does not
-// change it.
+// every shard width, the stepped windows — and must reproduce the
+// full-redistribute reference's decision stream and bit-exact summary. One
+// more run with the log off must leave the same summary, per-job digest
+// included: observing a run does not change it.
 func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 	name := fmt.Sprintf("sim/%s/seed%d", p, seed)
 	return Case{Name: name, Run: func() ([]Failure, error) {
@@ -226,14 +226,17 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 		}
 		var fails []Failure
 		for _, sc := range scenarios {
-			run := func(full, log, streaming bool, shards int) (*Stream, error) {
+			config := func(full, log, streaming bool, shards int) sim.Config {
 				cfg := sim.DefaultConfig(p)
 				cfg.Availability = sc.Trace
 				cfg.FullRedistribute = full
 				cfg.LogDecisions = log
 				cfg.Streaming = streaming
 				cfg.Shards = shards
-				return RecordSim(cfg, sc.Workload)
+				return cfg
+			}
+			run := func(full, log, streaming bool, shards int) (*Stream, error) {
+				return RecordSim(config(full, log, streaming, shards), sc.Workload)
 			}
 			caseName := name + "/" + sc.Name
 
@@ -268,6 +271,15 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 				}
 				fails = check(fails, opt, caseName, cand.name, ref, got)
 			}
+
+			// The stepping surface the fleet rebalancer drives: the same run
+			// cut into 300 s windows is the batch run, decisions and every
+			// summary bit.
+			stepped, err := RecordStepped(config(false, true, false, 0), sc.Workload, 300)
+			if err != nil {
+				return nil, err
+			}
+			fails = check(fails, opt, caseName, "stepped", ref, stepped)
 
 			unlogged, err := run(false, false, false, 0)
 			if err != nil {

@@ -20,11 +20,38 @@ func RecordSim(cfg sim.Config, w sim.Workload) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	return simStream(s, res), nil
+}
+
+// simStream captures a finished simulator's decision log and summary.
+func simStream(s *sim.Simulator, res sim.Result) *Stream {
 	return &Stream{
 		Version:   StreamVersion,
 		Decisions: FromDecisions(s.Decisions()),
 		Summary:   SummaryOf(res),
-	}, nil
+	}
+}
+
+// RecordStepped is RecordSim driven through the stepping surface instead of
+// Run: Begin, StepTo every `every` seconds until the timeline drains, Finish.
+func RecordStepped(cfg sim.Config, w sim.Workload, every float64) (*Stream, error) {
+	s, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Begin(w); err != nil {
+		return nil, err
+	}
+	for t := every; !s.Drained(); t += every {
+		if err := s.StepTo(t); err != nil {
+			return nil, err
+		}
+	}
+	res, err := s.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return simStream(s, res), nil
 }
 
 // RecordCluster runs one emulated-cluster configuration over a workload and

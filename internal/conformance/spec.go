@@ -2,217 +2,59 @@ package conformance
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 
 	"elastichpc/internal/cluster"
-	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
+	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
 // RunSpec is a declarative, replayable description of one recordable run:
 // which backend, which generated workload, and every determinism-relevant
-// knob. A spec round-trips losslessly through a Stream's Meta map, so
+// knob — runspec.Spec read through its Engine and EngineFleet vocabulary. A
+// spec round-trips losslessly through a Stream's Meta map, so
 // `conftest -replay` can re-execute exactly the run a recorded artifact
 // came from.
-type RunSpec struct {
-	// Backend selects the execution engine: "sim" (default), "cluster", or
-	// "federation".
-	Backend string
-	// Scenario selects the workload shape: "uniform" (default) or "burst".
-	Scenario string
-	// Jobs is the total job count (default 60).
-	Jobs int
-	// Gap is the uniform inter-arrival gap or the burst wave gap in
-	// seconds (default 45 for uniform, 4000 for burst).
-	Gap float64
-	// Waves is the burst wave count (default 3; Jobs must divide evenly).
-	Waves int
-	// Seed seeds the workload generator (default 1).
-	Seed int64
-	// Policy is the scheduling policy (default Elastic).
-	Policy core.Policy
-	// Capacity is the cluster's slot count (0 = the backend's default;
-	// cluster backend requires a multiple of its 4 nodes).
-	Capacity int
-	// RescaleGap overrides T_rescale_gap in seconds (0 = default).
-	RescaleGap float64
-	// Shards enables the sharded event loop (sim backend).
-	Shards int
-	// Streaming drops per-job records for O(1) memory (sim backend).
-	Streaming bool
-	// Full forces the reference full-redistribute scheduler (sim backend).
-	Full bool
-	// Log enables decision logging, putting the decision stream in the
-	// recorded output.
-	Log bool
-	// Drain overlays a maintenance-drain availability trace.
-	Drain bool
-	// Aging sets the queue-aging rate; Preempt enables preemption.
-	Aging   float64
-	Preempt bool
+type RunSpec runspec.Spec
 
-	// Federation-only knobs.
-	// Route is the job-routing policy; Members is the fleet size (default
-	// 3); Skew ramps member capacities (Skewed); RebalanceEvery > 0 turns
-	// the checkpoint-migrating rebalancer on with that round interval;
-	// MigrateRunning lets it move running jobs; Workers bounds the member
-	// worker pool (0 = all CPUs, 1 = sequential reference).
-	Route          federation.Route
-	Members        int
-	Skew           float64
-	RebalanceEvery float64
-	MigrateRunning bool
-	Workers        int
+// DefaultSpec is what a spec's unset knobs resolve to and what conftest's
+// flags default to: the sim backend, 60 uniform jobs (3 waves when burst),
+// seed 1, 3 fleet members.
+func DefaultSpec() RunSpec {
+	return RunSpec{Backend: "sim", Jobs: 60, Waves: 3, Seed: 1, Members: 3}
 }
 
-// withDefaults resolves zero-valued knobs to the documented defaults.
-func (s RunSpec) withDefaults() RunSpec {
-	if s.Backend == "" {
-		s.Backend = "sim"
+// vocabulary is the flag groups a spec of this backend reads.
+func (s RunSpec) vocabulary() runspec.Group {
+	if s.Backend == "federation" {
+		return runspec.Engine | runspec.EngineFleet
 	}
-	if s.Scenario == "" {
-		s.Scenario = "uniform"
-	}
-	if s.Jobs == 0 {
-		s.Jobs = 60
-	}
-	if s.Gap == 0 {
-		if s.Scenario == "burst" {
-			s.Gap = 4000
-		} else {
-			s.Gap = 45
-		}
-	}
-	if s.Waves == 0 {
-		s.Waves = 3
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.Members == 0 {
-		s.Members = 3
-	}
-	return s
+	return runspec.Engine
 }
 
 // Meta encodes the spec as a stream Meta map (zero-valued knobs omitted).
-func (s RunSpec) Meta() map[string]string {
-	m := make(map[string]string)
-	set := func(k, v string) {
-		if v != "" {
-			m[k] = v
-		}
-	}
-	setInt := func(k string, v int) {
-		if v != 0 {
-			m[k] = strconv.Itoa(v)
-		}
-	}
-	setFloat := func(k string, v float64) {
-		if v != 0 {
-			m[k] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-	}
-	setBool := func(k string, v bool) {
-		if v {
-			m[k] = "true"
-		}
-	}
-	set("backend", s.Backend)
-	set("scenario", s.Scenario)
-	setInt("jobs", s.Jobs)
-	setFloat("gap", s.Gap)
-	setInt("waves", s.Waves)
-	if s.Seed != 0 {
-		m["seed"] = strconv.FormatInt(s.Seed, 10)
-	}
-	m["policy"] = s.Policy.String()
-	setInt("capacity", s.Capacity)
-	setFloat("rescale_gap", s.RescaleGap)
-	setInt("shards", s.Shards)
-	setBool("streaming", s.Streaming)
-	setBool("full", s.Full)
-	setBool("log", s.Log)
-	setBool("drain", s.Drain)
-	setFloat("aging", s.Aging)
-	setBool("preempt", s.Preempt)
-	if s.Backend == "federation" {
-		m["route"] = s.Route.String()
-		setInt("members", s.Members)
-		setFloat("skew", s.Skew)
-		setFloat("rebalance_every", s.RebalanceEvery)
-		setBool("migrate_running", s.MigrateRunning)
-		setInt("workers", s.Workers)
-	}
-	return m
-}
+func (s RunSpec) Meta() map[string]string { return runspec.Spec(s).Meta(s.vocabulary()) }
 
 // SpecFromMeta decodes a stream Meta map back into a RunSpec — the replay
-// half of the Meta round-trip. Unknown keys are an error so a stream from a
-// newer spec vocabulary fails loudly instead of replaying the wrong run.
+// half of the Meta round-trip.
 func SpecFromMeta(meta map[string]string) (RunSpec, error) {
-	var s RunSpec
-	var err error
-	take := func(k string, parse func(v string) error) {
-		if err != nil {
-			return
-		}
-		v, ok := meta[k]
-		if !ok {
-			return
-		}
-		if perr := parse(v); perr != nil {
-			err = fmt.Errorf("conformance: meta %s=%q: %w", k, v, perr)
-		}
-		delete(meta, k)
-	}
-	meta = cloneMeta(meta)
-	take("backend", func(v string) error { s.Backend = v; return nil })
-	take("scenario", func(v string) error { s.Scenario = v; return nil })
-	take("jobs", func(v string) error { s.Jobs, err = strconv.Atoi(v); return err })
-	take("gap", func(v string) error { s.Gap, err = strconv.ParseFloat(v, 64); return err })
-	take("waves", func(v string) error { s.Waves, err = strconv.Atoi(v); return err })
-	take("seed", func(v string) error { s.Seed, err = strconv.ParseInt(v, 10, 64); return err })
-	take("policy", func(v string) error { s.Policy, err = core.PolicyByName(v); return err })
-	take("capacity", func(v string) error { s.Capacity, err = strconv.Atoi(v); return err })
-	take("rescale_gap", func(v string) error { s.RescaleGap, err = strconv.ParseFloat(v, 64); return err })
-	take("shards", func(v string) error { s.Shards, err = strconv.Atoi(v); return err })
-	take("streaming", func(v string) error { s.Streaming, err = strconv.ParseBool(v); return err })
-	take("full", func(v string) error { s.Full, err = strconv.ParseBool(v); return err })
-	take("log", func(v string) error { s.Log, err = strconv.ParseBool(v); return err })
-	take("drain", func(v string) error { s.Drain, err = strconv.ParseBool(v); return err })
-	take("aging", func(v string) error { s.Aging, err = strconv.ParseFloat(v, 64); return err })
-	take("preempt", func(v string) error { s.Preempt, err = strconv.ParseBool(v); return err })
-	take("route", func(v string) error { s.Route, err = federation.RouteByName(v); return err })
-	take("members", func(v string) error { s.Members, err = strconv.Atoi(v); return err })
-	take("skew", func(v string) error { s.Skew, err = strconv.ParseFloat(v, 64); return err })
-	take("rebalance_every", func(v string) error { s.RebalanceEvery, err = strconv.ParseFloat(v, 64); return err })
-	take("migrate_running", func(v string) error { s.MigrateRunning, err = strconv.ParseBool(v); return err })
-	take("workers", func(v string) error { s.Workers, err = strconv.Atoi(v); return err })
-	if err != nil {
-		return RunSpec{}, err
-	}
-	if len(meta) > 0 {
-		keys := make([]string, 0, len(meta))
-		for k := range meta {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return RunSpec{}, fmt.Errorf("conformance: unknown meta keys %v", keys)
-	}
-	return s, nil
+	s, err := runspec.FromMeta(meta, runspec.Engine|runspec.EngineFleet)
+	return RunSpec(s), err
 }
 
-func cloneMeta(meta map[string]string) map[string]string {
-	out := make(map[string]string, len(meta))
-	//lint:deterministic per-key copy into a fresh map; every visit order yields the same map
-	for k, v := range meta {
-		out[k] = v
+// resolved fills the spec's unset knobs from DefaultSpec; an unset gap is
+// the scenario's own (45 s between uniform arrivals, 4000 s between waves).
+func (s RunSpec) resolved() RunSpec {
+	r := runspec.Spec(s).Or(runspec.Spec(DefaultSpec()), runspec.Engine|runspec.EngineFleet)
+	r.Resolve()
+	if r.Gap == 0 {
+		r.Gap = 45
+		if r.Scenario == "burst" {
+			r.Gap = 4000
+		}
 	}
-	return out
+	return RunSpec(r)
 }
 
 // workload builds the spec's generated workload and optional drain trace.
@@ -222,10 +64,6 @@ func (s RunSpec) workload(capacity int) (sim.Workload, workload.AvailabilityTrac
 	case "uniform":
 		g = workload.Uniform{Jobs: s.Jobs, Gap: s.Gap}
 	case "burst":
-		if s.Waves < 1 || s.Jobs%s.Waves != 0 {
-			return sim.Workload{}, workload.AvailabilityTrace{},
-				fmt.Errorf("conformance: burst needs jobs (%d) divisible by waves (%d)", s.Jobs, s.Waves)
-		}
 		g = workload.Burst{Waves: s.Waves, PerWave: s.Jobs / s.Waves, WaveGap: s.Gap}
 	default:
 		return sim.Workload{}, workload.AvailabilityTrace{},
@@ -257,7 +95,10 @@ func (s RunSpec) workload(capacity int) (sim.Workload, workload.AvailabilityTrac
 // Execute runs the spec and returns its recorded stream, with the spec's
 // Meta attached so the stream replays.
 func (s RunSpec) Execute() (*Stream, error) {
-	s = s.withDefaults()
+	s = s.resolved()
+	if err := runspec.Spec(s).Validate(); err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
 	var st *Stream
 	var err error
 	switch s.Backend {
@@ -277,7 +118,9 @@ func (s RunSpec) Execute() (*Stream, error) {
 	return st, nil
 }
 
-func (s RunSpec) executeSim() (*Stream, error) {
+// simConfig is the simulator configuration the spec's engine knobs spell: one
+// sim run, or every member of a fleet.
+func (s RunSpec) simConfig() sim.Config {
 	cfg := sim.DefaultConfig(s.Policy)
 	if s.Capacity > 0 {
 		cfg.Capacity = s.Capacity
@@ -291,6 +134,11 @@ func (s RunSpec) executeSim() (*Stream, error) {
 	cfg.LogDecisions = s.Log
 	cfg.AgingRate = s.Aging
 	cfg.EnablePreemption = s.Preempt
+	return cfg
+}
+
+func (s RunSpec) executeSim() (*Stream, error) {
+	cfg := s.simConfig()
 	w, tr, err := s.workload(cfg.Capacity)
 	if err != nil {
 		return nil, err
@@ -317,18 +165,7 @@ func (s RunSpec) executeCluster() (*Stream, error) {
 }
 
 func (s RunSpec) executeFederation() (*Stream, error) {
-	base := sim.DefaultConfig(s.Policy)
-	if s.Capacity > 0 {
-		base.Capacity = s.Capacity
-	}
-	if s.RescaleGap > 0 {
-		base.RescaleGap = s.RescaleGap
-	}
-	base.LogDecisions = s.Log
-	base.Shards = s.Shards
-	base.Streaming = s.Streaming
-	base.AgingRate = s.Aging
-	base.EnablePreemption = s.Preempt
+	base := s.simConfig()
 	members := federation.Skewed(base, s.Members, s.Skew)
 	if s.Drain && s.Members >= 3 {
 		// The rebalancer tests' drain scenario: the third member loses most
@@ -338,20 +175,14 @@ func (s RunSpec) executeFederation() (*Stream, error) {
 			{At: 6000, Capacity: members[2].Capacity},
 		}}
 	}
-	cfg := federation.Config{
-		Members: members,
-		Route:   s.Route,
-		Workers: s.Workers,
-	}
-	if s.RebalanceEvery > 0 {
-		cfg.Rebalance = federation.RebalanceConfig{
-			Every:          s.RebalanceEvery,
-			MigrateRunning: s.MigrateRunning,
-		}
-	}
 	w, _, err := s.workload(base.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	return RecordFederation(cfg, w)
+	return RecordFederation(federation.Config{
+		Members:   members,
+		Route:     s.Route,
+		Workers:   s.Workers,
+		Rebalance: federation.RebalanceConfig{Every: s.RebalanceEvery, MigrateRunning: s.MigrateRunning},
+	}, w)
 }

@@ -18,7 +18,7 @@ import (
 // sim.ScenarioResult with the route name as the scenario label, so the
 // metrics converters and CLI printers work unchanged.
 //
-// Cells run one per (route, policy, seed) on the outer pool; each cell's
+// Cells run one per (route, policy, seed) on sim.SweepGrid's pool; each cell's
 // federation runs its members sequentially (Workers = 1), so the sweep's
 // parallelism lives in one place and cell results stay bit-identical to a
 // fully sequential sweep.
@@ -26,52 +26,33 @@ func Sweep(routes []Route, gen workload.Generator, clusters, seeds int, rescaleG
 	if clusters < 1 {
 		return nil, fmt.Errorf("federation: sweep needs clusters >= 1, got %d", clusters)
 	}
-	if seeds < 1 {
-		return nil, fmt.Errorf("federation: sweep needs seeds >= 1, got %d", seeds)
+	xs := make([]float64, len(routes))
+	for i := range xs {
+		xs[i] = float64(i)
 	}
-	policies := core.AllPolicies()
-	perRoute := len(policies) * seeds
-	cells := make([]Result, len(routes)*perRoute)
-	err := sim.RunTasks(len(cells), workers, func(i int) error {
-		route := routes[i/perRoute]
-		p := policies[(i%perRoute)/seeds]
-		seed := int64(i % seeds)
+	pts, err := sim.SweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
 		w, err := gen.Generate(seed)
 		if err != nil {
-			return fmt.Errorf("route %v policy %v seed %d: %w", route, p, seed, err)
+			return Result{}, err
 		}
 		base := sim.DefaultConfig(p)
 		base.RescaleGap = rescaleGap
-		res, err := Run(Config{
+		return Run(Config{
 			Members:   Skewed(base, clusters, skew),
-			Route:     route,
+			Route:     routes[int(x)],
 			RouteSeed: seed,
 			Workers:   1,
 		}, w)
-		if err != nil {
-			return fmt.Errorf("route %v policy %v seed %d: %w", route, p, seed, err)
-		}
-		cells[i] = res
-		return nil
+	}, func(avg *sim.AverageResult, res Result) {
+		avg.Accumulate(res.fleetView())
+		avg.Imbalance += res.Imbalance
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("federation sweep: %w", err)
 	}
-
-	out := make([]sim.ScenarioResult, 0, len(routes))
-	for ri, route := range routes {
-		sr := sim.ScenarioResult{Name: route.String(), ByPolicy: make(map[core.Policy]sim.AverageResult, len(policies))}
-		for poli, p := range policies {
-			avg := sim.AverageResult{Policy: p}
-			for seed := 0; seed < seeds; seed++ {
-				res := cells[ri*perRoute+poli*seeds+seed]
-				avg.Accumulate(res.fleetView())
-				avg.Imbalance += res.Imbalance
-			}
-			avg.Finalize()
-			sr.ByPolicy[p] = avg
-		}
-		out = append(out, sr)
+	out := make([]sim.ScenarioResult, len(routes))
+	for i, route := range routes {
+		out[i] = sim.ScenarioResult{Name: route.String(), ByPolicy: pts[i].ByPolicy}
 	}
 	return out, nil
 }

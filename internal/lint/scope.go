@@ -38,9 +38,12 @@ func inDeterministic(p *Pass) bool { return deterministicPkgs[p.Path()] }
 
 // inOrderedOutput additionally covers the CLIs: a main package that ranges a
 // map while printing emits lines in random order, which breaks diffable
-// output and golden files even where no simulation contract applies.
+// output and golden files even where no simulation contract applies. runspec
+// is the CLIs' shared flag table — its rejection messages and unknown-key
+// errors are CLI output.
 func inOrderedOutput(p *Pass) bool {
-	return inDeterministic(p) || strings.HasPrefix(p.Path(), module+"/cmd/")
+	return inDeterministic(p) || strings.HasPrefix(p.Path(), module+"/cmd/") ||
+		p.Path() == module+"/internal/runspec"
 }
 
 // blessedConcurrency lists the only (package, file) sites allowed to create

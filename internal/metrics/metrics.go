@@ -328,3 +328,60 @@ func ParseGoBench(in io.Reader, tool string) (Report, error) {
 	}
 	return r, nil
 }
+
+// WritePolicyTable prints runs, one per policy, as the fixed-width table
+// elasticsim and kubesim share; resilience adds the availability columns.
+func WritePolicyTable(w io.Writer, runs []Run, resilience bool) {
+	fmt.Fprintf(w, "%-14s %12s %12s %16s %18s", "Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)")
+	if resilience {
+		fmt.Fprintf(w, " %9s %8s %8s %12s", "Goodput", "Shrinks", "Requeues", "Lost (r·s)")
+	}
+	fmt.Fprintln(w)
+	for _, r := range runs {
+		fmt.Fprintf(w, "%-14s %12.0f %11.2f%% %16.2f %18.2f",
+			r.Policy, r.TotalTime, 100*r.Utilization, r.WeightedResponse, r.WeightedCompletion)
+		if resilience {
+			fmt.Fprintf(w, " %8.2f%% %8.0f %8.0f %12.1f", 100*r.Goodput, r.PreemptsSurvived, r.Requeued, r.WorkLostSec)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// csvColumns are the per-run columns WriteCSV can print.
+var csvColumns = map[string]struct {
+	verb string
+	of   func(Run) float64
+}{
+	"utilization":           {"%.4f", func(r Run) float64 { return r.Utilization }},
+	"goodput":               {"%.4f", func(r Run) float64 { return r.Goodput }},
+	"imbalance":             {"%.4f", func(r Run) float64 { return r.Imbalance }},
+	"total_time_s":          {"%.1f", func(r Run) float64 { return r.TotalTime }},
+	"weighted_response_s":   {"%.2f", func(r Run) float64 { return r.WeightedResponse }},
+	"weighted_completion_s": {"%.2f", func(r Run) float64 { return r.WeightedCompletion }},
+	"shrinks":               {"%.1f", func(r Run) float64 { return r.PreemptsSurvived }},
+	"requeues":              {"%.1f", func(r Run) float64 { return r.Requeued }},
+	"work_lost_s":           {"%.1f", func(r Run) float64 { return r.WorkLostSec }},
+}
+
+// PaperColumns are the paper's four metrics, the columns of a plain sweep.
+var PaperColumns = []string{"utilization", "total_time_s", "weighted_response_s", "weighted_completion_s"}
+
+// WriteCSV prints a sweep as CSV, one row per point and policy: the point's
+// label (its x when unlabelled) under the key header, the policy, then the
+// named csvColumns.
+func WriteCSV(w io.Writer, key string, sw Sweep, cols []string) {
+	fmt.Fprintf(w, "%s,policy,%s\n", key, strings.Join(cols, ","))
+	for _, pt := range sw.Points {
+		label := pt.Label
+		if label == "" {
+			label = strconv.FormatFloat(pt.X, 'f', 0, 64)
+		}
+		for _, r := range pt.Runs {
+			fmt.Fprintf(w, "%s,%s", label, r.Policy)
+			for _, c := range cols {
+				fmt.Fprintf(w, ","+csvColumns[c].verb, csvColumns[c].of(r))
+			}
+			fmt.Fprintln(w)
+		}
+	}
+}

@@ -20,9 +20,11 @@ import (
 // workload, the sequence of StepTo instants, and the mutations applied
 // between them). The event loop itself is untouched — windowing reuses the
 // sharded mode's prepare/extend machinery, and events are still processed in
-// the exact (time, kind, order) sequence of the batch loop. The only
-// arithmetic difference from a batch run is that the utilization integral is
-// accumulated in per-window pieces (same value up to float association).
+// the exact (time, kind, order) sequence of the batch loop. StepTo moves the
+// clock without folding the open utilization term, so the integral's term
+// boundaries are the state changes alone, wherever the windows fall: an
+// unmutated stepped run is the batch run bit for bit (the conformance
+// matrix's "stepped" candidate pins it).
 
 // MigratedJob is a job in flight between federation members: everything a
 // receiving simulator needs to resume it. Checkpointed jobs carry their
@@ -73,7 +75,9 @@ func (s *Simulator) Begin(w Workload) error {
 // StepTo advances the simulation to instant t, processing every submission,
 // capacity event, and heap event strictly before t, then moves the clock to
 // exactly t. Events at t itself belong to the next window, so a coordinator
-// acting at t always observes the state "just before t".
+// acting at t always observes the state "just before t". The utilization term
+// open at t stays open: the next state change — an event, or a mutation the
+// coordinator applies at t — folds it exactly where the batch loop would.
 func (s *Simulator) StepTo(t float64) error {
 	subHi := s.subHi
 	for subHi < len(s.order) && s.w.Jobs[s.order[subHi]].SubmitAt < t {
@@ -88,7 +92,9 @@ func (s *Simulator) StepTo(t float64) error {
 	if err := s.runWindow(); err != nil {
 		return err
 	}
-	s.advanceTo(t)
+	if t > s.now {
+		s.now = t
+	}
 	return nil
 }
 

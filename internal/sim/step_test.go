@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -13,9 +12,8 @@ import (
 // TestSteppedRunMatchesBatch pins the stepping API against the batch loop: a
 // Begin/StepTo…/Finish run with no coordinator mutations must process the
 // identical event sequence — same per-job metrics, timelines, window, and
-// weighted means. Only the utilization integral is compared with a tolerance:
-// stepping splits it at round boundaries, so its value matches up to float
-// association, not bit-for-bit.
+// weighted means, and utilization integral, bit for bit: a step boundary
+// moves the clock but folds no float term.
 func TestSteppedRunMatchesBatch(t *testing.T) {
 	w, err := (workload.Burst{Waves: 4, PerWave: 24, WaveGap: 5000}).Generate(11)
 	if err != nil {
@@ -77,8 +75,9 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 				stepped.CapacityEvents, stepped.ForcedShrinks, stepped.Requeues,
 				batch.CapacityEvents, batch.ForcedShrinks, batch.Requeues)
 		}
-		if math.Abs(stepped.Utilization-batch.Utilization) > 1e-9 {
-			t.Errorf("%v: utilization %g vs batch %g", p, stepped.Utilization, batch.Utilization)
+		if stepped.Utilization != batch.Utilization || stepped.UsedSlotSec != batch.UsedSlotSec {
+			t.Errorf("%v: utilization %v (%v slot-s) vs batch %v (%v slot-s)", p,
+				stepped.Utilization, stepped.UsedSlotSec, batch.Utilization, batch.UsedSlotSec)
 		}
 	}
 }

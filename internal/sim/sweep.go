@@ -30,7 +30,7 @@ type AverageResult struct {
 
 // Accumulate folds one run's aggregate metrics into the running sums; pair
 // with Finalize once every run is folded. Imbalance has no sim.Result source
-// — the federation sweep sums it directly before calling Finalize.
+// — the federation sweep's fold sums it directly.
 func (a *AverageResult) Accumulate(r Result) {
 	a.TotalTime += r.TotalTime
 	a.Utilization += r.Utilization
@@ -77,19 +77,20 @@ type ScenarioResult struct {
 	ByPolicy map[core.Policy]AverageResult
 }
 
-// sweepGrid runs every (x, policy, seed) cell of a sweep on the worker pool
-// and reduces to per-point averages. Each cell is independent and derives its
-// workload from its own seed, so the parallel schedule cannot change any
-// result; the reduction always iterates cells in (point, policy, seed) order,
-// so the float accumulation order — and therefore every output bit — matches
-// the workers == 1 sequential path.
-func sweepGrid(xs []float64, seeds, workers int, run func(x float64, p core.Policy, seed int64) (Result, error)) ([]SweepPoint, error) {
+// SweepGrid runs every (x, policy, seed) cell of a sweep on the worker pool
+// and reduces to per-point averages, fold adding one cell to its point's
+// accumulator ((*AverageResult).Accumulate for plain simulator cells). Each
+// cell is independent and derives its workload from its own seed, so the
+// parallel schedule cannot change any result; the reduction always iterates
+// cells in (point, policy, seed) order, so the float accumulation order — and
+// therefore every output bit — matches the workers == 1 sequential path.
+func SweepGrid[R any](xs []float64, seeds, workers int, run func(x float64, p core.Policy, seed int64) (R, error), fold func(*AverageResult, R)) ([]SweepPoint, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("sim: sweep needs seeds >= 1, got %d", seeds)
 	}
 	policies := core.AllPolicies()
 	perPoint := len(policies) * seeds
-	cells := make([]Result, len(xs)*perPoint)
+	cells := make([]R, len(xs)*perPoint)
 	err := RunTasks(len(cells), workers, func(i int) error {
 		x := xs[i/perPoint]
 		p := policies[(i%perPoint)/seeds]
@@ -111,7 +112,7 @@ func sweepGrid(xs []float64, seeds, workers int, run func(x float64, p core.Poli
 		for poli, p := range policies {
 			avg := AverageResult{Policy: p}
 			for seed := 0; seed < seeds; seed++ {
-				avg.Accumulate(cells[pi*perPoint+poli*seeds+seed])
+				fold(&avg, cells[pi*perPoint+poli*seeds+seed])
 			}
 			avg.Finalize()
 			pt.ByPolicy[p] = avg
@@ -127,11 +128,11 @@ func sweepGrid(xs []float64, seeds, workers int, run func(x float64, p core.Poli
 // every CPU, workers == 1 is the sequential reference path (bit-identical
 // results either way).
 func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
-	pts, err := sweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
+	pts, err := SweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
 		cfg := DefaultConfig(p)
 		cfg.RescaleGap = rescaleGap
 		return Run(cfg, RandomWorkload(jobs, gap, seed))
-	})
+	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("submission gap sweep: %w", err)
 	}
@@ -141,11 +142,11 @@ func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, wor
 // RescaleGapSweep reproduces Figure 8: fixed 180 s submission gap, varying
 // T_rescale_gap; workers as in SubmissionGapSweep.
 func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
-	pts, err := sweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
+	pts, err := SweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
 		cfg := DefaultConfig(p)
 		cfg.RescaleGap = rg
 		return Run(cfg, RandomWorkload(jobs, submissionGap, seed))
-	})
+	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("rescale gap sweep: %w", err)
 	}
@@ -171,25 +172,38 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 			gens[i] = workload.Replay(tr.Name(), w)
 		}
 	}
-	xs := make([]float64, len(gens))
+	return inputSweep("scenario", len(gens), func(i int) string { return gens[i].Name() }, seeds, rescaleGap, workers,
+		func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+			return Inputs(gens[i], nil, seed, base)
+		})
+}
+
+// inputSweep is the grid ScenarioSweep and AvailabilitySweep share: n labelled
+// rows × every policy × seeds, each cell running the inputs derived for its
+// row and seed against the paper's base configuration at the given rescale
+// gap.
+func inputSweep(what string, n int, name func(i int) string, seeds int, rescaleGap float64, workers int,
+	inputs func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error)) ([]ScenarioResult, error) {
+	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	pts, err := sweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
-		w, err := gens[int(x)].Generate(seed)
+	pts, err := SweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
+		cfg := DefaultConfig(p)
+		cfg.RescaleGap = rescaleGap
+		w, tr, err := inputs(int(x), seed, cfg.Capacity)
 		if err != nil {
 			return Result{}, err
 		}
-		cfg := DefaultConfig(p)
-		cfg.RescaleGap = rescaleGap
+		cfg.Availability = tr
 		return Run(cfg, w)
-	})
+	}, (*AverageResult).Accumulate)
 	if err != nil {
-		return nil, fmt.Errorf("scenario sweep: %w", err)
+		return nil, fmt.Errorf("%s sweep: %w", what, err)
 	}
-	out := make([]ScenarioResult, len(gens))
-	for i, g := range gens {
-		out[i] = ScenarioResult{Name: g.Name(), ByPolicy: pts[i].ByPolicy}
+	out := make([]ScenarioResult, n)
+	for i := range out {
+		out[i] = ScenarioResult{Name: name(i), ByPolicy: pts[i].ByPolicy}
 	}
 	return out, nil
 }
@@ -197,11 +211,9 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 // AvailabilitySweep runs one workload scenario under every availability
 // profile × policy × seed on the worker pool and averages the metrics per
 // (profile, policy) — the third sweep axis next to the Figure 7/8 parameter
-// sweeps and the workload-scenario sweep. Each cell generates its workload
-// and capacity trace from its own seed, keeps the paper's base capacity,
-// and appends a restore-to-base event past the trace horizon so every
-// finite workload can complete even if a profile ends mid-outage. Results
-// are ordered like profiles.
+// sweeps and the workload-scenario sweep. Each cell derives its workload
+// and capacity trace from its own seed at the paper's base capacity
+// (Inputs). Results are ordered like profiles.
 func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Generator, seeds int, rescaleGap float64, workers int) ([]ScenarioResult, error) {
 	// Trace-file profiles re-read their file on every Events call; load
 	// once up front, like ScenarioSweep does for workload traces.
@@ -215,33 +227,30 @@ func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Gen
 			profiles[i] = workload.ReplayAvailability(tf.Name(), tr)
 		}
 	}
-	xs := make([]float64, len(profiles))
-	for i := range xs {
-		xs[i] = float64(i)
+	return inputSweep("availability", len(profiles), func(i int) string { return profiles[i].Name() }, seeds, rescaleGap, workers,
+		func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+			return Inputs(gen, profiles[i], seed, base)
+		})
+}
+
+// Inputs is the one recipe that turns (scenario, profile, seed, base
+// capacity) into a run's inputs — shared by the simulator's sweeps, the
+// cluster emulation and every CLI, so both backends see the same workload
+// and the same capacity trace. It generates the seed's workload and, given a
+// profile (nil = fixed capacity), the profile's events over the workload's
+// AvailabilityHorizon, with a restore-to-base event appended when the trace
+// would otherwise end mid-outage and strand the backlog.
+func Inputs(g workload.Generator, p workload.AvailabilityProfile, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+	w, err := g.Generate(seed)
+	if err != nil || p == nil {
+		return w, workload.AvailabilityTrace{}, err
 	}
-	pts, err := sweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
-		w, err := gen.Generate(seed)
-		if err != nil {
-			return Result{}, err
-		}
-		cfg := DefaultConfig(p)
-		cfg.RescaleGap = rescaleGap
-		horizon := AvailabilityHorizon(w)
-		tr, err := profiles[int(x)].Events(seed, cfg.Capacity, horizon)
-		if err != nil {
-			return Result{}, err
-		}
-		cfg.Availability = tr.WithRestore(cfg.Capacity, horizon)
-		return Run(cfg, w)
-	})
+	horizon := AvailabilityHorizon(w)
+	tr, err := p.Events(seed, base, horizon)
 	if err != nil {
-		return nil, fmt.Errorf("availability sweep: %w", err)
+		return Workload{}, workload.AvailabilityTrace{}, err
 	}
-	out := make([]ScenarioResult, len(profiles))
-	for i, p := range profiles {
-		out[i] = ScenarioResult{Name: p.Name(), ByPolicy: pts[i].ByPolicy}
-	}
-	return out, nil
+	return w, tr.WithRestore(base, horizon), nil
 }
 
 // AvailabilityHorizon is the capacity-trace length used when a profile is
