@@ -204,12 +204,22 @@ func RunRecorded(cfg Config, w workload.Workload) (sim.Result, []core.Decision, 
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
+	c.SubmitWorkload(w)
+	if err := c.Run(len(w.Jobs), 10_000_000); err != nil {
+		return sim.Result{}, nil, err
+	}
+	return c.Result(), c.Decisions(), nil
+}
+
+// SubmitWorkload schedules every job of the workload as a CharmJob of its
+// class, at its submission time.
+func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	specs := model.Specs()
 	for _, js := range w.Jobs {
 		spec := specs[js.Class]
 		maxR := spec.MaxReplicas
-		if maxR > cfg.Nodes*cfg.CPUPerNode {
-			maxR = cfg.Nodes * cfg.CPUPerNode
+		if maxR > c.cfg.Nodes*c.cfg.CPUPerNode {
+			maxR = c.cfg.Nodes * c.cfg.CPUPerNode
 		}
 		job := &operator.CharmJob{
 			ObjectMeta: k8s.ObjectMeta{Name: js.ID},
@@ -220,15 +230,11 @@ func RunRecorded(cfg Config, w workload.Workload) (sim.Result, []core.Decision, 
 				CPUPerWorker:     1,
 				ShmBytes:         1 << 30,
 				Workload:         operator.WorkloadSpec{Grid: spec.Grid, Steps: spec.Steps},
-				CheckpointPeriod: cfg.CheckpointPeriod,
+				CheckpointPeriod: c.cfg.CheckpointPeriod,
 			},
 		}
 		c.Submit(job, time.Duration(js.SubmitAt*float64(time.Second)))
 	}
-	if err := c.Run(len(w.Jobs), 10_000_000); err != nil {
-		return sim.Result{}, nil, err
-	}
-	return c.Result(), c.Decisions(), nil
 }
 
 // Table1Actual runs the fixed Table 1 workload through the full emulation

@@ -212,13 +212,10 @@ func (c *Cluster) onPodEvent(ev k8s.Event) {
 	if pod.Labels["role"] != "worker" {
 		return
 	}
-	// Recompute used CPU from the store (events may coalesce).
-	used := 0
-	for _, p := range c.Store.Pods(map[string]string{"role": "worker"}) {
-		if p.Spec.NodeName != "" && p.Status.Phase != k8s.PodSucceeded && p.Status.Phase != k8s.PodFailed {
-			used += p.Spec.CPU
-		}
-	}
+	// Read used CPU from the store, not from the event (events may
+	// coalesce). The store's total is over all bound pods; the only ones
+	// that are not workers are the launchers, which request no CPU.
+	used := c.Store.BoundCPU()
 	if used == c.usedCPU {
 		return
 	}
@@ -314,7 +311,7 @@ func (c *Cluster) Result() sim.Result {
 		ReplicaTimelines: c.replicaTL,
 	}
 	capacity := float64(c.cfg.Nodes * c.cfg.CPUPerNode)
-	for name := range c.done {
+	for name := range c.done { //lint:deterministic res.Jobs is sorted below, before anything folds over it
 		cj, ok := c.Mgr.CoreJob(name)
 		if !ok {
 			continue

@@ -3,9 +3,11 @@ package cluster
 import (
 	"math"
 	"testing"
+	"time"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // TestCrossBackendAgreement pins the two backends to each other: the same
@@ -57,5 +59,38 @@ func TestCrossBackendAgreement(t *testing.T) {
 		if rel := math.Abs(actRes.TotalTime-simRes.TotalTime) / simRes.TotalTime; rel > 0.25 {
 			t.Errorf("%v: total %g vs sim %g (%.0f%% apart)", p, actRes.TotalTime, simRes.TotalTime, rel*100)
 		}
+	}
+}
+
+// TestCrossBackendAgreementAtScale is the same pin at a size where a
+// utilization figure means something: 1,000 Poisson jobs (mean gap 150 s,
+// seed 1) through both backends under the elastic policy. It also bounds what
+// the emulation may cost — the run took ~13 s while every store read sorted
+// and deep-copied every pod.
+func TestCrossBackendAgreementAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-backend emulation in -short mode")
+	}
+	w, err := workload.Poisson{Jobs: 1000, MeanGap: 150}.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simRes, err := sim.Run(sim.DefaultConfig(core.Elastic), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	actRes, err := RunExperiment(DefaultConfig(core.Elastic), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > 2*time.Second && !raceEnabled {
+		t.Errorf("1,000-job emulation took %v, want under 2s", took)
+	}
+	if len(actRes.Jobs) != len(w.Jobs) || len(simRes.Jobs) != len(w.Jobs) {
+		t.Fatalf("completed %d jobs in emulation, %d in sim, of %d", len(actRes.Jobs), len(simRes.Jobs), len(w.Jobs))
+	}
+	if gap := math.Abs(actRes.Utilization - simRes.Utilization); gap > 0.02 {
+		t.Errorf("utilization %.4f in emulation, %.4f in sim: gap %.4f > 0.02", actRes.Utilization, simRes.Utilization, gap)
 	}
 }

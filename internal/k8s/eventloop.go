@@ -11,8 +11,11 @@ import (
 // Settle-and-advance steps that completes in milliseconds of real time while
 // preserving every causal ordering a real cluster would exhibit.
 type EventLoop struct {
-	now    time.Time
+	now time.Time
+	// defers[head:] is the deferred work; Settle reuses the array once it
+	// is empty.
 	defers []func()
+	head   int
 	timers loopTimerHeap
 	seq    int64
 }
@@ -68,15 +71,17 @@ func (l *EventLoop) At(d time.Duration, fn func()) {
 // reports how many functions ran. Time does not advance.
 func (l *EventLoop) Settle() int {
 	ran := 0
-	for len(l.defers) > 0 {
-		fn := l.defers[0]
-		l.defers = l.defers[1:]
+	for l.head < len(l.defers) {
+		fn := l.defers[l.head]
+		l.defers[l.head] = nil
+		l.head++
 		fn()
 		ran++
 		if ran > 10_000_000 {
 			panic("k8s: event loop livelock: deferred work never settles")
 		}
 	}
+	l.defers, l.head = l.defers[:0], 0
 	return ran
 }
 

@@ -51,16 +51,20 @@ func (k *Kubelet) start(key string, version int64) {
 	k.Started++
 }
 
+// setPhase moves the pod a view shows to the phase, through a private copy:
+// a view is never written.
+func setPhase(store *Store, view *Pod, phase PodPhase) bool {
+	pod := view.DeepCopy().(*Pod)
+	pod.Status.Phase = phase
+	return store.Update(pod) == nil
+}
+
 // MarkSucceeded transitions all pods matching the selector to Succeeded,
 // releasing their node resources. Used when a job's application exits.
 func MarkSucceeded(store *Store, selector map[string]string) int {
 	n := 0
 	for _, pod := range store.Pods(selector) {
-		if pod.Status.Phase == PodSucceeded {
-			continue
-		}
-		pod.Status.Phase = PodSucceeded
-		if err := store.Update(pod); err == nil {
+		if pod.Status.Phase != PodSucceeded && setPhase(store, pod, PodSucceeded) {
 			n++
 		}
 	}
@@ -72,11 +76,7 @@ func MarkSucceeded(store *Store, selector map[string]string) int {
 func MarkFailed(store *Store, selector map[string]string) int {
 	n := 0
 	for _, pod := range store.Pods(selector) {
-		if pod.Status.Phase == PodFailed || pod.Status.Phase == PodSucceeded {
-			continue
-		}
-		pod.Status.Phase = PodFailed
-		if err := store.Update(pod); err == nil {
+		if !pod.terminal() && setPhase(store, pod, PodFailed) {
 			n++
 		}
 	}
@@ -88,11 +88,7 @@ func MarkFailed(store *Store, selector map[string]string) int {
 func FailPodsOnNode(store *Store, node string) int {
 	n := 0
 	for _, pod := range store.Pods(nil) {
-		if pod.Spec.NodeName != node || pod.Status.Phase == PodSucceeded || pod.Status.Phase == PodFailed {
-			continue
-		}
-		pod.Status.Phase = PodFailed
-		if err := store.Update(pod); err == nil {
+		if pod.Spec.NodeName == node && !pod.terminal() && setPhase(store, pod, PodFailed) {
 			n++
 		}
 	}

@@ -32,7 +32,7 @@ func NewPodScheduler(loop Loop, store *Store) *PodScheduler {
 				ps.queue.Add(pod.Key())
 			}
 			// A pod reaching a terminal phase releases capacity.
-			if pod.Status.Phase == PodSucceeded || pod.Status.Phase == PodFailed {
+			if pod.terminal() {
 				ps.retryUnschedulable()
 			}
 		case Deleted:
@@ -57,22 +57,6 @@ func (ps *PodScheduler) retryUnschedulable() {
 	}
 }
 
-// nodeFreeCPU computes each node's unallocated CPU from bound, non-terminal
-// pods.
-func (ps *PodScheduler) nodeFreeCPU() map[string]int {
-	free := make(map[string]int)
-	for _, n := range ps.store.Nodes() {
-		free[n.Name] = n.CapacityCPU
-	}
-	for _, p := range ps.store.Pods(nil) {
-		if p.Spec.NodeName == "" || p.Status.Phase == PodSucceeded || p.Status.Phase == PodFailed {
-			continue
-		}
-		free[p.Spec.NodeName] -= p.Spec.CPU
-	}
-	return free
-}
-
 // schedule runs the filter/score pipeline for one pending pod.
 func (ps *PodScheduler) schedule(key string) {
 	obj, ok := ps.store.Get(KindPod, key)
@@ -86,58 +70,32 @@ func (ps *PodScheduler) schedule(key string) {
 		return
 	}
 
-	free := ps.nodeFreeCPU()
-	affinity := ps.affinityCounts(pod.Spec.AffinityKey)
-
-	type candidate struct {
-		name  string
-		score int
-		free  int
-	}
-	var cands []candidate
+	// Filter on CPU, then score: affinity dominates (pods of the same job
+	// pack together for communication locality), then bin-packing (prefer
+	// fuller nodes so large jobs find whole free nodes), then name.
+	var best *Node
+	bestScore := 0
 	for _, n := range ps.store.Nodes() {
-		f := free[n.Name]
-		if f < pod.Spec.CPU {
-			continue // filter: insufficient CPU
+		free := n.CapacityCPU - ps.store.NodeBoundCPU(n.Name)
+		if free < pod.Spec.CPU {
+			continue
 		}
-		// Score: affinity dominates (pods of the same job pack
-		// together for communication locality), then bin-packing
-		// (prefer fuller nodes so large jobs find whole free nodes).
-		score := affinity[n.Name]*1000 - f
-		cands = append(cands, candidate{name: n.Name, score: score, free: f})
+		score := ps.store.AffinityCount(pod.Spec.AffinityKey, n.Name)*1000 - free
+		if best == nil || score > bestScore || score == bestScore && n.Name < best.Name {
+			best, bestScore = n, score
+		}
 	}
-	if len(cands) == 0 {
+	if best == nil {
 		ps.unschedulable[key] = true
 		ps.FailedBindings++
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].name < cands[j].name
-	})
 	delete(ps.unschedulable, key)
 
-	pod.Spec.NodeName = cands[0].name
+	pod.Spec.NodeName = best.Name
 	if err := ps.store.Update(pod); err != nil {
 		// The pod vanished between Get and Update; it will be retried
 		// if it reappears.
 		ps.unschedulable[key] = true
 	}
-}
-
-// affinityCounts counts pods per node sharing the affinity key.
-func (ps *PodScheduler) affinityCounts(key string) map[string]int {
-	counts := make(map[string]int)
-	if key == "" {
-		return counts
-	}
-	for _, p := range ps.store.Pods(nil) {
-		if p.Spec.AffinityKey == key && p.Spec.NodeName != "" &&
-			p.Status.Phase != PodSucceeded && p.Status.Phase != PodFailed {
-			counts[p.Spec.NodeName]++
-		}
-	}
-	return counts
 }

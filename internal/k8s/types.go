@@ -13,6 +13,7 @@ package k8s
 
 import (
 	"fmt"
+	"maps"
 	"time"
 )
 
@@ -99,10 +100,16 @@ func (p *Pod) Meta() *ObjectMeta { return &p.ObjectMeta }
 // Kind implements Object.
 func (p *Pod) Kind() Kind { return KindPod }
 
+// terminal reports whether the pod has run to an end, either way; a terminal
+// pod holds no node resources.
+func (p *Pod) terminal() bool {
+	return p.Status.Phase == PodSucceeded || p.Status.Phase == PodFailed
+}
+
 // DeepCopy implements Object.
 func (p *Pod) DeepCopy() Object {
 	cp := *p
-	cp.Labels = copyLabels(p.Labels)
+	cp.Labels = maps.Clone(p.Labels)
 	if p.DeletionTimestamp != nil {
 		ts := *p.DeletionTimestamp
 		cp.DeletionTimestamp = &ts
@@ -127,7 +134,7 @@ func (n *Node) Kind() Kind { return KindNode }
 // DeepCopy implements Object.
 func (n *Node) DeepCopy() Object {
 	cp := *n
-	cp.Labels = copyLabels(n.Labels)
+	cp.Labels = maps.Clone(n.Labels)
 	return &cp
 }
 
@@ -146,23 +153,9 @@ func (c *ConfigMap) Kind() Kind { return KindConfigMap }
 // DeepCopy implements Object.
 func (c *ConfigMap) DeepCopy() Object {
 	cp := *c
-	cp.Labels = copyLabels(c.Labels)
-	cp.Data = make(map[string]string, len(c.Data))
-	for k, v := range c.Data {
-		cp.Data[k] = v
-	}
+	cp.Labels = maps.Clone(c.Labels)
+	cp.Data = maps.Clone(c.Data)
 	return &cp
-}
-
-func copyLabels(in map[string]string) map[string]string {
-	if in == nil {
-		return nil
-	}
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }
 
 // Loop is the single-threaded execution context all substrate components run

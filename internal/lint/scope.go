@@ -36,14 +36,26 @@ var boundaryPkgs = map[string]bool{
 // determinism contract.
 func inDeterministic(p *Pass) bool { return deterministicPkgs[p.Path()] }
 
-// inOrderedOutput additionally covers the CLIs: a main package that ranges a
-// map while printing emits lines in random order, which breaks diffable
-// output and golden files even where no simulation contract applies. runspec
-// is the CLIs' shared flag table — its rejection messages and unknown-key
-// errors are CLI output.
+// orderedOutputPkgs are held to ordered output without the rest of the
+// determinism contract. runspec is the CLIs' shared flag table — its
+// rejection messages and unknown-key errors are CLI output. The Kubernetes
+// emulation is pinned byte for byte by the kubesim goldens and the
+// benchmark's expected results, and its store's indexes are where map order
+// would leak into them.
+var orderedOutputPkgs = map[string]bool{
+	module + "/internal/runspec":  true,
+	module + "/internal/k8s":      true,
+	module + "/internal/operator": true,
+	module + "/internal/cluster":  true,
+}
+
+// inOrderedOutput additionally covers the CLIs and orderedOutputPkgs: a main
+// package that ranges a map while printing emits lines in random order, which
+// breaks diffable output and golden files even where no simulation contract
+// applies.
 func inOrderedOutput(p *Pass) bool {
 	return inDeterministic(p) || strings.HasPrefix(p.Path(), module+"/cmd/") ||
-		p.Path() == module+"/internal/runspec"
+		orderedOutputPkgs[p.Path()]
 }
 
 // blessedConcurrency lists the only (package, file) sites allowed to create

@@ -3,6 +3,7 @@ package operator
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -52,20 +53,34 @@ func NewController(loop k8s.Loop, store *k8s.Store, app AppRuntime) *Controller 
 	return c
 }
 
-// workerPods lists the job's worker pods sorted by index.
-func (c *Controller) workerPods(job string) []*k8s.Pod {
-	pods := c.store.Pods(map[string]string{"charmjob": job, "role": "worker"})
-	sort.Slice(pods, func(i, j int) bool { return workerIndex(pods[i].Name) < workerIndex(pods[j].Name) })
-	return pods
+// workerPod is a view of one of a job's worker pods with the ordinal its
+// name carries.
+type workerPod struct {
+	idx int
+	pod *k8s.Pod
 }
 
-func workerIndex(name string) int {
-	i := strings.LastIndex(name, "-")
-	if i < 0 {
-		return -1
+// workerPods lists the job's worker pods by ordinal. A pod that carries the
+// worker labels under a name WorkerName does not produce is not one of them.
+func (c *Controller) workerPods(job string) []workerPod {
+	pods := c.store.Pods(map[string]string{"charmjob": job, "role": "worker"})
+	workers := make([]workerPod, 0, len(pods))
+	for _, p := range pods {
+		if idx := workerIndex(p.Name); idx >= 0 {
+			workers = append(workers, workerPod{idx, p})
+		}
 	}
-	var idx int
-	if _, err := fmt.Sscanf(name[i+1:], "%d", &idx); err != nil {
+	sort.Slice(workers, func(i, j int) bool { return workers[i].idx < workers[j].idx })
+	return workers
+}
+
+// workerIndex returns the ordinal WorkerName put at the end of the name, or
+// -1 when the suffix is not exactly what WorkerName writes ("7x", "+7" and
+// "07" are not 7).
+func workerIndex(name string) int {
+	suffix := name[strings.LastIndex(name, "-")+1:]
+	idx, err := strconv.Atoi(suffix)
+	if err != nil || strconv.Itoa(idx) != suffix {
 		return -1
 	}
 	return idx
@@ -95,8 +110,8 @@ func (c *Controller) reconcile(key string) {
 
 	workers := c.workerPods(job.Name)
 	running := 0
-	for _, p := range workers {
-		if p.Status.Phase == k8s.PodRunning {
+	for _, w := range workers {
+		if w.pod.Status.Phase == k8s.PodRunning {
 			running++
 		}
 	}
@@ -132,8 +147,8 @@ func (c *Controller) reconcile(key string) {
 	// Create missing worker pods up to Spec.Replicas.
 	created := false
 	have := make(map[int]bool, len(workers))
-	for _, p := range workers {
-		have[workerIndex(p.Name)] = true
+	for _, w := range workers {
+		have[w.idx] = true
 	}
 	for i := 0; i < job.Spec.Replicas; i++ {
 		if have[i] {
@@ -162,7 +177,7 @@ func (c *Controller) reconcile(key string) {
 
 	// Wait for the desired workers to be running.
 	desired := job.Spec.Replicas
-	runningSet := c.runningNodelist(job.Name, desired)
+	runningSet := runningNodelist(workers, desired)
 	if len(runningSet) < desired {
 		c.queue.AddAfter(key, c.RequeueDelay)
 		return
@@ -268,11 +283,11 @@ func (c *Controller) handleFailure(job *CharmJob) bool {
 
 // runningNodelist returns the DNS-style names of the first `desired` worker
 // pods that are Running.
-func (c *Controller) runningNodelist(job string, desired int) []string {
+func runningNodelist(workers []workerPod, desired int) []string {
 	var hosts []string
-	for _, p := range c.workerPods(job) {
-		if workerIndex(p.Name) < desired && p.Status.Phase == k8s.PodRunning {
-			hosts = append(hosts, p.Name)
+	for _, w := range workers {
+		if w.idx < desired && w.pod.Status.Phase == k8s.PodRunning {
+			hosts = append(hosts, w.pod.Name)
 		}
 	}
 	return hosts

@@ -145,9 +145,47 @@ func TestWorkerPodsSortedByIndex(t *testing.T) {
 		t.Fatalf("%d worker pods", len(pods))
 	}
 	for i, p := range pods {
-		if p.Name != WorkerName("j1", i) {
-			t.Fatalf("pod %d = %s (index-10 must sort after index-9)", i, p.Name)
+		if p.idx != i || p.pod.Name != WorkerName("j1", i) {
+			t.Fatalf("pod %d = %s (index-10 must sort after index-9)", i, p.pod.Name)
 		}
 	}
 	_ = fmt.Sprint() // keep fmt imported for future debugging
+}
+
+// TestWorkerIndexIsStrict: only the suffix WorkerName writes is an ordinal.
+// fmt.Sscanf("%d") read "7x", "+7", "07" and "7 8" as 7, so a stray pod
+// wearing a job's worker labels under the name j1-worker-7x stood in for
+// worker 7 and the real j1-worker-7 was never created.
+func TestWorkerIndexIsStrict(t *testing.T) {
+	for _, name := range []string{"j1-worker-7x", "j1-worker-+7", "j1-worker-07", "j1-worker-7 8", "j1-worker-", "j1"} {
+		if got := workerIndex(name); got != -1 {
+			t.Errorf("workerIndex(%q) = %d, want -1", name, got)
+		}
+	}
+	if got := workerIndex(WorkerName("j1", 0)); got != 0 {
+		t.Errorf("workerIndex of worker 0 = %d", got)
+	}
+
+	loop, store, ctrl, app := testRig(t, 4, 16)
+	stray := &k8s.Pod{
+		ObjectMeta: k8s.ObjectMeta{Name: "j1-worker-7x", Labels: map[string]string{"charmjob": "j1", "role": "worker"}},
+		Spec:       k8s.PodSpec{CPU: 1},
+		Status:     k8s.PodStatus{Phase: k8s.PodPending},
+	}
+	if err := store.Create(stray); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Create(mkJob("j1", 8)); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunUntilIdle()
+	if _, ok := store.Get(k8s.KindPod, WorkerName("j1", 7)); !ok {
+		t.Error("the stray pod suppressed worker 7")
+	}
+	if got := len(ctrl.workerPods("j1")); got != 8 {
+		t.Errorf("%d worker pods, want 8: the stray is not one of the job's", got)
+	}
+	if app.launches != 1 {
+		t.Errorf("launches = %d, want 1", app.launches)
+	}
 }

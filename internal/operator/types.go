@@ -15,6 +15,7 @@ package operator
 
 import (
 	"fmt"
+	"maps"
 
 	"elastichpc/internal/k8s"
 )
@@ -102,20 +103,9 @@ func (j *CharmJob) Kind() k8s.Kind { return k8s.KindCharmJob }
 // DeepCopy implements k8s.Object.
 func (j *CharmJob) DeepCopy() k8s.Object {
 	cp := *j
-	cp.Labels = copyMap(j.Labels)
+	cp.Labels = maps.Clone(j.Labels)
 	cp.Status.Nodelist = append([]string(nil), j.Status.Nodelist...)
 	return &cp
-}
-
-func copyMap(in map[string]string) map[string]string {
-	if in == nil {
-		return nil
-	}
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }
 
 // Validate checks the spec.
