@@ -141,6 +141,9 @@ type Result struct {
 	// together the determinism fingerprint the equivalence tests pin.
 	Migrations      []Migration
 	RebalanceRounds int
+	// RebalanceStats counts what the rebalancer examined and moved (zero when
+	// rebalancing is off).
+	RebalanceStats RebalanceStats
 	// Resilience aggregates, summed across members.
 	CapacityEvents int
 	ForcedShrinks  int
@@ -186,7 +189,7 @@ func Run(cfg Config, w sim.Workload) (Result, error) {
 		return Result{}, err
 	}
 	if cfg.Rebalance.enabled() {
-		return runRebalanced(cfg, w)
+		return runRebalanced(cfg, w, (*rebalancer).round)
 	}
 	parts, _, err := Partition(cfg, w)
 	if err != nil {

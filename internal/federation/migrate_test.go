@@ -2,7 +2,9 @@ package federation
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"elastichpc/internal/cluster"
 	"elastichpc/internal/core"
@@ -243,5 +245,205 @@ func TestRouterDodgesDrainWindow(t *testing.T) {
 	}
 	if assign[0] != 1 {
 		t.Errorf("job routed into member %d's drain window", assign[0])
+	}
+}
+
+// migrationBenchFleet is BenchmarkFederationMigration's fleet — four
+// streaming 64-slot members at the reference per-cluster load, member 0 at
+// half the slots, 300 s rounds — and its bursty workload at the given size.
+func migrationBenchFleet(tb testing.TB, jobs int) (Config, sim.Workload) {
+	tb.Helper()
+	const clusters = 4
+	w, err := (workload.Burst{Waves: jobs / 200, PerWave: 200, WaveGap: 29000 / clusters}).Generate(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := sim.DefaultConfig(core.Elastic)
+	base.Streaming = true
+	members := Uniform(base, clusters)
+	members[0].Capacity = 32
+	return Config{
+		Members:   members,
+		Route:     RoundRobin,
+		Rebalance: RebalanceConfig{Every: 300},
+	}, w
+}
+
+// beginFleet partitions w over cfg's simulator members and steps each to t —
+// a fleet at a barrier, ready for a rebalancer.
+func beginFleet(tb testing.TB, cfg Config, w sim.Workload, t float64) ([]*sim.Simulator, []int) {
+	tb.Helper()
+	parts, _, err := Partition(cfg, w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sims := make([]*sim.Simulator, len(parts))
+	counts := make([]int, len(parts))
+	for i, m := range cfg.Members {
+		if sims[i], err = sim.New(m); err != nil {
+			tb.Fatal(err)
+		}
+		if err := sims[i].Begin(parts[i]); err != nil {
+			tb.Fatal(err)
+		}
+		if err := sims[i].StepTo(t); err != nil {
+			tb.Fatal(err)
+		}
+		counts[i] = len(parts[i].Jobs)
+	}
+	return sims, counts
+}
+
+// TestRebalanceStatsPinned reads the rebalancer's counters off the migration
+// benchmark's fleet at 10 k jobs. They are pure functions of the inputs, so
+// they are pinned exactly and must not move with Workers.
+func TestRebalanceStatsPinned(t *testing.T) {
+	cfg, w := migrationBenchFleet(t, 10_000)
+	want := RebalanceStats{
+		Rounds: 1296, DonorRounds: 63, Snapshots: 63, EntriesCopied: 3822,
+		ReceiverEvals: 1675, MovesTried: 1497, MovesMade: 1285,
+	}
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		res, err := Run(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RebalanceStats != want {
+			t.Errorf("workers %d: stats %+v, want %+v", workers, res.RebalanceStats, want)
+		}
+		if res.RebalanceRounds != want.Rounds+1 || len(res.Migrations) != want.MovesMade {
+			t.Errorf("workers %d: %d rounds and %d migrations disagree with the stats",
+				workers, res.RebalanceRounds, len(res.Migrations))
+		}
+	}
+}
+
+// TestRebalancedRunIdenticalAtAnyWorkers is Workers-equivalence at scale for
+// the rebalanced path: 4.8 k jobs in waves wide enough that the barrier steps
+// their rounds in parallel, an undersized member 0, a drain trace on member 2 and
+// running-job migration — identical Result sequentially, on two workers, on
+// every CPU and oversubscribed.
+func TestRebalancedRunIdenticalAtAnyWorkers(t *testing.T) {
+	const perWave = 600
+	if perWave <= parallelWorthEvents {
+		t.Fatalf("waves of %d never step in parallel (parallelWorthEvents = %d)", perWave, parallelWorthEvents)
+	}
+	w, err := (workload.Burst{Waves: 8, PerWave: perWave, WaveGap: 21000}).Generate(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sim.DefaultConfig(core.Elastic)
+	base.LogDecisions = true
+	members := Uniform(base, 4)
+	members[0].Capacity = 24
+	tr, err := (workload.MaintenanceDrain{Every: 9000, Duration: 2400, Keep: 12}).Events(1, 64, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members[2].Availability = tr
+	cfg := Config{
+		Members:   members,
+		Route:     RoundRobin,
+		Workers:   1,
+		Rebalance: RebalanceConfig{Every: 300, MigrateRunning: true},
+	}
+	want, err := Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := 0
+	for _, m := range want.Migrations {
+		if m.Checkpointed {
+			ckpt++
+		}
+	}
+	if len(want.Migrations) < 100 || ckpt == 0 {
+		t.Fatalf("scenario too tame: %d migrations, %d checkpointed", len(want.Migrations), ckpt)
+	}
+	for _, workers := range []int{2, 0, 16} {
+		cfg.Workers = workers
+		got, err := Run(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers %d: result differs from the sequential run (%d vs %d migrations, %d vs %d rounds)",
+				workers, len(got.Migrations), len(want.Migrations), got.RebalanceRounds, want.RebalanceRounds)
+		}
+	}
+}
+
+// settledGoroutines is runtime.NumGoroutine once exiting goroutines have had
+// a moment to finish exiting.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRebalancedRunNamesFailingMember: a member whose StepTo fails mid-run is
+// named in the error (as the Finish path and the batch path name theirs),
+// and the failed run leaves no goroutine behind.
+func TestRebalancedRunNamesFailingMember(t *testing.T) {
+	w := testWorkload(t, 96)
+	members := Uniform(sim.DefaultConfig(core.Elastic), 3)
+	members[1].Capacity = 8 // an XLarge job (16 replicas minimum) cannot be submitted here
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 3} {
+		_, err := Run(Config{
+			Members: members, Route: RoundRobin, Workers: workers,
+			Rebalance: RebalanceConfig{Every: 300},
+		}, w)
+		const want = "federation: member 1: core: job job-w00-01: maxReplicas 8 < minReplicas 16"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers %d: got error %v, want %s", workers, err, want)
+		}
+		if got := settledGoroutines(before); got > before {
+			t.Errorf("workers %d: %d goroutines after the failed run, %d before", workers, got, before)
+		}
+	}
+}
+
+// TestMoveErrorsNameTheRound pins the two coordinator/member disagreement
+// errors: both carry the round and its instant.
+func TestMoveErrorsNameTheRound(t *testing.T) {
+	w := testWorkload(t, 32)
+	cfg := Config{Members: Uniform(sim.DefaultConfig(core.Elastic), 2), Route: RoundRobin, Workers: 1}
+	cfg.Members[0].Capacity = 16
+	cfg.Members[1].Capacity = 8
+	sims, counts := beginFleet(t, cfg, sim.Workload{Jobs: w.Jobs[:1]}, 0)
+	r := newRebalancer(cfg, cfg.backends(), sims, counts)
+	r.observe(300)
+	for c := range r.verdict {
+		r.verdict[c] = 1 // member 1 "takes" anything
+	}
+	_, err := r.tryMove(0, sim.QueuedJob{Ref: 99, ID: "ghost", Class: model.Small}, 300, 7)
+	const off = "federation: round 7 at t=300.0: migrate ghost off member 0: sim: withdraw: ref 99 out of range"
+	if err == nil || err.Error() != off {
+		t.Errorf("withdraw failure: got %v, want %s", err, off)
+	}
+	// A real waiting job, forced onto a member too small to ever host it.
+	xl := sim.Workload{Jobs: []workload.JobSpec{
+		{ID: "blocker", Class: model.XLarge, Priority: 5, SubmitAt: 0},
+		{ID: "big", Class: model.XLarge, Priority: 1, SubmitAt: 1},
+	}}
+	if err := sims[0].Begin(xl); err != nil {
+		t.Fatal(err)
+	}
+	if err := sims[0].StepTo(300); err != nil {
+		t.Fatal(err)
+	}
+	queued := sims[0].QueuedJobs()
+	if len(queued) != 1 || queued[0].ID != "big" {
+		t.Fatalf("expected big waiting behind blocker, got %+v", queued)
+	}
+	_, err = r.tryMove(0, queued[0], 300, 8)
+	const to = "federation: round 8 at t=300.0: migrate big to member 1: sim: inject big: min replicas 16 exceed capacity 8"
+	if err == nil || err.Error() != to {
+		t.Errorf("inject failure: got %v, want %s", err, to)
 	}
 }

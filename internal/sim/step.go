@@ -79,16 +79,12 @@ func (s *Simulator) Begin(w Workload) error {
 // open at t stays open: the next state change — an event, or a mutation the
 // coordinator applies at t — folds it exactly where the batch loop would.
 func (s *Simulator) StepTo(t float64) error {
-	subHi := s.subHi
-	for subHi < len(s.order) && s.w.Jobs[s.order[subHi]].SubmitAt < t {
-		subHi++
-	}
 	capHi := s.capHi
 	ev := s.cfg.Availability.Events
 	for capHi < len(ev) && ev[capHi].At < t {
 		capHi++
 	}
-	s.extend(window{subHi: subHi, capHi: capHi, horizon: t})
+	s.extend(window{subHi: s.submittedBefore(t), capHi: capHi, horizon: t})
 	if err := s.runWindow(); err != nil {
 		return err
 	}
@@ -96,6 +92,31 @@ func (s *Simulator) StepTo(t float64) error {
 		s.now = t
 	}
 	return nil
+}
+
+// submittedBefore is the submission window's far edge for a step to t: the
+// index past the last submission strictly before t.
+func (s *Simulator) submittedBefore(t float64) int {
+	subHi := s.subHi
+	for subHi < len(s.order) && s.w.Jobs[s.order[subHi]].SubmitAt < t {
+		subHi++
+	}
+	return subHi
+}
+
+// DueBefore estimates the events StepTo(t) will process: the submissions
+// before t not yet ingested plus the armed heap events before t (stale ones
+// included). It is an estimate — processing an event can arm more — meant for
+// a coordinator deciding whether a round is worth stepping in parallel;
+// nothing a run computes may depend on it.
+func (s *Simulator) DueBefore(t float64) int {
+	due := s.submittedBefore(t) - s.cursor
+	for _, k := range s.events.keys {
+		if k.at < t {
+			due++
+		}
+	}
+	return due
 }
 
 // Finish opens the window over everything that remains, drains the timeline
@@ -150,10 +171,15 @@ func (s *Simulator) UsedSlots() int { return s.sched.Capacity() - s.sched.FreeSl
 // implementation does: coordinators impose their own order on anything
 // order-sensitive, float sums included.
 func (s *Simulator) QueuedJobs() []QueuedJob {
-	out := make([]QueuedJob, 0, s.sched.NumQueued())
+	return s.AppendQueuedJobs(make([]QueuedJob, 0, s.sched.NumQueued()))
+}
+
+// AppendQueuedJobs is QueuedJobs into a caller-owned buffer: a coordinator
+// that snapshots every few rounds reuses one.
+func (s *Simulator) AppendQueuedJobs(dst []QueuedJob) []QueuedJob {
 	s.sched.VisitQueued(func(j *core.Job) bool {
 		sj := s.byRef[j.Ref]
-		out = append(out, QueuedJob{
+		dst = append(dst, QueuedJob{
 			Ref:          j.Ref,
 			ID:           j.ID,
 			Class:        s.cold[j.Ref].meta.Class,
@@ -164,7 +190,17 @@ func (s *Simulator) QueuedJobs() []QueuedJob {
 		})
 		return true
 	})
-	return out
+	return dst
+}
+
+// QueuedByClass counts the waiting jobs of each class without copying the
+// queue — all a backlog estimate needs.
+func (s *Simulator) QueuedByClass() (n [model.XLarge + 1]int) {
+	s.sched.VisitQueued(func(j *core.Job) bool {
+		n[s.cold[j.Ref].meta.Class]++
+		return true
+	})
+	return n
 }
 
 // Withdraw removes a waiting job from this simulator, returning the
@@ -207,14 +243,15 @@ func (s *Simulator) Withdraw(ref int32) (MigratedJob, error) {
 // Inject submits a migrated job to this simulator at the current clock. The
 // job keeps its original submission time (response/completion metrics stay
 // honest) and, when checkpointed, pays restart+restore on its next start.
-// Begin must have been called first.
-func (s *Simulator) Inject(mj MigratedJob) error {
+// Begin must have been called first. Returns the slab Ref the job now has on
+// this simulator.
+func (s *Simulator) Inject(mj MigratedJob) (int32, error) {
 	spec, ok := s.specs[mj.Spec.Class]
 	if !ok {
-		return fmt.Errorf("sim: inject %s: unknown class %v", mj.Spec.ID, mj.Spec.Class)
+		return 0, fmt.Errorf("sim: inject %s: unknown class %v", mj.Spec.ID, mj.Spec.Class)
 	}
 	if spec.MinReplicas > s.cfg.Capacity {
-		return fmt.Errorf("sim: inject %s: min replicas %d exceed capacity %d",
+		return 0, fmt.Errorf("sim: inject %s: min replicas %d exceed capacity %d",
 			mj.Spec.ID, spec.MinReplicas, s.cfg.Capacity)
 	}
 	js := mj.Spec
@@ -235,10 +272,10 @@ func (s *Simulator) Inject(mj MigratedJob) error {
 	}
 	s.injected++
 	if err := s.sched.Submit(&sj.job); err != nil {
-		return err
+		return 0, err
 	}
 	s.scheduleKick()
-	return nil
+	return sj.ref, nil
 }
 
 // Preempt forcibly reclaims up to slots worker slots from running jobs

@@ -128,7 +128,7 @@ func TestWithdrawInjectRoundTrip(t *testing.T) {
 	if mj.Spec.ID != "waiting" || mj.Spec.SubmitAt != 1 || mj.Checkpointed {
 		t.Fatalf("migration record: %+v", mj)
 	}
-	if err := recv.Inject(mj); err != nil {
+	if _, err := recv.Inject(mj); err != nil {
 		t.Fatal(err)
 	}
 	dRes, err := donor.Finish()
