@@ -45,7 +45,7 @@ func main() {
 		if _, err := fmt.Sscanf(*grid, "%d", &n); err != nil {
 			log.Fatalf("bad -grid %q: %v", *grid, err)
 		}
-		bx, by := chareGrid(4 * *pes)
+		bx, by := apps.ChareGrid(4 * *pes)
 		runner, err = apps.NewJacobiRunner(rt, n, bx, by)
 	case "leanmd":
 		var kx, ky, kz int
@@ -79,15 +79,4 @@ func main() {
 		fmt.Printf("charmrun: rescaled %d->%d at iter %d (overhead %v)\n",
 			ev.FromPEs, ev.ToPEs, ev.Iter, ev.Stats.Total)
 	}
-}
-
-// chareGrid factors n into a near-square bx×by decomposition.
-func chareGrid(n int) (int, int) {
-	bx := 1
-	for f := 1; f*f <= n; f++ {
-		if n%f == 0 {
-			bx = f
-		}
-	}
-	return bx, n / bx
 }

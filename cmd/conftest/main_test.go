@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -125,5 +127,40 @@ func TestRecordReplayGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out, golden("replay.stdout")) {
 		t.Errorf("-replay stdout differs from the golden:\n%s", out)
+	}
+}
+
+// TestDiffAndReplayFailOnMutatedStream: the CLI fails when it should. One
+// decision's replica count flipped in a saved recording makes -diff exit 1
+// naming that decision's index, and -replay print DIVERGED and exit 1.
+func TestDiffAndReplayFailOnMutatedStream(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := conftest(dir, "-record -out rec.json").CombinedOutput(); err != nil {
+		t.Fatalf("-record: %v\n%s", err, out)
+	}
+	st, err := conformance.LoadFile(filepath.Join(dir, "rec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(st.Decisions) / 2
+	st.Decisions[k].Replicas++
+	if err := st.SaveFile(filepath.Join(dir, "mut.json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ args, wants string }{
+		{"-diff rec.json mut.json", fmt.Sprintf("decisions[%d]", k)},
+		{"-replay mut.json", "DIVERGED"},
+	} {
+		out, err := conftest(dir, c.args).Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("conftest %s: err = %v, want exit status 1\n%s", c.args, err, out)
+		}
+		if !strings.Contains(string(out), c.wants) {
+			t.Errorf("conftest %s: stdout does not say %s:\n%s", c.args, c.wants, out)
+		}
+	}
+	if out, err := conftest(dir, "-diff rec.json rec.json").Output(); err != nil {
+		t.Errorf("-diff of a stream against itself: %v\n%s", err, out)
 	}
 }

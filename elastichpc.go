@@ -43,9 +43,7 @@
 //     metrics (utilization over summed delivered capacity, weighted
 //     response/completion, imbalance) plus the migration log;
 //   - a versioned, machine-readable experiment-report schema
-//     (internal/metrics) that every harness CLI emits via -json and that
-//     cmd/benchreport diffs against regression thresholds — the format
-//     behind CI's benchmark gate and its BENCH_BASELINE.json.
+//     (internal/metrics) that every harness CLI emits via -json.
 //
 // This file is the stable facade: examples and external-style consumers use
 // these re-exports rather than reaching into internal packages directly.
@@ -474,7 +472,7 @@ func FederationSweep(routes []FederationRoute, gen WorkloadGenerator, clusters, 
 }
 
 // Experiment reports (internal/metrics): the versioned machine-readable
-// schema every harness emits and cmd/benchreport diffs.
+// schema every harness emits.
 type (
 	// MetricsReport is the top-level versioned experiment report.
 	MetricsReport = metrics.Report
@@ -482,7 +480,7 @@ type (
 	MetricsRun = metrics.Run
 	// MetricsSweep is one parameter sweep inside a report.
 	MetricsSweep = metrics.Sweep
-	// MetricsBenchmark is one parsed `go test -bench` result.
+	// MetricsBenchmark is one timed cell of a bench report.
 	MetricsBenchmark = metrics.Benchmark
 	// MetricsKind classifies a report: run, sweep, or bench.
 	MetricsKind = metrics.Kind

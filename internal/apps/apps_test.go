@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -420,5 +421,44 @@ func TestMDCellPupRoundTrip(t *testing.T) {
 	}
 	if out.needed != len(out.neighbors()) {
 		t.Errorf("needed = %d", out.needed)
+	}
+}
+
+// TestRunWithRescaleNeverMissesSingleStep: a run whose only load-balancing
+// step is its first still services a rescale requested through
+// RunWithRescale, every time. Registering the request from a goroutine
+// started just before Run — what the figure harnesses did — races that step.
+func TestRunWithRescaleNeverMissesSingleStep(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		rt, err := charm.New(charm.Config{PEs: 2, RestartLatency: charm.ZeroRestartLatency})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bx, by := ChareGrid(4 * 2)
+		r, err := NewJacobiRunner(rt, 8, bx, by)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LBPeriod = 1
+		res, err := r.RunWithRescale(1, 1)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got := len(rt.Stats()); got != 1 || len(res.Rescales) != 1 || rt.NumPEs() != 1 {
+			t.Fatalf("run %d: %d RescaleStats, %d rescale events, %d PEs; want 1, 1, 1", i, got, len(res.Rescales), rt.NumPEs())
+		}
+		rt.Shutdown()
+	}
+}
+
+// TestRunWithRescaleReportsUnservicedRequest: a run too short to reach a
+// load-balancing step says so instead of returning as if it had rescaled.
+func TestRunWithRescaleReportsUnservicedRequest(t *testing.T) {
+	r, err := NewJacobiRunner(newRT(t, 2), 8, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunWithRescale(3, 1); err == nil || !strings.Contains(err.Error(), "not serviced") {
+		t.Fatalf("3 iterations at the default LB period of 10: err = %v, want the unserviced rescale reported", err)
 	}
 }

@@ -85,6 +85,19 @@ type Runner struct {
 	reduceCh  chan []float64
 }
 
+// ChareGrid factors n chares into the near-square bx×by block decomposition
+// NewJacobiRunner takes; callers overdecompose, passing a multiple of the PE
+// count.
+func ChareGrid(n int) (bx, by int) {
+	bx = 1
+	for f := 1; f*f <= n; f++ {
+		if n%f == 0 {
+			bx = f
+		}
+	}
+	return bx, n / bx
+}
+
 // NewJacobiRunner creates an N×N Jacobi2D instance decomposed into bx×by
 // blocks on rt and waits for initialization to complete.
 func NewJacobiRunner(rt *charm.Runtime, n, bx, by int) (*Runner, error) {
@@ -216,6 +229,24 @@ func (r *Runner) Run(iters int) (RunResult, error) {
 	}
 	res.Total = time.Since(runStart)
 	return res, nil
+}
+
+// RunWithRescale is Run with an external rescale to `to` PEs requested before
+// the first iteration, so even a run with a single load-balancing step
+// services it. A refused rescale, or a run too short to reach a
+// load-balancing step, is an error.
+func (r *Runner) RunWithRescale(iters, to int) (RunResult, error) {
+	done := r.RT.RequestRescale(to)
+	res, err := r.Run(iters)
+	if err != nil {
+		return res, err
+	}
+	select {
+	case err = <-done:
+	default:
+		err = fmt.Errorf("apps: no load-balancing step in %d iterations, rescale to %d PEs not serviced", iters, to)
+	}
+	return res, err
 }
 
 // Checkpoint writes a full application checkpoint under the given key

@@ -15,9 +15,8 @@ import (
 // wave gap is a quarter of the single-cluster backlog benchmark's, so after
 // the 4-way deal every member sees exactly the reference per-cluster load
 // (200 jobs per 29000 s) and the fleet sustains the same backlog pressure at
-// 4× the job throughput. CI gates the aggregate rate via BENCH_BASELINE.json;
-// the per-cluster job counts and utilizations are reported as ungated
-// sub-metrics for benchreport to list.
+// 4× the job throughput. The per-cluster job counts and utilizations are
+// reported as sub-metrics beside the aggregate rate.
 func BenchmarkFederation(b *testing.B) {
 	const jobs = 1_000_000
 	const clusters = 4
@@ -52,8 +51,8 @@ func BenchmarkFederation(b *testing.B) {
 // 4-cluster fleet at the reference per-cluster load whose member 0 has half
 // the slots, co-simulated in 300 s barrier rounds with the
 // checkpoint-migrating rebalancer draining member 0's backlog into the
-// healthy members. Gated on time and allocations against
-// BENCH_BASELINE.json; the moves/round metric tracks rebalancer activity.
+// healthy members. The moves/round metric tracks rebalancer activity; the
+// gated form of this fleet is bench/'s fleet_rebalance workload.
 func BenchmarkFederationMigration(b *testing.B) {
 	const jobs = 100_000
 	cfg, w := migrationBenchFleet(b, jobs)

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,7 +35,8 @@ const (
 	KindRun Kind = "run"
 	// KindSweep is one or more parameter sweeps (Sweeps populated).
 	KindSweep Kind = "sweep"
-	// KindBench is parsed `go test -bench` output (Benchmarks populated).
+	// KindBench is the timed cells of a benchmark command, such as
+	// charmbench (Benchmarks populated).
 	KindBench Kind = "bench"
 )
 
@@ -99,15 +99,17 @@ type Point struct {
 	Runs  []Run   `json:"runs"`
 }
 
-// Benchmark is one parsed `go test -bench` result line.
+// Benchmark is one timed cell. Procs, BytesPerOp and AllocsPerOp are what a
+// `go test -bench` line carries; no current writer sets them, older reports
+// hold them.
 type Benchmark struct {
-	Name        string             `json:"name"` // procs suffix stripped
+	Name        string             `json:"name"`
 	Procs       int                `json:"procs,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Custom      map[string]float64 `json:"custom,omitempty"` // e.g. "jobs/s"
+	Custom      map[string]float64 `json:"custom,omitempty"` // e.g. "lb_s", "bytes"
 }
 
 // New starts a report of the given kind.
@@ -266,67 +268,6 @@ func FromScenarios(results []sim.ScenarioResult) Sweep {
 		sw.Points = append(sw.Points, p)
 	}
 	return sw
-}
-
-// ParseGoBench parses `go test -bench` output into a bench report. Lines
-// that are not benchmark results (headers, PASS/ok, prints from the
-// benchmarks themselves) are ignored. Recognized per-op units land in the
-// named fields; anything else ("jobs/s", application metrics) goes to
-// Custom under its unit string.
-func ParseGoBench(in io.Reader, tool string) (Report, error) {
-	r := New(tool, KindBench)
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		b := Benchmark{Name: fields[0], Iterations: iters}
-		if i := strings.LastIndex(b.Name, "-"); i > 0 {
-			if procs, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-				b.Name, b.Procs = b.Name[:i], procs
-			}
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			val, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break // not a value/unit pair; stop parsing the line
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				b.NsPerOp = val
-			case "B/op":
-				b.BytesPerOp = val
-			case "allocs/op":
-				b.AllocsPerOp = val
-			default:
-				if b.Custom == nil {
-					b.Custom = make(map[string]float64)
-				}
-				b.Custom[unit] = val
-			}
-		}
-		if b.NsPerOp == 0 && b.Custom == nil {
-			continue // malformed line
-		}
-		r.Benchmarks = append(r.Benchmarks, b)
-	}
-	if err := sc.Err(); err != nil {
-		return Report{}, err
-	}
-	if len(r.Benchmarks) == 0 {
-		return Report{}, fmt.Errorf("metrics: no benchmark lines found")
-	}
-	return r, nil
 }
 
 // WritePolicyTable prints runs, one per policy, as the fixed-width table

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"elastichpc/internal/cluster"
@@ -354,45 +353,5 @@ func TestFromFederationConverter(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Runs[0], run) {
 		t.Error("federation run did not round-trip")
-	}
-}
-
-func TestParseGoBench(t *testing.T) {
-	out := `goos: linux
-goarch: amd64
-pkg: elastichpc/internal/sim
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-some benchmark print output
-BenchmarkSimMillionJobs-8   	       1	13465277116 ns/op	     74265 jobs/s	49160712 B/op	 1870385 allocs/op
-BenchmarkMsgqDeep   	     100	     12345 ns/op
-PASS
-ok  	elastichpc/internal/sim	15.587s
-`
-	r, err := ParseGoBench(strings.NewReader(out), "benchreport")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Benchmarks) != 2 {
-		t.Fatalf("parsed %d benchmarks", len(r.Benchmarks))
-	}
-	b := r.Benchmarks[0]
-	if b.Name != "BenchmarkSimMillionJobs" || b.Procs != 8 || b.Iterations != 1 {
-		t.Errorf("header mismatch: %+v", b)
-	}
-	if b.NsPerOp != 13465277116 || b.BytesPerOp != 49160712 || b.AllocsPerOp != 1870385 {
-		t.Errorf("metrics mismatch: %+v", b)
-	}
-	if b.Custom["jobs/s"] != 74265 {
-		t.Errorf("custom metric lost: %+v", b.Custom)
-	}
-	if r.Benchmarks[1].Name != "BenchmarkMsgqDeep" || r.Benchmarks[1].NsPerOp != 12345 {
-		t.Errorf("second benchmark mismatch: %+v", r.Benchmarks[1])
-	}
-
-	if _, err := ParseGoBench(strings.NewReader("no benchmarks here\n"), "x"); err == nil {
-		t.Error("accepted bench-free input")
 	}
 }

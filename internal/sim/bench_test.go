@@ -26,8 +26,9 @@ func burstBacklog(tb testing.TB, jobs int) Workload {
 // bursty submissions through the elastic policy in streaming mode, sharded
 // across every available core (Config.Shards = NumCPU; on a single-core
 // host that degrades to the sequential loop). The pre-overhaul simulator
-// sustained ~3.4k jobs/s on this workload (and held a JobMetrics per job);
-// the regression gate in CI tracks the current rate via BENCH_BASELINE.json.
+// sustained ~3.4k jobs/s on this workload (and held a JobMetrics per job).
+// An ungated developer probe, like every Benchmark here: the regression gate
+// is bench/ (scripts/bench-gate.sh).
 func BenchmarkSimMillionJobs(b *testing.B) {
 	benchSim(b, 1_000_000, runtime.NumCPU())
 }
@@ -44,11 +45,10 @@ func benchSim(b *testing.B, jobs, shards int) {
 }
 
 // BenchmarkSimParallelScaling sweeps fixed shard counts over the headline
-// workload shape so the sharded mode's scaling curve is visible in CI's
-// BENCH_PR.json. The family is informational, not regression-gated: its
-// throughput depends on the runner's core count, which varies across CI
-// hosts, so the gate tracks only the NumCPU-sharded BenchmarkSimMillionJobs
-// above.
+// workload shape so the sharded mode's scaling curve is visible. Its
+// throughput depends on the host's core count; what does not — the shard
+// path's memory relative to the sequential loop's — is held by
+// TestShardedFootprintBounded.
 func BenchmarkSimParallelScaling(b *testing.B) {
 	const jobs = 200_000
 	w := burstBacklog(b, jobs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -518,5 +519,41 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	}
 	if st.adopted+st.reexecuted != st.epochs-1 {
 		t.Fatalf("adopted %d + reexecuted %d != %d boundaries", st.adopted, st.reexecuted, st.epochs-1)
+	}
+}
+
+// TestShardedFootprintBounded holds the shard path's memory to a small
+// multiple of the sequential loop's on BenchmarkSimParallelScaling's trace:
+// eight epoch simulators, their speculative queues and the O(drains) seal
+// logs cost under 2.2× the bytes and 1.5× the objects of one (1.91× and
+// 1.34× when written). A merge that logs a term per event instead of one per
+// drain — the design the seal log replaced — sits near 40×.
+func TestShardedFootprintBounded(t *testing.T) {
+	w := burstBacklog(t, 200_000)
+	footprint := func(shards int) (bytes, objects float64) {
+		cfg := DefaultConfig(core.Elastic)
+		cfg.Streaming = true
+		cfg.Shards = shards
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(w); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+	}
+	seqBytes, seqObjects := footprint(1)
+	shBytes, shObjects := footprint(8)
+	t.Logf("shards=8 / shards=1: %.2fx bytes (%.0f / %.0f), %.2fx objects (%.0f / %.0f)",
+		shBytes/seqBytes, shBytes, seqBytes, shObjects/seqObjects, shObjects, seqObjects)
+	if shBytes > 2.2*seqBytes {
+		t.Errorf("Shards: 8 allocates %.2fx the bytes of Shards: 1, want <= 2.2x", shBytes/seqBytes)
+	}
+	if shObjects > 1.5*seqObjects {
+		t.Errorf("Shards: 8 allocates %.2fx the objects of Shards: 1, want <= 1.5x", shObjects/seqObjects)
 	}
 }

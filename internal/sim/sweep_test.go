@@ -141,9 +141,8 @@ func BenchmarkSweep(b *testing.B) {
 	gaps := []float64{0, 60, 120, 180, 240, 300}
 	const jobs, seeds = 256, 8
 	cells := len(gaps) * len(core.AllPolicies()) * seeds
-	// The parallel case's name is host-independent on purpose: benchmark
-	// names are the keys BENCH_BASELINE.json comparisons match on, and CI
-	// runners have varying CPU counts.
+	// The parallel case's name is host-independent on purpose: rows quoted
+	// from hosts with different CPU counts stay comparable by name.
 	for _, bc := range []struct {
 		name    string
 		workers int

@@ -242,10 +242,12 @@ func ScenarioNames() []string {
 }
 
 // ScenarioGrids resolves a -scenario/-trace flag pair and returns the sorted
-// distinct grid dimensions of the job classes its workload submits, plus a
-// provenance tag for output headers. Benchmark CLIs use it to cover exactly
-// the problem sizes a scenario will run.
-func ScenarioGrids(name, tracePath string, seed int64) ([]int, string, error) {
+// distinct grid dimensions of the job classes its workload submits, each
+// mapped through size (how the caller shrinks paper-size problems; results
+// that are not positive are dropped), plus a provenance tag for output
+// headers. charmbench uses it to cover exactly the problem sizes a scenario
+// will run.
+func ScenarioGrids(name, tracePath string, seed int64, size func(int) int) ([]int, string, error) {
 	g, err := Scenario(name, tracePath)
 	if err != nil {
 		return nil, "", err
@@ -256,31 +258,15 @@ func ScenarioGrids(name, tracePath string, seed int64) ([]int, string, error) {
 	}
 	specs := model.Specs()
 	seen := map[int]bool{}
-	for _, j := range w.Jobs {
-		seen[specs[j.Class].Grid] = true
-	}
-	grids := make([]int, 0, len(seen))
-	for n := range seen {
-		grids = append(grids, n)
-	}
-	sort.Ints(grids)
-	return grids, fmt.Sprintf("scenario %q seed %d", g.Name(), seed), nil
-}
-
-// MapGrids maps grid dimensions through a scaling transform, dropping
-// non-positive results and collisions, and returns them sorted — the
-// companion to ScenarioGrids for CLIs that shrink paper-size problems.
-func MapGrids(raw []int, f func(int) int) []int {
-	seen := map[int]bool{}
 	var grids []int
-	for _, n := range raw {
-		if s := f(n); s > 0 && !seen[s] {
-			seen[s] = true
-			grids = append(grids, s)
+	for _, j := range w.Jobs {
+		if n := size(specs[j.Class].Grid); n > 0 && !seen[n] {
+			seen[n] = true
+			grids = append(grids, n)
 		}
 	}
 	sort.Ints(grids)
-	return grids
+	return grids, fmt.Sprintf("scenario %q seed %d", g.Name(), seed), nil
 }
 
 // Scenario resolves a -scenario flag value to a generator: one of the
