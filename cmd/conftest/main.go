@@ -204,9 +204,8 @@ func runMatrix(artifacts string, window int) int {
 }
 
 // saveStreams writes a diverging pair as <base>.ref.json then
-// <base>.got.json, in that fixed order. This used to range a two-entry map,
-// which made the save order — and which SaveFile error surfaced first —
-// vary run to run (flagged by elasticvet's nomapiter).
+// <base>.got.json, in that fixed order, so which SaveFile error surfaces
+// first does not vary run to run.
 func saveStreams(base string, ref, got *conformance.Stream) error {
 	if err := ref.SaveFile(base + ".ref.json"); err != nil {
 		return err

@@ -1,68 +1,31 @@
 // Command elasticvet runs the repo's determinism-invariant analyzers
-// (internal/lint) over Go packages. It speaks two protocols:
-//
-// Standalone, for contributors — no Makefile, no action, just the toolchain:
+// (internal/lint) over Go packages — no Makefile, no action, just the
+// toolchain:
 //
 //	go run ./cmd/elasticvet ./...
 //
-// arguments are package patterns resolved in the current directory; findings
-// print as file:line:col: analyzer: message and the exit status is 1 when
-// anything is flagged (2 on driver errors).
-//
-// Vet tool, for CI — the same analyzers under the go command's caching and
-// per-package scheduling:
-//
-//	go build -o elasticvet ./cmd/elasticvet
-//	go vet -vettool=$PWD/elasticvet ./...
-//
-// In that mode the go command invokes the binary once per package with a
-// vet.cfg file (plus -V=full for the build cache and -flags for flag
-// discovery), and dependencies arrive as compiler export data instead of
-// source; vettool.go implements that handshake.
+// Arguments are package patterns resolved in the current directory (default
+// ./...); findings print as file:line:col: analyzer: message and the exit
+// status is 1 when anything is flagged, 2 when the packages cannot be loaded.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"elastichpc/internal/lint"
 )
 
-// main dispatches between the vet-tool handshake and the standalone driver.
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// run executes one elasticvet invocation and returns its exit code.
-func run(args []string) int {
-	fs := flag.NewFlagSet("elasticvet", flag.ContinueOnError)
-	vFlag := fs.String("V", "", "print version and exit (go vet handshake; use -V=full)")
-	flagsFlag := fs.Bool("flags", false, "print the tool's analyzer flags as JSON (go vet handshake)")
-	if err := fs.Parse(args); err != nil {
-		return 2
+// run loads the patterns from source, prints every finding and returns the
+// exit code.
+func run(patterns []string) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	switch {
-	case *vFlag != "":
-		return printVersion()
-	case *flagsFlag:
-		// No configurable analyzer flags: the suite always runs whole.
-		fmt.Println("[]")
-		return 0
-	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetTool(rest[0])
-	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	return standalone(rest)
-}
-
-// standalone loads the patterns from source and prints every finding.
-func standalone(patterns []string) int {
 	pkgs, err := lint.LoadPackages(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elasticvet:", err)

@@ -189,19 +189,7 @@ func runSweep(seeds int) *metrics.Report {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sw := metrics.Sweep{Name: "submission_gap_actual", X: "submission gap (s)"}
-	for _, pt := range pts {
-		mp := metrics.Point{X: pt.X}
-		for _, p := range core.AllPolicies() {
-			avg := pt.ByPolicy[p]
-			mp.Runs = append(mp.Runs, metrics.Run{
-				Policy: p.String(), Seeds: seeds, Jobs: 16,
-				TotalTime: avg.TotalTime, Utilization: avg.Utilization,
-				WeightedResponse: avg.WeightedResponse, WeightedCompletion: avg.WeightedCompletion,
-			})
-		}
-		sw.Points = append(sw.Points, mp)
-	}
+	sw := metrics.FromSweep("submission_gap_actual", "submission gap (s)", pts)
 	metrics.WriteCSV(os.Stdout, "submission_gap", sw, metrics.PaperColumns)
 	rep := metrics.New("kubesim", metrics.KindSweep)
 	rep.Sweeps = []metrics.Sweep{sw}

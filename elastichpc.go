@@ -60,7 +60,6 @@ import (
 	"elastichpc/internal/federation"
 	"elastichpc/internal/metrics"
 	"elastichpc/internal/model"
-	"elastichpc/internal/shm"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
@@ -69,14 +68,6 @@ import (
 type (
 	// Policy selects a scheduling strategy.
 	Policy = core.Policy
-	// Job is the scheduler's view of a malleable job.
-	Job = core.Job
-	// SchedulerConfig configures the policy scheduler.
-	SchedulerConfig = core.Config
-	// Scheduler implements the Figure 2/3 elastic policy and baselines.
-	Scheduler = core.Scheduler
-	// Actuator is the substrate interface the scheduler drives.
-	Actuator = core.Actuator
 )
 
 // Policy values.
@@ -87,11 +78,6 @@ const (
 	RigidMax = core.RigidMax
 )
 
-// NewScheduler creates a policy scheduler over an abstract cluster.
-func NewScheduler(cfg SchedulerConfig, act Actuator, now func() time.Time) (*Scheduler, error) {
-	return core.NewScheduler(cfg, act, now)
-}
-
 // AllPolicies lists the four policies in the paper's order.
 func AllPolicies() []Policy { return core.AllPolicies() }
 
@@ -101,27 +87,15 @@ type (
 	Runtime = charm.Runtime
 	// RuntimeConfig configures a Runtime.
 	RuntimeConfig = charm.Config
-	// RescaleStats is the per-phase rescale overhead breakdown.
-	RescaleStats = charm.RescaleStats
-	// Chare is a migratable object.
-	Chare = charm.Chare
-	// ShmStore is the in-memory checkpoint store.
-	ShmStore = shm.Store
 )
 
 // NewRuntime creates a charm runtime with the given PE count.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return charm.New(cfg) }
 
-// NewShmStore creates a checkpoint store with the given byte limit (0 =
-// unlimited).
-func NewShmStore(limit int64) *ShmStore { return shm.NewStore(limit) }
-
 // Applications (paper §4.1).
 type (
 	// AppRunner drives a rescalable application's iteration loop.
 	AppRunner = apps.Runner
-	// RunResult is an application run's timeline and timings.
-	RunResult = apps.RunResult
 )
 
 // NewJacobi2D creates an n×n Jacobi solver decomposed into bx×by chares.
@@ -151,22 +125,12 @@ func DialCCS(addr string, timeout time.Duration) (*CCSClient, error) {
 type (
 	// Machine holds the calibrated performance-model constants.
 	Machine = model.Machine
-	// JobClass identifies one of the four job size classes.
-	JobClass = model.Class
 	// Workload is a reproducible job-submission stream.
 	Workload = sim.Workload
 	// SimResult aggregates one simulated (or emulated) experiment.
 	SimResult = sim.Result
 	// SimConfig parameterizes a simulation.
 	SimConfig = sim.Config
-)
-
-// Job size classes.
-const (
-	Small  = model.Small
-	Medium = model.Medium
-	Large  = model.Large
-	XLarge = model.XLarge
 )
 
 // DefaultMachine returns the calibrated c6g.4xlarge-like machine model.
@@ -253,14 +217,6 @@ type (
 	PoissonScenario = workload.Poisson
 	// BurstScenario submits flash-crowd waves.
 	BurstScenario = workload.Burst
-	// DiurnalScenario follows a day/night arrival cycle.
-	DiurnalScenario = workload.Diurnal
-	// TraceScenario replays a workload saved with SaveWorkload.
-	TraceScenario = workload.Trace
-	// ClassMix weights the four job classes in a generator.
-	ClassMix = workload.Mix
-	// SweepPoint is one x-coordinate of a Figure 7/8 sweep.
-	SweepPoint = sim.SweepPoint
 	// ScenarioResult is one scenario's per-policy averaged metrics.
 	ScenarioResult = sim.ScenarioResult
 )
@@ -289,18 +245,6 @@ func SaveWorkload(path string, w Workload, comment string) error {
 // LoadWorkload reads a workload saved with SaveWorkload.
 func LoadWorkload(path string) (Workload, error) { return workload.LoadFile(path) }
 
-// SubmissionGapSweep runs the Figure 7 sweep on a bounded worker pool;
-// workers <= 0 uses every CPU, workers == 1 is the sequential reference path
-// (results are bit-identical either way).
-func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGapSeconds float64, workers int) ([]SweepPoint, error) {
-	return sim.SubmissionGapSweep(gaps, jobs, seeds, rescaleGapSeconds, workers)
-}
-
-// RescaleGapSweep runs the Figure 8 sweep on a bounded worker pool.
-func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGapSeconds float64, workers int) ([]SweepPoint, error) {
-	return sim.RescaleGapSweep(rescaleGaps, jobs, seeds, submissionGapSeconds, workers)
-}
-
 // ScenarioSweep averages every scenario under every policy across seeds on a
 // bounded worker pool.
 func ScenarioSweep(gens []WorkloadGenerator, seeds int, rescaleGapSeconds float64, workers int) ([]ScenarioResult, error) {
@@ -321,20 +265,12 @@ type (
 	AvailabilityProfile = workload.AvailabilityProfile
 	// AvailabilityTrace is a reproducible capacity timeline.
 	AvailabilityTrace = workload.AvailabilityTrace
-	// CapacityEvent sets the total slot capacity at an instant.
-	CapacityEvent = workload.CapacityEvent
 	// AvailabilityOptions tunes the built-in profiles from flag values.
 	AvailabilityOptions = workload.AvailabilityOptions
-	// FailureRepairProfile models node crashes and repairs (MTTF/MTTR).
-	FailureRepairProfile = workload.FailureRepair
 	// SpotPreemptionProfile models Poisson spot-instance reclaims.
 	SpotPreemptionProfile = workload.SpotPreemption
 	// MaintenanceDrainProfile models planned maintenance windows.
 	MaintenanceDrainProfile = workload.MaintenanceDrain
-	// DiurnalCapacityProfile models time-of-day capacity tides.
-	DiurnalCapacityProfile = workload.DiurnalCapacity
-	// CapacityStats counts a scheduler's forced-reclaim actions.
-	CapacityStats = core.CapacityStats
 )
 
 // DefaultAvailabilityProfiles returns the built-in capacity profiles.
@@ -397,8 +333,6 @@ type (
 	// FederationResult is the aggregated fleet outcome plus the per-member
 	// results.
 	FederationResult = federation.Result
-	// FederationRoute selects the job-routing policy across members.
-	FederationRoute = federation.Route
 	// FederationMember is a pluggable federation backend: the router reads
 	// its hardware (capacity, machine model, availability trace) and the
 	// fleet runs its sub-workload through it.
@@ -416,13 +350,6 @@ func SimFederationMember(cfg SimConfig) FederationMember {
 	return federation.NewSimMember(cfg)
 }
 
-// ClusterFederationMember backs a federation member with the full
-// k8s+operator cluster emulation, so a fleet can mix simulated and emulated
-// clusters (rebalancing requires simulator-backed members).
-func ClusterFederationMember(cfg ClusterConfig) FederationMember {
-	return federation.NewClusterMember(cfg)
-}
-
 // Federation routing policies.
 const (
 	// RouteRoundRobin deals jobs to members in submission order.
@@ -433,18 +360,7 @@ const (
 	// RoutePriority sends high-priority jobs least-loaded, the rest
 	// round-robin.
 	RoutePriority = federation.PriorityAware
-	// RouteRandom picks members uniformly from a seed.
-	RouteRandom = federation.Random
 )
-
-// AllFederationRoutes lists the routing policies in presentation order.
-func AllFederationRoutes() []FederationRoute { return federation.AllRoutes() }
-
-// FederationRouteByName resolves a route name ("round_robin", "least_loaded",
-// "priority", "random").
-func FederationRouteByName(name string) (FederationRoute, error) {
-	return federation.RouteByName(name)
-}
 
 // UniformFederation builds n identical member configurations from one base.
 func UniformFederation(base SimConfig, n int) []SimConfig {
@@ -464,13 +380,6 @@ func Federate(cfg FederationConfig, w Workload) (FederationResult, error) {
 	return federation.Run(cfg, w)
 }
 
-// FederationSweep averages every given routing policy under every scheduling
-// policy across seeds of a workload scenario on a bounded worker pool — the
-// federation sweep axis. skew ramps member capacities (0 = homogeneous).
-func FederationSweep(routes []FederationRoute, gen WorkloadGenerator, clusters, seeds int, rescaleGapSeconds, skew float64, workers int) ([]ScenarioResult, error) {
-	return federation.Sweep(routes, gen, clusters, seeds, rescaleGapSeconds, skew, workers)
-}
-
 // Experiment reports (internal/metrics): the versioned machine-readable
 // schema every harness emits.
 type (
@@ -478,10 +387,6 @@ type (
 	MetricsReport = metrics.Report
 	// MetricsRun is one experiment outcome (the paper's four metrics).
 	MetricsRun = metrics.Run
-	// MetricsSweep is one parameter sweep inside a report.
-	MetricsSweep = metrics.Sweep
-	// MetricsBenchmark is one timed cell of a bench report.
-	MetricsBenchmark = metrics.Benchmark
 	// MetricsKind classifies a report: run, sweep, or bench.
 	MetricsKind = metrics.Kind
 )

@@ -51,14 +51,6 @@ func (r RunResult) TimePerIteration() time.Duration {
 	return sum / time.Duration(len(r.Iterations)-1)
 }
 
-// App is a runnable, rescalable application instance bound to a runtime.
-type App struct {
-	rt        *Runner
-	name      string
-	array     int
-	epIterate int
-}
-
 // Runner drives an application's iteration loop on a charm runtime,
 // servicing rescale requests at load-balancing boundaries (paper §2.2) and
 // recording the per-iteration timeline.

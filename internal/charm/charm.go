@@ -42,13 +42,9 @@ type Chare interface {
 // for the duration of the call.
 type Ctx struct {
 	rt    *Runtime
-	pe    int
 	Array int // array this chare belongs to
 	Index int // this chare's index within the array
 }
-
-// MyPE returns the PE the entry method is executing on.
-func (c *Ctx) MyPE() int { return c.pe }
 
 // NumPEs returns the PE count of the current incarnation.
 func (c *Ctx) NumPEs() int { return c.rt.NumPEs() }

@@ -75,7 +75,7 @@ func (p *pe) deliver(inc *incarnation, m message) {
 	if m.entry < 0 || m.entry >= len(entries) {
 		panic("charm: entry index out of range")
 	}
-	ctx := &Ctx{rt: inc.rt, pe: p.id, Array: m.array, Index: m.index}
+	ctx := &Ctx{rt: inc.rt, Array: m.array, Index: m.index}
 	start := time.Now()
 	entries[m.entry].Fn(obj, ctx, m.data)
 	p.loads[id] += time.Since(start).Seconds()

@@ -127,12 +127,7 @@ type watchedMember struct {
 	t *testing.T
 }
 
-func (m watchedMember) Run(w sim.Workload) (sim.Result, error) {
-	res, _, err := m.RunRecorded(w)
-	return res, err
-}
-
-func (m watchedMember) RunRecorded(w sim.Workload) (sim.Result, []core.Decision, error) {
+func (m watchedMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
 	return runWatched(m.t, m.Config, w, nil)
 }
 

@@ -1,7 +1,10 @@
 package conformance
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -116,6 +119,41 @@ func FuzzSpecFromMeta(f *testing.F) {
 		}
 		if !reflect.DeepEqual(spec.Meta(), again.Meta()) {
 			t.Fatalf("round trip changed the spec:\nfirst:  %v\nsecond: %v", spec.Meta(), again.Meta())
+		}
+	})
+}
+
+// FuzzStreamLoad holds the stream decoder to the contract -diff and -replay
+// rely on: hostile bytes are an error, never a panic, and whatever decodes
+// re-encodes to a document that decodes to the same stream. "The same" is
+// reflect.DeepEqual up to one thing: an empty list or map decodes as empty and
+// is written as absent, so the two sides are compared as encoding/json renders
+// them — an encoder of its own that drops empties alike and that Save could
+// not fool by losing a field.
+func FuzzStreamLoad(f *testing.F) {
+	golden, err := os.ReadFile("../../cmd/conftest/testdata/golden/stream.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"version":2,"meta":{},"members":[{"version":2,"summary":{"policy":"elastic","goodput":-0}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			t.Fatalf("accepted stream does not re-encode: %v", err)
+		}
+		again, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded stream does not decode: %v\n%s", err, buf.Bytes())
+		}
+		first, _ := json.Marshal(st)
+		second, _ := json.Marshal(again)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the stream:\nfirst:  %s\nsecond: %s", first, second)
 		}
 	})
 }

@@ -80,8 +80,8 @@ func RandomScenario(rng *rand.Rand) Scenario {
 	return sc
 }
 
-// scatteredTrace is the historical independent-event shape: a handful of
-// uncorrelated capacity steps at loosely spaced instants.
+// scatteredTrace is the independent-event shape: a handful of uncorrelated
+// capacity steps at loosely spaced instants.
 func scatteredTrace(rng *rand.Rand, span float64) workload.AvailabilityTrace {
 	events := make([]workload.CapacityEvent, 0, 6)
 	t := 0.0

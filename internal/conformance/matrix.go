@@ -107,9 +107,8 @@ func skewedScenario(seed int64, heavyFirst bool) (Scenario, error) {
 }
 
 // matrixScenarios are the fixed workload shapes the sim cells sweep —
-// steady arrivals, deep same-instant backlogs, a time-varying cluster (the
-// shapes the historical equivalence tests pinned), and the two demand-skewed
-// shapes that stress the work-balanced epoch planner.
+// steady arrivals, deep same-instant backlogs, a time-varying cluster, and
+// the two demand-skewed shapes that stress the work-balanced epoch planner.
 func matrixScenarios(seed int64) ([]Scenario, error) {
 	uniform, err := workload.Uniform{Jobs: 60, Gap: 45}.Generate(seed)
 	if err != nil {

@@ -127,8 +127,10 @@ func (j *Job) CompletionTime() time.Duration {
 // order). The stable merge sort is kept deliberately: drained backlogs are
 // nearly sorted (a heapified sorted remainder plus a few fresh pushes), the
 // regime where the merge's insertion runs approach O(n) while a quicksort
-// still partitions. slices.SortStableFunc avoids the sort.Interface boxing
-// and method-value closure the previous implementation allocated per call.
+// still partitions. slices.SortStableFunc takes the comparator directly, so
+// nothing is boxed or allocated per call. The aging-off closure spells the
+// order out a third time (after compare and before) because it pays: see
+// before.
 func (s *Scheduler) sortJobs(jobs []*Job) {
 	if s.cfg.AgingRate > 0 {
 		slices.SortStableFunc(jobs, s.compare)

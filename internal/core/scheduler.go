@@ -127,7 +127,7 @@ type Config struct {
 	EnableLog bool
 	// FullRedistribute disables the incremental-scheduling early-outs:
 	// every redistribute runs the full Figure 3 pass and every Reschedule
-	// drains the whole queue, exactly like the pre-incremental scheduler.
+	// drains the whole queue.
 	// The early-outs are provably decision-transparent (the equivalence
 	// tests pin incremental ≡ full across policies and workloads), so
 	// this knob exists for those audits and for debugging, not for
@@ -281,20 +281,14 @@ func (s *Scheduler) jobNeed(j *Job) int {
 	return jmin + s.cfg.JobOverheadSlots
 }
 
-// Utilization reports the fraction of capacity currently allocated to
-// workers (launcher overhead counts as used capacity).
-func (s *Scheduler) Utilization() float64 {
-	return float64(s.cfg.Capacity-s.free) / float64(s.cfg.Capacity)
-}
-
 // effPriority computes a job's effective priority including aging, against
 // the pass-cached clock. Without aging it is the cached base priority — no
 // conversion, no time math.
 func (s *Scheduler) effPriority(j *Job) float64 {
 	if s.cfg.AgingRate > 0 && j.State == StateQueued {
 		// Kept as time.Time math: Duration.Seconds rounds differently
-		// from a raw nanosecond quotient, and aged priorities must stay
-		// bit-identical to the pre-incremental scheduler.
+		// from a raw nanosecond quotient, and aged priorities are pinned
+		// bit for bit by the equivalence tests.
 		return j.prio + s.cfg.AgingRate*s.tnow.Sub(j.SubmitTime).Seconds()
 	}
 	return j.prio
@@ -326,6 +320,10 @@ func (s *Scheduler) compare(a, b *Job) int {
 
 // before reports whether a schedules ahead of b (compare < 0). The aging-off
 // body is spelled out so the common case inlines into the heap operations.
+// Measured with bench/ (alternating 5 s pairs): one spelling of the order for
+// compare, before and sortJobs, with submit's gate folded into its walk, is
+// 55 lines shorter and costs avail_drain 4 % of jobs_per_s (530.4 k →
+// 508.9 k, ahead in 1 pair of 6) and burst_backlog 2 % (ahead in 2 of 6).
 func (s *Scheduler) before(a, b *Job) bool {
 	if s.cfg.AgingRate > 0 {
 		return s.compare(a, b) < 0
@@ -569,7 +567,9 @@ func (s *Scheduler) submit(job *Job) {
 	// path reproduces it exactly — try preemption, else enqueue — and the
 	// walk it skips emits no decisions, so the shortcut is
 	// decision-transparent. Disabled in FullRedistribute mode like every
-	// incremental early-out.
+	// incremental early-out. It repeats the refusal arm below because
+	// merging the two is part of the measured 4 % avail_drain loss noted at
+	// before.
 	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR+overhead {
 		if s.cfg.EnablePreemption && s.tryPreempt(job, minR, overhead) {
 			s.submit(job) // room was made; re-run placement

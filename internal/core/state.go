@@ -9,9 +9,7 @@ import "fmt"
 // scheduler, or serialized by a service front-end.
 //
 // The simulator's sharded mode uses it to seed epoch-local schedulers with
-// the capacity an availability trace has established at the epoch boundary,
-// and a future service mode will use the same pair to checkpoint and restore
-// a live scheduler.
+// the capacity an availability trace has established at the epoch boundary.
 type SchedulerState struct {
 	// Capacity is the total worker-slot capacity in force (which may differ
 	// from the construction-time capacity after SetCapacity calls).
@@ -28,31 +26,16 @@ type SchedulerState struct {
 // ExportState snapshots the scheduler's current state. The decision log is
 // not part of the snapshot; retrieve it separately via Log.
 func (s *Scheduler) ExportState() SchedulerState {
-	s.refresh()
-	st := SchedulerState{Capacity: s.cfg.Capacity, CapStats: s.capStats}
-	if len(s.running) > 0 {
-		st.Running = make([]Job, len(s.running))
-		for i, j := range s.running {
-			st.Running[i] = *j
-		}
-	}
-	if s.queue.Len() > 0 {
-		sorted := s.queue.sorted()
-		st.Queued = make([]Job, len(sorted))
-		for i, j := range sorted {
-			st.Queued[i] = *j
-		}
-	}
+	var st SchedulerState
+	s.ExportStateInto(&st)
 	return st
 }
 
 // ExportStateInto snapshots the scheduler's current state into st, reusing
-// st's Running and Queued backing arrays — the allocation-free variant of
-// ExportState for callers that snapshot in a loop (per-round rebalancers, a
-// service front-end checkpointing on a timer). st's previous contents are
-// overwritten; the snapshot semantics are otherwise ExportState's exactly,
-// except that an empty job set leaves a non-nil zero-length slice rather
-// than nil when st already carried capacity.
+// st's Running and Queued backing arrays, so a caller that snapshots in a
+// loop allocates nothing. st's previous contents are overwritten; an empty
+// job set leaves a zero-length slice over whatever backing array st carried
+// (nil in a fresh value).
 func (s *Scheduler) ExportStateInto(st *SchedulerState) {
 	s.refresh()
 	st.Capacity = s.cfg.Capacity

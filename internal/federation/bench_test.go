@@ -91,7 +91,7 @@ func BenchmarkRebalanceRoundNoDonor(b *testing.B) {
 		Route:     RoundRobin,
 		Workers:   1,
 		Rebalance: RebalanceConfig{Every: 300},
-	}.withDefaults()
+	}
 	sims, counts := beginFleet(b, cfg, w, 300)
 	r := newRebalancer(cfg, cfg.backends(), sims, counts)
 	b.ReportAllocs()

@@ -29,9 +29,6 @@ type Config struct {
 	Route Route
 	// RouteSeed seeds the Random route (ignored by the others).
 	RouteSeed int64
-	// HighPriority is the PriorityAware threshold; jobs at or above it are
-	// routed least-loaded. 0 means DefaultHighPriority.
-	HighPriority int
 	// Workers bounds the member-simulation worker pool: <= 0 uses every
 	// CPU, 1 is the sequential reference path. Results are bit-identical
 	// either way.
@@ -91,22 +88,7 @@ func (cfg Config) validate() error {
 			return fmt.Errorf("federation: member %d capacity %d", i, m.Capacity())
 		}
 	}
-	if cfg.HighPriority < 0 {
-		return fmt.Errorf("federation: high-priority threshold %d < 0", cfg.HighPriority)
-	}
-	if err := cfg.Rebalance.validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// withDefaults resolves zero-valued knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.HighPriority == 0 {
-		cfg.HighPriority = DefaultHighPriority
-	}
-	cfg.Rebalance = cfg.Rebalance.withDefaults()
-	return cfg
+	return cfg.Rebalance.validate()
 }
 
 // Result aggregates one federation run: the member results plus the exact
@@ -184,10 +166,6 @@ func (r Result) fleetView() sim.Result {
 // checkpoint-migrates jobs (see migrate.go) — still deterministic and still
 // bit-identical across worker counts.
 func Run(cfg Config, w sim.Workload) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
 	if cfg.Rebalance.enabled() {
 		return runRebalanced(cfg, w, (*rebalancer).round)
 	}
@@ -199,7 +177,7 @@ func Run(cfg Config, w sim.Workload) (Result, error) {
 	members := make([]sim.Result, len(parts))
 	decs := make([][]core.Decision, len(parts))
 	err = sim.RunTasks(len(parts), cfg.Workers, func(i int) error {
-		res, dec, err := runMember(backends[i], parts[i])
+		res, dec, err := backends[i].Run(parts[i])
 		if err != nil {
 			return fmt.Errorf("federation: member %d: %w", i, err)
 		}

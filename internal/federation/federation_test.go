@@ -27,7 +27,7 @@ func baseConfig() sim.Config {
 func TestPartitionCoversEveryJobExactlyOnce(t *testing.T) {
 	w := testWorkload(t, 64)
 	for _, route := range AllRoutes() {
-		cfg := Config{Members: Uniform(baseConfig(), 3), Route: route, RouteSeed: 9, HighPriority: 4}
+		cfg := Config{Members: Uniform(baseConfig(), 3), Route: route, RouteSeed: 9}
 		parts, assign, err := Partition(cfg, w)
 		if err != nil {
 			t.Fatalf("%v: %v", route, err)
@@ -75,7 +75,7 @@ func TestPartitionCoversEveryJobExactlyOnce(t *testing.T) {
 func TestPartitionIsDeterministic(t *testing.T) {
 	w := testWorkload(t, 64)
 	for _, route := range AllRoutes() {
-		cfg := Config{Members: Uniform(baseConfig(), 4), Route: route, RouteSeed: 5, HighPriority: 4}
+		cfg := Config{Members: Uniform(baseConfig(), 4), Route: route, RouteSeed: 5}
 		_, a1, err := Partition(cfg, w)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestPriorityAwareSendsHighPriorityLeastLoaded(t *testing.T) {
 	w.Jobs = append(w.Jobs, workload.JobSpec{ID: "hot", Class: model.Small, Priority: 5, SubmitAt: 2})
 	// Member 1 has twice the slots: after the round-robin deal both members
 	// hold one XLarge (16 min-PE), so member 1's demand per slot is half.
-	cfg := Config{Members: Skewed(baseConfig(), 2, 1.0), Route: PriorityAware, HighPriority: 4}
+	cfg := Config{Members: Skewed(baseConfig(), 2, 1.0), Route: PriorityAware}
 	_, assign, err := Partition(cfg, w)
 	if err != nil {
 		t.Fatal(err)

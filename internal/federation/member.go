@@ -19,34 +19,18 @@ type Member interface {
 	// Capacity is the member's base worker-slot count.
 	Capacity() int
 	// Machine is the member's calibrated performance model — each member's
-	// own, which is what fixes the historical router bug of estimating
-	// every member's demand with member 0's machine.
+	// own, so the router never estimates one member's demand with another's
+	// machine.
 	Machine() model.Machine
 	// Availability is the member's capacity timeline (empty means fixed
 	// capacity).
 	Availability() workload.AvailabilityTrace
 	// Policy is the member's scheduling policy.
 	Policy() core.Policy
-	// Run simulates (or emulates) the member's sub-workload to completion.
-	Run(w sim.Workload) (sim.Result, error)
-}
-
-// recordedMember is the optional Member extension the conformance harness
-// uses: a backend whose run also returns the scheduler's decision log. Both
-// built-in backends implement it; a custom Member that does not simply
-// contributes an empty log to Result.MemberDecisions.
-type recordedMember interface {
-	RunRecorded(w sim.Workload) (sim.Result, []core.Decision, error)
-}
-
-// runMember runs one member's sub-workload, preferring the recorded path
-// when the backend offers one.
-func runMember(m Member, w sim.Workload) (sim.Result, []core.Decision, error) {
-	if rm, ok := m.(recordedMember); ok {
-		return rm.RunRecorded(w)
-	}
-	res, err := m.Run(w)
-	return res, nil, err
+	// Run simulates (or emulates) the member's sub-workload to completion
+	// and returns the result with the member scheduler's decision log (nil
+	// unless the member logs decisions).
+	Run(w sim.Workload) (sim.Result, []core.Decision, error)
 }
 
 // stepBackend is the optional Member extension the rebalancer needs: a
@@ -79,12 +63,9 @@ func (m SimMember) Availability() workload.AvailabilityTrace { return m.Config.A
 // Policy implements Member.
 func (m SimMember) Policy() core.Policy { return m.Config.Policy }
 
-// Run implements Member via the sim.Run choke point.
-func (m SimMember) Run(w sim.Workload) (sim.Result, error) { return sim.Run(m.Config, w) }
-
-// RunRecorded is Run plus the member scheduler's decision log (nil unless
-// the member config sets LogDecisions).
-func (m SimMember) RunRecorded(w sim.Workload) (sim.Result, []core.Decision, error) {
+// Run implements Member; the log is nil unless the member config sets
+// LogDecisions.
+func (m SimMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
 	s, err := sim.New(m.Config)
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -128,13 +109,8 @@ func (m ClusterMember) Availability() workload.AvailabilityTrace { return m.Conf
 // Policy implements Member.
 func (m ClusterMember) Policy() core.Policy { return m.Config.Policy }
 
-// Run implements Member on the emulation backend.
-func (m ClusterMember) Run(w sim.Workload) (sim.Result, error) {
-	return cluster.RunExperiment(m.Config, w)
-}
-
-// RunRecorded is Run plus the emulated scheduler's decision log (nil unless
-// the member config sets LogDecisions).
-func (m ClusterMember) RunRecorded(w sim.Workload) (sim.Result, []core.Decision, error) {
+// Run implements Member on the emulation backend; the log is nil unless the
+// member config sets LogDecisions.
+func (m ClusterMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
 	return cluster.RunRecorded(m.Config, w)
 }

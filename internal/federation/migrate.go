@@ -18,7 +18,6 @@ import (
 // from backlogged or capacity-losing members to members that can finish
 // them sooner, lifting core.Preempt to the federation layer.
 //
-//
 // A round decides from counts and touches individual jobs only to move them.
 // What it reads of a member is capacity, allocation and a per-class count of
 // the wait queue (sim.QueuedByClass, no copy); a queue is materialised only
@@ -36,8 +35,8 @@ import (
 // fleet Results. The per-member advancement between barriers is the same
 // single-threaded event loop as a batch run.
 
-// DefaultRebalanceThreshold is the relative backlog excess over the fleet
-// mean that marks a member backlogged (25%).
+// DefaultRebalanceThreshold is the relative backlog-drain-time excess over
+// the fleet mean that marks a member a migration donor (25%).
 const DefaultRebalanceThreshold = 0.25
 
 // maxStagnantRounds bounds rounds in which no member processed an event and
@@ -50,38 +49,19 @@ type RebalanceConfig struct {
 	// Every is the rebalance round period in seconds; <= 0 disables the
 	// rebalancer entirely (the zero value keeps the batch federation path).
 	Every float64
-	// Threshold is the relative backlog-drain-time excess over the fleet
-	// mean that marks a member a migration donor. 0 means
-	// DefaultRebalanceThreshold.
-	Threshold float64
 	// MigrateRunning also checkpoint-preempts running jobs off draining
 	// members — members whose availability trace is about to drop capacity
 	// below their running allocation — and migrates them with their
 	// completed iterations instead of letting the capacity event force a
 	// local requeue.
 	MigrateRunning bool
-	// MaxMovesPerRound caps migrations per round (0 = unlimited).
-	MaxMovesPerRound int
 }
 
 func (rc RebalanceConfig) enabled() bool { return rc.Every > 0 }
 
-func (rc RebalanceConfig) withDefaults() RebalanceConfig {
-	if rc.Threshold == 0 {
-		rc.Threshold = DefaultRebalanceThreshold
-	}
-	return rc
-}
-
 func (rc RebalanceConfig) validate() error {
 	if rc.Every < 0 || math.IsNaN(rc.Every) || math.IsInf(rc.Every, 0) {
 		return fmt.Errorf("federation: rebalance period %v", rc.Every)
-	}
-	if rc.Threshold < 0 {
-		return fmt.Errorf("federation: rebalance threshold %v < 0", rc.Threshold)
-	}
-	if rc.MaxMovesPerRound < 0 {
-		return fmt.Errorf("federation: rebalance move cap %d < 0", rc.MaxMovesPerRound)
 	}
 	return nil
 }
@@ -450,11 +430,10 @@ func (r *rebalancer) round(t float64, round int) (int, error) {
 	clear(r.fresh)
 	r.stats.Rounds++
 	moved, anyDonor := 0, false
-	capped := func() bool { return r.rb.MaxMovesPerRound > 0 && moved >= r.rb.MaxMovesPerRound }
 	// evacuate offers the heap of victims in r.victims to receivers, in
-	// victim order, until the heap or the move budget is spent.
+	// victim order, until the heap is spent.
 	evacuate := func(donor int) error {
-		for len(r.victims) > 0 && !capped() {
+		for len(r.victims) > 0 {
 			v := r.popVictim()
 			ok, err := r.tryMove(donor, v, t, round)
 			if err != nil {
@@ -470,11 +449,8 @@ func (r *rebalancer) round(t float64, round int) (int, error) {
 		return nil
 	}
 	for donor := range r.states {
-		if capped() {
-			break
-		}
 		st := &r.states[donor]
-		backlogged := st.drainT > mean*(1+r.rb.Threshold) && st.queued > 0
+		backlogged := st.drainT > mean*(1+DefaultRebalanceThreshold) && st.queued > 0
 		draining := st.effNext < st.eff
 		if !backlogged && !draining {
 			continue

@@ -16,8 +16,9 @@ import (
 // This file is the rebalancer as it stood before it learned to decide from
 // counts — every member's queue snapshotted every round, the donor's sorted
 // whole, every victim scored against every receiver — kept verbatim (names
-// prefixed, Inject's new return value dropped) as the oracle
-// TestRebalancerMatchesReference holds (*rebalancer).round to.
+// prefixed, Inject's new return value dropped, the donor threshold read from
+// DefaultRebalanceThreshold and the per-round move cap gone with the knobs)
+// as the oracle TestRebalancerMatchesReference holds (*rebalancer).round to.
 
 // refMemberState is one member's snapshot at a round barrier.
 type refMemberState struct {
@@ -97,12 +98,8 @@ func refRebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simula
 	mean /= float64(n)
 
 	moved := 0
-	budget := rb.MaxMovesPerRound
 	for donor := range states {
-		if budget > 0 && moved >= budget {
-			break
-		}
-		backlogged := states[donor].drainT > mean*(1+rb.Threshold) && len(states[donor].queued) > 0
+		backlogged := states[donor].drainT > mean*(1+DefaultRebalanceThreshold) && len(states[donor].queued) > 0
 		draining := states[donor].effNext < states[donor].eff
 		if !backlogged && !draining {
 			continue
@@ -111,9 +108,6 @@ func refRebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simula
 		victims := append([]sim.QueuedJob(nil), states[donor].queued...)
 		refSortVictims(victims)
 		for _, v := range victims {
-			if budget > 0 && moved >= budget {
-				break
-			}
 			ok, err := refTryMove(rb, backends, sims, states, machines, specs, donor, v, t, round, counts, migs)
 			if err != nil {
 				return moved, err
@@ -139,9 +133,6 @@ func refRebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simula
 				}
 				refSortVictims(evicted)
 				for _, v := range evicted {
-					if budget > 0 && moved >= budget {
-						break
-					}
 					ok, err := refTryMove(rb, backends, sims, states, machines, specs, donor, v, t, round, counts, migs)
 					if err != nil {
 						return moved, err
@@ -226,8 +217,8 @@ func refRound(backends []Member) roundFunc {
 
 // randomFleet draws one rebalanced fleet and its workload from seed: 2–6
 // members of skewed capacity, each with its own machine and (two in three)
-// an availability trace, any scheduling policy and route, and every
-// rebalancer knob.
+// an availability trace, any scheduling policy and route, and both
+// rebalancer knobs.
 func randomFleet(t *testing.T, seed int64) (Config, sim.Workload) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -280,10 +271,8 @@ func randomFleet(t *testing.T, seed int64) (Config, sim.Workload) {
 		RouteSeed: seed,
 		Workers:   1,
 		Rebalance: RebalanceConfig{
-			Every:            []float64{120, 300, 600}[pick(3)],
-			Threshold:        []float64{0.1, 0.25, 0.5}[pick(3)],
-			MigrateRunning:   pick(2) == 0,
-			MaxMovesPerRound: []int{0, 1, 3}[pick(3)],
+			Every:          []float64{120, 300, 600}[pick(3)],
+			MigrateRunning: pick(2) == 0,
 		},
 	}, w
 }
@@ -294,13 +283,9 @@ func randomFleet(t *testing.T, seed int64) (Config, sim.Workload) {
 // decision streams and fleet result, bit for bit.
 func TestRebalancerMatchesReference(t *testing.T) {
 	const fleets = 240
-	moves, ckpt, capped, skipped := 0, 0, 0, 0
+	moves, ckpt, skipped := 0, 0, 0
 	for seed := int64(1); seed <= fleets; seed++ {
 		cfg, w := randomFleet(t, seed)
-		cfg = cfg.withDefaults()
-		if err := cfg.validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		want, err := runRebalanced(cfg, w, refRound(cfg.backends()))
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
@@ -340,18 +325,15 @@ func TestRebalancerMatchesReference(t *testing.T) {
 				ckpt++
 			}
 		}
-		if cfg.Rebalance.MaxMovesPerRound > 0 {
-			capped++
-		}
 		if stats.Snapshots < stats.DonorRounds {
 			skipped++
 		}
 	}
-	t.Logf("%d moves (%d checkpointed), %d capped, %d skipped", moves, ckpt, capped, skipped)
+	t.Logf("%d moves (%d checkpointed), %d skipped", moves, ckpt, skipped)
 	// The property is only worth its name if the fleets exercise the paths.
-	if moves < 20*fleets || ckpt < fleets || capped < fleets/5 || skipped < fleets/5 {
-		t.Errorf("fleets too tame: %d moves (%d checkpointed), %d capped, %d with a skipped snapshot over %d fleets",
-			moves, ckpt, capped, skipped, fleets)
+	if moves < 20*fleets || ckpt < fleets || skipped < fleets/5 {
+		t.Errorf("fleets too tame: %d moves (%d checkpointed), %d with a skipped snapshot over %d fleets",
+			moves, ckpt, skipped, fleets)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	// member's availability trace actually delivers at that instant, so
 	// known drain windows are dodged. Ties go to the lowest member index.
 	LeastLoaded
-	// PriorityAware routes high-priority jobs (Config.HighPriority and
+	// PriorityAware routes high-priority jobs (DefaultHighPriority and
 	// above) to the least-contended member and deals the rest round-robin,
 	// keeping the fleet's fast lanes clear for urgent work.
 	PriorityAware
@@ -293,7 +293,7 @@ func (r *router) route(js *workload.JobSpec) int {
 	case LeastLoaded:
 		m = r.leastLoaded(js)
 	case PriorityAware:
-		if js.Priority >= r.cfg.HighPriority {
+		if js.Priority >= DefaultHighPriority {
 			m = r.leastLoaded(js)
 		} else {
 			m = r.next
@@ -318,7 +318,6 @@ func (r *router) route(js *workload.JobSpec) int {
 // times keep workload order, exactly as the simulator admits them — and no
 // routing decision depends on member simulation results.
 func Partition(cfg Config, w workload.Workload) ([]sim.Workload, []int, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}

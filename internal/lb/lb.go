@@ -58,15 +58,6 @@ func (db *Database) AvailablePEs() []int {
 	return pes
 }
 
-// TotalLoad returns the sum of all object loads.
-func (db *Database) TotalLoad() float64 {
-	var t float64
-	for _, o := range db.Objs {
-		t += o.Load
-	}
-	return t
-}
-
 // Validate checks internal consistency.
 func (db *Database) Validate() error {
 	if db.NumPEs <= 0 {

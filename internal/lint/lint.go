@@ -1,8 +1,8 @@
 // Package lint is elasticvet's analysis framework: a small, dependency-free
 // substitute for golang.org/x/tools/go/analysis that carries the repo's
 // determinism invariants as compile-time checks. Each Analyzer inspects one
-// type-checked package and reports Diagnostics; the suite runs standalone
-// (go run ./cmd/elasticvet ./...) and under go vet -vettool.
+// type-checked package and reports Diagnostics; cmd/elasticvet is the driver
+// (go run ./cmd/elasticvet ./...).
 //
 // Diagnostics are suppressed line by line with an annotation that must carry
 // a reason:

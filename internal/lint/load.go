@@ -33,13 +33,14 @@ type listPkg struct {
 	CgoFiles   []string
 	Standard   bool
 	DepOnly    bool
+	Error      *struct{ Err string } // go list -e reports an unresolvable package here
 }
 
 // LoadPackages loads and type-checks the packages matched by patterns
 // (resolved in dir) and returns them ready for analysis, in go list order.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Standard,DepOnly"}, patterns...)
+		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Standard,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
@@ -67,6 +68,9 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		target := !lp.DepOnly && !lp.Standard
+		if target && lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
 		if len(lp.CgoFiles) > 0 {
 			if target {
 				return nil, fmt.Errorf("%s: cgo packages are not analyzable", lp.ImportPath)
@@ -92,6 +96,9 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 				Path: lp.ImportPath, Fset: fset, Files: files, Types: pkg, Info: info,
 			})
 		}
+	}
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("%v matched no packages", patterns)
 	}
 	return targets, nil
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // NoBoundaryPanic forbids panic calls inside the exported entry points of
-// the library-boundary packages (the facade, sim, federation, cluster). PR 5
-// fixed three sites where an event-loop callback panicked straight through
-// cluster.Run into the caller's frame; the repo's contract since is that
-// every public entry returns an error. The check is lexical: any panic
+// the library-boundary packages (the facade, sim, federation, cluster): an
+// event-loop callback that panics goes straight through cluster.Run into the
+// caller's frame, and the repo's contract is that every public entry returns
+// an error. The check is lexical: any panic
 // reachable in the body of an exported function or method (function literals
 // included — callbacks defined there run on the caller's goroutine) is
 // flagged, unless the declaration guards itself with a deferred recover.

@@ -4,8 +4,8 @@ import "strings"
 
 // The scope tables name the packages each invariant governs. They are keyed
 // by import path (after test-variant normalization) so the same analyzers
-// behave identically under the standalone driver, go vet -vettool, and the
-// test harness, which type-checks its fixtures under these real paths.
+// behave identically under the driver and the test harness, which
+// type-checks its fixtures under these real paths.
 
 // module is the root module path of this repository.
 const module = "elastichpc"
@@ -23,8 +23,8 @@ var deterministicPkgs = map[string]bool{
 }
 
 // boundaryPkgs export the library surface: their entry points must return
-// errors, never panic across the caller's frame (the PR-5 bug class, where
-// event-loop callbacks panicked out of cluster.Run).
+// errors, never panic across the caller's frame (as an event-loop callback
+// panicking out of cluster.Run would).
 var boundaryPkgs = map[string]bool{
 	module:                          true,
 	module + "/internal/sim":        true,

@@ -14,8 +14,8 @@ import (
 // totals are folded exclusively by the seal replay in merge.go. A `+=` on
 // one of these fields anywhere else — a shard-local partial sum, a "quick"
 // correction in the reconciliation path — regroups the fold and diverges by
-// an ULP on some workload; that exact class (UsedSlotSec, found by the PR-8
-// fuzzer at runtime) is what this analyzer rejects at compile time. Any
+// an ULP on some workload; that exact class (UsedSlotSec, which the shard
+// fuzzer found at runtime) is what this analyzer rejects at compile time. Any
 // write counts, not just accumulation: a reset or carry outside the blessed
 // files desynchronizes the seal positions just as surely.
 var SealedFloat = &Analyzer{

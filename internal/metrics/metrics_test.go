@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -354,4 +355,44 @@ func TestFromFederationConverter(t *testing.T) {
 	if !reflect.DeepEqual(back.Runs[0], run) {
 		t.Error("federation run did not round-trip")
 	}
+}
+
+// FuzzReportRead holds the report reader to the decoder contract: hostile
+// bytes are an error, never a panic, and a report that reads — any schema
+// generation — writes back to a file that reads as the same report. "The
+// same" is reflect.DeepEqual up to one thing: an empty list or map reads as
+// empty and is written as absent, so the two sides are compared as
+// encoding/json renders them.
+func FuzzReportRead(f *testing.F) {
+	for _, v := range []string{"v1", "v2", "v3", "v4"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", "report_"+v+".golden.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
+	f.Add([]byte(`{"schema":3,"kind":"sweep","params":{},"sweeps":[{"name":"","x":"","points":[{"x":-0,"runs":null}]}]}`))
+	dir := f.TempDir()
+	in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Read(in)
+		if err != nil {
+			return
+		}
+		if err := Write(out, r); err != nil {
+			t.Fatalf("accepted report does not re-encode: %v", err)
+		}
+		again, err := Read(out)
+		if err != nil {
+			t.Fatalf("re-encoded report does not read: %v", err)
+		}
+		first, _ := json.Marshal(r)
+		second, _ := json.Marshal(again)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the report:\nfirst:  %s\nsecond: %s", first, second)
+		}
+	})
 }

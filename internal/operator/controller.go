@@ -205,32 +205,21 @@ func (c *Controller) reconcile(key string) {
 
 	case desired < job.Status.LaunchedReplicas:
 		// Shrink (§3.1): signal first, remove pods only after the ack.
-		from := job.Status.LaunchedReplicas
 		if err := c.app.Shrink(job, desired); err != nil {
 			c.queue.AddAfter(key, c.RequeueDelay)
 			return
 		}
-		for i := desired; i < from; i++ {
+		for i := desired; i < job.Status.LaunchedReplicas; i++ {
 			_ = c.store.Delete(k8s.KindPod, WorkerName(job.Name, i))
 		}
 		if err := c.writeNodelist(job.Name, runningSet); err != nil {
 			return
 		}
-		job.Status.Phase = JobRunning
-		job.Status.LaunchedReplicas = desired
-		job.Status.Nodelist = runningSet
-		job.Status.Rescales++
-		if err := c.store.Update(job); err != nil {
-			return
-		}
-		if c.OnRescaled != nil {
-			c.OnRescaled(job, from, desired)
-		}
+		c.rescaled(job, runningSet)
 
 	case desired > job.Status.LaunchedReplicas:
 		// Expand (§3.1): pods were added above and are running; update
 		// the nodelist, then signal the application.
-		from := job.Status.LaunchedReplicas
 		if err := c.writeNodelist(job.Name, runningSet); err != nil {
 			return
 		}
@@ -238,16 +227,23 @@ func (c *Controller) reconcile(key string) {
 			c.queue.AddAfter(key, c.RequeueDelay)
 			return
 		}
-		job.Status.Phase = JobRunning
-		job.Status.LaunchedReplicas = desired
-		job.Status.Nodelist = runningSet
-		job.Status.Rescales++
-		if err := c.store.Update(job); err != nil {
-			return
-		}
-		if c.OnRescaled != nil {
-			c.OnRescaled(job, from, desired)
-		}
+		c.rescaled(job, runningSet)
+	}
+}
+
+// rescaled records a shrink or expand the application has acknowledged in the
+// job's status and reports it.
+func (c *Controller) rescaled(job *CharmJob, nodelist []string) {
+	from := job.Status.LaunchedReplicas
+	job.Status.Phase = JobRunning
+	job.Status.LaunchedReplicas = job.Spec.Replicas
+	job.Status.Nodelist = nodelist
+	job.Status.Rescales++
+	if err := c.store.Update(job); err != nil {
+		return
+	}
+	if c.OnRescaled != nil {
+		c.OnRescaled(job, from, job.Spec.Replicas)
 	}
 }
 

@@ -121,9 +121,6 @@ func (s *Store) Used() int64 {
 	return s.used
 }
 
-// Limit reports the store's capacity limit (0 = unlimited).
-func (s *Store) Limit() int64 { return s.limit }
-
 // Len reports the number of segments.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"elastichpc/internal/core"
-)
+import "elastichpc/internal/core"
 
 // The sharded mode's merge must reproduce the sequential Result bit for
 // bit, and floating-point addition is not associative: summing each shard's
@@ -24,11 +20,11 @@ import (
 // Integer counters and float min/max (first start, last end) are exact under
 // any grouping and merge directly.
 //
-// This is also what makes the shard path allocation-lean: the PR-6 merge
-// logged every nonzero utilization increment, finish term, and overhead area
-// (O(events) float64s per epoch, ~40× the sequential footprint on the
-// scaling benchmark); the seal log is O(drains), which the epoch planner
-// already requires to be dense for sharding to pay at all.
+// This is also what makes the shard path allocation-lean: logging every
+// nonzero utilization increment, finish term, and overhead area is O(events)
+// float64s per epoch (~40× the sequential footprint on the scaling
+// benchmark); the seal log is O(drains), which the epoch planner already
+// requires to be dense for sharding to pay at all.
 
 // sealTerm is one drained instant's contribution to each order-sensitive
 // accumulator: the sub-run totals folded at the seal.
@@ -114,34 +110,17 @@ func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error)
 		s.mergedDecisions = core.MergeLogs(logs...)
 	}
 	if s.completed != len(w.Jobs) {
-		for _, sg := range segs {
-			for _, sj := range sg.byRef {
-				if sj.job.State != core.StateCompleted {
-					return Result{Policy: s.cfg.Policy},
-						fmt.Errorf("sim: job %s ended in state %v", sj.job.ID, sj.job.State)
-				}
-			}
-		}
-		return Result{Policy: s.cfg.Policy},
-			fmt.Errorf("sim: %d of %d jobs completed", s.completed, len(w.Jobs))
+		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, len(w.Jobs), segs...)
 	}
 	res := s.resultFromTotals(cs, last.sched.Capacity())
 	if !s.cfg.Streaming {
 		// Every job lives entirely inside one segment (segments are
 		// bounded by drained instants), so the retained records merge by
 		// concatenation in segment order.
-		res.Jobs = make([]JobMetrics, len(w.Jobs))
-		res.ReplicaTimelines = make(map[string][]ReplicaSample, len(w.Jobs))
-		var tl []UtilSample
+		retainedRecords(&res, len(w.Jobs), segs...)
 		for _, sg := range segs {
-			tl = append(tl, sg.utilTL...)
-			for _, sj := range sg.byRef {
-				c := &sg.cold[sj.ref]
-				res.Jobs[sj.widx] = c.meta
-				res.ReplicaTimelines[c.meta.ID] = c.timeline
-			}
+			res.UtilTimeline = append(res.UtilTimeline, sg.utilTL...)
 		}
-		res.UtilTimeline = tl
 	}
 	return res, nil
 }

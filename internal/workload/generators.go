@@ -13,9 +13,9 @@ import (
 // Uniform is the paper's §4.3.1 baseline: n jobs drawn uniformly from the
 // four size classes with uniform priorities in [1,5], submitted a fixed gap
 // apart ("We pick 16 jobs randomly out of these 4 sizes with random
-// priorities between 1 and 5"). Its draw order is the historical
-// sim.RandomWorkload one, so seed-pinned workloads (e.g. Table 1's seed 7)
-// are unchanged by the workload-engine refactor.
+// priorities between 1 and 5"). Its draw order is pinned: seed-pinned
+// workloads (e.g. Table 1's seed 7) and the paper's policy ordering on them
+// depend on it.
 type Uniform struct {
 	Jobs int
 	Gap  float64 // seconds between submissions
