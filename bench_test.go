@@ -17,6 +17,7 @@ import (
 	"elastichpc/internal/core"
 	"elastichpc/internal/lb"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // printOnce guards per-benchmark series printing.
@@ -28,7 +29,7 @@ func once(name string, fn func()) {
 	}
 }
 
-func runAblation(b *testing.B, name string, cfg sim.Config, w sim.Workload) sim.Result {
+func runAblation(b *testing.B, name string, cfg sim.Config, w workload.Workload) sim.Result {
 	b.Helper()
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -67,7 +68,7 @@ func BenchmarkAblationStrictFCFS(b *testing.B) {
 		var bfUtil, stUtil, bfTotal, stTotal float64
 		const seeds = 10
 		for seed := int64(0); seed < seeds; seed++ {
-			w := sim.RandomWorkload(16, 0, seed)
+			w := workload.MustUniform(16, 0, seed)
 			cfg := sim.DefaultConfig(core.Elastic)
 			backfill := runAblation(b, "backfill", cfg, w)
 			cfg2 := sim.DefaultConfig(core.Elastic)
@@ -87,7 +88,7 @@ func BenchmarkAblationStrictFCFS(b *testing.B) {
 
 // BenchmarkAblationPriorityAging — aging off vs on (paper §3.2.2).
 func BenchmarkAblationPriorityAging(b *testing.B) {
-	w := sim.RandomWorkload(16, 30, 7) // high contention: starvation risk
+	w := workload.MustUniform(16, 30, 7) // high contention: starvation risk
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(core.Elastic)
 		off := runAblation(b, "aging-off", cfg, w)
@@ -112,7 +113,7 @@ func BenchmarkAblationPriorityAging(b *testing.B) {
 
 // BenchmarkAblationPreemption — checkpoint-preemption extension (§3.2.2).
 func BenchmarkAblationPreemption(b *testing.B) {
-	w := sim.RandomWorkload(16, 30, 7)
+	w := workload.MustUniform(16, 30, 7)
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(core.Elastic)
 		off := runAblation(b, "preempt-off", cfg, w)
@@ -129,7 +130,7 @@ func BenchmarkAblationPreemption(b *testing.B) {
 // BenchmarkAblationCostBenefit — the §6 cost/benefit rescale gate: decline
 // rescales of nearly-done jobs and expansions that gain few replicas.
 func BenchmarkAblationCostBenefit(b *testing.B) {
-	w := sim.RandomWorkload(16, 0, 7)
+	w := workload.MustUniform(16, 0, 7)
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(core.Elastic)
 		off := runAblation(b, "cb-off", cfg, w)

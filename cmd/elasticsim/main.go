@@ -274,7 +274,7 @@ func main() {
 // scheduling policy and prints the fleet metrics plus the per-cluster job
 // split; a non-zero spec.RebalanceEvery turns on the checkpoint-migrating
 // rebalancer.
-func runFederation(spec runspec.Spec, w sim.Workload) []metrics.Run {
+func runFederation(spec runspec.Spec, w workload.Workload) []metrics.Run {
 	// With the rebalancer on, the header names its period and a Migrations
 	// column sits before the per-cluster job split.
 	round, migrations := "", ""
@@ -310,7 +310,7 @@ func runFederation(spec runspec.Spec, w sim.Workload) []metrics.Run {
 }
 
 // runWorkload runs one workload under every policy and prints the table.
-func runWorkload(title, name string, w sim.Workload, avail workload.AvailabilityTrace, shards int) []metrics.Run {
+func runWorkload(title, name string, w workload.Workload, avail workload.AvailabilityTrace, shards int) []metrics.Run {
 	fmt.Println(title)
 	var runs []metrics.Run
 	for _, p := range core.AllPolicies() {

@@ -59,7 +59,9 @@ func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 // the flag — never parsed and dropped. The first six rows were accepted
 // before the modes declared what they read (`-scenario burst -seeds 5` ran
 // one seed and stamped "seeds": "5" into the report); the rest are the
-// rejections that already existed, which must keep rejecting.
+// rejections that already existed, which must keep rejecting. The last two
+// are a value no workload can have: a sweep over zero jobs used to print a
+// table of zeros and exit 0.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-scenario burst -seeds 5", "-seeds"},
@@ -91,6 +93,9 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-table1 -availability spot", "-availability"},
 		{"-clusters 3 -availability spot", "-availability"},
 		{"-scenario burst -save-workload " + os.DevNull + " -json x.json", "-json"},
+
+		{"-sweep gap -seeds 1 -jobs 0", "jobs=0"},
+		{"-sweep rescale -seeds 1 -jobs -3", "jobs=-3"},
 	} {
 		out, err := elasticsim(strings.Fields(c.args)...)
 		if err == nil {

@@ -28,6 +28,7 @@ import (
 	"elastichpc/internal/model"
 	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 var ascii = flag.Bool("ascii", false, "render profiles as ASCII charts instead of CSV")
@@ -159,7 +160,7 @@ func runFleet(spec runspec.Spec, ckpt int) *metrics.Report {
 		for i := range backends {
 			cfg := cluster.DefaultConfig(p)
 			cfg.CheckpointPeriod = ckpt
-			backends[i] = federation.NewClusterMember(cfg)
+			backends[i] = federation.ClusterMember{Config: cfg}
 		}
 		res, err := federation.Run(federation.Config{Backends: backends, Route: spec.Route, RouteSeed: spec.Seed}, w)
 		if err != nil {
@@ -184,7 +185,11 @@ func runFleet(spec runspec.Spec, ckpt int) *metrics.Report {
 func runSweep(seeds int) *metrics.Report {
 	pts, err := sim.SweepGrid([]float64{0, 60, 120, 180, 240, 300}, seeds, 1,
 		func(gap float64, p core.Policy, seed int64) (sim.Result, error) {
-			return cluster.RunExperiment(cluster.DefaultConfig(p), sim.RandomWorkload(16, gap, seed))
+			w, err := workload.Uniform{Jobs: 16, Gap: gap}.Generate(seed)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return cluster.RunExperiment(cluster.DefaultConfig(p), w)
 		}, (*sim.AverageResult).Accumulate)
 	if err != nil {
 		log.Fatal(err)

@@ -27,9 +27,12 @@ import (
 	"log"
 	"time"
 
-	"elastichpc"
+	"elastichpc/internal/cluster"
+	"elastichpc/internal/core"
 	"elastichpc/internal/k8s"
 	"elastichpc/internal/operator"
+	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 func main() {
@@ -50,7 +53,7 @@ func main() {
 // run executes one job on a fresh emulated cluster and returns its
 // completion time in seconds.
 func run(ckptPeriod int, fail bool) float64 {
-	c, err := elastichpc.NewCluster(elastichpc.DefaultClusterConfig(elastichpc.Elastic))
+	c, err := cluster.New(cluster.DefaultConfig(core.Elastic))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,8 +78,8 @@ func run(ckptPeriod int, fail bool) float64 {
 
 // spotProfile is the shared availability scenario: a spot reclaim roughly
 // every 8 minutes taking a 16-slot node away for ~5 minutes.
-func spotProfile() elastichpc.AvailabilityProfile {
-	return elastichpc.SpotPreemptionProfile{MeanGap: 480, Slots: 16, MeanOutage: 300}
+func spotProfile() workload.AvailabilityProfile {
+	return workload.SpotPreemption{MeanGap: 480, Slots: 16, MeanOutage: 300}
 }
 
 const seed = 7
@@ -85,18 +88,20 @@ const seed = 7
 // discrete-event simulator.
 func spotSimulated() {
 	fmt.Println("=== Act 2: spot preemptions, every policy (DES simulator) ===")
-	// The same inputs Act 3's EmulateAvailability derives: the seed's
+	// The same inputs Act 3's cluster.RunAvailability derives: the seed's
 	// workload and the profile's trace, restored to base past the horizon
 	// so a trace ending mid-outage cannot strand rigid jobs.
-	w, tr, err := elastichpc.Inputs(elastichpc.UniformScenario{Jobs: 16, Gap: 90}, spotProfile(), seed, 64)
+	w, tr, err := sim.Inputs(workload.Uniform{Jobs: 16, Gap: 90}, spotProfile(), seed, 64)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("16 uniform jobs, %d capacity events (seed %d)\n", len(tr.Events), seed)
 	fmt.Printf("%-14s %10s %9s %9s %9s %12s\n",
 		"Scheduler", "Total (s)", "Goodput", "Shrinks", "Requeues", "Lost (r·s)")
-	for _, p := range elastichpc.AllPolicies() {
-		res, err := elastichpc.Simulate(p, w, elastichpc.WithRescaleGap(180), elastichpc.WithAvailability(tr))
+	for _, p := range core.AllPolicies() {
+		cfg := sim.DefaultConfig(p)
+		cfg.RescaleGap, cfg.Availability = 180, tr
+		res, err := sim.Run(cfg, w)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,13 +116,13 @@ func spotSimulated() {
 // spotEmulated runs the same scenario through the full k8s emulation.
 func spotEmulated() {
 	fmt.Println("=== Act 3: the same scenario through the k8s emulation ===")
-	gen := elastichpc.UniformScenario{Jobs: 16, Gap: 90}
+	gen := workload.Uniform{Jobs: 16, Gap: 90}
 	fmt.Printf("%-14s %10s %9s %9s %9s %12s\n",
 		"Scheduler", "Total (s)", "Goodput", "Shrinks", "Requeues", "Lost (r·s)")
-	for _, p := range []elastichpc.Policy{elastichpc.RigidMax, elastichpc.Elastic} {
-		cfg := elastichpc.DefaultClusterConfig(p)
+	for _, p := range []core.Policy{core.RigidMax, core.Elastic} {
+		cfg := cluster.DefaultConfig(p)
 		cfg.CheckpointPeriod = 1000
-		res, err := elastichpc.EmulateAvailability(cfg, gen, spotProfile(), seed)
+		res, err := cluster.RunAvailability(cfg, gen, spotProfile(), seed)
 		if err != nil {
 			log.Fatal(err)
 		}

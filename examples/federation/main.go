@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"log"
 
-	hpc "elastichpc"
+	"elastichpc/internal/core"
+	"elastichpc/internal/federation"
+	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
-func run(title string, cfg hpc.FederationConfig, w hpc.Workload) hpc.FederationResult {
-	res, err := hpc.Federate(cfg, w)
+func run(title string, cfg federation.Config, w workload.Workload) federation.Result {
+	res, err := federation.Run(cfg, w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,29 +34,29 @@ func run(title string, cfg hpc.FederationConfig, w hpc.Workload) hpc.FederationR
 
 func main() {
 	// One flash-crowd workload: 8 waves of 24 simultaneous submissions.
-	gen := hpc.BurstScenario{Waves: 8, PerWave: 24, WaveGap: 1800}
+	gen := workload.Burst{Waves: 8, PerWave: 24, WaveGap: 1800}
 	w, err := gen.Generate(42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := hpc.SimConfig{Policy: hpc.Elastic, Capacity: 64, RescaleGap: 180, Machine: hpc.DefaultMachine()}
+	base := sim.DefaultConfig(core.Elastic) // 64 slots, 180 s rescale gap, the calibrated machine
 
 	// Act 1: a homogeneous 4-cluster fleet. Round-robin dealing is fine
 	// when every member looks the same.
 	run("act 1: homogeneous fleet, round-robin",
-		hpc.FederationConfig{Members: hpc.UniformFederation(base, 4), Route: hpc.RouteRoundRobin}, w)
+		federation.Config{Members: federation.Uniform(base, 4), Route: federation.RoundRobin}, w)
 
 	// Act 2: the same deal on a skewed fleet (64/96/128/160 slots).
 	// Round-robin ignores capacity, so the small cluster drowns while the
 	// big one idles — watch the imbalance.
 	rr := run("act 2: skewed fleet, round-robin",
-		hpc.FederationConfig{Members: hpc.SkewedFederation(base, 4, 0.5), Route: hpc.RouteRoundRobin}, w)
+		federation.Config{Members: federation.Skewed(base, 4, 0.5), Route: federation.RoundRobin}, w)
 
 	// Act 3: the least-loaded route books each job against the member with
 	// the lowest queued min-PE demand per slot, so the big clusters soak up
 	// proportionally more of every wave.
 	ll := run("act 3: skewed fleet, least-loaded",
-		hpc.FederationConfig{Members: hpc.SkewedFederation(base, 4, 0.5), Route: hpc.RouteLeastLoaded}, w)
+		federation.Config{Members: federation.Skewed(base, 4, 0.5), Route: federation.LeastLoaded}, w)
 	fmt.Printf("\nimbalance %.1f%% → %.1f%%; fleet completion %.1fs → %.1fs\n",
 		100*rr.Imbalance, 100*ll.Imbalance, rr.WeightedCompletion, ll.WeightedCompletion)
 
@@ -61,6 +64,6 @@ func main() {
 	// weighted response of high-priority jobs under both routes by reading
 	// the per-member results back.
 	pa := run("coda: skewed fleet, priority-aware",
-		hpc.FederationConfig{Members: hpc.SkewedFederation(base, 4, 0.5), Route: hpc.RoutePriority}, w)
+		federation.Config{Members: federation.Skewed(base, 4, 0.5), Route: federation.PriorityAware}, w)
 	fmt.Printf("\npriority-aware w.resp %.1fs (round-robin %.1fs)\n", pa.WeightedResponse, rr.WeightedResponse)
 }

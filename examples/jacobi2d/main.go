@@ -11,7 +11,9 @@ import (
 	"log"
 	"time"
 
-	"elastichpc"
+	"elastichpc/internal/apps"
+	"elastichpc/internal/ccs"
+	"elastichpc/internal/charm"
 )
 
 func main() {
@@ -20,7 +22,7 @@ func main() {
 		grid  = 512
 		iters = 60
 	)
-	rt, err := elastichpc.NewRuntime(elastichpc.RuntimeConfig{PEs: pes})
+	rt, err := charm.New(charm.Config{PEs: pes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,14 +30,14 @@ func main() {
 
 	// 4 chares per PE: overdecomposition enables load balancing and
 	// rescaling (paper §2.1).
-	app, err := elastichpc.NewJacobi2D(rt, grid, 8, 4)
+	app, err := apps.NewJacobiRunner(rt, grid, 8, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	app.LBPeriod = 10
 
 	// Expose the CCS endpoint an external scheduler would signal.
-	ccsHandle, err := rt.ServeCCS(elastichpc.CCSOptions{Addr: "127.0.0.1:0", Status: app.Status})
+	ccsHandle, err := rt.ServeCCS(charm.CCSOptions{Addr: "127.0.0.1:0", Status: app.Status})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 
 	// External controller: shrink to half, later expand back.
 	go func() {
-		client, err := elastichpc.DialCCS(ccsHandle.Addr(), time.Minute)
+		client, err := ccs.Dial(ccsHandle.Addr(), time.Minute)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"log"
 
-	"elastichpc"
+	"elastichpc/internal/apps"
+	"elastichpc/internal/charm"
 )
 
 func main() {
@@ -23,11 +24,11 @@ func main() {
 
 	var base float64
 	for _, pes := range []int{1, 2, 4, 8} {
-		rt, err := elastichpc.NewRuntime(elastichpc.RuntimeConfig{PEs: pes})
+		rt, err := charm.New(charm.Config{PEs: pes})
 		if err != nil {
 			log.Fatal(err)
 		}
-		app, err := elastichpc.NewLeanMD(rt, 4, 4, 4, atomsPerCell, seed)
+		app, err := apps.NewLeanMDRunner(rt, 4, 4, 4, atomsPerCell, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

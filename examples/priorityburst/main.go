@@ -12,23 +12,24 @@ import (
 	"log"
 	"time"
 
-	"elastichpc"
+	"elastichpc/internal/cluster"
+	"elastichpc/internal/core"
 	"elastichpc/internal/k8s"
 	"elastichpc/internal/operator"
 )
 
 func main() {
-	for _, policy := range []elastichpc.Policy{elastichpc.Moldable, elastichpc.Elastic} {
+	for _, policy := range []core.Policy{core.Moldable, core.Elastic} {
 		fmt.Printf("=== %s policy ===\n", policy)
 		run(policy)
 		fmt.Println()
 	}
 }
 
-func run(policy elastichpc.Policy) {
-	cfg := elastichpc.DefaultClusterConfig(policy)
+func run(policy core.Policy) {
+	cfg := cluster.DefaultConfig(policy)
 	cfg.RescaleGap = 60 * time.Second
-	c, err := elastichpc.NewCluster(cfg)
+	c, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,20 +9,25 @@ import (
 	"fmt"
 	"log"
 
-	"elastichpc"
+	"elastichpc/internal/cluster"
+	"elastichpc/internal/core"
+	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 func main() {
 	// 16 jobs drawn from the paper's four size classes, priorities 1–5,
 	// submitted 90 seconds apart (the Table 1 configuration; seed 7 is the
 	// repository's pinned Table 1 workload).
-	workload := elastichpc.RandomWorkload(16, 90, 7)
+	w := workload.MustUniform(16, 90, 7)
 
 	fmt.Println("Policy comparison: 16 jobs, 90s submission gap, T_rescale_gap = 180s")
 	fmt.Printf("%-14s %12s %12s %16s %18s\n",
 		"scheduler", "total (s)", "utilization", "w.response (s)", "w.completion (s)")
-	for _, policy := range elastichpc.AllPolicies() {
-		res, err := elastichpc.Simulate(policy, workload, elastichpc.WithRescaleGap(180))
+	for _, policy := range core.AllPolicies() {
+		cfg := sim.DefaultConfig(policy)
+		cfg.RescaleGap = 180
+		res, err := sim.Run(cfg, w)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,7 +38,7 @@ func main() {
 
 	// The same workload through the full Kubernetes emulation (operator,
 	// pod scheduler, kubelet, CCS protocol) for the elastic policy.
-	res, err := elastichpc.Emulate(elastichpc.DefaultClusterConfig(elastichpc.Elastic), workload)
+	res, err := cluster.RunExperiment(cluster.DefaultConfig(core.Elastic), w)
 	if err != nil {
 		log.Fatal(err)
 	}

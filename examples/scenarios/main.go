@@ -13,7 +13,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"elastichpc"
+	"elastichpc/internal/cluster"
+	"elastichpc/internal/core"
+	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 func main() {
@@ -21,7 +24,7 @@ func main() {
 	//    the same seed always yields the same workload, so experiments are
 	//    reproducible and parallel sweeps are bit-identical to sequential.
 	fmt.Println("Built-in workload scenarios (seed 7):")
-	for _, gen := range elastichpc.DefaultScenarios() {
+	for _, gen := range workload.DefaultScenarios() {
 		w, err := gen.Generate(7)
 		if err != nil {
 			log.Fatal(err)
@@ -35,14 +38,14 @@ func main() {
 	//    sequential reference path — the results are identical bit for bit.
 	const seeds = 3
 	start := time.Now()
-	results, err := elastichpc.ScenarioSweep(elastichpc.DefaultScenarios(), seeds, 180, 0)
+	results, err := sim.ScenarioSweep(workload.DefaultScenarios(), seeds, 180, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nScenario sweep (%d seeds, parallel, %v):\n", seeds, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  %-8s %-14s %12s %12s\n", "scenario", "scheduler", "total (s)", "utilization")
 	for _, sr := range results {
-		for _, p := range elastichpc.AllPolicies() {
+		for _, p := range core.AllPolicies() {
 			avg := sr.ByPolicy[p]
 			fmt.Printf("  %-8s %-14s %12.0f %11.1f%%\n", sr.Name, p, avg.TotalTime, 100*avg.Utilization)
 		}
@@ -50,7 +53,7 @@ func main() {
 
 	// 3. Traces: any workload can be saved (JSON, or CSV by extension) and
 	//    replayed later — on another machine, in another harness.
-	burst := elastichpc.BurstScenario{Waves: 3, PerWave: 4, WaveGap: 300}
+	burst := workload.Burst{Waves: 3, PerWave: 4, WaveGap: 300}
 	w, err := burst.Generate(42)
 	if err != nil {
 		log.Fatal(err)
@@ -61,10 +64,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "burst.csv")
-	if err := elastichpc.SaveWorkload(path, w, "burst scenario, seed 42"); err != nil {
+	if err := workload.SaveFile(path, w, "burst scenario, seed 42"); err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := elastichpc.LoadWorkload(path)
+	replayed, err := workload.LoadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,15 +75,17 @@ func main() {
 
 	// 4. One workload, two backends: the trace drives the discrete-event
 	//    simulator and the full k8s+operator emulation interchangeably.
-	trace, err := elastichpc.Scenario("trace", path)
+	trace, err := workload.Scenario("trace", path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	simRes, err := elastichpc.Simulate(elastichpc.Elastic, replayed, elastichpc.WithRescaleGap(180))
+	cfg := sim.DefaultConfig(core.Elastic)
+	cfg.RescaleGap = 180
+	simRes, err := sim.Run(cfg, replayed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	actRes, err := elastichpc.EmulateScenario(elastichpc.DefaultClusterConfig(elastichpc.Elastic), trace, 0)
+	actRes, err := cluster.RunAvailability(cluster.DefaultConfig(core.Elastic), trace, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func main() {
 }
 
 // firstGap is the gap between the first two submissions (0 for bursts).
-func firstGap(w elastichpc.Workload) float64 {
+func firstGap(w workload.Workload) float64 {
 	if len(w.Jobs) < 2 {
 		return 0
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"elastichpc/internal/ccs"
 	"elastichpc/internal/charm"
 	"elastichpc/internal/pup"
 )
@@ -278,6 +279,48 @@ func TestRunnerStatus(t *testing.T) {
 	}
 	if st.DoneFraction < 0.9 {
 		t.Errorf("DoneFraction = %g", st.DoneFraction)
+	}
+}
+
+// TestRunnerServicesCCSShrink is the external-controller path end to end: a
+// shrink sent over the runtime's CCS socket is serviced by the runner's own
+// iteration loop, with the runner's Status behind the query endpoint.
+func TestRunnerServicesCCSShrink(t *testing.T) {
+	rt := newRT(t, 4)
+	r, err := NewJacobiRunner(rt, 32, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.LBPeriod = 5
+	h, err := rt.ServeCCS(charm.CCSOptions{Addr: "127.0.0.1:0", Status: r.Status})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		c, err := ccs.Dial(h.Addr(), 30*time.Second)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		done <- c.Shrink(2)
+	}()
+	// The request may land after a short run completes: keep iterating
+	// until it has been serviced.
+	deadline := time.Now().Add(30 * time.Second)
+	for rt.NumPEs() != 2 && time.Now().Before(deadline) {
+		if _, err := r.Run(10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("CCS shrink: %v", err)
+	}
+	if rt.NumPEs() != 2 {
+		t.Fatalf("NumPEs = %d after CCS shrink", rt.NumPEs())
 	}
 }
 

@@ -252,13 +252,6 @@ func Table1Actual() (map[core.Policy]sim.Result, error) {
 	return out, nil
 }
 
-// RunGenerator generates one seed of a workload scenario and runs it through
-// the full emulation — the cluster-backend twin of generating and handing the
-// workload to sim.Run.
-func RunGenerator(cfg Config, g workload.Generator, seed int64) (sim.Result, error) {
-	return RunAvailability(cfg, g, nil, seed)
-}
-
 // RunAvailability derives one seed of a workload scenario and an
 // availability profile (nil = fixed capacity) with the recipe the simulator
 // uses, sim.Inputs, and runs both through the full emulation — the

@@ -10,6 +10,7 @@ import (
 	"elastichpc/internal/model"
 	"elastichpc/internal/operator"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 func smallJob(name string, prio, min, max, grid, steps int) *operator.CharmJob {
@@ -166,7 +167,7 @@ func TestMoldableNeverRescalesInEmulation(t *testing.T) {
 }
 
 func TestUtilizationWithinBounds(t *testing.T) {
-	w := sim.RandomWorkload(6, 60, 3)
+	w := workload.MustUniform(6, 60, 3)
 	res, err := RunExperiment(DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func TestCrossBackendAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-backend emulation in -short mode")
 	}
-	w := sim.RandomWorkload(8, 120, 3)
+	w := workload.MustUniform(8, 120, 3)
 	for _, p := range []core.Policy{core.Elastic, core.RigidMax} {
 		simRes, err := sim.Run(sim.DefaultConfig(p), w)
 		if err != nil {

@@ -127,7 +127,7 @@ type watchedMember struct {
 	t *testing.T
 }
 
-func (m watchedMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
+func (m watchedMember) Run(w workload.Workload) (sim.Result, []core.Decision, error) {
 	return runWatched(m.t, m.Config, w, nil)
 }
 
@@ -177,7 +177,7 @@ func TestNoConsumerWritesThroughAView(t *testing.T) {
 	t.Run("failnode", func(t *testing.T) {
 		cfg := cluster.DefaultConfig(core.Elastic)
 		cfg.CheckpointPeriod = 1000
-		w := sim.RandomWorkload(4, 30, 5)
+		w := workload.MustUniform(4, 30, 5)
 		failed := 0
 		_, _, err := runWatched(t, cfg, w, func(c *cluster.Cluster) {
 			c.FailNode("node-0", 120*time.Second)
@@ -192,10 +192,10 @@ func TestNoConsumerWritesThroughAView(t *testing.T) {
 	})
 	t.Run("federation", func(t *testing.T) {
 		backends := []federation.Member{
-			watchedMember{federation.NewClusterMember(cluster.DefaultConfig(core.Elastic)), t},
-			watchedMember{federation.NewClusterMember(cluster.DefaultConfig(core.RigidMax)), t},
+			watchedMember{federation.ClusterMember{Config: cluster.DefaultConfig(core.Elastic)}, t},
+			watchedMember{federation.ClusterMember{Config: cluster.DefaultConfig(core.RigidMax)}, t},
 		}
-		res, err := federation.Run(federation.Config{Backends: backends, Workers: 1}, sim.RandomWorkload(16, 60, 3))
+		res, err := federation.Run(federation.Config{Backends: backends, Workers: 1}, workload.MustUniform(16, 60, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // TestResultIsIdempotent is the regression test for the tail fold-in bug:
@@ -42,7 +43,7 @@ func TestResultIsIdempotent(t *testing.T) {
 // by (SubmitAt, ID), and two separate emulations of the same workload must
 // serialize identically.
 func TestResultJobsSortedDeterministically(t *testing.T) {
-	w := sim.RandomWorkload(8, 60, 5)
+	w := workload.MustUniform(8, 60, 5)
 	run := func() sim.Result {
 		res, err := RunExperiment(DefaultConfig(core.Elastic), w)
 		if err != nil {

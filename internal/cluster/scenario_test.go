@@ -41,7 +41,7 @@ func TestAllGeneratorsRunThroughBothBackends(t *testing.T) {
 		if simRes.TotalTime <= 0 || len(simRes.Jobs) != len(w.Jobs) {
 			t.Errorf("%s: sim degenerate result %+v", g.Name(), simRes)
 		}
-		actRes, err := RunGenerator(DefaultConfig(core.Elastic), g, 1)
+		actRes, err := RunAvailability(DefaultConfig(core.Elastic), g, nil, 1)
 		if err != nil {
 			t.Fatalf("%s: cluster backend: %v", g.Name(), err)
 		}
@@ -55,8 +55,8 @@ func TestAllGeneratorsRunThroughBothBackends(t *testing.T) {
 }
 
 func TestRunGeneratorPropagatesError(t *testing.T) {
-	_, err := RunGenerator(DefaultConfig(core.Elastic), workload.Trace{}, 1)
+	_, err := RunAvailability(DefaultConfig(core.Elastic), workload.Trace{}, nil, 1)
 	if err == nil {
-		t.Error("RunGenerator swallowed a generator error")
+		t.Error("RunAvailability swallowed a generator error")
 	}
 }

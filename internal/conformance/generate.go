@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"elastichpc/internal/model"
-	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
@@ -16,7 +15,7 @@ import (
 // streams; Shrink minimizes a failing one.
 type Scenario struct {
 	Name     string
-	Workload sim.Workload
+	Workload workload.Workload
 	Trace    workload.AvailabilityTrace
 }
 
@@ -61,7 +60,7 @@ func RandomScenario(rng *rand.Rand) Scenario {
 	}
 	sc := Scenario{
 		Name:     fmt.Sprintf("random-%djobs", n),
-		Workload: sim.Workload{Jobs: jobs},
+		Workload: workload.Workload{Jobs: jobs},
 	}
 	span := at + 3600
 	switch rng.Intn(6) {
@@ -192,7 +191,7 @@ func shrinkJobs(sc Scenario, fails func(Scenario) bool) (Scenario, bool) {
 			jobs := append([]workload.JobSpec(nil), sc.Workload.Jobs[:lo]...)
 			jobs = append(jobs, sc.Workload.Jobs[lo+chunk:]...)
 			cand := sc
-			cand.Workload = sim.Workload{Jobs: jobs}
+			cand.Workload = workload.Workload{Jobs: jobs}
 			if fails(cand) {
 				sc = cand
 				improved = true

@@ -103,7 +103,7 @@ func skewedScenario(seed int64, heavyFirst bool) (Scenario, error) {
 		j.SubmitAt += offset
 		jobs = append(jobs, j)
 	}
-	return Scenario{Name: name, Workload: sim.Workload{Jobs: jobs}}, nil
+	return Scenario{Name: name, Workload: workload.Workload{Jobs: jobs}}, nil
 }
 
 // matrixScenarios are the fixed workload shapes the sim cells sweep —

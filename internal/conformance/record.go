@@ -6,12 +6,13 @@ import (
 	"elastichpc/internal/cluster"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // RecordSim runs one simulator configuration over a workload and captures
 // its stream: the decision log (when cfg.LogDecisions is set) plus the
 // bit-exact result summary.
-func RecordSim(cfg sim.Config, w sim.Workload) (*Stream, error) {
+func RecordSim(cfg sim.Config, w workload.Workload) (*Stream, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -34,7 +35,7 @@ func simStream(s *sim.Simulator, res sim.Result) *Stream {
 
 // RecordStepped is RecordSim driven through the stepping surface instead of
 // Run: Begin, StepTo every `every` seconds until the timeline drains, Finish.
-func RecordStepped(cfg sim.Config, w sim.Workload, every float64) (*Stream, error) {
+func RecordStepped(cfg sim.Config, w workload.Workload, every float64) (*Stream, error) {
 	s, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -56,7 +57,7 @@ func RecordStepped(cfg sim.Config, w sim.Workload, every float64) (*Stream, erro
 
 // RecordCluster runs one emulated-cluster configuration over a workload and
 // captures its stream (decision log when cfg.LogDecisions is set).
-func RecordCluster(cfg cluster.Config, w sim.Workload) (*Stream, error) {
+func RecordCluster(cfg cluster.Config, w workload.Workload) (*Stream, error) {
 	res, decs, err := cluster.RunRecorded(cfg, w)
 	if err != nil {
 		return nil, err
@@ -71,7 +72,7 @@ func RecordCluster(cfg cluster.Config, w sim.Workload) (*Stream, error) {
 // RecordFederation runs one federation configuration and captures the fleet
 // stream: the migration log, the fleet summary, and one member sub-stream
 // per cluster (with decisions for members that logged them).
-func RecordFederation(cfg federation.Config, w sim.Workload) (*Stream, error) {
+func RecordFederation(cfg federation.Config, w workload.Workload) (*Stream, error) {
 	res, err := federation.Run(cfg, w)
 	if err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func (s RunSpec) resolved() RunSpec {
 }
 
 // workload builds the spec's generated workload and optional drain trace.
-func (s RunSpec) workload(capacity int) (sim.Workload, workload.AvailabilityTrace, error) {
+func (s RunSpec) workload(capacity int) (workload.Workload, workload.AvailabilityTrace, error) {
 	var g workload.Generator
 	switch s.Scenario {
 	case "uniform":
@@ -66,12 +66,12 @@ func (s RunSpec) workload(capacity int) (sim.Workload, workload.AvailabilityTrac
 	case "burst":
 		g = workload.Burst{Waves: s.Waves, PerWave: s.Jobs / s.Waves, WaveGap: s.Gap}
 	default:
-		return sim.Workload{}, workload.AvailabilityTrace{},
+		return workload.Workload{}, workload.AvailabilityTrace{},
 			fmt.Errorf("conformance: unknown scenario %q (have uniform, burst)", s.Scenario)
 	}
 	w, err := g.Generate(s.Seed)
 	if err != nil {
-		return sim.Workload{}, workload.AvailabilityTrace{}, err
+		return workload.Workload{}, workload.AvailabilityTrace{}, err
 	}
 	var tr workload.AvailabilityTrace
 	if s.Drain && s.Backend != "federation" {
@@ -83,7 +83,7 @@ func (s RunSpec) workload(capacity int) (sim.Workload, workload.AvailabilityTrac
 		tr, err = workload.MaintenanceDrain{Every: span / 6, Duration: span / 12, Keep: keep}.
 			Events(s.Seed, capacity, span)
 		if err != nil {
-			return sim.Workload{}, workload.AvailabilityTrace{}, err
+			return workload.Workload{}, workload.AvailabilityTrace{}, err
 		}
 		// Restore full capacity at the horizon so rigid baselines stay
 		// feasible (same rationale as the equivalence scenarios).

@@ -42,7 +42,7 @@ func denseTwin(sc Scenario) Scenario {
 	for i := range jobs {
 		jobs[i].SubmitAt /= 40
 	}
-	sc.Workload = sim.Workload{Jobs: jobs}
+	sc.Workload = workload.Workload{Jobs: jobs}
 	sc.Name += "-dense"
 	return sc
 }

@@ -57,7 +57,7 @@ func newTestClock() *testClock {
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newSched(t *testing.T, cfg Config) (*Scheduler, *fakeActuator, *testClock) {
+func newSched(t testing.TB, cfg Config) (*Scheduler, *fakeActuator, *testClock) {
 	t.Helper()
 	act := &fakeActuator{}
 	clk := newTestClock()

@@ -8,7 +8,7 @@ import (
 
 // populatedSched builds a scheduler holding a mix of running and queued
 // jobs, with some wall-clock history behind the gap checks.
-func populatedSched(t *testing.T) (*Scheduler, *testClock) {
+func populatedSched(t testing.TB) (*Scheduler, *testClock) {
 	t.Helper()
 	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute})
 	for _, j := range []*Job{
@@ -341,4 +341,103 @@ func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
 	if a, b := src.ExportState(), dst.ExportState(); !reflect.DeepEqual(a, b) {
 		t.Errorf("schedulers diverged after the restore:\nsource:   %+v\nrestored: %+v", a, b)
 	}
+}
+
+// The fuzzed snapshot is two header bytes (capacity, per-job overhead slots)
+// and nine bytes a job: which list, ID ("" or one letter, so duplicates are
+// common), state, priority, min, max and replicas as signed bytes (zero and
+// negative included), and the submit and last-action instants in seconds
+// after the test clock's origin (last action 0 = never).
+const (
+	fuzzStateHeader = 2
+	fuzzStateJob    = 9
+	fuzzStateJobs   = 32
+)
+
+func decodeFuzzState(data []byte, origin time.Time) (st SchedulerState, overhead int) {
+	if len(data) < fuzzStateHeader {
+		return st, 0
+	}
+	st.Capacity, overhead = int(int8(data[0])), int(data[1]%3)
+	data = data[fuzzStateHeader:]
+	for n := 0; len(data) >= fuzzStateJob && n < fuzzStateJobs; n, data = n+1, data[fuzzStateJob:] {
+		j := Job{
+			State: State(data[2] % 6), Priority: int(int8(data[3])),
+			MinReplicas: int(int8(data[4])), MaxReplicas: int(int8(data[5])), Replicas: int(int8(data[6])),
+			SubmitTime: origin.Add(time.Duration(data[7]) * time.Second),
+		}
+		if data[1] != 0 {
+			j.ID = string(rune('a' + (data[1]-1)%26))
+		}
+		if data[8] != 0 {
+			j.LastAction = origin.Add(time.Duration(data[8]-1) * time.Second)
+		}
+		if data[0]%2 == 0 {
+			st.Running = append(st.Running, j)
+		} else {
+			st.Queued = append(st.Queued, j)
+		}
+	}
+	return st, overhead
+}
+
+// encodeFuzzState is decodeFuzzState's inverse on the fixtures above (one-
+// letter IDs, instants within 255 s of origin): it seeds the corpus.
+func encodeFuzzState(st SchedulerState, origin time.Time) []byte {
+	data := []byte{byte(st.Capacity), 0}
+	for list, jobs := range [][]Job{st.Running, st.Queued} {
+		for _, j := range jobs {
+			last := byte(0)
+			if !j.LastAction.IsZero() {
+				last = byte(j.LastAction.Sub(origin)/time.Second) + 1
+			}
+			data = append(data, byte(list), j.ID[0]-'a'+1, byte(j.State), byte(j.Priority),
+				byte(j.MinReplicas), byte(j.MaxReplicas), byte(j.Replicas),
+				byte(j.SubmitTime.Sub(origin)/time.Second), last)
+		}
+	}
+	return data
+}
+
+// FuzzRestoreState holds RestoreState to its contract on snapshots nobody
+// exported: a snapshot a service front-end hands in is rejected with an error
+// or restored, never a panic; a restored one exports to a snapshot that
+// restores into a fresh scheduler and exports the same again; the free-slot
+// count is what the running set leaves of the capacity; and the restored
+// scheduler is live — a scheduling pass over it does not panic either.
+func FuzzRestoreState(f *testing.F) {
+	origin := newTestClock().t
+	src, _ := populatedSched(f)
+	f.Add(encodeFuzzState(src.ExportState(), origin))
+	for _, c := range []int{3, 10} { // TestSchedulerStateMidEpochRoundTrip's drop and raise
+		if err := src.SetCapacity(c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeFuzzState(src.ExportState(), origin))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, overhead := decodeFuzzState(data, origin)
+		cfg := Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute, JobOverheadSlots: overhead}
+		s, _, clk := newSched(t, cfg)
+		clk.advance(30 * time.Second) // inside some jobs' rescale gap, past others'
+		if err := s.RestoreState(st); err != nil {
+			return
+		}
+		first := s.ExportState()
+		used := 0
+		for _, j := range first.Running {
+			used += j.Replicas + overhead
+		}
+		if s.FreeSlots() != first.Capacity-used {
+			t.Fatalf("FreeSlots = %d with %d of %d slots in use", s.FreeSlots(), used, first.Capacity)
+		}
+		again, _, _ := newSched(t, cfg)
+		if err := again.RestoreState(first); err != nil {
+			t.Fatalf("an exported snapshot does not restore: %v\n%+v", err, first)
+		}
+		if second := again.ExportState(); !reflect.DeepEqual(first, second) {
+			t.Fatalf("round trip changed the snapshot:\nfirst:  %+v\nsecond: %+v", first, second)
+		}
+		s.Reschedule()
+	})
 }

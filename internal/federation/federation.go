@@ -5,6 +5,7 @@ import (
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // DefaultHighPriority is the PriorityAware threshold: on the paper's 1–5
@@ -21,7 +22,7 @@ type Config struct {
 	// own machine and availability trace for its placement estimates.
 	Members []sim.Config
 	// Backends, when non-empty, overrides Members with arbitrary member
-	// backends — e.g. the full cluster emulation via NewClusterMember, or a
+	// backends — e.g. the full cluster emulation (ClusterMember), or a
 	// mixed fleet. When empty, each Members entry is wrapped in a
 	// SimMember. Rebalancing (below) requires simulator-backed members.
 	Backends []Member
@@ -165,7 +166,7 @@ func (r Result) fleetView() sim.Result {
 // co-simulate in barrier-synchronized rounds between which the rebalancer
 // checkpoint-migrates jobs (see migrate.go) — still deterministic and still
 // bit-identical across worker counts.
-func Run(cfg Config, w sim.Workload) (Result, error) {
+func Run(cfg Config, w workload.Workload) (Result, error) {
 	if cfg.Rebalance.enabled() {
 		return runRebalanced(cfg, w, (*rebalancer).round)
 	}

@@ -11,7 +11,7 @@ import (
 	"elastichpc/internal/workload"
 )
 
-func testWorkload(t *testing.T, jobs int) sim.Workload {
+func testWorkload(t *testing.T, jobs int) workload.Workload {
 	t.Helper()
 	w, err := (workload.Burst{Waves: jobs / 16, PerWave: 16, WaveGap: 1200}).Generate(3)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRoundRobinDealsEvenly(t *testing.T) {
 func TestPriorityAwareSendsHighPriorityLeastLoaded(t *testing.T) {
 	// Two members, one pre-loaded: a burst of low-priority jobs lands
 	// round-robin, then a high-priority job must go to the emptier member.
-	w := sim.Workload{}
+	w := workload.Workload{}
 	for i := 0; i < 2; i++ {
 		w.Jobs = append(w.Jobs, workload.JobSpec{
 			ID: string(rune('a' + i)), Class: model.XLarge, Priority: 1, SubmitAt: float64(i),
@@ -234,7 +234,7 @@ func TestLeastLoadedBeatsRoundRobinOnSkewedArrivals(t *testing.T) {
 // delivered-capacity denominator must still honor them — an idle member that
 // would have been drained to 1 slot cannot be charged as 64 idle slots.
 func TestAggregationAccountsTrailingAvailability(t *testing.T) {
-	w := sim.Workload{Jobs: []workload.JobSpec{
+	w := workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "long", Class: model.XLarge, Priority: 3, SubmitAt: 0}, // → member 0
 		{ID: "short", Class: model.Small, Priority: 3, SubmitAt: 1}, // → member 1
 	}}

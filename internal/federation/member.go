@@ -30,7 +30,7 @@ type Member interface {
 	// Run simulates (or emulates) the member's sub-workload to completion
 	// and returns the result with the member scheduler's decision log (nil
 	// unless the member logs decisions).
-	Run(w sim.Workload) (sim.Result, []core.Decision, error)
+	Run(w workload.Workload) (sim.Result, []core.Decision, error)
 }
 
 // stepBackend is the optional Member extension the rebalancer needs: a
@@ -48,9 +48,6 @@ type SimMember struct {
 	Config sim.Config
 }
 
-// NewSimMember wraps a simulator configuration as a federation member.
-func NewSimMember(cfg sim.Config) SimMember { return SimMember{Config: cfg} }
-
 // Capacity implements Member.
 func (m SimMember) Capacity() int { return m.Config.Capacity }
 
@@ -65,7 +62,7 @@ func (m SimMember) Policy() core.Policy { return m.Config.Policy }
 
 // Run implements Member; the log is nil unless the member config sets
 // LogDecisions.
-func (m SimMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
+func (m SimMember) Run(w workload.Workload) (sim.Result, []core.Decision, error) {
 	s, err := sim.New(m.Config)
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -93,10 +90,6 @@ type ClusterMember struct {
 	Config cluster.Config
 }
 
-// NewClusterMember wraps a cluster-emulation configuration as a federation
-// member.
-func NewClusterMember(cfg cluster.Config) ClusterMember { return ClusterMember{Config: cfg} }
-
 // Capacity implements Member.
 func (m ClusterMember) Capacity() int { return m.Config.Nodes * m.Config.CPUPerNode }
 
@@ -111,6 +104,6 @@ func (m ClusterMember) Policy() core.Policy { return m.Config.Policy }
 
 // Run implements Member on the emulation backend; the log is nil unless the
 // member config sets LogDecisions.
-func (m ClusterMember) Run(w sim.Workload) (sim.Result, []core.Decision, error) {
+func (m ClusterMember) Run(w workload.Workload) (sim.Result, []core.Decision, error) {
 	return cluster.RunRecorded(m.Config, w)
 }

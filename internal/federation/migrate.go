@@ -232,7 +232,7 @@ type roundFunc func(r *rebalancer, t float64, round int) (int, error)
 
 // runRebalanced is the rebalancing twin of Run: co-simulate the members in
 // rounds of Config.Rebalance.Every seconds, migrating jobs at each barrier.
-func runRebalanced(cfg Config, w sim.Workload, round roundFunc) (Result, error) {
+func runRebalanced(cfg Config, w workload.Workload, round roundFunc) (Result, error) {
 	backends := cfg.backends()
 	parts, _, err := Partition(cfg, w)
 	if err != nil {

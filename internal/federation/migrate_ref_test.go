@@ -219,7 +219,7 @@ func refRound(backends []Member) roundFunc {
 // members of skewed capacity, each with its own machine and (two in three)
 // an availability trace, any scheduling policy and route, and both
 // rebalancer knobs.
-func randomFleet(t *testing.T, seed int64) (Config, sim.Workload) {
+func randomFleet(t *testing.T, seed int64) (Config, workload.Workload) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(n int) int { return rng.Intn(n) }

@@ -94,7 +94,7 @@ func TestRebalanceImprovesImbalance(t *testing.T) {
 // iterations intact — to the healthy member before the capacity event would
 // force a local requeue.
 func TestRebalanceMigratesRunningOffDrainingMember(t *testing.T) {
-	w := sim.Workload{}
+	w := workload.Workload{}
 	for i := 0; i < 6; i++ {
 		w.Jobs = append(w.Jobs, workload.JobSpec{
 			ID: string(rune('a' + i)), Class: model.XLarge, Priority: 3, SubmitAt: float64(i),
@@ -144,12 +144,13 @@ func TestRebalanceValidation(t *testing.T) {
 
 // TestRebalanceRejectsNonSteppableBackend: rebalancing needs steppable
 // members; a cluster-emulation backend must be rejected with a clear error,
-// while the same fleet runs fine on the batch path.
+// while the same fleet runs fine on the batch path and an all-simulator
+// Backends fleet rebalances like Members does.
 func TestRebalanceRejectsNonSteppableBackend(t *testing.T) {
 	w := testWorkload(t, 16)
 	backends := []Member{
-		NewSimMember(sim.DefaultConfig(core.Elastic)),
-		NewClusterMember(cluster.DefaultConfig(core.Elastic)),
+		SimMember{Config: sim.DefaultConfig(core.Elastic)},
+		ClusterMember{Config: cluster.DefaultConfig(core.Elastic)},
 	}
 	if _, err := Run(Config{Backends: backends, Workers: 1}, w); err != nil {
 		t.Fatalf("batch fleet over a cluster backend: %v", err)
@@ -159,6 +160,18 @@ func TestRebalanceRejectsNonSteppableBackend(t *testing.T) {
 		Rebalance: RebalanceConfig{Every: 300},
 	}, w); err == nil {
 		t.Error("rebalancer accepted a non-steppable backend")
+	}
+	small := sim.DefaultConfig(core.Elastic)
+	small.Capacity = 16
+	res, err := Run(Config{
+		Backends: []Member{SimMember{Config: small}, backends[0]}, Workers: 1,
+		Rebalance: RebalanceConfig{Every: 300},
+	}, workload.MustUniform(48, 30, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := res.JobsPerMember[0] + res.JobsPerMember[1]; res.RebalanceRounds == 0 || done != 48 {
+		t.Errorf("simulator Backends: %d rebalance rounds, %d of 48 jobs completed", res.RebalanceRounds, done)
 	}
 }
 
@@ -196,7 +209,7 @@ func TestRouterUsesPerMemberMachine(t *testing.T) {
 	fast.CellRate *= 4
 	fast.NetBandwidth *= 4
 	members[1].Machine = fast
-	w := sim.Workload{Jobs: []workload.JobSpec{
+	w := workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "first", Class: model.Medium, Priority: 3, SubmitAt: 0},
 	}}
 	_, assign, err := Partition(Config{Members: members, Route: LeastLoaded}, w)
@@ -218,7 +231,7 @@ func TestRouterDodgesDrainWindow(t *testing.T) {
 		{At: 50, Capacity: 2},
 		{At: 5000, Capacity: 64},
 	}}
-	w := sim.Workload{Jobs: []workload.JobSpec{
+	w := workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "in-drain", Class: model.XLarge, Priority: 3, SubmitAt: 100},
 	}}
 	_, assign, err := Partition(Config{Members: members, Route: LeastLoaded}, w)
@@ -233,7 +246,7 @@ func TestRouterDodgesDrainWindow(t *testing.T) {
 // migrationBenchFleet is BenchmarkFederationMigration's fleet — four
 // streaming 64-slot members at the reference per-cluster load, member 0 at
 // half the slots, 300 s rounds — and its bursty workload at the given size.
-func migrationBenchFleet(tb testing.TB, jobs int) (Config, sim.Workload) {
+func migrationBenchFleet(tb testing.TB, jobs int) (Config, workload.Workload) {
 	tb.Helper()
 	const clusters = 4
 	w, err := (workload.Burst{Waves: jobs / 200, PerWave: 200, WaveGap: 29000 / clusters}).Generate(1)
@@ -253,7 +266,7 @@ func migrationBenchFleet(tb testing.TB, jobs int) (Config, sim.Workload) {
 
 // beginFleet partitions w over cfg's simulator members and steps each to t —
 // a fleet at a barrier, ready for a rebalancer.
-func beginFleet(tb testing.TB, cfg Config, w sim.Workload, t float64) ([]*sim.Simulator, []int) {
+func beginFleet(tb testing.TB, cfg Config, w workload.Workload, t float64) ([]*sim.Simulator, []int) {
 	tb.Helper()
 	parts, _, err := Partition(cfg, w)
 	if err != nil {
@@ -397,7 +410,7 @@ func TestMoveErrorsNameTheRound(t *testing.T) {
 	cfg := Config{Members: Uniform(sim.DefaultConfig(core.Elastic), 2), Route: RoundRobin, Workers: 1}
 	cfg.Members[0].Capacity = 16
 	cfg.Members[1].Capacity = 8
-	sims, counts := beginFleet(t, cfg, sim.Workload{Jobs: w.Jobs[:1]}, 0)
+	sims, counts := beginFleet(t, cfg, workload.Workload{Jobs: w.Jobs[:1]}, 0)
 	r := newRebalancer(cfg, cfg.backends(), sims, counts)
 	r.observe(300)
 	for c := range r.verdict {
@@ -409,7 +422,7 @@ func TestMoveErrorsNameTheRound(t *testing.T) {
 		t.Errorf("withdraw failure: got %v, want %s", err, off)
 	}
 	// A real waiting job, forced onto a member too small to ever host it.
-	xl := sim.Workload{Jobs: []workload.JobSpec{
+	xl := workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "blocker", Class: model.XLarge, Priority: 5, SubmitAt: 0},
 		{ID: "big", Class: model.XLarge, Priority: 1, SubmitAt: 1},
 	}}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"elastichpc/internal/model"
-	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
@@ -317,7 +316,7 @@ func (r *router) route(js *workload.JobSpec) int {
 // deterministic: jobs are visited in submission order — equal submission
 // times keep workload order, exactly as the simulator admits them — and no
 // routing decision depends on member simulation results.
-func Partition(cfg Config, w workload.Workload) ([]sim.Workload, []int, error) {
+func Partition(cfg Config, w workload.Workload) ([]workload.Workload, []int, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -329,7 +328,7 @@ func Partition(cfg Config, w workload.Workload) ([]sim.Workload, []int, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
 	})
-	parts := make([]sim.Workload, len(members))
+	parts := make([]workload.Workload, len(members))
 	assign := make([]int, len(w.Jobs))
 	r := newRouter(cfg, members)
 	for _, wi := range order {

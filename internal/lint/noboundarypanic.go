@@ -6,7 +6,7 @@ import (
 )
 
 // NoBoundaryPanic forbids panic calls inside the exported entry points of
-// the library-boundary packages (the facade, sim, federation, cluster): an
+// the library-boundary packages (sim, federation, cluster): an
 // event-loop callback that panics goes straight through cluster.Run into the
 // caller's frame, and the repo's contract is that every public entry returns
 // an error. The check is lexical: any panic

@@ -22,11 +22,11 @@ var deterministicPkgs = map[string]bool{
 	module + "/internal/workload":    true,
 }
 
-// boundaryPkgs export the library surface: their entry points must return
-// errors, never panic across the caller's frame (as an event-loop callback
-// panicking out of cluster.Run would).
+// boundaryPkgs are the packages the CLIs, examples and benchmark enter a run
+// through: their entry points must return errors, never panic across the
+// caller's frame (as an event-loop callback panicking out of cluster.Run
+// would).
 var boundaryPkgs = map[string]bool{
-	module:                          true,
 	module + "/internal/sim":        true,
 	module + "/internal/federation": true,
 	module + "/internal/cluster":    true,

@@ -204,7 +204,7 @@ func TestReadRejectsWrongSchema(t *testing.T) {
 }
 
 func TestFromResultAndSweepConverters(t *testing.T) {
-	w := sim.RandomWorkload(8, 90, 1)
+	w := workload.MustUniform(8, 90, 1)
 	res, err := sim.Run(sim.DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestFromResultAndSweepConverters(t *testing.T) {
 // architectures while still catching any reordering or metric drift.
 func TestClusterReportGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "cluster_run.golden.json")
-	w := sim.RandomWorkload(6, 90, 4)
+	w := workload.MustUniform(6, 90, 4)
 	res, err := cluster.RunExperiment(cluster.DefaultConfig(core.Elastic), w)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestClusterReportGolden(t *testing.T) {
 
 // TestFromFederationConverter checks the fleet/member mapping.
 func TestFromFederationConverter(t *testing.T) {
-	w := sim.RandomWorkload(12, 60, 2)
+	w := workload.MustUniform(12, 60, 2)
 	res, err := federation.Run(federation.Config{
 		Members: federation.Uniform(sim.DefaultConfig(core.Elastic), 3),
 		Route:   federation.RoundRobin,

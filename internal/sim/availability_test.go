@@ -27,7 +27,7 @@ func availConfig(p core.Policy, tr workload.AvailabilityTrace) Config {
 }
 
 func TestAvailabilityRunCompletesAllPolicies(t *testing.T) {
-	w := RandomWorkload(16, 90, 7)
+	w := workload.MustUniform(16, 90, 7)
 	tr := dropRestore(300, 1500, 32)
 	for _, p := range core.AllPolicies() {
 		res, err := Run(availConfig(p, tr), w)
@@ -47,7 +47,7 @@ func TestAvailabilityRunCompletesAllPolicies(t *testing.T) {
 }
 
 func TestAvailabilityProfilesRunEndToEnd(t *testing.T) {
-	w := RandomWorkload(16, 90, 7)
+	w := workload.MustUniform(16, 90, 7)
 	horizon := AvailabilityHorizon(w)
 	for _, prof := range workload.DefaultAvailabilityProfiles() {
 		tr, err := prof.Events(3, 64, horizon)
@@ -75,7 +75,7 @@ func TestAvailabilityProfilesRunEndToEnd(t *testing.T) {
 // minimum-reachable state and has to queue; submission-first would have let
 // it shrink the running job itself and start immediately.
 func TestCapacityEventBeforeSubmissionAtSameInstant(t *testing.T) {
-	w := Workload{Jobs: []JobSpec{
+	w := workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "a", Class: model.XLarge, Priority: 1, SubmitAt: 0},
 		{ID: "b", Class: model.Large, Priority: 5, SubmitAt: 100},
 	}}
@@ -163,7 +163,7 @@ func TestAvailabilityInvariantUnderRandomTraces(t *testing.T) {
 			})
 		}
 		tr = tr.WithRestore(64, at+1)
-		w := RandomWorkload(12, 60, seed)
+		w := workload.MustUniform(12, 60, seed)
 		res, err := Run(availConfig(core.Elastic, tr), w)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

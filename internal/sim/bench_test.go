@@ -13,7 +13,7 @@ import (
 // targets: waves of 200 simultaneous submissions spaced so the 64-slot
 // cluster just keeps up, holding a persistent multi-hundred-job backlog that
 // exercises the indexed queue, the kick path, and the streaming collector.
-func burstBacklog(tb testing.TB, jobs int) Workload {
+func burstBacklog(tb testing.TB, jobs int) workload.Workload {
 	tb.Helper()
 	w, err := (workload.Burst{Waves: jobs / 200, PerWave: 200, WaveGap: 29000}).Generate(1)
 	if err != nil {
@@ -83,7 +83,7 @@ func BenchmarkSimAvailability(b *testing.B) {
 	benchSimAvail(b, jobs, w, tr, 0)
 }
 
-func benchSimAvail(b *testing.B, jobs int, w Workload, tr workload.AvailabilityTrace, shards int) {
+func benchSimAvail(b *testing.B, jobs int, w workload.Workload, tr workload.AvailabilityTrace, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

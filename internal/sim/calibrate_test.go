@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"elastichpc/internal/core"
+	"elastichpc/internal/workload"
 )
 
 var calibrate = flag.Bool("calibrate", false, "run the calibration scan")
@@ -45,7 +46,7 @@ func TestCalibrationScan(t *testing.T) {
 
 func table1At(t *testing.T, rate float64, seed int64) map[core.Policy]Result {
 	t.Helper()
-	w := RandomWorkload(16, 90, seed)
+	w := workload.MustUniform(16, 90, seed)
 	out := make(map[core.Policy]Result, 4)
 	for _, p := range core.AllPolicies() {
 		cfg := DefaultConfig(p)

@@ -1,6 +1,9 @@
 package sim
 
-import "elastichpc/internal/core"
+import (
+	"elastichpc/internal/core"
+	"elastichpc/internal/workload"
+)
 
 // The sharded mode's merge must reproduce the sequential Result bit for
 // bit, and floating-point addition is not associative: summing each shard's
@@ -68,7 +71,7 @@ func (s *Simulator) seal() {
 // half-open stretch of the timeline bounded by fully drained instants —
 // into the facade simulator's accumulators and derives the Result. Segment
 // order is epoch order, so the seal replay is the sequential fold.
-func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error) {
+func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Result, error) {
 	var cs core.CapacityStats
 	for _, sg := range segs {
 		for _, t := range sg.rec.seals {

@@ -7,6 +7,7 @@ import (
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/model"
+	"elastichpc/internal/workload"
 )
 
 // errEpochAbandoned is the early-exit sentinel an abandoned speculative
@@ -103,7 +104,7 @@ func planWindow(plans []epochPlan, k int) window {
 // drain instants, spreading the cuts toward equal submission counts. One
 // plan covering everything is returned when the workload offers no usable
 // cut (the caller then runs the plain sequential loop).
-func planEpochs(cfg Config, w Workload, order []int32) []epochPlan {
+func planEpochs(cfg Config, w workload.Workload, order []int32) []epochPlan {
 	n := len(order)
 	avail := cfg.Availability.Events
 	whole := []epochPlan{{
@@ -241,7 +242,7 @@ func (s *Simulator) boundaryIdle() bool {
 // runSharded executes Run's sharded mode: plan, speculate in parallel,
 // reconcile sequentially, merge exactly. See the package comment above for
 // why the result is bit-identical to the sequential loop.
-func (s *Simulator) runSharded(w Workload) (Result, error) {
+func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -17,7 +17,7 @@ import (
 // boundaries a persistent backlog is guaranteed to cross, so adopting any
 // of them would be wrong and the reconciliation pass must re-execute every
 // epoch through the live chain.
-func waveStartPlans(w Workload, order []int32, capacity int) []epochPlan {
+func waveStartPlans(w workload.Workload, order []int32, capacity int) []epochPlan {
 	var plans []epochPlan
 	for i := range order {
 		if i == 0 {
@@ -157,7 +157,7 @@ func TestPlanEpochsPartition(t *testing.T) {
 // to the ID must order them exactly like (submission instant, ID) — the
 // scheduler comparator's historical tie-break.
 func TestSubmissionRanksOrder(t *testing.T) {
-	check := func(t *testing.T, w Workload) {
+	check := func(t *testing.T, w workload.Workload) {
 		t.Helper()
 		order := submissionOrder(w)
 		ranks := submissionRanks(w, order)
@@ -258,8 +258,8 @@ func TestPlanEpochsStreamingScaleWorkload(t *testing.T) {
 // The gap is huge relative to any job's demand, so the fluid predictor sees a
 // full drain before every wave and offers every wave start as a cut candidate;
 // the chooser's placement is then isolated from the drain predictor.
-func classWaves(gap float64, waves [][]model.Class) Workload {
-	var w Workload
+func classWaves(gap float64, waves [][]model.Class) workload.Workload {
+	var w workload.Workload
 	for wv, classes := range waves {
 		for j, c := range classes {
 			w.Jobs = append(w.Jobs, workload.JobSpec{
@@ -291,7 +291,7 @@ func predictedDemand(cfg Config, class model.Class) float64 {
 }
 
 // epochWorks sums each plan's predicted demand.
-func epochWorks(cfg Config, w Workload, order []int32, plans []epochPlan) []float64 {
+func epochWorks(cfg Config, w workload.Workload, order []int32, plans []epochPlan) []float64 {
 	works := make([]float64, len(plans))
 	for k, pl := range plans {
 		for _, idx := range order[pl.subLo:pl.subHi] {
@@ -449,7 +449,7 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := probe.Run(Workload{Jobs: wave(0, 0)})
+	res, err := probe.Run(workload.Workload{Jobs: wave(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	jobs = append(jobs, wave(1, 0.5*T)...)
 	jobs = append(jobs, wave(2, 10*T)...)
 	jobs = append(jobs, wave(3, 20*T)...)
-	w := Workload{Jobs: jobs}
+	w := workload.Workload{Jobs: jobs}
 
 	run := func(sharded bool) (Result, []core.Decision, shardStats) {
 		cfg := DefaultConfig(core.Elastic)

@@ -11,31 +11,6 @@ import (
 	"elastichpc/internal/workload"
 )
 
-// JobSpec and Workload live in internal/workload — the scenario engine shared
-// with the cluster emulation; the aliases let a caller name a run's input
-// through sim alone.
-type (
-	// JobSpec is one simulated job submission.
-	JobSpec = workload.JobSpec
-	// Workload is a reproducible job set.
-	Workload = workload.Workload
-)
-
-// RandomWorkload draws n jobs uniformly from the four classes with uniform
-// priorities in [1,5], submitted gap seconds apart (paper §4.3.1: "We pick
-// 16 jobs randomly out of these 4 sizes with random priorities between 1
-// and 5"). It is the workload.Uniform generator; seed-pinned experiments
-// (Table 1's seed 7) depend on its draw order.
-//
-// n <= 0 returns an empty workload; a negative or NaN gap panics (via
-// workload.MustUniform) — use workload.Uniform directly for an error return.
-func RandomWorkload(n int, gap float64, seed int64) Workload {
-	if n <= 0 {
-		return Workload{}
-	}
-	return workload.MustUniform(n, gap, seed)
-}
-
 // JobMetrics is the per-job outcome.
 type JobMetrics struct {
 	ID             string
@@ -246,7 +221,7 @@ type Simulator struct {
 	// run owns the whole workload and trace with an infinite horizon; a
 	// shard owns one epoch's slice of each, and reconciliation extends the
 	// window of a simulator that must re-execute its successor epoch.
-	w          Workload
+	w          workload.Workload
 	order      []int32 // submission order (shared, read-only across shards)
 	ranks      []int32 // per-widx ID tie-break ranks (shared, read-only)
 	specs      map[model.Class]model.Spec
@@ -378,7 +353,7 @@ func (s *Simulator) allocJob() *simJob {
 
 // newSimJob builds the simulation record for one submission. widx is the
 // job's index in the workload (for retained-mode collection).
-func (s *Simulator) newSimJob(js *JobSpec, spec model.Spec, widx int32) *simJob {
+func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32) *simJob {
 	sj := s.allocJob()
 	// Bumping seq past the previous lifecycle invalidates any stale
 	// completion event still in the heap for a recycled slot.
@@ -423,7 +398,7 @@ func (s *Simulator) push(at float64, kind evKind, job *simJob, seq int64) {
 // loop driver for batch and stepped runs. With Config.Shards > 1 the run
 // executes in the sharded mode (see shard.go); decisions and the Result are
 // bit-identical to the sequential mode either way.
-func (s *Simulator) Run(w Workload) (Result, error) {
+func (s *Simulator) Run(w workload.Workload) (Result, error) {
 	if s.cfg.Shards > 1 {
 		return s.runSharded(w)
 	}
@@ -436,7 +411,7 @@ func (s *Simulator) Run(w Workload) (Result, error) {
 // submissionOrder returns the workload's indices in stable submission-time
 // order: equal submission times keep workload order, and submissions sort
 // before same-instant completions/kicks.
-func submissionOrder(w Workload) []int32 {
+func submissionOrder(w workload.Workload) []int32 {
 	order := make([]int32, len(w.Jobs))
 	for i := range order {
 		order[i] = int32(i)
@@ -457,7 +432,7 @@ func submissionOrder(w Workload) []int32 {
 // back to the sequential string compare. Measured with bench/ (alternating
 // 5 s pairs): without the ranks burst_backlog loses 2.0 % of jobs_per_s
 // (551.9 k → 541.1 k, behind in 6 pairs of 6).
-func submissionRanks(w Workload, order []int32) []int32 {
+func submissionRanks(w workload.Workload, order []int32) []int32 {
 	ranks := make([]int32, len(w.Jobs))
 	var group []int32
 	for i := 0; i < len(order); {
@@ -503,7 +478,7 @@ type window struct {
 // index subLo and availability event capLo. ranks may be nil (no ID-rank
 // interning). Both cursors only move forward from there; extend moves the
 // window's far edge.
-func (s *Simulator) prepare(w Workload, order, ranks []int32, specs map[model.Class]model.Spec,
+func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map[model.Class]model.Spec,
 	subLo, capLo int, win window) {
 	s.w = w
 	s.order = order
@@ -962,7 +937,7 @@ func (s *Simulator) resultFromTotals(cs core.CapacityStats, endCap int) Result {
 // expected completion count is the workload's job count adjusted by the
 // stepping API's migration counters (jobs injected from, or withdrawn to,
 // other federation members) — both zero on the batch path.
-func (s *Simulator) collect(w Workload) (Result, error) {
+func (s *Simulator) collect(w workload.Workload) (Result, error) {
 	if expected := len(w.Jobs) + s.injected - s.withdrawn; s.completed != expected {
 		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, expected, s)
 	}
@@ -1029,7 +1004,7 @@ func retainedRecords(res *Result, n int, sims ...*Simulator) {
 
 // Run constructs a simulator for cfg and runs w to completion — the entry
 // point of every caller that wants the Result and not the simulator.
-func Run(cfg Config, w Workload) (Result, error) {
+func Run(cfg Config, w workload.Workload) (Result, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return Result{}, err

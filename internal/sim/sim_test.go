@@ -9,7 +9,7 @@ import (
 	"elastichpc/internal/workload"
 )
 
-func run(t *testing.T, p core.Policy, w Workload, rescaleGap float64) Result {
+func run(t *testing.T, p core.Policy, w workload.Workload, rescaleGap float64) Result {
 	t.Helper()
 	cfg := DefaultConfig(p)
 	cfg.RescaleGap = rescaleGap
@@ -26,8 +26,8 @@ func streamingMode(cfg Config) Config {
 	return cfg
 }
 
-func singleJob(class model.Class, prio int, at float64) Workload {
-	return Workload{Jobs: []JobSpec{{ID: "j0", Class: class, Priority: prio, SubmitAt: at}}}
+func singleJob(class model.Class, prio int, at float64) workload.Workload {
+	return workload.Workload{Jobs: []workload.JobSpec{{ID: "j0", Class: class, Priority: prio, SubmitAt: at}}}
 }
 
 func TestSingleJobRuntimeMatchesModel(t *testing.T) {
@@ -60,7 +60,7 @@ func TestRigidMinSlowerThanRigidMaxForOneJob(t *testing.T) {
 }
 
 func TestUtilizationBounds(t *testing.T) {
-	w := RandomWorkload(16, 90, 1)
+	w := workload.MustUniform(16, 90, 1)
 	for _, p := range core.AllPolicies() {
 		res := run(t, p, w, 180)
 		if res.Utilization <= 0 || res.Utilization > 1 {
@@ -78,7 +78,7 @@ func TestUtilizationBounds(t *testing.T) {
 func TestAllJobsCompleteUnderAllPoliciesManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, gap := range []float64{0, 90, 300} {
-			w := RandomWorkload(16, gap, seed)
+			w := workload.MustUniform(16, gap, seed)
 			for _, p := range core.AllPolicies() {
 				res, err := Run(DefaultConfig(p), w)
 				if err != nil {
@@ -100,7 +100,7 @@ func TestAllJobsCompleteUnderAllPoliciesManySeeds(t *testing.T) {
 func TestElasticRescalesJobs(t *testing.T) {
 	// Back-to-back submissions force the elastic scheduler to shrink and
 	// expand; rigid policies never do.
-	w := RandomWorkload(16, 0, 3)
+	w := workload.MustUniform(16, 0, 3)
 	elastic := run(t, core.Elastic, w, 180)
 	var rescales int
 	for _, j := range elastic.Jobs {
@@ -125,7 +125,7 @@ func TestElasticBeatsBaselinesOnUtilizationUnderContention(t *testing.T) {
 	var e, mn, mx, mo float64
 	const seeds = 5
 	for seed := int64(0); seed < seeds; seed++ {
-		w := RandomWorkload(16, 30, seed)
+		w := workload.MustUniform(16, 30, seed)
 		e += run(t, core.Elastic, w, 180).Utilization
 		mn += run(t, core.RigidMin, w, 180).Utilization
 		mx += run(t, core.RigidMax, w, 180).Utilization
@@ -144,7 +144,7 @@ func TestElasticLowestTotalTime(t *testing.T) {
 	var e, mn, mx, mo float64
 	const seeds = 5
 	for seed := int64(0); seed < seeds; seed++ {
-		w := RandomWorkload(16, 90, seed)
+		w := workload.MustUniform(16, 90, seed)
 		e += run(t, core.Elastic, w, 180).TotalTime
 		mn += run(t, core.RigidMin, w, 180).TotalTime
 		mx += run(t, core.RigidMax, w, 180).TotalTime
@@ -162,7 +162,7 @@ func TestMinReplicasLowestResponseTime(t *testing.T) {
 	var respMin, respMax, compMin, compMax float64
 	const seeds = 5
 	for seed := int64(0); seed < seeds; seed++ {
-		w := RandomWorkload(16, 90, seed)
+		w := workload.MustUniform(16, 90, seed)
 		rMin := run(t, core.RigidMin, w, 180)
 		rMax := run(t, core.RigidMax, w, 180)
 		respMin += rMin.WeightedResponse
@@ -181,7 +181,7 @@ func TestMinReplicasLowestResponseTime(t *testing.T) {
 func TestTotalTimesConvergeAtLargeGaps(t *testing.T) {
 	// Figure 7b: with a large enough submission gap every job runs alone
 	// at max replicas, so elastic/moldable/max totals converge.
-	w := RandomWorkload(16, 4000, 4)
+	w := workload.MustUniform(16, 4000, 4)
 	e := run(t, core.Elastic, w, 180).TotalTime
 	mx := run(t, core.RigidMax, w, 180).TotalTime
 	mo := run(t, core.Moldable, w, 180).TotalTime
@@ -193,7 +193,7 @@ func TestTotalTimesConvergeAtLargeGaps(t *testing.T) {
 func TestElasticApproachesMoldableAsRescaleGapGrows(t *testing.T) {
 	// Figure 8: "All the metrics for the elastic scheduler approach the
 	// moldable scheduler as T_rescale_gap is increased".
-	w := RandomWorkload(16, 180, 5)
+	w := workload.MustUniform(16, 180, 5)
 	mo := run(t, core.Moldable, w, 180)
 	eHuge := run(t, core.Elastic, w, 1e9)
 	if math.Abs(eHuge.TotalTime-mo.TotalTime)/mo.TotalTime > 0.01 {
@@ -209,7 +209,7 @@ func TestSmallRescaleGapImprovesElasticUtilization(t *testing.T) {
 	var lo, hi float64
 	const seeds = 5
 	for seed := int64(0); seed < seeds; seed++ {
-		w := RandomWorkload(16, 180, seed)
+		w := workload.MustUniform(16, 180, seed)
 		lo += run(t, core.Elastic, w, 30).Utilization
 		hi += run(t, core.Elastic, w, 900).Utilization
 	}
@@ -219,7 +219,7 @@ func TestSmallRescaleGapImprovesElasticUtilization(t *testing.T) {
 }
 
 func TestRescaleOverheadCharged(t *testing.T) {
-	w := RandomWorkload(16, 0, 3)
+	w := workload.MustUniform(16, 0, 3)
 	res := run(t, core.Elastic, w, 180)
 	var overhead float64
 	for _, j := range res.Jobs {
@@ -234,7 +234,7 @@ func TestRescaleOverheadCharged(t *testing.T) {
 }
 
 func TestWorkloadWithGapPreservesMix(t *testing.T) {
-	w := RandomWorkload(16, 90, 7)
+	w := workload.MustUniform(16, 90, 7)
 	w2 := w.WithGap(30)
 	if len(w2.Jobs) != len(w.Jobs) {
 		t.Fatal("job count changed")
@@ -254,14 +254,14 @@ func TestWorkloadWithGapPreservesMix(t *testing.T) {
 }
 
 func TestRandomWorkloadDeterministic(t *testing.T) {
-	a := RandomWorkload(16, 90, 42)
-	b := RandomWorkload(16, 90, 42)
+	a := workload.MustUniform(16, 90, 42)
+	b := workload.MustUniform(16, 90, 42)
 	for i := range a.Jobs {
 		if a.Jobs[i] != b.Jobs[i] {
 			t.Fatalf("job %d differs across same-seed generations", i)
 		}
 	}
-	c := RandomWorkload(16, 90, 43)
+	c := workload.MustUniform(16, 90, 43)
 	same := true
 	for i := range a.Jobs {
 		if a.Jobs[i].Class != c.Jobs[i].Class || a.Jobs[i].Priority != c.Jobs[i].Priority {
@@ -274,7 +274,7 @@ func TestRandomWorkloadDeterministic(t *testing.T) {
 }
 
 func TestUtilizationTimelineConsistent(t *testing.T) {
-	w := RandomWorkload(8, 60, 9)
+	w := workload.MustUniform(8, 60, 9)
 	res := run(t, core.Elastic, w, 180)
 	if len(res.UtilTimeline) == 0 {
 		t.Fatal("no utilization timeline")
@@ -294,7 +294,7 @@ func TestUtilizationTimelineConsistent(t *testing.T) {
 }
 
 func TestReplicaTimelineRecordsRescales(t *testing.T) {
-	w := RandomWorkload(16, 0, 3)
+	w := workload.MustUniform(16, 0, 3)
 	res := run(t, core.Elastic, w, 180)
 	found := false
 	for id, tl := range res.ReplicaTimelines {
@@ -396,7 +396,7 @@ func TestPreemptionExtensionCompletesAllJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(RandomWorkload(16, 0, 11))
+	res, err := s.Run(workload.MustUniform(16, 0, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestCostBenefitExtensionCompletesAllJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(RandomWorkload(16, 30, 12))
+	res, err := s.Run(workload.MustUniform(16, 30, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestCostBenefitExtensionCompletesAllJobs(t *testing.T) {
 func TestStreamingMatchesRetained(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, gap := range []float64{0, 90} {
-			w := RandomWorkload(16, gap, seed)
+			w := workload.MustUniform(16, gap, seed)
 			for _, p := range core.AllPolicies() {
 				retained := run(t, p, w, 180)
 				streaming, err := Run(streamingMode(DefaultConfig(p)), w)

@@ -6,6 +6,7 @@ import (
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/model"
+	"elastichpc/internal/workload"
 )
 
 // This file is the simulator's stepping API — the co-simulation surface the
@@ -31,7 +32,7 @@ import (
 // completed iterations and pay restart+restore on their next start, exactly
 // as a locally checkpoint-preempted job would.
 type MigratedJob struct {
-	Spec      JobSpec
+	Spec      workload.JobSpec
 	ItersDone float64
 	// Checkpointed marks a job that had started (and was checkpointed)
 	// before leaving its donor.
@@ -63,7 +64,7 @@ type QueuedJob struct {
 // Begin installs the workload with an empty window: no events are processed
 // until the first StepTo, or Finish. Sharded execution (Config.Shards) does
 // not apply; the window machinery below is the sequential loop's.
-func (s *Simulator) Begin(w Workload) error {
+func (s *Simulator) Begin(w workload.Workload) error {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return err
 	}
@@ -213,7 +214,7 @@ func (s *Simulator) Withdraw(ref int32) (MigratedJob, error) {
 	sj := s.byRef[ref]
 	c := &s.cold[ref]
 	mj := MigratedJob{
-		Spec: JobSpec{
+		Spec: workload.JobSpec{
 			ID:       c.meta.ID,
 			Class:    c.meta.Class,
 			Priority: c.meta.Priority,

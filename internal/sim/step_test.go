@@ -87,7 +87,7 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 // receiver with its original submission time, and a checkpointed victim pays
 // its restart on the receiver.
 func TestWithdrawInjectRoundTrip(t *testing.T) {
-	mk := func(jobs ...workload.JobSpec) Workload { return Workload{Jobs: jobs} }
+	mk := func(jobs ...workload.JobSpec) workload.Workload { return workload.Workload{Jobs: jobs} }
 	donorW := mk(
 		workload.JobSpec{ID: "big", Class: model.XLarge, Priority: 5, SubmitAt: 0},
 		workload.JobSpec{ID: "waiting", Class: model.XLarge, Priority: 1, SubmitAt: 1},
@@ -168,7 +168,7 @@ func TestWithdrawRejectsUnknownRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Begin(Workload{Jobs: []workload.JobSpec{
+	if err := s.Begin(workload.Workload{Jobs: []workload.JobSpec{
 		{ID: "a", Class: model.Small, Priority: 3, SubmitAt: 0},
 	}}); err != nil {
 		t.Fatal(err)

@@ -122,6 +122,19 @@ func SweepGrid[R any](xs []float64, seeds, workers int, run func(x float64, p co
 	return points, nil
 }
 
+// runUniform is one cell of the Figure 7/8 sweeps: the seed's uniform
+// workload under policy p at the given rescale gap. Degenerate jobs or gap
+// are the generator's error.
+func runUniform(p core.Policy, rescaleGap float64, jobs int, gap float64, seed int64) (Result, error) {
+	w, err := workload.Uniform{Jobs: jobs, Gap: gap}.Generate(seed)
+	if err != nil {
+		return Result{}, err
+	}
+	cfg := DefaultConfig(p)
+	cfg.RescaleGap = rescaleGap
+	return Run(cfg, w)
+}
+
 // SubmissionGapSweep reproduces Figure 7: for each submission gap, run
 // `seeds` random 16-job workloads under every policy with T_rescale_gap =
 // 180 s and average the metrics, on a bounded worker pool: workers <= 0 uses
@@ -129,9 +142,7 @@ func SweepGrid[R any](xs []float64, seeds, workers int, run func(x float64, p co
 // results either way).
 func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := SweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
-		cfg := DefaultConfig(p)
-		cfg.RescaleGap = rescaleGap
-		return Run(cfg, RandomWorkload(jobs, gap, seed))
+		return runUniform(p, rescaleGap, jobs, gap, seed)
 	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("submission gap sweep: %w", err)
@@ -143,9 +154,7 @@ func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, wor
 // T_rescale_gap; workers as in SubmissionGapSweep.
 func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := SweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
-		cfg := DefaultConfig(p)
-		cfg.RescaleGap = rg
-		return Run(cfg, RandomWorkload(jobs, submissionGap, seed))
+		return runUniform(p, rg, jobs, submissionGap, seed)
 	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("rescale gap sweep: %w", err)
@@ -173,7 +182,7 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 		}
 	}
 	return inputSweep("scenario", len(gens), func(i int) string { return gens[i].Name() }, seeds, rescaleGap, workers,
-		func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+		func(i int, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error) {
 			return Inputs(gens[i], nil, seed, base)
 		})
 }
@@ -183,7 +192,7 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 // row and seed against the paper's base configuration at the given rescale
 // gap.
 func inputSweep(what string, n int, name func(i int) string, seeds int, rescaleGap float64, workers int,
-	inputs func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error)) ([]ScenarioResult, error) {
+	inputs func(i int, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error)) ([]ScenarioResult, error) {
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i)
@@ -228,7 +237,7 @@ func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Gen
 		}
 	}
 	return inputSweep("availability", len(profiles), func(i int) string { return profiles[i].Name() }, seeds, rescaleGap, workers,
-		func(i int, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+		func(i int, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error) {
 			return Inputs(gen, profiles[i], seed, base)
 		})
 }
@@ -240,7 +249,7 @@ func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Gen
 // profile (nil = fixed capacity), the profile's events over the workload's
 // AvailabilityHorizon, with a restore-to-base event appended when the trace
 // would otherwise end mid-outage and strand the backlog.
-func Inputs(g workload.Generator, p workload.AvailabilityProfile, seed int64, base int) (Workload, workload.AvailabilityTrace, error) {
+func Inputs(g workload.Generator, p workload.AvailabilityProfile, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error) {
 	w, err := g.Generate(seed)
 	if err != nil || p == nil {
 		return w, workload.AvailabilityTrace{}, err
@@ -248,7 +257,7 @@ func Inputs(g workload.Generator, p workload.AvailabilityProfile, seed int64, ba
 	horizon := AvailabilityHorizon(w)
 	tr, err := p.Events(seed, base, horizon)
 	if err != nil {
-		return Workload{}, workload.AvailabilityTrace{}, err
+		return workload.Workload{}, workload.AvailabilityTrace{}, err
 	}
 	return w, tr.WithRestore(base, horizon), nil
 }
@@ -258,7 +267,7 @@ func Inputs(g workload.Generator, p workload.AvailabilityProfile, seed int64, ba
 // drain time, so availability events keep arriving while the backlog runs
 // down. It is a deterministic function of the workload, which keeps sweep
 // cells reproducible.
-func AvailabilityHorizon(w Workload) float64 {
+func AvailabilityHorizon(w workload.Workload) float64 {
 	return w.Span() + 4*3600
 }
 
@@ -267,7 +276,7 @@ func AvailabilityHorizon(w Workload) float64 {
 // set), 90 s submission gap. The paper likewise "picks a configuration out
 // of the randomly generated jobs"; this seed is one whose metrics order the
 // four policies exactly as the paper's Table 1 does.
-func Table1Workload() Workload { return RandomWorkload(16, 90, 7) }
+func Table1Workload() workload.Workload { return workload.MustUniform(16, 90, 7) }
 
 // Table1Simulation runs the Table 1 simulation column: the fixed workload
 // under all four policies with T_rescale_gap = 180 s.

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -86,6 +89,7 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		workload.Poisson{Jobs: 8, MeanGap: 90},
 		workload.Burst{Waves: 2, PerWave: 4, WaveGap: 360},
 		workload.Diurnal{Jobs: 8, Period: 900, PeakGap: 30, OffPeakGap: 240},
+		workload.Replay("fixed", workload.MustUniform(8, 60, 3)),
 	}
 	sseq, err := ScenarioSweep(gens, 3, 180, 1)
 	if err != nil {
@@ -116,6 +120,27 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 func TestSweepRejectsBadSeeds(t *testing.T) {
 	if _, err := SubmissionGapSweep([]float64{90}, 8, 0, 180, 0); err == nil {
 		t.Error("accepted seeds=0")
+	}
+}
+
+// TestFigureSweepsRejectDegenerateWorkloads: a job count or gap no workload
+// can have is the generator's error, returned — not an empty workload swept
+// into rows of zeros, and not a panic out of a worker.
+func TestFigureSweepsRejectDegenerateWorkloads(t *testing.T) {
+	xs := []float64{0, 90}
+	for _, jobs := range []int{0, -3} {
+		if _, err := SubmissionGapSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
+			t.Errorf("SubmissionGapSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
+		}
+		if _, err := RescaleGapSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
+			t.Errorf("RescaleGapSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
+		}
+	}
+	if _, err := SubmissionGapSweep([]float64{math.NaN()}, 8, 1, 180, 0); err == nil {
+		t.Error("SubmissionGapSweep accepted a NaN gap")
+	}
+	if _, err := RescaleGapSweep(xs, 8, 1, math.NaN(), 0); err == nil {
+		t.Error("RescaleGapSweep accepted a NaN submission gap")
 	}
 }
 

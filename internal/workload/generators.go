@@ -192,8 +192,8 @@ func validGap(gap float64) bool {
 }
 
 // MustUniform is the panic-boundary form of the Uniform generator for
-// callers that have already validated (or hard-code) their parameters:
-// sim.RandomWorkload and the example programs. It panics with the underlying
+// callers that hard-code their parameters: sim.Table1Workload, the example
+// programs and tests. It panics with the underlying
 // validation error on n <= 0 jobs or a negative/NaN gap; use
 // Uniform.Generate directly to handle the error instead.
 func MustUniform(jobs int, gap float64, seed int64) Workload {

@@ -48,10 +48,9 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
-// The uniform generator is the historical sim.RandomWorkload; its draw order
-// is pinned so seed-anchored experiments (Table 1 uses seed 7) survive
-// refactors. This golden sample was produced by the pre-refactor
-// sim.RandomWorkload(16, 90, 7).
+// The uniform generator's draw order is pinned so seed-anchored experiments
+// (Table 1 uses seed 7) survive refactors. This golden sample predates the
+// generator's move into this package.
 func TestUniformGoldenSeed7(t *testing.T) {
 	w, err := (Uniform{Jobs: 16, Gap: 90}).Generate(7)
 	if err != nil {

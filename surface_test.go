@@ -19,10 +19,10 @@ var calledByName = map[string]bool{
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 }
 
-// TestNoUncalledExports: an exported function or method declared in the
-// facade (elastichpc.go) or in a non-test file under internal/ must be named
-// somewhere else in the repository — a call, a method value, a test, an
-// interface's method list. Everything lives behind internal/, so an export
+// TestNoUncalledExports: an exported function or method declared in a
+// non-test file under internal/ must be named somewhere else in the
+// repository — a call, a method value, a test, an interface's method list.
+// Everything lives behind internal/, so an export
 // nothing names has no caller and is deleted, not kept for later.
 //
 // The check is syntactic. A function counts as named by its bare identifier
@@ -78,7 +78,7 @@ func TestNoUncalledExports(t *testing.T) {
 			return true
 		}
 		ast.Inspect(f, visit)
-		declarer := path == "elastichpc.go" || strings.HasPrefix(path, "internal/") &&
+		declarer := strings.HasPrefix(path, "internal/") &&
 			!strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "internal/lint/testdata/")
 		if !declarer {
 			return nil
