@@ -24,6 +24,7 @@
 package conformance
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -288,18 +289,123 @@ func (s *Stream) Validate() error {
 	return nil
 }
 
-// Save writes the stream as indented JSON.
+// Save writes the stream as indented JSON, byte for byte what
+// json.MarshalIndent(s, "", "  ") plus a newline would be, without building
+// the document: the parts that do not grow with the run go through
+// encoding/json at their depth, the decisions are appended one record at a
+// time to a reused buffer. A stream that fails Validate writes nothing; a
+// later error may leave a prefix of the document in w.
 func (s *Stream) Save(w io.Writer) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
+	e := streamEncoder{w: bufio.NewWriterSize(w, 64<<10), rec: make([]byte, 0, 256)}
+	e.stream(s, "")
+	e.w.WriteByte('\n')
+	if e.err != nil {
+		return e.err
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	return e.w.Flush() // the writer's first error, if any write failed
+}
+
+// streamEncoder writes one document. Write errors stay in the bufio.Writer
+// until Flush; err is the first encoding/json error.
+type streamEncoder struct {
+	w   *bufio.Writer
+	rec []byte // the record being assembled, reused
+	err error
+}
+
+// stream writes s as an object whose closing brace sits at indent.
+func (e *streamEncoder) stream(s *Stream, indent string) {
+	in := indent + "  "
+	e.w.WriteString("{\n" + in + `"version": `)
+	e.w.Write(strconv.AppendInt(e.rec[:0], int64(s.Version), 10))
+	field := func(name string) { e.w.WriteString(",\n" + in + `"` + name + `": `) }
+	if s.Label != "" {
+		field("label")
+		e.w.Write(appendString(e.rec[:0], s.Label))
+	}
+	if len(s.Meta) > 0 {
+		field("meta")
+		e.marshal(s.Meta, in)
+	}
+	if len(s.Decisions) > 0 {
+		field("decisions")
+		e.decisions(s.Decisions, in)
+	}
+	if len(s.Migrations) > 0 {
+		field("migrations")
+		e.marshal(s.Migrations, in)
+	}
+	if s.Summary != nil {
+		field("summary")
+		e.marshal(s.Summary, in)
+	}
+	if len(s.Members) > 0 {
+		field("members")
+		sep := "[\n"
+		for _, m := range s.Members {
+			e.w.WriteString(sep + in + "  ")
+			e.stream(m, in+"  ")
+			sep = ",\n"
+		}
+		e.w.WriteString("\n" + in + "]")
+	}
+	e.w.WriteString("\n" + indent + "}")
+}
+
+// marshal writes a part whose size does not depend on the run's length the
+// way encoding/json indents it at this depth.
+func (e *streamEncoder) marshal(v any, indent string) {
+	data, err := json.MarshalIndent(v, indent, "  ")
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	e.w.Write(data)
+}
+
+// decisions writes the list whose brackets sit at indent, one record per
+// Write. The field order and the omitted empty job are Decision's struct tags.
+func (e *streamEncoder) decisions(ds []Decision, indent string) {
+	in := indent + "    "
+	atNs := indent + "  {\n" + in + `"at_ns": `
+	kind := ",\n" + in + `"kind": `
+	job := ",\n" + in + `"job": `
+	replicas := ",\n" + in + `"replicas": `
+	free := ",\n" + in + `"free": `
+	end := "\n" + indent + "  }"
+	sep := "[\n"
+	for i := range ds {
+		d := &ds[i]
+		b := append(e.rec[:0], sep...)
+		b = strconv.AppendInt(append(b, atNs...), d.AtNs, 10)
+		b = appendString(append(b, kind...), d.Kind)
+		if d.JobID != "" {
+			b = appendString(append(b, job...), d.JobID)
+		}
+		b = strconv.AppendInt(append(b, replicas...), int64(d.Replicas), 10)
+		b = strconv.AppendInt(append(b, free...), int64(d.FreeSlots), 10)
+		e.rec = append(b, end...)
+		e.w.Write(e.rec)
+		sep = ",\n"
+	}
+	e.w.WriteString("\n" + indent + "]")
+}
+
+// appendString appends s as a JSON string. Printable ASCII that encoding/json
+// would copy unchanged is copied; anything it would escape or replace — quotes,
+// backslashes, the HTML characters, control bytes, non-ASCII — is left to it.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // SaveFile writes the stream to path.
@@ -321,6 +427,11 @@ func Load(r io.Reader) (*Stream, error) {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("conformance: %w", err)
+	}
+	// One document per file: the first of two, or the readable head of a
+	// half-overwritten one, must not pass for the stream.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("conformance: trailing data after the stream document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -49,13 +49,17 @@ func SaveAvailability(w io.Writer, tr AvailabilityTrace, comment string) error {
 // AvailabilityTrace.Validate.
 func LoadAvailability(r io.Reader) (AvailabilityTrace, error) {
 	var doc AvailabilityDocument
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := decodeDocument(r, &doc); err != nil {
 		return AvailabilityTrace{}, fmt.Errorf("workload: availability decode: %w", err)
 	}
 	if doc.Version != availabilityVersion {
 		return AvailabilityTrace{}, fmt.Errorf("workload: unsupported availability version %d", doc.Version)
 	}
-	return availabilityFromEntries(doc.Events)
+	events := make([]CapacityEvent, len(doc.Events))
+	for i, e := range doc.Events {
+		events[i] = CapacityEvent(e)
+	}
+	return availabilityFromEvents(events)
 }
 
 // SaveAvailabilityCSV writes a capacity trace in the CSV format: a header
@@ -79,47 +83,41 @@ func SaveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
 }
 
 // LoadAvailabilityCSV reads the CSV capacity-trace format with the same
-// validation as LoadAvailability.
+// validation as LoadAvailability, one row at a time.
 func LoadAvailabilityCSV(r io.Reader) (AvailabilityTrace, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	rows, err := cr.ReadAll()
+	cr, err := csvRows(r, "availability csv", availabilityCSVHeader)
 	if err != nil {
-		return AvailabilityTrace{}, fmt.Errorf("workload: availability csv: %w", err)
+		return AvailabilityTrace{}, err
 	}
-	if len(rows) == 0 {
-		return AvailabilityTrace{}, fmt.Errorf("workload: availability csv document is empty")
-	}
-	if len(rows[0]) != len(availabilityCSVHeader) || !equalFold(rows[0], availabilityCSVHeader) {
-		return AvailabilityTrace{}, fmt.Errorf("workload: availability csv header %v, want %v",
-			rows[0], availabilityCSVHeader)
-	}
-	var entries []AvailabilityEntry
-	for i, rec := range rows[1:] {
+	var events []CapacityEvent
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return availabilityFromEvents(events)
+		}
+		if err != nil {
+			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv: %w", err)
+		}
 		at, err := strconv.ParseFloat(rec[0], 64)
 		if err != nil {
-			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d at: %w", i+1, err)
+			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d at: %w", row, err)
 		}
 		capacity, err := strconv.Atoi(rec[1])
 		if err != nil {
-			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d capacity: %w", i+1, err)
+			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d capacity: %w", row, err)
 		}
-		entries = append(entries, AvailabilityEntry{At: at, Capacity: capacity})
+		events = append(events, CapacityEvent{At: at, Capacity: capacity})
 	}
-	return availabilityFromEntries(entries)
 }
 
-// availabilityFromEntries validates serialized events, sorted stably by time
+// availabilityFromEvents validates decoded events, sorted stably by time
 // (simultaneous events keep file order, matching the job-trace loader).
-func availabilityFromEntries(entries []AvailabilityEntry) (AvailabilityTrace, error) {
-	if len(entries) == 0 {
+func availabilityFromEvents(events []CapacityEvent) (AvailabilityTrace, error) {
+	if len(events) == 0 {
 		return AvailabilityTrace{}, fmt.Errorf("workload: availability document has no events")
 	}
-	var tr AvailabilityTrace
-	for _, e := range entries {
-		tr.Events = append(tr.Events, CapacityEvent{At: e.At, Capacity: e.Capacity})
-	}
-	sortCapacityEvents(tr.Events)
+	sortCapacityEvents(events)
+	tr := AvailabilityTrace{Events: events}
 	if err := tr.Validate(); err != nil {
 		return AvailabilityTrace{}, err
 	}
@@ -139,11 +137,12 @@ func SaveAvailabilityFile(path string, tr AvailabilityTrace, comment string) err
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	defer f.Close()
 	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		return SaveAvailabilityCSV(f, tr)
+		err = SaveAvailabilityCSV(f, tr)
+	} else {
+		err = SaveAvailability(f, tr, comment)
 	}
-	return SaveAvailability(f, tr, comment)
+	return closeWritten(f, err)
 }
 
 // LoadAvailabilityFile reads a capacity trace from path, picking the format

@@ -234,6 +234,8 @@ func TestLoadAvailabilityValidates(t *testing.T) {
 		`{"version": 1, "events": []}`,
 		`{"version": 1, "events": [{"at": -5, "capacity": 4}]}`,
 		`{"version": 1, "events": [{"at": 5, "capacity": 0}]}`,
+		`{"version": 1, "events": [{"at": 0, "capacity": 4}]} garbage`,
+		`{"version": 1, "events": [{"at": 0, "capacity": 4}]}]`,
 	}
 	for i, doc := range cases {
 		if _, err := LoadAvailability(strings.NewReader(doc)); err == nil {

@@ -20,7 +20,9 @@ func goldenInput(f *testing.F, name string) []byte {
 // FuzzLoadWorkload holds both job-trace decoders to the contract every run
 // read from a file relies on: hostile bytes are an error, never a panic; a
 // decoded workload is no larger than its input (nothing a few bytes can
-// inflate); and whatever decodes re-encodes to a document that decodes to
+// inflate); whatever decodes re-encodes to a document that decodes to
+// the same workload; and the CSV decoder agrees with the ReadAll-based one it
+// replaced (persist_ref_test.go) on every input — both reject, or both accept
 // the same workload.
 func FuzzLoadWorkload(f *testing.F) {
 	csv := goldenInput(f, "wl.csv")
@@ -41,6 +43,9 @@ func FuzzLoadWorkload(f *testing.F) {
 			load, save = LoadCSV, SaveCSV
 		}
 		w, err := load(bytes.NewReader(data))
+		if asCSV {
+			requireSameVerdict(t, data, w, err, loadCSVReference)
+		}
 		if err != nil {
 			return
 		}
@@ -80,6 +85,9 @@ func FuzzLoadAvailability(f *testing.F) {
 			load, save = LoadAvailabilityCSV, SaveAvailabilityCSV
 		}
 		tr, err := load(bytes.NewReader(data))
+		if asCSV {
+			requireSameVerdict(t, data, tr, err, loadAvailabilityCSVReference)
+		}
 		if err != nil {
 			return
 		}

@@ -60,17 +60,37 @@ func Save(w io.Writer, workload Workload, comment string) error {
 	return enc.Encode(doc)
 }
 
+// decodeDocument decodes the one JSON document r holds into v; anything but
+// whitespace after it is an error, so a concatenated or half-overwritten file
+// is rejected instead of read up to its first closing brace.
+func decodeDocument(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the document")
+	}
+	return nil
+}
+
 // Load reads a workload from JSON, validating classes, priorities, and
 // submission ordering.
 func Load(r io.Reader) (Workload, error) {
 	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := decodeDocument(r, &doc); err != nil {
 		return Workload{}, fmt.Errorf("workload: decode: %w", err)
 	}
 	if doc.Version != currentVersion {
 		return Workload{}, fmt.Errorf("workload: unsupported version %d", doc.Version)
 	}
-	return fromEntries(doc.Jobs)
+	var jobs jobList
+	for _, e := range doc.Jobs {
+		if err := jobs.add(e.ID, e.Class, e.Priority, e.SubmitAt); err != nil {
+			return Workload{}, err
+		}
+	}
+	return jobs.workload()
 }
 
 // SaveCSV writes a workload in the CSV trace format: a header row followed by
@@ -95,32 +115,55 @@ func SaveCSV(w io.Writer, workload Workload) error {
 }
 
 // LoadCSV reads the CSV trace format, applying the same validation as Load.
+// Rows are decoded one at a time straight into the workload: a row costs its
+// one string (the job's ID is a substring of it), whatever the file's size.
 func LoadCSV(r io.Reader) (Workload, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	rows, err := cr.ReadAll()
+	cr, err := csvRows(r, "csv", csvHeader)
 	if err != nil {
-		return Workload{}, fmt.Errorf("workload: csv: %w", err)
+		return Workload{}, err
 	}
-	if len(rows) == 0 {
-		return Workload{}, fmt.Errorf("workload: csv document is empty")
-	}
-	if len(rows[0]) != len(csvHeader) || !equalFold(rows[0], csvHeader) {
-		return Workload{}, fmt.Errorf("workload: csv header %v, want %v", rows[0], csvHeader)
-	}
-	var entries []JobEntry
-	for i, rec := range rows[1:] {
+	var jobs jobList
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return jobs.workload()
+		}
+		if err != nil {
+			return Workload{}, fmt.Errorf("workload: csv: %w", err)
+		}
 		prio, err := strconv.Atoi(rec[2])
 		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv row %d priority: %w", i+1, err)
+			return Workload{}, fmt.Errorf("workload: csv row %d priority: %w", row, err)
 		}
 		at, err := strconv.ParseFloat(rec[3], 64)
 		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", i+1, err)
+			return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", row, err)
 		}
-		entries = append(entries, JobEntry{ID: rec[0], Class: rec[1], Priority: prio, SubmitAt: at})
+		if err := jobs.add(rec[0], rec[1], prio, at); err != nil {
+			return Workload{}, err
+		}
 	}
-	return fromEntries(entries)
+}
+
+// csvRows returns a reader over the rows that follow r's header row, which
+// must name header's columns (case and surrounding space aside). The reader
+// reuses its record: the next Read overwrites the slice a Read returned, not
+// the strings in it. what names the format in errors.
+func csvRows(r io.Reader, what string, header []string) (*csv.Reader, error) {
+	cr := csv.NewReader(r)
+	cr.TrimLeadingSpace = true
+	cr.ReuseRecord = true
+	rec, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("workload: %s document is empty", what)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", what, err)
+	}
+	if len(rec) != len(header) || !equalFold(rec, header) {
+		return nil, fmt.Errorf("workload: %s header %v, want %v", what, rec, header)
+	}
+	return cr, nil
 }
 
 func equalFold(a, b []string) bool {
@@ -132,38 +175,44 @@ func equalFold(a, b []string) bool {
 	return true
 }
 
-// fromEntries validates serialized jobs and returns them sorted by submit
-// time (stable, so simultaneous submissions keep file order).
-func fromEntries(entries []JobEntry) (Workload, error) {
-	if len(entries) == 0 {
+// jobList is the one validator behind both trace decoders: add checks a job as
+// its row or entry is decoded, workload checks the list as a whole.
+type jobList []JobSpec
+
+// add validates one serialized job and appends it.
+func (l *jobList) add(id, className string, priority int, submitAt float64) error {
+	if id == "" {
+		return fmt.Errorf("workload: job %d has no id", len(*l))
+	}
+	class, err := classByName(className)
+	if err != nil {
+		return err
+	}
+	if priority < 1 {
+		return fmt.Errorf("workload: job %q priority %d < 1", id, priority)
+	}
+	if submitAt < 0 || math.IsNaN(submitAt) || math.IsInf(submitAt, 0) {
+		return fmt.Errorf("workload: job %q submitAt %v", id, submitAt)
+	}
+	*l = append(*l, JobSpec{ID: id, Class: class, Priority: priority, SubmitAt: submitAt})
+	return nil
+}
+
+// workload rejects an empty list and duplicate IDs and returns the jobs sorted
+// by submit time (stable, so simultaneous submissions keep file order).
+func (l jobList) workload() (Workload, error) {
+	if len(l) == 0 {
 		return Workload{}, fmt.Errorf("workload: document has no jobs")
 	}
-	var w Workload
-	seen := make(map[string]bool, len(entries))
-	for i, e := range entries {
-		if e.ID == "" {
-			return Workload{}, fmt.Errorf("workload: job %d has no id", i)
+	seen := make(map[string]struct{}, len(l))
+	for _, j := range l {
+		if _, dup := seen[j.ID]; dup {
+			return Workload{}, fmt.Errorf("workload: duplicate job id %q", j.ID)
 		}
-		if seen[e.ID] {
-			return Workload{}, fmt.Errorf("workload: duplicate job id %q", e.ID)
-		}
-		seen[e.ID] = true
-		class, err := classByName(e.Class)
-		if err != nil {
-			return Workload{}, err
-		}
-		if e.Priority < 1 {
-			return Workload{}, fmt.Errorf("workload: job %q priority %d < 1", e.ID, e.Priority)
-		}
-		if e.SubmitAt < 0 || math.IsNaN(e.SubmitAt) || math.IsInf(e.SubmitAt, 0) {
-			return Workload{}, fmt.Errorf("workload: job %q submitAt %v", e.ID, e.SubmitAt)
-		}
-		w.Jobs = append(w.Jobs, JobSpec{
-			ID: e.ID, Class: class, Priority: e.Priority, SubmitAt: e.SubmitAt,
-		})
+		seen[j.ID] = struct{}{}
 	}
-	sort.SliceStable(w.Jobs, func(i, j int) bool { return w.Jobs[i].SubmitAt < w.Jobs[j].SubmitAt })
-	return w, nil
+	sort.SliceStable(l, func(i, j int) bool { return l[i].SubmitAt < l[j].SubmitAt })
+	return Workload{Jobs: l}, nil
 }
 
 // SaveFile writes a workload to path, picking the format by extension:
@@ -173,11 +222,21 @@ func SaveFile(path string, workload Workload, comment string) error {
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	defer f.Close()
 	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		return SaveCSV(f, workload)
+		err = SaveCSV(f, workload)
+	} else {
+		err = Save(f, workload, comment)
 	}
-	return Save(f, workload, comment)
+	return closeWritten(f, err)
+}
+
+// closeWritten closes a file that was just written and returns the write
+// error, or else the close error: a write the kernel deferred fails there.
+func closeWritten(f *os.File, writeErr error) error {
+	if err := f.Close(); err != nil && writeErr == nil {
+		return fmt.Errorf("workload: %w", err)
+	}
+	return writeErr
 }
 
 // LoadFile reads a workload from path, picking the format by extension.

@@ -270,6 +270,8 @@ func TestLoadValidates(t *testing.T) {
 		"zero priority": `{"version":1,"jobs":[{"id":"a","class":"small","priority":0,"submitAt":0}]}`,
 		"negative time": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":-5}]}`,
 		"not json":      `{{{`,
+		"trailing data": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0}]} garbage`,
+		"two documents": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0}]}{"version":1,"jobs":[]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
