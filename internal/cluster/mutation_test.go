@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -18,13 +19,24 @@ import (
 // client-go's cache mutation detector. It subscribes to every kind, keeps
 // each view an event delivers beside a deep copy taken on receipt, and fails
 // the test when a view no longer equals its copy — that is, when some
-// consumer wrote through a view instead of copying it first.
+// consumer wrote through a view instead of copying it first. A pod's binding
+// and status writes hand its labels map on from one stored pod to the next,
+// so the shadow also keeps every labels map it has seen, by identity, beside
+// a copy: a write through a view long superseded shows there.
 type viewShadow struct {
 	t      *testing.T
 	store  *k8s.Store
 	copies map[k8s.Object]k8s.Object // view -> its copy on receipt
 	latest map[k8s.Kind]map[string]k8s.Object
+	labels map[uintptr]sharedLabels
 	events int
+}
+
+// sharedLabels is a labels map some views carry and what it held when the
+// first of them arrived.
+type sharedLabels struct {
+	live, was map[string]string
+	key       string
 }
 
 func watchViews(t *testing.T, store *k8s.Store) *viewShadow {
@@ -32,6 +44,7 @@ func watchViews(t *testing.T, store *k8s.Store) *viewShadow {
 		t: t, store: store,
 		copies: make(map[k8s.Object]k8s.Object),
 		latest: make(map[k8s.Kind]map[string]k8s.Object),
+		labels: make(map[uintptr]sharedLabels),
 	}
 	for _, kind := range []k8s.Kind{k8s.KindNode, k8s.KindPod, k8s.KindCharmJob, k8s.KindConfigMap} {
 		s.latest[kind] = make(map[string]k8s.Object)
@@ -50,6 +63,20 @@ func watchViews(t *testing.T, store *k8s.Store) *viewShadow {
 func (s *viewShadow) adopt(view k8s.Object) {
 	s.copies[view] = view.DeepCopy()
 	s.latest[view.Kind()][view.Meta().Key()] = view
+	if live := view.Meta().Labels; live != nil {
+		if id := reflect.ValueOf(live).Pointer(); s.labels[id].live == nil {
+			s.labels[id] = sharedLabels{live, maps.Clone(live), view.Meta().Key()}
+		}
+	}
+}
+
+// labelsIntact checks every labels map any view has carried.
+func (s *viewShadow) labelsIntact() {
+	for _, l := range s.labels {
+		if !maps.Equal(l.live, l.was) {
+			s.t.Errorf("event %d: the labels views of %q share were written through: now %v, were %v", s.events, l.key, l.live, l.was)
+		}
+	}
 }
 
 func (s *viewShadow) onEvent(ev k8s.Event) {
@@ -95,6 +122,9 @@ func (s *viewShadow) scan(settled bool) {
 	}
 	for _, n := range s.store.Nodes() {
 		check(n)
+	}
+	if settled {
+		s.labelsIntact()
 	}
 }
 

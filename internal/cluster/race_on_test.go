@@ -2,6 +2,6 @@
 
 package cluster
 
-// raceEnabled tells the one wall-clock bound in this package that the race
-// detector is on and the bound does not apply.
+// raceEnabled tells the wall-clock bound and the allocation bound in this
+// package that the race detector is on and they do not apply.
 const raceEnabled = true

@@ -1,9 +1,6 @@
 package k8s
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // EventLoop is the control plane's single execution thread over a virtual
 // clock: deferred work runs before time advances, timers fire in timestamp
@@ -11,13 +8,32 @@ import (
 // Settle-and-advance steps that completes in milliseconds of real time while
 // preserving every causal ordering a real cluster would exhibit.
 type EventLoop struct {
-	now time.Time
-	// defers[head:] is the deferred work; Settle reuses the array once it
-	// is empty.
-	defers []func()
-	head   int
-	timers loopTimerHeap
+	now    time.Time
+	defers fifo[func()]
+	// timers is a binary min-heap on (at, seq), held by value: arming a
+	// timer allocates nothing once the array has grown.
+	timers []loopTimer
 	seq    int64
+}
+
+// fifo is a queue that reuses its array once it has drained.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
 }
 
 type loopTimer struct {
@@ -26,23 +42,48 @@ type loopTimer struct {
 	seq int64
 }
 
-type loopTimerHeap []*loopTimer
-
-func (h loopTimerHeap) Len() int { return len(h) }
-func (h loopTimerHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before orders timers by time, then by arming order.
+func (t *loopTimer) before(u *loopTimer) bool {
+	if !t.at.Equal(u.at) {
+		return t.at.Before(u.at)
 	}
-	return h[i].seq < h[j].seq
+	return t.seq < u.seq
 }
-func (h loopTimerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *loopTimerHeap) Push(x any)   { *h = append(*h, x.(*loopTimer)) }
-func (h *loopTimerHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+
+func (l *EventLoop) pushTimer(t loopTimer) {
+	h := append(l.timers, t)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	l.timers = h
+}
+
+func (l *EventLoop) popTimer() loopTimer {
+	h := l.timers
+	n := len(h) - 1
+	top := h[0]
+	h[0], h[n] = h[n], loopTimer{}
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		for child := 2*i + 1; child <= 2*i+2 && child < n; child++ {
+			if h[child].before(&h[least]) {
+				least = child
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	l.timers = h
+	return top
 }
 
 // NewEventLoop creates a loop starting at the given virtual time.
@@ -54,7 +95,7 @@ func NewEventLoop(start time.Time) *EventLoop {
 func (l *EventLoop) Now() time.Time { return l.now }
 
 // Defer implements Loop: fn runs during the next Settle, in FIFO order.
-func (l *EventLoop) Defer(fn func()) { l.defers = append(l.defers, fn) }
+func (l *EventLoop) Defer(fn func()) { l.defers.push(fn) }
 
 // At implements Loop: fn runs once d has elapsed on the virtual clock.
 // Non-positive delays run at the current instant (on the next Settle).
@@ -64,24 +105,20 @@ func (l *EventLoop) At(d time.Duration, fn func()) {
 		return
 	}
 	l.seq++
-	heap.Push(&l.timers, &loopTimer{at: l.now.Add(d), fn: fn, seq: l.seq})
+	l.pushTimer(loopTimer{at: l.now.Add(d), fn: fn, seq: l.seq})
 }
 
 // Settle drains deferred work (including work deferred by that work) and
 // reports how many functions ran. Time does not advance.
 func (l *EventLoop) Settle() int {
 	ran := 0
-	for l.head < len(l.defers) {
-		fn := l.defers[l.head]
-		l.defers[l.head] = nil
-		l.head++
-		fn()
+	for l.defers.len() > 0 {
+		l.defers.pop()()
 		ran++
 		if ran > 10_000_000 {
 			panic("k8s: event loop livelock: deferred work never settles")
 		}
 	}
-	l.defers, l.head = l.defers[:0], 0
 	return ran
 }
 
@@ -96,8 +133,7 @@ func (l *EventLoop) Step() bool {
 	at := l.timers[0].at
 	l.now = at
 	for len(l.timers) > 0 && l.timers[0].at.Equal(at) {
-		t := heap.Pop(&l.timers).(*loopTimer)
-		t.fn()
+		l.popTimer().fn()
 	}
 	l.Settle()
 	return true

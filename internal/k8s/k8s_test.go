@@ -2,6 +2,9 @@ package k8s
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -116,6 +119,29 @@ func TestStoreWatchDeliversInOrder(t *testing.T) {
 		if events[i] != want[i] {
 			t.Errorf("event %d = %q, want %q", i, events[i], want[i])
 		}
+	}
+}
+
+// TestStoreWatchSkipsLateSubscriber: an event goes to the subscribers there
+// were when it was written, not to one that registers before it is delivered.
+func TestStoreWatchSkipsLateSubscriber(t *testing.T) {
+	loop := NewEventLoop(t0)
+	store := NewStore(loop)
+	var early, late []string
+	store.Subscribe(KindPod, func(ev Event) { early = append(early, ev.Object.Meta().Name) })
+	if err := store.Create(mkPod("a", 1, "")); err != nil {
+		t.Fatal(err)
+	}
+	store.Subscribe(KindPod, func(ev Event) { late = append(late, ev.Object.Meta().Name) })
+	if err := store.Create(mkPod("b", 1, "")); err != nil {
+		t.Fatal(err)
+	}
+	loop.Settle()
+	if want := []string{"a", "b"}; !reflect.DeepEqual(early, want) {
+		t.Errorf("the first subscriber saw %v, want %v", early, want)
+	}
+	if want := []string{"b"}; !reflect.DeepEqual(late, want) {
+		t.Errorf("the late subscriber saw %v, want %v", late, want)
 	}
 }
 
@@ -264,6 +290,36 @@ func TestEventLoopOrdering(t *testing.T) {
 	}
 	if !loop.Now().Equal(t0.Add(2 * time.Second)) {
 		t.Errorf("Now = %v", loop.Now())
+	}
+}
+
+// TestEventLoopTimersFireInTimeThenArmingOrder holds the timer heap to a
+// stable sort of what was armed, timers armed by a firing timer included.
+func TestEventLoopTimersFireInTimeThenArmingOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	loop := NewEventLoop(t0)
+	type armed struct {
+		at  time.Duration
+		seq int
+	}
+	var want, got []armed
+	arm := func(from time.Duration) {
+		a := armed{from + time.Duration(1+rng.Intn(20))*time.Second, len(want)}
+		want = append(want, a)
+		loop.At(a.at-from, func() { got = append(got, a) })
+	}
+	for i := 0; i < 200; i++ {
+		arm(0)
+	}
+	loop.At(7*time.Second, func() {
+		for i := 0; i < 100; i++ {
+			arm(7 * time.Second)
+		}
+	})
+	loop.RunUntilIdle()
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("timers fired\n %v\nwant\n %v", got, want)
 	}
 }
 

@@ -9,26 +9,35 @@ import "time"
 type Kubelet struct {
 	loop  Loop
 	store *Store
-	// StartupDelay is bind→Running latency (image pull + container
+	// startupDelay is bind→Running latency (image pull + container
 	// create). The paper excludes operator/pod startup from simulation
 	// but the emulation pays it, as the real EKS runs did.
-	StartupDelay time.Duration
+	startupDelay time.Duration
+	// starting are the bound pods whose start is due, each with a timer
+	// armed. One delay serves every pod, so the timers fire in this order.
+	starting fifo[podStart]
 	// Started counts pods this kubelet transitioned to Running.
 	Started int
 }
 
+// podStart is a pod as the kubelet saw it bound.
+type podStart struct {
+	key     string
+	version int64
+}
+
 // NewKubelet creates the kubelet and subscribes it to pod events.
 func NewKubelet(loop Loop, store *Store, startupDelay time.Duration) *Kubelet {
-	k := &Kubelet{loop: loop, store: store, StartupDelay: startupDelay}
+	k := &Kubelet{loop: loop, store: store, startupDelay: startupDelay}
+	startOldest := func() { k.start(k.starting.pop()) }
 	store.Subscribe(KindPod, func(ev Event) {
 		if ev.Type == Deleted {
 			return
 		}
 		pod := ev.Object.(*Pod)
 		if pod.Spec.NodeName != "" && pod.Status.Phase == PodPending {
-			key := pod.Key()
-			version := pod.ResourceVersion
-			loop.At(k.StartupDelay, func() { k.start(key, version) })
+			k.starting.push(podStart{pod.Key(), pod.ResourceVersion})
+			loop.At(k.startupDelay, startOldest)
 		}
 	})
 	return k
@@ -36,27 +45,24 @@ func NewKubelet(loop Loop, store *Store, startupDelay time.Duration) *Kubelet {
 
 // start transitions a bound pod to Running unless it changed or vanished in
 // the meantime.
-func (k *Kubelet) start(key string, version int64) {
-	obj, ok := k.store.Get(KindPod, key)
+func (k *Kubelet) start(seen podStart) {
+	obj, ok := k.store.View(KindPod, seen.key)
 	if !ok {
 		return
 	}
 	pod := obj.(*Pod)
-	if pod.Status.Phase != PodPending || pod.Spec.NodeName == "" || pod.ResourceVersion != version {
+	if pod.Status.Phase != PodPending || pod.Spec.NodeName == "" || pod.ResourceVersion != seen.version {
 		return
 	}
-	pod.Status.Phase = PodRunning
-	pod.Status.StartTime = k.loop.Now()
-	_ = k.store.Update(pod)
+	_ = k.store.SetPodStatus(seen.key, PodStatus{Phase: PodRunning, StartTime: k.loop.Now()}) // the pod was just seen
 	k.Started++
 }
 
-// setPhase moves the pod a view shows to the phase, through a private copy:
-// a view is never written.
+// setPhase moves the pod a view shows to the phase.
 func setPhase(store *Store, view *Pod, phase PodPhase) bool {
-	pod := view.DeepCopy().(*Pod)
-	pod.Status.Phase = phase
-	return store.Update(pod) == nil
+	status := view.Status
+	status.Phase = phase
+	return store.SetPodStatus(view.Key(), status) == nil
 }
 
 // MarkSucceeded transitions all pods matching the selector to Succeeded,

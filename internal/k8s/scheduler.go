@@ -59,7 +59,7 @@ func (ps *PodScheduler) retryUnschedulable() {
 
 // schedule runs the filter/score pipeline for one pending pod.
 func (ps *PodScheduler) schedule(key string) {
-	obj, ok := ps.store.Get(KindPod, key)
+	obj, ok := ps.store.View(KindPod, key)
 	if !ok {
 		delete(ps.unschedulable, key)
 		return
@@ -92,9 +92,8 @@ func (ps *PodScheduler) schedule(key string) {
 	}
 	delete(ps.unschedulable, key)
 
-	pod.Spec.NodeName = best.Name
-	if err := ps.store.Update(pod); err != nil {
-		// The pod vanished between Get and Update; it will be retried
+	if err := ps.store.Bind(key, best.Name); err != nil {
+		// The pod vanished since it was looked at; it will be retried
 		// if it reappears.
 		ps.unschedulable[key] = true
 	}

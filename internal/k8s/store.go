@@ -17,7 +17,9 @@ import (
 // event payloads hand out the stored objects themselves as read-only views
 // that stay valid, and unchanged, for as long as the caller holds them. A
 // caller that wants to change an object takes its own copy — Get returns
-// one, DeepCopy makes one from a view — and hands it to Update.
+// one, DeepCopy makes one from a view — and hands it to Update. A pod's
+// binding and status have their own writes, Bind and SetPodStatus, which
+// need no copy from the caller and make only a shallow one themselves.
 type Store struct {
 	loop  Loop
 	items map[Kind]map[string]Object
@@ -33,10 +35,35 @@ type Store struct {
 	nodeCPU  map[string]int
 	boundCPU int
 	affinity map[affinityAt]int
-	version  int64
-	uid      int64
-	subs     map[Kind][]func(Event)
-	stats    StoreStats
+	// ownerOf, once OwnPodsBy sets it, files every pod under an owner;
+	// owned holds each owner's pods by (ordinal, key).
+	ownerOf func(*Pod) (owner string, ordinal int)
+	owned   map[string][]OwnedPod
+	// nodes is what Nodes returns. A node write builds a fresh slice, so
+	// one handed out earlier stays as it was.
+	nodes   []*Node
+	version int64
+	uid     int64
+	subs    map[Kind][]func(Event)
+	// undelivered are the watch events written and not yet delivered; each
+	// has one deliver call deferred on the loop.
+	undelivered fifo[queuedEvent]
+	deliver     func()
+	stats       StoreStats
+}
+
+// queuedEvent is a watch event with the subscribers it goes to: the kind's
+// list as it stood at the write, so a later subscriber does not see it.
+type queuedEvent struct {
+	ev   Event
+	subs []func(Event)
+}
+
+// OwnedPod is a read-only view of a pod with the ordinal OwnPodsBy's
+// function gave it.
+type OwnedPod struct {
+	Ordinal int
+	Pod     *Pod
 }
 
 type labelPair struct{ key, value string }
@@ -46,18 +73,21 @@ type affinityAt struct{ key, node string }
 // StoreStats counts what the store has done. Every field is a pure function
 // of the calls made, so a run's counters repeat exactly on any host.
 type StoreStats struct {
-	// Writes counts successful Create, Update and Delete calls.
+	// Writes counts successful Create, Update, Bind, SetPodStatus and
+	// Delete calls.
 	Writes int
-	// Scans counts Pods and Nodes calls, Visited the objects they examined.
+	// Scans counts Pods, OwnedPods and Nodes calls, Visited the objects
+	// they examined.
 	Scans   int
 	Visited int
 	// Copied counts the deep copies the store made (Create, Update, Get).
+	// Bind and SetPodStatus make none.
 	Copied int
 }
 
 // NewStore creates an empty store bound to the loop.
 func NewStore(loop Loop) *Store {
-	return &Store{
+	s := &Store{
 		loop:     loop,
 		items:    make(map[Kind]map[string]Object),
 		keys:     make(map[Kind][]string),
@@ -66,6 +96,8 @@ func NewStore(loop Loop) *Store {
 		affinity: make(map[affinityAt]int),
 		subs:     make(map[Kind][]func(Event)),
 	}
+	s.deliver = s.deliverOldest
+	return s
 }
 
 // Stats returns the store's counters so far.
@@ -77,16 +109,24 @@ func (s *Store) Subscribe(kind Kind, fn func(Event)) {
 	s.subs[kind] = append(s.subs[kind], fn)
 }
 
+// notify queues the event and defers one delivery, so events reach the
+// subscribers in write order and interleave with the loop's other deferred
+// work exactly where their writes did.
 func (s *Store) notify(kind Kind, ev Event) {
 	subs := s.subs[kind]
 	if len(subs) == 0 {
 		return
 	}
-	s.loop.Defer(func() {
-		for _, fn := range subs {
-			fn(ev)
-		}
-	})
+	s.undelivered.push(queuedEvent{ev, subs})
+	s.loop.Defer(s.deliver)
+}
+
+// deliverOldest hands the oldest undelivered event to its subscribers.
+func (s *Store) deliverOldest() {
+	next := s.undelivered.pop()
+	for _, fn := range next.subs {
+		fn(next.ev)
+	}
 }
 
 func (s *Store) bucket(kind Kind) map[string]Object {
@@ -118,23 +158,32 @@ func removeKey(list []string, key string) []string {
 	return append(list[:i], list[i+1:]...)
 }
 
-// index brings the key list, the label index and the resource aggregates up
-// to date with one write under key: was is the stored object being replaced
-// or deleted (nil on Create), now the one taking its place (nil on Delete).
+// index brings the key list, the node list, the label and owner indexes and
+// the resource aggregates up to date with one write under key: was is the
+// stored object being replaced or deleted (nil on Create), now the one taking
+// its place (nil on Delete), already in items.
 func (s *Store) index(kind Kind, key string, was, now Object) {
 	if was == nil {
 		s.keys[kind] = insertKey(s.keys[kind], key)
 	} else if now == nil {
 		s.keys[kind] = removeKey(s.keys[kind], key)
 	}
+	if kind == KindNode {
+		s.nodes = make([]*Node, 0, len(s.keys[kind]))
+		for _, k := range s.keys[kind] {
+			s.nodes = append(s.nodes, s.items[kind][k].(*Node))
+		}
+	}
 	var wasLabels, nowLabels map[string]string
 	if p, ok := was.(*Pod); ok {
 		wasLabels = p.Labels
 		s.hold(p, -1)
+		s.disown(key, p)
 	}
 	if p, ok := now.(*Pod); ok {
 		nowLabels = p.Labels
 		s.hold(p, +1)
+		s.own(key, p)
 	}
 	for k, v := range wasLabels { //lint:deterministic each label edits its own list
 		if nv, ok := nowLabels[k]; ok && nv == v {
@@ -169,6 +218,58 @@ func (s *Store) hold(p *Pod, sign int) {
 		if s.affinity[at] += sign; s.affinity[at] == 0 {
 			delete(s.affinity, at)
 		}
+	}
+}
+
+// OwnPodsBy makes the store keep every owner's pods in ordinal order for
+// OwnedPods, StatefulSet fashion. fn names the owner a pod belongs to ("" for
+// none) and the pod's ordinal among that owner's pods, negative for a pod
+// that has no place in the sequence; it must depend only on the pod's name,
+// namespace and labels. Pods already stored are filed at once.
+func (s *Store) OwnPodsBy(fn func(*Pod) (owner string, ordinal int)) {
+	s.ownerOf = fn
+	s.owned = make(map[string][]OwnedPod)
+	for _, key := range s.keys[KindPod] {
+		s.own(key, s.items[KindPod][key].(*Pod))
+	}
+}
+
+// place finds the pod's owner and where the pod sits, or would sit, among
+// that owner's pods: they are ordered by ordinal, then key.
+func (s *Store) place(key string, p *Pod) (owner string, ordinal, at int) {
+	if s.ownerOf == nil {
+		return "", 0, 0
+	}
+	owner, ordinal = s.ownerOf(p)
+	list := s.owned[owner]
+	at = sort.Search(len(list), func(i int) bool {
+		return list[i].Ordinal > ordinal || list[i].Ordinal == ordinal && list[i].Pod.Key() >= key
+	})
+	return owner, ordinal, at
+}
+
+// own files a pod just stored under its owner; disown takes out one just
+// replaced or deleted.
+func (s *Store) own(key string, p *Pod) {
+	owner, ordinal, at := s.place(key, p)
+	if owner == "" {
+		return
+	}
+	list := append(s.owned[owner], OwnedPod{})
+	copy(list[at+1:], list[at:])
+	list[at] = OwnedPod{ordinal, p}
+	s.owned[owner] = list
+}
+
+func (s *Store) disown(key string, p *Pod) {
+	owner, _, at := s.place(key, p)
+	if owner == "" {
+		return
+	}
+	if list := append(s.owned[owner][:at], s.owned[owner][at+1:]...); len(list) > 0 {
+		s.owned[owner] = list
+	} else {
+		delete(s.owned, owner)
 	}
 }
 
@@ -232,6 +333,56 @@ func (s *Store) Delete(kind Kind, key string) error {
 	return nil
 }
 
+// Bind is the pods/binding write: it places the pod on the node.
+func (s *Store) Bind(key, node string) error {
+	old, err := s.storedPod(key)
+	if err != nil {
+		return err
+	}
+	bound := *old
+	bound.Spec.NodeName = node
+	s.swapPod(key, old, &bound)
+	return nil
+}
+
+// SetPodStatus is the pods/status write: it replaces the pod's status.
+func (s *Store) SetPodStatus(key string, status PodStatus) error {
+	old, err := s.storedPod(key)
+	if err != nil {
+		return err
+	}
+	reported := *old
+	reported.Status = status
+	s.swapPod(key, old, &reported)
+	return nil
+}
+
+func (s *Store) storedPod(key string) (*Pod, error) {
+	obj, exists := s.items[KindPod][key]
+	if !exists {
+		return nil, fmt.Errorf("k8s: %s %q not found", KindPod, key)
+	}
+	return obj.(*Pod), nil
+}
+
+// swapPod stores now, a shallow copy of the stored pod old that differs in
+// binding or status, in old's place, with everything else an Update does:
+// a new resource version, the aggregates moved, a Modified event. The two
+// share their labels — safe because a stored object is never written — so the
+// label index and the pod's place under its owner stand as they are.
+func (s *Store) swapPod(key string, old, now *Pod) {
+	s.version++
+	now.ResourceVersion = s.version
+	s.items[KindPod][key] = now
+	s.hold(old, -1)
+	s.hold(now, +1)
+	if owner, _, at := s.place(key, old); owner != "" {
+		s.owned[owner][at].Pod = now
+	}
+	s.stats.Writes++
+	s.notify(KindPod, Event{Type: Modified, Object: now})
+}
+
 // Get fetches a private copy of the object, reporting whether it exists. It
 // is the entry to mutate-then-Update, which is why it copies.
 func (s *Store) Get(kind Kind, key string) (Object, bool) {
@@ -240,6 +391,13 @@ func (s *Store) Get(kind Kind, key string) (Object, bool) {
 		return nil, false
 	}
 	return s.copyOf(obj), true
+}
+
+// View fetches the object as a read-only view, reporting whether it exists:
+// the entry for a caller that only looks.
+func (s *Store) View(kind Kind, key string) (Object, bool) {
+	obj, ok := s.items[kind][key]
+	return obj, ok
 }
 
 // Pods returns read-only views of the pods matching the label selector (all
@@ -267,16 +425,23 @@ func (s *Store) Pods(selector map[string]string) []*Pod {
 	return out
 }
 
-// Nodes returns read-only views of all nodes, in key order.
-func (s *Store) Nodes() []*Node {
-	keys := s.keys[KindNode]
+// OwnedPods appends to dst read-only views of the pods OwnPodsBy's function
+// files under the owner, ordered by ordinal (then key): whatever has no
+// ordinal first, then the sequence. The result is the caller's; it does not
+// move when the store is written.
+func (s *Store) OwnedPods(dst []OwnedPod, owner string) []OwnedPod {
+	list := s.owned[owner]
 	s.stats.Scans++
-	s.stats.Visited += len(keys)
-	out := make([]*Node, 0, len(keys))
-	for _, key := range keys {
-		out = append(out, s.items[KindNode][key].(*Node))
-	}
-	return out
+	s.stats.Visited += len(list)
+	return append(dst, list...)
+}
+
+// Nodes returns read-only views of all nodes, in key order. The slice is a
+// view too.
+func (s *Store) Nodes() []*Node {
+	s.stats.Scans++
+	s.stats.Visited += len(s.nodes)
+	return s.nodes
 }
 
 // BoundCPU is the CPU held by bound, non-terminal pods across all nodes.
@@ -303,16 +468,17 @@ func hasLabels(labels map[string]string, want []labelPair) bool {
 type Workqueue struct {
 	loop    Loop
 	pending map[string]bool
-	// order[head:] is the queue; drain reuses the array once it is empty.
-	order   []string
-	head    int
+	order   fifo[string]
 	handler func(key string)
 	armed   bool
+	drainFn func() // q.drain, made once
 }
 
 // NewWorkqueue creates a queue that feeds keys to handler on the loop.
 func NewWorkqueue(loop Loop, handler func(key string)) *Workqueue {
-	return &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler}
+	q := &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler}
+	q.drainFn = q.drain
+	return q
 }
 
 // Add enqueues a key; duplicates collapse while queued.
@@ -321,7 +487,7 @@ func (q *Workqueue) Add(key string) {
 		return
 	}
 	q.pending[key] = true
-	q.order = append(q.order, key)
+	q.order.push(key)
 	q.arm()
 }
 
@@ -335,19 +501,17 @@ func (q *Workqueue) arm() {
 		return
 	}
 	q.armed = true
-	q.loop.Defer(q.drain)
+	q.loop.Defer(q.drainFn)
 }
 
 func (q *Workqueue) drain() {
 	q.armed = false
-	for q.head < len(q.order) {
-		key := q.order[q.head]
-		q.head++
+	for q.order.len() > 0 {
+		key := q.order.pop()
 		delete(q.pending, key)
 		q.handler(key)
 	}
-	q.order, q.head = q.order[:0], 0
 }
 
 // Len reports queued keys.
-func (q *Workqueue) Len() int { return len(q.order) - q.head }
+func (q *Workqueue) Len() int { return q.order.len() }

@@ -164,7 +164,8 @@ func (c *ConfigMap) DeepCopy() Object {
 type Loop interface {
 	// Defer runs fn after the current event finishes, before time advances.
 	Defer(fn func())
-	// At runs fn once d has elapsed on the loop's clock.
+	// At runs fn once d has elapsed on the loop's clock. Calls due at the
+	// same instant run in the order they were armed.
 	At(d time.Duration, fn func())
 	// Now returns the loop's current time.
 	Now() time.Time

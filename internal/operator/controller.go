@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,6 +18,8 @@ type Controller struct {
 	store *k8s.Store
 	app   AppRuntime
 	queue *k8s.Workqueue
+	// pods is a reconcile pass's read of its job's pods, reused by the next.
+	pods []k8s.OwnedPod
 
 	// RequeueDelay spaces retries when a job is waiting on pods.
 	RequeueDelay time.Duration
@@ -38,6 +39,7 @@ type Controller struct {
 func NewController(loop k8s.Loop, store *k8s.Store, app AppRuntime) *Controller {
 	c := &Controller{loop: loop, store: store, app: app, RequeueDelay: time.Second}
 	c.queue = k8s.NewWorkqueue(loop, c.reconcile)
+	store.OwnPodsBy(podOwner)
 	store.Subscribe(k8s.KindCharmJob, func(ev k8s.Event) {
 		if ev.Type == k8s.Deleted {
 			return
@@ -53,34 +55,27 @@ func NewController(loop k8s.Loop, store *k8s.Store, app AppRuntime) *Controller 
 	return c
 }
 
-// workerPod is a view of one of a job's worker pods with the ordinal its
-// name carries.
-type workerPod struct {
-	idx int
-	pod *k8s.Pod
-}
-
-// workerPods lists the job's worker pods by ordinal. A pod that carries the
-// worker labels under a name WorkerName does not produce is not one of them.
-func (c *Controller) workerPods(job string) []workerPod {
-	pods := c.store.Pods(map[string]string{"charmjob": job, "role": "worker"})
-	workers := make([]workerPod, 0, len(pods))
-	for _, p := range pods {
-		if idx := workerIndex(p.Name); idx >= 0 {
-			workers = append(workers, workerPod{idx, p})
-		}
+// podOwner files a pod under the job its charmjob label names: a worker at
+// the ordinal its name carries, anything else — the launcher, a pod that
+// wears the worker labels under a name WorkerName does not produce — ahead
+// of the workers with no ordinal.
+func podOwner(p *k8s.Pod) (job string, ordinal int) {
+	job = p.Labels["charmjob"]
+	if job == "" || p.Labels["role"] != "worker" {
+		return job, -1
 	}
-	sort.Slice(workers, func(i, j int) bool { return workers[i].idx < workers[j].idx })
-	return workers
+	return job, workerIndex(job, p.Key())
 }
 
-// workerIndex returns the ordinal WorkerName put at the end of the name, or
-// -1 when the suffix is not exactly what WorkerName writes ("7x", "+7" and
-// "07" are not 7).
-func workerIndex(name string) int {
-	suffix := name[strings.LastIndex(name, "-")+1:]
+// workerIndex returns i when name is exactly WorkerName(job, i), or -1: the
+// prefix is the job's, and "7x", "+7", "-7" and "07" are not 7.
+func workerIndex(job, name string) int {
+	suffix, ok := strings.CutPrefix(name, job)
+	if ok {
+		suffix, ok = strings.CutPrefix(suffix, "-worker-")
+	}
 	idx, err := strconv.Atoi(suffix)
-	if err != nil || strconv.Itoa(idx) != suffix {
+	if !ok || err != nil || idx < 0 || strconv.Itoa(idx) != suffix {
 		return -1
 	}
 	return idx
@@ -89,45 +84,63 @@ func workerIndex(name string) int {
 // reconcile drives one CharmJob toward its spec.
 func (c *Controller) reconcile(key string) {
 	c.Reconciles++
-	obj, ok := c.store.Get(k8s.KindCharmJob, key)
+	obj, ok := c.store.View(k8s.KindCharmJob, key)
 	if !ok {
 		return
 	}
-	job := obj.(*CharmJob)
+	job := obj.(*CharmJob) // a view: whoever writes the job copies it first
 	if job.Status.Phase == JobSucceeded || job.Status.Phase == JobPreempted {
 		// Preempted jobs hold no pods and wait for the policy scheduler
 		// to restart them; there is nothing to reconcile toward.
 		return
 	}
 
-	// Fault tolerance (§3.2.2): a failed worker means the application
+	// One read of the job's pods serves the whole pass: whatever has no
+	// ordinal first, then the workers in ordinal order.
+	c.pods = c.store.OwnedPods(c.pods[:0], job.Name)
+	workers := c.pods
+	for len(workers) > 0 && workers[0].Ordinal < 0 {
+		workers = workers[1:]
+	}
+	desired := job.Spec.Replicas
+	failed := false
+	running, ready := 0, 0 // Running workers; those of them below desired
+	for _, p := range c.pods {
+		switch p.Pod.Status.Phase {
+		case k8s.PodFailed:
+			failed = true
+		case k8s.PodRunning:
+			if p.Ordinal >= 0 {
+				running++
+				if p.Ordinal < desired {
+					ready++
+				}
+			}
+		}
+	}
+
+	// Fault tolerance (§3.2.2): a failed pod means the application
 	// crashed. Tear the job down and relaunch it; the application resumes
 	// from its last checkpoint when Spec.CheckpointPeriod is set ("launch
-	// with the extra restart parameter").
-	if c.handleFailure(job) {
+	// with the extra restart parameter"). The pod deletions re-enqueue the
+	// job.
+	if failed {
+		c.restart(job.DeepCopy().(*CharmJob))
 		return
 	}
 
-	workers := c.workerPods(job.Name)
-	running := 0
-	for _, w := range workers {
-		if w.pod.Status.Phase == k8s.PodRunning {
-			running++
-		}
-	}
 	if job.Status.ReadyReplicas != running {
-		job.Status.ReadyReplicas = running
-		if err := c.store.Update(job); err != nil {
-			return
-		}
 		// The update re-enqueues this key; continue there with fresh
 		// state.
+		job = job.DeepCopy().(*CharmJob)
+		job.Status.ReadyReplicas = running
+		_ = c.store.Update(job)
 		return
 	}
 
 	// Ensure the launcher pod exists (runs mpirun/charmrun; requests one
 	// slot, mirroring the MPI Operator layout).
-	if _, ok := c.store.Get(k8s.KindPod, LauncherName(job.Name)); !ok {
+	if _, ok := c.store.View(k8s.KindPod, LauncherName(job.Name)); !ok {
 		launcher := &k8s.Pod{
 			ObjectMeta: k8s.ObjectMeta{
 				Name:   LauncherName(job.Name),
@@ -144,58 +157,63 @@ func (c *Controller) reconcile(key string) {
 		}
 	}
 
-	// Create missing worker pods up to Spec.Replicas.
-	created := false
-	have := make(map[int]bool, len(workers))
-	for _, w := range workers {
-		have[w.idx] = true
-	}
-	for i := 0; i < job.Spec.Replicas; i++ {
-		if have[i] {
+	// Create missing worker pods up to Spec.Replicas; next walks the
+	// workers beside the ordinals. The store keeps a copy of what Create is
+	// given, so one pod, renamed, describes them all.
+	var worker *k8s.Pod
+	next := 0
+	for i := 0; i < desired; i++ {
+		for next < len(workers) && workers[next].Ordinal < i {
+			next++
+		}
+		if next < len(workers) && workers[next].Ordinal == i {
 			continue
 		}
-		worker := &k8s.Pod{
-			ObjectMeta: k8s.ObjectMeta{
-				Name:   WorkerName(job.Name, i),
-				Labels: map[string]string{"charmjob": job.Name, "role": "worker"},
-			},
-			Spec: k8s.PodSpec{
-				CPU:         job.Spec.CPUPerWorker,
-				ShmBytes:    job.Spec.ShmBytes,
-				AffinityKey: job.Name,
-			},
-			Status: k8s.PodStatus{Phase: k8s.PodPending},
+		if worker == nil {
+			worker = &k8s.Pod{
+				ObjectMeta: k8s.ObjectMeta{Labels: map[string]string{"charmjob": job.Name, "role": "worker"}},
+				Spec: k8s.PodSpec{
+					CPU:         job.Spec.CPUPerWorker,
+					ShmBytes:    job.Spec.ShmBytes,
+					AffinityKey: job.Name,
+				},
+				Status: k8s.PodStatus{Phase: k8s.PodPending},
+			}
 		}
+		worker.Name = WorkerName(job.Name, i)
 		if err := c.store.Create(worker); err != nil {
 			return
 		}
-		created = true
 	}
-	if created {
+	if worker != nil {
 		return // pod events re-enqueue when they start running
 	}
 
 	// Wait for the desired workers to be running.
-	desired := job.Spec.Replicas
-	runningSet := runningNodelist(workers, desired)
-	if len(runningSet) < desired {
+	if ready < desired {
 		c.queue.AddAfter(key, c.RequeueDelay)
 		return
 	}
 
+	pending := job.Status.Phase == JobPending || job.Status.Phase == ""
+	if !pending && desired == job.Status.LaunchedReplicas {
+		return // the application runs at the size the spec asks for
+	}
+	nodelist := runningNodelist(workers, desired)
 	switch {
-	case job.Status.Phase == JobPending || job.Status.Phase == "":
+	case pending:
 		// First launch: write the nodelist, start the application.
-		if err := c.writeNodelist(job.Name, runningSet); err != nil {
+		if err := c.writeNodelist(job.Name, nodelist); err != nil {
 			return
 		}
-		if err := c.app.Launch(job, runningSet); err != nil {
+		if err := c.app.Launch(job, nodelist); err != nil {
 			c.queue.AddAfter(key, c.RequeueDelay)
 			return
 		}
+		job = job.DeepCopy().(*CharmJob)
 		job.Status.Phase = JobRunning
 		job.Status.LaunchedReplicas = desired
-		job.Status.Nodelist = runningSet
+		job.Status.Nodelist = nodelist
 		if err := c.store.Update(job); err != nil {
 			return
 		}
@@ -209,31 +227,34 @@ func (c *Controller) reconcile(key string) {
 			c.queue.AddAfter(key, c.RequeueDelay)
 			return
 		}
-		for i := desired; i < job.Status.LaunchedReplicas; i++ {
-			_ = c.store.Delete(k8s.KindPod, WorkerName(job.Name, i))
+		for _, w := range workers {
+			if w.Ordinal >= desired && w.Ordinal < job.Status.LaunchedReplicas {
+				_ = c.store.Delete(k8s.KindPod, w.Pod.Key()) // it was just read
+			}
 		}
-		if err := c.writeNodelist(job.Name, runningSet); err != nil {
+		if err := c.writeNodelist(job.Name, nodelist); err != nil {
 			return
 		}
-		c.rescaled(job, runningSet)
+		c.rescaled(job, nodelist)
 
-	case desired > job.Status.LaunchedReplicas:
+	default:
 		// Expand (§3.1): pods were added above and are running; update
 		// the nodelist, then signal the application.
-		if err := c.writeNodelist(job.Name, runningSet); err != nil {
+		if err := c.writeNodelist(job.Name, nodelist); err != nil {
 			return
 		}
-		if err := c.app.Expand(job, desired, runningSet); err != nil {
+		if err := c.app.Expand(job, desired, nodelist); err != nil {
 			c.queue.AddAfter(key, c.RequeueDelay)
 			return
 		}
-		c.rescaled(job, runningSet)
+		c.rescaled(job, nodelist)
 	}
 }
 
 // rescaled records a shrink or expand the application has acknowledged in the
-// job's status and reports it.
-func (c *Controller) rescaled(job *CharmJob, nodelist []string) {
+// job's status and reports it. view is not written.
+func (c *Controller) rescaled(view *CharmJob, nodelist []string) {
+	job := view.DeepCopy().(*CharmJob)
 	from := job.Status.LaunchedReplicas
 	job.Status.Phase = JobRunning
 	job.Status.LaunchedReplicas = job.Spec.Replicas
@@ -247,20 +268,9 @@ func (c *Controller) rescaled(job *CharmJob, nodelist []string) {
 	}
 }
 
-// handleFailure restarts a job whose pods failed. It reports whether a
-// restart was initiated (the reconcile pass should stop; the pod deletions
-// re-enqueue the job).
-func (c *Controller) handleFailure(job *CharmJob) bool {
-	failed := false
-	for _, p := range c.store.Pods(map[string]string{"charmjob": job.Name}) {
-		if p.Status.Phase == k8s.PodFailed {
-			failed = true
-			break
-		}
-	}
-	if !failed {
-		return false
-	}
+// restart tears down a job one of whose pods failed and sends it back to
+// Pending. job is the caller's own copy.
+func (c *Controller) restart(job *CharmJob) {
 	if job.Status.Phase == JobRunning || job.Status.Phase == JobRescaling {
 		c.app.Stop(job)
 	}
@@ -274,16 +284,15 @@ func (c *Controller) handleFailure(job *CharmJob) bool {
 	if c.OnRestarted != nil {
 		c.OnRestarted(job)
 	}
-	return true
 }
 
-// runningNodelist returns the DNS-style names of the first `desired` worker
-// pods that are Running.
-func runningNodelist(workers []workerPod, desired int) []string {
-	var hosts []string
+// runningNodelist returns the DNS-style names of the Running workers below
+// ordinal desired, in ordinal order.
+func runningNodelist(workers []k8s.OwnedPod, desired int) []string {
+	hosts := make([]string, 0, desired)
 	for _, w := range workers {
-		if w.idx < desired && w.pod.Status.Phase == k8s.PodRunning {
-			hosts = append(hosts, w.pod.Name)
+		if w.Ordinal < desired && w.Pod.Status.Phase == k8s.PodRunning {
+			hosts = append(hosts, w.Pod.Name)
 		}
 	}
 	return hosts
@@ -299,7 +308,7 @@ func (c *Controller) writeNodelist(job string, hosts []string) error {
 		},
 		Data: map[string]string{"nodelist": strings.Join(hosts, "\n")},
 	}
-	if _, ok := c.store.Get(k8s.KindConfigMap, NodelistName(job)); ok {
+	if _, ok := c.store.View(k8s.KindConfigMap, cm.Name); ok {
 		return c.store.Update(cm)
 	}
 	return c.store.Create(cm)
@@ -332,8 +341,8 @@ func (c *Controller) Preempt(jobName string) error {
 	return nil
 }
 
-// Complete marks a job Succeeded, marks its pods Succeeded (releasing their
-// slots), stops the application, and deletes its worker/launcher pods.
+// Complete stops the application, marks the job Succeeded and deletes its
+// worker and launcher pods, which releases their slots.
 func (c *Controller) Complete(jobName string) error {
 	obj, ok := c.store.Get(k8s.KindCharmJob, jobName)
 	if !ok {

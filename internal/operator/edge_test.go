@@ -1,7 +1,7 @@
 package operator
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,60 +132,102 @@ func TestManagerGapKickExpandsLater(t *testing.T) {
 	}
 }
 
+// workersOf reads a job's worker pods the way reconcile does.
+func workersOf(store *k8s.Store, job string) []k8s.OwnedPod {
+	pods := store.OwnedPods(nil, job)
+	for len(pods) > 0 && pods[0].Ordinal < 0 {
+		pods = pods[1:]
+	}
+	return pods
+}
+
 // TestWorkerPodsSortedByIndex guards the nodelist ordering the runtime
 // relies on.
 func TestWorkerPodsSortedByIndex(t *testing.T) {
-	loop, store, ctrl, _ := testRig(t, 4, 16)
+	loop, store, _, _ := testRig(t, 4, 16)
 	if err := store.Create(mkJob("j1", 12)); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
-	pods := ctrl.workerPods("j1")
+	pods := workersOf(store, "j1")
 	if len(pods) != 12 {
 		t.Fatalf("%d worker pods", len(pods))
 	}
 	for i, p := range pods {
-		if p.idx != i || p.pod.Name != WorkerName("j1", i) {
-			t.Fatalf("pod %d = %s (index-10 must sort after index-9)", i, p.pod.Name)
+		if p.Ordinal != i || p.Pod.Name != WorkerName("j1", i) {
+			t.Fatalf("pod %d = %s (index-10 must sort after index-9)", i, p.Pod.Name)
 		}
 	}
-	_ = fmt.Sprint() // keep fmt imported for future debugging
 }
 
-// TestWorkerIndexIsStrict: only the suffix WorkerName writes is an ordinal.
-// fmt.Sscanf("%d") read "7x", "+7", "07" and "7 8" as 7, so a stray pod
-// wearing a job's worker labels under the name j1-worker-7x stood in for
-// worker 7 and the real j1-worker-7 was never created.
+// TestWorkerIndexIsStrict: only a name WorkerName writes for the job carries
+// an ordinal. fmt.Sscanf("%d") read "7x", "+7", "07" and "7 8" as 7, so a
+// stray pod wearing a job's worker labels under the name j1-worker-7x stood
+// in for worker 7 and the real j1-worker-7 was never created; and a parse of
+// the suffix alone read x-3, j2-worker-3 and j1-launcher-3 as j1's worker 3,
+// whose name then entered j1's nodelist.
 func TestWorkerIndexIsStrict(t *testing.T) {
-	for _, name := range []string{"j1-worker-7x", "j1-worker-+7", "j1-worker-07", "j1-worker-7 8", "j1-worker-", "j1"} {
-		if got := workerIndex(name); got != -1 {
-			t.Errorf("workerIndex(%q) = %d, want -1", name, got)
+	strays := []string{
+		"j1-worker-7x", "j1-worker-+7", "j1-worker-07", "j1-worker-7 8", "j1-worker-", "j1", "j1-worker--3",
+		"x-3", "j2-worker-3", "j1-launcher-3",
+	}
+	for _, name := range strays {
+		if got := workerIndex("j1", name); got != -1 {
+			t.Errorf("workerIndex(j1, %q) = %d, want -1", name, got)
 		}
 	}
-	if got := workerIndex(WorkerName("j1", 0)); got != 0 {
+	if got := workerIndex("j1", WorkerName("j1", 0)); got != 0 {
 		t.Errorf("workerIndex of worker 0 = %d", got)
 	}
 
-	loop, store, ctrl, app := testRig(t, 4, 16)
-	stray := &k8s.Pod{
-		ObjectMeta: k8s.ObjectMeta{Name: "j1-worker-7x", Labels: map[string]string{"charmjob": "j1", "role": "worker"}},
-		Spec:       k8s.PodSpec{CPU: 1},
-		Status:     k8s.PodStatus{Phase: k8s.PodPending},
+	// With every stray present the job gets the pods and the nodelist it
+	// gets without them.
+	run := func(strays []string) (pods, nodelist []string, launches int) {
+		loop, store, _, app := testRig(t, 4, 16)
+		for _, name := range strays {
+			stray := &k8s.Pod{
+				ObjectMeta: k8s.ObjectMeta{Name: name, Labels: map[string]string{"charmjob": "j1", "role": "worker"}},
+				Status:     k8s.PodStatus{Phase: k8s.PodPending},
+			}
+			if err := store.Create(stray); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := store.Create(mkJob("j1", 8)); err != nil {
+			t.Fatal(err)
+		}
+		loop.RunUntilIdle()
+		// A shrink deletes the workers it names and no stray.
+		obj, _ := store.Get(k8s.KindCharmJob, "j1")
+		job := obj.(*CharmJob)
+		job.Spec.Replicas = 3
+		if err := store.Update(job); err != nil {
+			t.Fatal(err)
+		}
+		loop.RunUntilIdle()
+		isStray := map[string]bool{}
+		for _, name := range strays {
+			isStray[name] = true
+		}
+		for _, p := range store.Pods(map[string]string{"charmjob": "j1"}) {
+			if !isStray[p.Name] {
+				pods = append(pods, p.Name)
+			}
+		}
+		if left := len(store.Pods(map[string]string{"charmjob": "j1"})) - len(pods); left != len(strays) {
+			t.Errorf("%d of %d strays left after the shrink", left, len(strays))
+		}
+		return pods, app.lastNodelist, app.launches
 	}
-	if err := store.Create(stray); err != nil {
-		t.Fatal(err)
+	wantPods, wantNodelist, _ := run(nil)
+	gotPods, gotNodelist, launches := run(strays)
+	if !reflect.DeepEqual(gotPods, wantPods) {
+		t.Errorf("pods with strays present = %v, without %v", gotPods, wantPods)
 	}
-	if err := store.Create(mkJob("j1", 8)); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(gotNodelist, wantNodelist) {
+		t.Errorf("nodelist with strays present = %v, without %v", gotNodelist, wantNodelist)
 	}
-	loop.RunUntilIdle()
-	if _, ok := store.Get(k8s.KindPod, WorkerName("j1", 7)); !ok {
-		t.Error("the stray pod suppressed worker 7")
-	}
-	if got := len(ctrl.workerPods("j1")); got != 8 {
-		t.Errorf("%d worker pods, want 8: the stray is not one of the job's", got)
-	}
-	if app.launches != 1 {
-		t.Errorf("launches = %d, want 1", app.launches)
+	if launches != 1 {
+		t.Errorf("launches = %d, want 1", launches)
 	}
 }

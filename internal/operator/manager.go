@@ -170,7 +170,7 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	obj := mj.template.DeepCopy().(*CharmJob)
 	obj.Spec.Replicas = replicas
 	obj.Status = CharmJobStatus{Phase: JobPending}
-	if prev, exists := m.store.Get(k8s.KindCharmJob, obj.Key()); exists {
+	if prev, exists := m.store.View(k8s.KindCharmJob, obj.Key()); exists {
 		ps := prev.(*CharmJob).Status
 		obj.Status.Restarts = ps.Restarts
 		obj.Status.Preemptions = ps.Preemptions

@@ -248,10 +248,10 @@ func TestControllerComplete(t *testing.T) {
 }
 
 func TestWorkerIndexParsing(t *testing.T) {
-	if workerIndex(WorkerName("my-job", 7)) != 7 {
+	if workerIndex("my-job", WorkerName("my-job", 7)) != 7 {
 		t.Error("workerIndex failed on generated name")
 	}
-	if workerIndex("garbage") != -1 {
+	if workerIndex("my-job", "garbage") != -1 {
 		t.Error("workerIndex accepted garbage")
 	}
 }

@@ -16,6 +16,7 @@ package operator
 import (
 	"fmt"
 	"maps"
+	"strconv"
 
 	"elastichpc/internal/k8s"
 )
@@ -124,7 +125,7 @@ func (j *CharmJob) Validate() error {
 }
 
 // WorkerName returns the name of worker pod i for the job.
-func WorkerName(job string, i int) string { return fmt.Sprintf("%s-worker-%d", job, i) }
+func WorkerName(job string, i int) string { return job + "-worker-" + strconv.Itoa(i) }
 
 // LauncherName returns the job's launcher pod name.
 func LauncherName(job string) string { return job + "-launcher" }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -239,5 +240,101 @@ func TestSaveFileReportsWriteFailure(t *testing.T) {
 		if err := SaveAvailabilityFile(path, tr, ""); !errors.Is(err, syscall.ENOSPC) {
 			t.Errorf("SaveAvailabilityFile(%s) on a full device: %v", name, err)
 		}
+	}
+}
+
+// TestSaversReplaceOnlyRegularFiles: saving over a regular file unlinks it
+// and writes a new one (another link to the old file keeps the old bytes),
+// whereas a symlink, a device and a FIFO are opened where they stand.
+func TestSaversReplaceOnlyRegularFiles(t *testing.T) {
+	old, next := MustUniform(4, 90, 7), MustUniform(6, 60, 3)
+	tr := AvailabilityTrace{Events: []CapacityEvent{{At: 0, Capacity: 8}}}
+	savers := []struct {
+		name string
+		save func(path string) error
+		same func(path string) bool // path holds what save writes
+	}{
+		{"SaveFile", func(p string) error { return SaveFile(p, next, "") }, func(p string) bool {
+			w, err := LoadFile(p)
+			return err == nil && reflect.DeepEqual(w, next)
+		}},
+		{"SaveAvailabilityFile", func(p string) error { return SaveAvailabilityFile(p, tr, "") }, func(p string) bool {
+			got, err := LoadAvailabilityFile(p)
+			return err == nil && reflect.DeepEqual(got, tr)
+		}},
+	}
+	for _, s := range savers {
+		t.Run(s.name+"/regular", func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.csv")
+			if err := SaveFile(path, old, ""); err != nil {
+				t.Fatal(err)
+			}
+			link := filepath.Join(filepath.Dir(path), "old.csv")
+			if err := os.Link(path, link); err != nil {
+				t.Skip("no hard links here:", err)
+			}
+			if err := s.save(path); err != nil {
+				t.Fatal(err)
+			}
+			if !s.same(path) {
+				t.Error("the path does not hold what was saved")
+			}
+			if w, err := LoadFile(link); err != nil || !reflect.DeepEqual(w, old) {
+				t.Errorf("the old file was written in place: its other link reads %v, %v", w, err)
+			}
+		})
+		t.Run(s.name+"/symlink", func(t *testing.T) {
+			dir := t.TempDir()
+			target, path := filepath.Join(dir, "target.csv"), filepath.Join(dir, "trace.csv")
+			if err := SaveFile(target, old, ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Symlink(target, path); err != nil {
+				t.Skip("no symlinks here:", err)
+			}
+			if err := s.save(path); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+				t.Errorf("the symlink was replaced: %v, %v", fi, err)
+			}
+			if !s.same(target) {
+				t.Error("the link's target does not hold what was saved")
+			}
+		})
+		t.Run(s.name+"/device", func(t *testing.T) {
+			fi, err := os.Lstat(os.DevNull)
+			if err != nil || fi.Mode()&os.ModeDevice == 0 {
+				t.Skip("no null device to write to")
+			}
+			if err := s.save(os.DevNull); err != nil {
+				t.Fatal(err)
+			}
+			if now, err := os.Lstat(os.DevNull); err != nil || now.Mode() != fi.Mode() {
+				t.Errorf("the null device is now %v, %v", now, err)
+			}
+		})
+		t.Run(s.name+"/fifo", func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.csv")
+			if err := exec.Command("mkfifo", path).Run(); err != nil {
+				t.Skip("no mkfifo here:", err)
+			}
+			// os.Create opens for reading too, so the saver does not wait
+			// for this end; opened first, it finds the bytes.
+			r, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if err := s.save(path); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := io.ReadAll(r); err != nil || len(got) == 0 {
+				t.Errorf("read %d bytes from the FIFO, %v", len(got), err)
+			}
+			if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+				t.Errorf("the FIFO was replaced: %v, %v", fi, err)
+			}
+		})
 	}
 }
