@@ -24,7 +24,7 @@
 //	elasticsim -availability failures -mttf 900          # tune the failure rate
 //	elasticsim -sweep gap -seeds 100 -jobs 16   # paper-scale averaging
 //	elasticsim -parallel 1 -sweep gap      # sequential reference run
-//	elasticsim -scenario burst -shards 8   # shard the event loop by time epoch
+//	elasticsim -scenario burst -shards 8   # up to 8 time epochs in parallel (0, the default: automatic; 1: sequential)
 //	elasticsim -scenario burst -save-workload wl.json   # export a workload
 //	elasticsim -availability spot -save-availability cap.json   # export a capacity trace
 //	elasticsim -table1 -json table1.json   # also write a metrics.Report

@@ -36,7 +36,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, policyIdx uint8) {
 		sc := fuzzScenario(seed)
 		p := core.AllPolicies()[int(policyIdx)%4]
-		report, err := scenarioDivergence(sc, p, 0)
+		report, err := scenarioDivergence(sc, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,16 +47,20 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 }
 
 // FuzzShardEquivalence fuzzes the sharded event loop's contract: any
-// generated scenario × policy × shard width must match the sequential
-// reference exactly.
+// generated scenario × policy × shard width — automatic (0) included — must
+// match the sequential reference exactly.
 func FuzzShardEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(2))
 	f.Add(int64(7), uint8(1), uint8(8))
 	f.Add(int64(42), uint8(3), uint8(3))
+	f.Add(int64(394), uint8(6), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, policyIdx, shardWidth uint8) {
 		sc := fuzzScenario(seed)
 		p := core.AllPolicies()[int(policyIdx)%4]
 		shards := 2 + int(shardWidth)%7
+		if policyIdx&4 != 0 {
+			shards = 0 // automatic; the committed corpus keeps its widths
+		}
 		run := func(shards int) (*Stream, error) {
 			cfg := sim.DefaultConfig(p)
 			cfg.Availability = sc.Trace
@@ -64,7 +68,7 @@ func FuzzShardEquivalence(f *testing.F) {
 			cfg.Shards = shards
 			return RecordSim(cfg, sc.Workload)
 		}
-		ref, err := run(0)
+		ref, err := run(1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func scenarioDivergence(sc Scenario, p core.Policy, shards int) (string, error) 
 		cfg.Shards = shards
 		return RecordSim(cfg, sc.Workload)
 	}
-	ref, err := run(true, 0)
+	ref, err := run(true, 1)
 	if err != nil {
 		return "", err
 	}
@@ -36,8 +36,8 @@ func scenarioDivergence(sc Scenario, p core.Policy, shards int) (string, error) 
 }
 
 // TestRandomScenarioEquivalenceProperty is the property-based sweep: a
-// fixed-seed stream of random scenarios, each run through the incremental
-// and sharded modes against the full-redistribute reference. A failure is
+// fixed-seed stream of random scenarios, each run through the incremental,
+// sharded or automatic mode against the full-redistribute reference. A failure is
 // shrunk to a minimal scenario before reporting.
 func TestRandomScenarioEquivalenceProperty(t *testing.T) {
 	iterations := 20
@@ -48,7 +48,7 @@ func TestRandomScenarioEquivalenceProperty(t *testing.T) {
 	for i := 0; i < iterations; i++ {
 		sc := RandomScenario(rng)
 		p := core.AllPolicies()[i%4]
-		shards := []int{0, 8}[i%2]
+		shards := []int{1, 8, 0}[i%3]
 		report, err := scenarioDivergence(sc, p, shards)
 		if err != nil {
 			t.Fatalf("iteration %d (%s, %s, shards %d): %v", i, sc.Name, p, shards, err)

@@ -27,12 +27,14 @@ type MatrixOptions struct {
 }
 
 // DefaultMatrixOptions is the grid CI runs: the full policy × route product
-// at shard widths 1/2/8 over two seeds, cluster cells included.
+// at shard widths 0 (automatic — the default every caller runs; the matrix's
+// scenarios sit under its work floor, so the candidate pins "plan, decline,
+// change nothing") and 1/2/8 over two seeds, cluster cells included.
 func DefaultMatrixOptions() MatrixOptions {
 	return MatrixOptions{
 		Seeds:    []int64{1, 7},
 		Policies: core.AllPolicies(),
-		Shards:   []int{1, 2, 8},
+		Shards:   []int{0, 1, 2, 8},
 		Routes:   federation.AllRoutes(),
 		Cluster:  true,
 		Window:   DefaultWindow,
@@ -239,11 +241,11 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 			}
 			caseName := name + "/" + sc.Name
 
-			ref, err := run(true, true, false, 0)
+			ref, err := run(true, true, false, 1)
 			if err != nil {
 				return nil, err
 			}
-			incremental, err := run(false, true, false, 0)
+			incremental, err := run(false, true, false, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +253,7 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 			// Streaming candidates carry no digest and compare on the
 			// decisions and the aggregates, which the streaming mode
 			// documents as bit-identical.
-			candidates := []simCandidate{{name: "streaming", streaming: true}}
+			candidates := []simCandidate{{name: "streaming", streaming: true, shards: 1}}
 			for _, shards := range opt.Shards {
 				candidates = append(candidates, simCandidate{
 					name: fmt.Sprintf("shards%d", shards), shards: shards,
@@ -274,13 +276,13 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 			// The stepping surface the fleet rebalancer drives: the same run
 			// cut into 300 s windows is the batch run, decisions and every
 			// summary bit.
-			stepped, err := RecordStepped(config(false, true, false, 0), sc.Workload, 300)
+			stepped, err := RecordStepped(config(false, true, false, 1), sc.Workload, 300)
 			if err != nil {
 				return nil, err
 			}
 			fails = check(fails, opt, caseName, "stepped", ref, stepped)
 
-			unlogged, err := run(false, false, false, 0)
+			unlogged, err := run(false, false, false, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +312,7 @@ func extensionsCase(opt MatrixOptions, p core.Policy) Case {
 			cfg.Shards = shards
 			return RecordSim(cfg, w)
 		}
-		ref, err := run(true, 0)
+		ref, err := run(true, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +320,7 @@ func extensionsCase(opt MatrixOptions, p core.Policy) Case {
 		for _, cand := range []struct {
 			name   string
 			shards int
-		}{{name: "incremental"}, {name: "shards4", shards: 4}} {
+		}{{name: "incremental", shards: 1}, {name: "shards4", shards: 4}} {
 			got, err := run(false, cand.shards)
 			if err != nil {
 				return nil, err
@@ -351,7 +353,7 @@ func streamingScaleCase(opt MatrixOptions, p core.Policy) Case {
 			cfg.Shards = shards
 			return RecordSim(cfg, w)
 		}
-		ref, err := run(0)
+		ref, err := run(1)
 		if err != nil {
 			return nil, err
 		}

@@ -90,6 +90,15 @@ func (r *logRing) add(d Decision) {
 	}
 }
 
+// reserve sizes the backing array for n entries (at most the bound) in one
+// allocation, so a run that knows roughly how much it will log does not grow
+// the ring by doubling — every regrowth clears and copies the whole buffer.
+func (r *logRing) reserve(n int) {
+	if n = min(n, maxLogEntries); n > cap(r.buf) {
+		r.buf = append(make([]Decision, 0, n), r.buf...)
+	}
+}
+
 // snapshot returns the entries oldest-first as a fresh slice.
 func (r *logRing) snapshot() []Decision {
 	if r.n == 0 {
@@ -119,6 +128,16 @@ func (s *Scheduler) recordCapacity(n int) {
 	s.log.add(Decision{
 		At: s.tnow, Kind: DecisionCapacity, JobID: "", Replicas: n, FreeSlots: s.free,
 	})
+}
+
+// ReserveLog sizes the decision ring for a run expected to record about
+// entries decisions (no-op without Config.EnableLog, or when the ring is
+// already that large). It bounds nothing: the ring still grows to its cap of
+// 100k entries and then overwrites the oldest.
+func (s *Scheduler) ReserveLog(entries int) {
+	if s.cfg.EnableLog {
+		s.log.reserve(entries)
+	}
 }
 
 // Log returns a copy of the decision log, oldest entry first (empty unless

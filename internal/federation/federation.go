@@ -17,8 +17,10 @@ type Config struct {
 	// Members holds one simulator configuration per member cluster. Each
 	// member keeps its own capacity, rescale gap, machine model,
 	// availability trace, streaming mode, and sharded execution mode
-	// (sim.Config.Shards); the meta-scheduler never reaches inside a member
-	// beyond handing it its sub-workload. The router reads every member's
+	// (sim.Config.Shards — left unset, a member of a batch run on more than
+	// one worker runs sequentially: the fleet's pool is the parallelism);
+	// the meta-scheduler never reaches inside a member beyond that and
+	// handing it its sub-workload. The router reads every member's
 	// own machine and availability trace for its placement estimates.
 	Members []sim.Config
 	// Backends, when non-empty, overrides Members with arbitrary member
@@ -177,8 +179,16 @@ func Run(cfg Config, w workload.Workload) (Result, error) {
 	backends := cfg.backends()
 	members := make([]sim.Result, len(parts))
 	decs := make([][]core.Decision, len(parts))
+	// Members that share a worker pool do not each shard their own run on
+	// top of it: an unset Shards (automatic) resolves to the sequential loop.
+	pooled := len(parts) > 1 && cfg.Workers != 1
 	err = sim.RunTasks(len(parts), cfg.Workers, func(i int) error {
-		res, dec, err := backends[i].Run(parts[i])
+		b := backends[i]
+		if m, ok := b.(SimMember); ok && pooled && m.Config.Shards == 0 {
+			m.Config.Shards = 1
+			b = m
+		}
+		res, dec, err := b.Run(parts[i])
 		if err != nil {
 			return fmt.Errorf("federation: member %d: %w", i, err)
 		}

@@ -76,11 +76,9 @@ func (m SimMember) Run(w workload.Workload) (sim.Result, []core.Decision, error)
 
 // newStepper builds the steppable simulator the rebalancer co-simulates.
 // Stepping is inherently sequential per member (the fleet parallelizes
-// across members instead), so the sharded mode is disabled.
+// across members instead): Begin/StepTo/Finish never read Config.Shards.
 func (m SimMember) newStepper() (*sim.Simulator, error) {
-	cfg := m.Config
-	cfg.Shards = 0
-	return sim.New(cfg)
+	return sim.New(m.Config)
 }
 
 // ClusterMember backs a federation member with the full k8s+operator

@@ -37,6 +37,9 @@ func Sweep(routes []Route, gen workload.Generator, clusters, seeds int, rescaleG
 		}
 		base := sim.DefaultConfig(p)
 		base.RescaleGap = rescaleGap
+		if workers != 1 {
+			base.Shards = 1 // the sweep's pool is the parallelism
+		}
 		return Run(Config{
 			Members:   Skewed(base, clusters, skew),
 			Route:     routes[int(x)],

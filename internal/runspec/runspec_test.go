@@ -86,6 +86,7 @@ func TestValidateDependencies(t *testing.T) {
 		"-clusters":        {Members: 0},
 		"-trace":           {Members: 1, Scenario: "burst", Trace: "wl.csv"},
 		"divisible":        {Members: 1, Scenario: "burst", Jobs: 50, Waves: 3},
+		"-shards -3":       {Members: 1, Scenario: "burst", Shards: -3},
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {

@@ -113,7 +113,7 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.BoolVar(&s.Preempt, "preempt", s.Preempt, "enable preemption")
 	}
 	if g&(Shards|Engine) != 0 {
-		fs.IntVar(&s.Shards, "shards", s.Shards, "shard a single run's event loop across N time epochs (0/1 = sequential; results are bit-identical)")
+		fs.IntVar(&s.Shards, "shards", s.Shards, "time epochs a single run's event loop executes in parallel (0 = automatic, 1 = sequential, N = up to N epochs; results are bit-identical)")
 	}
 	if g&Fleet != 0 {
 		fs.IntVar(&s.Members, "clusters", s.Members, "member clusters behind the federation router (1 = single cluster)")
@@ -188,6 +188,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-preempt needs -availability spot")
 	case s.Members < 1:
 		return fmt.Errorf("-clusters %d: a fleet needs at least 1 member", s.Members)
+	case s.Shards < 0:
+		return fmt.Errorf("-shards %d: 0 = automatic, 1 = sequential, N = up to N epochs", s.Shards)
 	case s.MigrateRunning && s.RebalanceEvery == 0:
 		return fmt.Errorf("-migrate-running needs -rebalance")
 	case s.Scenario == "burst" && s.Waves != 0 && (s.Waves < 0 || s.Jobs%s.Waves != 0):

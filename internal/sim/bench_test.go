@@ -37,7 +37,7 @@ func BenchmarkSimMillionJobs(b *testing.B) {
 // sequential loop — quick enough for local iteration while pinning the
 // single-threaded event-loop rate the sharded mode builds on.
 func BenchmarkSim100kJobs(b *testing.B) {
-	benchSim(b, 100_000, 0)
+	benchSim(b, 100_000, 1)
 }
 
 func benchSim(b *testing.B, jobs, shards int) {
@@ -80,7 +80,7 @@ func BenchmarkSimAvailability(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSimAvail(b, jobs, w, tr, 0)
+	benchSimAvail(b, jobs, w, tr, 1)
 }
 
 func benchSimAvail(b *testing.B, jobs int, w workload.Workload, tr workload.AvailabilityTrace, shards int) {

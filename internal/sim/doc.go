@@ -20,6 +20,24 @@
 // (Config.LogDecisions), so the default streaming path allocates nothing
 // per job.
 //
+// # Execution modes
+//
+// Run executes the loop whole (Config.Shards == 1, the sequential
+// reference), or partitions it in time into epochs that are simulated
+// speculatively in parallel and reconciled into the same bits (shard.go).
+// The default, Shards == 0, decides for itself: one epoch per GOMAXPROCS
+// processor where the run is large enough (16 k jobs an epoch — smaller runs
+// are the sequential loop, unplanned) and the drain predictor finds every cut
+// its margin of idle slack (the rescale gap plus 420 s of predicted idle
+// time); otherwise it declines, at the cost of two allocation-free passes
+// over the submissions, and the first boundary that does not drain cancels
+// what speculation is left. Shards == N > 1 plans up to N epochs
+// unconditionally. Decisions, the Result and Processed() are the sequential
+// loop's at every width. Callers that already fan runs out over a RunTasks
+// pool of more than one worker (sweep cells, a federation's batch members)
+// resolve the unset value to 1 so parallelism is not nested, and the stepping
+// API (Begin/StepTo/Finish) never shards.
+//
 // # Determinism
 //
 // Every run is a pure function of (workload, availability trace, config):

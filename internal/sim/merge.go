@@ -83,6 +83,12 @@ func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Resul
 			s.workLost += t.lost
 		}
 		s.completed += sg.completed
+		// Events: what the segment popped, plus what an adopted boundary
+		// left parked in its heap — superseded kicks and stale completions
+		// past the horizon, which the sequential loop pops (and counts) on
+		// its way to the next epoch's events. The final segment drains its
+		// heap, so the term is zero there.
+		s.processed += sg.processed + sg.events.len()
 		if sg.haveStart && (!s.haveStart || sg.firstStart < s.firstStart) {
 			s.haveStart = true
 			s.firstStart = sg.firstStart

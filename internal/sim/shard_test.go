@@ -13,6 +13,31 @@ import (
 	"elastichpc/internal/workload"
 )
 
+// shardedRun is everything a finished run can be asked for.
+type shardedRun struct {
+	res       Result
+	decisions []core.Decision
+	processed int
+	stats     shardStats
+}
+
+// runShards runs w under cfg at the given Config.Shards, over planted epochs
+// when plans is non-nil (Shards: 1 never reads them).
+func runShards(t testing.TB, cfg Config, w workload.Workload, shards int, plans []epochPlan) shardedRun {
+	t.Helper()
+	cfg.Shards = shards
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.testPlans = plans
+	res, err := s.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shardedRun{res: res, decisions: s.Decisions(), processed: s.Processed(), stats: s.stats}
+}
+
 // waveStartPlans cuts a workload at every distinct submission instant —
 // boundaries a persistent backlog is guaranteed to cross, so adopting any
 // of them would be wrong and the reconciliation pass must re-execute every
@@ -106,9 +131,12 @@ func TestPlanEpochsPartition(t *testing.T) {
 			cfg := DefaultConfig(core.Elastic)
 			cfg.Availability = tr
 			cfg.Shards = shards
-			plans := planEpochs(cfg, w, order)
-			if shards == 1 && len(plans) != 1 {
-				t.Fatalf("shards=1 produced %d epochs", len(plans))
+			plans := planEpochs(cfg, w, order, model.Specs())
+			if shards == 1 {
+				if plans != nil {
+					t.Fatalf("shards=1 produced %d epochs", len(plans))
+				}
+				return
 			}
 			if len(plans) > shards {
 				t.Fatalf("%d epochs exceed %d shards", len(plans), shards)
@@ -248,7 +276,7 @@ func TestPlanEpochsStreamingScaleWorkload(t *testing.T) {
 	}
 	cfg := DefaultConfig(core.Elastic)
 	cfg.Shards = 8
-	if plans := planEpochs(cfg, w, submissionOrder(w)); len(plans) < 2 {
+	if plans := planEpochs(cfg, w, submissionOrder(w), model.Specs()); len(plans) < 2 {
 		t.Fatalf("streaming-scale workload produced no multi-epoch plan (%d epochs)", len(plans))
 	}
 }
@@ -273,21 +301,10 @@ func classWaves(gap float64, waves [][]model.Class) workload.Workload {
 	return w
 }
 
-// predictedDemand restates the planner's per-job demand formula, so the
-// balance tests measure epochs in exactly the units the chooser balances.
+// predictedDemand is the planner's per-job demand for a class, so the balance
+// tests measure epochs in exactly the units the chooser balances.
 func predictedDemand(cfg Config, class model.Class) float64 {
-	spec := model.Specs()[class]
-	r := spec.MaxReplicas
-	if cfg.Policy == core.RigidMin {
-		r = spec.MinReplicas
-	}
-	if r > cfg.Capacity {
-		r = cfg.Capacity
-	}
-	if r < 1 {
-		r = 1
-	}
-	return float64(spec.Steps) * cfg.Machine.IterTime(spec.Grid, r) * float64(r)
+	return classDemand(cfg, model.Specs())[class]
 }
 
 // epochWorks sums each plan's predicted demand.
@@ -332,7 +349,7 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 			cfg := DefaultConfig(core.Elastic)
 			cfg.Shards = 4
 			order := submissionOrder(w)
-			plans := planEpochs(cfg, w, order)
+			plans := planEpochs(cfg, w, order, model.Specs())
 			if len(plans) != cfg.Shards {
 				t.Fatalf("%d epochs planned, want %d: %+v", len(plans), cfg.Shards, plans)
 			}
@@ -426,8 +443,10 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 // backlog but the later ones genuinely drain, the reconciliation walk must
 // re-execute the first window on the live chain AND still adopt at least one
 // downstream speculative epoch — all while reproducing the sequential
-// decisions and Result exactly. (TestParallelForcedReexecution covers the
-// all-dirty extreme; this covers the dirty-then-clean chain.)
+// decisions, Result and event count exactly. (TestParallelForcedReexecution
+// covers the all-dirty extreme; this covers the dirty-then-clean chain.) The
+// automatic width over the same planted cuts is the bounded-downside rule: the
+// first dirty boundary cancels every remaining epoch, adopted or not.
 func TestParallelChainedSpeculation(t *testing.T) {
 	wave := func(wv int, at float64) []workload.JobSpec {
 		jobs := make([]workload.JobSpec, 6)
@@ -468,57 +487,51 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	jobs = append(jobs, wave(3, 20*T)...)
 	w := workload.Workload{Jobs: jobs}
 
-	run := func(sharded bool) (Result, []core.Decision, shardStats) {
-		cfg := DefaultConfig(core.Elastic)
-		cfg.LogDecisions = true
-		if sharded {
-			plans := waveStartPlans(w, submissionOrder(w), cfg.Capacity)
-			if len(plans) != 4 {
-				t.Fatalf("planted %d epochs, want 4", len(plans))
+	plans := waveStartPlans(w, submissionOrder(w), cfg.Capacity)
+	if len(plans) != 4 {
+		t.Fatalf("planted %d epochs, want 4", len(plans))
+	}
+	cfg.LogDecisions = true
+	seq := runShards(t, cfg, w, 1, nil)
+	for _, c := range []struct {
+		name   string
+		shards int
+		// adopted is the fewest boundaries the walk must adopt, reexecuted
+		// the fewest it must re-execute.
+		adopted, reexecuted int
+	}{
+		// Explicit width: the dirty boundary costs its own window only.
+		{"explicit", len(plans), 1, 1},
+		// Automatic: the first dirty boundary cancels the rest of the
+		// speculation and the live chain takes the whole remainder.
+		{"auto", 0, 0, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := runShards(t, cfg, w, c.shards, plans)
+			if !reflect.DeepEqual(seq.decisions, got.decisions) {
+				t.Fatalf("decision sequences diverge: sequential %d entries, sharded %d",
+					len(seq.decisions), len(got.decisions))
 			}
-			cfg.Shards = len(plans)
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(seq.res, got.res) {
+				t.Fatalf("results diverge:\nsequential: %+v\nsharded:    %+v", seq.res, got.res)
 			}
-			s.testPlans = plans
-			res, err := s.Run(w)
-			if err != nil {
-				t.Fatal(err)
+			if got.processed != seq.processed {
+				t.Fatalf("Processed() %d, sequential %d", got.processed, seq.processed)
 			}
-			return res, s.Decisions(), s.stats
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, s.Decisions(), shardStats{}
-	}
-
-	seqRes, seqDec, _ := run(false)
-	parRes, parDec, st := run(true)
-	if !reflect.DeepEqual(seqDec, parDec) {
-		t.Fatalf("decision sequences diverge: sequential %d entries, sharded %d",
-			len(seqDec), len(parDec))
-	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatalf("results diverge:\nsequential: %+v\nsharded:    %+v", seqRes, parRes)
-	}
-	if st.epochs != 4 {
-		t.Fatalf("stats recorded %d epochs, want 4: %+v", st.epochs, st)
-	}
-	if st.reexecuted < 1 {
-		t.Fatalf("the planted dirty boundary was not re-executed: %+v", st)
-	}
-	if st.adopted < 1 {
-		t.Fatalf("no speculative epoch was adopted past the dirty boundary: %+v", st)
-	}
-	if st.adopted+st.reexecuted != st.epochs-1 {
-		t.Fatalf("adopted %d + reexecuted %d != %d boundaries", st.adopted, st.reexecuted, st.epochs-1)
+			st := got.stats
+			if st.epochs != 4 {
+				t.Fatalf("stats recorded %d epochs, want 4: %+v", st.epochs, st)
+			}
+			if st.reexecuted < c.reexecuted {
+				t.Fatalf("re-executed %d windows, want at least %d: %+v", st.reexecuted, c.reexecuted, st)
+			}
+			if st.adopted < c.adopted || c.adopted == 0 && st.adopted != 0 {
+				t.Fatalf("adopted %d speculative epochs, want %d: %+v", st.adopted, c.adopted, st)
+			}
+			if st.adopted+st.reexecuted != st.epochs-1 {
+				t.Fatalf("adopted %d + reexecuted %d != %d boundaries", st.adopted, st.reexecuted, st.epochs-1)
+			}
+		})
 	}
 }
 
@@ -527,10 +540,11 @@ func TestParallelChainedSpeculation(t *testing.T) {
 // eight epoch simulators, their speculative queues and the O(drains) seal
 // logs cost under 2.2× the bytes and 1.5× the objects of one (1.91× and
 // 1.34× when written). A merge that logs a term per event instead of one per
-// drain — the design the seal log replaced — sits near 40×.
+// drain — the design the seal log replaced — sits near 40×. The automatic
+// width on bench/'s 80 k-job burst — the default every caller now runs — is
+// held per epoch it adds: under 0.4 MB each (0.29 MB when written).
 func TestShardedFootprintBounded(t *testing.T) {
-	w := burstBacklog(t, 200_000)
-	footprint := func(shards int) (bytes, objects float64) {
+	footprint := func(w workload.Workload, shards int) (bytes, objects float64, st shardStats) {
 		cfg := DefaultConfig(core.Elastic)
 		cfg.Streaming = true
 		cfg.Shards = shards
@@ -544,10 +558,11 @@ func TestShardedFootprintBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs), s.stats
 	}
-	seqBytes, seqObjects := footprint(1)
-	shBytes, shObjects := footprint(8)
+	w := burstBacklog(t, 200_000)
+	seqBytes, seqObjects, _ := footprint(w, 1)
+	shBytes, shObjects, _ := footprint(w, 8)
 	t.Logf("shards=8 / shards=1: %.2fx bytes (%.0f / %.0f), %.2fx objects (%.0f / %.0f)",
 		shBytes/seqBytes, shBytes, seqBytes, shObjects/seqObjects, shObjects, seqObjects)
 	if shBytes > 2.2*seqBytes {
@@ -555,5 +570,266 @@ func TestShardedFootprintBounded(t *testing.T) {
 	}
 	if shObjects > 1.5*seqObjects {
 		t.Errorf("Shards: 8 allocates %.2fx the objects of Shards: 1, want <= 1.5x", shObjects/seqObjects)
+	}
+
+	w = burstBacklog(t, 80_000)
+	seqBytes, _, _ = footprint(w, 1)
+	autoBytes, _, st := footprint(w, 0)
+	extra := float64(max(st.epochs-1, 0))
+	t.Logf("automatic on 80 k jobs: %+v, %.0f bytes over sequential's %.0f", st, autoBytes-seqBytes, seqBytes)
+	if autoBytes > seqBytes+0.4e6*extra+4096 {
+		t.Errorf("Shards: 0 allocates %.0f bytes over Shards: 1 for %v extra epochs, want <= 0.4 MB each", autoBytes-seqBytes, extra)
+	}
+}
+
+// drainedBurst is bench/'s avail_drain inputs: waves of 200 jobs 31,500 s
+// apart and one maintenance window a wave (64 ↔ 56 slots).
+func drainedBurst(tb testing.TB, jobs int) (workload.Workload, workload.AvailabilityTrace) {
+	tb.Helper()
+	w, err := (workload.Burst{Waves: jobs / 200, PerWave: 200, WaveGap: 31500}).Generate(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	every := w.Span() / float64(jobs/200)
+	tr, err := (workload.MaintenanceDrain{Every: every, Duration: every / 2, Keep: 56}).Events(1, 64, w.Span())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, tr
+}
+
+// TestProcessedEqualAtAnyShards: Processed() — the event count bench/verify.go
+// pins and a stall detector reads — is the sequential loop's at every shard
+// width. The scenarios are the conformance matrix's shapes, under all four
+// policies, with and without an availability trace, plus planted cuts no
+// backlog lets drain (every window re-executed). Before the merge folded the
+// segments' counts it read 0 after any sharded run.
+func TestProcessedEqualAtAnyShards(t *testing.T) {
+	gen := func(g workload.Generator, seed int64) workload.Workload {
+		w, err := g.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	avail := gen(workload.Burst{Waves: 3, PerWave: 30, WaveGap: 5000}, 1)
+	span := avail.Span() + 3600
+	tr, err := workload.MaintenanceDrain{Every: span / 6, Duration: span / 12, Keep: 40}.Events(1, 64, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backlog := gen(workload.Burst{Waves: 4, PerWave: 50, WaveGap: 500}, 3)
+	for _, sc := range []struct {
+		name  string
+		w     workload.Workload
+		tr    workload.AvailabilityTrace
+		plans []epochPlan
+	}{
+		{name: "uniform", w: gen(workload.Uniform{Jobs: 60, Gap: 45}, 1)},
+		{name: "burst", w: gen(workload.Burst{Waves: 3, PerWave: 40, WaveGap: 4000}, 1)},
+		{name: "availability", w: avail, tr: tr.WithRestore(64, span)},
+		{name: "scale", w: gen(workload.Burst{Waves: 12, PerWave: 100, WaveGap: 20000}, 5)},
+		{name: "forced-reexecution", w: backlog, plans: waveStartPlans(backlog, submissionOrder(backlog), 64)},
+	} {
+		for _, p := range core.AllPolicies() {
+			t.Run(sc.name+"/"+p.String(), func(t *testing.T) {
+				cfg := DefaultConfig(p)
+				cfg.Availability = sc.tr
+				seq := runShards(t, cfg, sc.w, 1, nil)
+				if seq.processed < len(sc.w.Jobs) {
+					t.Fatalf("sequential Processed() %d for %d jobs", seq.processed, len(sc.w.Jobs))
+				}
+				sharded := false
+				for _, shards := range []int{2, 8, 0} {
+					got := runShards(t, cfg, sc.w, shards, sc.plans)
+					sharded = sharded || got.stats.epochs > 1
+					if got.processed != seq.processed {
+						t.Errorf("Shards: %d: Processed() %d, sequential %d (%+v)", shards, got.processed, seq.processed, got.stats)
+					}
+					if !reflect.DeepEqual(seq.res, got.res) {
+						t.Errorf("Shards: %d: results diverge:\nsequential: %+v\nsharded:    %+v", shards, seq.res, got.res)
+					}
+				}
+				if !sharded && (sc.name == "scale" || sc.plans != nil) {
+					t.Errorf("no width sharded the run: the comparison is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// TestAutoShardsLargeTraces pins the path an unset Config.Shards takes on
+// traces large enough to engage it — bench/'s 80 k-job burst and its
+// avail_drain trace: every boundary is adopted, and the Result, the merged
+// decision log, the retained per-job records and Processed() are the
+// sequential loop's. With one processor automatic is that loop (no epochs);
+// the explicit width beside it runs the same runSharded there too.
+func TestAutoShardsLargeTraces(t *testing.T) {
+	drainJobs, drainTrace := drainedBurst(t, 100_000)
+	for _, tc := range []struct {
+		name string
+		w    workload.Workload
+		tr   workload.AvailabilityTrace
+	}{
+		{"burst", burstBacklog(t, 80_000), workload.AvailabilityTrace{}},
+		{"avail-drain", drainJobs, drainTrace},
+	} {
+		for _, mode := range []string{"streaming", "retained-logged"} {
+			if mode != "streaming" && testing.Short() {
+				continue
+			}
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				cfg := DefaultConfig(core.Elastic)
+				cfg.Availability = tc.tr
+				cfg.Streaming = mode == "streaming"
+				cfg.LogDecisions = !cfg.Streaming
+				seq := runShards(t, cfg, tc.w, 1, nil)
+				widths := []int{0, 2}
+				if !cfg.Streaming && runtime.GOMAXPROCS(0) >= 2 {
+					widths = widths[:1] // the costly mode: once through the merge is enough
+				}
+				for _, shards := range widths {
+					got := runShards(t, cfg, tc.w, shards, nil)
+					st := got.stats
+					switch {
+					case shards == 0 && runtime.GOMAXPROCS(0) < 2:
+						if st.epochs != 0 {
+							t.Errorf("automatic sharded on one processor: %+v", st)
+						}
+					case st.epochs < 2 || st.adopted != st.epochs-1:
+						t.Errorf("Shards: %d: %+v, want every boundary of a multi-epoch plan adopted", shards, st)
+					}
+					if got.processed != seq.processed {
+						t.Errorf("Shards: %d: Processed() %d, sequential %d", shards, got.processed, seq.processed)
+					}
+					if !reflect.DeepEqual(seq.decisions, got.decisions) {
+						t.Errorf("Shards: %d: decision logs diverge: sequential %d entries, sharded %d",
+							shards, len(seq.decisions), len(got.decisions))
+					}
+					if !reflect.DeepEqual(seq.res, got.res) {
+						t.Errorf("Shards: %d: results diverge", shards)
+					}
+				}
+			})
+		}
+	}
+}
+
+// mallocsOf is the heap objects one call of f allocates: the least of five
+// calls, so what a collection landing inside one of them adds (emptied pools
+// refilling) does not count.
+// (testing.AllocsPerRun pins GOMAXPROCS to 1, where automatic has nothing to
+// decide.)
+func mallocsOf(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestAutoDeclines pins the other half of the decision: bench/'s 12 k-job
+// poisson_retained trace under every policy and a 2,000-job trace sit under
+// the work floor and are never planned; an overloaded Poisson trace (mean gap
+// 120 s against ≈ 150 s of service) is large enough to plan and offers no cut
+// with the slack margin. Each runs no epochs and allocates, object for
+// object, what Shards: 1 allocates.
+func TestAutoDeclines(t *testing.T) {
+	gen := func(g workload.Generator) workload.Workload {
+		w, err := g.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	type declined struct {
+		name string
+		cfg  Config
+		w    workload.Workload
+	}
+	var cases []declined
+	poisson := gen(workload.Poisson{Jobs: 12_000, MeanGap: 170})
+	for _, p := range core.AllPolicies() {
+		cfg := DefaultConfig(p)
+		cfg.LogDecisions = true
+		cases = append(cases, declined{"poisson-retained/" + p.String(), cfg, poisson})
+	}
+	// Two floors' worth of jobs: with a second processor this one is planned,
+	// and it is the planner that turns it away.
+	cases = append(cases,
+		declined{"poisson-overloaded", streamingMode(DefaultConfig(core.Elastic)), gen(workload.Poisson{Jobs: 2*epochFloorJobs + 8000, MeanGap: 120})},
+		declined{"burst-2000", streamingMode(DefaultConfig(core.Elastic)), gen(workload.Burst{Waves: 10, PerWave: 200, WaveGap: 29000})})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if st := runShards(t, c.cfg, c.w, 0, nil).stats; st.epochs != 0 {
+				t.Fatalf("automatic sharded the run: %+v", st)
+			}
+			seq := mallocsOf(func() { runShards(t, c.cfg, c.w, 1, nil) })
+			auto := mallocsOf(func() { runShards(t, c.cfg, c.w, 0, nil) })
+			if auto != seq {
+				t.Errorf("declined automatic run allocates %d objects, Shards: 1 %d", auto, seq)
+			}
+		})
+	}
+}
+
+// TestSlackRuleAdoption is the property behind the chooser's slack rule, over
+// seeds 1–20 of four arrival shapes and every policy at four epochs: cuts
+// chosen for predicted idle time inside the balance tolerance are adopted at
+// least as often as the nearest-work cuts (tolerance 0, the chooser before the
+// rule), the elastic policy — whose drains the fluid predictor tracks best —
+// adopts at least nine in ten, and every run equals the sequential Result
+// wherever its cuts fall. The log carries the adoption table.
+func TestSlackRuleAdoption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("480 runs")
+	}
+	specs := model.Specs()
+	const shards = 4
+	for _, sh := range []struct {
+		name string
+		gen  workload.Generator
+	}{
+		{"poisson170", workload.Poisson{Jobs: 2000, MeanGap: 170}},
+		{"poisson250", workload.Poisson{Jobs: 2000, MeanGap: 250}},
+		{"burst", workload.Burst{Waves: 40, PerWave: 50, WaveGap: 7500}},
+		{"diurnal", workload.Diurnal{Jobs: 2000, Period: 86400, PeakGap: 100, OffPeakGap: 600}},
+	} {
+		for _, p := range core.AllPolicies() {
+			var adopted, boundaries [2]int // nearest-work cuts, slack-ranked cuts
+			for seed := int64(1); seed <= 20; seed++ {
+				w, err := sh.gen.Generate(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := streamingMode(DefaultConfig(p))
+				order := submissionOrder(w)
+				seq := runShards(t, cfg, w, 1, nil)
+				for i, tolerance := range []float64{0, balanceTolerance} {
+					plans := buildPlans(cfg, w, order, chooseCuts(nil, cfg, w, order, specs, shards, tolerance))
+					if plans == nil {
+						continue
+					}
+					got := runShards(t, cfg, w, shards, plans)
+					if !reflect.DeepEqual(seq.res, got.res) || got.processed != seq.processed {
+						t.Fatalf("%s/%s seed %d tolerance %v: sharded run diverges from the sequential one", sh.name, p, seed, tolerance)
+					}
+					adopted[i] += got.stats.adopted
+					boundaries[i] += got.stats.epochs - 1
+				}
+			}
+			t.Logf("%-10s %-12s adopted: nearest-work %3d/%-3d  slack-ranked %3d/%-3d",
+				sh.name, p, adopted[0], boundaries[0], adopted[1], boundaries[1])
+			if adopted[1] < adopted[0] {
+				t.Errorf("%s/%s: slack-ranked cuts adopted %d boundaries, nearest-work cuts %d", sh.name, p, adopted[1], adopted[0])
+			}
+			if p == core.Elastic && 10*adopted[1] < 9*boundaries[1] {
+				t.Errorf("%s/elastic: %d of %d slack-ranked boundaries adopted, want nine in ten", sh.name, adopted[1], boundaries[1])
+			}
+		}
 	}
 }

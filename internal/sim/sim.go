@@ -119,18 +119,30 @@ type Config struct {
 	// equivalence tests run against. Decisions and results are identical
 	// either way; this is strictly slower.
 	FullRedistribute bool
-	// Shards selects the sharded execution mode: the workload's submission
-	// cursor and the availability trace are deterministically partitioned
-	// into up to Shards time epochs cut at predicted cluster-drain
+	// Shards is how many time epochs a run's event loop may execute in
+	// parallel. The workload's submission cursor and the availability trace
+	// are deterministically partitioned at predicted cluster-drain
 	// boundaries, every epoch is simulated speculatively on its own
-	// goroutine from an empty-cluster guess, and a sequential
-	// reconciliation pass adopts each epoch whose guess held — re-executing
-	// (only) the epochs downstream of a boundary the backlog actually
-	// crossed. Decision sequences and Results are bit-identical to the
-	// sequential mode (see shard.go for the contract and why the merge is
-	// exact). 0 or 1 runs the classic sequential loop; values above the
-	// epoch-cut opportunities the workload offers degrade gracefully to
-	// fewer shards.
+	// goroutine from an empty-cluster guess, and a sequential reconciliation
+	// pass adopts each epoch whose guess held and re-executes the ones
+	// downstream of a boundary the backlog actually crossed. Decision
+	// sequences, Results and Processed() are bit-identical to the sequential
+	// loop's at every value (see shard.go for the contract and why the merge
+	// is exact).
+	//
+	// 0, the default, is automatic: one epoch per GOMAXPROCS processor, as
+	// far as the work floor allows (16 k jobs an epoch — a run under 32 k
+	// jobs is the sequential loop, unplanned), and only when the drain
+	// predictor finds every cut its margin of idle slack; a plan that fails
+	// either test is declined for the sequential loop at the cost of the
+	// O(n) planning passes, and the first boundary that does not drain
+	// cancels what is left of the speculation. 1 is the sequential
+	// reference. N > 1 plans up to N epochs unconditionally, degrading
+	// gracefully where the workload offers fewer cuts. Negative values are
+	// rejected. The stepping API (Begin/StepTo/Finish) never shards, and a
+	// caller that already fans runs out over a RunTasks pool of more than
+	// one worker resolves 0 to 1 before handing the config down, so
+	// parallelism is not nested.
 	Shards int
 	// Extensions (all default off, matching the paper's §3.2.1 policy).
 	JobOverheadSlots int
@@ -187,6 +199,14 @@ type simJobCold struct {
 	meta     JobMetrics
 	timeline []ReplicaSample
 }
+
+// decisionsPerJob is what prepare reserves in the decision ring for each job
+// of a logged run: the four policies record 2.4–3.0 (rigid and moldable) and
+// 3.3–4.2 (elastic) decisions a job on Poisson, burst and uniform traces, so
+// four is one allocation for nearly every run and a single 1.25× regrowth
+// for the rest — where growing from empty reallocates a dozen times and
+// clears ≈ 5× the final buffer (16 % of a logged 12 k-job run).
+const decisionsPerJob = 4
 
 // jobSlabSize is the simJob pool's allocation chunk. Slab entries are
 // addressed by pointer and chunks are never appended to, so the pointers
@@ -302,6 +322,9 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("sim: capacity %d", cfg.Capacity)
 	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("sim: shards %d (0 = automatic, 1 = sequential, N = up to N epochs)", cfg.Shards)
+	}
 	s := &Simulator{cfg: cfg, kickAt: -1}
 	if cb := cfg.CostBenefit; cb != nil && cb.Progress == nil {
 		// Wire the gate to the simulator's own progress model so users
@@ -394,12 +417,13 @@ func (s *Simulator) push(at float64, kind evKind, job *simJob, seq int64) {
 // and a submission at the same instant always see the drop land before the
 // job is placed, and replaying the same trace is bit-for-bit reproducible.
 //
-// The sequential run is the stepping API's Begin followed by Finish — one
-// loop driver for batch and stepped runs. With Config.Shards > 1 the run
-// executes in the sharded mode (see shard.go); decisions and the Result are
-// bit-identical to the sequential mode either way.
+// The sequential run (Config.Shards == 1) is the stepping API's Begin
+// followed by Finish — one loop driver for batch and stepped runs. Any other
+// Shards goes through the epoch planner (see shard.go), which shards the run
+// or hands it to that same loop; decisions, the Result and Processed() are
+// bit-identical either way.
 func (s *Simulator) Run(w workload.Workload) (Result, error) {
-	if s.cfg.Shards > 1 {
+	if s.cfg.Shards != 1 {
 		return s.runSharded(w)
 	}
 	if err := s.Begin(w); err != nil {
@@ -486,6 +510,13 @@ func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map
 	s.specs = specs
 	s.cursor, s.capi = subLo, capLo
 	s.extend(win)
+	// Size the decision ring once: a window of its own for a shard epoch, the
+	// whole workload otherwise (Begin's window is empty and only grows).
+	jobs := win.subHi - subLo
+	if jobs <= 0 {
+		jobs = len(order) - subLo
+	}
+	s.sched.ReserveLog(decisionsPerJob * jobs)
 	// Equal-timestamp events coalesce into one scheduler pass: the kick
 	// re-arm (an O(running) gap scan) runs once per batch instead of per
 	// event. Mid-batch state can only matter to a kick when priorities

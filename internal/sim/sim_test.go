@@ -387,6 +387,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Policy: core.Elastic, Capacity: 0}); err == nil {
 		t.Error("accepted zero capacity")
 	}
+	cfg := DefaultConfig(core.Elastic)
+	cfg.Shards = -3
+	if _, err := New(cfg); err == nil {
+		t.Error("accepted a negative shard count")
+	}
 }
 
 func TestPreemptionExtensionCompletesAllJobs(t *testing.T) {

@@ -62,8 +62,9 @@ type QueuedJob struct {
 }
 
 // Begin installs the workload with an empty window: no events are processed
-// until the first StepTo, or Finish. Sharded execution (Config.Shards) does
-// not apply; the window machinery below is the sequential loop's.
+// until the first StepTo, or Finish. Sharded execution (Config.Shards, set
+// or automatic) does not apply; the window machinery below is the sequential
+// loop's.
 func (s *Simulator) Begin(w workload.Workload) error {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return err
@@ -155,7 +156,8 @@ func (s *Simulator) NextSubmitAt() (float64, bool) {
 }
 
 // Processed returns the cumulative count of events processed — the
-// coordinator's progress signal for stall detection.
+// coordinator's progress signal for stall detection, and after Run the run's
+// event count: the same number however many epochs the run was sharded into.
 func (s *Simulator) Processed() int { return s.processed }
 
 // CurrentCapacity is the scheduler's slot capacity right now (after every

@@ -122,16 +122,26 @@ func SweepGrid[R any](xs []float64, seeds, workers int, run func(x float64, p co
 	return points, nil
 }
 
+// cellConfig is the paper's base configuration at the given rescale gap for
+// one cell of a sweep on a pool of the given width. Cells that share a pool
+// of more than one worker do not each shard their own run on top of it: the
+// unset Shards (automatic) resolves to the sequential loop there.
+func cellConfig(p core.Policy, rescaleGap float64, workers int) Config {
+	cfg := DefaultConfig(p)
+	cfg.RescaleGap = rescaleGap
+	if workers != 1 {
+		cfg.Shards = 1
+	}
+	return cfg
+}
+
 // runUniform is one cell of the Figure 7/8 sweeps: the seed's uniform
-// workload under policy p at the given rescale gap. Degenerate jobs or gap
-// are the generator's error.
-func runUniform(p core.Policy, rescaleGap float64, jobs int, gap float64, seed int64) (Result, error) {
+// workload under cfg. Degenerate jobs or gap are the generator's error.
+func runUniform(cfg Config, jobs int, gap float64, seed int64) (Result, error) {
 	w, err := workload.Uniform{Jobs: jobs, Gap: gap}.Generate(seed)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
 	return Run(cfg, w)
 }
 
@@ -142,7 +152,7 @@ func runUniform(p core.Policy, rescaleGap float64, jobs int, gap float64, seed i
 // results either way).
 func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := SweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
-		return runUniform(p, rescaleGap, jobs, gap, seed)
+		return runUniform(cellConfig(p, rescaleGap, workers), jobs, gap, seed)
 	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("submission gap sweep: %w", err)
@@ -154,7 +164,7 @@ func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, wor
 // T_rescale_gap; workers as in SubmissionGapSweep.
 func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
 	pts, err := SweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
-		return runUniform(p, rg, jobs, submissionGap, seed)
+		return runUniform(cellConfig(p, rg, workers), jobs, submissionGap, seed)
 	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("rescale gap sweep: %w", err)
@@ -198,8 +208,7 @@ func inputSweep(what string, n int, name func(i int) string, seeds int, rescaleG
 		xs[i] = float64(i)
 	}
 	pts, err := SweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
-		cfg := DefaultConfig(p)
-		cfg.RescaleGap = rescaleGap
+		cfg := cellConfig(p, rescaleGap, workers)
 		w, tr, err := inputs(int(x), seed, cfg.Capacity)
 		if err != nil {
 			return Result{}, err
