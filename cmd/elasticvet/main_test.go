@@ -19,12 +19,12 @@ import (
 	"elastichpc/internal/core"
 )
 
-type Simulator struct{ utilArea float64 }
+type Ledger struct{ utilArea float64 }
 
 func Run(m map[string]int) (core.Decision, time.Time) {
-	s := &Simulator{}
+	l := &Ledger{}
 	for range m { // nomapiter
-		s.utilArea += 1 // sealedfloat: not merge.go
+		l.utilArea += 1 // sealedfloat: not ledger.go
 	}
 	go func() {}() // nostraygoroutine
 	if len(m) > 9 {

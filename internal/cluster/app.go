@@ -107,15 +107,11 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 		ph := m.c.cfg.Machine.RescaleOverhead(a.grid, a.replicas, a.replicas)
 		overhead = ph.Restart + ph.Restore
 	}
-	if overhead > 0 {
-		m.c.overheadArea += overhead * float64(a.replicas)
-	}
-	if m.c.preempted[job.Name] {
-		// The restart pays back a forced preemption: its frozen window
-		// is part of what the availability event cost.
-		delete(m.c.preempted, job.Name)
-		m.c.workLost += overhead * float64(a.replicas)
-	}
+	// A restart that pays back a forced preemption: its frozen window is
+	// part of what the availability event cost.
+	forced := m.c.preempted[job.Name]
+	delete(m.c.preempted, job.Name)
+	m.c.ledger.Overhead(overhead*float64(a.replicas), forced)
 	m.apps[job.Name] = a
 	m.rearm(a, overhead)
 	return nil
@@ -150,11 +146,7 @@ func (m *modelApps) rescale(name string, to int) error {
 	a.replicas = to
 	a.rescales++
 	a.overheadSec += ph.Total()
-	m.c.overheadArea += ph.Total() * float64(to)
-	if forced {
-		// Forced by a capacity loss, not chosen by the policy.
-		m.c.workLost += ph.Total() * float64(to)
-	}
+	m.c.ledger.Overhead(ph.Total()*float64(to), forced)
 	m.rearm(a, ph.Total())
 	return nil
 }
@@ -179,7 +171,7 @@ func (m *modelApps) Stop(job *operator.CharmJob) {
 			m.c.preempted[job.Name] = true
 			if lost := a.itersDone - saved; lost > 0 && a.replicas > 0 {
 				iterTime := m.c.cfg.Machine.IterTime(a.grid, a.replicas)
-				m.c.workLost += lost * iterTime * float64(a.replicas)
+				m.c.ledger.Lost(lost * iterTime * float64(a.replicas))
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"elastichpc/internal/core"
@@ -68,10 +67,10 @@ type Cluster struct {
 	apps  *modelApps
 	start time.Time
 
-	// Utilization accounting over bound worker pods.
+	// Utilization accounting over bound worker pods: the integral's open
+	// term runs from utilLast at usedCPU slots.
 	usedCPU  int
 	utilTL   []sim.UtilSample
-	utilArea float64
 	utilLast time.Time
 
 	// Per-job replica timelines (Figure 9b).
@@ -79,16 +78,13 @@ type Cluster struct {
 
 	done map[string]bool
 
-	// Availability accounting, mirroring the simulator's: capSteps is
-	// the applied capacity curve (for the delivered-capacity utilization
-	// denominator), preempted marks jobs stopped by a reclaim so their
-	// restart overhead is attributed to the availability event, workLost
-	// and overheadArea are replica-seconds (forced-only and total).
-	capSteps     []sim.UtilSample
-	capEvents    int
-	preempted    map[string]bool
-	workLost     float64
-	overheadArea float64
+	// ledger is the accountant the simulator keeps too, fed in event order
+	// with the utilization integral's terms, the overhead and work-lost
+	// areas and the applied capacity steps; Result folds the jobs' terms onto
+	// a copy. preempted marks jobs stopped by a reclaim so their restart
+	// overhead is attributed to the availability event.
+	ledger    sim.Ledger
+	preempted map[string]bool
 
 	// runErr is the first error raised inside an event-loop callback
 	// (capacity events, submissions, completion plumbing). Callbacks cannot
@@ -202,8 +198,7 @@ func (c *Cluster) scheduleCapacity(atSec float64, capacity int) {
 			c.fail(fmt.Errorf("cluster: capacity event at t=%.1f: %w", atSec, err))
 			return
 		}
-		c.capEvents++
-		c.capSteps = append(c.capSteps, sim.UtilSample{At: atSec, Used: capacity})
+		c.ledger.CapacityStep(atSec, capacity)
 	})
 }
 
@@ -220,7 +215,7 @@ func (c *Cluster) onPodEvent(ev k8s.Event) {
 		return
 	}
 	now := c.Loop.Now()
-	c.utilArea += float64(c.usedCPU) * now.Sub(c.utilLast).Seconds()
+	c.ledger.Use(float64(c.usedCPU) * now.Sub(c.utilLast).Seconds())
 	c.utilLast = now
 	c.usedCPU = used
 	c.utilTL = append(c.utilTL, sim.UtilSample{At: now.Sub(c.start).Seconds(), Used: used})
@@ -300,18 +295,14 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 }
 
 // Result computes the experiment metrics in the paper's four-metric form.
-// It is side-effect-free and idempotent: the open tail of the utilization
-// integral is folded into locals, so consecutive calls return deep-equal
-// results, and Jobs is sorted by (SubmitAt, ID) — matching the simulator's
-// submission ordering — so JSON reports diff cleanly run to run.
+// It is side-effect-free and idempotent — the open utilization tail and the
+// jobs' terms are folded onto a copy of the ledger — so observing a running
+// emulation never changes what it reports later. Jobs is sorted by (SubmitAt,
+// ID), matching the simulator's submission ordering, so JSON reports diff
+// cleanly run to run.
 func (c *Cluster) Result() sim.Result {
-	res := sim.Result{
-		Policy:           c.cfg.Policy,
-		UtilTimeline:     c.utilTL,
-		ReplicaTimelines: c.replicaTL,
-	}
-	capacity := float64(c.cfg.Nodes * c.cfg.CPUPerNode)
-	for name := range c.done { //lint:deterministic res.Jobs is sorted below, before anything folds over it
+	var jobs []sim.JobMetrics
+	for name := range c.done { //lint:deterministic jobs is sorted below, before anything folds over it
 		cj, ok := c.Mgr.CoreJob(name)
 		if !ok {
 			continue
@@ -331,73 +322,28 @@ func (c *Cluster) Result() sim.Result {
 				m.Replicas = s.Replicas
 			}
 		}
-		res.Jobs = append(res.Jobs, m)
+		jobs = append(jobs, m)
 	}
-	sort.Slice(res.Jobs, func(a, b int) bool {
-		if res.Jobs[a].SubmitAt != res.Jobs[b].SubmitAt {
-			return res.Jobs[a].SubmitAt < res.Jobs[b].SubmitAt
-		}
-		return res.Jobs[a].ID < res.Jobs[b].ID
-	})
-	// Accumulate the aggregates over the sorted slice, not the done map:
-	// float addition is order-sensitive, so a map-order walk would leave
-	// the weighted means nondeterministic in the last ulp.
-	var firstStart, lastEnd float64
-	first := true
-	var wSum, wResp, wComp float64
-	for _, m := range res.Jobs {
-		if first || m.StartAt < firstStart {
-			firstStart, first = m.StartAt, false
-		}
-		if m.EndAt > lastEnd {
-			lastEnd = m.EndAt
-		}
-		w := float64(m.Priority)
-		wSum += w
-		wResp += w * m.ResponseTime
-		wComp += w * m.CompletionTime
+	sim.SortJobs(jobs)
+	l := c.ledger
+	l.Use(float64(c.usedCPU) * c.Loop.Now().Sub(c.utilLast).Seconds())
+	// Fold the jobs in sorted order, not the done map's: float addition is
+	// order-sensitive, so a map-order walk would leave the weighted means
+	// nondeterministic in the last ulp.
+	for _, m := range jobs {
+		l.Started(m.StartAt)
+		l.Finished(float64(m.Priority), m.ResponseTime, m.CompletionTime, m.EndAt)
 	}
-	res.TotalTime = lastEnd - firstStart
-	res.FirstStart = firstStart
-	res.LastEnd = lastEnd
-	res.WeightSum = wSum
-	res.EndCapacity = c.Mgr.Scheduler().Capacity()
 	// The emulation's accounting window can extend marginally past the last
-	// job completion: teardown pod events advance utilLast a hair beyond
-	// lastEnd. Used/DeliveredSlotSec both cover [0, end] — self-consistent
+	// job completion: teardown pod events advance utilLast a hair beyond it.
+	// Used/DeliveredSlotSec both cover the wider window — self-consistent
 	// with each other and with Utilization, slightly wider than the
-	// simulator's documented [0, LastEnd] window.
-	end := c.utilLast.Sub(c.start).Seconds()
-	if lastEnd > end {
-		end = lastEnd
-	}
-	// Fold the open tail interval [utilLast, now] into a local instead of
-	// mutating the accumulator: Result must not change what a later Result
-	// (or a still-running experiment) observes.
-	utilArea := c.utilArea + float64(c.usedCPU)*c.Loop.Now().Sub(c.utilLast).Seconds()
-	res.UsedSlotSec = utilArea
-	if end > 0 {
-		if len(c.capSteps) == 0 {
-			res.DeliveredSlotSec = capacity * end
-		} else {
-			// Time-varying capacity: divide by what was deliverable,
-			// through the exact integral the simulator uses.
-			res.DeliveredSlotSec = sim.CapacityArea(capacity, c.capSteps, end)
-		}
-		res.Utilization = utilArea / res.DeliveredSlotSec
-	}
-	if wSum > 0 {
-		res.WeightedResponse = wResp / wSum
-		res.WeightedCompletion = wComp / wSum
-	}
-	cs := c.Mgr.Scheduler().CapacityStats()
-	res.CapacityEvents = c.capEvents
-	res.ForcedShrinks = cs.ForcedShrinks
-	res.Requeues = cs.Requeues
-	res.WorkLostSec = c.workLost
-	res.GoodputFrac = 1
-	if utilArea > 0 {
-		res.GoodputFrac = 1 - c.overheadArea/utilArea
-	}
+	// simulator's [0, LastEnd].
+	sched := c.Mgr.Scheduler()
+	res := l.Result(c.cfg.Policy, c.cfg.Nodes*c.cfg.CPUPerNode, c.utilLast.Sub(c.start).Seconds(),
+		sched.CapacityStats(), sched.Capacity())
+	res.Jobs = jobs
+	res.UtilTimeline = c.utilTL
+	res.ReplicaTimelines = c.replicaTL
 	return res
 }

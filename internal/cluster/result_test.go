@@ -16,24 +16,59 @@ import (
 // TestResultIsIdempotent is the regression test for the tail fold-in bug:
 // Result used to fold the open utilization interval into the accumulator and
 // advance utilLast on every call, so a second call inflated Utilization and
-// GoodputFrac. Two consecutive calls must now be deep-equal.
+// GoodputFrac. Two consecutive calls must now be deep-equal — mid-run as well
+// as at the end — and a run observed at every step of its loop must end with
+// the Result of the same run left alone: Result folds onto a copy of the
+// ledger, never into it.
 func TestResultIsIdempotent(t *testing.T) {
-	c, err := New(DefaultConfig(core.Elastic))
-	if err != nil {
+	build := func() *Cluster {
+		c, err := New(DefaultConfig(core.Elastic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Submit(smallJob("a", 3, 2, 8, 512, 100), 0)
+		c.Submit(smallJob("b", 5, 2, 8, 512, 100), 10*time.Second)
+		c.Submit(smallJob("c", 4, 4, 16, 512, 100), 30*time.Second)
+		return c
+	}
+	alone := build()
+	if err := alone.Run(3, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	c.Submit(smallJob("a", 3, 2, 8, 512, 100), 0)
-	c.Submit(smallJob("b", 5, 2, 8, 512, 100), 10*time.Second)
-	if err := c.Run(2, 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	first := c.Result()
-	second := c.Result()
+	first := alone.Result()
+	second := alone.Result()
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("Result is not idempotent:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 	if first.Utilization <= 0 || first.Utilization > 1 {
 		t.Errorf("utilization %g out of range", first.Utilization)
+	}
+
+	watched := build()
+	observed, finishedMidRun := 0, 0
+	for len(watched.done) < 3 {
+		mid := watched.Result()
+		if again := watched.Result(); !reflect.DeepEqual(mid, again) {
+			t.Fatalf("mid-run Result at %v is not idempotent:\nfirst:  %+v\nsecond: %+v",
+				watched.Loop.Now(), mid, again)
+		}
+		observed++
+		if len(mid.Jobs) > 0 {
+			finishedMidRun++
+		}
+		if !watched.Loop.Step() {
+			t.Fatalf("the loop ran dry with %d of 3 jobs done", len(watched.done))
+		}
+	}
+	if err := watched.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if finishedMidRun == 0 {
+		t.Fatalf("none of %d observations saw a finished job: nothing mid-run was observed", observed)
+	}
+	if got := watched.Result(); !reflect.DeepEqual(got, first) {
+		t.Errorf("observing the run at %d instants changed its Result:\nobserved:   %+v\nunobserved: %+v",
+			observed, got, first)
 	}
 }
 

@@ -205,15 +205,8 @@ func order(m map[string]int) int {
 // holds the determinism invariants on every commit without CI. Any
 // intentional exception must carry a //lint:deterministic reason.
 func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the full dependency graph")
-	}
-	pkgs, err := LoadPackages("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var all []string
-	for _, pkg := range pkgs {
+	for _, pkg := range repoPackages(t) {
 		for _, d := range Run(pkg, Suite()) {
 			all = append(all, d.String())
 		}

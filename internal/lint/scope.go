@@ -77,30 +77,23 @@ type sealedSpec struct {
 	allowed map[string]bool
 }
 
-// sealedSpecs encodes the seal-fold discipline from sim/merge.go: the run
-// totals are folded only by seal()/mergeSegments() in merge.go, and the open
-// sub-accumulators are fed only by the event loop in sim.go (merge.go may
-// reset and carry them). Accumulating these fields anywhere else — say, a
+// sealedSpecs encodes the seal-fold discipline of sim.Ledger (sim/ledger.go):
+// the run totals are folded only by its seal and replay, and the open
+// sub-accumulators are fed only through its methods, so every write to these
+// fields lives in ledger.go. Accumulating them anywhere else — say, a
 // per-shard partial sum added during reconciliation — is exactly the
 // order-sensitive fold the 1-ULP UsedSlotSec fuzz finding came from.
-var sealedSpecs = []sealedSpec{
-	{
-		pkg: module + "/internal/sim", typ: "Simulator",
-		fields: map[string]bool{
-			"utilArea": true, "wSum": true, "wResp": true,
-			"wComp": true, "overheadArea": true, "workLost": true,
-		},
-		allowed: map[string]bool{"merge.go": true},
+var sealedSpecs = []sealedSpec{{
+	pkg: module + "/internal/sim", typ: "Ledger",
+	fields: map[string]bool{
+		"utilArea": true, "utilSub": true,
+		"wSum": true, "wResp": true, "wComp": true,
+		"finWSub": true, "finRespSub": true, "finCompSub": true,
+		"overheadArea": true, "ovhSub": true,
+		"workLost": true, "lostSub": true,
 	},
-	{
-		pkg: module + "/internal/sim", typ: "Simulator",
-		fields: map[string]bool{
-			"utilSub": true, "finWSub": true, "finRespSub": true,
-			"finCompSub": true, "ovhSub": true, "lostSub": true,
-		},
-		allowed: map[string]bool{"sim.go": true, "merge.go": true},
-	},
-}
+	allowed: map[string]bool{"ledger.go": true},
+}}
 
 // corePkg and ringFile anchor the ringlogonly analyzer: decision records are
 // created and stored only by the logRing append paths in core's log.go.

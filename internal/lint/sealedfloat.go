@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// SealedFloat enforces the seal-fold discipline on the simulator's
+// SealedFloat enforces the seal-fold discipline on the run ledger's
 // order-sensitive float accumulators. Floating-point addition is not
 // associative: the sharded mode stays bit-identical to sequential only
 // because every term enters an open sub-accumulator in event order and run
-// totals are folded exclusively by the seal replay in merge.go. A `+=` on
+// totals are folded exclusively by the ledger's seal and replay. A `+=` on
 // one of these fields anywhere else — a shard-local partial sum, a "quick"
 // correction in the reconciliation path — regroups the fold and diverges by
 // an ULP on some workload; that exact class (UsedSlotSec, which the shard
@@ -49,7 +49,7 @@ var SealedFloat = &Analyzer{
 					continue
 				}
 				pass.Reportf(pos,
-					"%s.%s is an order-sensitive accumulator: writes are allowed only in %s (seal-fold discipline; see merge.go)",
+					"%s.%s is an order-sensitive accumulator: writes are allowed only in %s (seal-fold discipline; see sim/ledger.go)",
 					s.typ, field, fileList(s.allowed))
 			}
 		}

@@ -1,27 +1,24 @@
 // pkgpath: elastichpc/internal/sim
 
-// Package sim exercises sealedfloat with a fixture Simulator carrying the
-// real accumulator field names: sub-accumulators may be fed from sim.go,
-// run totals only from merge.go, and shard.go may touch neither.
+// Package sim exercises sealedfloat with a fixture Ledger carrying the real
+// accumulator field names: only ledger.go may write them, and the simulator
+// that embeds the ledger feeds it through its methods.
 package sim
 
-// Simulator mirrors the accumulator layout the spec table pins.
+// Simulator embeds its ledger by value, as the real one does.
 type Simulator struct {
-	utilArea float64
-	wSum     float64
-	utilSub  float64
-	finWSub  float64
-	jobs     int
+	ledger Ledger
+	jobs   int
 }
 
-// advance feeds the open sub-accumulators in event order: allowed here.
+// advance goes through the ledger's method: not flagged.
 func (s *Simulator) advance(d float64) {
-	s.utilSub += d
-	s.finWSub += d
+	s.ledger.Use(d)
 	s.jobs++
 }
 
-// badTotalFold writes a run total outside merge.go: flagged even in sim.go.
-func (s *Simulator) badTotalFold(d float64) {
-	s.utilArea += d // want "order-sensitive accumulator"
+// badFeed adds a term to a sub straight from the event loop: flagged even
+// though the sum it feeds is the right one.
+func (s *Simulator) badFeed(d float64) {
+	s.ledger.utilSub += d // want "writes are allowed only in ledger.go"
 }

@@ -43,8 +43,11 @@
 // Every run is a pure function of (workload, availability trace, config):
 // at equal timestamps, capacity events apply before submissions, which
 // apply before completions and kicks; ties within each class keep trace,
-// workload, and push order respectively. Streaming and retained runs
-// accumulate their aggregates through the identical call sequence and agree
-// bit-for-bit, as do sequential and parallel sweep executions — and logged
-// and unlogged runs: Config.LogDecisions only observes.
+// workload, and push order respectively. Every aggregate a Result reports is
+// folded by one accountant, Ledger, and derived by Ledger.Result — the same
+// accountant the Kubernetes emulation feeds. Streaming and retained runs feed
+// it through the identical call sequence and agree bit-for-bit, as do sharded
+// and sequential runs (the merge replays the epochs' seal logs onto one
+// ledger), sequential and parallel sweep executions — and logged and
+// unlogged runs: Config.LogDecisions only observes.
 package sim

@@ -413,7 +413,10 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 				return Result{}, err
 			}
 		}
-		sub.rec = &runLog{}
+		// Epoch 0's fold starts from zero, as the sequential loop's does, so
+		// the merge adopts its ledger whole; later epochs log their seals for
+		// the merge to replay onto it.
+		sub.ledger.logSeals = k > 0
 		sub.prepare(w, order, ranks, specs, pl.subLo, pl.capLo, planWindow(plans, k))
 		sims[k] = sub
 	}

@@ -19,6 +19,8 @@ type shardedRun struct {
 	decisions []core.Decision
 	processed int
 	stats     shardStats
+	// seals is what the merged ledger — epoch 0's, adopted whole — logged.
+	seals int
 }
 
 // runShards runs w under cfg at the given Config.Shards, over planted epochs
@@ -35,7 +37,8 @@ func runShards(t testing.TB, cfg Config, w workload.Workload, shards int, plans 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shardedRun{res: res, decisions: s.Decisions(), processed: s.Processed(), stats: s.stats}
+	return shardedRun{res: res, decisions: s.Decisions(), processed: s.Processed(), stats: s.stats,
+		seals: len(s.ledger.seals)}
 }
 
 // waveStartPlans cuts a workload at every distinct submission instant —
@@ -531,6 +534,9 @@ func TestParallelChainedSpeculation(t *testing.T) {
 			if st.adopted+st.reexecuted != st.epochs-1 {
 				t.Fatalf("adopted %d + reexecuted %d != %d boundaries", st.adopted, st.reexecuted, st.epochs-1)
 			}
+			if got.seals != 0 {
+				t.Fatalf("epoch 0, extended over a dirty boundary, logged %d seals; the merge adopts its ledger whole", got.seals)
+			}
 		})
 	}
 }
@@ -698,6 +704,9 @@ func TestAutoShardsLargeTraces(t *testing.T) {
 						}
 					case st.epochs < 2 || st.adopted != st.epochs-1:
 						t.Errorf("Shards: %d: %+v, want every boundary of a multi-epoch plan adopted", shards, st)
+					}
+					if got.seals != 0 {
+						t.Errorf("Shards: %d: epoch 0 logged %d seals; the merge adopts its ledger whole", shards, got.seals)
 					}
 					if got.processed != seq.processed {
 						t.Errorf("Shards: %d: Processed() %d, sequential %d", shards, got.processed, seq.processed)

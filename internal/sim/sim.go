@@ -255,10 +255,6 @@ type Simulator struct {
 	processed  int
 	limit      int
 
-	// rec, when non-nil, logs the seal values this window folds into each
-	// order-sensitive accumulator so a sharded run can replay them into one
-	// bit-identical sequential fold (see merge.go).
-	rec *runLog
 	// mergedDecisions overrides Decisions() after a sharded run.
 	mergedDecisions []core.Decision
 	// abandoned is set by the sharded reconciliation pass when this
@@ -277,17 +273,13 @@ type Simulator struct {
 
 	used     int
 	utilTL   []UtilSample
-	utilArea float64
-	utilLast float64
+	utilLast float64 // where the utilization integral's open term starts
 	kickAt   float64 // earliest pending kick event time, or -1
 
-	// Availability accounting. capSteps records each applied capacity
-	// change (Used = new capacity) for the delivered-capacity integral;
-	// it is bounded by the trace length, so streaming mode keeps it too.
-	capSteps     []UtilSample
-	capEvents    int
-	workLost     float64 // replica-seconds frozen by forced rescales/restarts
-	overheadArea float64 // replica-seconds frozen by ALL rescales/restarts
+	// ledger accumulates every aggregate the Result reports, incrementally,
+	// so streaming and retained runs produce bit-identical metrics.
+	ledger    Ledger
+	completed int
 
 	// Migration counters (the stepping API in step.go): injected counts
 	// jobs submitted via Inject, withdrawn counts jobs removed via
@@ -295,22 +287,6 @@ type Simulator struct {
 	// records by workload index.
 	injected  int
 	withdrawn int
-
-	// Aggregates accumulated incrementally at job completion, so streaming
-	// and retained runs produce bit-identical Result metrics.
-	completed          int
-	haveStart          bool
-	firstStart         float64
-	lastEnd            float64
-	wSum, wResp, wComp float64
-
-	// Open sub-accumulators for the order-sensitive float sums, folded into
-	// the totals above at every drained instant (see seal in merge.go). Both
-	// execution modes run the same two-level fold, which is what lets the
-	// sharded merge replay O(drains) seal values instead of O(events) terms.
-	utilSub                         float64
-	finWSub, finRespSub, finCompSub float64
-	ovhSub, lostSub                 float64
 }
 
 // epoch anchors the simulator's float timeline to the core scheduler's
@@ -650,7 +626,7 @@ func (s *Simulator) runWindow() error {
 				// into the run totals. Drained instants are the only places
 				// a shard cut can be adopted, so sealing here — in every
 				// mode — keeps the fold grouping identical everywhere.
-				s.seal()
+				s.ledger.seal()
 			}
 		case evKick:
 			s.kickAt = -1
@@ -660,19 +636,13 @@ func (s *Simulator) runWindow() error {
 	}
 }
 
-// finish folds a completed job into the aggregate metrics — from the hot
-// record alone — then back-fills the cold metadata for collection and, in
-// streaming mode, recycles the record instead.
+// finish folds a completed job into the ledger — from the hot record alone —
+// then back-fills the cold metadata for collection and, in streaming mode,
+// recycles the record instead.
 func (s *Simulator) finish(sj *simJob) {
 	resp := sj.startAt - sj.submitAt
 	comp := s.now - sj.submitAt
-	if s.now > s.lastEnd {
-		s.lastEnd = s.now
-	}
-	wgt := float64(sj.job.Priority)
-	s.finWSub += wgt
-	s.finRespSub += wgt * resp
-	s.finCompSub += wgt * comp
+	s.ledger.Finished(float64(sj.job.Priority), resp, comp, s.now)
 	s.completed++
 	if s.cfg.Streaming {
 		s.freeJobs = append(s.freeJobs, sj)
@@ -721,37 +691,8 @@ func (s *Simulator) applyCapacity(newCap int) error {
 	if err := s.sched.SetCapacity(newCap); err != nil {
 		return fmt.Errorf("sim: capacity event at t=%.1f: %w", s.now, err)
 	}
-	s.capEvents++
-	s.capSteps = append(s.capSteps, UtilSample{At: s.now, Used: newCap})
+	s.ledger.CapacityStep(s.now, newCap)
 	return nil
-}
-
-// CapacityArea integrates a capacity step function over [0, end] seconds:
-// base capacity until the first step, then each step's Used value from its
-// At onward. It is the utilization denominator both backends use when the
-// cluster's slot count varies — shared so the simulator and the emulation
-// can never drift apart on how delivered capacity is measured.
-func CapacityArea(base float64, steps []UtilSample, end float64) float64 {
-	area := 0.0
-	prevAt, prevCap := 0.0, base
-	for _, st := range steps {
-		at := st.At
-		if at > end {
-			at = end
-		}
-		if at > prevAt {
-			area += prevCap * (at - prevAt)
-			prevAt = at
-		}
-		if st.At >= end {
-			return area
-		}
-		prevCap = float64(st.Used)
-	}
-	if end > prevAt {
-		area += prevCap * (end - prevAt)
-	}
-	return area
 }
 
 // advanceUtil accumulates the utilization integral up to t. Zero terms
@@ -762,7 +703,7 @@ func CapacityArea(base float64, steps []UtilSample, end float64) float64 {
 // keeps its seal sequence identical to the sequential loop's).
 func (s *Simulator) advanceUtil(t float64) {
 	if d := float64(s.used) * (t - s.utilLast); d != 0 {
-		s.utilSub += d
+		s.ledger.Use(d)
 	}
 	s.utilLast = t
 }
@@ -848,10 +789,7 @@ func (a *simActuator) StartJob(j *core.Job, replicas int) error {
 	if !sj.started {
 		sj.started = true
 		sj.startAt = s.now
-		if !s.haveStart || s.now < s.firstStart {
-			s.haveStart = true
-			s.firstStart = s.now
-		}
+		s.ledger.Started(s.now)
 	}
 	resumeOverhead := 0.0
 	if j.State == core.StatePreempted || sj.migratedCkpt {
@@ -859,12 +797,8 @@ func (a *simActuator) StartJob(j *core.Job, replicas int) error {
 		// Restarting from a disk checkpoint: charge restart+restore.
 		ph := s.cfg.Machine.RescaleOverhead(int(sj.grid), replicas, replicas)
 		resumeOverhead = ph.Restart + ph.Restore
-		area := resumeOverhead * float64(replicas)
-		s.ovhSub += area
-		if sj.forcedOut {
-			sj.forcedOut = false
-			s.lostSub += area
-		}
+		s.ledger.Overhead(resumeOverhead*float64(replicas), sj.forcedOut)
+		sj.forcedOut = false
 	}
 	sj.lastUpdate = s.now
 	s.record(replicas, sj, replicas)
@@ -892,13 +826,9 @@ func (a *simActuator) rescale(j *core.Job, to int) error {
 		m.Rescales++
 		m.OverheadSec += tot
 	}
-	area := tot * float64(to)
-	s.ovhSub += area
-	if s.sched.Reclaiming() {
-		// The shrink was forced by a capacity loss, not chosen by the
-		// policy: its frozen window is work the availability event cost.
-		s.lostSub += area
-	}
+	// A rescale during a reclaim is forced by a capacity loss, not chosen by
+	// the policy: its frozen window is work the availability event cost.
+	s.ledger.Overhead(tot*float64(to), s.sched.Reclaiming())
 	s.record(delta, sj, to)
 	s.reschedule(sj, tot, to)
 	return nil
@@ -918,52 +848,6 @@ func (a *simActuator) PreemptJob(j *core.Job) error {
 	return nil
 }
 
-// resultFromTotals derives the aggregate Result fields from the simulator's
-// accumulated integrals. After a sharded run the facade simulator holds the
-// replayed (exactly sequential) fold of every segment's terms, so both modes
-// share this derivation bit-for-bit. cs and endCap come from the owning
-// scheduler (sequential) or the segment merge (sharded).
-func (s *Simulator) resultFromTotals(cs core.CapacityStats, endCap int) Result {
-	// Fold any unsealed tail first. After a batch run this adds exact zeros
-	// (the last completion drained the cluster and sealed), so it is a
-	// bitwise no-op there; stepping-API runs that end without a final
-	// completion (withdrawals) land their open sub-runs here.
-	s.seal()
-	res := Result{Policy: s.cfg.Policy}
-	res.TotalTime = s.lastEnd - s.firstStart
-	res.FirstStart = s.firstStart
-	res.LastEnd = s.lastEnd
-	res.UsedSlotSec = s.utilArea
-	res.WeightSum = s.wSum
-	res.EndCapacity = endCap
-	// Utilization over the experiment window [0, lastEnd]: no work happens
-	// after the last completion, so the accumulated area is complete. With
-	// availability events the denominator is the capacity the cluster
-	// actually delivered over the window; without any, the closed form is
-	// the value every fixed-capacity golden pins.
-	if s.lastEnd > 0 {
-		if len(s.capSteps) == 0 {
-			res.DeliveredSlotSec = float64(s.cfg.Capacity) * s.lastEnd
-		} else {
-			res.DeliveredSlotSec = CapacityArea(float64(s.cfg.Capacity), s.capSteps, s.lastEnd)
-		}
-		res.Utilization = s.utilArea / res.DeliveredSlotSec
-	}
-	if s.wSum > 0 {
-		res.WeightedResponse = s.wResp / s.wSum
-		res.WeightedCompletion = s.wComp / s.wSum
-	}
-	res.CapacityEvents = s.capEvents
-	res.ForcedShrinks = cs.ForcedShrinks
-	res.Requeues = cs.Requeues
-	res.WorkLostSec = s.workLost
-	res.GoodputFrac = 1
-	if s.utilArea > 0 {
-		res.GoodputFrac = 1 - s.overheadArea/s.utilArea
-	}
-	return res
-}
-
 // collect finalizes the metrics accumulated during a sequential run. The
 // expected completion count is the workload's job count adjusted by the
 // stepping API's migration counters (jobs injected from, or withdrawn to,
@@ -972,7 +856,7 @@ func (s *Simulator) collect(w workload.Workload) (Result, error) {
 	if expected := len(w.Jobs) + s.injected - s.withdrawn; s.completed != expected {
 		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, expected, s)
 	}
-	res := s.resultFromTotals(s.sched.CapacityStats(), s.sched.Capacity())
+	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, s.sched.CapacityStats(), s.sched.Capacity())
 	if !s.cfg.Streaming {
 		res.UtilTimeline = s.utilTL
 		if s.injected == 0 && s.withdrawn == 0 {
@@ -992,15 +876,22 @@ func (s *Simulator) collect(w workload.Workload) (Result, error) {
 				res.Jobs = append(res.Jobs, c.meta)
 				res.ReplicaTimelines[c.meta.ID] = c.timeline
 			}
-			sort.Slice(res.Jobs, func(a, b int) bool {
-				if res.Jobs[a].SubmitAt != res.Jobs[b].SubmitAt {
-					return res.Jobs[a].SubmitAt < res.Jobs[b].SubmitAt
-				}
-				return res.Jobs[a].ID < res.Jobs[b].ID
-			})
+			SortJobs(res.Jobs)
 		}
 	}
 	return res, nil
+}
+
+// SortJobs orders per-job records by (SubmitAt, ID) — the submission order a
+// report lists jobs in wherever workload indices cannot place them: after a
+// stepped run that migrated jobs, and always in the emulation.
+func SortJobs(jobs []JobMetrics) {
+	sort.Slice(jobs, func(a, b int) bool {
+		if jobs[a].SubmitAt != jobs[b].SubmitAt {
+			return jobs[a].SubmitAt < jobs[b].SubmitAt
+		}
+		return jobs[a].ID < jobs[b].ID
+	})
 }
 
 // unfinished is the error of a run that completed fewer jobs than expected:

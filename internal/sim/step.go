@@ -268,10 +268,7 @@ func (s *Simulator) Inject(mj MigratedJob) (int32, error) {
 		sj.startAt = mj.StartAt
 		// The job's first start happened on its donor; fold it into this
 		// member's experiment window so the fleet window stays exact.
-		if !s.haveStart || mj.StartAt < s.firstStart {
-			s.haveStart = true
-			s.firstStart = mj.StartAt
-		}
+		s.ledger.Started(mj.StartAt)
 	}
 	s.injected++
 	if err := s.sched.Submit(&sj.job); err != nil {
