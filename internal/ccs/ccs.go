@@ -255,8 +255,13 @@ func readFrame(r io.Reader, v any) error {
 	if n > maxFrame {
 		return errors.New("ccs: frame exceeds size limit")
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body is read as it arrives, not into a buffer the prefix sizes: a
+	// hostile prefix costs what the peer sends, not maxFrame.
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(body) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return fmt.Errorf("ccs: read body: %w", err)
 	}
 	if err := json.Unmarshal(body, v); err != nil {

@@ -1,6 +1,7 @@
 package ccs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -191,4 +192,41 @@ func TestServerCloseUnblocksDial(t *testing.T) {
 	if _, err := Dial(addr, 200*time.Millisecond); err == nil {
 		t.Error("Dial succeeded after Close")
 	}
+}
+
+// FuzzCCSFrame feeds readFrame hostile bytes: it must never panic, and a
+// request it accepts must survive writeFrame → readFrame → writeFrame as the
+// same bytes.
+func FuzzCCSFrame(f *testing.F) {
+	for _, req := range []Request{
+		{Command: CmdExpand, Payload: json.RawMessage(`{"newPEs": 4, "nodelist": ["w0", "w1"]}`)},
+		{Command: CmdQuery},
+		{Command: "<&>", Payload: json.RawMessage(`null`)},
+	} {
+		var frame bytes.Buffer
+		if err := writeFrame(&frame, &req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})      // a length past the limit
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, '{'}) // a length the body falls short of
+	f.Add([]byte{0, 0, 0, 4, 'n', 'u', 'l', 'l'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if readFrame(bytes.NewReader(data), &req) != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := writeFrame(&once, &req); err != nil {
+			t.Fatalf("writeFrame of an accepted request %+v: %v", req, err)
+		}
+		var again Request
+		if err := readFrame(bytes.NewReader(once.Bytes()), &again); err != nil {
+			t.Fatalf("readFrame of %q: %v", once.Bytes(), err)
+		}
+		if err := writeFrame(&twice, &again); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoded %q as %q (%v)", once.Bytes(), twice.Bytes(), err)
+		}
+	})
 }

@@ -203,15 +203,12 @@ func (c *Cluster) scheduleCapacity(atSec float64, capacity int) {
 }
 
 func (c *Cluster) onPodEvent(ev k8s.Event) {
-	pod := ev.Object.(*k8s.Pod)
-	if pod.Labels["role"] != "worker" {
-		return
-	}
 	// Read used CPU from the store, not from the event (events may
 	// coalesce). The store's total is over all bound pods; the only ones
-	// that are not workers are the launchers, which request no CPU.
+	// that are not workers are the launchers, which request no CPU. Most
+	// events leave it as it was, so it is compared before the label is read.
 	used := c.Store.BoundCPU()
-	if used == c.usedCPU {
+	if used == c.usedCPU || ev.Object.(*k8s.Pod).Labels["role"] != "worker" {
 		return
 	}
 	now := c.Loop.Now()

@@ -18,12 +18,14 @@ import (
 // rather than by wall time.
 //
 // The 516 scans look at 4,564 objects and copy none, and the binding and
-// status writes copy nothing deep: every copy left is a Create's or an
-// Update's stored copy or a Get. With a label scan and a failure scan per
-// reconcile and Get-change-Update for every binding and status write, the
-// same 1,524 writes took 664 scans of 7,413 objects and 2,180 copies; when
-// every scan listed and deep-copied its whole kind, 3,169 lists and 134,263
-// copies.
+// status writes copy nothing deep: every copy left is a Get, an Update's
+// stored copy or a Create's. A pod's Create makes none when a pod of the same
+// job with equal labels is already stored: every worker of a launch but the
+// first shares that one's labels, so the run makes 172 copies where cloning
+// every created pod's labels made 492. With a label scan and a failure scan per reconcile and Get-change-Update
+// for every binding and status write, the same 1,524 writes took 664 scans of
+// 7,413 objects and 2,180 copies; when every scan listed and deep-copied its
+// whole kind, 3,169 lists and 134,263 copies.
 //
 // The digest is of every event's type, kind, key and resource version in
 // delivery order, taken from the tree in which the pod scheduler, the kubelet
@@ -48,7 +50,7 @@ func TestStoreCountersTable1Elastic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Loop.Settle()
-	want := k8s.StoreStats{Writes: 1524, Scans: 516, Visited: 4564, Copied: 492}
+	want := k8s.StoreStats{Writes: 1524, Scans: 516, Visited: 4564, Copied: 172}
 	if got := c.Store.Stats(); got != want {
 		t.Errorf("store counters = %+v, want %+v", got, want)
 	}
@@ -68,7 +70,8 @@ func TestStoreCountersTable1Elastic(t *testing.T) {
 // the host; an allocation count repeats anywhere. It read about 995 a job
 // when every binding and status write deep-copied its pod, every write
 // closed over its event and every reconcile scanned and sorted the job's pods
-// twice; it reads about 255.
+// twice, and about 255 while the store kept a label index and every created
+// pod cloned its labels; it reads 194.4, and the bound is that plus 5 %.
 func TestEmulationAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -82,7 +85,7 @@ func TestEmulationAllocsPerJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perJob := perRun / float64(len(w.Jobs)); perJob > 450 {
-		t.Errorf("%.0f allocations a job, want at most 450", perJob)
+	if perJob := perRun / float64(len(w.Jobs)); perJob > 204 {
+		t.Errorf("%.1f allocations a job, want at most 204", perJob)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -235,5 +237,31 @@ func TestLoadRejectsTrailingData(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Load(%q) error = %v, want accepted = %v", tc.name, tc.doc, err, tc.ok)
 		}
+	}
+}
+
+// TestSaveFileReplacesRegularFile: saving over a stream file unlinks it and
+// writes a new one, so another link to the old file keeps the old bytes.
+func TestSaveFileReplacesRegularFile(t *testing.T) {
+	dir := t.TempDir()
+	path, link := filepath.Join(dir, "stream.json"), filepath.Join(dir, "old.json")
+	if err := decisionsStream(2).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(path, link); err != nil {
+		t.Skip("no hard links here:", err)
+	}
+	if err := decisionsStream(3).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := LoadFile(path); err != nil || len(back.Decisions) != 3 {
+		t.Errorf("the path does not hold what was saved: %v", err)
+	}
+	if kept, err := os.ReadFile(link); err != nil || !bytes.Equal(kept, old) {
+		t.Errorf("the old file was written in place: its other link reads %d bytes (%v), want the %d it had", len(kept), err, len(old))
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // StreamVersion is the stream format generation written by this package, and
@@ -408,9 +409,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// SaveFile writes the stream to path.
+// SaveFile writes the stream to path. A regular file already there is
+// replaced, not rewritten in place (workload.CreateFresh).
 func (s *Stream) SaveFile(path string) error {
-	f, err := os.Create(path)
+	f, err := workload.CreateFresh(path)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,9 +20,9 @@ func podKeys(pods []*Pod) []string {
 	return keys
 }
 
-// TestStoreUpdateReindexesLabels pins the label index's write contract: an
-// Update that changes a pod's labels moves it, a Delete removes it from
-// every list, and Update accepts a view Pods handed out.
+// TestStoreUpdateReindexesLabels pins what a selector read sees after writes:
+// an Update that changes a pod's labels moves it, a Delete removes it from
+// every selector, and Update accepts a view Pods handed out.
 func TestStoreUpdateReindexesLabels(t *testing.T) {
 	store := NewStore(NewEventLoop(t0))
 	for _, name := range []string{"p1", "p2"} {
@@ -71,9 +73,6 @@ func TestStoreUpdateReindexesLabels(t *testing.T) {
 				t.Errorf("deleted pod still listed under %v", sel)
 			}
 		}
-	}
-	if len(store.byLabel[labelPair{"job", "b"}]) != 0 {
-		t.Error("empty label list kept")
 	}
 }
 
@@ -134,12 +133,13 @@ func newWatchedStore() *watchedStore {
 }
 
 // storeOps drives the store with a sequence of creates, updates (labels,
-// binding, phase, CPU and affinity key all move), binding and status writes
-// and deletes decoded from data, three bytes a step. After every step it
-// compares each indexed read with a read that knows no index — fetch every
-// object, sort by key, filter — and the store with a second one on which the
-// reference path made the binding and status writes: stored values, resource
-// versions included, the events delivered and the aggregates must be equal.
+// binding, phase, CPU and affinity key all move), binding and status writes,
+// deletes and a job's teardown through the owner index decoded from data,
+// three bytes a step. After every step it compares each read with a read that
+// knows no index — fetch every object, sort by key, filter — and the store
+// with a second one on which the reference path made the binding and status
+// writes and the teardowns: stored values, resource versions included, the
+// events delivered and the aggregates must be equal.
 func storeOps(t *testing.T, data []byte) {
 	store, ref := newWatchedStore(), newWatchedStore()
 	jobs := []string{"", "a", "b"}
@@ -181,8 +181,33 @@ func storeOps(t *testing.T, data []byte) {
 		case 2:
 			err, refErr = store.Update(pod), ref.Update(pod)
 		case 3:
-			err, refErr = store.Delete(KindPod, key), ref.Delete(KindPod, key)
-			delete(live, key)
+			if op&32 == 0 {
+				err, refErr = store.Delete(KindPod, key), ref.Delete(KindPod, key)
+				delete(live, key)
+				break
+			}
+			// A job's teardown, as the operator makes it: the owner's pods
+			// from the owner index, deleted in key order. The reference
+			// filters every live pod by its owner, in key order.
+			wantErr = false
+			owner := jobs[arg%3]
+			owned := store.OwnedPods(nil, owner)
+			slices.SortFunc(owned, func(a, b OwnedPod) int { return strings.Compare(a.Pod.Key(), b.Pod.Key()) })
+			for _, o := range owned {
+				err = errors.Join(err, store.Delete(KindPod, o.Pod.Key()))
+			}
+			keys := make([]string, 0, len(live))
+			for k := range live {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				v, _ := ref.View(KindPod, k)
+				if o, _ := ref.ownerOf(v.(*Pod)); owner != "" && o == owner {
+					refErr = errors.Join(refErr, ref.Delete(KindPod, k))
+					delete(live, k)
+				}
+			}
 		case 4, 5:
 			err, refErr = store.Bind(key, pod.Spec.NodeName), refBind(ref.Store, key, pod.Spec.NodeName)
 		case 6:
@@ -302,6 +327,8 @@ func FuzzStoreIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 2, 0, 14, 3, 0, 0})
 	f.Add([]byte{0, 1, 40, 0, 2, 40, 6, 1, 121, 10, 2, 200, 3, 1, 0, 0, 1, 7})
 	f.Add([]byte{1, 5, 255, 2, 5, 0, 2, 5, 255, 7, 5, 0})
-	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9}) // bind, start, phase, and a bind of what is gone
+	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9})          // bind, start, phase, and a bind of what is gone
+	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 5, 1, 0, 11, 0, 0, 3, 2, 35, 0, 1, 35, 0, 1}) // job a's teardown, twice, beside other pods
+	f.Add([]byte{0, 0, 121, 0, 11, 121, 0, 13, 7, 4, 0, 9, 35, 0, 1, 35, 0, 0})     // a teardown of bound workers, and of no owner
 	f.Fuzz(storeOps)
 }

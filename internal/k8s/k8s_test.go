@@ -237,8 +237,14 @@ func TestSchedulerRetriesAfterPodDeletion(t *testing.T) {
 		t.Fatal("waiting pod bound on a full node")
 	}
 	// Free two slots; the waiting pod must get scheduled.
-	if DeletePods(store, map[string]string{"job": "job-a"}) != 4 {
-		t.Fatal("delete failed")
+	old := store.Pods(map[string]string{"job": "job-a"})
+	if len(old) != 4 {
+		t.Fatalf("job-a has %d pods, want 4", len(old))
+	}
+	for _, p := range old {
+		if err := store.Delete(KindPod, p.Key()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	loop.RunUntilIdle()
 	got, _ = store.Get(KindPod, "waiting")

@@ -100,14 +100,3 @@ func FailPodsOnNode(store *Store, node string) int {
 	}
 	return n
 }
-
-// DeletePods removes all pods matching the selector and returns the count.
-func DeletePods(store *Store, selector map[string]string) int {
-	n := 0
-	for _, pod := range store.Pods(selector) {
-		if err := store.Delete(KindPod, pod.Key()); err == nil {
-			n++
-		}
-	}
-	return n
-}

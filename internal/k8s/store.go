@@ -2,7 +2,10 @@ package k8s
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -13,34 +16,31 @@ import (
 //
 // It reads like an informer cache. A stored object is immutable: Create and
 // Update store a private copy of their argument and Update swaps the old
-// copy out rather than writing into it. So the scans (Pods, Nodes) and the
-// event payloads hand out the stored objects themselves as read-only views
-// that stay valid, and unchanged, for as long as the caller holds them. A
-// caller that wants to change an object takes its own copy — Get returns
+// copy out rather than writing into it. So the scans (Pods, OwnedPods, Nodes)
+// and the event payloads hand out the stored objects themselves as read-only
+// views that stay valid, and unchanged, for as long as the caller holds them.
+// A caller that wants to change an object takes its own copy — Get returns
 // one, DeepCopy makes one from a view — and hands it to Update. A pod's
 // binding and status have their own writes, Bind and SetPodStatus, which
 // need no copy from the caller and make only a shallow one themselves.
 type Store struct {
-	loop  Loop
+	loop Loop
+	// pods holds the pods by key, apart from the other kinds so that no pod
+	// read or write hashes its kind; items holds every other kind.
+	pods  map[string]*Pod
 	items map[Kind]map[string]Object
-	// keys holds every kind's keys in sorted order, so a scan neither
-	// sorts nor walks a map.
-	keys map[Kind][]string
-	// byLabel holds, for every label a pod carries, the sorted keys of the
-	// pods carrying it, so a selector scan visits only candidates.
-	byLabel map[labelPair][]string
 	// nodeCPU, boundCPU and affinity aggregate the pods that hold node
 	// resources (bound and not terminal): their CPU per node and in total,
 	// and their count per affinity key and node.
 	nodeCPU  map[string]int
 	boundCPU int
 	affinity map[affinityAt]int
-	// ownerOf, once OwnPodsBy sets it, files every pod under an owner;
+	// ownerOf files every pod under an owner, none until OwnPodsBy sets it;
 	// owned holds each owner's pods by (ordinal, key).
 	ownerOf func(*Pod) (owner string, ordinal int)
 	owned   map[string][]OwnedPod
-	// nodes is what Nodes returns. A node write builds a fresh slice, so
-	// one handed out earlier stays as it was.
+	// nodes is what Nodes returns, in key order. A node write builds a fresh
+	// slice, so one handed out earlier stays as it was.
 	nodes   []*Node
 	version int64
 	uid     int64
@@ -66,8 +66,6 @@ type OwnedPod struct {
 	Pod     *Pod
 }
 
-type labelPair struct{ key, value string }
-
 type affinityAt struct{ key, node string }
 
 // StoreStats counts what the store has done. Every field is a pure function
@@ -81,7 +79,8 @@ type StoreStats struct {
 	Scans   int
 	Visited int
 	// Copied counts the deep copies the store made (Create, Update, Get).
-	// Bind and SetPodStatus make none.
+	// Bind and SetPodStatus make none, nor does a Create whose pod shares
+	// its labels.
 	Copied int
 }
 
@@ -89,11 +88,11 @@ type StoreStats struct {
 func NewStore(loop Loop) *Store {
 	s := &Store{
 		loop:     loop,
+		pods:     make(map[string]*Pod),
 		items:    make(map[Kind]map[string]Object),
-		keys:     make(map[Kind][]string),
-		byLabel:  make(map[labelPair][]string),
 		nodeCPU:  make(map[string]int),
 		affinity: make(map[affinityAt]int),
+		ownerOf:  func(*Pod) (string, int) { return "", 0 },
 		subs:     make(map[Kind][]func(Event)),
 	}
 	s.deliver = s.deliverOldest
@@ -129,79 +128,47 @@ func (s *Store) deliverOldest() {
 	}
 }
 
-func (s *Store) bucket(kind Kind) map[string]Object {
-	b, ok := s.items[kind]
-	if !ok {
-		b = make(map[string]Object)
-		s.items[kind] = b
-	}
-	return b
-}
-
 // copyOf is the store's one deep-copy site.
 func (s *Store) copyOf(obj Object) Object {
 	s.stats.Copied++
 	return obj.DeepCopy()
 }
 
-// insertKey adds key to a sorted list; removeKey takes it out.
-func insertKey(list []string, key string) []string {
-	i := sort.SearchStrings(list, key)
-	list = append(list, "")
-	copy(list[i+1:], list[i:])
-	list[i] = key
-	return list
-}
-
-func removeKey(list []string, key string) []string {
-	i := sort.SearchStrings(list, key)
-	return append(list[:i], list[i+1:]...)
-}
-
-// index brings the key list, the node list, the label and owner indexes and
-// the resource aggregates up to date with one write under key: was is the
-// stored object being replaced or deleted (nil on Create), now the one taking
-// its place (nil on Delete), already in items.
-func (s *Store) index(kind Kind, key string, was, now Object) {
-	if was == nil {
-		s.keys[kind] = insertKey(s.keys[kind], key)
-	} else if now == nil {
-		s.keys[kind] = removeKey(s.keys[kind], key)
+// put stores now under key in place of was — was is nil on Create, now on
+// Delete — and brings the owner index, the resource aggregates and the node
+// list up to date.
+func (s *Store) put(kind Kind, key string, was, now Object) {
+	if kind == KindPod {
+		if p, ok := was.(*Pod); ok {
+			s.hold(p, -1)
+			s.disown(key, p)
+		}
+		if p, ok := now.(*Pod); ok {
+			s.pods[key] = p
+			s.hold(p, +1)
+			s.own(key, p)
+		} else {
+			delete(s.pods, key)
+		}
+		return
+	}
+	b, ok := s.items[kind]
+	if !ok {
+		b = make(map[string]Object)
+		s.items[kind] = b
+	}
+	if now != nil {
+		b[key] = now
+	} else {
+		delete(b, key)
 	}
 	if kind == KindNode {
-		s.nodes = make([]*Node, 0, len(s.keys[kind]))
-		for _, k := range s.keys[kind] {
-			s.nodes = append(s.nodes, s.items[kind][k].(*Node))
+		nodes := make([]*Node, 0, len(b))
+		for _, obj := range b {
+			nodes = append(nodes, obj.(*Node))
 		}
-	}
-	var wasLabels, nowLabels map[string]string
-	if p, ok := was.(*Pod); ok {
-		wasLabels = p.Labels
-		s.hold(p, -1)
-		s.disown(key, p)
-	}
-	if p, ok := now.(*Pod); ok {
-		nowLabels = p.Labels
-		s.hold(p, +1)
-		s.own(key, p)
-	}
-	for k, v := range wasLabels { //lint:deterministic each label edits its own list
-		if nv, ok := nowLabels[k]; ok && nv == v {
-			continue
-		}
-		pair := labelPair{k, v}
-		if list := removeKey(s.byLabel[pair], key); len(list) > 0 {
-			s.byLabel[pair] = list
-		} else {
-			delete(s.byLabel, pair)
-		}
-	}
-	for k, v := range nowLabels { //lint:deterministic each label edits its own list
-		if wv, ok := wasLabels[k]; ok && wv == v {
-			continue
-		}
-		pair := labelPair{k, v}
-		s.byLabel[pair] = insertKey(s.byLabel[pair], key)
+		slices.SortFunc(nodes, func(x, y *Node) int { return strings.Compare(x.Key(), y.Key()) })
+		s.nodes = nodes
 	}
 }
 
@@ -229,69 +196,85 @@ func (s *Store) hold(p *Pod, sign int) {
 func (s *Store) OwnPodsBy(fn func(*Pod) (owner string, ordinal int)) {
 	s.ownerOf = fn
 	s.owned = make(map[string][]OwnedPod)
-	for _, key := range s.keys[KindPod] {
-		s.own(key, s.items[KindPod][key].(*Pod))
+	for key, p := range s.pods { //lint:deterministic own puts each pod in its sorted place, whatever order they come in
+		filed := *p // a stored pod is never written: file a copy
+		filed.owner, filed.ordinal = fn(p)
+		s.pods[key] = &filed
+		s.own(key, &filed)
 	}
 }
 
-// place finds the pod's owner and where the pod sits, or would sit, among
-// that owner's pods: they are ordered by ordinal, then key.
-func (s *Store) place(key string, p *Pod) (owner string, ordinal, at int) {
-	if s.ownerOf == nil {
-		return "", 0, 0
-	}
-	owner, ordinal = s.ownerOf(p)
-	list := s.owned[owner]
-	at = sort.Search(len(list), func(i int) bool {
+// slot is where the pod under key with the ordinal sits, or would sit, in
+// list, an owner's pods ordered by ordinal, then key.
+func slot(list []OwnedPod, key string, ordinal int) int {
+	return sort.Search(len(list), func(i int) bool {
 		return list[i].Ordinal > ordinal || list[i].Ordinal == ordinal && list[i].Pod.Key() >= key
 	})
-	return owner, ordinal, at
 }
 
 // own files a pod just stored under its owner; disown takes out one just
 // replaced or deleted.
 func (s *Store) own(key string, p *Pod) {
-	owner, ordinal, at := s.place(key, p)
-	if owner == "" {
-		return
+	if p.owner != "" {
+		list := s.owned[p.owner]
+		s.owned[p.owner] = slices.Insert(list, slot(list, key, p.ordinal), OwnedPod{p.ordinal, p})
 	}
-	list := append(s.owned[owner], OwnedPod{})
-	copy(list[at+1:], list[at:])
-	list[at] = OwnedPod{ordinal, p}
-	s.owned[owner] = list
 }
 
 func (s *Store) disown(key string, p *Pod) {
-	owner, _, at := s.place(key, p)
-	if owner == "" {
+	if p.owner == "" {
 		return
 	}
-	if list := append(s.owned[owner][:at], s.owned[owner][at+1:]...); len(list) > 0 {
-		s.owned[owner] = list
+	list := s.owned[p.owner]
+	at := slot(list, key, p.ordinal)
+	if list = slices.Delete(list, at, at+1); len(list) > 0 {
+		s.owned[p.owner] = list
 	} else {
-		delete(s.owned, owner)
+		delete(s.owned, p.owner)
 	}
+}
+
+// created is the pod Create stores for p: a copy filed under p's owner that
+// shares its labels map with a pod already filed there whose labels are equal
+// — all of a job's workers carry one set — and is a deep copy otherwise.
+func (s *Store) created(p *Pod) *Pod {
+	owner, ordinal := s.ownerOf(p)
+	var cp *Pod
+	list := s.owned[owner]
+	for i := len(list) - 1; i >= 0 && cp == nil; i-- {
+		if maps.Equal(list[i].Pod.Labels, p.Labels) {
+			cp = p.withLabels(list[i].Pod.Labels)
+		}
+	}
+	if cp == nil {
+		cp = s.copyOf(p).(*Pod)
+	}
+	cp.owner, cp.ordinal = owner, ordinal
+	return cp
 }
 
 // Create inserts a new object. The stored copy gets a fresh UID, resource
 // version, and creation timestamp.
 func (s *Store) Create(obj Object) error {
-	b := s.bucket(obj.Kind())
-	key := obj.Meta().Key()
-	if _, exists := b[key]; exists {
-		return fmt.Errorf("k8s: %s %q already exists", obj.Kind(), key)
+	kind, key := obj.Kind(), obj.Meta().Key()
+	if _, exists := s.View(kind, key); exists {
+		return fmt.Errorf("k8s: %s %q already exists", kind, key)
 	}
 	s.version++
 	s.uid++
-	cp := s.copyOf(obj)
+	var cp Object
+	if p, ok := obj.(*Pod); ok {
+		cp = s.created(p)
+	} else {
+		cp = s.copyOf(obj)
+	}
 	m := cp.Meta()
 	m.UID = s.uid
 	m.ResourceVersion = s.version
 	m.CreationTimestamp = s.loop.Now()
-	b[key] = cp
-	s.index(obj.Kind(), key, nil, cp)
+	s.put(kind, key, nil, cp)
 	s.stats.Writes++
-	s.notify(obj.Kind(), Event{Type: Added, Object: cp})
+	s.notify(kind, Event{Type: Added, Object: cp})
 	return nil
 }
 
@@ -299,35 +282,34 @@ func (s *Store) Create(obj Object) error {
 // resource version. obj may be a view: the stored object is swapped out, not
 // written into.
 func (s *Store) Update(obj Object) error {
-	b := s.bucket(obj.Kind())
-	key := obj.Meta().Key()
-	old, exists := b[key]
+	kind, key := obj.Kind(), obj.Meta().Key()
+	old, exists := s.View(kind, key)
 	if !exists {
-		return fmt.Errorf("k8s: %s %q not found", obj.Kind(), key)
+		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
 	s.version++
 	cp := s.copyOf(obj)
+	if p, ok := cp.(*Pod); ok {
+		p.owner, p.ordinal = s.ownerOf(p)
+	}
 	m := cp.Meta()
 	m.UID = old.Meta().UID
 	m.CreationTimestamp = old.Meta().CreationTimestamp
 	m.ResourceVersion = s.version
-	b[key] = cp
-	s.index(obj.Kind(), key, old, cp)
+	s.put(kind, key, old, cp)
 	s.stats.Writes++
-	s.notify(obj.Kind(), Event{Type: Modified, Object: cp})
+	s.notify(kind, Event{Type: Modified, Object: cp})
 	return nil
 }
 
 // Delete removes the object with the given kind and key.
 func (s *Store) Delete(kind Kind, key string) error {
-	b := s.bucket(kind)
-	old, exists := b[key]
+	old, exists := s.View(kind, key)
 	if !exists {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
-	delete(b, key)
 	s.version++
-	s.index(kind, key, old, nil)
+	s.put(kind, key, old, nil)
 	s.stats.Writes++
 	s.notify(kind, Event{Type: Deleted, Object: old})
 	return nil
@@ -358,26 +340,31 @@ func (s *Store) SetPodStatus(key string, status PodStatus) error {
 }
 
 func (s *Store) storedPod(key string) (*Pod, error) {
-	obj, exists := s.items[KindPod][key]
+	p, exists := s.pods[key]
 	if !exists {
 		return nil, fmt.Errorf("k8s: %s %q not found", KindPod, key)
 	}
-	return obj.(*Pod), nil
+	return p, nil
 }
 
 // swapPod stores now, a shallow copy of the stored pod old that differs in
 // binding or status, in old's place, with everything else an Update does:
 // a new resource version, the aggregates moved, a Modified event. The two
-// share their labels — safe because a stored object is never written — so the
-// label index and the pod's place under its owner stand as they are.
+// share their labels — safe because a stored object is never written — and
+// their filing, so the pod keeps its place under its owner. The aggregates
+// move only when the binding or terminal-ness changed: nothing else they
+// count can differ between the two.
 func (s *Store) swapPod(key string, old, now *Pod) {
 	s.version++
 	now.ResourceVersion = s.version
-	s.items[KindPod][key] = now
-	s.hold(old, -1)
-	s.hold(now, +1)
-	if owner, _, at := s.place(key, old); owner != "" {
-		s.owned[owner][at].Pod = now
+	s.pods[key] = now
+	if old.Spec.NodeName != now.Spec.NodeName || old.terminal() != now.terminal() {
+		s.hold(old, -1)
+		s.hold(now, +1)
+	}
+	if old.owner != "" {
+		list := s.owned[old.owner]
+		list[slot(list, key, old.ordinal)].Pod = now
 	}
 	s.stats.Writes++
 	s.notify(KindPod, Event{Type: Modified, Object: now})
@@ -386,7 +373,7 @@ func (s *Store) swapPod(key string, old, now *Pod) {
 // Get fetches a private copy of the object, reporting whether it exists. It
 // is the entry to mutate-then-Update, which is why it copies.
 func (s *Store) Get(kind Kind, key string) (Object, bool) {
-	obj, ok := s.items[kind][key]
+	obj, ok := s.View(kind, key)
 	if !ok {
 		return nil, false
 	}
@@ -396,32 +383,31 @@ func (s *Store) Get(kind Kind, key string) (Object, bool) {
 // View fetches the object as a read-only view, reporting whether it exists:
 // the entry for a caller that only looks.
 func (s *Store) View(kind Kind, key string) (Object, bool) {
+	if kind == KindPod {
+		p, ok := s.pods[key]
+		if !ok {
+			return nil, false
+		}
+		return p, true
+	}
 	obj, ok := s.items[kind][key]
 	return obj, ok
 }
 
-// Pods returns read-only views of the pods matching the label selector (all
-// pods when it is empty), in key order. It visits the pods carrying the
-// selector's rarest label and checks the other labels on each.
+// Pods returns read-only views of the pods carrying every label of the
+// selector (all pods when it is empty), in key order. It examines every pod
+// and sorts what it keeps: no emulation path reads by selector, so the store
+// keeps no index for it.
 func (s *Store) Pods(selector map[string]string) []*Pod {
-	cands := s.keys[KindPod]
-	want := make([]labelPair, 0, 4)
-	for k, v := range selector { //lint:deterministic any shortest candidate list gives the same pods and the same count
-		pair := labelPair{k, v}
-		want = append(want, pair)
-		if list := s.byLabel[pair]; len(list) < len(cands) {
-			cands = list
-		}
-	}
 	s.stats.Scans++
-	s.stats.Visited += len(cands)
-	pods := s.items[KindPod]
-	out := make([]*Pod, 0, len(cands))
-	for _, key := range cands {
-		if p := pods[key].(*Pod); hasLabels(p.Labels, want) {
+	s.stats.Visited += len(s.pods)
+	var out []*Pod
+	for _, p := range s.pods {
+		if hasLabels(p.Labels, selector) {
 			out = append(out, p)
 		}
 	}
+	slices.SortFunc(out, func(a, b *Pod) int { return strings.Compare(a.Key(), b.Key()) })
 	return out
 }
 
@@ -454,9 +440,9 @@ func (s *Store) NodeBoundCPU(node string) int { return s.nodeCPU[node] }
 // carry the affinity key.
 func (s *Store) AffinityCount(key, node string) int { return s.affinity[affinityAt{key, node}] }
 
-func hasLabels(labels map[string]string, want []labelPair) bool {
-	for _, w := range want {
-		if labels[w.key] != w.value {
+func hasLabels(labels, selector map[string]string) bool {
+	for k, v := range selector { //lint:deterministic a conjunction: any order gives the same answer
+		if got, ok := labels[k]; !ok || got != v {
 			return false
 		}
 	}

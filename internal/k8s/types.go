@@ -92,6 +92,11 @@ type Pod struct {
 	ObjectMeta
 	Spec   PodSpec
 	Status PodStatus
+	// owner and ordinal are what Store.OwnPodsBy's function made of the
+	// pod, set on the copy the store keeps by the Create or Update that
+	// stored it.
+	owner   string
+	ordinal int
 }
 
 // Meta implements Object.
@@ -107,9 +112,13 @@ func (p *Pod) terminal() bool {
 }
 
 // DeepCopy implements Object.
-func (p *Pod) DeepCopy() Object {
+func (p *Pod) DeepCopy() Object { return p.withLabels(maps.Clone(p.Labels)) }
+
+// withLabels is a deep copy of the pod but for its labels: the copy carries
+// labels instead.
+func (p *Pod) withLabels(labels map[string]string) *Pod {
 	cp := *p
-	cp.Labels = maps.Clone(p.Labels)
+	cp.Labels = labels
 	if p.DeletionTimestamp != nil {
 		ts := *p.DeletionTimestamp
 		cp.DeletionTimestamp = &ts

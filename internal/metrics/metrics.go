@@ -11,6 +11,7 @@ import (
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/sim"
+	"elastichpc/internal/workload"
 )
 
 // SchemaVersion is the report format generation written by New. Version 2
@@ -142,7 +143,8 @@ func (r Report) Validate() error {
 	return nil
 }
 
-// Write marshals the report to path as indented JSON.
+// Write marshals the report to path as indented JSON. A regular file already
+// there is replaced, not rewritten in place (workload.CreateFresh).
 func Write(path string, r Report) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -151,7 +153,15 @@ func Write(path string, r Report) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	f, err := workload.CreateFresh(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(data, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Read loads and validates a report.

@@ -396,3 +396,26 @@ func FuzzReportRead(f *testing.F) {
 		}
 	})
 }
+
+// TestWriteReplacesRegularFile: writing over a report unlinks it and writes a
+// new one, so another link to the old file keeps the old bytes.
+func TestWriteReplacesRegularFile(t *testing.T) {
+	dir := t.TempDir()
+	path, link := filepath.Join(dir, "report.json"), filepath.Join(dir, "old.json")
+	if err := Write(path, goldenReport()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(path, link); err != nil {
+		t.Skip("no hard links here:", err)
+	}
+	next := Report{Schema: SchemaVersion, Kind: KindRun, Runs: []Run{{Policy: "elastic"}}}
+	if err := Write(path, next); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := Read(path); err != nil || !reflect.DeepEqual(back, next) {
+		t.Errorf("the path does not hold what was written: %v", err)
+	}
+	if kept, err := Read(link); err != nil || !reflect.DeepEqual(kept, goldenReport()) {
+		t.Errorf("the old file was written in place: its other link reads %+v, %v", kept, err)
+	}
+}

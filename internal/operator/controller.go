@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,7 +19,8 @@ type Controller struct {
 	store *k8s.Store
 	app   AppRuntime
 	queue *k8s.Workqueue
-	// pods is a reconcile pass's read of its job's pods, reused by the next.
+	// pods is a reconcile pass's or a teardown's read of its job's pods,
+	// reused by the next.
 	pods []k8s.OwnedPod
 
 	// RequeueDelay spaces retries when a job is waiting on pods.
@@ -274,7 +276,7 @@ func (c *Controller) restart(job *CharmJob) {
 	if job.Status.Phase == JobRunning || job.Status.Phase == JobRescaling {
 		c.app.Stop(job)
 	}
-	k8s.DeletePods(c.store, map[string]string{"charmjob": job.Name})
+	c.deletePods(job.Name)
 	job.Status.Phase = JobPending
 	job.Status.LaunchedReplicas = 0
 	job.Status.ReadyReplicas = 0
@@ -283,6 +285,16 @@ func (c *Controller) restart(job *CharmJob) {
 	_ = c.store.Update(job)
 	if c.OnRestarted != nil {
 		c.OnRestarted(job)
+	}
+}
+
+// deletePods deletes every pod filed under the job, in key order: the order
+// the pinned event digests record their Deleted events in.
+func (c *Controller) deletePods(job string) {
+	c.pods = c.store.OwnedPods(c.pods[:0], job)
+	slices.SortFunc(c.pods, func(a, b k8s.OwnedPod) int { return strings.Compare(a.Pod.Key(), b.Pod.Key()) })
+	for _, p := range c.pods {
+		_ = c.store.Delete(k8s.KindPod, p.Pod.Key()) // it was just read
 	}
 }
 
@@ -337,7 +349,7 @@ func (c *Controller) Preempt(jobName string) error {
 	if err := c.store.Update(job); err != nil {
 		return err
 	}
-	k8s.DeletePods(c.store, map[string]string{"charmjob": jobName})
+	c.deletePods(jobName)
 	return nil
 }
 
@@ -357,6 +369,6 @@ func (c *Controller) Complete(jobName string) error {
 	if err := c.store.Update(job); err != nil {
 		return err
 	}
-	k8s.DeletePods(c.store, map[string]string{"charmjob": jobName})
+	c.deletePods(jobName)
 	return nil
 }

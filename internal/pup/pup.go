@@ -256,7 +256,7 @@ func (p *PUP) Float64s(v *[]float64) {
 		return
 	}
 	if p.mode == Unpacking {
-		if n < 0 || n*8 > len(p.buf)-p.off {
+		if n < 0 || n > (len(p.buf)-p.off)/8 {
 			p.fail("float64 slice length %d out of range", n)
 			return
 		}
@@ -289,7 +289,7 @@ func (p *PUP) Ints(v *[]int) {
 		return
 	}
 	if p.mode == Unpacking {
-		if n < 0 || n*8 > len(p.buf)-p.off {
+		if n < 0 || n > (len(p.buf)-p.off)/8 {
 			p.fail("int slice length %d out of range", n)
 			return
 		}

@@ -1,6 +1,8 @@
 package pup
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -228,4 +230,47 @@ func BenchmarkUnpackGrid(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzUnpack feeds Unpack hostile bytes: it must never panic nor size an
+// allocation past what the input holds, and a record it accepts must pack to
+// bytes that unpack and pack again to the same bytes.
+func FuzzUnpack(f *testing.F) {
+	full, err := Pack(&record{
+		A: -42, B: 1 << 40, U: math.MaxUint64, F: math.NaN(), S: "hello chare",
+		Raw: []byte{0, 255}, Fs: []float64{1.5, math.Inf(-1)}, Is: []int{-1, 7}, Ok: true, By: 9,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := Pack(&record{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(empty)
+	// An empty record's Fs and Is length prefixes sit at bytes 48 and 56. A
+	// length of 2^61 elements wraps a check of n*8 bytes to zero.
+	for _, at := range []int{48, 56} {
+		hostile := append([]byte(nil), empty...)
+		binary.LittleEndian.PutUint64(hostile[at:], 1<<61)
+		f.Add(hostile)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r record
+		if Unpack(&r, data) != nil {
+			return
+		}
+		once, err := Pack(&r)
+		if err != nil {
+			t.Fatalf("Pack of an accepted record %+v: %v", r, err)
+		}
+		var again record
+		if err := Unpack(&again, once); err != nil {
+			t.Fatalf("Unpack of %x: %v", once, err)
+		}
+		if twice, err := Pack(&again); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("re-packed %x as %x (%v)", once, twice, err)
+		}
+	})
 }

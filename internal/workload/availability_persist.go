@@ -133,7 +133,7 @@ func sortCapacityEvents(events []CapacityEvent) {
 // by extension: ".csv" writes the CSV format, anything else the JSON
 // document.
 func SaveAvailabilityFile(path string, tr AvailabilityTrace, comment string) error {
-	f, err := createFresh(path)
+	f, err := CreateFresh(path)
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}

@@ -218,7 +218,7 @@ func (l jobList) workload() (Workload, error) {
 // SaveFile writes a workload to path, picking the format by extension:
 // ".csv" writes the CSV trace format, anything else the JSON document.
 func SaveFile(path string, workload Workload, comment string) error {
-	f, err := createFresh(path)
+	f, err := CreateFresh(path)
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
@@ -230,14 +230,14 @@ func SaveFile(path string, workload Workload, comment string) error {
 	return closeWritten(f, err)
 }
 
-// createFresh opens path for writing as os.Create does, except that a regular
+// CreateFresh opens path for writing as os.Create does, except that a regular
 // file already there is unlinked first, not truncated: ext4 takes truncate-
 // then-rewrite for a replace and forces the new blocks to disk at close, which
 // made saving a small trace over its previous copy cost several times a save
 // to a new name. The old file's mode and other links do not carry over.
 // Anything else at path — a symlink, a device, a FIFO — is opened in place,
 // and so is a file that cannot be unlinked.
-func createFresh(path string) (*os.File, error) {
+func CreateFresh(path string) (*os.File, error) {
 	if fi, err := os.Lstat(path); err == nil && fi.Mode().IsRegular() {
 		_ = os.Remove(path) // os.Create truncates what is left
 	}
