@@ -13,20 +13,25 @@
 //	conftest -diff a.json b.json
 //	    Structurally diff two recorded streams. Exit 1 on divergence.
 //	conftest -matrix [-artifacts dir]
-//	    Run the equivalence matrix; on divergence, write each cell's
-//	    reference and candidate streams under dir. Exit 1 on divergence.
+//	    Run the equivalence matrix; on divergence, print the -record line
+//	    that re-runs each diverging candidate and, with -artifacts, write
+//	    the cell's reference and candidate streams under dir and print the
+//	    -replay line for the candidate's. Exit 1 on divergence.
 //
 // Spec flags (with -record) are runspec's Engine and EngineFleet groups:
-// -backend sim|cluster|federation, -scenario uniform|burst, -jobs, -gap,
-// -waves, -seed, -policy, -capacity, -rescale-gap, -shards, -streaming,
-// -full, -log, -drain, -aging, -preempt; federation only: -route, -members,
-// -skew, -rebalance, -migrate-running, -workers. A flag the chosen mode does
-// not read is rejected.
+// -backend sim|cluster|federation; -scenario, one of burst, diurnal,
+// poisson and uniform (sized by -jobs, -waves and -gap, 0 = the scenario's
+// default) or the composites head-heavy and tail-heavy (fixed size); -seed,
+// -policy, -capacity, -rescale-gap, -log, -drain; sim and federation only:
+// -shards, -streaming, -full, -aging, -preempt; federation only: -route,
+// -members, -skew, -rebalance, -migrate-running, -workers. A flag the chosen
+// mode or backend does not read is rejected.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,17 +60,24 @@ func run() int {
 	spec.Log = true
 	const specFlags = runspec.Engine | runspec.EngineFleet
 	spec.Bind(flag.CommandLine, specFlags)
+	flag.Lookup("scenario").Usage = "workload scenario: " + strings.Join(conformance.ScenarioNames(), " | ")
 	flag.Parse()
 
-	// The four modes, in the order of their selector flags.
+	// The modes: three in the order of their selector flags, then -record,
+	// one per backend, each reading the spec flags its backend has a
+	// setting for (the emulation has no shards, streaming, reference
+	// scheduler, aging or preemption).
 	modes := []runspec.Mode{
-		{Name: "-record", Reads: specFlags, Also: []string{"out"}},
 		{Name: "-replay", Also: []string{"out", "window"}},
 		{Name: "-diff", Also: []string{"window"}},
 		{Name: "-matrix", Also: []string{"artifacts", "window"}},
+		{Name: "-record -backend sim", Reads: runspec.Engine, Also: []string{"out"}},
+		{Name: "-record -backend cluster", Also: []string{"out", "backend", "scenario", "jobs", "gap", "waves",
+			"seed", "policy", "capacity", "rescale-gap", "log", "drain"}},
+		{Name: "-record -backend federation", Reads: specFlags, Also: []string{"out"}},
 	}
 	mode, selected := 0, 0
-	for i, on := range []bool{*record, *replay != "", *doDiff, *matrix} {
+	for i, on := range []bool{*replay != "", *doDiff, *matrix, *record} {
 		if on {
 			mode = i
 			selected++
@@ -75,6 +87,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "conftest: exactly one of -record, -replay, -diff, -matrix is required")
 		flag.Usage()
 		return 2
+	}
+	// -record selected the sim mode; an unknown backend keeps it, and
+	// Execute names the backend.
+	for i, m := range modes {
+		if *record && m.Name == "-record -backend "+spec.Backend {
+			mode = i
+		}
 	}
 
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
@@ -89,7 +108,7 @@ func run() int {
 		return diffFiles(flag.Arg(0), flag.Arg(1), *window)
 
 	case *matrix:
-		return runMatrix(*artifacts, *window)
+		return runMatrix(os.Stdout, conformance.Cases(conformance.DefaultMatrixOptions()), *artifacts, *window)
 
 	case *replay != "":
 		return replayFile(*replay, *out, *window)
@@ -171,22 +190,22 @@ func replayFile(path, out string, window int) int {
 	return 1
 }
 
-// runMatrix executes the full equivalence matrix, saving diverging streams
-// under the artifacts directory.
-func runMatrix(artifacts string, window int) int {
-	opt := conformance.DefaultMatrixOptions()
-	opt.Window = window
-	fails, cases, err := conformance.RunMatrix(opt)
+// runMatrix executes the matrix's cases, printing each divergence with the
+// command that re-runs its candidate and saving the diverging streams under
+// the artifacts directory, each with the command that replays it.
+func runMatrix(w io.Writer, cases []conformance.Case, artifacts string, window int) int {
+	fails, err := conformance.RunMatrix(cases, window)
 	if err != nil {
 		return fail(err)
 	}
 	if len(fails) == 0 {
-		fmt.Printf("conformance matrix: %d cases, all streams identical\n", cases)
+		fmt.Fprintf(w, "conformance matrix: %d cases, all streams identical\n", len(cases))
 		return 0
 	}
-	fmt.Printf("conformance matrix: %d of %d cases diverged\n", len(fails), cases)
+	fmt.Fprintf(w, "conformance matrix: %d of %d cases diverged\n", len(fails), len(cases))
 	for i, f := range fails {
-		fmt.Printf("\n--- %s (candidate %s) ---\n%s", f.Case, f.Candidate, f.Report)
+		fmt.Fprintf(w, "\n--- %s (candidate %s) ---\n%s", f.Case, f.Candidate, f.Report)
+		fmt.Fprintf(w, "re-run the candidate: %s\n", f.Reproduce)
 		if artifacts == "" {
 			continue
 		}
@@ -198,7 +217,8 @@ func runMatrix(artifacts string, window int) int {
 		if err := saveStreams(base, f.Ref, f.Got); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("streams saved to %s.{ref,got}.json\n", base)
+		fmt.Fprintf(w, "streams saved to %s.{ref,got}.json\n", base)
+		fmt.Fprintf(w, "replay the candidate: conftest -replay %s.got.json\n", base)
 	}
 	return 1
 }

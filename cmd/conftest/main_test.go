@@ -72,7 +72,9 @@ func conftest(dir, args string) *exec.Cmd {
 // executes; the other modes take theirs from a stream or the fixed matrix, so
 // a spec flag there — `-matrix -policy moldable` still ran every policy — is
 // an error naming the flag, as is -migrate-running with no rebalancer to
-// heed it.
+// heed it. So is a spec flag the chosen backend has no setting for (each was
+// recorded into the stream's meta and dropped from the run), and a negative
+// value that ran as the default.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-matrix -policy moldable", "-policy"},
@@ -81,6 +83,19 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -backend federation -migrate-running", "-migrate-running"},
 		{"-matrix -out x.json", "-out"},
 		{"-record -matrix", "exactly one"},
+		{"-record -backend cluster -full", "-full"},
+		{"-record -backend cluster -streaming", "-streaming"},
+		{"-record -backend cluster -shards 4", "-shards"},
+		{"-record -backend cluster -aging 0.5", "-aging"},
+		{"-record -backend cluster -preempt", "-preempt"},
+		{"-record -backend sim -route least_loaded", "-route"},
+		{"-record -backend sim -members 5", "-members"},
+		{"-record -backend sim -skew 2", "-skew"},
+		{"-record -backend sim -rebalance 300", "-rebalance"},
+		{"-record -backend federation -members 2 -drain", "-drain"},
+		{"-record -capacity -8", "-capacity"},
+		{"-record -rescale-gap -5", "-rescale-gap"},
+		{"-record -aging -1", "-aging"},
 	} {
 		out, err := conftest("", c.args).CombinedOutput()
 		if err == nil {
@@ -162,5 +177,77 @@ func TestDiffAndReplayFailOnMutatedStream(t *testing.T) {
 	}
 	if out, err := conftest(dir, "-diff rec.json rec.json").Output(); err != nil {
 		t.Errorf("-diff of a stream against itself: %v\n%s", err, out)
+	}
+}
+
+// TestClusterReadsRescaleGap: -rescale-gap reaches the emulation — it was
+// recorded into the cluster stream's meta and dropped from the run.
+func TestClusterReadsRescaleGap(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range []string{
+		"-record -backend cluster -jobs 12 -out plain.json",
+		"-record -backend cluster -jobs 12 -rescale-gap 30 -out gap.json",
+	} {
+		if out, err := conftest(dir, args).CombinedOutput(); err != nil {
+			t.Fatalf("conftest %s: %v\n%s", args, err, out)
+		}
+	}
+	out, err := conftest(dir, "-diff plain.json gap.json").Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("a 30 s rescale gap recorded the default run: err = %v\n%s", err, out)
+	}
+}
+
+// TestMatrixDivergenceReproduces plants a candidate that really diverges — a
+// shorter rescale gap than its reference's — and follows what -matrix prints:
+// the -record line re-runs the candidate, and diffing that against the saved
+// reference reproduces the matrix's report byte for byte; the -replay line
+// re-executes the saved candidate stream and reproduces it.
+func TestMatrixDivergenceReproduces(t *testing.T) {
+	dir := t.TempDir()
+	planted := conformance.Case{
+		Name: "planted",
+		Refs: []conformance.Ref{{Name: "planted", Spec: conformance.RunSpec{
+			Backend: "sim", Scenario: "burst", Jobs: 24, Waves: 3, Gap: 600, Seed: 3, Log: true}}},
+		Candidates: []conformance.Candidate{{Name: "gap60",
+			Change: func(s *conformance.RunSpec) { s.RescaleGap = 60 }}},
+	}
+	var out bytes.Buffer
+	if code := runMatrix(&out, []conformance.Case{planted}, dir, 3); code != 1 {
+		t.Fatalf("runMatrix exit %d, want 1:\n%s", code, out.String())
+	}
+	var record, replay string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "re-run the candidate: conftest "); ok {
+			record = rest
+		}
+		if rest, ok := strings.CutPrefix(line, "replay the candidate: conftest "); ok {
+			replay = rest
+		}
+	}
+	if record == "" || replay == "" {
+		t.Fatalf("no -record or -replay line printed:\n%s", out.String())
+	}
+	refs, err := filepath.Glob(filepath.Join(dir, "*.ref.json"))
+	if err != nil || len(refs) != 1 {
+		t.Fatalf("saved references %v (%v), want one", refs, err)
+	}
+
+	if o, err := conftest(dir, record+" -out rerun.json").CombinedOutput(); err != nil {
+		t.Fatalf("conftest %s: %v\n%s", record, err, o)
+	}
+	diff, err := conftest(dir, "-diff -window 3 "+refs[0]+" rerun.json").Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("the re-run candidate matches its reference: err = %v\n%s", err, diff)
+	}
+	if !strings.Contains(out.String(), "---\n"+string(diff)+"re-run") {
+		t.Errorf("-diff of the re-run is not the matrix's report:\n%s\nmatrix printed:\n%s", diff, out.String())
+	}
+
+	o, err := conftest(dir, replay).Output()
+	if err != nil || !strings.Contains(string(o), "reproduced the recording") {
+		t.Errorf("conftest %s: %v\n%s", replay, err, o)
 	}
 }

@@ -3,12 +3,8 @@ package conformance
 import (
 	"fmt"
 
-	"elastichpc/internal/cluster"
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
-	"elastichpc/internal/model"
-	"elastichpc/internal/sim"
-	"elastichpc/internal/workload"
 )
 
 // MatrixOptions scopes the equivalence matrix.
@@ -22,8 +18,6 @@ type MatrixOptions struct {
 	// Cluster includes the (slow) cluster-emulation repeat-determinism
 	// cells.
 	Cluster bool
-	// Window is the ±K decision context in failure reports.
-	Window int
 }
 
 // DefaultMatrixOptions is the grid CI runs: the full policy × route product
@@ -37,7 +31,6 @@ func DefaultMatrixOptions() MatrixOptions {
 		Shards:   []int{0, 1, 2, 8},
 		Routes:   federation.AllRoutes(),
 		Cluster:  true,
-		Window:   DefaultWindow,
 	}
 }
 
@@ -49,401 +42,219 @@ type Failure struct {
 	Candidate string
 	// Report is the differ's formatted divergence window.
 	Report string
-	// Ref and Got are the reference and diverging streams.
+	// Reproduce is the conftest -record command that re-runs the candidate.
+	Reproduce string
+	// Ref and Got are the reference and diverging streams, each with the
+	// Meta that replays it.
 	Ref, Got *Stream
 }
 
-// Case is one independently runnable matrix cell.
+// Case is one independently runnable matrix cell: each reference spec, and
+// each candidate's change of it, runs through RunSpec.Execute, and every
+// candidate stream must equal its reference's.
 type Case struct {
 	Name string
-	Run  func() ([]Failure, error)
+	// Refs are the reference runs: one named as the case, or one per
+	// workload shape the case sweeps, named <case>/<shape>.
+	Refs []Ref
+	// Candidates are the execution modes every reference is held to.
+	Candidates []Candidate
 }
 
-// RunMatrix runs every case and collects the divergences. The int is the
-// number of cases executed. A hard error (a backend refusing to run) aborts
-// the sweep; divergences do not.
-func RunMatrix(opt MatrixOptions) ([]Failure, int, error) {
+// Ref is one reference run, under the name a divergence from it reports.
+type Ref struct {
+	Name string
+	Spec RunSpec
+}
+
+// Candidate is one execution mode: the reference spec changed by Change (nil
+// runs it again), executed — through the stepping surface when Stepped — and
+// compared with the reference whole, or on what Project keeps of both.
+type Candidate struct {
+	Name    string
+	Change  func(*RunSpec)
+	Stepped bool
+	Project func(*Stream) *Stream
+}
+
+// Run executes the case and collects its divergences, each report with
+// ±window decisions of context.
+func (c Case) Run(window int) ([]Failure, error) {
 	var fails []Failure
-	cases := Cases(opt)
-	for _, c := range cases {
-		fs, err := c.Run()
+	for _, r := range c.Refs {
+		ref, err := r.Spec.Execute()
 		if err != nil {
-			return fails, len(cases), fmt.Errorf("%s: %w", c.Name, err)
+			return nil, err
+		}
+		for _, cand := range c.Candidates {
+			spec := r.Spec
+			if cand.Change != nil {
+				cand.Change(&spec)
+			}
+			exec := spec.Execute
+			if cand.Stepped {
+				exec = spec.executeStepped
+			}
+			got, err := exec()
+			if err != nil {
+				return nil, err
+			}
+			fails = check(fails, window, r.Name, cand, ref, got)
+		}
+	}
+	return fails, nil
+}
+
+// RunMatrix runs the cases and collects their divergences. A hard error (a
+// backend refusing to run) aborts the sweep; divergences do not.
+func RunMatrix(cases []Case, window int) ([]Failure, error) {
+	var fails []Failure
+	for _, c := range cases {
+		fs, err := c.Run(window)
+		if err != nil {
+			return fails, fmt.Errorf("%s: %w", c.Name, err)
 		}
 		fails = append(fails, fs...)
 	}
-	return fails, len(cases), nil
-}
-
-// skewedScenario concatenates a heavy-class burst phase and a light-class
-// phase (heavy first or light first) — the demand-skewed shapes the
-// work-balanced epoch planner places its most asymmetric cuts on, which the
-// matrix must still prove reconcile exactly.
-func skewedScenario(seed int64, heavyFirst bool) (Scenario, error) {
-	heavy, err := workload.Burst{Waves: 2, PerWave: 18, WaveGap: 15000,
-		Mix: workload.Mix{model.Large: 1, model.XLarge: 1}}.Generate(seed)
-	if err != nil {
-		return Scenario{}, err
-	}
-	light, err := workload.Burst{Waves: 4, PerWave: 25, WaveGap: 15000,
-		Mix: workload.Mix{model.Small: 1, model.Medium: 1}}.Generate(seed + 100)
-	if err != nil {
-		return Scenario{}, err
-	}
-	first, second, name := heavy, light, "head-heavy"
-	if !heavyFirst {
-		first, second, name = light, heavy, "tail-heavy"
-	}
-	offset := first.Span() + 15000
-	jobs := make([]workload.JobSpec, 0, len(first.Jobs)+len(second.Jobs))
-	for i, j := range first.Jobs {
-		j.ID = fmt.Sprintf("a%03d-%s", i, j.ID)
-		jobs = append(jobs, j)
-	}
-	for i, j := range second.Jobs {
-		j.ID = fmt.Sprintf("b%03d-%s", i, j.ID)
-		j.SubmitAt += offset
-		jobs = append(jobs, j)
-	}
-	return Scenario{Name: name, Workload: workload.Workload{Jobs: jobs}}, nil
-}
-
-// matrixScenarios are the fixed workload shapes the sim cells sweep —
-// steady arrivals, deep same-instant backlogs, a time-varying cluster, and
-// the two demand-skewed shapes that stress the work-balanced epoch planner.
-func matrixScenarios(seed int64) ([]Scenario, error) {
-	uniform, err := workload.Uniform{Jobs: 60, Gap: 45}.Generate(seed)
-	if err != nil {
-		return nil, err
-	}
-	burst, err := workload.Burst{Waves: 3, PerWave: 40, WaveGap: 4000}.Generate(seed)
-	if err != nil {
-		return nil, err
-	}
-	avail, err := workload.Burst{Waves: 3, PerWave: 30, WaveGap: 5000}.Generate(seed)
-	if err != nil {
-		return nil, err
-	}
-	span := avail.Span() + 3600
-	tr, err := workload.MaintenanceDrain{Every: span / 6, Duration: span / 12, Keep: 40}.Events(seed, 64, span)
-	if err != nil {
-		return nil, err
-	}
-	// Restore full capacity at the horizon so the rigid baselines stay
-	// feasible: a trace that ends mid-drain strands any job whose pinned
-	// replica count exceeds the drained capacity.
-	tr = tr.WithRestore(64, span)
-	head, err := skewedScenario(seed, true)
-	if err != nil {
-		return nil, err
-	}
-	tail, err := skewedScenario(seed, false)
-	if err != nil {
-		return nil, err
-	}
-	return []Scenario{
-		{Name: "uniform", Workload: uniform},
-		{Name: "burst", Workload: burst},
-		{Name: "availability", Workload: avail, Trace: tr},
-		head,
-		tail,
-	}, nil
-}
-
-// Cases enumerates the matrix: sim cells (incremental vs FullRedistribute,
-// streaming vs retained, every shard width vs sequential — decision streams
-// and bit-exact result summaries on the production path — plus the logged vs
-// unlogged observer-neutrality contract), the aging+preemption extension
-// cells, federation cells (sequential vs parallel vs repeated, rebalance
-// off and on, per route × policy, with member decision streams), and
-// cluster-emulation repeat-determinism cells.
-func Cases(opt MatrixOptions) []Case {
-	var cases []Case
-	for _, seed := range opt.Seeds {
-		for _, p := range opt.Policies {
-			cases = append(cases, simCase(opt, seed, p))
-		}
-	}
-	for _, p := range []core.Policy{core.Elastic, core.RigidMin} {
-		cases = append(cases, extensionsCase(opt, p))
-	}
-	for _, p := range opt.Policies {
-		cases = append(cases, streamingScaleCase(opt, p))
-	}
-	for _, route := range opt.Routes {
-		for _, p := range opt.Policies {
-			for _, rebalance := range []bool{false, true} {
-				cases = append(cases, federationCase(opt, route, p, rebalance))
-			}
-		}
-	}
-	if opt.Cluster {
-		for _, p := range opt.Policies {
-			cases = append(cases, clusterCase(opt, p))
-		}
-	}
-	return cases
+	return fails, nil
 }
 
 // check compares a candidate stream against the reference and appends a
 // Failure on divergence.
-func check(fails []Failure, opt MatrixOptions, caseName, candName string, ref, got *Stream) []Failure {
-	if d := Compare(ref, got); !d.Empty() {
-		fails = append(fails, Failure{
-			Case: caseName, Candidate: candName,
-			Report: d.Format(ref, got, opt.Window),
-			Ref:    ref, Got: got,
-		})
+func check(fails []Failure, window int, name string, cand Candidate, ref, got *Stream) []Failure {
+	if cand.Project != nil {
+		ref, got = cand.Project(ref), cand.Project(got)
 	}
-	return fails
-}
-
-// simCandidate is one execution mode a sim cell compares to the reference.
-type simCandidate struct {
-	name      string
-	streaming bool
-	shards    int
+	d := Compare(ref, got)
+	if d.Empty() {
+		return fails
+	}
+	reproduce := recordCommand(got.Meta)
+	if cand.Stepped && reproduce != "" {
+		reproduce += "  # the batch run; the candidate steps it in 300 s windows"
+	}
+	return append(fails, Failure{
+		Case: name, Candidate: cand.Name,
+		Report:    d.Format(ref, got, window),
+		Reproduce: reproduce,
+		Ref:       ref, Got: got,
+	})
 }
 
 // summaryOnly is st without its decision log — the part of a run that must
 // not depend on whether the log was on.
 func summaryOnly(st *Stream) *Stream {
-	return &Stream{Version: st.Version, Summary: st.Summary}
+	return &Stream{Version: st.Version, Meta: st.Meta, Summary: st.Summary}
 }
 
-// simCase pins one (seed, policy) cell across all five workload shapes.
-// Every candidate runs logged, on the path production runs — the
-// placeable-only pass and its fallbacks, coalesced kicks, the streaming mode,
-// every shard width, the stepped windows — and must reproduce the
-// full-redistribute reference's decision stream and bit-exact summary. One
-// more run with the log off must leave the same summary, per-job digest
-// included: observing a run does not change it.
-func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
-	name := fmt.Sprintf("sim/%s/seed%d", p, seed)
-	return Case{Name: name, Run: func() ([]Failure, error) {
-		scenarios, err := matrixScenarios(seed)
-		if err != nil {
-			return nil, err
-		}
-		var fails []Failure
-		for _, sc := range scenarios {
-			config := func(full, log, streaming bool, shards int) sim.Config {
-				cfg := sim.DefaultConfig(p)
-				cfg.Availability = sc.Trace
-				cfg.FullRedistribute = full
-				cfg.LogDecisions = log
-				cfg.Streaming = streaming
-				cfg.Shards = shards
-				return cfg
-			}
-			run := func(full, log, streaming bool, shards int) (*Stream, error) {
-				return RecordSim(config(full, log, streaming, shards), sc.Workload)
-			}
-			caseName := name + "/" + sc.Name
+// simShapes are the workload shapes every sim cell sweeps: steady arrivals,
+// deep same-instant backlogs, a time-varying cluster (maintenance drains to
+// 40 of 64 slots, full capacity restored at the horizon), and the two
+// demand-skewed composites that stress the work-balanced epoch planner.
+var simShapes = []Ref{
+	{"uniform", RunSpec{Scenario: "uniform", Jobs: 60, Gap: 45}},
+	{"burst", RunSpec{Scenario: "burst", Jobs: 120, Waves: 3, Gap: 4000}},
+	{"availability", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Drain: true}},
+	{headHeavy, RunSpec{Scenario: headHeavy}},
+	{tailHeavy, RunSpec{Scenario: tailHeavy}},
+}
 
-			ref, err := run(true, true, false, 1)
-			if err != nil {
-				return nil, err
+// Cases is the matrix, one table of cells:
+//   - sim, per seed × policy over every shape in simShapes: the
+//     full-redistribute reference against the incremental scheduler, the
+//     streaming mode, every shard width, the widest streaming, and the
+//     stepping surface — all logged, on the path production runs, held to the
+//     decision stream and the bit-exact summary — plus one unlogged run that
+//     must leave the same summary, per-job digest included (observing a run
+//     does not change it);
+//   - sim-extensions: the same contract with aging and preemption on, where
+//     every Reschedule takes the drain loop and kick coalescing turns itself
+//     off;
+//   - sim-streaming-scale: streaming over a workload large and bursty enough
+//     for a real multi-epoch plan with draining boundaries (sim's
+//     TestPlanEpochsStreamingScaleWorkload asserts its shape), the widest
+//     shard width against the sequential loop;
+//   - federation, per route × policy, rebalancer off and on: a 16/40/64-slot
+//     fleet whose round-robin backs up member 0 and whose member 2 drains
+//     mid-run, so both donor kinds are exercised — the sequential members
+//     against the parallel worker pool and a repeat, member streams, the
+//     migration log and every summary included;
+//   - cluster: the emulation backend recorded twice.
+func Cases(opt MatrixOptions) []Case {
+	top := 8
+	if n := len(opt.Shards); n > 0 {
+		top = opt.Shards[n-1]
+	}
+	incremental := Candidate{Name: "incremental", Change: func(s *RunSpec) { s.Full = false }}
+	sharded := func(n int, streaming bool) Candidate {
+		name := fmt.Sprintf("shards%d", n)
+		if streaming {
+			name += "/streaming"
+		}
+		return Candidate{Name: name, Change: func(s *RunSpec) { s.Full, s.Shards, s.Streaming = false, n, streaming }}
+	}
+	repeat := Candidate{Name: "repeat"}
+
+	simCandidates := []Candidate{incremental,
+		{Name: "streaming", Change: func(s *RunSpec) { s.Full, s.Streaming = false, true }}}
+	for _, n := range opt.Shards {
+		simCandidates = append(simCandidates, sharded(n, false))
+	}
+	if len(opt.Shards) > 0 {
+		simCandidates = append(simCandidates, sharded(top, true))
+	}
+	simCandidates = append(simCandidates,
+		Candidate{Name: "stepped", Change: incremental.Change, Stepped: true},
+		Candidate{Name: "unlogged", Change: func(s *RunSpec) { s.Full, s.Log = false, false }, Project: summaryOnly})
+
+	var cases []Case
+	for _, seed := range opt.Seeds {
+		for _, p := range opt.Policies {
+			c := Case{Name: fmt.Sprintf("sim/%s/seed%d", p, seed), Candidates: simCandidates}
+			for _, shape := range simShapes {
+				spec := shape.Spec
+				spec.Backend, spec.Seed, spec.Policy = "sim", seed, p
+				spec.Full, spec.Log, spec.Shards = true, true, 1
+				c.Refs = append(c.Refs, Ref{Name: c.Name + "/" + shape.Name, Spec: spec})
 			}
-			incremental, err := run(false, true, false, 1)
-			if err != nil {
-				return nil, err
-			}
-			fails = check(fails, opt, caseName, "incremental", ref, incremental)
-			// Streaming candidates carry no digest and compare on the
-			// decisions and the aggregates, which the streaming mode
-			// documents as bit-identical.
-			candidates := []simCandidate{{name: "streaming", streaming: true, shards: 1}}
-			for _, shards := range opt.Shards {
-				candidates = append(candidates, simCandidate{
-					name: fmt.Sprintf("shards%d", shards), shards: shards,
-				})
-			}
-			if n := len(opt.Shards); n > 0 {
-				top := opt.Shards[n-1]
-				candidates = append(candidates, simCandidate{
-					name: fmt.Sprintf("shards%d/streaming", top), streaming: true, shards: top,
-				})
-			}
-			for _, cand := range candidates {
-				got, err := run(false, true, cand.streaming, cand.shards)
-				if err != nil {
-					return nil, err
+			cases = append(cases, c)
+		}
+	}
+	for _, p := range []core.Policy{core.Elastic, core.RigidMin} {
+		cases = append(cases, single("sim-extensions/"+p.String(), RunSpec{Backend: "sim", Scenario: "burst",
+			Jobs: 120, Waves: 4, Gap: 3000, Seed: 11, Policy: p, Aging: 0.01, Preempt: true,
+			Full: true, Log: true, Shards: 1}, incremental, sharded(4, false)))
+	}
+	for _, p := range opt.Policies {
+		cases = append(cases, single("sim-streaming-scale/"+p.String(), RunSpec{Backend: "sim", Scenario: "burst",
+			Jobs: 1200, Waves: 12, Gap: 20000, Seed: 5, Policy: p, Streaming: true, Shards: 1},
+			Candidate{Name: fmt.Sprintf("shards%d", top), Change: func(s *RunSpec) { s.Shards = top }}))
+	}
+	for _, route := range opt.Routes {
+		for _, p := range opt.Policies {
+			for _, every := range []float64{0, 300} {
+				mode := "batch"
+				if every > 0 {
+					mode = "rebalance"
 				}
-				fails = check(fails, opt, caseName, cand.name, ref, got)
+				cases = append(cases, single(fmt.Sprintf("federation/%s/%s/%s", route, p, mode), RunSpec{
+					Backend: "federation", Scenario: "burst", Jobs: 96, Waves: 6, Gap: 1200, Seed: 3,
+					Policy: p, Capacity: 16, Members: 3, Skew: 1.5, Drain: true, Route: route,
+					RebalanceEvery: every, MigrateRunning: every > 0, Workers: 1, Log: true,
+				}, Candidate{Name: "parallel", Change: func(s *RunSpec) { s.Workers = 0 }}, repeat))
 			}
-
-			// The stepping surface the fleet rebalancer drives: the same run
-			// cut into 300 s windows is the batch run, decisions and every
-			// summary bit.
-			stepped, err := RecordStepped(config(false, true, false, 1), sc.Workload, 300)
-			if err != nil {
-				return nil, err
-			}
-			fails = check(fails, opt, caseName, "stepped", ref, stepped)
-
-			unlogged, err := run(false, false, false, 1)
-			if err != nil {
-				return nil, err
-			}
-			fails = check(fails, opt, caseName, "unlogged", summaryOnly(incremental), unlogged)
 		}
-		return fails, nil
-	}}
-}
-
-// extensionsCase re-pins the contract with aging and preemption on — the
-// configuration where the incremental scheduler must decline to cache, every
-// Reschedule takes the drain loop and kick coalescing turns itself off —
-// decision streams and summaries against the full-redistribute reference.
-func extensionsCase(opt MatrixOptions, p core.Policy) Case {
-	name := fmt.Sprintf("sim-extensions/%s", p)
-	return Case{Name: name, Run: func() ([]Failure, error) {
-		w, err := workload.Burst{Waves: 4, PerWave: 30, WaveGap: 3000}.Generate(11)
-		if err != nil {
-			return nil, err
-		}
-		run := func(full bool, shards int) (*Stream, error) {
-			cfg := sim.DefaultConfig(p)
-			cfg.AgingRate = 0.01
-			cfg.EnablePreemption = true
-			cfg.LogDecisions = true
-			cfg.FullRedistribute = full
-			cfg.Shards = shards
-			return RecordSim(cfg, w)
-		}
-		ref, err := run(true, 1)
-		if err != nil {
-			return nil, err
-		}
-		var fails []Failure
-		for _, cand := range []struct {
-			name   string
-			shards int
-		}{{name: "incremental", shards: 1}, {name: "shards4", shards: 4}} {
-			got, err := run(false, cand.shards)
-			if err != nil {
-				return nil, err
-			}
-			fails = check(fails, opt, name, cand.name, ref, got)
-		}
-		return fails, nil
-	}}
-}
-
-// streamingScaleCase pins the scale benchmarks' configuration: streaming
-// mode over a workload large and bursty enough that the epoch planner
-// produces a real multi-epoch plan with genuinely draining boundaries
-// (sim's TestPlanEpochsStreamingScaleWorkload asserts the plan shape), at
-// the widest configured shard width against the sequential loop.
-func streamingScaleCase(opt MatrixOptions, p core.Policy) Case {
-	name := fmt.Sprintf("sim-streaming-scale/%s", p)
-	return Case{Name: name, Run: func() ([]Failure, error) {
-		w, err := workload.Burst{Waves: 12, PerWave: 100, WaveGap: 20000}.Generate(5)
-		if err != nil {
-			return nil, err
-		}
-		shards := 8
-		if n := len(opt.Shards); n > 0 {
-			shards = opt.Shards[n-1]
-		}
-		run := func(shards int) (*Stream, error) {
-			cfg := sim.DefaultConfig(p)
-			cfg.Streaming = true
-			cfg.Shards = shards
-			return RecordSim(cfg, w)
-		}
-		ref, err := run(1)
-		if err != nil {
-			return nil, err
-		}
-		got, err := run(shards)
-		if err != nil {
-			return nil, err
-		}
-		return check(nil, opt, name, fmt.Sprintf("shards%d", shards), ref, got), nil
-	}}
-}
-
-// federationFleet is the heterogeneous 3-member fleet the federation cells
-// run (the rebalancer tests' scenario): round-robin backs up the small
-// member 0, and member 2's trace drains it mid-run, so both donor kinds
-// are exercised. Every member logs decisions.
-func federationFleet(p core.Policy, route federation.Route, rebalance bool) federation.Config {
-	base := sim.DefaultConfig(p)
-	base.Capacity = 16
-	base.LogDecisions = true
-	members := federation.Skewed(base, 3, 1.5) // capacities 16 / 40 / 64
-	members[2].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
-		{At: 1200, Capacity: 8},
-		{At: 6000, Capacity: 64},
-	}}
-	cfg := federation.Config{Members: members, Route: route}
-	if rebalance {
-		cfg.Rebalance = federation.RebalanceConfig{Every: 300, MigrateRunning: true}
 	}
-	return cfg
-}
-
-// federationCase pins one (route, policy, rebalance) fleet cell: the
-// sequential reference (Workers=1) against the parallel worker pool and a
-// repeated run — member decision streams, the migration log, and every
-// member and fleet summary must be identical.
-func federationCase(opt MatrixOptions, route federation.Route, p core.Policy, rebalance bool) Case {
-	mode := "batch"
-	if rebalance {
-		mode = "rebalance"
+	if opt.Cluster {
+		for _, p := range opt.Policies {
+			cases = append(cases, single("cluster/"+p.String(), RunSpec{Backend: "cluster",
+				Scenario: "uniform", Jobs: 12, Gap: 90, Seed: 4, Policy: p, Log: true}, repeat))
+		}
 	}
-	name := fmt.Sprintf("federation/%s/%s/%s", route, p, mode)
-	return Case{Name: name, Run: func() ([]Failure, error) {
-		w, err := workload.Burst{Waves: 6, PerWave: 16, WaveGap: 1200}.Generate(3)
-		if err != nil {
-			return nil, err
-		}
-		run := func(workers int) (*Stream, error) {
-			cfg := federationFleet(p, route, rebalance)
-			cfg.Workers = workers
-			return RecordFederation(cfg, w)
-		}
-		ref, err := run(1)
-		if err != nil {
-			return nil, err
-		}
-		var fails []Failure
-		for _, cand := range []struct {
-			name    string
-			workers int
-		}{{name: "parallel", workers: 0}, {name: "repeat", workers: 1}} {
-			got, err := run(cand.workers)
-			if err != nil {
-				return nil, err
-			}
-			fails = check(fails, opt, name, cand.name, ref, got)
-		}
-		return fails, nil
-	}}
+	return cases
 }
 
-// clusterCase pins the emulation backend's repeat determinism: two
-// identical cluster runs must produce the same decision stream and
-// bit-exact summary.
-func clusterCase(opt MatrixOptions, p core.Policy) Case {
-	name := fmt.Sprintf("cluster/%s", p)
-	return Case{Name: name, Run: func() ([]Failure, error) {
-		w, err := workload.Uniform{Jobs: 12, Gap: 90}.Generate(4)
-		if err != nil {
-			return nil, err
-		}
-		cfg := cluster.DefaultConfig(p)
-		cfg.LogDecisions = true
-		ref, err := RecordCluster(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		got, err := RecordCluster(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		return check(nil, opt, name, "repeat", ref, got), nil
-	}}
+// single is a case with one reference run, named as the case.
+func single(name string, ref RunSpec, candidates ...Candidate) Case {
+	return Case{Name: name, Refs: []Ref{{Name: name, Spec: ref}}, Candidates: candidates}
 }

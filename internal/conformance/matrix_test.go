@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"elastichpc/internal/core"
 )
 
 // TestMatrixEquivalence runs the full equivalence matrix — every sim,
@@ -22,12 +20,12 @@ func TestMatrixEquivalence(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			fails, err := c.Run()
+			fails, err := c.Run(DefaultWindow)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range fails {
-				t.Errorf("%s: candidate %s diverged:\n%s", f.Case, f.Candidate, f.Report)
+				t.Errorf("%s: candidate %s diverged:\n%s%s", f.Case, f.Candidate, f.Report, f.Reproduce)
 			}
 		})
 	}
@@ -35,27 +33,49 @@ func TestMatrixEquivalence(t *testing.T) {
 
 // TestMatrixCheckReportsPlantedMutation: the matrix's own comparison step
 // turns one mutated decision into a Failure that says where — the case, the
-// candidate and the decision index — and keeps both streams for the
-// artifacts; an identical candidate adds nothing.
+// candidate and the decision index — keeps both streams for the artifacts,
+// and carries the conftest line that re-runs the candidate; an identical
+// candidate adds nothing.
 func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
-	ref := recordedSim(t, core.Elastic, nil)
+	spec := Cases(DefaultMatrixOptions())[0].Refs[0].Spec
+	ref, err := spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
 	k := len(ref.Decisions) / 2
 	mut := cloneStream(ref)
 	mut.Decisions[k].Replicas++
 
-	opt := DefaultMatrixOptions()
-	if fails := check(nil, opt, "sim/seed1/elastic", "streaming", ref, cloneStream(ref)); len(fails) != 0 {
+	cand := Candidate{Name: "streaming"}
+	if fails := check(nil, DefaultWindow, "sim/min_replicas/seed1/uniform", cand, ref, cloneStream(ref)); len(fails) != 0 {
 		t.Fatalf("an identical candidate produced %d failures:\n%s", len(fails), fails[0].Report)
 	}
-	fails := check(nil, opt, "sim/seed1/elastic", "streaming", ref, mut)
+	fails := check(nil, DefaultWindow, "sim/min_replicas/seed1/uniform", cand, ref, mut)
 	if len(fails) != 1 {
 		t.Fatalf("%d failures for one mutated decision, want 1", len(fails))
 	}
 	f := fails[0]
-	if f.Case != "sim/seed1/elastic" || f.Candidate != "streaming" || f.Ref != ref || f.Got != mut {
-		t.Errorf("failure names case %q, candidate %q; want sim/seed1/elastic, streaming and both streams", f.Case, f.Candidate)
+	if f.Case != "sim/min_replicas/seed1/uniform" || f.Candidate != "streaming" || f.Ref != ref || f.Got != mut {
+		t.Errorf("failure names case %q, candidate %q; want sim/min_replicas/seed1/uniform, streaming and both streams", f.Case, f.Candidate)
 	}
 	if want := fmt.Sprintf("decisions[%d]", k); !strings.Contains(f.Report, want) {
 		t.Errorf("report does not name %s:\n%s", want, f.Report)
+	}
+	want := "conftest -record -backend sim -full -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1 -waves 3"
+	if f.Reproduce != want {
+		t.Errorf("reproduce line:\n got %s\nwant %s", f.Reproduce, want)
+	}
+
+	// An unlogged candidate is compared on its summary, and its line turns
+	// off the log -record keeps by default.
+	spec.Full, spec.Log = false, false
+	unlogged, err := spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlogged.Summary.Requeues++
+	fails = check(nil, DefaultWindow, "sim/min_replicas/seed1/uniform", Candidate{Name: "unlogged", Project: summaryOnly}, ref, unlogged)
+	if len(fails) != 1 || !strings.Contains(fails[0].Report, "requeues") || !strings.HasSuffix(fails[0].Reproduce, " -log=false") {
+		t.Errorf("unlogged failure %+v: want one summary divergence naming requeues, re-run with -log=false", fails)
 	}
 }

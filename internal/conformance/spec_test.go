@@ -3,6 +3,7 @@ package conformance
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"elastichpc/internal/core"
@@ -50,19 +51,44 @@ func TestSpecFromMetaRejectsUnknownKeys(t *testing.T) {
 // `conftest -replay`: executing a spec, saving its stream, loading it back,
 // reconstructing the spec from the stream's Meta, and executing again must
 // reproduce the identical stream — decisions, migrations, and bit-exact
-// summaries.
+// summaries. The specs are the matrix's: one reference per kind of case, a
+// sharded candidate, and the two generated scenarios no case runs.
 func TestSpecReplayReproduces(t *testing.T) {
+	refs := map[string]RunSpec{}
+	var sharded RunSpec
+	for _, c := range Cases(DefaultMatrixOptions()) {
+		for _, r := range c.Refs {
+			refs[r.Name] = r.Spec
+		}
+		if c.Name == "sim/moldable/seed7" {
+			sharded = c.Refs[0].Spec
+			for _, cand := range c.Candidates {
+				if cand.Name == "shards2" {
+					cand.Change(&sharded)
+				}
+			}
+		}
+	}
+	uniform := refs["sim/elastic/seed1/uniform"]
+	poisson, diurnal := uniform, uniform
+	poisson.Scenario, poisson.Gap = "poisson", 0
+	diurnal.Scenario, diurnal.Gap = "diurnal", 0
 	specs := map[string]RunSpec{
-		"sim": {Backend: "sim", Scenario: "burst", Jobs: 48, Gap: 3000, Waves: 3,
-			Seed: 5, Policy: core.Elastic, Log: true, Drain: true},
-		"sim-sharded": {Backend: "sim", Scenario: "uniform", Jobs: 60, Gap: 45,
-			Seed: 7, Policy: core.Moldable, Shards: 4, Log: true},
-		"federation-rebalance": {Backend: "federation", Scenario: "burst", Jobs: 96,
-			Gap: 1200, Waves: 6, Seed: 3, Policy: core.Elastic, Capacity: 16,
-			Route: federation.RoundRobin, Members: 3, Skew: 1.5,
-			RebalanceEvery: 300, MigrateRunning: true, Drain: true, Log: true},
+		"sim":                  uniform,
+		"sim-sharded":          sharded,
+		"availability":         refs["sim/max_replicas/seed7/availability"],
+		"head-heavy":           refs["sim/min_replicas/seed1/head-heavy"],
+		"extensions":           refs["sim-extensions/elastic"],
+		"streaming-scale":      refs["sim-streaming-scale/moldable"],
+		"federation-rebalance": refs["federation/round_robin/elastic/rebalance"],
+		"cluster":              refs["cluster/elastic"],
+		"poisson":              poisson,
+		"diurnal":              diurnal,
 	}
 	for name, spec := range specs {
+		if spec.Backend == "" || (name == "sim-sharded" && spec.Shards != 2) {
+			t.Fatalf("%s: no such spec in the matrix table", name)
+		}
 		spec := spec
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -93,18 +119,22 @@ func TestSpecReplayReproduces(t *testing.T) {
 	}
 }
 
-// TestSpecValidation: bad specs fail loudly instead of running the wrong
-// scenario.
+// TestSpecValidation: bad specs fail loudly, naming what is wrong, instead of
+// running the wrong scenario — or the default one, as a negative capacity,
+// rescale gap or aging rate did.
 func TestSpecValidation(t *testing.T) {
-	bad := map[string]RunSpec{
-		"backend":       {Backend: "quantum"},
-		"scenario":      {Scenario: "tsunami"},
-		"burst-divides": {Scenario: "burst", Jobs: 50, Waves: 3},
-		"cluster-nodes": {Backend: "cluster", Capacity: 30},
-	}
-	for name, spec := range bad {
-		if _, err := spec.Execute(); err == nil {
-			t.Errorf("%s: bad spec executed", name)
+	for names, spec := range map[string]RunSpec{
+		"quantum":          {Backend: "quantum"},
+		"tsunami":          {Scenario: "tsunami"},
+		"by waves":         {Scenario: "burst", Jobs: 50, Waves: 3},
+		"not divisible by": {Backend: "cluster", Capacity: 30},
+		"-capacity":        {Capacity: -8},
+		"-rescale-gap":     {RescaleGap: -5},
+		"-aging":           {Aging: -1},
+		"-drain":           {Backend: "federation", Members: 2, Drain: true},
+	} {
+		if _, err := spec.Execute(); err == nil || !strings.Contains(err.Error(), names) {
+			t.Errorf("%+v: error %v does not name %s", spec, err, names)
 		}
 	}
 }

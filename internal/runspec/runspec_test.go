@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elastichpc/internal/federation"
+	"elastichpc/internal/workload"
 )
 
 // every is the selection vocabulary the harness CLIs bind; Engine's groups
@@ -97,5 +98,33 @@ func TestValidateDependencies(t *testing.T) {
 	ok.Resolve()
 	if err := ok.Validate(); err != nil || ok.Scenario != "trace" || ok.Availability != "trace" {
 		t.Errorf("trace paths imply their names: %+v (%v)", ok, err)
+	}
+}
+
+// TestGeneratorSizesScenario: with no size set every scenario is its
+// workload.DefaultScenarios entry — the run every CLI makes — and a set
+// size replaces the default it names.
+func TestGeneratorSizesScenario(t *testing.T) {
+	for _, want := range workload.DefaultScenarios() {
+		if got, err := (Spec{Scenario: want.Name()}).Generator(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v (%v), want %+v", want.Name(), got, err, want)
+		}
+	}
+	for _, c := range []struct {
+		spec Spec
+		want workload.Generator
+	}{
+		{Spec{Jobs: 60, Gap: 45}, workload.Uniform{Jobs: 60, Gap: 45}},
+		{Spec{Scenario: "poisson", Jobs: 8}, workload.Poisson{Jobs: 8, MeanGap: 90}},
+		{Spec{Scenario: "burst", Jobs: 120, Waves: 3, Gap: 4000}, workload.Burst{Waves: 3, PerWave: 40, WaveGap: 4000}},
+		{Spec{Scenario: "burst", Jobs: 8}, workload.Burst{Waves: 4, PerWave: 2, WaveGap: 360}},
+		{Spec{Scenario: "diurnal", Gap: 60}, workload.Diurnal{Jobs: 16, Period: 2880, PeakGap: 60, OffPeakGap: 600}},
+	} {
+		if got, err := c.spec.Generator(); err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%+v: %+v (%v), want %+v", c.spec, got, err, c.want)
+		}
+	}
+	if _, err := (Spec{Scenario: "burst", Jobs: 10}).Generator(); err == nil || !strings.Contains(err.Error(), "divisible") {
+		t.Errorf("10 jobs in the default 4 waves: %v", err)
 	}
 }

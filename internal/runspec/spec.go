@@ -10,8 +10,10 @@
 package runspec
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"strings"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
@@ -80,7 +82,7 @@ const (
 // are stated here and nowhere else.
 func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 	if g&(Scenario|Engine) != 0 {
-		fs.StringVar(&s.Scenario, "scenario", s.Scenario, "workload scenario: uniform | poisson | burst | diurnal | trace (conftest: uniform | burst)")
+		fs.StringVar(&s.Scenario, "scenario", s.Scenario, "workload scenario: "+strings.Join(workload.ScenarioNames(), " | "))
 	}
 	if g&Scenario != 0 {
 		fs.StringVar(&s.Trace, "trace", s.Trace, "workload trace file to replay, JSON or CSV (implies -scenario trace)")
@@ -89,10 +91,10 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.Int64Var(&s.Seed, "seed", s.Seed, "workload and availability generation seed")
 	}
 	if g&(Jobs|Engine) != 0 {
-		fs.IntVar(&s.Jobs, "jobs", s.Jobs, "jobs per generated workload (scenarios and traces carry their own job count)")
+		fs.IntVar(&s.Jobs, "jobs", s.Jobs, "jobs per generated workload (a trace carries its own job count)")
 	}
 	if g&Availability != 0 {
-		fs.StringVar(&s.Availability, "availability", s.Availability, "capacity profile: failures | spot | drain | tides | trace")
+		fs.StringVar(&s.Availability, "availability", s.Availability, "capacity profile: "+strings.Join(workload.AvailabilityScenarioNames(), " | "))
 		fs.StringVar(&s.AvailabilityTrace, "availability-trace", s.AvailabilityTrace, "capacity trace file to replay (implies -availability trace)")
 		fs.Float64Var(&s.MTTF, "mttf", s.MTTF, "failures profile: mean time to failure, seconds (0 = default)")
 		fs.Float64Var(&s.MTTR, "mttr", s.MTTR, "failures profile: mean time to repair, seconds (0 = default)")
@@ -100,8 +102,8 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 	}
 	if g&Engine != 0 {
 		fs.StringVar(&s.Backend, "backend", s.Backend, "execution backend: sim | cluster | federation")
-		fs.Float64Var(&s.Gap, "gap", s.Gap, "inter-arrival or wave gap, seconds (0 = the scenario's default)")
-		fs.IntVar(&s.Waves, "waves", s.Waves, "burst wave count (must divide -jobs)")
+		fs.Float64Var(&s.Gap, "gap", s.Gap, "inter-arrival or wave gap, seconds; diurnal: the peak gap (0 = the scenario's default)")
+		fs.IntVar(&s.Waves, "waves", s.Waves, "burst wave count (0 = the scenario's default; must divide -jobs)")
 		fs.Var(named[core.Policy]{&s.Policy, core.PolicyByName}, "policy", "scheduling policy")
 		fs.IntVar(&s.Capacity, "capacity", s.Capacity, "cluster slot count (0 = backend default)")
 		fs.Float64Var(&s.RescaleGap, "rescale-gap", s.RescaleGap, "rescale gap, seconds (0 = default)")
@@ -173,8 +175,9 @@ func (s *Spec) Resolve() {
 	}
 }
 
-// Validate checks the dependencies between the spec's values: a knob that
-// tunes something the spec did not select would be parsed and dropped.
+// Validate checks the dependencies between the spec's values — a knob that
+// tunes something the spec did not select would be parsed and dropped — and
+// rejects a negative count, gap or rate that would read as its default.
 func (s Spec) Validate() error {
 	s.Resolve()
 	switch {
@@ -194,14 +197,50 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-migrate-running needs -rebalance")
 	case s.Scenario == "burst" && s.Waves != 0 && (s.Waves < 0 || s.Jobs%s.Waves != 0):
 		return fmt.Errorf("burst needs jobs (%d) divisible by waves (%d)", s.Jobs, s.Waves)
+	case s.Capacity < 0:
+		return fmt.Errorf("-capacity %d: 0 = the backend's default", s.Capacity)
+	case !(s.RescaleGap >= 0):
+		return fmt.Errorf("-rescale-gap %g: 0 = the default", s.RescaleGap)
+	case !(s.Aging >= 0):
+		return fmt.Errorf("-aging %g: a rate cannot be negative", s.Aging)
 	}
 	return nil
 }
 
-// Generator is the workload generator the spec selects.
+// Generator is the workload generator the spec selects, sized by Jobs, Waves
+// and Gap; a zero size keeps the scenario's default from
+// workload.DefaultScenarios (16 jobs, the size every CLI runs). A diurnal Gap
+// is the peak gap, and the off-peak gap and the period keep their ratios to
+// it.
 func (s Spec) Generator() (workload.Generator, error) {
 	s.Resolve()
-	return workload.Scenario(s.Scenario, s.Trace)
+	g, err := workload.Scenario(s.Scenario, s.Trace)
+	if err != nil {
+		return nil, err
+	}
+	// A set size replaces the default as given: the generators reject the
+	// degenerate ones.
+	switch g := g.(type) {
+	case workload.Uniform:
+		g.Jobs, g.Gap = cmp.Or(s.Jobs, g.Jobs), cmp.Or(s.Gap, g.Gap)
+		return g, nil
+	case workload.Poisson:
+		g.Jobs, g.MeanGap = cmp.Or(s.Jobs, g.Jobs), cmp.Or(s.Gap, g.MeanGap)
+		return g, nil
+	case workload.Burst:
+		jobs, waves := cmp.Or(s.Jobs, g.Waves*g.PerWave), cmp.Or(s.Waves, g.Waves)
+		if jobs%waves != 0 {
+			return nil, fmt.Errorf("burst needs jobs (%d) divisible by waves (%d)", jobs, waves)
+		}
+		g.Waves, g.PerWave, g.WaveGap = waves, jobs/waves, cmp.Or(s.Gap, g.WaveGap)
+		return g, nil
+	case workload.Diurnal:
+		k := cmp.Or(s.Gap, g.PeakGap) / g.PeakGap
+		g.Jobs, g.PeakGap = cmp.Or(s.Jobs, g.Jobs), cmp.Or(s.Gap, g.PeakGap)
+		g.OffPeakGap, g.Period = g.OffPeakGap*k, g.Period*k
+		return g, nil
+	}
+	return g, nil
 }
 
 // Profile is the capacity profile the spec selects, nil when it selects none.
