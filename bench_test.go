@@ -1,4 +1,4 @@
-// Ablations of the scheduler's design choices (paper §3.2.2, §6): each
+// Ablations of the scheduler's design choices (paper §3.2): each
 // benchmark runs the same workload with one choice off and on and prints the
 // pair once. Nothing else prints these; the paper's tables and figures are
 // the CLIs (see README, "Reproducing the paper's evaluation"), and the gate
@@ -61,31 +61,6 @@ func ablCfg(gap float64) sim.Config {
 	return cfg
 }
 
-// BenchmarkAblationStrictFCFS — out-of-order allocation on vs off, averaged
-// over contended (gap-0) workloads where a blocked queue head matters.
-func BenchmarkAblationStrictFCFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var bfUtil, stUtil, bfTotal, stTotal float64
-		const seeds = 10
-		for seed := int64(0); seed < seeds; seed++ {
-			w := workload.MustUniform(16, 0, seed)
-			cfg := sim.DefaultConfig(core.Elastic)
-			backfill := runAblation(b, "backfill", cfg, w)
-			cfg2 := sim.DefaultConfig(core.Elastic)
-			cfg2.StrictFCFS = true
-			strict := runAblation(b, "strict", cfg2, w)
-			bfUtil += backfill.Utilization
-			stUtil += strict.Utilization
-			bfTotal += backfill.TotalTime
-			stTotal += strict.TotalTime
-		}
-		once("abl-fcfs", func() {
-			fmt.Printf("\nAblation out-of-order allocation (10 gap-0 workloads): backfill util=%.3f total=%.0f | strict-FCFS util=%.3f total=%.0f\n",
-				bfUtil/seeds, bfTotal/seeds, stUtil/seeds, stTotal/seeds)
-		})
-	}
-}
-
 // BenchmarkAblationPriorityAging — aging off vs on (paper §3.2.2).
 func BenchmarkAblationPriorityAging(b *testing.B) {
 	w := workload.MustUniform(16, 30, 7) // high contention: starvation risk
@@ -123,30 +98,6 @@ func BenchmarkAblationPreemption(b *testing.B) {
 		once("abl-preempt", func() {
 			fmt.Printf("\nAblation preemption: off resp=%.1fs comp=%.1fs | on resp=%.1fs comp=%.1fs\n",
 				off.WeightedResponse, off.WeightedCompletion, on.WeightedResponse, on.WeightedCompletion)
-		})
-	}
-}
-
-// BenchmarkAblationCostBenefit — the §6 cost/benefit rescale gate: decline
-// rescales of nearly-done jobs and expansions that gain few replicas.
-func BenchmarkAblationCostBenefit(b *testing.B) {
-	w := workload.MustUniform(16, 0, 7)
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(core.Elastic)
-		off := runAblation(b, "cb-off", cfg, w)
-		cfg2 := sim.DefaultConfig(core.Elastic)
-		cfg2.CostBenefit = &core.CostBenefit{MinExpandGain: 4, MinRemainingFraction: 0.1}
-		on := runAblation(b, "cb-on", cfg2, w)
-		rescales := func(r sim.Result) int {
-			n := 0
-			for _, j := range r.Jobs {
-				n += j.Rescales
-			}
-			return n
-		}
-		once("abl-cb", func() {
-			fmt.Printf("\nAblation cost/benefit gate: off rescales=%d total=%.0f | gated rescales=%d total=%.0f\n",
-				rescales(off), off.TotalTime, rescales(on), on.TotalTime)
 		})
 	}
 }

@@ -110,6 +110,12 @@ func main() {
 	if err := runspec.Check(flag.CommandLine, modes, chosen); err != nil {
 		log.Fatal(err)
 	}
+	if *scale < 1 {
+		log.Fatalf("-scale %d: the divisor of the paper's problem sizes must be at least 1", *scale)
+	}
+	if *iterFlag < 0 {
+		log.Fatalf("-iters %d: want a count of iterations, or 0 for the default", *iterFlag)
+	}
 	fromScenario := runspec.Set(flag.CommandLine, runspec.Scenario)
 	if runspec.Set(flag.CommandLine, runspec.Seed) && !fromScenario && !runspec.Set(flag.CommandLine, runspec.Availability) {
 		log.Fatal("-seed needs -scenario, -trace or -availability: the figures' fixed grids and replica ladders draw nothing")

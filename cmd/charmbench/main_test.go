@@ -53,6 +53,35 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	}
 }
 
+// TestBadValuesRejectedBeforeOutput: a -scale below 1 (which divided by zero,
+// or printed a header and then failed on a negative grid) and a negative
+// -iters (which timed nothing and exited 0) exit 1 with an error that names
+// the flag, before anything reaches stdout.
+func TestBadValuesRejectedBeforeOutput(t *testing.T) {
+	for _, c := range []struct{ args, names string }{
+		{"-app jacobi -scale 0", "-scale"},
+		{"-mode shrink -scale 0", "-scale"},
+		{"-mode size -scale 0", "-scale"},
+		{"-mode timeline -scale 0", "-scale"},
+		{"-app jacobi -scale -2", "-scale"},
+		{"-app jacobi -iters -1", "-iters"},
+	} {
+		cmd := charmbench(c.args)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("charmbench %s: exit %d (%v), want 1", c.args, code, err)
+		}
+		if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("charmbench %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("charmbench %s: printed before rejecting:\n%s", c.args, stdout)
+		}
+	}
+}
+
 // TestSmoke runs one scaling and one rescale selector at a size that takes
 // about a second and pins everything in their output that is not a timing:
 // the header lines, the shape of the CSV, its deterministic columns, and the

@@ -72,6 +72,9 @@ func main() {
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		log.Fatal(err)
 	}
+	if *ckpt < 0 {
+		log.Fatalf("-ckpt-period %d: want a checkpoint interval in iterations, or 0 to restart from scratch", *ckpt)
+	}
 	spec.Resolve()
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)

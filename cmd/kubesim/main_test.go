@@ -55,6 +55,29 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	}
 }
 
+// TestBadValuesRejectedBeforeOutput: a negative -ckpt-period, which ran as
+// "restart from scratch", exits 1 with an error that names the flag, before
+// anything reaches stdout.
+func TestBadValuesRejectedBeforeOutput(t *testing.T) {
+	for _, c := range []struct{ args, names string }{
+		{"-scenario uniform -ckpt-period -5", "-ckpt-period"},
+	} {
+		cmd := kubesim(c.args)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("kubesim %s: exit %d (%v), want 1", c.args, code, err)
+		}
+		if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("kubesim %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("kubesim %s: printed before rejecting:\n%s", c.args, stdout)
+		}
+	}
+}
+
 // TestGoldens pins stdout and the -json report byte for byte, as recorded at
 // the commit before the CLIs moved onto runspec (the reports' "params" blocks
 // gained the -ckpt-period and -clusters the modes read; nothing else moved).

@@ -70,11 +70,11 @@ func TestDifferPlantedFieldMutation(t *testing.T) {
 }
 
 // TestDifferPlantedBehaviorMutation plants a real scheduler behaviour
-// change — StrictFCFS flips the backfill tie-break — and requires the
+// change — a 60 s rescale gap in place of 180 s — and requires the
 // differ to find the exact first decision where the schedules part ways.
 func TestDifferPlantedBehaviorMutation(t *testing.T) {
 	ref := recordedSim(t, core.Elastic, nil)
-	mut := recordedSim(t, core.Elastic, func(cfg *sim.Config) { cfg.StrictFCFS = true })
+	mut := recordedSim(t, core.Elastic, func(cfg *sim.Config) { cfg.RescaleGap = 60 })
 
 	// Independently locate the first diverging decision.
 	want := -1
@@ -85,7 +85,7 @@ func TestDifferPlantedBehaviorMutation(t *testing.T) {
 		}
 	}
 	if want < 0 {
-		t.Fatal("StrictFCFS produced an identical schedule; the mutation scenario lost its point")
+		t.Fatal("RescaleGap 60 produced an identical schedule; the mutation scenario lost its point")
 	}
 
 	d := Compare(ref, mut)

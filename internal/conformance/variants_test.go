@@ -15,21 +15,16 @@ import (
 // full-redistribute reference's, and switching the log off changes nothing a
 // run leaves behind.
 
-// variants are the configuration cells swept beside the default one: each
-// moves a quantity the placeable-only pass's argument leans on — the per-job
-// overhead in every need, the in-order rule, a gate that vetoes the shrinks a
-// placeable job counted on (the mid-pass fallback), and a zero rescale gap (a
-// freshly started job is shrinkable at once).
+// variants are the configuration cells swept: the default one, and a zero
+// rescale gap — a freshly started job is shrinkable at once, which moves a
+// quantity the placeable-only pass's argument leans on. The pass's mid-pass
+// fallback is reached only through actuator refusals, which the simulator
+// never makes; core's TestRefusingActuatorEquivalenceProperty covers it.
 var variants = []struct {
 	name string
 	set  func(*sim.Config)
 }{
 	{"default", func(*sim.Config) {}},
-	{"overhead1", func(c *sim.Config) { c.JobOverheadSlots = 1 }},
-	{"strict_fcfs", func(c *sim.Config) { c.StrictFCFS = true }},
-	{"cost_benefit_veto", func(c *sim.Config) {
-		c.CostBenefit = &core.CostBenefit{MinRemainingFraction: 0.5}
-	}},
 	{"gap0", func(c *sim.Config) { c.RescaleGap = 0 }},
 }
 

@@ -40,7 +40,7 @@ func (s *Scheduler) Reclaiming() bool { return s.reclaiming }
 // shrinking every eligible job still cannot cover the deficit — victims are
 // checkpoint-stopped and requeued outright, again lowest priority first.
 // Forced reclaim models hardware that is already gone, so it bypasses the
-// rescale-gap and cost/benefit gates that voluntary rescales respect.
+// rescale gap that voluntary rescales respect.
 //
 // An actuator may refuse to shrink or preempt an individual victim (the
 // rescale protocol is mid-flight, say); the reclaim then moves to the next
@@ -85,9 +85,9 @@ func (s *Scheduler) SetCapacity(n int) error {
 // priority order and checkpoint-requeueing them (lowest priority first) only
 // once no lower-priority job can shrink further. It returns the number of
 // slots actually freed, which may fall short when the cluster is empty or
-// the actuator refuses. Like SetCapacity, Preempt bypasses the rescale-gap
-// and cost/benefit gates: it models an external authority (an operator
-// draining a node, a higher-tenancy scheduler) that needs the slots now.
+// the actuator refuses. Like SetCapacity, Preempt bypasses the rescale gap:
+// it models an external authority (an operator draining a node, a
+// higher-tenancy scheduler) that needs the slots now.
 func (s *Scheduler) Preempt(slots int) int {
 	if slots <= 0 {
 		return 0
@@ -111,7 +111,7 @@ func (s *Scheduler) reclaim(need int) {
 
 	// Shrink pass: running is sorted in decreasing priority, so walk
 	// backwards. Replicas move to the policy minimum, overriding the
-	// rescale gap and cost/benefit — the slots no longer exist.
+	// rescale gap — the slots no longer exist.
 	for i := len(s.running) - 1; i >= 0 && s.free < target; i-- {
 		j := s.running[i]
 		jmin, _ := s.bounds(j)
@@ -145,7 +145,7 @@ func (s *Scheduler) reclaim(need int) {
 		if err := s.act.PreemptJob(j); err != nil {
 			continue
 		}
-		freed := j.Replicas + s.cfg.JobOverheadSlots
+		freed := j.Replicas
 		s.free += freed
 		j.Replicas = 0
 		j.State = StatePreempted

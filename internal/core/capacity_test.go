@@ -192,13 +192,13 @@ func TestPreemptFreesRequestedSlots(t *testing.T) {
 }
 
 // checkInvariant asserts the slot-accounting invariant the availability
-// subsystem guarantees: allocated worker slots (plus per-job overhead) and
-// free slots exactly cover the current capacity, and nothing is negative.
-func checkInvariant(t *testing.T, s *Scheduler, overhead int, context string) {
+// subsystem guarantees: allocated worker slots and free slots exactly cover
+// the current capacity, and nothing is negative.
+func checkInvariant(t *testing.T, s *Scheduler, context string) {
 	t.Helper()
 	used := 0
 	for _, j := range s.Running() {
-		used += j.Replicas + overhead
+		used += j.Replicas
 		if j.Replicas < 1 {
 			t.Fatalf("%s: running job %s with %d replicas", context, j.ID, j.Replicas)
 		}
@@ -218,8 +218,7 @@ func checkInvariant(t *testing.T, s *Scheduler, overhead int, context string) {
 func TestRandomizedCapacityInvariant(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		overhead := int(seed % 2)
-		s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 64, JobOverheadSlots: overhead})
+		s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 64})
 		next := 0
 		for op := 0; op < 400; op++ {
 			clk.advance(time.Duration(rng.Intn(120)) * time.Second)
@@ -243,7 +242,7 @@ func TestRandomizedCapacityInvariant(t *testing.T) {
 			default:
 				s.Preempt(1 + rng.Intn(16))
 			}
-			checkInvariant(t, s, overhead, "op")
+			checkInvariant(t, s, "op")
 		}
 	}
 }

@@ -14,13 +14,12 @@
 // failures and repairs, spot preemptions, maintenance drains, capacity
 // bursts) and Preempt reclaims slots on demand. Forced reclaims shrink
 // victims to their policy minimum in increasing priority order and
-// checkpoint-requeue jobs that cannot shrink, bypassing the rescale-gap and
-// cost/benefit gates that voluntary rescales respect — the hardware is
-// already gone. CapacityStats counts how losses were absorbed.
+// checkpoint-requeue jobs that cannot shrink, bypassing the rescale gap that
+// voluntary rescales respect — the hardware is already gone. CapacityStats
+// counts how losses were absorbed.
 //
 // Invariant maintained across every operation: the sum of running jobs'
-// replicas (plus per-job overhead slots) and the free-slot count equals the
-// current capacity.
+// replicas and the free-slot count equals the current capacity.
 //
 // The scheduler is incremental: redistribution passes early-out when no
 // slot, queue, or capacity state changed since the last completed pass (and

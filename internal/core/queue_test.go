@@ -20,7 +20,7 @@ import (
 func TestJobQueueMatchesSortedReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
-		s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 64, JobOverheadSlots: int(seed % 2)})
+		s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 64})
 		q := &s.queue
 		var ref []*Job // sorted: ref[0] schedules first
 		next := 0

@@ -73,21 +73,6 @@ type Actuator interface {
 	PreemptJob(j *Job) error
 }
 
-// CostBenefit optionally gates rescale decisions on application progress
-// (paper §6 future work). A nil function disables the corresponding gate.
-type CostBenefit struct {
-	// Progress reports the fraction of the job already completed, 0..1.
-	Progress func(j *Job) float64
-	// MinRemainingFraction declines any rescale of a job whose remaining
-	// fraction is below this threshold ("If only a small fraction of a
-	// job remains, scaling up may not provide enough benefit").
-	MinRemainingFraction float64
-	// MinExpandGain declines an expand that grows the job by fewer than
-	// this many replicas ("A small increase in the number of replicas may
-	// not justify the overhead of rescaling").
-	MinExpandGain int
-}
-
 // Config configures a Scheduler.
 type Config struct {
 	Policy   Policy
@@ -96,11 +81,6 @@ type Config struct {
 	// same job (T_rescale_gap, §3.2.1). Creation stamps LastAction, so a
 	// freshly started job cannot be rescaled within the gap either.
 	RescaleGap time.Duration
-	// JobOverheadSlots is the per-job slot overhead beyond its workers
-	// (the launcher pod; the pseudocode's "freeSlots - 1"). The paper's
-	// experiments run launchers outside the worker slot pool, so the
-	// experiment harnesses use 0; set 1 for the literal Figure 2 snippet.
-	JobOverheadSlots int
 	// AgingRate adds AgingRate priority units per second of queue wait to
 	// a job's effective priority (paper §3.2.2 "Aging priorities"
 	// extension). 0 disables aging.
@@ -109,14 +89,6 @@ type Config struct {
 	// priority jobs when shrinking alone cannot make room for a higher
 	// priority job (paper §3.2.2 "Job preemption" extension).
 	EnablePreemption bool
-	// StrictFCFS disables out-of-order allocation: redistribution stops
-	// at the first queued job that does not fit instead of letting
-	// smaller lower-priority jobs fill the gaps. The paper's policy is
-	// explicitly NOT strict ("out-of-order allocations if they improve
-	// cluster utilization", §3.2); this flag exists for the ablation.
-	StrictFCFS bool
-	// CostBenefit optionally gates rescales on application progress.
-	CostBenefit *CostBenefit
 	// EnableLog records the scheduler's effects for retrieval via
 	// Scheduler.Log — the audit trail operators want when a rescale storm
 	// needs explaining: start, shrink, expand, preempt, complete, capacity,
@@ -142,9 +114,9 @@ type Config struct {
 // Incremental-scheduling invariants (relied on by the hot path, pinned by
 // the equivalence tests):
 //
-//   - free = Capacity − Σ running Replicas − NumRunning×JobOverheadSlots,
-//     so maxFreeable is O(1) arithmetic over free and runMinSum instead of
-//     a scan of the running set.
+//   - free = Capacity − Σ running Replicas, so maxFreeable is O(1)
+//     arithmetic over free and runMinSum instead of a scan of the running
+//     set.
 //   - runMinSum = Σ running policy-minimums, maintained by
 //     insertRunning/removeRunning.
 //   - the wait queue is one heap per distinct slot need, so the smallest
@@ -278,7 +250,7 @@ func (s *Scheduler) NumQueued() int { return s.queue.Len() }
 // jobNeed is the smallest slot count j needs to start under the policy.
 func (s *Scheduler) jobNeed(j *Job) int {
 	jmin, _ := s.bounds(j)
-	return jmin + s.cfg.JobOverheadSlots
+	return jmin
 }
 
 // effPriority computes a job's effective priority including aging, against
@@ -370,25 +342,6 @@ func (s *Scheduler) gapOK(j *Job) bool {
 	return s.tnowNs-j.lastActionNs >= s.gapNs
 }
 
-// costBenefitOK reports whether the cost/benefit gate allows rescaling j.
-func (s *Scheduler) costBenefitOK(j *Job, newReplicas int) bool {
-	cb := s.cfg.CostBenefit
-	if cb == nil {
-		return true
-	}
-	if cb.Progress != nil && cb.MinRemainingFraction > 0 {
-		if 1-cb.Progress(j) < cb.MinRemainingFraction {
-			return false
-		}
-	}
-	if newReplicas > j.Replicas && cb.MinExpandGain > 0 {
-		if newReplicas-j.Replicas < cb.MinExpandGain {
-			return false
-		}
-	}
-	return true
-}
-
 // effective min/max replicas under the policy: the rigid baselines pin both
 // bounds to one value ("The rigid job schedulers are emulated by setting the
 // same value for min_replicas and max_replicas for all jobs", §4.3.2).
@@ -415,7 +368,7 @@ func (s *Scheduler) start(j *Job, replicas int) bool {
 	if j.StartTime.IsZero() {
 		j.StartTime = s.tnow
 	}
-	s.free -= replicas + s.cfg.JobOverheadSlots
+	s.free -= replicas
 	s.insertRunning(j)
 	s.record(DecisionStart, j)
 	return true
@@ -423,9 +376,6 @@ func (s *Scheduler) start(j *Job, replicas int) bool {
 
 // shrink rescales a running job down and updates accounting.
 func (s *Scheduler) shrink(j *Job, to int) bool {
-	if !s.costBenefitOK(j, to) {
-		return false
-	}
 	if err := s.act.ShrinkJob(j, to); err != nil {
 		return false
 	}
@@ -441,9 +391,6 @@ func (s *Scheduler) shrink(j *Job, to int) bool {
 
 // expand rescales a running job up and updates accounting.
 func (s *Scheduler) expand(j *Job, to int) bool {
-	if !s.costBenefitOK(j, to) {
-		return false
-	}
 	if err := s.act.ExpandJob(j, to); err != nil {
 		return false
 	}
@@ -546,10 +493,9 @@ func (s *Scheduler) placeable(job *Job, need int) bool {
 
 func (s *Scheduler) submit(job *Job) {
 	minR, maxR := s.bounds(job)
-	overhead := s.cfg.JobOverheadSlots
 
-	// replicas = min(freeSlots - overhead, job.maxReplicas)
-	replicas := s.free - overhead
+	// replicas = min(freeSlots, job.maxReplicas)
+	replicas := s.free
 	if replicas > maxR {
 		replicas = maxR
 	}
@@ -570,8 +516,8 @@ func (s *Scheduler) submit(job *Job) {
 	// incremental early-out. It repeats the refusal arm below because
 	// merging the two is part of the measured 4 % avail_drain loss noted at
 	// before.
-	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR+overhead {
-		if s.cfg.EnablePreemption && s.tryPreempt(job, minR, overhead) {
+	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR {
+		if s.cfg.EnablePreemption && s.tryPreempt(job, minR) {
 			s.submit(job) // room was made; re-run placement
 			return
 		}
@@ -579,10 +525,10 @@ func (s *Scheduler) submit(job *Job) {
 		return
 	}
 
-	if !s.placeable(job, minR+overhead) {
+	if !s.placeable(job, minR) {
 		// Shrinking cannot make room; optionally try preemption, else
 		// queue the job.
-		if s.cfg.EnablePreemption && s.tryPreempt(job, minR, overhead) {
+		if s.cfg.EnablePreemption && s.tryPreempt(job, minR) {
 			s.submit(job) // room was made; re-run placement
 			return
 		}
@@ -593,8 +539,8 @@ func (s *Scheduler) submit(job *Job) {
 	// Actuation pass (Figure 2, second loop): free as many slots as would
 	// let the new job run at its maximum, shrinking from the lowest
 	// priority upward.
-	minToFree := minR - s.free + overhead
-	maxToFree := maxR - s.free + overhead
+	minToFree := minR - s.free
+	maxToFree := maxR - s.free
 	for i := len(s.running) - 1; i >= 0 && maxToFree > 0; i-- {
 		j := s.running[i]
 		if !s.gapOK(j) {
@@ -621,7 +567,7 @@ func (s *Scheduler) submit(job *Job) {
 		s.enqueue(job)
 		return
 	}
-	replicas = s.free - overhead
+	replicas = s.free
 	if replicas > maxR {
 		replicas = maxR
 	}
@@ -631,11 +577,11 @@ func (s *Scheduler) submit(job *Job) {
 }
 
 // tryPreempt checkpoints-and-stops strictly lower priority running jobs
-// (lowest first) until minR+overhead slots are free or no candidates remain.
+// (lowest first) until minR slots are free or no candidates remain.
 // Preempted jobs return to the queue and resume from their checkpoint when
 // scheduled again (paper §3.2.2).
-func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
-	for i := len(s.running) - 1; i >= 0 && s.free < minR+overhead; i-- {
+func (s *Scheduler) tryPreempt(job *Job, minR int) bool {
+	for i := len(s.running) - 1; i >= 0 && s.free < minR; i-- {
 		j := s.running[i]
 		if s.effPriority(j) >= s.effPriority(job) {
 			break
@@ -643,7 +589,7 @@ func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
 		if err := s.act.PreemptJob(j); err != nil {
 			continue
 		}
-		s.free += j.Replicas + s.cfg.JobOverheadSlots
+		s.free += j.Replicas
 		j.Replicas = 0
 		j.State = StatePreempted
 		j.LastAction = s.tnow
@@ -652,7 +598,7 @@ func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
 		s.queue.push(j)
 		s.record(DecisionPreempt, j)
 	}
-	return s.free >= minR+overhead
+	return s.free >= minR
 }
 
 // OnJobComplete handles a job finishing (paper Figure 3): its slots are
@@ -668,9 +614,8 @@ func (s *Scheduler) OnJobComplete(j *Job) {
 	s.removeRunning(j)
 
 	// freeWorkers(job): slots released by the finished job.
-	numWorkers := j.Replicas + s.cfg.JobOverheadSlots
+	s.free += j.Replicas
 	j.Replicas = 0
-	s.free += numWorkers
 	s.record(DecisionComplete, j)
 	s.redistribute()
 }
@@ -732,10 +677,9 @@ func (s *Scheduler) Reschedule() {
 // loop's submissions that do anything are exactly: best head among the live
 // buckets, while one is placeable.
 //
-// A popped job that does not end up running (the actuator refused, or the
-// cost/benefit gate vetoed the shrinks it needed) may have left shrunk jobs
-// behind, so B grew; the drain loop finishes the pass for the jobs ordered
-// after it.
+// A popped job that does not end up running (the actuator refused its start
+// or a shrink it needed) may have left shrunk jobs behind, so B grew; the
+// drain loop finishes the pass for the jobs ordered after it.
 func (s *Scheduler) placeWaiting() {
 	s.queue.revive()
 	for {
@@ -799,15 +743,15 @@ func (s *Scheduler) drainResubmit(after *Job) {
 // maxFreeable is an upper bound on the worker slots a submission could free
 // from the running set: every job shrunk to its policy minimum, or — with
 // preemption enabled — stopped outright. Both forms follow in O(1) from the
-// capacity invariant (free + Σ Replicas + overhead×NumRunning = Capacity)
-// and the incrementally maintained runMinSum.
+// capacity invariant (free + Σ Replicas = Capacity) and the incrementally
+// maintained runMinSum.
 func (s *Scheduler) maxFreeable() int {
 	if s.cfg.EnablePreemption {
-		// Σ (Replicas + overhead) = Capacity − free.
+		// Σ Replicas = Capacity − free.
 		return s.cfg.Capacity - s.free
 	}
-	// Σ (Replicas − jmin) = Capacity − free − overhead×n − Σ jmin.
-	return s.cfg.Capacity - s.free - s.cfg.JobOverheadSlots*len(s.running) - s.runMinSum
+	// Σ (Replicas − jmin) = Capacity − free − Σ jmin.
+	return s.cfg.Capacity - s.free - s.runMinSum
 }
 
 // NextGapExpiry returns the earliest future instant at which a rescale that
@@ -841,9 +785,9 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 // redistribute walks all running and queued jobs in decreasing priority
 // order, growing each below-max job as far as free slots allow (Figure 3).
 // The running snapshot and the queue's buckets are merged lazily. Free slots
-// only fall during the pass, so under out-of-order allocation a bucket whose
-// need exceeds them can never place a job and is not looked at; StrictFCFS
-// looks at the overall queue head and stops there when it does not fit.
+// only fall during the pass, so a bucket whose need exceeds them can never
+// place a job and is not looked at: smaller lower-priority jobs fill the gaps
+// ("out-of-order allocations if they improve cluster utilization", §3.2).
 //
 // Two early-outs make the pass incremental (FullRedistribute disables
 // both; both are decision-transparent, see the equivalence tests):
@@ -871,7 +815,6 @@ func (s *Scheduler) redistribute() {
 	}
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
-	overhead := s.cfg.JobOverheadSlots
 	// refused collects queue jobs whose start the actuator refused; they go
 	// back once the pass is over.
 	refused := s.refusedScratch[:0]
@@ -887,11 +830,7 @@ func (s *Scheduler) redistribute() {
 	bi, stale := -1, true
 	for s.free > 0 {
 		if stale {
-			limit := s.free
-			if s.cfg.StrictFCFS {
-				limit = maxSlotNeed
-			}
-			bi, stale = s.queue.best(limit, false), false
+			bi, stale = s.queue.best(s.free, false), false
 		}
 		if bi < 0 && ri >= len(run) {
 			break
@@ -923,13 +862,10 @@ func (s *Scheduler) redistribute() {
 			}
 			continue
 		}
-		if s.queue.buckets[bi].need > s.free {
-			break // StrictFCFS: no backfilling past the queue head
-		}
 		j := s.queue.pop(bi)
 		stale = true
 		_, jmax := s.bounds(j)
-		replicas := s.free - overhead
+		replicas := s.free
 		if replicas > jmax {
 			replicas = jmax
 		}
@@ -947,11 +883,10 @@ func (s *Scheduler) redistribute() {
 	s.runScratch = run[:0]
 	// The pass is now a fixed point of the current state: mark it clean so
 	// identical follow-up passes can skip. Aging drifts queue priorities
-	// with time and a cost/benefit gate consults time-varying progress, so
-	// neither configuration can be skipped safely; a failed actuation may
-	// succeed on retry (external actuators), so those passes stay dirty
-	// too.
-	if !attemptFailed && s.cfg.AgingRate == 0 && s.cfg.CostBenefit == nil {
+	// with time, so an aging pass cannot be skipped safely; a failed
+	// actuation may succeed on retry (external actuators), so those passes
+	// stay dirty too.
+	if !attemptFailed && s.cfg.AgingRate == 0 {
 		s.clean = true
 		s.cleanUntilNs = blockedExpiryNs
 	}

@@ -389,29 +389,6 @@ func TestRigidMaxUsesMaxReplicas(t *testing.T) {
 	}
 }
 
-func TestJobOverheadSlotsMatchesPseudocode(t *testing.T) {
-	// With overhead 1 (the literal "freeSlots - 1"), a job with min ==
-	// capacity can never start.
-	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8, JobOverheadSlots: 1})
-	j := job("a", 1, 8, 8)
-	if err := s.Submit(j); err != nil {
-		t.Fatal(err)
-	}
-	if j.State != StateQueued {
-		t.Errorf("j = %v, want Queued (8 workers + 1 launcher > 8 slots)", j.State)
-	}
-	k := job("b", 1, 4, 8)
-	if err := s.Submit(k); err != nil {
-		t.Fatal(err)
-	}
-	if k.State != StateRunning || k.Replicas != 7 {
-		t.Errorf("k = %v %d, want Running 7 (one slot for launcher)", k.State, k.Replicas)
-	}
-	if s.FreeSlots() != 0 {
-		t.Errorf("free = %d", s.FreeSlots())
-	}
-}
-
 func TestPriorityOrderingTieBreak(t *testing.T) {
 	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 8})
 	// Stamp the cached comparison keys the way Submit does: sortJobs
@@ -497,54 +474,6 @@ func TestPreemptionDisabledByDefault(t *testing.T) {
 	}
 	if high.State != StateQueued || act.preempts != 0 {
 		t.Errorf("high = %v, preempts = %d", high.State, act.preempts)
-	}
-}
-
-func TestCostBenefitDeclinesNearlyDoneJob(t *testing.T) {
-	progress := map[string]float64{"low": 0.95}
-	s, act, clk := newSched(t, Config{
-		Policy: Elastic, Capacity: 16,
-		CostBenefit: &CostBenefit{
-			Progress:             func(j *Job) float64 { return progress[j.ID] },
-			MinRemainingFraction: 0.10,
-		},
-	})
-	low := job("low", 1, 2, 16)
-	if err := s.Submit(low); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(time.Hour)
-	high := job("high", 5, 4, 8)
-	if err := s.Submit(high); err != nil {
-		t.Fatal(err)
-	}
-	// The shrink is declined (job 95% done), so high queues.
-	if act.shrinks != 0 {
-		t.Errorf("shrank a nearly-done job")
-	}
-	if high.State != StateQueued {
-		t.Errorf("high = %v", high.State)
-	}
-}
-
-func TestCostBenefitDeclinesTinyExpand(t *testing.T) {
-	s, act, clk := newSched(t, Config{
-		Policy: Elastic, Capacity: 17,
-		CostBenefit: &CostBenefit{MinExpandGain: 4},
-	})
-	a := job("a", 5, 4, 16)
-	b := job("b", 3, 4, 16)
-	if err := s.Submit(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Submit(b); err != nil { // 1 free slot left
-		t.Fatal(err)
-	}
-	clk.advance(time.Hour)
-	// Complete nothing; kick redistribution: b could grow by 1 < 4 gain.
-	s.Kick()
-	if act.expands != 0 {
-		t.Errorf("expanded by less than MinExpandGain")
 	}
 }
 
@@ -654,8 +583,7 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				s, _, clk := newSched(t, Config{
 					Policy: policy, Capacity: 64,
-					RescaleGap:       time.Duration(rng.Intn(300)) * time.Second,
-					JobOverheadSlots: rng.Intn(2),
+					RescaleGap: time.Duration(rng.Intn(300)) * time.Second,
 				})
 				var live []*Job
 				for step := 0; step < 100; step++ {
@@ -681,7 +609,7 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 					// Check invariants.
 					used := 0
 					for _, j := range s.Running() {
-						used += j.Replicas + s.cfg.JobOverheadSlots
+						used += j.Replicas
 						if j.Replicas < 1 {
 							t.Fatalf("running job %s with %d replicas", j.ID, j.Replicas)
 						}
@@ -704,36 +632,5 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// Regression test for the indexed-queue backlog gate: with JobOverheadSlots
-// set, a queued job whose minimum exactly fits the freed slots must start on
-// the completion's redistribution pass (the gate must not double-count the
-// overhead already folded into the job's slot requirement).
-func TestRedistributeStartsFittingJobWithOverhead(t *testing.T) {
-	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 8, JobOverheadSlots: 1})
-	a := job("a", 5, 2, 2) // 2 workers + 1 overhead = 3 slots
-	if err := s.Submit(a); err != nil {
-		t.Fatal(err)
-	}
-	b := job("b", 4, 4, 4) // 4 + 1 = 5 slots: fits alongside a
-	if err := s.Submit(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.State != StateRunning || b.State != StateRunning || s.FreeSlots() != 0 {
-		t.Fatalf("setup: a=%v b=%v free=%d", a.State, b.State, s.FreeSlots())
-	}
-	c := job("c", 1, 2, 2) // needs 3 slots; queues behind the full cluster
-	if err := s.Submit(c); err != nil {
-		t.Fatal(err)
-	}
-	if c.State != StateQueued {
-		t.Fatalf("c = %v, want Queued", c.State)
-	}
-	clk.advance(time.Hour)
-	s.OnJobComplete(a) // frees exactly the 3 slots c needs
-	if c.State != StateRunning || c.Replicas != 2 {
-		t.Errorf("c = %v replicas %d, want Running 2 (gate double-counted overhead?)", c.State, c.Replicas)
 	}
 }

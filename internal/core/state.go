@@ -73,9 +73,8 @@ func restoreCaches(j *Job) {
 //
 // The snapshot must be internally consistent: running jobs in state
 // StateRunning with at least one replica, waiting jobs in StateQueued or
-// StatePreempted with none, and the running allocations (plus per-job
-// overhead) within Capacity. Violations return an error with the scheduler
-// unchanged.
+// StatePreempted with none, and the running allocations within Capacity.
+// Violations return an error with the scheduler unchanged.
 func (s *Scheduler) RestoreState(st SchedulerState) error {
 	if st.Capacity < 1 {
 		return fmt.Errorf("core: restore: capacity %d < 1", st.Capacity)
@@ -94,7 +93,7 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 				j.ID, j.State, j.Replicas)
 		}
 		restoreCaches(j)
-		used += j.Replicas + s.cfg.JobOverheadSlots
+		used += j.Replicas
 		jmin, _ := s.bounds(j)
 		runMinSum += jmin
 		running[i] = j

@@ -343,8 +343,8 @@ func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
 	}
 }
 
-// The fuzzed snapshot is two header bytes (capacity, per-job overhead slots)
-// and nine bytes a job: which list, ID ("" or one letter, so duplicates are
+// The fuzzed snapshot is two header bytes (capacity, then a byte the decoder
+// ignores, kept so the committed corpus still replays) and nine bytes a job: which list, ID ("" or one letter, so duplicates are
 // common), state, priority, min, max and replicas as signed bytes (zero and
 // negative included), and the submit and last-action instants in seconds
 // after the test clock's origin (last action 0 = never).
@@ -354,11 +354,11 @@ const (
 	fuzzStateJobs   = 32
 )
 
-func decodeFuzzState(data []byte, origin time.Time) (st SchedulerState, overhead int) {
+func decodeFuzzState(data []byte, origin time.Time) (st SchedulerState) {
 	if len(data) < fuzzStateHeader {
-		return st, 0
+		return st
 	}
-	st.Capacity, overhead = int(int8(data[0])), int(data[1]%3)
+	st.Capacity = int(int8(data[0]))
 	data = data[fuzzStateHeader:]
 	for n := 0; len(data) >= fuzzStateJob && n < fuzzStateJobs; n, data = n+1, data[fuzzStateJob:] {
 		j := Job{
@@ -378,7 +378,7 @@ func decodeFuzzState(data []byte, origin time.Time) (st SchedulerState, overhead
 			st.Queued = append(st.Queued, j)
 		}
 	}
-	return st, overhead
+	return st
 }
 
 // encodeFuzzState is decodeFuzzState's inverse on the fixtures above (one-
@@ -416,8 +416,8 @@ func FuzzRestoreState(f *testing.F) {
 		f.Add(encodeFuzzState(src.ExportState(), origin))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, overhead := decodeFuzzState(data, origin)
-		cfg := Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute, JobOverheadSlots: overhead}
+		st := decodeFuzzState(data, origin)
+		cfg := Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute}
 		s, _, clk := newSched(t, cfg)
 		clk.advance(30 * time.Second) // inside some jobs' rescale gap, past others'
 		if err := s.RestoreState(st); err != nil {
@@ -426,7 +426,7 @@ func FuzzRestoreState(f *testing.F) {
 		first := s.ExportState()
 		used := 0
 		for _, j := range first.Running {
-			used += j.Replicas + overhead
+			used += j.Replicas
 		}
 		if s.FreeSlots() != first.Capacity-used {
 			t.Fatalf("FreeSlots = %d with %d of %d slots in use", s.FreeSlots(), used, first.Capacity)

@@ -99,6 +99,11 @@ func TestValidate(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Error("accepted zero cpu")
 	}
+	bad4 := mkJob("d", 4)
+	bad4.Spec.CheckpointPeriod = -5
+	if err := bad4.Validate(); err == nil {
+		t.Error("accepted a negative checkpoint period")
+	}
 }
 
 func TestControllerLaunchesJob(t *testing.T) {

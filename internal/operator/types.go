@@ -121,6 +121,10 @@ func (j *CharmJob) Validate() error {
 	if j.Spec.CPUPerWorker < 1 {
 		return fmt.Errorf("operator: job %s: cpuPerWorker %d", j.Name, j.Spec.CPUPerWorker)
 	}
+	if j.Spec.CheckpointPeriod < 0 {
+		return fmt.Errorf("operator: job %s: checkpointPeriod %d (0 = restart from scratch)",
+			j.Name, j.Spec.CheckpointPeriod)
+	}
 	return nil
 }
 

@@ -145,11 +145,8 @@ type Config struct {
 	// parallelism is not nested.
 	Shards int
 	// Extensions (all default off, matching the paper's §3.2.1 policy).
-	JobOverheadSlots int
 	AgingRate        float64
 	EnablePreemption bool
-	StrictFCFS       bool
-	CostBenefit      *core.CostBenefit
 }
 
 // DefaultConfig matches the paper's evaluation setup.
@@ -302,22 +299,12 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, fmt.Errorf("sim: shards %d (0 = automatic, 1 = sequential, N = up to N epochs)", cfg.Shards)
 	}
 	s := &Simulator{cfg: cfg, kickAt: -1}
-	if cb := cfg.CostBenefit; cb != nil && cb.Progress == nil {
-		// Wire the gate to the simulator's own progress model so users
-		// only need to set thresholds.
-		wired := *cb
-		wired.Progress = s.progressFraction
-		cfg.CostBenefit = &wired
-	}
 	sched, err := core.NewScheduler(core.Config{
 		Policy:           cfg.Policy,
 		Capacity:         cfg.Capacity,
 		RescaleGap:       model.Duration(cfg.RescaleGap),
-		JobOverheadSlots: cfg.JobOverheadSlots,
 		AgingRate:        cfg.AgingRate,
 		EnablePreemption: cfg.EnablePreemption,
-		StrictFCFS:       cfg.StrictFCFS,
-		CostBenefit:      cfg.CostBenefit,
 		EnableLog:        cfg.LogDecisions,
 		FullRedistribute: cfg.FullRedistribute,
 	}, (*simActuator)(s), func() time.Time {
@@ -496,13 +483,12 @@ func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map
 	// Equal-timestamp events coalesce into one scheduler pass: the kick
 	// re-arm (an O(running) gap scan) runs once per batch instead of per
 	// event. Mid-batch state can only matter to a kick when priorities
-	// drift with time (aging), preemption can fire without a gap check, or
-	// a cost/benefit gate consults time-varying progress — in those
-	// configurations every event re-arms individually: forcing them through
-	// the coalescing path changes the Result or the decisions of 93 of 6,400
-	// aging / preemption / cost-benefit cells. Whether the run is logged is
-	// not one of them: a kick that starts nothing appends nothing to the log.
-	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption && s.cfg.CostBenefit == nil
+	// drift with time (aging) or preemption can fire without a gap check —
+	// in those configurations every event re-arms individually: forcing them
+	// through the coalescing path changes the Result or the decisions of
+	// some aging and preemption cells. Whether the run is logged is not one
+	// of them: a kick that starts nothing appends nothing to the log.
+	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption
 	s.limit = 5_000_000 + 64*len(w.Jobs) + 16*len(s.cfg.Availability.Events)
 }
 
@@ -716,21 +702,6 @@ func (s *Simulator) advanceTo(t float64) {
 	}
 	s.advanceUtil(t)
 	s.now = t
-}
-
-// progressFraction estimates a job's completed fraction at the current sim
-// time without mutating its state — the default Progress source for the
-// cost/benefit gate.
-func (s *Simulator) progressFraction(j *core.Job) float64 {
-	if int(j.Ref) >= len(s.byRef) {
-		return 0
-	}
-	sj := *s.byRef[j.Ref] // a copy: the estimate must not move the job's clock
-	if sj.steps == 0 {
-		return 0
-	}
-	s.progress(&sj)
-	return sj.itersDone / sj.steps
 }
 
 // progress brings a job's iteration count up to date at the current time.

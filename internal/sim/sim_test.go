@@ -410,23 +410,6 @@ func TestPreemptionExtensionCompletesAllJobs(t *testing.T) {
 	}
 }
 
-func TestCostBenefitExtensionCompletesAllJobs(t *testing.T) {
-	cfg := DefaultConfig(core.Elastic)
-	progress := func(j *core.Job) float64 { return 0.5 }
-	cfg.CostBenefit = &core.CostBenefit{Progress: progress, MinRemainingFraction: 0.1, MinExpandGain: 2}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(workload.MustUniform(16, 30, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 16 {
-		t.Errorf("%d jobs finished", len(res.Jobs))
-	}
-}
-
 // Streaming mode must reproduce the retained mode's aggregates exactly: both
 // accumulate them incrementally at completion time, so equality is
 // bit-for-bit, not approximate.
