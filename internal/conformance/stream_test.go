@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elastichpc/internal/core"
+	"elastichpc/internal/federation"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
@@ -94,6 +95,62 @@ func TestStreamVersion1Rejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "re-record") {
 		t.Errorf("version 1 rejection does not say to re-record: %v", err)
 	}
+}
+
+// TestMigratedRecordsPinned pins the retained per-job records of a rebalanced
+// fleet whose members inject and withdraw jobs — the collection path the batch
+// path's workload indices cannot place. Member 2 drains to 6 slots twice, so
+// the rebalancer moves waiting jobs off it and checkpoint-preempts running
+// ones. The digests were recorded before the simulator's retained mode
+// started recycling job slots; every workload job must also complete on
+// exactly one member.
+func TestMigratedRecordsPinned(t *testing.T) {
+	w, err := workload.Poisson{Jobs: 240, MeanGap: 45}.Generate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := federation.Skewed(sim.DefaultConfig(core.Elastic), 3, -0.25)
+	members[2].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+		{At: 1500, Capacity: 6}, {At: 4500, Capacity: members[2].Capacity},
+		{At: 7000, Capacity: 6}, {At: 9000, Capacity: members[2].Capacity},
+	}}
+	res, err := federation.Run(federation.Config{
+		Members:   members,
+		Route:     federation.RoundRobin,
+		Workers:   1,
+		Rebalance: federation.RebalanceConfig{Every: 300, MigrateRunning: true},
+	}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := 0
+	for _, m := range res.Migrations {
+		if m.Checkpointed {
+			ckpt++
+		}
+	}
+	if ckpt == 0 || ckpt == len(res.Migrations) {
+		t.Fatalf("%d migrations, %d checkpointed: the fleet no longer moves both waiting and checkpointed jobs", len(res.Migrations), ckpt)
+	}
+	want := []string{"fnv64a:95c9a2d1bca02576", "fnv64a:19708fb563cbffff", "fnv64a:153de332177f3563"}
+	seen := make(map[string]int, len(w.Jobs))
+	for i, m := range res.Members {
+		if got := SummaryOf(m).JobsDigest; got != want[i] {
+			t.Errorf("member %d: jobs_digest %s, recorded %s", i, got, want[i])
+		}
+		for _, j := range m.Jobs {
+			seen[j.ID]++
+		}
+	}
+	for _, j := range w.Jobs {
+		if seen[j.ID] != 1 {
+			t.Errorf("job %s completed on %d members", j.ID, seen[j.ID])
+		}
+	}
+	if len(seen) != len(w.Jobs) {
+		t.Errorf("members report %d distinct jobs, the workload has %d", len(seen), len(w.Jobs))
+	}
+	t.Logf("%d migrations (%d checkpointed), jobs per member %v", len(res.Migrations), ckpt, res.JobsPerMember)
 }
 
 // TestJobsDigestSensitivity: identical runs agree, different schedules

@@ -11,14 +11,17 @@
 //
 // The hot path is allocation-free at steady state: events and job records
 // are pooled, submissions stream from a sorted cursor instead of being
-// pre-pushed into the event heap, and in streaming mode (Config.Streaming)
-// per-job state is recycled at completion so a multi-million-job workload
-// needs only O(running jobs) memory. Availability events stream from their
-// own cursor over Config.Availability the same way. Job identities are
-// interned to int32 slab indices (core.Job.Ref), equal-timestamp event
-// batches share one scheduler kick re-arm, and the decision log is opt-in
-// (Config.LogDecisions), so the default streaming path allocates nothing
-// per job.
+// pre-pushed into the event heap, and per-job state is recycled at
+// completion, so in streaming mode (Config.Streaming) a multi-million-job
+// workload needs only O(running jobs) memory. A retained run adds two
+// append-only logs reserved up front — a record per completed job, a replica
+// sample per allocation change — which collection buckets into the Result.
+// Availability events stream from their own cursor over Config.Availability
+// the same way. Job identities are interned to int32 slab indices
+// (core.Job.Ref), equal-timestamp event batches share one scheduler kick
+// re-arm, and the decision log is opt-in (Config.LogDecisions), so the default
+// streaming path allocates nothing per job, and a retained one nothing per job
+// beyond the Result's replica-timeline map.
 //
 // # Execution modes
 //

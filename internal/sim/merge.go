@@ -63,7 +63,7 @@ func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Resul
 		// Every job lives entirely inside one segment (segments are
 		// bounded by drained instants), so the retained records merge by
 		// concatenation in segment order.
-		retainedRecords(&res, len(w.Jobs), segs...)
+		retainedRecords(&res, true, segs...)
 		for _, sg := range segs {
 			res.UtilTimeline = append(res.UtilTimeline, sg.utilTL...)
 		}

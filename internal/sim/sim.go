@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -92,11 +93,12 @@ type Config struct {
 	Capacity   int     // worker slots (64 in the paper)
 	RescaleGap float64 // seconds (T_rescale_gap)
 	Machine    model.Machine
-	// Streaming computes Result's aggregate metrics incrementally and
-	// recycles per-job state at completion instead of retaining a
-	// JobMetrics, utilization sample, and replica timeline per job.
-	// Memory becomes O(concurrently running jobs) — required for
-	// million-job workloads. Result.Jobs, Result.UtilTimeline, and
+	// Streaming keeps only Result's aggregate metrics, which both modes
+	// compute incrementally: it skips the retained mode's two append-only
+	// logs — a JobMetrics record per completed job, and a utilization and
+	// replica sample per allocation change — so memory is O(concurrently
+	// running jobs), as million-job workloads need. Both modes recycle a
+	// job's slot when it completes. Result.Jobs, Result.UtilTimeline, and
 	// Result.ReplicaTimelines are nil in this mode; the aggregates are
 	// bit-identical to the retained mode.
 	Streaming bool
@@ -160,9 +162,9 @@ func DefaultConfig(p core.Policy) Config {
 // progress-model floats, and the lifecycle flags. One pooled allocation
 // covers scheduler and driver state, and the record stays free of strings,
 // slices, and metrics metadata so the inner loop walks a handful of dense
-// cache lines per event. Everything visited only at submission, rescale
-// bookkeeping, or collection time lives in the parallel simJobCold record
-// at Simulator.cold[ref].
+// cache lines per event. The metrics metadata, visited only at submission,
+// on rescale bookkeeping and at completion, is the cold half at
+// Simulator.cold[ref].
 type simJob struct {
 	job core.Job
 
@@ -176,6 +178,7 @@ type simJob struct {
 	grid        int32   // spec.Grid (iteration-time table key)
 	ref         int32   // slab-slot index: byRef[ref] == this, and job.Ref carries it
 	widx        int32   // index of this job's spec in the workload
+	serial      int32   // submission serial on this simulator (retained logs key on it)
 	peak        int32   // peak replica count
 	started     bool
 	forcedOut   bool // preempted by a capacity reclaim; next start is a forced restart
@@ -187,15 +190,28 @@ type simJob struct {
 	migratedCkpt bool
 }
 
-// simJobCold is the cold half of a job's record: identity and metrics
-// metadata, plus the retained-mode replica timeline. Indexed by the job's
-// slab ref (Simulator.cold[ref], parallel to byRef) and written only at
-// submission, on rescale bookkeeping, and at completion — the event loop
-// proper never reads it.
-type simJobCold struct {
-	meta     JobMetrics
-	timeline []ReplicaSample
+// doneRecord is one entry of a retained run's done log, appended when a job
+// completes: its metrics, where the batch path places it (widx), and the
+// serial its replica samples carry.
+type doneRecord struct {
+	meta   JobMetrics
+	widx   int32
+	serial int32
 }
+
+// replicaSample is one entry of a retained run's sample log: a job's replica
+// count from At on, keyed by its submission serial. Collection buckets the
+// log by serial into the Result's replica timelines.
+type replicaSample struct {
+	serial   int32
+	replicas int32
+	at       float64
+}
+
+// samplesPerJob is what prepare reserves in a retained run's sample and
+// utilization logs for each job: every job logs a sample when it starts and
+// one when it completes, and each rescale or preemption adds one.
+const samplesPerJob = 3
 
 // decisionsPerJob is what prepare reserves in the decision ring for each job
 // of a logged run: the four policies record 2.4–3.0 (rigid and moldable) and
@@ -221,18 +237,25 @@ type Simulator struct {
 	// core.Job carries Ref == ref. Job identities are interned to these
 	// int32 indices at submission, so actuator callbacks resolve driver
 	// state with an index load, not a string-keyed map lookup per
-	// scheduling action. In streaming mode
-	// slots are recycled, so the directory stays O(concurrent jobs).
-	// cold is the parallel cold-half directory: cold[ref] holds the
-	// metadata and timeline for byRef[ref] (see simJobCold).
+	// scheduling action. Slots are recycled when their job completes or is
+	// withdrawn, so the directory stays O(concurrent jobs). cold is the
+	// parallel cold-half directory: cold[ref] holds the metrics metadata of
+	// byRef[ref]'s job.
 	byRef []*simJob
-	cold  []simJobCold
+	cold  []JobMetrics
 
-	// Pools: the simJob slab and (in streaming mode) completed-job records
+	// Pools: the simJob slab and the slots of completed and withdrawn jobs
 	// ready for reuse.
 	slab     []simJob
 	slabUsed int
 	freeJobs []*simJob
+	serials  int32 // submissions so far: the next job's serial
+
+	// The retained run's append-only logs (nil in streaming mode): done
+	// holds a record per completed job, samples a replica sample per
+	// allocation change, beside utilTL's utilization sample.
+	done    []doneRecord
+	samples []replicaSample
 
 	// Cursor window (set by prepare, consumed by runWindow). A sequential
 	// run owns the whole workload and trace with an infinite horizon; a
@@ -298,6 +321,15 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("sim: shards %d (0 = automatic, 1 = sequential, N = up to N epochs)", cfg.Shards)
 	}
+	// A negative, NaN or infinite gap converts to a negative time.Duration
+	// and runs as no gap at all; a negative or NaN aging rate runs as none,
+	// an infinite one makes every waiting job's priority infinite.
+	if x := cfg.RescaleGap; !(x >= 0) || math.IsInf(x, 0) {
+		return nil, fmt.Errorf("sim: rescale gap %g s: want a finite value >= 0", x)
+	}
+	if x := cfg.AgingRate; !(x >= 0) || math.IsInf(x, 0) {
+		return nil, fmt.Errorf("sim: aging rate %g: want a finite value >= 0", x)
+	}
 	s := &Simulator{cfg: cfg, kickAt: -1}
 	sched, err := core.NewScheduler(core.Config{
 		Policy:           cfg.Policy,
@@ -333,7 +365,7 @@ func (s *Simulator) allocJob() *simJob {
 	s.slabUsed++
 	sj.ref = int32(len(s.byRef))
 	s.byRef = append(s.byRef, sj)
-	s.cold = append(s.cold, simJobCold{})
+	s.cold = append(s.cold, JobMetrics{})
 	return sj
 }
 
@@ -344,8 +376,9 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 	// Bumping seq past the previous lifecycle invalidates any stale
 	// completion event still in the heap for a recycled slot.
 	seq := sj.seq + 1
-	*sj = simJob{seq: seq, ref: sj.ref, widx: widx,
+	*sj = simJob{seq: seq, ref: sj.ref, widx: widx, serial: s.serials,
 		steps: float64(spec.Steps), grid: int32(spec.Grid), submitAt: js.SubmitAt}
+	s.serials++
 	sj.job = core.Job{
 		ID:          js.ID,
 		Ref:         sj.ref,
@@ -360,9 +393,7 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 	if sj.job.MaxReplicas > s.cfg.Capacity {
 		sj.job.MaxReplicas = s.cfg.Capacity
 	}
-	c := &s.cold[sj.ref]
-	c.meta = JobMetrics{ID: js.ID, Class: js.Class, Priority: js.Priority, SubmitAt: js.SubmitAt}
-	c.timeline = c.timeline[:0]
+	s.cold[sj.ref] = JobMetrics{ID: js.ID, Class: js.Class, Priority: js.Priority, SubmitAt: js.SubmitAt}
 	return sj
 }
 
@@ -480,6 +511,13 @@ func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map
 		jobs = len(order) - subLo
 	}
 	s.sched.ReserveLog(decisionsPerJob * jobs)
+	if !s.cfg.Streaming {
+		// The retained logs, sized the same way: a window's completions, and
+		// its allocation changes as far as samplesPerJob foresees them.
+		s.done = make([]doneRecord, 0, jobs)
+		s.samples = make([]replicaSample, 0, samplesPerJob*jobs)
+		s.utilTL = make([]UtilSample, 0, samplesPerJob*jobs)
+	}
 	// Equal-timestamp events coalesce into one scheduler pass: the kick
 	// re-arm (an O(running) gap scan) runs once per batch instead of per
 	// event. Mid-batch state can only matter to a kick when priorities
@@ -623,23 +661,23 @@ func (s *Simulator) runWindow() error {
 }
 
 // finish folds a completed job into the ledger — from the hot record alone —
-// then back-fills the cold metadata for collection and, in streaming mode,
-// recycles the record instead.
+// and, in a retained run, appends its completed metrics to the done log; then
+// it recycles the job's slot.
 func (s *Simulator) finish(sj *simJob) {
 	resp := sj.startAt - sj.submitAt
 	comp := s.now - sj.submitAt
 	s.ledger.Finished(float64(sj.job.Priority), resp, comp, s.now)
 	s.completed++
-	if s.cfg.Streaming {
-		s.freeJobs = append(s.freeJobs, sj)
-		return
+	if !s.cfg.Streaming {
+		s.done = append(s.done, doneRecord{meta: s.cold[sj.ref], widx: sj.widx, serial: sj.serial})
+		m := &s.done[len(s.done)-1].meta
+		m.Replicas = int(sj.peak)
+		m.StartAt = sj.startAt
+		m.EndAt = s.now
+		m.ResponseTime = resp
+		m.CompletionTime = comp
 	}
-	m := &s.cold[sj.ref].meta
-	m.Replicas = int(sj.peak)
-	m.StartAt = sj.startAt
-	m.EndAt = s.now
-	m.ResponseTime = resp
-	m.CompletionTime = comp
+	s.freeJobs = append(s.freeJobs, sj)
 }
 
 // Decisions returns the scheduler's decision log, oldest first. Empty unless
@@ -733,8 +771,8 @@ func (s *Simulator) reschedule(sj *simJob, overhead float64, replicas int) {
 }
 
 // record tracks an allocation change of delta worker slots for the
-// utilization accounting and, outside streaming mode, appends the sample to
-// the utilization and per-job replica timelines.
+// utilization accounting and, outside streaming mode, appends a sample to the
+// utilization log and the job's replica count to the sample log.
 func (s *Simulator) record(delta int, sj *simJob, replicas int) {
 	s.advanceUtil(s.now)
 	s.used += delta
@@ -743,8 +781,7 @@ func (s *Simulator) record(delta int, sj *simJob, replicas int) {
 	}
 	if !s.cfg.Streaming {
 		s.utilTL = append(s.utilTL, UtilSample{At: s.now, Used: s.used})
-		c := &s.cold[sj.ref]
-		c.timeline = append(c.timeline, ReplicaSample{At: s.now, Replicas: replicas})
+		s.samples = append(s.samples, replicaSample{serial: sj.serial, replicas: int32(replicas), at: s.now})
 	}
 }
 
@@ -793,7 +830,7 @@ func (a *simActuator) rescale(j *core.Job, to int) error {
 	tot := ph.Total()
 	delta := to - j.Replicas
 	if !s.cfg.Streaming {
-		m := &s.cold[sj.ref].meta
+		m := &s.cold[sj.ref]
 		m.Rescales++
 		m.OverheadSec += tot
 	}
@@ -830,25 +867,10 @@ func (s *Simulator) collect(w workload.Workload) (Result, error) {
 	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, s.sched.CapacityStats(), s.sched.Capacity())
 	if !s.cfg.Streaming {
 		res.UtilTimeline = s.utilTL
-		if s.injected == 0 && s.withdrawn == 0 {
-			retainedRecords(&res, len(w.Jobs), s)
-		} else {
-			// Migration reshaped the job set: workload indices no longer
-			// cover it (injected jobs carry widx -1, withdrawn slots never
-			// completed), so gather the jobs that completed here and order
-			// them deterministically by (SubmitAt, ID).
-			res.Jobs = make([]JobMetrics, 0, s.completed)
-			res.ReplicaTimelines = make(map[string][]ReplicaSample, s.completed)
-			for i, sj := range s.byRef {
-				if sj.job.State != core.StateCompleted {
-					continue
-				}
-				c := &s.cold[i]
-				res.Jobs = append(res.Jobs, c.meta)
-				res.ReplicaTimelines[c.meta.ID] = c.timeline
-			}
-			SortJobs(res.Jobs)
-		}
+		// Migration reshapes the job set: workload indices no longer cover it
+		// (injected jobs carry widx -1, withdrawn ones never complete here),
+		// so the jobs that completed here are ordered by (SubmitAt, ID).
+		retainedRecords(&res, s.injected == 0 && s.withdrawn == 0, s)
 	}
 	return res, nil
 }
@@ -879,19 +901,72 @@ func unfinished(completed, expected int, sims ...*Simulator) error {
 	return fmt.Errorf("sim: %d of %d jobs completed", completed, expected)
 }
 
-// retainedRecords fills res.Jobs and res.ReplicaTimelines from simulators
-// that between them ran every job of an n-job workload and moved none.
-// Retained mode never recycles slots, so byRef holds every job a simulator
-// ran; widx places each record back in workload order.
-func retainedRecords(res *Result, n int, sims ...*Simulator) {
-	res.Jobs = make([]JobMetrics, n)
-	res.ReplicaTimelines = make(map[string][]ReplicaSample, n)
+// retainedRecords fills res.Jobs and res.ReplicaTimelines from the done and
+// sample logs of sims. byWidx says the simulators between them ran every job
+// of the workload and moved none: each record goes back to its workload
+// index. Otherwise the records are listed and sorted by SortJobs.
+//
+// One counting pass per simulator buckets its sample log by submission serial
+// into one backing array shared by every timeline; each timeline is a capped
+// sub-slice of it, so a caller appending to one cannot overwrite the next.
+// Records are visited in serial order — submission order, simulator by
+// simulator — which is the order a job ID repeated in the workload resolves
+// its map entry in.
+func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
+	jobs, samples, serials := 0, 0, int32(0)
 	for _, sg := range sims {
-		for i, sj := range sg.byRef {
-			c := &sg.cold[i]
-			res.Jobs[sj.widx] = c.meta
-			res.ReplicaTimelines[c.meta.ID] = c.timeline
+		jobs += len(sg.done)
+		samples += len(sg.samples)
+		serials = max(serials, sg.serials)
+	}
+	if byWidx {
+		res.Jobs = make([]JobMetrics, jobs)
+	} else {
+		res.Jobs = make([]JobMetrics, 0, jobs)
+	}
+	res.ReplicaTimelines = make(map[string][]ReplicaSample, jobs)
+	timelines := make([]ReplicaSample, samples)
+	ends := make([]int32, serials+1) // per serial: its bucket's end, once filled
+	dones := make([]int32, serials)  // per serial: its done-log index, or -1
+	for _, sg := range sims {
+		tl := timelines[:len(sg.samples)]
+		timelines = timelines[len(sg.samples):]
+		end := ends[:sg.serials+1]
+		clear(end)
+		for _, x := range sg.samples {
+			end[x.serial+1]++
 		}
+		for i := 1; i < len(end); i++ {
+			end[i] += end[i-1]
+		}
+		for _, x := range sg.samples {
+			tl[end[x.serial]] = ReplicaSample{At: x.at, Replicas: int(x.replicas)}
+			end[x.serial]++
+		}
+		doneAt := dones[:sg.serials]
+		for i := range doneAt {
+			doneAt[i] = -1
+		}
+		for i := range sg.done {
+			doneAt[sg.done[i].serial] = int32(i)
+		}
+		lo := int32(0)
+		for serial, i := range doneAt {
+			hi := end[serial]
+			if i >= 0 {
+				d := &sg.done[i]
+				if byWidx {
+					res.Jobs[d.widx] = d.meta
+				} else {
+					res.Jobs = append(res.Jobs, d.meta)
+				}
+				res.ReplicaTimelines[d.meta.ID] = tl[lo:hi:hi]
+			}
+			lo = hi
+		}
+	}
+	if !byWidx {
+		SortJobs(res.Jobs)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"elastichpc/internal/core"
@@ -383,14 +384,34 @@ func TestSweepsRunSmall(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: every value New refuses, with an error naming what
+// it refused. An infinite rescale gap would overflow time.Duration to a
+// negative gap and run exactly like -5 s or NaN.
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Policy: core.Elastic, Capacity: 0}); err == nil {
-		t.Error("accepted zero capacity")
+	for _, tc := range []struct {
+		name   string
+		change func(*Config)
+		want   string
+	}{
+		{"zero capacity", func(c *Config) { c.Capacity = 0 }, "capacity"},
+		{"negative shards", func(c *Config) { c.Shards = -3 }, "shards"},
+		{"negative gap", func(c *Config) { c.RescaleGap = -5 }, "rescale gap"},
+		{"NaN gap", func(c *Config) { c.RescaleGap = math.NaN() }, "rescale gap"},
+		{"infinite gap", func(c *Config) { c.RescaleGap = math.Inf(1) }, "rescale gap"},
+		{"negative aging", func(c *Config) { c.AgingRate = -1 }, "aging rate"},
+		{"NaN aging", func(c *Config) { c.AgingRate = math.NaN() }, "aging rate"},
+		{"infinite aging", func(c *Config) { c.AgingRate = math.Inf(1) }, "aging rate"},
+	} {
+		cfg := DefaultConfig(core.Elastic)
+		tc.change(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming the %s", tc.name, err, tc.want)
+		}
 	}
 	cfg := DefaultConfig(core.Elastic)
-	cfg.Shards = -3
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted a negative shard count")
+	cfg.RescaleGap, cfg.AgingRate = 0, 0
+	if _, err := New(cfg); err != nil {
+		t.Errorf("rejected a zero gap and aging rate: %v", err)
 	}
 }
 
@@ -465,5 +486,37 @@ func TestStreamingRecyclesUnderBacklog(t *testing.T) {
 	}
 	if len(retained.Jobs) != 1000 {
 		t.Errorf("retained completed %d of 1000", len(retained.Jobs))
+	}
+}
+
+// TestRetainedAllocsDoNotScale: a retained run recycles job slots like a
+// streaming one and keeps its per-job records in logs reserved once, so what
+// it allocates barely grows with the job count — the result's replica-timeline
+// map is the one part that does, a table at a time.
+func TestRetainedAllocsDoNotScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation counts")
+	}
+	const budget = 300 // allocations for the 30 k jobs the large run adds
+	for _, logged := range []bool{false, true} {
+		allocs := func(jobs int) float64 {
+			w, err := workload.Poisson{Jobs: jobs, MeanGap: 170}.Generate(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(core.Elastic)
+			cfg.Shards = 1
+			cfg.LogDecisions = logged
+			return testing.AllocsPerRun(2, func() {
+				if res, err := Run(cfg, w); err != nil || len(res.Jobs) != jobs {
+					t.Fatalf("%d jobs: %d records, err %v", jobs, len(res.Jobs), err)
+				}
+			})
+		}
+		small, large := allocs(2000), allocs(32000)
+		t.Logf("logged %v: %.0f allocations for 2 k jobs, %.0f for 32 k", logged, small, large)
+		if large-small >= budget {
+			t.Errorf("logged %v: %.0f allocations for 2 k jobs and %.0f for 32 k: the run allocates per job", logged, small, large)
+		}
 	}
 }

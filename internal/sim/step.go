@@ -185,7 +185,7 @@ func (s *Simulator) AppendQueuedJobs(dst []QueuedJob) []QueuedJob {
 		dst = append(dst, QueuedJob{
 			Ref:          j.Ref,
 			ID:           j.ID,
-			Class:        s.cold[j.Ref].meta.Class,
+			Class:        s.cold[j.Ref].Class,
 			Priority:     j.Priority,
 			SubmitAt:     sj.submitAt,
 			MinReplicas:  j.MinReplicas,
@@ -200,7 +200,7 @@ func (s *Simulator) AppendQueuedJobs(dst []QueuedJob) []QueuedJob {
 // queue — all a backlog estimate needs.
 func (s *Simulator) QueuedByClass() (n [model.XLarge + 1]int) {
 	s.sched.VisitQueued(func(j *core.Job) bool {
-		n[s.cold[j.Ref].meta.Class]++
+		n[s.cold[j.Ref].Class]++
 		return true
 	})
 	return n
@@ -217,9 +217,9 @@ func (s *Simulator) Withdraw(ref int32) (MigratedJob, error) {
 	c := &s.cold[ref]
 	mj := MigratedJob{
 		Spec: workload.JobSpec{
-			ID:       c.meta.ID,
-			Class:    c.meta.Class,
-			Priority: c.meta.Priority,
+			ID:       c.ID,
+			Class:    c.Class,
+			Priority: c.Priority,
 			SubmitAt: sj.submitAt,
 		},
 		ItersDone:    sj.itersDone,
@@ -237,9 +237,7 @@ func (s *Simulator) Withdraw(ref int32) (MigratedJob, error) {
 	sj.forcedOut = false
 	sj.migratedCkpt = false
 	s.withdrawn++
-	if s.cfg.Streaming {
-		s.freeJobs = append(s.freeJobs, sj)
-	}
+	s.freeJobs = append(s.freeJobs, sj)
 	return mj, nil
 }
 

@@ -144,6 +144,26 @@ func TestFigureSweepsRejectDegenerateWorkloads(t *testing.T) {
 	}
 }
 
+// TestSweepsRejectBadRescaleGaps: a rescale gap sim.New refuses fails the
+// sweep with New's error, whichever axis carries it.
+func TestSweepsRejectBadRescaleGaps(t *testing.T) {
+	gens := []workload.Generator{workload.Uniform{Jobs: 8, Gap: 90}}
+	for _, gap := range []float64{-5, math.NaN(), math.Inf(1)} {
+		for _, tc := range []struct {
+			name string
+			run  func() error
+		}{
+			{"RescaleGapSweep", func() error { _, err := RescaleGapSweep([]float64{0, gap}, 8, 1, 180, 1); return err }},
+			{"SubmissionGapSweep", func() error { _, err := SubmissionGapSweep([]float64{90}, 8, 1, gap, 1); return err }},
+			{"ScenarioSweep", func() error { _, err := ScenarioSweep(gens, 1, gap, 1); return err }},
+		} {
+			if err := tc.run(); err == nil || !strings.Contains(err.Error(), "rescale gap") {
+				t.Errorf("%s with rescale gap %g: err = %v, want one naming the rescale gap", tc.name, gap, err)
+			}
+		}
+	}
+}
+
 func TestScenarioSweepPropagatesGeneratorError(t *testing.T) {
 	gens := []workload.Generator{workload.Uniform{Jobs: 0, Gap: 90}}
 	if _, err := ScenarioSweep(gens, 2, 180, 0); err == nil {
