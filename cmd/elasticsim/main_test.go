@@ -85,6 +85,7 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-clusters 3 -shards 4", "-shards"},
 		{"-sweep gap -seeds 1 -shards 4", "-shards"},
 		{"-scenario burst -shards -3", "-shards -3"},
+		{"-sweep gap -seeds 1 -parallel -3", "-parallel"},
 		{"-save-availability x.csv", "-availability"},
 		{"-sweep gap -seeds 1 -scenario burst", "-scenario"},
 		{"-sweep rescale -seeds 1 -availability spot", "-availability"},

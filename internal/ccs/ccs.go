@@ -51,14 +51,13 @@ type RescaleRequest struct {
 	Nodelist []string `json:"nodelist,omitempty"`
 }
 
-// StatusReply reports application progress, used by the cost/benefit
-// extension (paper §6) to let the application decline a rescale.
+// StatusReply reports application progress: the charm.query reply, and what
+// the application's AcceptRescale hook reads to decline a rescale (paper §6).
 type StatusReply struct {
 	NumPEs        int     `json:"numPEs"`
 	Iteration     int     `json:"iteration"`
 	TotalIters    int     `json:"totalIters"`
 	DoneFraction  float64 `json:"doneFraction"`
-	ParallelEff   float64 `json:"parallelEff"`
 	RescaleEvents int     `json:"rescaleEvents"`
 }
 

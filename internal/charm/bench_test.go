@@ -44,7 +44,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt.Send(aid, i%64, benchEpNop, nil)
 	}
-	rt.QuiesceWait()
+	rt.quiesceWait()
 }
 
 // BenchmarkBroadcastReduction measures a full broadcast + reduction round,

@@ -8,8 +8,8 @@ import (
 	"elastichpc/internal/ccs"
 )
 
-// StatusFunc reports application progress for CCS queries and for the
-// cost/benefit rescale gate.
+// StatusFunc reports application progress: it answers charm.query, and its
+// reply is what CCSOptions.AcceptRescale reads to decline a rescale.
 type StatusFunc func() ccs.StatusReply
 
 // CCSOptions configures ServeCCS.

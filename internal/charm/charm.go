@@ -49,9 +49,6 @@ type Ctx struct {
 // NumPEs returns the PE count of the current incarnation.
 func (c *Ctx) NumPEs() int { return c.rt.NumPEs() }
 
-// NumElements returns the element count of the given array.
-func (c *Ctx) NumElements(array int) int { return c.rt.arrayLen(array) }
-
 // Send delivers an entry-method invocation to element (array, index).
 func (c *Ctx) Send(array, index, entry int, data []byte) {
 	c.rt.send(array, index, entry, data)

@@ -29,6 +29,9 @@ const (
 	epRing
 )
 
+// ringSize is the element count of the array the ring entry circulates in.
+const ringSize = 7
+
 func init() {
 	RegisterType("test.counter", func() Chare { return &counter{} }, []Entry{
 		{Name: "add", Fn: func(obj Chare, ctx *Ctx, data []byte) {
@@ -48,12 +51,21 @@ func init() {
 				ctx.Contribute([]float64{1}, ReduceSum)
 				return
 			}
-			next := (ctx.Index + 1) % ctx.NumElements(ctx.Array)
+			next := (ctx.Index + 1) % ringSize
 			var buf [8]byte
 			binary.LittleEndian.PutUint64(buf[:], uint64(hops-1))
 			ctx.Send(ctx.Array, next, epRing, buf[:])
 		}},
 	})
+}
+
+// quiesceWait blocks until no messages are in flight; the caller has stopped
+// injecting work.
+func (rt *Runtime) quiesceWait() {
+	rt.mu.Lock()
+	inc := rt.inc
+	rt.mu.Unlock()
+	inc.quiesce()
 }
 
 func newTestRT(t *testing.T, pes int) *Runtime {
@@ -98,7 +110,7 @@ func TestBroadcastAndReduction(t *testing.T) {
 	rt.SetReductionClient(aid, func(vals []float64) { done <- vals[0] })
 
 	rt.Broadcast(aid, epAdd, encInt(5))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	rt.Broadcast(aid, epContribute, nil)
 
 	select {
@@ -113,7 +125,7 @@ func TestBroadcastAndReduction(t *testing.T) {
 
 func TestPointToPointRing(t *testing.T) {
 	rt := newTestRT(t, 3)
-	aid, err := rt.CreateArray("test.counter", 7)
+	aid, err := rt.CreateArray("test.counter", ringSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +138,7 @@ func TestPointToPointRing(t *testing.T) {
 	rt.Send(aid, 0, epRing, encInt(21)) // 21 hops over 7 elements = 3 laps
 	// Wait for the ring to finish: the last hop contributes a single
 	// value, but the reduction needs all 7 elements. Trigger the rest.
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	for i := 1; i < 7; i++ {
 		rt.Send(aid, i, epContribute, nil)
 	}
@@ -178,7 +190,7 @@ func TestShrinkPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(3))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 
 	if err := rt.RescaleTo(4); err != nil {
 		t.Fatalf("RescaleTo(4): %v", err)
@@ -207,7 +219,7 @@ func TestExpandPreservesStateAndPopulatesNewPEs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(7))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 
 	if err := rt.RescaleTo(8); err != nil {
 		t.Fatalf("RescaleTo(8): %v", err)
@@ -327,7 +339,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(11))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 
 	bytes, err := rt.CheckpointTo("preempt/job1")
 	if err != nil {
@@ -339,7 +351,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 	// Mutate state, then restore — the mutation must be rolled back.
 	rt.Broadcast(aid, epAdd, encInt(100))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	if err := rt.RestoreFrom("preempt/job1"); err != nil {
 		t.Fatalf("RestoreFrom: %v", err)
 	}
@@ -507,7 +519,7 @@ func TestManyRescaleCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(1))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	sizes := []int{4, 6, 2, 8, 3, 8}
 	for _, n := range sizes {
 		if err := rt.RescaleTo(n); err != nil {
@@ -535,13 +547,13 @@ func TestMessageToMigratedChareIsForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(2))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	// Rescale so objects move; messages sent after still arrive.
 	if err := rt.RescaleTo(2); err != nil {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(2))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	done := make(chan float64, 1)
 	rt.SetReductionClient(aid, func(vals []float64) { done <- vals[0] })
 	rt.Broadcast(aid, epContribute, nil)
@@ -562,7 +574,7 @@ func TestLoadsSurviveRescale(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Broadcast(aid, epAdd, encInt(1))
-	rt.QuiesceWait()
+	rt.quiesceWait()
 	if err := rt.RescaleTo(2); err != nil {
 		t.Fatal(err)
 	}

@@ -164,8 +164,6 @@ func (rt *Runtime) arrayMeta(array int) *arrayMeta {
 	return rt.arrays[array]
 }
 
-func (rt *Runtime) arrayLen(array int) int { return rt.arrayMeta(array).n }
-
 func (rt *Runtime) arrayEntries(array int) []Entry { return rt.arrayMeta(array).typ.entries }
 
 func (rt *Runtime) send(array, index, entry int, data []byte) {
@@ -199,15 +197,6 @@ func (rt *Runtime) contribute(array int, vals []float64, op ReduceOp) {
 		// Broadcast/RescaleTo without deadlocking the scheduler.
 		go fire(result)
 	}
-}
-
-// QuiesceWait blocks until no messages are in flight. Intended for callers
-// that have stopped injecting work (e.g. tests, or a driver at a barrier).
-func (rt *Runtime) QuiesceWait() {
-	rt.mu.Lock()
-	inc := rt.inc
-	rt.mu.Unlock()
-	inc.quiesce()
 }
 
 // RequestRescale records a rescale request to be honoured at the next

@@ -56,7 +56,7 @@ func (m *modelApps) progress(a *appState) {
 		from = a.frozenUntil
 	}
 	if now.After(from) && a.replicas > 0 {
-		iterTime := m.c.cfg.Machine.IterTime(a.grid, a.replicas)
+		iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 		a.itersDone += now.Sub(from).Seconds() / iterTime
 		if a.itersDone > float64(a.steps) {
 			a.itersDone = float64(a.steps)
@@ -73,7 +73,7 @@ func (m *modelApps) rearm(a *appState, overhead float64) {
 	now := m.c.Loop.Now()
 	a.frozenUntil = now.Add(time.Duration(overhead * float64(time.Second)))
 	remaining := float64(a.steps) - a.itersDone
-	iterTime := m.c.cfg.Machine.IterTime(a.grid, a.replicas)
+	iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 	finish := overhead + remaining*iterTime
 	m.c.Loop.At(time.Duration(finish*float64(time.Second)), func() {
 		if a.seq != seq {
@@ -104,7 +104,7 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 		// Restarting after a failure: resume from the checkpoint and
 		// pay the restart+restore cost of reading it back.
 		a.itersDone = done
-		ph := m.c.cfg.Machine.RescaleOverhead(a.grid, a.replicas, a.replicas)
+		ph := m.c.machine.RescaleOverhead(a.grid, a.replicas, a.replicas)
 		overhead = ph.Restart + ph.Restore
 	}
 	// A restart that pays back a forced preemption: its frozen window is
@@ -141,7 +141,7 @@ func (m *modelApps) rescale(name string, to int) error {
 		return nil
 	}
 	m.progress(a)
-	ph := m.c.cfg.Machine.RescaleOverhead(a.grid, a.replicas, to)
+	ph := m.c.machine.RescaleOverhead(a.grid, a.replicas, to)
 	forced := to < a.replicas && m.c.Mgr.TakeForcedRescale(name)
 	a.replicas = to
 	a.rescales++
@@ -170,7 +170,7 @@ func (m *modelApps) Stop(job *operator.CharmJob) {
 		if m.c.Mgr.Scheduler().Reclaiming() {
 			m.c.preempted[job.Name] = true
 			if lost := a.itersDone - saved; lost > 0 && a.replicas > 0 {
-				iterTime := m.c.cfg.Machine.IterTime(a.grid, a.replicas)
+				iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 				m.c.ledger.Lost(lost * iterTime * float64(a.replicas))
 			}
 		}

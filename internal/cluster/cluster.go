@@ -22,10 +22,6 @@ type Config struct {
 	Policy     core.Policy
 	// RescaleGap is T_rescale_gap.
 	RescaleGap time.Duration
-	// Machine calibrates the modelled application performance.
-	Machine model.Machine
-	// PodStartupDelay is the kubelet bind→Running latency.
-	PodStartupDelay time.Duration
 	// Availability is the capacity timeline applied to the emulation —
 	// the same workload.AvailabilityTrace the discrete-event simulator
 	// consumes, so one profile drives both backends. Nodes×CPUPerNode is
@@ -46,17 +42,16 @@ type Config struct {
 
 // DefaultConfig matches the paper's cluster.
 func DefaultConfig(p core.Policy) Config {
-	return Config{
-		Nodes: 4, CPUPerNode: 16, Policy: p,
-		RescaleGap:      180 * time.Second,
-		Machine:         model.DefaultMachine(),
-		PodStartupDelay: 2 * time.Second,
-	}
+	return Config{Nodes: 4, CPUPerNode: 16, Policy: p, RescaleGap: 180 * time.Second}
 }
+
+// podStartupDelay is the kubelet's bind→Running latency.
+const podStartupDelay = 2 * time.Second
 
 // Cluster is one emulated cluster instance.
 type Cluster struct {
 	cfg      Config
+	machine  model.Machine // the calibrated model every emulated job runs on
 	Loop     *k8s.EventLoop
 	Store    *k8s.Store
 	PodSched *k8s.PodScheduler
@@ -105,14 +100,14 @@ func New(cfg Config) (*Cluster, error) {
 	loop := k8s.NewEventLoop(start)
 	store := k8s.NewStore(loop)
 	c := &Cluster{
-		cfg: cfg, Loop: loop, Store: store, start: start,
+		cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start,
 		utilLast:  start,
 		replicaTL: make(map[string][]sim.ReplicaSample),
 		done:      make(map[string]bool),
 		preempted: make(map[string]bool),
 	}
 	c.PodSched = k8s.NewPodScheduler(loop, store)
-	c.Kubelet = k8s.NewKubelet(loop, store, cfg.PodStartupDelay)
+	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
 	c.apps = newModelApps(c)
 	c.Ctrl = operator.NewController(loop, store, c.apps)
 
@@ -179,14 +174,6 @@ func (c *Cluster) Err() error { return c.runErr }
 // (empty unless Config.LogDecisions).
 func (c *Cluster) Decisions() []core.Decision {
 	return c.Mgr.Scheduler().Log()
-}
-
-// SetCapacityAt schedules a cluster-capacity change at the given offset from
-// start — the same path availability-trace events take. Unlike the trace
-// handed to New, the change is not pre-validated; an invalid capacity (or a
-// reclaim the actuator refuses) surfaces as an error from Run.
-func (c *Cluster) SetCapacityAt(at time.Duration, capacity int) {
-	c.scheduleCapacity(at.Seconds(), capacity)
 }
 
 // scheduleCapacity arms one capacity event at atSec seconds from start,

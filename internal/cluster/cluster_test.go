@@ -47,7 +47,7 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	}
 	// The runtime should be roughly steps × iterTime(grid, 8) plus pod
 	// startup; allow generous slack for startup latency.
-	want := cfg.Machine.JobRuntime(model.Spec{Grid: 512, Steps: 100}, 8)
+	want := model.DefaultMachine().JobRuntime(model.Spec{Grid: 512, Steps: 100}, 8)
 	if j.CompletionTime < want {
 		t.Errorf("completion %g < pure compute %g", j.CompletionTime, want)
 	}

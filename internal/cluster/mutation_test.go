@@ -208,15 +208,21 @@ func TestNoConsumerWritesThroughAView(t *testing.T) {
 		cfg := cluster.DefaultConfig(core.Elastic)
 		cfg.CheckpointPeriod = 1000
 		w := workload.MustUniform(4, 30, 5)
-		failed := 0
-		_, _, err := runWatched(t, cfg, w, func(c *cluster.Cluster) {
-			c.FailNode("node-0", 120*time.Second)
-			c.Ctrl.OnRestarted = func(*operator.CharmJob) { failed++ }
+		var c *cluster.Cluster
+		_, _, err := runWatched(t, cfg, w, func(crashed *cluster.Cluster) {
+			crashed.FailNode("node-0", 120*time.Second)
+			c = crashed
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if failed == 0 {
+		restarts := 0
+		for _, js := range w.Jobs {
+			if obj, ok := c.Store.View(k8s.KindCharmJob, js.ID); ok {
+				restarts += obj.(*operator.CharmJob).Status.Restarts
+			}
+		}
+		if restarts == 0 {
 			t.Error("the node crash restarted no job")
 		}
 	})

@@ -118,10 +118,10 @@ func TestRunSurfacesCapacityEventError(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Submit(smallJob("a", 3, 2, 8, 512, 40000), 0)
-	// Capacity 0 passes no trace validation (SetCapacityAt is unchecked by
-	// design) and is rejected by the scheduler at fire time, while the job
-	// is still running.
-	c.SetCapacityAt(5*time.Second, 0)
+	// Capacity 0 passes no trace validation (scheduleCapacity is unchecked
+	// by design) and is rejected by the scheduler at fire time, while the
+	// job is still running.
+	c.scheduleCapacity(5, 0)
 	err = c.Run(1, 1_000_000)
 	if err == nil {
 		t.Fatal("Run succeeded through an invalid capacity event")

@@ -18,7 +18,7 @@ import (
 // seed drives the same generator the property tests use, truncated so one
 // fuzz execution stays fast.
 func fuzzScenario(seed int64) Scenario {
-	sc := RandomScenario(rand.New(rand.NewSource(seed)))
+	sc := randomScenario(rand.New(rand.NewSource(seed)))
 	if sc.Jobs() > 48 {
 		sc.Workload.Jobs = sc.Workload.Jobs[:48]
 	}

@@ -46,7 +46,7 @@ func TestRandomScenarioEquivalenceProperty(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1234))
 	for i := 0; i < iterations; i++ {
-		sc := RandomScenario(rng)
+		sc := randomScenario(rng)
 		p := core.AllPolicies()[i%4]
 		shards := []int{1, 8, 0}[i%3]
 		report, err := scenarioDivergence(sc, p, shards)
@@ -57,7 +57,7 @@ func TestRandomScenarioEquivalenceProperty(t *testing.T) {
 			continue
 		}
 		// Shrink to a minimal failing scenario for the report.
-		min := Shrink(sc, func(cand Scenario) bool {
+		min := shrink(sc, func(cand Scenario) bool {
 			r, err := scenarioDivergence(cand, p, shards)
 			return err == nil && r != ""
 		})
@@ -67,14 +67,14 @@ func TestRandomScenarioEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestShrinkMinimizes drives Shrink with a synthetic predicate and checks
+// TestShrinkMinimizes drives shrink with a synthetic predicate and checks
 // it reaches the 1-minimal core: the single triggering job, and the trace
 // reduced to its protected final restore event.
 func TestShrinkMinimizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var sc Scenario
 	for {
-		sc = RandomScenario(rng)
+		sc = randomScenario(rng)
 		if sc.Jobs() >= 20 && len(sc.Trace.Events) >= 3 {
 			break
 		}
@@ -87,7 +87,7 @@ func TestShrinkMinimizes(t *testing.T) {
 		}
 		return false
 	}
-	min := Shrink(sc, fails)
+	min := shrink(sc, fails)
 	if min.Jobs() != 1 || min.Workload.Jobs[0].ID != "p007" {
 		t.Errorf("job shrink left %d jobs (%+v), want just p007", min.Jobs(), min.Workload.Jobs)
 	}
@@ -108,7 +108,7 @@ func TestShrinkMinimizes(t *testing.T) {
 func TestRandomScenarioFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		sc := RandomScenario(rng)
+		sc := randomScenario(rng)
 		if sc.Jobs() < 8 || sc.Jobs() > maxRandomJobs {
 			t.Fatalf("scenario %d: %d jobs out of bounds", i, sc.Jobs())
 		}

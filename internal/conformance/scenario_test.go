@@ -12,7 +12,7 @@ import (
 // Scenario is one randomly generated equivalence input: a workload plus an
 // optional availability trace. The property tests and fuzz targets generate
 // Scenarios, run them through two execution modes, and require identical
-// streams; Shrink minimizes a failing one.
+// streams; shrink minimizes a failing one.
 type Scenario struct {
 	Name     string
 	Workload workload.Workload
@@ -31,13 +31,13 @@ const (
 	maxRandomJobs  = 64
 )
 
-// RandomScenario draws a property-test scenario from rng: 8–64 jobs with
+// randomScenario draws a property-test scenario from rng: 8–64 jobs with
 // random classes and priorities, mostly-dense arrivals salted with
 // same-instant ties (the tie-break regime) and occasional multi-thousand-
 // second gaps (drain/idle boundaries), plus — half the time — an
 // availability trace drawn from one of three shapes: independent scattered
 // events, a correlated failure burst, or a diurnal capacity curve.
-func RandomScenario(rng *rand.Rand) Scenario {
+func randomScenario(rng *rand.Rand) Scenario {
 	n := 8 + rng.Intn(maxRandomJobs-8+1)
 	jobs := make([]workload.JobSpec, n)
 	at := 0.0
@@ -157,12 +157,12 @@ func diurnalTrace(rng *rand.Rand, span float64) workload.AvailabilityTrace {
 	return workload.AvailabilityTrace{Events: events}.WithRestore(randomCapacity, span)
 }
 
-// Shrink minimizes a failing scenario with ddmin-style chunk removal: it
+// shrink minimizes a failing scenario with ddmin-style chunk removal: it
 // repeatedly tries dropping halves, quarters, … of the job list (then of
 // the trace events, preserving the final restore event) and keeps any cut
 // on which fails still returns true. The result is a (locally) 1-minimal
 // scenario that still fails, which is what gets reported.
-func Shrink(sc Scenario, fails func(Scenario) bool) Scenario {
+func shrink(sc Scenario, fails func(Scenario) bool) Scenario {
 	for pass := 0; pass < 8; pass++ {
 		shrunk := false
 		if next, ok := shrinkJobs(sc, fails); ok {

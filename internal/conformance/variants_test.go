@@ -30,7 +30,7 @@ var variants = []struct {
 
 // denseTwin compresses a scenario's arrivals fortyfold, so a backlog builds
 // behind the 64 slots and rescale-gap kicks find a deep queue — the regime
-// the placeable-only pass exists for, which RandomScenario's mostly-dense
+// the placeable-only pass exists for, which randomScenario's mostly-dense
 // arrivals only brush.
 func denseTwin(sc Scenario) Scenario {
 	jobs := append([]workload.JobSpec(nil), sc.Workload.Jobs...)
@@ -120,7 +120,7 @@ func (c contract) sweep(t *testing.T) {
 		if report == "" {
 			return
 		}
-		min := Shrink(sc, func(cand Scenario) bool {
+		min := shrink(sc, func(cand Scenario) bool {
 			r, err := c.divergence(cand, p, variant)
 			return err == nil && r != ""
 		})
@@ -129,7 +129,7 @@ func (c contract) sweep(t *testing.T) {
 			i, sc.Name, c.name, p, variants[variant].name, min.Name, min.Jobs(), len(min.Trace.Events), minReport)
 	}
 	for i := 0; i < draws; i++ {
-		sc := RandomScenario(rng)
+		sc := randomScenario(rng)
 		if i%2 == 1 {
 			sc = denseTwin(sc)
 		}

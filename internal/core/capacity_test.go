@@ -197,7 +197,7 @@ func TestPreemptFreesRequestedSlots(t *testing.T) {
 func checkInvariant(t *testing.T, s *Scheduler, context string) {
 	t.Helper()
 	used := 0
-	for _, j := range s.Running() {
+	for _, j := range runningJobs(s) {
 		used += j.Replicas
 		if j.Replicas < 1 {
 			t.Fatalf("%s: running job %s with %d replicas", context, j.ID, j.Replicas)
@@ -232,7 +232,7 @@ func TestRandomizedCapacityInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 			case r < 0.65:
-				if run := s.Running(); len(run) > 0 {
+				if run := runningJobs(s); len(run) > 0 {
 					s.OnJobComplete(run[rng.Intn(len(run))])
 				}
 			case r < 0.85:

@@ -115,7 +115,7 @@ func runRefusalScript(t *testing.T, cfg Config, script []refusalOp) ([]string, [
 		}
 		clk.advance(op.wait)
 	}
-	return act.log, s.Log(), s.ExportState()
+	return act.log, s.Log(), exportState(s)
 }
 
 // TestRefusingActuatorEquivalenceProperty holds the incremental scheduler to

@@ -205,20 +205,6 @@ func (s *Scheduler) dirty() { s.clean = false }
 // FreeSlots reports the scheduler's current free-slot count.
 func (s *Scheduler) FreeSlots() int { return s.free }
 
-// Running returns a copy of the running jobs in decreasing priority order.
-// Hot paths that only read should prefer VisitRunning, which does not copy.
-func (s *Scheduler) Running() []*Job {
-	s.refresh()
-	return append([]*Job(nil), s.running...)
-}
-
-// Queued returns a copy of the queued jobs in decreasing priority order.
-// Hot paths that only read should prefer VisitQueued, which does not copy.
-func (s *Scheduler) Queued() []*Job {
-	s.refresh()
-	return s.queue.sorted()
-}
-
 // VisitRunning calls fn for each running job in decreasing priority order,
 // stopping early when fn returns false. It does not copy: the *Job values
 // are the scheduler's own records, and fn must not mutate them or call back
@@ -235,9 +221,8 @@ func (s *Scheduler) VisitRunning(fn func(*Job) bool) {
 // false. Iteration order is the queue's internal layout — bucket order
 // (ascending slot need), then heap order within a bucket; not sorted, and
 // free to change with the queue's implementation, so callers whose result
-// depends on order must impose their own (or use Queued). Like VisitRunning
-// it does not copy, and fn must not mutate the jobs or call back into
-// scheduling methods.
+// depends on order must impose their own. Like VisitRunning it does not copy,
+// and fn must not mutate the jobs or call back into scheduling methods.
 func (s *Scheduler) VisitQueued(fn func(*Job) bool) { s.queue.visit(fn) }
 
 // NumRunning reports the running-job count without copying (the per-event

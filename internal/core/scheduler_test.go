@@ -68,6 +68,17 @@ func newSched(t testing.TB, cfg Config) (*Scheduler, *fakeActuator, *testClock) 
 	return s, act, clk
 }
 
+// runningJobs returns a copy of the running jobs in decreasing priority order.
+func runningJobs(s *Scheduler) []*Job {
+	return append([]*Job(nil), s.running...)
+}
+
+// queuedJobs returns a copy of the waiting jobs in decreasing priority order.
+func queuedJobs(s *Scheduler) []*Job {
+	s.refresh()
+	return s.queue.sorted()
+}
+
 func job(id string, prio, min, max int) *Job {
 	return &Job{ID: id, Priority: prio, MinReplicas: min, MaxReplicas: max}
 }
@@ -608,7 +619,7 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 
 					// Check invariants.
 					used := 0
-					for _, j := range s.Running() {
+					for _, j := range runningJobs(s) {
 						used += j.Replicas
 						if j.Replicas < 1 {
 							t.Fatalf("running job %s with %d replicas", j.ID, j.Replicas)
@@ -624,7 +635,7 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 					if s.FreeSlots() < 0 {
 						t.Fatalf("negative free slots: %d", s.FreeSlots())
 					}
-					for _, j := range s.Queued() {
+					for _, j := range queuedJobs(s) {
 						if j.Replicas != 0 {
 							t.Fatalf("queued job %s holds %d replicas", j.ID, j.Replicas)
 						}

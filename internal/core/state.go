@@ -8,8 +8,8 @@ import "fmt"
 // snapshot can be held across scheduler mutations, handed to another
 // scheduler, or serialized by a service front-end.
 //
-// The simulator's sharded mode uses it to seed epoch-local schedulers with
-// the capacity an availability trace has established at the epoch boundary.
+// No production path takes a snapshot: the benchmark's
+// core.state_roundtrip_us probe is the one caller outside the tests.
 type SchedulerState struct {
 	// Capacity is the total worker-slot capacity in force (which may differ
 	// from the construction-time capacity after SetCapacity calls).
@@ -21,14 +21,6 @@ type SchedulerState struct {
 	// same order. Both are value copies.
 	Running []Job
 	Queued  []Job
-}
-
-// ExportState snapshots the scheduler's current state. The decision log is
-// not part of the snapshot; retrieve it separately via Log.
-func (s *Scheduler) ExportState() SchedulerState {
-	var st SchedulerState
-	s.ExportStateInto(&st)
-	return st
 }
 
 // ExportStateInto snapshots the scheduler's current state into st, reusing

@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// exportState snapshots the scheduler's current state; the decision log is
+// not part of the snapshot.
+func exportState(s *Scheduler) SchedulerState {
+	var st SchedulerState
+	s.ExportStateInto(&st)
+	return st
+}
+
 // populatedSched builds a scheduler holding a mix of running and queued
 // jobs, with some wall-clock history behind the gap checks.
 func populatedSched(t testing.TB) (*Scheduler, *testClock) {
@@ -29,7 +37,7 @@ func populatedSched(t testing.TB) (*Scheduler, *testClock) {
 // the derived accounting, and the observable queue/running sets exactly.
 func TestSchedulerStateRoundTrip(t *testing.T) {
 	src, _ := populatedSched(t)
-	st := src.ExportState()
+	st := exportState(src)
 	if len(st.Running) == 0 || len(st.Queued) == 0 {
 		t.Fatalf("scenario lost its point: %d running, %d queued", len(st.Running), len(st.Queued))
 	}
@@ -50,7 +58,7 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 	if got, want := dst.NumQueued(), src.NumQueued(); got != want {
 		t.Errorf("queued %d, want %d", got, want)
 	}
-	back := dst.ExportState()
+	back := exportState(dst)
 	if !reflect.DeepEqual(st, back) {
 		t.Errorf("round trip diverged:\nexported: %+v\nrestored: %+v", st, back)
 	}
@@ -74,7 +82,7 @@ func TestSchedulerStateMidEpochRoundTrip(t *testing.T) {
 	if err := src.SetCapacity(10); err != nil {
 		t.Fatalf("capacity raise: %v", err)
 	}
-	st := src.ExportState()
+	st := exportState(src)
 	if len(st.Running) == 0 || len(st.Queued) == 0 {
 		t.Fatalf("scenario lost its point: %d running, %d queued", len(st.Running), len(st.Queued))
 	}
@@ -97,7 +105,7 @@ func TestSchedulerStateMidEpochRoundTrip(t *testing.T) {
 	if err := dst.RestoreState(st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	back := dst.ExportState()
+	back := exportState(dst)
 	if !reflect.DeepEqual(st, back) {
 		t.Fatalf("mid-epoch round trip diverged:\nexported: %+v\nrestored: %+v", st, back)
 	}
@@ -122,7 +130,7 @@ func TestSchedulerStateMidEpochRoundTrip(t *testing.T) {
 		clk.advance(2 * time.Minute) // clear every rescale gap
 		s.Reschedule()
 		s.OnJobComplete(findRestoredJob(t, s, completeID))
-		return s.ExportState()
+		return exportState(s)
 	}
 	after, afterBack := step(src, sclk), step(dst, dclk)
 	if !reflect.DeepEqual(after, afterBack) {
@@ -135,7 +143,7 @@ func TestSchedulerStateMidEpochRoundTrip(t *testing.T) {
 // the exporting scheduler), while preserving Ref for driver re-attachment.
 func TestRestoreStateAllocatesFreshJobs(t *testing.T) {
 	src, _ := populatedSched(t)
-	st := src.ExportState()
+	st := exportState(src)
 	st.Running[0].Ref = 42
 
 	dst, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute})
@@ -144,7 +152,7 @@ func TestRestoreStateAllocatesFreshJobs(t *testing.T) {
 	}
 	// Mutating the snapshot after restore must not leak into the scheduler.
 	st.Running[0].Replicas = 999
-	back := dst.ExportState()
+	back := exportState(dst)
 	if back.Running[0].Replicas == 999 {
 		t.Error("restored scheduler aliases the snapshot's job records")
 	}
@@ -158,7 +166,7 @@ func TestRestoreStateAllocatesFreshJobs(t *testing.T) {
 func TestRestoreStateValidation(t *testing.T) {
 	mk := func() SchedulerState {
 		src, _ := populatedSched(t)
-		return src.ExportState()
+		return exportState(src)
 	}
 	cases := map[string]func() SchedulerState{
 		"zero capacity": func() SchedulerState {
@@ -200,11 +208,11 @@ func TestRestoreStateValidation(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			dst, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 16})
-			before := dst.ExportState()
+			before := exportState(dst)
 			if err := dst.RestoreState(build()); err == nil {
 				t.Fatal("invalid snapshot accepted")
 			}
-			if after := dst.ExportState(); !reflect.DeepEqual(before, after) {
+			if after := exportState(dst); !reflect.DeepEqual(before, after) {
 				t.Errorf("failed restore mutated the scheduler:\nbefore: %+v\nafter:  %+v", before, after)
 			}
 		})
@@ -216,7 +224,7 @@ func TestRestoreStateValidation(t *testing.T) {
 // slots to the restored queue.
 func TestRestoreStateResumesScheduling(t *testing.T) {
 	src, _ := populatedSched(t)
-	st := src.ExportState()
+	st := exportState(src)
 
 	dst, act, clk := newSched(t, Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute})
 	if err := dst.RestoreState(st); err != nil {
@@ -224,7 +232,7 @@ func TestRestoreStateResumesScheduling(t *testing.T) {
 	}
 	clk.advance(time.Hour) // clear every rescale gap
 	queuedBefore := dst.NumQueued()
-	back := dst.ExportState()
+	back := exportState(dst)
 	// Complete via the restored scheduler's own record: look it up by ID.
 	dst.OnJobComplete(findRestoredJob(t, dst, back.Running[0].ID))
 	if dst.NumQueued() >= queuedBefore && act.starts == 0 && act.expands == 0 {
@@ -237,7 +245,7 @@ func TestRestoreStateResumesScheduling(t *testing.T) {
 // stable handle is the running list itself.
 func findRestoredJob(t *testing.T, s *Scheduler, id string) *Job {
 	t.Helper()
-	for _, j := range s.Running() {
+	for _, j := range runningJobs(s) {
 		if j.ID == id {
 			return j
 		}
@@ -252,7 +260,7 @@ func findRestoredJob(t *testing.T, s *Scheduler, id string) *Job {
 // instead of allocating fresh ones.
 func TestExportStateIntoReusesBuffers(t *testing.T) {
 	src, _ := populatedSched(t)
-	want := src.ExportState()
+	want := exportState(src)
 
 	var st SchedulerState
 	src.ExportStateInto(&st)
@@ -314,7 +322,7 @@ func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
 	if nonEmpty < 3 || src.queue.preempted != 1 {
 		t.Fatalf("scenario lost its point: %d non-empty buckets, %d preempted waiting", nonEmpty, src.queue.preempted)
 	}
-	st := src.ExportState()
+	st := exportState(src)
 	for i := 1; i < len(st.Queued); i++ {
 		if !src.before(&st.Queued[i-1], &st.Queued[i]) {
 			t.Fatalf("snapshot not in priority order at %d: %s then %s", i, st.Queued[i-1].ID, st.Queued[i].ID)
@@ -326,7 +334,7 @@ func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
 	if err := dst.RestoreState(st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if back := dst.ExportState(); !reflect.DeepEqual(st, back) {
+	if back := exportState(dst); !reflect.DeepEqual(st, back) {
 		t.Errorf("round trip diverged:\nexported: %+v\nrestored: %+v", st, back)
 	}
 	if dst.queue.minNeed() != src.queue.minNeed() || dst.queue.preempted != src.queue.preempted {
@@ -338,7 +346,7 @@ func TestSchedulerStateRoundTripManyBuckets(t *testing.T) {
 	dclk.advance(2 * time.Minute)
 	src.OnJobComplete(blocker)
 	dst.OnJobComplete(findRestoredJob(t, dst, "blocker"))
-	if a, b := src.ExportState(), dst.ExportState(); !reflect.DeepEqual(a, b) {
+	if a, b := exportState(src), exportState(dst); !reflect.DeepEqual(a, b) {
 		t.Errorf("schedulers diverged after the restore:\nsource:   %+v\nrestored: %+v", a, b)
 	}
 }
@@ -408,12 +416,12 @@ func encodeFuzzState(st SchedulerState, origin time.Time) []byte {
 func FuzzRestoreState(f *testing.F) {
 	origin := newTestClock().t
 	src, _ := populatedSched(f)
-	f.Add(encodeFuzzState(src.ExportState(), origin))
+	f.Add(encodeFuzzState(exportState(src), origin))
 	for _, c := range []int{3, 10} { // TestSchedulerStateMidEpochRoundTrip's drop and raise
 		if err := src.SetCapacity(c); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(encodeFuzzState(src.ExportState(), origin))
+		f.Add(encodeFuzzState(exportState(src), origin))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := decodeFuzzState(data, origin)
@@ -423,7 +431,7 @@ func FuzzRestoreState(f *testing.F) {
 		if err := s.RestoreState(st); err != nil {
 			return
 		}
-		first := s.ExportState()
+		first := exportState(s)
 		used := 0
 		for _, j := range first.Running {
 			used += j.Replicas
@@ -435,7 +443,7 @@ func FuzzRestoreState(f *testing.F) {
 		if err := again.RestoreState(first); err != nil {
 			t.Fatalf("an exported snapshot does not restore: %v\n%+v", err, first)
 		}
-		if second := again.ExportState(); !reflect.DeepEqual(first, second) {
+		if second := exportState(again); !reflect.DeepEqual(first, second) {
 			t.Fatalf("round trip changed the snapshot:\nfirst:  %+v\nsecond: %+v", first, second)
 		}
 		s.Reschedule()

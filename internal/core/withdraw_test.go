@@ -127,7 +127,7 @@ func TestWithdrawFromInsideABucket(t *testing.T) {
 		t.Fatalf("four3 %v, %d queued, minNeed %d", fours[3].State, s.NumQueued(), s.queue.minNeed())
 	}
 	var got []string
-	for _, j := range s.Queued() {
+	for _, j := range queuedJobs(s) {
 		got = append(got, j.ID)
 	}
 	want := []string{"four0", "four1", "four2", "four4", "four5", "two0", "two1"}

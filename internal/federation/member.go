@@ -91,8 +91,9 @@ type ClusterMember struct {
 // Capacity implements Member.
 func (m ClusterMember) Capacity() int { return m.Config.Nodes * m.Config.CPUPerNode }
 
-// Machine implements Member.
-func (m ClusterMember) Machine() model.Machine { return m.Config.Machine }
+// Machine implements Member: the emulation runs every job on the default
+// machine.
+func (m ClusterMember) Machine() model.Machine { return model.DefaultMachine() }
 
 // Availability implements Member.
 func (m ClusterMember) Availability() workload.AvailabilityTrace { return m.Config.Availability }

@@ -156,6 +156,3 @@ func (l *EventLoop) RunUntilIdle() {
 	for l.Step() {
 	}
 }
-
-// PendingTimers reports how many timers are armed.
-func (l *EventLoop) PendingTimers() int { return len(l.timers) }

@@ -267,8 +267,9 @@ func TestSucceededPodsReleaseCapacity(t *testing.T) {
 	if got.(*Pod).Spec.NodeName != "" {
 		t.Fatal("b bound while a holds the node")
 	}
-	if MarkSucceeded(store, map[string]string{"job": "job-a"}) != 1 {
-		t.Fatal("MarkSucceeded failed")
+	a, _ := store.View(KindPod, "a")
+	if !setPhase(store, a.(*Pod), PodSucceeded) {
+		t.Fatal("a did not succeed")
 	}
 	loop.RunUntilIdle()
 	got, _ = store.Get(KindPod, "b")
@@ -337,8 +338,8 @@ func TestEventLoopRunUntil(t *testing.T) {
 	if !loop.RunUntil(func() bool { return fired }) {
 		t.Fatal("RunUntil never satisfied")
 	}
-	if loop.PendingTimers() != 1 {
-		t.Errorf("PendingTimers = %d, want 1 (later timer untouched)", loop.PendingTimers())
+	if len(loop.timers) != 1 {
+		t.Errorf("%d timers armed, want 1 (later timer untouched)", len(loop.timers))
 	}
 	if loop.RunUntil(func() bool { return false }) {
 		t.Error("RunUntil(false) reported success")

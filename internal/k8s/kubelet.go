@@ -65,30 +65,6 @@ func setPhase(store *Store, view *Pod, phase PodPhase) bool {
 	return store.SetPodStatus(view.Key(), status) == nil
 }
 
-// MarkSucceeded transitions all pods matching the selector to Succeeded,
-// releasing their node resources. Used when a job's application exits.
-func MarkSucceeded(store *Store, selector map[string]string) int {
-	n := 0
-	for _, pod := range store.Pods(selector) {
-		if pod.Status.Phase != PodSucceeded && setPhase(store, pod, PodSucceeded) {
-			n++
-		}
-	}
-	return n
-}
-
-// MarkFailed transitions all pods matching the selector to Failed (e.g. the
-// node they ran on crashed), releasing their node resources.
-func MarkFailed(store *Store, selector map[string]string) int {
-	n := 0
-	for _, pod := range store.Pods(selector) {
-		if !pod.terminal() && setPhase(store, pod, PodFailed) {
-			n++
-		}
-	}
-	return n
-}
-
 // FailPodsOnNode marks every non-terminal pod bound to the node as Failed,
 // simulating a node crash. Returns the number of pods failed.
 func FailPodsOnNode(store *Store, node string) int {

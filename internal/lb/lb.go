@@ -94,51 +94,6 @@ func (a Assignment) Migrations(db *Database) int {
 	return n
 }
 
-// MaxLoad returns the heaviest per-PE load under assignment a, including
-// background load.
-func MaxLoad(db *Database, a Assignment) float64 {
-	loads := PELoads(db, a)
-	var m float64
-	for _, l := range loads {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-// PELoads returns the per-PE load under assignment a, including background.
-func PELoads(db *Database, a Assignment) []float64 {
-	loads := append([]float64(nil), db.Background...)
-	for _, o := range db.Objs {
-		pe := o.PE
-		if dst, ok := a[o.ID]; ok {
-			pe = dst
-		}
-		loads[pe] += o.Load
-	}
-	return loads
-}
-
-// Imbalance returns max/mean PE load over available PEs (1.0 = perfectly
-// balanced). Returns 0 when there is no load.
-func Imbalance(db *Database, a Assignment) float64 {
-	loads := PELoads(db, a)
-	avail := db.AvailablePEs()
-	var sum, max float64
-	for _, pe := range avail {
-		sum += loads[pe]
-		if loads[pe] > max {
-			max = loads[pe]
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := sum / float64(len(avail))
-	return max / mean
-}
-
 // Strategy computes a new assignment from a load database.
 type Strategy interface {
 	// Name identifies the strategy (e.g. in metrics output).
@@ -315,17 +270,4 @@ func (Rotate) Assign(db *Database) (Assignment, error) {
 		out[o.ID] = avail[i%len(avail)]
 	}
 	return out, nil
-}
-
-// ByName returns the strategy with the given name.
-func ByName(name string) (Strategy, error) {
-	switch name {
-	case "", "greedy", "GreedyLB":
-		return Greedy{}, nil
-	case "refine", "RefineLB":
-		return Refine{}, nil
-	case "rotate", "RotateLB":
-		return Rotate{}, nil
-	}
-	return nil, fmt.Errorf("lb: unknown strategy %q", name)
 }

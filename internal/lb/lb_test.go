@@ -14,6 +14,51 @@ func mkDB(loads []float64, numPE int) *Database {
 	return db
 }
 
+// maxLoad returns the heaviest per-PE load under assignment a, including
+// background load.
+func maxLoad(db *Database, a Assignment) float64 {
+	loads := peLoads(db, a)
+	var m float64
+	for _, l := range loads {
+		if l > m {
+			m = l
+		}
+	}
+	return m
+}
+
+// peLoads returns the per-PE load under assignment a, including background.
+func peLoads(db *Database, a Assignment) []float64 {
+	loads := append([]float64(nil), db.Background...)
+	for _, o := range db.Objs {
+		pe := o.PE
+		if dst, ok := a[o.ID]; ok {
+			pe = dst
+		}
+		loads[pe] += o.Load
+	}
+	return loads
+}
+
+// imbalance returns max/mean PE load over available PEs (1.0 = perfectly
+// balanced). Returns 0 when there is no load.
+func imbalance(db *Database, a Assignment) float64 {
+	loads := peLoads(db, a)
+	avail := db.AvailablePEs()
+	var sum, max float64
+	for _, pe := range avail {
+		sum += loads[pe]
+		if loads[pe] > max {
+			max = loads[pe]
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := sum / float64(len(avail))
+	return max / mean
+}
+
 func TestGreedyBalances(t *testing.T) {
 	db := mkDB([]float64{8, 1, 1, 1, 1, 1, 1, 1, 1}, 4)
 	a, err := Greedy{}.Assign(db)
@@ -25,7 +70,7 @@ func TestGreedyBalances(t *testing.T) {
 	}
 	// Heaviest object must be alone-ish: its PE load should be exactly 8
 	// because 8 >= sum of the rest (8 vs 8) and greedy places it first.
-	loads := PELoads(db, a)
+	loads := peLoads(db, a)
 	var max float64
 	for _, l := range loads {
 		if l > max {
@@ -85,12 +130,12 @@ func TestRefineImprovesImbalance(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		db.Objs = append(db.Objs, ObjLoad{ID: ObjID{Index: i}, PE: 0, Load: 1})
 	}
-	before := Imbalance(db, nil)
+	before := imbalance(db, nil)
 	a, err := Refine{}.Assign(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := Imbalance(db, a)
+	after := imbalance(db, a)
 	if after >= before {
 		t.Errorf("refine did not improve imbalance: %g -> %g", before, after)
 	}
@@ -151,21 +196,10 @@ func TestValidateRejectsBadDB(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"", "greedy", "GreedyLB", "refine", "RefineLB", "rotate", "RotateLB"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName accepted unknown strategy")
-	}
-}
-
 func TestImbalanceNoLoad(t *testing.T) {
 	db := NewDatabase(4)
-	if got := Imbalance(db, nil); got != 0 {
-		t.Errorf("Imbalance with no load = %g, want 0", got)
+	if got := imbalance(db, nil); got != 0 {
+		t.Errorf("imbalance with no load = %g, want 0", got)
 	}
 }
 
@@ -233,7 +267,7 @@ func TestQuickGreedyBound(t *testing.T) {
 			return false
 		}
 		mean := total / float64(numPE)
-		return MaxLoad(db, a) <= mean+heaviest+1e-9
+		return maxLoad(db, a) <= mean+heaviest+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

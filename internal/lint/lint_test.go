@@ -30,7 +30,7 @@ var (
 
 // sharedImporter resolves fixture imports (stdlib and module-local) once per
 // test process.
-var sharedImporter = NewTestImporter(".")
+var sharedImporter = newTestImporter(".")
 
 // expectation is one `// want` marker.
 type expectation struct {

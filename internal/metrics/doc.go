@@ -8,8 +8,6 @@
 // see scripts/bench-gate.sh.)
 //
 // The Schema field is bumped on schema growth and checked on every Read:
-// writers always emit the current generation (SchemaVersion), readers
-// accept everything back to MinReadableSchema — v2 added the resilience
-// aggregates to Run as a strict superset of v1, so v1 artifacts keep
-// loading — and newer generations are rejected rather than misinterpreted.
+// writers emit the current generation (SchemaVersion), and a report of any
+// other generation is rejected rather than misinterpreted.
 package metrics

@@ -14,18 +14,13 @@ import (
 	"elastichpc/internal/workload"
 )
 
-// SchemaVersion is the report format generation written by New. Version 2
-// added the resilience aggregates (capacity events, preemptions survived,
-// requeues, work lost, goodput) to Run; version 3 added the federation
-// fields (route, imbalance, and per-cluster member sub-runs); version 4
-// added the rebalancer activity (migration and round counts). Readers accept
-// every generation back to MinReadableSchema — older fields are a strict
-// subset, so v1 through v3 reports decode losslessly — and reject newer
-// generations rather than misinterpreting them.
+// SchemaVersion is the report format generation New writes and the only one
+// Validate accepts. Version 2 added the resilience aggregates (capacity
+// events, preemptions survived, requeues, work lost, goodput) to Run;
+// version 3 added the federation fields (route, imbalance, and per-cluster
+// member sub-runs); version 4 added the rebalancer activity (migration and
+// round counts). No producer of an older generation remains.
 const SchemaVersion = 4
-
-// MinReadableSchema is the oldest report generation Validate accepts.
-const MinReadableSchema = 1
 
 // Kind classifies what a report contains.
 type Kind string
@@ -64,8 +59,8 @@ type Run struct {
 	Utilization        float64 `json:"utilization"`
 	WeightedResponse   float64 `json:"weighted_response_s"`
 	WeightedCompletion float64 `json:"weighted_completion_s"`
-	// Resilience aggregates (schema v2; absent from v1 reports and from
-	// fixed-capacity runs). Counts are float64 so seed-averaged sweep
+	// Resilience aggregates (schema v2; absent from fixed-capacity runs).
+	// Counts are float64 so seed-averaged sweep
 	// cells keep their fractional means.
 	CapacityEvents   float64 `json:"capacity_events,omitempty"`
 	PreemptsSurvived float64 `json:"preempts_survived,omitempty"` // capacity losses absorbed by shrinking
@@ -100,17 +95,12 @@ type Point struct {
 	Runs  []Run   `json:"runs"`
 }
 
-// Benchmark is one timed cell. Procs, BytesPerOp and AllocsPerOp are what a
-// `go test -bench` line carries; no current writer sets them, older reports
-// hold them.
+// Benchmark is one timed cell.
 type Benchmark struct {
-	Name        string             `json:"name"`
-	Procs       int                `json:"procs,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Custom      map[string]float64 `json:"custom,omitempty"` // e.g. "lb_s", "bytes"
+	Name       string             `json:"name"`
+	Iterations int64              `json:"iterations"`
+	NsPerOp    float64            `json:"ns_per_op"`
+	Custom     map[string]float64 `json:"custom,omitempty"` // e.g. "lb_s", "bytes"
 }
 
 // New starts a report of the given kind.
@@ -121,8 +111,8 @@ func New(tool string, kind Kind) Report {
 // Validate checks structural integrity: schema generation, a known kind, and
 // that the populated section matches the kind.
 func (r Report) Validate() error {
-	if r.Schema < MinReadableSchema || r.Schema > SchemaVersion {
-		return fmt.Errorf("metrics: schema %d, this build reads %d..%d", r.Schema, MinReadableSchema, SchemaVersion)
+	if r.Schema != SchemaVersion {
+		return fmt.Errorf("metrics: schema %d, this build reads %d", r.Schema, SchemaVersion)
 	}
 	switch r.Kind {
 	case KindRun:

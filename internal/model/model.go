@@ -1,16 +1,15 @@
 // Package model provides the performance models the paper's scheduling
 // simulator is built on (§4.3.1): a strong-scaling model for job runtime as
 // a function of replica count, and a four-phase rescaling-overhead model.
-// Both are exposed as continuous functions and as piecewise-linear
-// interpolations over sampled points, matching the paper's methodology ("We
-// use strong scaling performance measurements ... to model the runtime of a
-// job for a given number of replicas using a piecewise linear function").
+// Both are continuous functions the simulator and the emulation evaluate
+// directly, where the paper interpolated measurements ("We use strong scaling
+// performance measurements ... to model the runtime of a job for a given
+// number of replicas using a piecewise linear function").
 package model
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -129,12 +128,6 @@ func (m Machine) JobRuntime(spec Spec, p int) float64 {
 	return float64(spec.Steps) * m.IterTime(spec.Grid, p)
 }
 
-// ParallelEfficiency is speedup(p)/p relative to the job's minimum replicas.
-func (m Machine) ParallelEfficiency(spec Spec, p int) float64 {
-	base := m.IterTime(spec.Grid, spec.MinReplicas) * float64(spec.MinReplicas)
-	return base / (m.IterTime(spec.Grid, p) * float64(p))
-}
-
 // CheckpointBytes is the serialized state size of an n×n grid job: one
 // float64 per cell plus ~3% metadata.
 func CheckpointBytes(n int) float64 {
@@ -171,62 +164,6 @@ func (m Machine) RescaleOverhead(n, pOld, pNew int) RescalePhases {
 		Restart:     m.RestartBase + m.RestartPerRank*float64(pNew),
 		Restore:     bytes / (float64(pNew) * m.ShmBandwidth),
 	}
-}
-
-// Curve is a piecewise-linear function through sampled (x, y) points, the
-// representation the paper uses for both runtime and overhead models.
-type Curve struct {
-	xs, ys []float64
-}
-
-// NewCurve builds a curve from sample points. Points are sorted by x;
-// duplicate x keeps the last y. At least one point is required.
-func NewCurve(points map[float64]float64) (*Curve, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("model: curve needs at least one point")
-	}
-	xs := make([]float64, 0, len(points))
-	for x := range points {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	c := &Curve{}
-	for _, x := range xs {
-		c.xs = append(c.xs, x)
-		c.ys = append(c.ys, points[x])
-	}
-	return c, nil
-}
-
-// SampleIterTime samples m.IterTime at the given replica counts and returns
-// the piecewise-linear interpolation — the exact methodology of §4.3.1.
-func (m Machine) SampleIterTime(n int, replicas []int) *Curve {
-	pts := make(map[float64]float64, len(replicas))
-	for _, p := range replicas {
-		pts[float64(p)] = m.IterTime(n, p)
-	}
-	c, err := NewCurve(pts)
-	if err != nil {
-		panic(err) // replicas is never empty in callers
-	}
-	return c
-}
-
-// At evaluates the curve at x with linear interpolation, clamping outside
-// the sampled range.
-func (c *Curve) At(x float64) float64 {
-	n := len(c.xs)
-	if x <= c.xs[0] {
-		return c.ys[0]
-	}
-	if x >= c.xs[n-1] {
-		return c.ys[n-1]
-	}
-	i := sort.SearchFloat64s(c.xs, x)
-	// xs[i-1] < x <= xs[i]
-	x0, x1 := c.xs[i-1], c.xs[i]
-	y0, y1 := c.ys[i-1], c.ys[i]
-	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
 
 // Duration converts model seconds to a time.Duration.

@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSpecsMatchPaper(t *testing.T) {
@@ -70,15 +69,18 @@ func TestJobRuntimeMatchesIterTime(t *testing.T) {
 	}
 }
 
+// TestParallelEfficiencyAtMinIsOne: relative to a class's minimum replicas,
+// speedup(p)/p is 1 at the minimum and below 1 at the maximum.
 func TestParallelEfficiencyAtMinIsOne(t *testing.T) {
 	m := DefaultMachine()
 	for _, spec := range Specs() {
-		eff := m.ParallelEfficiency(spec, spec.MinReplicas)
-		if math.Abs(eff-1) > 1e-12 {
-			t.Errorf("%v efficiency at min = %g", spec.Class, eff)
+		base := m.IterTime(spec.Grid, spec.MinReplicas) * float64(spec.MinReplicas)
+		eff := func(p int) float64 { return base / (m.IterTime(spec.Grid, p) * float64(p)) }
+		if e := eff(spec.MinReplicas); math.Abs(e-1) > 1e-12 {
+			t.Errorf("%v efficiency at min = %g", spec.Class, e)
 		}
-		if effMax := m.ParallelEfficiency(spec, spec.MaxReplicas); effMax >= 1 {
-			t.Errorf("%v efficiency at max = %g, want < 1", spec.Class, effMax)
+		if e := eff(spec.MaxReplicas); e >= 1 {
+			t.Errorf("%v efficiency at max = %g, want < 1", spec.Class, e)
 		}
 	}
 }
@@ -129,64 +131,6 @@ func TestCheckpointBytesQuadratic(t *testing.T) {
 	r := CheckpointBytes(1024) / CheckpointBytes(512)
 	if math.Abs(r-4) > 1e-9 {
 		t.Errorf("doubling grid changed bytes by %gx, want 4x", r)
-	}
-}
-
-func TestCurveInterpolation(t *testing.T) {
-	c, err := NewCurve(map[float64]float64{1: 10, 3: 30, 10: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0, 10},   // clamp left
-		{1, 10},   // exact
-		{2, 20},   // interior
-		{3, 30},   // exact
-		{6.5, 65}, // interior
-		{10, 100}, // exact
-		{99, 100}, // clamp right
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("At(%g) = %g, want %g", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestNewCurveEmpty(t *testing.T) {
-	if _, err := NewCurve(nil); err == nil {
-		t.Error("NewCurve accepted empty point set")
-	}
-}
-
-func TestSampleIterTimeMatchesModelAtSamples(t *testing.T) {
-	m := DefaultMachine()
-	c := m.SampleIterTime(2048, []int{2, 4, 8, 16, 32})
-	for _, p := range []int{2, 4, 8, 16, 32} {
-		if got, want := c.At(float64(p)), m.IterTime(2048, p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("curve at %d = %g, want %g", p, got, want)
-		}
-	}
-	// Interpolated values lie between the bracketing samples.
-	v := c.At(12)
-	if v <= m.IterTime(2048, 16) || v >= m.IterTime(2048, 8) {
-		t.Errorf("interpolation at 12 out of range: %g", v)
-	}
-}
-
-// Property: curve interpolation is monotone between any two sampled points
-// of a monotone function.
-func TestQuickCurveWithinEnvelope(t *testing.T) {
-	m := DefaultMachine()
-	c := m.SampleIterTime(8192, []int{2, 4, 8, 16, 32, 64})
-	lo, hi := m.IterTime(8192, 64), m.IterTime(8192, 2)
-	f := func(x float64) bool {
-		x = math.Abs(x)
-		v := c.At(x)
-		return v >= lo-1e-15 && v <= hi+1e-15
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -23,23 +23,17 @@ type Controller struct {
 	// reused by the next.
 	pods []k8s.OwnedPod
 
-	// RequeueDelay spaces retries when a job is waiting on pods.
-	RequeueDelay time.Duration
-
 	// Reconciles counts reconcile passes (observability for tests).
 	Reconciles int
-
-	// OnLaunched, if set, runs after a job's application starts.
-	OnLaunched func(job *CharmJob)
-	// OnRescaled, if set, runs after a completed shrink/expand.
-	OnRescaled func(job *CharmJob, from, to int)
-	// OnRestarted, if set, runs after a failure-triggered restart begins.
-	OnRestarted func(job *CharmJob)
 }
+
+// requeueDelay spaces retries when a job is waiting on pods or the
+// application refused a launch or rescale.
+const requeueDelay = time.Second
 
 // NewController wires a controller to the store and application runtime.
 func NewController(loop k8s.Loop, store *k8s.Store, app AppRuntime) *Controller {
-	c := &Controller{loop: loop, store: store, app: app, RequeueDelay: time.Second}
+	c := &Controller{loop: loop, store: store, app: app}
 	c.queue = k8s.NewWorkqueue(loop, c.reconcile)
 	store.OwnPodsBy(podOwner)
 	store.Subscribe(k8s.KindCharmJob, func(ev k8s.Event) {
@@ -193,7 +187,7 @@ func (c *Controller) reconcile(key string) {
 
 	// Wait for the desired workers to be running.
 	if ready < desired {
-		c.queue.AddAfter(key, c.RequeueDelay)
+		c.queue.AddAfter(key, requeueDelay)
 		return
 	}
 
@@ -209,24 +203,19 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
-			c.queue.AddAfter(key, c.RequeueDelay)
+			c.queue.AddAfter(key, requeueDelay)
 			return
 		}
 		job = job.DeepCopy().(*CharmJob)
 		job.Status.Phase = JobRunning
 		job.Status.LaunchedReplicas = desired
 		job.Status.Nodelist = nodelist
-		if err := c.store.Update(job); err != nil {
-			return
-		}
-		if c.OnLaunched != nil {
-			c.OnLaunched(job)
-		}
+		_ = c.store.Update(job)
 
 	case desired < job.Status.LaunchedReplicas:
 		// Shrink (§3.1): signal first, remove pods only after the ack.
 		if err := c.app.Shrink(job, desired); err != nil {
-			c.queue.AddAfter(key, c.RequeueDelay)
+			c.queue.AddAfter(key, requeueDelay)
 			return
 		}
 		for _, w := range workers {
@@ -246,7 +235,7 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
-			c.queue.AddAfter(key, c.RequeueDelay)
+			c.queue.AddAfter(key, requeueDelay)
 			return
 		}
 		c.rescaled(job, nodelist)
@@ -254,20 +243,14 @@ func (c *Controller) reconcile(key string) {
 }
 
 // rescaled records a shrink or expand the application has acknowledged in the
-// job's status and reports it. view is not written.
+// job's status. view is not written.
 func (c *Controller) rescaled(view *CharmJob, nodelist []string) {
 	job := view.DeepCopy().(*CharmJob)
-	from := job.Status.LaunchedReplicas
 	job.Status.Phase = JobRunning
 	job.Status.LaunchedReplicas = job.Spec.Replicas
 	job.Status.Nodelist = nodelist
 	job.Status.Rescales++
-	if err := c.store.Update(job); err != nil {
-		return
-	}
-	if c.OnRescaled != nil {
-		c.OnRescaled(job, from, job.Spec.Replicas)
-	}
+	_ = c.store.Update(job)
 }
 
 // restart tears down a job one of whose pods failed and sends it back to
@@ -283,9 +266,6 @@ func (c *Controller) restart(job *CharmJob) {
 	job.Status.Nodelist = nil
 	job.Status.Restarts++
 	_ = c.store.Update(job)
-	if c.OnRestarted != nil {
-		c.OnRestarted(job)
-	}
 }
 
 // deletePods deletes every pod filed under the job, in key order: the order

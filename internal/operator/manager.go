@@ -32,8 +32,6 @@ type Manager struct {
 	// attribution travels with the job name until the app runtime
 	// consumes it via TakeForcedRescale.
 	forced map[string]bool
-	// Submitted counts jobs accepted by the policy.
-	Submitted int
 }
 
 // managedJob pairs the scheduler's job record with its CharmJob template.
@@ -90,7 +88,6 @@ func (m *Manager) Submit(job *CharmJob) error {
 	mj := &managedJob{core: cj, template: job.DeepCopy().(*CharmJob)}
 	m.jobs[job.Name] = mj
 	m.byRef = append(m.byRef, mj)
-	m.Submitted++
 	if err := m.sched.Submit(cj); err != nil {
 		delete(m.jobs, job.Name)
 		m.byRef = m.byRef[:len(m.byRef)-1]

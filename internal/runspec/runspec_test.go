@@ -2,6 +2,7 @@ package runspec
 
 import (
 	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,6 +89,12 @@ func TestValidateDependencies(t *testing.T) {
 		"-trace":           {Members: 1, Scenario: "burst", Trace: "wl.csv"},
 		"divisible":        {Members: 1, Scenario: "burst", Jobs: 50, Waves: 3},
 		"-shards -3":       {Members: 1, Scenario: "burst", Shards: -3},
+		"-mttf -5":         {Members: 1, Availability: "failures", MTTF: -5},
+		"-mttr NaN":        {Members: 1, Availability: "failures", MTTR: math.NaN()},
+		"-preempt -4":      {Members: 1, Availability: "spot", PreemptSlots: -4},
+		"-workers -3":      {Members: 1, Workers: -3},
+		"-skew NaN":        {Members: 2, Skew: math.NaN()},
+		"-skew +Inf":       {Members: 2, Skew: math.Inf(1)},
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {

@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 
 	"elastichpc/internal/core"
@@ -177,7 +178,8 @@ func (s *Spec) Resolve() {
 
 // Validate checks the dependencies between the spec's values — a knob that
 // tunes something the spec did not select would be parsed and dropped — and
-// rejects a negative count, gap or rate that would read as its default.
+// rejects a negative or NaN count, gap or rate that would read as its default,
+// and a skew no member capacity can be computed from.
 func (s Spec) Validate() error {
 	s.Resolve()
 	switch {
@@ -203,6 +205,16 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-rescale-gap %g: 0 = the default", s.RescaleGap)
 	case !(s.Aging >= 0):
 		return fmt.Errorf("-aging %g: a rate cannot be negative", s.Aging)
+	case !(s.MTTF >= 0):
+		return fmt.Errorf("-mttf %g: 0 = the profile's default", s.MTTF)
+	case !(s.MTTR >= 0):
+		return fmt.Errorf("-mttr %g: 0 = the profile's default", s.MTTR)
+	case s.PreemptSlots < 0:
+		return fmt.Errorf("-preempt %d: 0 = the profile's default", s.PreemptSlots)
+	case s.Workers < 0:
+		return fmt.Errorf("-parallel/-workers %d: 0 = all CPUs, 1 = sequential", s.Workers)
+	case math.IsNaN(s.Skew) || math.IsInf(s.Skew, 0):
+		return fmt.Errorf("-skew %g: want a finite value", s.Skew)
 	}
 	return nil
 }

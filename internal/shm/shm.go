@@ -88,18 +88,6 @@ func (s *Store) DeletePrefix(prefix string) int {
 	return n
 }
 
-// Keys returns all segment keys in sorted order.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.segments))
-	for k := range s.segments {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // KeysPrefix returns the sorted keys that begin with prefix.
 func (s *Store) KeysPrefix(prefix string) []string {
 	s.mu.RLock()

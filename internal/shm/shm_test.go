@@ -124,9 +124,9 @@ func TestKeysSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := s.Keys()
+	keys := s.KeysPrefix("")
 	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Errorf("Keys = %v, want [a b c]", keys)
+		t.Errorf(`KeysPrefix("") = %v, want [a b c]`, keys)
 	}
 	if kp := s.KeysPrefix("b"); len(kp) != 1 || kp[0] != "b" {
 		t.Errorf("KeysPrefix(b) = %v", kp)
@@ -156,7 +156,7 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	// used must equal the sum of final segment sizes.
 	var want int64
-	for _, k := range s.Keys() {
+	for _, k := range s.KeysPrefix("") {
 		d, err := s.Read(k)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestQuickUsedInvariant(t *testing.T) {
 			}
 		}
 		var want int64
-		for _, k := range s.Keys() {
+		for _, k := range s.KeysPrefix("") {
 			d, err := s.Read(k)
 			if err != nil {
 				return false

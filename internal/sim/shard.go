@@ -45,9 +45,9 @@ type shardStats struct {
 // count equals its capacity, its wait queue is empty (no smallest waiting
 // need), and its pending-kick clock is unarmed — all of which a freshly
 // constructed scheduler at the same capacity reproduces identically. The
-// only cross-boundary state is therefore the capacity in force, which the
-// planner hands each epoch via core.SchedulerState, and the accumulated
-// metrics, which merge exactly: integer counters and float min/max are
+// only cross-boundary state is therefore the capacity in force, which each
+// epoch's scheduler is constructed at, and the accumulated metrics, which
+// merge exactly: integer counters and float min/max are
 // order-insensitive, and every order-sensitive float accumulator is merged
 // by replaying the per-window seal logs (see merge.go), not by adding
 // partial sums. The scheduler's wall-clock caches cannot diverge either:
@@ -401,17 +401,12 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 	for k, pl := range plans {
 		cfg := s.cfg
 		cfg.Shards = 1
-		sub, err := New(cfg)
+		// The epoch's scheduler starts at the capacity the trace has
+		// established at the boundary — the one piece of cross-epoch
+		// scheduler state.
+		sub, err := newSimulator(cfg, pl.startCap)
 		if err != nil {
 			return Result{}, err
-		}
-		if pl.startCap != cfg.Capacity {
-			// Seed the epoch's scheduler with the capacity the trace has
-			// established at the boundary — the one piece of cross-epoch
-			// scheduler state. No decisions are logged by the restore.
-			if err := sub.sched.RestoreState(core.SchedulerState{Capacity: pl.startCap}); err != nil {
-				return Result{}, err
-			}
 		}
 		// Epoch 0's fold starts from zero, as the sequential loop's does, so
 		// the merge adopts its ledger whole; later epochs log their seals for

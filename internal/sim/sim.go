@@ -330,10 +330,18 @@ func New(cfg Config) (*Simulator, error) {
 	if x := cfg.AgingRate; !(x >= 0) || math.IsInf(x, 0) {
 		return nil, fmt.Errorf("sim: aging rate %g: want a finite value >= 0", x)
 	}
+	return newSimulator(cfg, cfg.Capacity)
+}
+
+// newSimulator builds a simulator for a validated cfg whose scheduler starts
+// at capacity slots: a sharded run's epoch starts at the capacity the trace
+// has established at its boundary. cfg.Capacity stays the base the
+// MaxReplicas clamp, Inject and the ledger read.
+func newSimulator(cfg Config, capacity int) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, kickAt: -1}
 	sched, err := core.NewScheduler(core.Config{
 		Policy:           cfg.Policy,
-		Capacity:         cfg.Capacity,
+		Capacity:         capacity,
 		RescaleGap:       model.Duration(cfg.RescaleGap),
 		AgingRate:        cfg.AgingRate,
 		EnablePreemption: cfg.EnablePreemption,

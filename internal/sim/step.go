@@ -131,9 +131,6 @@ func (s *Simulator) Finish() (Result, error) {
 	return s.collect(s.w)
 }
 
-// Clock returns the current simulated time in seconds.
-func (s *Simulator) Clock() float64 { return s.now }
-
 // Drained reports whether every submission has been ingested and no job is
 // running or waiting — nothing remains but (droppable) stale heap events.
 func (s *Simulator) Drained() bool {

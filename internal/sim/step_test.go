@@ -41,8 +41,8 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 			if err := s.StepTo(tick); err != nil {
 				t.Fatalf("%v StepTo(%g): %v", p, tick, err)
 			}
-			if s.Clock() != tick {
-				t.Fatalf("%v: clock %g after StepTo(%g)", p, s.Clock(), tick)
+			if s.now != tick {
+				t.Fatalf("%v: clock %g after StepTo(%g)", p, s.now, tick)
 			}
 		}
 		stepped, err := s.Finish()

@@ -31,17 +31,6 @@ func (w Workload) Clone() Workload {
 	return Workload{Jobs: jobs}
 }
 
-// WithGap returns a deep copy of the workload with submissions respaced to
-// the given gap, preserving classes and priorities — used by the
-// submission-gap sweep so that all points share one job mix.
-func (w Workload) WithGap(gap float64) Workload {
-	out := w.Clone()
-	for i := range out.Jobs {
-		out.Jobs[i].SubmitAt = float64(i) * gap
-	}
-	return out
-}
-
 // Span is the time of the last submission.
 func (w Workload) Span() float64 {
 	last := 0.0

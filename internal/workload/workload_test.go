@@ -162,28 +162,25 @@ func TestMixWeighting(t *testing.T) {
 	}
 }
 
-// WithGap must deep-copy: respacing a sweep point must never mutate the
-// shared base workload.
-func TestWithGapDeepCopies(t *testing.T) {
+// Clone must deep-copy: a replayed workload must never alias the one it
+// was built from.
+func TestCloneDeepCopies(t *testing.T) {
 	base, err := (Uniform{Jobs: 6, Gap: 90}).Generate(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := base.Clone()
-	re := base.WithGap(10)
+	re := base.Clone()
 	for i := range re.Jobs {
 		re.Jobs[i].SubmitAt = -1
 		re.Jobs[i].Priority = 99
 	}
 	if !reflect.DeepEqual(base, orig) {
-		t.Error("WithGap result aliases the source workload")
-	}
-	if got := base.WithGap(10); got.Jobs[3].SubmitAt != 30 {
-		t.Errorf("WithGap(10) job 3 at %g, want 30", got.Jobs[3].SubmitAt)
+		t.Error("Clone result aliases the source workload")
 	}
 	var empty Workload
-	if got := empty.WithGap(10); got.Jobs != nil {
-		t.Errorf("WithGap on empty workload: %+v", got)
+	if got := empty.Clone(); got.Jobs != nil {
+		t.Errorf("Clone of an empty workload: %+v", got)
 	}
 }
 
