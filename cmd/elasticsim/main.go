@@ -124,6 +124,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload) {
+		log.Fatalf("-json: %s produces no metrics report", modes[mode].Name)
+	}
 	if mode == sweepFederation && !set["clusters"] {
 		spec.Members = 4 // the default swept fleet; an explicit -clusters (even 1) is honored
 	}
@@ -260,8 +263,6 @@ func main() {
 		report.Params, report.Runs = params, runs
 		if swept != nil {
 			report.Kind, report.Sweeps = metrics.KindSweep, []metrics.Sweep{*swept}
-		} else if runs == nil {
-			log.Fatalf("-json: mode produces no metrics report")
 		}
 		if err := metrics.Write(*jsonPath, report); err != nil {
 			log.Fatal(err)
@@ -273,8 +274,26 @@ func main() {
 // runFederation routes one workload across the spec's fleet under every
 // scheduling policy and prints the fleet metrics plus the per-cluster job
 // split; a non-zero spec.RebalanceEvery turns on the checkpoint-migrating
-// rebalancer.
+// rebalancer. Every policy runs before anything is printed, so a run that
+// fails leaves stdout empty.
 func runFederation(spec runspec.Spec, w workload.Workload) []metrics.Run {
+	var results []federation.Result
+	for _, p := range core.AllPolicies() {
+		r, err := federation.Run(federation.Config{
+			Members:   federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew),
+			Route:     spec.Route,
+			RouteSeed: spec.Seed,
+			Workers:   spec.Workers,
+			Rebalance: federation.RebalanceConfig{Every: spec.RebalanceEvery, MigrateRunning: spec.MigrateRunning},
+		}, w)
+		if err != nil && spec.Skew != 0 {
+			err = fmt.Errorf("-skew %g: %w", spec.Skew, err)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		results = append(results, r)
+	}
 	// With the rebalancer on, the header names its period and a Migrations
 	// column sits before the per-cluster job split.
 	round, migrations := "", ""
@@ -287,17 +306,8 @@ func runFederation(spec runspec.Spec, w workload.Workload) []metrics.Run {
 	fmt.Printf("%-14s %12s %12s %16s %18s %10s%s %s\n",
 		"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)", "Imbalance", migrations, "Jobs/cluster")
 	var runs []metrics.Run
-	for _, p := range core.AllPolicies() {
-		r, err := federation.Run(federation.Config{
-			Members:   federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew),
-			Route:     spec.Route,
-			RouteSeed: spec.Seed,
-			Workers:   spec.Workers,
-			Rebalance: federation.RebalanceConfig{Every: spec.RebalanceEvery, MigrateRunning: spec.MigrateRunning},
-		}, w)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, p := range core.AllPolicies() {
+		r := results[i]
 		if spec.RebalanceEvery > 0 {
 			migrations = fmt.Sprintf(" %10d", len(r.Migrations))
 		}

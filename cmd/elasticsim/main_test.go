@@ -59,9 +59,11 @@ func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 // the flag — never parsed and dropped. The first six rows were accepted
 // before the modes declared what they read (`-scenario burst -seeds 5` ran
 // one seed and stamped "seeds": "5" into the report); the rest are the
-// rejections that already existed, which must keep rejecting. The last two
+// rejections that already existed, which must keep rejecting. The next two
 // are a value no workload can have: a sweep over zero jobs used to print a
-// table of zeros and exit 0.
+// table of zeros and exit 0. The last three printed the fleet table's headers
+// before failing, and the -skew one failed without naming the flag. Every row
+// must fail before anything reaches stdout.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-scenario burst -seeds 5", "-seeds"},
@@ -98,12 +100,23 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 
 		{"-sweep gap -seeds 1 -jobs 0", "jobs=0"},
 		{"-sweep rescale -seeds 1 -jobs -3", "jobs=-3"},
+
+		{"-clusters 3 -rebalance -300", "-rebalance -300"},
+		{"-clusters 3 -rebalance NaN", "-rebalance NaN"},
+		{"-clusters 3 -skew -5", "-skew -5"},
 	} {
-		out, err := elasticsim(strings.Fields(c.args)...)
+		cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)
+		cmd.Env = append(os.Environ(), runAsMain+"=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
 		if err == nil {
 			t.Errorf("elasticsim %s: accepted, want %s rejected", c.args, c.names)
-		} else if !strings.Contains(out, c.names) {
-			t.Errorf("elasticsim %s: failed without naming %s:\n%s", c.args, c.names, out)
+		} else if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("elasticsim %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("elasticsim %s: printed before failing:\n%s", c.args, stdout)
 		}
 	}
 }

@@ -95,6 +95,9 @@ func TestValidateDependencies(t *testing.T) {
 		"-workers -3":      {Members: 1, Workers: -3},
 		"-skew NaN":        {Members: 2, Skew: math.NaN()},
 		"-skew +Inf":       {Members: 2, Skew: math.Inf(1)},
+		"-rebalance -300":  {Members: 3, RebalanceEvery: -300},
+		"-rebalance NaN":   {Members: 3, RebalanceEvery: math.NaN()},
+		"-rebalance +Inf":  {Members: 3, RebalanceEvery: math.Inf(1)},
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {

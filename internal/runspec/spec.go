@@ -179,7 +179,8 @@ func (s *Spec) Resolve() {
 // Validate checks the dependencies between the spec's values — a knob that
 // tunes something the spec did not select would be parsed and dropped — and
 // rejects a negative or NaN count, gap or rate that would read as its default,
-// and a skew no member capacity can be computed from.
+// a skew no member capacity can be computed from, and a rebalance period that
+// is negative, NaN or infinite.
 func (s Spec) Validate() error {
 	s.Resolve()
 	switch {
@@ -215,6 +216,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-parallel/-workers %d: 0 = all CPUs, 1 = sequential", s.Workers)
 	case math.IsNaN(s.Skew) || math.IsInf(s.Skew, 0):
 		return fmt.Errorf("-skew %g: want a finite value", s.Skew)
+	case !(s.RebalanceEvery >= 0) || math.IsInf(s.RebalanceEvery, 0):
+		return fmt.Errorf("-rebalance %g: want a finite period in seconds, 0 = off", s.RebalanceEvery)
 	}
 	return nil
 }

@@ -436,11 +436,15 @@ func (s *Simulator) Run(w workload.Workload) (Result, error) {
 
 // submissionOrder returns the workload's indices in stable submission-time
 // order: equal submission times keep workload order, and submissions sort
-// before same-instant completions/kicks.
+// before same-instant completions/kicks. A workload already in that order, as
+// every loaded trace is, is not sorted again.
 func submissionOrder(w workload.Workload) []int32 {
 	order := make([]int32, len(w.Jobs))
 	for i := range order {
 		order[i] = int32(i)
+	}
+	if w.InSubmitOrder() {
+		return order
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt

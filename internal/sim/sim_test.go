@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -410,6 +413,33 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg.RescaleGap, cfg.AgingRate = 0, 0
 	if _, err := New(cfg); err != nil {
 		t.Errorf("rejected a zero gap and aging rate: %v", err)
+	}
+}
+
+// TestSubmissionOrderMatchesStableSort: the order submissionOrder returns,
+// by its already-sorted shortcut or by sorting, is sort.SliceStable's.
+func TestSubmissionOrderMatchesStableSort(t *testing.T) {
+	nan := math.NaN()
+	for name, at := range map[string][]float64{
+		"sorted":   {0, 10, 20, 30},
+		"unsorted": {30, 0, 20, 10},
+		"ties":     {5, 5, 0, 5, 0, 7, 7},
+		"nan":      {0, nan, 10, 5, nan, 1},
+		"nan last": {0, 10, nan},
+		"empty":    {},
+	} {
+		var w workload.Workload
+		for i, a := range at {
+			w.Jobs = append(w.Jobs, workload.JobSpec{ID: fmt.Sprint(i), Class: model.Small, Priority: 1, SubmitAt: a})
+		}
+		want := make([]int32, len(at))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return at[want[a]] < at[want[b]] })
+		if got := submissionOrder(w); !slices.Equal(got, want) {
+			t.Errorf("%s: order %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package workload
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -29,10 +28,6 @@ type AvailabilityEntry struct {
 
 // availabilityVersion is the format version written by SaveAvailability.
 const availabilityVersion = 1
-
-// availabilityCSVHeader is the column layout of the CSV capacity-trace
-// format.
-var availabilityCSVHeader = []string{"at", "capacity"}
 
 // SaveAvailability writes a capacity trace as JSON.
 func SaveAvailability(w io.Writer, tr AvailabilityTrace, comment string) error {
@@ -60,54 +55,6 @@ func LoadAvailability(r io.Reader) (AvailabilityTrace, error) {
 		events[i] = CapacityEvent(e)
 	}
 	return availabilityFromEvents(events)
-}
-
-// SaveAvailabilityCSV writes a capacity trace in the CSV format: a header
-// row followed by one `at,capacity` row per event.
-func SaveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(availabilityCSVHeader); err != nil {
-		return fmt.Errorf("workload: availability csv: %w", err)
-	}
-	for _, ev := range tr.Events {
-		rec := []string{
-			strconv.FormatFloat(ev.At, 'g', -1, 64),
-			strconv.Itoa(ev.Capacity),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("workload: availability csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// LoadAvailabilityCSV reads the CSV capacity-trace format with the same
-// validation as LoadAvailability, one row at a time.
-func LoadAvailabilityCSV(r io.Reader) (AvailabilityTrace, error) {
-	cr, err := csvRows(r, "availability csv", availabilityCSVHeader)
-	if err != nil {
-		return AvailabilityTrace{}, err
-	}
-	var events []CapacityEvent
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return availabilityFromEvents(events)
-		}
-		if err != nil {
-			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv: %w", err)
-		}
-		at, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d at: %w", row, err)
-		}
-		capacity, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return AvailabilityTrace{}, fmt.Errorf("workload: availability csv row %d capacity: %w", row, err)
-		}
-		events = append(events, CapacityEvent{At: at, Capacity: capacity})
-	}
 }
 
 // availabilityFromEvents validates decoded events, sorted stably by time
@@ -146,15 +93,14 @@ func SaveAvailabilityFile(path string, tr AvailabilityTrace, comment string) err
 }
 
 // LoadAvailabilityFile reads a capacity trace from path, picking the format
-// by extension.
+// by extension. The file is read whole, as LoadFile reads one.
 func LoadAvailabilityFile(path string) (AvailabilityTrace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return AvailabilityTrace{}, fmt.Errorf("workload: %w", err)
 	}
-	defer f.Close()
 	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		return LoadAvailabilityCSV(f)
+		return loadAvailabilityCSV(bytesString(data))
 	}
-	return LoadAvailability(f)
+	return LoadAvailability(bytes.NewReader(data))
 }

@@ -193,7 +193,7 @@ func TestAvailabilitySaveLoadRoundTrip(t *testing.T) {
 	if err := SaveAvailabilityCSV(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	back, err = LoadAvailabilityCSV(&buf)
+	back, err = loadAvailabilityCSVReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,14 @@
 // (Poisson, flash-crowd bursts, diurnal cycles) plus trace replay with a
 // JSON/CSV Save/Load round-trip for reproducible experiments.
 //
+// # Trace decoding
+//
+// A CSV trace is read whole into one string and scanned once, in the
+// language encoding/csv reads with TrimLeadingSpace (held to that reader by
+// the tests' ReadAll oracle). Field values are substrings of the document,
+// so the decoders' allocations do not grow with the trace's length, and a
+// trace already in submission order is not sorted again.
+//
 // # Availability scenarios
 //
 // AvailabilityProfile is the capacity-side twin of Generator: profiles for

@@ -21,12 +21,12 @@ func goldenInput(f *testing.F, name string) []byte {
 // read from a file relies on: hostile bytes are an error, never a panic; a
 // decoded workload is no larger than its input (nothing a few bytes can
 // inflate); whatever decodes re-encodes to a document that decodes to
-// the same workload; and the CSV decoder agrees with the ReadAll-based one it
-// replaced (persist_ref_test.go) on every input — both reject, or both accept
-// the same workload.
+// the same workload; and the CSV decoder's scanner agrees with the
+// encoding/csv ReadAll-based decoder it replaced (persist_ref_test.go) on
+// every input — both reject, or both accept the same workload.
 func FuzzLoadWorkload(f *testing.F) {
 	csv := goldenInput(f, "wl.csv")
-	w, err := LoadCSV(bytes.NewReader(csv))
+	w, err := loadCSVReader(bytes.NewReader(csv))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,10 +37,13 @@ func FuzzLoadWorkload(f *testing.F) {
 	f.Add(csv, true)
 	f.Add(doc.Bytes(), false)
 	f.Add([]byte("id,class,priority,submit_at\n\" a\",small,1,-0\n"), true)
+	for _, seed := range scannerJobDocs {
+		f.Add([]byte(seed), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, asCSV bool) {
 		load, save := Load, func(out io.Writer, w Workload) error { return Save(out, w, "") }
 		if asCSV {
-			load, save = LoadCSV, SaveCSV
+			load, save = loadCSVReader, SaveCSV
 		}
 		w, err := load(bytes.NewReader(data))
 		if asCSV {
@@ -69,7 +72,7 @@ func FuzzLoadWorkload(f *testing.F) {
 // FuzzLoadAvailability is FuzzLoadWorkload for the capacity-trace decoders.
 func FuzzLoadAvailability(f *testing.F) {
 	csv := goldenInput(f, "cap.csv")
-	tr, err := LoadAvailabilityCSV(bytes.NewReader(csv))
+	tr, err := loadAvailabilityCSVReader(bytes.NewReader(csv))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -79,10 +82,13 @@ func FuzzLoadAvailability(f *testing.F) {
 	}
 	f.Add(csv, true)
 	f.Add(doc.Bytes(), false)
+	for _, seed := range scannerAvailabilityDocs {
+		f.Add([]byte(seed), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, asCSV bool) {
 		load, save := LoadAvailability, func(out io.Writer, tr AvailabilityTrace) error { return SaveAvailability(out, tr, "") }
 		if asCSV {
-			load, save = LoadAvailabilityCSV, SaveAvailabilityCSV
+			load, save = loadAvailabilityCSVReader, SaveAvailabilityCSV
 		}
 		tr, err := load(bytes.NewReader(data))
 		if asCSV {

@@ -1,14 +1,15 @@
 package workload
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"elastichpc/internal/model"
@@ -34,9 +35,6 @@ type JobEntry struct {
 
 // currentVersion is the format version written by Save.
 const currentVersion = 1
-
-// csvHeader is the column layout of the CSV trace format.
-var csvHeader = []string{"id", "class", "priority", "submit_at"}
 
 func classByName(name string) (model.Class, error) {
 	for _, c := range model.AllClasses() {
@@ -84,95 +82,13 @@ func Load(r io.Reader) (Workload, error) {
 	if doc.Version != currentVersion {
 		return Workload{}, fmt.Errorf("workload: unsupported version %d", doc.Version)
 	}
-	var jobs jobList
+	jobs := make(jobList, 0, len(doc.Jobs))
 	for _, e := range doc.Jobs {
 		if err := jobs.add(e.ID, e.Class, e.Priority, e.SubmitAt); err != nil {
 			return Workload{}, err
 		}
 	}
 	return jobs.workload()
-}
-
-// SaveCSV writes a workload in the CSV trace format: a header row followed by
-// one `id,class,priority,submit_at` row per job.
-func SaveCSV(w io.Writer, workload Workload) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("workload: csv: %w", err)
-	}
-	for _, j := range workload.Jobs {
-		rec := []string{
-			j.ID, j.Class.String(),
-			strconv.Itoa(j.Priority),
-			strconv.FormatFloat(j.SubmitAt, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("workload: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// LoadCSV reads the CSV trace format, applying the same validation as Load.
-// Rows are decoded one at a time straight into the workload: a row costs its
-// one string (the job's ID is a substring of it), whatever the file's size.
-func LoadCSV(r io.Reader) (Workload, error) {
-	cr, err := csvRows(r, "csv", csvHeader)
-	if err != nil {
-		return Workload{}, err
-	}
-	var jobs jobList
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return jobs.workload()
-		}
-		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv: %w", err)
-		}
-		prio, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv row %d priority: %w", row, err)
-		}
-		at, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", row, err)
-		}
-		if err := jobs.add(rec[0], rec[1], prio, at); err != nil {
-			return Workload{}, err
-		}
-	}
-}
-
-// csvRows returns a reader over the rows that follow r's header row, which
-// must name header's columns (case and surrounding space aside). The reader
-// reuses its record: the next Read overwrites the slice a Read returned, not
-// the strings in it. what names the format in errors.
-func csvRows(r io.Reader, what string, header []string) (*csv.Reader, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	cr.ReuseRecord = true
-	rec, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("workload: %s document is empty", what)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", what, err)
-	}
-	if len(rec) != len(header) || !equalFold(rec, header) {
-		return nil, fmt.Errorf("workload: %s header %v, want %v", what, rec, header)
-	}
-	return cr, nil
-}
-
-func equalFold(a, b []string) bool {
-	for i := range a {
-		if !strings.EqualFold(strings.TrimSpace(a[i]), b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // jobList is the one validator behind both trace decoders: add checks a job as
@@ -199,20 +115,42 @@ func (l *jobList) add(id, className string, priority int, submitAt float64) erro
 }
 
 // workload rejects an empty list and duplicate IDs and returns the jobs sorted
-// by submit time (stable, so simultaneous submissions keep file order).
+// by submit time (stable, so simultaneous submissions keep file order); a list
+// already in that order, as a saved trace is, is not sorted again.
 func (l jobList) workload() (Workload, error) {
 	if len(l) == 0 {
 		return Workload{}, fmt.Errorf("workload: document has no jobs")
 	}
-	seen := make(map[string]struct{}, len(l))
-	for _, j := range l {
-		if _, dup := seen[j.ID]; dup {
-			return Workload{}, fmt.Errorf("workload: duplicate job id %q", j.ID)
-		}
-		seen[j.ID] = struct{}{}
+	if id, dup := duplicateID(l); dup {
+		return Workload{}, fmt.Errorf("workload: duplicate job id %q", id)
 	}
-	sort.SliceStable(l, func(i, j int) bool { return l[i].SubmitAt < l[j].SubmitAt })
-	return Workload{Jobs: l}, nil
+	w := Workload{Jobs: l}
+	if !w.InSubmitOrder() {
+		sort.SliceStable(l, func(i, j int) bool { return l[i].SubmitAt < l[j].SubmitAt })
+	}
+	return w, nil
+}
+
+// duplicateID returns the first job ID in l that an earlier job has too. The
+// set of IDs seen is one open-addressed table of job indices, so the check
+// costs one allocation however long the trace is (a map grows a table per
+// thousand or so keys).
+func duplicateID(l []JobSpec) (string, bool) {
+	slots := make([]int32, 1<<bits.Len(uint(2*len(l)))) // job index + 1; 0 = free
+	mask := uint64(len(slots) - 1)
+	seed := maphash.MakeSeed()
+	for i, j := range l {
+		for h := maphash.String(seed, j.ID) & mask; ; h = (h + 1) & mask {
+			if slots[h] == 0 {
+				slots[h] = int32(i + 1)
+				break
+			}
+			if l[slots[h]-1].ID == j.ID {
+				return j.ID, true
+			}
+		}
+	}
+	return "", false
 }
 
 // SaveFile writes a workload to path, picking the format by extension:
@@ -253,15 +191,15 @@ func closeWritten(f *os.File, writeErr error) error {
 	return writeErr
 }
 
-// LoadFile reads a workload from path, picking the format by extension.
+// LoadFile reads a workload from path, picking the format by extension. The
+// file is read whole, in one read sized from its length.
 func LoadFile(path string) (Workload, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: %w", err)
 	}
-	defer f.Close()
 	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		return LoadCSV(f)
+		return loadCSV(bytesString(data))
 	}
-	return Load(f)
+	return Load(bytes.NewReader(data))
 }

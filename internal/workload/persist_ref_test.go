@@ -23,7 +23,8 @@ import (
 // events. Their bodies are kept verbatim (only renamed) as the oracle the
 // streaming decoders are held to — both reject, or both accept the same value.
 
-// loadCSVReference is LoadCSV at the parent of the row-by-row decoder.
+// loadCSVReference is the CSV job-trace decoder at the parent of the
+// row-by-row one.
 func loadCSVReference(r io.Reader) (Workload, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -86,8 +87,8 @@ func fromEntriesReference(entries []JobEntry) (Workload, error) {
 	return w, nil
 }
 
-// loadAvailabilityCSVReference is LoadAvailabilityCSV at the same parent, with
-// the validation LoadAvailability applied.
+// loadAvailabilityCSVReference is the CSV capacity-trace decoder at the same
+// parent, with the validation LoadAvailability applied.
 func loadAvailabilityCSVReference(r io.Reader) (AvailabilityTrace, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -134,6 +135,24 @@ func availabilityFromEntriesReference(entries []AvailabilityEntry) (Availability
 	return tr, nil
 }
 
+// loadCSVReader and loadAvailabilityCSVReader put the CSV decoders behind an
+// io.Reader, the shape of their references and of the JSON loaders.
+func loadCSVReader(r io.Reader) (Workload, error) {
+	doc, err := io.ReadAll(r)
+	if err != nil {
+		return Workload{}, err
+	}
+	return loadCSV(string(doc))
+}
+
+func loadAvailabilityCSVReader(r io.Reader) (AvailabilityTrace, error) {
+	doc, err := io.ReadAll(r)
+	if err != nil {
+		return AvailabilityTrace{}, err
+	}
+	return loadAvailabilityCSV(string(doc))
+}
+
 // requireSameVerdict fails unless a decoder and its reference both reject the
 // input or both accept it with equal values. Which of two errors in one file
 // is reported differs by design (the reference finds every CSV syntax error
@@ -149,10 +168,48 @@ func requireSameVerdict[T any](t *testing.T, data []byte, got T, err error, ref 
 	}
 }
 
+// scannerJobDocs and scannerAvailabilityDocs take every exit of csvScanner,
+// in each trace format. TestLoadCSVMatchesReference holds them to the oracle,
+// and the fuzz targets start from them.
+var scannerJobDocs = []string{
+	"id,class,priority,submit_at\r\na,small,1,0\r\nb,large,2,5\r\n",                // CRLF rows
+	"id,class,priority,submit_at\na,small,1,0\r",                                   // a lone \r before EOF
+	"id,class,priority,submit_at\na,small,1,0\r\r",                                 // only the last \r dropped
+	"id,class,priority,submit_at\r\n\r\n\r\na,small,1,0\r\n\r\n",                   // \r\n-only blank lines
+	"\"id\",class,\"priority\",submit_at\n\"a,b\",small,1,0\n",                     // a quoted ID with a ','
+	"id,class,priority,submit_at\n\"a\"\"b\",small,1,0\n\"\"\"\",small,1,1\n",      // ... with `""`
+	"id,class,priority,submit_at\n\"a\r\nb\nc\",small,1,0\n",                       // ... with newlines
+	"id,class,priority,submit_at\n\"a\",small,1,\"0\"\r\n\"b\",small,1,\"1\"\r",    // quote then line end
+	"id,class,priority,submit_at\n\u00a0a,\u0085small, 1,\t0\n\u2028b,small,1,1\n", // Unicode space
+	"id,class,priority,submit_at\n\xffa,small,1,0\n",                               // not UTF-8, not space
+	"id,class,priority,submit_at\na\"b,small,1,0\n",                                // a bare quote
+	"id,class,priority,submit_at\n\"a\"b,small,1,0\n",                              // text after a closing quote
+	"id,class,priority,submit_at\n\"a\"\r,small,1,0\n",                             // ... a '\r' not ending the input
+	"id,class,priority,submit_at\na,small,1,0\n\"b,small,1,0",                      // an unterminated quote at EOF
+	"id,class,priority,submit_at\na,small,1\n",                                     // a short row
+	"id,class,priority,submit_at\na,small,1, \r\n",                                 // space ending a row
+	"id,class,priority,submit_at\na,small,1,0,\n",                                  // a long row
+	"id,class,priority,submit_at\na,small,1,0\nb,small,1,5",                        // a last row with no newline
+	" \r\n", // a row of one empty field
+}
+
+var scannerAvailabilityDocs = []string{
+	"at,capacity\r\n0,4\r\n10,8\r",
+	"at,capacity\r\n\r\n0,4\r\n\r\n",
+	"\"at\",\"capacity\"\n\"0\",\"4\"\n",
+	"at,capacity\n\u00a00,\u00854\n",
+	"at,capacity\n0\",4\n",
+	"at,capacity\n\"0\"x,4\n",
+	"at,capacity\n\"0,4\n",
+	"at,capacity\n0\n",
+	"at,capacity\n0,4\n10,8",
+	"at,capacity\n\"1\r\n\",4\n",
+}
+
 // TestLoadCSVMatchesReference runs the differential on inputs chosen to take
 // every exit of both decoders, so it holds without the fuzzer.
 func TestLoadCSVMatchesReference(t *testing.T) {
-	for _, doc := range []string{
+	for _, doc := range append([]string{
 		"", "\n", "id,class,priority\n", "ID, Class ,PRIORITY,submit_at\nA,small,1,0\n",
 		"id,class,priority,submit_at\n", "id,class,priority,submit_at\na,small,x,0\n",
 		"id,class,priority,submit_at\na,small,1,zzz\n", "id,class,priority,submit_at\na,gigantic,1,0\n",
@@ -161,43 +218,64 @@ func TestLoadCSVMatchesReference(t *testing.T) {
 		"id,class,priority,submit_at\na,small,1,0\nb,small,1\n", "id,class,priority,submit_at\na,small,1,0\n\"b,small,1,0\n",
 		"id,class,priority,submit_at\nb,xlarge,2,7\n\" a\",small,1,-0\nc,medium,5,7\nd,large,1,1e3\n",
 		"bogus\na,small,x,0\n\"", "id,class,priority,submit_at\na,small,x,0\nb,small\n",
-	} {
-		w, err := LoadCSV(strings.NewReader(doc))
+	}, scannerJobDocs...) {
+		w, err := loadCSVReader(strings.NewReader(doc))
 		requireSameVerdict(t, []byte(doc), w, err, loadCSVReference)
 	}
-	for _, doc := range []string{
+	for _, doc := range append([]string{
 		"", "at\n", "AT, capacity\n0,4\n", "at,capacity\n", "at,capacity\nx,4\n", "at,capacity\n0,x\n",
 		"at,capacity\n0,0\n", "at,capacity\n-1,4\n", "at,capacity\nInf,4\n", "at,capacity\n0,4\n5\n",
 		"at,capacity\n50,8\n10,4\n10,6\n0,64\n", "at,capacity\n0,4\n\"",
-	} {
-		tr, err := LoadAvailabilityCSV(strings.NewReader(doc))
+	}, scannerAvailabilityDocs...) {
+		tr, err := loadAvailabilityCSVReader(strings.NewReader(doc))
 		requireSameVerdict(t, []byte(doc), tr, err, loadAvailabilityCSVReference)
 	}
 }
 
-// TestLoadCSVAllocsPerRow is the decoder's runner-independent regression row:
-// a row costs its one string. (The reference costs two — the string and the
-// row's []string — before its entries and jobs.)
-func TestLoadCSVAllocsPerRow(t *testing.T) {
+// TestLoadCSVAllocsDoNotScale is the decoder's runner-independent regression
+// row: a trace 16 times longer costs the same allocations, decoded from a
+// string or read from its file, up to the validated workload. (The reference
+// costs two a row — the row's string and its []string — before its entries
+// and jobs.)
+func TestLoadCSVAllocsDoNotScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes allocation counts")
 	}
-	const rows = 10_000
-	w, err := Poisson{Jobs: rows, MeanGap: 170}.Generate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc bytes.Buffer
-	if err := SaveCSV(&doc, w); err != nil {
-		t.Fatal(err)
-	}
-	perRow := testing.AllocsPerRun(3, func() {
-		if _, err := LoadCSV(bytes.NewReader(doc.Bytes())); err != nil {
+	const slack = 2
+	dir := t.TempDir()
+	var perSize [2][2]float64
+	for i, rows := range []int{2_000, 32_000} {
+		w, err := Poisson{Jobs: rows, MeanGap: 170}.Generate(1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}) / rows
-	if perRow > 1.1 {
-		t.Errorf("LoadCSV allocates %.2f times per row over %d rows, budget 1.1", perRow, rows)
+		path := filepath.Join(dir, fmt.Sprintf("%d.csv", rows))
+		if err := SaveFile(path, w, ""); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := string(data)
+		perSize[i][0] = testing.AllocsPerRun(3, func() {
+			if _, err := loadCSV(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perSize[i][1] = testing.AllocsPerRun(3, func() {
+			if _, err := LoadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for j, name := range []string{"loadCSV", "LoadFile"} {
+		short, long := perSize[0][j], perSize[1][j]
+		t.Logf("%s: %.0f allocations at 2,000 rows, %.0f at 32,000", name, short, long)
+		if long > short+slack {
+			t.Errorf("%s allocates %.0f times at 32,000 rows, %.0f at 2,000: want at most %d more",
+				name, long, short, slack)
+		}
 	}
 }
 

@@ -42,6 +42,18 @@ func (w Workload) Span() float64 {
 	return last
 }
 
+// InSubmitOrder reports whether no job is submitted before the job ahead of
+// it, the order the trace loaders return and the simulator replays. A NaN
+// submission time compares false, so it makes the answer false.
+func (w Workload) InSubmitOrder() bool {
+	for i := 1; i < len(w.Jobs); i++ {
+		if !(w.Jobs[i-1].SubmitAt <= w.Jobs[i].SubmitAt) {
+			return false
+		}
+	}
+	return true
+}
+
 // Generator produces a workload from a seed. Implementations must be
 // deterministic: the same seed always yields an identical workload, which is
 // what makes parallel sweep execution bit-identical to sequential.

@@ -209,9 +209,9 @@ func TestSaveLoadRoundTripAllGenerators(t *testing.T) {
 		if err := SaveCSV(&cbuf, w); err != nil {
 			t.Fatalf("%s: SaveCSV: %v", g.Name(), err)
 		}
-		gotCSV, err := LoadCSV(&cbuf)
+		gotCSV, err := loadCSVReader(&cbuf)
 		if err != nil {
-			t.Fatalf("%s: LoadCSV: %v", g.Name(), err)
+			t.Fatalf("%s: loadCSV: %v", g.Name(), err)
 		}
 		// Load sorts stably by submit time; sort the original the same way
 		// for comparison (generator output is already ordered except Burst,
@@ -287,8 +287,8 @@ func TestLoadCSVValidates(t *testing.T) {
 		"no rows":    "id,class,priority,submit_at\n",
 	}
 	for name, doc := range cases {
-		if _, err := LoadCSV(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: LoadCSV accepted invalid document", name)
+		if _, err := loadCSV(doc); err == nil {
+			t.Errorf("%s: loadCSV accepted invalid document", name)
 		}
 	}
 }
