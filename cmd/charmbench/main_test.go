@@ -31,7 +31,10 @@ func charmbench(args string) *exec.Cmd {
 
 // TestFlagsRejectedWhereIgnored: a flag the chosen selector does not read is
 // an error that names it. The two commands this one replaced ran the first
-// two rows and dropped -seed.
+// two rows and dropped -seed. A trace path not ending in .csv was read as
+// JSON, and a positional argument ended the flags: `-mode shrink extra -json
+// x.json` exited 0 and wrote no report. Every row must exit 1 before anything
+// reaches stdout and before any file is created.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-app jacobi -seed 3", "-seed"},
@@ -43,12 +46,25 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-app jacobi -mode shrink", "-mode"},
 		{"-app leanmd -scale 64", "-scale"},
 		{"-mode expand -maxpes 2", "-maxpes"},
+
+		{"-app jacobi -trace x.json", "-trace x.json"},
+		{"-mode shrink extra -json x.json", `"extra"`},
 	} {
-		out, err := charmbench(c.args).CombinedOutput()
-		if err == nil {
-			t.Errorf("charmbench %s: accepted, want %s rejected", c.args, c.names)
-		} else if !strings.Contains(string(out), c.names) {
-			t.Errorf("charmbench %s: failed without naming %s:\n%s", c.args, c.names, out)
+		cmd := charmbench(c.args)
+		cmd.Dir = t.TempDir()
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("charmbench %s: exit %d (%v), want %s rejected with exit 1", c.args, code, err, c.names)
+		} else if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("charmbench %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("charmbench %s: printed before failing:\n%s", c.args, stdout)
+		}
+		if files, err := os.ReadDir(cmd.Dir); err != nil || len(files) > 0 {
+			t.Errorf("charmbench %s: created %v (%v)", c.args, files, err)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func run() int {
 	// scheduler, aging or preemption).
 	modes := []runspec.Mode{
 		{Name: "-replay", Also: []string{"out", "window"}},
-		{Name: "-diff", Also: []string{"window"}},
+		{Name: "-diff", Also: []string{"window"}, Args: 2},
 		{Name: "-matrix", Also: []string{"artifacts", "window"}},
 		{Name: "-record -backend sim", Reads: runspec.Engine, Also: []string{"out"}},
 		{Name: "-record -backend cluster", Also: []string{"out", "backend", "scenario", "jobs", "gap", "waves",
@@ -102,9 +102,6 @@ func run() int {
 
 	switch {
 	case *doDiff:
-		if flag.NArg() != 2 {
-			return fail(fmt.Errorf("-diff needs two stream files, got %d args", flag.NArg()))
-		}
 		return diffFiles(flag.Arg(0), flag.Arg(1), *window)
 
 	case *matrix:

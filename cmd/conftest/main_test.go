@@ -96,6 +96,8 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -capacity -8", "-capacity"},
 		{"-record -rescale-gap -5", "-rescale-gap"},
 		{"-record -aging -1", "-aging"},
+		// The arguments end the flags, so -window would not be parsed.
+		{"-diff a.json b.json -window 3", `"-window"`},
 	} {
 		out, err := conftest("", c.args).CombinedOutput()
 		if err == nil {

@@ -19,18 +19,19 @@
 //	                                       # checkpoint-migrating rebalancer
 //	elasticsim -table1                     # Table 1, Simulation columns
 //	elasticsim -scenario diurnal           # one scenario under all policies
-//	elasticsim -trace wl.csv               # replay a saved trace (JSON or CSV)
+//	elasticsim -trace wl.csv               # replay a saved trace
 //	elasticsim -availability spot          # spot preemptions over the scenario run
 //	elasticsim -availability failures -mttf 900          # tune the failure rate
 //	elasticsim -sweep gap -seeds 100 -jobs 16   # paper-scale averaging
 //	elasticsim -parallel 1 -sweep gap      # sequential reference run
 //	elasticsim -scenario burst -shards 8   # up to 8 time epochs in parallel (0, the default: automatic; 1: sequential)
-//	elasticsim -scenario burst -save-workload wl.json   # export a workload
-//	elasticsim -availability spot -save-availability cap.json   # export a capacity trace
+//	elasticsim -scenario burst -save-workload wl.csv    # export a workload
+//	elasticsim -availability spot -save-availability cap.csv    # export a capacity trace
 //	elasticsim -table1 -json table1.json   # also write a metrics.Report
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -127,6 +128,9 @@ func main() {
 	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload) {
 		log.Fatalf("-json: %s produces no metrics report", modes[mode].Name)
 	}
+	if err := errors.Join(runspec.TracePath("save-workload", *saveWL), runspec.TracePath("save-availability", *saveAvail)); err != nil {
+		log.Fatal(err)
+	}
 	if mode == sweepFederation && !set["clusters"] {
 		spec.Members = 4 // the default swept fleet; an explicit -clusters (even 1) is honored
 	}
@@ -159,8 +163,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		comment := fmt.Sprintf("%s profile, seed %d, base %d", spec.Availability, spec.Seed, base)
-		if err := workload.SaveAvailabilityFile(*saveAvail, tr, comment); err != nil {
+		if err := workload.SaveAvailabilityFile(*saveAvail, tr, ""); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d capacity events)\n", *saveAvail, len(tr.Events))
@@ -169,7 +172,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := workload.SaveFile(*saveWL, w, fmt.Sprintf("%s scenario, seed %d", spec.Scenario, spec.Seed)); err != nil {
+		if err := workload.SaveFile(*saveWL, w, ""); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *saveWL)

@@ -61,10 +61,17 @@ func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 // one seed and stamped "seeds": "5" into the report); the rest are the
 // rejections that already existed, which must keep rejecting. The next two
 // are a value no workload can have: a sweep over zero jobs used to print a
-// table of zeros and exit 0. The last three printed the fleet table's headers
-// before failing, and the -skew one failed without naming the flag. Every row
-// must fail before anything reaches stdout.
+// table of zeros and exit 0. The next three printed the fleet table's headers
+// before failing, and the -skew one failed without naming the flag. The four
+// trace paths not ending in .csv were read or written as JSON, and a
+// positional argument ended the flags: `-scenario burst extra -seed 3` ran
+// seed 7. Every row must exit 1 before anything reaches stdout and before any
+// file is created.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ args, names string }{
 		{"-scenario burst -seeds 5", "-seeds"},
 		{"-trace testdata/wl.csv -seeds 5", "-seeds"},
@@ -104,19 +111,30 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-clusters 3 -rebalance -300", "-rebalance -300"},
 		{"-clusters 3 -rebalance NaN", "-rebalance NaN"},
 		{"-clusters 3 -skew -5", "-skew -5"},
+
+		{"-trace x.json", "-trace x.json"},
+		{"-availability-trace x.json", "-availability-trace x.json"},
+		{"-scenario burst -save-workload x.json", "-save-workload x.json"},
+		{"-availability spot -save-availability cap.JSON", "-save-availability cap.JSON"},
+		{"-scenario burst extra -seed 3", `"extra"`},
 	} {
-		cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)
+		args := strings.Fields(strings.ReplaceAll(c.args, "testdata", testdata))
+		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runAsMain+"=1")
+		cmd.Dir = t.TempDir()
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		stdout, err := cmd.Output()
-		if err == nil {
-			t.Errorf("elasticsim %s: accepted, want %s rejected", c.args, c.names)
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("elasticsim %s: exit %d (%v), want %s rejected with exit 1", c.args, code, err, c.names)
 		} else if !strings.Contains(stderr.String(), c.names) {
 			t.Errorf("elasticsim %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
 		}
 		if len(stdout) > 0 {
 			t.Errorf("elasticsim %s: printed before failing:\n%s", c.args, stdout)
+		}
+		if files, err := os.ReadDir(cmd.Dir); err != nil || len(files) > 0 {
+			t.Errorf("elasticsim %s: created %v (%v)", c.args, files, err)
 		}
 	}
 }

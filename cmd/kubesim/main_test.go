@@ -30,7 +30,11 @@ func kubesim(args string) *exec.Cmd {
 
 // TestFlagsRejectedWhereIgnored: a flag the chosen mode does not read is an
 // error that names it. The first five rows were parsed and dropped before the
-// modes declared what they read; the rest already rejected and still must.
+// modes declared what they read; the next six already rejected and still
+// must. A trace path not ending in .csv was read as JSON, and a positional
+// argument ended the flags: `-sweep availability -seeds 0` ran the gap sweep
+// over the default 3 seeds. Every row must exit 1 before anything reaches
+// stdout and before any file is created.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-scenario burst -seeds 2", "-seeds"},
@@ -45,12 +49,25 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-clusters 2 -xlarge-timeline", "-clusters"},
 		{"-clusters 2 -sweep", "-clusters"},
 		{"-clusters 2 -availability spot", "-availability"},
+
+		{"-trace x.json", "-trace x.json"},
+		{"-sweep availability -seeds 0", `"availability"`},
 	} {
-		out, err := kubesim(c.args).CombinedOutput()
-		if err == nil {
-			t.Errorf("kubesim %s: accepted, want %s rejected", c.args, c.names)
-		} else if !strings.Contains(string(out), c.names) {
-			t.Errorf("kubesim %s: failed without naming %s:\n%s", c.args, c.names, out)
+		cmd := kubesim(c.args)
+		cmd.Dir = t.TempDir()
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("kubesim %s: exit %d (%v), want %s rejected with exit 1", c.args, code, err, c.names)
+		} else if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("kubesim %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("kubesim %s: printed before failing:\n%s", c.args, stdout)
+		}
+		if files, err := os.ReadDir(cmd.Dir); err != nil || len(files) > 0 {
+			t.Errorf("kubesim %s: created %v (%v)", c.args, files, err)
 		}
 	}
 }

@@ -51,8 +51,8 @@ func main() {
 		}
 	}
 
-	// 3. Traces: any workload can be saved (JSON, or CSV by extension) and
-	//    replayed later — on another machine, in another harness.
+	// 3. Traces: any workload can be saved as a CSV trace and replayed
+	//    later — on another machine, in another harness.
 	burst := workload.Burst{Waves: 3, PerWave: 4, WaveGap: 300}
 	w, err := burst.Generate(42)
 	if err != nil {
@@ -64,7 +64,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "burst.csv")
-	if err := workload.SaveFile(path, w, "burst scenario, seed 42"); err != nil {
+	if err := workload.SaveFile(path, w, ""); err != nil {
 		log.Fatal(err)
 	}
 	replayed, err := workload.LoadFile(path)

@@ -75,12 +75,13 @@ func (s Spec) Or(def Spec, g Group) Spec {
 	return s
 }
 
-// Mode is one way to run a CLI, declared by what it reads: spec groups, plus
-// the CLI's own flags by name.
+// Mode is one way to run a CLI, declared by what it reads: spec groups, the
+// CLI's own flags by name, and a count of positional arguments.
 type Mode struct {
 	Name  string // how the user asks for it, e.g. "-sweep gap|rescale"
 	Reads Group
 	Also  []string
+	Args  int // positional arguments after the flags (conftest -diff: 2)
 }
 
 func (m Mode) reads() map[string]bool {
@@ -99,11 +100,20 @@ func Set(fs *flag.FlagSet, g Group) bool {
 	return set
 }
 
-// Check rejects every flag set on the command line that the chosen mode does
-// not read but another mode does, naming the flag and the modes that read it.
-// A flag no mode lists (a mode selector, an output path) belongs to all.
+// Check rejects a command line with other than the chosen mode's count of
+// positional arguments, naming the first extra one (flag parsing stops at
+// it, so every flag after it would be dropped). It then rejects every flag
+// set on the command line that the chosen mode does not read but another mode
+// does, naming the flag and the modes that read it. A flag no mode lists (a
+// mode selector, an output path) belongs to all.
 func Check(fs *flag.FlagSet, modes []Mode, chosen int) error {
-	ok := modes[chosen].reads()
+	m := modes[chosen]
+	if n := fs.NArg(); n > m.Args {
+		return fmt.Errorf("unexpected argument %q: %s takes %d positional arguments, and no flag after the first one is parsed", fs.Arg(m.Args), m.Name, m.Args)
+	} else if n < m.Args {
+		return fmt.Errorf("%s takes %d positional arguments, got %d", m.Name, m.Args, n)
+	}
+	ok := m.reads()
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		var by []string

@@ -45,12 +45,15 @@ func TestOrFillsOnlyUnsetKnobs(t *testing.T) {
 }
 
 // TestCheckNamesFlagAndModes: a set flag the chosen mode does not read is
-// rejected with the modes that do read it; a flag no mode lists is global.
+// rejected with the modes that do read it; a flag no mode lists is global. A
+// positional argument the mode does not take is rejected by name, since flag
+// parsing stops at it.
 func TestCheckNamesFlagAndModes(t *testing.T) {
 	modes := []Mode{
 		{Name: "-sweep", Reads: Scenario, Also: []string{"seeds"}},
 		{Name: "-run", Reads: Scenario | Seed},
 		{Name: "-table1"},
+		{Name: "-diff", Args: 2},
 	}
 	parse := func(args ...string) *flag.FlagSet {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -76,6 +79,20 @@ func TestCheckNamesFlagAndModes(t *testing.T) {
 	if got := Params(parse("-seed", "3", "-seeds", "0"), modes[1]); !reflect.DeepEqual(got, map[string]string{"seed": "3"}) {
 		t.Errorf("params: %v", got)
 	}
+	err = Check(parse("-scenario", "burst", "extra", "-seed", "3"), modes, 1)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "extra"`) {
+		t.Errorf("an argument before -seed: %v", err)
+	}
+	if err := Check(parse("a", "b"), modes, 3); err != nil {
+		t.Errorf("the two arguments -diff takes: %v", err)
+	}
+	err = Check(parse("a", "b", "-json", "x"), modes, 3)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "-json"`) {
+		t.Errorf("a flag after -diff's arguments: %v", err)
+	}
+	if err := Check(parse("a"), modes, 3); err == nil || !strings.Contains(err.Error(), "-diff takes 2 positional arguments, got 1") {
+		t.Errorf("one argument to -diff: %v", err)
+	}
 }
 
 // TestValidateDependencies: a knob that tunes something the run did not
@@ -98,13 +115,16 @@ func TestValidateDependencies(t *testing.T) {
 		"-rebalance -300":  {Members: 3, RebalanceEvery: -300},
 		"-rebalance NaN":   {Members: 3, RebalanceEvery: math.NaN()},
 		"-rebalance +Inf":  {Members: 3, RebalanceEvery: math.Inf(1)},
+		"-trace x.json":    {Members: 1, Trace: "x.json"},
+		"-trace wl":        {Members: 1, Trace: "wl"},
+		"trace cap.JSON":   {Members: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {
 			t.Errorf("%+v: error %v does not name %s", s, err, names)
 		}
 	}
-	ok := Spec{Members: 1, AvailabilityTrace: "cap.csv", Trace: "wl.csv"}
+	ok := Spec{Members: 1, AvailabilityTrace: "cap.CSV", Trace: "wl.csv"}
 	ok.Resolve()
 	if err := ok.Validate(); err != nil || ok.Scenario != "trace" || ok.Availability != "trace" {
 		t.Errorf("trace paths imply their names: %+v (%v)", ok, err)

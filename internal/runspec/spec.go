@@ -11,9 +11,11 @@ package runspec
 
 import (
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 
 	"elastichpc/internal/core"
@@ -86,7 +88,7 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.StringVar(&s.Scenario, "scenario", s.Scenario, "workload scenario: "+strings.Join(workload.ScenarioNames(), " | "))
 	}
 	if g&Scenario != 0 {
-		fs.StringVar(&s.Trace, "trace", s.Trace, "workload trace file to replay, JSON or CSV (implies -scenario trace)")
+		fs.StringVar(&s.Trace, "trace", s.Trace, "workload trace file (.csv) to replay (implies -scenario trace)")
 	}
 	if g&(Seed|Engine) != 0 {
 		fs.Int64Var(&s.Seed, "seed", s.Seed, "workload and availability generation seed")
@@ -96,7 +98,7 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 	}
 	if g&Availability != 0 {
 		fs.StringVar(&s.Availability, "availability", s.Availability, "capacity profile: "+strings.Join(workload.AvailabilityScenarioNames(), " | "))
-		fs.StringVar(&s.AvailabilityTrace, "availability-trace", s.AvailabilityTrace, "capacity trace file to replay (implies -availability trace)")
+		fs.StringVar(&s.AvailabilityTrace, "availability-trace", s.AvailabilityTrace, "capacity trace file (.csv) to replay (implies -availability trace)")
 		fs.Float64Var(&s.MTTF, "mttf", s.MTTF, "failures profile: mean time to failure, seconds (0 = default)")
 		fs.Float64Var(&s.MTTR, "mttr", s.MTTR, "failures profile: mean time to repair, seconds (0 = default)")
 		fs.IntVar(&s.PreemptSlots, "preempt", s.PreemptSlots, "spot profile: slots reclaimed per preemption event (0 = default)")
@@ -178,11 +180,14 @@ func (s *Spec) Resolve() {
 
 // Validate checks the dependencies between the spec's values — a knob that
 // tunes something the spec did not select would be parsed and dropped — and
-// rejects a negative or NaN count, gap or rate that would read as its default,
-// a skew no member capacity can be computed from, and a rebalance period that
-// is negative, NaN or infinite.
+// rejects a trace path TracePath rejects, a negative or NaN count, gap or rate
+// that would read as its default, a skew no member capacity can be computed
+// from, and a rebalance period that is negative, NaN or infinite.
 func (s Spec) Validate() error {
 	s.Resolve()
+	if err := errors.Join(TracePath("trace", s.Trace), TracePath("availability-trace", s.AvailabilityTrace)); err != nil {
+		return err
+	}
 	switch {
 	case s.Trace != "" && s.Scenario != "trace":
 		return fmt.Errorf("-trace needs -scenario trace, not %s", s.Scenario)
@@ -218,6 +223,17 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-skew %g: want a finite value", s.Skew)
 	case !(s.RebalanceEvery >= 0) || math.IsInf(s.RebalanceEvery, 0):
 		return fmt.Errorf("-rebalance %g: want a finite period in seconds, 0 = off", s.RebalanceEvery)
+	}
+	return nil
+}
+
+// TracePath checks a trace file path given to the flag named name: every trace
+// file, job or capacity, read or written, is CSV, so a set path must end in
+// .csv, in any case. A path that used to select another format is rejected
+// rather than read or written as CSV.
+func TracePath(name, path string) error {
+	if path != "" && !strings.EqualFold(filepath.Ext(path), ".csv") {
+		return fmt.Errorf("-%s %s: a trace file is CSV, and its name must end in .csv", name, path)
 	}
 	return nil
 }

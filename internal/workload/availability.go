@@ -321,8 +321,8 @@ func (p DiurnalCapacity) Events(_ int64, base int, horizon float64) (Availabilit
 }
 
 // AvailabilityTraceFile replays a capacity timeline saved with
-// SaveAvailabilityFile (JSON or CSV by extension). Events ignores the seed —
-// a replay is the same timeline every time.
+// SaveAvailabilityFile, a CSV trace file. Events ignores the seed — a replay
+// is the same timeline every time.
 type AvailabilityTraceFile struct {
 	Path string
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -178,74 +177,58 @@ func TestAvailabilitySaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveAvailability(&buf, src, "test trace"); err != nil {
+	if err := saveAvailabilityCSV(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadAvailability(&buf)
+	back, err := loadAvailabilityCSVReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(src, back) {
-		t.Errorf("JSON round trip diverged:\nsaved:  %+v\nloaded: %+v", src, back)
-	}
-
-	buf.Reset()
-	if err := SaveAvailabilityCSV(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	back, err = loadAvailabilityCSVReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(src, back) {
-		t.Errorf("CSV round trip diverged:\nsaved:  %+v\nloaded: %+v", src, back)
+		t.Errorf("round trip diverged:\nsaved:  %+v\nloaded: %+v", src, back)
 	}
 }
 
-func TestAvailabilityFileRoundTripByExtension(t *testing.T) {
-	dir := t.TempDir()
+func TestAvailabilityFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
 	src := AvailabilityTrace{Events: []CapacityEvent{{At: 10, Capacity: 32}, {At: 20, Capacity: 64}}}
-	for _, name := range []string{"trace.json", "trace.csv"} {
-		path := filepath.Join(dir, name)
-		if err := SaveAvailabilityFile(path, src, "ext test"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back, err := LoadAvailabilityFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(src, back) {
-			t.Errorf("%s: round trip diverged", name)
-		}
-		// The trace-file profile replays what was saved.
-		viaProfile, err := AvailabilityTraceFile{Path: path}.Events(99, 1, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(src, viaProfile) {
-			t.Errorf("%s: profile replay diverged", name)
-		}
+	if err := SaveAvailabilityFile(path, src, ""); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadAvailabilityFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(src, back) {
+		t.Error("round trip diverged")
+	}
+	// The trace-file profile replays what was saved.
+	viaProfile, err := AvailabilityTraceFile{Path: path}.Events(99, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(src, viaProfile) {
+		t.Error("profile replay diverged")
 	}
 }
 
 func TestLoadAvailabilityValidates(t *testing.T) {
-	cases := []string{
-		`{"version": 99, "events": [{"at": 0, "capacity": 4}]}`,
-		`{"version": 1, "events": []}`,
-		`{"version": 1, "events": [{"at": -5, "capacity": 4}]}`,
-		`{"version": 1, "events": [{"at": 5, "capacity": 0}]}`,
-		`{"version": 1, "events": [{"at": 0, "capacity": 4}]} garbage`,
-		`{"version": 1, "events": [{"at": 0, "capacity": 4}]}]`,
+	const header = "at,capacity\n"
+	cases := map[string]string{
+		"no rows":         header,
+		"negative at":     header + "-5,4\n",
+		"zero capacity":   header + "5,0\n",
+		"trailing data":   header + "0,4\ngarbage\n",
+		"second document": header + "0,4\n" + header + "10,8\n",
 	}
-	for i, doc := range cases {
-		if _, err := LoadAvailability(strings.NewReader(doc)); err == nil {
-			t.Errorf("case %d: accepted invalid document", i)
+	for name, doc := range cases {
+		if _, err := loadAvailabilityCSV(doc); err == nil {
+			t.Errorf("%s: accepted invalid document", name)
 		}
 	}
 	// Out-of-order events are sorted on load, mirroring the job-trace
 	// loader.
-	tr, err := LoadAvailability(strings.NewReader(
-		`{"version": 1, "events": [{"at": 50, "capacity": 8}, {"at": 10, "capacity": 4}]}`))
+	tr, err := loadAvailabilityCSV(header + "50,8\n10,4\n")
 	if err != nil {
 		t.Fatal(err)
 	}

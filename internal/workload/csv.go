@@ -19,9 +19,9 @@ var csvHeader = []string{"id", "class", "priority", "submit_at"}
 // format.
 var availabilityCSVHeader = []string{"at", "capacity"}
 
-// SaveCSV writes a workload in the CSV trace format: a header row followed by
+// saveCSV writes a workload in the CSV trace format: a header row followed by
 // one `id,class,priority,submit_at` row per job.
-func SaveCSV(w io.Writer, workload Workload) error {
+func saveCSV(w io.Writer, workload Workload) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("workload: csv: %w", err)
@@ -40,9 +40,9 @@ func SaveCSV(w io.Writer, workload Workload) error {
 	return cw.Error()
 }
 
-// loadCSV decodes a CSV trace held in one string, applying the same
-// validation as Load. A job's ID is a substring of doc, so the decoder
-// allocates nothing per row.
+// loadCSV decodes a CSV trace held in one string, validating it through
+// jobList. A job's ID is a substring of doc, so the decoder allocates nothing
+// per row.
 func loadCSV(doc string) (Workload, error) {
 	rows, err := csvBody(doc, "csv", csvHeader)
 	if err != nil {
@@ -72,9 +72,9 @@ func loadCSV(doc string) (Workload, error) {
 	}
 }
 
-// SaveAvailabilityCSV writes a capacity trace in the CSV format: a header
+// saveAvailabilityCSV writes a capacity trace in the CSV format: a header
 // row followed by one `at,capacity` row per event.
-func SaveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
+func saveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(availabilityCSVHeader); err != nil {
 		return fmt.Errorf("workload: availability csv: %w", err)
@@ -92,8 +92,8 @@ func SaveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
 	return cw.Error()
 }
 
-// loadAvailabilityCSV decodes a CSV capacity trace held in one string, with
-// the same validation as LoadAvailability.
+// loadAvailabilityCSV decodes a CSV capacity trace held in one string,
+// validating it through availabilityFromEvents.
 func loadAvailabilityCSV(doc string) (AvailabilityTrace, error) {
 	rows, err := csvBody(doc, "availability csv", availabilityCSVHeader)
 	if err != nil {

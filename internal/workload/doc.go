@@ -9,8 +9,9 @@
 // The paper's evaluation (§4.3) uses a single workload shape — n jobs drawn
 // uniformly from four size classes at a fixed submission gap; this package
 // keeps that as the Uniform baseline and adds richer arrival processes
-// (Poisson, flash-crowd bursts, diurnal cycles) plus trace replay with a
-// JSON/CSV Save/Load round-trip for reproducible experiments.
+// (Poisson, flash-crowd bursts, diurnal cycles) plus trace replay: a
+// workload saved to a CSV trace file loads back exactly, for reproducible
+// experiments.
 //
 // # Trace decoding
 //
@@ -26,8 +27,8 @@
 // node failure/repair (FailureRepair), spot preemption (SpotPreemption),
 // maintenance drains (MaintenanceDrain), and diurnal capacity tides
 // (DiurnalCapacity) generate reproducible AvailabilityTrace timelines that
-// drive core.Scheduler.SetCapacity through both backends, with the same
-// JSON/CSV trace persistence as job workloads.
+// drive core.Scheduler.SetCapacity through both backends, saved to and
+// replayed from CSV trace files as job workloads are.
 //
 // Every generator and profile is deterministic per seed: the same seed
 // always yields an identical workload or trace, which is what makes

@@ -167,7 +167,7 @@ func (g Diurnal) Generate(seed int64) (Workload, error) {
 	return w, nil
 }
 
-// Trace replays a workload saved with SaveFile (JSON or CSV by extension).
+// Trace replays a workload saved with SaveFile, a CSV trace file.
 // Generate ignores the seed — a replay is the same jobs every time, which is
 // the point: experiments become shareable artifacts.
 type Trace struct {

@@ -1,40 +1,15 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"math"
 	"math/bits"
 	"os"
 	"sort"
-	"strings"
 
 	"elastichpc/internal/model"
 )
-
-// Document is the serialized JSON workload format (version 1, unchanged from
-// the original trace format so existing trace files keep loading).
-type Document struct {
-	// Version guards against format drift.
-	Version int `json:"version"`
-	// Comment is free-form provenance (generator, seed, date).
-	Comment string     `json:"comment,omitempty"`
-	Jobs    []JobEntry `json:"jobs"`
-}
-
-// JobEntry is one serialized job submission.
-type JobEntry struct {
-	ID       string  `json:"id"`
-	Class    string  `json:"class"`
-	Priority int     `json:"priority"`
-	SubmitAt float64 `json:"submitAt"`
-}
-
-// currentVersion is the format version written by Save.
-const currentVersion = 1
 
 func classByName(name string) (model.Class, error) {
 	for _, c := range model.AllClasses() {
@@ -45,54 +20,8 @@ func classByName(name string) (model.Class, error) {
 	return 0, fmt.Errorf("workload: unknown job class %q", name)
 }
 
-// Save writes a workload as JSON.
-func Save(w io.Writer, workload Workload, comment string) error {
-	doc := Document{Version: currentVersion, Comment: comment}
-	for _, j := range workload.Jobs {
-		doc.Jobs = append(doc.Jobs, JobEntry{
-			ID: j.ID, Class: j.Class.String(), Priority: j.Priority, SubmitAt: j.SubmitAt,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// decodeDocument decodes the one JSON document r holds into v; anything but
-// whitespace after it is an error, so a concatenated or half-overwritten file
-// is rejected instead of read up to its first closing brace.
-func decodeDocument(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after the document")
-	}
-	return nil
-}
-
-// Load reads a workload from JSON, validating classes, priorities, and
-// submission ordering.
-func Load(r io.Reader) (Workload, error) {
-	var doc Document
-	if err := decodeDocument(r, &doc); err != nil {
-		return Workload{}, fmt.Errorf("workload: decode: %w", err)
-	}
-	if doc.Version != currentVersion {
-		return Workload{}, fmt.Errorf("workload: unsupported version %d", doc.Version)
-	}
-	jobs := make(jobList, 0, len(doc.Jobs))
-	for _, e := range doc.Jobs {
-		if err := jobs.add(e.ID, e.Class, e.Priority, e.SubmitAt); err != nil {
-			return Workload{}, err
-		}
-	}
-	return jobs.workload()
-}
-
-// jobList is the one validator behind both trace decoders: add checks a job as
-// its row or entry is decoded, workload checks the list as a whole.
+// jobList is the job-trace validator: add checks a job as its row is decoded,
+// workload checks the list as a whole.
 type jobList []JobSpec
 
 // add validates one serialized job and appends it.
@@ -153,19 +82,14 @@ func duplicateID(l []JobSpec) (string, bool) {
 	return "", false
 }
 
-// SaveFile writes a workload to path, picking the format by extension:
-// ".csv" writes the CSV trace format, anything else the JSON document.
+// SaveFile writes a workload to path in the CSV trace format, whatever the
+// path is named. The format has no comment row, so comment is not written.
 func SaveFile(path string, workload Workload, comment string) error {
 	f, err := CreateFresh(path)
 	if err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
-	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		err = SaveCSV(f, workload)
-	} else {
-		err = Save(f, workload, comment)
-	}
-	return closeWritten(f, err)
+	return closeWritten(f, saveCSV(f, workload))
 }
 
 // CreateFresh opens path for writing as os.Create does, except that a regular
@@ -191,15 +115,12 @@ func closeWritten(f *os.File, writeErr error) error {
 	return writeErr
 }
 
-// LoadFile reads a workload from path, picking the format by extension. The
-// file is read whole, in one read sized from its length.
+// LoadFile reads a CSV workload trace from path. The file is read whole, in
+// one read sized from its length.
 func LoadFile(path string) (Workload, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Workload{}, fmt.Errorf("workload: %w", err)
 	}
-	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		return loadCSV(bytesString(data))
-	}
-	return Load(bytes.NewReader(data))
+	return loadCSV(bytesString(data))
 }

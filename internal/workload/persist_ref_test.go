@@ -23,6 +23,20 @@ import (
 // events. Their bodies are kept verbatim (only renamed) as the oracle the
 // streaming decoders are held to — both reject, or both accept the same value.
 
+// JobEntry and AvailabilityEntry are the entry rows the reference decoders
+// build: one serialized job submission and one serialized capacity event.
+type JobEntry struct {
+	ID       string
+	Class    string
+	Priority int
+	SubmitAt float64
+}
+
+type AvailabilityEntry struct {
+	At       float64
+	Capacity int
+}
+
 // loadCSVReference is the CSV job-trace decoder at the parent of the
 // row-by-row one.
 func loadCSVReference(r io.Reader) (Workload, error) {
@@ -88,7 +102,7 @@ func fromEntriesReference(entries []JobEntry) (Workload, error) {
 }
 
 // loadAvailabilityCSVReference is the CSV capacity-trace decoder at the same
-// parent, with the validation LoadAvailability applied.
+// parent, with the capacity-trace validation applied.
 func loadAvailabilityCSVReference(r io.Reader) (AvailabilityTrace, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -136,7 +150,7 @@ func availabilityFromEntriesReference(entries []AvailabilityEntry) (Availability
 }
 
 // loadCSVReader and loadAvailabilityCSVReader put the CSV decoders behind an
-// io.Reader, the shape of their references and of the JSON loaders.
+// io.Reader, the shape of their references.
 func loadCSVReader(r io.Reader) (Workload, error) {
 	doc, err := io.ReadAll(r)
 	if err != nil {
@@ -304,20 +318,12 @@ func TestSaveFileReportsWriteFailure(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
-	// SaveFile picks the format by extension, so give /dev/full both names.
-	dir := t.TempDir()
-	for _, name := range []string{"trace.json", "trace.csv"} {
-		path := filepath.Join(dir, name)
-		if err := os.Symlink("/dev/full", path); err != nil {
-			t.Skip("cannot link to /dev/full:", err)
-		}
-		if err := SaveFile(path, MustUniform(4, 90, 7), ""); !errors.Is(err, syscall.ENOSPC) {
-			t.Errorf("SaveFile(%s) on a full device: %v", name, err)
-		}
-		tr := AvailabilityTrace{Events: []CapacityEvent{{At: 0, Capacity: 8}}}
-		if err := SaveAvailabilityFile(path, tr, ""); !errors.Is(err, syscall.ENOSPC) {
-			t.Errorf("SaveAvailabilityFile(%s) on a full device: %v", name, err)
-		}
+	if err := SaveFile("/dev/full", MustUniform(4, 90, 7), ""); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("SaveFile on a full device: %v", err)
+	}
+	tr := AvailabilityTrace{Events: []CapacityEvent{{At: 0, Capacity: 8}}}
+	if err := SaveAvailabilityFile("/dev/full", tr, ""); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("SaveAvailabilityFile on a full device: %v", err)
 	}
 }
 

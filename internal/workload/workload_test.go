@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -191,64 +193,54 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-// Save/Load round-trip equality, JSON and CSV, for every generator.
+// Save/load round-trip equality through the CSV trace format, for every
+// generator.
 func TestSaveLoadRoundTripAllGenerators(t *testing.T) {
 	for _, g := range allGenerators(t) {
 		w, err := g.Generate(21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var jbuf, cbuf bytes.Buffer
-		if err := Save(&jbuf, w, "round trip"); err != nil {
-			t.Fatalf("%s: Save: %v", g.Name(), err)
+		var buf bytes.Buffer
+		if err := saveCSV(&buf, w); err != nil {
+			t.Fatalf("%s: saveCSV: %v", g.Name(), err)
 		}
-		gotJSON, err := Load(&jbuf)
-		if err != nil {
-			t.Fatalf("%s: Load: %v", g.Name(), err)
-		}
-		if err := SaveCSV(&cbuf, w); err != nil {
-			t.Fatalf("%s: SaveCSV: %v", g.Name(), err)
-		}
-		gotCSV, err := loadCSVReader(&cbuf)
+		got, err := loadCSVReader(&buf)
 		if err != nil {
 			t.Fatalf("%s: loadCSV: %v", g.Name(), err)
 		}
-		// Load sorts stably by submit time; sort the original the same way
-		// for comparison (generator output is already ordered except Burst,
-		// which emits equal timestamps in stable order — both are no-ops).
-		want := w.Clone()
-		if !reflect.DeepEqual(gotJSON, want) {
-			t.Errorf("%s: JSON round trip mismatch", g.Name())
-		}
-		if !reflect.DeepEqual(gotCSV, want) {
-			t.Errorf("%s: CSV round trip mismatch", g.Name())
+		// The loader sorts stably by submit time; sort the original the same
+		// way for comparison (generator output is already ordered except
+		// Burst, which emits equal timestamps in stable order — both are
+		// no-ops).
+		if !reflect.DeepEqual(got, w.Clone()) {
+			t.Errorf("%s: round trip mismatch", g.Name())
 		}
 	}
 }
 
-func TestSaveLoadFileByExtension(t *testing.T) {
+func TestSaveLoadFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := (Diurnal{Jobs: 5, Period: 600, PeakGap: 20, OffPeakGap: 120}).Generate(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{dir + "/wl.json", dir + "/wl.csv"} {
-		if err := SaveFile(path, w, "ext test"); err != nil {
-			t.Fatalf("SaveFile %s: %v", path, err)
-		}
-		got, err := LoadFile(path)
-		if err != nil {
-			t.Fatalf("LoadFile %s: %v", path, err)
-		}
-		if !reflect.DeepEqual(got, w) {
-			t.Errorf("%s: file round trip mismatch", path)
-		}
+	path := dir + "/wl.csv"
+	if err := SaveFile(path, w, ""); err != nil {
+		t.Fatalf("SaveFile %s: %v", path, err)
 	}
-	if _, err := LoadFile(dir + "/missing.json"); err == nil {
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("LoadFile %s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Errorf("%s: file round trip mismatch", path)
+	}
+	if _, err := LoadFile(dir + "/missing.csv"); err == nil {
 		t.Error("LoadFile of missing path succeeded")
 	}
 	// A trace generator replays the saved file verbatim.
-	got, err := (Trace{Path: dir + "/wl.csv"}).Generate(999)
+	got, err = (Trace{Path: path}).Generate(999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,34 +249,49 @@ func TestSaveLoadFileByExtension(t *testing.T) {
 	}
 }
 
+// TestLoadValidates checks that LoadFile rejects a well-formed trace whose
+// jobs break the job validator, and a file that carries more than one trace.
 func TestLoadValidates(t *testing.T) {
+	const header = "id,class,priority,submit_at\n"
 	cases := map[string]string{
-		"bad version":   `{"version":99,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0}]}`,
-		"no jobs":       `{"version":1,"jobs":[]}`,
-		"empty id":      `{"version":1,"jobs":[{"id":"","class":"small","priority":1,"submitAt":0}]}`,
-		"dup id":        `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0},{"id":"a","class":"small","priority":1,"submitAt":1}]}`,
-		"bad class":     `{"version":1,"jobs":[{"id":"a","class":"gigantic","priority":1,"submitAt":0}]}`,
-		"zero priority": `{"version":1,"jobs":[{"id":"a","class":"small","priority":0,"submitAt":0}]}`,
-		"negative time": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":-5}]}`,
-		"not json":      `{{{`,
-		"trailing data": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0}]} garbage`,
-		"two documents": `{"version":1,"jobs":[{"id":"a","class":"small","priority":1,"submitAt":0}]}{"version":1,"jobs":[]}`,
+		"empty id":        header + ",small,1,0\n",
+		"dup id":          header + "a,small,1,0\na,small,1,1\n",
+		"bad class":       header + "a,gigantic,1,0\n",
+		"zero priority":   header + "a,small,0,0\n",
+		"negative time":   header + "a,small,1,-5\n",
+		"trailing data":   header + "a,small,1,0\ngarbage\n",
+		"second document": header + "a,small,1,0\n" + header + "b,small,1,1\n",
 	}
+	dir := t.TempDir()
 	for name, doc := range cases {
-		if _, err := Load(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: Load accepted invalid document", name)
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".csv")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil {
+			t.Errorf("%s: LoadFile accepted invalid trace", name)
 		}
 	}
 }
 
 func TestLoadCSVValidates(t *testing.T) {
+	const header = "id,class,priority,submit_at\n"
 	cases := map[string]string{
-		"empty":      "",
-		"bad header": "id,class,priority\n",
-		"bad prio":   "id,class,priority,submit_at\na,small,x,0\n",
-		"bad time":   "id,class,priority,submit_at\na,small,1,zzz\n",
-		"bad class":  "id,class,priority,submit_at\na,gigantic,1,0\n",
-		"no rows":    "id,class,priority,submit_at\n",
+		"empty":           "",
+		"bad header":      "id,class,priority\n",
+		"bad prio":        header + "a,small,x,0\n",
+		"bad time":        header + "a,small,1,zzz\n",
+		"bad class":       header + "a,gigantic,1,0\n",
+		"no rows":         header,
+		"empty id":        header + ",small,1,0\n",
+		"dup id":          header + "a,small,1,0\na,small,1,1\n",
+		"zero priority":   header + "a,small,0,0\n",
+		"negative time":   header + "a,small,1,-5\n",
+		"NaN time":        header + "a,small,1,NaN\n",
+		"+Inf time":       header + "a,small,1,+Inf\n",
+		"-Inf time":       header + "a,small,1,-Inf\n",
+		"trailing data":   header + "a,small,1,0\ngarbage\n",
+		"second document": header + "a,small,1,0\n" + header + "b,small,1,1\n",
 	}
 	for name, doc := range cases {
 		if _, err := loadCSV(doc); err == nil {
@@ -294,10 +301,7 @@ func TestLoadCSVValidates(t *testing.T) {
 }
 
 func TestLoadSortsBySubmitTime(t *testing.T) {
-	doc := `{"version":1,"jobs":[
-		{"id":"late","class":"small","priority":1,"submitAt":100},
-		{"id":"early","class":"medium","priority":2,"submitAt":10}]}`
-	w, err := Load(strings.NewReader(doc))
+	w, err := loadCSV("id,class,priority,submit_at\nlate,small,1,100\nearly,medium,2,10\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +329,7 @@ func TestScenarioLookup(t *testing.T) {
 	if _, err := Scenario("nope", ""); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	g, err := Scenario("trace", "/tmp/x.json")
+	g, err := Scenario("trace", "/tmp/x.csv")
 	if err != nil || g.Name() != "trace" {
 		t.Errorf("trace scenario: %v %v", g, err)
 	}
@@ -340,10 +344,10 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := Save(&buf, w, ""); err != nil {
+		if err := saveCSV(&buf, w); err != nil {
 			return false
 		}
-		got, err := Load(&buf)
+		got, err := loadCSVReader(&buf)
 		if err != nil || len(got.Jobs) != jobs {
 			return false
 		}
