@@ -128,7 +128,7 @@ func BenchmarkAblationLBStrategy(b *testing.B) {
 		once("abl-lb", func() {
 			fmt.Println("\nAblation LB strategy (post-expand iteration time):")
 			for _, s := range strategies {
-				fmt.Printf("abl-lb,%s,%.6f s/iter\n", s.Name(), measure(s))
+				fmt.Printf("abl-lb,%T,%.6f s/iter\n", s, measure(s))
 			}
 		})
 		_ = measure(strategies[0])

@@ -111,6 +111,11 @@ func run() int {
 		return replayFile(*replay, *out, *window)
 
 	default: // -record
+		// Execute fills a zero count from the defaults, so an explicit
+		// -members 0 is rejected here, as the flags parsed it.
+		if err := spec.Validate(); err != nil {
+			return fail(err)
+		}
 		st, err := conformance.RunSpec(spec).Execute()
 		if err != nil {
 			return fail(err)

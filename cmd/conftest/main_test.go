@@ -74,7 +74,9 @@ func conftest(dir, args string) *exec.Cmd {
 // an error naming the flag, as is -migrate-running with no rebalancer to
 // heed it. So is a spec flag the chosen backend has no setting for (each was
 // recorded into the stream's meta and dropped from the run), and a negative
-// value that ran as the default.
+// value that ran as the default. Every rejection exits 2, conftest's code for
+// an operational error, names the flag on stderr and prints nothing to
+// stdout.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-matrix -policy moldable", "-policy"},
@@ -96,14 +98,22 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -capacity -8", "-capacity"},
 		{"-record -rescale-gap -5", "-rescale-gap"},
 		{"-record -aging -1", "-aging"},
+		// Execute would fill the explicit 0 from the defaults.
+		{"-record -backend federation -members 0", "-members"},
 		// The arguments end the flags, so -window would not be parsed.
 		{"-diff a.json b.json -window 3", `"-window"`},
 	} {
-		out, err := conftest("", c.args).CombinedOutput()
-		if err == nil {
-			t.Errorf("conftest %s: accepted, want %s rejected", c.args, c.names)
-		} else if !strings.Contains(string(out), c.names) {
-			t.Errorf("conftest %s: failed without naming %s:\n%s", c.args, c.names, out)
+		cmd := conftest("", c.args)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+			t.Errorf("conftest %s: exit %d (%v), want %s rejected with exit 2", c.args, code, err, c.names)
+		} else if !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("conftest %s: failed without naming %s:\n%s", c.args, c.names, stderr.String())
+		}
+		if len(stdout) > 0 {
+			t.Errorf("conftest %s: printed before failing:\n%s", c.args, stdout)
 		}
 	}
 }

@@ -125,6 +125,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *seeds < 1 {
+		log.Fatalf("-seeds %d: a sweep averages over at least 1 workload", *seeds)
+	}
 	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload) {
 		log.Fatalf("-json: %s produces no metrics report", modes[mode].Name)
 	}

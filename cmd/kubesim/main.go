@@ -72,6 +72,9 @@ func main() {
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		log.Fatal(err)
 	}
+	if *seeds < 1 {
+		log.Fatalf("-seeds %d: a sweep averages over at least 1 workload", *seeds)
+	}
 	if *ckpt < 0 {
 		log.Fatalf("-ckpt-period %d: want a checkpoint interval in iterations, or 0 to restart from scratch", *ckpt)
 	}

@@ -52,6 +52,7 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 
 		{"-trace x.json", "-trace x.json"},
 		{"-sweep availability -seeds 0", `"availability"`},
+		{"-sweep -seeds -1", "-seeds -1"},
 	} {
 		cmd := kubesim(c.args)
 		cmd.Dir = t.TempDir()

@@ -9,6 +9,7 @@ import (
 	"elastichpc/internal/ccs"
 	"elastichpc/internal/charm"
 	"elastichpc/internal/pup"
+	"elastichpc/internal/shm"
 )
 
 func newRT(t *testing.T, pes int) *charm.Runtime {
@@ -341,31 +342,36 @@ func TestTimePerIteration(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesScalesWithGrid reads the checkpoint footprint a
+// rescale records: a 64² grid checkpoints more than a 16² one, and the
+// rescale leaves nothing behind in the store.
 func TestCheckpointBytesScalesWithGrid(t *testing.T) {
-	rt := newRT(t, 2)
-	small, err := NewJacobiRunner(rt, 16, 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	footprint := func(n int) int64 {
+		store := shm.NewStore(0)
+		rt, err := charm.New(charm.Config{PEs: 2, Store: store, RestartLatency: charm.ZeroRestartLatency})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Shutdown)
+		r, err := NewJacobiRunner(rt, n, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LBPeriod = 1
+		res, err := r.RunWithRescale(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rescales) != 1 {
+			t.Fatalf("%d² grid: %d rescales, want 1", n, len(res.Rescales))
+		}
+		if store.Len() != 0 {
+			t.Errorf("%d² grid: %d checkpoint segments left in the store", n, store.Len())
+		}
+		return res.Rescales[0].Stats.CheckpointBytes
 	}
-	sb, err := small.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rt2 := newRT(t, 2)
-	big, err := NewJacobiRunner(rt2, 64, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := big.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bb <= sb {
+	if sb, bb := footprint(16), footprint(64); bb <= sb {
 		t.Errorf("checkpoint bytes %d (64²) <= %d (16²)", bb, sb)
-	}
-	if rt.Store().Len() != 0 || rt2.Store().Len() != 0 {
-		t.Error("probe checkpoints not cleaned up")
 	}
 }
 

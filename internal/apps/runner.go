@@ -59,16 +59,6 @@ type Runner struct {
 	// LBPeriod is the number of iterations between load-balancing steps
 	// (and hence rescale opportunities). Defaults to 10.
 	LBPeriod int
-	// BalanceOnLB controls whether a Balance() runs at LB steps even
-	// without a pending rescale. The paper's experimental runs only
-	// balance when rescaling ("Since there is no load imbalance in this
-	// example, we only load balance when a job has to be rescaled").
-	BalanceOnLB bool
-	// Evolve, if non-nil, makes this an *evolving* job (paper §6): at
-	// every LB step the application itself decides its target PE count
-	// from its own progress, with no external trigger. Returning the
-	// current PE count (or <= 0) keeps the allocation unchanged.
-	Evolve func(status ccs.StatusReply) int
 
 	array     int
 	epIterate int
@@ -184,17 +174,11 @@ func (r *Runner) Run(iters int) (RunResult, error) {
 		}
 		// Load-balancing step: the rescale opportunity (paper: "The
 		// application then triggers rescaling during the next
-		// load-balancing step after receiving the signal").
+		// load-balancing step after receiving the signal"). It only load
+		// balances when rescaling ("Since there is no load imbalance in
+		// this example, we only load balance when a job has to be
+		// rescaled").
 		if (r.iter+1)%lbPeriod == 0 {
-			if r.Evolve != nil && r.RT.PendingRescale() == 0 {
-				if target := r.Evolve(r.Status()); target > 0 && target != r.RT.NumPEs() {
-					// Internally triggered rescale: same path
-					// as an external signal. Register now,
-					// drain the ack asynchronously.
-					done := r.RT.RequestRescale(target)
-					go func() { <-done }()
-				}
-			}
 			if pending := r.RT.PendingRescale(); pending > 0 {
 				from := r.RT.NumPEs()
 				if _, err := r.RT.ServicePendingRescale(); err != nil {
@@ -212,10 +196,6 @@ func (r *Runner) Run(iters int) (RunResult, error) {
 					Timestamp: time.Since(runStart),
 					Stats:     last,
 				})
-			} else if r.BalanceOnLB {
-				if _, err := r.RT.Balance(); err != nil {
-					return res, fmt.Errorf("apps: balance at iter %d: %w", r.iter, err)
-				}
 			}
 		}
 	}
@@ -239,29 +219,6 @@ func (r *Runner) RunWithRescale(iters, to int) (RunResult, error) {
 		err = fmt.Errorf("apps: no load-balancing step in %d iterations, rescale to %d PEs not serviced", iters, to)
 	}
 	return res, err
-}
-
-// Checkpoint writes a full application checkpoint under the given key
-// prefix (paper §3.2.2: fault tolerance "by enabling checkpointing of chare
-// data ... and restarting from a checkpoint"). Call at an iteration
-// boundary.
-func (r *Runner) Checkpoint(prefix string) (int64, error) {
-	return r.RT.CheckpointTo(prefix)
-}
-
-// Restore rebuilds the application state from a checkpoint written by
-// Checkpoint — the "restart with the extra restart parameter" path. The
-// runner must have been constructed identically (same decomposition).
-func (r *Runner) Restore(prefix string) error {
-	return r.RT.RestoreFrom(prefix)
-}
-
-// CheckpointBytes estimates the application's checkpoint footprint by
-// packing all chares (used by overhead analyses).
-func (r *Runner) CheckpointBytes() (int64, error) {
-	n, err := r.RT.CheckpointTo("probe/size")
-	r.RT.Store().DeletePrefix("probe/size/")
-	return n, err
 }
 
 // Verify that payload types round-trip; exercised by tests.

@@ -51,8 +51,7 @@ type RescaleRequest struct {
 	Nodelist []string `json:"nodelist,omitempty"`
 }
 
-// StatusReply reports application progress: the charm.query reply, and what
-// the application's AcceptRescale hook reads to decline a rescale (paper §6).
+// StatusReply reports application progress: the charm.query reply.
 type StatusReply struct {
 	NumPEs        int     `json:"numPEs"`
 	Iteration     int     `json:"iteration"`

@@ -42,7 +42,7 @@ func BenchmarkMessageDelivery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Send(aid, i%64, benchEpNop, nil)
+		rt.send(aid, i%64, benchEpNop, nil)
 	}
 	rt.quiesceWait()
 }
@@ -110,9 +110,9 @@ func BenchmarkRescaleByState(b *testing.B) {
 }
 
 // BenchmarkMigration measures single-object pack/move/unpack cost during an
-// in-run Balance pass.
+// balancing pass.
 func BenchmarkMigration(b *testing.B) {
-	rt, err := New(Config{PEs: 2, RestartLatency: ZeroRestartLatency, RunLB: lb.Rotate{}})
+	rt, err := New(Config{PEs: 2, RestartLatency: ZeroRestartLatency})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func BenchmarkMigration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Rotate reassigns round-robin, forcing migrations every pass.
-		if _, err := rt.Balance(); err != nil {
+		if _, err := balance(rt, lb.Rotate{}); err != nil {
 			b.Fatal(err)
 		}
 	}

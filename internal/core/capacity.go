@@ -123,18 +123,11 @@ func (s *Scheduler) reclaim(need int) {
 			to = jmin
 		}
 		freed := j.Replicas - to
-		if err := s.act.ShrinkJob(j, to); err != nil {
+		if !s.shrink(j, to) {
 			continue
 		}
-		s.free += freed
-		j.Replicas = to
-		j.LastAction = s.tnow
-		j.lastActionNs = s.tnowNs
-		j.Rescales++
-		s.dirty()
 		s.capStats.ForcedShrinks++
 		s.capStats.SlotsReclaimed += freed
-		s.record(DecisionShrink, j)
 	}
 
 	// Preempt pass: checkpoint-stop whole jobs until the target is met.
@@ -142,19 +135,11 @@ func (s *Scheduler) reclaim(need int) {
 	// deletes exactly the index we are standing on.
 	for i := len(s.running) - 1; i >= 0 && s.free < target; i-- {
 		j := s.running[i]
-		if err := s.act.PreemptJob(j); err != nil {
+		freed := j.Replicas
+		if !s.preempt(j) {
 			continue
 		}
-		freed := j.Replicas
-		s.free += freed
-		j.Replicas = 0
-		j.State = StatePreempted
-		j.LastAction = s.tnow
-		j.lastActionNs = s.tnowNs
-		s.removeRunning(j)
-		s.queue.push(j)
 		s.capStats.Requeues++
 		s.capStats.SlotsReclaimed += freed
-		s.record(DecisionPreempt, j)
 	}
 }

@@ -571,19 +571,26 @@ func (s *Scheduler) tryPreempt(job *Job, minR int) bool {
 		if s.effPriority(j) >= s.effPriority(job) {
 			break
 		}
-		if err := s.act.PreemptJob(j); err != nil {
-			continue
-		}
-		s.free += j.Replicas
-		j.Replicas = 0
-		j.State = StatePreempted
-		j.LastAction = s.tnow
-		j.lastActionNs = s.tnowNs
-		s.removeRunning(j)
-		s.queue.push(j)
-		s.record(DecisionPreempt, j)
+		s.preempt(j)
 	}
 	return s.free >= minR
+}
+
+// preempt checkpoints and stops a running job and returns it to the queue,
+// unless the actuator refuses.
+func (s *Scheduler) preempt(j *Job) bool {
+	if err := s.act.PreemptJob(j); err != nil {
+		return false
+	}
+	s.free += j.Replicas
+	j.Replicas = 0
+	j.State = StatePreempted
+	j.LastAction = s.tnow
+	j.lastActionNs = s.tnowNs
+	s.removeRunning(j)
+	s.queue.push(j)
+	s.record(DecisionPreempt, j)
+	return true
 }
 
 // OnJobComplete handles a job finishing (paper Figure 3): its slots are
@@ -602,14 +609,6 @@ func (s *Scheduler) OnJobComplete(j *Job) {
 	s.free += j.Replicas
 	j.Replicas = 0
 	s.record(DecisionComplete, j)
-	s.redistribute()
-}
-
-// Kick re-runs the redistribution pass (Figure 3's loop) without a
-// completion event — used by the aging extension, where queue priorities
-// change over time, and by operators after failed actuations.
-func (s *Scheduler) Kick() {
-	s.refresh()
 	s.redistribute()
 }
 
@@ -757,7 +756,7 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 			continue
 		}
 		if s.gapOK(j) {
-			continue // not gap-blocked; a plain Kick already had its chance
+			continue // not gap-blocked; a plain pass already had its chance
 		}
 		exp := j.LastAction.Add(s.cfg.RescaleGap)
 		if exp.After(s.tnow) && (!ok || exp.Before(at)) {

@@ -502,9 +502,9 @@ func TestActuatorFailureFallsBackToQueue(t *testing.T) {
 		t.Errorf("free = %d after failed start", s.FreeSlots())
 	}
 	act.failStart = false
-	s.Kick()
+	s.Reschedule()
 	if j.State != StateRunning {
-		t.Errorf("j = %v after Kick, want Running", j.State)
+		t.Errorf("j = %v after Reschedule, want Running", j.State)
 	}
 }
 

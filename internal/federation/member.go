@@ -33,17 +33,11 @@ type Member interface {
 	Run(w workload.Workload) (sim.Result, []core.Decision, error)
 }
 
-// stepBackend is the optional Member extension the rebalancer needs: a
-// backend that can expose its run as a steppable simulator. Only
-// simulator-backed members implement it — the cluster emulation has no
-// stepping surface, so rebalancing over ClusterMembers is rejected with a
-// clear error instead of silently degrading.
-type stepBackend interface {
-	newStepper() (*sim.Simulator, error)
-}
-
 // SimMember backs a federation member with the discrete-event simulator —
-// the default backend every sim.Config in Config.Members is wrapped in.
+// the default backend every sim.Config in Config.Members is wrapped in. It
+// is the only member the rebalancer can co-simulate: the cluster emulation
+// has no stepping surface, so rebalancing over ClusterMembers is rejected
+// with a clear error instead of silently degrading.
 type SimMember struct {
 	Config sim.Config
 }
@@ -72,13 +66,6 @@ func (m SimMember) Run(w workload.Workload) (sim.Result, []core.Decision, error)
 		return sim.Result{}, nil, err
 	}
 	return res, s.Decisions(), nil
-}
-
-// newStepper builds the steppable simulator the rebalancer co-simulates.
-// Stepping is inherently sequential per member (the fleet parallelizes
-// across members instead): Begin/StepTo/Finish never read Config.Shards.
-func (m SimMember) newStepper() (*sim.Simulator, error) {
-	return sim.New(m.Config)
 }
 
 // ClusterMember backs a federation member with the full k8s+operator

@@ -241,11 +241,13 @@ func runRebalanced(cfg Config, w workload.Workload, round roundFunc) (Result, er
 	n := len(backends)
 	sims := make([]*sim.Simulator, n)
 	for i, b := range backends {
-		sb, ok := b.(stepBackend)
+		m, ok := b.(SimMember)
 		if !ok {
 			return Result{}, fmt.Errorf("federation: member %d (%T) cannot rebalance: only simulator-backed members are steppable", i, b)
 		}
-		s, err := sb.newStepper()
+		// Stepping is sequential per member (the fleet parallelizes across
+		// members instead): Begin/StepTo/Finish never read Config.Shards.
+		s, err := sim.New(m.Config)
 		if err != nil {
 			return Result{}, fmt.Errorf("federation: member %d: %w", i, err)
 		}

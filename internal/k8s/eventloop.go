@@ -91,14 +91,16 @@ func NewEventLoop(start time.Time) *EventLoop {
 	return &EventLoop{now: start}
 }
 
-// Now implements Loop.
+// Now returns the loop's current time.
 func (l *EventLoop) Now() time.Time { return l.now }
 
-// Defer implements Loop: fn runs during the next Settle, in FIFO order.
+// Defer runs fn after the current event finishes, before time advances:
+// during the next Settle, in FIFO order.
 func (l *EventLoop) Defer(fn func()) { l.defers.push(fn) }
 
-// At implements Loop: fn runs once d has elapsed on the virtual clock.
-// Non-positive delays run at the current instant (on the next Settle).
+// At runs fn once d has elapsed on the virtual clock. Calls due at the same
+// instant run in the order they were armed; non-positive delays run at the
+// current instant (on the next Settle).
 func (l *EventLoop) At(d time.Duration, fn func()) {
 	if d <= 0 {
 		l.Defer(fn)

@@ -7,7 +7,7 @@ import "time"
 // a startup delay. Deleting a pod's object releases its resources
 // immediately (we fold graceful termination into the startup budget).
 type Kubelet struct {
-	loop  Loop
+	loop  *EventLoop
 	store *Store
 	// startupDelay is bind→Running latency (image pull + container
 	// create). The paper excludes operator/pod startup from simulation
@@ -27,7 +27,7 @@ type podStart struct {
 }
 
 // NewKubelet creates the kubelet and subscribes it to pod events.
-func NewKubelet(loop Loop, store *Store, startupDelay time.Duration) *Kubelet {
+func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kubelet {
 	k := &Kubelet{loop: loop, store: store, startupDelay: startupDelay}
 	startOldest := func() { k.start(k.starting.pop()) }
 	store.Subscribe(KindPod, func(ev Event) {

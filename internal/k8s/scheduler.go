@@ -21,7 +21,7 @@ type PodScheduler struct {
 
 // NewPodScheduler creates the scheduler and subscribes it to pod and node
 // events.
-func NewPodScheduler(loop Loop, store *Store) *PodScheduler {
+func NewPodScheduler(loop *EventLoop, store *Store) *PodScheduler {
 	ps := &PodScheduler{store: store, unschedulable: make(map[string]bool)}
 	ps.queue = NewWorkqueue(loop, ps.schedule)
 	store.Subscribe(KindPod, func(ev Event) {

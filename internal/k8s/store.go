@@ -10,8 +10,8 @@ import (
 )
 
 // Store is the API server's object store: versioned CRUD plus watch
-// subscriptions. Subscribers are notified via Loop.Defer, so handlers always
-// run after the mutation that triggered them completes — the same
+// subscriptions. Subscribers are notified via EventLoop.Defer, so handlers
+// always run after the mutation that triggered them completes — the same
 // eventual-consistency shape informers give real controllers.
 //
 // It reads like an informer cache. A stored object is immutable: Create and
@@ -24,7 +24,7 @@ import (
 // binding and status have their own writes, Bind and SetPodStatus, which
 // need no copy from the caller and make only a shallow one themselves.
 type Store struct {
-	loop Loop
+	loop *EventLoop
 	// pods holds the pods by key, apart from the other kinds so that no pod
 	// read or write hashes its kind; items holds every other kind.
 	pods  map[string]*Pod
@@ -85,7 +85,7 @@ type StoreStats struct {
 }
 
 // NewStore creates an empty store bound to the loop.
-func NewStore(loop Loop) *Store {
+func NewStore(loop *EventLoop) *Store {
 	s := &Store{
 		loop:     loop,
 		pods:     make(map[string]*Pod),
@@ -98,9 +98,6 @@ func NewStore(loop Loop) *Store {
 	s.deliver = s.deliverOldest
 	return s
 }
-
-// Stats returns the store's counters so far.
-func (s *Store) Stats() StoreStats { return s.stats }
 
 // Subscribe registers fn for all changes to the kind. Events fire in
 // mutation order. The event's object is a read-only view.
@@ -452,7 +449,7 @@ func hasLabels(labels, selector map[string]string) bool {
 // Workqueue is a deduplicating FIFO of reconcile keys, the controller
 // pattern's core data structure.
 type Workqueue struct {
-	loop    Loop
+	loop    *EventLoop
 	pending map[string]bool
 	order   fifo[string]
 	handler func(key string)
@@ -461,7 +458,7 @@ type Workqueue struct {
 }
 
 // NewWorkqueue creates a queue that feeds keys to handler on the loop.
-func NewWorkqueue(loop Loop, handler func(key string)) *Workqueue {
+func NewWorkqueue(loop *EventLoop, handler func(key string)) *Workqueue {
 	q := &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler}
 	q.drainFn = q.drain
 	return q

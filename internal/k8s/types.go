@@ -7,7 +7,7 @@
 // in a real cluster: CRDs, reconcile loops, pod lifecycle, and nodelists.
 //
 // The substrate is single-threaded by design: every component is driven by a
-// Loop (the emulation's event loop on a virtual clock), which makes full
+// EventLoop (the emulation's event loop on a virtual clock), which makes full
 // scheduling experiments deterministic and replayable.
 package k8s
 
@@ -165,19 +165,6 @@ func (c *ConfigMap) DeepCopy() Object {
 	cp.Labels = maps.Clone(c.Labels)
 	cp.Data = maps.Clone(c.Data)
 	return &cp
-}
-
-// Loop is the single-threaded execution context all substrate components run
-// on. The cluster emulation implements it over a virtual clock; tests may
-// implement it with immediate execution.
-type Loop interface {
-	// Defer runs fn after the current event finishes, before time advances.
-	Defer(fn func())
-	// At runs fn once d has elapsed on the loop's clock. Calls due at the
-	// same instant run in the order they were armed.
-	At(d time.Duration, fn func())
-	// Now returns the loop's current time.
-	Now() time.Time
 }
 
 // EventType describes a store change.

@@ -83,21 +83,8 @@ func (db *Database) Validate() error {
 // Assignment maps each object to its destination PE.
 type Assignment map[ObjID]int
 
-// Migrations counts how many objects move relative to the database placement.
-func (a Assignment) Migrations(db *Database) int {
-	n := 0
-	for _, o := range db.Objs {
-		if dst, ok := a[o.ID]; ok && dst != o.PE {
-			n++
-		}
-	}
-	return n
-}
-
 // Strategy computes a new assignment from a load database.
 type Strategy interface {
-	// Name identifies the strategy (e.g. in metrics output).
-	Name() string
 	// Assign returns a full assignment covering every object in db. It
 	// must only assign objects to available PEs.
 	Assign(db *Database) (Assignment, error)
@@ -109,9 +96,6 @@ type Strategy interface {
 // migrations — the strategy Charm++ uses at rescale time, when every object
 // moves anyway because the runtime restarts.
 type Greedy struct{}
-
-// Name implements Strategy.
-func (Greedy) Name() string { return "GreedyLB" }
 
 // Assign implements Strategy.
 func (Greedy) Assign(db *Database) (Assignment, error) {
@@ -142,22 +126,15 @@ func (Greedy) Assign(db *Database) (Assignment, error) {
 // Refine implements RefineLB: keep current placement and migrate objects off
 // overloaded PEs onto underloaded ones until every PE is within tolerance of
 // the mean. It minimizes migrations, which suits periodic in-run rebalancing.
-type Refine struct {
-	// Tolerance is the allowed max/mean overshoot (default 1.05).
-	Tolerance float64
-}
+type Refine struct{}
 
-// Name implements Strategy.
-func (Refine) Name() string { return "RefineLB" }
+// refineTolerance is the max/mean load overshoot Refine allows.
+const refineTolerance = 1.05
 
 // Assign implements Strategy.
-func (r Refine) Assign(db *Database) (Assignment, error) {
+func (Refine) Assign(db *Database) (Assignment, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
-	}
-	tol := r.Tolerance
-	if tol <= 0 {
-		tol = 1.05
 	}
 	avail := db.AvailablePEs()
 	availSet := make(map[int]bool, len(avail))
@@ -204,7 +181,7 @@ func (r Refine) Assign(db *Database) (Assignment, error) {
 	if mean == 0 {
 		return out, nil
 	}
-	threshold := mean * tol
+	threshold := mean * refineTolerance
 
 	// Iteratively move the best-fitting object from the most loaded PE to
 	// the least loaded PE. Bounded by the object count to guarantee
@@ -248,9 +225,6 @@ func (r Refine) Assign(db *Database) (Assignment, error) {
 // Rotate assigns objects round-robin across available PEs regardless of
 // load. It is a deliberately naive baseline used in ablation benches.
 type Rotate struct{}
-
-// Name implements Strategy.
-func (Rotate) Name() string { return "RotateLB" }
 
 // Assign implements Strategy.
 func (Rotate) Assign(db *Database) (Assignment, error) {

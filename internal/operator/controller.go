@@ -15,7 +15,7 @@ import (
 // and executes the shrink/expand protocol of §3.1 when Spec.Replicas moves
 // away from the launched worker count.
 type Controller struct {
-	loop  k8s.Loop
+	loop  *k8s.EventLoop
 	store *k8s.Store
 	app   AppRuntime
 	queue *k8s.Workqueue
@@ -32,7 +32,7 @@ type Controller struct {
 const requeueDelay = time.Second
 
 // NewController wires a controller to the store and application runtime.
-func NewController(loop k8s.Loop, store *k8s.Store, app AppRuntime) *Controller {
+func NewController(loop *k8s.EventLoop, store *k8s.Store, app AppRuntime) *Controller {
 	c := &Controller{loop: loop, store: store, app: app}
 	c.queue = k8s.NewWorkqueue(loop, c.reconcile)
 	store.OwnPodsBy(podOwner)

@@ -13,7 +13,7 @@ import (
 // by creating CharmJob objects and mutating their Spec.Replicas, which the
 // Controller then reconciles into pod churn and CCS signals.
 type Manager struct {
-	loop  k8s.Loop
+	loop  *k8s.EventLoop
 	store *k8s.Store
 	ctrl  *Controller
 	sched *core.Scheduler
@@ -41,7 +41,7 @@ type managedJob struct {
 }
 
 // NewManager creates a manager that schedules onto the given capacity.
-func NewManager(loop k8s.Loop, store *k8s.Store, ctrl *Controller, cfg core.Config) (*Manager, error) {
+func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg core.Config) (*Manager, error) {
 	m := &Manager{
 		loop: loop, store: store, ctrl: ctrl,
 		jobs:   make(map[string]*managedJob),

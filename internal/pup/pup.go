@@ -65,10 +65,6 @@ func NewPacker(size int) *PUP { return &PUP{mode: Packing, buf: make([]byte, siz
 // NewUnpacker returns a PUP that unpacks from buf.
 func NewUnpacker(buf []byte) *PUP { return &PUP{mode: Unpacking, buf: buf} }
 
-// Mode reports what this traversal is doing. Object Pup methods may branch on
-// it, e.g. to allocate slices before unpacking into them.
-func (p *PUP) Mode() Mode { return p.mode }
-
 // IsUnpacking reports whether the traversal is reading state back.
 func (p *PUP) IsUnpacking() bool { return p.mode == Unpacking }
 
@@ -143,46 +139,6 @@ func (p *PUP) Int(v *int) {
 	p.Int64(&i)
 	if p.mode == Unpacking {
 		*v = int(i)
-	}
-}
-
-// Uint32 serializes a uint32 in place.
-func (p *PUP) Uint32(v *uint32) {
-	b := p.reserve(4)
-	if b == nil {
-		return
-	}
-	switch p.mode {
-	case Packing:
-		binary.LittleEndian.PutUint32(b, *v)
-	case Unpacking:
-		*v = binary.LittleEndian.Uint32(b)
-	}
-}
-
-// Byte serializes a single byte in place.
-func (p *PUP) Byte(v *byte) {
-	b := p.reserve(1)
-	if b == nil {
-		return
-	}
-	switch p.mode {
-	case Packing:
-		b[0] = *v
-	case Unpacking:
-		*v = b[0]
-	}
-}
-
-// Bool serializes a bool as one byte.
-func (p *PUP) Bool(v *bool) {
-	var bb byte
-	if *v {
-		bb = 1
-	}
-	p.Byte(&bb)
-	if p.mode == Unpacking {
-		*v = bb != 0
 	}
 }
 

@@ -17,8 +17,6 @@ type record struct {
 	Raw []byte
 	Fs  []float64
 	Is  []int
-	Ok  bool
-	By  byte
 }
 
 func (r *record) Pup(p *PUP) {
@@ -30,8 +28,6 @@ func (r *record) Pup(p *PUP) {
 	p.Bytes_(&r.Raw)
 	p.Float64s(&r.Fs)
 	p.Ints(&r.Is)
-	p.Bool(&r.Ok)
-	p.Byte(&r.By)
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -39,7 +35,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		A: -42, B: 1 << 40, U: math.MaxUint64, F: 3.14159,
 		S: "hello chare", Raw: []byte{0, 1, 2, 255},
 		Fs: []float64{1.5, -2.5, math.Inf(1)}, Is: []int{-1, 0, 7},
-		Ok: true, By: 0x7f,
 	}
 	data, err := Pack(in)
 	if err != nil {
@@ -63,9 +58,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if len(out.Is) != 3 || out.Is[0] != -1 || out.Is[2] != 7 {
 		t.Errorf("ints mismatch: got %v", out.Is)
-	}
-	if !out.Ok || out.By != 0x7f {
-		t.Errorf("bool/byte mismatch: got %+v", out)
 	}
 }
 
@@ -150,7 +142,7 @@ func TestModeString(t *testing.T) {
 
 // Property: pack→unpack is the identity for arbitrary records.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(a int64, fval float64, s string, raw []byte, fs []float64, ok bool) bool {
+	f := func(a int64, fval float64, s string, raw []byte, fs []float64) bool {
 		if math.IsNaN(fval) {
 			fval = 0 // NaN != NaN would fail equality below
 		}
@@ -159,7 +151,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				fs[i] = 0
 			}
 		}
-		in := &record{A: int(a), B: a, F: fval, S: s, Raw: raw, Fs: fs, Ok: ok}
+		in := &record{A: int(a), B: a, F: fval, S: s, Raw: raw, Fs: fs}
 		data, err := Pack(in)
 		if err != nil {
 			return false
@@ -168,7 +160,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err := Unpack(out, data); err != nil {
 			return false
 		}
-		if out.A != in.A || out.B != in.B || out.F != in.F || out.S != in.S || out.Ok != in.Ok {
+		if out.A != in.A || out.B != in.B || out.F != in.F || out.S != in.S {
 			return false
 		}
 		if len(out.Raw) != len(in.Raw) || len(out.Fs) != len(in.Fs) {
@@ -238,7 +230,7 @@ func BenchmarkUnpackGrid(b *testing.B) {
 func FuzzUnpack(f *testing.F) {
 	full, err := Pack(&record{
 		A: -42, B: 1 << 40, U: math.MaxUint64, F: math.NaN(), S: "hello chare",
-		Raw: []byte{0, 255}, Fs: []float64{1.5, math.Inf(-1)}, Is: []int{-1, 7}, Ok: true, By: 9,
+		Raw: []byte{0, 255}, Fs: []float64{1.5, math.Inf(-1)}, Is: []int{-1, 7},
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -198,7 +198,7 @@ func (s Spec) Validate() error {
 	case s.PreemptSlots != 0 && s.Availability != "spot":
 		return fmt.Errorf("-preempt needs -availability spot")
 	case s.Members < 1:
-		return fmt.Errorf("-clusters %d: a fleet needs at least 1 member", s.Members)
+		return fmt.Errorf("-clusters/-members %d: a fleet needs at least 1 member", s.Members)
 	case s.Shards < 0:
 		return fmt.Errorf("-shards %d: 0 = automatic, 1 = sequential, N = up to N epochs", s.Shards)
 	case s.MigrateRunning && s.RebalanceEvery == 0:

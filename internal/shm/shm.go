@@ -63,15 +63,6 @@ func (s *Store) Read(key string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// Delete removes the segment stored under key. Deleting a missing key is a
-// no-op, matching shm_unlink semantics for our purposes.
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.used -= int64(len(s.segments[key]))
-	delete(s.segments, key)
-}
-
 // DeletePrefix removes every segment whose key begins with prefix and
 // reports how many were removed. Used to clear a checkpoint generation.
 func (s *Store) DeletePrefix(prefix string) int {
@@ -100,13 +91,6 @@ func (s *Store) KeysPrefix(prefix string) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Used reports the total bytes currently stored.
-func (s *Store) Used() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.used
 }
 
 // Len reports the number of segments.

@@ -20,9 +20,9 @@ func TestWriteReadDelete(t *testing.T) {
 	if string(got) != "hello" {
 		t.Errorf("Read = %q, want hello", got)
 	}
-	s.Delete("ckpt/0")
+	s.DeletePrefix("ckpt/0")
 	if _, err := s.Read("ckpt/0"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Read after Delete: err = %v, want ErrNotFound", err)
+		t.Errorf("Read after DeletePrefix: err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestCapacityLimit(t *testing.T) {
 	if err := s.Write("a", make([]byte, 10)); err != nil {
 		t.Errorf("replace within limit: %v", err)
 	}
-	if s.Used() != 10 {
-		t.Errorf("Used = %d, want 10", s.Used())
+	if s.used != 10 {
+		t.Errorf("Used = %d, want 10", s.used)
 	}
 }
 
@@ -77,22 +77,22 @@ func TestUsedAccounting(t *testing.T) {
 	if err := s.Write("b", make([]byte, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 150 {
-		t.Fatalf("Used = %d, want 150", s.Used())
+	if s.used != 150 {
+		t.Fatalf("Used = %d, want 150", s.used)
 	}
 	if err := s.Write("a", make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 60 {
-		t.Fatalf("Used after replace = %d, want 60", s.Used())
+	if s.used != 60 {
+		t.Fatalf("Used after replace = %d, want 60", s.used)
 	}
-	s.Delete("b")
-	if s.Used() != 10 {
-		t.Fatalf("Used after delete = %d, want 10", s.Used())
+	s.DeletePrefix("b")
+	if s.used != 10 {
+		t.Fatalf("Used after delete = %d, want 10", s.used)
 	}
-	s.Delete("nonexistent") // no-op
-	if s.Used() != 10 {
-		t.Fatalf("Used after no-op delete = %d, want 10", s.Used())
+	s.DeletePrefix("nonexistent") // no-op
+	if s.used != 10 {
+		t.Fatalf("Used after no-op delete = %d, want 10", s.used)
 	}
 }
 
@@ -112,8 +112,8 @@ func TestDeletePrefix(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
 	}
-	if s.Used() != 1 {
-		t.Errorf("Used = %d, want 1", s.Used())
+	if s.used != 1 {
+		t.Errorf("Used = %d, want 1", s.used)
 	}
 }
 
@@ -163,12 +163,12 @@ func TestConcurrentAccess(t *testing.T) {
 		}
 		want += int64(len(d))
 	}
-	if s.Used() != want {
-		t.Errorf("Used = %d, want %d", s.Used(), want)
+	if s.used != want {
+		t.Errorf("Used = %d, want %d", s.used, want)
 	}
 }
 
-// Property: Used always equals the sum of stored segment lengths under an
+// Property: used always equals the sum of stored segment lengths under an
 // arbitrary sequence of writes and deletes.
 func TestQuickUsedInvariant(t *testing.T) {
 	type op struct {
@@ -181,7 +181,7 @@ func TestQuickUsedInvariant(t *testing.T) {
 		for _, o := range ops {
 			key := fmt.Sprintf("k%d", o.Key%8)
 			if o.Delete {
-				s.Delete(key)
+				s.DeletePrefix(key)
 			} else if err := s.Write(key, make([]byte, o.Size)); err != nil {
 				return false
 			}
@@ -194,7 +194,7 @@ func TestQuickUsedInvariant(t *testing.T) {
 			}
 			want += int64(len(d))
 		}
-		return s.Used() == want
+		return s.used == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

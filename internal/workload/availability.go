@@ -37,14 +37,6 @@ func (t AvailabilityTrace) Clone() AvailabilityTrace {
 // Empty reports whether the trace carries no capacity events.
 func (t AvailabilityTrace) Empty() bool { return len(t.Events) == 0 }
 
-// Span is the time of the last capacity event (0 for an empty trace).
-func (t AvailabilityTrace) Span() float64 {
-	if len(t.Events) == 0 {
-		return 0
-	}
-	return t.Events[len(t.Events)-1].At
-}
-
 // MaxCapacity is the largest capacity the cluster reaches: the base capacity
 // or any event's target, whichever is higher. Emulated backends provision
 // nodes to this bound up front so capacity-burst events have hardware to

@@ -71,9 +71,6 @@ func TestAvailabilityTraceHelpers(t *testing.T) {
 	if got := tr.MaxCapacity(64); got != 96 {
 		t.Errorf("MaxCapacity = %d, want 96", got)
 	}
-	if got := tr.Span(); got != 300 {
-		t.Errorf("Span = %v, want 300", got)
-	}
 	for _, tc := range []struct {
 		at   float64
 		want int

@@ -51,7 +51,6 @@ func (g Uniform) Generate(seed int64) (Workload, error) {
 type Poisson struct {
 	Jobs    int
 	MeanGap float64 // mean inter-arrival, seconds
-	Mix     Mix     // nil = uniform over the four classes
 }
 
 // Name implements Generator.
@@ -62,7 +61,7 @@ func (g Poisson) Generate(seed int64) (Workload, error) {
 	if g.Jobs <= 0 || !validGap(g.MeanGap) {
 		return Workload{}, fmt.Errorf("workload: bad poisson params n=%d mean=%g", g.Jobs, g.MeanGap)
 	}
-	mix := g.Mix.orUniform()
+	mix := UniformMix()
 	rng := rand.New(rand.NewSource(seed))
 	var w Workload
 	at := 0.0
@@ -131,7 +130,6 @@ type Diurnal struct {
 	Period     float64 // seconds per full day/night cycle
 	PeakGap    float64 // mean inter-arrival at peak load
 	OffPeakGap float64 // mean inter-arrival in the trough
-	Mix        Mix
 }
 
 // Name implements Generator.
@@ -144,7 +142,7 @@ func (g Diurnal) Generate(seed int64) (Workload, error) {
 		return Workload{}, fmt.Errorf("workload: bad diurnal params jobs=%d period=%g peak=%g offpeak=%g",
 			g.Jobs, g.Period, g.PeakGap, g.OffPeakGap)
 	}
-	mix := g.Mix.orUniform()
+	mix := UniformMix()
 	rng := rand.New(rand.NewSource(seed))
 	var w Workload
 	at := 0.0

@@ -147,7 +147,7 @@ func TestBurstWaveLayout(t *testing.T) {
 }
 
 func TestMixWeighting(t *testing.T) {
-	w, err := (Poisson{Jobs: 50, MeanGap: 10, Mix: Mix{model.Large: 1}}).Generate(3)
+	w, err := (Burst{Waves: 5, PerWave: 10, WaveGap: 10, Mix: Mix{model.Large: 1}}).Generate(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,10 @@ func TestMixWeighting(t *testing.T) {
 			t.Fatalf("drew %v from a large-only mix", j.Class)
 		}
 	}
-	if _, err := (Poisson{Jobs: 10, MeanGap: 10, Mix: Mix{}}).Generate(3); err == nil {
+	if _, err := (Burst{Waves: 1, PerWave: 10, WaveGap: 10, Mix: Mix{}}).Generate(3); err == nil {
 		t.Error("accepted empty mix")
 	}
-	if _, err := (Poisson{Jobs: 10, MeanGap: 10, Mix: Mix{model.Small: -1}}).Generate(3); err == nil {
+	if _, err := (Burst{Waves: 1, PerWave: 10, WaveGap: 10, Mix: Mix{model.Small: -1}}).Generate(3); err == nil {
 		t.Error("accepted negative weight")
 	}
 }
