@@ -20,12 +20,12 @@
 //
 // Spec flags (with -record) are runspec's Engine and EngineFleet groups:
 // -backend sim|cluster|federation; -scenario, one of burst, diurnal,
-// poisson and uniform (sized by -jobs, -waves and -gap, 0 = the scenario's
-// default) or the composites head-heavy and tail-heavy (fixed size); -seed,
-// -policy, -capacity, -rescale-gap, -log, -drain; sim and federation only:
-// -shards, -streaming, -full, -aging, -preempt; federation only: -route,
+// poisson and uniform (sized by -jobs and -gap, burst by -waves too, 0 = the
+// scenario's default) or the composites head-heavy and tail-heavy (fixed
+// size); -seed, -policy, -capacity, -rescale-gap, -log, -drain; sim and
+// federation only: -shards, -streaming, -full; federation only: -route,
 // -members, -skew, -rebalance, -migrate-running, -workers. A flag the chosen
-// mode or backend does not read is rejected.
+// mode, backend or scenario does not read is rejected.
 package main
 
 import (
@@ -65,8 +65,8 @@ func run() int {
 
 	// The modes: three in the order of their selector flags, then -record,
 	// one per backend, each reading the spec flags its backend has a
-	// setting for (the emulation has no shards, streaming, reference
-	// scheduler, aging or preemption).
+	// setting for (the emulation has no shards, streaming or reference
+	// scheduler).
 	modes := []runspec.Mode{
 		{Name: "-replay", Also: []string{"out", "window"}},
 		{Name: "-diff", Also: []string{"window"}, Args: 2},
@@ -99,6 +99,11 @@ func run() int {
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		return fail(err)
 	}
+	if *record {
+		if err := checkSizing(flag.CommandLine, spec); err != nil {
+			return fail(err)
+		}
+	}
 
 	switch {
 	case *doDiff:
@@ -125,6 +130,34 @@ func run() int {
 		}
 		return 0
 	}
+}
+
+// checkSizing rejects a sizing flag the command line set that the spec's
+// scenario does not read: the composites are fixed-size and only burst has
+// waves, so the flag would be recorded into the stream's meta and shape
+// nothing. It judges by what was set, not by the spec, whose defaults give
+// every scenario waves. An unknown scenario is left for Execute to name.
+func checkSizing(fs *flag.FlagSet, spec runspec.Spec) error {
+	spec.Resolve()
+	var modes []runspec.Mode
+	chosen := -1
+	for _, name := range conformance.ScenarioNames() {
+		m := runspec.Mode{Name: "-scenario " + name, Also: []string{"jobs", "gap"}}
+		switch name {
+		case "burst":
+			m.Also = append(m.Also, "waves")
+		case "head-heavy", "tail-heavy":
+			m.Also = nil
+		}
+		if name == spec.Scenario {
+			chosen = len(modes)
+		}
+		modes = append(modes, m)
+	}
+	if chosen < 0 {
+		return nil
+	}
+	return runspec.Check(fs, modes, chosen)
 }
 
 // fail reports an operational error (as opposed to a divergence, exit 1).

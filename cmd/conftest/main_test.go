@@ -88,8 +88,6 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -backend cluster -full", "-full"},
 		{"-record -backend cluster -streaming", "-streaming"},
 		{"-record -backend cluster -shards 4", "-shards"},
-		{"-record -backend cluster -aging 0.5", "-aging"},
-		{"-record -backend cluster -preempt", "-preempt"},
 		{"-record -backend sim -route least_loaded", "-route"},
 		{"-record -backend sim -members 5", "-members"},
 		{"-record -backend sim -skew 2", "-skew"},
@@ -97,7 +95,11 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -backend federation -members 2 -drain", "-drain"},
 		{"-record -capacity -8", "-capacity"},
 		{"-record -rescale-gap -5", "-rescale-gap"},
-		{"-record -aging -1", "-aging"},
+		{"-record -rescale-gap 1e300", "-rescale-gap"},
+		{"-record -scenario uniform -jobs 3 -gap 1e308", "-gap"},
+		// The composites are fixed-size, and only burst has waves.
+		{"-record -scenario head-heavy -jobs 5 -gap 3", "-gap"},
+		{"-record -scenario uniform -waves 7", "-waves"},
 		// Execute would fill the explicit 0 from the defaults.
 		{"-record -backend federation -members 0", "-members"},
 		// The arguments end the flags, so -window would not be parsed.

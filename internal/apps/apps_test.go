@@ -124,10 +124,9 @@ func TestJacobiRescaleMidRunSameAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb.LBPeriod = 10
-	go func() {
-		// Request the shrink immediately; serviced at iter 9 boundary.
-		<-rtB.RequestRescale(2)
-	}()
+	// Each request is recorded before its run starts, so the run's first LB
+	// boundary (after iteration 10) is sure to service it.
+	shrunk := rtB.RequestRescale(2)
 	resB1, err := rb.Run(20)
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +134,19 @@ func TestJacobiRescaleMidRunSameAnswer(t *testing.T) {
 	if rtB.NumPEs() != 2 {
 		t.Fatalf("NumPEs after shrink = %d, want 2", rtB.NumPEs())
 	}
-	go func() { <-rtB.RequestRescale(4) }()
+	if err := <-shrunk; err != nil {
+		t.Fatal(err)
+	}
+	expanded := rtB.RequestRescale(4)
 	resB2, err := rb.Run(20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rtB.NumPEs() != 4 {
 		t.Fatalf("NumPEs after expand = %d, want 4", rtB.NumPEs())
+	}
+	if err := <-expanded; err != nil {
+		t.Fatal(err)
 	}
 	if math.Abs(resB2.FinalValue-resA.FinalValue) > 1e-12 {
 		t.Errorf("rescaled run residual %.15g != rigid run %.15g", resB2.FinalValue, resA.FinalValue)

@@ -117,13 +117,18 @@ func BenchmarkMigration(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Shutdown()
-	if _, err := rt.CreateArray("bench.chare", 16); err != nil {
+	aid, err := rt.CreateArray("bench.chare", 16)
+	if err != nil {
 		b.Fatal(err)
 	}
+	assign := make(lb.Assignment, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Rotate reassigns round-robin, forcing migrations every pass.
-		if _, err := balance(rt, lb.Rotate{}); err != nil {
+		// Round-robin, shifted by one PE each pass, so every pass migrates.
+		for k := 0; k < 16; k++ {
+			assign[lb.ObjID{Array: aid, Index: k}] = (k + i) % 2
+		}
+		if _, err := balance(rt, assign); err != nil {
 			b.Fatal(err)
 		}
 	}

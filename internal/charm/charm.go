@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"elastichpc/internal/lb"
 	"elastichpc/internal/pup"
 	"elastichpc/internal/shm"
 )
@@ -148,9 +147,6 @@ type Config struct {
 	// Store is the shared-memory checkpoint store. If nil a private
 	// unlimited store is created.
 	Store *shm.Store
-	// RescaleLB is the strategy used at shrink/expand time. Defaults to
-	// GreedyLB, matching Charm++ practice when every object moves anyway.
-	RescaleLB lb.Strategy
 	// RestartLatency models the out-of-process restart cost (mpirun +
 	// MPI_Init) that the in-process goroutine restart does not pay.
 	// Defaults to DefaultRestartLatency; set to ZeroRestartLatency to

@@ -78,20 +78,15 @@ func newTestRT(t *testing.T, pes int) *Runtime {
 	return rt
 }
 
-// balance runs one in-run load-balancing pass with s over the current
-// incarnation's measured loads: the migrate step of a rescale, without the
-// restart.
-func balance(rt *Runtime, s lb.Strategy) (int, error) {
+// balance moves the current incarnation's chares to match assign: the
+// migrate step of a rescale, without the restart.
+func balance(rt *Runtime, assign lb.Assignment) (int, error) {
 	rt.mu.Lock()
 	inc := rt.inc
 	rt.mu.Unlock()
 	inc.quiesce()
 	inc.pauseAll()
 	defer inc.resumeAll()
-	assign, err := s.Assign(inc.loadDatabase())
-	if err != nil {
-		return 0, err
-	}
 	return migrate(inc, assign)
 }
 
@@ -337,9 +332,13 @@ func TestBalanceMovesLoad(t *testing.T) {
 	for id := range inc.pes[0].chares {
 		inc.pes[0].loads[id] = 10.0
 	}
+	assign, err := lb.Greedy(inc.loadDatabase())
 	inc.resumeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	moved, err := balance(rt, lb.Refine{})
+	moved, err := balance(rt, assign)
 	if err != nil {
 		t.Fatalf("balance: %v", err)
 	}

@@ -92,7 +92,7 @@ func (rt *Runtime) RescaleTo(newPEs int) error {
 			db.Available[pe] = false
 		}
 		if len(db.Objs) > 0 {
-			assign, err := rt.cfg.RescaleLB.Assign(db)
+			assign, err := lb.Greedy(db)
 			if err != nil {
 				inc.resumeAll()
 				return fmt.Errorf("charm: shrink LB: %w", err)
@@ -154,7 +154,7 @@ func (rt *Runtime) RescaleTo(newPEs int) error {
 		fresh.pauseAll()
 		db := fresh.loadDatabase()
 		if len(db.Objs) > 0 {
-			assign, err := rt.cfg.RescaleLB.Assign(db)
+			assign, err := lb.Greedy(db)
 			if err != nil {
 				fresh.resumeAll()
 				return fmt.Errorf("charm: expand LB: %w", err)

@@ -59,9 +59,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Store == nil {
 		cfg.Store = shm.NewStore(0)
 	}
-	if cfg.RescaleLB == nil {
-		cfg.RescaleLB = lb.Greedy{}
-	}
 	if cfg.RestartLatency == nil {
 		cfg.RestartLatency = DefaultRestartLatency
 	}

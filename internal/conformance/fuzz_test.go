@@ -104,7 +104,7 @@ func FuzzSpecFromMeta(f *testing.F) {
 		lines = append(lines, k+"="+st.Meta[k])
 	}
 	f.Add(strings.Join(lines, "\n"))
-	f.Add("backend=sim\nscenario=burst\njobs=48\nwaves=3\ndrain=true\nshards=8\nrescale_gap=60\npreempt=T")
+	f.Add("backend=sim\nscenario=burst\njobs=48\nwaves=3\ndrain=true\nshards=8\nrescale_gap=60\nstreaming=T")
 	f.Add("policy=turbo")
 	f.Add("gap=NaN\nmembers=-1")
 	f.Fuzz(func(t *testing.T, text string) {

@@ -167,9 +167,6 @@ var simShapes = []Ref{
 //     decision stream and the bit-exact summary — plus one unlogged run that
 //     must leave the same summary, per-job digest included (observing a run
 //     does not change it);
-//   - sim-extensions: the same contract with aging and preemption on, where
-//     every Reschedule takes the drain loop and kick coalescing turns itself
-//     off;
 //   - sim-streaming-scale: streaming over a workload large and bursty enough
 //     for a real multi-epoch plan with draining boundaries (sim's
 //     TestPlanEpochsStreamingScaleWorkload asserts its shape), the widest
@@ -219,11 +216,6 @@ func Cases(opt MatrixOptions) []Case {
 			}
 			cases = append(cases, c)
 		}
-	}
-	for _, p := range []core.Policy{core.Elastic, core.RigidMin} {
-		cases = append(cases, single("sim-extensions/"+p.String(), RunSpec{Backend: "sim", Scenario: "burst",
-			Jobs: 120, Waves: 4, Gap: 3000, Seed: 11, Policy: p, Aging: 0.01, Preempt: true,
-			Full: true, Log: true, Shards: 1}, incremental, sharded(4, false)))
 	}
 	for _, p := range opt.Policies {
 		cases = append(cases, single("sim-streaming-scale/"+p.String(), RunSpec{Backend: "sim", Scenario: "burst",

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMatrixEquivalence runs the full equivalence matrix — every sim,
-// extension, federation, and cluster cell — and fails with the differ's
+// federation, and cluster cell — and fails with the differ's
 // divergence window on any non-identical stream. The race-equivalence CI
 // job re-runs it under -race at two GOMAXPROCS widths.
 func TestMatrixEquivalence(t *testing.T) {

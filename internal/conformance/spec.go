@@ -229,8 +229,6 @@ func (s RunSpec) simConfig() sim.Config {
 	cfg.Streaming = s.Streaming
 	cfg.FullRedistribute = s.Full
 	cfg.LogDecisions = s.Log
-	cfg.AgingRate = s.Aging
-	cfg.EnablePreemption = s.Preempt
 	return cfg
 }
 

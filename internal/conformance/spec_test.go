@@ -15,7 +15,7 @@ func TestSpecMetaRoundTrip(t *testing.T) {
 		{},
 		{Backend: "sim", Scenario: "burst", Jobs: 48, Gap: 3000, Waves: 3, Seed: 5,
 			Policy: core.Elastic, Capacity: 32, Shards: 8, Streaming: true, Log: true,
-			Drain: true, Aging: 0.01, Preempt: true},
+			Drain: true},
 		{Backend: "cluster", Scenario: "uniform", Jobs: 12, Gap: 90, Seed: 4,
 			Policy: core.Moldable, Log: true},
 		{Backend: "federation", Scenario: "burst", Jobs: 96, Gap: 1200, Waves: 6,
@@ -78,7 +78,6 @@ func TestSpecReplayReproduces(t *testing.T) {
 		"sim-sharded":          sharded,
 		"availability":         refs["sim/max_replicas/seed7/availability"],
 		"head-heavy":           refs["sim/min_replicas/seed1/head-heavy"],
-		"extensions":           refs["sim-extensions/elastic"],
 		"streaming-scale":      refs["sim-streaming-scale/moldable"],
 		"federation-rebalance": refs["federation/round_robin/elastic/rebalance"],
 		"cluster":              refs["cluster/elastic"],
@@ -120,8 +119,8 @@ func TestSpecReplayReproduces(t *testing.T) {
 }
 
 // TestSpecValidation: bad specs fail loudly, naming what is wrong, instead of
-// running the wrong scenario — or the default one, as a negative capacity,
-// rescale gap or aging rate did.
+// running the wrong scenario — or the default one, as a negative capacity or
+// rescale gap did.
 func TestSpecValidation(t *testing.T) {
 	for names, spec := range map[string]RunSpec{
 		"quantum":          {Backend: "quantum"},
@@ -130,7 +129,6 @@ func TestSpecValidation(t *testing.T) {
 		"not divisible by": {Backend: "cluster", Capacity: 30},
 		"-capacity":        {Capacity: -8},
 		"-rescale-gap":     {RescaleGap: -5},
-		"-aging":           {Aging: -1},
 		"-drain":           {Backend: "federation", Members: 2, Drain: true},
 	} {
 		if _, err := spec.Execute(); err == nil || !strings.Contains(err.Error(), names) {

@@ -135,7 +135,7 @@ func TestSetCapacityRequeuesWhenShrinkCannotAbsorb(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Neither job can shrink (min == max). Dropping to 8 must checkpoint-
-	// requeue the low-priority job, even though EnablePreemption is off —
+	// requeue the low-priority job, though a submission never preempts —
 	// infrastructure loss is not a policy choice.
 	if err := s.SetCapacity(8); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,9 @@
 // victims to their policy minimum in increasing priority order and
 // checkpoint-requeue jobs that cannot shrink, bypassing the rescale gap that
 // voluntary rescales respect — the hardware is already gone. CapacityStats
-// counts how losses were absorbed.
+// counts how losses were absorbed. A reclaim is the only preemption: a
+// submission that shrinking cannot make room for waits, as the paper's
+// shared-filesystem-free policy does (§3.2.2), and priorities do not age.
 //
 // Invariant maintained across every operation: the sum of running jobs'
 // replicas and the free-slot count equals the current capacity.

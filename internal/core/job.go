@@ -123,21 +123,14 @@ func (j *Job) CompletionTime() time.Duration {
 	return j.EndTime.Sub(j.SubmitTime)
 }
 
-// sortJobs sorts jobs in decreasing effective priority (Scheduler.before
-// order). The stable merge sort is kept deliberately: drained backlogs are
-// nearly sorted (a heapified sorted remainder plus a few fresh pushes), the
-// regime where the merge's insertion runs approach O(n) while a quicksort
-// still partitions. slices.SortStableFunc takes the comparator directly, so
-// nothing is boxed or allocated per call. The aging-off closure spells the
-// order out a third time (after compare and before) because it pays: see
-// before.
+// sortJobs sorts jobs in decreasing priority (Scheduler.before order). The
+// stable merge sort is kept deliberately: drained backlogs are nearly sorted
+// (a heapified sorted remainder plus a few fresh pushes), the regime where
+// the merge's insertion runs approach O(n) while a quicksort still
+// partitions. slices.SortStableFunc takes the comparator directly, so
+// nothing is boxed or allocated per call. The closure spells the order out a
+// second time (after before) because it pays: see before.
 func (s *Scheduler) sortJobs(jobs []*Job) {
-	if s.cfg.AgingRate > 0 {
-		slices.SortStableFunc(jobs, s.compare)
-		return
-	}
-	// Aging off: effective priority is the cached base priority, so the
-	// comparator is pure field arithmetic.
 	slices.SortStableFunc(jobs, func(a, b *Job) int {
 		switch {
 		case a.prio > b.prio:

@@ -7,8 +7,8 @@ import "math"
 const maxSlotNeed = math.MaxInt
 
 // needBucket holds the waiting jobs that need exactly need slots to start, as
-// a binary max-heap ordered like Scheduler.before — decreasing effective
-// priority, ties broken by earlier submission, then ID.
+// a binary max-heap ordered like Scheduler.before — decreasing priority, ties
+// broken by earlier submission, then ID.
 type needBucket struct {
 	need int
 	jobs []*Job
@@ -22,13 +22,8 @@ type needBucket struct {
 // need order. Splitting by need lets a scheduling pass ask "which waiting
 // job schedules first among those that could fit this budget" in
 // O(buckets) and skip, wholesale, every job whose need the budget rules out.
-// A bucket that empties stays in place and keeps its array.
-//
-// The heap invariants survive the passage of time: queued jobs all age at
-// the same AgingRate, so their relative order is constant. The one exception
-// is a mixed queue of aged and preempted jobs (preempted jobs do not age) —
-// the scheduler re-establishes the invariants with init before popping in
-// that configuration.
+// A bucket that empties stays in place and keeps its array. Priorities are
+// static, so the heap invariants survive the passage of time.
 type jobQueue struct {
 	s       *Scheduler
 	buckets []needBucket

@@ -124,41 +124,38 @@ func runRefusalScript(t *testing.T, cfg Config, script []refusalOp) ([]string, [
 // can fail to start — and then the pass must hand the rest of the queue to
 // the drain loop — so this is the property that covers the hand-over: random
 // scripts of submissions, completions, rescale-gap kicks and capacity events,
-// under all four policies with and without preemption, must leave the same
-// actuator calls (refusals included), the same decision log and the same
-// final state in both modes.
+// under all four policies, must leave the same actuator calls (refusals
+// included), the same decision log and the same final state in both modes.
 func TestRefusingActuatorEquivalenceProperty(t *testing.T) {
 	trials := 60
 	if testing.Short() {
 		trials = 10
 	}
 	for _, policy := range AllPolicies() {
-		for _, preempt := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/preempt=%v", policy, preempt), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(policy)*2 + 11))
-				for trial := 0; trial < trials; trial++ {
-					cfg := Config{Policy: policy, Capacity: 32, EnablePreemption: preempt, EnableLog: true,
-						RescaleGap: []time.Duration{0, time.Minute, 3 * time.Minute}[rng.Intn(3)]}
-					script := refusalScript(rng, trial)
-					full := cfg
-					full.FullRedistribute = true
-					wantCalls, wantLog, wantState := runRefusalScript(t, full, script)
-					gotCalls, gotLog, gotState := runRefusalScript(t, cfg, script)
-					if i := firstDiff(gotCalls, wantCalls); i >= 0 {
-						t.Fatalf("trial %d (gap %v): actuator call %d differs from the reference:\n got %v\nwant %v",
-							trial, cfg.RescaleGap, i, at(gotCalls, i), at(wantCalls, i))
-					}
-					if i := firstDiff(gotLog, wantLog); i >= 0 {
-						t.Fatalf("trial %d (gap %v): decision %d differs from the reference:\n got %v\nwant %v",
-							trial, cfg.RescaleGap, i, at(gotLog, i), at(wantLog, i))
-					}
-					if !reflect.DeepEqual(gotState, wantState) {
-						t.Fatalf("trial %d (gap %v): final state differs from the reference:\n got %+v\nwant %+v",
-							trial, cfg.RescaleGap, gotState, wantState)
-					}
+		t.Run(policy.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(policy)*2 + 11))
+			for trial := 0; trial < trials; trial++ {
+				cfg := Config{Policy: policy, Capacity: 32, EnableLog: true,
+					RescaleGap: []time.Duration{0, time.Minute, 3 * time.Minute}[rng.Intn(3)]}
+				script := refusalScript(rng, trial)
+				full := cfg
+				full.FullRedistribute = true
+				wantCalls, wantLog, wantState := runRefusalScript(t, full, script)
+				gotCalls, gotLog, gotState := runRefusalScript(t, cfg, script)
+				if i := firstDiff(gotCalls, wantCalls); i >= 0 {
+					t.Fatalf("trial %d (gap %v): actuator call %d differs from the reference:\n got %v\nwant %v",
+						trial, cfg.RescaleGap, i, at(gotCalls, i), at(wantCalls, i))
 				}
-			})
-		}
+				if i := firstDiff(gotLog, wantLog); i >= 0 {
+					t.Fatalf("trial %d (gap %v): decision %d differs from the reference:\n got %v\nwant %v",
+						trial, cfg.RescaleGap, i, at(gotLog, i), at(wantLog, i))
+				}
+				if !reflect.DeepEqual(gotState, wantState) {
+					t.Fatalf("trial %d (gap %v): final state differs from the reference:\n got %+v\nwant %+v",
+						trial, cfg.RescaleGap, gotState, wantState)
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -68,8 +67,8 @@ type Actuator interface {
 	ShrinkJob(j *Job, to int) error
 	// ExpandJob rescales a running job up to the given replica count.
 	ExpandJob(j *Job, to int) error
-	// PreemptJob checkpoints and stops a running job (optional extension,
-	// paper §3.2.2). Only called when Config.EnablePreemption is set.
+	// PreemptJob checkpoints and stops a running job. Only a capacity
+	// reclaim (SetCapacity, Preempt) calls it; a submission never preempts.
 	PreemptJob(j *Job) error
 }
 
@@ -81,14 +80,6 @@ type Config struct {
 	// same job (T_rescale_gap, §3.2.1). Creation stamps LastAction, so a
 	// freshly started job cannot be rescaled within the gap either.
 	RescaleGap time.Duration
-	// AgingRate adds AgingRate priority units per second of queue wait to
-	// a job's effective priority (paper §3.2.2 "Aging priorities"
-	// extension). 0 disables aging.
-	AgingRate float64
-	// EnablePreemption lets the scheduler checkpoint-and-stop lower
-	// priority jobs when shrinking alone cannot make room for a higher
-	// priority job (paper §3.2.2 "Job preemption" extension).
-	EnablePreemption bool
 	// EnableLog records the scheduler's effects for retrieval via
 	// Scheduler.Log — the audit trail operators want when a rescale storm
 	// needs explaining: start, shrink, expand, preempt, complete, capacity,
@@ -238,53 +229,15 @@ func (s *Scheduler) jobNeed(j *Job) int {
 	return jmin
 }
 
-// effPriority computes a job's effective priority including aging, against
-// the pass-cached clock. Without aging it is the cached base priority — no
-// conversion, no time math.
-func (s *Scheduler) effPriority(j *Job) float64 {
-	if s.cfg.AgingRate > 0 && j.State == StateQueued {
-		// Kept as time.Time math: Duration.Seconds rounds differently
-		// from a raw nanosecond quotient, and aged priorities are pinned
-		// bit for bit by the equivalence tests.
-		return j.prio + s.cfg.AgingRate*s.tnow.Sub(j.SubmitTime).Seconds()
-	}
-	return j.prio
-}
-
-// compare orders jobs for scheduling: decreasing effective priority, ties
+// before reports whether a schedules ahead of b: decreasing priority, ties
 // broken by earlier submission, then ID — a total and deterministic order.
-// Negative means a schedules ahead of b.
-func (s *Scheduler) compare(a, b *Job) int {
-	pa, pb := s.effPriority(a), s.effPriority(b)
-	switch {
-	case pa > pb:
-		return -1
-	case pa < pb:
-		return 1
-	}
-	switch {
-	case a.submitNs < b.submitNs:
-		return -1
-	case a.submitNs > b.submitNs:
-		return 1
-	case a.IDRank < b.IDRank:
-		return -1
-	case a.IDRank > b.IDRank:
-		return 1
-	}
-	return strings.Compare(a.ID, b.ID)
-}
-
-// before reports whether a schedules ahead of b (compare < 0). The aging-off
-// body is spelled out so the common case inlines into the heap operations.
-// Measured with bench/ (alternating 5 s pairs): one spelling of the order for
-// compare, before and sortJobs, with submit's gate folded into its walk, is
-// 55 lines shorter and costs avail_drain 4 % of jobs_per_s (530.4 k →
-// 508.9 k, ahead in 1 pair of 6) and burst_backlog 2 % (ahead in 2 of 6).
+// sortJobs spells the same order as a three-way comparator; this body stays
+// a separate spelling so it inlines into the heap operations. Measured with
+// bench/ (alternating 5 s pairs): one spelling of the order for both, with
+// submit's gate folded into its walk, costs avail_drain 4 % of jobs_per_s
+// (530.4 k → 508.9 k, ahead in 1 pair of 6) and burst_backlog 2 % (ahead in
+// 2 of 6).
 func (s *Scheduler) before(a, b *Job) bool {
-	if s.cfg.AgingRate > 0 {
-		return s.compare(a, b) < 0
-	}
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
@@ -298,10 +251,9 @@ func (s *Scheduler) before(a, b *Job) bool {
 }
 
 // insertRunning places j into the running list, keeping it sorted in
-// decreasing effective priority without the interface boxing a full re-sort
-// costs per start. Running jobs' effective priorities are static (aging only
-// applies while queued), so insertion preserves the order a re-sort would
-// produce.
+// decreasing priority without the interface boxing a full re-sort costs per
+// start. Priorities are static, so insertion preserves the order a re-sort
+// would produce.
 func (s *Scheduler) insertRunning(j *Job) {
 	i := sort.Search(len(s.running), func(k int) bool {
 		return s.before(j, s.running[k])
@@ -466,7 +418,7 @@ func (s *Scheduler) placeable(job *Job, need int) bool {
 		if !s.gapOK(j) {
 			continue
 		}
-		if s.effPriority(j) > s.effPriority(job) {
+		if j.prio > job.prio {
 			break
 		}
 		if jmin, _ := s.bounds(j); j.Replicas > jmin {
@@ -492,31 +444,13 @@ func (s *Scheduler) submit(job *Job) {
 		return
 	}
 
-	// O(1) infeasibility gate: the feasibility walk below can never count
-	// more freeable slots than maxFreeable, so when even that bound cannot
-	// cover the deficit the walk's outcome is already decided. The gated
-	// path reproduces it exactly — try preemption, else enqueue — and the
-	// walk it skips emits no decisions, so the shortcut is
-	// decision-transparent. Disabled in FullRedistribute mode like every
-	// incremental early-out. It repeats the refusal arm below because
-	// merging the two is part of the measured 4 % avail_drain loss noted at
-	// before.
-	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR {
-		if s.cfg.EnablePreemption && s.tryPreempt(job, minR) {
-			s.submit(job) // room was made; re-run placement
-			return
-		}
-		s.enqueue(job)
-		return
-	}
-
-	if !s.placeable(job, minR) {
-		// Shrinking cannot make room; optionally try preemption, else
-		// queue the job.
-		if s.cfg.EnablePreemption && s.tryPreempt(job, minR) {
-			s.submit(job) // room was made; re-run placement
-			return
-		}
+	// Shrinking cannot make room: queue the job. The O(1) infeasibility
+	// gate answers first — the feasibility walk can never count more
+	// freeable slots than maxFreeable, so when even that bound cannot cover
+	// the deficit the walk's outcome is already decided, and the walk it
+	// skips emits no decisions. Disabled in FullRedistribute mode like every
+	// incremental early-out.
+	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR || !s.placeable(job, minR) {
 		s.enqueue(job)
 		return
 	}
@@ -531,7 +465,7 @@ func (s *Scheduler) submit(job *Job) {
 		if !s.gapOK(j) {
 			continue
 		}
-		if s.effPriority(j) > s.effPriority(job) {
+		if j.prio > job.prio {
 			break
 		}
 		jmin, _ := s.bounds(j)
@@ -561,23 +495,9 @@ func (s *Scheduler) submit(job *Job) {
 	}
 }
 
-// tryPreempt checkpoints-and-stops strictly lower priority running jobs
-// (lowest first) until minR slots are free or no candidates remain.
-// Preempted jobs return to the queue and resume from their checkpoint when
-// scheduled again (paper §3.2.2).
-func (s *Scheduler) tryPreempt(job *Job, minR int) bool {
-	for i := len(s.running) - 1; i >= 0 && s.free < minR; i-- {
-		j := s.running[i]
-		if s.effPriority(j) >= s.effPriority(job) {
-			break
-		}
-		s.preempt(j)
-	}
-	return s.free >= minR
-}
-
 // preempt checkpoints and stops a running job and returns it to the queue,
-// unless the actuator refuses.
+// unless the actuator refuses. The job resumes from its checkpoint when
+// scheduled again (paper §3.2.2).
 func (s *Scheduler) preempt(j *Job) bool {
 	if err := s.act.PreemptJob(j); err != nil {
 		return false
@@ -622,10 +542,10 @@ func (s *Scheduler) OnJobComplete(j *Job) {
 // "Every queued job" is what the effects must equal, not what the pass
 // touches. With FullRedistribute — the reference — the whole queue goes
 // through the drain loop. Otherwise nothing happens at all when even the
-// smallest waiting need exceeds what shrinking — or preempting — the whole
-// running set could free, and what does happen is the placeable-only pass
-// wherever its argument holds. A job put back on the queue is not logged, so
-// none of this depends on EnableLog.
+// smallest waiting need exceeds what shrinking the whole running set could
+// free, and what does happen is the placeable-only pass wherever its
+// argument holds. A job put back on the queue is not logged, so none of this
+// depends on EnableLog.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
@@ -634,10 +554,8 @@ func (s *Scheduler) Reschedule() {
 			s.drainResubmit(nil)
 		case s.free+s.maxFreeable() < s.queue.minNeed():
 			// No waiting job could start: every submit would re-enqueue.
-		case s.cfg.AgingRate > 0 || s.cfg.EnablePreemption || s.free < 0 || s.queue.preempted > 0:
-			// Aging reorders buckets against each other over time,
-			// preemption lets a job that is not placeable act anyway, a
-			// negative free pool breaks the budget bound, and a waiting
+		case s.free < 0 || s.queue.preempted > 0:
+			// A negative free pool breaks the budget bound, and a waiting
 			// job still in StatePreempted has that marker erased by the
 			// drain loop's re-enqueue (drivers read it at the next start),
 			// which only the drain loop reproduces.
@@ -689,10 +607,10 @@ func (s *Scheduler) placeWaiting() {
 // priority order and re-place, through the Figure 2 submission logic, every
 // job ordered after the cursor (every job when after is nil; the jobs up to
 // and including the cursor go straight back). Once no remaining waiting job
-// could start even if every running job were shrunk to its minimum (or
-// preempted outright), the rest of the backlog is re-queued wholesale instead
-// of being re-submitted one by one — each of those submits would only have
-// put its job back, which is neither a decision nor a log entry.
+// could start even if every running job were shrunk to its minimum, the rest
+// of the backlog is re-queued wholesale instead of being re-submitted one by
+// one — each of those submits would only have put its job back, which is
+// neither a decision nor a log entry.
 func (s *Scheduler) drainResubmit(after *Job) {
 	drained := s.queue.drainSorted()
 	rest := drained
@@ -725,15 +643,10 @@ func (s *Scheduler) drainResubmit(after *Job) {
 }
 
 // maxFreeable is an upper bound on the worker slots a submission could free
-// from the running set: every job shrunk to its policy minimum, or — with
-// preemption enabled — stopped outright. Both forms follow in O(1) from the
-// capacity invariant (free + Σ Replicas = Capacity) and the incrementally
-// maintained runMinSum.
+// from the running set: every job shrunk to its policy minimum. It is O(1)
+// from the capacity invariant (free + Σ Replicas = Capacity) and the
+// incrementally maintained runMinSum.
 func (s *Scheduler) maxFreeable() int {
-	if s.cfg.EnablePreemption {
-		// Σ Replicas = Capacity − free.
-		return s.cfg.Capacity - s.free
-	}
 	// Σ (Replicas − jmin) = Capacity − free − Σ jmin.
 	return s.cfg.Capacity - s.free - s.runMinSum
 }
@@ -790,12 +703,6 @@ func (s *Scheduler) redistribute() {
 		if s.clean && (s.cleanUntilNs == 0 || s.tnowNs < s.cleanUntilNs) {
 			return
 		}
-	}
-	if s.cfg.AgingRate > 0 && (s.cfg.EnablePreemption || s.capStats.Requeues > 0) {
-		// Preempted jobs do not age while queued jobs do, so a mixed
-		// backlog's relative order can drift; restore the heap invariant.
-		// Capacity reclaims requeue jobs even with preemption disabled.
-		s.queue.init()
 	}
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
@@ -866,11 +773,9 @@ func (s *Scheduler) redistribute() {
 	clear(run)
 	s.runScratch = run[:0]
 	// The pass is now a fixed point of the current state: mark it clean so
-	// identical follow-up passes can skip. Aging drifts queue priorities
-	// with time, so an aging pass cannot be skipped safely; a failed
-	// actuation may succeed on retry (external actuators), so those passes
-	// stay dirty too.
-	if !attemptFailed && s.cfg.AgingRate == 0 {
+	// identical follow-up passes can skip. A failed actuation may succeed on
+	// retry (external actuators), so those passes stay dirty.
+	if !attemptFailed {
 		s.clean = true
 		s.cleanUntilNs = blockedExpiryNs
 	}

@@ -418,60 +418,9 @@ func TestPriorityOrderingTieBreak(t *testing.T) {
 	}
 }
 
-func TestAgingPromotesStarvedJob(t *testing.T) {
-	// Two queued jobs; the lower-priority one is much older. With aging it
-	// should start first once capacity frees up.
-	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 8, AgingRate: 0.01})
-	blocker := job("blocker", 9, 8, 8)
-	if err := s.Submit(blocker); err != nil {
-		t.Fatal(err)
-	}
-	old := job("old", 1, 8, 8)
-	if err := s.Submit(old); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(2 * time.Hour) // old gains 0.01*7200 = 72 priority units
-	fresh := job("fresh", 5, 8, 8)
-	if err := s.Submit(fresh); err != nil {
-		t.Fatal(err)
-	}
-	s.OnJobComplete(blocker)
-	if old.State != StateRunning {
-		t.Errorf("aged job not started: %v", old.State)
-	}
-	if fresh.State != StateQueued {
-		t.Errorf("fresh job jumped the aged one: %v", fresh.State)
-	}
-}
-
-func TestPreemptionMakesRoom(t *testing.T) {
-	s, act, clk := newSched(t, Config{Policy: Elastic, Capacity: 8, EnablePreemption: true})
-	low := job("low", 1, 8, 8) // rigid shape: cannot shrink
-	if err := s.Submit(low); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(time.Hour)
-	high := job("high", 5, 8, 8)
-	if err := s.Submit(high); err != nil {
-		t.Fatal(err)
-	}
-	if high.State != StateRunning {
-		t.Fatalf("high = %v, want Running via preemption", high.State)
-	}
-	if low.State != StatePreempted {
-		t.Fatalf("low = %v, want Preempted", low.State)
-	}
-	if act.preempts != 1 {
-		t.Errorf("preempts = %d", act.preempts)
-	}
-	// When high completes, the preempted job restarts from its checkpoint.
-	clk.advance(time.Hour)
-	s.OnJobComplete(high)
-	if low.State != StateRunning {
-		t.Errorf("preempted job not resumed: %v", low.State)
-	}
-}
-
+// TestPreemptionDisabledByDefault pins that a submission never preempts: a
+// higher-priority job that shrinking cannot make room for waits, and the
+// running job it outranks keeps its slots. Only a capacity reclaim preempts.
 func TestPreemptionDisabledByDefault(t *testing.T) {
 	s, act, clk := newSched(t, Config{Policy: Elastic, Capacity: 8})
 	low := job("low", 1, 8, 8)

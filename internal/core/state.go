@@ -16,7 +16,7 @@ type SchedulerState struct {
 	Capacity int
 	// CapStats carries the forced-reclaim counters accumulated so far.
 	CapStats CapacityStats
-	// Running holds the running jobs in decreasing effective priority
+	// Running holds the running jobs in decreasing priority
 	// order; Queued holds the waiting (queued and preempted) jobs in the
 	// same order. Both are value copies.
 	Running []Job

@@ -48,7 +48,7 @@ func TestWithdrawRejectsRunningJob(t *testing.T) {
 }
 
 func TestWithdrawPreemptedJob(t *testing.T) {
-	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8, EnablePreemption: true})
+	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8})
 	j := job("victim", 1, 4, 8)
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)

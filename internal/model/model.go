@@ -166,6 +166,15 @@ func (m Machine) RescaleOverhead(n, pOld, pNew int) RescalePhases {
 	}
 }
 
+// MaxSeconds bounds every span of model seconds a run takes in: a submission
+// instant or gap, a capacity event's instant, a rescale gap. Duration turns
+// seconds into time.Duration nanoseconds, whose int64 range ends near 9.2e9 s;
+// past it Go leaves the conversion implementation-defined (amd64 gives
+// MinInt64) and the scheduler's clock wraps. 1e9 s (about 32 years) keeps
+// room for the spans a run adds on top and sits far above the longest
+// benchmark span (1.6e7 s).
+const MaxSeconds = 1e9
+
 // Duration converts model seconds to a time.Duration.
 func Duration(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))

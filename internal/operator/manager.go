@@ -215,14 +215,8 @@ func (a *managerActuator) setReplicas(name string, to int) error {
 	return m.store.Update(job)
 }
 
-// PreemptJob checkpoint-stops a job during a forced capacity reclaim. The
-// paper's policy avoids voluntary preemption to stay shared-filesystem-free
-// (§3.2.2), so outside a reclaim the call is still refused — losing the
-// hardware is not a policy choice.
-func (a *managerActuator) PreemptJob(j *core.Job) error {
-	m := a.mgr()
-	if !m.sched.Reclaiming() {
-		return fmt.Errorf("operator: voluntary preemption not supported")
-	}
-	return m.ctrl.Preempt(j.ID)
-}
+// PreemptJob checkpoint-stops a job. Only a forced capacity reclaim calls
+// it: the paper's policy never preempts voluntarily, to stay
+// shared-filesystem-free (§3.2.2), but losing the hardware is not a policy
+// choice.
+func (a *managerActuator) PreemptJob(j *core.Job) error { return a.mgr().ctrl.Preempt(j.ID) }

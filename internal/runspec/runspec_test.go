@@ -11,8 +11,8 @@ import (
 	"elastichpc/internal/workload"
 )
 
-// every is the selection vocabulary the harness CLIs bind; Engine's groups
-// reuse some of its flag names (-preempt, for one) and are bound apart.
+// every is the selection vocabulary the harness CLIs bind; conformance's
+// tests cover Engine's.
 const every = Scenario | Seed | Jobs | Availability | Shards | Fleet | Skew | Rebalance | Parallel
 
 // TestMetaRoundTrip: the flag set is a lossless codec for the selection
@@ -99,25 +99,27 @@ func TestCheckNamesFlagAndModes(t *testing.T) {
 // select is an error naming it.
 func TestValidateDependencies(t *testing.T) {
 	for names, s := range map[string]Spec{
-		"-mttf":            {Members: 1, Scenario: "burst", MTTF: 900},
-		"-preempt":         {Members: 1, Availability: "failures", PreemptSlots: 8},
-		"-migrate-running": {Members: 2, MigrateRunning: true},
-		"-clusters":        {Members: 0},
-		"-trace":           {Members: 1, Scenario: "burst", Trace: "wl.csv"},
-		"divisible":        {Members: 1, Scenario: "burst", Jobs: 50, Waves: 3},
-		"-shards -3":       {Members: 1, Scenario: "burst", Shards: -3},
-		"-mttf -5":         {Members: 1, Availability: "failures", MTTF: -5},
-		"-mttr NaN":        {Members: 1, Availability: "failures", MTTR: math.NaN()},
-		"-preempt -4":      {Members: 1, Availability: "spot", PreemptSlots: -4},
-		"-workers -3":      {Members: 1, Workers: -3},
-		"-skew NaN":        {Members: 2, Skew: math.NaN()},
-		"-skew +Inf":       {Members: 2, Skew: math.Inf(1)},
-		"-rebalance -300":  {Members: 3, RebalanceEvery: -300},
-		"-rebalance NaN":   {Members: 3, RebalanceEvery: math.NaN()},
-		"-rebalance +Inf":  {Members: 3, RebalanceEvery: math.Inf(1)},
-		"-trace x.json":    {Members: 1, Trace: "x.json"},
-		"-trace wl":        {Members: 1, Trace: "wl"},
-		"trace cap.JSON":   {Members: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
+		"-mttf":               {Members: 1, Scenario: "burst", MTTF: 900},
+		"-preempt":            {Members: 1, Availability: "failures", PreemptSlots: 8},
+		"-migrate-running":    {Members: 2, MigrateRunning: true},
+		"-clusters":           {Members: 0},
+		"-trace":              {Members: 1, Scenario: "burst", Trace: "wl.csv"},
+		"divisible":           {Members: 1, Scenario: "burst", Jobs: 50, Waves: 3},
+		"-shards -3":          {Members: 1, Scenario: "burst", Shards: -3},
+		"-mttf -5":            {Members: 1, Availability: "failures", MTTF: -5},
+		"-mttr NaN":           {Members: 1, Availability: "failures", MTTR: math.NaN()},
+		"-preempt -4":         {Members: 1, Availability: "spot", PreemptSlots: -4},
+		"-gap 1e+308":         {Members: 1, Scenario: "uniform", Gap: 1e308},
+		"-rescale-gap 1e+300": {Members: 1, RescaleGap: 1e300},
+		"-workers -3":         {Members: 1, Workers: -3},
+		"-skew NaN":           {Members: 2, Skew: math.NaN()},
+		"-skew +Inf":          {Members: 2, Skew: math.Inf(1)},
+		"-rebalance -300":     {Members: 3, RebalanceEvery: -300},
+		"-rebalance NaN":      {Members: 3, RebalanceEvery: math.NaN()},
+		"-rebalance +Inf":     {Members: 3, RebalanceEvery: math.Inf(1)},
+		"-trace x.json":       {Members: 1, Trace: "x.json"},
+		"-trace wl":           {Members: 1, Trace: "wl"},
+		"trace cap.JSON":      {Members: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {

@@ -20,6 +20,7 @@ import (
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
+	"elastichpc/internal/model"
 	"elastichpc/internal/workload"
 )
 
@@ -44,9 +45,8 @@ type Spec struct {
 	Backend                     string
 	Policy                      core.Policy
 	Capacity, Shards            int
-	RescaleGap, Aging           float64
+	RescaleGap                  float64
 	Streaming, Full, Log, Drain bool
-	Preempt                     bool
 
 	// The fleet.
 	Route                federation.Route
@@ -114,8 +114,6 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.BoolVar(&s.Full, "full", s.Full, "reference full-redistribute scheduler")
 		fs.BoolVar(&s.Log, "log", s.Log, "record the decision log")
 		fs.BoolVar(&s.Drain, "drain", s.Drain, "overlay a maintenance-drain availability trace")
-		fs.Float64Var(&s.Aging, "aging", s.Aging, "queue aging rate")
-		fs.BoolVar(&s.Preempt, "preempt", s.Preempt, "enable preemption")
 	}
 	if g&(Shards|Engine) != 0 {
 		fs.IntVar(&s.Shards, "shards", s.Shards, "time epochs a single run's event loop executes in parallel (0 = automatic, 1 = sequential, N = up to N epochs; results are bit-identical)")
@@ -181,8 +179,9 @@ func (s *Spec) Resolve() {
 // Validate checks the dependencies between the spec's values — a knob that
 // tunes something the spec did not select would be parsed and dropped — and
 // rejects a trace path TracePath rejects, a negative or NaN count, gap or rate
-// that would read as its default, a skew no member capacity can be computed
-// from, and a rebalance period that is negative, NaN or infinite.
+// that would read as its default, a gap past model.MaxSeconds, a skew no
+// member capacity can be computed from, and a rebalance period that is
+// negative, NaN or infinite.
 func (s Spec) Validate() error {
 	s.Resolve()
 	if err := errors.Join(TracePath("trace", s.Trace), TracePath("availability-trace", s.AvailabilityTrace)); err != nil {
@@ -209,8 +208,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-capacity %d: 0 = the backend's default", s.Capacity)
 	case !(s.RescaleGap >= 0):
 		return fmt.Errorf("-rescale-gap %g: 0 = the default", s.RescaleGap)
-	case !(s.Aging >= 0):
-		return fmt.Errorf("-aging %g: a rate cannot be negative", s.Aging)
+	case s.RescaleGap > model.MaxSeconds:
+		return fmt.Errorf("-rescale-gap %g: want at most %g s", s.RescaleGap, model.MaxSeconds)
+	case s.Gap > model.MaxSeconds:
+		return fmt.Errorf("-gap %g: want at most %g s", s.Gap, model.MaxSeconds)
 	case !(s.MTTF >= 0):
 		return fmt.Errorf("-mttf %g: 0 = the profile's default", s.MTTF)
 	case !(s.MTTR >= 0):

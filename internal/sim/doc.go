@@ -19,9 +19,10 @@
 // Availability events stream from their own cursor over Config.Availability
 // the same way. Job identities are interned to int32 slab indices
 // (core.Job.Ref), equal-timestamp event batches share one scheduler kick
-// re-arm, and the decision log is opt-in (Config.LogDecisions), so the default
-// streaming path allocates nothing per job, and a retained one nothing per job
-// beyond the Result's replica-timeline map.
+// re-arm in every configuration, and the decision log is opt-in
+// (Config.LogDecisions), so the default streaming path allocates nothing per
+// job, and a retained one nothing per job beyond the Result's
+// replica-timeline map.
 //
 // # Execution modes
 //

@@ -52,8 +52,8 @@ type shardStats struct {
 // by replaying the per-window seal logs (see merge.go), not by adding
 // partial sums. The scheduler's wall-clock caches cannot diverge either:
 // each epoch's scheduler clock is anchored to the same global epoch, and
-// time-dependent decisions (aging, gap checks) only consult jobs the epoch
-// itself submitted.
+// time-dependent decisions (gap checks) only consult jobs the epoch itself
+// submitted.
 //
 // The drain predictor is a fluid approximation — backlog accumulates each
 // submission's total compute demand and drains at the base capacity's rate —

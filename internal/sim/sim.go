@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -146,9 +145,6 @@ type Config struct {
 	// one worker resolves 0 to 1 before handing the config down, so
 	// parallelism is not nested.
 	Shards int
-	// Extensions (all default off, matching the paper's §3.2.1 policy).
-	AgingRate        float64
-	EnablePreemption bool
 }
 
 // DefaultConfig matches the paper's evaluation setup.
@@ -261,19 +257,18 @@ type Simulator struct {
 	// run owns the whole workload and trace with an infinite horizon; a
 	// shard owns one epoch's slice of each, and reconciliation extends the
 	// window of a simulator that must re-execute its successor epoch.
-	w          workload.Workload
-	order      []int32 // submission order (shared, read-only across shards)
-	ranks      []int32 // per-widx ID tie-break ranks (shared, read-only)
-	specs      map[model.Class]model.Spec
-	cursor     int     // next submission index in order
-	subHi      int     // submission window end (exclusive)
-	capi       int     // next availability-trace index
-	capHi      int     // availability window end (exclusive)
-	horizon    float64 // stop before heap events at or past this instant
-	final      bool    // last window: trailing capacity events are skipped
-	deferKicks bool
-	processed  int
-	limit      int
+	w         workload.Workload
+	order     []int32 // submission order (shared, read-only across shards)
+	ranks     []int32 // per-widx ID tie-break ranks (shared, read-only)
+	specs     map[model.Class]model.Spec
+	cursor    int     // next submission index in order
+	subHi     int     // submission window end (exclusive)
+	capi      int     // next availability-trace index
+	capHi     int     // availability window end (exclusive)
+	horizon   float64 // stop before heap events at or past this instant
+	final     bool    // last window: trailing capacity events are skipped
+	processed int
+	limit     int
 
 	// mergedDecisions overrides Decisions() after a sharded run.
 	mergedDecisions []core.Decision
@@ -321,14 +316,10 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("sim: shards %d (0 = automatic, 1 = sequential, N = up to N epochs)", cfg.Shards)
 	}
-	// A negative, NaN or infinite gap converts to a negative time.Duration
-	// and runs as no gap at all; a negative or NaN aging rate runs as none,
-	// an infinite one makes every waiting job's priority infinite.
-	if x := cfg.RescaleGap; !(x >= 0) || math.IsInf(x, 0) {
-		return nil, fmt.Errorf("sim: rescale gap %g s: want a finite value >= 0", x)
-	}
-	if x := cfg.AgingRate; !(x >= 0) || math.IsInf(x, 0) {
-		return nil, fmt.Errorf("sim: aging rate %g: want a finite value >= 0", x)
+	// A negative or NaN gap runs as no gap at all, and one past
+	// model.MaxSeconds overflows the scheduler's nanosecond clock.
+	if x := cfg.RescaleGap; !(x >= 0 && x <= model.MaxSeconds) {
+		return nil, fmt.Errorf("sim: rescale gap %g s: want 0 to %g", x, model.MaxSeconds)
 	}
 	return newSimulator(cfg, cfg.Capacity)
 }
@@ -343,8 +334,6 @@ func newSimulator(cfg Config, capacity int) (*Simulator, error) {
 		Policy:           cfg.Policy,
 		Capacity:         capacity,
 		RescaleGap:       model.Duration(cfg.RescaleGap),
-		AgingRate:        cfg.AgingRate,
-		EnablePreemption: cfg.EnablePreemption,
 		EnableLog:        cfg.LogDecisions,
 		FullRedistribute: cfg.FullRedistribute,
 	}, (*simActuator)(s), func() time.Time {
@@ -530,15 +519,6 @@ func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map
 		s.samples = make([]replicaSample, 0, samplesPerJob*jobs)
 		s.utilTL = make([]UtilSample, 0, samplesPerJob*jobs)
 	}
-	// Equal-timestamp events coalesce into one scheduler pass: the kick
-	// re-arm (an O(running) gap scan) runs once per batch instead of per
-	// event. Mid-batch state can only matter to a kick when priorities
-	// drift with time (aging) or preemption can fire without a gap check —
-	// in those configurations every event re-arms individually: forcing them
-	// through the coalescing path changes the Result or the decisions of
-	// some aging and preemption cells. Whether the run is logged is not one
-	// of them: a kick that starts nothing appends nothing to the log.
-	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption
 	s.limit = 5_000_000 + 64*len(w.Jobs) + 16*len(s.cfg.Availability.Events)
 }
 
@@ -570,6 +550,8 @@ func (s *Simulator) runWindow() error {
 			at := avail[s.capi].At
 			if (s.cursor >= s.subHi || at <= w.Jobs[s.order[s.cursor]].SubmitAt) &&
 				(s.events.len() == 0 || at <= s.events.topAt()) {
+				// Equal-timestamp events coalesce: the kick re-arm (an
+				// O(running) gap scan) runs once per batch, not per event.
 				s.advanceTo(at)
 				for {
 					ev := avail[s.capi]
@@ -578,7 +560,7 @@ func (s *Simulator) runWindow() error {
 					if err := s.applyCapacity(ev.Capacity); err != nil {
 						return err
 					}
-					if !s.deferKicks || s.capi >= s.capHi || avail[s.capi].At != at {
+					if s.capi >= s.capHi || avail[s.capi].At != at {
 						break
 					}
 				}
@@ -599,7 +581,7 @@ func (s *Simulator) runWindow() error {
 					if err := s.sched.Submit(&sj.job); err != nil {
 						return err
 					}
-					if !s.deferKicks || s.cursor >= s.subHi || w.Jobs[s.order[s.cursor]].SubmitAt != at {
+					if s.cursor >= s.subHi || w.Jobs[s.order[s.cursor]].SubmitAt != at {
 						break
 					}
 				}
@@ -859,11 +841,10 @@ func (a *simActuator) PreemptJob(j *core.Job) error {
 	sj := s.byRef[j.Ref]
 	s.progress(sj)
 	// Checkpoint-to-store cost is charged when the job resumes; stopping
-	// invalidates the completion event.
+	// invalidates the completion event. Only a capacity reclaim preempts, so
+	// the resume is a forced restart.
 	sj.seq++
-	if s.sched.Reclaiming() {
-		sj.forcedOut = true
-	}
+	sj.forcedOut = true
 	s.record(-j.Replicas, sj, 0)
 	return nil
 }

@@ -399,9 +399,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"negative gap", func(c *Config) { c.RescaleGap = -5 }, "rescale gap"},
 		{"NaN gap", func(c *Config) { c.RescaleGap = math.NaN() }, "rescale gap"},
 		{"infinite gap", func(c *Config) { c.RescaleGap = math.Inf(1) }, "rescale gap"},
-		{"negative aging", func(c *Config) { c.AgingRate = -1 }, "aging rate"},
-		{"NaN aging", func(c *Config) { c.AgingRate = math.NaN() }, "aging rate"},
-		{"infinite aging", func(c *Config) { c.AgingRate = math.Inf(1) }, "aging rate"},
+		{"gap past the clock", func(c *Config) { c.RescaleGap = 1e300 }, "rescale gap"},
 	} {
 		cfg := DefaultConfig(core.Elastic)
 		tc.change(&cfg)
@@ -409,10 +407,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming the %s", tc.name, err, tc.want)
 		}
 	}
-	cfg := DefaultConfig(core.Elastic)
-	cfg.RescaleGap, cfg.AgingRate = 0, 0
-	if _, err := New(cfg); err != nil {
-		t.Errorf("rejected a zero gap and aging rate: %v", err)
+	for _, gap := range []float64{0, model.MaxSeconds} {
+		cfg := DefaultConfig(core.Elastic)
+		cfg.RescaleGap = gap
+		if _, err := New(cfg); err != nil {
+			t.Errorf("rejected a %g s gap: %v", gap, err)
+		}
 	}
 }
 
@@ -440,22 +440,6 @@ func TestSubmissionOrderMatchesStableSort(t *testing.T) {
 		if got := submissionOrder(w); !slices.Equal(got, want) {
 			t.Errorf("%s: order %v, want %v", name, got, want)
 		}
-	}
-}
-
-func TestPreemptionExtensionCompletesAllJobs(t *testing.T) {
-	cfg := DefaultConfig(core.Elastic)
-	cfg.EnablePreemption = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(workload.MustUniform(16, 0, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 16 {
-		t.Errorf("%d jobs finished", len(res.Jobs))
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"elastichpc/internal/model"
 )
 
 // CapacityEvent sets the cluster's total worker-slot capacity at an instant.
@@ -88,8 +90,8 @@ func (t AvailabilityTrace) WithRestore(base int, at float64) AvailabilityTrace {
 func (t AvailabilityTrace) Validate() error {
 	last := 0.0
 	for i, ev := range t.Events {
-		if math.IsNaN(ev.At) || math.IsInf(ev.At, 0) || ev.At < 0 {
-			return fmt.Errorf("workload: availability event %d at %v", i, ev.At)
+		if !(ev.At >= 0 && ev.At <= model.MaxSeconds) {
+			return fmt.Errorf("workload: availability event %d at %v: want 0 to %g s", i, ev.At, model.MaxSeconds)
 		}
 		if ev.At < last {
 			return fmt.Errorf("workload: availability event %d at %g before predecessor at %g", i, ev.At, last)

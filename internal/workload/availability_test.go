@@ -50,6 +50,7 @@ func TestAvailabilityTraceValidate(t *testing.T) {
 		{Events: []CapacityEvent{{At: -1, Capacity: 4}}},
 		{Events: []CapacityEvent{{At: 100, Capacity: 4}, {At: 50, Capacity: 8}}},
 		{Events: []CapacityEvent{{At: 10, Capacity: 0}}},
+		{Events: []CapacityEvent{{At: 1e12, Capacity: 4}}},
 	}
 	for i, tr := range cases {
 		if err := tr.Validate(); err == nil {

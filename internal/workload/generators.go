@@ -42,7 +42,7 @@ func (g Uniform) Generate(seed int64) (Workload, error) {
 			SubmitAt: float64(i) * g.Gap,
 		})
 	}
-	return w, nil
+	return bounded(w)
 }
 
 // Poisson models memoryless arrivals: n jobs with exponentially distributed
@@ -78,7 +78,7 @@ func (g Poisson) Generate(seed int64) (Workload, error) {
 		})
 		at += rng.ExpFloat64() * g.MeanGap
 	}
-	return w, nil
+	return bounded(w)
 }
 
 // Burst models flash crowds: `Waves` bursts of `PerWave` simultaneous
@@ -117,7 +117,7 @@ func (g Burst) Generate(seed int64) (Workload, error) {
 			})
 		}
 	}
-	return w, nil
+	return bounded(w)
 }
 
 // Diurnal models a day/night cycle: arrivals follow a nonhomogeneous Poisson
@@ -162,7 +162,7 @@ func (g Diurnal) Generate(seed int64) (Workload, error) {
 		mean := g.PeakGap*load + g.OffPeakGap*(1-load)
 		at += rng.ExpFloat64() * mean
 	}
-	return w, nil
+	return bounded(w)
 }
 
 // Trace replays a workload saved with SaveFile, a CSV trace file.
@@ -187,6 +187,16 @@ func (g Trace) Generate(int64) (Workload, error) {
 // +Inf is rejected too, since an infinite gap never submits a second job.
 func validGap(gap float64) bool {
 	return gap >= 0 && !math.IsInf(gap, 1) && !math.IsNaN(gap)
+}
+
+// bounded returns a generated workload, or an error when its last submission
+// — the latest, or NaN once the arrival clock overflowed — lies past
+// model.MaxSeconds, where the scheduler's clock cannot follow.
+func bounded(w Workload) (Workload, error) {
+	if n := len(w.Jobs); n > 0 && !(w.Jobs[n-1].SubmitAt <= model.MaxSeconds) {
+		return Workload{}, fmt.Errorf("workload: job %s submitted at %g s, past %g s", w.Jobs[n-1].ID, w.Jobs[n-1].SubmitAt, model.MaxSeconds)
+	}
+	return w, nil
 }
 
 // MustUniform is the panic-boundary form of the Uniform generator for

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"os"
 	"sort"
@@ -36,8 +35,8 @@ func (l *jobList) add(id, className string, priority int, submitAt float64) erro
 	if priority < 1 {
 		return fmt.Errorf("workload: job %q priority %d < 1", id, priority)
 	}
-	if submitAt < 0 || math.IsNaN(submitAt) || math.IsInf(submitAt, 0) {
-		return fmt.Errorf("workload: job %q submitAt %v", id, submitAt)
+	if !(submitAt >= 0 && submitAt <= model.MaxSeconds) {
+		return fmt.Errorf("workload: job %q submitAt %v: want 0 to %g s", id, submitAt, model.MaxSeconds)
 	}
 	*l = append(*l, JobSpec{ID: id, Class: class, Priority: priority, SubmitAt: submitAt})
 	return nil

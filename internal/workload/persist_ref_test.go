@@ -16,12 +16,16 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"elastichpc/internal/model"
 )
 
 // The two CSV decoders as they were before they read row by row: every row
 // materialised by csv.ReadAll, then a list of entries, then the jobs or
-// events. Their bodies are kept verbatim (only renamed) as the oracle the
-// streaming decoders are held to — both reject, or both accept the same value.
+// events. Their bodies are kept verbatim (only renamed, and the job decoder
+// holding submit instants to model.MaxSeconds as jobList.add does) as the
+// oracle the streaming decoders are held to — both reject, or both accept the
+// same value.
 
 // JobEntry and AvailabilityEntry are the entry rows the reference decoders
 // build: one serialized job submission and one serialized capacity event.
@@ -90,7 +94,7 @@ func fromEntriesReference(entries []JobEntry) (Workload, error) {
 		if e.Priority < 1 {
 			return Workload{}, fmt.Errorf("workload: job %q priority %d < 1", e.ID, e.Priority)
 		}
-		if e.SubmitAt < 0 || math.IsNaN(e.SubmitAt) || math.IsInf(e.SubmitAt, 0) {
+		if e.SubmitAt < 0 || math.IsNaN(e.SubmitAt) || math.IsInf(e.SubmitAt, 0) || e.SubmitAt > model.MaxSeconds {
 			return Workload{}, fmt.Errorf("workload: job %q submitAt %v", e.ID, e.SubmitAt)
 		}
 		w.Jobs = append(w.Jobs, JobSpec{

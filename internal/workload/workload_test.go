@@ -290,6 +290,7 @@ func TestLoadCSVValidates(t *testing.T) {
 		"NaN time":        header + "a,small,1,NaN\n",
 		"+Inf time":       header + "a,small,1,+Inf\n",
 		"-Inf time":       header + "a,small,1,-Inf\n",
+		"time past clock": header + "a,small,1,1e12\n",
 		"trailing data":   header + "a,small,1,0\ngarbage\n",
 		"second document": header + "a,small,1,0\n" + header + "b,small,1,1\n",
 	}
@@ -392,6 +393,7 @@ func TestGeneratorsRejectDegenerateGaps(t *testing.T) {
 		Burst{Waves: 0, PerWave: 2, WaveGap: 90},
 		Diurnal{Jobs: 4, Period: math.NaN(), PeakGap: 30, OffPeakGap: 300},
 		Diurnal{Jobs: 4, Period: 900, PeakGap: math.NaN(), OffPeakGap: 300},
+		Uniform{Jobs: 3, Gap: 1e308}, // the third job's instant overflows
 	}
 	for i, g := range cases {
 		if _, err := g.Generate(1); err == nil {
