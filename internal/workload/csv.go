@@ -1,16 +1,20 @@
 package workload
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 	"unsafe"
 )
 
-// The CSV trace formats: encoding/csv writes them, and csvScanner reads them
-// from the whole document held in one string.
+// The CSV trace formats: the savers build each row in one reused buffer and
+// write it through one bufio.Writer, quoting as encoding/csv.Writer quotes,
+// and csvScanner reads them from the whole document held in one string.
 
 // csvHeader is the column layout of the CSV trace format.
 var csvHeader = []string{"id", "class", "priority", "submit_at"}
@@ -19,25 +23,33 @@ var csvHeader = []string{"id", "class", "priority", "submit_at"}
 // format.
 var availabilityCSVHeader = []string{"at", "capacity"}
 
+// saveBuffer sizes a saver's write buffer for rows rows: room for the whole
+// trace, up to 32 kB. An 80 k-job trace (about 2 MB) is then 64 writes, and a
+// small trace does not allocate and clear a buffer it cannot fill: a flat
+// 32 kB made a 32-job trace's generate-and-save half again as slow.
+func saveBuffer(rows int) int { return min(32<<10, 64*(rows+1)) }
+
 // saveCSV writes a workload in the CSV trace format: a header row followed by
 // one `id,class,priority,submit_at` row per job.
 func saveCSV(w io.Writer, workload Workload) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("workload: csv: %w", err)
-	}
-	for _, j := range workload.Jobs {
-		rec := []string{
-			j.ID, j.Class.String(),
-			strconv.Itoa(j.Priority),
-			strconv.FormatFloat(j.SubmitAt, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
+	bw := bufio.NewWriterSize(w, saveBuffer(len(workload.Jobs)))
+	row := appendRecord(nil, csvHeader)
+	// A burst's jobs share one submit time, so its text is formatted once.
+	var atText [32]byte // the longest float64 'g', -1 text is 24 bytes
+	at, atBits := atText[:0], uint64(0)
+	for i, j := range workload.Jobs {
+		if _, err := bw.Write(row); err != nil {
 			return fmt.Errorf("workload: csv: %w", err)
 		}
+		if bits := math.Float64bits(j.SubmitAt); i == 0 || bits != atBits {
+			at, atBits = strconv.AppendFloat(at[:0], j.SubmitAt, 'g', -1, 64), bits
+		}
+		row = append(appendField(row[:0], j.ID), ',')
+		row = append(appendField(row, j.Class.String()), ',')
+		row = append(strconv.AppendInt(row, int64(j.Priority), 10), ',')
+		row = append(append(row, at...), '\n')
 	}
-	cw.Flush()
-	return cw.Error()
+	return flushRows(bw, row, "csv")
 }
 
 // loadCSV decodes a CSV trace held in one string, validating it through
@@ -75,21 +87,78 @@ func loadCSV(doc string) (Workload, error) {
 // saveAvailabilityCSV writes a capacity trace in the CSV format: a header
 // row followed by one `at,capacity` row per event.
 func saveAvailabilityCSV(w io.Writer, tr AvailabilityTrace) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(availabilityCSVHeader); err != nil {
-		return fmt.Errorf("workload: availability csv: %w", err)
-	}
+	bw := bufio.NewWriterSize(w, saveBuffer(len(tr.Events)))
+	row := appendRecord(nil, availabilityCSVHeader)
 	for _, ev := range tr.Events {
-		rec := []string{
-			strconv.FormatFloat(ev.At, 'g', -1, 64),
-			strconv.Itoa(ev.Capacity),
-		}
-		if err := cw.Write(rec); err != nil {
+		if _, err := bw.Write(row); err != nil {
 			return fmt.Errorf("workload: availability csv: %w", err)
 		}
+		row = append(strconv.AppendFloat(row[:0], ev.At, 'g', -1, 64), ',')
+		row = append(strconv.AppendInt(row, int64(ev.Capacity), 10), '\n')
 	}
-	cw.Flush()
-	return cw.Error()
+	return flushRows(bw, row, "availability csv")
+}
+
+// flushRows writes a saver's last row and flushes; what names the format in
+// the error.
+func flushRows(bw *bufio.Writer, row []byte, what string) error {
+	if _, err := bw.Write(row); err != nil {
+		return fmt.Errorf("workload: %s: %w", what, err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("workload: %s: %w", what, err)
+	}
+	return nil
+}
+
+// appendRecord appends fields as one CSV row.
+func appendRecord(b []byte, fields []string) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendField(b, f)
+	}
+	return append(b, '\n')
+}
+
+// appendField appends s as one CSV field, quoted where encoding/csv.Writer
+// quotes one: a field that is `\.`, holds a ',', '"', '\r' or '\n', or starts
+// with a Unicode space — never an empty one. Inside quotes every '"' is
+// doubled and everything else, line ends included, is written as it is. A
+// number strconv formats never needs quotes, so the savers append numbers
+// directly.
+func appendField(b []byte, s string) []byte {
+	if !needsQuotes(s) {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(append(b, s[:i+1]...), '"')
+		s = s[i+1:]
+	}
+	return append(append(b, s...), '"')
+}
+
+func needsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // loadAvailabilityCSV decodes a CSV capacity trace held in one string,

@@ -13,13 +13,25 @@
 // workload saved to a CSV trace file loads back exactly, for reproducible
 // experiments.
 //
-// # Trace decoding
+// # Trace encoding and decoding
+//
+// A generator builds its workload in one pass: the job slice is sized up
+// front, the class mix is resolved once, and every job ID is appended to one
+// buffer sized for all of them, each ID a substring of it. The savers write
+// each row from one reused buffer through one bufio.Writer, with numbers
+// from strconv ('g', -1 for floats), and quote a string field exactly where
+// encoding/csv.Writer does (held to it by the tests and fuzz targets): a
+// field is quoted when it is `\.`, holds a ',', '"', '\r' or '\n', or starts
+// with a Unicode space, and never when it is empty; inside quotes every '"'
+// is doubled. So neither side allocates per job.
 //
 // A CSV trace is read whole into one string and scanned once, in the
 // language encoding/csv reads with TrimLeadingSpace (held to that reader by
 // the tests' ReadAll oracle). Field values are substrings of the document,
 // so the decoders' allocations do not grow with the trace's length, and a
-// trace already in submission order is not sorted again.
+// trace already in submission order is not sorted again. A quoted "\r\n"
+// reads back as "\n", as encoding/csv reads it; every other field reads back
+// as it was written.
 //
 // # Availability scenarios
 //

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"elastichpc/internal/model"
@@ -31,18 +32,22 @@ func (g Uniform) Generate(seed int64) (Workload, error) {
 	if g.Jobs <= 0 || !validGap(g.Gap) {
 		return Workload{}, fmt.Errorf("workload: bad uniform params jobs=%d gap=%g", g.Jobs, g.Gap)
 	}
+	if last := float64(g.Jobs-1) * g.Gap; !(last <= model.MaxSeconds) {
+		return Workload{}, lateJob(append02d([]byte(jobPrefix), g.Jobs-1), last)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	classes := model.AllClasses()
-	var w Workload
-	for i := 0; i < g.Jobs; i++ {
-		w.Jobs = append(w.Jobs, JobSpec{
-			ID:       fmt.Sprintf("job-%02d", i),
+	jobs := make([]JobSpec, g.Jobs)
+	ids, prefix := make(idBuffer, 0, jobIDBytes(g.Jobs)), []byte(jobPrefix)
+	for i := range jobs {
+		jobs[i] = JobSpec{
+			ID:       ids.next(prefix, i),
 			Class:    classes[rng.Intn(len(classes))],
 			Priority: 1 + rng.Intn(5),
 			SubmitAt: float64(i) * g.Gap,
-		})
+		}
 	}
-	return bounded(w)
+	return Workload{Jobs: jobs}, nil
 }
 
 // Poisson models memoryless arrivals: n jobs with exponentially distributed
@@ -61,24 +66,24 @@ func (g Poisson) Generate(seed int64) (Workload, error) {
 	if g.Jobs <= 0 || !validGap(g.MeanGap) {
 		return Workload{}, fmt.Errorf("workload: bad poisson params n=%d mean=%g", g.Jobs, g.MeanGap)
 	}
-	mix := UniformMix()
+	mix, _ := Mix(nil).resolve() // the uniform mix always resolves
 	rng := rand.New(rand.NewSource(seed))
-	var w Workload
+	jobs := make([]JobSpec, g.Jobs)
+	ids, prefix := make(idBuffer, 0, jobIDBytes(g.Jobs)), []byte(jobPrefix)
 	at := 0.0
-	for i := 0; i < g.Jobs; i++ {
-		class, err := mix.draw(rng)
-		if err != nil {
-			return Workload{}, err
+	for i := range jobs {
+		if !(at <= model.MaxSeconds) { // arrivals never decrease: stop at the first one past
+			return Workload{}, lateJob(append02d([]byte(jobPrefix), i), at)
 		}
-		w.Jobs = append(w.Jobs, JobSpec{
-			ID:       fmt.Sprintf("job-%02d", i),
-			Class:    class,
+		jobs[i] = JobSpec{
+			ID:       ids.next(prefix, i),
+			Class:    mix.draw(rng),
 			Priority: 1 + rng.Intn(5),
 			SubmitAt: at,
-		})
+		}
 		at += rng.ExpFloat64() * g.MeanGap
 	}
-	return bounded(w)
+	return Workload{Jobs: jobs}, nil
 }
 
 // Burst models flash crowds: `Waves` bursts of `PerWave` simultaneous
@@ -100,24 +105,29 @@ func (g Burst) Generate(seed int64) (Workload, error) {
 		return Workload{}, fmt.Errorf("workload: bad burst params waves=%d perwave=%d gap=%g",
 			g.Waves, g.PerWave, g.WaveGap)
 	}
-	mix := g.Mix.orUniform()
+	mix, err := g.Mix.resolve()
+	if err != nil {
+		return Workload{}, err
+	}
+	if last := float64(g.Waves-1) * g.WaveGap; !(last <= model.MaxSeconds) {
+		return Workload{}, lateJob(append02d(wavePrefix(nil, g.Waves-1), g.PerWave-1), last)
+	}
 	rng := rand.New(rand.NewSource(seed))
-	var w Workload
+	jobs := make([]JobSpec, 0, g.Waves*g.PerWave)
+	ids := make(idBuffer, 0, waveIDBytes(g.Waves, g.PerWave))
+	var prefixBuf [32]byte // "job-w", up to 19 digits and '-'
 	for wv := 0; wv < g.Waves; wv++ {
+		prefix := wavePrefix(prefixBuf[:0], wv)
 		for j := 0; j < g.PerWave; j++ {
-			class, err := mix.draw(rng)
-			if err != nil {
-				return Workload{}, err
-			}
-			w.Jobs = append(w.Jobs, JobSpec{
-				ID:       fmt.Sprintf("job-w%02d-%02d", wv, j),
-				Class:    class,
+			jobs = append(jobs, JobSpec{
+				ID:       ids.next(prefix, j),
+				Class:    mix.draw(rng),
 				Priority: 1 + rng.Intn(5),
 				SubmitAt: float64(wv) * g.WaveGap,
 			})
 		}
 	}
-	return bounded(w)
+	return Workload{Jobs: jobs}, nil
 }
 
 // Diurnal models a day/night cycle: arrivals follow a nonhomogeneous Poisson
@@ -142,27 +152,27 @@ func (g Diurnal) Generate(seed int64) (Workload, error) {
 		return Workload{}, fmt.Errorf("workload: bad diurnal params jobs=%d period=%g peak=%g offpeak=%g",
 			g.Jobs, g.Period, g.PeakGap, g.OffPeakGap)
 	}
-	mix := UniformMix()
+	mix, _ := Mix(nil).resolve() // the uniform mix always resolves
 	rng := rand.New(rand.NewSource(seed))
-	var w Workload
+	jobs := make([]JobSpec, g.Jobs)
+	ids, prefix := make(idBuffer, 0, jobIDBytes(g.Jobs)), []byte(jobPrefix)
 	at := 0.0
-	for i := 0; i < g.Jobs; i++ {
-		class, err := mix.draw(rng)
-		if err != nil {
-			return Workload{}, err
+	for i := range jobs {
+		if !(at <= model.MaxSeconds) { // arrivals never decrease: stop at the first one past
+			return Workload{}, lateJob(append02d([]byte(jobPrefix), i), at)
 		}
-		w.Jobs = append(w.Jobs, JobSpec{
-			ID:       fmt.Sprintf("job-%02d", i),
-			Class:    class,
+		jobs[i] = JobSpec{
+			ID:       ids.next(prefix, i),
+			Class:    mix.draw(rng),
 			Priority: 1 + rng.Intn(5),
 			SubmitAt: at,
-		})
+		}
 		// load = 1 at the start of each period (peak), 0 half a period in.
 		load := (1 + math.Cos(2*math.Pi*at/g.Period)) / 2
 		mean := g.PeakGap*load + g.OffPeakGap*(1-load)
 		at += rng.ExpFloat64() * mean
 	}
-	return bounded(w)
+	return Workload{Jobs: jobs}, nil
 }
 
 // Trace replays a workload saved with SaveFile, a CSV trace file.
@@ -189,14 +199,60 @@ func validGap(gap float64) bool {
 	return gap >= 0 && !math.IsInf(gap, 1) && !math.IsNaN(gap)
 }
 
-// bounded returns a generated workload, or an error when its last submission
-// — the latest, or NaN once the arrival clock overflowed — lies past
-// model.MaxSeconds, where the scheduler's clock cannot follow.
-func bounded(w Workload) (Workload, error) {
-	if n := len(w.Jobs); n > 0 && !(w.Jobs[n-1].SubmitAt <= model.MaxSeconds) {
-		return Workload{}, fmt.Errorf("workload: job %s submitted at %g s, past %g s", w.Jobs[n-1].ID, w.Jobs[n-1].SubmitAt, model.MaxSeconds)
+// lateJob is the error for a generated job submitted past model.MaxSeconds,
+// where the scheduler's clock cannot follow; at is NaN once an arrival clock
+// overflowed. A generator checks its span before it builds a job: Uniform and
+// Burst know their last instant up front, and Poisson and Diurnal, whose
+// arrivals never decrease, stop at the first arrival past the bound.
+func lateJob(id []byte, at float64) error {
+	return fmt.Errorf("workload: job %s submitted at %g s, past %g s", id, at, model.MaxSeconds)
+}
+
+// idBuffer holds a generated workload's job IDs back to back in one
+// allocation sized for all of them. Each ID is a substring of it, as a loaded
+// trace's IDs are substrings of its file: the bytes under an ID are never
+// written again, and a JobSpec kept from the workload keeps the whole buffer
+// alive.
+type idBuffer []byte
+
+// next appends the ID prefix followed by i as %02d formats it, and returns
+// it.
+func (b *idBuffer) next(prefix []byte, i int) string {
+	start := len(*b)
+	*b = append02d(append(*b, prefix...), i)
+	return bytesString((*b)[start:])
+}
+
+// jobPrefix begins "job-%02d", the ID of a job submitted on its own.
+// wavePrefix appends "job-w%02d-", what the "job-w%02d-%02d" IDs of wave
+// wv's jobs share.
+const jobPrefix = "job-"
+
+func wavePrefix(b []byte, wv int) []byte { return append(append02d(append(b, "job-w"...), wv), '-') }
+
+// append02d appends i >= 0 as %02d formats it: at least two digits.
+func append02d(b []byte, i int) []byte {
+	if i < 10 {
+		b = append(b, '0')
 	}
-	return w, nil
+	return strconv.AppendInt(b, int64(i), 10)
+}
+
+// jobIDBytes is the length of the IDs of jobs 0 to n-1, and waveIDBytes that
+// of every job's ID in waves waves of perWave jobs.
+func jobIDBytes(n int) int { return n*len(jobPrefix) + digits02d(n) }
+
+func waveIDBytes(waves, perWave int) int {
+	return waves*perWave*len("job-w-") + perWave*digits02d(waves) + waves*digits02d(perWave)
+}
+
+// digits02d is the number of digits %02d writes for 0 to n-1.
+func digits02d(n int) int {
+	d := 2 * n
+	for p := 100; p < n; p *= 10 {
+		d += n - p // every number from p up takes one more
+	}
+	return d
 }
 
 // MustUniform is the panic-boundary form of the Uniform generator for

@@ -153,6 +153,52 @@ func availabilityFromEntriesReference(entries []AvailabilityEntry) (Availability
 	return tr, nil
 }
 
+// The two CSV encoders as they were before they built rows in one buffer: a
+// csv.Writer and a []string per row. Their bodies are kept verbatim (only
+// renamed) as the oracle the savers are held to — equal bytes for every
+// trace.
+
+// saveCSVReference is the CSV job-trace encoder at the parent of the
+// row-buffer one.
+func saveCSVReference(w io.Writer, workload Workload) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(csvHeader); err != nil {
+		return fmt.Errorf("workload: csv: %w", err)
+	}
+	for _, j := range workload.Jobs {
+		rec := []string{
+			j.ID, j.Class.String(),
+			strconv.Itoa(j.Priority),
+			strconv.FormatFloat(j.SubmitAt, 'g', -1, 64),
+		}
+		if err := cw.Write(rec); err != nil {
+			return fmt.Errorf("workload: csv: %w", err)
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// saveAvailabilityCSVReference is the CSV capacity-trace encoder at the same
+// parent.
+func saveAvailabilityCSVReference(w io.Writer, tr AvailabilityTrace) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(availabilityCSVHeader); err != nil {
+		return fmt.Errorf("workload: availability csv: %w", err)
+	}
+	for _, ev := range tr.Events {
+		rec := []string{
+			strconv.FormatFloat(ev.At, 'g', -1, 64),
+			strconv.Itoa(ev.Capacity),
+		}
+		if err := cw.Write(rec); err != nil {
+			return fmt.Errorf("workload: availability csv: %w", err)
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 // loadCSVReader and loadAvailabilityCSVReader put the CSV decoders behind an
 // io.Reader, the shape of their references.
 func loadCSVReader(r io.Reader) (Workload, error) {

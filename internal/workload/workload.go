@@ -2,12 +2,18 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"elastichpc/internal/model"
 )
 
 // JobSpec is one job submission: what runs, how urgent, and when it arrives.
+//
+// A generated or loaded job's ID is a substring of one buffer its workload
+// shares: the generator's ID buffer, or the trace file read whole. A JobSpec
+// kept after the rest of its workload is dropped keeps that whole buffer
+// alive; strings.Clone the ID to keep it alone.
 type JobSpec struct {
 	ID       string
 	Class    model.Class
@@ -69,42 +75,50 @@ type Generator interface {
 // to 1; zero-weight classes are never drawn. A nil Mix means uniform.
 type Mix map[model.Class]float64
 
-// UniformMix draws all four classes equally (the paper's setup).
-func UniformMix() Mix {
-	m := Mix{}
-	for _, c := range model.AllClasses() {
-		m[c] = 1
+// mixTable is a Mix resolved once per Generate: its weights in
+// model.AllClasses order and their total, summed in that order.
+type mixTable struct {
+	classes []model.Class
+	weights []float64
+	total   float64
+}
+
+// resolve checks m's weights and tables them. A weight must be finite and not
+// negative, and at least one must be positive.
+func (m Mix) resolve() (mixTable, error) {
+	t := mixTable{classes: model.AllClasses()}
+	t.weights = make([]float64, len(t.classes))
+	for i, c := range t.classes {
+		w := 1.0
+		if m != nil {
+			w = m[c]
+		}
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return mixTable{}, fmt.Errorf("workload: non-finite weight for %v", c)
+		}
+		if w < 0 {
+			return mixTable{}, fmt.Errorf("workload: negative weight for %v", c)
+		}
+		t.weights[i] = w
+		t.total += w
 	}
-	return m
+	if t.total <= 0 {
+		return mixTable{}, fmt.Errorf("workload: mix has no positive weights")
+	}
+	if math.IsInf(t.total, 1) {
+		return mixTable{}, fmt.Errorf("workload: mix weights sum past the float64 range")
+	}
+	return t, nil
 }
 
 // draw picks one class, consuming exactly one rng.Float64.
-func (m Mix) draw(rng *rand.Rand) (model.Class, error) {
-	var total float64
-	classes := model.AllClasses()
-	for _, c := range classes {
-		if m[c] < 0 {
-			return 0, fmt.Errorf("workload: negative weight for %v", c)
-		}
-		total += m[c]
-	}
-	if total <= 0 {
-		return 0, fmt.Errorf("workload: mix has no positive weights")
-	}
-	x := rng.Float64() * total
-	for _, c := range classes {
-		x -= m[c]
+func (t *mixTable) draw(rng *rand.Rand) model.Class {
+	x := rng.Float64() * t.total
+	for i, w := range t.weights {
+		x -= w
 		if x < 0 {
-			return c, nil
+			return t.classes[i]
 		}
 	}
-	return classes[len(classes)-1], nil
-}
-
-// orUniform resolves a nil mix to the uniform one.
-func (m Mix) orUniform() Mix {
-	if m == nil {
-		return UniformMix()
-	}
-	return m
+	return t.classes[len(t.classes)-1]
 }

@@ -156,11 +156,19 @@ func TestMixWeighting(t *testing.T) {
 			t.Fatalf("drew %v from a large-only mix", j.Class)
 		}
 	}
-	if _, err := (Burst{Waves: 1, PerWave: 10, WaveGap: 10, Mix: Mix{}}).Generate(3); err == nil {
-		t.Error("accepted empty mix")
-	}
-	if _, err := (Burst{Waves: 1, PerWave: 10, WaveGap: 10, Mix: Mix{model.Small: -1}}).Generate(3); err == nil {
-		t.Error("accepted negative weight")
+	for _, mix := range []Mix{
+		{},                // empty
+		{model.Small: -1}, // negative
+		// Each of these drew only xlarge, weight 0, before weights had to be
+		// finite.
+		{model.Small: math.NaN(), model.Medium: 1},
+		{model.Small: math.Inf(1), model.Medium: 1},
+		{model.Small: math.MaxFloat64, model.Medium: math.MaxFloat64}, // the total is +Inf
+		{model.Medium: math.Inf(-1), model.Large: 1},
+	} {
+		if w, err := (Burst{Waves: 2, PerWave: 5, WaveGap: 10, Mix: mix}).Generate(3); err == nil {
+			t.Errorf("accepted mix %v: drew %v", mix, w.Jobs)
+		}
 	}
 }
 
