@@ -22,8 +22,8 @@
 // -backend sim|cluster|federation; -scenario, one of burst, diurnal,
 // poisson and uniform (sized by -jobs and -gap, burst by -waves too, 0 = the
 // scenario's default) or the composites head-heavy and tail-heavy (fixed
-// size); -seed, -policy, -capacity, -rescale-gap, -log, -drain; sim and
-// federation only: -shards, -streaming, -full; federation only: -route,
+// size); -seed (0 included), -policy, -capacity, -rescale-gap, -log, -drain;
+// sim and federation only: -shards, -streaming; federation only: -route,
 // -members, -skew, -rebalance, -migrate-running, -workers. A flag the chosen
 // mode, backend or scenario does not read is rejected.
 package main
@@ -65,8 +65,7 @@ func run() int {
 
 	// The modes: three in the order of their selector flags, then -record,
 	// one per backend, each reading the spec flags its backend has a
-	// setting for (the emulation has no shards, streaming or reference
-	// scheduler).
+	// setting for (the emulation has no shards or streaming).
 	modes := []runspec.Mode{
 		{Name: "-replay", Also: []string{"out", "window"}},
 		{Name: "-diff", Also: []string{"window"}, Args: 2},

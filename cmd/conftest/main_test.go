@@ -85,7 +85,8 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -backend federation -migrate-running", "-migrate-running"},
 		{"-matrix -out x.json", "-out"},
 		{"-record -matrix", "exactly one"},
-		{"-record -backend cluster -full", "-full"},
+		// The reference scheduler is core's test oracle, not a mode.
+		{"-record -full", "-full"},
 		{"-record -backend cluster -streaming", "-streaming"},
 		{"-record -backend cluster -shards 4", "-shards"},
 		{"-record -backend sim -route least_loaded", "-route"},
@@ -210,6 +211,36 @@ func TestClusterReadsRescaleGap(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("a 30 s rescale gap recorded the default run: err = %v\n%s", err, out)
+	}
+}
+
+// TestRecordSeedZero: -seed 0 is a seed. On every backend its stream differs
+// from seed 1's — it was byte-identical, the spec's zero seed resolved to the
+// default — carries seed 0 in its meta, and -replay re-runs seed 0.
+func TestRecordSeedZero(t *testing.T) {
+	dir := t.TempDir()
+	for _, backend := range []string{"sim", "cluster", "federation"} {
+		for _, seed := range []string{"0", "1"} {
+			args := fmt.Sprintf("-record -backend %s -jobs 12 -seed %s -out %s%s.json", backend, seed, backend, seed)
+			if out, err := conftest(dir, args).CombinedOutput(); err != nil {
+				t.Fatalf("conftest %s: %v\n%s", args, err, out)
+			}
+		}
+		st, err := conformance.LoadFile(filepath.Join(dir, backend+"0.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Meta["seed"] != "0" {
+			t.Errorf("%s: the seed-0 stream's meta says seed %q", backend, st.Meta["seed"])
+		}
+		out, err := conftest(dir, "-diff "+backend+"0.json "+backend+"1.json").Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: -seed 0 recorded the seed-1 run: err = %v\n%s", backend, err, out)
+		}
+		if out, err := conftest(dir, "-replay "+backend+"0.json").CombinedOutput(); err != nil {
+			t.Errorf("%s: the seed-0 stream does not replay: %v\n%s", backend, err, out)
+		}
 	}
 }
 

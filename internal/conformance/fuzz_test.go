@@ -25,27 +25,6 @@ func fuzzScenario(seed int64) Scenario {
 	return sc
 }
 
-// FuzzIncrementalEquivalence fuzzes the incremental scheduler's contract:
-// any generated scenario × policy must produce a decision stream identical
-// to the full-redistribute reference.
-func FuzzIncrementalEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0))
-	f.Add(int64(7), uint8(1))
-	f.Add(int64(42), uint8(2))
-	f.Add(int64(1234), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, policyIdx uint8) {
-		sc := fuzzScenario(seed)
-		p := core.AllPolicies()[int(policyIdx)%4]
-		report, err := scenarioDivergence(sc, p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report != "" {
-			t.Fatalf("seed %d policy %s diverged:\n%s", seed, p, report)
-		}
-	})
-}
-
 // FuzzShardEquivalence fuzzes the sharded event loop's contract: any
 // generated scenario × policy × shard width — automatic (0) included — must
 // match the sequential reference exactly.

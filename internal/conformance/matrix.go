@@ -160,13 +160,13 @@ var simShapes = []Ref{
 }
 
 // Cases is the matrix, one table of cells:
-//   - sim, per seed × policy over every shape in simShapes: the
-//     full-redistribute reference against the incremental scheduler, the
-//     streaming mode, every shard width, the widest streaming, and the
-//     stepping surface — all logged, on the path production runs, held to the
+//   - sim, per seed × policy over every shape in simShapes: the logged
+//     sequential run against the streaming mode, every shard width, the
+//     widest streaming, and the stepping surface — all logged, held to the
 //     decision stream and the bit-exact summary — plus one unlogged run that
 //     must leave the same summary, per-job digest included (observing a run
-//     does not change it);
+//     does not change it). What the scheduler decides is core's oracle's to
+//     check, not the matrix's;
 //   - sim-streaming-scale: streaming over a workload large and bursty enough
 //     for a real multi-epoch plan with draining boundaries (sim's
 //     TestPlanEpochsStreamingScaleWorkload asserts its shape), the widest
@@ -182,18 +182,16 @@ func Cases(opt MatrixOptions) []Case {
 	if n := len(opt.Shards); n > 0 {
 		top = opt.Shards[n-1]
 	}
-	incremental := Candidate{Name: "incremental", Change: func(s *RunSpec) { s.Full = false }}
 	sharded := func(n int, streaming bool) Candidate {
 		name := fmt.Sprintf("shards%d", n)
 		if streaming {
 			name += "/streaming"
 		}
-		return Candidate{Name: name, Change: func(s *RunSpec) { s.Full, s.Shards, s.Streaming = false, n, streaming }}
+		return Candidate{Name: name, Change: func(s *RunSpec) { s.Shards, s.Streaming = n, streaming }}
 	}
 	repeat := Candidate{Name: "repeat"}
 
-	simCandidates := []Candidate{incremental,
-		{Name: "streaming", Change: func(s *RunSpec) { s.Full, s.Streaming = false, true }}}
+	simCandidates := []Candidate{{Name: "streaming", Change: func(s *RunSpec) { s.Streaming = true }}}
 	for _, n := range opt.Shards {
 		simCandidates = append(simCandidates, sharded(n, false))
 	}
@@ -201,8 +199,8 @@ func Cases(opt MatrixOptions) []Case {
 		simCandidates = append(simCandidates, sharded(top, true))
 	}
 	simCandidates = append(simCandidates,
-		Candidate{Name: "stepped", Change: incremental.Change, Stepped: true},
-		Candidate{Name: "unlogged", Change: func(s *RunSpec) { s.Full, s.Log = false, false }, Project: summaryOnly})
+		Candidate{Name: "stepped", Stepped: true},
+		Candidate{Name: "unlogged", Change: func(s *RunSpec) { s.Log = false }, Project: summaryOnly})
 
 	var cases []Case
 	for _, seed := range opt.Seeds {
@@ -211,7 +209,7 @@ func Cases(opt MatrixOptions) []Case {
 			for _, shape := range simShapes {
 				spec := shape.Spec
 				spec.Backend, spec.Seed, spec.Policy = "sim", seed, p
-				spec.Full, spec.Log, spec.Shards = true, true, 1
+				spec.Log, spec.Shards = true, 1
 				c.Refs = append(c.Refs, Ref{Name: c.Name + "/" + shape.Name, Spec: spec})
 			}
 			cases = append(cases, c)

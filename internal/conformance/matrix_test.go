@@ -61,14 +61,14 @@ func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
 	if want := fmt.Sprintf("decisions[%d]", k); !strings.Contains(f.Report, want) {
 		t.Errorf("report does not name %s:\n%s", want, f.Report)
 	}
-	want := "conftest -record -backend sim -full -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1 -waves 3"
+	want := "conftest -record -backend sim -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1 -waves 3"
 	if f.Reproduce != want {
 		t.Errorf("reproduce line:\n got %s\nwant %s", f.Reproduce, want)
 	}
 
 	// An unlogged candidate is compared on its summary, and its line turns
 	// off the log -record keeps by default.
-	spec.Full, spec.Log = false, false
+	spec.Log = false
 	unlogged, err := spec.Execute()
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ type RunSpec runspec.Spec
 
 // DefaultSpec is what a spec's unset knobs resolve to and what conftest's
 // flags default to: the sim backend, 60 jobs (3 waves when burst), seed 1,
-// 3 fleet members.
+// 3 fleet members. A seed is never unset: a spec's seed 0 runs seed 0.
 func DefaultSpec() RunSpec {
 	return RunSpec{Backend: "sim", Jobs: 60, Waves: 3, Seed: 1, Members: 3}
 }
@@ -227,7 +227,6 @@ func (s RunSpec) simConfig() sim.Config {
 	}
 	cfg.Shards = s.Shards
 	cfg.Streaming = s.Streaming
-	cfg.FullRedistribute = s.Full
 	cfg.LogDecisions = s.Log
 	return cfg
 }

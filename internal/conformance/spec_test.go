@@ -47,6 +47,32 @@ func TestSpecFromMetaRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsASeed: a spec's seed 0 runs seed 0, records it in the
+// stream's Meta and in the conftest line that re-runs the stream. Resolving
+// the unset knobs from DefaultSpec used to turn it into seed 1, and Meta
+// dropped it.
+func TestSeedZeroIsASeed(t *testing.T) {
+	spec := RunSpec{Backend: "sim", Scenario: "uniform", Jobs: 12, Log: true}
+	zero, err := spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 1
+	one, err := spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Meta["seed"] != "0" {
+		t.Errorf("meta seed %q, want 0", zero.Meta["seed"])
+	}
+	if reflect.DeepEqual(zero.Decisions, one.Decisions) {
+		t.Error("seed 0 made the decisions seed 1 makes")
+	}
+	if line := recordCommand(zero.Meta); !strings.Contains(line, " -seed 0 ") {
+		t.Errorf("re-run line %q does not name seed 0", line)
+	}
+}
+
 // TestSpecReplayReproduces is the acceptance criterion behind
 // `conftest -replay`: executing a spec, saving its stream, loading it back,
 // reconstructing the spec from the stream's Meta, and executing again must

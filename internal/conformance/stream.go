@@ -16,9 +16,10 @@
 // a readable window (±K decisions around the first mismatch, with a
 // field-level diff and job/cluster IDs resolved) instead of a
 // reflect.DeepEqual bool. The equivalence matrix in matrix.go drives every
-// pinned contract — incremental vs FullRedistribute, streaming vs retained,
-// Shards 0 (automatic)/2/8 vs sequential, rebalanced fleets sequential vs parallel vs
-// repeated, cluster-emulation repeat determinism — through this one
+// pinned contract — streaming vs retained, Shards 0 (automatic)/2/8 vs
+// sequential, stepped vs batch, logged vs unlogged, rebalanced fleets
+// sequential vs parallel vs repeated, cluster-emulation repeat determinism —
+// through this one
 // package, and cmd/conftest records, replays, and diffs streams from the
 // command line so a failing CI case reproduces locally from an artifact.
 package conformance

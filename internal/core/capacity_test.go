@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -163,6 +164,41 @@ func TestSetCapacityRequeuesWhenShrinkCannotAbsorb(t *testing.T) {
 	}
 	if lo.State != StateRunning || lo.Replicas != 8 {
 		t.Errorf("after restore lo = %v replicas %d, want Running 8", lo.State, lo.Replicas)
+	}
+}
+
+// TestSetCapacityRefusedEverywhereOverCommits pins SetCapacity's documented
+// contract for a loss no victim lets it reclaim: the error names the
+// over-commit, the capacity is the new value, the free pool goes negative,
+// and the next completion absorbs the debt. The capacity entry logs the pool
+// before the loss applies.
+func TestSetCapacityRefusedEverywhereOverCommits(t *testing.T) {
+	s, act, _ := newSched(t, Config{Policy: Elastic, Capacity: 16, EnableLog: true})
+	a, b := job("a", 5, 4, 8), job("b", 1, 4, 8)
+	for _, j := range []*Job{a, b} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	act.failShrink, act.failPreempt = true, true
+	err := s.SetCapacity(8)
+	if err == nil || !strings.Contains(err.Error(), "8 slots over-committed") {
+		t.Fatalf("SetCapacity(8) = %v, want an error naming 8 over-committed slots", err)
+	}
+	if s.Capacity() != 8 || s.FreeSlots() != -8 {
+		t.Errorf("capacity %d, free %d; want 8 and -8", s.Capacity(), s.FreeSlots())
+	}
+	if st := s.CapacityStats(); st != (CapacityStats{}) {
+		t.Errorf("stats %+v after every victim refused, want none", st)
+	}
+	log := s.Log()
+	if d := log[len(log)-1]; d.Kind != DecisionCapacity || d.Replicas != 8 || d.FreeSlots != 0 {
+		t.Errorf("capacity entry %v, want capacity 8 logged with the pool before the loss (free=0)", d)
+	}
+	s.OnJobComplete(a)
+	if s.FreeSlots() != 0 || b.Replicas != 8 {
+		t.Errorf("after a completes: free %d, b at %d; want the debt absorbed (free 0) and b untouched at 8",
+			s.FreeSlots(), b.Replicas)
 	}
 }
 

@@ -29,10 +29,11 @@
 // distinct slot need so a rescale-gap kick touches only the waiting jobs that
 // can act (nothing at all when the free-plus-freeable budget cannot place
 // even the smallest waiting job), and priority/gap comparisons run on cached
-// integer keys. The early-outs are
-// decision-transparent — Config.FullRedistribute disables them, and the
-// equivalence tests pin incremental ≡ full across policies and workloads.
-// docs/ARCHITECTURE.md lists the invariants.
+// integer keys. None of it may change a decision: the oracle in ref_test.go
+// replays random scripts through Scheduler and through a literal Figures 2–3
+// scheduler over plain slices, and holds them to the same actuator calls,
+// decisions and job states after every operation. docs/ARCHITECTURE.md lists
+// the invariants.
 //
 // The decision log (Config.EnableLog, Scheduler.Log) is an audit trail of
 // effects; a waiting job that a pass examines and puts back is not one. So

@@ -49,11 +49,15 @@ func (k DecisionKind) String() string {
 // (Submit could not start it); a waiting job put back by a later pass is not
 // logged again.
 type Decision struct {
-	At        time.Time
-	Kind      DecisionKind
-	JobID     string
-	Replicas  int // allocation after the decision (0 for enqueue/complete; the new total for capacity)
-	FreeSlots int // free slots after the decision
+	At       time.Time
+	Kind     DecisionKind
+	JobID    string
+	Replicas int // allocation after the decision (0 for enqueue/complete; the new total for capacity)
+	// FreeSlots is the free pool after the decision — except for a capacity
+	// entry, which is logged before the new capacity applies and so carries
+	// the pool as it was (16 → 8 slots with none free logs free=0, and the
+	// pool then stands at −8 until a reclaim or a completion pays it back).
+	FreeSlots int
 }
 
 // String formats a decision as one log line.

@@ -91,69 +91,62 @@ func logKinds(log []Decision) string {
 // first entry into the wait queue is one; being looked at by a later pass and
 // put back is not.
 func TestSubmitThatWaitsLogsOneEnqueue(t *testing.T) {
-	for _, full := range []bool{false, true} {
-		s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 4, RescaleGap: time.Minute,
-			EnableLog: true, FullRedistribute: full})
-		a, b := job("a", 5, 4, 4), job("b", 1, 4, 4)
-		for _, j := range []*Job{a, b} {
-			if err := s.Submit(j); err != nil {
-				t.Fatal(err)
-			}
+	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 4, RescaleGap: time.Minute, EnableLog: true})
+	a, b := job("a", 5, 4, 4), job("b", 1, 4, 4)
+	for _, j := range []*Job{a, b} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
 		}
-		if got, want := logKinds(s.Log()), "start:a enqueue:b"; got != want {
-			t.Fatalf("full=%v: log after the submits is %q, want %q", full, got, want)
-		}
-		for i := 0; i < 3; i++ {
-			clk.advance(2 * time.Minute)
-			s.Reschedule()
-		}
-		if got, want := logKinds(s.Log()), "start:a enqueue:b"; got != want {
-			t.Fatalf("full=%v: three kicks that start nothing changed the log to %q", full, got)
-		}
-		s.OnJobComplete(a)
-		if got, want := logKinds(s.Log()), "start:a enqueue:b complete:a start:b"; got != want {
-			t.Errorf("full=%v: log after the completion is %q, want %q", full, got, want)
-		}
+	}
+	if got, want := logKinds(s.Log()), "start:a enqueue:b"; got != want {
+		t.Fatalf("log after the submits is %q, want %q", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		clk.advance(2 * time.Minute)
+		s.Reschedule()
+	}
+	if got, want := logKinds(s.Log()), "start:a enqueue:b"; got != want {
+		t.Fatalf("three kicks that start nothing changed the log to %q", got)
+	}
+	s.OnJobComplete(a)
+	if got, want := logKinds(s.Log()), "start:a enqueue:b complete:a start:b"; got != want {
+		t.Errorf("log after the completion is %q, want %q", got, want)
 	}
 }
 
 // TestRescheduleThatStartsNothingLogsNothing: 100k jobs wait behind a
 // saturated cluster whose running jobs could shrink but outrank them all, so
-// a kick has to look and then places nothing — and appends nothing, on the
-// production pass and on the reference drain loop alike.
+// a kick has to look and then places nothing — and appends nothing.
 func TestRescheduleThatStartsNothingLogsNothing(t *testing.T) {
 	const backlog = 100_000
-	for _, full := range []bool{false, true} {
-		s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 64, RescaleGap: time.Minute,
-			EnableLog: true, FullRedistribute: full})
-		for j := 0; j < 4; j++ {
-			if err := s.Submit(job(fmt.Sprintf("run%d", j), 9, 4, 16)); err != nil {
-				t.Fatal(err)
-			}
+	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 64, RescaleGap: time.Minute, EnableLog: true})
+	for j := 0; j < 4; j++ {
+		if err := s.Submit(job(fmt.Sprintf("run%d", j), 9, 4, 16)); err != nil {
+			t.Fatal(err)
 		}
-		for j := 0; j < backlog; j++ {
-			if err := s.Submit(job(fmt.Sprintf("j%06d", j), 1+j%5, 2<<(j%4), 32)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for j := 0; j < backlog; j++ {
+		if err := s.Submit(job(fmt.Sprintf("j%06d", j), 1+j%5, 2<<(j%4), 32)); err != nil {
+			t.Fatal(err)
 		}
-		if s.FreeSlots() != 0 || s.NumQueued() != backlog || s.maxFreeable() == 0 {
-			t.Fatalf("setup: free=%d queued=%d freeable=%d, want a saturated, shrinkable cluster with the whole backlog waiting",
-				s.FreeSlots(), s.NumQueued(), s.maxFreeable())
-		}
-		// The ring is at its cap, so any append would overwrite the oldest
-		// entry and show up as a changed snapshot.
-		before := s.Log()
-		if len(before) != maxLogEntries {
-			t.Fatalf("setup: %d log entries, want the ring full at %d", len(before), maxLogEntries)
-		}
-		clk.advance(2 * time.Minute)
-		s.Reschedule()
-		if after := s.Log(); !reflect.DeepEqual(before, after) {
-			t.Errorf("full=%v: a Reschedule that started nothing changed the log (oldest %v -> %v, newest %v -> %v)",
-				full, before[0], after[0], before[len(before)-1], after[len(after)-1])
-		}
-		if s.NumQueued() != backlog {
-			t.Errorf("full=%v: %d queued after the kick, want %d", full, s.NumQueued(), backlog)
-		}
+	}
+	if s.FreeSlots() != 0 || s.NumQueued() != backlog || s.maxFreeable() == 0 {
+		t.Fatalf("setup: free=%d queued=%d freeable=%d, want a saturated, shrinkable cluster with the whole backlog waiting",
+			s.FreeSlots(), s.NumQueued(), s.maxFreeable())
+	}
+	// The ring is at its cap, so any append would overwrite the oldest
+	// entry and show up as a changed snapshot.
+	before := s.Log()
+	if len(before) != maxLogEntries {
+		t.Fatalf("setup: %d log entries, want the ring full at %d", len(before), maxLogEntries)
+	}
+	clk.advance(2 * time.Minute)
+	s.Reschedule()
+	if after := s.Log(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a Reschedule that started nothing changed the log (oldest %v -> %v, newest %v -> %v)",
+			before[0], after[0], before[len(before)-1], after[len(after)-1])
+	}
+	if s.NumQueued() != backlog {
+		t.Errorf("%d queued after the kick, want %d", s.NumQueued(), backlog)
 	}
 }

@@ -181,15 +181,18 @@ func (a *refuseStartOnce) StartJob(j *Job, replicas int) error {
 // behind raised the budget, so the pass must hand over to the drain loop for
 // the jobs ordered after it — here y, which only fits because a's refused
 // start left four slots free — and must not retry a. The actuator's call
-// sequence has to equal the full-redistribute reference's.
+// sequence has to equal the reference scheduler's.
 func TestRescheduleRefusedStartFinishesOnDrainLoop(t *testing.T) {
-	run := func(full bool) ([]string, map[string]State) {
+	run := func(reference bool) ([]string, map[string]State) {
 		act := &refuseStartOnce{id: "a"}
 		clk := newTestClock()
-		s, err := NewScheduler(Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute,
-			FullRedistribute: full}, act, clk.now)
-		if err != nil {
-			t.Fatal(err)
+		cfg := Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute}
+		var s policyCore = newRefScheduler(cfg, act, clk.now)
+		if !reference {
+			var err error
+			if s, err = NewScheduler(cfg, act, clk.now); err != nil {
+				t.Fatal(err)
+			}
 		}
 		jobs := []*Job{
 			job("l1", 1, 2, 8), job("l2", 2, 2, 8), // fill the cluster
@@ -205,8 +208,8 @@ func TestRescheduleRefusedStartFinishesOnDrainLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if s.NumQueued() != 3 {
-			t.Fatalf("setup: %d queued, want x, a and y waiting", s.NumQueued())
+		if jobs[2].State != StateQueued || jobs[3].State != StateQueued || jobs[4].State != StateQueued {
+			t.Fatalf("setup: x, a and y are %v, %v, %v; want all three waiting", jobs[2].State, jobs[3].State, jobs[4].State)
 		}
 		clk.advance(time.Minute)
 		s.Reschedule()
@@ -219,7 +222,7 @@ func TestRescheduleRefusedStartFinishesOnDrainLoop(t *testing.T) {
 	wantLog, wantStates := run(true)
 	gotLog, gotStates := run(false)
 	if !reflect.DeepEqual(gotLog, wantLog) {
-		t.Errorf("actuator calls differ from the full-redistribute reference:\n got %v\nwant %v", gotLog, wantLog)
+		t.Errorf("actuator calls differ from the reference scheduler's:\n got %v\nwant %v", gotLog, wantLog)
 	}
 	if !reflect.DeepEqual(gotStates, wantStates) {
 		t.Errorf("job states differ from the reference:\n got %v\nwant %v", gotStates, wantStates)

@@ -5,158 +5,302 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
-// refusingActuator refuses StartJob, ShrinkJob and ExpandJob by a pure
-// function of the job's ID and how many of those calls the job has seen
-// before — the emulation's refusal path (a rescale protocol still in flight,
-// pods that could not be placed) made reproducible, so two schedulers that
-// issue the same calls meet the same refusals. It logs every call, refused
-// or not. PreemptJob always succeeds.
+// refusingActuator accepts every call, or — with refuse set — refuses
+// StartJob, ShrinkJob, ExpandJob and PreemptJob by a pure function of the
+// job's ID and how many calls the job has seen before: the emulation's refusal
+// path (a rescale protocol still in flight, pods that could not be placed)
+// made reproducible, so two schedulers that issue the same calls meet the same
+// refusals. It logs every call, refused or not, and marks the calls made
+// inside a capacity reclaim.
 type refusingActuator struct {
-	calls map[string]int
-	log   []string
+	refuse     bool
+	calls      map[string]int
+	log        []string
+	reclaiming func() bool
 }
 
 func (a *refusingActuator) call(op string, j *Job, replicas int) error {
+	line := fmt.Sprintf("%s %s %d", op, j.ID, replicas)
+	if a.reclaiming() {
+		line += " (reclaim)"
+	}
 	n := a.calls[j.ID]
 	a.calls[j.ID] = n + 1
-	// FNV's low bits follow the input's low bits (a modulus of the raw hash
-	// never refuses two calls in a row), so the key goes through splitmix64's
-	// finalizer before a quarter of the calls are picked.
+	if a.refuse && refuses(j.ID, n) {
+		a.log = append(a.log, "refuse "+line)
+		return errors.New(op + " refused")
+	}
+	a.log = append(a.log, line)
+	return nil
+}
+
+// refuses picks a quarter of the (job, call number) pairs. FNV's low bits
+// follow the input's low bits (a modulus of the raw hash never refuses two
+// calls in a row), so the key goes through splitmix64's finalizer first.
+func refuses(id string, n int) bool {
 	h := fnv.New64a()
-	h.Write([]byte(j.ID))
+	h.Write([]byte(id))
 	x := h.Sum64() + uint64(n)*0x9e3779b97f4a7c15
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
 	x = (x ^ x>>27) * 0x94d049bb133111eb
-	if (x^x>>31)%4 == 0 {
-		a.log = append(a.log, fmt.Sprintf("refuse %s %s %d", op, j.ID, replicas))
-		return errors.New(op + " refused")
-	}
-	a.log = append(a.log, fmt.Sprintf("%s %s %d", op, j.ID, replicas))
-	return nil
+	return (x^x>>31)%4 == 0
 }
 
 func (a *refusingActuator) StartJob(j *Job, replicas int) error { return a.call("start", j, replicas) }
 func (a *refusingActuator) ShrinkJob(j *Job, to int) error      { return a.call("shrink", j, to) }
 func (a *refusingActuator) ExpandJob(j *Job, to int) error      { return a.call("expand", j, to) }
-func (a *refusingActuator) PreemptJob(j *Job) error {
-	a.log = append(a.log, "preempt "+j.ID)
-	return nil
+func (a *refusingActuator) PreemptJob(j *Job) error             { return a.call("preempt", j, j.Replicas) }
+
+// policyCore is what Scheduler and the reference both implement.
+type policyCore interface {
+	Submit(*Job) error
+	OnJobComplete(*Job)
+	Reschedule()
+	SetCapacity(int) error
+	Preempt(int) int
+	Withdraw(*Job) error
+	NextGapExpiry() (time.Time, bool)
 }
 
-// refusalOp is one step of a scheduling script: submit a copy of job, complete
-// the done-th submitted job if it is running, kick a Reschedule, or set the
-// capacity — then advance the clock by wait.
+// The operations of a scheduling script.
+const (
+	opSubmit = iota
+	opComplete
+	opReschedule
+	opGapKick // move the clock to NextGapExpiry, if there is one, and Reschedule
+	opCapacity
+	opPreempt
+	opWithdraw
+)
+
+// refusalOp is one step of a scheduling script: submit a copy of job;
+// complete or withdraw the target-th submitted job; kick a Reschedule, now or
+// at the next rescale-gap expiry; set the capacity to n or preempt n slots —
+// then advance the clock by wait.
 type refusalOp struct {
-	kind     int // 0 submit, 1 complete, 2 reschedule, 3 capacity
-	job      Job
-	done     int
-	capacity int
-	wait     time.Duration
+	kind   int
+	job    Job
+	target int
+	n      int
+	wait   time.Duration
 }
 
-func refusalScript(rng *rand.Rand, trial int) []refusalOp {
+func (op refusalOp) String() string {
+	return [...]string{"submit", "complete", "reschedule", "gap kick", "capacity", "preempt", "withdraw"}[op.kind] +
+		fmt.Sprintf(" job=%s target=%d n=%d", op.job.ID, op.target, op.n)
+}
+
+// refusalScript draws 150 operations against a cluster of the given capacity.
+// Dense scripts leave the clock where it is after four operations in five, so
+// submissions, completions and kicks pile up on one instant; the others wait
+// up to 90 s between operations. Job IDs are unpadded (j10 sorts before j9),
+// so ID order is not submission order, and each job's IDRank is its position
+// in ID order — consistent with ID, as the simulator's ranks are.
+func refusalScript(rng *rand.Rand, trial, capacity int, dense bool) []refusalOp {
 	var ops []refusalOp
 	submitted := 0
 	for step := 0; step < 150; step++ {
-		op := refusalOp{wait: time.Duration(rng.Intn(90)) * time.Second}
+		op := refusalOp{kind: opSubmit}
 		switch r := rng.Float64(); {
-		case r < 0.45 || submitted == 0:
+		case r < 0.40 || submitted == 0:
 			minR := 1 + rng.Intn(8)
 			op.job = Job{ID: fmt.Sprintf("t%d-j%d", trial, submitted), Priority: 1 + rng.Intn(5),
 				MinReplicas: minR, MaxReplicas: minR + rng.Intn(24)}
 			submitted++
-		case r < 0.75:
-			op.kind, op.done = 1, rng.Intn(submitted)
-		case r < 0.95:
-			op.kind = 2
+		case r < 0.62:
+			op.kind, op.target = opComplete, rng.Intn(submitted)
+		case r < 0.72:
+			op.kind = opReschedule
+		case r < 0.82:
+			op.kind = opGapKick
+		case r < 0.88:
+			op.kind, op.n = opCapacity, capacity/2+rng.Intn(capacity+1)
+		case r < 0.93:
+			op.kind, op.n = opPreempt, 1+rng.Intn(capacity/2)
 		default:
-			op.kind, op.capacity = 3, 16+rng.Intn(33)
+			op.kind, op.target = opWithdraw, rng.Intn(submitted)
+		}
+		if !dense || rng.Intn(5) == 0 {
+			op.wait = time.Duration(rng.Intn(90)) * time.Second
 		}
 		ops = append(ops, op)
+	}
+	var ids []string
+	for _, op := range ops {
+		if op.kind == opSubmit {
+			ids = append(ids, op.job.ID)
+		}
+	}
+	slices.Sort(ids)
+	for i := range ops {
+		if ops[i].kind == opSubmit {
+			rank, _ := slices.BinarySearch(ids, ops[i].job.ID)
+			ops[i].job.IDRank = int32(rank)
+		}
 	}
 	return ops
 }
 
-// runRefusalScript drives one scheduler through the script against a fresh
-// refusing actuator and returns its actuator calls, decision log and final
-// state.
-func runRefusalScript(t *testing.T, cfg Config, script []refusalOp) ([]string, []Decision, SchedulerState) {
+// The oracle's rescale gaps and capacities.
+var (
+	oracleGaps       = []time.Duration{0, time.Minute, 3 * time.Minute}
+	oracleCapacities = []int{16, 32, 64}
+)
+
+// oracleCell is the configuration of the trial-th script: the three rescale
+// gaps, then the three capacities, then dense or not, then refusing or not.
+func oracleCell(policy Policy, trial int) (cfg Config, dense, refuse bool) {
+	cfg = Config{Policy: policy, EnableLog: true, RescaleGap: oracleGaps[trial%3], Capacity: oracleCapacities[trial/3%3]}
+	return cfg, trial/9%2 == 1, trial/18%2 == 1
+}
+
+// runRefusalScript drives the scheduler and the reference through the script
+// in lockstep, each with its own copy of every job and its own actuator, and
+// after every operation compares what the operation returned, the actuator
+// calls, the decision log, the free pool, the reclaim counters, the next gap
+// expiry and every job's state, allocation, rescale count and timestamps. It
+// returns the first divergence, or "" when the two agree throughout.
+func runRefusalScript(t testing.TB, cfg Config, script []refusalOp, refuse bool) string {
 	t.Helper()
-	act := &refusingActuator{calls: map[string]int{}}
 	clk := newTestClock()
+	act := &refusingActuator{refuse: refuse, calls: map[string]int{}}
+	refAct := &refusingActuator{refuse: refuse, calls: map[string]int{}}
 	s, err := NewScheduler(cfg, act, clk.now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []*Job
-	for _, op := range script {
-		switch op.kind {
-		case 0:
-			j := op.job
-			jobs = append(jobs, &j)
-			if err := s.Submit(&j); err != nil {
-				t.Fatal(err)
+	ref := newRefScheduler(cfg, refAct, clk.now)
+	act.reclaiming, refAct.reclaiming = s.Reclaiming, func() bool { return ref.reclaiming }
+	sides := [2]policyCore{s, ref}
+	var jobs [2][]*Job
+	var calls, decisions int
+	for i, op := range script {
+		var res [2]string
+		if op.kind == opSubmit {
+			for k := range sides {
+				j := op.job
+				jobs[k] = append(jobs[k], &j)
 			}
-		case 1:
-			if j := jobs[op.done]; j.State == StateRunning {
-				s.OnJobComplete(j)
+		}
+		if op.kind == opGapKick {
+			if at, ok := s.NextGapExpiry(); ok {
+				clk.t = at
 			}
-		case 2:
-			s.Reschedule()
-		case 3:
-			if err := s.SetCapacity(op.capacity); err != nil {
-				act.log = append(act.log, err.Error())
+		}
+		for k, side := range sides {
+			res[k] = applyOp(side, op, jobs[k])
+		}
+		fail := func(format string, args ...any) string {
+			return fmt.Sprintf("op %d (%s) at %s: ", i, op, clk.t.Format("15:04:05")) + fmt.Sprintf(format, args...)
+		}
+		if res[0] != res[1] {
+			return fail("returned %q, reference %q", res[0], res[1])
+		}
+		if d := firstDiff(act.log[calls:], refAct.log[calls:]); d >= 0 {
+			return fail("actuator call %d is %v, reference %v", calls+d, at(act.log, calls+d), at(refAct.log, calls+d))
+		}
+		calls = len(act.log)
+		// The ring has not wrapped at this size, so its array is the log.
+		if d := firstDiff(s.log.buf[decisions:], ref.log[decisions:]); d >= 0 {
+			return fail("decision %d is %v, reference %v", decisions+d, at(s.log.buf, decisions+d), at(ref.log, decisions+d))
+		}
+		decisions = len(ref.log)
+		if s.FreeSlots() != ref.free || s.CapacityStats() != ref.stats {
+			return fail("free %d, stats %+v; reference free %d, stats %+v", s.FreeSlots(), s.CapacityStats(), ref.free, ref.stats)
+		}
+		gotAt, gotOK := s.NextGapExpiry()
+		wantAt, wantOK := ref.NextGapExpiry()
+		if gotOK != wantOK || !gotAt.Equal(wantAt) {
+			return fail("next gap expiry %v %v, reference %v %v", gotAt, gotOK, wantAt, wantOK)
+		}
+		for k, g := range jobs[0] {
+			w := jobs[1][k]
+			if g.State != w.State || g.Replicas != w.Replicas || g.Rescales != w.Rescales ||
+				!g.LastAction.Equal(w.LastAction) || !g.StartTime.Equal(w.StartTime) || !g.EndTime.Equal(w.EndTime) {
+				return fail("job %s is %v with %d replicas after %d rescales (last action %v, start %v, end %v); reference %v, %d, %d (%v, %v, %v)",
+					g.ID, g.State, g.Replicas, g.Rescales, g.LastAction, g.StartTime, g.EndTime,
+					w.State, w.Replicas, w.Rescales, w.LastAction, w.StartTime, w.EndTime)
 			}
 		}
 		clk.advance(op.wait)
 	}
-	return act.log, s.Log(), exportState(s)
+	return ""
 }
 
-// TestRefusingActuatorEquivalenceProperty holds the incremental scheduler to
-// the FullRedistribute reference when the actuator refuses starts, shrinks
-// and expands. A refusal is the only way a job the placeable-only pass pops
-// can fail to start — and then the pass must hand the rest of the queue to
-// the drain loop — so this is the property that covers the hand-over: random
-// scripts of submissions, completions, rescale-gap kicks and capacity events,
-// under all four policies, must leave the same actuator calls (refusals
-// included), the same decision log and the same final state in both modes.
+// applyOp applies one operation to a scheduler whose submitted jobs are jobs
+// and renders what the call returned.
+func applyOp(s policyCore, op refusalOp, jobs []*Job) string {
+	var err error
+	switch op.kind {
+	case opSubmit:
+		err = s.Submit(jobs[len(jobs)-1])
+	case opComplete:
+		s.OnJobComplete(jobs[op.target])
+	case opReschedule, opGapKick:
+		s.Reschedule()
+	case opCapacity:
+		err = s.SetCapacity(op.n)
+	case opPreempt:
+		return fmt.Sprint(s.Preempt(op.n))
+	case opWithdraw:
+		err = s.Withdraw(jobs[op.target])
+	}
+	if err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// TestRefusingActuatorEquivalenceProperty is the oracle: the scheduler
+// production runs — need buckets, the placeable-only pass and its drain-loop
+// fallbacks, the clean-pass cache — must do exactly what the literal
+// Figures 2–3 reference does, operation by operation, over random scripts of
+// submissions, completions, withdrawals, rescale-gap kicks, capacity changes
+// and preemptions, under all four policies, three rescale gaps and three
+// capacities, sparse and dense, with a compliant actuator and with one that
+// refuses a quarter of its calls. A refusal is the only way a job the
+// placeable-only pass pops can fail to start — the pass must then hand the
+// rest of the queue to the drain loop — and the only way a reclaim can leave
+// the pool over-committed.
 func TestRefusingActuatorEquivalenceProperty(t *testing.T) {
-	trials := 60
+	scripts := 500 // per policy
 	if testing.Short() {
-		trials = 10
+		scripts = 72
 	}
 	for _, policy := range AllPolicies() {
 		t.Run(policy.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(policy)*2 + 11))
-			for trial := 0; trial < trials; trial++ {
-				cfg := Config{Policy: policy, Capacity: 32, EnableLog: true,
-					RescaleGap: []time.Duration{0, time.Minute, 3 * time.Minute}[rng.Intn(3)]}
-				script := refusalScript(rng, trial)
-				full := cfg
-				full.FullRedistribute = true
-				wantCalls, wantLog, wantState := runRefusalScript(t, full, script)
-				gotCalls, gotLog, gotState := runRefusalScript(t, cfg, script)
-				if i := firstDiff(gotCalls, wantCalls); i >= 0 {
-					t.Fatalf("trial %d (gap %v): actuator call %d differs from the reference:\n got %v\nwant %v",
-						trial, cfg.RescaleGap, i, at(gotCalls, i), at(wantCalls, i))
-				}
-				if i := firstDiff(gotLog, wantLog); i >= 0 {
-					t.Fatalf("trial %d (gap %v): decision %d differs from the reference:\n got %v\nwant %v",
-						trial, cfg.RescaleGap, i, at(gotLog, i), at(wantLog, i))
-				}
-				if !reflect.DeepEqual(gotState, wantState) {
-					t.Fatalf("trial %d (gap %v): final state differs from the reference:\n got %+v\nwant %+v",
-						trial, cfg.RescaleGap, gotState, wantState)
+			for trial := 0; trial < scripts; trial++ {
+				cfg, dense, refuse := oracleCell(policy, trial)
+				if d := runRefusalScript(t, cfg, refusalScript(rng, trial, cfg.Capacity, dense), refuse); d != "" {
+					t.Fatalf("trial %d (capacity %d, gap %v, dense %v, refuse %v): %s",
+						trial, cfg.Capacity, cfg.RescaleGap, dense, refuse, d)
 				}
 			}
 		})
 	}
+}
+
+// FuzzReferenceEquivalence is the oracle over fuzzer-chosen scripts.
+func FuzzReferenceEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), false, false)
+	f.Add(int64(7), uint8(1), uint8(1), true, false)
+	f.Add(int64(42), uint8(2), uint8(2), false, true)
+	f.Add(int64(1234), uint8(3), uint8(1), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, policy, gap uint8, dense, refuse bool) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Policy: AllPolicies()[policy%4], EnableLog: true,
+			RescaleGap: oracleGaps[int(gap)%len(oracleGaps)], Capacity: oracleCapacities[rng.Intn(len(oracleCapacities))]}
+		if d := runRefusalScript(t, cfg, refusalScript(rng, 0, cfg.Capacity, dense), refuse); d != "" {
+			t.Fatalf("seed %d (%s, capacity %d, gap %v, dense %v, refuse %v): %s",
+				seed, cfg.Policy, cfg.Capacity, cfg.RescaleGap, dense, refuse, d)
+		}
+	})
 }
 
 // firstDiff returns the first index at which got and want differ, or -1.

@@ -88,22 +88,14 @@ type Config struct {
 	// scheduler does. Entries land in a bounded ring buffer, so steady state
 	// logging allocates nothing per decision.
 	EnableLog bool
-	// FullRedistribute disables the incremental-scheduling early-outs:
-	// every redistribute runs the full Figure 3 pass and every Reschedule
-	// drains the whole queue.
-	// The early-outs are provably decision-transparent (the equivalence
-	// tests pin incremental ≡ full across policies and workloads), so
-	// this knob exists for those audits and for debugging, not for
-	// production use.
-	FullRedistribute bool
 }
 
 // Scheduler implements the priority-based elastic policy and its baselines.
 // It is not goroutine-safe; callers (simulator event loop, operator
 // reconcile queue) serialize access.
 //
-// Incremental-scheduling invariants (relied on by the hot path, pinned by
-// the equivalence tests):
+// Incremental-scheduling invariants (relied on by the hot path; the oracle
+// in ref_test.go holds the decisions to a literal Figures 2–3 scheduler):
 //
 //   - free = Capacity − Σ running Replicas, so maxFreeable is O(1)
 //     arithmetic over free and runMinSum instead of a scan of the running
@@ -448,9 +440,8 @@ func (s *Scheduler) submit(job *Job) {
 	// gate answers first — the feasibility walk can never count more
 	// freeable slots than maxFreeable, so when even that bound cannot cover
 	// the deficit the walk's outcome is already decided, and the walk it
-	// skips emits no decisions. Disabled in FullRedistribute mode like every
-	// incremental early-out.
-	if !s.cfg.FullRedistribute && s.free+s.maxFreeable() < minR || !s.placeable(job, minR) {
+	// skips emits no decisions.
+	if s.free+s.maxFreeable() < minR || !s.placeable(job, minR) {
 		s.enqueue(job)
 		return
 	}
@@ -482,15 +473,8 @@ func (s *Scheduler) submit(job *Job) {
 			}
 		}
 	}
-	if minToFree > 0 {
-		s.enqueue(job)
-		return
-	}
-	replicas = s.free
-	if replicas > maxR {
-		replicas = maxR
-	}
-	if replicas < minR || !s.start(job, replicas) {
+	// Each shrink freed at most maxToFree, so free now lies in [minR, maxR].
+	if minToFree > 0 || !s.start(job, s.free) {
 		s.enqueue(job)
 	}
 }
@@ -540,18 +524,14 @@ func (s *Scheduler) OnJobComplete(j *Job) {
 // timer event, the operator via its requeue-after reconcile loop.
 //
 // "Every queued job" is what the effects must equal, not what the pass
-// touches. With FullRedistribute — the reference — the whole queue goes
-// through the drain loop. Otherwise nothing happens at all when even the
-// smallest waiting need exceeds what shrinking the whole running set could
-// free, and what does happen is the placeable-only pass wherever its
-// argument holds. A job put back on the queue is not logged, so none of this
-// depends on EnableLog.
+// touches: nothing happens at all when even the smallest waiting need exceeds
+// what shrinking the whole running set could free, and what does happen is
+// the placeable-only pass wherever its argument holds. A job put back on the
+// queue is not logged, so none of this depends on EnableLog.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
 		switch {
-		case s.cfg.FullRedistribute:
-			s.drainResubmit(nil)
 		case s.free+s.maxFreeable() < s.queue.minNeed():
 			// No waiting job could start: every submit would re-enqueue.
 		case s.free < 0 || s.queue.preempted > 0:
@@ -603,7 +583,7 @@ func (s *Scheduler) placeWaiting() {
 	}
 }
 
-// drainResubmit is the reference scheduling loop: drain the wait queue in
+// drainResubmit is the plain scheduling loop: drain the wait queue in
 // priority order and re-place, through the Figure 2 submission logic, every
 // job ordered after the cursor (every job when after is nil; the jobs up to
 // and including the cursor go straight back). Once no remaining waiting job
@@ -686,23 +666,21 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 // place a job and is not looked at: smaller lower-priority jobs fill the gaps
 // ("out-of-order allocations if they improve cluster utilization", §3.2).
 //
-// Two early-outs make the pass incremental (FullRedistribute disables
-// both; both are decision-transparent, see the equivalence tests):
+// Two early-outs make the pass incremental (both decision-transparent, as the
+// oracle in ref_test.go checks):
 //
 //   - free ≤ 0: the Figure 3 loop cannot expand or start anything.
 //   - clean: the previous pass ran to completion, nothing mutated since,
 //     and no rescale gap that blocked an expansion has expired yet
 //     (cleanUntil) — re-running it would replay the identical no-op scan.
 func (s *Scheduler) redistribute() {
-	if !s.cfg.FullRedistribute {
-		if s.free <= 0 {
-			s.clean = true
-			s.cleanUntilNs = 0
-			return
-		}
-		if s.clean && (s.cleanUntilNs == 0 || s.tnowNs < s.cleanUntilNs) {
-			return
-		}
+	if s.free <= 0 {
+		s.clean = true
+		s.cleanUntilNs = 0
+		return
+	}
+	if s.clean && (s.cleanUntilNs == 0 || s.tnowNs < s.cleanUntilNs) {
+		return
 	}
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
@@ -729,7 +707,7 @@ func (s *Scheduler) redistribute() {
 		if bi < 0 || ri < len(run) && !s.before(s.queue.head(bi), run[ri]) {
 			j := run[ri]
 			ri++
-			jmin, jmax := s.bounds(j)
+			_, jmax := s.bounds(j)
 			if !s.gapOK(j) {
 				if j.Replicas < jmax && s.gapNs != math.MaxInt64 {
 					if exp := j.lastActionNs + s.gapNs; blockedExpiryNs == 0 || exp < blockedExpiryNs {
@@ -738,17 +716,12 @@ func (s *Scheduler) redistribute() {
 				}
 				continue
 			}
+			// A running job already holds its minimum, and free > 0 here.
 			if j.Replicas < jmax {
-				add := jmax - j.Replicas
-				if add > s.free {
-					add = s.free
-				}
-				if j.Replicas+add >= jmin && add > 0 {
-					if s.expand(j, j.Replicas+add) {
-						stale = true
-					} else {
-						attemptFailed = true
-					}
+				if s.expand(j, j.Replicas+min(jmax-j.Replicas, s.free)) {
+					stale = true
+				} else {
+					attemptFailed = true
 				}
 			}
 			continue

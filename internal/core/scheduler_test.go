@@ -10,9 +10,9 @@ import (
 
 // fakeActuator records actuation calls and can be told to fail.
 type fakeActuator struct {
-	starts, shrinks, expands, preempts int
-	failStart, failShrink, failExpand  bool
-	log                                []string
+	starts, shrinks, expands, preempts             int
+	failStart, failShrink, failExpand, failPreempt bool
+	log                                            []string
 }
 
 func (a *fakeActuator) StartJob(j *Job, replicas int) error {
@@ -43,6 +43,9 @@ func (a *fakeActuator) ExpandJob(j *Job, to int) error {
 }
 
 func (a *fakeActuator) PreemptJob(j *Job) error {
+	if a.failPreempt {
+		return errors.New("preempt failed")
+	}
 	a.preempts++
 	a.log = append(a.log, fmt.Sprintf("preempt %s", j.ID))
 	return nil

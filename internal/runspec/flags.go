@@ -18,22 +18,25 @@ func (s *Spec) flags(g Group) *flag.FlagSet {
 	return fs
 }
 
-// values encodes fs: every flag in keep (nil = all) whose value is not its
-// type's zero, under its name with underscores — the spelling stream Meta and
-// report Params use.
+// values encodes fs: every flag in keep (nil = all) that is set, under its
+// name with underscores — the spelling stream Meta and report Params use.
 func values(fs *flag.FlagSet, keep map[string]bool) map[string]string {
 	m := map[string]string{}
 	fs.VisitAll(func(f *flag.Flag) {
-		if v := f.Value.String(); (keep == nil || keep[f.Name]) && !zero(v) {
+		if v := f.Value.String(); (keep == nil || keep[f.Name]) && !unset(f.Name, v) {
 			m[strings.ReplaceAll(f.Name, "-", "_")] = v
 		}
 	})
 	return m
 }
 
-func zero(v string) bool { return v == "" || v == "0" || v == "false" }
+// unset reports whether a flag's printed value means "not set": its type's
+// zero, for every flag but the seed — seed 0 is a seed like any other.
+func unset(name, v string) bool {
+	return name != "seed" && (v == "" || v == "0" || v == "false")
+}
 
-// Meta encodes the groups' non-zero knobs as a key/value map.
+// Meta encodes the groups' set knobs as a key/value map.
 func (s Spec) Meta(g Group) map[string]string { return values(s.flags(g), nil) }
 
 // FromMeta decodes a Meta map over the groups' vocabulary. Unknown keys are
@@ -62,12 +65,12 @@ func FromMeta(meta map[string]string, g Group) (Spec, error) {
 	return s, nil
 }
 
-// Or returns s with every zero-valued knob of the groups taken from def — how
-// a literal spec gets the defaults a CLI's flags show.
+// Or returns s with every unset knob of the groups taken from def — how a
+// literal spec gets the defaults a CLI's flags show. The seed is never unset.
 func (s Spec) Or(def Spec, g Group) Spec {
 	from := def.flags(g)
 	s.flags(g).VisitAll(func(f *flag.Flag) {
-		if zero(f.Value.String()) {
+		if unset(f.Name, f.Value.String()) {
 			// def's value printed by the same flag type always parses.
 			_ = f.Value.Set(from.Lookup(f.Name).Value.String())
 		}

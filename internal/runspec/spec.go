@@ -26,7 +26,8 @@ import (
 
 // Spec describes one run. Each knob is documented where it is declared, by
 // its flag's usage string in Bind; a zero value means "not set", and Resolve
-// and the caller's default spec fill it in.
+// and the caller's default spec fill it in — except the seed, whose 0 is a
+// seed.
 type Spec struct {
 	// The workload: a named scenario or a trace file, one seed for the
 	// workload and the capacity profile alike, and the size of a generated
@@ -42,11 +43,11 @@ type Spec struct {
 	PreemptSlots                    int
 
 	// The engine, as the conformance harness varies it.
-	Backend                     string
-	Policy                      core.Policy
-	Capacity, Shards            int
-	RescaleGap                  float64
-	Streaming, Full, Log, Drain bool
+	Backend               string
+	Policy                core.Policy
+	Capacity, Shards      int
+	RescaleGap            float64
+	Streaming, Log, Drain bool
 
 	// The fleet.
 	Route                federation.Route
@@ -111,7 +112,6 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.IntVar(&s.Capacity, "capacity", s.Capacity, "cluster slot count (0 = backend default)")
 		fs.Float64Var(&s.RescaleGap, "rescale-gap", s.RescaleGap, "rescale gap, seconds (0 = default)")
 		fs.BoolVar(&s.Streaming, "streaming", s.Streaming, "streaming mode: aggregates only")
-		fs.BoolVar(&s.Full, "full", s.Full, "reference full-redistribute scheduler")
 		fs.BoolVar(&s.Log, "log", s.Log, "record the decision log")
 		fs.BoolVar(&s.Drain, "drain", s.Drain, "overlay a maintenance-drain availability trace")
 	}

@@ -115,11 +115,6 @@ type Config struct {
 	// then allocates nothing per decision, and with it on the entries land
 	// in core's bounded ring buffer (oldest overwritten past 100k).
 	LogDecisions bool
-	// FullRedistribute disables the scheduler's incremental early-outs
-	// (see core.Config.FullRedistribute) — the reference mode the
-	// equivalence tests run against. Decisions and results are identical
-	// either way; this is strictly slower.
-	FullRedistribute bool
 	// Shards is how many time epochs a run's event loop may execute in
 	// parallel. The workload's submission cursor and the availability trace
 	// are deterministically partitioned at predicted cluster-drain
@@ -331,11 +326,10 @@ func New(cfg Config) (*Simulator, error) {
 func newSimulator(cfg Config, capacity int) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, kickAt: -1}
 	sched, err := core.NewScheduler(core.Config{
-		Policy:           cfg.Policy,
-		Capacity:         capacity,
-		RescaleGap:       model.Duration(cfg.RescaleGap),
-		EnableLog:        cfg.LogDecisions,
-		FullRedistribute: cfg.FullRedistribute,
+		Policy:     cfg.Policy,
+		Capacity:   capacity,
+		RescaleGap: model.Duration(cfg.RescaleGap),
+		EnableLog:  cfg.LogDecisions,
 	}, (*simActuator)(s), func() time.Time {
 		return epoch.Add(model.Duration(s.now))
 	})
