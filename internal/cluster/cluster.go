@@ -168,7 +168,8 @@ func (c *Cluster) fail(err error) {
 }
 
 // Decisions returns the policy scheduler's decision log, oldest first
-// (empty unless Config.LogDecisions).
+// (empty unless Config.LogDecisions). The slice is the scheduler's own
+// (core's Scheduler.Log), not a copy: read-only.
 func (c *Cluster) Decisions() []core.Decision {
 	return c.Mgr.Scheduler().Log()
 }

@@ -315,7 +315,7 @@ func writeWindow(w *strings.Builder, a, b []Decision, idx, window int) {
 		lo = 0
 	}
 	for i := lo; i < idx; i++ {
-		fmt.Fprintf(w, "  = [%d] %s\n", i, a[i].render())
+		fmt.Fprintf(w, "  = [%d] %s\n", i, renderDecision(a[i]))
 	}
 	hi := idx + window
 	for i := idx; i <= hi; i++ {
@@ -324,12 +324,12 @@ func writeWindow(w *strings.Builder, a, b []Decision, idx, window int) {
 			break
 		}
 		if inA {
-			fmt.Fprintf(w, "  a [%d] %s\n", i, a[i].render())
+			fmt.Fprintf(w, "  a [%d] %s\n", i, renderDecision(a[i]))
 		} else {
 			fmt.Fprintf(w, "  a [%d] <end of stream>\n", i)
 		}
 		if inB {
-			fmt.Fprintf(w, "  b [%d] %s\n", i, b[i].render())
+			fmt.Fprintf(w, "  b [%d] %s\n", i, renderDecision(b[i]))
 		} else {
 			fmt.Fprintf(w, "  b [%d] <end of stream>\n", i)
 		}

@@ -64,7 +64,7 @@ func TestDifferPlantedFieldMutation(t *testing.T) {
 	}
 	// The context window must include the decision just before the
 	// divergence.
-	if !strings.Contains(report, ref.Decisions[k-1].render()) {
+	if !strings.Contains(report, renderDecision(ref.Decisions[k-1])) {
 		t.Errorf("report missing pre-divergence context:\n%s", report)
 	}
 }
@@ -145,7 +145,7 @@ func TestDifferResolvesMemberPath(t *testing.T) {
 		t.Fatal("fleet stream lacks member decision logs")
 	}
 	mut := cloneStream(ref)
-	mut.Members[1].Decisions[0].Kind = "shrink"
+	mut.Members[1].Decisions[0].Kind = core.DecisionShrink
 
 	d := Compare(ref, mut)
 	if d.Empty() {

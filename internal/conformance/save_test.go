@@ -69,8 +69,10 @@ func hostileString(rng *rand.Rand, maxParts int) string {
 	return sb.String()
 }
 
-// randomStream draws one stream body: any part may be nil, empty or filled,
-// and every string comes from hostileAlphabet.
+// randomStream draws one stream body: any part may be nil, empty or filled.
+// Every string — labels, meta, job IDs, the summary's — comes from
+// hostileAlphabet; decision kinds are drawn from the scheduler's eight, the
+// only ones Validate lets through.
 func randomStream(rng *rand.Rand, members int) *Stream {
 	s := &Stream{Version: StreamVersion, Label: hostileString(rng, 4)}
 	switch rng.Intn(3) {
@@ -86,7 +88,7 @@ func randomStream(rng *rand.Rand, members int) *Stream {
 		s.Decisions = make([]Decision, rng.Intn(301))
 		for i := range s.Decisions {
 			s.Decisions[i] = Decision{
-				AtNs: rng.Int63() - rng.Int63(), Kind: hostileString(rng, 2), JobID: hostileString(rng, 5),
+				AtNs: rng.Int63() - rng.Int63(), Kind: core.DecisionStart + core.DecisionKind(rng.Intn(8)), JobID: hostileString(rng, 5),
 				Replicas: rng.Intn(200) - 20, FreeSlots: rng.Intn(200) - 20,
 			}
 		}
@@ -192,7 +194,7 @@ func decisionsStream(n int) *Stream {
 	s := &Stream{Version: StreamVersion, Label: "allocs", Summary: &Summary{Policy: "elastic"}}
 	s.Decisions = make([]Decision, n)
 	for i := range s.Decisions {
-		s.Decisions[i] = Decision{AtNs: epochNs + int64(i)*1e9, Kind: "start", JobID: fmt.Sprintf("job-%05d", i), Replicas: 4, FreeSlots: 60}
+		s.Decisions[i] = Decision{AtNs: epochNs + int64(i)*1e9, Kind: core.DecisionStart, JobID: fmt.Sprintf("job-%05d", i), Replicas: 4, FreeSlots: 60}
 	}
 	return s
 }

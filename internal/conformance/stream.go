@@ -72,20 +72,14 @@ type Stream struct {
 	Members []*Stream `json:"members,omitempty"`
 }
 
-// Decision is one core.Decision in serialized form. The timestamp is the
-// decision's exact Unix-nanosecond instant, so JSON round-trips cannot lose
-// a bit; renderers show it relative to the shared 2025-01-01 UTC epoch.
-type Decision struct {
-	AtNs      int64  `json:"at_ns"`
-	Kind      string `json:"kind"`
-	JobID     string `json:"job,omitempty"`
-	Replicas  int    `json:"replicas"`
-	FreeSlots int    `json:"free"`
-}
+// Decision is the scheduler's own decision record: core.Decision's JSON tags
+// are the stream's decision fields, so a log is serialized as it was
+// recorded, with no second record type and no conversion.
+type Decision = core.Decision
 
-// render formats one decision as a human-readable log line with the time
-// relative to the epoch.
-func (d Decision) render() string {
+// renderDecision formats one decision as a human-readable log line with the
+// time relative to the epoch.
+func renderDecision(d Decision) string {
 	job := d.JobID
 	if job == "" {
 		job = "-"
@@ -147,22 +141,14 @@ type Summary struct {
 	JobsDigest string `json:"jobs_digest,omitempty"`
 }
 
-// FromDecisions converts a core decision log to its serialized form.
+// FromDecisions returns a core decision log as a stream's decisions: the
+// same slice, capped so an append cannot write into the scheduler's ring,
+// and nil when empty (so an unlogged run's stream omits the field).
 func FromDecisions(log []core.Decision) []Decision {
 	if len(log) == 0 {
 		return nil
 	}
-	out := make([]Decision, len(log))
-	for i, d := range log {
-		out[i] = Decision{
-			AtNs:      d.At.UnixNano(),
-			Kind:      d.Kind.String(),
-			JobID:     d.JobID,
-			Replicas:  d.Replicas,
-			FreeSlots: d.FreeSlots,
-		}
-	}
-	return out
+	return log[:len(log):len(log)]
 }
 
 // FromMigrations converts a federation migration log.
@@ -271,8 +257,8 @@ func jobsDigest(res sim.Result) string {
 	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
 }
 
-// Validate checks the stream's structural integrity: a readable version and
-// no doubly-nested members.
+// Validate checks the stream's structural integrity: a readable version, no
+// doubly-nested members, and only decision kinds the scheduler emits.
 func (s *Stream) Validate() error {
 	if s.Version == 1 {
 		return fmt.Errorf("conformance: stream version 1 logged every re-enqueue, version %d logs effects only: re-record the stream with this build", StreamVersion)
@@ -286,6 +272,28 @@ func (s *Stream) Validate() error {
 		}
 		if len(m.Members) > 0 {
 			return fmt.Errorf("conformance: member %d nests further members", i)
+		}
+		if err := validKinds(m.Decisions); err != nil {
+			return fmt.Errorf("conformance: member %d %w", i, err)
+		}
+	}
+	if err := validKinds(s.Decisions); err != nil {
+		return fmt.Errorf("conformance: %w", err)
+	}
+	return nil
+}
+
+// validKinds rejects the first decision whose kind is not one of the
+// scheduler's eight: the zero kind a missing or null "kind" decodes to, or
+// any other value outside them. (The decoder itself rejects an unknown label
+// or a number, through DecisionKind.UnmarshalText.)
+func validKinds(ds []Decision) error {
+	for i, d := range ds {
+		switch {
+		case d.Kind == 0:
+			return fmt.Errorf("decision %d has no kind (missing or null)", i)
+		case d.Kind < core.DecisionStart || d.Kind > core.DecisionWithdraw:
+			return fmt.Errorf("decision %d: kind %d is not one the scheduler emits", i, int(d.Kind))
 		}
 	}
 	return nil
@@ -382,7 +390,7 @@ func (e *streamEncoder) decisions(ds []Decision, indent string) {
 		d := &ds[i]
 		b := append(e.rec[:0], sep...)
 		b = strconv.AppendInt(append(b, atNs...), d.AtNs, 10)
-		b = appendString(append(b, kind...), d.Kind)
+		b = appendString(append(b, kind...), d.Kind.String())
 		if d.JobID != "" {
 			b = appendString(append(b, job...), d.JobID)
 		}

@@ -75,6 +75,86 @@ func TestStreamVersionValidation(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsDecisionKinds: a decision kind the scheduler cannot emit
+// loads from no document and saves to none. The decoder refuses an unknown
+// label or a number; Validate, which Load and Save both call, refuses the
+// zero kind a missing or null "kind" leaves, and any value outside the eight,
+// naming the member and the decision. Save then writes nothing.
+func TestStreamRejectsDecisionKinds(t *testing.T) {
+	const ok = `{"at_ns": 1, "kind": "start", "job": "a", "replicas": 2, "free": 6}`
+	doc := func(bad string) string {
+		return `{"version": 2, "decisions": [` + ok + `, {"at_ns": 2, ` + bad + `"job": "b", "replicas": 0, "free": 6}]}`
+	}
+	inMemory := func(member bool, kind core.DecisionKind) *Stream {
+		st := &Stream{Version: StreamVersion, Decisions: []Decision{{Kind: core.DecisionStart}, {Kind: kind}}}
+		if member {
+			return &Stream{Version: StreamVersion, Members: []*Stream{{}, st}}
+		}
+		return st
+	}
+	for _, c := range []struct {
+		name string
+		doc  string  // loaded, when set
+		st   *Stream // saved, otherwise
+		want string
+	}{
+		{name: "unknown label", doc: doc(`"kind": "bogus", `), want: `unknown decision kind "bogus"`},
+		{name: "null", doc: doc(`"kind": null, `), want: "decision 1 has no kind"},
+		{name: "missing", doc: doc(``), want: "decision 1 has no kind"},
+		{name: "numeric", doc: doc(`"kind": 1, `), want: "cannot unmarshal number"},
+		{name: "member missing", doc: `{"version": 2, "members": [{"version": 2}, {"version": 2, "decisions": [` + ok + `, {"at_ns": 2}]}]}`,
+			want: "member 1 decision 1 has no kind"},
+		{name: "zero kind", st: inMemory(false, 0), want: "decision 1 has no kind"},
+		{name: "past the eight", st: inMemory(false, core.DecisionWithdraw+1), want: "decision 1: kind 9 is not one"},
+		{name: "negative", st: inMemory(false, -1), want: "decision 1: kind -1 is not one"},
+		{name: "member out of range", st: inMemory(true, 42), want: "member 1 decision 1: kind 42 is not one"},
+	} {
+		var err error
+		if c.doc != "" {
+			_, err = Load(strings.NewReader(c.doc))
+		} else {
+			var sb strings.Builder
+			err = c.st.Save(&sb)
+			if sb.Len() != 0 {
+				t.Errorf("%s: Save wrote %d bytes before refusing", c.name, sb.Len())
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestFromDecisionsIsTheLog: a stream's decisions are the log they come
+// from, not a copy — capped, so an append to the stream cannot write into
+// the scheduler's ring — and an empty log is an absent field.
+func TestFromDecisionsIsTheLog(t *testing.T) {
+	w, err := workload.Burst{Waves: 2, PerWave: 20, WaveGap: 1500}.Generate(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(core.Elastic)
+	cfg.LogDecisions = true
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(w); err != nil {
+		t.Fatal(err)
+	}
+	log := s.Decisions()
+	ds := FromDecisions(log)
+	if len(ds) == 0 || &ds[0] != &log[0] || len(ds) != len(log) || cap(ds) != len(ds) {
+		t.Fatalf("FromDecisions of a %d-entry log gave len %d cap %d, not the log itself capped", len(log), len(ds), cap(ds))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ds = FromDecisions(log) }); allocs != 0 {
+		t.Errorf("FromDecisions allocates %.0f times, want 0", allocs)
+	}
+	if FromDecisions(nil) != nil || FromDecisions(log[:0]) != nil {
+		t.Error("an empty log is not a nil stream field")
+	}
+}
+
 // TestStreamVersion1Rejected: a generation-1 stream logged every re-enqueue,
 // so it cannot be diffed against an effects-only stream; decode refuses it and
 // says what to do.

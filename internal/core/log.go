@@ -5,12 +5,14 @@ import (
 	"time"
 )
 
-// DecisionKind classifies a scheduling decision.
+// DecisionKind classifies a scheduling decision. Kinds are numbered from 1,
+// so the zero value is no kind: a decoded record whose kind is missing or
+// null is invalid instead of reading as a start.
 type DecisionKind int
 
 // Decision kinds recorded by the scheduler.
 const (
-	DecisionStart DecisionKind = iota
+	DecisionStart DecisionKind = iota + 1
 	DecisionShrink
 	DecisionExpand
 	DecisionEnqueue
@@ -20,27 +22,50 @@ const (
 	DecisionWithdraw
 )
 
+// decisionLabels are the kinds' log labels, indexed by kind.
+var decisionLabels = [...]string{
+	DecisionStart:    "start",
+	DecisionShrink:   "shrink",
+	DecisionExpand:   "expand",
+	DecisionEnqueue:  "enqueue",
+	DecisionComplete: "complete",
+	DecisionPreempt:  "preempt",
+	DecisionCapacity: "capacity",
+	DecisionWithdraw: "withdraw",
+}
+
+// valid reports whether k is one of the kinds the scheduler emits.
+func (k DecisionKind) valid() bool {
+	return k >= DecisionStart && k <= DecisionWithdraw
+}
+
 // String returns the decision kind's log label.
 func (k DecisionKind) String() string {
-	switch k {
-	case DecisionStart:
-		return "start"
-	case DecisionShrink:
-		return "shrink"
-	case DecisionExpand:
-		return "expand"
-	case DecisionEnqueue:
-		return "enqueue"
-	case DecisionComplete:
-		return "complete"
-	case DecisionPreempt:
-		return "preempt"
-	case DecisionCapacity:
-		return "capacity"
-	case DecisionWithdraw:
-		return "withdraw"
+	if k.valid() {
+		return decisionLabels[k]
 	}
 	return fmt.Sprintf("DecisionKind(%d)", int(k))
+}
+
+// MarshalText encodes the kind as its log label; a kind the scheduler cannot
+// emit is an error.
+func (k DecisionKind) MarshalText() ([]byte, error) {
+	if !k.valid() {
+		return nil, fmt.Errorf("core: invalid decision kind %d", int(k))
+	}
+	return []byte(decisionLabels[k]), nil
+}
+
+// UnmarshalText decodes one of the eight log labels; any other text is an
+// error.
+func (k *DecisionKind) UnmarshalText(text []byte) error {
+	for kind := DecisionStart; kind <= DecisionWithdraw; kind++ {
+		if decisionLabels[kind] == string(text) {
+			*k = kind
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown decision kind %q", text)
 }
 
 // Decision is one entry in the scheduler's decision log — the audit trail
@@ -48,22 +73,26 @@ func (k DecisionKind) String() string {
 // was made. DecisionEnqueue marks a job's first entry into the wait queue
 // (Submit could not start it); a waiting job put back by a later pass is not
 // logged again.
+//
+// The record is also the decision stream's serialized form: its JSON tags
+// are the stream fields, in order, and the timestamp is the decision's
+// exact Unix-nanosecond instant, so a round trip cannot lose a bit.
 type Decision struct {
-	At       time.Time
-	Kind     DecisionKind
-	JobID    string
-	Replicas int // allocation after the decision (0 for enqueue/complete; the new total for capacity)
+	AtNs     int64        `json:"at_ns"`
+	Kind     DecisionKind `json:"kind"`
+	JobID    string       `json:"job,omitempty"`
+	Replicas int          `json:"replicas"` // allocation after the decision (0 for enqueue/complete; the new total for capacity)
 	// FreeSlots is the free pool after the decision — except for a capacity
 	// entry, which is logged before the new capacity applies and so carries
 	// the pool as it was (16 → 8 slots with none free logs free=0, and the
 	// pool then stands at −8 until a reclaim or a completion pays it back).
-	FreeSlots int
+	FreeSlots int `json:"free"`
 }
 
 // String formats a decision as one log line.
 func (d Decision) String() string {
 	return fmt.Sprintf("%s %-8s %-12s replicas=%-3d free=%d",
-		d.At.Format("15:04:05"), d.Kind, d.JobID, d.Replicas, d.FreeSlots)
+		time.Unix(0, d.AtNs).UTC().Format("15:04:05"), d.Kind, d.JobID, d.Replicas, d.FreeSlots)
 }
 
 // maxLogEntries bounds the in-memory decision log; older entries are
@@ -103,10 +132,16 @@ func (r *logRing) reserve(n int) {
 	}
 }
 
-// snapshot returns the entries oldest-first as a fresh slice.
+// snapshot returns the entries oldest-first. Below the cap that is the
+// backing array itself, capped so an append cannot reach the ring's spare
+// capacity; at the cap, where the next entry overwrites the oldest in place,
+// it is a fresh copy.
 func (r *logRing) snapshot() []Decision {
 	if r.n == 0 {
 		return nil
+	}
+	if r.n < maxLogEntries {
+		return r.buf[:r.n:r.n]
 	}
 	out := make([]Decision, 0, r.n)
 	out = append(out, r.buf[r.head:]...)
@@ -120,7 +155,7 @@ func (s *Scheduler) record(kind DecisionKind, j *Job) {
 		return
 	}
 	s.log.add(Decision{
-		At: s.tnow, Kind: kind, JobID: j.ID, Replicas: j.Replicas, FreeSlots: s.free,
+		AtNs: s.tnowNs, Kind: kind, JobID: j.ID, Replicas: j.Replicas, FreeSlots: s.free,
 	})
 }
 
@@ -130,7 +165,7 @@ func (s *Scheduler) recordCapacity(n int) {
 		return
 	}
 	s.log.add(Decision{
-		At: s.tnow, Kind: DecisionCapacity, JobID: "", Replicas: n, FreeSlots: s.free,
+		AtNs: s.tnowNs, Kind: DecisionCapacity, JobID: "", Replicas: n, FreeSlots: s.free,
 	})
 }
 
@@ -144,8 +179,12 @@ func (s *Scheduler) ReserveLog(entries int) {
 	}
 }
 
-// Log returns a copy of the decision log, oldest entry first (empty unless
-// Config.EnableLog).
+// Log returns the decision log, oldest entry first (empty unless
+// Config.EnableLog). Below the ring's cap of 100k entries the slice is the
+// scheduler's own ring, not a copy, and it is read-only. Later decisions
+// append past its end and leave it unchanged until the ring reaches its cap;
+// from then on they overwrite the oldest entries in place, and Log returns a
+// fresh copy.
 func (s *Scheduler) Log() []Decision {
 	return s.log.snapshot()
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDecisionLogRecordsLifecycle(t *testing.T) {
@@ -51,29 +53,120 @@ func TestDecisionLogDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestDecisionLogBounded(t *testing.T) {
-	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 1 << 20, EnableLog: true})
-	// Churn far past the cap.
-	for i := 0; i < maxLogEntries/2+100; i++ {
-		j := job("j", 1, 1, 1)
-		j.ID = "j" + string(rune('a'+i%26))
+// churn logs iterations start/complete pairs of a one-slot job on a
+// cluster too large to queue anything, one second apart, starting at the
+// from'th iteration's instant: every pair leaves the scheduler as it found
+// it, so split runs log, end to end, what one run logs.
+func churn(s *Scheduler, clk *testClock, from, iterations int) error {
+	clk.advance(time.Duration(from) * time.Second)
+	for i := from; i < from+iterations; i++ {
+		j := job(fmt.Sprintf("j%06d", i), 1, 1, 1)
 		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		s.OnJobComplete(j)
 		clk.advance(time.Second)
 	}
-	if n := len(s.Log()); n > maxLogEntries {
-		t.Errorf("log grew to %d entries (cap %d)", n, maxLogEntries)
+	return nil
+}
+
+// TestDecisionLogBounded: past maxLogEntries the ring keeps the newest
+// entries, and Log returns them oldest first as a copy — equal to the tail of
+// an unbounded log, which two schedulers that each stay below the cap log
+// between them, and unchanged by the entries that overwrite the ring after.
+func TestDecisionLogBounded(t *testing.T) {
+	const first, second = maxLogEntries * 2 / 5, maxLogEntries * 3 / 10 // 2 entries an iteration
+	cfg := Config{Policy: Elastic, Capacity: 1 << 20, EnableLog: true}
+	var unbounded []Decision
+	for _, part := range [][2]int{{0, first}, {first, second}} {
+		u, _, clk := newSched(t, cfg)
+		if err := churn(u, clk, part[0], part[1]); err != nil {
+			t.Fatal(err)
+		}
+		unbounded = append(unbounded, u.Log()...)
+	}
+	s, _, clk := newSched(t, cfg)
+	if err := churn(s, clk, 0, first+second); err != nil {
+		t.Fatal(err)
+	}
+	log := s.Log()
+	if want := unbounded[len(unbounded)-maxLogEntries:]; !reflect.DeepEqual(log, want) {
+		t.Fatalf("wrapped log (%d entries, oldest %v) is not the newest %d of the unbounded log (oldest %v)",
+			len(log), log[0], maxLogEntries, want[0])
+	}
+	kept := slices.Clone(log)
+	if err := churn(s, clk, first+second, 10); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(log, kept) {
+		t.Error("a wrapped log's slice changed as later decisions overwrote the ring: Log returned the ring, not a copy")
+	}
+}
+
+// TestDecisionLogIsTheRing: below the cap Log hands out the ring itself —
+// no allocation — and a slice taken mid-run keeps its entries while later
+// decisions append past its end, even into the same reserved backing array.
+func TestDecisionLogIsTheRing(t *testing.T) {
+	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 1 << 20, EnableLog: true})
+	s.ReserveLog(maxLogEntries)
+	if err := churn(s, clk, 0, 500); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Log() }); allocs != 0 {
+		t.Errorf("Log below the cap allocates %.0f times, want 0", allocs)
+	}
+	mid := s.Log()
+	kept := slices.Clone(mid)
+	if cap(mid) != len(mid) {
+		t.Errorf("Log returned len %d cap %d: an append would write into the ring", len(mid), cap(mid))
+	}
+	if err := churn(s, clk, 500, 500); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mid, kept) {
+		t.Error("a Log slice taken mid-run changed as later decisions were logged")
+	}
+	if got := s.Log(); len(got) != 2*len(mid) || !reflect.DeepEqual(got[:len(mid)], kept) {
+		t.Errorf("log holds %d entries after twice the decisions, want %d beginning with the mid-run slice", len(got), 2*len(mid))
+	}
+}
+
+// TestDecisionRecordSize pins the record the ring, the streams and their
+// files share: 48 bytes, one pointer (the job ID).
+func TestDecisionRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(Decision{}); size != 48 {
+		t.Errorf("core.Decision is %d bytes, want 48", size)
 	}
 }
 
 func TestDecisionKindStrings(t *testing.T) {
-	kinds := []DecisionKind{DecisionStart, DecisionShrink, DecisionExpand,
-		DecisionEnqueue, DecisionComplete, DecisionPreempt, DecisionKind(42)}
-	for _, k := range kinds {
+	labels := map[string]bool{}
+	for k := DecisionStart; k <= DecisionWithdraw; k++ {
+		text, err := k.MarshalText()
+		if err != nil || string(text) != k.String() || strings.HasPrefix(k.String(), "DecisionKind(") {
+			t.Errorf("DecisionKind(%d): MarshalText %q, %v; String %q", int(k), text, err, k)
+		}
+		labels[string(text)] = true
+		var back DecisionKind
+		if err := back.UnmarshalText(text); err != nil || back != k {
+			t.Errorf("label %q decodes to %v, %v; want %v", text, back, err, k)
+		}
+	}
+	if len(labels) != 8 {
+		t.Errorf("%d distinct labels for the eight kinds", len(labels))
+	}
+	for _, k := range []DecisionKind{0, -1, DecisionWithdraw + 1, 42} {
+		if _, err := k.MarshalText(); err == nil {
+			t.Errorf("DecisionKind(%d) marshals", int(k))
+		}
 		if k.String() == "" {
-			t.Errorf("DecisionKind(%d) empty", k)
+			t.Errorf("DecisionKind(%d) empty", int(k))
+		}
+	}
+	for _, text := range []string{"", "bogus", "Start", "start ", "0", "DecisionKind(1)"} {
+		k := DecisionShrink
+		if err := k.UnmarshalText([]byte(text)); err == nil || k != DecisionShrink {
+			t.Errorf("label %q decodes (to %v, %v)", text, k, err)
 		}
 	}
 }

@@ -23,6 +23,14 @@ func (r *logRing) add(d Decision) {
 	r.n = len(r.buf)
 }
 
+// overwrite rewrites the oldest entry in place, as the real ring does at
+// its cap: writes to decisions inside log.go are allowed.
+func (r *logRing) overwrite(d Decision) {
+	r.buf[r.head] = d
+	r.buf[r.head].Replicas++
+	copy(r.buf, r.buf[1:])
+}
+
 // record builds the Decision inside log.go: allowed.
 func record(r *logRing, id string, replicas int) {
 	r.add(Decision{JobID: id, Replicas: replicas})

@@ -669,9 +669,10 @@ func (s *Simulator) finish(sj *simJob) {
 }
 
 // Decisions returns the scheduler's decision log, oldest first. Empty unless
-// Config.LogDecisions is set. After a sharded run the segments' logs are
-// merged in epoch order with the same bounded-ring semantics (newest 100k),
-// so the log is identical to the sequential mode's.
+// Config.LogDecisions is set. The slice is the scheduler's own (core's
+// Scheduler.Log), not a copy: read-only. After a sharded run the segments'
+// logs are merged in epoch order with the same bounded-ring semantics
+// (newest 100k), so the log is identical to the sequential mode's.
 func (s *Simulator) Decisions() []core.Decision {
 	if s.mergedDecisions != nil {
 		return s.mergedDecisions
