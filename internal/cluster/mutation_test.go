@@ -1,8 +1,11 @@
 package cluster_test
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,13 +27,27 @@ import (
 // so the shadow also keeps every labels map it has seen, by identity, beside
 // a copy: a write through a view long superseded shows there.
 type viewShadow struct {
-	t      *testing.T
+	t      reporter
 	store  *k8s.Store
 	copies map[k8s.Object]k8s.Object // view -> its copy on receipt
 	latest map[k8s.Kind]map[string]k8s.Object
 	labels map[uintptr]sharedLabels
 	events int
 }
+
+// reporter is what the shadow reports through: the test, or reports when a
+// test checks that the shadow fails.
+type reporter interface {
+	Errorf(format string, args ...any)
+	Failed() bool
+}
+
+// reports is a reporter that keeps what it is told.
+type reports []string
+
+func (r *reports) Errorf(format string, args ...any) { *r = append(*r, fmt.Sprintf(format, args...)) }
+
+func (r *reports) Failed() bool { return len(*r) > 0 }
 
 // sharedLabels is a labels map some views carry and what it held when the
 // first of them arrived.
@@ -39,7 +56,7 @@ type sharedLabels struct {
 	key       string
 }
 
-func watchViews(t *testing.T, store *k8s.Store) *viewShadow {
+func watchViews(t reporter, store *k8s.Store) *viewShadow {
 	s := &viewShadow{
 		t: t, store: store,
 		copies: make(map[k8s.Object]k8s.Object),
@@ -128,8 +145,9 @@ func (s *viewShadow) scan(settled bool) {
 	}
 }
 
-// runWatched is cluster.RunRecorded with a viewShadow attached.
-func runWatched(t *testing.T, cfg cluster.Config, w workload.Workload, arm func(*cluster.Cluster)) (sim.Result, []core.Decision, error) {
+// runWatched is cluster.RunRecorded with a viewShadow attached that reports
+// to t. arm, when set, runs after the shadow has subscribed.
+func runWatched(t reporter, cfg cluster.Config, w workload.Workload, arm func(*cluster.Cluster)) (sim.Result, []core.Decision, error) {
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -146,7 +164,7 @@ func runWatched(t *testing.T, cfg cluster.Config, w workload.Workload, arm func(
 	c.Loop.Settle()
 	shadow.scan(true)
 	if shadow.events == 0 {
-		t.Error("the shadow saw no events")
+		t.Errorf("the shadow saw no events")
 	}
 	return res, decs, nil
 }
@@ -159,6 +177,63 @@ type watchedMember struct {
 
 func (m watchedMember) Run(w workload.Workload) (sim.Result, []core.Decision, error) {
 	return runWatched(m.t, m.Config, w, nil)
+}
+
+// TestViewShadowReportsWriteThroughs plants a consumer that writes through a
+// view where each of the shadow's checks looks — a delivered pod's spec (the
+// scan of stored views), the labels map a deleted launcher's versions shared
+// (the labels kept by identity) and a CharmJob view a later event supersedes
+// (the superseded check) — and requires a report from that check. The same
+// run with nothing planted must report nothing.
+func TestViewShadowReportsWriteThroughs(t *testing.T) {
+	plants := []struct {
+		name  string
+		kind  k8s.Kind
+		write func(k8s.Event) bool // writes through the event's view, or reports false
+		want  string
+	}{
+		{name: "unplanted"},
+		{"pod-spec", k8s.KindPod, func(ev k8s.Event) bool {
+			ev.Object.(*k8s.Pod).Spec.ShmBytes++
+			return true
+		}, "view of Pod"},
+		{"shared-labels", k8s.KindPod, func(ev k8s.Event) bool {
+			p := ev.Object.(*k8s.Pod)
+			if ev.Type != k8s.Deleted || p.Labels["role"] != "launcher" {
+				return false
+			}
+			p.Labels["planted"] = "yes"
+			return true
+		}, "the labels views of"},
+		{"superseded-charmjob", k8s.KindCharmJob, func(ev k8s.Event) bool {
+			ev.Object.(*operator.CharmJob).Status.Restarts++
+			return true
+		}, "superseded view of CharmJob"},
+	}
+	for _, p := range plants {
+		t.Run(p.name, func(t *testing.T) {
+			var got reports
+			wrote := false
+			_, _, err := runWatched(&got, cluster.DefaultConfig(core.Elastic), workload.MustUniform(4, 30, 5), func(c *cluster.Cluster) {
+				if p.write != nil {
+					c.Store.Subscribe(p.kind, func(ev k8s.Event) { wrote = wrote || p.write(ev) })
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case p.write == nil:
+				if len(got) > 0 {
+					t.Errorf("nothing planted, yet the shadow reported %q", got)
+				}
+			case !wrote:
+				t.Error("the planted consumer never wrote")
+			case !slices.ContainsFunc(got, func(r string) bool { return strings.Contains(r, p.want) }):
+				t.Errorf("the shadow reported %q, want a report of %q", got, p.want)
+			}
+		})
+	}
 }
 
 // TestNoConsumerWritesThroughAView runs the full-stack scenarios with the

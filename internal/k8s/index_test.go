@@ -107,19 +107,24 @@ func refSetPhase(store *Store, view *Pod, phase PodPhase) bool {
 	return store.Update(pod) == nil
 }
 
-// watchedStore is a store with its loop and the events it has delivered.
+// watchedStore is a store with its loop, the events it has delivered and
+// every pod view it has handed out, each beside a deep copy taken when it
+// was first seen.
 type watchedStore struct {
 	*Store
+	t      *testing.T
 	loop   *EventLoop
 	events []string
+	views  map[*Pod]*Pod
 }
 
-func newWatchedStore() *watchedStore {
-	w := &watchedStore{loop: NewEventLoop(t0)}
+func newWatchedStore(t *testing.T) *watchedStore {
+	w := &watchedStore{t: t, loop: NewEventLoop(t0), views: make(map[*Pod]*Pod)}
 	w.Store = NewStore(w.loop)
 	w.Subscribe(KindPod, func(ev Event) {
 		m := ev.Object.Meta()
 		w.events = append(w.events, fmt.Sprintf("%v %s v%d", ev.Type, m.Key(), m.ResourceVersion))
+		w.keep(ev.Object.(*Pod))
 	})
 	// Pods are owned through their job label; a worker's ordinal is its
 	// name's letter, so ordinal order is not key order under a namespace.
@@ -132,6 +137,46 @@ func newWatchedStore() *watchedStore {
 	return w
 }
 
+// keep files views the store handed out; a view seen before must still be
+// what it was then.
+func (w *watchedStore) keep(views ...*Pod) {
+	for _, v := range views {
+		if was, seen := w.views[v]; seen {
+			w.intact(v, was)
+		} else {
+			w.views[v] = v.DeepCopy().(*Pod)
+		}
+	}
+}
+
+func (w *watchedStore) keepOwned(owned []OwnedPod) {
+	for _, o := range owned {
+		w.keep(o.Pod)
+	}
+}
+
+// intact fails the test when a view no longer equals its copy: a slot that
+// now holds another version (the store handed it out twice) or one written
+// after the store handed it out.
+func (w *watchedStore) intact(view, was *Pod) {
+	w.t.Helper()
+	if reflect.DeepEqual(view, was) {
+		return
+	}
+	if view.Key() != was.Key() || view.ResourceVersion != was.ResourceVersion {
+		w.t.Fatalf("the view of %q v%d now shows %q v%d: two versions share one pod", was.Key(), was.ResourceVersion, view.Key(), view.ResourceVersion)
+	}
+	w.t.Fatalf("the view of %q v%d was written after the store handed it out:\n now %+v\n was %+v", was.Key(), was.ResourceVersion, view, was)
+}
+
+// viewsIntact checks every view the store has handed out.
+func (w *watchedStore) viewsIntact() {
+	w.t.Helper()
+	for v, was := range w.views {
+		w.intact(v, was)
+	}
+}
+
 // storeOps drives the store with a sequence of creates, updates (labels,
 // binding, phase, CPU and affinity key all move), binding and status writes,
 // deletes and a job's teardown through the owner index decoded from data,
@@ -139,9 +184,11 @@ func newWatchedStore() *watchedStore {
 // knows no index — fetch every object, sort by key, filter — and the store
 // with a second one on which the reference path made the binding and status
 // writes and the teardowns: stored values, resource versions included, the
-// events delivered and the aggregates must be equal.
+// events delivered and the aggregates must be equal. Every view either store
+// hands out — event objects, View, OwnedPods, Pods — must stay as it was
+// when first seen, and distinct versions must be distinct pods.
 func storeOps(t *testing.T, data []byte) {
-	store, ref := newWatchedStore(), newWatchedStore()
+	store, ref := newWatchedStore(t), newWatchedStore(t)
 	jobs := []string{"", "a", "b"}
 	roles := []string{"", "worker", "launcher"}
 	nodes := []string{"", "n0", "n1"}
@@ -192,6 +239,7 @@ func storeOps(t *testing.T, data []byte) {
 			wantErr = false
 			owner := jobs[arg%3]
 			owned := store.OwnedPods(nil, owner)
+			store.keepOwned(owned)
 			slices.SortFunc(owned, func(a, b OwnedPod) int { return strings.Compare(a.Pod.Key(), b.Pod.Key()) })
 			for _, o := range owned {
 				err = errors.Join(err, store.Delete(KindPod, o.Pod.Key()))
@@ -203,6 +251,7 @@ func storeOps(t *testing.T, data []byte) {
 			sort.Strings(keys)
 			for _, k := range keys {
 				v, _ := ref.View(KindPod, k)
+				ref.keep(v.(*Pod))
 				if o, _ := ref.ownerOf(v.(*Pod)); owner != "" && o == owner {
 					refErr = errors.Join(refErr, ref.Delete(KindPod, k))
 					delete(live, k)
@@ -218,6 +267,8 @@ func storeOps(t *testing.T, data []byte) {
 			if v, ok := store.View(KindPod, key); ok {
 				rv, _ := ref.View(KindPod, key)
 				view, refView = v.(*Pod), rv.(*Pod)
+				store.keep(view)
+				ref.keep(refView)
 			}
 			if !setPhase(store.Store, view, pod.Status.Phase) {
 				err = errors.New("setPhase reported false")
@@ -248,9 +299,13 @@ func storeOps(t *testing.T, data []byte) {
 				t.Fatalf("live pod %q missing from the store", k)
 			}
 			all = append(all, obj.(*Pod))
-			if want, _ := ref.View(KindPod, k); !reflect.DeepEqual(obj, want) {
+			view, _ := store.View(KindPod, k)
+			want, _ := ref.View(KindPod, k)
+			if !reflect.DeepEqual(obj, want) {
 				t.Fatalf("op %d: stored %q = %+v, reference path %+v", op%8, k, obj, want)
 			}
+			store.keep(view.(*Pod))
+			ref.keep(want.(*Pod))
 		}
 		for _, sel := range selectors {
 			var want []*Pod
@@ -264,6 +319,7 @@ func storeOps(t *testing.T, data []byte) {
 				}
 			}
 			got := store.Pods(sel)
+			store.keep(got...)
 			if len(got) != len(want) {
 				t.Fatalf("Pods(%v) = %v, naive read %v", sel, podKeys(got), podKeys(want))
 			}
@@ -281,10 +337,15 @@ func storeOps(t *testing.T, data []byte) {
 				}
 			}
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Ordinal < want[j].Ordinal })
-			if got := store.OwnedPods(nil, owner); !reflect.DeepEqual(got, want) {
+			got := store.OwnedPods(nil, owner)
+			store.keepOwned(got)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("OwnedPods(%q) = %+v, naive read %+v", owner, got, want)
 			}
 		}
+		store.viewsIntact()
+		ref.viewsIntact()
+
 		total := 0
 		perNode := map[string]int{}
 		perAffinity := map[affinityAt]int{}

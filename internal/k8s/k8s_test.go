@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -76,6 +77,58 @@ func TestStoreCRUD(t *testing.T) {
 	}
 	if err := store.Update(mkPod("ghost", 1, "")); err == nil {
 		t.Error("update of missing object succeeded")
+	}
+}
+
+// TestPodSlabFillsItsSizeClass pins the sizes podSlabSize is chosen for. Go
+// puts an 8-byte header on a pointerful object above 512 bytes, and 63 pods
+// of 192 bytes with that header fit the 12,288-byte size class. A field that
+// grows Pod, or a 64th slot, rounds every slab up to the 13,568-byte class.
+func TestPodSlabFillsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Pod{}); size != 192 {
+		t.Errorf("a Pod is %d bytes, want 192", size)
+	}
+	if bytes := podSlabSize*unsafe.Sizeof(Pod{}) + 8; bytes > 12288 {
+		t.Errorf("a slab of %d pods takes %d bytes, past the 12,288-byte size class", podSlabSize, bytes)
+	}
+}
+
+// TestPodWritesAllocateNothing holds Bind and SetPodStatus, watched and
+// delivered, to no allocation while the slab their versions come from has
+// slots left: the pod's Create took the first, the measured writes take 52
+// more of its 63.
+func TestPodWritesAllocateNothing(t *testing.T) {
+	loop := NewEventLoop(t0)
+	store := NewStore(loop)
+	delivered := 0
+	store.Subscribe(KindPod, func(Event) { delivered++ })
+	if err := store.Create(mkPod("p", 1, "a")); err != nil {
+		t.Fatal(err)
+	}
+	loop.Settle()
+	nodes, i := [2]string{"n0", "n1"}, 0
+	bind := func() {
+		i++
+		if err := store.Bind("p", nodes[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		loop.Settle()
+	}
+	status := func() {
+		i++
+		if err := store.SetPodStatus("p", PodStatus{Phase: PodRunning, StartTime: t0.Add(time.Duration(i))}); err != nil {
+			t.Fatal(err)
+		}
+		loop.Settle()
+	}
+	if n := testing.AllocsPerRun(25, bind); n != 0 {
+		t.Errorf("Bind allocates %v times a call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(25, status); n != 0 {
+		t.Errorf("SetPodStatus allocates %v times a call, want 0", n)
+	}
+	if delivered != 53 {
+		t.Errorf("%d events delivered, want 53", delivered)
 	}
 }
 
@@ -362,7 +415,7 @@ func TestEventLoopZeroDelayRunsNow(t *testing.T) {
 func TestWorkqueueDedupes(t *testing.T) {
 	loop := NewEventLoop(t0)
 	var handled []string
-	q := NewWorkqueue(loop, func(key string) { handled = append(handled, key) })
+	q := NewWorkqueue(loop, 3*time.Second, func(key string) { handled = append(handled, key) })
 	q.Add("a")
 	q.Add("a")
 	q.Add("b")
@@ -370,13 +423,65 @@ func TestWorkqueueDedupes(t *testing.T) {
 	if len(handled) != 2 || handled[0] != "a" || handled[1] != "b" {
 		t.Errorf("handled = %v", handled)
 	}
-	q.AddAfter("c", 3*time.Second)
+	q.Requeue("c")
 	loop.RunUntilIdle()
 	if len(handled) != 3 || handled[2] != "c" {
 		t.Errorf("handled = %v", handled)
 	}
 	if q.Len() != 0 {
 		t.Errorf("queue length = %d", q.Len())
+	}
+}
+
+// handledAt is a handler that records each key with the virtual time it
+// was handled at.
+func handledAt(loop *EventLoop, handled *[]string) func(string) {
+	return func(key string) {
+		*handled = append(*handled, fmt.Sprintf("%s@%v", key, loop.Now().Sub(t0)))
+	}
+}
+
+// TestWorkqueueRequeuesInArmingOrder requeues keys at different instants:
+// each comes back one delay after its Requeue, and keys due at one instant in
+// the order they were requeued.
+func TestWorkqueueRequeuesInArmingOrder(t *testing.T) {
+	loop := NewEventLoop(t0)
+	var handled []string
+	q := NewWorkqueue(loop, 3*time.Second, handledAt(loop, &handled))
+	q.Requeue("c")
+	q.Requeue("a")
+	loop.At(time.Second, func() { q.Requeue("b") })
+	loop.At(2*time.Second, func() {
+		q.Requeue("d")
+		q.Requeue("a")
+	})
+	loop.RunUntilIdle()
+	want := []string{"c@3s", "a@3s", "b@4s", "d@5s", "a@5s"}
+	if !reflect.DeepEqual(handled, want) {
+		t.Errorf("handled %v, want %v", handled, want)
+	}
+}
+
+// TestWorkqueueRequeueCollapsesIntoPendingKey fires requeues of a key that is
+// still queued: they collapse into its one entry, as Add does, and the key
+// is handled once.
+func TestWorkqueueRequeueCollapsesIntoPendingKey(t *testing.T) {
+	loop := NewEventLoop(t0)
+	var handled []string
+	q := NewWorkqueue(loop, time.Second, handledAt(loop, &handled))
+	loop.At(time.Second, func() { q.Add("a") }) // queued, not yet handled, when the requeues fire
+	q.Requeue("a")
+	q.Requeue("b")
+	q.Requeue("a")
+	loop.RunUntilIdle()
+	want := []string{"a@1s", "b@1s"}
+	if !reflect.DeepEqual(handled, want) {
+		t.Errorf("handled %v, want %v", handled, want)
+	}
+	q.Requeue("a") // once handled, the key comes back again
+	loop.RunUntilIdle()
+	if want = append(want, "a@2s"); !reflect.DeepEqual(handled, want) {
+		t.Errorf("handled %v, want %v", handled, want)
 	}
 }
 

@@ -23,7 +23,7 @@ type PodScheduler struct {
 // events.
 func NewPodScheduler(loop *EventLoop, store *Store) *PodScheduler {
 	ps := &PodScheduler{store: store, unschedulable: make(map[string]bool)}
-	ps.queue = NewWorkqueue(loop, ps.schedule)
+	ps.queue = NewWorkqueue(loop, 0, ps.schedule) // it never requeues
 	store.Subscribe(KindPod, func(ev Event) {
 		pod := ev.Object.(*Pod)
 		switch ev.Type {

@@ -22,13 +22,23 @@ import (
 // A caller that wants to change an object takes its own copy — Get returns
 // one, DeepCopy makes one from a view — and hands it to Update. A pod's
 // binding and status have their own writes, Bind and SetPodStatus, which
-// need no copy from the caller and make only a shallow one themselves.
+// need no copy from the caller and store a copy that shares the old
+// version's labels.
+//
+// Every pod version the store keeps is a slot of a slab of podSlabSize pods,
+// allocated together. A slot is handed out once, written only before the
+// write that stores it, and never reused, so pod views behave as any other
+// view. The price is retention: a version anyone still holds keeps its whole
+// slab reachable, so the memory a store pins is bounded by its live versions
+// times one slab (about 12 KiB), not by its history.
 type Store struct {
 	loop *EventLoop
 	// pods holds the pods by key, apart from the other kinds so that no pod
 	// read or write hashes its kind; items holds every other kind.
 	pods  map[string]*Pod
 	items map[Kind]map[string]Object
+	// podSlab is what remains of the slab the next pod version comes from.
+	podSlab []Pod
 	// nodeCPU, boundCPU and affinity aggregate the pods that hold node
 	// resources (bound and not terminal): their CPU per node and in total,
 	// and their count per affinity key and node.
@@ -68,6 +78,12 @@ type OwnedPod struct {
 
 type affinityAt struct{ key, node string }
 
+// podSlabSize is how many pod versions one allocation holds: 63 pods of 192
+// bytes and the 8-byte header Go puts on a pointerful object above 512 bytes
+// come to 12,104 bytes, inside the 12,288-byte size class. A 64th slot would
+// round the slab up to the next class, 13,568 bytes.
+const podSlabSize = 63
+
 // StoreStats counts what the store has done. Every field is a pure function
 // of the calls made, so a run's counters repeat exactly on any host.
 type StoreStats struct {
@@ -78,9 +94,10 @@ type StoreStats struct {
 	// they examined.
 	Scans   int
 	Visited int
-	// Copied counts the deep copies the store made (Create, Update, Get).
-	// Bind and SetPodStatus make none, nor does a Create whose pod shares
-	// its labels.
+	// Copied counts the deep copies the store made (Create, Update, Get):
+	// the copies that clone a labels map. Bind and SetPodStatus make none,
+	// nor does a Create whose pod shares its labels; their versions are
+	// slab slots that share the labels they were given.
 	Copied int
 }
 
@@ -125,10 +142,30 @@ func (s *Store) deliverOldest() {
 	}
 }
 
-// copyOf is the store's one deep-copy site.
+// copyOf and podCopy are the store's deep-copy sites: podCopy makes the
+// pod version a write stores, copyOf every other copy.
 func (s *Store) copyOf(obj Object) Object {
 	s.stats.Copied++
 	return obj.DeepCopy()
+}
+
+func (s *Store) podCopy(p *Pod) *Pod {
+	s.stats.Copied++
+	v := s.newVersion(p)
+	v.Labels = maps.Clone(p.Labels)
+	return v
+}
+
+// newVersion is a fresh slab slot holding a copy of p, labels map shared: the
+// pod version a write is about to store.
+func (s *Store) newVersion(p *Pod) *Pod {
+	if len(s.podSlab) == 0 {
+		s.podSlab = make([]Pod, podSlabSize)
+	}
+	v := &s.podSlab[0]
+	s.podSlab = s.podSlab[1:]
+	*v = *p
+	return v
 }
 
 // put stores now under key in place of was — was is nil on Create, now on
@@ -194,10 +231,10 @@ func (s *Store) OwnPodsBy(fn func(*Pod) (owner string, ordinal int)) {
 	s.ownerOf = fn
 	s.owned = make(map[string][]OwnedPod)
 	for key, p := range s.pods { //lint:deterministic own puts each pod in its sorted place, whatever order they come in
-		filed := *p // a stored pod is never written: file a copy
+		filed := s.newVersion(p) // a stored pod is never written: file a copy
 		filed.owner, filed.ordinal = fn(p)
-		s.pods[key] = &filed
-		s.own(key, &filed)
+		s.pods[key] = filed
+		s.own(key, filed)
 	}
 }
 
@@ -240,11 +277,12 @@ func (s *Store) created(p *Pod) *Pod {
 	list := s.owned[owner]
 	for i := len(list) - 1; i >= 0 && cp == nil; i-- {
 		if maps.Equal(list[i].Pod.Labels, p.Labels) {
-			cp = p.withLabels(list[i].Pod.Labels)
+			cp = s.newVersion(p)
+			cp.Labels = list[i].Pod.Labels
 		}
 	}
 	if cp == nil {
-		cp = s.copyOf(p).(*Pod)
+		cp = s.podCopy(p)
 	}
 	cp.owner, cp.ordinal = owner, ordinal
 	return cp
@@ -285,9 +323,13 @@ func (s *Store) Update(obj Object) error {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
 	s.version++
-	cp := s.copyOf(obj)
-	if p, ok := cp.(*Pod); ok {
-		p.owner, p.ordinal = s.ownerOf(p)
+	var cp Object
+	if p, ok := obj.(*Pod); ok {
+		stored := s.podCopy(p)
+		stored.owner, stored.ordinal = s.ownerOf(stored)
+		cp = stored
+	} else {
+		cp = s.copyOf(obj)
 	}
 	m := cp.Meta()
 	m.UID = old.Meta().UID
@@ -318,9 +360,9 @@ func (s *Store) Bind(key, node string) error {
 	if err != nil {
 		return err
 	}
-	bound := *old
+	bound := s.newVersion(old)
 	bound.Spec.NodeName = node
-	s.swapPod(key, old, &bound)
+	s.swapPod(key, old, bound)
 	return nil
 }
 
@@ -330,9 +372,9 @@ func (s *Store) SetPodStatus(key string, status PodStatus) error {
 	if err != nil {
 		return err
 	}
-	reported := *old
+	reported := s.newVersion(old)
 	reported.Status = status
-	s.swapPod(key, old, &reported)
+	s.swapPod(key, old, reported)
 	return nil
 }
 
@@ -344,8 +386,8 @@ func (s *Store) storedPod(key string) (*Pod, error) {
 	return p, nil
 }
 
-// swapPod stores now, a shallow copy of the stored pod old that differs in
-// binding or status, in old's place, with everything else an Update does:
+// swapPod stores now, a copy of the stored pod old that differs in binding
+// or status, in old's place, with everything else an Update does:
 // a new resource version, the aggregates moved, a Modified event. The two
 // share their labels — safe because a stored object is never written — and
 // their filing, so the pod keeps its place under its owner. The aggregates
@@ -455,12 +497,20 @@ type Workqueue struct {
 	handler func(key string)
 	armed   bool
 	drainFn func() // q.drain, made once
+	// requeued are the keys Requeue has armed a timer for, oldest first.
+	// Every timer runs the queue's one delay, so they fire in this order
+	// and each runs readdFn (q.readdOldest, made once).
+	delay    time.Duration
+	requeued fifo[string]
+	readdFn  func()
 }
 
-// NewWorkqueue creates a queue that feeds keys to handler on the loop.
-func NewWorkqueue(loop *EventLoop, handler func(key string)) *Workqueue {
-	q := &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler}
+// NewWorkqueue creates a queue that feeds keys to handler on the loop and
+// holds a requeued key back for delay.
+func NewWorkqueue(loop *EventLoop, delay time.Duration, handler func(key string)) *Workqueue {
+	q := &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler, delay: delay}
 	q.drainFn = q.drain
+	q.readdFn = q.readdOldest
 	return q
 }
 
@@ -474,10 +524,15 @@ func (q *Workqueue) Add(key string) {
 	q.arm()
 }
 
-// AddAfter enqueues the key after the delay (requeue-with-backoff analogue).
-func (q *Workqueue) AddAfter(key string, d time.Duration) {
-	q.loop.At(d, func() { q.Add(key) })
+// Requeue enqueues the key once the queue's delay has passed
+// (requeue-with-backoff analogue). A key still queued then collapses into
+// that entry, as with Add.
+func (q *Workqueue) Requeue(key string) {
+	q.requeued.push(key)
+	q.loop.At(q.delay, q.readdFn)
 }
+
+func (q *Workqueue) readdOldest() { q.Add(q.requeued.pop()) }
 
 func (q *Workqueue) arm() {
 	if q.armed || q.Len() == 0 {

@@ -36,7 +36,6 @@ type ObjectMeta struct {
 	ResourceVersion   int64
 	Labels            map[string]string
 	CreationTimestamp time.Time
-	DeletionTimestamp *time.Time
 }
 
 // Key returns the namespace/name key.
@@ -112,17 +111,9 @@ func (p *Pod) terminal() bool {
 }
 
 // DeepCopy implements Object.
-func (p *Pod) DeepCopy() Object { return p.withLabels(maps.Clone(p.Labels)) }
-
-// withLabels is a deep copy of the pod but for its labels: the copy carries
-// labels instead.
-func (p *Pod) withLabels(labels map[string]string) *Pod {
+func (p *Pod) DeepCopy() Object {
 	cp := *p
-	cp.Labels = labels
-	if p.DeletionTimestamp != nil {
-		ts := *p.DeletionTimestamp
-		cp.DeletionTimestamp = &ts
-	}
+	cp.Labels = maps.Clone(p.Labels)
 	return &cp
 }
 

@@ -34,7 +34,7 @@ const requeueDelay = time.Second
 // NewController wires a controller to the store and application runtime.
 func NewController(loop *k8s.EventLoop, store *k8s.Store, app AppRuntime) *Controller {
 	c := &Controller{loop: loop, store: store, app: app}
-	c.queue = k8s.NewWorkqueue(loop, c.reconcile)
+	c.queue = k8s.NewWorkqueue(loop, requeueDelay, c.reconcile)
 	store.OwnPodsBy(podOwner)
 	store.Subscribe(k8s.KindCharmJob, func(ev k8s.Event) {
 		if ev.Type == k8s.Deleted {
@@ -187,7 +187,7 @@ func (c *Controller) reconcile(key string) {
 
 	// Wait for the desired workers to be running.
 	if ready < desired {
-		c.queue.AddAfter(key, requeueDelay)
+		c.queue.Requeue(key)
 		return
 	}
 
@@ -203,7 +203,7 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
-			c.queue.AddAfter(key, requeueDelay)
+			c.queue.Requeue(key)
 			return
 		}
 		job = job.DeepCopy().(*CharmJob)
@@ -215,7 +215,7 @@ func (c *Controller) reconcile(key string) {
 	case desired < job.Status.LaunchedReplicas:
 		// Shrink (§3.1): signal first, remove pods only after the ack.
 		if err := c.app.Shrink(job, desired); err != nil {
-			c.queue.AddAfter(key, requeueDelay)
+			c.queue.Requeue(key)
 			return
 		}
 		for _, w := range workers {
@@ -235,7 +235,7 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
-			c.queue.AddAfter(key, requeueDelay)
+			c.queue.Requeue(key)
 			return
 		}
 		c.rescaled(job, nodelist)
