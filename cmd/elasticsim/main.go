@@ -1,9 +1,13 @@
-// Command elasticsim runs the discrete-event scheduling simulator of paper
-// §4.3.1 and prints the series behind Figures 7 and 8 and the Simulation
-// columns of Table 1, plus the scenario sweeps of the workload engine.
-// Sweeps fan out over a bounded worker pool (-parallel). The run is described
-// by a runspec.Spec; each mode below declares the flags it reads, and a flag
-// the selected mode does not read is rejected, never silently dropped.
+// Command elasticsim runs the elastic scheduler of paper §4.3 on one of two
+// backends: the discrete-event simulator of §4.3.1 (-backend sim, the
+// default) or the full-stack cluster emulation of §4.3.2 (-backend cluster:
+// the k8s substrate, the Charm operator and the policy on a virtual clock).
+// It prints the series behind Figures 7, 8 and 9, Table 1 (Simulation
+// columns, or Actual beside Simulation on the cluster backend), and the
+// scenario sweeps of the workload engine. Sweeps fan out over a bounded
+// worker pool (-parallel). The run is described by a runspec.Spec; each mode
+// below declares the flags it reads, and a flag the selected mode does not
+// read is rejected, never silently dropped.
 //
 // Usage:
 //
@@ -18,6 +22,8 @@
 //	                                       # co-simulated fleet with the
 //	                                       # checkpoint-migrating rebalancer
 //	elasticsim -table1                     # Table 1, Simulation columns
+//	elasticsim -profiles -ascii            # Figure 9a: utilization profiles per policy
+//	elasticsim -xlarge-timeline            # Figure 9b: replica evolution of an xlarge job
 //	elasticsim -scenario diurnal           # one scenario under all policies
 //	elasticsim -trace wl.csv               # replay a saved trace
 //	elasticsim -availability spot          # spot preemptions over the scenario run
@@ -28,6 +34,13 @@
 //	elasticsim -scenario burst -save-workload wl.csv    # export a workload
 //	elasticsim -availability spot -save-availability cap.csv    # export a capacity trace
 //	elasticsim -table1 -json table1.json   # also write a metrics.Report
+//	elasticsim -table1 -backend cluster    # Table 1, Actual beside Simulation
+//	elasticsim -sweep gap -backend cluster -seeds 3     # Figure 7 through the emulation
+//	elasticsim -scenario uniform -availability spot -backend cluster
+//	                                       # a failure/preemption scenario
+//	                                       # through the full emulation
+//	elasticsim -clusters 4 -route least_loaded -backend cluster
+//	                                       # a fleet of emulated clusters
 package main
 
 import (
@@ -36,10 +49,15 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"time"
 
+	"elastichpc/internal/chart"
+	"elastichpc/internal/cluster"
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/metrics"
+	"elastichpc/internal/model"
 	"elastichpc/internal/profiling"
 	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
@@ -56,8 +74,12 @@ const (
 	sweepAvailability
 	sweepFederation
 	table1
+	profiles
+	xlargeTimeline
 	fleetRun
 	singleRun
+	fleetCluster
+	singleCluster
 	noMode
 )
 
@@ -69,10 +91,16 @@ var modes = []runspec.Mode{
 	sweepAvailability: {Name: "-sweep availability", Reads: runspec.Scenario | runspec.Availability | runspec.Parallel, Also: []string{"seeds"}},
 	sweepFederation:   {Name: "-sweep federation", Reads: runspec.Scenario | runspec.Fleet | runspec.Skew | runspec.Parallel, Also: []string{"seeds"}},
 	table1:            {Name: "-table1"},
+	profiles:          {Name: "-profiles", Also: []string{"ascii"}},
+	xlargeTimeline:    {Name: "-xlarge-timeline"},
 	fleetRun:          {Name: "-clusters N", Reads: runspec.Scenario | runspec.Seed | runspec.Fleet | runspec.Skew | runspec.Rebalance | runspec.Parallel},
 	// An explicit -clusters 1 asks for exactly this mode.
 	singleRun: {Name: "-scenario/-trace/-availability", Reads: runspec.Scenario | runspec.Seed | runspec.Availability | runspec.Shards, Also: []string{"clusters"}},
-	noMode:    {Name: "a run with no mode selected"},
+	// The emulation has no shards, and its fleet members neither skew nor
+	// step for a rebalancer; it checkpoints every -ckpt-period iterations.
+	fleetCluster:  {Name: "-clusters N -backend cluster", Reads: runspec.Scenario | runspec.Seed | runspec.Fleet, Also: []string{"ckpt-period"}},
+	singleCluster: {Name: "-scenario/-trace/-availability -backend cluster", Reads: runspec.Scenario | runspec.Seed | runspec.Availability, Also: []string{"ckpt-period", "clusters"}},
+	noMode:        {Name: "a run with no mode selected"},
 }
 
 var sweeps = map[string]int{
@@ -80,11 +108,22 @@ var sweeps = map[string]int{
 	"availability": sweepAvailability, "federation": sweepFederation,
 }
 
+// onCluster is the mode each mode runs as on -backend cluster; a mode with no
+// entry runs on the simulator only.
+var onCluster = map[int]int{
+	sweepFigure: sweepFigure, table1: table1, profiles: profiles, xlargeTimeline: xlargeTimeline,
+	fleetRun: fleetCluster, singleRun: singleCluster, noMode: noMode,
+}
+
 func main() {
 	var (
 		sweep     = flag.String("sweep", "", `sweep to run: "gap" (Fig. 7), "rescale" (Fig. 8), "scenario", "availability", or "federation"`)
-		doTable1  = flag.Bool("table1", false, "run the Table 1 simulation")
+		doTable1  = flag.Bool("table1", false, "run Table 1 (on -backend cluster: Actual beside Simulation)")
+		doProfile = flag.Bool("profiles", false, "print Figure 9a utilization profiles")
+		ascii     = flag.Bool("ascii", false, "render profiles as ASCII charts instead of CSV")
+		xlarge    = flag.Bool("xlarge-timeline", false, "print Figure 9b replica timeline")
 		seeds     = flag.Int("seeds", 100, "random workloads a sweep averages over")
+		ckpt      = flag.Int("ckpt-period", 1000, "cluster backend: periodic checkpoint interval in iterations for scenario and fleet runs (0 = restart from scratch)")
 		saveWL    = flag.String("save-workload", "", "write the selected scenario's workload to this path and exit")
 		saveAvail = flag.String("save-availability", "", "write the selected availability profile's capacity trace to this path and exit")
 		jsonPath  = flag.String("json", "", "also write the results as a metrics.Report to this path")
@@ -94,7 +133,7 @@ func main() {
 	)
 	spec := runspec.Default()
 	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Jobs|runspec.Availability|
-		runspec.Shards|runspec.Fleet|runspec.Skew|runspec.Rebalance|runspec.Parallel)
+		runspec.Shards|runspec.Fleet|runspec.Skew|runspec.Rebalance|runspec.Parallel|runspec.Backend)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
 	set := map[string]bool{}
@@ -113,10 +152,25 @@ func main() {
 		}
 	case *doTable1:
 		mode = table1
+	case *doProfile:
+		mode = profiles
+	case *xlarge:
+		mode = xlargeTimeline
 	case spec.Members > 1:
 		mode = fleetRun
 	case runspec.Set(flag.CommandLine, runspec.Scenario|runspec.Availability):
 		mode = singleRun
+	}
+	switch spec.Backend {
+	case "sim":
+	case "cluster":
+		m, ok := onCluster[mode]
+		if !ok {
+			log.Fatalf("-backend cluster: %s runs on the simulator only", modes[mode].Name)
+		}
+		mode = m
+	default:
+		log.Fatalf(`-backend %s: elasticsim runs on "sim" or "cluster" (a fleet is -clusters N)`, spec.Backend)
 	}
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		log.Fatal(err)
@@ -127,6 +181,9 @@ func main() {
 	}
 	if *seeds < 1 {
 		log.Fatalf("-seeds %d: a sweep averages over at least 1 workload", *seeds)
+	}
+	if *ckpt < 0 {
+		log.Fatalf("-ckpt-period %d: want a checkpoint interval in iterations, or 0 to restart from scratch", *ckpt)
 	}
 	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload) {
 		log.Fatalf("-json: %s produces no metrics report", modes[mode].Name)
@@ -142,6 +199,13 @@ func main() {
 		log.Fatal(err)
 	}
 	params := runspec.Params(flag.CommandLine, modes[mode])
+	if spec.Backend != "sim" {
+		params["backend"] = spec.Backend
+	}
+	if mode != singleCluster && mode != fleetCluster {
+		*ckpt = 0 // only the scenario and fleet emulations checkpoint
+	}
+	run := runner(spec.Backend, 180, spec.Shards, *ckpt)
 	gen, err := spec.Generator()
 	if err != nil {
 		log.Fatal(err)
@@ -150,9 +214,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// base is the cluster capacity the simulator runs with; availability
+	// base is the cluster capacity both backends run with; availability
 	// traces are generated and restored against the same value so outage
-	// depths always line up with the simulated cluster.
+	// depths always line up with the cluster.
 	base := sim.DefaultConfig(core.Elastic).Capacity
 
 	var runs []metrics.Run
@@ -180,20 +244,7 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *saveWL)
 	case sweepFigure:
-		// Figure 7 varies the submission gap at T_rescale_gap = 180 s;
-		// Figure 8 varies T_rescale_gap at a 180 s submission gap.
-		xName, run := "submission_gap", sim.SubmissionGapSweep
-		xs := []float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}
-		if *sweep == "rescale" {
-			xName, run = "rescale_gap", sim.RescaleGapSweep
-			xs = []float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}
-		}
-		points, err := run(xs, spec.Jobs, *seeds, 180, spec.Workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sw := metrics.FromSweep(xName, xName+" (s)", points)
-		metrics.WriteCSV(os.Stdout, xName, sw, metrics.PaperColumns)
+		sw := sweepGaps(*sweep, spec, *seeds)
 		swept = &sw
 	case sweepScenario:
 		// With -scenario, sweep just that one; otherwise every built-in
@@ -244,15 +295,23 @@ func main() {
 			"weighted_response_s", "weighted_completion_s"})
 		swept = &sw
 	case table1:
-		runs = runWorkload("Table 1 (Simulation columns): 16 jobs, 90 s submission gap, T_rescale_gap = 180 s",
-			"table1", sim.Table1Workload(), workload.AvailabilityTrace{}, 0)
-	case fleetRun:
+		if spec.Backend == "cluster" {
+			runs = runTable1(run, runner("sim", 180, 0, 0))
+			break
+		}
+		runs = runWorkload(run, "Table 1 (Simulation columns): 16 jobs, 90 s submission gap, T_rescale_gap = 180 s",
+			"table1", sim.Table1Workload(), workload.AvailabilityTrace{})
+	case profiles:
+		runs = runProfiles(run, *ascii)
+	case xlargeTimeline:
+		runs, params["job"] = runXLargeTimeline(run)
+	case fleetRun, fleetCluster:
 		w, err := gen.Generate(spec.Seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runs = runFederation(spec, w)
-	case singleRun:
+		runs = runFederation(spec, w, *ckpt)
+	case singleRun, singleCluster:
 		w, avail, err := sim.Inputs(gen, profile, spec.Seed, base)
 		if err != nil {
 			log.Fatal(err)
@@ -261,7 +320,7 @@ func main() {
 		if !avail.Empty() {
 			title += fmt.Sprintf(" with %d capacity events", len(avail.Events))
 		}
-		runs = runWorkload(title+" under all policies (T_rescale_gap = 180 s)", spec.Scenario, w, avail, spec.Shards)
+		runs = runWorkload(run, title+" under all policies (T_rescale_gap = 180 s)", spec.Scenario, w, avail)
 	}
 
 	if *jsonPath != "" {
@@ -277,21 +336,104 @@ func main() {
 	}
 }
 
+// runFunc runs one workload under one policy, on a backend runner chose.
+type runFunc func(core.Policy, workload.Workload, workload.AvailabilityTrace) (sim.Result, error)
+
+// runner is the per-policy run of the named backend at the given rescale gap
+// (seconds): the simulator at the given shard count, or the cluster
+// emulation checkpointing every ckpt iterations. Every mode that runs on both
+// backends calls what it returns.
+func runner(backend string, rescaleGap float64, shards, ckpt int) runFunc {
+	if backend == "cluster" {
+		return func(p core.Policy, w workload.Workload, avail workload.AvailabilityTrace) (sim.Result, error) {
+			cfg := cluster.DefaultConfig(p)
+			cfg.RescaleGap = time.Duration(rescaleGap * float64(time.Second))
+			cfg.Availability, cfg.CheckpointPeriod = avail, ckpt
+			return cluster.RunExperiment(cfg, w)
+		}
+	}
+	return func(p core.Policy, w workload.Workload, avail workload.AvailabilityTrace) (sim.Result, error) {
+		cfg := sim.DefaultConfig(p)
+		cfg.RescaleGap, cfg.Availability, cfg.Shards = rescaleGap, avail, shards
+		return sim.Run(cfg, w)
+	}
+}
+
+// runPolicies runs w under every policy, in core.AllPolicies order.
+func runPolicies(run runFunc, w workload.Workload, avail workload.AvailabilityTrace) []sim.Result {
+	results := make([]sim.Result, 0, len(core.AllPolicies()))
+	for _, p := range core.AllPolicies() {
+		r, err := run(p, w, avail)
+		if err != nil {
+			log.Fatal(err)
+		}
+		results = append(results, r)
+	}
+	return results
+}
+
+// sweepGaps runs the Figure 7 (gap) or Figure 8 (rescale) sweep and prints
+// its CSV. Figure 7 varies the submission gap at T_rescale_gap = 180 s;
+// Figure 8 varies T_rescale_gap at a 180 s submission gap. The cluster
+// backend runs the same grid through the emulation, cell by cell on the
+// -parallel pool.
+func sweepGaps(which string, spec runspec.Spec, seeds int) metrics.Sweep {
+	xName, xs := "submission_gap", []float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}
+	if which == "rescale" {
+		xName, xs = "rescale_gap", []float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}
+	}
+	var points []sim.SweepPoint
+	var err error
+	switch {
+	case spec.Backend == "cluster":
+		points, err = sim.SweepGrid(xs, seeds, spec.Workers, func(x float64, p core.Policy, seed int64) (sim.Result, error) {
+			gap, rescaleGap := x, 180.0
+			if which == "rescale" {
+				gap, rescaleGap = 180, x
+			}
+			w, err := workload.Uniform{Jobs: spec.Jobs, Gap: gap}.Generate(seed)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return runner(spec.Backend, rescaleGap, 0, 0)(p, w, workload.AvailabilityTrace{})
+		}, (*sim.AverageResult).Accumulate)
+	case which == "rescale":
+		points, err = sim.RescaleGapSweep(xs, spec.Jobs, seeds, 180, spec.Workers)
+	default:
+		points, err = sim.SubmissionGapSweep(xs, spec.Jobs, seeds, 180, spec.Workers)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	sw := metrics.FromSweep(xName, xName+" (s)", points)
+	metrics.WriteCSV(os.Stdout, xName, sw, metrics.PaperColumns)
+	return sw
+}
+
 // runFederation routes one workload across the spec's fleet under every
 // scheduling policy and prints the fleet metrics plus the per-cluster job
-// split; a non-zero spec.RebalanceEvery turns on the checkpoint-migrating
-// rebalancer. Every policy runs before anything is printed, so a run that
-// fails leaves stdout empty.
-func runFederation(spec runspec.Spec, w workload.Workload) []metrics.Run {
+// split. The members are simulators, skewed by spec.Skew, or on the cluster
+// backend emulated clusters checkpointing every ckpt iterations; a non-zero
+// spec.RebalanceEvery turns on the checkpoint-migrating rebalancer, which
+// steps simulator members only. Every policy runs before anything is
+// printed, so a run that fails leaves stdout empty.
+func runFederation(spec runspec.Spec, w workload.Workload, ckpt int) []metrics.Run {
 	var results []federation.Result
 	for _, p := range core.AllPolicies() {
-		r, err := federation.Run(federation.Config{
-			Members:   federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew),
+		cfg := federation.Config{
 			Route:     spec.Route,
 			RouteSeed: spec.Seed,
 			Workers:   spec.Workers,
 			Rebalance: federation.RebalanceConfig{Every: spec.RebalanceEvery, MigrateRunning: spec.MigrateRunning},
-		}, w)
+		}
+		if spec.Backend == "cluster" {
+			member := cluster.DefaultConfig(p)
+			member.CheckpointPeriod = ckpt
+			cfg.Backends = slices.Repeat([]federation.Member{federation.ClusterMember{Config: member}}, spec.Members)
+		} else {
+			cfg.Members = federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew)
+		}
+		r, err := federation.Run(cfg, w)
 		if err != nil && spec.Skew != 0 {
 			err = fmt.Errorf("-skew %g: %w", spec.Skew, err)
 		}
@@ -325,20 +467,97 @@ func runFederation(spec runspec.Spec, w workload.Workload) []metrics.Run {
 	return runs
 }
 
-// runWorkload runs one workload under every policy and prints the table.
-func runWorkload(title, name string, w workload.Workload, avail workload.AvailabilityTrace, shards int) []metrics.Run {
-	fmt.Println(title)
+// runWorkload runs one workload under every policy, then prints the title
+// and the table.
+func runWorkload(run runFunc, title, name string, w workload.Workload, avail workload.AvailabilityTrace) []metrics.Run {
 	var runs []metrics.Run
-	for _, p := range core.AllPolicies() {
-		cfg := sim.DefaultConfig(p)
-		cfg.Availability = avail
-		cfg.Shards = shards
-		r, err := sim.Run(cfg, w)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, r := range runPolicies(run, w, avail) {
 		runs = append(runs, metrics.FromResult(name, r))
 	}
+	fmt.Println(title)
 	metrics.WritePolicyTable(os.Stdout, runs, !avail.Empty())
 	return runs
+}
+
+// runTable1 prints Table 1's Actual columns, the emulation's runs of the
+// fixed workload, beside its Simulation columns.
+func runTable1(actual, simulated runFunc) []metrics.Run {
+	w := sim.Table1Workload()
+	act := runPolicies(actual, w, workload.AvailabilityTrace{})
+	simRes := runPolicies(simulated, w, workload.AvailabilityTrace{})
+	fmt.Println("Table 1: Actual (full k8s emulation) vs Simulation (DES), same fixed 16-job workload")
+	fmt.Printf("%-14s %10s %10s | %8s %8s | %9s %9s | %9s %9s\n",
+		"Scheduler", "Tot.act", "Tot.sim", "Util.act", "Util.sim", "Resp.act", "Resp.sim", "Comp.act", "Comp.sim")
+	var runs []metrics.Run
+	for i, p := range core.AllPolicies() {
+		a, s := act[i], simRes[i]
+		fmt.Printf("%-14s %10.0f %10.0f | %7.2f%% %7.2f%% | %9.2f %9.2f | %9.2f %9.2f\n",
+			p, a.TotalTime, s.TotalTime,
+			100*a.Utilization, 100*s.Utilization,
+			a.WeightedResponse, s.WeightedResponse,
+			a.WeightedCompletion, s.WeightedCompletion)
+		runs = append(runs, metrics.FromResult("table1-actual", a), metrics.FromResult("table1-sim", s))
+	}
+	return runs
+}
+
+// runProfiles prints Figure 9a: every policy's busy slots over time on the
+// Table 1 workload, as CSV or as ASCII charts.
+func runProfiles(run runFunc, ascii bool) []metrics.Run {
+	var runs []metrics.Run
+	var series []chart.Series
+	if !ascii {
+		fmt.Println("policy,t_seconds,used_slots")
+	}
+	for i, res := range runPolicies(run, sim.Table1Workload(), workload.AvailabilityTrace{}) {
+		p := core.AllPolicies()[i]
+		runs = append(runs, metrics.FromResult("fig9a", res))
+		if ascii {
+			s := chart.Series{Name: fmt.Sprintf("%s (mean %.1f%%)", p, 100*res.Utilization)}
+			for _, u := range res.UtilTimeline {
+				s.Points = append(s.Points, chart.Point{X: u.At, Y: float64(u.Used)})
+			}
+			series = append(series, s)
+			continue
+		}
+		for _, s := range res.UtilTimeline {
+			fmt.Printf("%s,%.1f,%d\n", p, s.At, s.Used)
+		}
+	}
+	if ascii {
+		fmt.Print(chart.RenderMulti(series, chart.Options{Width: 72, Height: 8, YMin: 0, YMax: 64, YLabel: "busy worker slots"}))
+	}
+	return runs
+}
+
+// runXLargeTimeline prints Figure 9b, "an xlarge job that rescales multiple
+// times": the replica timeline of the Table 1 workload's xlarge job with the
+// most rescale events under the elastic policy. It returns the run and the
+// job's ID.
+func runXLargeTimeline(run runFunc) ([]metrics.Run, string) {
+	w := sim.Table1Workload()
+	res, err := run(core.Elastic, w, workload.AvailabilityTrace{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	specs := model.Specs()
+	var best string
+	bestLen := 0
+	for _, js := range w.Jobs {
+		if specs[js.Class].Class != model.XLarge {
+			continue
+		}
+		if tl := res.ReplicaTimelines[js.ID]; len(tl) > bestLen {
+			best, bestLen = js.ID, len(tl)
+		}
+	}
+	if best == "" {
+		log.Fatal("workload contains no xlarge job")
+	}
+	fmt.Printf("job,%s\n", best)
+	fmt.Println("t_seconds,replicas")
+	for _, s := range res.ReplicaTimelines[best] {
+		fmt.Printf("%.1f,%d\n", s.At, s.Replicas)
+	}
+	return []metrics.Run{metrics.FromResult("fig9b", res)}, best
 }

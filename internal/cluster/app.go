@@ -229,21 +229,6 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	}
 }
 
-// Table1Actual runs the fixed Table 1 workload through the full emulation
-// for every policy (the paper's "Actual" columns).
-func Table1Actual() (map[core.Policy]sim.Result, error) {
-	w := sim.Table1Workload()
-	out := make(map[core.Policy]sim.Result, 4)
-	for _, p := range core.AllPolicies() {
-		res, err := RunExperiment(DefaultConfig(p), w)
-		if err != nil {
-			return nil, fmt.Errorf("policy %v: %w", p, err)
-		}
-		out[p] = res
-	}
-	return out, nil
-}
-
 // RunAvailability derives one seed of a workload scenario and an
 // availability profile (nil = fixed capacity) with the recipe the simulator
 // uses, sim.Inputs, and runs both through the full emulation — the

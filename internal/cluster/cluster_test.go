@@ -186,9 +186,14 @@ func TestTable1ActualOrderingHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 emulation in -short mode")
 	}
-	results, err := Table1Actual()
-	if err != nil {
-		t.Fatal(err)
+	w := sim.Table1Workload()
+	results := make(map[core.Policy]sim.Result)
+	for _, p := range core.AllPolicies() {
+		res, err := RunExperiment(DefaultConfig(p), w)
+		if err != nil {
+			t.Fatalf("policy %v: %v", p, err)
+		}
+		results[p] = res
 	}
 	e := results[core.Elastic]
 	for _, p := range []core.Policy{core.RigidMin, core.RigidMax, core.Moldable} {

@@ -69,8 +69,9 @@ func (m SimMember) Run(w workload.Workload) (sim.Result, []core.Decision, error)
 }
 
 // ClusterMember backs a federation member with the full k8s+operator
-// cluster emulation (cluster.RunExperiment) — the fleet path `kubesim
-// -clusters` exercises. Base capacity is the node group's slot count.
+// cluster emulation (cluster.RunExperiment) — the fleet path `elasticsim
+// -clusters N -backend cluster` exercises. Base capacity is the node group's
+// slot count.
 type ClusterMember struct {
 	Config cluster.Config
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -506,6 +507,38 @@ func TestEventTypeString(t *testing.T) {
 		if et.String() == "" {
 			t.Errorf("EventType(%d) empty", et)
 		}
+	}
+}
+
+// TestNodeProvisioningAllocsLinear: provisioning n nodes and then listing
+// them allocates O(n) bytes. A node write that rebuilt and re-sorted the
+// node list allocated O(n²): 4,096 nodes (a 65,536-slot burst ceiling at 16
+// slots a node) cost 12× the bytes per node that 256 did.
+func TestNodeProvisioningAllocsLinear(t *testing.T) {
+	perNode := func(n int) float64 {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("node-%d", i)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		store := NewStore(NewEventLoop(t0))
+		for _, name := range names {
+			if err := store.Create(&Node{ObjectMeta: ObjectMeta{Name: name}, CapacityCPU: 16}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(store.Nodes()); got != n {
+			t.Fatalf("Nodes() lists %d nodes, want %d", got, n)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perNode(256), perNode(4096)
+	t.Logf("bytes per node: %.0f at 256 nodes, %.0f at 4,096", small, large)
+	if large > 2*small {
+		t.Errorf("provisioning 4,096 nodes allocates %.0f bytes a node, over 2× the %.0f a node at 256", large, small)
 	}
 }
 

@@ -49,8 +49,10 @@ type Store struct {
 	// owned holds each owner's pods by (ordinal, key).
 	ownerOf func(*Pod) (owner string, ordinal int)
 	owned   map[string][]OwnedPod
-	// nodes is what Nodes returns, in key order. A node write builds a fresh
-	// slice, so one handed out earlier stays as it was.
+	// nodes is what Nodes returns, in key order; nil after a node write
+	// until the next Nodes call builds a fresh slice, so one handed out
+	// earlier stays as it was and provisioning n nodes sorts once, not n
+	// times.
 	nodes   []*Node
 	version int64
 	uid     int64
@@ -197,12 +199,7 @@ func (s *Store) put(kind Kind, key string, was, now Object) {
 		delete(b, key)
 	}
 	if kind == KindNode {
-		nodes := make([]*Node, 0, len(b))
-		for _, obj := range b {
-			nodes = append(nodes, obj.(*Node))
-		}
-		slices.SortFunc(nodes, func(x, y *Node) int { return strings.Compare(x.Key(), y.Key()) })
-		s.nodes = nodes
+		s.nodes = nil
 	}
 }
 
@@ -464,6 +461,15 @@ func (s *Store) OwnedPods(dst []OwnedPod, owner string) []OwnedPod {
 // Nodes returns read-only views of all nodes, in key order. The slice is a
 // view too.
 func (s *Store) Nodes() []*Node {
+	if s.nodes == nil {
+		b := s.items[KindNode]
+		nodes := make([]*Node, 0, len(b))
+		for _, obj := range b {
+			nodes = append(nodes, obj.(*Node))
+		}
+		slices.SortFunc(nodes, func(x, y *Node) int { return strings.Compare(x.Key(), y.Key()) })
+		s.nodes = nodes
+	}
 	s.stats.Scans++
 	s.stats.Visited += len(s.nodes)
 	return s.nodes

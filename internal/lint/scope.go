@@ -39,9 +39,9 @@ func inDeterministic(p *Pass) bool { return deterministicPkgs[p.Path()] }
 // orderedOutputPkgs are held to ordered output without the rest of the
 // determinism contract. runspec is the CLIs' shared flag table — its
 // rejection messages and unknown-key errors are CLI output. The Kubernetes
-// emulation is pinned byte for byte by the kubesim goldens and the
-// benchmark's expected results, and its store's indexes are where map order
-// would leak into them.
+// emulation is pinned byte for byte by the elasticsim -backend cluster
+// goldens and the benchmark's expected results, and its store's indexes are
+// where map order would leak into them.
 var orderedOutputPkgs = map[string]bool{
 	module + "/internal/runspec":  true,
 	module + "/internal/k8s":      true,

@@ -270,8 +270,9 @@ func FromScenarios(results []sim.ScenarioResult) Sweep {
 	return sw
 }
 
-// WritePolicyTable prints runs, one per policy, as the fixed-width table
-// elasticsim and kubesim share; resilience adds the availability columns.
+// WritePolicyTable prints runs, one per policy, as the fixed-width table of
+// an elasticsim run on either backend; resilience adds the availability
+// columns.
 func WritePolicyTable(w io.Writer, runs []Run, resilience bool) {
 	fmt.Fprintf(w, "%-14s %12s %12s %16s %18s", "Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)")
 	if resilience {

@@ -57,8 +57,8 @@ type Spec struct {
 }
 
 // Default is the paper's run, what the harness CLIs' flags default to: seed
-// 7, 16 jobs, one cluster.
-func Default() Spec { return Spec{Seed: 7, Jobs: 16, Members: 1} }
+// 7, 16 jobs, one cluster, on the simulator.
+func Default() Spec { return Spec{Seed: 7, Jobs: 16, Members: 1, Backend: "sim"} }
 
 // Group is a set of flags bound and read together.
 type Group uint16
@@ -77,6 +77,7 @@ const (
 	Skew                           // -skew
 	Rebalance                      // -rebalance -migrate-running
 	Parallel                       // -parallel
+	Backend                        // -backend
 	Engine
 	EngineFleet
 )
@@ -104,8 +105,10 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.Float64Var(&s.MTTR, "mttr", s.MTTR, "failures profile: mean time to repair, seconds (0 = default)")
 		fs.IntVar(&s.PreemptSlots, "preempt", s.PreemptSlots, "spot profile: slots reclaimed per preemption event (0 = default)")
 	}
-	if g&Engine != 0 {
+	if g&(Backend|Engine) != 0 {
 		fs.StringVar(&s.Backend, "backend", s.Backend, "execution backend: sim | cluster | federation")
+	}
+	if g&Engine != 0 {
 		fs.Float64Var(&s.Gap, "gap", s.Gap, "inter-arrival or wave gap, seconds; diurnal: the peak gap (0 = the scenario's default)")
 		fs.IntVar(&s.Waves, "waves", s.Waves, "burst wave count (0 = the scenario's default; must divide -jobs)")
 		fs.Var(named[core.Policy]{&s.Policy, core.PolicyByName}, "policy", "scheduling policy")

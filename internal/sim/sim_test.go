@@ -323,9 +323,14 @@ func TestXLargeCappedAtCapacity(t *testing.T) {
 }
 
 func TestTable1Simulation(t *testing.T) {
-	results, err := Table1Simulation()
-	if err != nil {
-		t.Fatal(err)
+	w := Table1Workload()
+	results := make(map[core.Policy]Result)
+	for _, p := range core.AllPolicies() {
+		res, err := Run(DefaultConfig(p), w)
+		if err != nil {
+			t.Fatalf("policy %v: %v", p, err)
+		}
+		results[p] = res
 	}
 	if len(results) != 4 {
 		t.Fatalf("got %d policies", len(results))

@@ -286,18 +286,3 @@ func AvailabilityHorizon(w workload.Workload) float64 {
 // of the randomly generated jobs"; this seed is one whose metrics order the
 // four policies exactly as the paper's Table 1 does.
 func Table1Workload() workload.Workload { return workload.MustUniform(16, 90, 7) }
-
-// Table1Simulation runs the Table 1 simulation column: the fixed workload
-// under all four policies with T_rescale_gap = 180 s.
-func Table1Simulation() (map[core.Policy]Result, error) {
-	w := Table1Workload()
-	out := make(map[core.Policy]Result, 4)
-	for _, p := range core.AllPolicies() {
-		res, err := Run(DefaultConfig(p), w)
-		if err != nil {
-			return nil, fmt.Errorf("policy %v: %w", p, err)
-		}
-		out[p] = res
-	}
-	return out, nil
-}
