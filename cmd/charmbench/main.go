@@ -91,7 +91,7 @@ func main() {
 	)
 	// -parallel defaults to one cell at a time: timings share cores above 1.
 	spec := runspec.Default()
-	spec.Workers = 1
+	spec.Parallel = 1
 	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Availability|runspec.Parallel)
 	flag.Parse()
 
@@ -124,8 +124,8 @@ func main() {
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if spec.Workers > 1 {
-		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between cells; timings are noisier\n", spec.Workers)
+	if spec.Parallel > 1 {
+		fmt.Fprintf(os.Stderr, "# warning: -parallel %d shares cores between cells; timings are noisier\n", spec.Parallel)
 	}
 	defer profiling.Start(*cpuprofile, *memprofile)()
 
@@ -156,7 +156,7 @@ func main() {
 	rows := make([]string, len(cells))
 	rep := metrics.New("charmbench", metrics.KindBench)
 	rep.Benchmarks = make([]metrics.Benchmark, len(cells))
-	if err := sim.RunTasks(len(cells), spec.Workers, func(i int) (err error) {
+	if err := sim.RunTasks(len(cells), spec.Parallel, func(i int) (err error) {
 		rep.Benchmarks[i], rows[i], err = measure(cells[i], iters)
 		return err
 	}); err != nil {

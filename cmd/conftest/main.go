@@ -18,14 +18,17 @@
 //	    the cell's reference and candidate streams under dir and print the
 //	    -replay line for the candidate's. Exit 1 on divergence.
 //
-// Spec flags (with -record) are runspec's Engine and EngineFleet groups:
-// -backend sim|cluster|federation; -scenario, one of burst, diurnal,
-// poisson and uniform (sized by -jobs and -gap, burst by -waves too, 0 = the
-// scenario's default) or the composites head-heavy and tail-heavy (fixed
-// size); -seed (0 included), -policy, -capacity, -rescale-gap, -log, -drain;
-// sim and federation only: -shards, -streaming; federation only: -route,
-// -members, -skew, -rebalance, -migrate-running, -workers. A flag the chosen
-// mode, backend or scenario does not read is rejected.
+// Spec flags (with -record) are elasticsim's, with the same names, defaults
+// and inputs — runspec's CLI groups — plus the engine knobs only the harness
+// varies (runspec.Engine): -backend sim|cluster; -scenario or -trace (a
+// generated scenario sized by -jobs and -gap, burst by -waves too, 0 = the
+// scenario's default; the composites head-heavy and tail-heavy and a trace
+// have a size of their own); -seed (0 included); -availability and its
+// tuning; -policy, -capacity, -rescale-gap, -log; on the simulator -shards
+// and -streaming; a fleet of simulators is -clusters N (N > 1), with -route,
+// -skew, -rebalance, -migrate-running and -parallel, and runs the capacity
+// profile on its last member. A flag the chosen mode, backend or scenario
+// does not read is rejected.
 package main
 
 import (
@@ -56,24 +59,23 @@ func run() int {
 		window    = flag.Int("window", conformance.DefaultWindow, "decisions of context around a divergence")
 	)
 	// The recorded stream is the point of -record, so its log defaults on.
-	spec := runspec.Spec(conformance.DefaultSpec())
+	spec := runspec.Default()
 	spec.Log = true
-	const specFlags = runspec.Engine | runspec.EngineFleet
-	spec.Bind(flag.CommandLine, specFlags)
-	flag.Lookup("scenario").Usage = "workload scenario: " + strings.Join(conformance.ScenarioNames(), " | ")
+	spec.Bind(flag.CommandLine, runspec.CLI|runspec.Engine)
 	flag.Parse()
 
 	// The modes: three in the order of their selector flags, then -record,
-	// one per backend, each reading the spec flags its backend has a
-	// setting for (the emulation has no shards or streaming).
+	// one per kind of run, each reading the spec flags it has a setting for
+	// (the emulation has no shards or streaming, one cluster no fleet).
+	const one = runspec.Scenario | runspec.Seed | runspec.Jobs | runspec.Availability | runspec.Backend
 	modes := []runspec.Mode{
 		{Name: "-replay", Also: []string{"out", "window"}},
 		{Name: "-diff", Also: []string{"window"}, Args: 2},
 		{Name: "-matrix", Also: []string{"artifacts", "window"}},
-		{Name: "-record -backend sim", Reads: runspec.Engine, Also: []string{"out"}},
-		{Name: "-record -backend cluster", Also: []string{"out", "backend", "scenario", "jobs", "gap", "waves",
-			"seed", "policy", "capacity", "rescale-gap", "log", "drain"}},
-		{Name: "-record -backend federation", Reads: specFlags, Also: []string{"out"}},
+		{Name: "-record", Reads: one | runspec.Shards | runspec.Engine, Also: []string{"clusters", "out"}},
+		{Name: "-record -clusters N", Reads: runspec.CLI | runspec.Engine, Also: []string{"out"}},
+		{Name: "-record -backend cluster", Reads: one, Also: []string{"gap", "waves", "policy", "capacity",
+			"rescale-gap", "log", "clusters", "out"}},
 	}
 	mode, selected := 0, 0
 	for i, on := range []bool{*replay != "", *doDiff, *matrix, *record} {
@@ -87,21 +89,18 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	// -record selected the sim mode; an unknown backend keeps it, and
-	// Execute names the backend.
-	for i, m := range modes {
-		if *record && m.Name == "-record -backend "+spec.Backend {
-			mode = i
-		}
+	// -record selected the one-simulator mode; an unknown backend keeps it,
+	// and Execute names the backend.
+	switch {
+	case !*record:
+	case spec.Backend == "cluster":
+		mode = len(modes) - 1
+	case spec.Clusters > 1:
+		mode = len(modes) - 2
 	}
 
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		return fail(err)
-	}
-	if *record {
-		if err := checkSizing(flag.CommandLine, spec); err != nil {
-			return fail(err)
-		}
 	}
 
 	switch {
@@ -116,7 +115,7 @@ func run() int {
 
 	default: // -record
 		// Execute fills a zero count from the defaults, so an explicit
-		// -members 0 is rejected here, as the flags parsed it.
+		// -clusters 0 is rejected here, as the flags parsed it.
 		if err := spec.Validate(); err != nil {
 			return fail(err)
 		}
@@ -129,34 +128,6 @@ func run() int {
 		}
 		return 0
 	}
-}
-
-// checkSizing rejects a sizing flag the command line set that the spec's
-// scenario does not read: the composites are fixed-size and only burst has
-// waves, so the flag would be recorded into the stream's meta and shape
-// nothing. It judges by what was set, not by the spec, whose defaults give
-// every scenario waves. An unknown scenario is left for Execute to name.
-func checkSizing(fs *flag.FlagSet, spec runspec.Spec) error {
-	spec.Resolve()
-	var modes []runspec.Mode
-	chosen := -1
-	for _, name := range conformance.ScenarioNames() {
-		m := runspec.Mode{Name: "-scenario " + name, Also: []string{"jobs", "gap"}}
-		switch name {
-		case "burst":
-			m.Also = append(m.Also, "waves")
-		case "head-heavy", "tail-heavy":
-			m.Also = nil
-		}
-		if name == spec.Scenario {
-			chosen = len(modes)
-		}
-		modes = append(modes, m)
-	}
-	if chosen < 0 {
-		return nil
-	}
-	return runspec.Check(fs, modes, chosen)
 }
 
 // fail reports an operational error (as opposed to a divergence, exit 1).
@@ -173,8 +144,17 @@ func emit(st *conformance.Stream, out string) error {
 	if err := st.SaveFile(out); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d decisions to %s\n", len(st.Decisions), out)
+	fmt.Printf("recorded %d decisions to %s\n", decisions(st), out)
 	return nil
+}
+
+// decisions counts a stream's decisions: its own and its members'.
+func decisions(st *conformance.Stream) int {
+	n := len(st.Decisions)
+	for _, m := range st.Members {
+		n += len(m.Decisions)
+	}
+	return n
 }
 
 // diffFiles loads and structurally diffs two streams.
@@ -217,7 +197,7 @@ func replayFile(path, out string, window int) int {
 	d := conformance.Compare(recorded, replayed)
 	if d.Empty() {
 		fmt.Printf("replay of %s reproduced the recording: %d decisions identical\n",
-			path, len(recorded.Decisions))
+			path, decisions(recorded))
 		return 0
 	}
 	fmt.Printf("replay of %s DIVERGED:\n%s", path, d.Format(recorded, replayed, window))
@@ -233,7 +213,11 @@ func runMatrix(w io.Writer, cases []conformance.Case, artifacts string, window i
 		return fail(err)
 	}
 	if len(fails) == 0 {
-		fmt.Fprintf(w, "conformance matrix: %d cases, all streams identical\n", len(cases))
+		refs := 0
+		for _, c := range cases {
+			refs += len(c.Refs)
+		}
+		fmt.Fprintf(w, "conformance matrix: %d cases, %d reference runs, all streams identical\n", len(cases), refs)
 		return 0
 	}
 	fmt.Fprintf(w, "conformance matrix: %d of %d cases diverged\n", len(fails), len(cases))

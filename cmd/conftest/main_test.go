@@ -72,9 +72,10 @@ func conftest(dir, args string) *exec.Cmd {
 // executes; the other modes take theirs from a stream or the fixed matrix, so
 // a spec flag there — `-matrix -policy moldable` still ran every policy — is
 // an error naming the flag, as is -migrate-running with no rebalancer to
-// heed it. So is a spec flag the chosen backend has no setting for (each was
-// recorded into the stream's meta and dropped from the run), and a negative
-// value that ran as the default. Every rejection exits 2, conftest's code for
+// heed it. So is a spec flag the chosen backend or a single cluster has no
+// setting for (each was recorded into the stream's meta and dropped from the
+// run), a backend elasticsim does not run, and a negative value that ran as
+// the default. Every rejection exits 2, conftest's code for
 // an operational error, names the flag on stderr and prints nothing to
 // stdout.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
@@ -82,7 +83,7 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-matrix -policy moldable", "-policy"},
 		{"-diff -seed 3 a.json b.json", "-seed"},
 		{"-replay testdata/golden/stream.json -jobs 12", "-jobs"},
-		{"-record -backend federation -migrate-running", "-migrate-running"},
+		{"-record -clusters 3 -migrate-running", "-migrate-running"},
 		{"-matrix -out x.json", "-out"},
 		{"-record -matrix", "exactly one"},
 		// The reference scheduler is core's test oracle, not a mode.
@@ -90,10 +91,11 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -backend cluster -streaming", "-streaming"},
 		{"-record -backend cluster -shards 4", "-shards"},
 		{"-record -backend sim -route least_loaded", "-route"},
-		{"-record -backend sim -members 5", "-members"},
+		{"-record -backend sim -parallel 2", "-parallel"},
 		{"-record -backend sim -skew 2", "-skew"},
 		{"-record -backend sim -rebalance 300", "-rebalance"},
-		{"-record -backend federation -members 2 -drain", "-drain"},
+		{"-record -backend federation", "-backend federation"},
+		{"-record -backend cluster -clusters 2", "-clusters 2"},
 		{"-record -capacity -8", "-capacity"},
 		{"-record -rescale-gap -5", "-rescale-gap"},
 		{"-record -rescale-gap 1e300", "-rescale-gap"},
@@ -102,7 +104,7 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record -scenario head-heavy -jobs 5 -gap 3", "-gap"},
 		{"-record -scenario uniform -waves 7", "-waves"},
 		// Execute would fill the explicit 0 from the defaults.
-		{"-record -backend federation -members 0", "-members"},
+		{"-record -clusters 0", "-clusters"},
 		// The arguments end the flags, so -window would not be parsed.
 		{"-diff a.json b.json -window 3", `"-window"`},
 	} {
@@ -121,10 +123,12 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	}
 }
 
-// TestRecordReplayGolden pins -record and -replay end to end: the recorded
-// stream and both stdouts are the bytes the commit before the spec moved onto
-// runspec produced, but for one Meta key (rebalance_every became rebalance,
-// the flag's name), and the stream replays.
+// TestRecordReplayGolden pins -record and -replay end to end on a fleet
+// whose last member runs elasticsim's drain profile: the recorded stream and
+// both stdouts, which count the members' decisions, and the stream replays.
+// The workload is spelled out because the default 16-job run ends before the
+// profile's first drain window. A change to how a spec becomes its inputs
+// moves this stream and elasticsim's cluster-uniform-drain golden alike.
 func TestRecordReplayGolden(t *testing.T) {
 	golden := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -134,7 +138,7 @@ func TestRecordReplayGolden(t *testing.T) {
 		return data
 	}
 	dir := t.TempDir()
-	out, err := conftest(dir, "-record -backend federation -rebalance 300 -out stream.json").Output()
+	out, err := conftest(dir, "-record -clusters 3 -rebalance 300 -availability drain -jobs 60 -gap 45 -seed 1 -out stream.json").Output()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +218,15 @@ func TestClusterReadsRescaleGap(t *testing.T) {
 	}
 }
 
-// TestRecordSeedZero: -seed 0 is a seed. On every backend its stream differs
-// from seed 1's — it was byte-identical, the spec's zero seed resolved to the
-// default — carries seed 0 in its meta, and -replay re-runs seed 0.
+// TestRecordSeedZero: -seed 0 is a seed. On either backend and on a fleet
+// its stream differs from seed 1's — it was byte-identical, the spec's zero
+// seed resolved to the default — carries seed 0 in its meta, and -replay
+// re-runs seed 0.
 func TestRecordSeedZero(t *testing.T) {
 	dir := t.TempDir()
-	for _, backend := range []string{"sim", "cluster", "federation"} {
+	for backend, run := range map[string]string{"sim": "-backend sim", "cluster": "-backend cluster", "fleet": "-clusters 3"} {
 		for _, seed := range []string{"0", "1"} {
-			args := fmt.Sprintf("-record -backend %s -jobs 12 -seed %s -out %s%s.json", backend, seed, backend, seed)
+			args := fmt.Sprintf("-record %s -jobs 12 -seed %s -out %s%s.json", run, seed, backend, seed)
 			if out, err := conftest(dir, args).CombinedOutput(); err != nil {
 				t.Fatalf("conftest %s: %v\n%s", args, err, out)
 			}

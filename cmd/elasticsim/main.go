@@ -132,8 +132,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this path on exit")
 	)
 	spec := runspec.Default()
-	spec.Bind(flag.CommandLine, runspec.Scenario|runspec.Seed|runspec.Jobs|runspec.Availability|
-		runspec.Shards|runspec.Fleet|runspec.Skew|runspec.Rebalance|runspec.Parallel|runspec.Backend)
+	spec.Bind(flag.CommandLine, runspec.CLI)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
 	set := map[string]bool{}
@@ -156,7 +155,7 @@ func main() {
 		mode = profiles
 	case *xlarge:
 		mode = xlargeTimeline
-	case spec.Members > 1:
+	case spec.Clusters > 1:
 		mode = fleetRun
 	case runspec.Set(flag.CommandLine, runspec.Scenario|runspec.Availability):
 		mode = singleRun
@@ -192,7 +191,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if mode == sweepFederation && !set["clusters"] {
-		spec.Members = 4 // the default swept fleet; an explicit -clusters (even 1) is honored
+		spec.Clusters = 4 // the default swept fleet; an explicit -clusters (even 1) is honored
 	}
 	spec.Resolve()
 	if err := spec.Validate(); err != nil {
@@ -257,7 +256,7 @@ func main() {
 				gens = append(gens, gen)
 			}
 		}
-		results, err := sim.ScenarioSweep(gens, *seeds, 180, spec.Workers)
+		results, err := sim.ScenarioSweep(gens, *seeds, 180, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -269,7 +268,7 @@ func main() {
 		if profile != nil {
 			profiles = []workload.AvailabilityProfile{profile}
 		}
-		results, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, spec.Workers)
+		results, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -285,7 +284,7 @@ func main() {
 			delete(params, "route")
 			routes = federation.AllRoutes()
 		}
-		results, err := federation.Sweep(routes, gen, spec.Members, *seeds, 180, spec.Skew, spec.Workers)
+		results, err := federation.Sweep(routes, gen, spec.Clusters, *seeds, 180, spec.Skew, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -386,7 +385,7 @@ func sweepGaps(which string, spec runspec.Spec, seeds int) metrics.Sweep {
 	var err error
 	switch {
 	case spec.Backend == "cluster":
-		points, err = sim.SweepGrid(xs, seeds, spec.Workers, func(x float64, p core.Policy, seed int64) (sim.Result, error) {
+		points, err = sim.SweepGrid(xs, seeds, spec.Parallel, func(x float64, p core.Policy, seed int64) (sim.Result, error) {
 			gap, rescaleGap := x, 180.0
 			if which == "rescale" {
 				gap, rescaleGap = 180, x
@@ -398,9 +397,9 @@ func sweepGaps(which string, spec runspec.Spec, seeds int) metrics.Sweep {
 			return runner(spec.Backend, rescaleGap, 0, 0)(p, w, workload.AvailabilityTrace{})
 		}, (*sim.AverageResult).Accumulate)
 	case which == "rescale":
-		points, err = sim.RescaleGapSweep(xs, spec.Jobs, seeds, 180, spec.Workers)
+		points, err = sim.RescaleGapSweep(xs, spec.Jobs, seeds, 180, spec.Parallel)
 	default:
-		points, err = sim.SubmissionGapSweep(xs, spec.Jobs, seeds, 180, spec.Workers)
+		points, err = sim.SubmissionGapSweep(xs, spec.Jobs, seeds, 180, spec.Parallel)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -423,15 +422,15 @@ func runFederation(spec runspec.Spec, w workload.Workload, ckpt int) []metrics.R
 		cfg := federation.Config{
 			Route:     spec.Route,
 			RouteSeed: spec.Seed,
-			Workers:   spec.Workers,
+			Workers:   spec.Parallel,
 			Rebalance: federation.RebalanceConfig{Every: spec.RebalanceEvery, MigrateRunning: spec.MigrateRunning},
 		}
 		if spec.Backend == "cluster" {
 			member := cluster.DefaultConfig(p)
 			member.CheckpointPeriod = ckpt
-			cfg.Backends = slices.Repeat([]federation.Member{federation.ClusterMember{Config: member}}, spec.Members)
+			cfg.Backends = slices.Repeat([]federation.Member{federation.ClusterMember{Config: member}}, spec.Clusters)
 		} else {
-			cfg.Members = federation.Skewed(sim.DefaultConfig(p), spec.Members, spec.Skew)
+			cfg.Members = federation.Skewed(sim.DefaultConfig(p), spec.Clusters, spec.Skew)
 		}
 		r, err := federation.Run(cfg, w)
 		if err != nil && spec.Skew != 0 {
@@ -450,7 +449,7 @@ func runFederation(spec runspec.Spec, w workload.Workload, ckpt int) []metrics.R
 		migrations = fmt.Sprintf(" %10s", "Migrations")
 	}
 	fmt.Printf("Routing %d-job %s workload across %d clusters (%s route, skew %g%s) under all policies\n",
-		len(w.Jobs), spec.Scenario, spec.Members, spec.Route, spec.Skew, round)
+		len(w.Jobs), spec.Scenario, spec.Clusters, spec.Route, spec.Skew, round)
 	fmt.Printf("%-14s %12s %12s %16s %18s %10s%s %s\n",
 		"Scheduler", "Total (s)", "Utilization", "W. response (s)", "W. completion (s)", "Imbalance", migrations, "Jobs/cluster")
 	var runs []metrics.Run

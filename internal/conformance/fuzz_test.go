@@ -62,12 +62,47 @@ func FuzzShardEquivalence(f *testing.F) {
 	})
 }
 
+// FuzzSteppedEquivalence fuzzes the stepping surface's contract: any
+// generated scenario × policy, driven through Begin, StepTo every width
+// seconds until it drains, and Finish, must match the sequential batch run
+// exactly — decisions, and the summary with its capacity counts: a trailing
+// capacity event the batch run skips must not count because a step window
+// applied it.
+func FuzzSteppedEquivalence(f *testing.F) {
+	// A step window that applied the trace's closing restore after the last
+	// completion, which the batch run skips: the stepped run counted it.
+	f.Add(int64(-177), uint8(3), uint16(3560))
+	f.Add(int64(1), uint8(2), uint16(300))
+	f.Add(int64(7), uint8(3), uint16(1))
+	f.Add(int64(42), uint8(0), uint16(3599))
+	f.Fuzz(func(t *testing.T, seed int64, policyIdx uint8, width uint16) {
+		sc := fuzzScenario(seed)
+		p := core.AllPolicies()[int(policyIdx)%4]
+		every := float64(1 + int(width)%3600)
+		cfg := sim.DefaultConfig(p)
+		cfg.Availability = sc.Trace
+		cfg.LogDecisions = true
+		cfg.Shards = 1
+		ref, err := RecordSim(cfg, sc.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RecordStepped(cfg, sc.Workload, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := Compare(ref, got); !d.Empty() {
+			t.Fatalf("seed %d policy %s stepped every %g s diverged:\n%s",
+				seed, p, every, d.Format(ref, got, 0))
+		}
+	})
+}
+
 // FuzzSpecFromMeta fuzzes the decoder every -replay goes through. The input is
 // a Meta map spelled as key=value lines. Hostile maps are an error, never a
 // panic, and an accepted one re-encodes to a map that decodes to the same
 // run. The two runs are compared as encodings: a NaN knob is not equal to
-// itself as a value, and Meta drops fleet knobs a non-federation backend never
-// reads.
+// itself as a value.
 func FuzzSpecFromMeta(f *testing.F) {
 	st, err := LoadFile("../../cmd/conftest/testdata/golden/stream.json")
 	if err != nil {
@@ -83,9 +118,9 @@ func FuzzSpecFromMeta(f *testing.F) {
 		lines = append(lines, k+"="+st.Meta[k])
 	}
 	f.Add(strings.Join(lines, "\n"))
-	f.Add("backend=sim\nscenario=burst\njobs=48\nwaves=3\ndrain=true\nshards=8\nrescale_gap=60\nstreaming=T")
+	f.Add("backend=sim\nscenario=burst\njobs=48\nwaves=3\navailability=drain\nshards=8\nrescale_gap=60\nstreaming=T")
 	f.Add("policy=turbo")
-	f.Add("gap=NaN\nmembers=-1")
+	f.Add("gap=NaN\nclusters=-1")
 	f.Fuzz(func(t *testing.T, text string) {
 		meta := map[string]string{}
 		for _, line := range strings.Split(text, "\n") {

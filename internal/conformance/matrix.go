@@ -148,15 +148,20 @@ func summaryOnly(st *Stream) *Stream {
 }
 
 // simShapes are the workload shapes every sim cell sweeps: steady arrivals,
-// deep same-instant backlogs, a time-varying cluster (maintenance drains to
-// 40 of 64 slots, full capacity restored at the horizon), and the two
-// demand-skewed composites that stress the work-balanced epoch planner.
+// deep same-instant backlogs, the two demand-skewed composites that stress
+// the work-balanced epoch planner, and a time-varying cluster under every
+// built-in capacity profile (availability: maintenance drains to 32 of 64
+// slots), each with full capacity restored at the horizon — the traces
+// elasticsim's -availability builds.
 var simShapes = []Ref{
 	{"uniform", RunSpec{Scenario: "uniform", Jobs: 60, Gap: 45}},
 	{"burst", RunSpec{Scenario: "burst", Jobs: 120, Waves: 3, Gap: 4000}},
-	{"availability", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Drain: true}},
-	{headHeavy, RunSpec{Scenario: headHeavy}},
-	{tailHeavy, RunSpec{Scenario: tailHeavy}},
+	{"availability", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Availability: "drain"}},
+	{"head-heavy", RunSpec{Scenario: "head-heavy"}},
+	{"tail-heavy", RunSpec{Scenario: "tail-heavy"}},
+	{"spot", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Availability: "spot"}},
+	{"failures", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Availability: "failures"}},
+	{"tides", RunSpec{Scenario: "burst", Jobs: 90, Waves: 3, Gap: 5000, Availability: "tides"}},
 }
 
 // Cases is the matrix, one table of cells:
@@ -172,8 +177,8 @@ var simShapes = []Ref{
 //     TestPlanEpochsStreamingScaleWorkload asserts its shape), the widest
 //     shard width against the sequential loop;
 //   - federation, per route × policy, rebalancer off and on: a 16/40/64-slot
-//     fleet whose round-robin backs up member 0 and whose member 2 drains
-//     mid-run, so both donor kinds are exercised — the sequential members
+//     fleet whose round-robin backs up member 0 and whose last member runs
+//     the drain profile, so both donor kinds are exercised — the sequential members
 //     against the parallel worker pool and a repeat, member streams, the
 //     migration log and every summary included;
 //   - cluster: the emulation backend recorded twice.
@@ -228,10 +233,10 @@ func Cases(opt MatrixOptions) []Case {
 					mode = "rebalance"
 				}
 				cases = append(cases, single(fmt.Sprintf("federation/%s/%s/%s", route, p, mode), RunSpec{
-					Backend: "federation", Scenario: "burst", Jobs: 96, Waves: 6, Gap: 1200, Seed: 3,
-					Policy: p, Capacity: 16, Members: 3, Skew: 1.5, Drain: true, Route: route,
-					RebalanceEvery: every, MigrateRunning: every > 0, Workers: 1, Log: true,
-				}, Candidate{Name: "parallel", Change: func(s *RunSpec) { s.Workers = 0 }}, repeat))
+					Backend: "sim", Scenario: "burst", Jobs: 96, Waves: 6, Gap: 1200, Seed: 3,
+					Policy: p, Capacity: 16, Clusters: 3, Skew: 1.5, Availability: "drain", Route: route,
+					RebalanceEvery: every, MigrateRunning: every > 0, Parallel: 1, Log: true,
+				}, Candidate{Name: "parallel", Change: func(s *RunSpec) { s.Parallel = 0 }}, repeat))
 			}
 		}
 	}

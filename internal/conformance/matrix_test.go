@@ -61,7 +61,7 @@ func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
 	if want := fmt.Sprintf("decisions[%d]", k); !strings.Contains(f.Report, want) {
 		t.Errorf("report does not name %s:\n%s", want, f.Report)
 	}
-	want := "conftest -record -backend sim -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1 -waves 3"
+	want := "conftest -record -backend sim -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1"
 	if f.Reproduce != want {
 		t.Errorf("reproduce line:\n got %s\nwant %s", f.Reproduce, want)
 	}
@@ -77,5 +77,37 @@ func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
 	fails = check(nil, DefaultWindow, "sim/min_replicas/seed1/uniform", Candidate{Name: "unlogged", Project: summaryOnly}, ref, unlogged)
 	if len(fails) != 1 || !strings.Contains(fails[0].Report, "requeues") || !strings.HasSuffix(fails[0].Reproduce, " -log=false") {
 		t.Errorf("unlogged failure %+v: want one summary divergence naming requeues, re-run with -log=false", fails)
+	}
+}
+
+// TestRebalanceCellsMigrateOffDrainedMember: every federation rebalance
+// cell's last member runs the drain profile, and its rebalancer moves jobs
+// off that member as well as off the backed-up member 0 — the two donor kinds
+// the matrix's federation cells exist to exercise. A change to the drain
+// profile or to how a fleet applies it that leaves the last member nothing to
+// donate fails here, not silently in a green matrix.
+func TestRebalanceCellsMigrateOffDrainedMember(t *testing.T) {
+	cells := 0
+	for _, c := range Cases(DefaultMatrixOptions()) {
+		if !strings.HasPrefix(c.Name, "federation/") || !strings.HasSuffix(c.Name, "/rebalance") {
+			continue
+		}
+		cells++
+		spec := c.Refs[0].Spec
+		st, err := spec.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := make([]int, spec.Clusters)
+		for _, m := range st.Migrations {
+			from[m.From]++
+		}
+		if from[0] == 0 || from[spec.Clusters-1] == 0 {
+			t.Errorf("%s: migrations by donor %v: want some off member 0 and off the drained member %d",
+				c.Name, from, spec.Clusters-1)
+		}
+	}
+	if cells == 0 {
+		t.Fatal("no federation rebalance cell in the matrix")
 	}
 }

@@ -8,71 +8,38 @@ import (
 
 	"elastichpc/internal/cluster"
 	"elastichpc/internal/federation"
-	"elastichpc/internal/model"
 	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
 
 // RunSpec is a declarative, replayable description of one recordable run:
-// which backend, which generated workload, and every determinism-relevant
-// knob — runspec.Spec read through its Engine and EngineFleet vocabulary. A
-// spec round-trips losslessly through a Stream's Meta map, so
-// `conftest -replay` can re-execute exactly the run a recorded artifact
-// came from.
+// runspec.Spec read through conftest's vocabulary, the CLI groups and Engine.
+// A spec round-trips losslessly through a Stream's Meta map, so
+// `conftest -replay` can re-execute exactly the run a recorded artifact came
+// from, and it becomes its inputs the way every elasticsim run does: unset
+// knobs from runspec.Default, then the spec's Generator and Profile through
+// sim.Inputs.
 type RunSpec runspec.Spec
 
-// DefaultSpec is what a spec's unset knobs resolve to and what conftest's
-// flags default to: the sim backend, 60 jobs (3 waves when burst), seed 1,
-// 3 fleet members. A seed is never unset: a spec's seed 0 runs seed 0.
-func DefaultSpec() RunSpec {
-	return RunSpec{Backend: "sim", Jobs: 60, Waves: 3, Seed: 1, Members: 3}
-}
+// vocabulary is the flag groups a spec reads: conftest's spec flags and a
+// stream's Meta keys.
+const vocabulary = runspec.CLI | runspec.Engine
 
-// defaultGaps are the gaps a spec's uniform and burst runs default to (45 s
-// between arrivals, 4000 s between waves); any other scenario's unset gap is
-// its own.
-var defaultGaps = map[string]float64{"uniform": 45, "burst": 4000}
-
-// The composite scenarios: two burst phases of different class mixes
-// concatenated, heavy first or light first. No CLI scenario generates a
-// workload whose demand changes shape mid-run, and these are the shapes the
-// work-balanced epoch planner places its most asymmetric cuts on, so
-// conformance keeps them. They read the seed only.
-const (
-	headHeavy = "head-heavy"
-	tailHeavy = "tail-heavy"
-)
-
-// ScenarioNames lists the scenarios a spec runs, in display order: the CLIs'
-// generated ones (a trace needs a path the engine vocabulary has no flag for)
-// and the two composites.
-func ScenarioNames() []string {
-	names := []string{headHeavy, tailHeavy}
-	for _, n := range workload.ScenarioNames() {
-		if n != "trace" {
-			names = append(names, n)
-		}
+// Meta encodes the spec as a stream Meta map: its set knobs, the fleet's
+// (-clusters, -route) for a fleet only.
+func (s RunSpec) Meta() map[string]string {
+	g := vocabulary
+	if s.Clusters <= 1 {
+		g &^= runspec.Fleet
 	}
-	sort.Strings(names)
-	return names
+	return runspec.Spec(s).Meta(g)
 }
-
-// vocabulary is the flag groups a spec of this backend reads.
-func (s RunSpec) vocabulary() runspec.Group {
-	if s.Backend == "federation" {
-		return runspec.Engine | runspec.EngineFleet
-	}
-	return runspec.Engine
-}
-
-// Meta encodes the spec as a stream Meta map (zero-valued knobs omitted).
-func (s RunSpec) Meta() map[string]string { return runspec.Spec(s).Meta(s.vocabulary()) }
 
 // SpecFromMeta decodes a stream Meta map back into a RunSpec — the replay
 // half of the Meta round-trip.
 func SpecFromMeta(meta map[string]string) (RunSpec, error) {
-	s, err := runspec.FromMeta(meta, runspec.Engine|runspec.EngineFleet)
+	s, err := runspec.FromMeta(meta, vocabulary)
 	return RunSpec(s), err
 }
 
@@ -101,83 +68,6 @@ func recordCommand(meta map[string]string) string {
 	return line
 }
 
-// resolved fills the spec's unset knobs from DefaultSpec and defaultGaps.
-func (s RunSpec) resolved() RunSpec {
-	r := runspec.Spec(s).Or(runspec.Spec(DefaultSpec()), runspec.Engine|runspec.EngineFleet)
-	r.Resolve()
-	if r.Gap == 0 {
-		r.Gap = defaultGaps[r.Scenario]
-	}
-	return RunSpec(r)
-}
-
-// workload builds the spec's workload — a composite, or the scenario
-// runspec's Generator sizes — and its optional drain trace.
-func (s RunSpec) workload(capacity int) (workload.Workload, workload.AvailabilityTrace, error) {
-	var w workload.Workload
-	var err error
-	if s.Scenario == headHeavy || s.Scenario == tailHeavy {
-		w, err = skewed(s.Seed, s.Scenario == headHeavy)
-	} else {
-		var g workload.Generator
-		if g, err = runspec.Spec(s).Generator(); err == nil {
-			w, err = g.Generate(s.Seed)
-		}
-	}
-	if err != nil {
-		return workload.Workload{}, workload.AvailabilityTrace{}, err
-	}
-	var tr workload.AvailabilityTrace
-	if s.Drain && s.Backend != "federation" {
-		span := w.Span() + 3600
-		keep := capacity * 5 / 8
-		if keep < 1 {
-			keep = 1
-		}
-		tr, err = workload.MaintenanceDrain{Every: span / 6, Duration: span / 12, Keep: keep}.
-			Events(s.Seed, capacity, span)
-		if err != nil {
-			return workload.Workload{}, workload.AvailabilityTrace{}, err
-		}
-		// Restore full capacity at the horizon so rigid baselines stay
-		// feasible: a trace that ends mid-drain strands any job whose pinned
-		// replica count exceeds the drained capacity.
-		tr = tr.WithRestore(capacity, span)
-	}
-	return w, tr, nil
-}
-
-// skewed is a composite scenario: a heavy-class burst phase and a
-// light-class one, heavy first or light first, 15000 s apart.
-func skewed(seed int64, heavyFirst bool) (workload.Workload, error) {
-	heavy, err := workload.Burst{Waves: 2, PerWave: 18, WaveGap: 15000,
-		Mix: workload.Mix{model.Large: 1, model.XLarge: 1}}.Generate(seed)
-	if err != nil {
-		return workload.Workload{}, err
-	}
-	light, err := workload.Burst{Waves: 4, PerWave: 25, WaveGap: 15000,
-		Mix: workload.Mix{model.Small: 1, model.Medium: 1}}.Generate(seed + 100)
-	if err != nil {
-		return workload.Workload{}, err
-	}
-	first, second := heavy, light
-	if !heavyFirst {
-		first, second = light, heavy
-	}
-	offset := first.Span() + 15000
-	jobs := make([]workload.JobSpec, 0, len(first.Jobs)+len(second.Jobs))
-	for i, j := range first.Jobs {
-		j.ID = fmt.Sprintf("a%03d-%s", i, j.ID)
-		jobs = append(jobs, j)
-	}
-	for i, j := range second.Jobs {
-		j.ID = fmt.Sprintf("b%03d-%s", i, j.ID)
-		j.SubmitAt += offset
-		jobs = append(jobs, j)
-	}
-	return workload.Workload{Jobs: jobs}, nil
-}
-
 // Execute runs the spec and returns its recorded stream, with the spec's
 // Meta attached so the stream replays.
 func (s RunSpec) Execute() (*Stream, error) { return s.execute(RecordSim) }
@@ -190,23 +80,38 @@ func (s RunSpec) executeStepped() (*Stream, error) {
 	})
 }
 
-// execute runs the spec, recording a sim backend's run with recordSim.
+// execute runs the spec, recording a single simulator's run with recordSim.
 func (s RunSpec) execute(recordSim func(sim.Config, workload.Workload) (*Stream, error)) (*Stream, error) {
-	s = s.resolved()
-	if err := runspec.Spec(s).Validate(); err != nil {
+	r := runspec.Spec(s).Or(runspec.Default(), vocabulary)
+	r.Resolve()
+	if err := r.Validate(); err != nil {
 		return nil, fmt.Errorf("conformance: %w", err)
 	}
+	gen, err := r.Generator()
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
+	profile, err := r.Profile()
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
+	}
+	s = RunSpec(r)
 	var st *Stream
-	var err error
-	switch s.Backend {
-	case "sim":
-		st, err = s.executeSim(recordSim)
-	case "cluster":
-		st, err = s.executeCluster()
-	case "federation":
-		st, err = s.executeFederation()
+	switch {
+	case r.Backend == "cluster" && r.Clusters > 1:
+		return nil, fmt.Errorf("conformance: -clusters %d: a fleet records simulator members only, not -backend cluster", r.Clusters)
+	case r.Backend == "cluster":
+		st, err = s.executeCluster(gen, profile)
+	case r.Backend != "sim":
+		return nil, fmt.Errorf("conformance: -backend %s: sim | cluster (a fleet is -clusters N)", r.Backend)
+	case r.Clusters > 1:
+		st, err = s.executeFleet(gen, profile)
 	default:
-		return nil, fmt.Errorf("conformance: unknown backend %q (have sim, cluster, federation)", s.Backend)
+		cfg := s.simConfig()
+		var w workload.Workload
+		if w, cfg.Availability, err = sim.Inputs(gen, profile, s.Seed, cfg.Capacity); err == nil {
+			st, err = recordSim(cfg, w)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -231,19 +136,9 @@ func (s RunSpec) simConfig() sim.Config {
 	return cfg
 }
 
-func (s RunSpec) executeSim(record func(sim.Config, workload.Workload) (*Stream, error)) (*Stream, error) {
-	cfg := s.simConfig()
-	w, tr, err := s.workload(cfg.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Availability = tr
-	return record(cfg, w)
-}
-
 // executeCluster runs the emulation. It reads the engine knobs it has a
 // setting for; conftest rejects the others on this backend.
-func (s RunSpec) executeCluster() (*Stream, error) {
+func (s RunSpec) executeCluster(gen workload.Generator, profile workload.AvailabilityProfile) (*Stream, error) {
 	cfg := cluster.DefaultConfig(s.Policy)
 	if s.Capacity > 0 {
 		if s.Capacity%cfg.Nodes != 0 {
@@ -255,7 +150,7 @@ func (s RunSpec) executeCluster() (*Stream, error) {
 		cfg.RescaleGap = time.Duration(s.RescaleGap * float64(time.Second))
 	}
 	cfg.LogDecisions = s.Log
-	w, tr, err := s.workload(cfg.Nodes * cfg.CPUPerNode)
+	w, tr, err := sim.Inputs(gen, profile, s.Seed, cfg.Nodes*cfg.CPUPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -263,28 +158,23 @@ func (s RunSpec) executeCluster() (*Stream, error) {
 	return RecordCluster(cfg, w)
 }
 
-func (s RunSpec) executeFederation() (*Stream, error) {
-	base := s.simConfig()
-	members := federation.Skewed(base, s.Members, s.Skew)
-	if s.Drain {
-		// The rebalancer tests' drain scenario: the third member loses most
-		// of its capacity mid-run, then recovers.
-		if s.Members < 3 {
-			return nil, fmt.Errorf("conformance: -drain drains fleet member 2, so it needs -members 3 or more, not %d", s.Members)
-		}
-		members[2].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
-			{At: 1200, Capacity: 8},
-			{At: 6000, Capacity: members[2].Capacity},
-		}}
-	}
-	w, _, err := s.workload(base.Capacity)
+// executeFleet runs a fleet of simulators, skewed by Skew. A capacity
+// profile applies to the last member, generated against that member's
+// capacity: the fleet keeps members that route and members that drain, so
+// the rebalancer has both kinds of donor.
+func (s RunSpec) executeFleet(gen workload.Generator, profile workload.AvailabilityProfile) (*Stream, error) {
+	members := federation.Skewed(s.simConfig(), s.Clusters, s.Skew)
+	last := &members[len(members)-1]
+	w, tr, err := sim.Inputs(gen, profile, s.Seed, last.Capacity)
 	if err != nil {
 		return nil, err
 	}
+	last.Availability = tr
 	return RecordFederation(federation.Config{
 		Members:   members,
 		Route:     s.Route,
-		Workers:   s.Workers,
+		RouteSeed: s.Seed,
+		Workers:   s.Parallel,
 		Rebalance: federation.RebalanceConfig{Every: s.RebalanceEvery, MigrateRunning: s.MigrateRunning},
 	}, w)
 }

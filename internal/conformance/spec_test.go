@@ -15,13 +15,14 @@ func TestSpecMetaRoundTrip(t *testing.T) {
 		{},
 		{Backend: "sim", Scenario: "burst", Jobs: 48, Gap: 3000, Waves: 3, Seed: 5,
 			Policy: core.Elastic, Capacity: 32, Shards: 8, Streaming: true, Log: true,
-			Drain: true},
+			Availability: "failures", MTTF: 900},
 		{Backend: "cluster", Scenario: "uniform", Jobs: 12, Gap: 90, Seed: 4,
 			Policy: core.Moldable, Log: true},
-		{Backend: "federation", Scenario: "burst", Jobs: 96, Gap: 1200, Waves: 6,
+		{Backend: "sim", Scenario: "burst", Jobs: 96, Gap: 1200, Waves: 6,
 			Seed: 3, Policy: core.RigidMax, Capacity: 16, Route: federation.LeastLoaded,
-			Members: 3, Skew: 1.5, RebalanceEvery: 300, MigrateRunning: true, Workers: 1,
-			Log: true},
+			Clusters: 3, Skew: 1.5, RebalanceEvery: 300, MigrateRunning: true, Parallel: 1,
+			Availability: "drain", Log: true},
+		{Scenario: "trace", Trace: "wl.csv", Availability: "trace", AvailabilityTrace: "cap.csv"},
 	}
 	for _, s := range specs {
 		got, err := SpecFromMeta(s.Meta())
@@ -49,7 +50,7 @@ func TestSpecFromMetaRejectsUnknownKeys(t *testing.T) {
 
 // TestSeedZeroIsASeed: a spec's seed 0 runs seed 0, records it in the
 // stream's Meta and in the conftest line that re-runs the stream. Resolving
-// the unset knobs from DefaultSpec used to turn it into seed 1, and Meta
+// the unset knobs from the defaults used to turn it into seed 1, and Meta
 // dropped it.
 func TestSeedZeroIsASeed(t *testing.T) {
 	spec := RunSpec{Backend: "sim", Scenario: "uniform", Jobs: 12, Log: true}
@@ -68,7 +69,7 @@ func TestSeedZeroIsASeed(t *testing.T) {
 	if reflect.DeepEqual(zero.Decisions, one.Decisions) {
 		t.Error("seed 0 made the decisions seed 1 makes")
 	}
-	if line := recordCommand(zero.Meta); !strings.Contains(line, " -seed 0 ") {
+	if line := recordCommand(zero.Meta); !strings.Contains(line+" ", " -seed 0 ") {
 		t.Errorf("re-run line %q does not name seed 0", line)
 	}
 }
@@ -103,6 +104,7 @@ func TestSpecReplayReproduces(t *testing.T) {
 		"sim":                  uniform,
 		"sim-sharded":          sharded,
 		"availability":         refs["sim/max_replicas/seed7/availability"],
+		"failures":             refs["sim/elastic/seed1/failures"],
 		"head-heavy":           refs["sim/min_replicas/seed1/head-heavy"],
 		"streaming-scale":      refs["sim-streaming-scale/moldable"],
 		"federation-rebalance": refs["federation/round_robin/elastic/rebalance"],
@@ -155,7 +157,9 @@ func TestSpecValidation(t *testing.T) {
 		"not divisible by": {Backend: "cluster", Capacity: 30},
 		"-capacity":        {Capacity: -8},
 		"-rescale-gap":     {RescaleGap: -5},
-		"-drain":           {Backend: "federation", Members: 2, Drain: true},
+		"-clusters 2":      {Backend: "cluster", Clusters: 2},
+		"-waves 3":         {Scenario: "uniform", Waves: 3},
+		"size of its own":  {Scenario: "head-heavy", Gap: 30},
 	} {
 		if _, err := spec.Execute(); err == nil || !strings.Contains(err.Error(), names) {
 			t.Errorf("%+v: error %v does not name %s", spec, err, names)

@@ -11,17 +11,18 @@ import (
 	"elastichpc/internal/workload"
 )
 
-// every is the selection vocabulary the harness CLIs bind; conformance's
-// tests cover Engine's.
-const every = Scenario | Seed | Jobs | Availability | Shards | Fleet | Skew | Rebalance | Parallel
+// every is the vocabulary elasticsim binds; conformance's tests cover it
+// with Engine.
+const every = CLI
 
-// TestMetaRoundTrip: the flag set is a lossless codec for the selection
-// vocabulary too (conformance's tests cover the engine one), keys spelled
-// with underscores.
+// TestMetaRoundTrip: the flag set is a lossless codec for the CLI groups too
+// (conformance's tests cover them with Engine), keys spelled with
+// underscores.
 func TestMetaRoundTrip(t *testing.T) {
 	s := Spec{Scenario: "trace", Trace: "wl.csv", Seed: 3, Jobs: 8, Availability: "failures",
-		AvailabilityTrace: "cap.csv", MTTF: 900, MTTR: 0.5, PreemptSlots: 16, Shards: 4, Members: 3,
-		Route: federation.LeastLoaded, Skew: 1.5, RebalanceEvery: 300, MigrateRunning: true, Workers: 1}
+		AvailabilityTrace: "cap.csv", MTTF: 900, MTTR: 0.5, PreemptSlots: 16, Shards: 4, Clusters: 3,
+		Route: federation.LeastLoaded, Skew: 1.5, RebalanceEvery: 300, MigrateRunning: true, Parallel: 1,
+		Backend: "cluster"}
 	meta := s.Meta(every)
 	if meta["availability_trace"] != "cap.csv" || meta["migrate_running"] != "true" || meta["clusters"] != "3" {
 		t.Errorf("meta keys: %v", meta)
@@ -30,7 +31,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(s, got) {
 		t.Errorf("round trip:\nin:  %+v\nout: %+v (%v)", s, got, err)
 	}
-	if _, err := FromMeta(map[string]string{"backend": "sim"}, every); err == nil {
+	if _, err := FromMeta(map[string]string{"policy": "elastic"}, every); err == nil {
 		t.Error("a key of another vocabulary was accepted")
 	}
 }
@@ -39,7 +40,7 @@ func TestMetaRoundTrip(t *testing.T) {
 // knobs and keeps every value it states.
 func TestOrFillsOnlyUnsetKnobs(t *testing.T) {
 	got := Spec{Seed: 5, Scenario: "burst"}.Or(Default(), every)
-	if want := (Spec{Seed: 5, Scenario: "burst", Jobs: 16, Members: 1}); !reflect.DeepEqual(got, want) {
+	if want := (Spec{Seed: 5, Scenario: "burst", Jobs: 16, Clusters: 1, Backend: "sim"}); !reflect.DeepEqual(got, want) {
 		t.Errorf("got %+v, want %+v", got, want)
 	}
 }
@@ -99,34 +100,37 @@ func TestCheckNamesFlagAndModes(t *testing.T) {
 // select is an error naming it.
 func TestValidateDependencies(t *testing.T) {
 	for names, s := range map[string]Spec{
-		"-mttf":               {Members: 1, Scenario: "burst", MTTF: 900},
-		"-preempt":            {Members: 1, Availability: "failures", PreemptSlots: 8},
-		"-migrate-running":    {Members: 2, MigrateRunning: true},
-		"-clusters":           {Members: 0},
-		"-trace":              {Members: 1, Scenario: "burst", Trace: "wl.csv"},
-		"divisible":           {Members: 1, Scenario: "burst", Jobs: 50, Waves: 3},
-		"-shards -3":          {Members: 1, Scenario: "burst", Shards: -3},
-		"-mttf -5":            {Members: 1, Availability: "failures", MTTF: -5},
-		"-mttr NaN":           {Members: 1, Availability: "failures", MTTR: math.NaN()},
-		"-preempt -4":         {Members: 1, Availability: "spot", PreemptSlots: -4},
-		"-gap 1e+308":         {Members: 1, Scenario: "uniform", Gap: 1e308},
-		"-rescale-gap 1e+300": {Members: 1, RescaleGap: 1e300},
-		"-workers -3":         {Members: 1, Workers: -3},
-		"-skew NaN":           {Members: 2, Skew: math.NaN()},
-		"-skew +Inf":          {Members: 2, Skew: math.Inf(1)},
-		"-rebalance -300":     {Members: 3, RebalanceEvery: -300},
-		"-rebalance NaN":      {Members: 3, RebalanceEvery: math.NaN()},
-		"-rebalance +Inf":     {Members: 3, RebalanceEvery: math.Inf(1)},
-		"-trace x.json":       {Members: 1, Trace: "x.json"},
-		"-trace wl":           {Members: 1, Trace: "wl"},
-		"trace cap.JSON":      {Members: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
+		"-mttf":               {Clusters: 1, Scenario: "burst", MTTF: 900},
+		"-preempt":            {Clusters: 1, Availability: "failures", PreemptSlots: 8},
+		"-migrate-running":    {Clusters: 2, MigrateRunning: true},
+		"-clusters":           {Clusters: 0},
+		"-trace":              {Clusters: 1, Scenario: "burst", Trace: "wl.csv"},
+		"divisible":           {Clusters: 1, Scenario: "burst", Jobs: 50, Waves: 3},
+		"-shards -3":          {Clusters: 1, Scenario: "burst", Shards: -3},
+		"-mttf -5":            {Clusters: 1, Availability: "failures", MTTF: -5},
+		"-mttr NaN":           {Clusters: 1, Availability: "failures", MTTR: math.NaN()},
+		"-preempt -4":         {Clusters: 1, Availability: "spot", PreemptSlots: -4},
+		"-gap 1e+308":         {Clusters: 1, Scenario: "uniform", Gap: 1e308},
+		"-rescale-gap 1e+300": {Clusters: 1, RescaleGap: 1e300},
+		"-parallel -3":        {Clusters: 1, Parallel: -3},
+		"-waves 4 needs":      {Clusters: 1, Scenario: "poisson", Jobs: 16, Waves: 4},
+		"size of its own":     {Clusters: 1, Scenario: "tail-heavy", Jobs: 40},
+		"tsunami":             {Clusters: 1, Scenario: "tsunami"},
+		"-skew NaN":           {Clusters: 2, Skew: math.NaN()},
+		"-skew +Inf":          {Clusters: 2, Skew: math.Inf(1)},
+		"-rebalance -300":     {Clusters: 3, RebalanceEvery: -300},
+		"-rebalance NaN":      {Clusters: 3, RebalanceEvery: math.NaN()},
+		"-rebalance +Inf":     {Clusters: 3, RebalanceEvery: math.Inf(1)},
+		"-trace x.json":       {Clusters: 1, Trace: "x.json"},
+		"-trace wl":           {Clusters: 1, Trace: "wl"},
+		"trace cap.JSON":      {Clusters: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {
 			t.Errorf("%+v: error %v does not name %s", s, err, names)
 		}
 	}
-	ok := Spec{Members: 1, AvailabilityTrace: "cap.CSV", Trace: "wl.csv"}
+	ok := Spec{Clusters: 1, Jobs: Default().Jobs, AvailabilityTrace: "cap.CSV", Trace: "wl.csv"}
 	ok.Resolve()
 	if err := ok.Validate(); err != nil || ok.Scenario != "trace" || ok.Availability != "trace" {
 		t.Errorf("trace paths imply their names: %+v (%v)", ok, err)
@@ -151,6 +155,8 @@ func TestGeneratorSizesScenario(t *testing.T) {
 		{Spec{Scenario: "burst", Jobs: 120, Waves: 3, Gap: 4000}, workload.Burst{Waves: 3, PerWave: 40, WaveGap: 4000}},
 		{Spec{Scenario: "burst", Jobs: 8}, workload.Burst{Waves: 4, PerWave: 2, WaveGap: 360}},
 		{Spec{Scenario: "diurnal", Gap: 60}, workload.Diurnal{Jobs: 16, Period: 2880, PeakGap: 60, OffPeakGap: 600}},
+		{Spec{Scenario: "head-heavy"}, workload.Phased{HeavyFirst: true}},
+		{Spec{Scenario: "tail-heavy", Jobs: 16}, workload.Phased{}},
 	} {
 		if got, err := c.spec.Generator(); err != nil || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%+v: %+v (%v), want %+v", c.spec, got, err, c.want)

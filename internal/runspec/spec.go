@@ -1,11 +1,13 @@
 // Package runspec is the one description of a run: which workload, which
 // capacity profile, which engine settings and which fleet. Every CLI binds the
-// flag groups it has from one field table (Bind), the conformance harness
-// round-trips the same struct through a stream's Meta, and both backends
-// derive the workload and the capacity trace from the Generator and Profile it
+// flag groups it has from one field table (Bind) — elasticsim the CLI groups,
+// conftest those and Engine — and resolves what is unset from one default
+// (Default). The conformance harness round-trips the same struct through a
+// stream's Meta, and every run, on either backend and in either CLI, derives
+// its workload and capacity trace from the Generator and Profile the spec
 // selects the same way (sim.Inputs) — which is what makes "Actual" beside
-// "Simulation" a comparison. A new run
-// knob is one field and one line in Bind; the codec, the defaults, the
+// "Simulation" a comparison, and a recorded stream a run elasticsim makes. A
+// new run knob is one field and one line in Bind; the codec, the defaults, the
 // applicability check and the report params follow.
 package runspec
 
@@ -43,30 +45,30 @@ type Spec struct {
 	PreemptSlots                    int
 
 	// The engine, as the conformance harness varies it.
-	Backend               string
-	Policy                core.Policy
-	Capacity, Shards      int
-	RescaleGap            float64
-	Streaming, Log, Drain bool
+	Backend          string
+	Policy           core.Policy
+	Capacity, Shards int
+	RescaleGap       float64
+	Streaming, Log   bool
 
-	// The fleet.
+	// The fleet, and the worker pool a sweep or a fleet runs on.
 	Route                federation.Route
-	Members, Workers     int
+	Clusters, Parallel   int
 	Skew, RebalanceEvery float64
 	MigrateRunning       bool
 }
 
-// Default is the paper's run, what the harness CLIs' flags default to: seed
+// Default is the paper's run, what every CLI resolves an unset knob to: seed
 // 7, 16 jobs, one cluster, on the simulator.
-func Default() Spec { return Spec{Seed: 7, Jobs: 16, Members: 1, Backend: "sim"} }
+func Default() Spec { return Spec{Seed: 7, Jobs: 16, Clusters: 1, Backend: "sim"} }
 
 // Group is a set of flags bound and read together.
 type Group uint16
 
 // The flag groups. A CLI binds the ones it has and each of its modes lists
-// the ones it reads. Engine and EngineFleet are the conformance vocabulary —
-// conftest's spec flags and a stream's Meta keys — for every backend and for
-// the federation backend.
+// the ones it reads. Each flag belongs to exactly one group. Engine holds the
+// knobs only the conformance harness varies; CLI|Engine is its vocabulary —
+// conftest's spec flags and a stream's Meta keys.
 const (
 	Scenario     Group = 1 << iota // -scenario -trace
 	Seed                           // -seed
@@ -78,24 +80,24 @@ const (
 	Rebalance                      // -rebalance -migrate-running
 	Parallel                       // -parallel
 	Backend                        // -backend
-	Engine
-	EngineFleet
+	Engine                         // -gap -waves -policy -capacity -rescale-gap -streaming -log
+
+	// CLI is every group but Engine: what elasticsim binds.
+	CLI = Scenario | Seed | Jobs | Availability | Shards | Fleet | Skew | Rebalance | Parallel | Backend
 )
 
 // Bind registers the groups' flags on fs, each with the spec's current value
 // as its default. This is the field table: a flag's name, usage and storage
 // are stated here and nowhere else.
 func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
-	if g&(Scenario|Engine) != 0 {
-		fs.StringVar(&s.Scenario, "scenario", s.Scenario, "workload scenario: "+strings.Join(workload.ScenarioNames(), " | "))
-	}
 	if g&Scenario != 0 {
+		fs.StringVar(&s.Scenario, "scenario", s.Scenario, "workload scenario: "+strings.Join(workload.ScenarioNames(), " | "))
 		fs.StringVar(&s.Trace, "trace", s.Trace, "workload trace file (.csv) to replay (implies -scenario trace)")
 	}
-	if g&(Seed|Engine) != 0 {
+	if g&Seed != 0 {
 		fs.Int64Var(&s.Seed, "seed", s.Seed, "workload and availability generation seed")
 	}
-	if g&(Jobs|Engine) != 0 {
+	if g&Jobs != 0 {
 		fs.IntVar(&s.Jobs, "jobs", s.Jobs, "jobs per generated workload (a trace carries its own job count)")
 	}
 	if g&Availability != 0 {
@@ -105,8 +107,8 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.Float64Var(&s.MTTR, "mttr", s.MTTR, "failures profile: mean time to repair, seconds (0 = default)")
 		fs.IntVar(&s.PreemptSlots, "preempt", s.PreemptSlots, "spot profile: slots reclaimed per preemption event (0 = default)")
 	}
-	if g&(Backend|Engine) != 0 {
-		fs.StringVar(&s.Backend, "backend", s.Backend, "execution backend: sim | cluster | federation")
+	if g&Backend != 0 {
+		fs.StringVar(&s.Backend, "backend", s.Backend, "execution backend: sim | cluster (a fleet is -clusters N)")
 	}
 	if g&Engine != 0 {
 		fs.Float64Var(&s.Gap, "gap", s.Gap, "inter-arrival or wave gap, seconds; diurnal: the peak gap (0 = the scenario's default)")
@@ -116,30 +118,23 @@ func (s *Spec) Bind(fs *flag.FlagSet, g Group) {
 		fs.Float64Var(&s.RescaleGap, "rescale-gap", s.RescaleGap, "rescale gap, seconds (0 = default)")
 		fs.BoolVar(&s.Streaming, "streaming", s.Streaming, "streaming mode: aggregates only")
 		fs.BoolVar(&s.Log, "log", s.Log, "record the decision log")
-		fs.BoolVar(&s.Drain, "drain", s.Drain, "overlay a maintenance-drain availability trace")
 	}
-	if g&(Shards|Engine) != 0 {
+	if g&Shards != 0 {
 		fs.IntVar(&s.Shards, "shards", s.Shards, "time epochs a single run's event loop executes in parallel (0 = automatic, 1 = sequential, N = up to N epochs; results are bit-identical)")
 	}
 	if g&Fleet != 0 {
-		fs.IntVar(&s.Members, "clusters", s.Members, "member clusters behind the federation router (1 = single cluster)")
-	}
-	if g&EngineFleet != 0 {
-		fs.IntVar(&s.Members, "members", s.Members, "federation member count")
-		fs.IntVar(&s.Workers, "workers", s.Workers, "member worker pool (0 = all CPUs, 1 = sequential)")
-	}
-	if g&(Fleet|EngineFleet) != 0 {
+		fs.IntVar(&s.Clusters, "clusters", s.Clusters, "member clusters behind the federation router (1 = single cluster)")
 		fs.Var(named[federation.Route]{&s.Route, federation.RouteByName}, "route", "fleet routing policy: round_robin | least_loaded | priority | random")
 	}
-	if g&(Skew|EngineFleet) != 0 {
+	if g&Skew != 0 {
 		fs.Float64Var(&s.Skew, "skew", s.Skew, "fleet capacity skew: member i gets base×(1+skew·i) slots")
 	}
-	if g&(Rebalance|EngineFleet) != 0 {
+	if g&Rebalance != 0 {
 		fs.Float64Var(&s.RebalanceEvery, "rebalance", s.RebalanceEvery, "fleet rebalance round period, seconds (0 = off): checkpoint-migrate jobs off backlogged or draining members")
 		fs.BoolVar(&s.MigrateRunning, "migrate-running", s.MigrateRunning, "let the rebalancer checkpoint-preempt and migrate running jobs (needs -rebalance)")
 	}
 	if g&Parallel != 0 {
-		fs.IntVar(&s.Workers, "parallel", s.Workers, "worker pool size (0 = all CPUs, 1 = sequential)")
+		fs.IntVar(&s.Parallel, "parallel", s.Parallel, "worker pool size (0 = all CPUs, 1 = sequential)")
 	}
 }
 
@@ -180,15 +175,28 @@ func (s *Spec) Resolve() {
 }
 
 // Validate checks the dependencies between the spec's values — a knob that
-// tunes something the spec did not select would be parsed and dropped — and
-// rejects a trace path TracePath rejects, a negative or NaN count, gap or rate
-// that would read as its default, a gap past model.MaxSeconds, a skew no
-// member capacity can be computed from, and a rebalance period that is
-// negative, NaN or infinite.
+// tunes something the spec did not select would be parsed and dropped, as
+// would a size given to a scenario that has its own (a trace, a composite:
+// any -gap or -waves, or -jobs other than the default) — and rejects an
+// unknown scenario, a trace path TracePath rejects, a negative or NaN count,
+// gap or rate that would read as its default, a gap past model.MaxSeconds, a
+// skew no member capacity can be computed from, and a rebalance period that
+// is negative, NaN or infinite.
 func (s Spec) Validate() error {
 	s.Resolve()
 	if err := errors.Join(TracePath("trace", s.Trace), TracePath("availability-trace", s.AvailabilityTrace)); err != nil {
 		return err
+	}
+	g, err := workload.Scenario(s.Scenario, s.Trace)
+	if err != nil {
+		return err
+	}
+	switch g.(type) {
+	case workload.Uniform, workload.Poisson, workload.Burst, workload.Diurnal:
+	default:
+		if s.Gap != 0 || s.Waves != 0 || (s.Jobs != 0 && s.Jobs != Default().Jobs) {
+			return fmt.Errorf("-scenario %s has a size of its own: -jobs, -gap and -waves do not apply", s.Scenario)
+		}
 	}
 	switch {
 	case s.Trace != "" && s.Scenario != "trace":
@@ -199,13 +207,15 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-mttf/-mttr need -availability failures")
 	case s.PreemptSlots != 0 && s.Availability != "spot":
 		return fmt.Errorf("-preempt needs -availability spot")
-	case s.Members < 1:
-		return fmt.Errorf("-clusters/-members %d: a fleet needs at least 1 member", s.Members)
+	case s.Clusters < 1:
+		return fmt.Errorf("-clusters %d: a fleet needs at least 1 member", s.Clusters)
 	case s.Shards < 0:
 		return fmt.Errorf("-shards %d: 0 = automatic, 1 = sequential, N = up to N epochs", s.Shards)
 	case s.MigrateRunning && s.RebalanceEvery == 0:
 		return fmt.Errorf("-migrate-running needs -rebalance")
-	case s.Scenario == "burst" && s.Waves != 0 && (s.Waves < 0 || s.Jobs%s.Waves != 0):
+	case s.Waves != 0 && s.Scenario != "burst":
+		return fmt.Errorf("-waves %d needs -scenario burst, not %s", s.Waves, s.Scenario)
+	case s.Waves != 0 && (s.Waves < 0 || s.Jobs%s.Waves != 0):
 		return fmt.Errorf("burst needs jobs (%d) divisible by waves (%d)", s.Jobs, s.Waves)
 	case s.Capacity < 0:
 		return fmt.Errorf("-capacity %d: 0 = the backend's default", s.Capacity)
@@ -221,8 +231,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("-mttr %g: 0 = the profile's default", s.MTTR)
 	case s.PreemptSlots < 0:
 		return fmt.Errorf("-preempt %d: 0 = the profile's default", s.PreemptSlots)
-	case s.Workers < 0:
-		return fmt.Errorf("-parallel/-workers %d: 0 = all CPUs, 1 = sequential", s.Workers)
+	case s.Parallel < 0:
+		return fmt.Errorf("-parallel %d: 0 = all CPUs, 1 = sequential", s.Parallel)
 	case math.IsNaN(s.Skew) || math.IsInf(s.Skew, 0):
 		return fmt.Errorf("-skew %g: want a finite value", s.Skew)
 	case !(s.RebalanceEvery >= 0) || math.IsInf(s.RebalanceEvery, 0):

@@ -262,6 +262,7 @@ type Simulator struct {
 	capHi     int     // availability window end (exclusive)
 	horizon   float64 // stop before heap events at or past this instant
 	final     bool    // last window: trailing capacity events are skipped
+	trail     trail   // capacity events a stepped run applied with no work left
 	processed int
 	limit     int
 
@@ -363,6 +364,7 @@ func (s *Simulator) allocJob() *simJob {
 // newSimJob builds the simulation record for one submission. widx is the
 // job's index in the workload (for retained-mode collection).
 func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32) *simJob {
+	s.trail.on = false
 	sj := s.allocJob()
 	// Bumping seq past the previous lifecycle invalidates any stale
 	// completion event still in the heap for a recycled slot.
@@ -475,6 +477,20 @@ func submissionRanks(w workload.Workload, order []int32) []int32 {
 		i = j
 	}
 	return ranks
+}
+
+// trail marks the trailing capacity events of a stepped run: those applied
+// once nothing was left to run — every submission ingested, no job running
+// or waiting, no heap event — and with no job arriving since. The batch
+// loop's final window skips such events. A StepTo window applies them, so a
+// federation coordinator reading CurrentCapacity at a barrier sees the
+// trace's capacity; the result and the decision log then leave them out, as
+// the batch run does. A submission or an Inject clears the mark.
+type trail struct {
+	on       bool
+	steps    int // the ledger's capacity steps before the first trailing event
+	capacity int // the capacity in force before it
+	logged   int // decisions the trailing events logged
 }
 
 // window bounds what one runWindow call may consume: the submission indices
@@ -672,12 +688,18 @@ func (s *Simulator) finish(sj *simJob) {
 // Config.LogDecisions is set. The slice is the scheduler's own (core's
 // Scheduler.Log), not a copy: read-only. After a sharded run the segments'
 // logs are merged in epoch order with the same bounded-ring semantics
-// (newest 100k), so the log is identical to the sequential mode's.
+// (newest 100k), so the log is identical to the sequential mode's. A stepped
+// run's trailing capacity events (see trail) are left out, as the batch run
+// never applies them.
 func (s *Simulator) Decisions() []core.Decision {
 	if s.mergedDecisions != nil {
 		return s.mergedDecisions
 	}
-	return s.sched.Log()
+	log := s.sched.Log()
+	if s.trail.on {
+		return log[:len(log)-s.trail.logged]
+	}
+	return log
 }
 
 // scheduleKick arms a kick event at the next rescale-gap expiry that could
@@ -701,6 +723,13 @@ func (s *Simulator) scheduleKick() {
 // scheduler's forced reclaim calls back into the actuator, which recomputes
 // completion events and charges overhead exactly as policy rescales do.
 func (s *Simulator) applyCapacity(newCap int) error {
+	if !s.final && !s.trail.on && s.cursor >= len(s.order) && s.events.len() == 0 &&
+		s.sched.NumRunning() == 0 && s.sched.NumQueued() == 0 {
+		s.trail = trail{on: true, steps: len(s.ledger.capSteps), capacity: s.sched.Capacity()}
+	}
+	if s.trail.on && s.cfg.LogDecisions && newCap != s.sched.Capacity() {
+		s.trail.logged++ // SetCapacity logs a change, not a repeat
+	}
 	if err := s.sched.SetCapacity(newCap); err != nil {
 		return fmt.Errorf("sim: capacity event at t=%.1f: %w", s.now, err)
 	}
@@ -852,7 +881,12 @@ func (s *Simulator) collect(w workload.Workload) (Result, error) {
 	if expected := len(w.Jobs) + s.injected - s.withdrawn; s.completed != expected {
 		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, expected, s)
 	}
-	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, s.sched.CapacityStats(), s.sched.Capacity())
+	endCap := s.sched.Capacity()
+	if s.trail.on {
+		s.ledger.capSteps = s.ledger.capSteps[:s.trail.steps]
+		endCap = s.trail.capacity
+	}
+	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, s.sched.CapacityStats(), endCap)
 	if !s.cfg.Streaming {
 		res.UtilTimeline = s.utilTL
 		// Migration reshapes the job set: workload indices no longer cover it

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -13,22 +14,44 @@ import (
 // Begin/StepTo…/Finish run with no coordinator mutations must process the
 // identical event sequence — same per-job metrics, timelines, window, and
 // weighted means, and utilization integral, bit for bit: a step boundary
-// moves the clock but folds no float term.
+// moves the clock but folds no float term. The trace ends in a capacity
+// event between the last completion and the step edge past it, which the
+// batch run skips as trailing: the stepped run applies it inside a StepTo
+// window, and must leave it out of the decision log, CapacityEvents and
+// EndCapacity all the same.
 func TestSteppedRunMatchesBatch(t *testing.T) {
 	w, err := (workload.Burst{Waves: 4, PerWave: 24, WaveGap: 5000}).Generate(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := workload.AvailabilityTrace{Events: []workload.CapacityEvent{
-		{At: 2000, Capacity: 24},
-		{At: 9000, Capacity: 64},
-	}}
+	const step = 500.0
 	for _, p := range core.AllPolicies() {
 		cfg := DefaultConfig(p)
-		cfg.Availability = tr
-		batch, err := Run(cfg, w)
+		cfg.Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+			{At: 2000, Capacity: 24},
+			{At: 9000, Capacity: 64},
+		}}
+		probe, err := Run(cfg, w)
+		if err != nil {
+			t.Fatalf("%v probe: %v", p, err)
+		}
+		// Well past the last completion: the batch loop still applies a
+		// capacity event while a stale kick or completion is pending.
+		at := probe.LastEnd + 2500
+		edge := (math.Floor(at/step) + 1) * step
+		cfg.Availability.Events = append(cfg.Availability.Events, workload.CapacityEvent{At: at, Capacity: 32})
+		cfg.LogDecisions = true
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := b.Run(w)
 		if err != nil {
 			t.Fatalf("%v batch: %v", p, err)
+		}
+		if batch.CapacityEvents != 2 || batch.EndCapacity != 64 {
+			t.Fatalf("%v: the batch run applied the trailing event (%d events, end capacity %d); the test needs it skipped",
+				p, batch.CapacityEvents, batch.EndCapacity)
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -37,7 +60,7 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 		if err := s.Begin(w); err != nil {
 			t.Fatal(err)
 		}
-		for tick := 500.0; !s.Drained(); tick += 500 {
+		for tick := step; !s.Drained(); tick += step {
 			if err := s.StepTo(tick); err != nil {
 				t.Fatalf("%v StepTo(%g): %v", p, tick, err)
 			}
@@ -45,9 +68,21 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 				t.Fatalf("%v: clock %g after StepTo(%g)", p, s.now, tick)
 			}
 		}
+		if err := s.StepTo(edge); err != nil {
+			t.Fatal(err)
+		}
+		if s.CurrentCapacity() != 32 {
+			t.Fatalf("%v: capacity %d at the step edge past the trailing event, want the trace's 32", p, s.CurrentCapacity())
+		}
 		stepped, err := s.Finish()
 		if err != nil {
 			t.Fatalf("%v finish: %v", p, err)
+		}
+		if !reflect.DeepEqual(s.Decisions(), b.Decisions()) {
+			t.Errorf("%v: decision logs diverged: %d vs %d decisions", p, len(s.Decisions()), len(b.Decisions()))
+		}
+		if stepped.EndCapacity != batch.EndCapacity {
+			t.Errorf("%v: end capacity %d vs batch %d", p, stepped.EndCapacity, batch.EndCapacity)
 		}
 		if !reflect.DeepEqual(stepped.Jobs, batch.Jobs) {
 			t.Errorf("%v: per-job metrics diverged", p)

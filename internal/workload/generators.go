@@ -281,10 +281,59 @@ func (g fixed) Generate(int64) (Workload, error) { return g.w.Clone(), nil }
 // hand-built job sets drop into ScenarioSweep next to the synthetic scenarios.
 func Replay(name string, w Workload) Generator { return fixed{name: name, w: w.Clone()} }
 
+// Phased is a composite scenario: a heavy-class burst phase (2 waves of 18
+// large and xlarge jobs) and a light-class one (4 waves of 25 small and
+// medium jobs), heavy first ("head-heavy") or light first ("tail-heavy"),
+// waves and phases 15000 s apart. No other scenario's demand changes shape
+// mid-run, and these are the shapes the sharded event loop's work-balanced
+// epoch planner places its most asymmetric cuts on. Its 136 jobs are a fixed
+// size: it reads the seed only.
+type Phased struct {
+	HeavyFirst bool
+}
+
+// Name implements Generator.
+func (g Phased) Name() string {
+	if g.HeavyFirst {
+		return "head-heavy"
+	}
+	return "tail-heavy"
+}
+
+// Generate implements Generator.
+func (g Phased) Generate(seed int64) (Workload, error) {
+	heavy, err := Burst{Waves: 2, PerWave: 18, WaveGap: 15000,
+		Mix: Mix{model.Large: 1, model.XLarge: 1}}.Generate(seed)
+	if err != nil {
+		return Workload{}, err
+	}
+	light, err := Burst{Waves: 4, PerWave: 25, WaveGap: 15000,
+		Mix: Mix{model.Small: 1, model.Medium: 1}}.Generate(seed + 100)
+	if err != nil {
+		return Workload{}, err
+	}
+	first, second := heavy, light
+	if !g.HeavyFirst {
+		first, second = light, heavy
+	}
+	offset := first.Span() + 15000
+	jobs := make([]JobSpec, 0, len(first.Jobs)+len(second.Jobs))
+	for i, j := range first.Jobs {
+		j.ID = fmt.Sprintf("a%03d-%s", i, j.ID)
+		jobs = append(jobs, j)
+	}
+	for i, j := range second.Jobs {
+		j.ID = fmt.Sprintf("b%03d-%s", i, j.ID)
+		j.SubmitAt += offset
+		jobs = append(jobs, j)
+	}
+	return Workload{Jobs: jobs}, nil
+}
+
 // DefaultScenarios returns the built-in scenario set at paper scale: every
 // generator submits 16 jobs' worth of work so the scenarios are comparable to
 // the §4.3 evaluation (the trace scenario is omitted — it needs a path; see
-// Scenario).
+// Scenario — and so are the Phased composites, whose 136 jobs are not).
 func DefaultScenarios() []Generator {
 	return []Generator{
 		Uniform{Jobs: 16, Gap: 90},
@@ -294,10 +343,15 @@ func DefaultScenarios() []Generator {
 	}
 }
 
+// scenarios is every generator Scenario resolves by name alone.
+func scenarios() []Generator {
+	return append(DefaultScenarios(), Phased{HeavyFirst: true}, Phased{})
+}
+
 // ScenarioNames lists the names accepted by Scenario, in display order.
 func ScenarioNames() []string {
 	var names []string
-	for _, g := range DefaultScenarios() {
+	for _, g := range scenarios() {
 		names = append(names, g.Name())
 	}
 	names = append(names, "trace")
@@ -334,7 +388,8 @@ func ScenarioGrids(name, tracePath string, seed int64, size func(int) int) ([]in
 }
 
 // Scenario resolves a -scenario flag value to a generator: one of the
-// DefaultScenarios by name, or "trace" with the given trace path.
+// DefaultScenarios or Phased composites by name, or "trace" with the given
+// trace path.
 func Scenario(name, tracePath string) (Generator, error) {
 	if name == "trace" {
 		if tracePath == "" {
@@ -342,7 +397,7 @@ func Scenario(name, tracePath string) (Generator, error) {
 		}
 		return Trace{Path: tracePath}, nil
 	}
-	for _, g := range DefaultScenarios() {
+	for _, g := range scenarios() {
 		if g.Name() == name {
 			return g, nil
 		}

@@ -320,7 +320,7 @@ func TestLoadSortsBySubmitTime(t *testing.T) {
 }
 
 func TestScenarioLookup(t *testing.T) {
-	for _, name := range []string{"uniform", "poisson", "burst", "diurnal"} {
+	for _, name := range []string{"uniform", "poisson", "burst", "diurnal", "head-heavy", "tail-heavy"} {
 		g, err := Scenario(name, "")
 		if err != nil {
 			t.Fatalf("Scenario(%q): %v", name, err)
@@ -341,6 +341,41 @@ func TestScenarioLookup(t *testing.T) {
 	g, err := Scenario("trace", "/tmp/x.csv")
 	if err != nil || g.Name() != "trace" {
 		t.Errorf("trace scenario: %v %v", g, err)
+	}
+}
+
+// TestPhasedComposites: the composites are 136 jobs in two class phases,
+// heavy (large and xlarge) first or light (small and medium) first, the
+// second phase 15000 s after the first one's last wave; a seed reproduces
+// them, and -sweep scenario's default set leaves them out.
+func TestPhasedComposites(t *testing.T) {
+	heavy := func(c model.Class) bool { return c == model.Large || c == model.XLarge }
+	for _, g := range []Phased{{HeavyFirst: true}, {}} {
+		w, err := g.Generate(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := g.Generate(3)
+		if len(w.Jobs) != 136 || !reflect.DeepEqual(w, again) || !w.InSubmitOrder() {
+			t.Fatalf("%s: %d jobs, reproducible %v, in submit order %v", g.Name(), len(w.Jobs), reflect.DeepEqual(w, again), w.InSubmitOrder())
+		}
+		first := 36
+		if !g.HeavyFirst {
+			first = 100
+		}
+		for i, j := range w.Jobs {
+			if heavy(j.Class) != (g.HeavyFirst == (i < first)) {
+				t.Fatalf("%s: job %d (%s) is %v, in the wrong phase", g.Name(), i, j.ID, j.Class)
+			}
+		}
+		if gap := w.Jobs[first].SubmitAt - w.Jobs[first-1].SubmitAt; gap != 15000 {
+			t.Errorf("%s: phases %g s apart, want 15000", g.Name(), gap)
+		}
+	}
+	for _, g := range DefaultScenarios() {
+		if _, ok := g.(Phased); ok {
+			t.Errorf("DefaultScenarios lists %s", g.Name())
+		}
 	}
 }
 
