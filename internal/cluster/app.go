@@ -26,6 +26,9 @@ type modelApps struct {
 	// checkpoints holds each job's last periodic-checkpoint iteration
 	// (the paper's §3.2.2 fault-tolerance state; survives app restarts).
 	checkpoints map[string]float64
+	// overheadSec sums the rescale overhead charged to each job, across
+	// its app restarts and past its Stop: its JobMetrics.OverheadSec.
+	overheadSec map[string]float64
 }
 
 // appState is one running application.
@@ -39,12 +42,15 @@ type appState struct {
 	lastUpdate  time.Time
 	frozenUntil time.Time
 	seq         int64
-	rescales    int
-	overheadSec float64
 }
 
 func newModelApps(c *Cluster) *modelApps {
-	return &modelApps{c: c, apps: make(map[string]*appState), checkpoints: make(map[string]float64)}
+	return &modelApps{
+		c:           c,
+		apps:        make(map[string]*appState),
+		checkpoints: make(map[string]float64),
+		overheadSec: make(map[string]float64),
+	}
 }
 
 // progress credits iterations completed since the last update at the current
@@ -144,8 +150,7 @@ func (m *modelApps) rescale(name string, to int) error {
 	ph := m.c.machine.RescaleOverhead(a.grid, a.replicas, to)
 	forced := to < a.replicas && m.c.Mgr.TakeForcedRescale(name)
 	a.replicas = to
-	a.rescales++
-	a.overheadSec += ph.Total()
+	m.overheadSec[name] += ph.Total()
 	m.c.ledger.Overhead(ph.Total()*float64(to), forced)
 	m.rearm(a, ph.Total())
 	return nil
@@ -204,10 +209,14 @@ func RunRecorded(cfg Config, w workload.Workload) (sim.Result, []core.Decision, 
 }
 
 // SubmitWorkload schedules every job of the workload as a CharmJob of its
-// class, at its submission time.
+// class, at its submission time, and keeps the class for the job's record.
 func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	specs := model.Specs()
+	if c.classes == nil {
+		c.classes = make(map[string]model.Class, len(w.Jobs))
+	}
 	for _, js := range w.Jobs {
+		c.classes[js.ID] = js.Class
 		spec := specs[js.Class]
 		maxR := spec.MaxReplicas
 		if maxR > c.cfg.Nodes*c.cfg.CPUPerNode {

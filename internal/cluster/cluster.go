@@ -72,6 +72,9 @@ type Cluster struct {
 	replicaTL map[string][]sim.ReplicaSample
 
 	done map[string]bool
+	// classes holds the class of every job SubmitWorkload submitted; a job
+	// submitted on its own reads as the zero class.
+	classes map[string]model.Class
 
 	// ledger is the accountant the simulator keeps too, fed in event order
 	// with the utilization integral's terms, the overhead and work-lost
@@ -291,11 +294,13 @@ func (c *Cluster) Result() sim.Result {
 		}
 		m := sim.JobMetrics{
 			ID:             name,
+			Class:          c.classes[name],
 			Priority:       cj.Priority,
 			SubmitAt:       cj.SubmitTime.Sub(c.start).Seconds(),
 			StartAt:        cj.StartTime.Sub(c.start).Seconds(),
 			EndAt:          cj.EndTime.Sub(c.start).Seconds(),
 			Rescales:       cj.Rescales,
+			OverheadSec:    c.apps.overheadSec[name],
 			ResponseTime:   cj.ResponseTime().Seconds(),
 			CompletionTime: cj.CompletionTime().Seconds(),
 		}

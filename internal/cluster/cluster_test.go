@@ -75,7 +75,7 @@ func TestPodsCreatedAndCleanedUp(t *testing.T) {
 	if got := len(c.Store.Pods(map[string]string{"charmjob": "j0"})); got != 0 {
 		t.Errorf("%d pods left after completion", got)
 	}
-	obj, ok := c.Store.Get(k8s.KindCharmJob, "j0")
+	obj, ok := c.Store.View(k8s.KindCharmJob, "j0")
 	if !ok || obj.(*operator.CharmJob).Status.Phase != operator.JobSucceeded {
 		t.Error("job not marked Succeeded")
 	}
@@ -88,14 +88,14 @@ func TestNodelistWrittenAndSized(t *testing.T) {
 	}
 	c.Submit(smallJob("j0", 3, 2, 4, 512, 400), 0)
 	c.Loop.RunUntil(func() bool {
-		obj, ok := c.Store.Get(k8s.KindConfigMap, operator.NodelistName("j0"))
+		obj, ok := c.Store.View(k8s.KindConfigMap, operator.NodelistName("j0"))
 		if !ok {
 			return false
 		}
 		cm := obj.(*k8s.ConfigMap)
 		return len(cm.Data["nodelist"]) > 0
 	})
-	obj, ok := c.Store.Get(k8s.KindConfigMap, operator.NodelistName("j0"))
+	obj, ok := c.Store.View(k8s.KindConfigMap, operator.NodelistName("j0"))
 	if !ok {
 		t.Fatal("nodelist ConfigMap missing")
 	}

@@ -28,7 +28,7 @@ func runWithFailure(t *testing.T, ckptPeriod int, fail bool) (float64, int) {
 	if err := c.Run(1, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	obj, ok := c.Store.Get(k8s.KindCharmJob, "victim")
+	obj, ok := c.Store.View(k8s.KindCharmJob, "victim")
 	if !ok {
 		t.Fatal("job object missing")
 	}
@@ -85,7 +85,7 @@ func TestFailureOfOneJobDoesNotKillOthers(t *testing.T) {
 	}
 	totalRestarts := 0
 	for _, name := range []string{"a", "b"} {
-		obj, ok := c.Store.Get(k8s.KindCharmJob, name)
+		obj, ok := c.Store.View(k8s.KindCharmJob, name)
 		if !ok {
 			t.Fatalf("job %s missing", name)
 		}

@@ -9,9 +9,85 @@ import (
 	"time"
 
 	"elastichpc/internal/core"
+	"elastichpc/internal/model"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
 )
+
+// TestResultJobRecordsMatchTheTrace holds the emulation's per-job record to
+// the trace and to the simulator on Table 1. Every job carries its trace
+// class. Under elastic, a job's OverheadSec is the sum, in order, of the
+// four-phase overhead of each rescale its replica timeline shows: the
+// overhead the modelled application charged, kept past its Stop. Under the
+// three policies that never rescale, ID, class, priority, rescales and
+// overhead equal the simulator's job for job.
+func TestResultJobRecordsMatchTheTrace(t *testing.T) {
+	w := sim.Table1Workload()
+	class := map[string]model.Class{}
+	for _, js := range w.Jobs {
+		class[js.ID] = js.Class
+	}
+	specs, machine := model.Specs(), model.DefaultMachine()
+
+	res, err := RunExperiment(DefaultConfig(core.Elastic), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := 0
+	for _, j := range res.Jobs {
+		if j.Class != class[j.ID] {
+			t.Errorf("elastic: job %s has class %v, its trace class is %v", j.ID, j.Class, class[j.ID])
+		}
+		// The timeline steps from 0 at the launch and to 0 at the end;
+		// every step between two running sizes is a rescale.
+		tl := res.ReplicaTimelines[j.ID]
+		want, rescales := 0.0, 0
+		for i := 1; i < len(tl); i++ {
+			if from, to := tl[i-1].Replicas, tl[i].Replicas; from > 0 && to > 0 {
+				want += machine.RescaleOverhead(specs[class[j.ID]].Grid, from, to).Total()
+				rescales++
+			}
+		}
+		if j.OverheadSec != want || j.Rescales != rescales {
+			t.Errorf("elastic: job %s charged %g s over %d rescales, its timeline %v gives %g s over %d",
+				j.ID, j.OverheadSec, j.Rescales, tl, want, rescales)
+		}
+		if want > 0 {
+			charged++
+		}
+	}
+	if charged == 0 {
+		t.Error("elastic: no job rescaled, so no overhead was checked")
+	}
+
+	for _, p := range []core.Policy{core.RigidMin, core.RigidMax, core.Moldable} {
+		simRes, err := sim.Run(sim.DefaultConfig(p), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunExperiment(DefaultConfig(p), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Jobs) != len(simRes.Jobs) {
+			t.Fatalf("%v: %d emulated jobs, %d simulated", p, len(res.Jobs), len(simRes.Jobs))
+		}
+		simJobs := map[string]sim.JobMetrics{}
+		for _, j := range simRes.Jobs {
+			simJobs[j.ID] = j
+		}
+		for _, j := range res.Jobs {
+			sj := simJobs[j.ID]
+			got := [5]any{j.ID, j.Class, j.Priority, j.Rescales, j.OverheadSec}
+			if want := [5]any{sj.ID, sj.Class, sj.Priority, sj.Rescales, sj.OverheadSec}; got != want {
+				t.Errorf("%v: emulated (ID, class, priority, rescales, overhead) %v, simulated %v", p, got, want)
+			}
+			if j.Class != class[j.ID] {
+				t.Errorf("%v: job %s has class %v, its trace class is %v", p, j.ID, j.Class, class[j.ID])
+			}
+		}
+	}
+}
 
 // TestResultIsIdempotent is the regression test for the tail fold-in bug:
 // Result used to fold the open utilization interval into the accumulator and

@@ -3,6 +3,7 @@ package k8s
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -76,10 +77,104 @@ func TestStoreUpdateReindexesLabels(t *testing.T) {
 	}
 }
 
+// TestStoreModify pins Modify's contract: fn changes a private copy of the
+// stored object, so views handed out earlier stay as they were; an fn that
+// renames the object is refused, storing nothing and delivering no event; a
+// missing key is an error and fn is not called.
+func TestStoreModify(t *testing.T) {
+	loop := NewEventLoop(t0)
+	store := NewStore(loop)
+	var events []string
+	for _, kind := range []Kind{KindPod, KindConfigMap} {
+		store.Subscribe(kind, func(ev Event) {
+			events = append(events, fmt.Sprintf("%v %s %s v%d", ev.Type, kind, ev.Object.Meta().Key(), ev.Object.Meta().ResourceVersion))
+		})
+	}
+	cm := &ConfigMap{ObjectMeta: ObjectMeta{Name: "nodelist", Labels: map[string]string{"charmjob": "j"}}, Data: map[string]string{"nodelist": "w0"}}
+	for _, obj := range []Object{mkPod("p1", 1, "a"), cm} {
+		if err := store.Create(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.Settle()
+	events = events[:0]
+
+	t.Run("fn changes a copy", func(t *testing.T) {
+		podView, _ := store.View(KindPod, "p1")
+		cmView, _ := store.View(KindConfigMap, "nodelist")
+		podWas, cmWas := podView.DeepCopy(), cmView.DeepCopy()
+		err := store.Modify(KindPod, "p1", func(obj Object) {
+			p := obj.(*Pod)
+			p.Labels["job"] = "b"
+			p.Spec.CPU = 4
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = store.Modify(KindConfigMap, "nodelist", func(obj Object) {
+			obj.(*ConfigMap).Data["nodelist"] = "w0\nw1"
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(podView, podWas) || !reflect.DeepEqual(cmView, cmWas) {
+			t.Errorf("Modify wrote through a view:\n pod %+v, was %+v\n configmap %+v, was %+v", podView, podWas, cmView, cmWas)
+		}
+		obj, _ := store.View(KindPod, "p1")
+		p := obj.(*Pod)
+		if p.Labels["job"] != "b" || p.Spec.CPU != 4 || p.ResourceVersion <= podWas.Meta().ResourceVersion ||
+			p.UID != podWas.Meta().UID || !p.CreationTimestamp.Equal(podWas.Meta().CreationTimestamp) {
+			t.Errorf("stored pod after Modify = %+v, from %+v", p, podWas)
+		}
+		if got := podKeys(store.Pods(map[string]string{"job": "b"})); !reflect.DeepEqual(got, []string{"p1"}) {
+			t.Errorf("job=b lists %v after Modify moved p1 there, want [p1]", got)
+		}
+		obj, _ = store.View(KindConfigMap, "nodelist")
+		if got := obj.(*ConfigMap).Data["nodelist"]; got != "w0\nw1" {
+			t.Errorf("stored nodelist %q, want %q", got, "w0\nw1")
+		}
+		loop.Settle()
+		if want := []string{"Modified Pod p1 v3", "Modified ConfigMap nodelist v4"}; !reflect.DeepEqual(events, want) {
+			t.Errorf("events %v, want %v", events, want)
+		}
+		events = events[:0]
+	})
+
+	t.Run("fn renames the object", func(t *testing.T) {
+		before, _ := store.View(KindPod, "p1")
+		for _, rename := range []func(*ObjectMeta){
+			func(m *ObjectMeta) { m.Name = "p2" },
+			func(m *ObjectMeta) { m.Namespace = "ns" },
+		} {
+			if err := store.Modify(KindPod, "p1", func(obj Object) { rename(obj.Meta()) }); err == nil {
+				t.Error("Modify stored an object under a key it no longer has")
+			}
+		}
+		if now, _ := store.View(KindPod, "p1"); now != before {
+			t.Errorf("a refused Modify stored %+v", now)
+		}
+		if _, ok := store.View(KindPod, "p2"); ok {
+			t.Error("a refused Modify stored p2")
+		}
+		loop.Settle()
+		if len(events) != 0 {
+			t.Errorf("a refused Modify delivered %v", events)
+		}
+	})
+
+	t.Run("missing key", func(t *testing.T) {
+		called := false
+		if err := store.Modify(KindPod, "ghost", func(Object) { called = true }); err == nil || called {
+			t.Errorf("Modify of a missing pod: err %v, fn called %v", err, called)
+		}
+	})
+}
+
 // refBind, refStart and refSetPhase are the binding and status writes as the
 // pod scheduler, the kubelet and setPhase made them before the store had Bind
-// and SetPodStatus: take a deep copy, change it, Update. storeOps holds the
-// new writes to them.
+// and SetPodStatus: take a deep copy, change it, Update. refModify is Modify
+// made the same way, as the operator made its writes before the store had
+// it. storeOps holds the new writes to them.
 func refBind(store *Store, key, node string) error {
 	obj, ok := store.Get(KindPod, key)
 	if !ok {
@@ -105,6 +200,15 @@ func refSetPhase(store *Store, view *Pod, phase PodPhase) bool {
 	pod := view.DeepCopy().(*Pod)
 	pod.Status.Phase = phase
 	return store.Update(pod) == nil
+}
+
+func refModify(store *Store, kind Kind, key string, fn func(Object)) error {
+	obj, ok := store.Get(kind, key)
+	if !ok {
+		return fmt.Errorf("k8s: %s %q not found", kind, key)
+	}
+	fn(obj)
+	return store.Update(obj)
 }
 
 // watchedStore is a store with its loop, the events it has delivered and
@@ -177,14 +281,15 @@ func (w *watchedStore) viewsIntact() {
 	}
 }
 
-// storeOps drives the store with a sequence of creates, updates (labels,
-// binding, phase, CPU and affinity key all move), binding and status writes,
-// deletes and a job's teardown through the owner index decoded from data,
-// three bytes a step. After every step it compares each read with a read that
-// knows no index — fetch every object, sort by key, filter — and the store
-// with a second one on which the reference path made the binding and status
-// writes and the teardowns: stored values, resource versions included, the
-// events delivered and the aggregates must be equal. Every view either store
+// storeOps drives the store with a sequence of creates, updates and
+// modifies (labels, binding, phase, CPU and affinity key all move), binding
+// and status writes, deletes and a job's teardown through the owner index
+// decoded from data, three bytes a step. After every step it compares each
+// read with a read that knows no index — fetch every object, sort by key,
+// filter — and the store with a second one on which the reference path made
+// the binding and status writes, the modifies and the teardowns: stored
+// values, resource versions included, the events delivered and the
+// aggregates must be equal. Every view either store
 // hands out — event objects, View, OwnedPods, Pods — must stay as it was
 // when first seen, and distinct versions must be distinct pods.
 func storeOps(t *testing.T, data []byte) {
@@ -226,7 +331,21 @@ func storeOps(t *testing.T, data []byte) {
 			err, refErr = store.Create(pod), ref.Create(pod)
 			live[key] = true
 		case 2:
-			err, refErr = store.Update(pod), ref.Update(pod)
+			if op&32 == 0 {
+				err, refErr = store.Update(pod), ref.Update(pod)
+				break
+			}
+			// The same change made through the copy Modify hands out, its
+			// labels map written in place: a map the copy shared with a
+			// stored version would show in the view check.
+			change := func(obj Object) {
+				p := obj.(*Pod)
+				clear(p.Labels)
+				maps.Copy(p.Labels, pod.Labels)
+				p.Spec = pod.Spec
+				p.Status.Phase = pod.Status.Phase
+			}
+			err, refErr = store.Modify(KindPod, key, change), refModify(ref.Store, KindPod, key, change)
 		case 3:
 			if op&32 == 0 {
 				err, refErr = store.Delete(KindPod, key), ref.Delete(KindPod, key)
@@ -388,8 +507,9 @@ func FuzzStoreIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 2, 0, 14, 3, 0, 0})
 	f.Add([]byte{0, 1, 40, 0, 2, 40, 6, 1, 121, 10, 2, 200, 3, 1, 0, 0, 1, 7})
 	f.Add([]byte{1, 5, 255, 2, 5, 0, 2, 5, 255, 7, 5, 0})
-	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9})          // bind, start, phase, and a bind of what is gone
-	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 5, 1, 0, 11, 0, 0, 3, 2, 35, 0, 1, 35, 0, 1}) // job a's teardown, twice, beside other pods
-	f.Add([]byte{0, 0, 121, 0, 11, 121, 0, 13, 7, 4, 0, 9, 35, 0, 1, 35, 0, 0})     // a teardown of bound workers, and of no owner
+	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9})              // bind, start, phase, and a bind of what is gone
+	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 5, 1, 0, 11, 0, 0, 3, 2, 35, 0, 1, 35, 0, 1})     // job a's teardown, twice, beside other pods
+	f.Add([]byte{0, 0, 121, 0, 11, 121, 0, 13, 7, 4, 0, 9, 35, 0, 1, 35, 0, 0})         // a teardown of bound workers, and of no owner
+	f.Add([]byte{0, 1, 40, 0, 2, 40, 34, 1, 49, 42, 2, 1, 6, 1, 5, 34, 1, 3, 34, 3, 0}) // Modify moving, unbinding and relabelling workers, and of no pod
 	f.Fuzz(storeOps)
 }

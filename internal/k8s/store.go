@@ -14,16 +14,17 @@ import (
 // always run after the mutation that triggered them completes — the same
 // eventual-consistency shape informers give real controllers.
 //
-// It reads like an informer cache. A stored object is immutable: Create and
-// Update store a private copy of their argument and Update swaps the old
-// copy out rather than writing into it. So the scans (Pods, OwnedPods, Nodes)
-// and the event payloads hand out the stored objects themselves as read-only
-// views that stay valid, and unchanged, for as long as the caller holds them.
-// A caller that wants to change an object takes its own copy — Get returns
-// one, DeepCopy makes one from a view — and hands it to Update. A pod's
-// binding and status have their own writes, Bind and SetPodStatus, which
-// need no copy from the caller and store a copy that shares the old
-// version's labels.
+// It reads like an informer cache. A stored object is immutable: every write
+// stores a fresh version and swaps the old one out rather than writing into
+// it. So the scans (Pods, OwnedPods, Nodes), View and the event payloads hand
+// out the stored objects themselves as read-only views that stay valid, and
+// unchanged, for as long as the caller holds them. A caller that wants to
+// change an object calls Modify, which copies the stored object once and
+// hands that copy to the caller's function to change before it is stored;
+// the caller takes no copy of its own. Update stores a copy of whatever it is
+// given, a view included. A pod's binding and status have their own writes,
+// Bind and SetPodStatus, which store a copy that shares the old version's
+// labels.
 //
 // Every pod version the store keeps is a slot of a slab of podSlabSize pods,
 // allocated together. A slot is handed out once, written only before the
@@ -89,17 +90,18 @@ const podSlabSize = 63
 // StoreStats counts what the store has done. Every field is a pure function
 // of the calls made, so a run's counters repeat exactly on any host.
 type StoreStats struct {
-	// Writes counts successful Create, Update, Bind, SetPodStatus and
-	// Delete calls.
+	// Writes counts successful Create, Update, Modify, Bind, SetPodStatus
+	// and Delete calls.
 	Writes int
 	// Scans counts Pods, OwnedPods and Nodes calls, Visited the objects
 	// they examined.
 	Scans   int
 	Visited int
-	// Copied counts the deep copies the store made (Create, Update, Get):
-	// the copies that clone a labels map. Bind and SetPodStatus make none,
-	// nor does a Create whose pod shares its labels; their versions are
-	// slab slots that share the labels they were given.
+	// Copied counts the deep copies the store made (Create, Update,
+	// Modify, and the tests' Get): the copies that clone a labels map. Bind
+	// and SetPodStatus make none, nor does a Create whose pod shares its
+	// labels; their versions are slab slots that share the labels they were
+	// given.
 	Copied int
 }
 
@@ -319,14 +321,46 @@ func (s *Store) Update(obj Object) error {
 	if !exists {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
-	s.version++
-	var cp Object
+	s.replace(kind, key, old, s.private(obj))
+	return nil
+}
+
+// Modify changes the object under key through fn and stores the result,
+// bumping its resource version: the store copies what it holds once, hands
+// that copy to fn, and swaps it in. fn may change the copy and every map or
+// slice it holds, but not its name or namespace; a Modify whose fn does is
+// refused, and nothing is stored.
+func (s *Store) Modify(kind Kind, key string, fn func(Object)) error {
+	old, exists := s.View(kind, key)
+	if !exists {
+		return fmt.Errorf("k8s: %s %q not found", kind, key)
+	}
+	cp := s.private(old)
+	fn(cp)
+	if m, was := cp.Meta(), old.Meta(); m.Name != was.Name || m.Namespace != was.Namespace {
+		return fmt.Errorf("k8s: modifying %s %q renamed it %q", kind, key, m.Key())
+	}
+	s.replace(kind, key, old, cp)
+	return nil
+}
+
+// private is the copy of obj a write stores: for a pod a slab slot with its
+// own labels map, for every other kind a deep copy.
+func (s *Store) private(obj Object) Object {
 	if p, ok := obj.(*Pod); ok {
-		stored := s.podCopy(p)
-		stored.owner, stored.ordinal = s.ownerOf(stored)
-		cp = stored
-	} else {
-		cp = s.copyOf(obj)
+		return s.podCopy(p)
+	}
+	return s.copyOf(obj)
+}
+
+// replace is the tail of Update and Modify: it stores cp, the caller's
+// private copy, in place of old under a new resource version, keeping old's
+// UID and creation timestamp, files a pod under its owner afresh, and
+// queues a Modified event.
+func (s *Store) replace(kind Kind, key string, old, cp Object) {
+	s.version++
+	if p, ok := cp.(*Pod); ok {
+		p.owner, p.ordinal = s.ownerOf(p)
 	}
 	m := cp.Meta()
 	m.UID = old.Meta().UID
@@ -335,7 +369,6 @@ func (s *Store) Update(obj Object) error {
 	s.put(kind, key, old, cp)
 	s.stats.Writes++
 	s.notify(kind, Event{Type: Modified, Object: cp})
-	return nil
 }
 
 // Delete removes the object with the given kind and key.
@@ -404,16 +437,6 @@ func (s *Store) swapPod(key string, old, now *Pod) {
 	}
 	s.stats.Writes++
 	s.notify(KindPod, Event{Type: Modified, Object: now})
-}
-
-// Get fetches a private copy of the object, reporting whether it exists. It
-// is the entry to mutate-then-Update, which is why it copies.
-func (s *Store) Get(kind Kind, key string) (Object, bool) {
-	obj, ok := s.View(kind, key)
-	if !ok {
-		return nil, false
-	}
-	return s.copyOf(obj), true
 }
 
 // View fetches the object as a read-only view, reporting whether it exists:

@@ -22,6 +22,9 @@ type Controller struct {
 	// pods is a reconcile pass's or a teardown's read of its job's pods,
 	// reused by the next.
 	pods []k8s.OwnedPod
+	// names holds each job's name table, from its first reconcile until
+	// Complete.
+	names map[string]jobNames
 
 	// Reconciles counts reconcile passes (observability for tests).
 	Reconciles int
@@ -33,7 +36,7 @@ const requeueDelay = time.Second
 
 // NewController wires a controller to the store and application runtime.
 func NewController(loop *k8s.EventLoop, store *k8s.Store, app AppRuntime) *Controller {
-	c := &Controller{loop: loop, store: store, app: app}
+	c := &Controller{loop: loop, store: store, app: app, names: make(map[string]jobNames)}
 	c.queue = k8s.NewWorkqueue(loop, requeueDelay, c.reconcile)
 	store.OwnPodsBy(podOwner)
 	store.Subscribe(k8s.KindCharmJob, func(ev k8s.Event) {
@@ -68,7 +71,7 @@ func podOwner(p *k8s.Pod) (job string, ordinal int) {
 func workerIndex(job, name string) int {
 	suffix, ok := strings.CutPrefix(name, job)
 	if ok {
-		suffix, ok = strings.CutPrefix(suffix, "-worker-")
+		suffix, ok = strings.CutPrefix(suffix, workerInfix)
 	}
 	idx, err := strconv.Atoi(suffix)
 	if !ok || err != nil || idx < 0 || strconv.Itoa(idx) != suffix {
@@ -84,11 +87,16 @@ func (c *Controller) reconcile(key string) {
 	if !ok {
 		return
 	}
-	job := obj.(*CharmJob) // a view: whoever writes the job copies it first
+	job := obj.(*CharmJob) // a view: the job is written through Modify
 	if job.Status.Phase == JobSucceeded || job.Status.Phase == JobPreempted {
 		// Preempted jobs hold no pods and wait for the policy scheduler
 		// to restart them; there is nothing to reconcile toward.
 		return
+	}
+	names, ok := c.names[job.Name]
+	if !ok {
+		names = newJobNames(job.Name, max(job.Spec.MaxReplicas, 0))
+		c.names[job.Name] = names
 	}
 
 	// One read of the job's pods serves the whole pass: whatever has no
@@ -121,25 +129,25 @@ func (c *Controller) reconcile(key string) {
 	// with the extra restart parameter"). The pod deletions re-enqueue the
 	// job.
 	if failed {
-		c.restart(job.DeepCopy().(*CharmJob))
+		c.restart(job)
 		return
 	}
 
 	if job.Status.ReadyReplicas != running {
-		// The update re-enqueues this key; continue there with fresh
+		// The write re-enqueues this key; continue there with fresh
 		// state.
-		job = job.DeepCopy().(*CharmJob)
-		job.Status.ReadyReplicas = running
-		_ = c.store.Update(job)
+		_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
+			obj.(*CharmJob).Status.ReadyReplicas = running
+		})
 		return
 	}
 
 	// Ensure the launcher pod exists (runs mpirun/charmrun; requests one
 	// slot, mirroring the MPI Operator layout).
-	if _, ok := c.store.View(k8s.KindPod, LauncherName(job.Name)); !ok {
+	if _, ok := c.store.View(k8s.KindPod, names.launcher); !ok {
 		launcher := &k8s.Pod{
 			ObjectMeta: k8s.ObjectMeta{
-				Name:   LauncherName(job.Name),
+				Name:   names.launcher,
 				Labels: map[string]string{"charmjob": job.Name, "role": "launcher"},
 			},
 			// The launcher is lightweight; it does not reserve a
@@ -176,7 +184,7 @@ func (c *Controller) reconcile(key string) {
 				Status: k8s.PodStatus{Phase: k8s.PodPending},
 			}
 		}
-		worker.Name = WorkerName(job.Name, i)
+		worker.Name = names.worker(job.Name, i)
 		if err := c.store.Create(worker); err != nil {
 			return
 		}
@@ -199,18 +207,19 @@ func (c *Controller) reconcile(key string) {
 	switch {
 	case pending:
 		// First launch: write the nodelist, start the application.
-		if err := c.writeNodelist(job.Name, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
 			c.queue.Requeue(key)
 			return
 		}
-		job = job.DeepCopy().(*CharmJob)
-		job.Status.Phase = JobRunning
-		job.Status.LaunchedReplicas = desired
-		job.Status.Nodelist = nodelist
-		_ = c.store.Update(job)
+		_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
+			st := &obj.(*CharmJob).Status
+			st.Phase = JobRunning
+			st.LaunchedReplicas = desired
+			st.Nodelist = nodelist
+		})
 
 	case desired < job.Status.LaunchedReplicas:
 		// Shrink (§3.1): signal first, remove pods only after the ack.
@@ -223,49 +232,52 @@ func (c *Controller) reconcile(key string) {
 				_ = c.store.Delete(k8s.KindPod, w.Pod.Key()) // it was just read
 			}
 		}
-		if err := c.writeNodelist(job.Name, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
 			return
 		}
-		c.rescaled(job, nodelist)
+		c.rescaled(key, nodelist)
 
 	default:
 		// Expand (§3.1): pods were added above and are running; update
 		// the nodelist, then signal the application.
-		if err := c.writeNodelist(job.Name, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
 			c.queue.Requeue(key)
 			return
 		}
-		c.rescaled(job, nodelist)
+		c.rescaled(key, nodelist)
 	}
 }
 
 // rescaled records a shrink or expand the application has acknowledged in the
-// job's status. view is not written.
-func (c *Controller) rescaled(view *CharmJob, nodelist []string) {
-	job := view.DeepCopy().(*CharmJob)
-	job.Status.Phase = JobRunning
-	job.Status.LaunchedReplicas = job.Spec.Replicas
-	job.Status.Nodelist = nodelist
-	job.Status.Rescales++
-	_ = c.store.Update(job)
+// status of the job under key.
+func (c *Controller) rescaled(key string, nodelist []string) {
+	_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
+		job := obj.(*CharmJob)
+		job.Status.Phase = JobRunning
+		job.Status.LaunchedReplicas = job.Spec.Replicas
+		job.Status.Nodelist = nodelist
+		job.Status.Rescales++
+	})
 }
 
 // restart tears down a job one of whose pods failed and sends it back to
-// Pending. job is the caller's own copy.
-func (c *Controller) restart(job *CharmJob) {
-	if job.Status.Phase == JobRunning || job.Status.Phase == JobRescaling {
-		c.app.Stop(job)
+// Pending. view is not written.
+func (c *Controller) restart(view *CharmJob) {
+	if view.Status.Phase == JobRunning || view.Status.Phase == JobRescaling {
+		c.app.Stop(view)
 	}
-	c.deletePods(job.Name)
-	job.Status.Phase = JobPending
-	job.Status.LaunchedReplicas = 0
-	job.Status.ReadyReplicas = 0
-	job.Status.Nodelist = nil
-	job.Status.Restarts++
-	_ = c.store.Update(job)
+	c.deletePods(view.Name)
+	_ = c.store.Modify(k8s.KindCharmJob, view.Key(), func(obj k8s.Object) {
+		st := &obj.(*CharmJob).Status
+		st.Phase = JobPending
+		st.LaunchedReplicas = 0
+		st.ReadyReplicas = 0
+		st.Nodelist = nil
+		st.Restarts++
+	})
 }
 
 // deletePods deletes every pod filed under the job, in key order: the order
@@ -290,20 +302,19 @@ func runningNodelist(workers []k8s.OwnedPod, desired int) []string {
 	return hosts
 }
 
-// writeNodelist creates or updates the job's nodelist ConfigMap, which the
-// Charm++ launcher mounts to find its workers (§3.1).
-func (c *Controller) writeNodelist(job string, hosts []string) error {
-	cm := &k8s.ConfigMap{
-		ObjectMeta: k8s.ObjectMeta{
-			Name:   NodelistName(job),
-			Labels: map[string]string{"charmjob": job},
-		},
-		Data: map[string]string{"nodelist": strings.Join(hosts, "\n")},
+// writeNodelist creates or updates the job's nodelist ConfigMap, named name,
+// which the Charm++ launcher mounts to find its workers (§3.1).
+func (c *Controller) writeNodelist(job, name string, hosts []string) error {
+	nodelist := strings.Join(hosts, "\n")
+	if _, ok := c.store.View(k8s.KindConfigMap, name); ok {
+		return c.store.Modify(k8s.KindConfigMap, name, func(obj k8s.Object) {
+			obj.(*k8s.ConfigMap).Data["nodelist"] = nodelist
+		})
 	}
-	if _, ok := c.store.View(k8s.KindConfigMap, cm.Name); ok {
-		return c.store.Update(cm)
-	}
-	return c.store.Create(cm)
+	return c.store.Create(&k8s.ConfigMap{
+		ObjectMeta: k8s.ObjectMeta{Name: name, Labels: map[string]string{"charmjob": job}},
+		Data:       map[string]string{"nodelist": nodelist},
+	})
 }
 
 // Preempt checkpoint-stops a running job for a forced capacity reclaim: the
@@ -312,7 +323,7 @@ func (c *Controller) writeNodelist(job string, hosts []string) error {
 // policy scheduler restarts it — the §3.2.2 fault-tolerance machinery turned
 // into a first-class scheduling action.
 func (c *Controller) Preempt(jobName string) error {
-	obj, ok := c.store.Get(k8s.KindCharmJob, jobName)
+	obj, ok := c.store.View(k8s.KindCharmJob, jobName)
 	if !ok {
 		return fmt.Errorf("operator: job %q not found", jobName)
 	}
@@ -321,22 +332,26 @@ func (c *Controller) Preempt(jobName string) error {
 		return fmt.Errorf("operator: job %q is %s, cannot preempt", jobName, job.Status.Phase)
 	}
 	c.app.Stop(job)
-	job.Status.Phase = JobPreempted
-	job.Status.LaunchedReplicas = 0
-	job.Status.ReadyReplicas = 0
-	job.Status.Nodelist = nil
-	job.Status.Preemptions++
-	if err := c.store.Update(job); err != nil {
+	err := c.store.Modify(k8s.KindCharmJob, jobName, func(obj k8s.Object) {
+		st := &obj.(*CharmJob).Status
+		st.Phase = JobPreempted
+		st.LaunchedReplicas = 0
+		st.ReadyReplicas = 0
+		st.Nodelist = nil
+		st.Preemptions++
+	})
+	if err != nil {
 		return err
 	}
 	c.deletePods(jobName)
 	return nil
 }
 
-// Complete stops the application, marks the job Succeeded and deletes its
-// worker and launcher pods, which releases their slots.
+// Complete stops the application, marks the job Succeeded, deletes its
+// worker and launcher pods, which releases their slots, and drops its name
+// table.
 func (c *Controller) Complete(jobName string) error {
-	obj, ok := c.store.Get(k8s.KindCharmJob, jobName)
+	obj, ok := c.store.View(k8s.KindCharmJob, jobName)
 	if !ok {
 		return fmt.Errorf("operator: job %q not found", jobName)
 	}
@@ -345,10 +360,13 @@ func (c *Controller) Complete(jobName string) error {
 		return nil
 	}
 	c.app.Stop(job)
-	job.Status.Phase = JobSucceeded
-	if err := c.store.Update(job); err != nil {
+	err := c.store.Modify(k8s.KindCharmJob, jobName, func(obj k8s.Object) {
+		obj.(*CharmJob).Status.Phase = JobSucceeded
+	})
+	if err != nil {
 		return err
 	}
 	c.deletePods(jobName)
+	delete(c.names, jobName)
 	return nil
 }

@@ -33,7 +33,7 @@ func TestControllerWaitsForUnschedulablePods(t *testing.T) {
 	if app.launches != 0 {
 		t.Fatalf("launched with unschedulable pods")
 	}
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, "j1")
 	if got := obj.(*CharmJob).Status.Phase; got == JobRunning {
 		t.Fatal("job Running without pods")
 	}
@@ -64,7 +64,7 @@ func TestControllerFailureRestart(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, "j1")
 	job := obj.(*CharmJob)
 	if job.Status.Restarts == 0 {
 		t.Error("restart not recorded")
@@ -193,10 +193,8 @@ func TestWorkerIndexIsStrict(t *testing.T) {
 		}
 		loop.RunUntilIdle()
 		// A shrink deletes the workers it names and no stray.
-		obj, _ := store.Get(k8s.KindCharmJob, "j1")
-		job := obj.(*CharmJob)
-		job.Spec.Replicas = 3
-		if err := store.Update(job); err != nil {
+		err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 3 })
+		if err != nil {
 			t.Fatal(err)
 		}
 		loop.RunUntilIdle()

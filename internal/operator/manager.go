@@ -34,7 +34,8 @@ type Manager struct {
 	forced map[string]bool
 }
 
-// managedJob pairs the scheduler's job record with its CharmJob template.
+// managedJob pairs the scheduler's job record with its CharmJob template, the
+// manager's own copy of what was submitted.
 type managedJob struct {
 	core     *core.Job
 	template *CharmJob
@@ -152,8 +153,9 @@ type managerActuator Manager
 
 func (a *managerActuator) mgr() *Manager { return (*Manager)(a) }
 
-// StartJob creates the CharmJob object with the granted replica count. A
-// restart after a preemption reuses the existing object, carrying the
+// StartJob creates the CharmJob object with the granted replica count: the
+// template, which Create copies. A restart after a preemption rewrites the
+// existing object's spec and status instead, carrying the
 // restart/preemption counters forward.
 func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	m := a.mgr()
@@ -163,17 +165,22 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	if j.Ref < 0 || int(j.Ref) >= len(m.byRef) || m.byRef[j.Ref].core != j {
 		return fmt.Errorf("operator: unknown job %q", j.ID)
 	}
-	mj := m.byRef[j.Ref]
-	obj := mj.template.DeepCopy().(*CharmJob)
-	obj.Spec.Replicas = replicas
-	obj.Status = CharmJobStatus{Phase: JobPending}
-	if prev, exists := m.store.View(k8s.KindCharmJob, obj.Key()); exists {
-		ps := prev.(*CharmJob).Status
-		obj.Status.Restarts = ps.Restarts
-		obj.Status.Preemptions = ps.Preemptions
-		return m.store.Update(obj)
+	tmpl := m.byRef[j.Ref].template
+	tmpl.Spec.Replicas = replicas
+	tmpl.Status = CharmJobStatus{Phase: JobPending}
+	key := tmpl.Key()
+	if _, exists := m.store.View(k8s.KindCharmJob, key); exists {
+		return m.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
+			job := obj.(*CharmJob)
+			job.Spec = tmpl.Spec
+			job.Status = CharmJobStatus{
+				Phase:       JobPending,
+				Restarts:    job.Status.Restarts,
+				Preemptions: job.Status.Preemptions,
+			}
+		})
 	}
-	return m.store.Create(obj)
+	return m.store.Create(tmpl)
 }
 
 // ShrinkJob lowers Spec.Replicas; the controller signals the app and removes
@@ -205,14 +212,9 @@ func (a *managerActuator) ExpandJob(j *core.Job, to int) error {
 }
 
 func (a *managerActuator) setReplicas(name string, to int) error {
-	m := a.mgr()
-	obj, ok := m.store.Get(k8s.KindCharmJob, name)
-	if !ok {
-		return fmt.Errorf("operator: CharmJob %q not found", name)
-	}
-	job := obj.(*CharmJob)
-	job.Spec.Replicas = to
-	return m.store.Update(job)
+	return a.mgr().store.Modify(k8s.KindCharmJob, name, func(obj k8s.Object) {
+		obj.(*CharmJob).Spec.Replicas = to
+	})
 }
 
 // PreemptJob checkpoint-stops a job. Only a forced capacity reclaim calls

@@ -119,7 +119,7 @@ func TestControllerLaunchesJob(t *testing.T) {
 	if len(app.lastNodelist) != 4 {
 		t.Errorf("nodelist = %v", app.lastNodelist)
 	}
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, "j1")
 	job := obj.(*CharmJob)
 	if job.Status.Phase != JobRunning || job.Status.LaunchedReplicas != 4 {
 		t.Errorf("status = %+v", job.Status)
@@ -128,10 +128,10 @@ func TestControllerLaunchesJob(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 4 {
 		t.Errorf("%d worker pods", got)
 	}
-	if _, ok := store.Get(k8s.KindPod, LauncherName("j1")); !ok {
+	if _, ok := store.View(k8s.KindPod, LauncherName("j1")); !ok {
 		t.Error("launcher pod missing")
 	}
-	if _, ok := store.Get(k8s.KindConfigMap, NodelistName("j1")); !ok {
+	if _, ok := store.View(k8s.KindConfigMap, NodelistName("j1")); !ok {
 		t.Error("nodelist ConfigMap missing")
 	}
 }
@@ -143,10 +143,8 @@ func TestControllerShrinkProtocol(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
-	job := obj.(*CharmJob)
-	job.Spec.Replicas = 4
-	if err := store.Update(job); err != nil {
+	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
+	if err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
@@ -159,8 +157,8 @@ func TestControllerShrinkProtocol(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 4 {
 		t.Errorf("%d worker pods after shrink", got)
 	}
-	obj, _ = store.Get(k8s.KindCharmJob, "j1")
-	job = obj.(*CharmJob)
+	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	job := obj.(*CharmJob)
 	if job.Status.LaunchedReplicas != 4 || job.Status.Rescales != 1 {
 		t.Errorf("status = %+v", job.Status)
 	}
@@ -176,10 +174,8 @@ func TestControllerShrinkDeclinedKeepsPods(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 	app.failShrink = true
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
-	job := obj.(*CharmJob)
-	job.Spec.Replicas = 4
-	if err := store.Update(job); err != nil {
+	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Run a bounded number of steps (the controller keeps retrying).
@@ -204,10 +200,8 @@ func TestControllerExpandProtocol(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	obj, _ := store.Get(k8s.KindCharmJob, "j1")
-	job := obj.(*CharmJob)
-	job.Spec.Replicas = 12
-	if err := store.Update(job); err != nil {
+	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 12 })
+	if err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
@@ -221,7 +215,7 @@ func TestControllerExpandProtocol(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 12 {
 		t.Errorf("%d worker pods after expand", got)
 	}
-	obj, _ = store.Get(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, "j1")
 	if obj.(*CharmJob).Status.LaunchedReplicas != 12 {
 		t.Errorf("launched = %d", obj.(*CharmJob).Status.LaunchedReplicas)
 	}
@@ -279,7 +273,7 @@ func TestManagerSubmitAndFinish(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 	// Policy started the job at max (empty cluster).
-	obj, ok := store.Get(k8s.KindCharmJob, "j1")
+	obj, ok := store.View(k8s.KindCharmJob, "j1")
 	if !ok {
 		t.Fatal("CharmJob not created")
 	}

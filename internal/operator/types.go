@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"maps"
 	"strconv"
+	"strings"
 
 	"elastichpc/internal/k8s"
 )
@@ -128,14 +129,68 @@ func (j *CharmJob) Validate() error {
 	return nil
 }
 
+// workerInfix joins a job's name to a worker's ordinal: the one spelling of
+// the worker name format, which WorkerName, the name table and workerIndex
+// share.
+const workerInfix = "-worker-"
+
 // WorkerName returns the name of worker pod i for the job.
-func WorkerName(job string, i int) string { return job + "-worker-" + strconv.Itoa(i) }
+func WorkerName(job string, i int) string { return job + workerInfix + strconv.Itoa(i) }
 
 // LauncherName returns the job's launcher pod name.
 func LauncherName(job string) string { return job + "-launcher" }
 
 // NodelistName returns the job's nodelist ConfigMap name.
 func NodelistName(job string) string { return job + "-nodelist" }
+
+// jobNames is a job's name table: the names of its launcher, its nodelist
+// and its workers 0 to len(workers)-1, all cut from one string.
+type jobNames struct {
+	launcher, nodelist string
+	workers            []string
+}
+
+// newJobNames builds the name table of a job with n workers in one presized
+// string: two allocations, that string and the worker slice. The launcher
+// and nodelist names are LauncherName's and NodelistName's, built on the
+// stack when they fit its 32-byte buffer; a worker's is WorkerName's format.
+func newJobNames(job string, n int) jobNames {
+	launcher, nodelist := LauncherName(job), NodelistName(job)
+	size := len(launcher) + len(nodelist) + n*(len(job)+len(workerInfix)+1)
+	for p := 10; p < n; p *= 10 {
+		size += n - p // the ordinals from p up carry another digit
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(launcher)
+	b.WriteString(nodelist)
+	// A string the builder handed out stays valid as it grows, so each name
+	// is cut as soon as it is written.
+	names := jobNames{
+		launcher: b.String()[:len(launcher)],
+		nodelist: b.String()[len(launcher):],
+		workers:  make([]string, n),
+	}
+	var digits [20]byte
+	for i := range names.workers {
+		at := b.Len()
+		b.WriteString(job)
+		b.WriteString(workerInfix)
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		names.workers[i] = b.String()[at:]
+	}
+	return names
+}
+
+// worker returns worker i's name: the table's, or WorkerName's past its end.
+// The store does not validate a CharmJob, so Spec.Replicas may exceed the
+// MaxReplicas the table was built for.
+func (n jobNames) worker(job string, i int) string {
+	if i < len(n.workers) {
+		return n.workers[i]
+	}
+	return WorkerName(job, i)
+}
 
 // AppRuntime is the controller's channel to the running Charm++ application
 // — the CCS interface in the real system. Launch/Shrink/Expand block until

@@ -37,6 +37,7 @@ var benchPinned = map[string]string{
 	"sim.Simulator.QueuedJobs":       "bench/probes.go:414",
 	"metrics.Read":                   "bench/probes.go:589",
 	"k8s.ObjectMeta.Namespace":       "bench/probes.go:510",
+	"k8s.Store.Update":               "bench/probes.go:530",
 }
 
 // TestNoUncalledExports: an exported function or method declared in a
