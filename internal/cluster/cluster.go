@@ -68,8 +68,12 @@ type Cluster struct {
 	utilTL   []sim.UtilSample
 	utilLast time.Time
 
-	// Per-job replica timelines (Figure 9b).
-	replicaTL map[string][]sim.ReplicaSample
+	// Per-job replica timelines (Figure 9b): replicaLog holds every job's
+	// samples in event order, each with its job's index in replicaJobs;
+	// replicaIdx maps a job's name to that index.
+	replicaLog  []replicaSample
+	replicaJobs []replicaJob
+	replicaIdx  map[string]int
 
 	done map[string]bool
 	// classes holds the class of every job SubmitWorkload submitted; a job
@@ -104,10 +108,10 @@ func New(cfg Config) (*Cluster, error) {
 	store := k8s.NewStore(loop)
 	c := &Cluster{
 		cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start,
-		utilLast:  start,
-		replicaTL: make(map[string][]sim.ReplicaSample),
-		done:      make(map[string]bool),
-		preempted: make(map[string]bool),
+		utilLast:   start,
+		replicaIdx: make(map[string]int),
+		done:       make(map[string]bool),
+		preempted:  make(map[string]bool),
 	}
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
@@ -206,22 +210,63 @@ func (c *Cluster) onPodEvent(ev k8s.Event) {
 	c.utilTL = append(c.utilTL, sim.UtilSample{At: now.Sub(c.start).Seconds(), Used: used})
 }
 
+// replicaSample is a replica-log entry: a sample of the job at index job of
+// replicaJobs.
+type replicaSample struct {
+	job    int
+	sample sim.ReplicaSample
+}
+
+// replicaJob is a job's share of the replica log: its name, how many samples
+// it has there and the replica count of the last.
+type replicaJob struct {
+	name          string
+	samples, last int
+}
+
 func (c *Cluster) onJobEvent(ev k8s.Event) {
 	if ev.Type == k8s.Deleted {
 		return
 	}
 	job := ev.Object.(*operator.CharmJob)
-	tl := c.replicaTL[job.Name]
 	cur := job.Status.LaunchedReplicas
 	if job.Status.Phase == operator.JobSucceeded {
 		cur = 0
 	}
-	if len(tl) > 0 && tl[len(tl)-1].Replicas == cur {
+	i, seen := c.replicaIdx[job.Name]
+	if !seen {
+		i = len(c.replicaJobs)
+		c.replicaIdx[job.Name] = i
+		c.replicaJobs = append(c.replicaJobs, replicaJob{name: job.Name})
+	} else if c.replicaJobs[i].last == cur {
 		return
 	}
-	c.replicaTL[job.Name] = append(tl, sim.ReplicaSample{
+	c.replicaJobs[i].samples++
+	c.replicaJobs[i].last = cur
+	c.replicaLog = append(c.replicaLog, replicaSample{i, sim.ReplicaSample{
 		At: c.Loop.Now().Sub(c.start).Seconds(), Replicas: cur,
-	})
+	}})
+}
+
+// replicaTimelines buckets the replica log by job into one backing array
+// shared by every timeline; each timeline is a capped sub-slice of it, so a
+// caller appending to one cannot overwrite the next, and the log's later
+// samples never reach a map handed out earlier.
+func (c *Cluster) replicaTimelines() map[string][]sim.ReplicaSample {
+	timelines := make(map[string][]sim.ReplicaSample, len(c.replicaJobs))
+	all := make([]sim.ReplicaSample, len(c.replicaLog))
+	next := make([]int, len(c.replicaJobs)) // per job: where its next sample goes
+	end := 0
+	for i, j := range c.replicaJobs {
+		next[i] = end
+		end += j.samples
+		timelines[j.name] = all[next[i]:end:end]
+	}
+	for _, x := range c.replicaLog {
+		all[next[x.job]] = x.sample
+		next[x.job]++
+	}
+	return timelines
 }
 
 // Submit schedules a CharmJob submission at the given offset from start. A
@@ -282,10 +327,13 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 // Result computes the experiment metrics in the paper's four-metric form.
 // It is side-effect-free and idempotent — the open utilization tail and the
 // jobs' terms are folded onto a copy of the ledger — so observing a running
-// emulation never changes what it reports later. Jobs is sorted by (SubmitAt,
-// ID), matching the simulator's submission ordering, so JSON reports diff
-// cleanly run to run.
+// emulation never changes what it reports later. What it returns is the
+// caller's — the replica timelines are built afresh, the utilization
+// timeline is capped — so the run going on never changes a Result taken
+// earlier. Jobs is sorted by (SubmitAt, ID), matching the simulator's
+// submission ordering, so JSON reports diff cleanly run to run.
 func (c *Cluster) Result() sim.Result {
+	timelines := c.replicaTimelines()
 	var jobs []sim.JobMetrics
 	for name := range c.done { //lint:deterministic jobs is sorted below, before anything folds over it
 		cj, ok := c.Mgr.CoreJob(name)
@@ -304,7 +352,7 @@ func (c *Cluster) Result() sim.Result {
 			ResponseTime:   cj.ResponseTime().Seconds(),
 			CompletionTime: cj.CompletionTime().Seconds(),
 		}
-		for _, s := range c.replicaTL[name] {
+		for _, s := range timelines[name] {
 			if s.Replicas > m.Replicas {
 				m.Replicas = s.Replicas
 			}
@@ -330,7 +378,7 @@ func (c *Cluster) Result() sim.Result {
 	res := l.Result(c.cfg.Policy, c.cfg.Nodes*c.cfg.CPUPerNode, c.utilLast.Sub(c.start).Seconds(),
 		sched.CapacityStats(), sched.Capacity())
 	res.Jobs = jobs
-	res.UtilTimeline = c.utilTL
-	res.ReplicaTimelines = c.replicaTL
+	res.UtilTimeline = c.utilTL[:len(c.utilTL):len(c.utilTL)]
+	res.ReplicaTimelines = timelines
 	return res
 }

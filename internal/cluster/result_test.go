@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -145,6 +147,51 @@ func TestResultIsIdempotent(t *testing.T) {
 	if got := watched.Result(); !reflect.DeepEqual(got, first) {
 		t.Errorf("observing the run at %d instants changed its Result:\nobserved:   %+v\nunobserved: %+v",
 			observed, got, first)
+	}
+}
+
+// TestMidRunResultStaysAsReturned: a Result taken while the emulation runs
+// does not change when the run goes on. Result handed out the cluster's live
+// replica-timeline map, so one taken with 8 of Table 1's 16 elastic jobs done
+// held 11 timelines then and 16 once the run had finished. Every timeline
+// and the utilization timeline come capped, so an append to one cannot write
+// into the next or into the cluster's own log.
+func TestMidRunResultStaysAsReturned(t *testing.T) {
+	w := sim.Table1Workload()
+	c, err := New(DefaultConfig(core.Elastic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SubmitWorkload(w)
+	c.Loop.RunUntil(func() bool { return len(c.done) >= len(w.Jobs)/2 })
+	mid := c.Result()
+	if len(mid.ReplicaTimelines) >= len(w.Jobs) {
+		t.Fatalf("the mid-run Result already holds %d timelines: nothing is left to change", len(mid.ReplicaTimelines))
+	}
+	was := mid
+	was.Jobs = slices.Clone(mid.Jobs)
+	was.UtilTimeline = slices.Clone(mid.UtilTimeline)
+	was.ReplicaTimelines = maps.Clone(mid.ReplicaTimelines)
+	for id, tl := range was.ReplicaTimelines {
+		was.ReplicaTimelines[id] = slices.Clone(tl)
+	}
+	if cap(mid.UtilTimeline) != len(mid.UtilTimeline) {
+		t.Errorf("the utilization timeline has room for %d more samples", cap(mid.UtilTimeline)-len(mid.UtilTimeline))
+	}
+	for id, tl := range mid.ReplicaTimelines {
+		if cap(tl) != len(tl) {
+			t.Errorf("job %s's replica timeline has room for %d more samples", id, cap(tl)-len(tl))
+		}
+	}
+	if err := c.Run(len(w.Jobs), 10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mid, was) {
+		t.Errorf("finishing the run changed a Result taken with %d jobs done: %d timelines then, %d now",
+			len(was.Jobs), len(was.ReplicaTimelines), len(mid.ReplicaTimelines))
+	}
+	if final := c.Result(); len(final.ReplicaTimelines) != len(w.Jobs) {
+		t.Errorf("the final Result holds %d timelines, want %d", len(final.ReplicaTimelines), len(w.Jobs))
 	}
 }
 

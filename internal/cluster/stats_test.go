@@ -17,9 +17,12 @@ import (
 // closed over its event and every reconcile scanned and sorted the job's pods
 // twice, about 255 while the store kept a label index and every created pod
 // cloned its labels, 194.4 while every pod version the store kept was an
-// allocation of its own and every requeue armed a closure, and 110.5 while
+// allocation of its own and every requeue armed a closure, 110.5 while
 // every CharmJob and nodelist write took one copy from Get or DeepCopy and
 // another from Update and every pod and nodelist name was concatenated on
+// its own, and 68.3 while every launch and rescale gathered and joined its
+// nodelist afresh and every CharmJob copy cloned it, each new owner's pod
+// list grew from nothing and each job's replica timeline grew a slice of
 // its own. Each bound is the row's reading plus about 8 %.
 func TestEmulationAllocsPerJob(t *testing.T) {
 	if raceEnabled {
@@ -29,8 +32,8 @@ func TestEmulationAllocsPerJob(t *testing.T) {
 		jobs             int
 		measured, atMost float64
 	}{
-		{32, 68.3, 74},
-		{1000, 61.1, 66},
+		{32, 53.3, 58},
+		{1000, 44.6, 49},
 	} {
 		t.Run(fmt.Sprintf("jobs=%d", row.jobs), func(t *testing.T) {
 			if row.jobs > 32 && testing.Short() {

@@ -502,14 +502,66 @@ func TestStoreIndexMatchesNaiveRead(t *testing.T) {
 	}
 }
 
+// TestEmptiedOwnerListIsReused: when deletes empty an owner's list, its
+// array, cleared, goes to the next new owner, and the reads do not show it.
+// The emptied owner has no pods, a dst OwnedPods filled before is unchanged,
+// and the slots of the reused array past the new owner's pods hold none of
+// the old owner's.
+func TestEmptiedOwnerListIsReused(t *testing.T) {
+	w := newWatchedStore(t)
+	create := func(name, job string) {
+		t.Helper()
+		pod := &Pod{ObjectMeta: ObjectMeta{Name: name, Labels: map[string]string{"job": job, "role": "worker"}}}
+		if err := w.Create(pod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		create(name, "a")
+	}
+	dst := w.OwnedPods(nil, "a")
+	was := slices.Clone(dst)
+	array := &w.owned["a"][0]
+	for _, o := range dst {
+		if err := w.Delete(KindPod, o.Pod.Key()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.OwnedPods(nil, "a"); len(got) != 0 {
+		t.Errorf("OwnedPods(a) after every pod of a went = %+v, want none", got)
+	}
+
+	create("e", "b")
+	create("d", "b")
+	list := w.owned["b"]
+	if &list[0] != array {
+		t.Error("the new owner's list was not built in the emptied array")
+	}
+	if !reflect.DeepEqual(dst, was) {
+		t.Errorf("a dst filed before the reuse now holds %+v, was %+v", dst, was)
+	}
+	if got := podKeys([]*Pod{list[0].Pod, list[1].Pod}); !reflect.DeepEqual(got, []string{"d", "e"}) || len(list) != 2 {
+		t.Errorf("owner b's list = %+v, want d and e", list)
+	}
+	for i, o := range list[len(list):cap(list)] {
+		if o.Pod != nil {
+			t.Errorf("slot %d of the reused array still holds pod %q", len(list)+i, o.Pod.Key())
+		}
+	}
+	if got := w.OwnedPods(nil, "a"); len(got) != 0 {
+		t.Errorf("OwnedPods(a) after the reuse = %+v, want none", got)
+	}
+}
+
 // FuzzStoreIndex lets the fuzzer pick the sequence.
 func FuzzStoreIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 2, 0, 14, 3, 0, 0})
 	f.Add([]byte{0, 1, 40, 0, 2, 40, 6, 1, 121, 10, 2, 200, 3, 1, 0, 0, 1, 7})
 	f.Add([]byte{1, 5, 255, 2, 5, 0, 2, 5, 255, 7, 5, 0})
-	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9})              // bind, start, phase, and a bind of what is gone
-	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 5, 1, 0, 11, 0, 0, 3, 2, 35, 0, 1, 35, 0, 1})     // job a's teardown, twice, beside other pods
-	f.Add([]byte{0, 0, 121, 0, 11, 121, 0, 13, 7, 4, 0, 9, 35, 0, 1, 35, 0, 0})         // a teardown of bound workers, and of no owner
-	f.Add([]byte{0, 1, 40, 0, 2, 40, 34, 1, 49, 42, 2, 1, 6, 1, 5, 34, 1, 3, 34, 3, 0}) // Modify moving, unbinding and relabelling workers, and of no pod
+	f.Add([]byte{0, 1, 40, 4, 1, 49, 6, 1, 5, 15, 1, 0, 3, 1, 0, 5, 1, 9})                  // bind, start, phase, and a bind of what is gone
+	f.Add([]byte{0, 1, 4, 0, 2, 4, 0, 5, 1, 0, 11, 0, 0, 3, 2, 35, 0, 1, 35, 0, 1})         // job a's teardown, twice, beside other pods
+	f.Add([]byte{0, 0, 121, 0, 11, 121, 0, 13, 7, 4, 0, 9, 35, 0, 1, 35, 0, 0})             // a teardown of bound workers, and of no owner
+	f.Add([]byte{0, 1, 40, 0, 2, 40, 34, 1, 49, 42, 2, 1, 6, 1, 5, 34, 1, 3, 34, 3, 0})     // Modify moving, unbinding and relabelling workers, and of no pod
+	f.Add([]byte{0, 1, 4, 0, 2, 4, 35, 0, 1, 0, 3, 5, 0, 4, 2, 0, 5, 5, 35, 0, 2, 0, 6, 4}) // a's teardown empties its list, then b and a again file pods in reused arrays
 	f.Fuzz(storeOps)
 }

@@ -42,14 +42,18 @@ type Store struct {
 	podSlab []Pod
 	// nodeCPU, boundCPU and affinity aggregate the pods that hold node
 	// resources (bound and not terminal): their CPU per node and in total,
-	// and their count per affinity key and node.
-	nodeCPU  map[string]int
-	boundCPU int
-	affinity map[affinityAt]int
+	// and their count per affinity key and node. capacityCPU sums the
+	// nodes' CPU.
+	nodeCPU     map[string]int
+	boundCPU    int
+	affinity    map[affinityAt]int
+	capacityCPU int
 	// ownerOf files every pod under an owner, none until OwnPodsBy sets it;
-	// owned holds each owner's pods by (ordinal, key).
+	// owned holds each owner's pods by (ordinal, key). spare holds the
+	// arrays of lists disown emptied, cleared, for the next new owner.
 	ownerOf func(*Pod) (owner string, ordinal int)
 	owned   map[string][]OwnedPod
+	spare   [][]OwnedPod
 	// nodes is what Nodes returns, in key order; nil after a node write
 	// until the next Nodes call builds a fresh slice, so one handed out
 	// earlier stays as it was and provisioning n nodes sorts once, not n
@@ -202,6 +206,12 @@ func (s *Store) put(kind Kind, key string, was, now Object) {
 	}
 	if kind == KindNode {
 		s.nodes = nil
+		if n, ok := was.(*Node); ok {
+			s.capacityCPU -= n.CapacityCPU
+		}
+		if n, ok := now.(*Node); ok {
+			s.capacityCPU += n.CapacityCPU
+		}
 	}
 }
 
@@ -246,12 +256,20 @@ func slot(list []OwnedPod, key string, ordinal int) int {
 }
 
 // own files a pod just stored under its owner; disown takes out one just
-// replaced or deleted.
+// replaced or deleted. A list disown empties leaves the index and its array,
+// cleared, goes on the spare stack, where own builds the next new owner's
+// list: the emulation's jobs come and go, so one job's array serves the next.
 func (s *Store) own(key string, p *Pod) {
-	if p.owner != "" {
-		list := s.owned[p.owner]
-		s.owned[p.owner] = slices.Insert(list, slot(list, key, p.ordinal), OwnedPod{p.ordinal, p})
+	if p.owner == "" {
+		return
 	}
+	list, ok := s.owned[p.owner]
+	if n := len(s.spare); !ok && n > 0 {
+		list = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	}
+	s.owned[p.owner] = slices.Insert(list, slot(list, key, p.ordinal), OwnedPod{p.ordinal, p})
 }
 
 func (s *Store) disown(key string, p *Pod) {
@@ -260,10 +278,12 @@ func (s *Store) disown(key string, p *Pod) {
 	}
 	list := s.owned[p.owner]
 	at := slot(list, key, p.ordinal)
+	// Delete zeroes the element it drops, so an emptied array holds no pod.
 	if list = slices.Delete(list, at, at+1); len(list) > 0 {
 		s.owned[p.owner] = list
 	} else {
 		delete(s.owned, p.owner)
+		s.spare = append(s.spare, list)
 	}
 }
 
@@ -497,6 +517,9 @@ func (s *Store) Nodes() []*Node {
 	s.stats.Visited += len(s.nodes)
 	return s.nodes
 }
+
+// CapacityCPU is the CPU of every node together.
+func (s *Store) CapacityCPU() int { return s.capacityCPU }
 
 // BoundCPU is the CPU held by bound, non-terminal pods across all nodes.
 func (s *Store) BoundCPU() int { return s.boundCPU }

@@ -95,7 +95,7 @@ func (c *Controller) reconcile(key string) {
 	}
 	names, ok := c.names[job.Name]
 	if !ok {
-		names = newJobNames(job.Name, max(job.Spec.MaxReplicas, 0))
+		names = newJobNames(job.Name, c.tableSize(job))
 		c.names[job.Name] = names
 	}
 
@@ -106,7 +106,7 @@ func (c *Controller) reconcile(key string) {
 	for len(workers) > 0 && workers[0].Ordinal < 0 {
 		workers = workers[1:]
 	}
-	desired := job.Spec.Replicas
+	desired := max(job.Spec.Replicas, 0) // the store does not validate a spec
 	failed := false
 	running, ready := 0, 0 // Running workers; those of them below desired
 	for _, p := range c.pods {
@@ -200,14 +200,19 @@ func (c *Controller) reconcile(key string) {
 	}
 
 	pending := job.Status.Phase == JobPending || job.Status.Phase == ""
+	if pending && desired == 0 {
+		return // nothing to launch on; a spec write re-enqueues the job
+	}
 	if !pending && desired == job.Status.LaunchedReplicas {
 		return // the application runs at the size the spec asks for
 	}
-	nodelist := runningNodelist(workers, desired)
+	// Ordinals are unique, so ready == desired says workers 0 to desired-1
+	// all run: the nodelist is the table's first desired workers.
+	nodelist, text := names.hosts(job.Name, desired)
 	switch {
 	case pending:
 		// First launch: write the nodelist, start the application.
-		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
@@ -218,7 +223,6 @@ func (c *Controller) reconcile(key string) {
 			st := &obj.(*CharmJob).Status
 			st.Phase = JobRunning
 			st.LaunchedReplicas = desired
-			st.Nodelist = nodelist
 		})
 
 	case desired < job.Status.LaunchedReplicas:
@@ -232,33 +236,32 @@ func (c *Controller) reconcile(key string) {
 				_ = c.store.Delete(k8s.KindPod, w.Pod.Key()) // it was just read
 			}
 		}
-		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
 			return
 		}
-		c.rescaled(key, nodelist)
+		c.rescaled(key)
 
 	default:
 		// Expand (§3.1): pods were added above and are running; update
 		// the nodelist, then signal the application.
-		if err := c.writeNodelist(job.Name, names.nodelist, nodelist); err != nil {
+		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
 			c.queue.Requeue(key)
 			return
 		}
-		c.rescaled(key, nodelist)
+		c.rescaled(key)
 	}
 }
 
 // rescaled records a shrink or expand the application has acknowledged in the
 // status of the job under key.
-func (c *Controller) rescaled(key string, nodelist []string) {
+func (c *Controller) rescaled(key string) {
 	_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
 		job := obj.(*CharmJob)
 		job.Status.Phase = JobRunning
 		job.Status.LaunchedReplicas = job.Spec.Replicas
-		job.Status.Nodelist = nodelist
 		job.Status.Rescales++
 	})
 }
@@ -275,7 +278,6 @@ func (c *Controller) restart(view *CharmJob) {
 		st.Phase = JobPending
 		st.LaunchedReplicas = 0
 		st.ReadyReplicas = 0
-		st.Nodelist = nil
 		st.Restarts++
 	})
 }
@@ -290,22 +292,18 @@ func (c *Controller) deletePods(job string) {
 	}
 }
 
-// runningNodelist returns the DNS-style names of the Running workers below
-// ordinal desired, in ordinal order.
-func runningNodelist(workers []k8s.OwnedPod, desired int) []string {
-	hosts := make([]string, 0, desired)
-	for _, w := range workers {
-		if w.Ordinal < desired && w.Pod.Status.Phase == k8s.PodRunning {
-			hosts = append(hosts, w.Pod.Name)
-		}
-	}
-	return hosts
+// tableSize is how many worker names a job's table holds: as many workers
+// as the job may run and the cluster's nodes can hold, so a spec the store
+// did not validate cannot size it past what could ever run.
+func (c *Controller) tableSize(job *CharmJob) int {
+	fit := c.store.CapacityCPU() / max(job.Spec.CPUPerWorker, 1)
+	return max(min(job.Spec.MaxReplicas, fit), 0)
 }
 
 // writeNodelist creates or updates the job's nodelist ConfigMap, named name,
-// which the Charm++ launcher mounts to find its workers (§3.1).
-func (c *Controller) writeNodelist(job, name string, hosts []string) error {
-	nodelist := strings.Join(hosts, "\n")
+// which the Charm++ launcher mounts to find its workers (§3.1): the text is
+// their names, newline-separated.
+func (c *Controller) writeNodelist(job, name, nodelist string) error {
 	if _, ok := c.store.View(k8s.KindConfigMap, name); ok {
 		return c.store.Modify(k8s.KindConfigMap, name, func(obj k8s.Object) {
 			obj.(*k8s.ConfigMap).Data["nodelist"] = nodelist
@@ -337,7 +335,6 @@ func (c *Controller) Preempt(jobName string) error {
 		st.Phase = JobPreempted
 		st.LaunchedReplicas = 0
 		st.ReadyReplicas = 0
-		st.Nodelist = nil
 		st.Preemptions++
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package operator
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,5 +224,64 @@ func TestWorkerIndexIsStrict(t *testing.T) {
 	}
 	if launches != 1 {
 		t.Errorf("launches = %d, want 1", launches)
+	}
+}
+
+// TestReconcileSurvivesUnvalidatedSpecs: the store does not validate a
+// CharmJob, so reconcile meets specs Validate would refuse. Replicas -1
+// panicked building a nodelist of capacity -1, and MaxReplicas 1<<40 sized
+// the job's name table for 2^40 workers and ran the process out of memory.
+// The table is sized by what the cluster could run, negative replicas read
+// as none, and a job asking for none is never launched; Replicas past
+// MaxReplicas launches that many, named past the table by WorkerName.
+func TestReconcileSurvivesUnvalidatedSpecs(t *testing.T) {
+	for _, row := range []struct {
+		name                  string
+		replicas, maxReplicas int
+		wantWorkers, launches int
+	}{
+		{"negative replicas", -1, 64, 0, 0},
+		{"max replicas 1<<40", 2, 1 << 40, 2, 1},
+		{"replicas over max", 6, 4, 6, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			loop, store, _, app := testRig(t, 4, 16)
+			job := mkJob("j1", row.replicas)
+			job.Spec.MaxReplicas = row.maxReplicas
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := store.Create(job); err != nil {
+				t.Fatal(err)
+			}
+			loop.RunUntilIdle()
+			runtime.ReadMemStats(&after)
+			if got := len(workersOf(store, "j1")); got != row.wantWorkers {
+				t.Errorf("%d worker pods, want %d", got, row.wantWorkers)
+			}
+			if app.launches != row.launches {
+				t.Errorf("%d launches, want %d", app.launches, row.launches)
+			}
+			if row.launches == 0 {
+				return
+			}
+			want := make([]string, row.wantWorkers)
+			for i := range want {
+				want[i] = WorkerName("j1", i)
+			}
+			if !reflect.DeepEqual(app.lastNodelist, want) {
+				t.Errorf("launched on %q, want %q", app.lastNodelist, want)
+			}
+			cm, ok := store.View(k8s.KindConfigMap, NodelistName("j1"))
+			if !ok {
+				t.Fatal("nodelist ConfigMap missing")
+			}
+			if text := cm.(*k8s.ConfigMap).Data["nodelist"]; text != strings.Join(want, "\n") {
+				t.Errorf("nodelist ConfigMap holds %q, want %q", text, strings.Join(want, "\n"))
+			}
+			// A launch of a few workers allocates some tens of kilobytes.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("the launch allocated %d bytes, want at most 1 MiB", alloc)
+			}
+		})
 	}
 }

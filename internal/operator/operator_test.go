@@ -3,6 +3,7 @@ package operator
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,8 +163,12 @@ func TestControllerShrinkProtocol(t *testing.T) {
 	if job.Status.LaunchedReplicas != 4 || job.Status.Rescales != 1 {
 		t.Errorf("status = %+v", job.Status)
 	}
-	if len(job.Status.Nodelist) != 4 {
-		t.Errorf("nodelist = %v", job.Status.Nodelist)
+	cm, ok := store.View(k8s.KindConfigMap, NodelistName("j1"))
+	if !ok {
+		t.Fatal("nodelist ConfigMap missing")
+	}
+	if text := cm.(*k8s.ConfigMap).Data["nodelist"]; len(strings.Split(text, "\n")) != 4 {
+		t.Errorf("nodelist = %q, want 4 lines", text)
 	}
 }
 

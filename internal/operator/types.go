@@ -76,10 +76,9 @@ type CharmJobStatus struct {
 	// ReadyReplicas is the number of Running worker pods.
 	ReadyReplicas int
 	// LaunchedReplicas is the worker count the application currently runs
-	// with (updated after each completed rescale).
+	// with (updated after each completed rescale). The workers it runs on
+	// are listed in the job's nodelist ConfigMap (NodelistName).
 	LaunchedReplicas int
-	// Nodelist is the worker list handed to the Charm++ runtime.
-	Nodelist []string
 	// Rescales counts completed shrink/expand operations.
 	Rescales int
 	// Restarts counts failure-triggered relaunches (§3.2.2 fault
@@ -106,7 +105,6 @@ func (j *CharmJob) Kind() k8s.Kind { return k8s.KindCharmJob }
 func (j *CharmJob) DeepCopy() k8s.Object {
 	cp := *j
 	cp.Labels = maps.Clone(j.Labels)
-	cp.Status.Nodelist = append([]string(nil), j.Status.Nodelist...)
 	return &cp
 }
 
@@ -144,10 +142,26 @@ func LauncherName(job string) string { return job + "-launcher" }
 func NodelistName(job string) string { return job + "-nodelist" }
 
 // jobNames is a job's name table: the names of its launcher, its nodelist
-// and its workers 0 to len(workers)-1, all cut from one string.
+// and its workers 0 to len(workers)-1, all cut from one string. The worker
+// names follow one another in it newline-separated; list is that run, the
+// nodelist of every worker in the table.
 type jobNames struct {
 	launcher, nodelist string
 	workers            []string
+	list               string
+}
+
+// listLen is the length of the nodelist of a job's workers 0 to n-1: their
+// names, newline-separated.
+func listLen(job string, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	size := n*(len(job)+len(workerInfix)+2) - 1 // a digit and a newline each, bar the last newline
+	for p := 10; p < n; p *= 10 {
+		size += n - p // the ordinals from p up carry another digit
+	}
+	return size
 }
 
 // newJobNames builds the name table of a job with n workers in one presized
@@ -156,12 +170,8 @@ type jobNames struct {
 // stack when they fit its 32-byte buffer; a worker's is WorkerName's format.
 func newJobNames(job string, n int) jobNames {
 	launcher, nodelist := LauncherName(job), NodelistName(job)
-	size := len(launcher) + len(nodelist) + n*(len(job)+len(workerInfix)+1)
-	for p := 10; p < n; p *= 10 {
-		size += n - p // the ordinals from p up carry another digit
-	}
 	var b strings.Builder
-	b.Grow(size)
+	b.Grow(len(launcher) + len(nodelist) + listLen(job, n))
 	b.WriteString(launcher)
 	b.WriteString(nodelist)
 	// A string the builder handed out stays valid as it grows, so each name
@@ -171,20 +181,25 @@ func newJobNames(job string, n int) jobNames {
 		nodelist: b.String()[len(launcher):],
 		workers:  make([]string, n),
 	}
+	start := b.Len()
 	var digits [20]byte
 	for i := range names.workers {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
 		at := b.Len()
 		b.WriteString(job)
 		b.WriteString(workerInfix)
 		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
 		names.workers[i] = b.String()[at:]
 	}
+	names.list = b.String()[start:]
 	return names
 }
 
 // worker returns worker i's name: the table's, or WorkerName's past its end.
 // The store does not validate a CharmJob, so Spec.Replicas may exceed the
-// MaxReplicas the table was built for.
+// table, which is sized for what the job may and the cluster can run.
 func (n jobNames) worker(job string, i int) string {
 	if i < len(n.workers) {
 		return n.workers[i]
@@ -192,11 +207,30 @@ func (n jobNames) worker(job string, i int) string {
 	return WorkerName(job, i)
 }
 
+// hosts returns the nodelist of workers 0 to d-1: their names in ordinal
+// order and the same names newline-separated, the text the launcher mounts.
+// Within the table both are cut from it, and the slice is capped, so an
+// append to it cannot write into the table; past its end they are built.
+func (n jobNames) hosts(job string, d int) ([]string, string) {
+	if d <= len(n.workers) {
+		return n.workers[:d:d], n.list[:listLen(job, d)]
+	}
+	hosts := make([]string, d)
+	for i := range hosts {
+		hosts[i] = n.worker(job, i)
+	}
+	return hosts, strings.Join(hosts, "\n")
+}
+
 // AppRuntime is the controller's channel to the running Charm++ application
 // — the CCS interface in the real system. Launch/Shrink/Expand block until
 // the application acknowledges (the controller relies on the shrink ack
 // before deleting pods). The cluster emulation implements this with the
 // modelled application; examples implement it with a real charm.Runtime.
+//
+// A nodelist handed to Launch or Expand is a read-only view of the
+// controller's name table for the job: it stays valid after the call, but
+// an implementation must not write into it.
 type AppRuntime interface {
 	// Launch starts the application on the given worker nodelist.
 	Launch(job *CharmJob, nodelist []string) error
