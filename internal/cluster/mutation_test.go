@@ -182,22 +182,24 @@ func (m watchedMember) Run(w workload.Workload) (sim.Result, []core.Decision, er
 // TestViewShadowReportsWriteThroughs plants a consumer that writes through a
 // view where each of the shadow's checks looks — a delivered pod's spec (the
 // scan of stored views), the labels map a deleted launcher's versions shared
-// (the labels kept by identity) and a CharmJob view a later event supersedes
-// (the superseded check) — and requires a report from that check. The same
-// run with nothing planted must report nothing.
+// and a labels map its creator wrote after handing it to Create, which keeps
+// it (the labels kept by identity), and a CharmJob view a later event
+// supersedes (the superseded check) — and requires a report from that check.
+// The same run with nothing planted must report nothing.
 func TestViewShadowReportsWriteThroughs(t *testing.T) {
+	var handedOver map[string]string // the labels the labels-after-create consumer gave Create
 	plants := []struct {
 		name  string
 		kind  k8s.Kind
-		write func(k8s.Event) bool // writes through the event's view, or reports false
+		write func(*k8s.Store, k8s.Event) bool // writes through the event's view, or reports false
 		want  string
 	}{
 		{name: "unplanted"},
-		{"pod-spec", k8s.KindPod, func(ev k8s.Event) bool {
+		{"pod-spec", k8s.KindPod, func(_ *k8s.Store, ev k8s.Event) bool {
 			ev.Object.(*k8s.Pod).Spec.ShmBytes++
 			return true
 		}, "view of Pod"},
-		{"shared-labels", k8s.KindPod, func(ev k8s.Event) bool {
+		{"shared-labels", k8s.KindPod, func(_ *k8s.Store, ev k8s.Event) bool {
 			p := ev.Object.(*k8s.Pod)
 			if ev.Type != k8s.Deleted || p.Labels["role"] != "launcher" {
 				return false
@@ -205,7 +207,22 @@ func TestViewShadowReportsWriteThroughs(t *testing.T) {
 			p.Labels["planted"] = "yes"
 			return true
 		}, "the labels views of"},
-		{"superseded-charmjob", k8s.KindCharmJob, func(ev k8s.Event) bool {
+		// The consumer creates a ConfigMap when the first nodelist arrives
+		// and writes its labels once the shadow has seen it stored.
+		{"labels-after-create", k8s.KindConfigMap, func(store *k8s.Store, ev k8s.Event) bool {
+			if ev.Object.Meta().Name == "planted" {
+				handedOver["planted"] = "yes"
+				return true
+			}
+			if handedOver == nil {
+				handedOver = map[string]string{"planted": "no"}
+				// Refused, it is never delivered, and the row fails as
+				// never written.
+				_ = store.Create(&k8s.ConfigMap{ObjectMeta: k8s.ObjectMeta{Name: "planted", Labels: handedOver}})
+			}
+			return false
+		}, `the labels views of "planted"`},
+		{"superseded-charmjob", k8s.KindCharmJob, func(_ *k8s.Store, ev k8s.Event) bool {
 			ev.Object.(*operator.CharmJob).Status.Restarts++
 			return true
 		}, "superseded view of CharmJob"},
@@ -216,7 +233,7 @@ func TestViewShadowReportsWriteThroughs(t *testing.T) {
 			wrote := false
 			_, _, err := runWatched(&got, cluster.DefaultConfig(core.Elastic), workload.MustUniform(4, 30, 5), func(c *cluster.Cluster) {
 				if p.write != nil {
-					c.Store.Subscribe(p.kind, func(ev k8s.Event) { wrote = wrote || p.write(ev) })
+					c.Store.Subscribe(p.kind, func(ev k8s.Event) { wrote = wrote || p.write(c.Store, ev) })
 				}
 			})
 			if err != nil {

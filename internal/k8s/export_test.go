@@ -11,5 +11,6 @@ func (s *Store) Get(kind Kind, key string) (Object, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.copyOf(obj), true
+	s.stats.Copied++
+	return obj.DeepCopy(), true
 }

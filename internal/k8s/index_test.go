@@ -327,8 +327,11 @@ func storeOps(t *testing.T, data []byte) {
 		wantErr := !live[key]
 		switch op % 8 {
 		case 0, 1:
+			// Create keeps the maps it is handed, so the reference gets a
+			// pod of its own: a write into one store's labels must not show
+			// in the other's too and pass the comparison.
 			wantErr = live[key]
-			err, refErr = store.Create(pod), ref.Create(pod)
+			err, refErr = store.Create(pod), ref.Create(pod.DeepCopy())
 			live[key] = true
 		case 2:
 			if op&32 == 0 {

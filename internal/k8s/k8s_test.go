@@ -133,6 +133,86 @@ func TestPodWritesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestSlabsDoubleUpToTheirSizeClass holds every kind's slab to its growth
+// rule: a slab the store makes at a kind's first Create holds one version,
+// each refill doubles it, and no slab, the pods' included, outgrows
+// slabBytes. A Node's slabs reach 139 slots; a Pod's hold 63 from the first.
+func TestSlabsDoubleUpToTheirSizeClass(t *testing.T) {
+	nodes := slab[Node]{next: 1}
+	if got, want := refills(&nodes, 394), []int{1, 2, 4, 8, 16, 32, 64, 128, 139}; !reflect.DeepEqual(got, want) {
+		t.Errorf("node slabs of %v slots, want %v", got, want)
+	}
+	pods := NewStore(NewEventLoop(t0)).podSlab
+	if got, want := refills(&pods, 126), []int{63, 63}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pod slabs of %v slots, want %v", got, want)
+	}
+	for _, full := range []uintptr{139 * unsafe.Sizeof(Node{}), podSlabSize * unsafe.Sizeof(Pod{})} {
+		if full+8 > slabBytes {
+			t.Errorf("a full slab takes %d bytes, past the %d-byte size class", full+8, slabBytes)
+		}
+	}
+}
+
+// refills takes n slots from b and returns the size of each slab it made.
+func refills[T any](b *slab[T], n int) []int {
+	var sizes []int
+	for i := 0; i < n; i++ {
+		empty := len(b.free) == 0
+		b.slot()
+		if empty {
+			sizes = append(sizes, len(b.free)+1)
+		}
+	}
+	return sizes
+}
+
+// unregistered is a kind the scheme does not hold.
+type unregistered struct{ ObjectMeta }
+
+func (u *unregistered) Meta() *ObjectMeta { return &u.ObjectMeta }
+func (u *unregistered) Kind() Kind        { return "Unregistered" }
+func (u *unregistered) DeepCopy() Object  { cp := *u; return &cp }
+
+// TestCreateKeepsTheMapsItIsHanded pins Create's contract: the version it
+// stores is a copy of the caller's struct, so writing that struct afterwards
+// leaves the view as it was, but it shares the caller's maps — a pod's or a
+// node's labels, a ConfigMap's labels and data — by identity, and no Create
+// counts a deep copy. A kind the scheme does not hold is refused.
+func TestCreateKeepsTheMapsItIsHanded(t *testing.T) {
+	store := NewStore(NewEventLoop(t0))
+	pod := mkPod("p", 1, "a")
+	node := &Node{ObjectMeta: ObjectMeta{Name: "n", Labels: map[string]string{"zone": "a"}}, CapacityCPU: 16}
+	cm := &ConfigMap{ObjectMeta: ObjectMeta{Name: "c", Labels: map[string]string{"charmjob": "j"}}, Data: map[string]string{"nodelist": "w0"}}
+	for _, obj := range []Object{pod, node, cm} {
+		if err := store.Create(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pod.Spec.CPU, pod.Status.Phase = 99, PodFailed
+	node.CapacityCPU = 99
+	cm.Name, cm.ResourceVersion = "renamed", 99
+
+	same := func(a, b map[string]string) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	v, _ := store.View(KindPod, "p")
+	if p := v.(*Pod); p == pod || p.Spec.CPU != 1 || p.Status.Phase != PodPending || !same(p.Labels, pod.Labels) {
+		t.Errorf("stored pod %+v: its struct must be a copy of the caller's, its labels the caller's map", p)
+	}
+	v, _ = store.View(KindNode, "n")
+	if n := v.(*Node); n == node || n.CapacityCPU != 16 || !same(n.Labels, node.Labels) {
+		t.Errorf("stored node %+v: its struct must be a copy of the caller's, its labels the caller's map", n)
+	}
+	v, _ = store.View(KindConfigMap, "c")
+	if c := v.(*ConfigMap); c == cm || c.Name != "c" || c.ResourceVersion == 99 || !same(c.Labels, cm.Labels) || !same(c.Data, cm.Data) {
+		t.Errorf("stored configmap %+v: its struct must be a copy of the caller's, its labels and data the caller's maps", c)
+	}
+	if copied := store.Stats().Copied; copied != 0 {
+		t.Errorf("three Creates counted %d deep copies, want 0", copied)
+	}
+	if err := store.Create(&unregistered{ObjectMeta{Name: "u"}}); err == nil {
+		t.Error("Create stored a kind the scheme does not hold")
+	}
+}
+
 func TestStoreGetReturnsCopy(t *testing.T) {
 	loop := NewEventLoop(t0)
 	store := NewStore(loop)
@@ -235,6 +315,37 @@ func TestSchedulerAffinityPacksJobPods(t *testing.T) {
 	}
 	if len(nodes) != 1 {
 		t.Errorf("job pods spread across %d nodes, want 1 (affinity packing): %v", len(nodes), nodes)
+	}
+}
+
+// TestSchedulerAffinityOutranksFreeCPU: a job's pod goes to the node that runs
+// its other pods, however much more CPU another node has free. The script
+// leaves node-0 with the job's launcher and nothing else, node-1 a quarter
+// free; a score of affinity×1000 − free CPU sent the worker to node-1 once
+// nodes had 1,000 vCPU or more.
+func TestSchedulerAffinityOutranksFreeCPU(t *testing.T) {
+	for _, cpu := range []int{16, 2000} {
+		t.Run(fmt.Sprintf("cpu=%d", cpu), func(t *testing.T) {
+			loop, store, _, _ := newCluster(t, 2, cpu)
+			place := func(pod *Pod, want string) {
+				t.Helper()
+				if err := store.Create(pod); err != nil {
+					t.Fatal(err)
+				}
+				loop.RunUntilIdle()
+				if v, _ := store.View(KindPod, pod.Name); v.(*Pod).Spec.NodeName != want {
+					t.Errorf("%s bound to %q, want %q", pod.Name, v.(*Pod).Spec.NodeName, want)
+				}
+			}
+			place(mkPod("filler", cpu/2, ""), "node-0")
+			place(mkPod("j-launcher", 0, "j"), "node-0") // the fuller node
+			place(mkPod("big", cpu*3/4, ""), "node-1")   // node-0 has too little free
+			if err := store.Delete(KindPod, "filler"); err != nil {
+				t.Fatal(err)
+			}
+			loop.RunUntilIdle()
+			place(mkPod("j-worker-0", 1, "j"), "node-0") // affinity over node-1's fuller bin
+		})
 	}
 }
 

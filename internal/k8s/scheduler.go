@@ -70,19 +70,22 @@ func (ps *PodScheduler) schedule(key string) {
 		return
 	}
 
-	// Filter on CPU, then score: affinity dominates (pods of the same job
+	// Filter on CPU, then rank: affinity dominates (pods of the same job
 	// pack together for communication locality), then bin-packing (prefer
-	// fuller nodes so large jobs find whole free nodes), then name.
+	// fuller nodes so large jobs find whole free nodes), then name. The
+	// three are compared in turn, so no amount of free CPU outweighs one
+	// pod of affinity.
 	var best *Node
-	bestScore := 0
+	bestAffinity, bestFree := 0, 0
 	for _, n := range ps.store.Nodes() {
 		free := n.CapacityCPU - ps.store.NodeBoundCPU(n.Name)
 		if free < pod.Spec.CPU {
 			continue
 		}
-		score := ps.store.AffinityCount(pod.Spec.AffinityKey, n.Name)*1000 - free
-		if best == nil || score > bestScore || score == bestScore && n.Name < best.Name {
-			best, bestScore = n, score
+		affinity := ps.store.AffinityCount(pod.Spec.AffinityKey, n.Name)
+		if best == nil || affinity > bestAffinity ||
+			affinity == bestAffinity && (free < bestFree || free == bestFree && n.Name < best.Name) {
+			best, bestAffinity, bestFree = n, affinity, free
 		}
 	}
 	if best == nil {

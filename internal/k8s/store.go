@@ -2,11 +2,11 @@ package k8s
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Store is the API server's object store: versioned CRUD plus watch
@@ -21,25 +21,32 @@ import (
 // unchanged, for as long as the caller holds them. A caller that wants to
 // change an object calls Modify, which copies the stored object once and
 // hands that copy to the caller's function to change before it is stored;
-// the caller takes no copy of its own. Update stores a copy of whatever it is
-// given, a view included. A pod's binding and status have their own writes,
+// the caller takes no copy of its own. Update stores a deep copy of whatever
+// it is given, a view included. Create stores a copy of the object's struct
+// that shares its maps (its labels, a ConfigMap's data): the caller must not
+// write those maps once it has handed them over, the contract client-go's
+// informer cache sets. A pod's binding and status have their own writes,
 // Bind and SetPodStatus, which store a copy that shares the old version's
 // labels.
 //
-// Every pod version the store keeps is a slot of a slab of podSlabSize pods,
-// allocated together. A slot is handed out once, written only before the
-// write that stores it, and never reused, so pod views behave as any other
-// view. The price is retention: a version anyone still holds keeps its whole
-// slab reachable, so the memory a store pins is bounded by its live versions
-// times one slab (about 12 KiB), not by its history.
+// Every version a Create, Modify, Bind or SetPodStatus stores, of any kind,
+// is a slot of a slab of versions of that kind, allocated together (slab);
+// Update, which the emulation never calls, stores the object's DeepCopy. A
+// slot is handed out once, written only before the write that stores it, and
+// never reused, so a view is a view whatever slab it sits in. The price is
+// retention: a version anyone still holds keeps its whole slab reachable, so
+// the memory a store pins is bounded by its live versions times one slab (at
+// most about 12 KiB), not by its history.
 type Store struct {
 	loop *EventLoop
 	// pods holds the pods by key, apart from the other kinds so that no pod
 	// read or write hashes its kind; items holds every other kind.
 	pods  map[string]*Pod
 	items map[Kind]map[string]Object
-	// podSlab is what remains of the slab the next pod version comes from.
-	podSlab []Pod
+	// podSlab holds the slots of the next pod versions; slabs every other
+	// kind's, each made at the kind's first Create from its scheme entry.
+	podSlab slab[Pod]
+	slabs   map[Kind]versions
 	// nodeCPU, boundCPU and affinity aggregate the pods that hold node
 	// resources (bound and not terminal): their CPU per node and in total,
 	// and their count per affinity key and node. capacityCPU sums the
@@ -86,10 +93,9 @@ type OwnedPod struct {
 type affinityAt struct{ key, node string }
 
 // podSlabSize is how many pod versions one allocation holds: 63 pods of 192
-// bytes and the 8-byte header Go puts on a pointerful object above 512 bytes
-// come to 12,104 bytes, inside the 12,288-byte size class. A 64th slot would
-// round the slab up to the next class, 13,568 bytes.
-const podSlabSize = 63
+// bytes and the 8-byte header come to 12,104 bytes, inside slabBytes. A 64th
+// slot would round the slab up to the next size class, 13,568 bytes.
+const podSlabSize = (slabBytes - 8) / unsafe.Sizeof(Pod{})
 
 // StoreStats counts what the store has done. Every field is a pure function
 // of the calls made, so a run's counters repeat exactly on any host.
@@ -101,11 +107,10 @@ type StoreStats struct {
 	// they examined.
 	Scans   int
 	Visited int
-	// Copied counts the deep copies the store made (Create, Update,
-	// Modify, and the tests' Get): the copies that clone a labels map. Bind
-	// and SetPodStatus make none, nor does a Create whose pod shares its
-	// labels; their versions are slab slots that share the labels they were
-	// given.
+	// Copied counts the deep copies the store made (Update, Modify, and
+	// the tests' Get): the copies that clone an object's maps. Create, Bind
+	// and SetPodStatus make none: their versions are slab slots that share
+	// the maps they were given.
 	Copied int
 }
 
@@ -115,6 +120,8 @@ func NewStore(loop *EventLoop) *Store {
 		loop:     loop,
 		pods:     make(map[string]*Pod),
 		items:    make(map[Kind]map[string]Object),
+		podSlab:  slab[Pod]{next: int(podSlabSize)},
+		slabs:    make(map[Kind]versions),
 		nodeCPU:  make(map[string]int),
 		affinity: make(map[affinityAt]int),
 		ownerOf:  func(*Pod) (string, int) { return "", 0 },
@@ -150,28 +157,10 @@ func (s *Store) deliverOldest() {
 	}
 }
 
-// copyOf and podCopy are the store's deep-copy sites: podCopy makes the
-// pod version a write stores, copyOf every other copy.
-func (s *Store) copyOf(obj Object) Object {
-	s.stats.Copied++
-	return obj.DeepCopy()
-}
-
-func (s *Store) podCopy(p *Pod) *Pod {
-	s.stats.Copied++
-	v := s.newVersion(p)
-	v.Labels = maps.Clone(p.Labels)
-	return v
-}
-
 // newVersion is a fresh slab slot holding a copy of p, labels map shared: the
 // pod version a write is about to store.
 func (s *Store) newVersion(p *Pod) *Pod {
-	if len(s.podSlab) == 0 {
-		s.podSlab = make([]Pod, podSlabSize)
-	}
-	v := &s.podSlab[0]
-	s.podSlab = s.podSlab[1:]
+	v := s.podSlab.slot()
 	*v = *p
 	return v
 }
@@ -287,41 +276,34 @@ func (s *Store) disown(key string, p *Pod) {
 	}
 }
 
-// created is the pod Create stores for p: a copy filed under p's owner that
-// shares its labels map with a pod already filed there whose labels are equal
-// — all of a job's workers carry one set — and is a deep copy otherwise.
-func (s *Store) created(p *Pod) *Pod {
-	owner, ordinal := s.ownerOf(p)
-	var cp *Pod
-	list := s.owned[owner]
-	for i := len(list) - 1; i >= 0 && cp == nil; i-- {
-		if maps.Equal(list[i].Pod.Labels, p.Labels) {
-			cp = s.newVersion(p)
-			cp.Labels = list[i].Pod.Labels
-		}
-	}
-	if cp == nil {
-		cp = s.podCopy(p)
-	}
-	cp.owner, cp.ordinal = owner, ordinal
-	return cp
-}
-
-// Create inserts a new object. The stored copy gets a fresh UID, resource
-// version, and creation timestamp.
+// Create inserts a new object: a slab slot holding a copy of obj's struct,
+// which shares obj's maps — the caller must not write them afterwards — and
+// gets a fresh UID, resource version, and creation timestamp. The kind must
+// be one the scheme holds.
 func (s *Store) Create(obj Object) error {
 	kind, key := obj.Kind(), obj.Meta().Key()
 	if _, exists := s.View(kind, key); exists {
 		return fmt.Errorf("k8s: %s %q already exists", kind, key)
 	}
-	s.version++
-	s.uid++
 	var cp Object
 	if p, ok := obj.(*Pod); ok {
-		cp = s.created(p)
+		v := s.newVersion(p)
+		v.owner, v.ordinal = s.ownerOf(p)
+		cp = v
 	} else {
-		cp = s.copyOf(obj)
+		slab, ok := s.slabs[kind]
+		if !ok {
+			made, known := scheme[kind]
+			if !known {
+				return fmt.Errorf("k8s: no kind %q registered", kind)
+			}
+			slab = made()
+			s.slabs[kind] = slab
+		}
+		cp = slab.shallow(obj)
 	}
+	s.version++
+	s.uid++
 	m := cp.Meta()
 	m.UID = s.uid
 	m.ResourceVersion = s.version
@@ -332,16 +314,18 @@ func (s *Store) Create(obj Object) error {
 	return nil
 }
 
-// Update replaces an existing object with a copy of obj, bumping its
+// Update replaces an existing object with obj's DeepCopy, bumping its
 // resource version. obj may be a view: the stored object is swapped out, not
-// written into.
+// written into. Its version is the one a slab does not hold: only tests and
+// the store's benchmark probe call Update, never the emulation.
 func (s *Store) Update(obj Object) error {
 	kind, key := obj.Kind(), obj.Meta().Key()
 	old, exists := s.View(kind, key)
 	if !exists {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
-	s.replace(kind, key, old, s.private(obj))
+	s.stats.Copied++
+	s.replace(kind, key, old, obj.DeepCopy())
 	return nil
 }
 
@@ -364,13 +348,21 @@ func (s *Store) Modify(kind Kind, key string, fn func(Object)) error {
 	return nil
 }
 
-// private is the copy of obj a write stores: for a pod a slab slot with its
-// own labels map, for every other kind a deep copy.
+// Modify is Store.Modify for the kind of T, whose copy fn receives as a *T.
+func Modify[T any, P Versioned[T]](s *Store, key string, fn func(P)) error {
+	return s.Modify(P(nil).Kind(), key, func(obj Object) { fn(obj.(P)) })
+}
+
+// private is the copy of obj, a stored object, that Modify hands its function:
+// a slab slot with maps of its own.
 func (s *Store) private(obj Object) Object {
+	s.stats.Copied++
 	if p, ok := obj.(*Pod); ok {
-		return s.podCopy(p)
+		v := s.podSlab.slot()
+		p.DeepCopyInto(v)
+		return v
 	}
-	return s.copyOf(obj)
+	return s.slabs[obj.Kind()].deep(obj)
 }
 
 // replace is the tail of Update and Modify: it stores cp, the caller's

@@ -110,11 +110,17 @@ func (p *Pod) terminal() bool {
 	return p.Status.Phase == PodSucceeded || p.Status.Phase == PodFailed
 }
 
+// DeepCopyInto copies p into out, labels map and all.
+func (p *Pod) DeepCopyInto(out *Pod) {
+	*out = *p
+	out.Labels = maps.Clone(p.Labels)
+}
+
 // DeepCopy implements Object.
 func (p *Pod) DeepCopy() Object {
-	cp := *p
-	cp.Labels = maps.Clone(p.Labels)
-	return &cp
+	cp := new(Pod)
+	p.DeepCopyInto(cp)
+	return cp
 }
 
 // Node is a schedulable node.
@@ -131,11 +137,17 @@ func (n *Node) Meta() *ObjectMeta { return &n.ObjectMeta }
 // Kind implements Object.
 func (n *Node) Kind() Kind { return KindNode }
 
+// DeepCopyInto copies n into out, labels map and all.
+func (n *Node) DeepCopyInto(out *Node) {
+	*out = *n
+	out.Labels = maps.Clone(n.Labels)
+}
+
 // DeepCopy implements Object.
 func (n *Node) DeepCopy() Object {
-	cp := *n
-	cp.Labels = maps.Clone(n.Labels)
-	return &cp
+	cp := new(Node)
+	n.DeepCopyInto(cp)
+	return cp
 }
 
 // ConfigMap stores small configuration payloads (the operator's nodelist).
@@ -150,12 +162,18 @@ func (c *ConfigMap) Meta() *ObjectMeta { return &c.ObjectMeta }
 // Kind implements Object.
 func (c *ConfigMap) Kind() Kind { return KindConfigMap }
 
+// DeepCopyInto copies c into out, labels and data maps and all.
+func (c *ConfigMap) DeepCopyInto(out *ConfigMap) {
+	*out = *c
+	out.Labels = maps.Clone(c.Labels)
+	out.Data = maps.Clone(c.Data)
+}
+
 // DeepCopy implements Object.
 func (c *ConfigMap) DeepCopy() Object {
-	cp := *c
-	cp.Labels = maps.Clone(c.Labels)
-	cp.Data = maps.Clone(c.Data)
-	return &cp
+	cp := new(ConfigMap)
+	c.DeepCopyInto(cp)
+	return cp
 }
 
 // EventType describes a store change.

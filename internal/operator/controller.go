@@ -136,9 +136,7 @@ func (c *Controller) reconcile(key string) {
 	if job.Status.ReadyReplicas != running {
 		// The write re-enqueues this key; continue there with fresh
 		// state.
-		_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
-			obj.(*CharmJob).Status.ReadyReplicas = running
-		})
+		_ = k8s.Modify(c.store, key, func(job *CharmJob) { job.Status.ReadyReplicas = running })
 		return
 	}
 
@@ -146,10 +144,7 @@ func (c *Controller) reconcile(key string) {
 	// slot, mirroring the MPI Operator layout).
 	if _, ok := c.store.View(k8s.KindPod, names.launcher); !ok {
 		launcher := &k8s.Pod{
-			ObjectMeta: k8s.ObjectMeta{
-				Name:   names.launcher,
-				Labels: map[string]string{"charmjob": job.Name, "role": "launcher"},
-			},
+			ObjectMeta: k8s.ObjectMeta{Name: names.launcher, Labels: names.launcherLabels},
 			// The launcher is lightweight; it does not reserve a
 			// worker slot (the paper's experiments size jobs up to
 			// the full 64 vCPUs).
@@ -162,8 +157,8 @@ func (c *Controller) reconcile(key string) {
 	}
 
 	// Create missing worker pods up to Spec.Replicas; next walks the
-	// workers beside the ordinals. The store keeps a copy of what Create is
-	// given, so one pod, renamed, describes them all.
+	// workers beside the ordinals. The store keeps a copy of the struct
+	// Create is given, so one pod, renamed, describes them all.
 	var worker *k8s.Pod
 	next := 0
 	for i := 0; i < desired; i++ {
@@ -175,7 +170,7 @@ func (c *Controller) reconcile(key string) {
 		}
 		if worker == nil {
 			worker = &k8s.Pod{
-				ObjectMeta: k8s.ObjectMeta{Labels: map[string]string{"charmjob": job.Name, "role": "worker"}},
+				ObjectMeta: k8s.ObjectMeta{Labels: names.workerLabels},
 				Spec: k8s.PodSpec{
 					CPU:         job.Spec.CPUPerWorker,
 					ShmBytes:    job.Spec.ShmBytes,
@@ -212,17 +207,16 @@ func (c *Controller) reconcile(key string) {
 	switch {
 	case pending:
 		// First launch: write the nodelist, start the application.
-		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
+		if err := c.writeNodelist(&names, text); err != nil {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
 			c.queue.Requeue(key)
 			return
 		}
-		_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
-			st := &obj.(*CharmJob).Status
-			st.Phase = JobRunning
-			st.LaunchedReplicas = desired
+		_ = k8s.Modify(c.store, key, func(job *CharmJob) {
+			job.Status.Phase = JobRunning
+			job.Status.LaunchedReplicas = desired
 		})
 
 	case desired < job.Status.LaunchedReplicas:
@@ -236,7 +230,7 @@ func (c *Controller) reconcile(key string) {
 				_ = c.store.Delete(k8s.KindPod, w.Pod.Key()) // it was just read
 			}
 		}
-		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
+		if err := c.writeNodelist(&names, text); err != nil {
 			return
 		}
 		c.rescaled(key)
@@ -244,7 +238,7 @@ func (c *Controller) reconcile(key string) {
 	default:
 		// Expand (§3.1): pods were added above and are running; update
 		// the nodelist, then signal the application.
-		if err := c.writeNodelist(job.Name, names.nodelist, text); err != nil {
+		if err := c.writeNodelist(&names, text); err != nil {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
@@ -258,8 +252,7 @@ func (c *Controller) reconcile(key string) {
 // rescaled records a shrink or expand the application has acknowledged in the
 // status of the job under key.
 func (c *Controller) rescaled(key string) {
-	_ = c.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
-		job := obj.(*CharmJob)
+	_ = k8s.Modify(c.store, key, func(job *CharmJob) {
 		job.Status.Phase = JobRunning
 		job.Status.LaunchedReplicas = job.Spec.Replicas
 		job.Status.Rescales++
@@ -273,8 +266,8 @@ func (c *Controller) restart(view *CharmJob) {
 		c.app.Stop(view)
 	}
 	c.deletePods(view.Name)
-	_ = c.store.Modify(k8s.KindCharmJob, view.Key(), func(obj k8s.Object) {
-		st := &obj.(*CharmJob).Status
+	_ = k8s.Modify(c.store, view.Key(), func(job *CharmJob) {
+		st := &job.Status
 		st.Phase = JobPending
 		st.LaunchedReplicas = 0
 		st.ReadyReplicas = 0
@@ -300,17 +293,21 @@ func (c *Controller) tableSize(job *CharmJob) int {
 	return max(min(job.Spec.MaxReplicas, fit), 0)
 }
 
-// writeNodelist creates or updates the job's nodelist ConfigMap, named name,
-// which the Charm++ launcher mounts to find its workers (§3.1): the text is
-// their names, newline-separated.
-func (c *Controller) writeNodelist(job, name, nodelist string) error {
-	if _, ok := c.store.View(k8s.KindConfigMap, name); ok {
-		return c.store.Modify(k8s.KindConfigMap, name, func(obj k8s.Object) {
-			obj.(*k8s.ConfigMap).Data["nodelist"] = nodelist
+// writeNodelist creates or updates the nodelist ConfigMap of the job whose
+// name table names is, which the Charm++ launcher mounts to find its workers
+// (§3.1): the text is their names, newline-separated. The store does not
+// validate a ConfigMap, so one already there may have no data map.
+func (c *Controller) writeNodelist(names *jobNames, nodelist string) error {
+	if _, ok := c.store.View(k8s.KindConfigMap, names.nodelist); ok {
+		return k8s.Modify(c.store, names.nodelist, func(cm *k8s.ConfigMap) {
+			if cm.Data == nil {
+				cm.Data = make(map[string]string, 1)
+			}
+			cm.Data["nodelist"] = nodelist
 		})
 	}
 	return c.store.Create(&k8s.ConfigMap{
-		ObjectMeta: k8s.ObjectMeta{Name: name, Labels: map[string]string{"charmjob": job}},
+		ObjectMeta: k8s.ObjectMeta{Name: names.nodelist, Labels: names.nodelistLabels},
 		Data:       map[string]string{"nodelist": nodelist},
 	})
 }
@@ -330,8 +327,8 @@ func (c *Controller) Preempt(jobName string) error {
 		return fmt.Errorf("operator: job %q is %s, cannot preempt", jobName, job.Status.Phase)
 	}
 	c.app.Stop(job)
-	err := c.store.Modify(k8s.KindCharmJob, jobName, func(obj k8s.Object) {
-		st := &obj.(*CharmJob).Status
+	err := k8s.Modify(c.store, jobName, func(job *CharmJob) {
+		st := &job.Status
 		st.Phase = JobPreempted
 		st.LaunchedReplicas = 0
 		st.ReadyReplicas = 0
@@ -357,9 +354,7 @@ func (c *Controller) Complete(jobName string) error {
 		return nil
 	}
 	c.app.Stop(job)
-	err := c.store.Modify(k8s.KindCharmJob, jobName, func(obj k8s.Object) {
-		obj.(*CharmJob).Status.Phase = JobSucceeded
-	})
+	err := k8s.Modify(c.store, jobName, func(job *CharmJob) { job.Status.Phase = JobSucceeded })
 	if err != nil {
 		return err
 	}

@@ -233,19 +233,29 @@ func TestWorkerIndexIsStrict(t *testing.T) {
 // the job's name table for 2^40 workers and ran the process out of memory.
 // The table is sized by what the cluster could run, negative replicas read
 // as none, and a job asking for none is never launched; Replicas past
-// MaxReplicas launches that many, named past the table by WorkerName.
+// MaxReplicas launches that many, named past the table by WorkerName. Nor
+// does the store validate a ConfigMap: the job's nodelist, already stored
+// with no data map, panicked the launch's write into it, which now gives it
+// one.
 func TestReconcileSurvivesUnvalidatedSpecs(t *testing.T) {
 	for _, row := range []struct {
 		name                  string
 		replicas, maxReplicas int
 		wantWorkers, launches int
+		bareNodelist          bool // the nodelist is stored first, without data
 	}{
-		{"negative replicas", -1, 64, 0, 0},
-		{"max replicas 1<<40", 2, 1 << 40, 2, 1},
-		{"replicas over max", 6, 4, 6, 1},
+		{"negative replicas", -1, 64, 0, 0, false},
+		{"max replicas 1<<40", 2, 1 << 40, 2, 1, false},
+		{"replicas over max", 6, 4, 6, 1, false},
+		{"nodelist without data", 4, 64, 4, 1, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			loop, store, _, app := testRig(t, 4, 16)
+			if row.bareNodelist {
+				if err := store.Create(&k8s.ConfigMap{ObjectMeta: k8s.ObjectMeta{Name: NodelistName("j1")}}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			job := mkJob("j1", row.replicas)
 			job.Spec.MaxReplicas = row.maxReplicas
 			var before, after runtime.MemStats

@@ -170,8 +170,7 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	tmpl.Status = CharmJobStatus{Phase: JobPending}
 	key := tmpl.Key()
 	if _, exists := m.store.View(k8s.KindCharmJob, key); exists {
-		return m.store.Modify(k8s.KindCharmJob, key, func(obj k8s.Object) {
-			job := obj.(*CharmJob)
+		return k8s.Modify(m.store, key, func(job *CharmJob) {
 			job.Spec = tmpl.Spec
 			job.Status = CharmJobStatus{
 				Phase:       JobPending,
@@ -212,9 +211,7 @@ func (a *managerActuator) ExpandJob(j *core.Job, to int) error {
 }
 
 func (a *managerActuator) setReplicas(name string, to int) error {
-	return a.mgr().store.Modify(k8s.KindCharmJob, name, func(obj k8s.Object) {
-		obj.(*CharmJob).Spec.Replicas = to
-	})
+	return k8s.Modify(a.mgr().store, name, func(job *CharmJob) { job.Spec.Replicas = to })
 }
 
 // PreemptJob checkpoint-stops a job. Only a forced capacity reclaim calls

@@ -13,8 +13,10 @@ import (
 // or WorkerName's byte for byte, for ordinals 0–64 and for a job whose own
 // name carries the worker infix; workerIndex parses every worker name back to
 // its ordinal, and past the table worker falls back to WorkerName. The table
-// is presized, so it costs its string and its worker slice and nothing more,
-// whether its ordinals have one digit, two or three.
+// is presized, so it costs its string, its worker slice and its three label
+// maps, two allocations each, and nothing more, whether its ordinals have one
+// digit, two or three: 8. Reconcile and writeNodelist build no labels of
+// their own; the table's are all a job's objects carry.
 func TestJobNamesMatchTheNameFunctions(t *testing.T) {
 	for _, job := range []string{"j1", "job-w03-17", "a-worker-3", "x-worker-"} {
 		names := newJobNames(job, 65)
@@ -33,8 +35,8 @@ func TestJobNamesMatchTheNameFunctions(t *testing.T) {
 		}
 	}
 	for _, n := range []int{1, 9, 10, 11, 64, 99, 100, 101, 1000} {
-		if allocs := testing.AllocsPerRun(10, func() { newJobNames("job-w03-17", n) }); allocs != 2 {
-			t.Errorf("a table of %d workers allocates %v times, want 2", n, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { newJobNames("job-w03-17", n) }); allocs != 8 {
+			t.Errorf("a table of %d workers allocates %v times, want 8", n, allocs)
 		}
 	}
 }

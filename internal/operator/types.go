@@ -101,12 +101,21 @@ func (j *CharmJob) Meta() *k8s.ObjectMeta { return &j.ObjectMeta }
 // Kind implements k8s.Object.
 func (j *CharmJob) Kind() k8s.Kind { return k8s.KindCharmJob }
 
+// DeepCopyInto copies j into out, labels map and all.
+func (j *CharmJob) DeepCopyInto(out *CharmJob) {
+	*out = *j
+	out.Labels = maps.Clone(j.Labels)
+}
+
 // DeepCopy implements k8s.Object.
 func (j *CharmJob) DeepCopy() k8s.Object {
-	cp := *j
-	cp.Labels = maps.Clone(j.Labels)
-	return &cp
+	cp := new(CharmJob)
+	j.DeepCopyInto(cp)
+	return cp
 }
+
+// The CharmJob is a custom resource: its type joins the store's scheme.
+func init() { k8s.Register[CharmJob]() }
 
 // Validate checks the spec.
 func (j *CharmJob) Validate() error {
@@ -144,11 +153,16 @@ func NodelistName(job string) string { return job + "-nodelist" }
 // jobNames is a job's name table: the names of its launcher, its nodelist
 // and its workers 0 to len(workers)-1, all cut from one string. The worker
 // names follow one another in it newline-separated; list is that run, the
-// nodelist of every worker in the table.
+// nodelist of every worker in the table. It holds the labels of the job's
+// launcher, workers and nodelist too, each set one map that every object
+// carrying it shares: the store keeps the maps Create is handed, and nobody
+// writes them.
 type jobNames struct {
 	launcher, nodelist string
 	workers            []string
 	list               string
+
+	launcherLabels, workerLabels, nodelistLabels map[string]string
 }
 
 // listLen is the length of the nodelist of a job's workers 0 to n-1: their
@@ -164,10 +178,11 @@ func listLen(job string, n int) int {
 	return size
 }
 
-// newJobNames builds the name table of a job with n workers in one presized
-// string: two allocations, that string and the worker slice. The launcher
-// and nodelist names are LauncherName's and NodelistName's, built on the
-// stack when they fit its 32-byte buffer; a worker's is WorkerName's format.
+// newJobNames builds the name table of a job with n workers: its names in one
+// presized string, beside the worker slice and the three label maps. The
+// launcher and nodelist names are LauncherName's and NodelistName's, built on
+// the stack when they fit its 32-byte buffer; a worker's is WorkerName's
+// format.
 func newJobNames(job string, n int) jobNames {
 	launcher, nodelist := LauncherName(job), NodelistName(job)
 	var b strings.Builder
@@ -180,6 +195,10 @@ func newJobNames(job string, n int) jobNames {
 		launcher: b.String()[:len(launcher)],
 		nodelist: b.String()[len(launcher):],
 		workers:  make([]string, n),
+
+		launcherLabels: map[string]string{"charmjob": job, "role": "launcher"},
+		workerLabels:   map[string]string{"charmjob": job, "role": "worker"},
+		nodelistLabels: map[string]string{"charmjob": job},
 	}
 	start := b.Len()
 	var digits [20]byte
