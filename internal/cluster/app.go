@@ -215,14 +215,15 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	if c.classes == nil {
 		c.classes = make(map[string]model.Class, len(w.Jobs))
 	}
-	for _, js := range w.Jobs {
+	jobs := make([]operator.CharmJob, len(w.Jobs))
+	for i, js := range w.Jobs {
 		c.classes[js.ID] = js.Class
 		spec := specs[js.Class]
 		maxR := spec.MaxReplicas
 		if maxR > c.cfg.Nodes*c.cfg.CPUPerNode {
 			maxR = c.cfg.Nodes * c.cfg.CPUPerNode
 		}
-		job := &operator.CharmJob{
+		jobs[i] = operator.CharmJob{
 			ObjectMeta: k8s.ObjectMeta{Name: js.ID},
 			Spec: operator.CharmJobSpec{
 				MinReplicas:      spec.MinReplicas,
@@ -234,7 +235,7 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 				CheckpointPeriod: c.cfg.CheckpointPeriod,
 			},
 		}
-		c.Submit(job, time.Duration(js.SubmitAt*float64(time.Second)))
+		c.Submit(&jobs[i], model.Duration(js.SubmitAt))
 	}
 }
 

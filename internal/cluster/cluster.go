@@ -62,6 +62,13 @@ type Cluster struct {
 	apps  *modelApps
 	start time.Time
 
+	// pending is a binary min-heap on (due, seq) of the submissions Submit
+	// armed that have not fired; submitHead, made once in New, is the func
+	// every submission arms.
+	pending    []pendingSubmit
+	submitSeq  int64
+	submitHead func()
+
 	// Utilization accounting over bound worker pods: the integral's open
 	// term runs from utilLast at usedCPU slots.
 	usedCPU  int
@@ -113,6 +120,7 @@ func New(cfg Config) (*Cluster, error) {
 		done:       make(map[string]bool),
 		preempted:  make(map[string]bool),
 	}
+	c.submitHead = c.submitNext
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
 	c.apps = newModelApps(c)
@@ -269,15 +277,75 @@ func (c *Cluster) replicaTimelines() map[string][]sim.ReplicaSample {
 	return timelines
 }
 
-// Submit schedules a CharmJob submission at the given offset from start. A
-// submission the manager rejects (duplicate name, invalid spec) surfaces as
-// an error from Run.
+// pendingSubmit is a submission armed and not yet fired: its job, the
+// instant it is due and its arming order.
+type pendingSubmit struct {
+	job *operator.CharmJob
+	due time.Time
+	seq int64
+}
+
+// before orders submissions by due instant, then by arming order.
+func (p *pendingSubmit) before(q *pendingSubmit) bool {
+	if !p.due.Equal(q.due) {
+		return p.due.Before(q.due)
+	}
+	return p.seq < q.seq
+}
+
+// Submit schedules a CharmJob submission at the given offset from the loop's
+// current instant (the start, before Run). A submission the manager rejects
+// (duplicate name, invalid spec) surfaces as an error from Run.
+//
+// Every submission arms submitHead, which submits the first of pending by
+// (due instant, arming order): the order the loop fires what is armed.
+// Timers fire by instant, then arming order; a non-positive offset is
+// deferred to the next Settle, which runs after every timer already due at
+// the current instant; and no timer can be armed for the current instant.
 func (c *Cluster) Submit(job *operator.CharmJob, at time.Duration) {
-	c.Loop.At(at, func() {
-		if err := c.Mgr.Submit(job); err != nil {
-			c.fail(fmt.Errorf("cluster: submit %s: %w", job.Name, err))
+	due := c.Loop.Now()
+	if at > 0 {
+		due = due.Add(at)
+	}
+	c.submitSeq++
+	h := append(c.pending, pendingSubmit{job, due, c.submitSeq})
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
 		}
-	})
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	c.pending = h
+	c.Loop.At(at, c.submitHead)
+}
+
+// submitNext takes the first of pending off the heap and hands it to the
+// manager.
+func (c *Cluster) submitNext() {
+	h := c.pending
+	n := len(h) - 1
+	job := h[0].job
+	h[0], h[n] = h[n], pendingSubmit{}
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		for child := 2*i + 1; child <= 2*i+2 && child < n; child++ {
+			if h[child].before(&h[least]) {
+				least = child
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	c.pending = h
+	if err := c.Mgr.Submit(job); err != nil {
+		c.fail(fmt.Errorf("cluster: submit %s: %w", job.Name, err))
+	}
 }
 
 // FailNode schedules a simulated node crash at the given offset: every pod

@@ -1,8 +1,12 @@
 package federation
 
 import (
+	"maps"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"elastichpc/internal/core"
@@ -86,6 +90,78 @@ func TestPartitionIsDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a1, a2) {
 			t.Errorf("%v: two partitions of the same workload differ", route)
+		}
+	}
+}
+
+// partitionByAppend is Partition as it was before it sized the members' lists:
+// always a stable sort, every list grown by append.
+func partitionByAppend(cfg Config, w workload.Workload) ([]workload.Workload, []int) {
+	members := cfg.backends()
+	order := make([]int32, len(w.Jobs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
+	})
+	parts := make([]workload.Workload, len(members))
+	assign := make([]int, len(w.Jobs))
+	r := newRouter(cfg, members)
+	for _, wi := range order {
+		js := &w.Jobs[wi]
+		m := r.route(js)
+		assign[wi] = m
+		parts[m].Jobs = append(parts[m].Jobs, *js)
+	}
+	return parts, assign
+}
+
+// TestPartitionMatchesAppendReference holds Partition's exactly sized lists to
+// the append-built reference under every route policy, on traces in
+// submission order, shuffled out of it, with waves of tied instants, and
+// with fewer jobs than members (a member routed nothing keeps a nil list).
+// Every list is capped at its length, so appending to one cannot reach the
+// next.
+func TestPartitionMatchesAppendReference(t *testing.T) {
+	burst := testWorkload(t, 64) // 16 jobs a wave: ties
+	poisson, err := workload.Poisson{Jobs: 80, MeanGap: 100}.Generate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := func(w workload.Workload, seed int64) workload.Workload {
+		w = w.Clone()
+		rand.New(rand.NewSource(seed)).Shuffle(len(w.Jobs), func(i, j int) { w.Jobs[i], w.Jobs[j] = w.Jobs[j], w.Jobs[i] })
+		return w
+	}
+	few := workload.Workload{Jobs: burst.Jobs[:2:2]}
+	traces := map[string]workload.Workload{
+		"burst": burst, "burst-shuffled": shuffled(burst, 1),
+		"poisson": poisson, "poisson-shuffled": shuffled(poisson, 2),
+		"fewer-jobs-than-members": few, "empty": {},
+	}
+	for _, name := range slices.Sorted(maps.Keys(traces)) {
+		w := traces[name]
+		for _, route := range AllRoutes() {
+			for _, members := range [][]sim.Config{Uniform(baseConfig(), 4), Skewed(baseConfig(), 3, 1.0)} {
+				cfg := Config{Members: members, Route: route, RouteSeed: 7}
+				parts, assign, err := Partition(cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantParts, wantAssign := partitionByAppend(cfg, w)
+				if !reflect.DeepEqual(assign, wantAssign) {
+					t.Errorf("%s/%v/%d members: assign %v, reference %v", name, route, len(members), assign, wantAssign)
+				}
+				if !reflect.DeepEqual(parts, wantParts) {
+					t.Errorf("%s/%v/%d members: parts differ from the reference's", name, route, len(members))
+				}
+				for m, p := range parts {
+					if cap(p.Jobs) != len(p.Jobs) {
+						t.Errorf("%s/%v: member %d's list holds %d jobs in %d", name, route, m, len(p.Jobs), cap(p.Jobs))
+					}
+				}
+			}
 		}
 	}
 }

@@ -325,17 +325,33 @@ func Partition(cfg Config, w workload.Workload) ([]workload.Workload, []int, err
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
-	})
-	parts := make([]workload.Workload, len(members))
+	if !w.InSubmitOrder() {
+		sort.SliceStable(order, func(a, b int) bool {
+			return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
+		})
+	}
 	assign := make([]int, len(w.Jobs))
+	count := make([]int, len(members))
 	r := newRouter(cfg, members)
 	for _, wi := range order {
-		js := &w.Jobs[wi]
-		m := r.route(js)
+		m := r.route(&w.Jobs[wi])
 		assign[wi] = m
-		parts[m].Jobs = append(parts[m].Jobs, *js)
+		count[m]++
+	}
+	// Every member's list is carved, capped, from one array: a member routed
+	// no job keeps a nil list.
+	parts := make([]workload.Workload, len(members))
+	all := make([]workload.JobSpec, len(w.Jobs))
+	end := 0
+	for m, n := range count {
+		if n > 0 {
+			parts[m].Jobs = all[end : end : end+n]
+			end += n
+		}
+	}
+	for _, wi := range order {
+		m := assign[wi]
+		parts[m].Jobs = append(parts[m].Jobs, w.Jobs[wi])
 	}
 	return parts, assign, nil
 }

@@ -25,6 +25,11 @@ type Controller struct {
 	// names holds each job's name table, from its first reconcile until
 	// Complete.
 	names map[string]jobNames
+	// launcher, worker and nodelist are the structs reconcile and
+	// writeNodelist hand Create, overwritten for each: the store keeps a
+	// copy of the struct (and the maps it holds), never the struct itself.
+	launcher, worker k8s.Pod
+	nodelist         k8s.ConfigMap
 
 	// Reconciles counts reconcile passes (observability for tests).
 	Reconciles int
@@ -143,7 +148,7 @@ func (c *Controller) reconcile(key string) {
 	// Ensure the launcher pod exists (runs mpirun/charmrun; requests one
 	// slot, mirroring the MPI Operator layout).
 	if _, ok := c.store.View(k8s.KindPod, names.launcher); !ok {
-		launcher := &k8s.Pod{
+		c.launcher = k8s.Pod{
 			ObjectMeta: k8s.ObjectMeta{Name: names.launcher, Labels: names.launcherLabels},
 			// The launcher is lightweight; it does not reserve a
 			// worker slot (the paper's experiments size jobs up to
@@ -151,7 +156,7 @@ func (c *Controller) reconcile(key string) {
 			Spec:   k8s.PodSpec{CPU: 0, AffinityKey: job.Name},
 			Status: k8s.PodStatus{Phase: k8s.PodPending},
 		}
-		if err := c.store.Create(launcher); err != nil {
+		if err := c.store.Create(&c.launcher); err != nil {
 			return
 		}
 	}
@@ -159,7 +164,7 @@ func (c *Controller) reconcile(key string) {
 	// Create missing worker pods up to Spec.Replicas; next walks the
 	// workers beside the ordinals. The store keeps a copy of the struct
 	// Create is given, so one pod, renamed, describes them all.
-	var worker *k8s.Pod
+	created := false
 	next := 0
 	for i := 0; i < desired; i++ {
 		for next < len(workers) && workers[next].Ordinal < i {
@@ -168,8 +173,9 @@ func (c *Controller) reconcile(key string) {
 		if next < len(workers) && workers[next].Ordinal == i {
 			continue
 		}
-		if worker == nil {
-			worker = &k8s.Pod{
+		if !created {
+			created = true
+			c.worker = k8s.Pod{
 				ObjectMeta: k8s.ObjectMeta{Labels: names.workerLabels},
 				Spec: k8s.PodSpec{
 					CPU:         job.Spec.CPUPerWorker,
@@ -179,12 +185,12 @@ func (c *Controller) reconcile(key string) {
 				Status: k8s.PodStatus{Phase: k8s.PodPending},
 			}
 		}
-		worker.Name = names.worker(job.Name, i)
-		if err := c.store.Create(worker); err != nil {
+		c.worker.Name = names.worker(job.Name, i)
+		if err := c.store.Create(&c.worker); err != nil {
 			return
 		}
 	}
-	if worker != nil {
+	if created {
 		return // pod events re-enqueue when they start running
 	}
 
@@ -296,7 +302,8 @@ func (c *Controller) tableSize(job *CharmJob) int {
 // writeNodelist creates or updates the nodelist ConfigMap of the job whose
 // name table names is, which the Charm++ launcher mounts to find its workers
 // (§3.1): the text is their names, newline-separated. The store does not
-// validate a ConfigMap, so one already there may have no data map.
+// validate a ConfigMap, so one already there may have no data map. A created
+// ConfigMap's data map is made afresh: the store keeps it.
 func (c *Controller) writeNodelist(names *jobNames, nodelist string) error {
 	if _, ok := c.store.View(k8s.KindConfigMap, names.nodelist); ok {
 		return k8s.Modify(c.store, names.nodelist, func(cm *k8s.ConfigMap) {
@@ -306,10 +313,11 @@ func (c *Controller) writeNodelist(names *jobNames, nodelist string) error {
 			cm.Data["nodelist"] = nodelist
 		})
 	}
-	return c.store.Create(&k8s.ConfigMap{
+	c.nodelist = k8s.ConfigMap{
 		ObjectMeta: k8s.ObjectMeta{Name: names.nodelist, Labels: names.nodelistLabels},
 		Data:       map[string]string{"nodelist": nodelist},
-	})
+	}
+	return c.store.Create(&c.nodelist)
 }
 
 // Preempt checkpoint-stops a running job for a forced capacity reclaim: the

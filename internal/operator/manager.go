@@ -26,6 +26,8 @@ type Manager struct {
 	byRef  []*managedJob
 	kickAt time.Time
 	armed  bool
+	// kick is the one func every kick timer arms, made once in NewManager.
+	kick func()
 	// forced marks jobs whose latest shrink was ordered by a capacity
 	// reclaim. Actuation is asynchronous (the controller reconciles the
 	// spec change later, when Scheduler.Reclaiming is long false), so the
@@ -35,10 +37,12 @@ type Manager struct {
 }
 
 // managedJob pairs the scheduler's job record with its CharmJob template, the
-// manager's own copy of what was submitted.
+// manager's own copy of what was submitted: one allocation a job. The
+// scheduler keeps &core, so a record must never sit by value in a slice that
+// grows.
 type managedJob struct {
-	core     *core.Job
-	template *CharmJob
+	core     core.Job
+	template CharmJob
 }
 
 // NewManager creates a manager that schedules onto the given capacity.
@@ -53,6 +57,7 @@ func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg cor
 		return nil, err
 	}
 	m.sched = sched
+	m.kick = m.onKick
 	return m, nil
 }
 
@@ -65,7 +70,7 @@ func (m *Manager) CoreJob(name string) (*core.Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	return mj.core, true
+	return &mj.core, true
 }
 
 // Submit hands a CharmJob to the scheduling policy. The k8s object is only
@@ -78,18 +83,18 @@ func (m *Manager) Submit(job *CharmJob) error {
 	if _, dup := m.jobs[job.Name]; dup {
 		return fmt.Errorf("operator: job %q already submitted", job.Name)
 	}
-	cj := &core.Job{
+	mj := &managedJob{core: core.Job{
 		ID:          job.Name,
 		Ref:         int32(len(m.byRef)),
 		Priority:    job.Spec.Priority,
 		MinReplicas: job.Spec.MinReplicas,
 		MaxReplicas: job.Spec.MaxReplicas,
 		SubmitTime:  m.loop.Now(),
-	}
-	mj := &managedJob{core: cj, template: job.DeepCopy().(*CharmJob)}
+	}}
+	job.DeepCopyInto(&mj.template)
 	m.jobs[job.Name] = mj
 	m.byRef = append(m.byRef, mj)
-	if err := m.sched.Submit(cj); err != nil {
+	if err := m.sched.Submit(&mj.core); err != nil {
 		delete(m.jobs, job.Name)
 		m.byRef = m.byRef[:len(m.byRef)-1]
 		return err
@@ -121,7 +126,7 @@ func (m *Manager) JobFinished(name string) error {
 	if err := m.ctrl.Complete(name); err != nil {
 		return err
 	}
-	m.sched.OnJobComplete(mj.core)
+	m.sched.OnJobComplete(&mj.core)
 	m.armKick()
 	return nil
 }
@@ -138,14 +143,21 @@ func (m *Manager) armKick() {
 	}
 	m.armed = true
 	m.kickAt = at
-	m.loop.At(at.Sub(m.loop.Now()), func() {
-		if !m.kickAt.Equal(at) {
-			return // superseded by an earlier kick
-		}
-		m.armed = false
-		m.sched.Reschedule()
-		m.armKick()
-	})
+	m.loop.At(at.Sub(m.loop.Now()), m.kick)
+}
+
+// onKick runs a kick timer armKick armed, unless an earlier kick superseded
+// it. NextGapExpiry returns only instants after the scheduler's clock, which
+// is the loop's, so every kick is armed with a positive delay and fires at
+// exactly the instant it was armed for: the loop's Now is that instant, and
+// kickAt equals it just when kickAt is still what the timer was armed with.
+func (m *Manager) onKick() {
+	if !m.kickAt.Equal(m.loop.Now()) {
+		return // superseded by an earlier kick
+	}
+	m.armed = false
+	m.sched.Reschedule()
+	m.armKick()
 }
 
 // managerActuator implements core.Actuator by mutating CharmJob objects.
@@ -162,10 +174,10 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	// The identity check (not just bounds) rejects jobs that never went
 	// through Manager.Submit — their zero Ref would otherwise silently
 	// resolve to the first managed job.
-	if j.Ref < 0 || int(j.Ref) >= len(m.byRef) || m.byRef[j.Ref].core != j {
+	if j.Ref < 0 || int(j.Ref) >= len(m.byRef) || &m.byRef[j.Ref].core != j {
 		return fmt.Errorf("operator: unknown job %q", j.ID)
 	}
-	tmpl := m.byRef[j.Ref].template
+	tmpl := &m.byRef[j.Ref].template
 	tmpl.Spec.Replicas = replicas
 	tmpl.Status = CharmJobStatus{Phase: JobPending}
 	key := tmpl.Key()

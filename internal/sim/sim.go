@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -458,8 +460,8 @@ func submissionRanks(w workload.Workload, order []int32) []int32 {
 		}
 		if j-i > 1 {
 			group = append(group[:0], order[i:j]...)
-			sort.Slice(group, func(a, b int) bool {
-				return w.Jobs[group[a]].ID < w.Jobs[group[b]].ID
+			slices.SortFunc(group, func(a, b int32) int {
+				return strings.Compare(w.Jobs[a].ID, w.Jobs[b].ID)
 			})
 			dup := false
 			for k := 1; k < len(group); k++ {
