@@ -1,6 +1,9 @@
 package k8s
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // EventLoop is the control plane's single execution thread over a virtual
 // clock: deferred work runs before time advances, timers fire in timestamp
@@ -8,8 +11,11 @@ import "time"
 // Settle-and-advance steps that completes in milliseconds of real time while
 // preserving every causal ordering a real cluster would exhibit.
 type EventLoop struct {
-	now    time.Time
-	defers fifo[func()]
+	now time.Time
+	// elapsed is now as nanoseconds since the loop's start, the clock the
+	// timers are armed on: ordering them compares integers.
+	elapsed int64
+	defers  fifo[func()]
 	// timers is a binary min-heap on (at, seq), held by value: arming a
 	// timer allocates nothing once the array has grown.
 	timers []loopTimer
@@ -36,16 +42,17 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
+// loopTimer is a function due at, in nanoseconds since the loop's start.
 type loopTimer struct {
-	at  time.Time
+	at  int64
 	fn  func()
 	seq int64
 }
 
 // before orders timers by time, then by arming order.
 func (t *loopTimer) before(u *loopTimer) bool {
-	if !t.at.Equal(u.at) {
-		return t.at.Before(u.at)
+	if t.at != u.at {
+		return t.at < u.at
 	}
 	return t.seq < u.seq
 }
@@ -106,8 +113,12 @@ func (l *EventLoop) At(d time.Duration, fn func()) {
 		l.Defer(fn)
 		return
 	}
+	at := l.elapsed + int64(d)
+	if at < l.elapsed {
+		at = math.MaxInt64 // past the clock's range: after every timer
+	}
 	l.seq++
-	l.pushTimer(loopTimer{at: l.now.Add(d), fn: fn, seq: l.seq})
+	l.pushTimer(loopTimer{at: at, fn: fn, seq: l.seq})
 }
 
 // Settle drains deferred work (including work deferred by that work) and
@@ -133,8 +144,9 @@ func (l *EventLoop) Step() bool {
 		return false
 	}
 	at := l.timers[0].at
-	l.now = at
-	for len(l.timers) > 0 && l.timers[0].at.Equal(at) {
+	l.now = l.now.Add(time.Duration(at - l.elapsed))
+	l.elapsed = at
+	for len(l.timers) > 0 && l.timers[0].at == at {
 		l.popTimer().fn()
 	}
 	l.Settle()

@@ -7,7 +7,6 @@ import "time"
 // a startup delay. Deleting a pod's object releases its resources
 // immediately (we fold graceful termination into the startup budget).
 type Kubelet struct {
-	loop  *EventLoop
 	store *Store
 	// startupDelay is bind→Running latency (image pull + container
 	// create). The paper excludes operator/pod startup from simulation
@@ -28,7 +27,7 @@ type podStart struct {
 
 // NewKubelet creates the kubelet and subscribes it to pod events.
 func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kubelet {
-	k := &Kubelet{loop: loop, store: store, startupDelay: startupDelay}
+	k := &Kubelet{store: store, startupDelay: startupDelay}
 	startOldest := func() { k.start(k.starting.pop()) }
 	store.Subscribe(KindPod, func(ev Event) {
 		if ev.Type == Deleted {
@@ -54,7 +53,7 @@ func (k *Kubelet) start(seen podStart) {
 	if pod.Status.Phase != PodPending || pod.Spec.NodeName == "" || pod.ResourceVersion != seen.version {
 		return
 	}
-	_ = k.store.SetPodStatus(seen.key, PodStatus{Phase: PodRunning, StartTime: k.loop.Now()}) // the pod was just seen
+	_ = k.store.SetPodStatus(seen.key, PodStatus{Phase: PodRunning}) // the pod was just seen
 	k.Started++
 }
 

@@ -67,7 +67,6 @@ type Store struct {
 	// times.
 	nodes   []*Node
 	version int64
-	uid     int64
 	subs    map[Kind][]func(Event)
 	// undelivered are the watch events written and not yet delivered; each
 	// has one deliver call deferred on the loop.
@@ -92,8 +91,8 @@ type OwnedPod struct {
 
 type affinityAt struct{ key, node string }
 
-// podSlabSize is how many pod versions one allocation holds: 63 pods of 192
-// bytes and the 8-byte header come to 12,104 bytes, inside slabBytes. A 64th
+// podSlabSize is how many pod versions one allocation holds: 90 pods of 136
+// bytes and the 8-byte header come to 12,248 bytes, inside slabBytes. A 91st
 // slot would round the slab up to the next size class, 13,568 bytes.
 const podSlabSize = (slabBytes - 8) / unsafe.Sizeof(Pod{})
 
@@ -278,8 +277,7 @@ func (s *Store) disown(key string, p *Pod) {
 
 // Create inserts a new object: a slab slot holding a copy of obj's struct,
 // which shares obj's maps — the caller must not write them afterwards — and
-// gets a fresh UID, resource version, and creation timestamp. The kind must
-// be one the scheme holds.
+// gets a fresh resource version. The kind must be one the scheme holds.
 func (s *Store) Create(obj Object) error {
 	kind, key := obj.Kind(), obj.Meta().Key()
 	if _, exists := s.View(kind, key); exists {
@@ -303,11 +301,7 @@ func (s *Store) Create(obj Object) error {
 		cp = slab.shallow(obj)
 	}
 	s.version++
-	s.uid++
-	m := cp.Meta()
-	m.UID = s.uid
-	m.ResourceVersion = s.version
-	m.CreationTimestamp = s.loop.Now()
+	cp.Meta().ResourceVersion = s.version
 	s.put(kind, key, nil, cp)
 	s.stats.Writes++
 	s.notify(kind, Event{Type: Added, Object: cp})
@@ -366,18 +360,14 @@ func (s *Store) private(obj Object) Object {
 }
 
 // replace is the tail of Update and Modify: it stores cp, the caller's
-// private copy, in place of old under a new resource version, keeping old's
-// UID and creation timestamp, files a pod under its owner afresh, and
-// queues a Modified event.
+// private copy, in place of old under a new resource version, files a pod
+// under its owner afresh, and queues a Modified event.
 func (s *Store) replace(kind Kind, key string, old, cp Object) {
 	s.version++
 	if p, ok := cp.(*Pod); ok {
 		p.owner, p.ordinal = s.ownerOf(p)
 	}
-	m := cp.Meta()
-	m.UID = old.Meta().UID
-	m.CreationTimestamp = old.Meta().CreationTimestamp
-	m.ResourceVersion = s.version
+	cp.Meta().ResourceVersion = s.version
 	s.put(kind, key, old, cp)
 	s.stats.Writes++
 	s.notify(kind, Event{Type: Modified, Object: cp})

@@ -14,7 +14,6 @@ package k8s
 import (
 	"fmt"
 	"maps"
-	"time"
 )
 
 // Kind identifies an object type in the store.
@@ -30,12 +29,10 @@ const (
 
 // ObjectMeta is the standard object metadata subset we model.
 type ObjectMeta struct {
-	Name              string
-	Namespace         string
-	UID               int64
-	ResourceVersion   int64
-	Labels            map[string]string
-	CreationTimestamp time.Time
+	Name            string
+	Namespace       string
+	ResourceVersion int64
+	Labels          map[string]string
 }
 
 // Key returns the namespace/name key.
@@ -82,8 +79,7 @@ type PodSpec struct {
 
 // PodStatus is the observed pod state.
 type PodStatus struct {
-	Phase     PodPhase
-	StartTime time.Time // when the pod became Running
+	Phase PodPhase
 }
 
 // Pod is a kubernetes pod.

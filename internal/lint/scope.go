@@ -13,13 +13,19 @@ const module = "elastichpc"
 // deterministicPkgs are the packages whose outputs are contractually
 // bit-identical across execution modes (the conformance matrix's subjects):
 // any source of scheduling-order or float-fold nondeterminism in them is a
-// correctness bug, not a style issue.
+// correctness bug, not a style issue. The Kubernetes emulation (k8s,
+// operator, cluster) runs on its event loop's virtual clock and is pinned
+// byte for byte by the elasticsim -backend cluster goldens and the
+// benchmark's expected results, so it is held to the same contract.
 var deterministicPkgs = map[string]bool{
 	module + "/internal/core":        true,
 	module + "/internal/sim":         true,
 	module + "/internal/federation":  true,
 	module + "/internal/conformance": true,
 	module + "/internal/workload":    true,
+	module + "/internal/k8s":         true,
+	module + "/internal/operator":    true,
+	module + "/internal/cluster":     true,
 }
 
 // boundaryPkgs are the packages the CLIs, examples and benchmark enter a run
@@ -38,15 +44,9 @@ func inDeterministic(p *Pass) bool { return deterministicPkgs[p.Path()] }
 
 // orderedOutputPkgs are held to ordered output without the rest of the
 // determinism contract. runspec is the CLIs' shared flag table — its
-// rejection messages and unknown-key errors are CLI output. The Kubernetes
-// emulation is pinned byte for byte by the elasticsim -backend cluster
-// goldens and the benchmark's expected results, and its store's indexes are
-// where map order would leak into them.
+// rejection messages and unknown-key errors are CLI output.
 var orderedOutputPkgs = map[string]bool{
-	module + "/internal/runspec":  true,
-	module + "/internal/k8s":      true,
-	module + "/internal/operator": true,
-	module + "/internal/cluster":  true,
+	module + "/internal/runspec": true,
 }
 
 // inOrderedOutput additionally covers the CLIs and orderedOutputPkgs: a main

@@ -1,7 +1,8 @@
-// pkgpath: elastichpc/internal/cluster
+// pkgpath: elastichpc/internal/charm
 
-// Package outofscope shows the emulation layer may read real time: cluster
-// drives actual loop timers and is not under the simulated-clock contract.
+// Package outofscope shows a package outside the simulated-clock contract
+// may read real time: the Charm++ runtime measures the work its PEs really
+// do to balance their load.
 package outofscope
 
 import "time"
