@@ -50,7 +50,6 @@ import (
 	"log"
 	"os"
 	"slices"
-	"time"
 
 	"elastichpc/internal/chart"
 	"elastichpc/internal/cluster"
@@ -346,7 +345,7 @@ func runner(backend string, rescaleGap float64, shards, ckpt int) runFunc {
 	if backend == "cluster" {
 		return func(p core.Policy, w workload.Workload, avail workload.AvailabilityTrace) (sim.Result, error) {
 			cfg := cluster.DefaultConfig(p)
-			cfg.RescaleGap = time.Duration(rescaleGap * float64(time.Second))
+			cfg.RescaleGap = model.Duration(rescaleGap)
 			cfg.Availability, cfg.CheckpointPeriod = avail, ckpt
 			return cluster.RunExperiment(cfg, w)
 		}

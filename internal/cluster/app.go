@@ -39,8 +39,8 @@ type appState struct {
 	ckptPeriod  int
 	replicas    int
 	itersDone   float64
-	lastUpdate  time.Time
-	frozenUntil time.Time
+	lastUpdate  time.Duration // on the loop's clock
+	frozenUntil time.Duration
 	seq         int64
 }
 
@@ -56,14 +56,11 @@ func newModelApps(c *Cluster) *modelApps {
 // progress credits iterations completed since the last update at the current
 // replica count.
 func (m *modelApps) progress(a *appState) {
-	now := m.c.Loop.Now()
-	from := a.lastUpdate
-	if a.frozenUntil.After(from) {
-		from = a.frozenUntil
-	}
-	if now.After(from) && a.replicas > 0 {
+	now := m.c.Loop.Elapsed()
+	from := max(a.lastUpdate, a.frozenUntil)
+	if now > from && a.replicas > 0 {
 		iterTime := m.c.machine.IterTime(a.grid, a.replicas)
-		a.itersDone += now.Sub(from).Seconds() / iterTime
+		a.itersDone += (now - from).Seconds() / iterTime
 		if a.itersDone > float64(a.steps) {
 			a.itersDone = float64(a.steps)
 		}
@@ -76,12 +73,11 @@ func (m *modelApps) progress(a *appState) {
 func (m *modelApps) rearm(a *appState, overhead float64) {
 	a.seq++
 	seq := a.seq
-	now := m.c.Loop.Now()
-	a.frozenUntil = now.Add(time.Duration(overhead * float64(time.Second)))
+	a.frozenUntil = m.c.Loop.Elapsed() + model.Duration(overhead)
 	remaining := float64(a.steps) - a.itersDone
 	iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 	finish := overhead + remaining*iterTime
-	m.c.Loop.At(time.Duration(finish*float64(time.Second)), func() {
+	m.c.Loop.At(model.Duration(finish), func() {
 		if a.seq != seq {
 			return // superseded by a rescale
 		}
@@ -100,7 +96,7 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 		steps:      job.Spec.Workload.Steps,
 		ckptPeriod: job.Spec.CheckpointPeriod,
 		replicas:   job.Spec.Replicas,
-		lastUpdate: m.c.Loop.Now(),
+		lastUpdate: m.c.Loop.Elapsed(),
 	}
 	if a.grid <= 0 || a.steps <= 0 {
 		return fmt.Errorf("cluster: job %s has no workload", job.Name)

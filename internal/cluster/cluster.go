@@ -59,21 +59,20 @@ type Cluster struct {
 	Ctrl     *operator.Controller
 	Mgr      *operator.Manager
 
-	apps  *modelApps
+	apps *modelApps
+	// start is the loop's start: Result reads the scheduler's records,
+	// which are instants, as seconds since it.
 	start time.Time
 
-	// pending is a binary min-heap on (due, seq) of the submissions Submit
-	// armed that have not fired; submitHead, made once in New, is the func
-	// every submission arms.
-	pending    []pendingSubmit
-	submitSeq  int64
-	submitHead func()
+	// submitFn is submit, made once: every submission's timer arms it with
+	// the job.
+	submitFn func(any)
 
 	// Utilization accounting over bound worker pods: the integral's open
-	// term runs from utilLast at usedCPU slots.
+	// term runs from utilLast, on the loop's clock, at usedCPU slots.
 	usedCPU  int
 	utilTL   []sim.UtilSample
-	utilLast time.Time
+	utilLast time.Duration
 
 	// Per-job replica timelines (Figure 9b): replicaLog holds every job's
 	// samples in event order, each with its job's index in replicaJobs;
@@ -115,12 +114,11 @@ func New(cfg Config) (*Cluster, error) {
 	store := k8s.NewStore(loop)
 	c := &Cluster{
 		cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start,
-		utilLast:   start,
 		replicaIdx: make(map[string]int),
 		done:       make(map[string]bool),
 		preempted:  make(map[string]bool),
 	}
-	c.submitHead = c.submitNext
+	c.submitFn = c.submit
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
 	c.apps = newModelApps(c)
@@ -193,7 +191,7 @@ func (c *Cluster) Decisions() []core.Decision {
 // keeping the trace's exact float timestamp for the delivered-capacity
 // integral.
 func (c *Cluster) scheduleCapacity(atSec float64, capacity int) {
-	c.Loop.At(time.Duration(atSec*float64(time.Second)), func() {
+	c.Loop.At(model.Duration(atSec), func() {
 		if err := c.Mgr.SetCapacity(capacity); err != nil {
 			c.fail(fmt.Errorf("cluster: capacity event at t=%.1f: %w", atSec, err))
 			return
@@ -211,11 +209,11 @@ func (c *Cluster) onPodEvent(ev k8s.Event) {
 	if used == c.usedCPU || ev.Object.(*k8s.Pod).Labels["role"] != "worker" {
 		return
 	}
-	now := c.Loop.Now()
-	c.ledger.Use(float64(c.usedCPU) * now.Sub(c.utilLast).Seconds())
+	now := c.Loop.Elapsed()
+	c.ledger.Use(float64(c.usedCPU) * (now - c.utilLast).Seconds())
 	c.utilLast = now
 	c.usedCPU = used
-	c.utilTL = append(c.utilTL, sim.UtilSample{At: now.Sub(c.start).Seconds(), Used: used})
+	c.utilTL = append(c.utilTL, sim.UtilSample{At: now.Seconds(), Used: used})
 }
 
 // replicaSample is a replica-log entry: a sample of the job at index job of
@@ -252,7 +250,7 @@ func (c *Cluster) onJobEvent(ev k8s.Event) {
 	c.replicaJobs[i].samples++
 	c.replicaJobs[i].last = cur
 	c.replicaLog = append(c.replicaLog, replicaSample{i, sim.ReplicaSample{
-		At: c.Loop.Now().Sub(c.start).Seconds(), Replicas: cur,
+		At: c.Loop.Elapsed().Seconds(), Replicas: cur,
 	}})
 }
 
@@ -277,72 +275,16 @@ func (c *Cluster) replicaTimelines() map[string][]sim.ReplicaSample {
 	return timelines
 }
 
-// pendingSubmit is a submission armed and not yet fired: its job, the
-// instant it is due and its arming order.
-type pendingSubmit struct {
-	job *operator.CharmJob
-	due time.Time
-	seq int64
-}
-
-// before orders submissions by due instant, then by arming order.
-func (p *pendingSubmit) before(q *pendingSubmit) bool {
-	if !p.due.Equal(q.due) {
-		return p.due.Before(q.due)
-	}
-	return p.seq < q.seq
-}
-
 // Submit schedules a CharmJob submission at the given offset from the loop's
 // current instant (the start, before Run). A submission the manager rejects
 // (duplicate name, invalid spec) surfaces as an error from Run.
-//
-// Every submission arms submitHead, which submits the first of pending by
-// (due instant, arming order): the order the loop fires what is armed.
-// Timers fire by instant, then arming order; a non-positive offset is
-// deferred to the next Settle, which runs after every timer already due at
-// the current instant; and no timer can be armed for the current instant.
 func (c *Cluster) Submit(job *operator.CharmJob, at time.Duration) {
-	due := c.Loop.Now()
-	if at > 0 {
-		due = due.Add(at)
-	}
-	c.submitSeq++
-	h := append(c.pending, pendingSubmit{job, due, c.submitSeq})
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	c.pending = h
-	c.Loop.At(at, c.submitHead)
+	c.Loop.AtArg(at, c.submitFn, job)
 }
 
-// submitNext takes the first of pending off the heap and hands it to the
-// manager.
-func (c *Cluster) submitNext() {
-	h := c.pending
-	n := len(h) - 1
-	job := h[0].job
-	h[0], h[n] = h[n], pendingSubmit{}
-	h = h[:n]
-	for i := 0; ; {
-		least := i
-		for child := 2*i + 1; child <= 2*i+2 && child < n; child++ {
-			if h[child].before(&h[least]) {
-				least = child
-			}
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	c.pending = h
+// submit hands the job a submission's timer carries to the manager.
+func (c *Cluster) submit(arg any) {
+	job := arg.(*operator.CharmJob)
 	if err := c.Mgr.Submit(job); err != nil {
 		c.fail(fmt.Errorf("cluster: submit %s: %w", job.Name, err))
 	}
@@ -429,7 +371,7 @@ func (c *Cluster) Result() sim.Result {
 	}
 	sim.SortJobs(jobs)
 	l := c.ledger
-	l.Use(float64(c.usedCPU) * c.Loop.Now().Sub(c.utilLast).Seconds())
+	l.Use(float64(c.usedCPU) * (c.Loop.Elapsed() - c.utilLast).Seconds())
 	// Fold the jobs in sorted order, not the done map's: float addition is
 	// order-sensitive, so a map-order walk would leave the weighted means
 	// nondeterministic in the last ulp.
@@ -443,7 +385,7 @@ func (c *Cluster) Result() sim.Result {
 	// with each other and with Utilization, slightly wider than the
 	// simulator's [0, LastEnd].
 	sched := c.Mgr.Scheduler()
-	res := l.Result(c.cfg.Policy, c.cfg.Nodes*c.cfg.CPUPerNode, c.utilLast.Sub(c.start).Seconds(),
+	res := l.Result(c.cfg.Policy, c.cfg.Nodes*c.cfg.CPUPerNode, c.utilLast.Seconds(),
 		sched.CapacityStats(), sched.Capacity())
 	res.Jobs = jobs
 	res.UtilTimeline = c.utilTL[:len(c.utilTL):len(c.utilTL)]

@@ -28,8 +28,9 @@ type submitted struct {
 func scriptJob(i int) string { return fmt.Sprintf("s%d", i) }
 
 // referenceSubmissions runs the script on a bare loop that arms one closure
-// per submission, the way Cluster.Submit armed them before it kept a pending
-// list, and returns the submissions in the order the closures fired.
+// per submission and returns the submissions in the order the closures
+// fired. Cluster.Submit arms instead one timer per submission that carries
+// its job to a func made once; the two must fire alike.
 func referenceSubmissions(start time.Time, script []submitStep) []submitted {
 	loop := k8s.NewEventLoop(start)
 	var got []submitted
@@ -96,11 +97,11 @@ func checkSubmitOrder(t *testing.T, script []submitStep) {
 	}
 }
 
-// TestSubmitOrderMatchesOneClosurePerSubmission holds the cluster's pending
-// submissions, all armed through one func, to the order and instants one
-// closure per submission would submit them at: offsets out of order, equal,
-// zero and negative, and made from inside loop callbacks, themselves armed
-// at positive, zero and negative offsets.
+// TestSubmitOrderMatchesOneClosurePerSubmission holds the cluster's
+// submissions, timers that carry their jobs to one func, to the order and
+// instants one closure per submission would submit them at: offsets out of
+// order, equal, zero and negative, and made from inside loop callbacks,
+// themselves armed at positive, zero and negative offsets.
 func TestSubmitOrderMatchesOneClosurePerSubmission(t *testing.T) {
 	s := time.Second
 	checkSubmitOrder(t, []submitStep{

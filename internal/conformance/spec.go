@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"elastichpc/internal/cluster"
 	"elastichpc/internal/federation"
+	"elastichpc/internal/model"
 	"elastichpc/internal/runspec"
 	"elastichpc/internal/sim"
 	"elastichpc/internal/workload"
@@ -147,7 +147,7 @@ func (s RunSpec) executeCluster(gen workload.Generator, profile workload.Availab
 		cfg.CPUPerNode = s.Capacity / cfg.Nodes
 	}
 	if s.RescaleGap > 0 {
-		cfg.RescaleGap = time.Duration(s.RescaleGap * float64(time.Second))
+		cfg.RescaleGap = model.Duration(s.RescaleGap)
 	}
 	cfg.LogDecisions = s.Log
 	w, tr, err := sim.Inputs(gen, profile, s.Seed, cfg.Nodes*cfg.CPUPerNode)

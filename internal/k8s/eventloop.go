@@ -11,9 +11,9 @@ import (
 // Settle-and-advance steps that completes in milliseconds of real time while
 // preserving every causal ordering a real cluster would exhibit.
 type EventLoop struct {
-	now time.Time
-	// elapsed is now as nanoseconds since the loop's start, the clock the
-	// timers are armed on: ordering them compares integers.
+	start time.Time
+	// elapsed is the clock: nanoseconds since start. The timers are armed on
+	// it, so ordering them compares integers.
 	elapsed int64
 	defers  fifo[func()]
 	// timers is a binary min-heap on (at, seq), held by value: arming a
@@ -42,12 +42,17 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// loopTimer is a function due at, in nanoseconds since the loop's start.
+// loopTimer is fn(arg) due at, in nanoseconds since the loop's start.
 type loopTimer struct {
 	at  int64
-	fn  func()
 	seq int64
+	fn  func(any)
+	arg any
 }
+
+// call is the fn of a timer At armed: its arg is the func() to run. A func
+// converts to any without allocating.
+func call(fn any) { fn.(func())() }
 
 // before orders timers by time, then by arming order.
 func (t *loopTimer) before(u *loopTimer) bool {
@@ -95,11 +100,14 @@ func (l *EventLoop) popTimer() loopTimer {
 
 // NewEventLoop creates a loop starting at the given virtual time.
 func NewEventLoop(start time.Time) *EventLoop {
-	return &EventLoop{now: start}
+	return &EventLoop{start: start}
 }
 
 // Now returns the loop's current time.
-func (l *EventLoop) Now() time.Time { return l.now }
+func (l *EventLoop) Now() time.Time { return l.start.Add(time.Duration(l.elapsed)) }
+
+// Elapsed returns the loop's current time as the span since its start.
+func (l *EventLoop) Elapsed() time.Duration { return time.Duration(l.elapsed) }
 
 // Defer runs fn after the current event finishes, before time advances:
 // during the next Settle, in FIFO order.
@@ -113,12 +121,23 @@ func (l *EventLoop) At(d time.Duration, fn func()) {
 		l.Defer(fn)
 		return
 	}
+	l.AtArg(d, call, fn)
+}
+
+// AtArg is At for fn(arg): one fn made once serves every timer, each with
+// its own arg. A pointer arg arms a timer without allocating; a non-positive
+// delay defers a closure, which does allocate.
+func (l *EventLoop) AtArg(d time.Duration, fn func(any), arg any) {
+	if d <= 0 {
+		l.Defer(func() { fn(arg) })
+		return
+	}
 	at := l.elapsed + int64(d)
 	if at < l.elapsed {
 		at = math.MaxInt64 // past the clock's range: after every timer
 	}
 	l.seq++
-	l.pushTimer(loopTimer{at: at, fn: fn, seq: l.seq})
+	l.pushTimer(loopTimer{at: at, seq: l.seq, fn: fn, arg: arg})
 }
 
 // Settle drains deferred work (including work deferred by that work) and
@@ -144,10 +163,10 @@ func (l *EventLoop) Step() bool {
 		return false
 	}
 	at := l.timers[0].at
-	l.now = l.now.Add(time.Duration(at - l.elapsed))
 	l.elapsed = at
 	for len(l.timers) > 0 && l.timers[0].at == at {
-		l.popTimer().fn()
+		t := l.popTimer()
+		t.fn(t.arg)
 	}
 	l.Settle()
 	return true

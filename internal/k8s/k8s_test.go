@@ -473,6 +473,9 @@ func TestEventLoopOrdering(t *testing.T) {
 
 // TestEventLoopTimersFireInTimeThenArmingOrder holds the timer heap to a
 // stable sort of what was armed, timers armed by a firing timer included.
+// Plain timers (At) and timers that carry their argument (AtArg) are armed
+// at random, so the two interleave at equal instants, up front and from
+// inside both kinds' callbacks.
 func TestEventLoopTimersFireInTimeThenArmingOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	loop := NewEventLoop(t0)
@@ -481,10 +484,15 @@ func TestEventLoopTimersFireInTimeThenArmingOrder(t *testing.T) {
 		seq int
 	}
 	var want, got []armed
+	record := func(arg any) { got = append(got, *arg.(*armed)) }
 	arm := func(from time.Duration) {
-		a := armed{from + time.Duration(1+rng.Intn(20))*time.Second, len(want)}
-		want = append(want, a)
-		loop.At(a.at-from, func() { got = append(got, a) })
+		a := &armed{from + time.Duration(1+rng.Intn(20))*time.Second, len(want)}
+		want = append(want, *a)
+		if rng.Intn(2) == 0 {
+			loop.At(a.at-from, func() { got = append(got, *a) })
+		} else {
+			loop.AtArg(a.at-from, record, a)
+		}
 	}
 	for i := 0; i < 200; i++ {
 		arm(0)
@@ -494,11 +502,204 @@ func TestEventLoopTimersFireInTimeThenArmingOrder(t *testing.T) {
 			arm(7 * time.Second)
 		}
 	})
+	from := 13 * time.Second
+	loop.AtArg(from, func(arg any) {
+		for i := 0; i < 100; i++ {
+			arm(*arg.(*time.Duration))
+		}
+	}, &from)
 	loop.RunUntilIdle()
 	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("timers fired\n %v\nwant\n %v", got, want)
 	}
+}
+
+// timerCounter counts the runs of its two timer funcs.
+type timerCounter struct{ plain, carried int }
+
+func (c *timerCounter) tick()         { c.plain++ }
+func (c *timerCounter) carry(arg any) { arg.(*timerCounter).carried++ }
+
+// TestEventLoopTimersAllocateNothing holds arming and firing a timer to no
+// allocation once the heap's array has grown: AtArg with a pointer argument,
+// and At with a method value made once. A loop that boxed anything other
+// than a pointer or a func into a timer's argument would allocate here.
+func TestEventLoopTimersAllocateNothing(t *testing.T) {
+	loop := NewEventLoop(t0)
+	var c timerCounter
+	tick, carry := c.tick, c.carry
+	arm := func() {
+		loop.AtArg(time.Second, carry, &c)
+		loop.At(time.Second, tick)
+		loop.RunUntilIdle()
+	}
+	if n := testing.AllocsPerRun(100, arm); n != 0 {
+		t.Errorf("arming and firing two timers allocates %v times, want 0", n)
+	}
+	if c.plain != 101 || c.carried != 101 {
+		t.Errorf("timers ran %d plain and %d carrying, want 101 of each", c.plain, c.carried)
+	}
+}
+
+// loopOp is one step of a FuzzEventLoopOrder script: op i arms a plain timer
+// (At), a timer carrying its argument (AtArg) or deferred work (Defer), up
+// front when parent is negative, else from inside op parent's callback.
+type loopOp struct {
+	kind   byte // 0 At, 1 AtArg, 2 Defer
+	delay  time.Duration
+	parent int
+}
+
+// fuzzDelays are the delays a script's timers are armed with: negative, zero,
+// short, and far enough that the instant saturates at the clock's end.
+var fuzzDelays = [...]time.Duration{
+	-time.Second, -1, 0, 1, time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second,
+	math.MaxInt64 / 2, math.MaxInt64,
+}
+
+// opRun is an op's callback running, at elapsed on the loop's clock.
+type opRun struct {
+	op      int
+	elapsed time.Duration
+}
+
+// children lists, for each op of the script, the ops it arms when it runs,
+// in script order.
+func children(script []loopOp) [][]int {
+	kids := make([][]int, len(script))
+	for i, op := range script {
+		if op.parent >= 0 {
+			kids[op.parent] = append(kids[op.parent], i)
+		}
+	}
+	return kids
+}
+
+// runLoopScript runs the script on an EventLoop and returns its ops' runs in
+// the order they ran.
+func runLoopScript(t *testing.T, script []loopOp) []opRun {
+	kids := children(script)
+	loop := NewEventLoop(t0)
+	ids := make([]int, len(script)) // the argument each AtArg op carries
+	var got []opRun
+	var arm func(i int)
+	run := func(i int) {
+		if now, want := loop.Now(), t0.Add(loop.Elapsed()); !now.Equal(want) {
+			t.Fatalf("op %d ran at Now %v, want the start plus Elapsed, %v", i, now, want)
+		}
+		got = append(got, opRun{i, loop.Elapsed()})
+		for _, j := range kids[i] {
+			arm(j)
+		}
+	}
+	runArg := func(arg any) { run(*arg.(*int)) }
+	arm = func(i int) {
+		switch op := script[i]; op.kind {
+		case 0:
+			loop.At(op.delay, func() { run(i) })
+		case 1:
+			loop.AtArg(op.delay, runArg, &ids[i])
+		default:
+			loop.Defer(func() { run(i) })
+		}
+	}
+	for i, op := range script {
+		ids[i] = i
+		if op.parent < 0 {
+			arm(i)
+		}
+	}
+	loop.RunUntilIdle()
+	return got
+}
+
+// referenceLoopScript runs the script on a naive loop: a list of timers
+// sorted by (instant, arming order) before each instant is taken, and a FIFO
+// of deferred work, drained before time advances. A non-positive delay is
+// deferred work; an instant past the clock's range is its last.
+func referenceLoopScript(script []loopOp) []opRun {
+	kids := children(script)
+	type timer struct {
+		at, seq int64
+		op      int
+	}
+	var (
+		now, seq int64
+		timers   []timer
+		deferred []int
+		got      []opRun
+	)
+	arm := func(i int) {
+		op := script[i]
+		if op.kind == 2 || op.delay <= 0 {
+			deferred = append(deferred, i)
+			return
+		}
+		at := now + int64(op.delay)
+		if at < now {
+			at = math.MaxInt64
+		}
+		seq++
+		timers = append(timers, timer{at, seq, i})
+	}
+	run := func(i int) {
+		got = append(got, opRun{i, time.Duration(now)})
+		for _, j := range kids[i] {
+			arm(j)
+		}
+	}
+	for i, op := range script {
+		if op.parent < 0 {
+			arm(i)
+		}
+	}
+	for {
+		for len(deferred) > 0 {
+			i := deferred[0]
+			deferred = deferred[1:]
+			run(i)
+		}
+		if len(timers) == 0 {
+			return got
+		}
+		sort.Slice(timers, func(a, b int) bool {
+			if timers[a].at != timers[b].at {
+				return timers[a].at < timers[b].at
+			}
+			return timers[a].seq < timers[b].seq
+		})
+		now = timers[0].at
+		for len(timers) > 0 && timers[0].at == now {
+			i := timers[0].op
+			timers = timers[1:]
+			run(i)
+		}
+	}
+}
+
+// FuzzEventLoopOrder holds the EventLoop to referenceLoopScript on fuzzed
+// scripts: every two bytes are an op, the first picking its kind and delay,
+// the second its parent, so ties, nesting and saturated instants are common.
+func FuzzEventLoopOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 12, 0, 13, 1, 2, 2, 29, 1, 27, 3, 5, 0, 6, 0})
+	f.Add([]byte{27, 0, 28, 1, 27, 2, 3, 3, 4, 3, 24, 0, 25, 0, 14, 7, 15, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 64
+		var script []loopOp
+		for i := 0; i+2 <= len(data) && len(script) < maxOps; i += 2 {
+			n := len(script)
+			script = append(script, loopOp{
+				kind:   data[i] % 3,
+				delay:  fuzzDelays[int(data[i]/3)%len(fuzzDelays)],
+				parent: int(data[i+1])%(n+1) - 1,
+			})
+		}
+		got, want := runLoopScript(t, script), referenceLoopScript(script)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("script %+v:\nloop ran %v\nreference runs %v", script, got, want)
+		}
+	})
 }
 
 // TestEventLoopFarTimerFiresLast arms a timer whose instant lies past the

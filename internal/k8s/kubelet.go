@@ -12,48 +12,40 @@ type Kubelet struct {
 	// create). The paper excludes operator/pod startup from simulation
 	// but the emulation pays it, as the real EKS runs did.
 	startupDelay time.Duration
-	// starting are the bound pods whose start is due, each with a timer
-	// armed. One delay serves every pod, so the timers fire in this order.
-	starting fifo[podStart]
+	// startFn is start, made once: every bound pod's timer arms it with the
+	// pod's view.
+	startFn func(any)
 	// Started counts pods this kubelet transitioned to Running.
 	Started int
-}
-
-// podStart is a pod as the kubelet saw it bound.
-type podStart struct {
-	key     string
-	version int64
 }
 
 // NewKubelet creates the kubelet and subscribes it to pod events.
 func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kubelet {
 	k := &Kubelet{store: store, startupDelay: startupDelay}
-	startOldest := func() { k.start(k.starting.pop()) }
+	k.startFn = k.start
 	store.Subscribe(KindPod, func(ev Event) {
 		if ev.Type == Deleted {
 			return
 		}
 		pod := ev.Object.(*Pod)
 		if pod.Spec.NodeName != "" && pod.Status.Phase == PodPending {
-			k.starting.push(podStart{pod.Key(), pod.ResourceVersion})
-			loop.At(k.startupDelay, startOldest)
+			loop.AtArg(k.startupDelay, k.startFn, pod)
 		}
 	})
 	return k
 }
 
 // start transitions a bound pod to Running unless it changed or vanished in
-// the meantime.
-func (k *Kubelet) start(seen podStart) {
-	obj, ok := k.store.View(KindPod, seen.key)
-	if !ok {
+// the meantime. seen is the view of the pod as the kubelet saw it bound; a
+// view never changes, so its key and resource version are those of then.
+func (k *Kubelet) start(seen any) {
+	bound := seen.(*Pod)
+	key := bound.Key()
+	obj, ok := k.store.View(KindPod, key)
+	if !ok || obj.(*Pod).ResourceVersion != bound.ResourceVersion {
 		return
 	}
-	pod := obj.(*Pod)
-	if pod.Status.Phase != PodPending || pod.Spec.NodeName == "" || pod.ResourceVersion != seen.version {
-		return
-	}
-	_ = k.store.SetPodStatus(seen.key, PodStatus{Phase: PodRunning}) // the pod was just seen
+	_ = k.store.SetPodStatus(key, PodStatus{Phase: PodRunning}) // the pod was just seen
 	k.Started++
 }
 

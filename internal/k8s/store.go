@@ -457,8 +457,10 @@ func (s *Store) View(kind Kind, key string) (Object, bool) {
 
 // Pods returns read-only views of the pods carrying every label of the
 // selector (all pods when it is empty), in key order. It examines every pod
-// and sorts what it keeps: no emulation path reads by selector, so the store
-// keeps no index for it.
+// and sorts what it keeps, and the store keeps no index for it: no emulation
+// path reads by selector, and the one that reads every pod, FailPodsOnNode
+// on an emulated node crash, runs rarely and fails the node's pods in the
+// key order the fault tests pin.
 func (s *Store) Pods(selector map[string]string) []*Pod {
 	s.stats.Scans++
 	s.stats.Visited += len(s.pods)
