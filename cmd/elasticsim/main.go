@@ -538,6 +538,10 @@ func runXLargeTimeline(run runFunc) ([]metrics.Run, string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	timelines := make(map[string][]sim.ReplicaSample, len(res.Jobs))
+	for _, j := range res.Jobs {
+		timelines[j.ID] = j.Timeline
+	}
 	specs := model.Specs()
 	var best string
 	bestLen := 0
@@ -545,7 +549,7 @@ func runXLargeTimeline(run runFunc) ([]metrics.Run, string) {
 		if specs[js.Class].Class != model.XLarge {
 			continue
 		}
-		if tl := res.ReplicaTimelines[js.ID]; len(tl) > bestLen {
+		if tl := timelines[js.ID]; len(tl) > bestLen {
 			best, bestLen = js.ID, len(tl)
 		}
 	}
@@ -554,7 +558,7 @@ func runXLargeTimeline(run runFunc) ([]metrics.Run, string) {
 	}
 	fmt.Printf("job,%s\n", best)
 	fmt.Println("t_seconds,replicas")
-	for _, s := range res.ReplicaTimelines[best] {
+	for _, s := range timelines[best] {
 		fmt.Printf("%.1f,%d\n", s.At, s.Replicas)
 	}
 	return []metrics.Run{metrics.FromResult("fig9b", res)}, best

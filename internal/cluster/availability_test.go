@@ -32,7 +32,10 @@ func TestCapacityDropForcesShrinkInEmulation(t *testing.T) {
 		t.Errorf("ForcedShrinks = %d, want >= 1 (the t=60 drop must shrink the 64-replica job)", res.ForcedShrinks)
 	}
 	// The replica timeline must dip to 32 during the outage and recover.
-	tl := res.ReplicaTimelines["solo"]
+	if len(res.Jobs) != 1 {
+		t.Fatalf("%d job records, want 1", len(res.Jobs))
+	}
+	tl := res.Jobs[0].Timeline
 	sawDip, sawRecover := false, false
 	for _, s := range tl {
 		if s.At >= 60 && s.At < 300 && s.Replicas == 32 {

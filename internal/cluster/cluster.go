@@ -255,18 +255,19 @@ func (c *Cluster) onJobEvent(ev k8s.Event) {
 }
 
 // replicaTimelines buckets the replica log by job into one backing array
-// shared by every timeline; each timeline is a capped sub-slice of it, so a
-// caller appending to one cannot overwrite the next, and the log's later
-// samples never reach a map handed out earlier.
-func (c *Cluster) replicaTimelines() map[string][]sim.ReplicaSample {
-	timelines := make(map[string][]sim.ReplicaSample, len(c.replicaJobs))
+// shared by every timeline, indexed as replicaJobs is; each timeline is a
+// capped sub-slice of it, so a caller appending to one cannot overwrite the
+// next, and the log's later samples never reach a timeline handed out
+// earlier.
+func (c *Cluster) replicaTimelines() [][]sim.ReplicaSample {
+	timelines := make([][]sim.ReplicaSample, len(c.replicaJobs))
 	all := make([]sim.ReplicaSample, len(c.replicaLog))
 	next := make([]int, len(c.replicaJobs)) // per job: where its next sample goes
 	end := 0
 	for i, j := range c.replicaJobs {
 		next[i] = end
 		end += j.samples
-		timelines[j.name] = all[next[i]:end:end]
+		timelines[i] = all[next[i]:end:end]
 	}
 	for _, x := range c.replicaLog {
 		all[next[x.job]] = x.sample
@@ -338,10 +339,10 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 // It is side-effect-free and idempotent — the open utilization tail and the
 // jobs' terms are folded onto a copy of the ledger — so observing a running
 // emulation never changes what it reports later. What it returns is the
-// caller's — the replica timelines are built afresh, the utilization
-// timeline is capped — so the run going on never changes a Result taken
-// earlier. Jobs is sorted by (SubmitAt, ID), matching the simulator's
-// submission ordering, so JSON reports diff cleanly run to run.
+// caller's — each completed job's replica timeline is built afresh, the
+// utilization timeline is capped — so the run going on never changes a
+// Result taken earlier. Jobs is sorted by (SubmitAt, ID), matching the
+// simulator's submission ordering, so JSON reports diff cleanly run to run.
 func (c *Cluster) Result() sim.Result {
 	timelines := c.replicaTimelines()
 	var jobs []sim.JobMetrics
@@ -362,7 +363,10 @@ func (c *Cluster) Result() sim.Result {
 			ResponseTime:   cj.ResponseTime().Seconds(),
 			CompletionTime: cj.CompletionTime().Seconds(),
 		}
-		for _, s := range timelines[name] {
+		if i, seen := c.replicaIdx[name]; seen {
+			m.Timeline = timelines[i]
+		}
+		for _, s := range m.Timeline {
 			if s.Replicas > m.Replicas {
 				m.Replicas = s.Replicas
 			}
@@ -389,6 +393,5 @@ func (c *Cluster) Result() sim.Result {
 		sched.CapacityStats(), sched.Capacity())
 	res.Jobs = jobs
 	res.UtilTimeline = c.utilTL[:len(c.utilTL):len(c.utilTL)]
-	res.ReplicaTimelines = timelines
 	return res
 }

@@ -138,7 +138,7 @@ func TestElasticShrinksForHigherPriority(t *testing.T) {
 		t.Errorf("high waited %gs; low completed at %gs", byID["high"].ResponseTime, byID["low"].CompletionTime)
 	}
 	// Replica timeline for the shrunk job has multiple levels.
-	tl := res.ReplicaTimelines["low"]
+	tl := byID["low"].Timeline
 	levels := map[int]bool{}
 	for _, s := range tl {
 		levels[s.Replicas] = true

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -42,7 +41,7 @@ func TestResultJobRecordsMatchTheTrace(t *testing.T) {
 		}
 		// The timeline steps from 0 at the launch and to 0 at the end;
 		// every step between two running sizes is a rescale.
-		tl := res.ReplicaTimelines[j.ID]
+		tl := j.Timeline
 		want, rescales := 0.0, 0
 		for i := 1; i < len(tl); i++ {
 			if from, to := tl[i-1].Replicas, tl[i].Replicas; from > 0 && to > 0 {
@@ -151,11 +150,13 @@ func TestResultIsIdempotent(t *testing.T) {
 }
 
 // TestMidRunResultStaysAsReturned: a Result taken while the emulation runs
-// does not change when the run goes on. Result handed out the cluster's live
-// replica-timeline map, so one taken with 8 of Table 1's 16 elastic jobs done
-// held 11 timelines then and 16 once the run had finished. Every timeline
-// and the utilization timeline come capped, so an append to one cannot write
-// into the next or into the cluster's own log.
+// does not change when the run goes on. Result once handed out the cluster's
+// live replica-timeline map, so one taken with 8 of Table 1's 16 elastic jobs
+// done held 11 timelines then and 16 once the run had finished. Timelines now
+// ride on the job records, and a Result lists completed jobs only, so a job
+// still running mid-run reports no timeline. Every timeline and the
+// utilization timeline come capped, so an append to one cannot write into the
+// next or into the cluster's own log.
 func TestMidRunResultStaysAsReturned(t *testing.T) {
 	w := sim.Table1Workload()
 	c, err := New(DefaultConfig(core.Elastic))
@@ -165,33 +166,40 @@ func TestMidRunResultStaysAsReturned(t *testing.T) {
 	c.SubmitWorkload(w)
 	c.Loop.RunUntil(func() bool { return len(c.done) >= len(w.Jobs)/2 })
 	mid := c.Result()
-	if len(mid.ReplicaTimelines) >= len(w.Jobs) {
-		t.Fatalf("the mid-run Result already holds %d timelines: nothing is left to change", len(mid.ReplicaTimelines))
+	if len(mid.Jobs) >= len(w.Jobs) {
+		t.Fatalf("the mid-run Result already holds %d jobs: nothing is left to change", len(mid.Jobs))
 	}
 	was := mid
 	was.Jobs = slices.Clone(mid.Jobs)
 	was.UtilTimeline = slices.Clone(mid.UtilTimeline)
-	was.ReplicaTimelines = maps.Clone(mid.ReplicaTimelines)
-	for id, tl := range was.ReplicaTimelines {
-		was.ReplicaTimelines[id] = slices.Clone(tl)
+	for i := range was.Jobs {
+		was.Jobs[i].Timeline = slices.Clone(mid.Jobs[i].Timeline)
 	}
 	if cap(mid.UtilTimeline) != len(mid.UtilTimeline) {
 		t.Errorf("the utilization timeline has room for %d more samples", cap(mid.UtilTimeline)-len(mid.UtilTimeline))
 	}
-	for id, tl := range mid.ReplicaTimelines {
-		if cap(tl) != len(tl) {
-			t.Errorf("job %s's replica timeline has room for %d more samples", id, cap(tl)-len(tl))
+	for _, j := range mid.Jobs {
+		if len(j.Timeline) == 0 {
+			t.Errorf("completed job %s has no replica timeline", j.ID)
+		}
+		if cap(j.Timeline) != len(j.Timeline) {
+			t.Errorf("job %s's replica timeline has room for %d more samples", j.ID, cap(j.Timeline)-len(j.Timeline))
 		}
 	}
 	if err := c.Run(len(w.Jobs), 10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mid, was) {
-		t.Errorf("finishing the run changed a Result taken with %d jobs done: %d timelines then, %d now",
-			len(was.Jobs), len(was.ReplicaTimelines), len(mid.ReplicaTimelines))
+		t.Errorf("finishing the run changed a Result taken with %d jobs done", len(was.Jobs))
 	}
-	if final := c.Result(); len(final.ReplicaTimelines) != len(w.Jobs) {
-		t.Errorf("the final Result holds %d timelines, want %d", len(final.ReplicaTimelines), len(w.Jobs))
+	final := c.Result()
+	if len(final.Jobs) != len(w.Jobs) {
+		t.Fatalf("the final Result holds %d jobs, want %d", len(final.Jobs), len(w.Jobs))
+	}
+	for _, j := range final.Jobs {
+		if len(j.Timeline) == 0 {
+			t.Errorf("the final Result holds no replica timeline for job %s", j.ID)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"strconv"
 	"time"
@@ -210,52 +211,137 @@ func FleetSummaryOf(res federation.Result) *Summary {
 }
 
 // jobsDigest fingerprints a retained result's per-job metrics and
-// timelines. Every float is rendered in exact hexadecimal form before
-// hashing, so the digest changes on any single-ulp difference — the compact
-// stand-in for serializing millions of per-job records into the stream.
+// timelines. Every float is hashed in its exact hexadecimal form, so the
+// digest changes on any single-ulp difference — the compact stand-in for
+// serializing millions of per-job records into the stream.
+//
+// The text hashed is each value as strconv formats it ('x', -1, 64 for a
+// float, base 10 for an integer, a string as is), each followed by ';': the
+// job records in order, each with its replica timeline, then the
+// utilization timeline. It is hashed as it is rendered, a byte at a time,
+// with no buffer in between.
 func jobsDigest(res sim.Result) string {
 	if res.Jobs == nil {
 		return ""
 	}
-	h := fnv.New64a()
-	buf := make([]byte, 0, 64)
-	f := func(x float64) {
-		buf = strconv.AppendFloat(buf[:0], x, 'x', -1, 64)
-		buf = append(buf, ';')
-		h.Write(buf)
-	}
-	n := func(x int) {
-		buf = strconv.AppendInt(buf[:0], int64(x), 10)
-		buf = append(buf, ';')
-		h.Write(buf)
-	}
-	str := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{';'})
-	}
-	for _, j := range res.Jobs {
-		str(j.ID)
-		n(int(j.Class))
-		n(j.Priority)
-		n(j.Replicas)
-		n(j.Rescales)
-		f(j.SubmitAt)
-		f(j.StartAt)
-		f(j.EndAt)
-		f(j.OverheadSec)
-		f(j.ResponseTime)
-		f(j.CompletionTime)
-		for _, s := range res.ReplicaTimelines[j.ID] {
-			f(s.At)
-			n(s.Replicas)
+	h := fnv64a(fnvOffset)
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		h = h.str(j.ID).int(int(j.Class)).int(j.Priority).int(j.Replicas).int(j.Rescales)
+		h = h.float(j.SubmitAt).float(j.StartAt).float(j.EndAt)
+		h = h.float(j.OverheadSec).float(j.ResponseTime).float(j.CompletionTime)
+		for _, s := range j.Timeline {
+			h = h.float(s.At).int(s.Replicas)
 		}
 	}
 	for _, s := range res.UtilTimeline {
-		f(s.At)
-		n(s.Used)
+		h = h.float(s.At).int(s.Used)
 	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+	return fmt.Sprintf("fnv64a:%016x", uint64(h))
 }
+
+// fnv64a is the state of a 64-bit FNV-1a hash (hash/fnv's New64a). Each
+// method returns the state after hashing one value's text and the ';' that
+// ends it.
+type fnv64a uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (h fnv64a) byte(b byte) fnv64a {
+	return (h ^ fnv64a(b)) * fnvPrime
+}
+
+// str hashes s.
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = h.byte(s[i])
+	}
+	return h.byte(';')
+}
+
+// int hashes x in decimal, as strconv.AppendInt(…, int64(x), 10) writes it.
+func (h fnv64a) int(x int) fnv64a {
+	u := uint64(x)
+	if x < 0 {
+		h = h.byte('-')
+		u = -u
+	}
+	var d [20]byte
+	i := len(d)
+	for {
+		i--
+		d[i] = '0' + byte(u%10)
+		u /= 10
+		if u == 0 {
+			break
+		}
+	}
+	for _, b := range d[i:] {
+		h = h.byte(b)
+	}
+	return h.byte(';')
+}
+
+// float hashes x's shortest exact hexadecimal form, as
+// strconv.AppendFloat(…, x, 'x', -1, 64) writes it: [-]0x1.<hex>p±dd for a
+// normal number (the fraction's trailing zero digits dropped, the '.' with
+// them), a subnormal normalized to the same form, [-]0x0p+00 for zero, and
+// 2 to 4 exponent digits.
+func (h fnv64a) float(x float64) fnv64a {
+	b := math.Float64bits(x)
+	exp := int(b>>52) & 0x7ff
+	mant := b & (1<<52 - 1)
+	switch exp {
+	case 0x7ff:
+		switch {
+		case mant != 0:
+			return h.str("NaN")
+		case b>>63 != 0:
+			return h.str("-Inf")
+		}
+		return h.str("+Inf")
+	case 0:
+		exp = 1 // subnormal or zero: no implicit bit
+	default:
+		mant |= 1 << 52
+	}
+	exp -= 1023
+	if b>>63 != 0 {
+		h = h.byte('-')
+	}
+	if mant == 0 {
+		exp = 0
+	} else if shift := bits.LeadingZeros64(mant) - 11; shift > 0 {
+		mant <<= shift // a subnormal: its leading 1 to bit 52
+		exp -= shift
+	}
+	h = h.byte('0').byte('x').byte('0' + byte(mant>>52))
+	if mant <<= 12; mant != 0 {
+		h = h.byte('.')
+		for ; mant != 0; mant <<= 4 {
+			h = h.byte(lowerHex[mant>>60])
+		}
+	}
+	h = h.byte('p')
+	if exp < 0 {
+		h = h.byte('-')
+		exp = -exp
+	} else {
+		h = h.byte('+')
+	}
+	switch {
+	case exp >= 1000:
+		h = h.byte('0' + byte(exp/1000)).byte('0' + byte(exp/100%10))
+	case exp >= 100:
+		h = h.byte('0' + byte(exp/100))
+	}
+	return h.byte('0' + byte(exp/10%10)).byte('0' + byte(exp%10)).byte(';')
+}
+
+const lowerHex = "0123456789abcdef"
 
 // Validate checks the stream's structural integrity: a readable version, no
 // doubly-nested members, and only decision kinds the scheduler emits.

@@ -137,10 +137,10 @@ func TestAvailabilityStreamingMatchesRetained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v streaming: %v", p, err)
 		}
-		if streaming.Jobs != nil || streaming.UtilTimeline != nil || streaming.ReplicaTimelines != nil {
+		if streaming.Jobs != nil || streaming.UtilTimeline != nil {
 			t.Fatalf("%v: streaming retained per-job state", p)
 		}
-		retained.Jobs, retained.UtilTimeline, retained.ReplicaTimelines = nil, nil, nil
+		retained.Jobs, retained.UtilTimeline = nil, nil
 		if !reflect.DeepEqual(retained, streaming) {
 			t.Errorf("%v: streaming diverged from retained:\nretained:  %+v\nstreaming: %+v", p, retained, streaming)
 		}

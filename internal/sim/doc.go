@@ -15,14 +15,14 @@
 // completion, so in streaming mode (Config.Streaming) a multi-million-job
 // workload needs only O(running jobs) memory. A retained run adds two
 // append-only logs reserved up front — a record per completed job, a replica
-// sample per allocation change — which collection buckets into the Result.
+// sample per allocation change — which collection turns into the Result's
+// job records, each carrying its replica timeline.
 // Availability events stream from their own cursor over Config.Availability
 // the same way. Job identities are interned to int32 slab indices
 // (core.Job.Ref), equal-timestamp event batches share one scheduler kick
 // re-arm in every configuration, and the decision log is opt-in
-// (Config.LogDecisions), so the default streaming path allocates nothing per
-// job, and a retained one nothing per job beyond the Result's
-// replica-timeline map.
+// (Config.LogDecisions), so neither the default streaming path nor a
+// retained one allocates anything per job.
 //
 // # Execution modes
 //

@@ -26,6 +26,45 @@ type JobMetrics struct {
 	OverheadSec    float64 // total rescale overhead charged
 	ResponseTime   float64
 	CompletionTime float64
+	// Timeline is the job's replica count over its life (Figure 9b), a
+	// sample per change, oldest first. It is capped: appending to it never
+	// reaches another job's timeline.
+	Timeline []ReplicaSample
+}
+
+// jobMeta is a JobMetrics without its timeline: what a job slot's cold half
+// and a done-log entry hold, so neither carries a slice header that only
+// collection fills.
+type jobMeta struct {
+	ID             string
+	Class          model.Class
+	Priority       int
+	Replicas       int
+	SubmitAt       float64
+	StartAt        float64
+	EndAt          float64
+	Rescales       int
+	OverheadSec    float64
+	ResponseTime   float64
+	CompletionTime float64
+}
+
+// metrics is the job's record with the timeline collection built for it.
+func (m *jobMeta) metrics(tl []ReplicaSample) JobMetrics {
+	return JobMetrics{
+		ID:             m.ID,
+		Class:          m.Class,
+		Priority:       m.Priority,
+		Replicas:       m.Replicas,
+		SubmitAt:       m.SubmitAt,
+		StartAt:        m.StartAt,
+		EndAt:          m.EndAt,
+		Rescales:       m.Rescales,
+		OverheadSec:    m.OverheadSec,
+		ResponseTime:   m.ResponseTime,
+		CompletionTime: m.CompletionTime,
+		Timeline:       tl,
+	}
 }
 
 // UtilSample is one step of the cluster-utilization timeline.
@@ -81,11 +120,11 @@ type Result struct {
 	DeliveredSlotSec float64
 	WeightSum        float64
 	EndCapacity      int
-	// Jobs, UtilTimeline, and ReplicaTimelines are nil in streaming mode
-	// (Config.Streaming); the aggregate metrics above are always computed.
-	Jobs             []JobMetrics
-	UtilTimeline     []UtilSample
-	ReplicaTimelines map[string][]ReplicaSample
+	// Jobs and UtilTimeline are nil in streaming mode (Config.Streaming);
+	// the aggregate metrics above are always computed. Each job record
+	// carries its own replica timeline (JobMetrics.Timeline).
+	Jobs         []JobMetrics
+	UtilTimeline []UtilSample
 }
 
 // Config parameterizes a simulation.
@@ -99,9 +138,9 @@ type Config struct {
 	// logs — a JobMetrics record per completed job, and a utilization and
 	// replica sample per allocation change — so memory is O(concurrently
 	// running jobs), as million-job workloads need. Both modes recycle a
-	// job's slot when it completes. Result.Jobs, Result.UtilTimeline, and
-	// Result.ReplicaTimelines are nil in this mode; the aggregates are
-	// bit-identical to the retained mode.
+	// job's slot when it completes. Result.Jobs (and with it every job's
+	// replica timeline) and Result.UtilTimeline are nil in this mode; the
+	// aggregates are bit-identical to the retained mode.
 	Streaming bool
 	// Availability is the cluster-capacity timeline: each event sets the
 	// total slot count at its instant, driving core.Scheduler.SetCapacity
@@ -187,14 +226,14 @@ type simJob struct {
 // completes: its metrics, where the batch path places it (widx), and the
 // serial its replica samples carry.
 type doneRecord struct {
-	meta   JobMetrics
+	meta   jobMeta
 	widx   int32
 	serial int32
 }
 
 // replicaSample is one entry of a retained run's sample log: a job's replica
 // count from At on, keyed by its submission serial. Collection buckets the
-// log by serial into the Result's replica timelines.
+// log by serial into the job records' replica timelines.
 type replicaSample struct {
 	serial   int32
 	replicas int32
@@ -235,7 +274,7 @@ type Simulator struct {
 	// parallel cold-half directory: cold[ref] holds the metrics metadata of
 	// byRef[ref]'s job.
 	byRef []*simJob
-	cold  []JobMetrics
+	cold  []jobMeta
 
 	// Pools: the simJob slab and the slots of completed and withdrawn jobs
 	// ready for reuse.
@@ -359,7 +398,7 @@ func (s *Simulator) allocJob() *simJob {
 	s.slabUsed++
 	sj.ref = int32(len(s.byRef))
 	s.byRef = append(s.byRef, sj)
-	s.cold = append(s.cold, JobMetrics{})
+	s.cold = append(s.cold, jobMeta{})
 	return sj
 }
 
@@ -388,7 +427,7 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 	if sj.job.MaxReplicas > s.cfg.Capacity {
 		sj.job.MaxReplicas = s.cfg.Capacity
 	}
-	s.cold[sj.ref] = JobMetrics{ID: js.ID, Class: js.Class, Priority: js.Priority, SubmitAt: js.SubmitAt}
+	s.cold[sj.ref] = jobMeta{ID: js.ID, Class: js.Class, Priority: js.Priority, SubmitAt: js.SubmitAt}
 	return sj
 }
 
@@ -925,17 +964,16 @@ func unfinished(completed, expected int, sims ...*Simulator) error {
 	return fmt.Errorf("sim: %d of %d jobs completed", completed, expected)
 }
 
-// retainedRecords fills res.Jobs and res.ReplicaTimelines from the done and
-// sample logs of sims. byWidx says the simulators between them ran every job
-// of the workload and moved none: each record goes back to its workload
-// index. Otherwise the records are listed and sorted by SortJobs.
+// retainedRecords fills res.Jobs from the done and sample logs of sims.
+// byWidx says the simulators between them ran every job of the workload and
+// moved none: each record goes back to its workload index. Otherwise the
+// records are listed and sorted by SortJobs.
 //
 // One counting pass per simulator buckets its sample log by submission serial
-// into one backing array shared by every timeline; each timeline is a capped
-// sub-slice of it, so a caller appending to one cannot overwrite the next.
-// Records are visited in serial order — submission order, simulator by
-// simulator — which is the order a job ID repeated in the workload resolves
-// its map entry in.
+// into one backing array shared by every timeline; each record's Timeline is
+// a capped sub-slice of it, so a caller appending to one cannot overwrite the
+// next. A job ID repeated in the workload keeps a record, and a timeline, per
+// submission.
 func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 	jobs, samples, serials := 0, 0, int32(0)
 	for _, sg := range sims {
@@ -948,7 +986,6 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 	} else {
 		res.Jobs = make([]JobMetrics, 0, jobs)
 	}
-	res.ReplicaTimelines = make(map[string][]ReplicaSample, jobs)
 	timelines := make([]ReplicaSample, samples)
 	ends := make([]int32, serials+1) // per serial: its bucket's end, once filled
 	dones := make([]int32, serials)  // per serial: its done-log index, or -1
@@ -979,12 +1016,12 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 			hi := end[serial]
 			if i >= 0 {
 				d := &sg.done[i]
+				m := d.meta.metrics(tl[lo:hi:hi])
 				if byWidx {
-					res.Jobs[d.widx] = d.meta
+					res.Jobs[d.widx] = m
 				} else {
-					res.Jobs = append(res.Jobs, d.meta)
+					res.Jobs = append(res.Jobs, m)
 				}
-				res.ReplicaTimelines[d.meta.ID] = tl[lo:hi:hi]
 			}
 			lo = hi
 		}
