@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"elastichpc/internal/core"
@@ -20,19 +21,16 @@ import (
 // runtime exists in internal/charm and is exercised by Figures 4–6; running
 // 40,000-iteration production jobs through it would take the paper's
 // wall-clock hours).
+//
+// Each job's running application, checkpoint and overhead sit on its
+// jobRecord, found by the Ref its CharmJob carries.
 type modelApps struct {
-	c    *Cluster
-	apps map[string]*appState
-	// checkpoints holds each job's last periodic-checkpoint iteration
-	// (the paper's §3.2.2 fault-tolerance state; survives app restarts).
-	checkpoints map[string]float64
-	// overheadSec sums the rescale overhead charged to each job, across
-	// its app restarts and past its Stop: its JobMetrics.OverheadSec.
-	overheadSec map[string]float64
+	c *Cluster
 }
 
 // appState is one running application.
 type appState struct {
+	ref         int32
 	name        string
 	grid        int
 	steps       int
@@ -44,14 +42,7 @@ type appState struct {
 	seq         int64
 }
 
-func newModelApps(c *Cluster) *modelApps {
-	return &modelApps{
-		c:           c,
-		apps:        make(map[string]*appState),
-		checkpoints: make(map[string]float64),
-		overheadSec: make(map[string]float64),
-	}
-}
+func newModelApps(c *Cluster) *modelApps { return &modelApps{c: c} }
 
 // progress credits iterations completed since the last update at the current
 // replica count.
@@ -81,7 +72,7 @@ func (m *modelApps) rearm(a *appState, overhead float64) {
 		if a.seq != seq {
 			return // superseded by a rescale
 		}
-		m.c.jobDone(a.name)
+		m.c.jobDone(a.ref, a.name)
 	})
 }
 
@@ -90,7 +81,12 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 	if len(nodelist) != job.Spec.Replicas {
 		return fmt.Errorf("cluster: launch %s with %d of %d workers", job.Name, len(nodelist), job.Spec.Replicas)
 	}
+	ref, err := refOf(job)
+	if err != nil {
+		return err
+	}
 	a := &appState{
+		ref:        ref,
 		name:       job.Name,
 		grid:       job.Spec.Workload.Grid,
 		steps:      job.Spec.Workload.Steps,
@@ -101,8 +97,9 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 	if a.grid <= 0 || a.steps <= 0 {
 		return fmt.Errorf("cluster: job %s has no workload", job.Name)
 	}
+	r := m.c.record(ref)
 	overhead := 0.0
-	if done, ok := m.checkpoints[job.Name]; ok && done > 0 {
+	if done := r.checkpoint; done > 0 {
 		// Restarting after a failure: resume from the checkpoint and
 		// pay the restart+restore cost of reading it back.
 		a.itersDone = done
@@ -111,10 +108,10 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 	}
 	// A restart that pays back a forced preemption: its frozen window is
 	// part of what the availability event cost.
-	forced := m.c.preempted[job.Name]
-	delete(m.c.preempted, job.Name)
+	forced := r.preempted
+	r.preempted = false
 	m.c.ledger.Overhead(overhead*float64(a.replicas), forced)
-	m.apps[job.Name] = a
+	r.app = a
 	m.rearm(a, overhead)
 	return nil
 }
@@ -123,7 +120,7 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 // restarts with fewer PEs, and acknowledges; the controller then deletes the
 // surplus pods.
 func (m *modelApps) Shrink(job *operator.CharmJob, newReplicas int) error {
-	return m.rescale(job.Name, newReplicas)
+	return m.rescale(job, newReplicas)
 }
 
 // Expand implements operator.AppRuntime.
@@ -131,22 +128,27 @@ func (m *modelApps) Expand(job *operator.CharmJob, newReplicas int, nodelist []s
 	if len(nodelist) < newReplicas {
 		return fmt.Errorf("cluster: expand %s: nodelist has %d of %d workers", job.Name, len(nodelist), newReplicas)
 	}
-	return m.rescale(job.Name, newReplicas)
+	return m.rescale(job, newReplicas)
 }
 
-func (m *modelApps) rescale(name string, to int) error {
-	a, ok := m.apps[name]
-	if !ok {
-		return fmt.Errorf("cluster: app %s not running", name)
+func (m *modelApps) rescale(job *operator.CharmJob, to int) error {
+	ref, err := refOf(job)
+	if err != nil {
+		return err
+	}
+	r := m.c.record(ref)
+	a := r.app
+	if a == nil {
+		return fmt.Errorf("cluster: app %s not running", job.Name)
 	}
 	if to == a.replicas {
 		return nil
 	}
 	m.progress(a)
 	ph := m.c.machine.RescaleOverhead(a.grid, a.replicas, to)
-	forced := to < a.replicas && m.c.Mgr.TakeForcedRescale(name)
+	forced := to < a.replicas && m.c.Mgr.TakeForcedRescale(a.ref)
 	a.replicas = to
-	m.overheadSec[name] += ph.Total()
+	r.overheadSec += ph.Total()
 	m.c.ledger.Overhead(ph.Total()*float64(to), forced)
 	m.rearm(a, ph.Total())
 	return nil
@@ -159,24 +161,29 @@ func (m *modelApps) rescale(name string, to int) error {
 // unlike the simulator's idealized instant checkpoint, the emulation only
 // saves what the §3.2.2 periodic checkpointer actually wrote.
 func (m *modelApps) Stop(job *operator.CharmJob) {
-	if a, ok := m.apps[job.Name]; ok {
+	ref, err := refOf(job)
+	if err != nil {
+		return // Launch refused the job: no app runs
+	}
+	r := m.c.record(ref)
+	if a := r.app; a != nil {
 		a.seq++ // cancel any pending completion
 		m.progress(a)
 		saved := 0.0
 		if a.ckptPeriod > 0 {
 			period := float64(a.ckptPeriod)
 			saved = float64(int(a.itersDone/period)) * period
-			m.checkpoints[job.Name] = saved
+			r.checkpoint = saved
 		}
 		if m.c.Mgr.Scheduler().Reclaiming() {
-			m.c.preempted[job.Name] = true
+			r.preempted = true
 			if lost := a.itersDone - saved; lost > 0 && a.replicas > 0 {
 				iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 				m.c.ledger.Lost(lost * iterTime * float64(a.replicas))
 			}
 		}
 	}
-	delete(m.apps, job.Name)
+	r.app = nil
 }
 
 // RunExperiment builds a cluster, submits the workload, runs it to
@@ -208,12 +215,10 @@ func RunRecorded(cfg Config, w workload.Workload) (sim.Result, []core.Decision, 
 // class, at its submission time, and keeps the class for the job's record.
 func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	specs := model.Specs()
-	if c.classes == nil {
-		c.classes = make(map[string]model.Class, len(w.Jobs))
-	}
+	c.jobs = slices.Grow(c.jobs, len(w.Jobs)) // one record a job, by Ref
 	jobs := make([]operator.CharmJob, len(w.Jobs))
+	subs := make([]submission, len(w.Jobs))
 	for i, js := range w.Jobs {
-		c.classes[js.ID] = js.Class
 		spec := specs[js.Class]
 		maxR := spec.MaxReplicas
 		if maxR > c.cfg.Nodes*c.cfg.CPUPerNode {
@@ -231,7 +236,8 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 				CheckpointPeriod: c.cfg.CheckpointPeriod,
 			},
 		}
-		c.Submit(&jobs[i], model.Duration(js.SubmitAt))
+		subs[i] = submission{&jobs[i], js.Class}
+		c.Loop.AtArg(model.Duration(js.SubmitAt), c.submitFn, &subs[i])
 	}
 }
 

@@ -65,8 +65,13 @@ type Cluster struct {
 	start time.Time
 
 	// submitFn is submit, made once: every submission's timer arms it with
-	// the job.
+	// the submission.
 	submitFn func(any)
+
+	// jobs holds every submitted job's record by its core.Job.Ref, the
+	// number the manager gives it at Submit; finished counts those done.
+	jobs     []jobRecord
+	finished int
 
 	// Utilization accounting over bound worker pods: the integral's open
 	// term runs from utilLast, on the loop's clock, at usedCPU slots.
@@ -75,24 +80,14 @@ type Cluster struct {
 	utilLast time.Duration
 
 	// Per-job replica timelines (Figure 9b): replicaLog holds every job's
-	// samples in event order, each with its job's index in replicaJobs;
-	// replicaIdx maps a job's name to that index.
-	replicaLog  []replicaSample
-	replicaJobs []replicaJob
-	replicaIdx  map[string]int
-
-	done map[string]bool
-	// classes holds the class of every job SubmitWorkload submitted; a job
-	// submitted on its own reads as the zero class.
-	classes map[string]model.Class
+	// samples in event order, each with its job's Ref.
+	replicaLog []replicaSample
 
 	// ledger is the accountant the simulator keeps too, fed in event order
 	// with the utilization integral's terms, the overhead and work-lost
 	// areas and the applied capacity steps; Result folds the jobs' terms onto
-	// a copy. preempted marks jobs stopped by a reclaim so their restart
-	// overhead is attributed to the availability event.
-	ledger    sim.Ledger
-	preempted map[string]bool
+	// a copy.
+	ledger sim.Ledger
 
 	// runErr is the first error raised inside an event-loop callback
 	// (capacity events, submissions, completion plumbing). Callbacks cannot
@@ -112,12 +107,7 @@ func New(cfg Config) (*Cluster, error) {
 	start := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	loop := k8s.NewEventLoop(start)
 	store := k8s.NewStore(loop)
-	c := &Cluster{
-		cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start,
-		replicaIdx: make(map[string]int),
-		done:       make(map[string]bool),
-		preempted:  make(map[string]bool),
-	}
+	c := &Cluster{cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start}
 	c.submitFn = c.submit
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
@@ -216,18 +206,52 @@ func (c *Cluster) onPodEvent(ev k8s.Event) {
 	c.utilTL = append(c.utilTL, sim.UtilSample{At: now.Seconds(), Used: used})
 }
 
-// replicaSample is a replica-log entry: a sample of the job at index job of
-// replicaJobs.
-type replicaSample struct {
-	job    int
-	sample sim.ReplicaSample
+// jobRecord is what the emulation keeps of a job beside the manager's
+// record: its class, whether it is done, its running application and
+// checkpoint (§3.2.2), the rescale overhead charged to it, and its share of
+// the replica log.
+type jobRecord struct {
+	// class is SubmitWorkload's; a job submitted on its own reads as the
+	// zero class.
+	class model.Class
+	done  bool
+	// preempted marks a job stopped by a reclaim, so its restart overhead is
+	// attributed to the availability event.
+	preempted bool
+	// app is the running application, nil when none; checkpoint is the
+	// iteration of its last periodic checkpoint, which survives app
+	// restarts; overheadSec sums the rescale overhead charged to the job,
+	// across its app restarts and past its Stop: its JobMetrics.OverheadSec.
+	app         *appState
+	checkpoint  float64
+	overheadSec float64
+	// samples is how many samples the job has in the replica log, last the
+	// replica count of the latest.
+	samples, last int
 }
 
-// replicaJob is a job's share of the replica log: its name, how many samples
-// it has there and the replica count of the last.
-type replicaJob struct {
-	name          string
-	samples, last int
+// record is the record of the job with the Ref.
+func (c *Cluster) record(ref int32) *jobRecord {
+	if n := int(ref) + 1 - len(c.jobs); n > 0 {
+		c.jobs = append(c.jobs, make([]jobRecord, n)...)
+	}
+	return &c.jobs[ref]
+}
+
+// refOf is the job's Ref, refusing a CharmJob the manager did not submit:
+// one created in the store directly has none, and so no record.
+func refOf(job *operator.CharmJob) (int32, error) {
+	ref, ok := job.Ref()
+	if !ok {
+		return 0, fmt.Errorf("cluster: job %s was not submitted through the manager", job.Name)
+	}
+	return ref, nil
+}
+
+// replicaSample is a replica-log entry: a sample of the job with the Ref.
+type replicaSample struct {
+	ref    int32
+	sample sim.ReplicaSample
 }
 
 func (c *Cluster) onJobEvent(ev k8s.Event) {
@@ -239,56 +263,66 @@ func (c *Cluster) onJobEvent(ev k8s.Event) {
 	if job.Status.Phase == operator.JobSucceeded {
 		cur = 0
 	}
-	i, seen := c.replicaIdx[job.Name]
-	if !seen {
-		i = len(c.replicaJobs)
-		c.replicaIdx[job.Name] = i
-		c.replicaJobs = append(c.replicaJobs, replicaJob{name: job.Name})
-	} else if c.replicaJobs[i].last == cur {
+	ref, err := refOf(job)
+	if err != nil {
+		c.fail(err)
 		return
 	}
-	c.replicaJobs[i].samples++
-	c.replicaJobs[i].last = cur
-	c.replicaLog = append(c.replicaLog, replicaSample{i, sim.ReplicaSample{
+	r := c.record(ref)
+	if r.samples > 0 && r.last == cur {
+		return
+	}
+	r.samples++
+	r.last = cur
+	c.replicaLog = append(c.replicaLog, replicaSample{ref, sim.ReplicaSample{
 		At: c.Loop.Elapsed().Seconds(), Replicas: cur,
 	}})
 }
 
 // replicaTimelines buckets the replica log by job into one backing array
-// shared by every timeline, indexed as replicaJobs is; each timeline is a
-// capped sub-slice of it, so a caller appending to one cannot overwrite the
-// next, and the log's later samples never reach a timeline handed out
-// earlier.
+// shared by every timeline, indexed by Ref; each timeline is a capped
+// sub-slice of it, so a caller appending to one cannot overwrite the next,
+// and the log's later samples never reach a timeline handed out earlier.
 func (c *Cluster) replicaTimelines() [][]sim.ReplicaSample {
-	timelines := make([][]sim.ReplicaSample, len(c.replicaJobs))
+	timelines := make([][]sim.ReplicaSample, len(c.jobs))
 	all := make([]sim.ReplicaSample, len(c.replicaLog))
-	next := make([]int, len(c.replicaJobs)) // per job: where its next sample goes
+	next := make([]int, len(c.jobs)) // per job: where its next sample goes
 	end := 0
-	for i, j := range c.replicaJobs {
+	for i, r := range c.jobs {
 		next[i] = end
-		end += j.samples
+		end += r.samples
 		timelines[i] = all[next[i]:end:end]
 	}
 	for _, x := range c.replicaLog {
-		all[next[x.job]] = x.sample
-		next[x.job]++
+		all[next[x.ref]] = x.sample
+		next[x.ref]++
 	}
 	return timelines
+}
+
+// submission is what a submission's timer carries: the job and its class.
+type submission struct {
+	job   *operator.CharmJob
+	class model.Class
 }
 
 // Submit schedules a CharmJob submission at the given offset from the loop's
 // current instant (the start, before Run). A submission the manager rejects
 // (duplicate name, invalid spec) surfaces as an error from Run.
 func (c *Cluster) Submit(job *operator.CharmJob, at time.Duration) {
-	c.Loop.AtArg(at, c.submitFn, job)
+	c.Loop.AtArg(at, c.submitFn, &submission{job: job})
 }
 
-// submit hands the job a submission's timer carries to the manager.
+// submit hands the job a submission's timer carries to the manager and
+// files its class under the Ref the manager gives it.
 func (c *Cluster) submit(arg any) {
-	job := arg.(*operator.CharmJob)
-	if err := c.Mgr.Submit(job); err != nil {
-		c.fail(fmt.Errorf("cluster: submit %s: %w", job.Name, err))
+	s := arg.(*submission)
+	ref, err := c.Mgr.Submit(s.job)
+	if err != nil {
+		c.fail(fmt.Errorf("cluster: submit %s: %w", s.job.Name, err))
+		return
 	}
+	c.record(ref).class = s.class
 }
 
 // FailNode schedules a simulated node crash at the given offset: every pod
@@ -301,14 +335,16 @@ func (c *Cluster) FailNode(node string, at time.Duration) {
 	})
 }
 
-// jobDone is called by the modelled application when a job's final
-// iteration completes.
-func (c *Cluster) jobDone(name string) {
-	if c.done[name] {
+// jobDone is called by the modelled application when the final iteration of
+// the job with the Ref completes.
+func (c *Cluster) jobDone(ref int32, name string) {
+	r := c.record(ref)
+	if r.done {
 		return
 	}
-	c.done[name] = true
-	if err := c.Mgr.JobFinished(name); err != nil {
+	r.done = true
+	c.finished++
+	if err := c.Mgr.JobFinished(ref); err != nil {
 		c.fail(fmt.Errorf("cluster: finish %s: %w", name, err))
 	}
 }
@@ -323,14 +359,14 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 		if steps > maxSteps || c.runErr != nil {
 			return true
 		}
-		return len(c.done) >= expectJobs
+		return c.finished >= expectJobs
 	})
 	if c.runErr != nil {
 		return c.runErr
 	}
-	if !ok || len(c.done) < expectJobs {
+	if !ok || c.finished < expectJobs {
 		return fmt.Errorf("cluster: only %d of %d jobs completed after %d steps",
-			len(c.done), expectJobs, steps)
+			c.finished, expectJobs, steps)
 	}
 	return nil
 }
@@ -346,25 +382,26 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 func (c *Cluster) Result() sim.Result {
 	timelines := c.replicaTimelines()
 	var jobs []sim.JobMetrics
-	for name := range c.done { //lint:deterministic jobs is sorted below, before anything folds over it
-		cj, ok := c.Mgr.CoreJob(name)
-		if !ok {
+	for ref := range c.jobs {
+		r := &c.jobs[ref]
+		cj, ok := c.Mgr.CoreJob(int32(ref))
+		if !r.done || !ok {
 			continue
 		}
 		m := sim.JobMetrics{
-			ID:             name,
-			Class:          c.classes[name],
+			ID:             cj.ID,
+			Class:          r.class,
 			Priority:       cj.Priority,
 			SubmitAt:       cj.SubmitTime.Sub(c.start).Seconds(),
 			StartAt:        cj.StartTime.Sub(c.start).Seconds(),
 			EndAt:          cj.EndTime.Sub(c.start).Seconds(),
 			Rescales:       cj.Rescales,
-			OverheadSec:    c.apps.overheadSec[name],
+			OverheadSec:    r.overheadSec,
 			ResponseTime:   cj.ResponseTime().Seconds(),
 			CompletionTime: cj.CompletionTime().Seconds(),
 		}
-		if i, seen := c.replicaIdx[name]; seen {
-			m.Timeline = timelines[i]
+		if r.samples > 0 {
+			m.Timeline = timelines[ref]
 		}
 		for _, s := range m.Timeline {
 			if s.Replicas > m.Replicas {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +57,42 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestUnsubmittedJobRefused: a CharmJob created in the store directly, not
+// submitted through the manager, carries no Ref, so the emulation has no
+// record to keep it under. The run fails naming it, where a Ref of 0 would
+// have filed it under the first submitted job's record, and the application
+// runtime refuses to launch or rescale it.
+func TestUnsubmittedJobRefused(t *testing.T) {
+	c, err := New(DefaultConfig(core.Elastic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Submit(smallJob("j0", 3, 2, 8, 512, 100), 0)
+	rogue := smallJob("rogue", 1, 1, 2, 512, 100)
+	rogue.Spec.Replicas = 1
+	if _, ok := rogue.Ref(); ok {
+		t.Fatal("a CharmJob the manager did not create has a Ref")
+	}
+	if err := c.Store.Create(rogue); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rogue was not submitted through the manager"
+	if err := c.Run(1, 1_000_000); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run = %v, want an error saying %q", err, want)
+	}
+	apps := newModelApps(c)
+	if err := apps.Launch(rogue, []string{"w0"}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Launch = %v, want an error saying %q", err, want)
+	}
+	if err := apps.Expand(rogue, 2, []string{"w0", "w1"}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Expand = %v, want an error saying %q", err, want)
+	}
+	apps.Stop(rogue)
+	if r := c.record(0); r.app != nil || r.checkpoint != 0 || r.preempted || r.overheadSec != 0 {
+		t.Errorf("job 0's record took the unsubmitted job's state: %+v", *r)
+	}
+}
+
 func TestPodsCreatedAndCleanedUp(t *testing.T) {
 	c, err := New(DefaultConfig(core.Elastic))
 	if err != nil {
@@ -75,7 +112,7 @@ func TestPodsCreatedAndCleanedUp(t *testing.T) {
 	if got := len(c.Store.Pods(map[string]string{"charmjob": "j0"})); got != 0 {
 		t.Errorf("%d pods left after completion", got)
 	}
-	obj, ok := c.Store.View(k8s.KindCharmJob, "j0")
+	obj, ok := c.Store.View(k8s.KindCharmJob, c.Store.Lookup("j0"))
 	if !ok || obj.(*operator.CharmJob).Status.Phase != operator.JobSucceeded {
 		t.Error("job not marked Succeeded")
 	}
@@ -88,14 +125,14 @@ func TestNodelistWrittenAndSized(t *testing.T) {
 	}
 	c.Submit(smallJob("j0", 3, 2, 4, 512, 400), 0)
 	c.Loop.RunUntil(func() bool {
-		obj, ok := c.Store.View(k8s.KindConfigMap, operator.NodelistName("j0"))
+		obj, ok := c.Store.View(k8s.KindConfigMap, c.Store.Lookup(operator.NodelistName("j0")))
 		if !ok {
 			return false
 		}
 		cm := obj.(*k8s.ConfigMap)
 		return len(cm.Data["nodelist"]) > 0
 	})
-	obj, ok := c.Store.View(k8s.KindConfigMap, operator.NodelistName("j0"))
+	obj, ok := c.Store.View(k8s.KindConfigMap, c.Store.Lookup(operator.NodelistName("j0")))
 	if !ok {
 		t.Fatal("nodelist ConfigMap missing")
 	}

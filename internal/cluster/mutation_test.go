@@ -310,7 +310,7 @@ func TestNoConsumerWritesThroughAView(t *testing.T) {
 		}
 		restarts := 0
 		for _, js := range w.Jobs {
-			if obj, ok := c.Store.View(k8s.KindCharmJob, js.ID); ok {
+			if obj, ok := c.Store.View(k8s.KindCharmJob, c.Store.Lookup(js.ID)); ok {
 				restarts += obj.(*operator.CharmJob).Status.Restarts
 			}
 		}

@@ -123,7 +123,7 @@ func TestResultIsIdempotent(t *testing.T) {
 
 	watched := build()
 	observed, finishedMidRun := 0, 0
-	for len(watched.done) < 3 {
+	for watched.finished < 3 {
 		mid := watched.Result()
 		if again := watched.Result(); !reflect.DeepEqual(mid, again) {
 			t.Fatalf("mid-run Result at %v is not idempotent:\nfirst:  %+v\nsecond: %+v",
@@ -134,7 +134,7 @@ func TestResultIsIdempotent(t *testing.T) {
 			finishedMidRun++
 		}
 		if !watched.Loop.Step() {
-			t.Fatalf("the loop ran dry with %d of 3 jobs done", len(watched.done))
+			t.Fatalf("the loop ran dry with %d of 3 jobs done", watched.finished)
 		}
 	}
 	if err := watched.runErr; err != nil {
@@ -164,7 +164,7 @@ func TestMidRunResultStaysAsReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SubmitWorkload(w)
-	c.Loop.RunUntil(func() bool { return len(c.done) >= len(w.Jobs)/2 })
+	c.Loop.RunUntil(func() bool { return c.finished >= len(w.Jobs)/2 })
 	mid := c.Result()
 	if len(mid.Jobs) >= len(w.Jobs) {
 		t.Fatalf("the mid-run Result already holds %d jobs: nothing is left to change", len(mid.Jobs))

@@ -635,12 +635,15 @@ func (s *Scheduler) maxFreeable() int {
 // is currently blocked only by T_rescale_gap becomes possible: an expansion
 // of a below-max running job into free slots, or a shrink of an above-min
 // running job on behalf of a queued job. ok is false when no such moment
-// exists (nothing blocked, or the policy never rescales).
+// exists (nothing blocked, or the policy never rescales). The walk compares
+// integer nanoseconds and builds the instant of the winner alone.
 func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
-	if s.cfg.RescaleGap == time.Duration(math.MaxInt64) {
+	if s.gapNs == math.MaxInt64 {
 		return time.Time{}, false // moldable: gaps never expire
 	}
 	s.refresh()
+	var next *Job
+	var nextNs int64
 	for _, j := range s.running {
 		minR, maxR := s.bounds(j)
 		expandable := s.free > 0 && j.Replicas < maxR
@@ -651,12 +654,14 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 		if s.gapOK(j) {
 			continue // not gap-blocked; a plain pass already had its chance
 		}
-		exp := j.LastAction.Add(s.cfg.RescaleGap)
-		if exp.After(s.tnow) && (!ok || exp.Before(at)) {
-			at, ok = exp, true
+		if exp := j.lastActionNs + s.gapNs; exp > s.tnowNs && (next == nil || exp < nextNs) {
+			next, nextNs = j, exp
 		}
 	}
-	return at, ok
+	if next == nil {
+		return time.Time{}, false
+	}
+	return next.LastAction.Add(s.cfg.RescaleGap), true
 }
 
 // redistribute walks all running and queued jobs in decreasing priority

@@ -597,3 +597,58 @@ func TestRandomizedSlotAccountingInvariant(t *testing.T) {
 		})
 	}
 }
+
+// TestRigidPoliciesAwaitNoGap drives each rigid scheduler, a rescale gap in
+// force, through submissions, a completion, a capacity drop and rise and a
+// preemption, and asks for the next gap expiry after every step: a rigid
+// policy pins every running job to the one size it started at, so there is
+// never one. The same script under Elastic finds one, so the rigid answer is
+// not an artefact of a script that never blocks a rescale.
+func TestRigidPoliciesAwaitNoGap(t *testing.T) {
+	run := func(p Policy) (expiries int) {
+		s, _, clk := newSched(t, Config{Policy: p, Capacity: 16, RescaleGap: time.Minute})
+		step := func(what string, op func()) {
+			t.Helper()
+			op()
+			clk.advance(10 * time.Second)
+			if _, ok := s.NextGapExpiry(); ok {
+				expiries++
+			}
+			for _, j := range runningJobs(s) {
+				if minR, maxR := s.bounds(j); p != Elastic && (j.Replicas != minR || minR != maxR) {
+					t.Fatalf("%v after %s: %s runs %d replicas within [%d, %d]", p, what, j.ID, j.Replicas, minR, maxR)
+				}
+			}
+		}
+		jobs := []*Job{job("a", 1, 2, 8), job("b", 2, 4, 12), job("c", 3, 3, 6), job("d", 1, 8, 16)}
+		for _, j := range jobs {
+			step("submit "+j.ID, func() {
+				if err := s.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		step("complete", func() { s.OnJobComplete(runningJobs(s)[0]) })
+		step("capacity drop", func() {
+			if err := s.SetCapacity(9); err != nil {
+				t.Fatal(err)
+			}
+		})
+		step("capacity rise", func() {
+			if err := s.SetCapacity(24); err != nil {
+				t.Fatal(err)
+			}
+		})
+		step("preempt", func() { s.Preempt(4) })
+		step("reschedule", s.Reschedule)
+		return expiries
+	}
+	for _, p := range []Policy{RigidMin, RigidMax} {
+		if n := run(p); n != 0 {
+			t.Errorf("%v: a gap expiry was due after %d steps", p, n)
+		}
+	}
+	if run(Elastic) == 0 {
+		t.Error("Elastic: no gap expiry after any step, so the script blocks no rescale")
+	}
+}

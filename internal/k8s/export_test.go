@@ -7,7 +7,7 @@ func (s *Store) Stats() StoreStats { return s.stats }
 // entry to the Get-change-Update bodies index_test.go holds Modify, Bind and
 // SetPodStatus to.
 func (s *Store) Get(kind Kind, key string) (Object, bool) {
-	obj, ok := s.View(kind, key)
+	obj, ok := s.View(kind, s.Lookup(key))
 	if !ok {
 		return nil, false
 	}

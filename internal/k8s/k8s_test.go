@@ -68,10 +68,10 @@ func TestStoreCRUD(t *testing.T) {
 	if got2.(*Pod).Spec.NodeName != "node-x" {
 		t.Error("update lost")
 	}
-	if err := store.Delete(KindPod, "p1"); err != nil {
+	if err := store.Delete(KindPod, store.Lookup("p1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Delete(KindPod, "p1"); err == nil {
+	if err := store.Delete(KindPod, store.Lookup("p1")); err == nil {
 		t.Error("double delete succeeded")
 	}
 	if _, ok := store.Get(KindPod, "p1"); ok {
@@ -108,16 +108,23 @@ func TestPodWritesAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop.Settle()
-	nodes, i := [2]string{"n0", "n1"}, 0
+	var nodes [2]Handle
+	for i, n := range []string{"n0", "n1"} {
+		if err := store.Create(&Node{ObjectMeta: ObjectMeta{Name: n}, CapacityCPU: 4}); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = store.Lookup(n)
+	}
+	p, i := store.Lookup("p"), 0
 	bind := func() {
 		i++
-		if err := store.Bind("p", nodes[i%2]); err != nil {
+		if err := store.Bind(p, nodes[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		loop.Settle()
 	}
 	status := func() {
-		if err := store.SetPodStatus("p", PodStatus{Phase: PodRunning}); err != nil {
+		if err := store.SetPodStatus(p, PodStatus{Phase: PodRunning}); err != nil {
 			t.Fatal(err)
 		}
 		loop.Settle()
@@ -170,7 +177,7 @@ func refills[T any](b *slab[T], n int) []int {
 type unregistered struct{ ObjectMeta }
 
 func (u *unregistered) Meta() *ObjectMeta { return &u.ObjectMeta }
-func (u *unregistered) Kind() Kind        { return "Unregistered" }
+func (u *unregistered) Kind() Kind        { return kindCount }
 func (u *unregistered) DeepCopy() Object  { cp := *u; return &cp }
 
 // TestCreateKeepsTheMapsItIsHanded pins Create's contract: the version it
@@ -193,15 +200,15 @@ func TestCreateKeepsTheMapsItIsHanded(t *testing.T) {
 	cm.Name, cm.ResourceVersion = "renamed", 99
 
 	same := func(a, b map[string]string) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
-	v, _ := store.View(KindPod, "p")
+	v, _ := store.View(KindPod, store.Lookup("p"))
 	if p := v.(*Pod); p == pod || p.Spec.CPU != 1 || p.Status.Phase != PodPending || !same(p.Labels, pod.Labels) {
 		t.Errorf("stored pod %+v: its struct must be a copy of the caller's, its labels the caller's map", p)
 	}
-	v, _ = store.View(KindNode, "n")
+	v, _ = store.View(KindNode, store.Lookup("n"))
 	if n := v.(*Node); n == node || n.CapacityCPU != 16 || !same(n.Labels, node.Labels) {
 		t.Errorf("stored node %+v: its struct must be a copy of the caller's, its labels the caller's map", n)
 	}
-	v, _ = store.View(KindConfigMap, "c")
+	v, _ = store.View(KindConfigMap, store.Lookup("c"))
 	if c := v.(*ConfigMap); c == cm || c.Name != "c" || c.ResourceVersion == 99 || !same(c.Labels, cm.Labels) || !same(c.Data, cm.Data) {
 		t.Errorf("stored configmap %+v: its struct must be a copy of the caller's, its labels and data the caller's maps", c)
 	}
@@ -241,7 +248,7 @@ func TestStoreWatchDeliversInOrder(t *testing.T) {
 	if err := store.Update(pod); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Delete(KindPod, "a"); err != nil {
+	if err := store.Delete(KindPod, store.Lookup("a")); err != nil {
 		t.Fatal(err)
 	}
 	loop.Settle()
@@ -307,6 +314,50 @@ func TestSchedulerBindsAndKubeletStarts(t *testing.T) {
 	}
 }
 
+// TestKubeletStaleTimerSkipsRecreatedPod binds a pod, then deletes it and
+// creates it again under its name 1 s into the kubelet's 2 s startup delay.
+// The new pod has the old one's handle, so the timer armed for the old pod
+// finds a pod there when it fires at 2 s; only the resource version it
+// checks tells the two apart, and it must leave the new pod Pending. The new
+// pod's own timer, armed at its binding, starts it at 3 s.
+func TestKubeletStaleTimerSkipsRecreatedPod(t *testing.T) {
+	loop, store, _, kubelet := newCluster(t, 1, 4)
+	var started []time.Duration // when each Running event arrived
+	store.Subscribe(KindPod, func(ev Event) {
+		if ev.Type != Deleted && ev.Object.(*Pod).Status.Phase == PodRunning {
+			started = append(started, loop.Elapsed())
+		}
+	})
+	if err := store.Create(mkPod("p", 1, "job-a")); err != nil {
+		t.Fatal(err)
+	}
+	loop.Settle()
+	old := store.pod(store.Lookup("p"))
+	if old == nil || old.Spec.NodeName == "" {
+		t.Fatalf("pod not bound at once: %+v", old)
+	}
+	loop.At(time.Second, func() {
+		if err := store.Delete(KindPod, old.Handle()); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Create(mkPod("p", 1, "job-a")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	loop.RunUntil(func() bool { return loop.Elapsed() >= 2*time.Second })
+	now := store.pod(store.Lookup("p"))
+	if now == nil || now == old || now.Handle() != old.Handle() {
+		t.Fatalf("the re-created pod %+v is not a new pod under the old one's handle %d", now, old.Handle())
+	}
+	if now.Spec.NodeName == "" || now.Status.Phase != PodPending {
+		t.Fatalf("at 2 s the re-created pod is %s on %q, want Pending and bound: the old pod's timer started it", now.Status.Phase, now.Spec.NodeName)
+	}
+	loop.RunUntilIdle()
+	if want := []time.Duration{3 * time.Second}; !reflect.DeepEqual(started, want) || kubelet.Started != 1 {
+		t.Errorf("pods started at %v (%d by the kubelet), want %v (1)", started, kubelet.Started, want)
+	}
+}
+
 func TestSchedulerAffinityPacksJobPods(t *testing.T) {
 	loop, store, _, _ := newCluster(t, 4, 16)
 	for i := 0; i < 8; i++ {
@@ -339,14 +390,14 @@ func TestSchedulerAffinityOutranksFreeCPU(t *testing.T) {
 					t.Fatal(err)
 				}
 				loop.RunUntilIdle()
-				if v, _ := store.View(KindPod, pod.Name); v.(*Pod).Spec.NodeName != want {
+				if v, _ := store.View(KindPod, store.Lookup(pod.Name)); v.(*Pod).Spec.NodeName != want {
 					t.Errorf("%s bound to %q, want %q", pod.Name, v.(*Pod).Spec.NodeName, want)
 				}
 			}
 			place(mkPod("filler", cpu/2, ""), "node-0")
 			place(mkPod("j-launcher", 0, "j"), "node-0") // the fuller node
 			place(mkPod("big", cpu*3/4, ""), "node-1")   // node-0 has too little free
-			if err := store.Delete(KindPod, "filler"); err != nil {
+			if err := store.Delete(KindPod, store.Lookup("filler")); err != nil {
 				t.Fatal(err)
 			}
 			loop.RunUntilIdle()
@@ -413,7 +464,7 @@ func TestSchedulerRetriesAfterPodDeletion(t *testing.T) {
 		t.Fatalf("job-a has %d pods, want 4", len(old))
 	}
 	for _, p := range old {
-		if err := store.Delete(KindPod, p.Key()); err != nil {
+		if err := store.Delete(KindPod, store.Lookup(p.Key())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -438,7 +489,7 @@ func TestSucceededPodsReleaseCapacity(t *testing.T) {
 	if got.(*Pod).Spec.NodeName != "" {
 		t.Fatal("b bound while a holds the node")
 	}
-	a, _ := store.View(KindPod, "a")
+	a, _ := store.View(KindPod, store.Lookup("a"))
 	if !setPhase(store, a.(*Pod), PodSucceeded) {
 		t.Fatal("a did not succeed")
 	}
@@ -747,18 +798,33 @@ func TestEventLoopZeroDelayRunsNow(t *testing.T) {
 	}
 }
 
+// namedQueue is a workqueue over a store that holds a pod under each of the
+// names, whose handler is handed the key of the handle the queue hands it;
+// the func it returns is the store's Lookup.
+func namedQueue(t *testing.T, loop *EventLoop, delay time.Duration, handler func(string), names ...string) (*Workqueue, func(string) Handle) {
+	t.Helper()
+	store := NewStore(loop)
+	for _, name := range names {
+		if err := store.Create(mkPod(name, 1, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := NewWorkqueue(store, delay, func(h Handle) { handler(store.entry(h).key) })
+	return q, store.Lookup
+}
+
 func TestWorkqueueDedupes(t *testing.T) {
 	loop := NewEventLoop(t0)
 	var handled []string
-	q := NewWorkqueue(loop, 3*time.Second, func(key string) { handled = append(handled, key) })
-	q.Add("a")
-	q.Add("a")
-	q.Add("b")
+	q, h := namedQueue(t, loop, 3*time.Second, func(key string) { handled = append(handled, key) }, "a", "b", "c")
+	q.Add(h("a"))
+	q.Add(h("a"))
+	q.Add(h("b"))
 	loop.Settle()
 	if len(handled) != 2 || handled[0] != "a" || handled[1] != "b" {
 		t.Errorf("handled = %v", handled)
 	}
-	q.Requeue("c")
+	q.Requeue(h("c"))
 	loop.RunUntilIdle()
 	if len(handled) != 3 || handled[2] != "c" {
 		t.Errorf("handled = %v", handled)
@@ -782,13 +848,13 @@ func handledAt(loop *EventLoop, handled *[]string) func(string) {
 func TestWorkqueueRequeuesInArmingOrder(t *testing.T) {
 	loop := NewEventLoop(t0)
 	var handled []string
-	q := NewWorkqueue(loop, 3*time.Second, handledAt(loop, &handled))
-	q.Requeue("c")
-	q.Requeue("a")
-	loop.At(time.Second, func() { q.Requeue("b") })
+	q, h := namedQueue(t, loop, 3*time.Second, handledAt(loop, &handled), "a", "b", "c", "d")
+	q.Requeue(h("c"))
+	q.Requeue(h("a"))
+	loop.At(time.Second, func() { q.Requeue(h("b")) })
 	loop.At(2*time.Second, func() {
-		q.Requeue("d")
-		q.Requeue("a")
+		q.Requeue(h("d"))
+		q.Requeue(h("a"))
 	})
 	loop.RunUntilIdle()
 	want := []string{"c@3s", "a@3s", "b@4s", "d@5s", "a@5s"}
@@ -803,17 +869,17 @@ func TestWorkqueueRequeuesInArmingOrder(t *testing.T) {
 func TestWorkqueueRequeueCollapsesIntoPendingKey(t *testing.T) {
 	loop := NewEventLoop(t0)
 	var handled []string
-	q := NewWorkqueue(loop, time.Second, handledAt(loop, &handled))
-	loop.At(time.Second, func() { q.Add("a") }) // queued, not yet handled, when the requeues fire
-	q.Requeue("a")
-	q.Requeue("b")
-	q.Requeue("a")
+	q, h := namedQueue(t, loop, time.Second, handledAt(loop, &handled), "a", "b")
+	loop.At(time.Second, func() { q.Add(h("a")) }) // queued, not yet handled, when the requeues fire
+	q.Requeue(h("a"))
+	q.Requeue(h("b"))
+	q.Requeue(h("a"))
 	loop.RunUntilIdle()
 	want := []string{"a@1s", "b@1s"}
 	if !reflect.DeepEqual(handled, want) {
 		t.Errorf("handled %v, want %v", handled, want)
 	}
-	q.Requeue("a") // once handled, the key comes back again
+	q.Requeue(h("a")) // once handled, the key comes back again
 	loop.RunUntilIdle()
 	if want = append(want, "a@2s"); !reflect.DeepEqual(handled, want) {
 		t.Errorf("handled %v, want %v", handled, want)

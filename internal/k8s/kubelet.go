@@ -37,23 +37,26 @@ func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kube
 
 // start transitions a bound pod to Running unless it changed or vanished in
 // the meantime. seen is the view of the pod as the kubelet saw it bound; a
-// view never changes, so its key and resource version are those of then.
+// view never changes, so its handle and resource version are those of then.
+// Resource versions are never reused, so whatever the handle stands for now
+// — the pod, a pod re-created under its name, another key — only the pod
+// as it was seen carries that version.
 func (k *Kubelet) start(seen any) {
 	bound := seen.(*Pod)
-	key := bound.Key()
-	obj, ok := k.store.View(KindPod, key)
-	if !ok || obj.(*Pod).ResourceVersion != bound.ResourceVersion {
+	now := k.store.pod(bound.handle)
+	if now == nil || now.ResourceVersion != bound.ResourceVersion {
 		return
 	}
-	_ = k.store.SetPodStatus(key, PodStatus{Phase: PodRunning}) // the pod was just seen
+	_ = k.store.SetPodStatus(bound.handle, PodStatus{Phase: PodRunning}) // the pod was just seen
 	k.Started++
 }
 
-// setPhase moves the pod a view shows to the phase.
+// setPhase moves the pod a view shows to the phase. The view must be of
+// the pod stored now.
 func setPhase(store *Store, view *Pod, phase PodPhase) bool {
 	status := view.Status
 	status.Phase = phase
-	return store.SetPodStatus(view.Key(), status) == nil
+	return store.SetPodStatus(view.handle, status) == nil
 }
 
 // FailPodsOnNode marks every non-terminal pod bound to the node as Failed,

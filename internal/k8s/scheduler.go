@@ -1,7 +1,8 @@
 package k8s
 
 import (
-	"sort"
+	"slices"
+	"strings"
 )
 
 // PodScheduler is the kube-scheduler analogue: it watches for pending pods
@@ -16,27 +17,29 @@ type PodScheduler struct {
 	// FailedBindings counts pods that could not be placed on any node;
 	// they stay Pending and are retried on the next cluster change.
 	FailedBindings int
-	unschedulable  map[string]bool
+	// unschedulable holds the pods that failed to place, each handle held
+	// in the store while it is here.
+	unschedulable map[Handle]bool
 }
 
 // NewPodScheduler creates the scheduler and subscribes it to pod and node
 // events.
 func NewPodScheduler(loop *EventLoop, store *Store) *PodScheduler {
-	ps := &PodScheduler{store: store, unschedulable: make(map[string]bool)}
-	ps.queue = NewWorkqueue(loop, 0, ps.schedule) // it never requeues
+	ps := &PodScheduler{store: store, unschedulable: make(map[Handle]bool)}
+	ps.queue = NewWorkqueue(store, 0, ps.schedule) // it never requeues
 	store.Subscribe(KindPod, func(ev Event) {
 		pod := ev.Object.(*Pod)
 		switch ev.Type {
 		case Added, Modified:
 			if pod.Spec.NodeName == "" && pod.Status.Phase == PodPending {
-				ps.queue.Add(pod.Key())
+				ps.queue.Add(ev.Handle)
 			}
 			// A pod reaching a terminal phase releases capacity.
 			if pod.terminal() {
 				ps.retryUnschedulable()
 			}
 		case Deleted:
-			delete(ps.unschedulable, pod.Key())
+			ps.forget(ev.Handle)
 			ps.retryUnschedulable()
 		}
 	})
@@ -44,29 +47,42 @@ func NewPodScheduler(loop *EventLoop, store *Store) *PodScheduler {
 	return ps
 }
 
-// retryUnschedulable requeues pods that previously failed to place; capacity
-// may have been freed.
-func (ps *PodScheduler) retryUnschedulable() {
-	keys := make([]string, 0, len(ps.unschedulable))
-	for k := range ps.unschedulable {
-		keys = append(keys, k)
+// mark files a pod as unschedulable; forget takes it out.
+func (ps *PodScheduler) mark(h Handle) {
+	if !ps.unschedulable[h] {
+		ps.unschedulable[h] = true
+		ps.store.retain(h)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ps.queue.Add(k)
+}
+
+func (ps *PodScheduler) forget(h Handle) {
+	if ps.unschedulable[h] {
+		delete(ps.unschedulable, h)
+		ps.store.release(h)
+	}
+}
+
+// retryUnschedulable requeues pods that previously failed to place, in key
+// order; capacity may have been freed.
+func (ps *PodScheduler) retryUnschedulable() {
+	if len(ps.unschedulable) == 0 {
+		return
+	}
+	handles := make([]Handle, 0, len(ps.unschedulable))
+	for h := range ps.unschedulable { //lint:deterministic sorted by key below
+		handles = append(handles, h)
+	}
+	slices.SortFunc(handles, func(a, b Handle) int { return strings.Compare(ps.store.entry(a).key, ps.store.entry(b).key) })
+	for _, h := range handles {
+		ps.queue.Add(h)
 	}
 }
 
 // schedule runs the filter/score pipeline for one pending pod.
-func (ps *PodScheduler) schedule(key string) {
-	obj, ok := ps.store.View(KindPod, key)
-	if !ok {
-		delete(ps.unschedulable, key)
-		return
-	}
-	pod := obj.(*Pod)
-	if pod.Spec.NodeName != "" || pod.Status.Phase != PodPending {
-		delete(ps.unschedulable, key)
+func (ps *PodScheduler) schedule(h Handle) {
+	pod := ps.store.pod(h)
+	if pod == nil || pod.Spec.NodeName != "" || pod.Status.Phase != PodPending {
+		ps.forget(h)
 		return
 	}
 
@@ -76,28 +92,30 @@ func (ps *PodScheduler) schedule(key string) {
 	// three are compared in turn, so no amount of free CPU outweighs one
 	// pod of affinity.
 	var best *Node
+	var bestAt Handle
 	bestAffinity, bestFree := 0, 0
-	for _, n := range ps.store.Nodes() {
-		free := n.CapacityCPU - ps.store.NodeBoundCPU(n.Name)
+	for i, n := range ps.store.Nodes() {
+		at := ps.store.nodeHandles[i]
+		free := n.CapacityCPU - ps.store.NodeBoundCPU(at)
 		if free < pod.Spec.CPU {
 			continue
 		}
-		affinity := ps.store.AffinityCount(pod.Spec.AffinityKey, n.Name)
+		affinity := ps.store.AffinityCount(pod.affinity, at)
 		if best == nil || affinity > bestAffinity ||
 			affinity == bestAffinity && (free < bestFree || free == bestFree && n.Name < best.Name) {
-			best, bestAffinity, bestFree = n, affinity, free
+			best, bestAt, bestAffinity, bestFree = n, at, affinity, free
 		}
 	}
 	if best == nil {
-		ps.unschedulable[key] = true
+		ps.mark(h)
 		ps.FailedBindings++
 		return
 	}
-	delete(ps.unschedulable, key)
+	ps.forget(h)
 
-	if err := ps.store.Bind(key, best.Name); err != nil {
+	if err := ps.store.Bind(h, bestAt); err != nil {
 		// The pod vanished since it was looked at; it will be retried
 		// if it reappears.
-		ps.unschedulable[key] = true
+		ps.mark(h)
 	}
 }

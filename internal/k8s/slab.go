@@ -12,7 +12,7 @@ type Versioned[T any] interface {
 
 // slabBytes is the size class a full slab fills. Go puts an 8-byte header on
 // a pointerful object above 512 bytes, so a slab holds (slabBytes − 8) ÷ the
-// version's size versions: 90 pods of 136 bytes, 69 CharmJobs of 176.
+// version's size versions: 90 pods of 136 bytes, 66 CharmJobs of 184.
 const slabBytes = 12288
 
 // slab hands out the slots a kind's versions are stored in, each slot once.
@@ -66,7 +66,7 @@ func (b *kindSlab[T, P]) deep(obj Object) Object {
 // makes a kind's slab at its first Create and refuses a kind missing here.
 // Register adds a kind at init, so the table is only read once the program
 // runs.
-var scheme = map[Kind]func() versions{
+var scheme = [kindCount]func() versions{
 	KindNode:      newVersions[Node],
 	KindConfigMap: newVersions[ConfigMap],
 }

@@ -39,40 +39,109 @@ import (
 // most about 12 KiB), not by its history.
 type Store struct {
 	loop *EventLoop
-	// pods holds the pods by key, apart from the other kinds so that no pod
-	// read or write hashes its kind; items holds every other kind.
-	pods  map[string]*Pod
-	items map[Kind]map[string]Object
+	// handles is the store's one name→handle map: the handle of every key
+	// it tracks. chunks hold, by handle, what the store keeps under each, in
+	// the first used entries; entry 0 is never used, so the zero Handle
+	// stands for nothing. free holds the handles released for reuse, the
+	// last released on top.
+	handles map[string]Handle
+	chunks  []*[entryChunk]entry
+	used    Handle
+	free    []Handle
+	// others holds an object stored under a key that already holds one of
+	// another kind; nil until then, which the emulation never reaches.
+	others map[kindAt]Object
+	pods   int // how many pods are stored
 	// podSlab holds the slots of the next pod versions; slabs every other
 	// kind's, each made at the kind's first Create from its scheme entry.
 	podSlab slab[Pod]
-	slabs   map[Kind]versions
-	// nodeCPU, boundCPU and affinity aggregate the pods that hold node
-	// resources (bound and not terminal): their CPU per node and in total,
-	// and their count per affinity key and node. capacityCPU sums the
-	// nodes' CPU.
-	nodeCPU     map[string]int
+	slabs   [kindCount]versions
+	// boundCPU and affinity aggregate the pods that hold node resources
+	// (bound and not terminal): their CPU in total, and their count per
+	// affinity key and node; each node's CPU is its entry's. capacityCPU
+	// sums the nodes' CPU.
 	boundCPU    int
 	affinity    map[affinityAt]int
 	capacityCPU int
 	// ownerOf files every pod under an owner, none until OwnPodsBy sets it;
-	// owned holds each owner's pods by (ordinal, key). spare holds the
-	// arrays of lists disown emptied, cleared, for the next new owner.
+	// each owner's pods are listed on its entry. spare holds the arrays of
+	// lists disown emptied, cleared, for the next new owner.
 	ownerOf func(*Pod) (owner string, ordinal int)
-	owned   map[string][]OwnedPod
 	spare   [][]OwnedPod
-	// nodes is what Nodes returns, in key order; nil after a node write
-	// until the next Nodes call builds a fresh slice, so one handed out
-	// earlier stays as it was and provisioning n nodes sorts once, not n
-	// times.
-	nodes   []*Node
-	version int64
-	subs    map[Kind][]func(Event)
+	// nodes is what Nodes returns, in key order, and nodeHandles their
+	// handles; nil after a node write until the next Nodes call builds fresh
+	// slices, so one handed out earlier stays as it was and provisioning n
+	// nodes sorts once, not n times.
+	nodes       []*Node
+	nodeHandles []Handle
+	version     int64
+	subs        [kindCount][]func(Event)
 	// undelivered are the watch events written and not yet delivered; each
 	// has one deliver call deferred on the loop.
 	undelivered fifo[queuedEvent]
 	deliver     func()
 	stats       StoreStats
+}
+
+// entry is what the store keeps under a handle: the key it stands for and
+// how many references hold it, an object stored under the key and its kind,
+// the pods filed under it as their owner, by (ordinal, key), and the CPU the
+// pods bound to the node it names hold.
+type entry struct {
+	key   string
+	refs  int32
+	kind  Kind
+	obj   Object
+	owned []OwnedPod
+	cpu   int
+}
+
+// entryChunk is how many entries one allocation holds. An entry never moves:
+// the table grows by a chunk, copying nothing and leaving no garbage, where a
+// slice grown by append would allocate about three times what it ends up
+// holding.
+const entryChunk = 64
+
+// entry is the entry of h, which must be below s.used.
+func (s *Store) entry(h Handle) *entry {
+	return &s.chunks[uint32(h)/entryChunk][uint32(h)%entryChunk]
+}
+
+// kindAt is a kind and a handle.
+type kindAt struct {
+	h    Handle
+	kind Kind
+}
+
+// object is the object of the kind stored under h, nil for none.
+func (s *Store) object(kind Kind, h Handle) Object {
+	if h <= 0 || h >= s.used {
+		return nil
+	}
+	if e := s.entry(h); e.kind == kind && e.obj != nil {
+		return e.obj
+	}
+	return s.others[kindAt{h, kind}]
+}
+
+// setObject stores obj, of the kind, under h in place of the object of that
+// kind stored there, or removes that object when obj is nil. An object's
+// versions stay where its first was stored: in the entry when the entry held
+// no object then, in others when it held one of another kind.
+func (s *Store) setObject(kind Kind, h Handle, obj Object) {
+	e := s.entry(h)
+	if e.kind == kind && e.obj != nil || e.obj == nil && s.others[kindAt{h, kind}] == nil {
+		e.kind, e.obj = kind, obj
+		return
+	}
+	if obj == nil {
+		delete(s.others, kindAt{h, kind})
+		return
+	}
+	if s.others == nil {
+		s.others = make(map[kindAt]Object)
+	}
+	s.others[kindAt{h, kind}] = obj
 }
 
 // queuedEvent is a watch event with the subscribers it goes to: the kind's
@@ -89,7 +158,8 @@ type OwnedPod struct {
 	Pod     *Pod
 }
 
-type affinityAt struct{ key, node string }
+// affinityAt is an affinity key's handle and a node's.
+type affinityAt struct{ key, node Handle }
 
 // podSlabSize is how many pod versions one allocation holds: 90 pods of 136
 // bytes and the 8-byte header come to 12,248 bytes, inside slabBytes. A 91st
@@ -117,17 +187,91 @@ type StoreStats struct {
 func NewStore(loop *EventLoop) *Store {
 	s := &Store{
 		loop:     loop,
-		pods:     make(map[string]*Pod),
-		items:    make(map[Kind]map[string]Object),
+		handles:  make(map[string]Handle),
+		used:     1,
 		podSlab:  slab[Pod]{next: int(podSlabSize)},
-		slabs:    make(map[Kind]versions),
-		nodeCPU:  make(map[string]int),
 		affinity: make(map[affinityAt]int),
 		ownerOf:  func(*Pod) (string, int) { return "", 0 },
-		subs:     make(map[Kind][]func(Event)),
 	}
 	s.deliver = s.deliverOldest
 	return s
+}
+
+// Lookup returns the handle of the key, 0 when the store tracks no such key:
+// the name→handle read for callers that start from a name.
+func (s *Store) Lookup(key string) Handle { return s.handles[key] }
+
+// intern returns the key's handle and takes a reference to it. h and ok are
+// the key's entry in the name→handle map, read by the caller; a key with
+// none gets a handle, a freed one if there is one.
+func (s *Store) intern(key string, h Handle, ok bool) Handle {
+	if !ok {
+		if n := len(s.free); n > 0 {
+			h = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			if int(s.used) >= len(s.chunks)*entryChunk {
+				s.chunks = append(s.chunks, new([entryChunk]entry))
+			}
+			h = s.used
+			s.used++
+		}
+		s.entry(h).key = key
+		s.handles[key] = h
+	}
+	s.entry(h).refs++
+	return h
+}
+
+// refer is intern for a name a pod refers to, where "" names nothing.
+func (s *Store) refer(name string) Handle {
+	if name == "" {
+		return 0
+	}
+	h, ok := s.handles[name]
+	return s.intern(name, h, ok)
+}
+
+// retain takes another reference to a handle; release drops one, and frees
+// the handle when it was the last.
+func (s *Store) retain(h Handle) {
+	if h != 0 {
+		s.entry(h).refs++
+	}
+}
+
+func (s *Store) release(h Handle) {
+	if h == 0 {
+		return
+	}
+	e := s.entry(h)
+	if e.refs--; e.refs > 0 {
+		return
+	}
+	delete(s.handles, e.key)
+	*e = entry{}
+	s.free = append(s.free, h)
+}
+
+// file gives a pod version about to be stored the handles it refers to:
+// its owner and ordinal, its node and its affinity key, taking a reference
+// to each. unfile drops those of a version no longer stored.
+func (s *Store) file(p *Pod) {
+	owner, ordinal := s.ownerOf(p)
+	p.owner, p.ordinal = s.refer(owner), ordinal
+	p.node = s.refer(p.Spec.NodeName)
+	if p.Spec.AffinityKey == owner && owner != "" { // a job's pods: one name, one lookup
+		p.affinity = p.owner
+		s.retain(p.affinity)
+	} else {
+		p.affinity = s.refer(p.Spec.AffinityKey)
+	}
+}
+
+func (s *Store) unfile(p *Pod) {
+	s.release(p.owner)
+	s.release(p.node)
+	s.release(p.affinity)
 }
 
 // Subscribe registers fn for all changes to the kind. Events fire in
@@ -138,13 +282,19 @@ func (s *Store) Subscribe(kind Kind, fn func(Event)) {
 
 // notify queues the event and defers one delivery, so events reach the
 // subscribers in write order and interleave with the loop's other deferred
-// work exactly where their writes did.
-func (s *Store) notify(kind Kind, ev Event) {
+// work exactly where their writes did. Until it is delivered, the event holds
+// the object's handle, and a pod's owner, so neither stands for another key
+// by then.
+func (s *Store) notify(kind Kind, h Handle, typ EventType, obj Object) {
 	subs := s.subs[kind]
 	if len(subs) == 0 {
 		return
 	}
-	s.undelivered.push(queuedEvent{ev, subs})
+	s.retain(h)
+	if p, ok := obj.(*Pod); ok {
+		s.retain(p.owner)
+	}
+	s.undelivered.push(queuedEvent{Event{typ, obj, h}, subs})
 	s.loop.Defer(s.deliver)
 }
 
@@ -153,6 +303,10 @@ func (s *Store) deliverOldest() {
 	next := s.undelivered.pop()
 	for _, fn := range next.subs {
 		fn(next.ev)
+	}
+	s.release(next.ev.Handle)
+	if p, ok := next.ev.Object.(*Pod); ok {
+		s.release(p.owner)
 	}
 }
 
@@ -164,36 +318,32 @@ func (s *Store) newVersion(p *Pod) *Pod {
 	return v
 }
 
-// put stores now under key in place of was — was is nil on Create, now on
+// pod is the pod stored under h, nil for none.
+func (s *Store) pod(h Handle) *Pod {
+	p, _ := s.object(KindPod, h).(*Pod)
+	return p
+}
+
+// put stores now under h in place of was — was is nil on Create, now on
 // Delete — and brings the owner index, the resource aggregates and the node
 // list up to date.
-func (s *Store) put(kind Kind, key string, was, now Object) {
+func (s *Store) put(kind Kind, h Handle, was, now Object) {
+	s.setObject(kind, h, now)
 	if kind == KindPod {
 		if p, ok := was.(*Pod); ok {
 			s.hold(p, -1)
-			s.disown(key, p)
+			s.disown(p)
+			s.pods--
 		}
 		if p, ok := now.(*Pod); ok {
-			s.pods[key] = p
 			s.hold(p, +1)
-			s.own(key, p)
-		} else {
-			delete(s.pods, key)
+			s.own(p)
+			s.pods++
 		}
 		return
 	}
-	b, ok := s.items[kind]
-	if !ok {
-		b = make(map[string]Object)
-		s.items[kind] = b
-	}
-	if now != nil {
-		b[key] = now
-	} else {
-		delete(b, key)
-	}
 	if kind == KindNode {
-		s.nodes = nil
+		s.nodes, s.nodeHandles = nil, nil
 		if n, ok := was.(*Node); ok {
 			s.capacityCPU -= n.CapacityCPU
 		}
@@ -206,13 +356,13 @@ func (s *Store) put(kind Kind, key string, was, now Object) {
 // hold adds (sign +1) or withdraws (sign -1) a pod's share of the
 // resource aggregates. Only a bound, non-terminal pod has one.
 func (s *Store) hold(p *Pod, sign int) {
-	if p.Spec.NodeName == "" || p.terminal() {
+	if p.node == 0 || p.terminal() {
 		return
 	}
-	s.nodeCPU[p.Spec.NodeName] += sign * p.Spec.CPU
+	s.entry(p.node).cpu += sign * p.Spec.CPU
 	s.boundCPU += sign * p.Spec.CPU
-	if p.Spec.AffinityKey != "" {
-		at := affinityAt{p.Spec.AffinityKey, p.Spec.NodeName}
+	if p.affinity != 0 {
+		at := affinityAt{p.affinity, p.node}
 		if s.affinity[at] += sign; s.affinity[at] == 0 {
 			delete(s.affinity, at)
 		}
@@ -223,15 +373,23 @@ func (s *Store) hold(p *Pod, sign int) {
 // OwnedPods, StatefulSet fashion. fn names the owner a pod belongs to ("" for
 // none) and the pod's ordinal among that owner's pods, negative for a pod
 // that has no place in the sequence; it must depend only on the pod's name,
-// namespace and labels. Pods already stored are filed at once.
+// namespace and labels. It runs once for each pod a Create, Update or Modify
+// stores, and the owner's handle is filed with the pod. Pods already stored
+// are filed at once.
 func (s *Store) OwnPodsBy(fn func(*Pod) (owner string, ordinal int)) {
 	s.ownerOf = fn
-	s.owned = make(map[string][]OwnedPod)
-	for key, p := range s.pods { //lint:deterministic own puts each pod in its sorted place, whatever order they come in
+	for h := Handle(1); h < s.used; h++ {
+		p := s.pod(h)
+		if p == nil {
+			continue
+		}
+		s.disown(p)
 		filed := s.newVersion(p) // a stored pod is never written: file a copy
-		filed.owner, filed.ordinal = fn(p)
-		s.pods[key] = filed
-		s.own(key, filed)
+		owner, ordinal := fn(p)
+		filed.owner, filed.ordinal = s.refer(owner), ordinal
+		s.release(p.owner)
+		s.setObject(KindPod, h, filed)
+		s.own(filed)
 	}
 }
 
@@ -244,35 +402,43 @@ func slot(list []OwnedPod, key string, ordinal int) int {
 }
 
 // own files a pod just stored under its owner; disown takes out one just
-// replaced or deleted. A list disown empties leaves the index and its array,
-// cleared, goes on the spare stack, where own builds the next new owner's
-// list: the emulation's jobs come and go, so one job's array serves the next.
-func (s *Store) own(key string, p *Pod) {
-	if p.owner == "" {
+// replaced or deleted. A list disown empties leaves its owner's entry and its
+// array, cleared, goes on the spare stack, where own builds the next new
+// owner's list: the emulation's jobs come and go, so one job's array serves
+// the next.
+func (s *Store) own(p *Pod) {
+	if p.owner == 0 {
 		return
 	}
-	list, ok := s.owned[p.owner]
-	if n := len(s.spare); !ok && n > 0 {
+	e := s.entry(p.owner)
+	list := e.owned
+	if n := len(s.spare); list == nil && n > 0 {
 		list = s.spare[n-1]
 		s.spare[n-1] = nil
 		s.spare = s.spare[:n-1]
 	}
-	s.owned[p.owner] = slices.Insert(list, slot(list, key, p.ordinal), OwnedPod{p.ordinal, p})
+	e.owned = slices.Insert(list, slot(list, p.Key(), p.ordinal), OwnedPod{p.ordinal, p})
 }
 
-func (s *Store) disown(key string, p *Pod) {
-	if p.owner == "" {
+func (s *Store) disown(p *Pod) {
+	if p.owner == 0 {
 		return
 	}
-	list := s.owned[p.owner]
-	at := slot(list, key, p.ordinal)
+	e := s.entry(p.owner)
+	list := e.owned
+	at := slot(list, p.Key(), p.ordinal)
 	// Delete zeroes the element it drops, so an emptied array holds no pod.
 	if list = slices.Delete(list, at, at+1); len(list) > 0 {
-		s.owned[p.owner] = list
+		e.owned = list
 	} else {
-		delete(s.owned, p.owner)
+		e.owned = nil
 		s.spare = append(s.spare, list)
 	}
+}
+
+// known reports whether the store holds the kind.
+func known(kind Kind) bool {
+	return kind == KindPod || kind < kindCount && scheme[kind] != nil
 }
 
 // Create inserts a new object: a slab slot holding a copy of obj's struct,
@@ -280,71 +446,84 @@ func (s *Store) disown(key string, p *Pod) {
 // gets a fresh resource version. The kind must be one the scheme holds.
 func (s *Store) Create(obj Object) error {
 	kind, key := obj.Kind(), obj.Meta().Key()
-	if _, exists := s.View(kind, key); exists {
+	if !known(kind) {
+		return fmt.Errorf("k8s: no kind %q registered", kind)
+	}
+	h, ok := s.handles[key]
+	if s.object(kind, h) != nil {
 		return fmt.Errorf("k8s: %s %q already exists", kind, key)
 	}
+	h = s.intern(key, h, ok)
 	var cp Object
 	if p, ok := obj.(*Pod); ok {
 		v := s.newVersion(p)
-		v.owner, v.ordinal = s.ownerOf(p)
+		v.handle = h
+		s.file(v)
 		cp = v
 	} else {
-		slab, ok := s.slabs[kind]
-		if !ok {
-			made, known := scheme[kind]
-			if !known {
-				return fmt.Errorf("k8s: no kind %q registered", kind)
-			}
-			slab = made()
+		slab := s.slabs[kind]
+		if slab == nil {
+			slab = scheme[kind]()
 			s.slabs[kind] = slab
 		}
 		cp = slab.shallow(obj)
 	}
 	s.version++
 	cp.Meta().ResourceVersion = s.version
-	s.put(kind, key, nil, cp)
+	s.put(kind, h, nil, cp)
 	s.stats.Writes++
-	s.notify(kind, Event{Type: Added, Object: cp})
+	s.notify(kind, h, Added, cp)
 	return nil
 }
 
-// Update replaces an existing object with obj's DeepCopy, bumping its
-// resource version. obj may be a view: the stored object is swapped out, not
-// written into. Its version is the one a slab does not hold: only tests and
-// the store's benchmark probe call Update, never the emulation.
+// Update replaces an existing object, found by obj's key, with obj's
+// DeepCopy, bumping its resource version. obj may be a view: the stored
+// object is swapped out, not written into. Its version is the one a slab does
+// not hold: only tests and the store's benchmark probe call Update, never the
+// emulation.
 func (s *Store) Update(obj Object) error {
 	kind, key := obj.Kind(), obj.Meta().Key()
-	old, exists := s.View(kind, key)
+	h := s.handles[key]
+	old, exists := s.View(kind, h)
 	if !exists {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
 	s.stats.Copied++
-	s.replace(kind, key, old, obj.DeepCopy())
+	s.replace(kind, h, old, obj.DeepCopy())
 	return nil
 }
 
-// Modify changes the object under key through fn and stores the result,
+// notFound is the error of a write to a handle that holds no object of the
+// kind.
+func (s *Store) notFound(kind Kind, h Handle) error {
+	if h > 0 && h < s.used {
+		return fmt.Errorf("k8s: %s %q not found", kind, s.entry(h).key)
+	}
+	return fmt.Errorf("k8s: no %s under handle %d", kind, h)
+}
+
+// Modify changes the object under h through fn and stores the result,
 // bumping its resource version: the store copies what it holds once, hands
 // that copy to fn, and swaps it in. fn may change the copy and every map or
 // slice it holds, but not its name or namespace; a Modify whose fn does is
 // refused, and nothing is stored.
-func (s *Store) Modify(kind Kind, key string, fn func(Object)) error {
-	old, exists := s.View(kind, key)
+func (s *Store) Modify(kind Kind, h Handle, fn func(Object)) error {
+	old, exists := s.View(kind, h)
 	if !exists {
-		return fmt.Errorf("k8s: %s %q not found", kind, key)
+		return s.notFound(kind, h)
 	}
 	cp := s.private(old)
 	fn(cp)
 	if m, was := cp.Meta(), old.Meta(); m.Name != was.Name || m.Namespace != was.Namespace {
-		return fmt.Errorf("k8s: modifying %s %q renamed it %q", kind, key, m.Key())
+		return fmt.Errorf("k8s: modifying %s %q renamed it %q", kind, was.Key(), m.Key())
 	}
-	s.replace(kind, key, old, cp)
+	s.replace(kind, h, old, cp)
 	return nil
 }
 
 // Modify is Store.Modify for the kind of T, whose copy fn receives as a *T.
-func Modify[T any, P Versioned[T]](s *Store, key string, fn func(P)) error {
-	return s.Modify(P(nil).Kind(), key, func(obj Object) { fn(obj.(P)) })
+func Modify[T any, P Versioned[T]](s *Store, h Handle, fn func(P)) error {
+	return s.Modify(P(nil).Kind(), h, func(obj Object) { fn(obj.(P)) })
 }
 
 // private is the copy of obj, a stored object, that Modify hands its function:
@@ -360,62 +539,70 @@ func (s *Store) private(obj Object) Object {
 }
 
 // replace is the tail of Update and Modify: it stores cp, the caller's
-// private copy, in place of old under a new resource version, files a pod
-// under its owner afresh, and queues a Modified event.
-func (s *Store) replace(kind Kind, key string, old, cp Object) {
+// private copy, in place of old under h and a new resource version, files a
+// pod afresh, and queues a Modified event.
+func (s *Store) replace(kind Kind, h Handle, old, cp Object) {
 	s.version++
 	if p, ok := cp.(*Pod); ok {
-		p.owner, p.ordinal = s.ownerOf(p)
+		p.handle = h
+		s.file(p)
 	}
 	cp.Meta().ResourceVersion = s.version
-	s.put(kind, key, old, cp)
+	s.put(kind, h, old, cp)
+	if p, ok := old.(*Pod); ok {
+		s.unfile(p)
+	}
 	s.stats.Writes++
-	s.notify(kind, Event{Type: Modified, Object: cp})
+	s.notify(kind, h, Modified, cp)
 }
 
-// Delete removes the object with the given kind and key.
-func (s *Store) Delete(kind Kind, key string) error {
-	old, exists := s.View(kind, key)
+// Delete removes the object of the kind under h.
+func (s *Store) Delete(kind Kind, h Handle) error {
+	old, exists := s.View(kind, h)
 	if !exists {
-		return fmt.Errorf("k8s: %s %q not found", kind, key)
+		return s.notFound(kind, h)
 	}
 	s.version++
-	s.put(kind, key, old, nil)
+	s.put(kind, h, old, nil)
 	s.stats.Writes++
-	s.notify(kind, Event{Type: Deleted, Object: old})
+	s.notify(kind, h, Deleted, old) // the event holds what the pod referred to first
+	if p, ok := old.(*Pod); ok {
+		s.unfile(p)
+	}
+	s.release(h)
 	return nil
 }
 
-// Bind is the pods/binding write: it places the pod on the node.
-func (s *Store) Bind(key, node string) error {
-	old, err := s.storedPod(key)
-	if err != nil {
-		return err
+// Bind is the pods/binding write: it places the pod under h on the node
+// whose name node is the handle of (0 unbinds it).
+func (s *Store) Bind(h, node Handle) error {
+	old := s.pod(h)
+	if old == nil {
+		return s.notFound(KindPod, h)
+	}
+	if node < 0 || node >= s.used || node != 0 && s.entry(node).refs == 0 {
+		return fmt.Errorf("k8s: bind %s %q: no node under handle %d", KindPod, old.Key(), node)
 	}
 	bound := s.newVersion(old)
-	bound.Spec.NodeName = node
-	s.swapPod(key, old, bound)
+	bound.Spec.NodeName = s.entry(node).key
+	bound.node = node
+	s.retain(node)
+	s.swapPod(h, old, bound)
+	s.release(old.node)
 	return nil
 }
 
-// SetPodStatus is the pods/status write: it replaces the pod's status.
-func (s *Store) SetPodStatus(key string, status PodStatus) error {
-	old, err := s.storedPod(key)
-	if err != nil {
-		return err
+// SetPodStatus is the pods/status write: it replaces the status of the pod
+// under h.
+func (s *Store) SetPodStatus(h Handle, status PodStatus) error {
+	old := s.pod(h)
+	if old == nil {
+		return s.notFound(KindPod, h)
 	}
 	reported := s.newVersion(old)
 	reported.Status = status
-	s.swapPod(key, old, reported)
+	s.swapPod(h, old, reported)
 	return nil
-}
-
-func (s *Store) storedPod(key string) (*Pod, error) {
-	p, exists := s.pods[key]
-	if !exists {
-		return nil, fmt.Errorf("k8s: %s %q not found", KindPod, key)
-	}
-	return p, nil
 }
 
 // swapPod stores now, a copy of the stored pod old that differs in binding
@@ -425,34 +612,27 @@ func (s *Store) storedPod(key string) (*Pod, error) {
 // their filing, so the pod keeps its place under its owner. The aggregates
 // move only when the binding or terminal-ness changed: nothing else they
 // count can differ between the two.
-func (s *Store) swapPod(key string, old, now *Pod) {
+func (s *Store) swapPod(h Handle, old, now *Pod) {
 	s.version++
 	now.ResourceVersion = s.version
-	s.pods[key] = now
-	if old.Spec.NodeName != now.Spec.NodeName || old.terminal() != now.terminal() {
+	s.setObject(KindPod, h, now)
+	if old.node != now.node || old.terminal() != now.terminal() {
 		s.hold(old, -1)
 		s.hold(now, +1)
 	}
-	if old.owner != "" {
-		list := s.owned[old.owner]
-		list[slot(list, key, old.ordinal)].Pod = now
+	if old.owner != 0 {
+		list := s.entry(old.owner).owned
+		list[slot(list, old.Key(), old.ordinal)].Pod = now
 	}
 	s.stats.Writes++
-	s.notify(KindPod, Event{Type: Modified, Object: now})
+	s.notify(KindPod, h, Modified, now)
 }
 
-// View fetches the object as a read-only view, reporting whether it exists:
-// the entry for a caller that only looks.
-func (s *Store) View(kind Kind, key string) (Object, bool) {
-	if kind == KindPod {
-		p, ok := s.pods[key]
-		if !ok {
-			return nil, false
-		}
-		return p, true
-	}
-	obj, ok := s.items[kind][key]
-	return obj, ok
+// View fetches the object of the kind under h as a read-only view, reporting
+// whether there is one: the entry for a caller that only looks.
+func (s *Store) View(kind Kind, h Handle) (Object, bool) {
+	obj := s.object(kind, h)
+	return obj, obj != nil
 }
 
 // Pods returns read-only views of the pods carrying every label of the
@@ -463,10 +643,10 @@ func (s *Store) View(kind Kind, key string) (Object, bool) {
 // key order the fault tests pin.
 func (s *Store) Pods(selector map[string]string) []*Pod {
 	s.stats.Scans++
-	s.stats.Visited += len(s.pods)
+	s.stats.Visited += s.pods
 	var out []*Pod
-	for _, p := range s.pods {
-		if hasLabels(p.Labels, selector) {
+	for h := Handle(1); h < s.used; h++ {
+		if p := s.pod(h); p != nil && hasLabels(p.Labels, selector) {
 			out = append(out, p)
 		}
 	}
@@ -478,8 +658,11 @@ func (s *Store) Pods(selector map[string]string) []*Pod {
 // files under the owner, ordered by ordinal (then key): whatever has no
 // ordinal first, then the sequence. The result is the caller's; it does not
 // move when the store is written.
-func (s *Store) OwnedPods(dst []OwnedPod, owner string) []OwnedPod {
-	list := s.owned[owner]
+func (s *Store) OwnedPods(dst []OwnedPod, owner Handle) []OwnedPod {
+	var list []OwnedPod
+	if owner > 0 && owner < s.used {
+		list = s.entry(owner).owned
+	}
 	s.stats.Scans++
 	s.stats.Visited += len(list)
 	return append(dst, list...)
@@ -489,13 +672,18 @@ func (s *Store) OwnedPods(dst []OwnedPod, owner string) []OwnedPod {
 // view too.
 func (s *Store) Nodes() []*Node {
 	if s.nodes == nil {
-		b := s.items[KindNode]
-		nodes := make([]*Node, 0, len(b))
-		for _, obj := range b {
-			nodes = append(nodes, obj.(*Node))
+		var handles []Handle
+		for h := Handle(1); h < s.used; h++ {
+			if s.object(KindNode, h) != nil {
+				handles = append(handles, h)
+			}
 		}
-		slices.SortFunc(nodes, func(x, y *Node) int { return strings.Compare(x.Key(), y.Key()) })
-		s.nodes = nodes
+		slices.SortFunc(handles, func(x, y Handle) int { return strings.Compare(s.entry(x).key, s.entry(y).key) })
+		s.nodes = make([]*Node, len(handles))
+		for i, h := range handles {
+			s.nodes[i] = s.object(KindNode, h).(*Node)
+		}
+		s.nodeHandles = handles
 	}
 	s.stats.Scans++
 	s.stats.Visited += len(s.nodes)
@@ -508,12 +696,18 @@ func (s *Store) CapacityCPU() int { return s.capacityCPU }
 // BoundCPU is the CPU held by bound, non-terminal pods across all nodes.
 func (s *Store) BoundCPU() int { return s.boundCPU }
 
-// NodeBoundCPU is the CPU held by bound, non-terminal pods on the node.
-func (s *Store) NodeBoundCPU(node string) int { return s.nodeCPU[node] }
+// NodeBoundCPU is the CPU held by bound, non-terminal pods on the node whose
+// name node is the handle of.
+func (s *Store) NodeBoundCPU(node Handle) int {
+	if node <= 0 || node >= s.used {
+		return 0
+	}
+	return s.entry(node).cpu
+}
 
 // AffinityCount is the number of bound, non-terminal pods on the node that
-// carry the affinity key.
-func (s *Store) AffinityCount(key, node string) int { return s.affinity[affinityAt{key, node}] }
+// carry the affinity key, both given by handle.
+func (s *Store) AffinityCount(key, node Handle) int { return s.affinity[affinityAt{key, node}] }
 
 func hasLabels(labels, selector map[string]string) bool {
 	for k, v := range selector { //lint:deterministic a conjunction: any order gives the same answer
@@ -525,65 +719,77 @@ func hasLabels(labels, selector map[string]string) bool {
 }
 
 // Workqueue is a deduplicating FIFO of reconcile keys, the controller
-// pattern's core data structure.
+// pattern's core data structure. Its keys are handles, each held in the
+// store while it is queued or waiting out a requeue, so it stands for the
+// same key until the handler has run.
 type Workqueue struct {
-	loop    *EventLoop
-	pending map[string]bool
-	order   fifo[string]
-	handler func(key string)
+	store   *Store
+	pending []bool // by handle: queued and not yet handled
+	order   fifo[Handle]
+	handler func(Handle)
 	armed   bool
 	drainFn func() // q.drain, made once
 	// requeued are the keys Requeue has armed a timer for, oldest first.
 	// Every timer runs the queue's one delay, so they fire in this order
 	// and each runs readdFn (q.readdOldest, made once).
 	delay    time.Duration
-	requeued fifo[string]
+	requeued fifo[Handle]
 	readdFn  func()
 }
 
-// NewWorkqueue creates a queue that feeds keys to handler on the loop and
-// holds a requeued key back for delay.
-func NewWorkqueue(loop *EventLoop, delay time.Duration, handler func(key string)) *Workqueue {
-	q := &Workqueue{loop: loop, pending: make(map[string]bool), handler: handler, delay: delay}
+// NewWorkqueue creates a queue of the store's handles that feeds them to
+// handler on the store's loop and holds a requeued one back for delay.
+func NewWorkqueue(store *Store, delay time.Duration, handler func(Handle)) *Workqueue {
+	q := &Workqueue{store: store, handler: handler, delay: delay}
 	q.drainFn = q.drain
 	q.readdFn = q.readdOldest
 	return q
 }
 
 // Add enqueues a key; duplicates collapse while queued.
-func (q *Workqueue) Add(key string) {
-	if q.pending[key] {
+func (q *Workqueue) Add(h Handle) {
+	if int(h) >= len(q.pending) {
+		q.pending = append(q.pending, make([]bool, int(q.store.used)-len(q.pending))...)
+	}
+	if q.pending[h] {
 		return
 	}
-	q.pending[key] = true
-	q.order.push(key)
+	q.pending[h] = true
+	q.store.retain(h)
+	q.order.push(h)
 	q.arm()
 }
 
 // Requeue enqueues the key once the queue's delay has passed
 // (requeue-with-backoff analogue). A key still queued then collapses into
 // that entry, as with Add.
-func (q *Workqueue) Requeue(key string) {
-	q.requeued.push(key)
-	q.loop.At(q.delay, q.readdFn)
+func (q *Workqueue) Requeue(h Handle) {
+	q.store.retain(h)
+	q.requeued.push(h)
+	q.store.loop.At(q.delay, q.readdFn)
 }
 
-func (q *Workqueue) readdOldest() { q.Add(q.requeued.pop()) }
+func (q *Workqueue) readdOldest() {
+	h := q.requeued.pop()
+	q.Add(h)
+	q.store.release(h)
+}
 
 func (q *Workqueue) arm() {
 	if q.armed || q.Len() == 0 {
 		return
 	}
 	q.armed = true
-	q.loop.Defer(q.drainFn)
+	q.store.loop.Defer(q.drainFn)
 }
 
 func (q *Workqueue) drain() {
 	q.armed = false
 	for q.order.len() > 0 {
-		key := q.order.pop()
-		delete(q.pending, key)
-		q.handler(key)
+		h := q.order.pop()
+		q.pending[h] = false
+		q.handler(h)
+		q.store.release(h)
 	}
 }
 

@@ -9,6 +9,13 @@
 // The substrate is single-threaded by design: every component is driven by a
 // EventLoop (the emulation's event loop on a virtual clock), which makes full
 // scheduling experiments deterministic and replayable.
+//
+// Names are the API's edges; handles are its inside. Create, Update and Pods
+// take objects and selectors by name, Lookup turns a key into its Handle,
+// and FailPodsOnNode takes a node's name. Every other call — View, Modify,
+// Delete, Bind, SetPodStatus, OwnedPods, NodeBoundCPU, AffinityCount and the
+// Workqueue — takes handles, and the store keys every index it keeps on
+// write by them: a write hashes no name.
 package k8s
 
 import (
@@ -16,16 +23,36 @@ import (
 	"maps"
 )
 
-// Kind identifies an object type in the store.
-type Kind string
+// Kind identifies an object type in the store: a small number, so the store
+// keeps what it holds of a kind in an array slot rather than a map entry.
+type Kind uint8
 
 // Object kinds used by the cluster emulation.
 const (
-	KindNode      Kind = "Node"
-	KindPod       Kind = "Pod"
-	KindCharmJob  Kind = "CharmJob"
-	KindConfigMap Kind = "ConfigMap"
+	KindNode Kind = iota
+	KindPod
+	KindCharmJob
+	KindConfigMap
+	kindCount // how many kinds there are: every per-kind array's length
 )
+
+var kindNames = [kindCount]string{"Node", "Pod", "CharmJob", "ConfigMap"}
+
+// String returns the kind's name.
+func (k Kind) String() string {
+	if k < kindCount {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Handle is the store's dense number for a key (an object's namespace/name,
+// or a name a stored pod refers to: its owner, its node, its affinity key).
+// The zero Handle stands for nothing. A handle stands for its key for as long
+// as anything the store tracks refers to it — an object of any kind stored
+// under the key, a stored pod naming it, an undelivered event or a workqueue
+// entry holding it — and may then stand for another key.
+type Handle int32
 
 // ObjectMeta is the standard object metadata subset we model.
 type ObjectMeta struct {
@@ -87,12 +114,21 @@ type Pod struct {
 	ObjectMeta
 	Spec   PodSpec
 	Status PodStatus
-	// owner and ordinal are what Store.OwnPodsBy's function made of the
-	// pod, set on the copy the store keeps by the Create or Update that
-	// stored it.
-	owner   string
-	ordinal int
+	// The store sets the rest on every version it keeps: handle is the
+	// pod's own; owner and ordinal are what Store.OwnPodsBy's function made
+	// of the pod, the owner's name as a handle; node and affinity are the
+	// handles of Spec.NodeName and Spec.AffinityKey (0 for "").
+	handle, owner, node, affinity Handle
+	ordinal                       int
 }
+
+// Handle returns the handle the pod is stored under; 0 for a pod the store
+// did not hand out.
+func (p *Pod) Handle() Handle { return p.handle }
+
+// Owner returns the handle of the owner Store.OwnPodsBy's function names for
+// the pod, 0 for none.
+func (p *Pod) Owner() Handle { return p.owner }
 
 // Meta implements Object.
 func (p *Pod) Meta() *ObjectMeta { return &p.ObjectMeta }
@@ -195,8 +231,10 @@ func (t EventType) String() string {
 	return fmt.Sprintf("EventType(%d)", int(t))
 }
 
-// Event is a store change notification.
+// Event is a store change notification. Handle is the object's: the store
+// holds it for the event until the event is delivered.
 type Event struct {
 	Type   EventType
 	Object Object
+	Handle Handle
 }

@@ -22,9 +22,9 @@ type Controller struct {
 	// pods is a reconcile pass's or a teardown's read of its job's pods,
 	// reused by the next.
 	pods []k8s.OwnedPod
-	// names holds each job's name table, from its first reconcile until
-	// Complete.
-	names map[string]jobNames
+	// names holds each job's name table by the job's handle, from its first
+	// reconcile until Complete.
+	names map[k8s.Handle]jobNames
 	// launcher, worker and nodelist are the structs reconcile and
 	// writeNodelist hand Create, overwritten for each: the store keeps a
 	// copy of the struct (and the maps it holds), never the struct itself.
@@ -41,18 +41,19 @@ const requeueDelay = time.Second
 
 // NewController wires a controller to the store and application runtime.
 func NewController(loop *k8s.EventLoop, store *k8s.Store, app AppRuntime) *Controller {
-	c := &Controller{loop: loop, store: store, app: app, names: make(map[string]jobNames)}
-	c.queue = k8s.NewWorkqueue(loop, requeueDelay, c.reconcile)
+	c := &Controller{loop: loop, store: store, app: app, names: make(map[k8s.Handle]jobNames)}
+	c.queue = k8s.NewWorkqueue(store, requeueDelay, c.reconcile)
 	store.OwnPodsBy(podOwner)
 	store.Subscribe(k8s.KindCharmJob, func(ev k8s.Event) {
 		if ev.Type == k8s.Deleted {
 			return
 		}
-		c.queue.Add(ev.Object.Meta().Key())
+		c.queue.Add(ev.Handle)
 	})
-	// Pod events wake the owning job's reconcile (the informer pattern).
+	// Pod events wake the owning job's reconcile (the informer pattern): the
+	// job the pod is filed under, its charmjob label's handle.
 	store.Subscribe(k8s.KindPod, func(ev k8s.Event) {
-		if owner := ev.Object.Meta().Labels["charmjob"]; owner != "" {
+		if owner := ev.Object.(*k8s.Pod).Owner(); owner != 0 {
 			c.queue.Add(owner)
 		}
 	})
@@ -85,10 +86,10 @@ func workerIndex(job, name string) int {
 	return idx
 }
 
-// reconcile drives one CharmJob toward its spec.
-func (c *Controller) reconcile(key string) {
+// reconcile drives the CharmJob under h toward its spec.
+func (c *Controller) reconcile(h k8s.Handle) {
 	c.Reconciles++
-	obj, ok := c.store.View(k8s.KindCharmJob, key)
+	obj, ok := c.store.View(k8s.KindCharmJob, h)
 	if !ok {
 		return
 	}
@@ -98,15 +99,15 @@ func (c *Controller) reconcile(key string) {
 		// to restart them; there is nothing to reconcile toward.
 		return
 	}
-	names, ok := c.names[job.Name]
-	if !ok {
+	names, ok := c.names[h]
+	if !ok || names.job != job.Name {
 		names = newJobNames(job.Name, c.tableSize(job))
-		c.names[job.Name] = names
+		c.names[h] = names
 	}
 
 	// One read of the job's pods serves the whole pass: whatever has no
 	// ordinal first, then the workers in ordinal order.
-	c.pods = c.store.OwnedPods(c.pods[:0], job.Name)
+	c.pods = c.store.OwnedPods(c.pods[:0], h)
 	workers := c.pods
 	for len(workers) > 0 && workers[0].Ordinal < 0 {
 		workers = workers[1:]
@@ -134,20 +135,20 @@ func (c *Controller) reconcile(key string) {
 	// with the extra restart parameter"). The pod deletions re-enqueue the
 	// job.
 	if failed {
-		c.restart(job)
+		c.restart(h, job)
 		return
 	}
 
 	if job.Status.ReadyReplicas != running {
 		// The write re-enqueues this key; continue there with fresh
 		// state.
-		_ = k8s.Modify(c.store, key, func(job *CharmJob) { job.Status.ReadyReplicas = running })
+		_ = k8s.Modify(c.store, h, func(job *CharmJob) { job.Status.ReadyReplicas = running })
 		return
 	}
 
 	// Ensure the launcher pod exists (runs mpirun/charmrun; requests one
 	// slot, mirroring the MPI Operator layout).
-	if _, ok := c.store.View(k8s.KindPod, names.launcher); !ok {
+	if _, ok := c.store.View(k8s.KindPod, c.store.Lookup(names.launcher)); !ok {
 		c.launcher = k8s.Pod{
 			ObjectMeta: k8s.ObjectMeta{Name: names.launcher, Labels: names.launcherLabels},
 			// The launcher is lightweight; it does not reserve a
@@ -196,7 +197,7 @@ func (c *Controller) reconcile(key string) {
 
 	// Wait for the desired workers to be running.
 	if ready < desired {
-		c.queue.Requeue(key)
+		c.queue.Requeue(h)
 		return
 	}
 
@@ -217,10 +218,10 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Launch(job, nodelist); err != nil {
-			c.queue.Requeue(key)
+			c.queue.Requeue(h)
 			return
 		}
-		_ = k8s.Modify(c.store, key, func(job *CharmJob) {
+		_ = k8s.Modify(c.store, h, func(job *CharmJob) {
 			job.Status.Phase = JobRunning
 			job.Status.LaunchedReplicas = desired
 		})
@@ -228,18 +229,18 @@ func (c *Controller) reconcile(key string) {
 	case desired < job.Status.LaunchedReplicas:
 		// Shrink (§3.1): signal first, remove pods only after the ack.
 		if err := c.app.Shrink(job, desired); err != nil {
-			c.queue.Requeue(key)
+			c.queue.Requeue(h)
 			return
 		}
 		for _, w := range workers {
 			if w.Ordinal >= desired && w.Ordinal < job.Status.LaunchedReplicas {
-				_ = c.store.Delete(k8s.KindPod, w.Pod.Key()) // it was just read
+				_ = c.store.Delete(k8s.KindPod, w.Pod.Handle()) // it was just read
 			}
 		}
 		if err := c.writeNodelist(&names, text); err != nil {
 			return
 		}
-		c.rescaled(key)
+		c.rescaled(h)
 
 	default:
 		// Expand (§3.1): pods were added above and are running; update
@@ -248,31 +249,31 @@ func (c *Controller) reconcile(key string) {
 			return
 		}
 		if err := c.app.Expand(job, desired, nodelist); err != nil {
-			c.queue.Requeue(key)
+			c.queue.Requeue(h)
 			return
 		}
-		c.rescaled(key)
+		c.rescaled(h)
 	}
 }
 
 // rescaled records a shrink or expand the application has acknowledged in the
-// status of the job under key.
-func (c *Controller) rescaled(key string) {
-	_ = k8s.Modify(c.store, key, func(job *CharmJob) {
+// status of the job under h.
+func (c *Controller) rescaled(h k8s.Handle) {
+	_ = k8s.Modify(c.store, h, func(job *CharmJob) {
 		job.Status.Phase = JobRunning
 		job.Status.LaunchedReplicas = job.Spec.Replicas
 		job.Status.Rescales++
 	})
 }
 
-// restart tears down a job one of whose pods failed and sends it back to
-// Pending. view is not written.
-func (c *Controller) restart(view *CharmJob) {
+// restart tears down the job under h, one of whose pods failed, and sends it
+// back to Pending. view, the job's, is not written.
+func (c *Controller) restart(h k8s.Handle, view *CharmJob) {
 	if view.Status.Phase == JobRunning || view.Status.Phase == JobRescaling {
 		c.app.Stop(view)
 	}
-	c.deletePods(view.Name)
-	_ = k8s.Modify(c.store, view.Key(), func(job *CharmJob) {
+	c.deletePods(h)
+	_ = k8s.Modify(c.store, h, func(job *CharmJob) {
 		st := &job.Status
 		st.Phase = JobPending
 		st.LaunchedReplicas = 0
@@ -281,13 +282,13 @@ func (c *Controller) restart(view *CharmJob) {
 	})
 }
 
-// deletePods deletes every pod filed under the job, in key order: the order
-// the pinned event digests record their Deleted events in.
-func (c *Controller) deletePods(job string) {
-	c.pods = c.store.OwnedPods(c.pods[:0], job)
+// deletePods deletes every pod filed under the job under h, in key order:
+// the order the pinned event digests record their Deleted events in.
+func (c *Controller) deletePods(h k8s.Handle) {
+	c.pods = c.store.OwnedPods(c.pods[:0], h)
 	slices.SortFunc(c.pods, func(a, b k8s.OwnedPod) int { return strings.Compare(a.Pod.Key(), b.Pod.Key()) })
 	for _, p := range c.pods {
-		_ = c.store.Delete(k8s.KindPod, p.Pod.Key()) // it was just read
+		_ = c.store.Delete(k8s.KindPod, p.Pod.Handle()) // it was just read
 	}
 }
 
@@ -305,8 +306,9 @@ func (c *Controller) tableSize(job *CharmJob) int {
 // validate a ConfigMap, so one already there may have no data map. A created
 // ConfigMap's data map is made afresh: the store keeps it.
 func (c *Controller) writeNodelist(names *jobNames, nodelist string) error {
-	if _, ok := c.store.View(k8s.KindConfigMap, names.nodelist); ok {
-		return k8s.Modify(c.store, names.nodelist, func(cm *k8s.ConfigMap) {
+	h := c.store.Lookup(names.nodelist)
+	if _, ok := c.store.View(k8s.KindConfigMap, h); ok {
+		return k8s.Modify(c.store, h, func(cm *k8s.ConfigMap) {
 			if cm.Data == nil {
 				cm.Data = make(map[string]string, 1)
 			}
@@ -326,7 +328,8 @@ func (c *Controller) writeNodelist(names *jobNames, nodelist string) error {
 // policy scheduler restarts it — the §3.2.2 fault-tolerance machinery turned
 // into a first-class scheduling action.
 func (c *Controller) Preempt(jobName string) error {
-	obj, ok := c.store.View(k8s.KindCharmJob, jobName)
+	h := c.store.Lookup(jobName)
+	obj, ok := c.store.View(k8s.KindCharmJob, h)
 	if !ok {
 		return fmt.Errorf("operator: job %q not found", jobName)
 	}
@@ -335,7 +338,7 @@ func (c *Controller) Preempt(jobName string) error {
 		return fmt.Errorf("operator: job %q is %s, cannot preempt", jobName, job.Status.Phase)
 	}
 	c.app.Stop(job)
-	err := k8s.Modify(c.store, jobName, func(job *CharmJob) {
+	err := k8s.Modify(c.store, h, func(job *CharmJob) {
 		st := &job.Status
 		st.Phase = JobPreempted
 		st.LaunchedReplicas = 0
@@ -345,7 +348,7 @@ func (c *Controller) Preempt(jobName string) error {
 	if err != nil {
 		return err
 	}
-	c.deletePods(jobName)
+	c.deletePods(h)
 	return nil
 }
 
@@ -353,7 +356,8 @@ func (c *Controller) Preempt(jobName string) error {
 // worker and launcher pods, which releases their slots, and drops its name
 // table.
 func (c *Controller) Complete(jobName string) error {
-	obj, ok := c.store.View(k8s.KindCharmJob, jobName)
+	h := c.store.Lookup(jobName)
+	obj, ok := c.store.View(k8s.KindCharmJob, h)
 	if !ok {
 		return fmt.Errorf("operator: job %q not found", jobName)
 	}
@@ -362,11 +366,11 @@ func (c *Controller) Complete(jobName string) error {
 		return nil
 	}
 	c.app.Stop(job)
-	err := k8s.Modify(c.store, jobName, func(job *CharmJob) { job.Status.Phase = JobSucceeded })
+	err := k8s.Modify(c.store, h, func(job *CharmJob) { job.Status.Phase = JobSucceeded })
 	if err != nil {
 		return err
 	}
-	c.deletePods(jobName)
-	delete(c.names, jobName)
+	c.deletePods(h)
+	delete(c.names, h)
 	return nil
 }

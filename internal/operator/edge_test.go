@@ -35,12 +35,12 @@ func TestControllerWaitsForUnschedulablePods(t *testing.T) {
 	if app.launches != 0 {
 		t.Fatalf("launched with unschedulable pods")
 	}
-	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	if got := obj.(*CharmJob).Status.Phase; got == JobRunning {
 		t.Fatal("job Running without pods")
 	}
 	// Free the squatter: the job must launch.
-	if err := store.Delete(k8s.KindPod, "squatter"); err != nil {
+	if err := store.Delete(k8s.KindPod, store.Lookup("squatter")); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
@@ -66,7 +66,7 @@ func TestControllerFailureRestart(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	job := obj.(*CharmJob)
 	if job.Status.Restarts == 0 {
 		t.Error("restart not recorded")
@@ -94,22 +94,24 @@ func TestManagerGapKickExpandsLater(t *testing.T) {
 	// that starts small.
 	a := mkJob("a", 0)
 	a.Spec.MinReplicas, a.Spec.MaxReplicas, a.Spec.Priority = 48, 48, 3
-	if err := mgr.Submit(a); err != nil {
+	aRef, err := mgr.Submit(a)
+	if err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
 	b := mkJob("b", 0)
 	b.Spec.MinReplicas, b.Spec.MaxReplicas, b.Spec.Priority = 8, 32, 3
-	if err := mgr.Submit(b); err != nil {
+	bRef, err := mgr.Submit(b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
-	bj, _ := mgr.CoreJob("b")
+	bj, _ := mgr.CoreJob(bRef)
 	if bj.Replicas != 16 {
 		t.Fatalf("b started at %d, want 16 (free slots)", bj.Replicas)
 	}
 	// Finish a: 48 slots free, but b is inside its gap — no expand yet.
-	if err := mgr.JobFinished("a"); err != nil {
+	if err := mgr.JobFinished(aRef); err != nil {
 		t.Fatal(err)
 	}
 	loop.Settle()
@@ -131,7 +133,7 @@ func TestManagerGapKickExpandsLater(t *testing.T) {
 
 // workersOf reads a job's worker pods the way reconcile does.
 func workersOf(store *k8s.Store, job string) []k8s.OwnedPod {
-	pods := store.OwnedPods(nil, job)
+	pods := store.OwnedPods(nil, store.Lookup(job))
 	for len(pods) > 0 && pods[0].Ordinal < 0 {
 		pods = pods[1:]
 	}
@@ -195,7 +197,7 @@ func TestWorkerIndexIsStrict(t *testing.T) {
 		}
 		loop.RunUntilIdle()
 		// A shrink deletes the workers it names and no stray.
-		err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 3 })
+		err := store.Modify(k8s.KindCharmJob, store.Lookup("j1"), func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 3 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +283,7 @@ func TestReconcileSurvivesUnvalidatedSpecs(t *testing.T) {
 			if !reflect.DeepEqual(app.lastNodelist, want) {
 				t.Errorf("launched on %q, want %q", app.lastNodelist, want)
 			}
-			cm, ok := store.View(k8s.KindConfigMap, NodelistName("j1"))
+			cm, ok := store.View(k8s.KindConfigMap, store.Lookup(NodelistName("j1")))
 			if !ok {
 				t.Fatal("nodelist ConfigMap missing")
 			}

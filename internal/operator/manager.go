@@ -18,22 +18,17 @@ type Manager struct {
 	ctrl  *Controller
 	sched *core.Scheduler
 
-	jobs map[string]*managedJob
 	// byRef interns job identities the same way the simulator does: the
 	// scheduler's core.Job carries Ref = its index here, so actuator
 	// callbacks resolve the managed record with an index load instead of
-	// a map lookup per scheduling action.
-	byRef  []*managedJob
-	kickAt time.Time
-	armed  bool
+	// a map lookup per scheduling action. submitted holds the name of every
+	// job in it, for Submit's duplicate check: the one read by name.
+	byRef     []*managedJob
+	submitted map[string]bool
+	kickAt    time.Time
+	armed     bool
 	// kick is the one func every kick timer arms, made once in NewManager.
 	kick func()
-	// forced marks jobs whose latest shrink was ordered by a capacity
-	// reclaim. Actuation is asynchronous (the controller reconciles the
-	// spec change later, when Scheduler.Reclaiming is long false), so the
-	// attribution travels with the job name until the app runtime
-	// consumes it via TakeForcedRescale.
-	forced map[string]bool
 }
 
 // managedJob pairs the scheduler's job record with its CharmJob template, the
@@ -43,14 +38,19 @@ type Manager struct {
 type managedJob struct {
 	core     core.Job
 	template CharmJob
+	// forced marks a job whose latest shrink was ordered by a capacity
+	// reclaim. Actuation is asynchronous (the controller reconciles the spec
+	// change later, when Scheduler.Reclaiming is long false), so the
+	// attribution travels with the job until the app runtime consumes it via
+	// TakeForcedRescale.
+	forced bool
 }
 
 // NewManager creates a manager that schedules onto the given capacity.
 func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg core.Config) (*Manager, error) {
 	m := &Manager{
 		loop: loop, store: store, ctrl: ctrl,
-		jobs:   make(map[string]*managedJob),
-		forced: make(map[string]bool),
+		submitted: make(map[string]bool),
 	}
 	sched, err := core.NewScheduler(cfg, (*managerActuator)(m), loop.Now)
 	if err != nil {
@@ -64,43 +64,56 @@ func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg cor
 // Scheduler exposes the embedded policy scheduler (read-only use).
 func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 
-// CoreJob returns the scheduler's record for a job.
-func (m *Manager) CoreJob(name string) (*core.Job, bool) {
-	mj, ok := m.jobs[name]
-	if !ok {
+// managed returns the record of the job with the Ref, or nil.
+func (m *Manager) managed(ref int32) *managedJob {
+	if ref < 0 || int(ref) >= len(m.byRef) {
+		return nil
+	}
+	return m.byRef[ref]
+}
+
+// CoreJob returns the scheduler's record for the job with the Ref Submit
+// returned.
+func (m *Manager) CoreJob(ref int32) (*core.Job, bool) {
+	mj := m.managed(ref)
+	if mj == nil {
 		return nil, false
 	}
 	return &mj.core, true
 }
 
-// Submit hands a CharmJob to the scheduling policy. The k8s object is only
-// created once the policy starts the job; until then it waits in the
-// scheduler's internal priority queue (§3.2.1).
-func (m *Manager) Submit(job *CharmJob) error {
+// Submit hands a CharmJob to the scheduling policy and returns the job's
+// Ref, the number every later call takes it by: jobs are numbered from 0 in
+// the order they are submitted. The k8s object is only created once the
+// policy starts the job; until then it waits in the scheduler's internal
+// priority queue (§3.2.1).
+func (m *Manager) Submit(job *CharmJob) (int32, error) {
 	if err := job.Validate(); err != nil {
-		return err
+		return 0, err
 	}
-	if _, dup := m.jobs[job.Name]; dup {
-		return fmt.Errorf("operator: job %q already submitted", job.Name)
+	if m.submitted[job.Name] {
+		return 0, fmt.Errorf("operator: job %q already submitted", job.Name)
 	}
+	ref := int32(len(m.byRef))
 	mj := &managedJob{core: core.Job{
 		ID:          job.Name,
-		Ref:         int32(len(m.byRef)),
+		Ref:         ref,
 		Priority:    job.Spec.Priority,
 		MinReplicas: job.Spec.MinReplicas,
 		MaxReplicas: job.Spec.MaxReplicas,
 		SubmitTime:  m.loop.Now(),
 	}}
 	job.DeepCopyInto(&mj.template)
-	m.jobs[job.Name] = mj
+	mj.template.ref = ref + 1
+	m.submitted[job.Name] = true
 	m.byRef = append(m.byRef, mj)
 	if err := m.sched.Submit(&mj.core); err != nil {
-		delete(m.jobs, job.Name)
+		delete(m.submitted, job.Name)
 		m.byRef = m.byRef[:len(m.byRef)-1]
-		return err
+		return 0, err
 	}
 	m.armKick()
-	return nil
+	return ref, nil
 }
 
 // SetCapacity applies a cluster capacity change (an availability event) to
@@ -116,14 +129,15 @@ func (m *Manager) SetCapacity(n int) error {
 	return nil
 }
 
-// JobFinished is called when a job's application completes: the controller
-// tears the job down and the policy redistributes the freed slots (Figure 3).
-func (m *Manager) JobFinished(name string) error {
-	mj, ok := m.jobs[name]
-	if !ok {
-		return fmt.Errorf("operator: unknown job %q", name)
+// JobFinished is called when the application of the job with the Ref
+// completes: the controller tears the job down and the policy redistributes
+// the freed slots (Figure 3).
+func (m *Manager) JobFinished(ref int32) error {
+	mj := m.managed(ref)
+	if mj == nil {
+		return fmt.Errorf("operator: unknown job %d", ref)
 	}
-	if err := m.ctrl.Complete(name); err != nil {
+	if err := m.ctrl.Complete(mj.core.ID); err != nil {
 		return err
 	}
 	m.sched.OnJobComplete(&mj.core)
@@ -180,9 +194,9 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 	tmpl := &m.byRef[j.Ref].template
 	tmpl.Spec.Replicas = replicas
 	tmpl.Status = CharmJobStatus{Phase: JobPending}
-	key := tmpl.Key()
-	if _, exists := m.store.View(k8s.KindCharmJob, key); exists {
-		return k8s.Modify(m.store, key, func(job *CharmJob) {
+	h := m.store.Lookup(tmpl.Key())
+	if _, exists := m.store.View(k8s.KindCharmJob, h); exists {
+		return k8s.Modify(m.store, h, func(job *CharmJob) {
 			job.Spec = tmpl.Spec
 			job.Status = CharmJobStatus{
 				Phase:       JobPending,
@@ -201,19 +215,20 @@ func (a *managerActuator) StartJob(j *core.Job, replicas int) error {
 func (a *managerActuator) ShrinkJob(j *core.Job, to int) error {
 	m := a.mgr()
 	if m.sched.Reclaiming() {
-		m.forced[j.ID] = true
+		m.byRef[j.Ref].forced = true
 	}
 	return a.setReplicas(j.ID, to)
 }
 
-// TakeForcedRescale reports whether the job's pending rescale was forced by
-// a capacity reclaim, clearing the mark.
-func (m *Manager) TakeForcedRescale(name string) bool {
-	if m.forced[name] {
-		delete(m.forced, name)
-		return true
+// TakeForcedRescale reports whether the pending rescale of the job with the
+// Ref was forced by a capacity reclaim, clearing the mark.
+func (m *Manager) TakeForcedRescale(ref int32) bool {
+	mj := m.managed(ref)
+	if mj == nil || !mj.forced {
+		return false
 	}
-	return false
+	mj.forced = false
+	return true
 }
 
 // ExpandJob raises Spec.Replicas; the controller adds pods, refreshes the
@@ -223,7 +238,8 @@ func (a *managerActuator) ExpandJob(j *core.Job, to int) error {
 }
 
 func (a *managerActuator) setReplicas(name string, to int) error {
-	return k8s.Modify(a.mgr().store, name, func(job *CharmJob) { job.Spec.Replicas = to })
+	store := a.mgr().store
+	return k8s.Modify(store, store.Lookup(name), func(job *CharmJob) { job.Spec.Replicas = to })
 }
 
 // PreemptJob checkpoint-stops a job. Only a forced capacity reclaim calls

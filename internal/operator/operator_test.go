@@ -120,7 +120,7 @@ func TestControllerLaunchesJob(t *testing.T) {
 	if len(app.lastNodelist) != 4 {
 		t.Errorf("nodelist = %v", app.lastNodelist)
 	}
-	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	job := obj.(*CharmJob)
 	if job.Status.Phase != JobRunning || job.Status.LaunchedReplicas != 4 {
 		t.Errorf("status = %+v", job.Status)
@@ -129,10 +129,10 @@ func TestControllerLaunchesJob(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 4 {
 		t.Errorf("%d worker pods", got)
 	}
-	if _, ok := store.View(k8s.KindPod, LauncherName("j1")); !ok {
+	if _, ok := store.View(k8s.KindPod, store.Lookup(LauncherName("j1"))); !ok {
 		t.Error("launcher pod missing")
 	}
-	if _, ok := store.View(k8s.KindConfigMap, NodelistName("j1")); !ok {
+	if _, ok := store.View(k8s.KindConfigMap, store.Lookup(NodelistName("j1"))); !ok {
 		t.Error("nodelist ConfigMap missing")
 	}
 }
@@ -144,7 +144,7 @@ func TestControllerShrinkProtocol(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
+	err := store.Modify(k8s.KindCharmJob, store.Lookup("j1"), func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestControllerShrinkProtocol(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 4 {
 		t.Errorf("%d worker pods after shrink", got)
 	}
-	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	job := obj.(*CharmJob)
 	if job.Status.LaunchedReplicas != 4 || job.Status.Rescales != 1 {
 		t.Errorf("status = %+v", job.Status)
 	}
-	cm, ok := store.View(k8s.KindConfigMap, NodelistName("j1"))
+	cm, ok := store.View(k8s.KindConfigMap, store.Lookup(NodelistName("j1")))
 	if !ok {
 		t.Fatal("nodelist ConfigMap missing")
 	}
@@ -179,7 +179,7 @@ func TestControllerShrinkDeclinedKeepsPods(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 	app.failShrink = true
-	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
+	err := store.Modify(k8s.KindCharmJob, store.Lookup("j1"), func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestControllerExpandProtocol(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 
-	err := store.Modify(k8s.KindCharmJob, "j1", func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 12 })
+	err := store.Modify(k8s.KindCharmJob, store.Lookup("j1"), func(obj k8s.Object) { obj.(*CharmJob).Spec.Replicas = 12 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestControllerExpandProtocol(t *testing.T) {
 	if got := len(store.Pods(map[string]string{"charmjob": "j1", "role": "worker"})); got != 12 {
 		t.Errorf("%d worker pods after expand", got)
 	}
-	obj, _ := store.View(k8s.KindCharmJob, "j1")
+	obj, _ := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	if obj.(*CharmJob).Status.LaunchedReplicas != 12 {
 		t.Errorf("launched = %d", obj.(*CharmJob).Status.LaunchedReplicas)
 	}
@@ -270,15 +270,16 @@ func TestManagerSubmitAndFinish(t *testing.T) {
 	}
 	job := mkJob("j1", 0)
 	job.Spec.MinReplicas, job.Spec.MaxReplicas = 4, 16
-	if err := mgr.Submit(job); err != nil {
+	ref, err := mgr.Submit(job)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Submit(job); err == nil {
+	if _, err := mgr.Submit(job); err == nil {
 		t.Error("duplicate submit accepted")
 	}
 	loop.RunUntilIdle()
 	// Policy started the job at max (empty cluster).
-	obj, ok := store.View(k8s.KindCharmJob, "j1")
+	obj, ok := store.View(k8s.KindCharmJob, store.Lookup("j1"))
 	if !ok {
 		t.Fatal("CharmJob not created")
 	}
@@ -288,18 +289,18 @@ func TestManagerSubmitAndFinish(t *testing.T) {
 	if app.launches != 1 {
 		t.Errorf("launches = %d", app.launches)
 	}
-	cj, ok := mgr.CoreJob("j1")
+	cj, ok := mgr.CoreJob(ref)
 	if !ok || cj.State != core.StateRunning {
 		t.Fatalf("core job state: %+v", cj)
 	}
-	if err := mgr.JobFinished("j1"); err != nil {
+	if err := mgr.JobFinished(ref); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
 	if cj.State != core.StateCompleted {
 		t.Errorf("state after finish = %v", cj.State)
 	}
-	if err := mgr.JobFinished("ghost"); err == nil {
+	if err := mgr.JobFinished(ref + 1); err == nil {
 		t.Error("finishing unknown job succeeded")
 	}
 }
@@ -315,7 +316,7 @@ func TestManagerElasticShrinkFlow(t *testing.T) {
 	low := mkJob("low", 0)
 	low.Spec.Priority = 1
 	low.Spec.MinReplicas, low.Spec.MaxReplicas = 8, 64
-	if err := mgr.Submit(low); err != nil {
+	if _, err := mgr.Submit(low); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
@@ -327,7 +328,8 @@ func TestManagerElasticShrinkFlow(t *testing.T) {
 	high := mkJob("high", 0)
 	high.Spec.Priority = 5
 	high.Spec.MinReplicas, high.Spec.MaxReplicas = 16, 32
-	if err := mgr.Submit(high); err != nil {
+	highRef, err := mgr.Submit(high)
+	if err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntilIdle()
@@ -335,7 +337,7 @@ func TestManagerElasticShrinkFlow(t *testing.T) {
 	if app.shrinks != 1 {
 		t.Errorf("shrinks = %d", app.shrinks)
 	}
-	hj, _ := mgr.CoreJob("high")
+	hj, _ := mgr.CoreJob(highRef)
 	if hj.State != core.StateRunning {
 		t.Errorf("high = %v", hj.State)
 	}

@@ -93,7 +93,16 @@ type CharmJob struct {
 	k8s.ObjectMeta
 	Spec   CharmJobSpec
 	Status CharmJobStatus
+	// ref is one more than the core.Job.Ref of the job the Manager submitted
+	// this one as, carried by every version the store keeps of it: 0 for a
+	// CharmJob the Manager did not create.
+	ref int32
 }
+
+// Ref returns the core.Job.Ref the Manager gave the job at Submit, which
+// every CharmJob it creates carries; ok is false for one the Manager did not
+// create.
+func (j *CharmJob) Ref() (ref int32, ok bool) { return j.ref - 1, j.ref != 0 }
 
 // Meta implements k8s.Object.
 func (j *CharmJob) Meta() *k8s.ObjectMeta { return &j.ObjectMeta }
@@ -158,6 +167,7 @@ func NodelistName(job string) string { return job + "-nodelist" }
 // carrying it shares: the store keeps the maps Create is handed, and nobody
 // writes them.
 type jobNames struct {
+	job                string
 	launcher, nodelist string
 	workers            []string
 	list               string
@@ -192,6 +202,7 @@ func newJobNames(job string, n int) jobNames {
 	// A string the builder handed out stays valid as it grows, so each name
 	// is cut as soon as it is written.
 	names := jobNames{
+		job:      job,
 		launcher: b.String()[:len(launcher)],
 		nodelist: b.String()[len(launcher):],
 		workers:  make([]string, n),
