@@ -76,6 +76,12 @@ type Job struct {
 	// string-keyed map lookup on the hot path.
 	Ref int32
 
+	// Tag is a small driver-owned label the wait queue counts its jobs by
+	// (Scheduler.NumQueuedTagged): the simulator sets the job's class, so a
+	// per-class backlog is a read of counters, not a walk of the queue. Set
+	// it before Submit and leave it while the job is queued.
+	Tag uint8
+
 	Priority    int
 	MinReplicas int
 	MaxReplicas int

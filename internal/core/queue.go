@@ -32,6 +32,9 @@ type jobQueue struct {
 	// checkpoint marker that a re-enqueue erases and a driver's StartJob
 	// reads.
 	preempted int
+	// tagged counts the waiting jobs by Job.Tag: tagged[t] of them carry
+	// tag t.
+	tagged [math.MaxUint8 + 1]int32
 	// scratch is drainSorted's output array, reused across drains.
 	scratch []*Job
 }
@@ -76,6 +79,7 @@ func (q *jobQueue) add(j *Job) *needBucket {
 	if j.State == StatePreempted {
 		q.preempted++
 	}
+	q.tagged[j.Tag]++
 	return b
 }
 
@@ -85,6 +89,7 @@ func (q *jobQueue) took(j *Job) {
 	if j.State == StatePreempted {
 		q.preempted--
 	}
+	q.tagged[j.Tag]--
 }
 
 // push inserts a job.
@@ -180,6 +185,7 @@ func (q *jobQueue) reset() {
 		b.jobs = b.jobs[:0]
 	}
 	q.n, q.preempted = 0, 0
+	clear(q.tagged[:])
 }
 
 // visit calls fn for each waiting job — bucket by bucket in ascending need,

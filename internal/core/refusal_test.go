@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,16 +40,19 @@ func (a *refusingActuator) call(op string, j *Job, replicas int) error {
 	return nil
 }
 
-// refuses picks a quarter of the (job, call number) pairs. FNV's low bits
-// follow the input's low bits (a modulus of the raw hash never refuses two
-// calls in a row), so the key goes through splitmix64's finalizer first.
-func refuses(id string, n int) bool {
+// refuses picks a quarter of the (job, call number) pairs.
+func refuses(id string, n int) bool { return mix(id, n)%4 == 0 }
+
+// mix hashes a job's ID and a number. FNV's low bits follow the input's low
+// bits (a modulus of the raw hash never refuses two calls in a row), so the
+// key goes through splitmix64's finalizer first.
+func mix(id string, n int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	x := h.Sum64() + uint64(n)*0x9e3779b97f4a7c15
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
 	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return (x^x>>31)%4 == 0
+	return x ^ x>>31
 }
 
 func (a *refusingActuator) StartJob(j *Job, replicas int) error { return a.call("start", j, replicas) }
@@ -64,7 +68,6 @@ type policyCore interface {
 	SetCapacity(int) error
 	Preempt(int) int
 	Withdraw(*Job) error
-	NextGapExpiry() (time.Time, bool)
 }
 
 // The operations of a scheduling script.
@@ -100,7 +103,9 @@ func (op refusalOp) String() string {
 // submissions, completions and kicks pile up on one instant; the others wait
 // up to 90 s between operations. Job IDs are unpadded (j10 sorts before j9),
 // so ID order is not submission order, and each job's IDRank is its position
-// in ID order — consistent with ID, as the simulator's ranks are.
+// in ID order — consistent with ID, as the simulator's ranks are. Each job's
+// Tag is a hash of its ID (scriptTag), so the draws are the same as without
+// tags.
 func refusalScript(rng *rand.Rand, trial, capacity int, dense bool) []refusalOp {
 	var ops []refusalOp
 	submitted := 0
@@ -141,9 +146,33 @@ func refusalScript(rng *rand.Rand, trial, capacity int, dense bool) []refusalOp 
 		if ops[i].kind == opSubmit {
 			rank, _ := slices.BinarySearch(ids, ops[i].job.ID)
 			ops[i].job.IDRank = int32(rank)
+			ops[i].job.Tag = scriptTag(ops[i].job.ID)
 		}
 	}
 	return ops
+}
+
+// scriptTag labels a script's job with one of five tags, the largest Tag
+// among them, by a hash of its ID.
+func scriptTag(id string) uint8 {
+	return [...]uint8{0, 1, 2, 3, math.MaxUint8}[mix(id, -1)%5]
+}
+
+// tagCountsDiffer returns how the wait queue's per-tag counts
+// (NumQueuedTagged) differ from a count of the tags VisitQueued visits, or ""
+// when they agree for every tag.
+func tagCountsDiffer(s *Scheduler) string {
+	var want [math.MaxUint8 + 1]int
+	s.VisitQueued(func(j *Job) bool {
+		want[j.Tag]++
+		return true
+	})
+	for tag, n := range want {
+		if got := s.NumQueuedTagged(uint8(tag)); got != n {
+			return fmt.Sprintf("%d waiting jobs tagged %d, the queue holds %d", got, tag, n)
+		}
+	}
+	return ""
 }
 
 // The oracle's rescale gaps and capacities.
@@ -163,7 +192,8 @@ func oracleCell(policy Policy, trial int) (cfg Config, dense, refuse bool) {
 // in lockstep, each with its own copy of every job and its own actuator, and
 // after every operation compares what the operation returned, the actuator
 // calls, the decision log, the free pool, the reclaim counters, the next gap
-// expiry and every job's state, allocation, rescale count and timestamps. It
+// expiry and every job's state, allocation, rescale count and timestamps, and
+// holds the scheduler's per-tag queue counts to a count over its queue. It
 // returns the first divergence, or "" when the two agree throughout.
 func runRefusalScript(t testing.TB, cfg Config, script []refusalOp, refuse bool) string {
 	t.Helper()
@@ -188,8 +218,8 @@ func runRefusalScript(t testing.TB, cfg Config, script []refusalOp, refuse bool)
 			}
 		}
 		if op.kind == opGapKick {
-			if at, ok := s.NextGapExpiry(); ok {
-				clk.t = at
+			if atNs, ok := s.NextGapExpiry(); ok {
+				clk.t = time.Unix(0, atNs).UTC()
 			}
 		}
 		for k, side := range sides {
@@ -213,10 +243,13 @@ func runRefusalScript(t testing.TB, cfg Config, script []refusalOp, refuse bool)
 		if s.FreeSlots() != ref.free || s.CapacityStats() != ref.stats {
 			return fail("free %d, stats %+v; reference free %d, stats %+v", s.FreeSlots(), s.CapacityStats(), ref.free, ref.stats)
 		}
-		gotAt, gotOK := s.NextGapExpiry()
+		gotNs, gotOK := s.NextGapExpiry()
 		wantAt, wantOK := ref.NextGapExpiry()
-		if gotOK != wantOK || !gotAt.Equal(wantAt) {
-			return fail("next gap expiry %v %v, reference %v %v", gotAt, gotOK, wantAt, wantOK)
+		if gotOK != wantOK || gotOK && gotNs != wantAt.UnixNano() {
+			return fail("next gap expiry %v %v, reference %v %v", time.Unix(0, gotNs).UTC(), gotOK, wantAt, wantOK)
+		}
+		if d := tagCountsDiffer(s); d != "" {
+			return fail("%s", d)
 		}
 		for k, g := range jobs[0] {
 			w := jobs[1][k]

@@ -215,6 +215,10 @@ func (s *Scheduler) NumRunning() int { return len(s.running) }
 // NumQueued reports the waiting-job count without copying or sorting.
 func (s *Scheduler) NumQueued() int { return s.queue.Len() }
 
+// NumQueuedTagged reports how many waiting jobs carry Job.Tag tag: a counter
+// the queue keeps as jobs enter and leave it, so the read is O(1).
+func (s *Scheduler) NumQueuedTagged(tag uint8) int { return int(s.queue.tagged[tag]) }
+
 // jobNeed is the smallest slot count j needs to start under the policy.
 func (s *Scheduler) jobNeed(j *Job) int {
 	jmin, _ := s.bounds(j)
@@ -631,19 +635,17 @@ func (s *Scheduler) maxFreeable() int {
 	return s.cfg.Capacity - s.free - s.runMinSum
 }
 
-// NextGapExpiry returns the earliest future instant at which a rescale that
-// is currently blocked only by T_rescale_gap becomes possible: an expansion
-// of a below-max running job into free slots, or a shrink of an above-min
-// running job on behalf of a queued job. ok is false when no such moment
-// exists (nothing blocked, or the policy never rescales). The walk compares
-// integer nanoseconds and builds the instant of the winner alone.
-func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
+// NextGapExpiry returns the earliest future instant, in Unix nanoseconds, at
+// which a rescale that is currently blocked only by T_rescale_gap becomes
+// possible: an expansion of a below-max running job into free slots, or a
+// shrink of an above-min running job on behalf of a queued job. ok is false
+// when no such moment exists (nothing blocked, or the policy never
+// rescales). The walk compares integer nanoseconds and builds no time.Time.
+func (s *Scheduler) NextGapExpiry() (atNs int64, ok bool) {
 	if s.gapNs == math.MaxInt64 {
-		return time.Time{}, false // moldable: gaps never expire
+		return 0, false // moldable: gaps never expire
 	}
 	s.refresh()
-	var next *Job
-	var nextNs int64
 	for _, j := range s.running {
 		minR, maxR := s.bounds(j)
 		expandable := s.free > 0 && j.Replicas < maxR
@@ -654,14 +656,11 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 		if s.gapOK(j) {
 			continue // not gap-blocked; a plain pass already had its chance
 		}
-		if exp := j.lastActionNs + s.gapNs; exp > s.tnowNs && (next == nil || exp < nextNs) {
-			next, nextNs = j, exp
+		if exp := j.lastActionNs + s.gapNs; exp > s.tnowNs && (!ok || exp < atNs) {
+			atNs, ok = exp, true
 		}
 	}
-	if next == nil {
-		return time.Time{}, false
-	}
-	return next.LastAction.Add(s.cfg.RescaleGap), true
+	return atNs, ok
 }
 
 // redistribute walks all running and queued jobs in decreasing priority

@@ -19,11 +19,12 @@ func exportState(s *Scheduler) SchedulerState {
 func populatedSched(t testing.TB) (*Scheduler, *testClock) {
 	t.Helper()
 	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 16, RescaleGap: time.Minute})
-	for _, j := range []*Job{
+	for i, j := range []*Job{
 		job("a", 5, 2, 8), job("b", 3, 2, 8), job("c", 4, 4, 8),
 		job("d", 1, 4, 16), job("e", 2, 8, 16),
 	} {
 		j.SubmitTime = clk.t
+		j.Tag = uint8(i % 2)
 		if err := s.Submit(j); err != nil {
 			t.Fatalf("submit %s: %v", j.ID, err)
 		}
@@ -43,6 +44,12 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 	}
 
 	dst, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 4, RescaleGap: time.Minute})
+	// A job already waiting on dst: the restore must forget its tag too.
+	stale := job("stale", 1, 8, 8)
+	stale.Tag = 1
+	if err := dst.Submit(stale); err != nil || dst.NumQueuedTagged(1) != 1 {
+		t.Fatalf("submit stale: %v, %d queued tagged 1", err, dst.NumQueuedTagged(1))
+	}
 	if err := dst.RestoreState(st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -57,6 +64,14 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 	}
 	if got, want := dst.NumQueued(), src.NumQueued(); got != want {
 		t.Errorf("queued %d, want %d", got, want)
+	}
+	for tag := range 2 {
+		if got, want := dst.NumQueuedTagged(uint8(tag)), src.NumQueuedTagged(uint8(tag)); got != want {
+			t.Errorf("queued tagged %d: %d, want %d", tag, got, want)
+		}
+	}
+	if d := tagCountsDiffer(dst); d != "" {
+		t.Errorf("restored queue: %s", d)
 	}
 	back := exportState(dst)
 	if !reflect.DeepEqual(st, back) {
@@ -113,8 +128,8 @@ func TestSchedulerStateMidEpochRoundTrip(t *testing.T) {
 	if !dstOK {
 		t.Fatal("restored scheduler lost the pending kick")
 	}
-	if !dstKick.Equal(srcKick) {
-		t.Errorf("restored kick deadline %v, want %v", dstKick, srcKick)
+	if dstKick != srcKick {
+		t.Errorf("restored kick deadline %d ns, want %d ns", dstKick, srcKick)
 	}
 
 	// Drive both schedulers through the identical rest of the epoch: a new

@@ -75,14 +75,15 @@ func BenchmarkFederationMigration(b *testing.B) {
 	b.ReportMetric(float64(len(last.Migrations))/float64(last.RebalanceRounds), "moves/round")
 }
 
-// BenchmarkRebalanceRoundNoDonor is the round nineteen in twenty rounds are:
-// four evenly loaded members with a standing backlog of 250 jobs each, so
-// the rebalancer observes the fleet, finds no donor and touches no job — the
-// rebalanced fleet's fixed decision cost per round. Zero allocations.
-func BenchmarkRebalanceRoundNoDonor(b *testing.B) {
+// noDonorFleet is the round nineteen in twenty rounds are: four evenly loaded
+// members with a standing backlog of 250 jobs each, stepped to the first
+// barrier, so the rebalancer observes the fleet, finds no donor and touches
+// no job — the rebalanced fleet's fixed decision cost per round.
+func noDonorFleet(tb testing.TB) *rebalancer {
+	tb.Helper()
 	w, err := (workload.Burst{Waves: 1, PerWave: 1000, WaveGap: 1}).Generate(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	base := sim.DefaultConfig(core.Elastic)
 	base.Streaming = true
@@ -92,8 +93,14 @@ func BenchmarkRebalanceRoundNoDonor(b *testing.B) {
 		Workers:   1,
 		Rebalance: RebalanceConfig{Every: 300},
 	}
-	sims, counts := beginFleet(b, cfg, w, 300)
-	r := newRebalancer(cfg, cfg.backends(), sims, counts)
+	sims, counts := beginFleet(tb, cfg, w, 300)
+	return newRebalancer(cfg, cfg.backends(), sims, counts)
+}
+
+// BenchmarkRebalanceRoundNoDonor times noDonorFleet's round. Zero
+// allocations (TestRebalanceRoundNoDonorAllocatesNothing).
+func BenchmarkRebalanceRoundNoDonor(b *testing.B) {
+	r := noDonorFleet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,6 +117,33 @@ func BenchmarkRebalanceRoundNoDonor(b *testing.B) {
 		queued += st.queued
 	}
 	b.ReportMetric(float64(queued), "queued")
+}
+
+// TestRebalanceRoundNoDonorAllocatesNothing holds noDonorFleet's round to
+// zero allocations: observing a member reads counters, and a round with no
+// donor builds no queue snapshot.
+func TestRebalanceRoundNoDonorAllocatesNothing(t *testing.T) {
+	r := noDonorFleet(t)
+	round := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		round++
+		if moved, err := r.round(300, round); err != nil || moved != 0 {
+			t.Fatalf("round moved %d jobs (err %v)", moved, err)
+		}
+	})
+	if r.stats.DonorRounds != 0 || r.stats.Snapshots != 0 {
+		t.Fatalf("a no-donor round found donors: %+v", r.stats)
+	}
+	queued := 0
+	for _, st := range r.states {
+		queued += st.queued
+	}
+	if queued == 0 {
+		t.Fatal("the fleet lost its backlog: the round has nothing to count")
+	}
+	if allocs != 0 {
+		t.Errorf("a no-donor round allocates %v times, want 0", allocs)
+	}
 }
 
 // BenchmarkRebalancedWideRounds measures the parallel side of the barrier's

@@ -20,12 +20,13 @@ import (
 //
 // A round decides from counts and touches individual jobs only to move them.
 // What it reads of a member is capacity, allocation and a per-class count of
-// the wait queue (sim.QueuedByClass, no copy); a queue is materialised only
-// for a donor some present class of which has a receiver that would still
-// drain sooner, and then only the entries of such classes, popped off a heap
-// in victim order until none can move. Everything that is constant for the
-// run — specs, capacities, traces, the [member][class] work table — lives on
-// the rebalancer, as do the round's buffers.
+// the wait queue (sim.QueuedByClass: counters the queue keeps, no walk); a
+// queue is materialised only for a donor some present class of which has a
+// receiver that would still drain sooner, and then only the entries of such
+// classes, popped off a heap in victim order until none can move. Everything
+// that is constant for the run — specs, capacities, traces, the
+// [member][class] work table — lives on the rebalancer, as do the round's
+// buffers.
 //
 // Determinism contract: a rebalanced run is a pure function of (Config,
 // workload). Every round observes the members in index order, takes its

@@ -25,8 +25,13 @@ type Manager struct {
 	// job in it, for Submit's duplicate check: the one read by name.
 	byRef     []*managedJob
 	submitted map[string]bool
-	kickAt    time.Time
-	armed     bool
+	// kickAt is the armed kick's instant on the loop's clock (nanoseconds
+	// since its start, Elapsed); startNs is that start in Unix nanoseconds,
+	// the scheduler's instants, so turning a NextGapExpiry into the loop's
+	// clock is one subtraction.
+	kickAt  int64
+	startNs int64
+	armed   bool
 	// kick is the one func every kick timer arms, made once in NewManager.
 	kick func()
 }
@@ -51,6 +56,7 @@ func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg cor
 	m := &Manager{
 		loop: loop, store: store, ctrl: ctrl,
 		submitted: make(map[string]bool),
+		startNs:   loop.Now().UnixNano() - int64(loop.Elapsed()),
 	}
 	sched, err := core.NewScheduler(cfg, (*managerActuator)(m), loop.Now)
 	if err != nil {
@@ -148,25 +154,27 @@ func (m *Manager) JobFinished(ref int32) error {
 // armKick schedules a Reschedule pass at the next rescale-gap expiry, the
 // operator's requeue-driven equivalent of the simulator's kick events.
 func (m *Manager) armKick() {
-	at, ok := m.sched.NextGapExpiry()
+	atNs, ok := m.sched.NextGapExpiry()
 	if !ok {
 		return
 	}
-	if m.armed && !m.kickAt.After(at) {
+	at := atNs - m.startNs
+	if m.armed && m.kickAt <= at {
 		return // an earlier or equal kick is already armed
 	}
 	m.armed = true
 	m.kickAt = at
-	m.loop.At(at.Sub(m.loop.Now()), m.kick)
+	m.loop.At(time.Duration(at-int64(m.loop.Elapsed())), m.kick)
 }
 
 // onKick runs a kick timer armKick armed, unless an earlier kick superseded
 // it. NextGapExpiry returns only instants after the scheduler's clock, which
 // is the loop's, so every kick is armed with a positive delay and fires at
-// exactly the instant it was armed for: the loop's Now is that instant, and
-// kickAt equals it just when kickAt is still what the timer was armed with.
+// exactly the instant it was armed for: the loop's Elapsed is that instant,
+// and kickAt equals it just when kickAt is still what the timer was armed
+// with.
 func (m *Manager) onKick() {
-	if !m.kickAt.Equal(m.loop.Now()) {
+	if m.kickAt != int64(m.loop.Elapsed()) {
 		return // superseded by an earlier kick
 	}
 	m.armed = false

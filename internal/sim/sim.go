@@ -342,8 +342,12 @@ type Simulator struct {
 }
 
 // epoch anchors the simulator's float timeline to the core scheduler's
-// time.Time clock.
-var epoch = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+// time.Time clock; epochNs is it in Unix nanoseconds, the scheduler's
+// integer instants.
+var (
+	epoch   = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	epochNs = epoch.UnixNano()
+)
 
 // New creates a simulator for the workload.
 func New(cfg Config) (*Simulator, error) {
@@ -416,6 +420,7 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 	sj.job = core.Job{
 		ID:          js.ID,
 		Ref:         sj.ref,
+		Tag:         uint8(js.Class),
 		Priority:    js.Priority,
 		MinReplicas: spec.MinReplicas,
 		MaxReplicas: spec.MaxReplicas,
@@ -748,11 +753,11 @@ func (s *Simulator) Decisions() []core.Decision {
 // reconcile loop. A millisecond of slack is added so the float-seconds event
 // time always lands strictly past the scheduler's nanosecond gap deadline.
 func (s *Simulator) scheduleKick() {
-	at, ok := s.sched.NextGapExpiry()
+	atNs, ok := s.sched.NextGapExpiry()
 	if !ok {
 		return
 	}
-	t := at.Sub(epoch).Seconds() + 1e-3
+	t := time.Duration(atNs-epochNs).Seconds() + 1e-3
 	if s.kickAt >= 0 && s.kickAt <= t {
 		return // an earlier (or equal) kick is already pending
 	}

@@ -193,13 +193,13 @@ func (s *Simulator) AppendQueuedJobs(dst []QueuedJob) []QueuedJob {
 	return dst
 }
 
-// QueuedByClass counts the waiting jobs of each class without copying the
-// queue — all a backlog estimate needs.
+// QueuedByClass counts the waiting jobs of each class — all a backlog
+// estimate needs. A job's Tag is its class, so this reads the wait queue's
+// per-tag counters: O(classes), whatever the queue's length.
 func (s *Simulator) QueuedByClass() (n [model.XLarge + 1]int) {
-	s.sched.VisitQueued(func(j *core.Job) bool {
-		n[s.cold[j.Ref].Class]++
-		return true
-	})
+	for c := range n {
+		n[c] = s.sched.NumQueuedTagged(uint8(c))
+	}
 	return n
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -207,5 +208,90 @@ func TestWithdrawRejectsUnknownRef(t *testing.T) {
 	}
 	if _, err := s.Withdraw(99); err == nil {
 		t.Error("withdrew an out-of-range ref")
+	}
+}
+
+// TestQueuedByClassMatchesQueue holds the wait queue's per-class counters,
+// which QueuedByClass reads, to a count of the classes AppendQueuedJobs
+// lists, after every StepTo, Withdraw, Inject, Preempt and Kick a coordinator
+// can apply: two members under every policy, stepped through capacity drops
+// and restores, trading queued jobs and reclaiming slots at every barrier.
+func TestQueuedByClassMatchesQueue(t *testing.T) {
+	var buf []QueuedJob
+	check := func(s *Simulator, what string) {
+		t.Helper()
+		buf = s.AppendQueuedJobs(buf[:0])
+		var want [model.XLarge + 1]int
+		for _, q := range buf {
+			want[q.Class]++
+		}
+		if got := s.QueuedByClass(); got != want {
+			t.Fatalf("after %s: QueuedByClass %v, the queue holds %v", what, got, want)
+		}
+	}
+	barriers, moved, freed := 0, 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, p := range core.AllPolicies() {
+			rng := rand.New(rand.NewSource(seed))
+			var sims [2]*Simulator
+			for i := range sims {
+				w, err := (workload.Burst{Waves: 5, PerWave: 40, WaveGap: 4000}).Generate(seed*2 + int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig(p)
+				cfg.Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+					{At: 1500, Capacity: 24}, {At: 6000, Capacity: 64}, {At: 11000, Capacity: 40}, {At: 14000, Capacity: 64},
+				}}
+				if sims[i], err = New(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := sims[i].Begin(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for tick := 300.0; !sims[0].Drained() || !sims[1].Drained(); tick += 300 {
+				if tick > 1e6 {
+					t.Fatalf("seed %d %v: not drained at %g s", seed, p, tick)
+				}
+				for _, s := range sims {
+					if err := s.StepTo(tick); err != nil {
+						t.Fatal(err)
+					}
+					check(s, "StepTo")
+				}
+				from := rng.Intn(2)
+				donor, recv := sims[from], sims[1-from]
+				if q := donor.QueuedJobs(); len(q) > 0 {
+					mj, err := donor.Withdraw(q[rng.Intn(len(q))].Ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(donor, "Withdraw")
+					if _, err := recv.Inject(mj); err != nil {
+						t.Fatal(err)
+					}
+					check(recv, "Inject")
+					moved++
+				}
+				freed += donor.Preempt(rng.Intn(16))
+				check(donor, "Preempt")
+				for _, s := range sims {
+					s.Kick()
+					check(s, "Kick")
+				}
+				barriers++
+			}
+			for _, s := range sims {
+				if _, err := s.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	t.Logf("%d barriers, %d jobs moved, %d slots preempted", barriers, moved, freed)
+	// The property is only worth its name if the queues were busy.
+	if barriers < 1000 || moved < 1000 || freed < 10000 {
+		t.Fatalf("only %d barriers, %d moves, %d slots preempted", barriers, moved, freed)
 	}
 }
