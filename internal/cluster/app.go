@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/k8s"
@@ -14,9 +13,15 @@ import (
 )
 
 // modelApps implements operator.AppRuntime with the calibrated performance
-// model: each launched job progresses through its iterations at the modelled
-// per-iteration rate, freezes for the four-phase overhead on every rescale,
-// and fires a completion callback when the final iteration lands. This
+// model: each launched job progresses through its iterations by
+// model.Progress, the progress model the simulator uses too — iterations
+// accrue at the modelled per-iteration rate, freeze for the four-phase
+// overhead on every rescale, and a completion callback fires when the final
+// iteration lands. Progress is kept in float seconds on the loop's clock and
+// turned into integer nanoseconds once, when the completion timer is armed.
+// One rule differs from the simulator's: a restart pays restart+restore when
+// a periodic checkpoint was saved, where the simulator charges a job that
+// carries the StatePreempted marker or a migrated checkpoint. This
 // substitutes for real Charm++ binaries in the emulated EKS runs (the real
 // runtime exists in internal/charm and is exercised by Figures 4–6; running
 // 40,000-iteration production jobs through it would take the paper's
@@ -30,16 +35,14 @@ type modelApps struct {
 
 // appState is one running application.
 type appState struct {
-	ref         int32
-	name        string
-	grid        int
-	steps       int
-	ckptPeriod  int
-	replicas    int
-	itersDone   float64
-	lastUpdate  time.Duration // on the loop's clock
-	frozenUntil time.Duration
-	seq         int64
+	ref        int32
+	name       string
+	grid       int
+	steps      int
+	ckptPeriod int
+	replicas   int
+	prog       model.Progress // in seconds on the loop's clock
+	seq        int64
 }
 
 func newModelApps(c *Cluster) *modelApps { return &modelApps{c: c} }
@@ -47,16 +50,7 @@ func newModelApps(c *Cluster) *modelApps { return &modelApps{c: c} }
 // progress credits iterations completed since the last update at the current
 // replica count.
 func (m *modelApps) progress(a *appState) {
-	now := m.c.Loop.Elapsed()
-	from := max(a.lastUpdate, a.frozenUntil)
-	if now > from && a.replicas > 0 {
-		iterTime := m.c.machine.IterTime(a.grid, a.replicas)
-		a.itersDone += (now - from).Seconds() / iterTime
-		if a.itersDone > float64(a.steps) {
-			a.itersDone = float64(a.steps)
-		}
-	}
-	a.lastUpdate = now
+	a.prog.Credit(m.c.Loop.Elapsed().Seconds(), m.c.machine, a.grid, a.replicas, float64(a.steps))
 }
 
 // rearm schedules the job's completion callback from its remaining work,
@@ -64,11 +58,9 @@ func (m *modelApps) progress(a *appState) {
 func (m *modelApps) rearm(a *appState, overhead float64) {
 	a.seq++
 	seq := a.seq
-	a.frozenUntil = m.c.Loop.Elapsed() + model.Duration(overhead)
-	remaining := float64(a.steps) - a.itersDone
-	iterTime := m.c.machine.IterTime(a.grid, a.replicas)
-	finish := overhead + remaining*iterTime
-	m.c.Loop.At(model.Duration(finish), func() {
+	now := m.c.Loop.Elapsed()
+	finish := a.prog.Rescale(now.Seconds(), overhead, m.c.machine, a.grid, a.replicas, float64(a.steps))
+	m.c.Loop.At(model.Duration(finish)-now, func() {
 		if a.seq != seq {
 			return // superseded by a rescale
 		}
@@ -92,7 +84,7 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 		steps:      job.Spec.Workload.Steps,
 		ckptPeriod: job.Spec.CheckpointPeriod,
 		replicas:   job.Spec.Replicas,
-		lastUpdate: m.c.Loop.Elapsed(),
+		prog:       model.Progress{Last: m.c.Loop.Elapsed().Seconds()},
 	}
 	if a.grid <= 0 || a.steps <= 0 {
 		return fmt.Errorf("cluster: job %s has no workload", job.Name)
@@ -102,7 +94,7 @@ func (m *modelApps) Launch(job *operator.CharmJob, nodelist []string) error {
 	if done := r.checkpoint; done > 0 {
 		// Restarting after a failure: resume from the checkpoint and
 		// pay the restart+restore cost of reading it back.
-		a.itersDone = done
+		a.prog.Done = done
 		ph := m.c.machine.RescaleOverhead(a.grid, a.replicas, a.replicas)
 		overhead = ph.Restart + ph.Restore
 	}
@@ -172,12 +164,12 @@ func (m *modelApps) Stop(job *operator.CharmJob) {
 		saved := 0.0
 		if a.ckptPeriod > 0 {
 			period := float64(a.ckptPeriod)
-			saved = float64(int(a.itersDone/period)) * period
+			saved = float64(int(a.prog.Done/period)) * period
 			r.checkpoint = saved
 		}
 		if m.c.Mgr.Scheduler().Reclaiming() {
 			r.preempted = true
-			if lost := a.itersDone - saved; lost > 0 && a.replicas > 0 {
+			if lost := a.prog.Done - saved; lost > 0 && a.replicas > 0 {
 				iterTime := m.c.machine.IterTime(a.grid, a.replicas)
 				m.c.ledger.Lost(lost * iterTime * float64(a.replicas))
 			}

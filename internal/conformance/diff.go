@@ -29,9 +29,6 @@ type Mismatch struct {
 	// (len(shorter) when one stream is a strict prefix of the other);
 	// -1 for structure and summary mismatches.
 	Index int
-	// Fields lists the diverging field names within the entry or summary
-	// ("length" when the logs diverge only in length).
-	Fields []string
 	// Detail is a one-line human description.
 	Detail string
 }
@@ -73,7 +70,6 @@ func (d *Diff) compare(a, b *Stream, path []int) {
 	if a.Version != b.Version {
 		d.add(Mismatch{
 			Member: path, Section: SectionStructure, Index: -1,
-			Fields: []string{"version"},
 			Detail: fmt.Sprintf("version %d vs %d", a.Version, b.Version),
 		})
 	}
@@ -83,7 +79,6 @@ func (d *Diff) compare(a, b *Stream, path []int) {
 	if len(a.Members) != len(b.Members) {
 		d.add(Mismatch{
 			Member: path, Section: SectionStructure, Index: -1,
-			Fields: []string{"members"},
 			Detail: fmt.Sprintf("%d members vs %d", len(a.Members), len(b.Members)),
 		})
 		return
@@ -124,7 +119,7 @@ func (d *Diff) compareDecisions(a, b []Decision, path []int) {
 	for i := 0; i < n; i++ {
 		if fields := decisionFields(a[i], b[i]); fields != nil {
 			d.add(Mismatch{
-				Member: path, Section: SectionDecisions, Index: i, Fields: fields,
+				Member: path, Section: SectionDecisions, Index: i,
 				Detail: fmt.Sprintf("first divergence at decision %d (of %d vs %d): fields %s differ",
 					i, len(a), len(b), strings.Join(fields, ", ")),
 			})
@@ -134,7 +129,6 @@ func (d *Diff) compareDecisions(a, b []Decision, path []int) {
 	if len(a) != len(b) {
 		d.add(Mismatch{
 			Member: path, Section: SectionDecisions, Index: n,
-			Fields: []string{"length"},
 			Detail: fmt.Sprintf("streams agree through decision %d, then lengths diverge: %d vs %d",
 				n-1, len(a), len(b)),
 		})
@@ -150,7 +144,6 @@ func (d *Diff) compareMigrations(a, b []Migration, path []int) {
 		if a[i] != b[i] {
 			d.add(Mismatch{
 				Member: path, Section: SectionMigrations, Index: i,
-				Fields: migrationFields(a[i], b[i]),
 				Detail: fmt.Sprintf("first divergence at migration %d (of %d vs %d):\n  a: %s\n  b: %s",
 					i, len(a), len(b), a[i].render(), b[i].render()),
 			})
@@ -160,35 +153,10 @@ func (d *Diff) compareMigrations(a, b []Migration, path []int) {
 	if len(a) != len(b) {
 		d.add(Mismatch{
 			Member: path, Section: SectionMigrations, Index: n,
-			Fields: []string{"length"},
 			Detail: fmt.Sprintf("migration logs agree through %d, then lengths diverge: %d vs %d",
 				n-1, len(a), len(b)),
 		})
 	}
-}
-
-// migrationFields lists the fields on which two migrations differ.
-func migrationFields(x, y Migration) []string {
-	var f []string
-	if x.Round != y.Round {
-		f = append(f, "round")
-	}
-	if x.At != y.At {
-		f = append(f, "at")
-	}
-	if x.JobID != y.JobID {
-		f = append(f, "job")
-	}
-	if x.From != y.From {
-		f = append(f, "from")
-	}
-	if x.To != y.To {
-		f = append(f, "to")
-	}
-	if x.Checkpointed != y.Checkpointed {
-		f = append(f, "checkpointed")
-	}
-	return f
 }
 
 // summaryFields lists the diverging Summary fields. Jobs and JobsDigest
@@ -244,14 +212,13 @@ func (d *Diff) compareSummary(a, b *Summary, path []int) {
 	if (a == nil) != (b == nil) {
 		d.add(Mismatch{
 			Member: path, Section: SectionStructure, Index: -1,
-			Fields: []string{"summary"},
 			Detail: fmt.Sprintf("summary present: %v vs %v", a != nil, b != nil),
 		})
 		return
 	}
 	if fields := summaryFields(a, b); fields != nil {
 		d.add(Mismatch{
-			Member: path, Section: SectionSummary, Index: -1, Fields: fields,
+			Member: path, Section: SectionSummary, Index: -1,
 			Detail: "summary fields differ: " + strings.Join(fields, ", "),
 		})
 	}

@@ -49,8 +49,8 @@ func TestDifferPlantedFieldMutation(t *testing.T) {
 	if m.Section != SectionDecisions || m.Index != k {
 		t.Fatalf("first mismatch at %s[%d], want decisions[%d]", m.Section, m.Index, k)
 	}
-	if len(m.Fields) != 1 || m.Fields[0] != "replicas" {
-		t.Fatalf("fields %v, want [replicas]", m.Fields)
+	if !strings.HasSuffix(m.Detail, ": fields replicas differ") {
+		t.Fatalf("detail %q, want only replicas named", m.Detail)
 	}
 
 	report := d.Format(ref, mut, 3)
@@ -114,7 +114,7 @@ func TestDifferLengthDivergence(t *testing.T) {
 		t.Fatal("differ missed the truncation")
 	}
 	m := d.Mismatches[0]
-	if m.Index != len(mut.Decisions) || len(m.Fields) != 1 || m.Fields[0] != "length" {
+	if m.Index != len(mut.Decisions) || !strings.Contains(m.Detail, "lengths diverge") {
 		t.Fatalf("mismatch %+v, want length divergence at %d", m, len(mut.Decisions))
 	}
 	if report := d.Format(ref, mut, 2); !strings.Contains(report, "<end of stream>") {
@@ -180,10 +180,11 @@ func TestDifferMigrationAndSummaryMutations(t *testing.T) {
 	if len(d.Mismatches) != 2 {
 		t.Fatalf("want 2 mismatches, got %+v", d.Mismatches)
 	}
-	if m := d.Mismatches[0]; m.Section != SectionMigrations || m.Index != 0 || m.Fields[0] != "to" {
+	if m := d.Mismatches[0]; m.Section != SectionMigrations || m.Index != 0 ||
+		!strings.Contains(m.Detail, "a: "+ref.Migrations[0].render()) || !strings.Contains(m.Detail, "b: "+mut.Migrations[0].render()) {
 		t.Errorf("migration mismatch %+v", m)
 	}
-	if m := d.Mismatches[1]; m.Section != SectionSummary || m.Fields[0] != "utilization" {
+	if m := d.Mismatches[1]; m.Section != SectionSummary || m.Detail != "summary fields differ: utilization" {
 		t.Errorf("summary mismatch %+v", m)
 	}
 	if d2 := Compare(ref, ref); !d2.Empty() {

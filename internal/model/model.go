@@ -157,14 +157,47 @@ func (r RescalePhases) Total() float64 {
 //   - restart grows linearly with the new rank count (Fig. 5a/5b);
 //   - load balance is flat in replicas and proportional to state size
 //     (Fig. 5a/5b flat curves; Fig. 5c growth).
+//
+// The explicit float64 conversions round each product on its own, so an
+// architecture that fuses multiply-add (arm64) sums what amd64 sums.
 func (m Machine) RescaleOverhead(n, pOld, pNew int) RescalePhases {
 	bytes := CheckpointBytes(n)
 	return RescalePhases{
-		LoadBalance: m.LBBase + m.LBPerByte*bytes,
+		LoadBalance: m.LBBase + float64(m.LBPerByte*bytes),
 		Checkpoint:  bytes / (float64(pOld) * m.ShmBandwidth),
-		Restart:     m.RestartBase + m.RestartPerRank*float64(pNew),
+		Restart:     m.RestartBase + float64(m.RestartPerRank*float64(pNew)),
 		Restore:     bytes / (float64(pNew) * m.ShmBandwidth),
 	}
+}
+
+// Progress is a running job's place in its iterations, the one progress
+// model the simulator and the emulation share: iterations accrue at
+// IterTime's rate for the current replica count, except inside the frozen
+// window a rescale's overhead opens. Last and FrozenUntil are seconds on the
+// caller's clock.
+type Progress struct {
+	Done        float64 // iterations completed
+	Last        float64 // instant of the last Credit
+	FrozenUntil float64 // end of the last rescale's overhead: no progress before it
+}
+
+// Credit brings Done up to now for a job of steps iterations on an n×n grid
+// running on replicas workers. Nothing accrues at 0 replicas or before
+// FrozenUntil, and Done never passes steps.
+func (p *Progress) Credit(now float64, m Machine, n, replicas int, steps float64) {
+	if from := max(p.Last, p.FrozenUntil); now > from && replicas > 0 {
+		p.Done = min(p.Done+(now-from)/m.IterTime(n, replicas), steps)
+	}
+	p.Last = now
+}
+
+// Rescale freezes progress for overhead seconds from now and returns the
+// instant the job finishes on replicas workers: the end of the freeze plus
+// the remaining iterations at IterTime. The explicit float64 keeps the
+// product rounded on its own, so no architecture fuses it into the sum.
+func (p *Progress) Rescale(now, overhead float64, m Machine, n, replicas int, steps float64) float64 {
+	p.FrozenUntil = now + overhead
+	return p.FrozenUntil + float64((steps-p.Done)*m.IterTime(n, replicas))
 }
 
 // MaxSeconds bounds every span of model seconds a run takes in: a submission

@@ -150,3 +150,61 @@ func TestIterTimeSerialHasNoComm(t *testing.T) {
 		t.Errorf("p=0 clamps to 1: got %g", got)
 	}
 }
+
+// TestProgressCredit: iterations accrue at IterTime's rate from the later of
+// the last credit and the end of the freeze, never inside the freeze, never
+// at 0 replicas, and never past the job's steps.
+func TestProgressCredit(t *testing.T) {
+	m := DefaultMachine()
+	const n, steps = 2048, 40000.0
+	it := m.IterTime(n, 8)
+
+	p := Progress{Last: 10}
+	finish := p.Rescale(10, 5, m, n, 8, steps)
+	p.Credit(12, m, n, 8, steps) // inside the freeze window
+	if p.Done != 0 || p.Last != 12 {
+		t.Errorf("credit inside the freeze: %+v, want Done 0 and Last 12", p)
+	}
+	p.Credit(15, m, n, 8, steps) // at FrozenUntil
+	if p.Done != 0 || p.Last != 15 {
+		t.Errorf("credit at FrozenUntil: %+v, want Done 0 and Last 15", p)
+	}
+	p.Credit(25, m, n, 8, steps)
+	if want := 10 / it; p.Done != want {
+		t.Errorf("credit after the freeze: Done %v, want %v", p.Done, want)
+	}
+	if want := 15 + float64(steps*it); finish != want {
+		t.Errorf("finish %v, want start + remaining × IterTime = %v", finish, want)
+	}
+
+	idle := Progress{Done: 7}
+	idle.Credit(1e6, m, n, 0, steps)
+	if idle.Done != 7 || idle.Last != 1e6 {
+		t.Errorf("0 replicas credited: %+v", idle)
+	}
+
+	late := Progress{Done: steps - 1}
+	late.Credit(1e6, m, n, 8, steps)
+	if late.Done != steps {
+		t.Errorf("Done %v past its steps %v", late.Done, steps)
+	}
+}
+
+// TestProgressRescaleFinish: Rescale freezes from now for the overhead and
+// prices the finish at the new replica count from what is left.
+func TestProgressRescaleFinish(t *testing.T) {
+	m := DefaultMachine()
+	const n, steps = 8192, 40000.0
+	p := Progress{Done: 1234.5, Last: 100}
+	got := p.Rescale(100, 3.25, m, n, 16, steps)
+	start := 100 + 3.25
+	if p.FrozenUntil != start {
+		t.Errorf("FrozenUntil %v, want %v", p.FrozenUntil, start)
+	}
+	if want := start + float64((steps-1234.5)*m.IterTime(n, 16)); got != want {
+		t.Errorf("finish %v, want %v", got, want)
+	}
+	if p.Done != 1234.5 || p.Last != 100 {
+		t.Errorf("Rescale moved Done or Last: %+v", p)
+	}
+}

@@ -200,20 +200,18 @@ func DefaultConfig(p core.Policy) Config {
 type simJob struct {
 	job core.Job
 
-	itersDone   float64
-	lastUpdate  float64 // sim time of the last progress update
-	frozenUntil float64 // rescale overhead window: no progress before this
-	seq         int64   // increments on every reschedule (and slot recycle)
-	steps       float64 // spec.Steps as a float (remaining-work arithmetic)
-	submitAt    float64
-	startAt     float64 // first-ever start (possibly on a donor member)
-	grid        int32   // spec.Grid (iteration-time table key)
-	ref         int32   // slab-slot index: byRef[ref] == this, and job.Ref carries it
-	widx        int32   // index of this job's spec in the workload
-	serial      int32   // submission serial on this simulator (retained logs key on it)
-	peak        int32   // peak replica count
-	started     bool
-	forcedOut   bool // preempted by a capacity reclaim; next start is a forced restart
+	prog      model.Progress // on sim time
+	seq       int64          // increments on every reschedule (and slot recycle)
+	steps     float64        // spec.Steps as a float (remaining-work arithmetic)
+	submitAt  float64
+	startAt   float64 // first-ever start (possibly on a donor member)
+	grid      int32   // spec.Grid (iteration-time table key)
+	ref       int32   // slab-slot index: byRef[ref] == this, and job.Ref carries it
+	widx      int32   // index of this job's spec in the workload
+	serial    int32   // submission serial on this simulator (retained logs key on it)
+	peak      int32   // peak replica count
+	started   bool
+	forcedOut bool // preempted by a capacity reclaim; next start is a forced restart
 	// migratedCkpt marks a job injected from another federation member with
 	// a checkpoint: its next start charges restart+restore exactly as a
 	// locally preempted job's would (the flag exists because core.enqueue
@@ -808,29 +806,14 @@ func (s *Simulator) advanceTo(t float64) {
 
 // progress brings a job's iteration count up to date at the current time.
 func (s *Simulator) progress(sj *simJob) {
-	from := sj.lastUpdate
-	if sj.frozenUntil > from {
-		from = sj.frozenUntil
-	}
-	if s.now > from && sj.job.Replicas > 0 {
-		iterTime := s.cfg.Machine.IterTime(int(sj.grid), sj.job.Replicas)
-		sj.itersDone += (s.now - from) / iterTime
-		if sj.itersDone > sj.steps {
-			sj.itersDone = sj.steps
-		}
-	}
-	sj.lastUpdate = s.now
+	sj.prog.Credit(s.now, s.cfg.Machine, int(sj.grid), sj.job.Replicas, sj.steps)
 }
 
 // reschedule recomputes a job's completion event from its remaining work at
 // the given replica count, charging overhead seconds of frozen time first.
 func (s *Simulator) reschedule(sj *simJob, overhead float64, replicas int) {
 	sj.seq++
-	start := s.now + overhead
-	sj.frozenUntil = start
-	remaining := sj.steps - sj.itersDone
-	iterTime := s.cfg.Machine.IterTime(int(sj.grid), replicas)
-	finish := start + remaining*iterTime
+	finish := sj.prog.Rescale(s.now, overhead, s.cfg.Machine, int(sj.grid), replicas, sj.steps)
 	s.push(finish, evComplete, sj, sj.seq)
 }
 
@@ -872,7 +855,7 @@ func (a *simActuator) StartJob(j *core.Job, replicas int) error {
 		s.ledger.Overhead(resumeOverhead*float64(replicas), sj.forcedOut)
 		sj.forcedOut = false
 	}
-	sj.lastUpdate = s.now
+	sj.prog.Last = s.now
 	s.record(replicas, sj, replicas)
 	s.reschedule(sj, resumeOverhead, replicas)
 	return nil

@@ -219,7 +219,7 @@ func (s *Simulator) Withdraw(ref int32) (MigratedJob, error) {
 			Priority: c.Priority,
 			SubmitAt: sj.submitAt,
 		},
-		ItersDone:    sj.itersDone,
+		ItersDone:    sj.prog.Done,
 		Checkpointed: sj.started || sj.job.State == core.StatePreempted || sj.migratedCkpt,
 		ForcedOut:    sj.forcedOut,
 		Started:      sj.started,
@@ -254,8 +254,8 @@ func (s *Simulator) Inject(mj MigratedJob) (int32, error) {
 	}
 	js := mj.Spec
 	sj := s.newSimJob(&js, spec, -1)
-	sj.itersDone = mj.ItersDone
-	sj.lastUpdate = s.now
+	sj.prog.Done = mj.ItersDone
+	sj.prog.Last = s.now
 	sj.migratedCkpt = mj.Checkpointed
 	sj.forcedOut = mj.ForcedOut && mj.Checkpointed
 	if mj.Started {
