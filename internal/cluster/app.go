@@ -42,7 +42,7 @@ type appState struct {
 	ckptPeriod int
 	replicas   int
 	prog       model.Progress // in seconds on the loop's clock
-	seq        int64
+	seq        int64          // its completion timer's
 }
 
 func newModelApps(c *Cluster) *modelApps { return &modelApps{c: c} }
@@ -56,16 +56,17 @@ func (m *modelApps) progress(a *appState) {
 // rearm schedules the job's completion callback from its remaining work,
 // charging overhead seconds of frozen time first.
 func (m *modelApps) rearm(a *appState, overhead float64) {
-	a.seq++
-	seq := a.seq
 	now := m.c.Loop.Elapsed()
 	finish := a.prog.Rescale(now.Seconds(), overhead, m.c.machine, a.grid, a.replicas, float64(a.steps))
-	m.c.Loop.At(model.Duration(finish)-now, func() {
-		if a.seq != seq {
-			return // superseded by a rescale
-		}
-		m.c.jobDone(a.ref, a.name)
-	})
+	a.seq = m.c.Loop.Arm(model.Duration(finish)-now, m.c.doneKind, a.ref)
+}
+
+// complete finishes the job with the Ref unless its app stopped or a rescale
+// superseded the timer with the seq.
+func (m *modelApps) complete(ref int32, seq int64) {
+	if a := m.c.record(ref).app; a != nil && a.seq == seq {
+		m.c.jobDone(ref, a.name)
+	}
 }
 
 // Launch implements operator.AppRuntime.
@@ -159,7 +160,6 @@ func (m *modelApps) Stop(job *operator.CharmJob) {
 	}
 	r := m.c.record(ref)
 	if a := r.app; a != nil {
-		a.seq++ // cancel any pending completion
 		m.progress(a)
 		saved := 0.0
 		if a.ckptPeriod > 0 {
@@ -209,7 +209,7 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 	specs := model.Specs()
 	c.jobs = slices.Grow(c.jobs, len(w.Jobs)) // one record a job, by Ref
 	jobs := make([]operator.CharmJob, len(w.Jobs))
-	subs := make([]submission, len(w.Jobs))
+	c.subs = slices.Grow(c.subs, len(w.Jobs))
 	for i, js := range w.Jobs {
 		spec := specs[js.Class]
 		maxR := spec.MaxReplicas
@@ -228,8 +228,8 @@ func (c *Cluster) SubmitWorkload(w workload.Workload) {
 				CheckpointPeriod: c.cfg.CheckpointPeriod,
 			},
 		}
-		subs[i] = submission{&jobs[i], js.Class}
-		c.Loop.AtArg(model.Duration(js.SubmitAt), c.submitFn, &subs[i])
+		c.Submit(&jobs[i], model.Duration(js.SubmitAt))
+		c.subs[len(c.subs)-1].class = js.Class
 	}
 }
 

@@ -64,9 +64,11 @@ type Cluster struct {
 	// which are instants, as seconds since it.
 	start time.Time
 
-	// submitFn is submit, made once: every submission's timer arms it with
-	// the submission.
-	submitFn func(any)
+	// The kinds of the cluster's timers. One carries an index into subs, the
+	// availability trace's events or crashes; a completion, the job's Ref.
+	submitKind, capacityKind, crashKind, doneKind k8s.TimerKind
+	subs                                          []submission
+	crashes                                       []string
 
 	// jobs holds every submitted job's record by its core.Job.Ref, the
 	// number the manager gives it at Submit; finished counts those done.
@@ -108,10 +110,11 @@ func New(cfg Config) (*Cluster, error) {
 	loop := k8s.NewEventLoop(start)
 	store := k8s.NewStore(loop)
 	c := &Cluster{cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start}
-	c.submitFn = c.submit
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
 	c.apps = newModelApps(c)
+	c.submitKind, c.capacityKind = loop.Handler(c.submit), loop.Handler(c.capacityEvent)
+	c.crashKind, c.doneKind = loop.Handler(c.crash), loop.Handler(c.apps.complete)
 	c.Ctrl = operator.NewController(loop, store, c.apps)
 
 	mgr, err := operator.NewManager(loop, store, c.Ctrl, core.Config{
@@ -155,8 +158,8 @@ func New(cfg Config) (*Cluster, error) {
 	// so at equal virtual-clock instants a capacity event's timer fires
 	// ahead of a submission's, matching the simulator's documented
 	// capacity-before-submission ordering.
-	for _, ev := range cfg.Availability.Events {
-		c.scheduleCapacity(ev.At, ev.Capacity)
+	for i, ev := range cfg.Availability.Events {
+		loop.Arm(model.Duration(ev.At), c.capacityKind, int32(i))
 	}
 	return c, nil
 }
@@ -177,17 +180,15 @@ func (c *Cluster) Decisions() []core.Decision {
 	return c.Mgr.Scheduler().Log()
 }
 
-// scheduleCapacity arms one capacity event at atSec seconds from start,
-// keeping the trace's exact float timestamp for the delivered-capacity
-// integral.
-func (c *Cluster) scheduleCapacity(atSec float64, capacity int) {
-	c.Loop.At(model.Duration(atSec), func() {
-		if err := c.Mgr.SetCapacity(capacity); err != nil {
-			c.fail(fmt.Errorf("cluster: capacity event at t=%.1f: %w", atSec, err))
-			return
-		}
-		c.ledger.CapacityStep(atSec, capacity)
-	})
+// capacityEvent applies the availability trace's event i, keeping its exact
+// float timestamp for the delivered-capacity integral.
+func (c *Cluster) capacityEvent(i int32, _ int64) {
+	ev := c.cfg.Availability.Events[i]
+	if err := c.Mgr.SetCapacity(ev.Capacity); err != nil {
+		c.fail(fmt.Errorf("cluster: capacity event at t=%.1f: %w", ev.At, err))
+		return
+	}
+	c.ledger.CapacityStep(ev.At, ev.Capacity)
 }
 
 func (c *Cluster) onPodEvent(ev k8s.Event) {
@@ -300,7 +301,7 @@ func (c *Cluster) replicaTimelines() [][]sim.ReplicaSample {
 	return timelines
 }
 
-// submission is what a submission's timer carries: the job and its class.
+// submission is a job a submission's timer hands the manager, and its class.
 type submission struct {
 	job   *operator.CharmJob
 	class model.Class
@@ -310,13 +311,14 @@ type submission struct {
 // current instant (the start, before Run). A submission the manager rejects
 // (duplicate name, invalid spec) surfaces as an error from Run.
 func (c *Cluster) Submit(job *operator.CharmJob, at time.Duration) {
-	c.Loop.AtArg(at, c.submitFn, &submission{job: job})
+	c.subs = append(c.subs, submission{job: job})
+	c.Loop.Arm(at, c.submitKind, int32(len(c.subs)-1))
 }
 
-// submit hands the job a submission's timer carries to the manager and
-// files its class under the Ref the manager gives it.
-func (c *Cluster) submit(arg any) {
-	s := arg.(*submission)
+// submit hands the job of submission i to the manager and files its class
+// under the Ref the manager gives it.
+func (c *Cluster) submit(i int32, _ int64) {
+	s := &c.subs[i]
 	ref, err := c.Mgr.Submit(s.job)
 	if err != nil {
 		c.fail(fmt.Errorf("cluster: submit %s: %w", s.job.Name, err))
@@ -330,10 +332,12 @@ func (c *Cluster) submit(arg any) {
 // for the affected jobs. The node itself recovers immediately (a reboot),
 // so cluster capacity is unchanged.
 func (c *Cluster) FailNode(node string, at time.Duration) {
-	c.Loop.At(at, func() {
-		k8s.FailPodsOnNode(c.Store, node)
-	})
+	c.crashes = append(c.crashes, node)
+	c.Loop.Arm(at, c.crashKind, int32(len(c.crashes)-1))
 }
+
+// crash fails the pods of node crash i.
+func (c *Cluster) crash(i int32, _ int64) { k8s.FailPodsOnNode(c.Store, c.crashes[i]) }
 
 // jobDone is called by the modelled application when the final iteration of
 // the job with the Ref completes.

@@ -239,6 +239,13 @@ func TestResultJobsSortedDeterministically(t *testing.T) {
 	}
 }
 
+// scheduleCapacity arms a capacity event at atSec seconds from start,
+// unvalidated, as New arms the availability trace's.
+func (c *Cluster) scheduleCapacity(atSec float64, capacity int) {
+	c.cfg.Availability.Events = append(c.cfg.Availability.Events, workload.CapacityEvent{At: atSec, Capacity: capacity})
+	c.Loop.Arm(model.Duration(atSec), c.capacityKind, int32(len(c.cfg.Availability.Events)-1))
+}
+
 // TestRunSurfacesCapacityEventError is the regression test for the panic
 // bug: a capacity/submit failure inside an event-loop callback used to panic
 // across the library boundary. An invalid capacity event must instead

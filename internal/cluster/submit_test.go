@@ -27,20 +27,37 @@ type submitted struct {
 
 func scriptJob(i int) string { return fmt.Sprintf("s%d", i) }
 
+// closures registers on the loop a kind of timer that runs a closure, the
+// one whose index its timer carries, and returns the func that arms one:
+// at(d, fn) runs fn once d has elapsed.
+func closures(loop *k8s.EventLoop) (at func(d time.Duration, fn func())) {
+	var fns []func()
+	kind := loop.Handler(func(i int32, _ int64) {
+		fn := fns[i]
+		fns[i] = nil
+		fn()
+	})
+	return func(d time.Duration, fn func()) {
+		fns = append(fns, fn)
+		loop.Arm(d, kind, int32(len(fns)-1))
+	}
+}
+
 // referenceSubmissions runs the script on a bare loop that arms one closure
 // per submission and returns the submissions in the order the closures
 // fired. Cluster.Submit arms instead one timer per submission that carries
-// its job to a func made once; the two must fire alike.
+// the submission's index; the two must fire alike.
 func referenceSubmissions(start time.Time, script []submitStep) []submitted {
 	loop := k8s.NewEventLoop(start)
+	at := closures(loop)
 	var got []submitted
-	submit := func(name string, at time.Duration) {
-		loop.At(at, func() { got = append(got, submitted{name, loop.Now().Sub(start)}) })
+	submit := func(name string, offset time.Duration) {
+		at(offset, func() { got = append(got, submitted{name, loop.Now().Sub(start)}) })
 	}
 	for i, s := range script {
 		name := scriptJob(i)
 		if s.nested {
-			loop.At(s.from, func() { submit(name, s.at) })
+			at(s.from, func() { submit(name, s.at) })
 		} else {
 			submit(name, s.at)
 		}
@@ -77,10 +94,11 @@ func clusterSubmissions(t *testing.T, n int, arm func(*Cluster)) (start time.Tim
 func checkSubmitOrder(t *testing.T, script []submitStep) {
 	t.Helper()
 	start, got := clusterSubmissions(t, len(script), func(c *Cluster) {
+		at := closures(c.Loop)
 		for i, s := range script {
 			job := smallJob(scriptJob(i), 1+i%3, 1, 2, 64, 20)
 			if s.nested {
-				c.Loop.At(s.from, func() { c.Submit(job, s.at) })
+				at(s.from, func() { c.Submit(job, s.at) })
 			} else {
 				c.Submit(job, s.at)
 			}
@@ -93,7 +111,7 @@ func checkSubmitOrder(t *testing.T, script []submitStep) {
 }
 
 // TestSubmitOrderMatchesOneClosurePerSubmission holds the cluster's
-// submissions, timers that carry their jobs to one func, to the order and
+// submissions, timers of one kind that carry an index, to the order and
 // instants one closure per submission would submit them at: offsets out of
 // order, equal, zero and negative, and made from inside loop callbacks,
 // themselves armed at positive, zero and negative offsets.

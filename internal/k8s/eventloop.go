@@ -16,10 +16,12 @@ type EventLoop struct {
 	// it, so ordering them compares integers.
 	elapsed int64
 	defers  fifo[func()]
-	// timers is a binary min-heap on (at, seq), held by value: arming a
-	// timer allocates nothing once the array has grown.
-	timers []loopTimer
-	seq    int64
+	// timers is a binary min-heap on (at, seq), held by value: it holds no
+	// pointer, and arming a timer allocates nothing once the array has grown.
+	// A timer of kind k runs handlers[k].
+	timers   []loopTimer
+	seq      int64
+	handlers []func(arg int32, seq int64)
 }
 
 // fifo is a queue that reuses its array once it has drained.
@@ -42,17 +44,16 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// loopTimer is fn(arg) due at, in nanoseconds since the loop's start.
-type loopTimer struct {
-	at  int64
-	seq int64
-	fn  func(any)
-	arg any
-}
+// TimerKind is a kind of timer: it names the handler Handler registered.
+type TimerKind uint8
 
-// call is the fn of a timer At armed: its arg is the func() to run. A func
-// converts to any without allocating.
-func call(fn any) { fn.(func())() }
+// loopTimer runs its kind's handler with arg and seq at, in nanoseconds since
+// the loop's start.
+type loopTimer struct {
+	at, seq int64
+	arg     int32
+	kind    TimerKind
+}
 
 // before orders timers by time, then by arming order.
 func (t *loopTimer) before(u *loopTimer) bool {
@@ -79,7 +80,7 @@ func (l *EventLoop) popTimer() loopTimer {
 	h := l.timers
 	n := len(h) - 1
 	top := h[0]
-	h[0], h[n] = h[n], loopTimer{}
+	h[0] = h[n]
 	h = h[:n]
 	for i := 0; ; {
 		least := i
@@ -99,9 +100,7 @@ func (l *EventLoop) popTimer() loopTimer {
 }
 
 // NewEventLoop creates a loop starting at the given virtual time.
-func NewEventLoop(start time.Time) *EventLoop {
-	return &EventLoop{start: start}
-}
+func NewEventLoop(start time.Time) *EventLoop { return &EventLoop{start: start} }
 
 // Now returns the loop's current time.
 func (l *EventLoop) Now() time.Time { return l.start.Add(time.Duration(l.elapsed)) }
@@ -113,31 +112,35 @@ func (l *EventLoop) Elapsed() time.Duration { return time.Duration(l.elapsed) }
 // during the next Settle, in FIFO order.
 func (l *EventLoop) Defer(fn func()) { l.defers.push(fn) }
 
-// At runs fn once d has elapsed on the virtual clock. Calls due at the same
-// instant run in the order they were armed; non-positive delays run at the
-// current instant (on the next Settle).
-func (l *EventLoop) At(d time.Duration, fn func()) {
-	if d <= 0 {
-		l.Defer(fn)
-		return
+// Handler registers fn as the handler of a new kind of timer and returns the
+// kind. A component registers each of its kinds once; a loop has 256 at most.
+func (l *EventLoop) Handler(fn func(arg int32, seq int64)) TimerKind {
+	if len(l.handlers) > math.MaxUint8 {
+		panic("k8s: event loop has 256 timer kinds already")
 	}
-	l.AtArg(d, call, fn)
+	l.handlers = append(l.handlers, fn)
+	return TimerKind(len(l.handlers) - 1)
 }
 
-// AtArg is At for fn(arg): one fn made once serves every timer, each with
-// its own arg. A pointer arg arms a timer without allocating; a non-positive
-// delay defers a closure, which does allocate.
-func (l *EventLoop) AtArg(d time.Duration, fn func(any), arg any) {
+// Arm runs the kind's handler with arg once d has elapsed on the virtual
+// clock, handing it the seq Arm returns: no other timer of the loop has it,
+// so a component that keeps it tells its latest timer from one it
+// superseded. Timers due at the same instant run in the order they were
+// armed; a non-positive delay defers the handler, in FIFO order with Defer,
+// which allocates.
+func (l *EventLoop) Arm(d time.Duration, kind TimerKind, arg int32) int64 {
+	l.seq++
+	seq := l.seq
 	if d <= 0 {
-		l.Defer(func() { fn(arg) })
-		return
+		l.Defer(func() { l.handlers[kind](arg, seq) })
+		return seq
 	}
 	at := l.elapsed + int64(d)
 	if at < l.elapsed {
 		at = math.MaxInt64 // past the clock's range: after every timer
 	}
-	l.seq++
-	l.pushTimer(loopTimer{at: at, seq: l.seq, fn: fn, arg: arg})
+	l.pushTimer(loopTimer{at: at, seq: seq, arg: arg, kind: kind})
+	return seq
 }
 
 // Settle drains deferred work (including work deferred by that work) and
@@ -166,7 +169,7 @@ func (l *EventLoop) Step() bool {
 	l.elapsed = at
 	for len(l.timers) > 0 && l.timers[0].at == at {
 		t := l.popTimer()
-		t.fn(t.arg)
+		l.handlers[t.kind](t.arg, t.seq)
 	}
 	l.Settle()
 	return true

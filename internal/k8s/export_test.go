@@ -1,5 +1,16 @@
 package k8s
 
+// setPhase moves the pod a view shows to the phase. The view must be of
+// the pod stored now.
+func setPhase(store *Store, view *Pod, phase PodPhase) bool {
+	status := view.Status
+	status.Phase = phase
+	return store.SetPodStatus(view.handle, status) == nil
+}
+
+// Len reports queued keys.
+func (q *Workqueue) Len() int { return q.order.len() }
+
 // Stats returns the store's counters so far.
 func (s *Store) Stats() StoreStats { return s.stats }
 

@@ -211,9 +211,9 @@ func refModify(store *Store, kind Kind, key string, fn func(Object)) error {
 // watchedStore is a store with its loop, the events it has delivered and
 // every pod view it has handed out, each beside a deep copy taken when it
 // was first seen. Its queue is fed, as the controller's is, the handle of
-// every pod event's pod and of the pod's owner, and its handler records the
-// key each handle stands for when handled; naive is fed the same keys by
-// name.
+// every pod event's pod and of the pod's owner, and requeued a deleted
+// pod's, which it holds until the requeue runs; its handler records the key
+// each handle stands for when handled. naive is fed the same keys by name.
 type watchedStore struct {
 	*Store
 	t       *testing.T
@@ -249,6 +249,10 @@ func (q *naiveQueue) add(key string) {
 	}
 }
 
+// requeue adds the key once the work deferred before it has run, as a
+// Workqueue with no delay re-adds a requeued key.
+func (q *naiveQueue) requeue(key string) { q.loop.Defer(func() { q.add(key) }) }
+
 func (q *naiveQueue) drain() {
 	q.armed = false
 	for len(q.order) > 0 {
@@ -283,6 +287,10 @@ func newWatchedStore(t *testing.T) *watchedStore {
 		if owner, _ := w.ownerOf(p); owner != "" {
 			w.queue.Add(p.Owner())
 			w.naive.add(owner)
+		}
+		if ev.Type == Deleted {
+			w.queue.Requeue(ev.Handle)
+			w.naive.requeue(m.Key())
 		}
 	})
 	for _, n := range testNodes {

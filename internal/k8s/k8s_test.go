@@ -2,11 +2,8 @@ package k8s
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 	"unsafe"
@@ -336,7 +333,7 @@ func TestKubeletStaleTimerSkipsRecreatedPod(t *testing.T) {
 	if old == nil || old.Spec.NodeName == "" {
 		t.Fatalf("pod not bound at once: %+v", old)
 	}
-	loop.At(time.Second, func() {
+	closures(loop)(time.Second, func() {
 		if err := store.Delete(KindPod, old.Handle()); err != nil {
 			t.Fatal(err)
 		}
@@ -354,6 +351,60 @@ func TestKubeletStaleTimerSkipsRecreatedPod(t *testing.T) {
 	}
 	loop.RunUntilIdle()
 	if want := []time.Duration{3 * time.Second}; !reflect.DeepEqual(started, want) || kubelet.Started != 1 {
+		t.Errorf("pods started at %v (%d by the kubelet), want %v (1)", started, kubelet.Started, want)
+	}
+}
+
+// TestKubeletSameInstantRecreateStaysPending arms a timer before the pod's
+// binding reaches the kubelet, so it is due at the instant of the kubelet's
+// start timer and runs first: it deletes the pod, creates it again under its
+// name and binds it to the node, all before the kubelet's timer runs. That
+// timer is still the latest the kubelet armed under the handle, since the
+// new pod's events are not delivered yet; only the resource version it saw
+// tells the new pod from the old, and the new pod must stay Pending at 2 s.
+// The timer its own binding arms starts it at 4 s.
+func TestKubeletSameInstantRecreateStaysPending(t *testing.T) {
+	loop, store, _, kubelet := newCluster(t, 1, 4)
+	var started []time.Duration // when each Running event arrived
+	store.Subscribe(KindPod, func(ev Event) {
+		if ev.Type != Deleted && ev.Object.(*Pod).Status.Phase == PodRunning {
+			started = append(started, loop.Elapsed())
+		}
+	})
+	if err := store.Create(mkPod("p", 1, "job-a")); err != nil {
+		t.Fatal(err)
+	}
+	var old, recreated *Pod
+	closures(loop)(2*time.Second, func() {
+		old = store.pod(store.Lookup("p"))
+		if old == nil || old.Spec.NodeName == "" || old.Status.Phase != PodPending {
+			t.Fatalf("at 2 s, before the kubelet's timer, the pod is %+v, want it bound and Pending", old)
+		}
+		if err := store.Delete(KindPod, old.Handle()); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Create(mkPod("p", 1, "job-a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Bind(store.Lookup("p"), store.Lookup(old.Spec.NodeName)); err != nil {
+			t.Fatal(err)
+		}
+		recreated = store.pod(store.Lookup("p"))
+	})
+	loop.Settle() // the scheduler binds the pod; the kubelet arms its timer
+	if kubelet.Started != 0 {
+		t.Fatalf("kubelet started %d pods before 2 s", kubelet.Started)
+	}
+	loop.Step() // 2 s: the test's timer, then the kubelet's
+	now := store.pod(store.Lookup("p"))
+	if now == nil || now == old || now.Handle() != old.Handle() {
+		t.Fatalf("the re-created pod %+v is not a new pod under the old one's handle %d", now, old.Handle())
+	}
+	if now.Spec.NodeName == "" || now.Status.Phase != PodPending || now != recreated {
+		t.Fatalf("at 2 s the re-created pod is %s on %q, want Pending and bound as created: the old pod's timer started it", now.Status.Phase, now.Spec.NodeName)
+	}
+	loop.RunUntilIdle()
+	if want := []time.Duration{4 * time.Second}; !reflect.DeepEqual(started, want) || kubelet.Started != 1 {
 		t.Errorf("pods started at %v (%d by the kubelet), want %v (1)", started, kubelet.Started, want)
 	}
 }
@@ -500,304 +551,6 @@ func TestSucceededPodsReleaseCapacity(t *testing.T) {
 	}
 }
 
-func TestEventLoopOrdering(t *testing.T) {
-	loop := NewEventLoop(t0)
-	var order []int
-	loop.At(2*time.Second, func() { order = append(order, 2) })
-	loop.At(1*time.Second, func() { order = append(order, 1) })
-	loop.Defer(func() { order = append(order, 0) })
-	loop.At(1*time.Second, func() { order = append(order, 11) }) // same instant, FIFO
-	loop.RunUntilIdle()
-	want := []int{0, 1, 11, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if !loop.Now().Equal(t0.Add(2 * time.Second)) {
-		t.Errorf("Now = %v", loop.Now())
-	}
-}
-
-// TestEventLoopTimersFireInTimeThenArmingOrder holds the timer heap to a
-// stable sort of what was armed, timers armed by a firing timer included.
-// Plain timers (At) and timers that carry their argument (AtArg) are armed
-// at random, so the two interleave at equal instants, up front and from
-// inside both kinds' callbacks.
-func TestEventLoopTimersFireInTimeThenArmingOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	loop := NewEventLoop(t0)
-	type armed struct {
-		at  time.Duration
-		seq int
-	}
-	var want, got []armed
-	record := func(arg any) { got = append(got, *arg.(*armed)) }
-	arm := func(from time.Duration) {
-		a := &armed{from + time.Duration(1+rng.Intn(20))*time.Second, len(want)}
-		want = append(want, *a)
-		if rng.Intn(2) == 0 {
-			loop.At(a.at-from, func() { got = append(got, *a) })
-		} else {
-			loop.AtArg(a.at-from, record, a)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		arm(0)
-	}
-	loop.At(7*time.Second, func() {
-		for i := 0; i < 100; i++ {
-			arm(7 * time.Second)
-		}
-	})
-	from := 13 * time.Second
-	loop.AtArg(from, func(arg any) {
-		for i := 0; i < 100; i++ {
-			arm(*arg.(*time.Duration))
-		}
-	}, &from)
-	loop.RunUntilIdle()
-	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("timers fired\n %v\nwant\n %v", got, want)
-	}
-}
-
-// timerCounter counts the runs of its two timer funcs.
-type timerCounter struct{ plain, carried int }
-
-func (c *timerCounter) tick()         { c.plain++ }
-func (c *timerCounter) carry(arg any) { arg.(*timerCounter).carried++ }
-
-// TestEventLoopTimersAllocateNothing holds arming and firing a timer to no
-// allocation once the heap's array has grown: AtArg with a pointer argument,
-// and At with a method value made once. A loop that boxed anything other
-// than a pointer or a func into a timer's argument would allocate here.
-func TestEventLoopTimersAllocateNothing(t *testing.T) {
-	loop := NewEventLoop(t0)
-	var c timerCounter
-	tick, carry := c.tick, c.carry
-	arm := func() {
-		loop.AtArg(time.Second, carry, &c)
-		loop.At(time.Second, tick)
-		loop.RunUntilIdle()
-	}
-	if n := testing.AllocsPerRun(100, arm); n != 0 {
-		t.Errorf("arming and firing two timers allocates %v times, want 0", n)
-	}
-	if c.plain != 101 || c.carried != 101 {
-		t.Errorf("timers ran %d plain and %d carrying, want 101 of each", c.plain, c.carried)
-	}
-}
-
-// loopOp is one step of a FuzzEventLoopOrder script: op i arms a plain timer
-// (At), a timer carrying its argument (AtArg) or deferred work (Defer), up
-// front when parent is negative, else from inside op parent's callback.
-type loopOp struct {
-	kind   byte // 0 At, 1 AtArg, 2 Defer
-	delay  time.Duration
-	parent int
-}
-
-// fuzzDelays are the delays a script's timers are armed with: negative, zero,
-// short, and far enough that the instant saturates at the clock's end.
-var fuzzDelays = [...]time.Duration{
-	-time.Second, -1, 0, 1, time.Second, 2 * time.Second, 3 * time.Second, 5 * time.Second,
-	math.MaxInt64 / 2, math.MaxInt64,
-}
-
-// opRun is an op's callback running, at elapsed on the loop's clock.
-type opRun struct {
-	op      int
-	elapsed time.Duration
-}
-
-// children lists, for each op of the script, the ops it arms when it runs,
-// in script order.
-func children(script []loopOp) [][]int {
-	kids := make([][]int, len(script))
-	for i, op := range script {
-		if op.parent >= 0 {
-			kids[op.parent] = append(kids[op.parent], i)
-		}
-	}
-	return kids
-}
-
-// runLoopScript runs the script on an EventLoop and returns its ops' runs in
-// the order they ran.
-func runLoopScript(t *testing.T, script []loopOp) []opRun {
-	kids := children(script)
-	loop := NewEventLoop(t0)
-	ids := make([]int, len(script)) // the argument each AtArg op carries
-	var got []opRun
-	var arm func(i int)
-	run := func(i int) {
-		if now, want := loop.Now(), t0.Add(loop.Elapsed()); !now.Equal(want) {
-			t.Fatalf("op %d ran at Now %v, want the start plus Elapsed, %v", i, now, want)
-		}
-		got = append(got, opRun{i, loop.Elapsed()})
-		for _, j := range kids[i] {
-			arm(j)
-		}
-	}
-	runArg := func(arg any) { run(*arg.(*int)) }
-	arm = func(i int) {
-		switch op := script[i]; op.kind {
-		case 0:
-			loop.At(op.delay, func() { run(i) })
-		case 1:
-			loop.AtArg(op.delay, runArg, &ids[i])
-		default:
-			loop.Defer(func() { run(i) })
-		}
-	}
-	for i, op := range script {
-		ids[i] = i
-		if op.parent < 0 {
-			arm(i)
-		}
-	}
-	loop.RunUntilIdle()
-	return got
-}
-
-// referenceLoopScript runs the script on a naive loop: a list of timers
-// sorted by (instant, arming order) before each instant is taken, and a FIFO
-// of deferred work, drained before time advances. A non-positive delay is
-// deferred work; an instant past the clock's range is its last.
-func referenceLoopScript(script []loopOp) []opRun {
-	kids := children(script)
-	type timer struct {
-		at, seq int64
-		op      int
-	}
-	var (
-		now, seq int64
-		timers   []timer
-		deferred []int
-		got      []opRun
-	)
-	arm := func(i int) {
-		op := script[i]
-		if op.kind == 2 || op.delay <= 0 {
-			deferred = append(deferred, i)
-			return
-		}
-		at := now + int64(op.delay)
-		if at < now {
-			at = math.MaxInt64
-		}
-		seq++
-		timers = append(timers, timer{at, seq, i})
-	}
-	run := func(i int) {
-		got = append(got, opRun{i, time.Duration(now)})
-		for _, j := range kids[i] {
-			arm(j)
-		}
-	}
-	for i, op := range script {
-		if op.parent < 0 {
-			arm(i)
-		}
-	}
-	for {
-		for len(deferred) > 0 {
-			i := deferred[0]
-			deferred = deferred[1:]
-			run(i)
-		}
-		if len(timers) == 0 {
-			return got
-		}
-		sort.Slice(timers, func(a, b int) bool {
-			if timers[a].at != timers[b].at {
-				return timers[a].at < timers[b].at
-			}
-			return timers[a].seq < timers[b].seq
-		})
-		now = timers[0].at
-		for len(timers) > 0 && timers[0].at == now {
-			i := timers[0].op
-			timers = timers[1:]
-			run(i)
-		}
-	}
-}
-
-// FuzzEventLoopOrder holds the EventLoop to referenceLoopScript on fuzzed
-// scripts: every two bytes are an op, the first picking its kind and delay,
-// the second its parent, so ties, nesting and saturated instants are common.
-func FuzzEventLoopOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 12, 0, 13, 1, 2, 2, 29, 1, 27, 3, 5, 0, 6, 0})
-	f.Add([]byte{27, 0, 28, 1, 27, 2, 3, 3, 4, 3, 24, 0, 25, 0, 14, 7, 15, 7})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxOps = 64
-		var script []loopOp
-		for i := 0; i+2 <= len(data) && len(script) < maxOps; i += 2 {
-			n := len(script)
-			script = append(script, loopOp{
-				kind:   data[i] % 3,
-				delay:  fuzzDelays[int(data[i]/3)%len(fuzzDelays)],
-				parent: int(data[i+1])%(n+1) - 1,
-			})
-		}
-		got, want := runLoopScript(t, script), referenceLoopScript(script)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("script %+v:\nloop ran %v\nreference runs %v", script, got, want)
-		}
-	})
-}
-
-// TestEventLoopFarTimerFiresLast arms a timer whose instant lies past the
-// nanosecond clock's range: it must fire after every other timer, not wrap
-// round to before them.
-func TestEventLoopFarTimerFiresLast(t *testing.T) {
-	loop := NewEventLoop(t0)
-	var order []string
-	loop.At(time.Second, func() {
-		loop.At(math.MaxInt64, func() { order = append(order, "far") })
-		loop.At(time.Second, func() { order = append(order, "near") })
-	})
-	loop.RunUntilIdle()
-	if want := []string{"near", "far"}; !reflect.DeepEqual(order, want) {
-		t.Errorf("timers fired %v, want %v", order, want)
-	}
-}
-
-func TestEventLoopRunUntil(t *testing.T) {
-	loop := NewEventLoop(t0)
-	fired := false
-	loop.At(5*time.Second, func() { fired = true })
-	loop.At(10*time.Second, func() {})
-	if !loop.RunUntil(func() bool { return fired }) {
-		t.Fatal("RunUntil never satisfied")
-	}
-	if len(loop.timers) != 1 {
-		t.Errorf("%d timers armed, want 1 (later timer untouched)", len(loop.timers))
-	}
-	if loop.RunUntil(func() bool { return false }) {
-		t.Error("RunUntil(false) reported success")
-	}
-}
-
-func TestEventLoopZeroDelayRunsNow(t *testing.T) {
-	loop := NewEventLoop(t0)
-	ran := false
-	loop.At(0, func() { ran = true })
-	loop.Settle()
-	if !ran {
-		t.Error("zero-delay At did not run on Settle")
-	}
-	if !loop.Now().Equal(t0) {
-		t.Error("time advanced for zero-delay work")
-	}
-}
-
 // namedQueue is a workqueue over a store that holds a pod under each of the
 // names, whose handler is handed the key of the handle the queue hands it;
 // the func it returns is the store's Lookup.
@@ -851,8 +604,9 @@ func TestWorkqueueRequeuesInArmingOrder(t *testing.T) {
 	q, h := namedQueue(t, loop, 3*time.Second, handledAt(loop, &handled), "a", "b", "c", "d")
 	q.Requeue(h("c"))
 	q.Requeue(h("a"))
-	loop.At(time.Second, func() { q.Requeue(h("b")) })
-	loop.At(2*time.Second, func() {
+	at := closures(loop)
+	at(time.Second, func() { q.Requeue(h("b")) })
+	at(2*time.Second, func() {
 		q.Requeue(h("d"))
 		q.Requeue(h("a"))
 	})
@@ -870,7 +624,7 @@ func TestWorkqueueRequeueCollapsesIntoPendingKey(t *testing.T) {
 	loop := NewEventLoop(t0)
 	var handled []string
 	q, h := namedQueue(t, loop, time.Second, handledAt(loop, &handled), "a", "b")
-	loop.At(time.Second, func() { q.Add(h("a")) }) // queued, not yet handled, when the requeues fire
+	closures(loop)(time.Second, func() { q.Add(h("a")) }) // queued, not yet handled, when the requeues fire
 	q.Requeue(h("a"))
 	q.Requeue(h("b"))
 	q.Requeue(h("a"))

@@ -12,51 +12,48 @@ type Kubelet struct {
 	// create). The paper excludes operator/pod startup from simulation
 	// but the emulation pays it, as the real EKS runs did.
 	startupDelay time.Duration
-	// startFn is start, made once: every bound pod's timer arms it with the
-	// pod's view.
-	startFn func(any)
+	// startKind's timers, one a bound pod, carry its handle; bound holds by
+	// handle the seq of the latest and the resource version it saw bound.
+	startKind TimerKind
+	bound     []boundPod
 	// Started counts pods this kubelet transitioned to Running.
 	Started int
 }
 
+type boundPod struct{ seq, version int64 }
+
 // NewKubelet creates the kubelet and subscribes it to pod events.
 func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kubelet {
 	k := &Kubelet{store: store, startupDelay: startupDelay}
-	k.startFn = k.start
+	k.startKind = loop.Handler(k.start)
 	store.Subscribe(KindPod, func(ev Event) {
 		if ev.Type == Deleted {
 			return
 		}
 		pod := ev.Object.(*Pod)
 		if pod.Spec.NodeName != "" && pod.Status.Phase == PodPending {
-			loop.AtArg(k.startupDelay, k.startFn, pod)
+			if n := int(pod.handle) + 1 - len(k.bound); n > 0 {
+				k.bound = append(k.bound, make([]boundPod, n)...)
+			}
+			k.bound[pod.handle] = boundPod{loop.Arm(k.startupDelay, k.startKind, int32(pod.handle)), pod.ResourceVersion}
 		}
 	})
 	return k
 }
 
-// start transitions a bound pod to Running unless it changed or vanished in
-// the meantime. seen is the view of the pod as the kubelet saw it bound; a
-// view never changes, so its handle and resource version are those of then.
-// Resource versions are never reused, so whatever the handle stands for now
-// — the pod, a pod re-created under its name, another key — only the pod
-// as it was seen carries that version.
-func (k *Kubelet) start(seen any) {
-	bound := seen.(*Pod)
-	now := k.store.pod(bound.handle)
-	if now == nil || now.ResourceVersion != bound.ResourceVersion {
-		return
+// start transitions the pod under h to Running if the timer with the seq is
+// the latest armed under h and the pod is as it was seen bound then. A pod's
+// events come in write order, each with a version of its own, so a timer the
+// latest superseded cannot find its version there. Resource versions are
+// never reused, so whatever h stands for now — the pod, a pod re-created
+// under its name, another key — only the pod as it was seen carries that
+// version.
+func (k *Kubelet) start(h int32, seq int64) {
+	seen, now := k.bound[h], k.store.pod(Handle(h))
+	if seen.seq == seq && now != nil && now.ResourceVersion == seen.version {
+		_ = k.store.SetPodStatus(Handle(h), PodStatus{Phase: PodRunning}) // the pod was just seen
+		k.Started++
 	}
-	_ = k.store.SetPodStatus(bound.handle, PodStatus{Phase: PodRunning}) // the pod was just seen
-	k.Started++
-}
-
-// setPhase moves the pod a view shows to the phase. The view must be of
-// the pod stored now.
-func setPhase(store *Store, view *Pod, phase PodPhase) bool {
-	status := view.Status
-	status.Phase = phase
-	return store.SetPodStatus(view.handle, status) == nil
 }
 
 // FailPodsOnNode marks every non-terminal pod bound to the node as Failed,
@@ -64,7 +61,9 @@ func setPhase(store *Store, view *Pod, phase PodPhase) bool {
 func FailPodsOnNode(store *Store, node string) int {
 	n := 0
 	for _, pod := range store.Pods(nil) {
-		if pod.Spec.NodeName == node && !pod.terminal() && setPhase(store, pod, PodFailed) {
+		status := pod.Status
+		status.Phase = PodFailed
+		if pod.Spec.NodeName == node && !pod.terminal() && store.SetPodStatus(pod.handle, status) == nil {
 			n++
 		}
 	}

@@ -729,12 +729,9 @@ type Workqueue struct {
 	handler func(Handle)
 	armed   bool
 	drainFn func() // q.drain, made once
-	// requeued are the keys Requeue has armed a timer for, oldest first.
-	// Every timer runs the queue's one delay, so they fire in this order
-	// and each runs readdFn (q.readdOldest, made once).
-	delay    time.Duration
-	requeued fifo[Handle]
-	readdFn  func()
+	// Requeue holds a key back for delay: readdKind's timer carries it.
+	delay     time.Duration
+	readdKind TimerKind
 }
 
 // NewWorkqueue creates a queue of the store's handles that feeds them to
@@ -742,7 +739,7 @@ type Workqueue struct {
 func NewWorkqueue(store *Store, delay time.Duration, handler func(Handle)) *Workqueue {
 	q := &Workqueue{store: store, handler: handler, delay: delay}
 	q.drainFn = q.drain
-	q.readdFn = q.readdOldest
+	q.readdKind = store.loop.Handler(q.readd)
 	return q
 }
 
@@ -757,7 +754,10 @@ func (q *Workqueue) Add(h Handle) {
 	q.pending[h] = true
 	q.store.retain(h)
 	q.order.push(h)
-	q.arm()
+	if !q.armed {
+		q.armed = true
+		q.store.loop.Defer(q.drainFn)
+	}
 }
 
 // Requeue enqueues the key once the queue's delay has passed
@@ -765,22 +765,13 @@ func (q *Workqueue) Add(h Handle) {
 // that entry, as with Add.
 func (q *Workqueue) Requeue(h Handle) {
 	q.store.retain(h)
-	q.requeued.push(h)
-	q.store.loop.At(q.delay, q.readdFn)
+	q.store.loop.Arm(q.delay, q.readdKind, int32(h))
 }
 
-func (q *Workqueue) readdOldest() {
-	h := q.requeued.pop()
-	q.Add(h)
-	q.store.release(h)
-}
-
-func (q *Workqueue) arm() {
-	if q.armed || q.Len() == 0 {
-		return
-	}
-	q.armed = true
-	q.store.loop.Defer(q.drainFn)
+// readd runs a Requeue's timer: it adds the key and lets go of it.
+func (q *Workqueue) readd(h int32, _ int64) {
+	q.Add(Handle(h))
+	q.store.release(Handle(h))
 }
 
 func (q *Workqueue) drain() {
@@ -792,6 +783,3 @@ func (q *Workqueue) drain() {
 		q.store.release(h)
 	}
 }
-
-// Len reports queued keys.
-func (q *Workqueue) Len() int { return q.order.len() }

@@ -8,7 +8,10 @@
 //
 // The substrate is single-threaded by design: every component is driven by a
 // EventLoop (the emulation's event loop on a virtual clock), which makes full
-// scheduling experiments deterministic and replayable.
+// scheduling experiments deterministic and replayable. A component registers
+// a handler for each kind of timer it arms (EventLoop.Handler), and a timer
+// carries its kind and an int32, a handle or an index: the heap of timers
+// holds no pointer.
 //
 // Names are the API's edges; handles are its inside. Create, Update and Pods
 // take objects and selectors by name, Lookup turns a key into its Handle,

@@ -28,12 +28,11 @@ type Manager struct {
 	// kickAt is the armed kick's instant on the loop's clock (nanoseconds
 	// since its start, Elapsed); startNs is that start in Unix nanoseconds,
 	// the scheduler's instants, so turning a NextGapExpiry into the loop's
-	// clock is one subtraction.
-	kickAt  int64
-	startNs int64
-	armed   bool
-	// kick is the one func every kick timer arms, made once in NewManager.
-	kick func()
+	// clock is one subtraction. kickKind is the kind of the kick timers.
+	kickAt   int64
+	startNs  int64
+	armed    bool
+	kickKind k8s.TimerKind
 }
 
 // managedJob pairs the scheduler's job record with its CharmJob template, the
@@ -63,7 +62,7 @@ func NewManager(loop *k8s.EventLoop, store *k8s.Store, ctrl *Controller, cfg cor
 		return nil, err
 	}
 	m.sched = sched
-	m.kick = m.onKick
+	m.kickKind = loop.Handler(m.onKick)
 	return m, nil
 }
 
@@ -164,7 +163,7 @@ func (m *Manager) armKick() {
 	}
 	m.armed = true
 	m.kickAt = at
-	m.loop.At(time.Duration(at-int64(m.loop.Elapsed())), m.kick)
+	m.loop.Arm(time.Duration(at-int64(m.loop.Elapsed())), m.kickKind, 0)
 }
 
 // onKick runs a kick timer armKick armed, unless an earlier kick superseded
@@ -173,7 +172,7 @@ func (m *Manager) armKick() {
 // exactly the instant it was armed for: the loop's Elapsed is that instant,
 // and kickAt equals it just when kickAt is still what the timer was armed
 // with.
-func (m *Manager) onKick() {
+func (m *Manager) onKick(int32, int64) {
 	if m.kickAt != int64(m.loop.Elapsed()) {
 		return // superseded by an earlier kick
 	}

@@ -322,7 +322,7 @@ func TestManagerElasticShrinkFlow(t *testing.T) {
 	loop.RunUntilIdle()
 
 	// Wait out the rescale gap on the virtual clock.
-	loop.At(20*time.Second, func() {})
+	loop.Arm(20*time.Second, loop.Handler(func(int32, int64) {}), 0)
 	loop.RunUntilIdle()
 
 	high := mkJob("high", 0)

@@ -56,7 +56,7 @@ type sealTerm struct {
 }
 
 // Use adds one term of the utilization integral: slots held × how long.
-func (l *Ledger) Use(area float64) { l.utilSub += area }
+func (l *Ledger) Use(area float64) { l.utilSub += float64(area) }
 
 // Started folds a job's first-ever start into the experiment window.
 func (l *Ledger) Started(at float64) {
@@ -72,22 +72,22 @@ func (l *Ledger) Finished(weight, resp, comp, at float64) {
 	if at > l.lastEnd {
 		l.lastEnd = at
 	}
-	l.finWSub += weight
-	l.finRespSub += weight * resp
-	l.finCompSub += weight * comp
+	l.finWSub += float64(weight)
+	l.finRespSub += float64(weight * resp)
+	l.finCompSub += float64(weight * comp)
 }
 
 // Overhead charges replica-seconds frozen by a rescale or a restart. A forced
 // one — a capacity loss's doing, not the policy's choice — is work lost too.
 func (l *Ledger) Overhead(area float64, forced bool) {
-	l.ovhSub += area
+	l.ovhSub += float64(area)
 	if forced {
-		l.lostSub += area
+		l.lostSub += float64(area)
 	}
 }
 
 // Lost charges replica-seconds of work lost outside any overhead window.
-func (l *Ledger) Lost(area float64) { l.lostSub += area }
+func (l *Ledger) Lost(area float64) { l.lostSub += float64(area) }
 
 // CapacityStep records a capacity change applied at the given instant.
 func (l *Ledger) CapacityStep(at float64, capacity int) {
@@ -203,7 +203,7 @@ func CapacityArea(base float64, steps []UtilSample, end float64) float64 {
 			at = end
 		}
 		if at > prevAt {
-			area += prevCap * (at - prevAt)
+			area += float64(prevCap * (at - prevAt))
 			prevAt = at
 		}
 		if st.At >= end {
@@ -212,7 +212,7 @@ func CapacityArea(base float64, steps []UtilSample, end float64) float64 {
 		prevCap = float64(st.Used)
 	}
 	if end > prevAt {
-		area += prevCap * (end - prevAt)
+		area += float64(prevCap * (end - prevAt))
 	}
 	return area
 }
