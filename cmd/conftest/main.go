@@ -1,34 +1,25 @@
-// Command conftest records, replays, and diffs scheduler decision streams,
-// and runs the full conformance equivalence matrix — the CLI face of
-// internal/conformance, so a failing CI cell reproduces locally from an
-// artifact.
+// Command conftest replays and diffs scheduler decision streams, and runs the
+// full conformance equivalence matrix — the CLI face of internal/conformance,
+// so a failing CI cell reproduces locally from an artifact. A stream is
+// recorded by `elasticsim -record FILE [run flags]`, which writes the run's
+// decisions with the Meta that re-runs it.
 //
 // Modes (exactly one):
 //
-//	conftest -record [spec flags] [-out stream.json]
-//	    Execute the spec and write its recorded stream.
 //	conftest -replay stream.json [-out replayed.json]
 //	    Re-execute the run described by a stream's meta and diff the new
 //	    stream against the recording. Exit 1 on divergence.
 //	conftest -diff a.json b.json
 //	    Structurally diff two recorded streams. Exit 1 on divergence.
 //	conftest -matrix [-artifacts dir]
-//	    Run the equivalence matrix; on divergence, print the -record line
-//	    that re-runs each diverging candidate and, with -artifacts, write
-//	    the cell's reference and candidate streams under dir and print the
-//	    -replay line for the candidate's. Exit 1 on divergence.
+//	    Run the equivalence matrix; on divergence, print the elasticsim
+//	    -record line that re-runs each diverging candidate and, with
+//	    -artifacts, write the cell's reference and candidate streams under
+//	    dir and print the -replay line for the candidate's. Exit 1 on
+//	    divergence.
 //
-// Spec flags (with -record) are elasticsim's, with the same names, defaults
-// and inputs — runspec's CLI groups — plus the engine knobs only the harness
-// varies (runspec.Engine): -backend sim|cluster; -scenario or -trace (a
-// generated scenario sized by -jobs and -gap, burst by -waves too, 0 = the
-// scenario's default; the composites head-heavy and tail-heavy and a trace
-// have a size of their own); -seed (0 included); -availability and its
-// tuning; -policy, -capacity, -rescale-gap, -log; on the simulator -shards
-// and -streaming; a fleet of simulators is -clusters N (N > 1), with -route,
-// -skew, -rebalance, -migrate-running and -parallel, and runs the capacity
-// profile on its last member. A flag the chosen mode, backend or scenario
-// does not read is rejected.
+// -window sets the decisions of context a divergence prints. Any other flag
+// is rejected.
 package main
 
 import (
@@ -49,56 +40,34 @@ func main() {
 
 func run() int {
 	var (
-		record = flag.Bool("record", false, "execute the spec flags and write the recorded stream")
 		replay = flag.String("replay", "", "stream file to re-execute from its meta and verify")
 		doDiff = flag.Bool("diff", false, "diff the two stream files given as arguments")
 		matrix = flag.Bool("matrix", false, "run the conformance equivalence matrix")
 
-		out       = flag.String("out", "", "output path for the recorded stream (default stdout)")
+		out       = flag.String("out", "", "output path for the replayed stream")
 		artifacts = flag.String("artifacts", "", "directory for diverging matrix streams")
 		window    = flag.Int("window", conformance.DefaultWindow, "decisions of context around a divergence")
 	)
-	// The recorded stream is the point of -record, so its log defaults on.
-	spec := runspec.Default()
-	spec.Log = true
-	spec.Bind(flag.CommandLine, runspec.CLI|runspec.Engine)
 	flag.Parse()
 
-	// The modes: three in the order of their selector flags, then -record,
-	// one per kind of run, each reading the spec flags it has a setting for
-	// (the emulation has no shards or streaming, one cluster no fleet).
-	const one = runspec.Scenario | runspec.Seed | runspec.Jobs | runspec.Availability | runspec.Backend
+	// The modes, in the order of their selector flags.
 	modes := []runspec.Mode{
 		{Name: "-replay", Also: []string{"out", "window"}},
 		{Name: "-diff", Also: []string{"window"}, Args: 2},
 		{Name: "-matrix", Also: []string{"artifacts", "window"}},
-		{Name: "-record", Reads: one | runspec.Shards | runspec.Engine, Also: []string{"clusters", "out"}},
-		{Name: "-record -clusters N", Reads: runspec.CLI | runspec.Engine, Also: []string{"out"}},
-		{Name: "-record -backend cluster", Reads: one, Also: []string{"gap", "waves", "policy", "capacity",
-			"rescale-gap", "log", "clusters", "out"}},
 	}
 	mode, selected := 0, 0
-	for i, on := range []bool{*replay != "", *doDiff, *matrix, *record} {
+	for i, on := range []bool{*replay != "", *doDiff, *matrix} {
 		if on {
 			mode = i
 			selected++
 		}
 	}
 	if selected != 1 {
-		fmt.Fprintln(os.Stderr, "conftest: exactly one of -record, -replay, -diff, -matrix is required")
+		fmt.Fprintln(os.Stderr, "conftest: exactly one of -replay, -diff, -matrix is required (elasticsim -record records a stream)")
 		flag.Usage()
 		return 2
 	}
-	// -record selected the one-simulator mode; an unknown backend keeps it,
-	// and Execute names the backend.
-	switch {
-	case !*record:
-	case spec.Backend == "cluster":
-		mode = len(modes) - 1
-	case spec.Clusters > 1:
-		mode = len(modes) - 2
-	}
-
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		return fail(err)
 	}
@@ -110,23 +79,8 @@ func run() int {
 	case *matrix:
 		return runMatrix(os.Stdout, conformance.Cases(conformance.DefaultMatrixOptions()), *artifacts, *window)
 
-	case *replay != "":
+	default: // -replay
 		return replayFile(*replay, *out, *window)
-
-	default: // -record
-		// Execute fills a zero count from the defaults, so an explicit
-		// -clusters 0 is rejected here, as the flags parsed it.
-		if err := spec.Validate(); err != nil {
-			return fail(err)
-		}
-		st, err := conformance.RunSpec(spec).Execute()
-		if err != nil {
-			return fail(err)
-		}
-		if err := emit(st, *out); err != nil {
-			return fail(err)
-		}
-		return 0
 	}
 }
 
@@ -134,27 +88,6 @@ func run() int {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "conftest:", err)
 	return 2
-}
-
-// emit writes a stream to the -out path, or stdout when unset.
-func emit(st *conformance.Stream, out string) error {
-	if out == "" {
-		return st.Save(os.Stdout)
-	}
-	if err := st.SaveFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d decisions to %s\n", decisions(st), out)
-	return nil
-}
-
-// decisions counts a stream's decisions: its own and its members'.
-func decisions(st *conformance.Stream) int {
-	n := len(st.Decisions)
-	for _, m := range st.Members {
-		n += len(m.Decisions)
-	}
-	return n
 }
 
 // diffFiles loads and structurally diffs two streams.
@@ -197,7 +130,7 @@ func replayFile(path, out string, window int) int {
 	d := conformance.Compare(recorded, replayed)
 	if d.Empty() {
 		fmt.Printf("replay of %s reproduced the recording: %d decisions identical\n",
-			path, decisions(recorded))
+			path, recorded.DecisionCount())
 		return 0
 	}
 	fmt.Printf("replay of %s DIVERGED:\n%s", path, d.Format(recorded, replayed, window))

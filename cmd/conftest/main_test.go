@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"elastichpc/internal/conformance"
+	"elastichpc/internal/runspec"
 )
 
 // TestSaveStreamsOrderDeterministic pins the artifact write order: ref
@@ -68,43 +70,45 @@ func conftest(dir, args string) *exec.Cmd {
 	return cmd
 }
 
-// TestFlagsRejectedWhereIgnored: spec flags describe the run -record
-// executes; the other modes take theirs from a stream or the fixed matrix, so
-// a spec flag there — `-matrix -policy moldable` still ran every policy — is
-// an error naming the flag, as is -migrate-running with no rebalancer to
-// heed it. So is a spec flag the chosen backend or a single cluster has no
-// setting for (each was recorded into the stream's meta and dropped from the
-// run), a backend elasticsim does not run, and a negative value that ran as
-// the default. Every rejection exits 2, conftest's code for
-// an operational error, names the flag on stderr and prints nothing to
-// stdout.
+// record writes to dir/file the stream `elasticsim -record file args`
+// writes: args parsed as elasticsim binds its run flags, over its defaults
+// with the log on, and the run executed in process through RunSpec.Execute,
+// as elasticsim executes it. (elasticsim's TestRecordIsExecute holds the
+// command to that.)
+func record(t *testing.T, dir, file, args string) {
+	t.Helper()
+	spec := runspec.Default()
+	spec.Log = true
+	fs := flag.NewFlagSet("elasticsim", flag.ContinueOnError)
+	spec.Bind(fs, runspec.CLI|runspec.Engine)
+	if err := fs.Parse(strings.Fields(args)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := conformance.RunSpec(spec).Execute()
+	if err != nil {
+		t.Fatalf("elasticsim -record %s %s: %v", file, args, err)
+	}
+	if err := st.SaveFile(filepath.Join(dir, file)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlagsRejectedWhereIgnored: the modes take their run from a stream or
+// the fixed matrix, so a run flag — `-matrix -policy moldable` still ran
+// every policy when conftest had them — is an error naming the flag, and so
+// is -record, which elasticsim has. So is a flag of another mode, a second
+// mode, and a flag after the positional arguments. Every rejection exits 2,
+// conftest's code for an operational error, names the flag on stderr and
+// prints nothing to stdout. The rejections of the run flags conftest had
+// are elasticsim's TestRecordFlagsRejectedWhereIgnored.
 func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-matrix -policy moldable", "-policy"},
 		{"-diff -seed 3 a.json b.json", "-seed"},
 		{"-replay testdata/golden/stream.json -jobs 12", "-jobs"},
-		{"-record -clusters 3 -migrate-running", "-migrate-running"},
+		{"-record -out x.json", "-record"},
 		{"-matrix -out x.json", "-out"},
-		{"-record -matrix", "exactly one"},
-		// The reference scheduler is core's test oracle, not a mode.
-		{"-record -full", "-full"},
-		{"-record -backend cluster -streaming", "-streaming"},
-		{"-record -backend cluster -shards 4", "-shards"},
-		{"-record -backend sim -route least_loaded", "-route"},
-		{"-record -backend sim -parallel 2", "-parallel"},
-		{"-record -backend sim -skew 2", "-skew"},
-		{"-record -backend sim -rebalance 300", "-rebalance"},
-		{"-record -backend federation", "-backend federation"},
-		{"-record -backend cluster -clusters 2", "-clusters 2"},
-		{"-record -capacity -8", "-capacity"},
-		{"-record -rescale-gap -5", "-rescale-gap"},
-		{"-record -rescale-gap 1e300", "-rescale-gap"},
-		{"-record -scenario uniform -jobs 3 -gap 1e308", "-gap"},
-		// The composites are fixed-size, and only burst has waves.
-		{"-record -scenario head-heavy -jobs 5 -gap 3", "-gap"},
-		{"-record -scenario uniform -waves 7", "-waves"},
-		// Execute would fill the explicit 0 from the defaults.
-		{"-record -clusters 0", "-clusters"},
+		{"-replay x.json -matrix", "exactly one"},
 		// The arguments end the flags, so -window would not be parsed.
 		{"-diff a.json b.json -window 3", `"-window"`},
 	} {
@@ -123,12 +127,13 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 	}
 }
 
-// TestRecordReplayGolden pins -record and -replay end to end on a fleet
-// whose last member runs elasticsim's drain profile: the recorded stream and
-// both stdouts, which count the members' decisions, and the stream replays.
-// The workload is spelled out because the default 16-job run ends before the
-// profile's first drain window. A change to how a spec becomes its inputs
-// moves this stream and elasticsim's cluster-uniform-drain golden alike.
+// TestRecordReplayGolden pins -replay end to end on a fleet whose last member
+// runs elasticsim's drain profile: the recorded stream, and the replay's
+// stdout, which counts the members' decisions. The workload is spelled out
+// because the default 16-job run ends before the profile's first drain
+// window. A change to how a spec becomes its inputs moves this stream and
+// elasticsim's cluster-uniform-drain golden alike; elasticsim's
+// TestRecordGolden pins what -record prints.
 func TestRecordReplayGolden(t *testing.T) {
 	golden := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -138,13 +143,7 @@ func TestRecordReplayGolden(t *testing.T) {
 		return data
 	}
 	dir := t.TempDir()
-	out, err := conftest(dir, "-record -clusters 3 -rebalance 300 -availability drain -jobs 60 -gap 45 -seed 1 -out stream.json").Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, golden("record.stdout")) {
-		t.Errorf("-record stdout differs from the golden:\n%s", out)
-	}
+	record(t, dir, "stream.json", "-clusters 3 -rebalance 300 -availability drain -jobs 60 -gap 45 -seed 1")
 	stream, err := os.ReadFile(filepath.Join(dir, "stream.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestRecordReplayGolden(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "stream.json"), golden("stream.json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = conftest(dir, "-replay stream.json").Output()
+	out, err := conftest(dir, "-replay stream.json").Output()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +168,7 @@ func TestRecordReplayGolden(t *testing.T) {
 // naming that decision's index, and -replay print DIVERGED and exit 1.
 func TestDiffAndReplayFailOnMutatedStream(t *testing.T) {
 	dir := t.TempDir()
-	if out, err := conftest(dir, "-record -out rec.json").CombinedOutput(); err != nil {
-		t.Fatalf("-record: %v\n%s", err, out)
-	}
+	record(t, dir, "rec.json", "")
 	st, err := conformance.LoadFile(filepath.Join(dir, "rec.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -203,14 +200,8 @@ func TestDiffAndReplayFailOnMutatedStream(t *testing.T) {
 // recorded into the cluster stream's meta and dropped from the run.
 func TestClusterReadsRescaleGap(t *testing.T) {
 	dir := t.TempDir()
-	for _, args := range []string{
-		"-record -backend cluster -jobs 12 -out plain.json",
-		"-record -backend cluster -jobs 12 -rescale-gap 30 -out gap.json",
-	} {
-		if out, err := conftest(dir, args).CombinedOutput(); err != nil {
-			t.Fatalf("conftest %s: %v\n%s", args, err, out)
-		}
-	}
+	record(t, dir, "plain.json", "-backend cluster -jobs 12")
+	record(t, dir, "gap.json", "-backend cluster -jobs 12 -rescale-gap 30")
 	out, err := conftest(dir, "-diff plain.json gap.json").Output()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
@@ -226,10 +217,7 @@ func TestRecordSeedZero(t *testing.T) {
 	dir := t.TempDir()
 	for backend, run := range map[string]string{"sim": "-backend sim", "cluster": "-backend cluster", "fleet": "-clusters 3"} {
 		for _, seed := range []string{"0", "1"} {
-			args := fmt.Sprintf("-record %s -jobs 12 -seed %s -out %s%s.json", run, seed, backend, seed)
-			if out, err := conftest(dir, args).CombinedOutput(); err != nil {
-				t.Fatalf("conftest %s: %v\n%s", args, err, out)
-			}
+			record(t, dir, backend+seed+".json", run+" -jobs 12 -seed "+seed)
 		}
 		st, err := conformance.LoadFile(filepath.Join(dir, backend+"0.json"))
 		if err != nil {
@@ -251,9 +239,9 @@ func TestRecordSeedZero(t *testing.T) {
 
 // TestMatrixDivergenceReproduces plants a candidate that really diverges — a
 // shorter rescale gap than its reference's — and follows what -matrix prints:
-// the -record line re-runs the candidate, and diffing that against the saved
-// reference reproduces the matrix's report byte for byte; the -replay line
-// re-executes the saved candidate stream and reproduces it.
+// the elasticsim -record line re-runs the candidate, and diffing that against
+// the saved reference reproduces the matrix's report byte for byte; the
+// -replay line re-executes the saved candidate stream and reproduces it.
 func TestMatrixDivergenceReproduces(t *testing.T) {
 	dir := t.TempDir()
 	planted := conformance.Case{
@@ -267,16 +255,16 @@ func TestMatrixDivergenceReproduces(t *testing.T) {
 	if code := runMatrix(&out, []conformance.Case{planted}, dir, 3); code != 1 {
 		t.Fatalf("runMatrix exit %d, want 1:\n%s", code, out.String())
 	}
-	var record, replay string
+	var rerun, replay string
 	for _, line := range strings.Split(out.String(), "\n") {
-		if rest, ok := strings.CutPrefix(line, "re-run the candidate: conftest "); ok {
-			record = rest
+		if rest, ok := strings.CutPrefix(line, "re-run the candidate: elasticsim -record "); ok {
+			rerun = rest
 		}
 		if rest, ok := strings.CutPrefix(line, "replay the candidate: conftest "); ok {
 			replay = rest
 		}
 	}
-	if record == "" || replay == "" {
+	if rerun == "" || replay == "" {
 		t.Fatalf("no -record or -replay line printed:\n%s", out.String())
 	}
 	refs, err := filepath.Glob(filepath.Join(dir, "*.ref.json"))
@@ -284,10 +272,9 @@ func TestMatrixDivergenceReproduces(t *testing.T) {
 		t.Fatalf("saved references %v (%v), want one", refs, err)
 	}
 
-	if o, err := conftest(dir, record+" -out rerun.json").CombinedOutput(); err != nil {
-		t.Fatalf("conftest %s: %v\n%s", record, err, o)
-	}
-	diff, err := conftest(dir, "-diff -window 3 "+refs[0]+" rerun.json").Output()
+	file, args, _ := strings.Cut(rerun, " ")
+	record(t, dir, file, args)
+	diff, err := conftest(dir, "-diff -window 3 "+refs[0]+" "+file).Output()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("the re-run candidate matches its reference: err = %v\n%s", err, diff)

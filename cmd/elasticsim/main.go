@@ -9,6 +9,14 @@
 // below declares the flags it reads, and a flag the selected mode does not
 // read is rejected, never silently dropped.
 //
+// -record FILE records one run instead — one -policy, elastic by default, on
+// one simulator, a fleet of simulators (-clusters N, the capacity profile on
+// its last member) or the emulation (-backend cluster) — and writes its
+// decision stream, with the Meta that re-runs it, to FILE: what conftest
+// replays, diffs, and runs in its equivalence matrix. Only the record modes
+// read the engine knobs -gap -waves -policy -capacity -rescale-gap
+// -streaming -log; the decision log is on unless -log=false.
+//
 // Usage:
 //
 //	elasticsim -sweep gap                  # Figure 7: submission-gap sweep
@@ -41,6 +49,10 @@
 //	                                       # through the full emulation
 //	elasticsim -clusters 4 -route least_loaded -backend cluster
 //	                                       # a fleet of emulated clusters
+//	elasticsim -record stream.json -scenario burst -policy moldable
+//	                                       # record one run's decision stream
+//	elasticsim -record fleet.json -clusters 3 -rebalance 300 -availability drain
+//	                                       # record a rebalanced fleet
 package main
 
 import (
@@ -50,9 +62,11 @@ import (
 	"log"
 	"os"
 	"slices"
+	"strings"
 
 	"elastichpc/internal/chart"
 	"elastichpc/internal/cluster"
+	"elastichpc/internal/conformance"
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
 	"elastichpc/internal/metrics"
@@ -79,8 +93,16 @@ const (
 	singleRun
 	fleetCluster
 	singleCluster
+	recordRun
+	recordFleet
+	recordCluster
 	noMode
 )
+
+// recordReads is what -record reads on every backend; each record mode adds
+// what its run has a setting for: the emulation has no shards or streaming,
+// one cluster no fleet.
+const recordReads = runspec.Scenario | runspec.Seed | runspec.Jobs | runspec.Availability
 
 var modes = []runspec.Mode{
 	saveAvailability:  {Name: "-save-availability", Reads: runspec.Scenario | runspec.Seed | runspec.Availability},
@@ -99,8 +121,15 @@ var modes = []runspec.Mode{
 	// step for a rebalancer; it checkpoints every -ckpt-period iterations.
 	fleetCluster:  {Name: "-clusters N -backend cluster", Reads: runspec.Scenario | runspec.Seed | runspec.Fleet, Also: []string{"ckpt-period"}},
 	singleCluster: {Name: "-scenario/-trace/-availability -backend cluster", Reads: runspec.Scenario | runspec.Seed | runspec.Availability, Also: []string{"ckpt-period", "clusters"}},
-	noMode:        {Name: "a run with no mode selected"},
+	recordRun:     {Name: "-record", Reads: recordReads | runspec.Shards | runspec.Engine, Also: []string{"clusters"}},
+	recordFleet:   {Name: "-record -clusters N", Reads: runspec.CLI&^runspec.Backend | runspec.Engine},
+	recordCluster: {Name: "-record -backend cluster", Reads: recordReads, Also: []string{"gap", "waves", "policy", "capacity",
+		"rescale-gap", "log", "clusters"}},
+	noMode: {Name: "a run with no mode selected"},
 }
+
+// selectors are the flags that select a mode; a command line sets one at most.
+var selectors = []string{"record", "save-availability", "save-workload", "sweep", "table1", "profiles", "xlarge-timeline"}
 
 var sweeps = map[string]int{
 	"gap": sweepFigure, "rescale": sweepFigure, "scenario": sweepScenario,
@@ -111,11 +140,12 @@ var sweeps = map[string]int{
 // entry runs on the simulator only.
 var onCluster = map[int]int{
 	sweepFigure: sweepFigure, table1: table1, profiles: profiles, xlargeTimeline: xlargeTimeline,
-	fleetRun: fleetCluster, singleRun: singleCluster, noMode: noMode,
+	fleetRun: fleetCluster, singleRun: singleCluster, recordRun: recordCluster, recordFleet: recordCluster, noMode: noMode,
 }
 
 func main() {
 	var (
+		recordTo  = flag.String("record", "", "record one run's decision stream, with the meta that replays it, to this file")
 		sweep     = flag.String("sweep", "", `sweep to run: "gap" (Fig. 7), "rescale" (Fig. 8), "scenario", "availability", or "federation"`)
 		doTable1  = flag.Bool("table1", false, "run Table 1 (on -backend cluster: Actual beside Simulation)")
 		doProfile = flag.Bool("profiles", false, "print Figure 9a utilization profiles")
@@ -130,15 +160,36 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this path on exit")
 	)
+	// The recorded stream is the point of -record, so its log defaults on.
 	spec := runspec.Default()
-	spec.Bind(flag.CommandLine, runspec.CLI)
-	flag.Parse()
+	spec.Log = true
+	spec.Bind(flag.CommandLine, runspec.CLI|runspec.Engine)
+	// A flag that does not parse is rejected as every other flag is: exit 1.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	if err := flag.CommandLine.Parse(os.Args[1:]); errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(1)
+	}
 	defer profiling.Start(*cpuprofile, *memprofile)()
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var selected []string
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if slices.Contains(selectors, f.Name) {
+			selected = append(selected, "-"+f.Name)
+		}
+	})
+	if len(selected) > 1 {
+		log.Fatalf("%s: exactly one mode at a time", strings.Join(selected, ", "))
+	}
 
 	mode := noMode
 	switch {
+	case *recordTo != "" && spec.Clusters > 1:
+		mode = recordFleet
+	case *recordTo != "":
+		mode = recordRun
 	case *saveAvail != "":
 		mode = saveAvailability
 	case *saveWL != "":
@@ -159,23 +210,15 @@ func main() {
 	case runspec.Set(flag.CommandLine, runspec.Scenario|runspec.Availability):
 		mode = singleRun
 	}
-	switch spec.Backend {
-	case "sim":
-	case "cluster":
+	if spec.Backend == "cluster" {
 		m, ok := onCluster[mode]
 		if !ok {
 			log.Fatalf("-backend cluster: %s runs on the simulator only", modes[mode].Name)
 		}
 		mode = m
-	default:
-		log.Fatalf(`-backend %s: elasticsim runs on "sim" or "cluster" (a fleet is -clusters N)`, spec.Backend)
 	}
 	if err := runspec.Check(flag.CommandLine, modes, mode); err != nil {
 		log.Fatal(err)
-	}
-	if mode == noMode {
-		flag.Usage()
-		os.Exit(2)
 	}
 	if *seeds < 1 {
 		log.Fatalf("-seeds %d: a sweep averages over at least 1 workload", *seeds)
@@ -183,7 +226,7 @@ func main() {
 	if *ckpt < 0 {
 		log.Fatalf("-ckpt-period %d: want a checkpoint interval in iterations, or 0 to restart from scratch", *ckpt)
 	}
-	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload) {
+	if *jsonPath != "" && (mode == saveAvailability || mode == saveWorkload || *recordTo != "") {
 		log.Fatalf("-json: %s produces no metrics report", modes[mode].Name)
 	}
 	if err := errors.Join(runspec.TracePath("save-workload", *saveWL), runspec.TracePath("save-availability", *saveAvail)); err != nil {
@@ -195,6 +238,14 @@ func main() {
 	spec.Resolve()
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
+	}
+	if mode == noMode {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *recordTo != "" {
+		recordStream(spec, *recordTo)
+		return
 	}
 	params := runspec.Params(flag.CommandLine, modes[mode])
 	if spec.Backend != "sim" {
@@ -332,6 +383,19 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
+}
+
+// recordStream records the spec's run through the conformance harness, as
+// every matrix cell runs, and writes its stream to path.
+func recordStream(spec runspec.Spec, path string) {
+	st, err := conformance.RunSpec(spec).Execute()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := st.SaveFile(path); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("recorded %d decisions to %s\n", st.DecisionCount(), path)
 }
 
 // runFunc runs one workload under one policy, on a backend runner chose.

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"elastichpc/internal/conformance"
+	"elastichpc/internal/core"
 )
 
 // runAsMain makes the test binary stand in for the elasticsim binary: a child
@@ -30,8 +33,8 @@ func elasticsim(args ...string) (string, error) {
 }
 
 // TestJobsFlagRejectedWhereIgnored: -jobs sizes the gap and rescale sweeps'
-// workloads and nothing else. It used to be accepted and dropped everywhere
-// else — `-scenario burst -jobs 1000000` ran 16 jobs.
+// workloads and a recorded run's, and nothing else. It used to be accepted
+// and dropped everywhere else — `-scenario burst -jobs 1000000` ran 16 jobs.
 func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", "burst", "-jobs", "1000"},
@@ -42,7 +45,7 @@ func TestJobsFlagRejectedWhereIgnored(t *testing.T) {
 		out, err := elasticsim(args...)
 		if err == nil {
 			t.Errorf("elasticsim %s: accepted, want -jobs rejected", strings.Join(args, " "))
-		} else if !strings.Contains(out, "-jobs applies to -sweep gap|rescale only") {
+		} else if !strings.Contains(out, "-jobs applies to -sweep gap|rescale, -record, -record -clusters N, -record -backend cluster only") {
 			t.Errorf("elasticsim %s: failed without naming -jobs:\n%s", strings.Join(args, " "), out)
 		}
 	}
@@ -113,6 +116,45 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-scenario burst -save-workload x.json", "-save-workload x.json"},
 		{"-availability spot -save-availability cap.JSON", "-save-availability cap.JSON"},
 		{"-scenario burst extra -seed 3", `"extra"`},
+	})
+}
+
+// TestRecordFlagsRejectedWhereIgnored: the same rule on -record, whose rows
+// came from the conformance CLI when it recorded. The engine knobs are read
+// by the record modes only (`-matrix -policy moldable` ran every policy). A
+// run flag the recorded run has no setting for was recorded into the
+// stream's meta and dropped from the run: the emulation has no shards or
+// streaming, one cluster no fleet flag, and the emulation records no fleet.
+// So are -migrate-running with no rebalancer to heed it, a second mode, a
+// flag no mode has, a backend elasticsim does not run, and a negative value
+// that ran as the default; -record writes no report.
+func TestRecordFlagsRejectedWhereIgnored(t *testing.T) {
+	rejectedBeforeOutput(t, []rejection{
+		{"-table1 -policy moldable", "-policy"},
+		{"-scenario burst -streaming", "-streaming"},
+		{"-record x.json -clusters 3 -migrate-running", "-migrate-running"},
+		{"-record x.json -table1", "exactly one"},
+		// The reference scheduler is core's test oracle, not a mode.
+		{"-record x.json -full", "-full"},
+		{"-record x.json -backend cluster -streaming", "-streaming"},
+		{"-record x.json -backend cluster -shards 4", "-shards"},
+		{"-record x.json -backend sim -route least_loaded", "-route"},
+		{"-record x.json -backend sim -parallel 2", "-parallel"},
+		{"-record x.json -backend sim -skew 2", "-skew"},
+		{"-record x.json -backend sim -rebalance 300", "-rebalance"},
+		{"-record x.json -backend federation", "-backend federation"},
+		{"-record x.json -backend cluster -clusters 2", "-clusters 2"},
+		{"-record x.json -capacity -8", "-capacity"},
+		{"-record x.json -rescale-gap -5", "-rescale-gap"},
+		{"-record x.json -rescale-gap 1e300", "-rescale-gap"},
+		{"-record x.json -scenario uniform -jobs 3 -gap 1e308", "-gap"},
+		// The composites are fixed-size, and only burst has waves.
+		{"-record x.json -scenario head-heavy -jobs 5 -gap 3", "-gap"},
+		{"-record x.json -scenario uniform -waves 7", "-waves"},
+		// Execute would fill the explicit 0 from the defaults.
+		{"-record x.json -clusters 0", "-clusters"},
+		{"-record x.json -json r.json", "-json"},
+		{"-record x.json -seeds 3", "-seeds"},
 	})
 }
 
@@ -210,6 +252,14 @@ func TestGoldens(t *testing.T) {
 		"sweep-gap":          "-sweep gap -seeds 2 -jobs 8 -parallel 1",
 		"sweep-availability": "-sweep availability -seeds 1",
 		"xlarge-timeline":    "-xlarge-timeline",
+		// The README's walkthroughs: the scenario sweep, a saved trace
+		// replayed (testdata/wl.csv is the burst workload -save-workload
+		// writes), and one bursty workload routed across a skewed fleet.
+		"sweep-scenario":          "-sweep scenario -seeds 3",
+		"trace":                   "-trace testdata/wl.csv",
+		"fleet-skew-round-robin":  "-clusters 4 -skew 0.5 -scenario burst -route round_robin",
+		"fleet-skew-least-loaded": "-clusters 4 -skew 0.5 -scenario burst -route least_loaded",
+		"fleet-skew-priority":     "-clusters 4 -skew 0.5 -scenario burst -route priority",
 	})
 }
 
@@ -225,7 +275,25 @@ func TestClusterGoldens(t *testing.T) {
 		"clusters2":       "-clusters 2 -backend cluster",
 		"xlarge-timeline": "-xlarge-timeline -backend cluster",
 		"profiles-ascii":  "-profiles -ascii -backend cluster",
+		"trace":           "-trace testdata/wl.csv -backend cluster",
 	})
+}
+
+// TestSaveWorkloadWritesTheTrace: the README saves a workload and replays it;
+// -save-workload writes the burst scenario's seed-7 workload as
+// testdata/wl.csv, the trace the -trace goldens replay, byte for byte.
+func TestSaveWorkloadWritesTheTrace(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-scenario", "burst", "-save-workload", "wl.csv")
+	cmd.Env = append(os.Environ(), runAsMain+"=1")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil || string(out) != "wrote wl.csv\n" {
+		t.Fatalf("-save-workload wl.csv: %v\n%s", err, out)
+	}
+	if !bytes.Equal(read(t, filepath.Join(dir, "wl.csv")), read(t, filepath.Join("testdata", "wl.csv"))) {
+		t.Error("the saved workload differs from testdata/wl.csv")
+	}
 }
 
 // replayGoldens runs each case as a parallel subtest and compares its stdout
@@ -302,5 +370,80 @@ func TestClusterSweepAnyParallel(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Errorf("-parallel 2 printed\n%s\nwant the -parallel 1 output\n%s", outs[1], outs[0])
+	}
+}
+
+// record runs `elasticsim -record file args` in dir and returns its stdout.
+func record(t *testing.T, dir, file, args string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-record", file}, strings.Fields(args)...)...)
+	cmd.Env = append(os.Environ(), runAsMain+"=1")
+	cmd.Dir = dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("elasticsim -record %s %s: %v\n%s", file, args, err, stderr.String())
+	}
+	return out
+}
+
+// TestRecordGolden pins -record end to end on a fleet whose last member runs
+// the drain profile: stdout, which counts the members' decisions, and the
+// stream, the one conftest's replay golden re-runs. The workload is spelled
+// out because the default 16-job run ends before the profile's first drain
+// window. A change to how a spec becomes its inputs moves this stream and the
+// cluster-uniform-drain golden alike.
+func TestRecordGolden(t *testing.T) {
+	dir := t.TempDir()
+	out := record(t, dir, "stream.json", "-clusters 3 -rebalance 300 -availability drain -jobs 60 -gap 45 -seed 1")
+	if !bytes.Equal(out, read(t, filepath.Join("testdata", "golden", "record.stdout"))) {
+		t.Errorf("-record stdout differs from the golden:\n%s", out)
+	}
+	if !bytes.Equal(read(t, filepath.Join(dir, "stream.json")), read(t, filepath.Join("..", "conftest", "testdata", "golden", "stream.json"))) {
+		t.Error("recorded stream differs from ../conftest/testdata/golden/stream.json")
+	}
+}
+
+// read returns the file's bytes.
+func read(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRecordIsExecute: -record writes the stream the conformance harness
+// executes for the same run, spelled as a spec — elasticsim's defaults (seed
+// 7, the elastic policy, the log on) and its flags reach the run and its
+// meta. The rows are the runs the conformance CLI's tests record: a cluster
+// run with and without a rescale gap, seed 0 on both backends and a fleet,
+// and a sharded burst; then one with the log off.
+func TestRecordIsExecute(t *testing.T) {
+	dir := t.TempDir()
+	for args, spec := range map[string]conformance.RunSpec{
+		"-backend cluster -jobs 12":                 {Backend: "cluster", Jobs: 12, Seed: 7, Log: true},
+		"-backend cluster -jobs 12 -rescale-gap 30": {Backend: "cluster", Jobs: 12, Seed: 7, RescaleGap: 30, Log: true},
+		"-backend sim -jobs 12 -seed 0":             {Jobs: 12, Log: true},
+		"-backend cluster -jobs 12 -seed 0":         {Backend: "cluster", Jobs: 12, Log: true},
+		"-clusters 3 -jobs 12 -seed 0":              {Clusters: 3, Jobs: 12, Log: true},
+		"-scenario burst -policy elastic -shards 8": {Scenario: "burst", Shards: 8, Seed: 7, Log: true},
+		"-availability spot -policy moldable -log=false": {
+			Availability: "spot", Policy: core.Moldable, Seed: 7},
+	} {
+		record(t, dir, "got.json", args)
+		st, err := spec.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := st.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(read(t, filepath.Join(dir, "got.json")), want.Bytes()) {
+			t.Errorf("elasticsim -record got.json %s: not the stream of %+v", args, spec)
+		}
 	}
 }

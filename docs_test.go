@@ -1,14 +1,20 @@
 package elastichpc
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// docs are the documents that tell a reader what to run.
+var docs = []string{".github/workflows/ci.yml", "README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
 
 // TestDocsNameWhatExists: the workflow, the README, the architecture notes
 // and the verify skill may only name commands, examples and fuzz targets that
@@ -27,9 +33,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	cmdPath := regexp.MustCompile("(?:\\./|`)(cmd)/([a-z][a-z0-9-]*)")
 	examplePath := regexp.MustCompile(`\b(examples)/([a-z][a-z0-9-]*)`)
 	rootExport := regexp.MustCompile(`\b(?:elastichpc|hpc)\.[A-Z]\w*`)
-	for _, doc := range []string{
-		".github/workflows/ci.yml", "README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md",
-	} {
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -52,6 +56,80 @@ func TestDocsNameWhatExists(t *testing.T) {
 }
 
 var fuzzFlag = regexp.MustCompile(`-fuzz (Fuzz\w+)`)
+
+// spelledFlag is a command's name and the flag spelled right after it.
+var spelledFlag = regexp.MustCompile(`\b(conftest|elasticsim) -([A-Za-z][\w-]*)`)
+
+// helpFlag is a flag's line in a command's -h output.
+var helpFlag = regexp.MustCompile(`(?m)^  -([\w-]+)`)
+
+// commandFlags holds, by command, the flags its -h output lists.
+var commandFlags = sync.OnceValues(func() (map[string]map[string]bool, error) {
+	flags := map[string]map[string]bool{}
+	for _, name := range []string{"conftest", "elasticsim"} {
+		out, err := exec.Command("go", "run", "./cmd/"+name, "-h").CombinedOutput()
+		if err != nil {
+			return nil, fmt.Errorf("go run ./cmd/%s -h: %v\n%s", name, err, out)
+		}
+		flags[name] = map[string]bool{"h": true, "help": true}
+		for _, m := range helpFlag.FindAllSubmatch(out, -1) {
+			flags[name][string(m[1])] = true
+		}
+	}
+	return flags, nil
+})
+
+// undefinedFlags returns, in order, every "<command> -<flag>" the text
+// spells for a flag that command does not define.
+func undefinedFlags(text []byte, flags map[string]map[string]bool) []string {
+	var bad []string
+	for _, m := range spelledFlag.FindAllSubmatch(text, -1) {
+		if !flags[string(m[1])][string(m[2])] {
+			bad = append(bad, string(m[0]))
+		}
+	}
+	return bad
+}
+
+// TestDocsSpellFlagsThatExist: a document that runs conftest or elasticsim
+// spells, right after the command's name, a flag that command defines, as its
+// -h output lists them — so moving or deleting a flag fails here until the
+// documents follow.
+func TestDocsSpellFlagsThatExist(t *testing.T) {
+	flags, err := commandFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range undefinedFlags(text, flags) {
+			t.Errorf("%s spells `%s`: that command has no such flag", doc, s)
+		}
+	}
+}
+
+// TestDocsSpellFlagsThatExistFailsWhenItShould plants, in the README, a
+// recording made with conftest, which records no more, and an elasticsim
+// mode elasticsim does not have. It requires the guard to report both and
+// nothing else.
+func TestDocsSpellFlagsThatExistFailsWhenItShould(t *testing.T) {
+	flags, err := commandFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := append(readme, "\n    go run ./cmd/conftest -record -out stream.json\n    elasticsim -matrix\n"...)
+	want := []string{"conftest -record", "elasticsim -matrix"}
+	if got := undefinedFlags(planted, flags); !slices.Equal(got, want) {
+		t.Errorf("the planted README reports %q, want %q", got, want)
+	}
+}
 
 // fuzzTargets returns the fuzz functions the module's test files declare.
 func fuzzTargets() (map[string]bool, error) {

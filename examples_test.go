@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
-	"regexp"
 	"testing"
 )
 
 // reproducible are the examples that run on the virtual clock only, so two
-// runs print the same bytes — scenarios but for the wall time of its sweep,
-// the one "Nms" token any of the five prints, which the test masks. leanmd
-// and jacobi2d run the real runtime and print host timings.
-var reproducible = map[string]bool{
-	"quickstart": true, "federation": true, "faulttolerance": true, "priorityburst": true, "scenarios": true,
-}
+// runs print the same bytes. leanmd and jacobi2d run the real runtime and
+// print host timings.
+var reproducible = map[string]bool{"faulttolerance": true, "priorityburst": true}
 
 // TestExamplesRun: every program under examples/ builds against the packages
 // as they are, exits 0 and prints something — nothing else executes them —
@@ -23,7 +19,6 @@ func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every example; skipped under -short")
 	}
-	wallTime := regexp.MustCompile(`\d+(\.\d+)?ms`)
 	run := func(t *testing.T, name string) []byte {
 		var stderr bytes.Buffer
 		cmd := exec.Command("go", "run", "./examples/"+name)
@@ -35,7 +30,7 @@ func TestExamplesRun(t *testing.T) {
 		if len(bytes.TrimSpace(out)) == 0 {
 			t.Fatalf("go run ./examples/%s printed nothing", name)
 		}
-		return wallTime.ReplaceAll(out, []byte("Nms"))
+		return out
 	}
 	entries, err := os.ReadDir("examples")
 	if err != nil {

@@ -84,8 +84,8 @@ func TestEmulationBytesPerJob(t *testing.T) {
 		jobs             int
 		measured, atMost float64 // kB a job
 	}{
-		{32, 19.8, 21.1},
-		{1000, 16.3, 17.6},
+		{32, 19.7, 21.1},
+		{1000, 16.2, 17.6},
 	} {
 		t.Run(fmt.Sprintf("jobs=%d", row.jobs), func(t *testing.T) {
 			if row.jobs > 32 && testing.Short() {

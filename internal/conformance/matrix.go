@@ -42,7 +42,7 @@ type Failure struct {
 	Candidate string
 	// Report is the differ's formatted divergence window.
 	Report string
-	// Reproduce is the conftest -record command that re-runs the candidate.
+	// Reproduce is the elasticsim -record command that re-runs the candidate.
 	Reproduce string
 	// Ref and Got are the reference and diverging streams, each with the
 	// Meta that replays it.

@@ -34,7 +34,7 @@ func TestMatrixEquivalence(t *testing.T) {
 // TestMatrixCheckReportsPlantedMutation: the matrix's own comparison step
 // turns one mutated decision into a Failure that says where — the case, the
 // candidate and the decision index — keeps both streams for the artifacts,
-// and carries the conftest line that re-runs the candidate; an identical
+// and carries the elasticsim line that re-runs the candidate; an identical
 // candidate adds nothing.
 func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
 	spec := Cases(DefaultMatrixOptions())[0].Refs[0].Spec
@@ -61,7 +61,7 @@ func TestMatrixCheckReportsPlantedMutation(t *testing.T) {
 	if want := fmt.Sprintf("decisions[%d]", k); !strings.Contains(f.Report, want) {
 		t.Errorf("report does not name %s:\n%s", want, f.Report)
 	}
-	want := "conftest -record -backend sim -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1"
+	want := "elasticsim -record rerun.json -backend sim -gap 45 -jobs 60 -log -policy min_replicas -scenario uniform -seed 1 -shards 1"
 	if f.Reproduce != want {
 		t.Errorf("reproduce line:\n got %s\nwant %s", f.Reproduce, want)
 	}

@@ -14,16 +14,16 @@ import (
 )
 
 // RunSpec is a declarative, replayable description of one recordable run:
-// runspec.Spec read through conftest's vocabulary, the CLI groups and Engine.
-// A spec round-trips losslessly through a Stream's Meta map, so
-// `conftest -replay` can re-execute exactly the run a recorded artifact came
-// from, and it becomes its inputs the way every elasticsim run does: unset
-// knobs from runspec.Default, then the spec's Generator and Profile through
-// sim.Inputs.
+// runspec.Spec read through the vocabulary of elasticsim -record, the CLI
+// groups and Engine. A spec round-trips losslessly through a Stream's Meta
+// map, so `conftest -replay` can re-execute exactly the run a recorded
+// artifact came from, and it becomes its inputs the way every elasticsim run
+// does: unset knobs from runspec.Default, then the spec's Generator and
+// Profile through sim.Inputs.
 type RunSpec runspec.Spec
 
-// vocabulary is the flag groups a spec reads: conftest's spec flags and a
-// stream's Meta keys.
+// vocabulary is the flag groups a spec reads: elasticsim -record's run flags
+// and a stream's Meta keys.
 const vocabulary = runspec.CLI | runspec.Engine
 
 // Meta encodes the spec as a stream Meta map: its set knobs, the fleet's
@@ -43,9 +43,10 @@ func SpecFromMeta(meta map[string]string) (RunSpec, error) {
 	return RunSpec(s), err
 }
 
-// recordCommand is the conftest command line that re-runs the run a stream's
-// Meta describes: every knob as its flag, and -log=false when the run kept no
-// log (-record keeps one by default). Empty for a stream with no Meta.
+// recordCommand is the elasticsim command line that re-runs the run a
+// stream's Meta describes into rerun.json: every knob as its flag, and
+// -log=false when the run kept no log (-record keeps one by default). Empty
+// for a stream with no Meta.
 func recordCommand(meta map[string]string) string {
 	if len(meta) == 0 {
 		return ""
@@ -55,7 +56,7 @@ func recordCommand(meta map[string]string) string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	line := "conftest -record"
+	line := "elasticsim -record rerun.json"
 	for _, k := range keys {
 		line += " -" + strings.ReplaceAll(k, "_", "-")
 		if v := meta[k]; v != "true" {
@@ -102,8 +103,6 @@ func (s RunSpec) execute(recordSim func(sim.Config, workload.Workload) (*Stream,
 		return nil, fmt.Errorf("conformance: -clusters %d: a fleet records simulator members only, not -backend cluster", r.Clusters)
 	case r.Backend == "cluster":
 		st, err = s.executeCluster(gen, profile)
-	case r.Backend != "sim":
-		return nil, fmt.Errorf("conformance: -backend %s: sim | cluster (a fleet is -clusters N)", r.Backend)
 	case r.Clusters > 1:
 		st, err = s.executeFleet(gen, profile)
 	default:
@@ -137,7 +136,7 @@ func (s RunSpec) simConfig() sim.Config {
 }
 
 // executeCluster runs the emulation. It reads the engine knobs it has a
-// setting for; conftest rejects the others on this backend.
+// setting for; elasticsim -record rejects the others on this backend.
 func (s RunSpec) executeCluster(gen workload.Generator, profile workload.AvailabilityProfile) (*Stream, error) {
 	cfg := cluster.DefaultConfig(s.Policy)
 	if s.Capacity > 0 {

@@ -49,7 +49,7 @@ func TestSpecFromMetaRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestSeedZeroIsASeed: a spec's seed 0 runs seed 0, records it in the
-// stream's Meta and in the conftest line that re-runs the stream. Resolving
+// stream's Meta and in the elasticsim line that re-runs the stream. Resolving
 // the unset knobs from the defaults used to turn it into seed 1, and Meta
 // dropped it.
 func TestSeedZeroIsASeed(t *testing.T) {

@@ -20,8 +20,9 @@
 // sequential, stepped vs batch, logged vs unlogged, rebalanced fleets
 // sequential vs parallel vs repeated, cluster-emulation repeat determinism —
 // through this one
-// package, and cmd/conftest records, replays, and diffs streams from the
-// command line so a failing CI case reproduces locally from an artifact.
+// package; elasticsim -record records a stream from the command line, and
+// cmd/conftest replays and diffs streams so a failing CI case reproduces
+// locally from an artifact.
 package conformance
 
 import (
@@ -71,6 +72,15 @@ type Stream struct {
 	// Members holds one sub-stream per federation member, in member order.
 	// Members never nest further.
 	Members []*Stream `json:"members,omitempty"`
+}
+
+// DecisionCount counts the stream's decisions: its own and its members'.
+func (s *Stream) DecisionCount() int {
+	n := len(s.Decisions)
+	for _, m := range s.Members {
+		n += len(m.Decisions)
+	}
+	return n
 }
 
 // Decision is the scheduler's own decision record: core.Decision's JSON tags

@@ -13,14 +13,19 @@ type Kubelet struct {
 	// but the emulation pays it, as the real EKS runs did.
 	startupDelay time.Duration
 	// startKind's timers, one a bound pod, carry its handle; bound holds by
-	// handle the seq of the latest and the resource version it saw bound.
+	// handle the seq of the latest and the resource version it saw bound,
+	// in chunks that never move, as the store keeps its entries: a table
+	// grown by append would leave each outgrown array as garbage.
 	startKind TimerKind
-	bound     []boundPod
+	bound     []*[boundChunk]boundPod
 	// Started counts pods this kubelet transitioned to Running.
 	Started int
 }
 
 type boundPod struct{ seq, version int64 }
+
+// boundChunk is how many bound-table slots one allocation holds: 4 KiB.
+const boundChunk = 256
 
 // NewKubelet creates the kubelet and subscribes it to pod events.
 func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kubelet {
@@ -32,10 +37,10 @@ func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kube
 		}
 		pod := ev.Object.(*Pod)
 		if pod.Spec.NodeName != "" && pod.Status.Phase == PodPending {
-			if n := int(pod.handle) + 1 - len(k.bound); n > 0 {
-				k.bound = append(k.bound, make([]boundPod, n)...)
+			for int(pod.handle) >= len(k.bound)*boundChunk {
+				k.bound = append(k.bound, new([boundChunk]boundPod))
 			}
-			k.bound[pod.handle] = boundPod{loop.Arm(k.startupDelay, k.startKind, int32(pod.handle)), pod.ResourceVersion}
+			*k.at(pod.handle) = boundPod{loop.Arm(k.startupDelay, k.startKind, int32(pod.handle)), pod.ResourceVersion}
 		}
 	})
 	return k
@@ -49,11 +54,16 @@ func NewKubelet(loop *EventLoop, store *Store, startupDelay time.Duration) *Kube
 // under its name, another key — only the pod as it was seen carries that
 // version.
 func (k *Kubelet) start(h int32, seq int64) {
-	seen, now := k.bound[h], k.store.pod(Handle(h))
+	seen, now := *k.at(Handle(h)), k.store.pod(Handle(h))
 	if seen.seq == seq && now != nil && now.ResourceVersion == seen.version {
 		_ = k.store.SetPodStatus(Handle(h), PodStatus{Phase: PodRunning}) // the pod was just seen
 		k.Started++
 	}
+}
+
+// at is the bound-table slot of h, which must be in the table.
+func (k *Kubelet) at(h Handle) *boundPod {
+	return &k.bound[uint32(h)/boundChunk][uint32(h)%boundChunk]
 }
 
 // FailPodsOnNode marks every non-terminal pod bound to the node as Failed,

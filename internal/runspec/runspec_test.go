@@ -124,6 +124,7 @@ func TestValidateDependencies(t *testing.T) {
 		"-trace x.json":       {Clusters: 1, Trace: "x.json"},
 		"-trace wl":           {Clusters: 1, Trace: "wl"},
 		"trace cap.JSON":      {Clusters: 1, AvailabilityTrace: "cap.JSON"}, // -availability-trace
+		"-backend federation": {Clusters: 3, Backend: "federation"},
 	} {
 		s.Resolve()
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), names) {
@@ -132,8 +133,8 @@ func TestValidateDependencies(t *testing.T) {
 	}
 	ok := Spec{Clusters: 1, Jobs: Default().Jobs, AvailabilityTrace: "cap.CSV", Trace: "wl.csv"}
 	ok.Resolve()
-	if err := ok.Validate(); err != nil || ok.Scenario != "trace" || ok.Availability != "trace" {
-		t.Errorf("trace paths imply their names: %+v (%v)", ok, err)
+	if err := ok.Validate(); err != nil || ok.Scenario != "trace" || ok.Availability != "trace" || ok.Backend != "sim" {
+		t.Errorf("trace paths imply their names, and no backend the simulator: %+v (%v)", ok, err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package runspec is the one description of a run: which workload, which
-// capacity profile, which engine settings and which fleet. Every CLI binds the
-// flag groups it has from one field table (Bind) — elasticsim the CLI groups,
-// conftest those and Engine — and resolves what is unset from one default
-// (Default). The conformance harness round-trips the same struct through a
-// stream's Meta, and every run, on either backend and in either CLI, derives
+// capacity profile, which engine settings and which fleet. A CLI binds the
+// flag groups it has from one field table (Bind) — elasticsim binds every
+// group, Engine read by its -record modes only — and resolves what is unset
+// from one default (Default). The conformance harness round-trips the same
+// struct through a stream's Meta, and every run, on either backend, derives
 // its workload and capacity trace from the Generator and Profile the spec
 // selects the same way (sim.Inputs) — which is what makes "Actual" beside
 // "Simulation" a comparison, and a recorded stream a run elasticsim makes. A
@@ -67,8 +67,8 @@ type Group uint16
 
 // The flag groups. A CLI binds the ones it has and each of its modes lists
 // the ones it reads. Each flag belongs to exactly one group. Engine holds the
-// knobs only the conformance harness varies; CLI|Engine is its vocabulary —
-// conftest's spec flags and a stream's Meta keys.
+// knobs only a recording varies; CLI|Engine is the conformance harness's
+// vocabulary — elasticsim -record's run flags and a stream's Meta keys.
 const (
 	Scenario     Group = 1 << iota // -scenario -trace
 	Seed                           // -seed
@@ -82,7 +82,8 @@ const (
 	Backend                        // -backend
 	Engine                         // -gap -waves -policy -capacity -rescale-gap -streaming -log
 
-	// CLI is every group but Engine: what elasticsim binds.
+	// CLI is every group but Engine: what elasticsim's modes other than
+	// -record read.
 	CLI = Scenario | Seed | Jobs | Availability | Shards | Fleet | Skew | Rebalance | Parallel | Backend
 )
 
@@ -160,9 +161,13 @@ func (n named[T]) Set(v string) error {
 	return err
 }
 
-// Resolve fills in what the spec implies: no scenario is the paper's
-// uniform one, and a trace path names the trace scenario or profile.
+// Resolve fills in what the spec implies: no backend is the simulator, no
+// scenario is the paper's uniform one, and a trace path names the trace
+// scenario or profile.
 func (s *Spec) Resolve() {
+	if s.Backend == "" {
+		s.Backend = "sim"
+	}
 	if s.Scenario == "" {
 		s.Scenario = "uniform"
 		if s.Trace != "" {
@@ -177,8 +182,8 @@ func (s *Spec) Resolve() {
 // Validate checks the dependencies between the spec's values — a knob that
 // tunes something the spec did not select would be parsed and dropped, as
 // would a size given to a scenario that has its own (a trace, a composite:
-// any -gap or -waves, or -jobs other than the default) — and rejects an
-// unknown scenario, a trace path TracePath rejects, a negative or NaN count,
+// any -gap or -waves, or -jobs other than the default) — and rejects a
+// backend other than sim or cluster, an unknown scenario, a trace path TracePath rejects, a negative or NaN count,
 // gap or rate that would read as its default, a gap past model.MaxSeconds, a
 // skew no member capacity can be computed from, and a rebalance period that
 // is negative, NaN or infinite.
@@ -199,6 +204,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	switch {
+	case s.Backend != "sim" && s.Backend != "cluster":
+		return fmt.Errorf("-backend %s: want sim or cluster (a fleet is -clusters N)", s.Backend)
 	case s.Trace != "" && s.Scenario != "trace":
 		return fmt.Errorf("-trace needs -scenario trace, not %s", s.Scenario)
 	case s.AvailabilityTrace != "" && s.Availability != "trace":
