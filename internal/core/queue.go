@@ -99,16 +99,16 @@ func (q *jobQueue) push(j *Job) {
 }
 
 // best returns the index of the bucket whose head schedules first among the
-// non-empty buckets needing at most limit slots — skipping dead buckets when
-// live is set — or -1 when there is none.
-func (q *jobQueue) best(limit int, live bool) int {
+// non-empty buckets needing at most limit slots, or -1 when there is none:
+// the next job redistribute could start with limit free slots.
+func (q *jobQueue) best(limit int) int {
 	best := -1
 	for i := range q.buckets {
 		b := &q.buckets[i]
 		if b.need > limit {
 			break
 		}
-		if len(b.jobs) == 0 || live && b.dead {
+		if len(b.jobs) == 0 {
 			continue
 		}
 		if best < 0 || q.s.before(b.jobs[0], q.buckets[best].jobs[0]) {

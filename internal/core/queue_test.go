@@ -83,7 +83,7 @@ func TestJobQueueMatchesSortedReference(t *testing.T) {
 				limit = rng.Intn(20)
 			}
 			var got *Job
-			if bi := q.best(limit, false); bi >= 0 {
+			if bi := q.best(limit); bi >= 0 {
 				got = q.head(bi)
 			}
 			if want := refBest(limit); got != want {
@@ -104,7 +104,7 @@ func TestJobQueueMatchesSortedReference(t *testing.T) {
 					limit = 4 + rng.Intn(16)
 				}
 				want := refBest(limit)
-				bi := q.best(limit, false)
+				bi := q.best(limit)
 				if want == nil {
 					if bi >= 0 {
 						t.Fatalf("seed %d: best(%d) found %s, reference nothing", seed, limit, q.head(bi).ID)

@@ -155,6 +155,19 @@ type Scheduler struct {
 	runScratch     []*Job
 	refusedScratch []*Job
 	needScratch    []int
+	// prices is placeWaiting's price table. It starts in pricesBuf, whose
+	// eight steps outnumber the priorities the generators draw (five), so a
+	// scheduler prices its passes without allocating.
+	prices    []priceStep
+	pricesBuf [8]priceStep
+}
+
+// priceStep is one step of placeWaiting's price table: freeable is what
+// placeable's walk counts for a waiting job whose priority is at least prio
+// and below the next step's.
+type priceStep struct {
+	prio     float64
+	freeable int
 }
 
 // NewScheduler creates a scheduler over an empty cluster with the given
@@ -172,6 +185,7 @@ func NewScheduler(cfg Config, act Actuator, now func() time.Time) (*Scheduler, e
 	}
 	s := &Scheduler{cfg: cfg, act: act, now: now, free: cfg.Capacity, gapNs: int64(cfg.RescaleGap)}
 	s.queue.s = s
+	s.prices = s.pricesBuf[:0]
 	return s, nil
 }
 
@@ -553,15 +567,22 @@ func (s *Scheduler) Reschedule() {
 
 // placeWaiting is the drain loop restricted to the jobs it would not merely
 // re-enqueue. Write B(p) = free + F(p) for the budget of a waiting job of
-// priority p, F(p) being what placeable's walk counts; a job acts in submit
-// iff B(prio) ≥ need. F is monotone in p, so when a bucket's head fails the
-// test every job behind it (same need, no higher priority) fails it too. And
-// B never grows while every job the pass touches starts: a start that needed
+// priority p, F(p) being what placeable's walk counts: the slots shrinking
+// every gap-OK running job of priority ≤ p to its minimum would free (the
+// walk's early stop never changes its verdict). A job acts in submit iff
+// B(prio) ≥ need. F is monotone in p, so when a bucket's head fails the test
+// every job behind it (same need, no higher priority) fails it too. And B
+// never grows while every job the pass touches starts: a start that needed
 // shrinks takes all of free, a start that did not takes its allocation, and a
-// job started with a zero rescale gap adds to F less than it took. So a
-// bucket whose head fails is dead for the rest of the pass, and the drain
-// loop's submissions that do anything are exactly: best head among the live
-// buckets, while one is placeable.
+// job started with a zero rescale gap adds to F less than it took. So a head
+// that fails fails after every later start of the pass, its bucket is dead
+// for the rest of it, and the drain loop's submissions that do anything are
+// exactly: the best passing head among the live buckets, while there is one.
+//
+// Each start is found by one walk of the running set, which prices F as a
+// step function (priceHeads), and one sweep of the buckets in need order,
+// which tests a head only if it would beat the best passing head found so
+// far.
 //
 // A popped job that does not end up running (the actuator refused its start
 // or a shrink it needed) may have left shrunk jobs behind, so B grew; the
@@ -569,14 +590,28 @@ func (s *Scheduler) Reschedule() {
 func (s *Scheduler) placeWaiting() {
 	s.queue.revive()
 	for {
-		bi := s.queue.best(s.free+s.maxFreeable(), true)
+		s.priceHeads()
+		limit := s.free
+		if n := len(s.prices); n > 0 {
+			limit += s.prices[n-1].freeable
+		}
+		bi := -1
+		for i := range s.queue.buckets {
+			b := &s.queue.buckets[i]
+			if b.need > limit {
+				break
+			}
+			if len(b.jobs) == 0 || b.dead || bi >= 0 && !s.before(b.jobs[0], s.queue.head(bi)) {
+				continue
+			}
+			if s.free+s.freeableAt(b.jobs[0].prio) < b.need {
+				b.dead = true
+				continue
+			}
+			bi = i
+		}
 		if bi < 0 {
 			return
-		}
-		b := &s.queue.buckets[bi]
-		if !s.placeable(b.jobs[0], b.need) {
-			b.dead = true
-			continue
 		}
 		j := s.queue.pop(bi)
 		s.submit(j)
@@ -585,6 +620,41 @@ func (s *Scheduler) placeWaiting() {
 			return
 		}
 	}
+}
+
+// priceHeads fills the price table from one walk of the running set, lowest
+// priority upward: one step for each distinct priority among the gap-OK
+// running jobs above their minimum, holding F at that priority.
+func (s *Scheduler) priceHeads() {
+	steps := s.prices[:0]
+	freeable := 0
+	for i := len(s.running) - 1; i >= 0; i-- {
+		j := s.running[i]
+		jmin, _ := s.bounds(j)
+		if j.Replicas <= jmin || !s.gapOK(j) {
+			continue
+		}
+		freeable += j.Replicas - jmin
+		if n := len(steps); n > 0 && steps[n-1].prio == j.prio {
+			steps[n-1].freeable = freeable
+		} else {
+			steps = append(steps, priceStep{prio: j.prio, freeable: freeable})
+		}
+	}
+	s.prices = steps
+}
+
+// freeableAt looks F(prio) up in the price table: what placeable's walk counts
+// for a waiting job of priority prio.
+func (s *Scheduler) freeableAt(prio float64) int {
+	freeable := 0
+	for _, step := range s.prices {
+		if step.prio > prio {
+			break
+		}
+		freeable = step.freeable
+	}
+	return freeable
 }
 
 // drainResubmit is the plain scheduling loop: drain the wait queue in
@@ -703,7 +773,7 @@ func (s *Scheduler) redistribute() {
 	bi, stale := -1, true
 	for s.free > 0 {
 		if stale {
-			bi, stale = s.queue.best(s.free, false), false
+			bi, stale = s.queue.best(s.free), false
 		}
 		if bi < 0 && ri >= len(run) {
 			break

@@ -24,19 +24,44 @@ const (
 	XLarge
 )
 
+// The class names used in traces and reports: String writes them and
+// ClassByName reads them.
+const (
+	smallName  = "small"
+	mediumName = "medium"
+	largeName  = "large"
+	xlargeName = "xlarge"
+)
+
 // String returns the class name used in traces and reports.
 func (c Class) String() string {
 	switch c {
 	case Small:
-		return "small"
+		return smallName
 	case Medium:
-		return "medium"
+		return mediumName
 	case Large:
-		return "large"
+		return largeName
 	case XLarge:
-		return "xlarge"
+		return xlargeName
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
+}
+
+// ClassByName returns the class String names name. It compares name with
+// constants, which a trace decoder does once a row.
+func ClassByName(name string) (Class, bool) {
+	switch name {
+	case smallName:
+		return Small, true
+	case mediumName:
+		return Medium, true
+	case largeName:
+		return Large, true
+	case xlargeName:
+		return XLarge, true
+	}
+	return 0, false
 }
 
 // AllClasses lists the job classes in increasing size order.

@@ -30,6 +30,17 @@ func TestSpecsMatchPaper(t *testing.T) {
 			t.Errorf("Class(%d) has empty name", c)
 		}
 	}
+	// ClassByName reads back every name String writes, and nothing else.
+	for _, c := range AllClasses() {
+		if got, ok := ClassByName(c.String()); !ok || got != c {
+			t.Errorf("ClassByName(%q) = %v, %v", c.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "Small", "small ", "Class(9)", Class(9).String()} {
+		if got, ok := ClassByName(name); ok {
+			t.Errorf("ClassByName(%q) = %v, want none", name, got)
+		}
+	}
 }
 
 func TestIterTimeDecreasesWithReplicas(t *testing.T) {

@@ -54,13 +54,17 @@ func saveCSV(w io.Writer, workload Workload) error {
 
 // loadCSV decodes a CSV trace held in one string, validating it through
 // jobList. A job's ID is a substring of doc, so the decoder allocates nothing
-// per row.
+// per row. A row's submit_at is parsed only when its text differs from the
+// row before's: a burst's jobs share one submit time, which its saver
+// formats once, so a burst-shaped trace parses one time per wave.
 func loadCSV(doc string) (Workload, error) {
 	rows, err := csvBody(doc, "csv", csvHeader)
 	if err != nil {
 		return Workload{}, err
 	}
 	jobs := make(jobList, 0, strings.Count(doc, "\n"))
+	var atText string // the submit_at text at holds
+	var at float64
 	for row := 1; ; row++ {
 		ok, err := rows.next()
 		if err != nil {
@@ -74,9 +78,11 @@ func loadCSV(doc string) (Workload, error) {
 		if err != nil {
 			return Workload{}, fmt.Errorf("workload: csv row %d priority: %w", row, err)
 		}
-		at, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", row, err)
+		if row == 1 || rec[3] != atText {
+			if at, err = strconv.ParseFloat(rec[3], 64); err != nil {
+				return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", row, err)
+			}
+			atText = rec[3]
 		}
 		if err := jobs.add(rec[0], rec[1], prio, at); err != nil {
 			return Workload{}, err

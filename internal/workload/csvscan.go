@@ -16,6 +16,12 @@ import (
 // error. A "\r\n" line ending reads as "\n" (inside a quoted field too), a
 // '\r' that ends the input is dropped, and blank lines are skipped.
 //
+// A row is read in one of two ways. A line that holds no '"' — every row of
+// a generated trace — is cut at its first '\n' and split at its commas: each
+// field loses its leading space and the last one a trailing '\r'. A line
+// with a '"' in it is read field by field, the only path that reads a quoted
+// field, which may run on past the line.
+//
 // An unquoted field, and a quoted one with nothing to unescape, is a
 // substring of the document, so it costs no allocation; a quoted field with a
 // `""` or a "\r\n" in it is unescaped into one reused buffer and copied out
@@ -46,14 +52,30 @@ func (s *csvScanner) next() (bool, error) {
 	}
 	start := s.line
 	s.row = s.row[:0]
-	for more := true; more; {
-		var field string
-		var err error
-		field, more, err = s.field()
-		if err != nil {
-			return false, fmt.Errorf("line %d: %w", s.line, err)
+	if line, rest, found := strings.Cut(s.rest, "\n"); strings.IndexByte(line, '"') < 0 {
+		for {
+			comma := strings.IndexByte(line, ',')
+			if comma < 0 {
+				break
+			}
+			s.row = append(s.row, line[leadingSpace(line):comma])
+			line = line[comma+1:]
 		}
-		s.row = append(s.row, field)
+		s.row = append(s.row, strings.TrimSuffix(line[leadingSpace(line):], "\r"))
+		s.rest = rest
+		if found {
+			s.line++
+		}
+	} else {
+		for more := true; more; {
+			var field string
+			var err error
+			field, more, err = s.field()
+			if err != nil {
+				return false, fmt.Errorf("line %d: %w", s.line, err)
+			}
+			s.row = append(s.row, field)
+		}
 	}
 	if s.fields != 0 && len(s.row) != s.fields {
 		return false, fmt.Errorf("line %d: %d fields, want %d", start, len(s.row), s.fields)
@@ -61,29 +83,37 @@ func (s *csvScanner) next() (bool, error) {
 	return true, nil
 }
 
+// leadingSpace returns the length of text's leading run of Unicode space,
+// '\n' aside: the bytes a field's value starts after.
+func leadingSpace(text string) int {
+	i := 0
+	for i < len(text) {
+		c := text[i]
+		if c < utf8.RuneSelf {
+			if c != ' ' && c != '\t' && c != '\r' && c != '\v' && c != '\f' {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(text[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	return i
+}
+
 // field scans one field and the separator after it; more reports that a
 // ',' followed it, not the end of its row.
 func (s *csvScanner) field() (field string, more bool, err error) {
 	rest := s.rest
-	i := 0
-	for i < len(rest) { // trim leading space, which may end the row
-		c := rest[i]
-		if c == '\n' {
-			s.rest = rest[i+1:]
-			s.line++
-			return "", false, nil
-		}
-		size := 1
-		if c >= utf8.RuneSelf {
-			var r rune
-			r, size = utf8.DecodeRuneInString(rest[i:])
-			if !unicode.IsSpace(r) {
-				break
-			}
-		} else if c != ' ' && c != '\t' && c != '\r' && c != '\v' && c != '\f' {
-			break
-		}
-		i += size
+	i := leadingSpace(rest)
+	if i < len(rest) && rest[i] == '\n' { // the row ends in space
+		s.rest = rest[i+1:]
+		s.line++
+		return "", false, nil
 	}
 	if i < len(rest) && rest[i] == '"' {
 		return s.quoted(rest, i+1)

@@ -11,10 +11,8 @@ import (
 )
 
 func classByName(name string) (model.Class, error) {
-	for _, c := range model.AllClasses() {
-		if c.String() == name {
-			return c, nil
-		}
+	if c, ok := model.ClassByName(name); ok {
+		return c, nil
 	}
 	return 0, fmt.Errorf("workload: unknown job class %q", name)
 }

@@ -255,6 +255,17 @@ var scannerJobDocs = []string{
 	"id,class,priority,submit_at\na,small,1,0,\n",                                  // a long row
 	"id,class,priority,submit_at\na,small,1,0\nb,small,1,5",                        // a last row with no newline
 	" \r\n", // a row of one empty field
+	// Quote-free rows, which are split at their commas: Unicode space before
+	// a field, a '\r' inside a field, space ending the input, rows around a
+	// quoted field that spans lines, and a last row ending in '\r'.
+	"id,class,priority,submit_at\n\u00a0a,\u0085small,\v1,\u00a0\v0\n\vb,\u00a0small,1,\u00851\n",
+	"id,class,priority,submit_at\na\rb,small,1,0\nc\r,small,1,0\n",
+	"id,class,priority,submit_at\na,small,1, \r",
+	"id,class,priority,submit_at\na,small,1,0\n\"b\nc\",small,1,0\r\nd,large,2,5\n",
+	"id,class,priority,submit_at\na,small,1,0\r\nb,small,1,5\r",
+	// One submit instant written three ways, and a bad one on two rows.
+	"id,class,priority,submit_at\na,small,1,1e3\nb,small,1,1000\nc,small,1,1e3\nd,small,1,7\n",
+	"id,class,priority,submit_at\na,small,1,0\nb,small,1,0x\nc,small,1,0x\n",
 }
 
 var scannerAvailabilityDocs = []string{
@@ -285,6 +296,14 @@ func TestLoadCSVMatchesReference(t *testing.T) {
 	}, scannerJobDocs...) {
 		w, err := loadCSVReader(strings.NewReader(doc))
 		requireSameVerdict(t, []byte(doc), w, err, loadCSVReference)
+	}
+	// A repeated submit_at text is parsed once, yet a bad one must still be
+	// reported at the first row that holds it.
+	doc := scannerJobDocs[len(scannerJobDocs)-1]
+	_, err := loadCSV(doc)
+	_, refErr := loadCSVReference(strings.NewReader(doc))
+	if err == nil || refErr == nil || err.Error() != refErr.Error() {
+		t.Errorf("decoder error %v, want %v", err, refErr)
 	}
 	for _, doc := range append([]string{
 		"", "at\n", "AT, capacity\n0,4\n", "at,capacity\n", "at,capacity\nx,4\n", "at,capacity\n0,x\n",
@@ -468,6 +487,30 @@ func TestSaversReplaceOnlyRegularFiles(t *testing.T) {
 			}
 			if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
 				t.Errorf("the FIFO was replaced: %v, %v", fi, err)
+			}
+		})
+	}
+}
+
+// BenchmarkLoadFile is the decoder's row: an 80 k-row burst trace, whose
+// 200-job waves share one submit_at text, and a 12 k-row Poisson trace, whose
+// rows all differ, each read from its file and validated.
+func BenchmarkLoadFile(b *testing.B) {
+	for _, g := range []Generator{Burst{Waves: 400, PerWave: 200, WaveGap: 29000}, Poisson{Jobs: 12000, MeanGap: 170}} {
+		w, err := g.Generate(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), g.Name()+".csv")
+		if err := SaveFile(path, w, ""); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s_%dk", g.Name(), len(w.Jobs)/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadFile(path); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
