@@ -250,6 +250,8 @@ func TestGoldens(t *testing.T) {
 		"trace-avail":        "-trace testdata/wl.csv -json $JSON -availability-trace testdata/cap.csv",
 		"fleet-rebalance":    "-clusters 3 -route least_loaded -rebalance 300",
 		"sweep-gap":          "-sweep gap -seeds 2 -jobs 8 -parallel 1",
+		"sweep-rescale":      "-sweep rescale -seeds 2 -jobs 8 -parallel 1",
+		"sweep-federation":   "-sweep federation -seeds 1",
 		"sweep-availability": "-sweep availability -seeds 1",
 		"xlarge-timeline":    "-xlarge-timeline",
 		// The README's walkthroughs: the scenario sweep, a saved trace
