@@ -306,11 +306,11 @@ func main() {
 				gens = append(gens, gen)
 			}
 		}
-		results, err := sim.ScenarioSweep(gens, *seeds, 180, spec.Parallel)
+		pts, err := sim.ScenarioSweep(gens, *seeds, 180, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sw := metrics.FromScenarios(results)
+		sw := metrics.FromSweep("scenario", "scenario index", pts)
 		metrics.WriteCSV(os.Stdout, "scenario", sw, metrics.PaperColumns)
 		swept = &sw
 	case sweepAvailability:
@@ -318,12 +318,11 @@ func main() {
 		if profile != nil {
 			profiles = []workload.AvailabilityProfile{profile}
 		}
-		results, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, spec.Parallel)
+		pts, err := sim.AvailabilitySweep(profiles, gen, *seeds, 180, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sw := metrics.FromScenarios(results)
-		sw.Name = "availability"
+		sw := metrics.FromSweep("availability", "scenario index", pts)
 		metrics.WriteCSV(os.Stdout, "availability", sw, []string{"utilization", "goodput", "total_time_s",
 			"weighted_response_s", "weighted_completion_s", "shrinks", "requeues", "work_lost_s"})
 		swept = &sw
@@ -334,12 +333,11 @@ func main() {
 			delete(params, "route")
 			routes = federation.AllRoutes()
 		}
-		results, err := federation.Sweep(routes, gen, spec.Clusters, *seeds, 180, spec.Skew, spec.Parallel)
+		pts, err := federation.Sweep(routes, gen, spec.Clusters, *seeds, 180, spec.Skew, spec.Parallel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sw := metrics.FromScenarios(results)
-		sw.Name, sw.X = "federation", "route index"
+		sw := metrics.FromSweep("federation", "route index", pts)
 		metrics.WriteCSV(os.Stdout, "route", sw, []string{"utilization", "imbalance", "total_time_s",
 			"weighted_response_s", "weighted_completion_s"})
 		swept = &sw
@@ -436,36 +434,33 @@ func runPolicies(run runFunc, w workload.Workload, avail workload.AvailabilityTr
 
 // sweepGaps runs the Figure 7 (gap) or Figure 8 (rescale) sweep and prints
 // its CSV. Figure 7 varies the submission gap at T_rescale_gap = 180 s;
-// Figure 8 varies T_rescale_gap at a 180 s submission gap. The cluster
-// backend runs the same grid through the emulation, cell by cell on the
-// -parallel pool.
+// Figure 8 varies T_rescale_gap at a 180 s submission gap. Every cell runs
+// the seed's uniform workload on the spec's backend, on the -parallel pool;
+// cells that share a pool of more than one worker do not also shard their
+// own run.
 func sweepGaps(which string, spec runspec.Spec, seeds int) metrics.Sweep {
 	xName, xs := "submission_gap", []float64{0, 30, 60, 90, 120, 150, 180, 210, 240, 270, 300}
 	if which == "rescale" {
 		xName, xs = "rescale_gap", []float64{0, 60, 120, 180, 300, 450, 600, 900, 1200}
 	}
-	var points []sim.SweepPoint
-	var err error
-	switch {
-	case spec.Backend == "cluster":
-		points, err = sim.SweepGrid(xs, seeds, spec.Parallel, func(x float64, p core.Policy, seed int64) (sim.Result, error) {
-			gap, rescaleGap := x, 180.0
-			if which == "rescale" {
-				gap, rescaleGap = 180, x
-			}
-			w, err := workload.Uniform{Jobs: spec.Jobs, Gap: gap}.Generate(seed)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return runner(spec.Backend, rescaleGap, 0, 0)(p, w, workload.AvailabilityTrace{})
-		}, (*sim.AverageResult).Accumulate)
-	case which == "rescale":
-		points, err = sim.RescaleGapSweep(xs, spec.Jobs, seeds, 180, spec.Parallel)
-	default:
-		points, err = sim.SubmissionGapSweep(xs, spec.Jobs, seeds, 180, spec.Parallel)
+	shards := 0
+	if spec.Parallel != 1 {
+		shards = 1
 	}
+	points, err := sim.SweepGrid(xs, seeds, spec.Parallel, func(x float64, p core.Policy, seed int64) (sim.Metrics, error) {
+		gap, rescaleGap := x, 180.0
+		if which == "rescale" {
+			gap, rescaleGap = 180, x
+		}
+		w, err := workload.Uniform{Jobs: spec.Jobs, Gap: gap}.Generate(seed)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		res, err := runner(spec.Backend, rescaleGap, shards, 0)(p, w, workload.AvailabilityTrace{})
+		return res.Metrics, err
+	}, (*sim.AverageResult).Accumulate)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("-sweep %s: %v", which, err)
 	}
 	sw := metrics.FromSweep(xName, xName+" (s)", points)
 	metrics.WriteCSV(os.Stdout, xName, sw, metrics.PaperColumns)

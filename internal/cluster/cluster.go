@@ -60,9 +60,6 @@ type Cluster struct {
 	Mgr      *operator.Manager
 
 	apps *modelApps
-	// start is the loop's start: Result reads the scheduler's records,
-	// which are instants, as seconds since it.
-	start time.Time
 
 	// The kinds of the cluster's timers. One carries an index into subs, the
 	// availability trace's events or crashes; a completion, the job's Ref.
@@ -106,10 +103,9 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Availability.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	loop := k8s.NewEventLoop(start)
+	loop := k8s.NewEventLoop(sim.Origin)
 	store := k8s.NewStore(loop)
-	c := &Cluster{cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store, start: start}
+	c := &Cluster{cfg: cfg, machine: model.DefaultMachine(), Loop: loop, Store: store}
 	c.PodSched = k8s.NewPodScheduler(loop, store)
 	c.Kubelet = k8s.NewKubelet(loop, store, podStartupDelay)
 	c.apps = newModelApps(c)
@@ -396,9 +392,9 @@ func (c *Cluster) Result() sim.Result {
 			ID:             cj.ID,
 			Class:          r.class,
 			Priority:       cj.Priority,
-			SubmitAt:       cj.SubmitTime.Sub(c.start).Seconds(),
-			StartAt:        cj.StartTime.Sub(c.start).Seconds(),
-			EndAt:          cj.EndTime.Sub(c.start).Seconds(),
+			SubmitAt:       cj.SubmitTime.Sub(sim.Origin).Seconds(),
+			StartAt:        cj.StartTime.Sub(sim.Origin).Seconds(),
+			EndAt:          cj.EndTime.Sub(sim.Origin).Seconds(),
 			Rescales:       cj.Rescales,
 			OverheadSec:    r.overheadSec,
 			ResponseTime:   cj.ResponseTime().Seconds(),

@@ -145,7 +145,7 @@ func (d *Diff) compareMigrations(a, b []Migration, path []int) {
 			d.add(Mismatch{
 				Member: path, Section: SectionMigrations, Index: i,
 				Detail: fmt.Sprintf("first divergence at migration %d (of %d vs %d):\n  a: %s\n  b: %s",
-					i, len(a), len(b), a[i].render(), b[i].render()),
+					i, len(a), len(b), renderMigration(a[i]), renderMigration(b[i])),
 			})
 			return
 		}

@@ -1,6 +1,9 @@
 package conformance
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,7 +184,7 @@ func TestDifferMigrationAndSummaryMutations(t *testing.T) {
 		t.Fatalf("want 2 mismatches, got %+v", d.Mismatches)
 	}
 	if m := d.Mismatches[0]; m.Section != SectionMigrations || m.Index != 0 ||
-		!strings.Contains(m.Detail, "a: "+ref.Migrations[0].render()) || !strings.Contains(m.Detail, "b: "+mut.Migrations[0].render()) {
+		!strings.Contains(m.Detail, "a: "+renderMigration(ref.Migrations[0])) || !strings.Contains(m.Detail, "b: "+renderMigration(mut.Migrations[0])) {
 		t.Errorf("migration mismatch %+v", m)
 	}
 	if m := d.Mismatches[1]; m.Section != SectionSummary || m.Detail != "summary fields differ: utilization" {
@@ -189,5 +192,99 @@ func TestDifferMigrationAndSummaryMutations(t *testing.T) {
 	}
 	if d2 := Compare(ref, ref); !d2.Empty() {
 		t.Errorf("self-compare not empty: %+v", d2.Mismatches)
+	}
+}
+
+// TestSummariesCarryEveryMetric: every field of sim.Metrics, each filled
+// with a value no other field holds, arrives in the Summary field of the
+// same name through both SummaryOf and FleetSummaryOf.
+func TestSummariesCarryEveryMetric(t *testing.T) {
+	var m sim.Metrics
+	mv := reflect.ValueOf(&m).Elem()
+	for i := range mv.NumField() {
+		switch f := mv.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("sim.Metrics.%s is a %v: give it a distinct value", mv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	for conv, s := range map[string]*Summary{
+		"SummaryOf":      SummaryOf(sim.Result{Metrics: m}),
+		"FleetSummaryOf": FleetSummaryOf(federation.Result{Metrics: m}),
+	} {
+		sv := reflect.ValueOf(*s)
+		for i := range mv.NumField() {
+			name := mv.Type().Field(i).Name
+			f := sv.FieldByName(name)
+			if !f.IsValid() {
+				t.Errorf("Summary has no field %s", name)
+				continue
+			}
+			var want, got any = mv.Field(i).Interface(), f.Interface()
+			if p, ok := want.(core.Policy); ok {
+				want = p.String()
+			}
+			if got != want {
+				t.Errorf("%s: Summary.%s = %v, want %v", conv, name, got, want)
+			}
+		}
+	}
+}
+
+// TestSummaryFieldsNameEveryField: a Summary differing from another in any
+// one field alone makes summaryFields name that field, by its JSON name.
+// jobs and jobs_digest count only when both sides carry a digest: a
+// streaming run retains no job records.
+func TestSummaryFieldsNameEveryField(t *testing.T) {
+	base := func() Summary {
+		var s Summary
+		v := reflect.ValueOf(&s).Elem()
+		for i := range v.NumField() {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.String:
+				f.SetString(fmt.Sprintf("s%d", i))
+			case reflect.Int:
+				f.SetInt(int64(i + 1))
+			case reflect.Float64:
+				f.SetFloat(float64(i) + 1.5)
+			case reflect.Slice:
+				f.Set(reflect.ValueOf([]int{i + 1, i + 2}))
+			default:
+				t.Fatalf("Summary.%s is a %v: give it a value", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return s
+	}
+	a := base()
+	if got := summaryFields(&a, &a); got != nil {
+		t.Fatalf("a summary differs from itself in %v", got)
+	}
+	typ := reflect.TypeOf(a)
+	for i := range typ.NumField() {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		b := base()
+		switch f := reflect.ValueOf(&b).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		case reflect.Slice:
+			f.Index(1).SetInt(f.Index(1).Int() + 1)
+		}
+		if got := summaryFields(&a, &b); !slices.Equal(got, []string{name}) {
+			t.Errorf("%s alone differs: summaryFields = %v, want [%s]", typ.Field(i).Name, got, name)
+		}
+		if name == "jobs" || name == "jobs_digest" {
+			noDigest := a
+			noDigest.JobsDigest = ""
+			if got := summaryFields(&noDigest, &b); got != nil {
+				t.Errorf("%s differs against a side with no digest: summaryFields = %v, want none", name, got)
+			}
+		}
 	}
 }

@@ -79,7 +79,7 @@ func RecordFederation(cfg federation.Config, w workload.Workload) (*Stream, erro
 	}
 	s := &Stream{
 		Version:    StreamVersion,
-		Migrations: FromMigrations(res.Migrations),
+		Migrations: res.Migrations,
 		Summary:    FleetSummaryOf(res),
 		Members:    make([]*Stream, len(res.Members)),
 	}

@@ -194,7 +194,7 @@ func decisionsStream(n int) *Stream {
 	s := &Stream{Version: StreamVersion, Label: "allocs", Summary: &Summary{Policy: "elastic"}}
 	s.Decisions = make([]Decision, n)
 	for i := range s.Decisions {
-		s.Decisions[i] = Decision{AtNs: epochNs + int64(i)*1e9, Kind: core.DecisionStart, JobID: fmt.Sprintf("job-%05d", i), Replicas: 4, FreeSlots: 60}
+		s.Decisions[i] = Decision{AtNs: sim.Origin.UnixNano() + int64(i)*1e9, Kind: core.DecisionStart, JobID: fmt.Sprintf("job-%05d", i), Replicas: 4, FreeSlots: 60}
 	}
 	return s
 }

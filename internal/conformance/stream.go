@@ -34,7 +34,6 @@ import (
 	"math/bits"
 	"os"
 	"strconv"
-	"time"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/federation"
@@ -47,11 +46,6 @@ import (
 // logged every waiting job a scheduling pass put back, so the two cannot be
 // compared entry for entry and a generation-1 stream is rejected at decode.
 const StreamVersion = 2
-
-// epochNs anchors decision timestamps: both the simulator and the cluster
-// emulation start their virtual clocks at 2025-01-01T00:00:00Z, so every
-// decision's wall-clock instant renders as a relative offset from it.
-var epochNs = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 
 // Stream is the canonical serialization of one run's decision stream.
 type Stream struct {
@@ -89,28 +83,22 @@ func (s *Stream) DecisionCount() int {
 type Decision = core.Decision
 
 // renderDecision formats one decision as a human-readable log line with the
-// time relative to the epoch.
+// time relative to sim.Origin, where both backends start their clocks.
 func renderDecision(d Decision) string {
 	job := d.JobID
 	if job == "" {
 		job = "-"
 	}
 	return fmt.Sprintf("t=+%.6fs %-8s %-14s replicas=%-3d free=%d",
-		float64(d.AtNs-epochNs)/1e9, d.Kind, job, d.Replicas, d.FreeSlots)
+		float64(d.AtNs-sim.Origin.UnixNano())/1e9, d.Kind, job, d.Replicas, d.FreeSlots)
 }
 
-// Migration mirrors federation.Migration: one rebalancer move.
-type Migration struct {
-	Round        int     `json:"round"`
-	At           float64 `json:"at_s"`
-	JobID        string  `json:"job"`
-	From         int     `json:"from"`
-	To           int     `json:"to"`
-	Checkpointed bool    `json:"checkpointed,omitempty"`
-}
+// Migration is the rebalancer's own move record, serialized as it was
+// recorded, as Decision is the scheduler's.
+type Migration = federation.Migration
 
-// render formats one migration as a log line.
-func (m Migration) render() string {
+// renderMigration formats one migration as a log line.
+func renderMigration(m Migration) string {
 	ckpt := ""
 	if m.Checkpointed {
 		ckpt = " (checkpointed)"
@@ -162,62 +150,40 @@ func FromDecisions(log []core.Decision) []Decision {
 	return log[:len(log):len(log)]
 }
 
-// FromMigrations converts a federation migration log.
-func FromMigrations(migs []federation.Migration) []Migration {
-	if len(migs) == 0 {
-		return nil
+// metricSummary is a Summary of a run's metrics: the one copy of sim.Metrics
+// into the stream, which SummaryOf and FleetSummaryOf extend.
+func metricSummary(m sim.Metrics) *Summary {
+	return &Summary{
+		Policy:             m.Policy.String(),
+		TotalTime:          m.TotalTime,
+		Utilization:        m.Utilization,
+		WeightedResponse:   m.WeightedResponse,
+		WeightedCompletion: m.WeightedCompletion,
+		CapacityEvents:     m.CapacityEvents,
+		ForcedShrinks:      m.ForcedShrinks,
+		Requeues:           m.Requeues,
+		WorkLostSec:        m.WorkLostSec,
+		GoodputFrac:        m.GoodputFrac,
 	}
-	out := make([]Migration, len(migs))
-	for i, m := range migs {
-		out[i] = Migration{
-			Round: m.Round, At: m.At, JobID: m.JobID,
-			From: m.From, To: m.To, Checkpointed: m.Checkpointed,
-		}
-	}
-	return out
 }
 
 // SummaryOf captures one sim (or cluster-emulation) Result.
 func SummaryOf(res sim.Result) *Summary {
-	return &Summary{
-		Policy:             res.Policy.String(),
-		Jobs:               len(res.Jobs),
-		TotalTime:          res.TotalTime,
-		Utilization:        res.Utilization,
-		WeightedResponse:   res.WeightedResponse,
-		WeightedCompletion: res.WeightedCompletion,
-		FirstStart:         res.FirstStart,
-		LastEnd:            res.LastEnd,
-		UsedSlotSec:        res.UsedSlotSec,
-		DeliveredSlotSec:   res.DeliveredSlotSec,
-		WeightSum:          res.WeightSum,
-		EndCapacity:        res.EndCapacity,
-		CapacityEvents:     res.CapacityEvents,
-		ForcedShrinks:      res.ForcedShrinks,
-		Requeues:           res.Requeues,
-		WorkLostSec:        res.WorkLostSec,
-		GoodputFrac:        res.GoodputFrac,
-		JobsDigest:         jobsDigest(res),
-	}
+	s := metricSummary(res.Metrics)
+	s.Jobs = len(res.Jobs)
+	s.FirstStart, s.LastEnd = res.FirstStart, res.LastEnd
+	s.UsedSlotSec, s.DeliveredSlotSec = res.UsedSlotSec, res.DeliveredSlotSec
+	s.WeightSum, s.EndCapacity = res.WeightSum, res.EndCapacity
+	s.JobsDigest = jobsDigest(res)
+	return s
 }
 
 // FleetSummaryOf captures one federation Result's fleet-level aggregates.
 func FleetSummaryOf(res federation.Result) *Summary {
-	return &Summary{
-		Policy:             res.Policy.String(),
-		TotalTime:          res.TotalTime,
-		Utilization:        res.Utilization,
-		WeightedResponse:   res.WeightedResponse,
-		WeightedCompletion: res.WeightedCompletion,
-		CapacityEvents:     res.CapacityEvents,
-		ForcedShrinks:      res.ForcedShrinks,
-		Requeues:           res.Requeues,
-		WorkLostSec:        res.WorkLostSec,
-		GoodputFrac:        res.GoodputFrac,
-		Imbalance:          res.Imbalance,
-		RebalanceRounds:    res.RebalanceRounds,
-		JobsPerMember:      append([]int(nil), res.JobsPerMember...),
-	}
+	s := metricSummary(res.Metrics)
+	s.Imbalance, s.RebalanceRounds = res.Imbalance, res.RebalanceRounds
+	s.JobsPerMember = append([]int(nil), res.JobsPerMember...)
+	return s
 }
 
 // jobsDigest fingerprints a retained result's per-job metrics and

@@ -97,26 +97,23 @@ func (cfg Config) validate() error {
 // Result aggregates one federation run: the member results plus the exact
 // fleet-wide metrics over all jobs.
 type Result struct {
-	Policy core.Policy
-	Route  Route
+	// Metrics are the fleet's. TotalTime is the fleet window, from the first
+	// job start on any member to the last completion on any member.
+	// Utilization is allocated over deliverable slot-seconds, both summed
+	// across members with every member's deliverable capacity extended to
+	// the fleet's end instant — a member that drains early and sits idle
+	// counts against the fleet. The weighted means are over every job in the
+	// fleet (exact, via the members' weight sums — not a mean of member
+	// means). The resilience counts and WorkLostSec are summed across
+	// members, and GoodputFrac is the fleet's overhead over its used
+	// slot-seconds.
+	sim.Metrics
+	Route Route
 	// Members holds each member cluster's own sim.Result, in member order.
 	Members []sim.Result
 	// JobsPerMember is how many jobs each member completed: the router's
 	// deal adjusted by any rebalancer migrations.
 	JobsPerMember []int
-	// TotalTime is the fleet window: from the first job start on any member
-	// to the last completion on any member.
-	TotalTime float64
-	// Utilization is allocated slot-seconds over deliverable slot-seconds,
-	// both summed across members with every member's deliverable capacity
-	// extended to the fleet's end instant — a member that drains early and
-	// sits idle counts against the fleet.
-	Utilization float64
-	// WeightedResponse and WeightedCompletion are the priority-weighted
-	// means over every job in the fleet (exact, via the members' weight
-	// sums — not a mean of member means).
-	WeightedResponse   float64
-	WeightedCompletion float64
 	// Imbalance is the spread between the busiest and idlest member's
 	// fleet-window utilization (0 for a single member or a perfectly
 	// balanced fleet) — the routing-quality metric.
@@ -129,35 +126,11 @@ type Result struct {
 	// RebalanceStats counts what the rebalancer examined and moved (zero when
 	// rebalancing is off).
 	RebalanceStats RebalanceStats
-	// Resilience aggregates, summed across members.
-	CapacityEvents int
-	ForcedShrinks  int
-	Requeues       int
-	WorkLostSec    float64
-	GoodputFrac    float64
 	// MemberDecisions holds each member scheduler's decision log, in member
 	// order — the conformance harness's raw material. It is nil unless at
 	// least one member ran with decision logging enabled, so runs without
 	// logging produce a Result identical to pre-recording builds.
 	MemberDecisions [][]core.Decision
-}
-
-// fleetView projects the fleet aggregates onto sim.Result so the sweep can
-// reuse sim.AverageResult's accumulator (Imbalance has no sim.Result slot
-// and is summed by the sweep directly).
-func (r Result) fleetView() sim.Result {
-	return sim.Result{
-		Policy:             r.Policy,
-		TotalTime:          r.TotalTime,
-		Utilization:        r.Utilization,
-		WeightedResponse:   r.WeightedResponse,
-		WeightedCompletion: r.WeightedCompletion,
-		CapacityEvents:     r.CapacityEvents,
-		ForcedShrinks:      r.ForcedShrinks,
-		Requeues:           r.Requeues,
-		WorkLostSec:        r.WorkLostSec,
-		GoodputFrac:        r.GoodputFrac,
-	}
 }
 
 // Run partitions the workload across the member clusters, simulates every
@@ -223,11 +196,10 @@ func memberDecisions(decs [][]core.Decision) [][]core.Decision {
 // member's completed-job count (the partition's deal, net of migrations).
 func aggregate(cfg Config, backends []Member, jobsPer []int, members []sim.Result) Result {
 	res := Result{
-		Policy:        backends[0].Policy(),
+		Metrics:       sim.Metrics{Policy: backends[0].Policy(), GoodputFrac: 1},
 		Route:         cfg.Route,
 		Members:       members,
 		JobsPerMember: jobsPer,
-		GoodputFrac:   1,
 	}
 	// Fleet window over members that ran jobs (an empty member's zeroed
 	// window must not drag FirstStart to 0).

@@ -394,8 +394,8 @@ func TestSweepShapesAndDeterminism(t *testing.T) {
 		t.Fatalf("%d sweep rows", len(seq))
 	}
 	for i, sr := range seq {
-		if sr.Name != routes[i].String() {
-			t.Errorf("row %d named %q", i, sr.Name)
+		if sr.Label != routes[i].String() {
+			t.Errorf("row %d labelled %q", i, sr.Label)
 		}
 		if len(sr.ByPolicy) != len(core.AllPolicies()) {
 			t.Errorf("row %d has %d policies", i, len(sr.ByPolicy))

@@ -67,17 +67,19 @@ func (rc RebalanceConfig) validate() error {
 	return nil
 }
 
-// Migration is one job move in the rebalancer's decision log.
+// Migration is one job move in the rebalancer's decision log. Its JSON tags
+// are the conformance stream's migration fields, so a log is serialized as
+// it was recorded.
 type Migration struct {
-	Round int     // 1-based rebalance round
-	At    float64 // fleet instant of the move
-	JobID string
-	From  int
-	To    int
+	Round int     `json:"round"` // 1-based rebalance round
+	At    float64 `json:"at_s"`  // fleet instant of the move
+	JobID string  `json:"job"`
+	From  int     `json:"from"`
+	To    int     `json:"to"`
 	// Checkpointed marks a job that had already run on the donor: it
 	// migrated with its checkpoint and pays restart+restore on the
 	// receiver. Queued-never-started jobs move for free.
-	Checkpointed bool
+	Checkpointed bool `json:"checkpointed,omitempty"`
 }
 
 // RebalanceStats counts what the rebalancer looked at and did — pure

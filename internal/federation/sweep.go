@@ -14,15 +14,14 @@ import (
 // axis next to the Figure 7/8, scenario, and availability sweeps. Each
 // member cluster keeps the paper's base configuration at the given rescale
 // gap, with capacities ramped by skew (0 = homogeneous, see Skewed);
-// clusters < 1 is an error. Results are ordered like routes, reusing
-// sim.ScenarioResult with the route name as the scenario label, so the
-// metrics converters and CLI printers work unchanged.
+// clusters < 1 is an error. Points are ordered like routes and labelled by
+// route name, at the route's index as X.
 //
 // Cells run one per (route, policy, seed) on sim.SweepGrid's pool; each cell's
 // federation runs its members sequentially (Workers = 1), so the sweep's
 // parallelism lives in one place and cell results stay bit-identical to a
 // fully sequential sweep.
-func Sweep(routes []Route, gen workload.Generator, clusters, seeds int, rescaleGap, skew float64, workers int) ([]sim.ScenarioResult, error) {
+func Sweep(routes []Route, gen workload.Generator, clusters, seeds int, rescaleGap, skew float64, workers int) ([]sim.SweepPoint, error) {
 	if clusters < 1 {
 		return nil, fmt.Errorf("federation: sweep needs clusters >= 1, got %d", clusters)
 	}
@@ -47,15 +46,14 @@ func Sweep(routes []Route, gen workload.Generator, clusters, seeds int, rescaleG
 			Workers:   1,
 		}, w)
 	}, func(avg *sim.AverageResult, res Result) {
-		avg.Accumulate(res.fleetView())
+		avg.Accumulate(res.Metrics)
 		avg.Imbalance += res.Imbalance
 	})
 	if err != nil {
 		return nil, fmt.Errorf("federation sweep: %w", err)
 	}
-	out := make([]sim.ScenarioResult, len(routes))
 	for i, route := range routes {
-		out[i] = sim.ScenarioResult{Name: route.String(), ByPolicy: pts[i].ByPolicy}
+		pts[i].Label = route.String()
 	}
-	return out, nil
+	return pts, nil
 }

@@ -170,47 +170,40 @@ func Read(path string) (Report, error) {
 	return r, nil
 }
 
+// fromMetrics is a Run of a run's metrics: the one copy of sim.Metrics into
+// a report, which FromResult and FromFederation extend.
+func fromMetrics(name string, m sim.Metrics) Run {
+	return Run{
+		Name:               name,
+		Policy:             m.Policy.String(),
+		TotalTime:          m.TotalTime,
+		Utilization:        m.Utilization,
+		WeightedResponse:   m.WeightedResponse,
+		WeightedCompletion: m.WeightedCompletion,
+		CapacityEvents:     float64(m.CapacityEvents),
+		PreemptsSurvived:   float64(m.ForcedShrinks),
+		Requeued:           float64(m.Requeues),
+		WorkLostSec:        m.WorkLostSec,
+		Goodput:            m.GoodputFrac,
+	}
+}
+
 // FromResult converts one simulation (or emulation) result. Jobs is taken
 // from the result when retained, so streaming results pass their job count
 // via the name-labelled Run only if the caller sets it afterwards.
 func FromResult(name string, res sim.Result) Run {
-	return Run{
-		Name:               name,
-		Policy:             res.Policy.String(),
-		Jobs:               len(res.Jobs),
-		TotalTime:          res.TotalTime,
-		Utilization:        res.Utilization,
-		WeightedResponse:   res.WeightedResponse,
-		WeightedCompletion: res.WeightedCompletion,
-		CapacityEvents:     float64(res.CapacityEvents),
-		PreemptsSurvived:   float64(res.ForcedShrinks),
-		Requeued:           float64(res.Requeues),
-		WorkLostSec:        res.WorkLostSec,
-		Goodput:            res.GoodputFrac,
-	}
+	run := fromMetrics(name, res.Metrics)
+	run.Jobs = len(res.Jobs)
+	return run
 }
 
 // FromFederation converts a federation run: the fleet-wide metrics as the
 // top-level Run with its route, imbalance, and one member sub-run per
 // cluster (named cluster0..clusterN-1, in member order).
 func FromFederation(name string, res federation.Result) Run {
-	run := Run{
-		Name:               name,
-		Policy:             res.Policy.String(),
-		TotalTime:          res.TotalTime,
-		Utilization:        res.Utilization,
-		WeightedResponse:   res.WeightedResponse,
-		WeightedCompletion: res.WeightedCompletion,
-		CapacityEvents:     float64(res.CapacityEvents),
-		PreemptsSurvived:   float64(res.ForcedShrinks),
-		Requeued:           float64(res.Requeues),
-		WorkLostSec:        res.WorkLostSec,
-		Goodput:            res.GoodputFrac,
-		Route:              res.Route.String(),
-		Imbalance:          res.Imbalance,
-		Migrations:         float64(len(res.Migrations)),
-		RebalanceRounds:    float64(res.RebalanceRounds),
-	}
+	run := fromMetrics(name, res.Metrics)
+	run.Route, run.Imbalance = res.Route.String(), res.Imbalance
+	run.Migrations, run.RebalanceRounds = float64(len(res.Migrations)), float64(res.RebalanceRounds)
 	for i, m := range res.Members {
 		member := FromResult(fmt.Sprintf("cluster%d", i), m)
 		member.Jobs = res.JobsPerMember[i]
@@ -239,30 +232,15 @@ func FromAverage(name string, avg sim.AverageResult) Run {
 	}
 }
 
-// FromSweep converts a Figure 7/8-style sweep, expanding each point's
-// policies in the paper's presentation order.
+// FromSweep converts a sweep, expanding each point's policies in the paper's
+// presentation order and naming each point's runs after its label.
 func FromSweep(name, xLabel string, pts []sim.SweepPoint) Sweep {
 	sw := Sweep{Name: name, X: xLabel, Points: make([]Point, 0, len(pts))}
 	for _, pt := range pts {
-		p := Point{X: pt.X, Runs: make([]Run, 0, len(pt.ByPolicy))}
+		p := Point{X: pt.X, Label: pt.Label, Runs: make([]Run, 0, len(pt.ByPolicy))}
 		for _, pol := range core.AllPolicies() {
 			if avg, ok := pt.ByPolicy[pol]; ok {
-				p.Runs = append(p.Runs, FromAverage("", avg))
-			}
-		}
-		sw.Points = append(sw.Points, p)
-	}
-	return sw
-}
-
-// FromScenarios converts a scenario sweep, one labelled point per scenario.
-func FromScenarios(results []sim.ScenarioResult) Sweep {
-	sw := Sweep{Name: "scenario", X: "scenario index", Points: make([]Point, 0, len(results))}
-	for i, sr := range results {
-		p := Point{X: float64(i), Label: sr.Name, Runs: make([]Run, 0, len(sr.ByPolicy))}
-		for _, pol := range core.AllPolicies() {
-			if avg, ok := sr.ByPolicy[pol]; ok {
-				p.Runs = append(p.Runs, FromAverage(sr.Name, avg))
+				p.Runs = append(p.Runs, FromAverage(pt.Label, avg))
 			}
 		}
 		sw.Points = append(sw.Points, p)

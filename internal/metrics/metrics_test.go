@@ -157,7 +157,14 @@ func TestFromResultAndSweepConverters(t *testing.T) {
 		t.Errorf("FromResult mismatch: %+v vs %+v", run, res)
 	}
 
-	pts, err := sim.SubmissionGapSweep([]float64{0, 150}, 8, 2, 180, 0)
+	pts, err := sim.SweepGrid([]float64{0, 150}, 2, 0, func(gap float64, p core.Policy, seed int64) (sim.Metrics, error) {
+		w, err := workload.Uniform{Jobs: 8, Gap: gap}.Generate(seed)
+		if err != nil {
+			return sim.Metrics{}, err
+		}
+		res, err := sim.Run(sim.DefaultConfig(p), w)
+		return res.Metrics, err
+	}, (*sim.AverageResult).Accumulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +195,18 @@ func TestFromResultAndSweepConverters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssw := FromScenarios(srs)
+	ssw := FromSweep("scenario", "scenario index", srs)
 	if len(ssw.Points) != len(srs) {
 		t.Fatalf("%d scenario points", len(ssw.Points))
 	}
 	for i, p := range ssw.Points {
 		if p.Label != gens[i].Name() || p.X != float64(i) || len(p.Runs) != 4 {
 			t.Errorf("scenario point %d: %+v", i, p)
+		}
+		for _, r := range p.Runs {
+			if r.Name != p.Label {
+				t.Errorf("scenario point %d: run named %q, want its label %q", i, r.Name, p.Label)
+			}
 		}
 	}
 }
@@ -362,5 +374,62 @@ func TestWriteReplacesRegularFile(t *testing.T) {
 	}
 	if kept, err := Read(link); err != nil || !reflect.DeepEqual(kept, goldenReport()) {
 		t.Errorf("the old file was written in place: its other link reads %+v, %v", kept, err)
+	}
+}
+
+// runField maps every sim.Metrics field to the Run field a report carries it
+// in. A Metrics field missing here fails TestRunsCarryEveryMetric.
+var runField = map[string]string{
+	"Policy":             "Policy",
+	"TotalTime":          "TotalTime",
+	"Utilization":        "Utilization",
+	"WeightedResponse":   "WeightedResponse",
+	"WeightedCompletion": "WeightedCompletion",
+	"CapacityEvents":     "CapacityEvents",
+	"ForcedShrinks":      "PreemptsSurvived",
+	"Requeues":           "Requeued",
+	"WorkLostSec":        "WorkLostSec",
+	"GoodputFrac":        "Goodput",
+}
+
+// TestRunsCarryEveryMetric: every field of sim.Metrics, each filled with a
+// value no other field holds, arrives in its Run field through both
+// FromResult and FromFederation.
+func TestRunsCarryEveryMetric(t *testing.T) {
+	var m sim.Metrics
+	mv := reflect.ValueOf(&m).Elem()
+	for i := range mv.NumField() {
+		switch f := mv.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("sim.Metrics.%s is a %v: give it a distinct value", mv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	for conv, run := range map[string]Run{
+		"FromResult":     FromResult("run", sim.Result{Metrics: m}),
+		"FromFederation": FromFederation("run", federation.Result{Metrics: m}),
+	} {
+		rv := reflect.ValueOf(run)
+		for i := range mv.NumField() {
+			name := mv.Type().Field(i).Name
+			to, ok := runField[name]
+			if !ok || !rv.FieldByName(to).IsValid() {
+				t.Errorf("sim.Metrics.%s has no Run field in runField", name)
+				continue
+			}
+			var want, got any = mv.Field(i).Interface(), rv.FieldByName(to).Interface()
+			switch w := want.(type) {
+			case core.Policy:
+				want = w.String()
+			case int:
+				want = float64(w)
+			}
+			if got != want {
+				t.Errorf("%s: Run.%s = %v, want sim.Metrics.%s = %v", conv, to, got, name, want)
+			}
+		}
 	}
 }

@@ -208,17 +208,17 @@ func TestAvailabilitySweepRunsSmall(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("parallel availability sweep diverged from sequential")
 	}
-	if len(seq) != 2 || seq[0].Name != "drain" || seq[1].Name != "spot" {
+	if len(seq) != 2 || seq[0].Label != "drain" || seq[1].Label != "spot" {
 		t.Fatalf("unexpected sweep shape: %+v", seq)
 	}
 	for _, sr := range seq {
 		for _, p := range core.AllPolicies() {
 			avg, ok := sr.ByPolicy[p]
 			if !ok {
-				t.Fatalf("%s: missing policy %v", sr.Name, p)
+				t.Fatalf("%s: missing policy %v", sr.Label, p)
 			}
 			if avg.Runs != 2 || avg.TotalTime <= 0 {
-				t.Errorf("%s/%v: avg = %+v", sr.Name, p, avg)
+				t.Errorf("%s/%v: avg = %+v", sr.Label, p, avg)
 			}
 		}
 	}

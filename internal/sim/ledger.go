@@ -152,18 +152,20 @@ func (l *Ledger) Result(policy core.Policy, baseCap int, windowEnd float64, cs c
 	t := *l
 	t.fold(t.open())
 	res := Result{
-		Policy:         policy,
-		TotalTime:      t.lastEnd - t.firstStart,
-		FirstStart:     t.firstStart,
-		LastEnd:        t.lastEnd,
-		UsedSlotSec:    t.utilArea,
-		WeightSum:      t.wSum,
-		EndCapacity:    endCap,
-		CapacityEvents: len(t.capSteps),
-		ForcedShrinks:  cs.ForcedShrinks,
-		Requeues:       cs.Requeues,
-		WorkLostSec:    t.workLost,
-		GoodputFrac:    1,
+		Metrics: Metrics{
+			Policy:         policy,
+			TotalTime:      t.lastEnd - t.firstStart,
+			CapacityEvents: len(t.capSteps),
+			ForcedShrinks:  cs.ForcedShrinks,
+			Requeues:       cs.Requeues,
+			WorkLostSec:    t.workLost,
+			GoodputFrac:    1,
+		},
+		FirstStart:  t.firstStart,
+		LastEnd:     t.lastEnd,
+		UsedSlotSec: t.utilArea,
+		WeightSum:   t.wSum,
+		EndCapacity: endCap,
 	}
 	end := windowEnd
 	if t.lastEnd > end {

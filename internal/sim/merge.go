@@ -56,7 +56,7 @@ func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Resul
 		s.mergedDecisions = core.MergeLogs(logs...)
 	}
 	if s.completed != len(w.Jobs) {
-		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, len(w.Jobs), segs...)
+		return Result{Metrics: Metrics{Policy: s.cfg.Policy}}, unfinished(s.completed, len(w.Jobs), segs...)
 	}
 	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, cs, last.sched.Capacity())
 	if !s.cfg.Streaming {

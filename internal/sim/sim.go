@@ -79,8 +79,11 @@ type ReplicaSample struct {
 	Replicas int
 }
 
-// Result aggregates one simulation run.
-type Result struct {
+// Metrics is a run's verdict: the paper's four metrics and the five
+// resilience aggregates, under the policy that produced them. It is declared
+// once: Result and federation.Result embed it, and every report, stream and
+// seed average is filled from it.
+type Metrics struct {
 	Policy core.Policy
 	// TotalTime is "the end-to-end runtime from the start of the first
 	// job to the end of the last job".
@@ -106,6 +109,11 @@ type Result struct {
 	Requeues       int
 	WorkLostSec    float64
 	GoodputFrac    float64
+}
+
+// Result aggregates one simulation run.
+type Result struct {
+	Metrics
 	// Federation-aggregation ingredients. FirstStart and LastEnd bound the
 	// experiment window (TotalTime = LastEnd - FirstStart); UsedSlotSec and
 	// DeliveredSlotSec are the utilization integral's numerator and
@@ -339,12 +347,14 @@ type Simulator struct {
 	withdrawn int
 }
 
-// epoch anchors the simulator's float timeline to the core scheduler's
-// time.Time clock; epochNs is it in Unix nanoseconds, the scheduler's
-// integer instants.
+// Origin is instant zero of every run's clock. The simulator anchors its
+// float timeline to the core scheduler's time.Time clock here, the cluster
+// emulation starts its event loop here, and a decision stream renders every
+// instant as an offset from it. originNs is it in Unix nanoseconds, the
+// scheduler's integer instants.
 var (
-	epoch   = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	epochNs = epoch.UnixNano()
+	Origin   = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	originNs = Origin.UnixNano()
 )
 
 // New creates a simulator for the workload.
@@ -375,7 +385,7 @@ func newSimulator(cfg Config, capacity int) (*Simulator, error) {
 		RescaleGap: model.Duration(cfg.RescaleGap),
 		EnableLog:  cfg.LogDecisions,
 	}, (*simActuator)(s), func() time.Time {
-		return epoch.Add(model.Duration(s.now))
+		return Origin.Add(model.Duration(s.now))
 	})
 	if err != nil {
 		return nil, err
@@ -422,7 +432,7 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 		Priority:    js.Priority,
 		MinReplicas: spec.MinReplicas,
 		MaxReplicas: spec.MaxReplicas,
-		SubmitTime:  epoch.Add(model.Duration(js.SubmitAt)),
+		SubmitTime:  Origin.Add(model.Duration(js.SubmitAt)),
 	}
 	if s.ranks != nil && widx >= 0 {
 		sj.job.IDRank = s.ranks[widx]
@@ -755,7 +765,7 @@ func (s *Simulator) scheduleKick() {
 	if !ok {
 		return
 	}
-	t := time.Duration(atNs-epochNs).Seconds() + 1e-3
+	t := time.Duration(atNs-originNs).Seconds() + 1e-3
 	if s.kickAt >= 0 && s.kickAt <= t {
 		return // an earlier (or equal) kick is already pending
 	}
@@ -908,7 +918,7 @@ func (a *simActuator) PreemptJob(j *core.Job) error {
 // other federation members) — both zero on the batch path.
 func (s *Simulator) collect(w workload.Workload) (Result, error) {
 	if expected := len(w.Jobs) + s.injected - s.withdrawn; s.completed != expected {
-		return Result{Policy: s.cfg.Policy}, unfinished(s.completed, expected, s)
+		return Result{Metrics: Metrics{Policy: s.cfg.Policy}}, unfinished(s.completed, expected, s)
 	}
 	endCap := s.sched.Capacity()
 	if s.trail.on {

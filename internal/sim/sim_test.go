@@ -364,7 +364,7 @@ func TestTable1Simulation(t *testing.T) {
 }
 
 func TestSweepsRunSmall(t *testing.T) {
-	pts, err := SubmissionGapSweep([]float64{0, 150, 300}, 8, 2, 180, 0)
+	pts, err := gapSweep([]float64{0, 150, 300}, 8, 2, 180, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestSweepsRunSmall(t *testing.T) {
 			}
 		}
 	}
-	rpts, err := RescaleGapSweep([]float64{0, 600}, 8, 2, 180, 0)
+	rpts, err := rescaleSweep([]float64{0, 600}, 8, 2, 180, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

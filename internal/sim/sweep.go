@@ -28,10 +28,11 @@ type AverageResult struct {
 	Runs               int
 }
 
-// Accumulate folds one run's aggregate metrics into the running sums; pair
-// with Finalize once every run is folded. Imbalance has no sim.Result source
-// — the federation sweep's fold sums it directly.
-func (a *AverageResult) Accumulate(r Result) {
+// Accumulate folds one run's metrics into the running sums, under the run's
+// policy; pair with Finalize once every run is folded. Imbalance has no
+// Metrics source — the federation sweep's fold sums it directly.
+func (a *AverageResult) Accumulate(r Metrics) {
+	a.Policy = r.Policy
 	a.TotalTime += r.TotalTime
 	a.Utilization += r.Utilization
 	a.WeightedResponse += r.WeightedResponse
@@ -63,23 +64,20 @@ func (a *AverageResult) Finalize() {
 	a.Imbalance /= n
 }
 
-// SweepPoint is one x-coordinate of a Figure 7/8 sweep with per-policy
-// averaged metrics.
+// SweepPoint is one point of a sweep with per-policy averaged metrics. A
+// Figure 7/8 point is its x (the submission or rescale gap, seconds); a
+// labelled point — a scenario, an availability profile, a route — is its
+// Label, at its index as X.
 type SweepPoint struct {
-	X        float64 // submission gap or rescale gap, seconds
-	ByPolicy map[core.Policy]AverageResult
-}
-
-// ScenarioResult is one workload scenario's per-policy averaged metrics — the
-// ScenarioSweep analogue of a SweepPoint.
-type ScenarioResult struct {
-	Name     string
+	X        float64
+	Label    string
 	ByPolicy map[core.Policy]AverageResult
 }
 
 // SweepGrid runs every (x, policy, seed) cell of a sweep on the worker pool
 // and reduces to per-point averages, fold adding one cell to its point's
-// accumulator ((*AverageResult).Accumulate for plain simulator cells). Each
+// accumulator ((*AverageResult).Accumulate for a cell that is a run's
+// Metrics, which also names the point's policy). Each
 // cell is independent and derives its workload from its own seed, so the
 // parallel schedule cannot change any result; the reduction always iterates
 // cells in (point, policy, seed) order, so the float accumulation order — and
@@ -110,7 +108,7 @@ func SweepGrid[R any](xs []float64, seeds, workers int, run func(x float64, p co
 	for pi, x := range xs {
 		pt := SweepPoint{X: x, ByPolicy: make(map[core.Policy]AverageResult, len(policies))}
 		for poli, p := range policies {
-			avg := AverageResult{Policy: p}
+			var avg AverageResult
 			for seed := 0; seed < seeds; seed++ {
 				fold(&avg, cells[pi*perPoint+poli*seeds+seed])
 			}
@@ -135,48 +133,11 @@ func cellConfig(p core.Policy, rescaleGap float64, workers int) Config {
 	return cfg
 }
 
-// runUniform is one cell of the Figure 7/8 sweeps: the seed's uniform
-// workload under cfg. Degenerate jobs or gap are the generator's error.
-func runUniform(cfg Config, jobs int, gap float64, seed int64) (Result, error) {
-	w, err := workload.Uniform{Jobs: jobs, Gap: gap}.Generate(seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(cfg, w)
-}
-
-// SubmissionGapSweep reproduces Figure 7: for each submission gap, run
-// `seeds` random 16-job workloads under every policy with T_rescale_gap =
-// 180 s and average the metrics, on a bounded worker pool: workers <= 0 uses
-// every CPU, workers == 1 is the sequential reference path (bit-identical
-// results either way).
-func SubmissionGapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
-	pts, err := SweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Result, error) {
-		return runUniform(cellConfig(p, rescaleGap, workers), jobs, gap, seed)
-	}, (*AverageResult).Accumulate)
-	if err != nil {
-		return nil, fmt.Errorf("submission gap sweep: %w", err)
-	}
-	return pts, nil
-}
-
-// RescaleGapSweep reproduces Figure 8: fixed 180 s submission gap, varying
-// T_rescale_gap; workers as in SubmissionGapSweep.
-func RescaleGapSweep(rescaleGaps []float64, jobs, seeds int, submissionGap float64, workers int) ([]SweepPoint, error) {
-	pts, err := SweepGrid(rescaleGaps, seeds, workers, func(rg float64, p core.Policy, seed int64) (Result, error) {
-		return runUniform(cellConfig(p, rg, workers), jobs, submissionGap, seed)
-	}, (*AverageResult).Accumulate)
-	if err != nil {
-		return nil, fmt.Errorf("rescale gap sweep: %w", err)
-	}
-	return pts, nil
-}
-
 // ScenarioSweep runs every workload scenario under every policy across
 // `seeds` seeds on the worker pool and averages the four metrics per
 // (scenario, policy) — the scenario-diversity analogue of the Figure 7/8
-// sweeps. Results are ordered like gens.
-func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, workers int) ([]ScenarioResult, error) {
+// sweeps. Points are ordered like gens and labelled by scenario name.
+func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
 	// Trace generators re-read their file on every Generate; load each once
 	// up front so a policies×seeds sweep does one parse, and every cell of
 	// one averaged result sees the same workload even if the file changes
@@ -198,32 +159,32 @@ func ScenarioSweep(gens []workload.Generator, seeds int, rescaleGap float64, wor
 }
 
 // inputSweep is the grid ScenarioSweep and AvailabilitySweep share: n labelled
-// rows × every policy × seeds, each cell running the inputs derived for its
-// row and seed against the paper's base configuration at the given rescale
+// points × every policy × seeds, each cell running the inputs derived for its
+// point and seed against the paper's base configuration at the given rescale
 // gap.
 func inputSweep(what string, n int, name func(i int) string, seeds int, rescaleGap float64, workers int,
-	inputs func(i int, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error)) ([]ScenarioResult, error) {
+	inputs func(i int, seed int64, base int) (workload.Workload, workload.AvailabilityTrace, error)) ([]SweepPoint, error) {
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	pts, err := SweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Result, error) {
+	pts, err := SweepGrid(xs, seeds, workers, func(x float64, p core.Policy, seed int64) (Metrics, error) {
 		cfg := cellConfig(p, rescaleGap, workers)
 		w, tr, err := inputs(int(x), seed, cfg.Capacity)
 		if err != nil {
-			return Result{}, err
+			return Metrics{}, err
 		}
 		cfg.Availability = tr
-		return Run(cfg, w)
+		res, err := Run(cfg, w)
+		return res.Metrics, err
 	}, (*AverageResult).Accumulate)
 	if err != nil {
 		return nil, fmt.Errorf("%s sweep: %w", what, err)
 	}
-	out := make([]ScenarioResult, n)
-	for i := range out {
-		out[i] = ScenarioResult{Name: name(i), ByPolicy: pts[i].ByPolicy}
+	for i := range pts {
+		pts[i].Label = name(i)
 	}
-	return out, nil
+	return pts, nil
 }
 
 // AvailabilitySweep runs one workload scenario under every availability
@@ -231,8 +192,8 @@ func inputSweep(what string, n int, name func(i int) string, seeds int, rescaleG
 // (profile, policy) — the third sweep axis next to the Figure 7/8 parameter
 // sweeps and the workload-scenario sweep. Each cell derives its workload
 // and capacity trace from its own seed at the paper's base capacity
-// (Inputs). Results are ordered like profiles.
-func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Generator, seeds int, rescaleGap float64, workers int) ([]ScenarioResult, error) {
+// (Inputs). Points are ordered like profiles and labelled by profile name.
+func AvailabilitySweep(profiles []workload.AvailabilityProfile, gen workload.Generator, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
 	// Trace-file profiles re-read their file on every Events call; load
 	// once up front, like ScenarioSweep does for workload traces.
 	profiles = append([]workload.AvailabilityProfile(nil), profiles...)

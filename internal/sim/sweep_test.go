@@ -52,6 +52,35 @@ func TestRunTasksReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// uniformCell is the Figure 7/8 cell as the command builds it: the seed's
+// uniform workload of jobs jobs at the submission gap, run at the rescale
+// gap, unsharded on a pool of more than one worker. Degenerate jobs or gap
+// are the generator's error.
+func uniformCell(jobs int, gap, rescaleGap float64, p core.Policy, seed int64, workers int) (Metrics, error) {
+	w, err := workload.Uniform{Jobs: jobs, Gap: gap}.Generate(seed)
+	if err != nil {
+		return Metrics{}, err
+	}
+	res, err := Run(cellConfig(p, rescaleGap, workers), w)
+	return res.Metrics, err
+}
+
+// gapSweep is Figure 7's grid: x is the submission gap, at a fixed rescale
+// gap.
+func gapSweep(gaps []float64, jobs, seeds int, rescaleGap float64, workers int) ([]SweepPoint, error) {
+	return SweepGrid(gaps, seeds, workers, func(gap float64, p core.Policy, seed int64) (Metrics, error) {
+		return uniformCell(jobs, gap, rescaleGap, p, seed, workers)
+	}, (*AverageResult).Accumulate)
+}
+
+// rescaleSweep is Figure 8's grid: x is the rescale gap, at a fixed
+// submission gap.
+func rescaleSweep(rescaleGaps []float64, jobs, seeds int, gap float64, workers int) ([]SweepPoint, error) {
+	return SweepGrid(rescaleGaps, seeds, workers, func(rescaleGap float64, p core.Policy, seed int64) (Metrics, error) {
+		return uniformCell(jobs, gap, rescaleGap, p, seed, workers)
+	}, (*AverageResult).Accumulate)
+}
+
 // The acceptance bar for the parallel harness: every sweep produces
 // byte-identical metrics with workers == 1 and workers == NumCPU.
 func TestParallelSweepsMatchSequential(t *testing.T) {
@@ -60,11 +89,11 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		par = 4
 	}
 
-	seq, err := SubmissionGapSweep([]float64{0, 150}, 8, 3, 180, 1)
+	seq, err := gapSweep([]float64{0, 150}, 8, 3, 180, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SubmissionGapSweep([]float64{0, 150}, 8, 3, 180, par)
+	got, err := gapSweep([]float64{0, 150}, 8, 3, 180, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +101,11 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		t.Errorf("submission-gap sweep diverges under parallel execution:\nseq %+v\npar %+v", seq, got)
 	}
 
-	rseq, err := RescaleGapSweep([]float64{0, 600}, 8, 3, 180, 1)
+	rseq, err := rescaleSweep([]float64{0, 600}, 8, 3, 180, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rgot, err := RescaleGapSweep([]float64{0, 600}, 8, 3, 180, par)
+	rgot, err := rescaleSweep([]float64{0, 600}, 8, 3, 180, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +135,19 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 		t.Fatalf("%d scenario results", len(sseq))
 	}
 	for i, sr := range sseq {
-		if sr.Name != gens[i].Name() {
-			t.Errorf("result %d named %q, want %q", i, sr.Name, gens[i].Name())
+		if sr.Label != gens[i].Name() {
+			t.Errorf("point %d labelled %q, want %q", i, sr.Label, gens[i].Name())
 		}
 		for p, avg := range sr.ByPolicy {
 			if avg.Runs != 3 || avg.TotalTime <= 0 || avg.Utilization <= 0 {
-				t.Errorf("%s/%v: degenerate average %+v", sr.Name, p, avg)
+				t.Errorf("%s/%v: degenerate average %+v", sr.Label, p, avg)
 			}
 		}
 	}
 }
 
 func TestSweepRejectsBadSeeds(t *testing.T) {
-	if _, err := SubmissionGapSweep([]float64{90}, 8, 0, 180, 0); err == nil {
+	if _, err := gapSweep([]float64{90}, 8, 0, 180, 0); err == nil {
 		t.Error("accepted seeds=0")
 	}
 }
@@ -129,18 +158,18 @@ func TestSweepRejectsBadSeeds(t *testing.T) {
 func TestFigureSweepsRejectDegenerateWorkloads(t *testing.T) {
 	xs := []float64{0, 90}
 	for _, jobs := range []int{0, -3} {
-		if _, err := SubmissionGapSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
-			t.Errorf("SubmissionGapSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
+		if _, err := gapSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
+			t.Errorf("gapSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
 		}
-		if _, err := RescaleGapSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
-			t.Errorf("RescaleGapSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
+		if _, err := rescaleSweep(xs, jobs, 1, 180, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("jobs=%d", jobs)) {
+			t.Errorf("rescaleSweep(jobs=%d): err = %v, want one naming the job count", jobs, err)
 		}
 	}
-	if _, err := SubmissionGapSweep([]float64{math.NaN()}, 8, 1, 180, 0); err == nil {
-		t.Error("SubmissionGapSweep accepted a NaN gap")
+	if _, err := gapSweep([]float64{math.NaN()}, 8, 1, 180, 0); err == nil {
+		t.Error("gapSweep accepted a NaN gap")
 	}
-	if _, err := RescaleGapSweep(xs, 8, 1, math.NaN(), 0); err == nil {
-		t.Error("RescaleGapSweep accepted a NaN submission gap")
+	if _, err := rescaleSweep(xs, 8, 1, math.NaN(), 0); err == nil {
+		t.Error("rescaleSweep accepted a NaN submission gap")
 	}
 }
 
@@ -153,8 +182,8 @@ func TestSweepsRejectBadRescaleGaps(t *testing.T) {
 			name string
 			run  func() error
 		}{
-			{"RescaleGapSweep", func() error { _, err := RescaleGapSweep([]float64{0, gap}, 8, 1, 180, 1); return err }},
-			{"SubmissionGapSweep", func() error { _, err := SubmissionGapSweep([]float64{90}, 8, 1, gap, 1); return err }},
+			{"rescaleSweep", func() error { _, err := rescaleSweep([]float64{0, gap}, 8, 1, 180, 1); return err }},
+			{"gapSweep", func() error { _, err := gapSweep([]float64{90}, 8, 1, gap, 1); return err }},
 			{"ScenarioSweep", func() error { _, err := ScenarioSweep(gens, 1, gap, 1); return err }},
 		} {
 			if err := tc.run(); err == nil || !strings.Contains(err.Error(), "rescale gap") {
@@ -197,11 +226,66 @@ func BenchmarkSweep(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := SubmissionGapSweep(gaps, jobs, seeds, 180, bc.workers); err != nil {
+				if _, err := gapSweep(gaps, jobs, seeds, 180, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(cells*jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+}
+
+// distinctMetrics fills every field of Metrics, found by reflection, with a
+// value no other field holds and none is zero: field i holds i+1, or i+1.5
+// when it is a float. A field of another kind fails the test until it is
+// given a value here.
+func distinctMetrics(t *testing.T) Metrics {
+	t.Helper()
+	var m Metrics
+	v := reflect.ValueOf(&m).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 1.5)
+		default:
+			t.Fatalf("Metrics.%s is a %v: give it a distinct value", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return m
+}
+
+// TestAverageCarriesEveryMetric: the seed average of two runs with the same
+// metrics is those metrics, field for field, so a field Accumulate or
+// Finalize forgets reads zero or twice its value.
+func TestAverageCarriesEveryMetric(t *testing.T) {
+	m := distinctMetrics(t)
+	var avg AverageResult
+	avg.Accumulate(m)
+	avg.Accumulate(m)
+	avg.Finalize()
+	if avg.Runs != 2 {
+		t.Errorf("Runs = %d, want 2", avg.Runs)
+	}
+	want, got := reflect.ValueOf(m), reflect.ValueOf(avg)
+	for i := range want.NumField() {
+		name := want.Type().Field(i).Name
+		g := got.FieldByName(name)
+		if !g.IsValid() {
+			t.Errorf("AverageResult has no field %s", name)
+			continue
+		}
+		if w, h := asFloat(want.Field(i)), asFloat(g); h != w {
+			t.Errorf("AverageResult.%s = %g, want %g", name, h, w)
+		}
+	}
+}
+
+// asFloat reads an integer or float field as a float64.
+func asFloat(v reflect.Value) float64 {
+	if v.CanInt() {
+		return float64(v.Int())
+	}
+	return v.Float()
 }
