@@ -322,7 +322,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sw := metrics.FromSweep("availability", "scenario index", pts)
+		sw := metrics.FromSweep("availability", "profile index", pts)
 		metrics.WriteCSV(os.Stdout, "availability", sw, []string{"utilization", "goodput", "total_time_s",
 			"weighted_response_s", "weighted_completion_s", "shrinks", "requeues", "work_lost_s"})
 		swept = &sw

@@ -66,7 +66,9 @@ type Job struct {
 	// equal SubmitTime it must be ordered exactly like ID (rank(a) < rank(b)
 	// iff a.ID < b.ID). The final comparator tie-break then costs one integer
 	// compare instead of a string compare. Two jobs with equal ranks fall
-	// back to comparing IDs, so leaving the field zero is always correct.
+	// back to comparing IDs, so a zero rank is correct only where both jobs
+	// are unranked: against a ranked job of the same instant, an unranked
+	// one is ordered by the ranks, not by the IDs.
 	IDRank int32
 
 	// Ref is an opaque driver-owned handle. The scheduler never reads or

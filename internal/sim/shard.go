@@ -207,28 +207,30 @@ func classDemand(cfg Config, specs map[model.Class]model.Spec) (demand [model.XL
 //
 // Two passes over the submissions (the total, then the candidates against
 // the targets it fixes) and no candidate list: the chooser allocates nothing
-// beyond dst, so a plan auto goes on to decline costs no memory.
-func chooseCuts(dst []epochCut, cfg Config, w workload.Workload, order []int32, specs map[model.Class]model.Spec, shards int, tolerance float64) []epochCut {
-	n := len(order)
+// beyond dst, so a plan auto goes on to decline costs no memory. The explicit
+// float64 conversions round each product on its own, so an architecture that
+// fuses multiply-add (arm64) cuts where amd64 cuts.
+func chooseCuts(dst []epochCut, cfg Config, jobs []workload.JobSpec, specs map[model.Class]model.Spec, shards int, tolerance float64) []epochCut {
+	n := len(jobs)
 	if shards <= 1 || n < 2 {
 		return dst
 	}
 	demand := classDemand(cfg, specs)
 	demandOf := func(i int) float64 {
-		if c := w.Jobs[order[i]].Class; c >= 0 && int(c) < len(demand) {
+		if c := jobs[i].Class; c >= 0 && int(c) < len(demand) {
 			return demand[c]
 		}
 		return 0 // an unknown class: Submit rejects the job
 	}
 	total := 0.0
-	for i := range order {
+	for i := range jobs {
 		total += demandOf(i)
 	}
 	if total <= 0 {
 		return dst
 	}
 	share := total / float64(shards)
-	tol := tolerance * share
+	tol := float64(tolerance * share)
 
 	// The target being settled is k·share. below is the last candidate under
 	// its tolerance window, best the slackest inside it, prev the last
@@ -236,7 +238,7 @@ func chooseCuts(dst []epochCut, cfg Config, w workload.Workload, order []int32, 
 	k, prev := 1, 0
 	var below, best, last cutCand
 	settle := func(above cutCand) {
-		target := share * float64(k)
+		target := float64(share * float64(k))
 		pick := best
 		if pick.pos == 0 {
 			if below.pos > prev {
@@ -256,19 +258,19 @@ func chooseCuts(dst []epochCut, cfg Config, w workload.Workload, order []int32, 
 
 	capRate := float64(cfg.Capacity)
 	backlog, work := 0.0, 0.0
-	tPrev := w.Jobs[order[0]].SubmitAt
+	tPrev := jobs[0].SubmitAt
 	for i := 0; i < n && k < shards; {
-		t := w.Jobs[order[i]].SubmitAt
+		t := jobs[i].SubmitAt
 		if i > 0 {
-			backlog -= capRate * (t - tPrev)
+			backlog -= float64(capRate * (t - tPrev))
 			if backlog <= 0 {
 				c := cutCand{pos: i, work: work, slack: -backlog / capRate}
 				backlog = 0
-				for k < shards && c.work > share*float64(k)+tol {
+				for k < shards && c.work > float64(share*float64(k))+tol {
 					settle(c)
 				}
 				if k < shards {
-					target := share * float64(k)
+					target := float64(share * float64(k))
 					switch {
 					case c.work < target-tol:
 						below = c
@@ -280,7 +282,7 @@ func chooseCuts(dst []epochCut, cfg Config, w workload.Workload, order []int32, 
 				last = c
 			}
 		}
-		for i < n && w.Jobs[order[i]].SubmitAt == t {
+		for i < n && jobs[i].SubmitAt == t {
 			d := demandOf(i)
 			backlog += d
 			work += d
@@ -315,32 +317,32 @@ func autoAccepts(cuts []epochCut, jobs int, rescaleGap float64) bool {
 // for and autoAccepts lets through. nil means no usable plan (the caller then
 // runs the plain sequential loop), and a plan auto declines has allocated
 // nothing.
-func planEpochs(cfg Config, w workload.Workload, order []int32, specs map[model.Class]model.Spec) []epochPlan {
+func planEpochs(cfg Config, jobs []workload.JobSpec, specs map[model.Class]model.Spec) []epochPlan {
 	shards := cfg.Shards
 	if shards == 0 {
-		shards = autoEpochs(len(order))
+		shards = autoEpochs(len(jobs))
 	}
 	var buf [15]epochCut // 16 epochs' cuts without touching the heap
-	cuts := chooseCuts(buf[:0], cfg, w, order, specs, shards, balanceTolerance)
-	if cfg.Shards == 0 && !autoAccepts(cuts, len(order), cfg.RescaleGap) {
+	cuts := chooseCuts(buf[:0], cfg, jobs, specs, shards, balanceTolerance)
+	if cfg.Shards == 0 && !autoAccepts(cuts, len(jobs), cfg.RescaleGap) {
 		return nil
 	}
-	return buildPlans(cfg, w, order, cuts)
+	return buildPlans(cfg, jobs, cuts)
 }
 
 // buildPlans turns chosen cuts into the epochs' shares of the inputs; nil
 // for no cuts.
-func buildPlans(cfg Config, w workload.Workload, order []int32, cuts []epochCut) []epochPlan {
+func buildPlans(cfg Config, jobs []workload.JobSpec, cuts []epochCut) []epochPlan {
 	if len(cuts) == 0 {
 		return nil
 	}
-	n := len(order)
+	n := len(jobs)
 	avail := cfg.Availability.Events
 	plans := make([]epochPlan, len(cuts)+1)
 	plans[0] = epochPlan{start: math.Inf(-1)}
 	for k, c := range cuts {
 		plans[k].subHi = c.pos
-		plans[k+1] = epochPlan{subLo: c.pos, start: w.Jobs[order[c.pos]].SubmitAt}
+		plans[k+1] = epochPlan{subLo: c.pos, start: jobs[c.pos].SubmitAt}
 	}
 	plans[len(cuts)].subHi = n
 	// Availability partition: epoch k owns the events with At in
@@ -364,6 +366,15 @@ func buildPlans(cfg Config, w workload.Workload, order []int32, cuts []epochCut)
 	return plans
 }
 
+// epochRun is one epoch of a sharded run: its simulator, the error its
+// window returned, and — for a speculative epoch — the signal that its
+// goroutine has finished.
+type epochRun struct {
+	sim  *Simulator
+	err  error
+	done chan struct{}
+}
+
 // boundaryIdle reports whether the simulator's state at its window horizon
 // matches the successor epoch's speculative starting guess: cluster fully
 // drained and no kick pending. (The window cursors are always exhausted
@@ -385,19 +396,20 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return Result{}, err
 	}
-	order := submissionOrder(w)
-	ranks := submissionRanks(w, order)
+	jobs, widxs := submissionView(w)
 	specs := model.Specs()
 	plans := s.testPlans
 	if plans == nil {
-		plans = planEpochs(s.cfg, w, order, specs)
+		plans = planEpochs(s.cfg, jobs, specs)
 	}
 	if len(plans) < 2 {
-		s.prepare(w, order, ranks, specs, 0, 0, window{})
+		s.prepare(jobs, widxs, specs, 0, 0, window{})
 		return s.Finish()
 	}
 
-	sims := make([]*Simulator, len(plans))
+	// Each epoch's simulator, its error and its goroutine's done signal sit
+	// in one record, so the fan-out allocates one array for all three.
+	epochs := make([]epochRun, len(plans))
 	for k, pl := range plans {
 		cfg := s.cfg
 		cfg.Shards = 1
@@ -412,8 +424,8 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 		// the merge adopts its ledger whole; later epochs log their seals for
 		// the merge to replay onto it.
 		sub.ledger.logSeals = k > 0
-		sub.prepare(w, order, ranks, specs, pl.subLo, pl.capLo, planWindow(plans, k))
-		sims[k] = sub
+		sub.prepare(jobs, widxs, specs, pl.subLo, pl.capLo, planWindow(plans, k))
+		epochs[k].sim = sub
 	}
 
 	// Speculate and reconcile as a pipeline (chained speculation). Epochs
@@ -424,26 +436,25 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 	// dirty boundary re-executes its window on the live chain while every
 	// epoch further right keeps speculating. Errors are held per epoch — a
 	// speculative failure only matters if the walk adopts that epoch.
-	errs := make([]error, len(sims))
-	done := make([]chan struct{}, len(sims))
-	for k := 1; k < len(sims); k++ {
-		done[k] = make(chan struct{})
-		go func(k int) {
-			defer close(done[k])
-			errs[k] = sims[k].runWindow()
-		}(k)
+	for k := 1; k < len(epochs); k++ {
+		ep := &epochs[k]
+		ep.done = make(chan struct{})
+		go func() {
+			defer close(ep.done)
+			ep.err = ep.sim.runWindow()
+		}()
 	}
-	errs[0] = sims[0].runWindow()
+	epochs[0].err = epochs[0].sim.runWindow()
 
-	live, liveErr := sims[0], errs[0]
-	segs := make([]*Simulator, 0, len(sims))
-	s.stats = shardStats{epochs: len(sims)}
+	live, liveErr := epochs[0].sim, epochs[0].err
+	segs := make([]*Simulator, 0, len(epochs))
+	s.stats = shardStats{epochs: len(epochs)}
 	next := 1
-	for ; next < len(sims) && liveErr == nil; next++ {
+	for ; next < len(epochs) && liveErr == nil; next++ {
 		if live.boundaryIdle() {
-			<-done[next]
+			<-epochs[next].done
 			segs = append(segs, live)
-			live, liveErr = sims[next], errs[next]
+			live, liveErr = epochs[next].sim, epochs[next].err
 			s.stats.adopted++
 			continue
 		}
@@ -456,10 +467,10 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 		// wasted epoch, never a chain of them.
 		redo := next
 		if s.cfg.Shards == 0 {
-			redo = len(sims) - 1
+			redo = len(epochs) - 1
 		}
 		for k := next; k <= redo; k++ {
-			sims[k].abandoned.Store(true)
+			epochs[k].sim.abandoned.Store(true)
 		}
 		live.extend(planWindow(plans, redo))
 		liveErr = live.runWindow()
@@ -469,11 +480,11 @@ func (s *Simulator) runSharded(w workload.Workload) (Result, error) {
 	// Reap every speculative goroutine before reading any segment state (an
 	// early liveErr exit flags the unvisited epochs first so they return
 	// promptly).
-	for k := next; k < len(sims); k++ {
-		sims[k].abandoned.Store(true)
+	for k := next; k < len(epochs); k++ {
+		epochs[k].sim.abandoned.Store(true)
 	}
-	for k := 1; k < len(sims); k++ {
-		<-done[k]
+	for k := 1; k < len(epochs); k++ {
+		<-epochs[k].done
 	}
 	if liveErr != nil {
 		return Result{}, liveErr

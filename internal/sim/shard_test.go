@@ -45,21 +45,22 @@ func runShards(t testing.TB, cfg Config, w workload.Workload, shards int, plans 
 // boundaries a persistent backlog is guaranteed to cross, so adopting any
 // of them would be wrong and the reconciliation pass must re-execute every
 // epoch through the live chain.
-func waveStartPlans(w workload.Workload, order []int32, capacity int) []epochPlan {
+func waveStartPlans(w workload.Workload, capacity int) []epochPlan {
+	jobs, _ := submissionView(w)
 	var plans []epochPlan
-	for i := range order {
+	for i := range jobs {
 		if i == 0 {
 			plans = append(plans, epochPlan{start: math.Inf(-1), startCap: capacity})
 			continue
 		}
-		if w.Jobs[order[i]].SubmitAt != w.Jobs[order[i-1]].SubmitAt {
+		if jobs[i].SubmitAt != jobs[i-1].SubmitAt {
 			plans[len(plans)-1].subHi = i
 			plans = append(plans, epochPlan{
-				subLo: i, start: w.Jobs[order[i]].SubmitAt, startCap: capacity,
+				subLo: i, start: jobs[i].SubmitAt, startCap: capacity,
 			})
 		}
 	}
-	plans[len(plans)-1].subHi = len(order)
+	plans[len(plans)-1].subHi = len(jobs)
 	return plans
 }
 
@@ -83,7 +84,7 @@ func TestParallelForcedReexecution(t *testing.T) {
 					t.Fatal(err)
 				}
 				if sharded {
-					plans := waveStartPlans(w, submissionOrder(w), cfg.Capacity)
+					plans := waveStartPlans(w, cfg.Capacity)
 					if len(plans) < 2 {
 						t.Fatalf("workload produced %d wave epochs", len(plans))
 					}
@@ -128,13 +129,13 @@ func TestPlanEpochsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := submissionOrder(w)
+	jobs, _ := submissionView(w)
 	for _, shards := range []int{1, 2, 4, 8, 64} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			cfg := DefaultConfig(core.Elastic)
 			cfg.Availability = tr
 			cfg.Shards = shards
-			plans := planEpochs(cfg, w, order, model.Specs())
+			plans := planEpochs(cfg, jobs, model.Specs())
 			if shards == 1 {
 				if plans != nil {
 					t.Fatalf("shards=1 produced %d epochs", len(plans))
@@ -161,7 +162,7 @@ func TestPlanEpochsPartition(t *testing.T) {
 				if !(cur.start > prev.start) {
 					t.Fatalf("epoch %d start %v does not increase past %v", k, cur.start, prev.start)
 				}
-				if cur.start != w.Jobs[order[cur.subLo]].SubmitAt {
+				if cur.start != jobs[cur.subLo].SubmitAt {
 					t.Fatalf("epoch %d start %v is not its first submission instant", k, cur.start)
 				}
 				want := cfg.Capacity
@@ -183,15 +184,43 @@ func TestPlanEpochsPartition(t *testing.T) {
 	}
 }
 
+// ingestRanks is the IDRank the submission branch gives each job, by
+// workload index, when a simulator's cursor starts at submission position lo
+// (a speculative epoch's first position) and walks to the end; jobs before lo
+// are left at -1.
+func ingestRanks(w workload.Workload, lo int) []int32 {
+	s := &Simulator{}
+	s.jobs, s.widxs = submissionView(w)
+	ranks := make([]int32, len(w.Jobs))
+	for pos := range s.jobs {
+		ranks[s.widx(pos)] = -1
+		if pos >= lo {
+			ranks[s.widx(pos)] = s.idRank(pos)
+		}
+	}
+	return ranks
+}
+
 // TestSubmissionRanksOrder is the property the IDRank interning must hold:
 // sorting jobs by (submission instant, rank) with a rank tie falling back
 // to the ID must order them exactly like (submission instant, ID) — the
-// scheduler comparator's historical tie-break.
+// scheduler comparator's historical tie-break — whether the ranks were taken
+// from the first position or from any later one a speculative epoch could
+// start at.
 func TestSubmissionRanksOrder(t *testing.T) {
-	check := func(t *testing.T, w workload.Workload) {
+	check := func(t *testing.T, w workload.Workload, lo int) {
 		t.Helper()
-		order := submissionOrder(w)
-		ranks := submissionRanks(w, order)
+		ranks := ingestRanks(w, lo)
+		jobs, _ := submissionView(w)
+		var order []int32
+		for widx, r := range ranks {
+			if r >= 0 {
+				order = append(order, int32(widx))
+			}
+		}
+		if len(order) != len(jobs)-lo {
+			t.Fatalf("ranked %d jobs from position %d of %d", len(order), lo, len(jobs))
+		}
 		byRank := append([]int32(nil), order...)
 		sort.SliceStable(byRank, func(a, b int) bool {
 			ja, jb := &w.Jobs[byRank[a]], &w.Jobs[byRank[b]]
@@ -215,8 +244,8 @@ func TestSubmissionRanksOrder(t *testing.T) {
 		})
 		for i := range byRank {
 			if w.Jobs[byRank[i]].ID != w.Jobs[byID[i]].ID {
-				t.Fatalf("rank order diverges from ID order at %d: %s vs %s",
-					i, w.Jobs[byRank[i]].ID, w.Jobs[byID[i]].ID)
+				t.Fatalf("from position %d: rank order diverges from ID order at %d: %s vs %s",
+					lo, i, w.Jobs[byRank[i]].ID, w.Jobs[byID[i]].ID)
 			}
 		}
 	}
@@ -226,7 +255,11 @@ func TestSubmissionRanksOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(fmt.Sprintf("burst/seed%d", seed), func(t *testing.T) { check(t, w) })
+		t.Run(fmt.Sprintf("burst/seed%d", seed), func(t *testing.T) {
+			// From the start, and from inside the second wave.
+			check(t, w, 0)
+			check(t, w, 57)
+		})
 	}
 
 	t.Run("duplicate-ids", func(t *testing.T) {
@@ -237,8 +270,7 @@ func TestSubmissionRanksOrder(t *testing.T) {
 		for i := range w.Jobs {
 			w.Jobs[i].ID = "same"
 		}
-		order := submissionOrder(w)
-		for widx, r := range submissionRanks(w, order) {
+		for widx, r := range ingestRanks(w, 0) {
 			if r != 0 {
 				t.Fatalf("duplicate-ID group got nonzero rank %d at job %d", r, widx)
 			}
@@ -255,16 +287,68 @@ func TestSubmissionRanksOrder(t *testing.T) {
 		for i := range w.Jobs {
 			w.Jobs[i].ID = fmt.Sprintf("j%02d", len(w.Jobs)-1-i)
 		}
-		check(t, w)
-		order := submissionOrder(w)
-		ranks := submissionRanks(w, order)
+		check(t, w, 0)
+		ranks := ingestRanks(w, 0)
 		for i := range w.Jobs {
 			want := int32(len(w.Jobs) - 1 - i)
 			if ranks[i] != want {
 				t.Fatalf("job %d (%s): rank %d, want %d", i, w.Jobs[i].ID, ranks[i], want)
 			}
 		}
+		// Started inside the group, the ranks cover that part alone.
+		ranks = ingestRanks(w, 4)
+		for i := 4; i < len(w.Jobs); i++ {
+			if want := int32(len(w.Jobs) - 1 - i); ranks[i] != want {
+				t.Fatalf("from position 4: job %d (%s): rank %d, want %d", i, w.Jobs[i].ID, ranks[i], want)
+			}
+		}
 	})
+}
+
+// TestRankScratchSizedOnce: a run ranks its same-instant groups into one
+// scratch, sized exactly to the first group of two or more jobs and regrown
+// only for a larger one; a trace of groups of one never allocates it.
+func TestRankScratchSizedOnce(t *testing.T) {
+	w, err := (workload.Burst{Waves: 6, PerWave: 50, WaveGap: 900}).Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Grow the third wave to 80 jobs by moving the next wave's first 30 into it.
+	for i := 150; i < 180; i++ {
+		w.Jobs[i].SubmitAt = w.Jobs[100].SubmitAt
+	}
+	s := &Simulator{}
+	s.jobs, s.widxs = submissionView(w)
+	var sizes []int
+	for pos := range s.jobs {
+		s.idRank(pos)
+		if n := len(s.rankBuf); len(sizes) == 0 || sizes[len(sizes)-1] != n {
+			sizes = append(sizes, n)
+		}
+	}
+	if want := []int{2 * 50, 2 * 80}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("scratch sizes %v over the run, want %v", sizes, want)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.rankHi = 0
+		for pos := range s.jobs {
+			s.idRank(pos)
+		}
+	}); allocs != 0 {
+		t.Errorf("ranking the trace again allocates %v times", allocs)
+	}
+
+	u := workload.MustUniform(64, 90, 1)
+	s = &Simulator{}
+	s.jobs, s.widxs = submissionView(u)
+	for pos := range s.jobs {
+		if r := s.idRank(pos); r != 0 {
+			t.Fatalf("job %d alone at its instant got rank %d", pos, r)
+		}
+	}
+	if s.rankBuf != nil {
+		t.Errorf("groups of one allocated a %d-entry scratch", len(s.rankBuf))
+	}
 }
 
 // TestPlanEpochsStreamingScaleWorkload pins the planner's behaviour on the
@@ -279,7 +363,7 @@ func TestPlanEpochsStreamingScaleWorkload(t *testing.T) {
 	}
 	cfg := DefaultConfig(core.Elastic)
 	cfg.Shards = 8
-	if plans := planEpochs(cfg, w, submissionOrder(w), model.Specs()); len(plans) < 2 {
+	if plans := planEpochs(cfg, w.Jobs, model.Specs()); len(plans) < 2 {
 		t.Fatalf("streaming-scale workload produced no multi-epoch plan (%d epochs)", len(plans))
 	}
 }
@@ -311,11 +395,11 @@ func predictedDemand(cfg Config, class model.Class) float64 {
 }
 
 // epochWorks sums each plan's predicted demand.
-func epochWorks(cfg Config, w workload.Workload, order []int32, plans []epochPlan) []float64 {
+func epochWorks(cfg Config, jobs []workload.JobSpec, plans []epochPlan) []float64 {
 	works := make([]float64, len(plans))
 	for k, pl := range plans {
-		for _, idx := range order[pl.subLo:pl.subHi] {
-			works[k] += predictedDemand(cfg, w.Jobs[idx].Class)
+		for _, js := range jobs[pl.subLo:pl.subHi] {
+			works[k] += predictedDemand(cfg, js.Class)
 		}
 	}
 	return works
@@ -351,8 +435,8 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 			w := classWaves(gap, waves)
 			cfg := DefaultConfig(core.Elastic)
 			cfg.Shards = 4
-			order := submissionOrder(w)
-			plans := planEpochs(cfg, w, order, model.Specs())
+			jobs, _ := submissionView(w)
+			plans := planEpochs(cfg, jobs, model.Specs())
 			if len(plans) != cfg.Shards {
 				t.Fatalf("%d epochs planned, want %d: %+v", len(plans), cfg.Shards, plans)
 			}
@@ -369,7 +453,7 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 				}
 			}
 			ideal := total / float64(cfg.Shards)
-			works := epochWorks(cfg, w, order, plans)
+			works := epochWorks(cfg, jobs, plans)
 			bound := maxWave * (1 + 1e-9)
 			for k, wk := range works {
 				if d := math.Abs(wk - ideal); d > bound {
@@ -395,15 +479,15 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 			// replaced), and check the work-balanced plan's largest epoch is
 			// decisively smaller.
 			var cuts []int
-			for i := 1; i < len(order); i++ {
-				if w.Jobs[order[i]].SubmitAt != w.Jobs[order[i-1]].SubmitAt {
+			for i := 1; i < len(jobs); i++ {
+				if jobs[i].SubmitAt != jobs[i-1].SubmitAt {
 					cuts = append(cuts, i)
 				}
 			}
 			countBounds := []int{0}
 			prev := 0
 			for k := 1; k < cfg.Shards; k++ {
-				target := float64(len(order)) * float64(k) / float64(cfg.Shards)
+				target := float64(len(jobs)) * float64(k) / float64(cfg.Shards)
 				best, bestD := -1, math.Inf(1)
 				for _, c := range cuts {
 					if c <= prev {
@@ -421,14 +505,14 @@ func TestPlanEpochsWorkBalance(t *testing.T) {
 			}
 			countPlans := make([]epochPlan, len(countBounds))
 			for k, lo := range countBounds {
-				hi := len(order)
+				hi := len(jobs)
 				if k+1 < len(countBounds) {
 					hi = countBounds[k+1]
 				}
 				countPlans[k] = epochPlan{subLo: lo, subHi: hi}
 			}
 			countMax, workMax := 0.0, 0.0
-			for _, wk := range epochWorks(cfg, w, order, countPlans) {
+			for _, wk := range epochWorks(cfg, jobs, countPlans) {
 				countMax = math.Max(countMax, wk)
 			}
 			for _, wk := range works {
@@ -490,7 +574,7 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	jobs = append(jobs, wave(3, 20*T)...)
 	w := workload.Workload{Jobs: jobs}
 
-	plans := waveStartPlans(w, submissionOrder(w), cfg.Capacity)
+	plans := waveStartPlans(w, cfg.Capacity)
 	if len(plans) != 4 {
 		t.Fatalf("planted %d epochs, want 4", len(plans))
 	}
@@ -541,18 +625,21 @@ func TestParallelChainedSpeculation(t *testing.T) {
 	}
 }
 
-// TestShardedFootprintBounded holds the shard path's memory to a small
-// multiple of the sequential loop's on BenchmarkSimParallelScaling's trace:
-// eight epoch simulators, their speculative queues and the O(drains) seal
-// logs cost under 2.2× the bytes of one (1.91× when written) and at most 149
-// objects over it per epoch they add (683 over 7, ≈ 98 each). The objects
-// were bounded at 1.5× the sequential run's until its ID tie-break sort
-// stopped allocating: that left it 87 objects, not 2,087, and a ratio that
-// said nothing of the shard path; 149 an epoch is what 1.5× allowed. A merge
-// that logs a term per event instead of one per drain — the design the seal
-// log replaced — sits near 40× one. The automatic width on bench/'s
-// 80 k-job burst — the default every caller now runs — is held per epoch it
-// adds: under 0.4 MB each (0.29 MB when written).
+// TestShardedFootprintBounded holds the shard path's memory over the
+// sequential loop's, per epoch it adds, on BenchmarkSimParallelScaling's
+// trace: eight epoch simulators, their speculative queues and the O(drains)
+// seal logs cost at most 315 kB and 149 objects each over one (≈ 250 kB and
+// ≈ 98 objects when written). The bytes were bounded at 2.2× the sequential
+// run's until that run stopped building two whole-trace index arrays (1.84 MB
+// → 0.24 MB at 200 k jobs): the ratio then read 8.4× for the same ≈ 250 kB an
+// epoch, and 315 kB an epoch is what 2.2× allowed before. The objects were
+// bounded at 1.5× the sequential run's until its ID tie-break sort stopped
+// allocating: that left it 87 objects, not 2,087, and a ratio that said
+// nothing of the shard path; 149 an epoch is what 1.5× allowed. A merge that
+// logs a term per event instead of one per drain — the design the seal log
+// replaced — sits near 40× one. The automatic width on bench/'s 80 k-job
+// burst — the default every caller now runs — is held per epoch it adds:
+// under 0.4 MB each (0.26 MB when written).
 func TestShardedFootprintBounded(t *testing.T) {
 	footprint := func(w workload.Workload, shards int) (bytes, objects float64, st shardStats) {
 		cfg := DefaultConfig(core.Elastic)
@@ -574,10 +661,10 @@ func TestShardedFootprintBounded(t *testing.T) {
 	seqBytes, seqObjects, _ := footprint(w, 1)
 	shBytes, shObjects, st := footprint(w, 8)
 	added := float64(max(st.epochs-1, 1))
-	t.Logf("shards=8 / shards=1: %.2fx bytes (%.0f / %.0f), %.0f objects over %.0f for %v extra epochs",
-		shBytes/seqBytes, shBytes, seqBytes, shObjects-seqObjects, seqObjects, added)
-	if shBytes > 2.2*seqBytes {
-		t.Errorf("Shards: 8 allocates %.2fx the bytes of Shards: 1, want <= 2.2x", shBytes/seqBytes)
+	t.Logf("shards=8 / shards=1: %.0f bytes over %.0f, %.0f objects over %.0f for %v extra epochs",
+		shBytes-seqBytes, seqBytes, shObjects-seqObjects, seqObjects, added)
+	if perEpoch := (shBytes - seqBytes) / added; perEpoch > 315e3 {
+		t.Errorf("Shards: 8 allocates %.0f bytes over Shards: 1 per extra epoch, want <= 315 kB", perEpoch)
 	}
 	if perEpoch := (shObjects - seqObjects) / added; perEpoch > 149 {
 		t.Errorf("Shards: 8 allocates %.0f objects over Shards: 1 per extra epoch, want <= 149", perEpoch)
@@ -640,7 +727,7 @@ func TestProcessedEqualAtAnyShards(t *testing.T) {
 		{name: "burst", w: gen(workload.Burst{Waves: 3, PerWave: 40, WaveGap: 4000}, 1)},
 		{name: "availability", w: avail, tr: tr.WithRestore(64, span)},
 		{name: "scale", w: gen(workload.Burst{Waves: 12, PerWave: 100, WaveGap: 20000}, 5)},
-		{name: "forced-reexecution", w: backlog, plans: waveStartPlans(backlog, submissionOrder(backlog), 64)},
+		{name: "forced-reexecution", w: backlog, plans: waveStartPlans(backlog, 64)},
 	} {
 		for _, p := range core.AllPolicies() {
 			t.Run(sc.name+"/"+p.String(), func(t *testing.T) {
@@ -821,10 +908,10 @@ func TestSlackRuleAdoption(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := streamingMode(DefaultConfig(p))
-				order := submissionOrder(w)
+				jobs, _ := submissionView(w)
 				seq := runShards(t, cfg, w, 1, nil)
 				for i, tolerance := range []float64{0, balanceTolerance} {
-					plans := buildPlans(cfg, w, order, chooseCuts(nil, cfg, w, order, specs, shards, tolerance))
+					plans := buildPlans(cfg, jobs, chooseCuts(nil, cfg, jobs, specs, shards, tolerance))
 					if plans == nil {
 						continue
 					}
@@ -845,5 +932,93 @@ func TestSlackRuleAdoption(t *testing.T) {
 				t.Errorf("%s/elastic: %d of %d slack-ranked boundaries adopted, want nine in ten", sh.name, adopted[1], boundaries[1])
 			}
 		}
+	}
+}
+
+// TestStraddledGroupRanks: two submission floats that round to one
+// nanosecond form one ID-rank group, and an epoch cut may fall between them.
+// Each group here is an XLarge job at x0 and two at the next float, queued
+// behind a blocker that holds the cluster, with IDs that sort against their
+// submission order, so the rank tie-break decides who starts next. The cut
+// between x0 and x1 is re-executed — the job at x0 is still queued less than
+// a nanosecond later, so such a cut can never be adopted — and the live chain
+// must rank the group past its window's end. The second group sits inside an
+// epoch whose boundary drains and is adopted, ranked by that epoch alone. A
+// stepped run with step edges at x1 and y1 splits both groups the same way.
+// Every run must be the Shards: 1 run: Result, Decisions() and Processed().
+func TestStraddledGroupRanks(t *testing.T) {
+	const x0, y0 = 1e6, 2e6
+	x1, y1 := math.Nextafter(x0, math.Inf(1)), math.Nextafter(y0, math.Inf(1))
+	if model.Duration(x0) != model.Duration(x1) || model.Duration(y0) != model.Duration(y1) {
+		t.Fatal("the neighbouring floats fall in different nanoseconds")
+	}
+	job := func(id string, at float64) workload.JobSpec {
+		return workload.JobSpec{ID: id, Class: model.XLarge, Priority: 3, SubmitAt: at}
+	}
+	w := workload.Workload{Jobs: []workload.JobSpec{
+		job("a-blocker", x0-10), job("a-2", x0), job("a-0", x1), job("a-1", x1),
+		job("b-blocker", y0-10), job("b-2", y0), job("b-0", y1), job("b-1", y1),
+	}}
+	plans := []epochPlan{
+		{subLo: 0, subHi: 2, start: math.Inf(-1), startCap: 64},
+		{subLo: 2, subHi: 4, start: x1, startCap: 64},
+		{subLo: 4, subHi: 8, start: y0 - 10, startCap: 64},
+	}
+	for _, p := range core.AllPolicies() {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := DefaultConfig(p)
+			cfg.LogDecisions = true
+			seq := runShards(t, cfg, w, 1, nil)
+			if p == core.RigidMax {
+				// One job at a time: starts follow the queue's order, IDs
+				// within each group whatever their submission floats.
+				start := map[string]float64{}
+				for _, j := range seq.res.Jobs {
+					start[j.ID] = j.StartAt
+				}
+				for _, g := range []string{"a", "b"} {
+					if !(start[g+"-0"] < start[g+"-1"] && start[g+"-1"] < start[g+"-2"]) {
+						t.Fatalf("group %s starts out of ID order: %v", g, start)
+					}
+				}
+			}
+			same := func(name string, res Result, decisions []core.Decision, processed int) {
+				t.Helper()
+				if !reflect.DeepEqual(seq.res, res) {
+					t.Errorf("%s: results diverge:\nsequential: %+v\ngot:        %+v", name, seq.res.Metrics, res.Metrics)
+				}
+				if !reflect.DeepEqual(seq.decisions, decisions) {
+					t.Errorf("%s: decision logs diverge: %d vs %d entries", name, len(seq.decisions), len(decisions))
+				}
+				if processed != seq.processed {
+					t.Errorf("%s: Processed() %d, sequential %d", name, processed, seq.processed)
+				}
+			}
+			explicit := runShards(t, cfg, w, len(plans), plans)
+			if st := explicit.stats; st.adopted != 1 || st.reexecuted != 1 {
+				t.Errorf("explicit width: %+v, want the straddled boundary re-executed and the drained one adopted", st)
+			}
+			same("explicit", explicit.res, explicit.decisions, explicit.processed)
+			auto := runShards(t, cfg, w, 0, plans)
+			same("automatic", auto.res, auto.decisions, auto.processed)
+
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(w); err != nil {
+				t.Fatal(err)
+			}
+			for _, edge := range []float64{x1, y1} {
+				if err := s.StepTo(edge); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("stepped", res, s.Decisions(), s.Processed())
+		})
 	}
 }

@@ -299,11 +299,10 @@ type Simulator struct {
 	// run owns the whole workload and trace with an infinite horizon; a
 	// shard owns one epoch's slice of each, and reconciliation extends the
 	// window of a simulator that must re-execute its successor epoch.
-	w         workload.Workload
-	order     []int32 // submission order (shared, read-only across shards)
-	ranks     []int32 // per-widx ID tie-break ranks (shared, read-only)
+	jobs      []workload.JobSpec // the workload in submission order (shared, read-only across shards)
+	widxs     []int32            // each position's workload index; nil when it is the position itself
 	specs     map[model.Class]model.Spec
-	cursor    int     // next submission index in order
+	cursor    int     // next submission position in jobs
 	subHi     int     // submission window end (exclusive)
 	capi      int     // next availability-trace index
 	capHi     int     // availability window end (exclusive)
@@ -312,6 +311,13 @@ type Simulator struct {
 	trail     trail   // capacity events a stepped run applied with no work left
 	processed int
 	limit     int
+
+	// The ID ranks of the same-nanosecond group the submission branch is in:
+	// positions [rankLo, rankHi) of jobs, ranked into rankBuf when ranked
+	// (see idRank).
+	rankLo, rankHi int
+	ranked         bool
+	rankBuf        []int32
 
 	// mergedDecisions overrides Decisions() after a sharded run.
 	mergedDecisions []core.Decision
@@ -434,9 +440,6 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 		MaxReplicas: spec.MaxReplicas,
 		SubmitTime:  Origin.Add(model.Duration(js.SubmitAt)),
 	}
-	if s.ranks != nil && widx >= 0 {
-		sj.job.IDRank = s.ranks[widx]
-	}
 	if sj.job.MaxReplicas > s.cfg.Capacity {
 		sj.job.MaxReplicas = s.cfg.Capacity
 	}
@@ -473,64 +476,99 @@ func (s *Simulator) Run(w workload.Workload) (Result, error) {
 	return s.Finish()
 }
 
-// submissionOrder returns the workload's indices in stable submission-time
-// order: equal submission times keep workload order, and submissions sort
-// before same-instant completions/kicks. A workload already in that order, as
-// every loaded trace is, is not sorted again.
-func submissionOrder(w workload.Workload) []int32 {
-	order := make([]int32, len(w.Jobs))
-	for i := range order {
-		order[i] = int32(i)
-	}
+// submissionView is the workload read in submission order — equal
+// submission times keep workload order, and submissions sort before
+// same-instant completions/kicks — and each position's workload index. A
+// workload already in that order, as every loaded or generated trace is, is
+// read in place: its own jobs, and nil indices (a job's index is its
+// position). Any other pays once for a stably sorted copy and the indices
+// its jobs came from.
+func submissionView(w workload.Workload) ([]workload.JobSpec, []int32) {
 	if w.InSubmitOrder() {
-		return order
+		return w.Jobs, nil
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
+	widxs := make([]int32, len(w.Jobs))
+	for i := range widxs {
+		widxs[i] = int32(i)
+	}
+	sort.SliceStable(widxs, func(a, b int) bool {
+		return w.Jobs[widxs[a]].SubmitAt < w.Jobs[widxs[b]].SubmitAt
 	})
-	return order
+	jobs := make([]workload.JobSpec, len(w.Jobs))
+	for pos, widx := range widxs {
+		jobs[pos] = w.Jobs[widx]
+	}
+	return jobs, widxs
 }
 
-// submissionRanks interns the ID tie-break for the scheduler's comparator:
-// within each group of jobs sharing a submission instant (at the scheduler's
-// nanosecond clock resolution, the only granularity at which the ID
-// tie-break can fire) the IDs are sorted once and each job gets its sort
-// position as core.Job.IDRank, turning every hot-path tie-break from a
-// string compare into an integer compare with identical ordering. Groups
-// containing duplicate IDs are left at rank zero so the comparator falls
-// back to the sequential string compare. Measured with bench/ (alternating
-// 5 s pairs): without the ranks burst_backlog loses 2.0 % of jobs_per_s
-// (551.9 k → 541.1 k, behind in 6 pairs of 6).
-func submissionRanks(w workload.Workload, order []int32) []int32 {
-	ranks := make([]int32, len(w.Jobs))
-	var group []int32
-	for i := 0; i < len(order); {
-		at := model.Duration(w.Jobs[order[i]].SubmitAt)
-		j := i + 1
-		for j < len(order) && model.Duration(w.Jobs[order[j]].SubmitAt) == at {
-			j++
-		}
-		if j-i > 1 {
-			group = append(group[:0], order[i:j]...)
-			slices.SortFunc(group, func(a, b int32) int {
-				return strings.Compare(w.Jobs[a].ID, w.Jobs[b].ID)
-			})
-			dup := false
-			for k := 1; k < len(group); k++ {
-				if w.Jobs[group[k]].ID == w.Jobs[group[k-1]].ID {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				for r, widx := range group {
-					ranks[widx] = int32(r)
-				}
-			}
-		}
-		i = j
+// widx is the workload index of the job at submission position pos.
+func (s *Simulator) widx(pos int) int32 {
+	if s.widxs == nil {
+		return int32(pos)
 	}
-	return ranks
+	return s.widxs[pos]
+}
+
+// idRank interns the ID tie-break for the scheduler's comparator: the job at
+// position pos gets its ID's sort position within its group — the jobs
+// sharing its submission instant at the scheduler's nanosecond clock
+// resolution, the only granularity at which the ID tie-break can fire — as
+// core.Job.IDRank, turning every hot-path tie-break from a string compare
+// into an integer compare with identical ordering. A group is ranked when the
+// submission branch first reaches it, into the simulator's own scratch: the
+// scan runs forward from there through the trace, past the window's end, so a
+// window the live chain extends keeps the ranks of a group it has begun. A
+// speculative epoch that starts inside a group ranks only its part; if the
+// epoch is adopted, nothing of the earlier part is left to compare against. A
+// group of one, or one holding duplicate IDs, stays at rank zero, so the
+// comparator falls back to the string compare. Measured with bench/
+// (alternating 5 s pairs): without the ranks burst_backlog loses 2.0 % of
+// jobs_per_s (551.9 k → 541.1 k, behind in 6 pairs of 6).
+func (s *Simulator) idRank(pos int) int32 {
+	if pos >= s.rankHi {
+		s.rankGroup(pos)
+	}
+	if !s.ranked {
+		return 0
+	}
+	return s.rankBuf[pos-s.rankLo]
+}
+
+// rankGroup ranks the same-nanosecond group that starts at position lo. The
+// scratch holds each position's rank and, after them, the group's positions
+// sorted by ID; it is sized to the first group of two or more jobs and
+// regrown only for a larger one, so a run allocates it a handful of times.
+func (s *Simulator) rankGroup(lo int) {
+	jobs := s.jobs
+	at := model.Duration(jobs[lo].SubmitAt)
+	hi := lo + 1
+	for hi < len(jobs) && model.Duration(jobs[hi].SubmitAt) == at {
+		hi++
+	}
+	s.rankLo, s.rankHi, s.ranked = lo, hi, false
+	n := hi - lo
+	if n < 2 {
+		return
+	}
+	if len(s.rankBuf) < 2*n {
+		s.rankBuf = make([]int32, 2*n)
+	}
+	ranks, byID := s.rankBuf[:n], s.rankBuf[n:2*n]
+	for i := range byID {
+		byID[i] = int32(lo + i)
+	}
+	slices.SortFunc(byID, func(a, b int32) int {
+		return strings.Compare(jobs[a].ID, jobs[b].ID)
+	})
+	for k := 1; k < n; k++ {
+		if jobs[byID[k]].ID == jobs[byID[k-1]].ID {
+			return
+		}
+	}
+	for r, pos := range byID {
+		ranks[int(pos)-lo] = int32(r)
+	}
+	s.ranked = true
 }
 
 // trail marks the trailing capacity events of a stepped run: those applied
@@ -557,33 +595,31 @@ type window struct {
 	final        bool
 }
 
-// prepare installs the workload and a first window that starts at submission
-// index subLo and availability event capLo. ranks may be nil (no ID-rank
-// interning). Both cursors only move forward from there; extend moves the
-// window's far edge.
-func (s *Simulator) prepare(w workload.Workload, order, ranks []int32, specs map[model.Class]model.Spec,
+// prepare installs the workload — its jobs in submission order and their
+// workload indices, as submissionView returns them — and a first window that
+// starts at submission position subLo and availability event capLo. Both
+// cursors only move forward from there; extend moves the window's far edge.
+func (s *Simulator) prepare(jobs []workload.JobSpec, widxs []int32, specs map[model.Class]model.Spec,
 	subLo, capLo int, win window) {
-	s.w = w
-	s.order = order
-	s.ranks = ranks
+	s.jobs, s.widxs = jobs, widxs
 	s.specs = specs
 	s.cursor, s.capi = subLo, capLo
 	s.extend(win)
 	// Size the decision ring once: a window of its own for a shard epoch, the
 	// whole workload otherwise (Begin's window is empty and only grows).
-	jobs := win.subHi - subLo
-	if jobs <= 0 {
-		jobs = len(order) - subLo
+	n := win.subHi - subLo
+	if n <= 0 {
+		n = len(jobs) - subLo
 	}
-	s.sched.ReserveLog(decisionsPerJob * jobs)
+	s.sched.ReserveLog(decisionsPerJob * n)
 	if !s.cfg.Streaming {
 		// The retained logs, sized the same way: a window's completions, and
 		// its allocation changes as far as samplesPerJob foresees them.
-		s.done = make([]doneRecord, 0, jobs)
-		s.samples = make([]replicaSample, 0, samplesPerJob*jobs)
-		s.utilTL = make([]UtilSample, 0, samplesPerJob*jobs)
+		s.done = make([]doneRecord, 0, n)
+		s.samples = make([]replicaSample, 0, samplesPerJob*n)
+		s.utilTL = make([]UtilSample, 0, samplesPerJob*n)
 	}
-	s.limit = 5_000_000 + 64*len(w.Jobs) + 16*len(s.cfg.Availability.Events)
+	s.limit = 5_000_000 + 64*len(jobs) + 16*len(s.cfg.Availability.Events)
 }
 
 // extend moves the window's far edge: the next epoch when the reconciliation
@@ -602,7 +638,7 @@ func (s *Simulator) extend(win window) {
 // would apply while later submissions are still pending); the final window
 // skips them: nothing is left for them to affect.
 func (s *Simulator) runWindow() error {
-	w := s.w
+	jobs := s.jobs
 	avail := s.cfg.Availability.Events
 	for {
 		if s.capi < s.capHi &&
@@ -612,7 +648,7 @@ func (s *Simulator) runWindow() error {
 			// skipped in the final window (the guard above): they cannot
 			// affect any metric.
 			at := avail[s.capi].At
-			if (s.cursor >= s.subHi || at <= w.Jobs[s.order[s.cursor]].SubmitAt) &&
+			if (s.cursor >= s.subHi || at <= jobs[s.cursor].SubmitAt) &&
 				(s.events.len() == 0 || at <= s.events.topAt()) {
 				// Equal-timestamp events coalesce: the kick re-arm (an
 				// O(running) gap scan) runs once per batch, not per event.
@@ -633,19 +669,20 @@ func (s *Simulator) runWindow() error {
 			}
 		}
 		if s.cursor < s.subHi {
-			at := w.Jobs[s.order[s.cursor]].SubmitAt
+			at := jobs[s.cursor].SubmitAt
 			if s.events.len() == 0 || at <= s.events.topAt() {
 				s.advanceTo(at)
 				for {
-					widx := s.order[s.cursor]
-					js := &w.Jobs[widx]
+					pos := s.cursor
+					js := &jobs[pos]
 					s.cursor++
 					s.processed++
-					sj := s.newSimJob(js, s.specs[js.Class], widx)
+					sj := s.newSimJob(js, s.specs[js.Class], s.widx(pos))
+					sj.job.IDRank = s.idRank(pos)
 					if err := s.sched.Submit(&sj.job); err != nil {
 						return err
 					}
-					if s.cursor >= s.subHi || w.Jobs[s.order[s.cursor]].SubmitAt != at {
+					if s.cursor >= s.subHi || jobs[s.cursor].SubmitAt != at {
 						break
 					}
 				}
@@ -777,7 +814,7 @@ func (s *Simulator) scheduleKick() {
 // scheduler's forced reclaim calls back into the actuator, which recomputes
 // completion events and charges overhead exactly as policy rescales do.
 func (s *Simulator) applyCapacity(newCap int) error {
-	if !s.final && !s.trail.on && s.cursor >= len(s.order) && s.events.len() == 0 &&
+	if !s.final && !s.trail.on && s.cursor >= len(s.jobs) && s.events.len() == 0 &&
 		s.sched.NumRunning() == 0 && s.sched.NumQueued() == 0 {
 		s.trail = trail{on: true, steps: len(s.ledger.capSteps), capacity: s.sched.Capacity()}
 	}
@@ -916,8 +953,8 @@ func (a *simActuator) PreemptJob(j *core.Job) error {
 // expected completion count is the workload's job count adjusted by the
 // stepping API's migration counters (jobs injected from, or withdrawn to,
 // other federation members) — both zero on the batch path.
-func (s *Simulator) collect(w workload.Workload) (Result, error) {
-	if expected := len(w.Jobs) + s.injected - s.withdrawn; s.completed != expected {
+func (s *Simulator) collect() (Result, error) {
+	if expected := len(s.jobs) + s.injected - s.withdrawn; s.completed != expected {
 		return Result{Metrics: Metrics{Policy: s.cfg.Policy}}, unfinished(s.completed, expected, s)
 	}
 	endCap := s.sched.Capacity()

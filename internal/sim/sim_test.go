@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -421,8 +423,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestSubmissionOrderMatchesStableSort: the order submissionOrder returns,
-// by its already-sorted shortcut or by sorting, is sort.SliceStable's.
+// TestSubmissionOrderMatchesStableSort: the order submissionView reads the
+// workload in, in place or through a sorted copy, is sort.SliceStable's.
 func TestSubmissionOrderMatchesStableSort(t *testing.T) {
 	nan := math.NaN()
 	for name, at := range map[string][]float64{
@@ -442,9 +444,102 @@ func TestSubmissionOrderMatchesStableSort(t *testing.T) {
 			want[i] = int32(i)
 		}
 		sort.SliceStable(want, func(a, b int) bool { return at[want[a]] < at[want[b]] })
-		if got := submissionOrder(w); !slices.Equal(got, want) {
+		jobs, widxs := submissionView(w)
+		got := make([]int32, len(jobs))
+		for pos := range jobs {
+			got[pos] = (&Simulator{widxs: widxs}).widx(pos)
+			if jobs[pos].ID != w.Jobs[got[pos]].ID {
+				t.Errorf("%s: position %d holds job %s, its index says %s", name, pos, jobs[pos].ID, w.Jobs[got[pos]].ID)
+			}
+		}
+		if !slices.Equal(got, want) {
 			t.Errorf("%s: order %v, want %v", name, got, want)
 		}
+		if inPlace := widxs == nil; inPlace != w.InSubmitOrder() {
+			t.Errorf("%s: read in place %v, in submission order %v", name, inPlace, w.InSubmitOrder())
+		}
+	}
+}
+
+// TestOutOfOrderWorkload: a workload not in submission order runs as its
+// stably sorted twin does — batch, sharded over planted epochs, and stepped —
+// with the retained records in the caller's order, not the twin's.
+func TestOutOfOrderWorkload(t *testing.T) {
+	sorted, err := (workload.Burst{Waves: 4, PerWave: 30, WaveGap: 5000}).Generate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w workload.Workload
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(sorted.Jobs)) {
+		w.Jobs = append(w.Jobs, sorted.Jobs[i])
+	}
+	if w.InSubmitOrder() {
+		t.Fatal("the shuffled workload is in submission order")
+	}
+	// The twin, and where each of its jobs sits in w.
+	from := make([]int, len(w.Jobs))
+	for i := range from {
+		from[i] = i
+	}
+	sort.SliceStable(from, func(a, b int) bool { return w.Jobs[from[a]].SubmitAt < w.Jobs[from[b]].SubmitAt })
+	var twin workload.Workload
+	for _, i := range from {
+		twin.Jobs = append(twin.Jobs, w.Jobs[i])
+	}
+	for _, p := range core.AllPolicies() {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := DefaultConfig(p)
+			cfg.LogDecisions = true
+			want := runShards(t, cfg, twin, 1, nil)
+			same := func(name string, res Result, decisions []core.Decision, processed int) {
+				t.Helper()
+				if len(res.Jobs) != len(w.Jobs) {
+					t.Fatalf("%s: %d records for %d jobs", name, len(res.Jobs), len(w.Jobs))
+				}
+				for i, widx := range from {
+					if !reflect.DeepEqual(res.Jobs[widx], want.res.Jobs[i]) {
+						t.Fatalf("%s: record %d is %+v, the twin's record %d %+v", name, widx, res.Jobs[widx], i, want.res.Jobs[i])
+					}
+				}
+				got, wantRes := res, want.res
+				got.Jobs, wantRes.Jobs = nil, nil
+				if !reflect.DeepEqual(got, wantRes) {
+					t.Errorf("%s: results diverge:\ntwin: %+v\ngot:  %+v", name, wantRes.Metrics, got.Metrics)
+				}
+				if !reflect.DeepEqual(want.decisions, decisions) {
+					t.Errorf("%s: decision logs diverge: %d vs %d entries", name, len(want.decisions), len(decisions))
+				}
+				if processed != want.processed {
+					t.Errorf("%s: Processed() %d, twin %d", name, processed, want.processed)
+				}
+			}
+			batch := runShards(t, cfg, w, 1, nil)
+			same("batch", batch.res, batch.decisions, batch.processed)
+			plans := waveStartPlans(w, cfg.Capacity)
+			sharded := runShards(t, cfg, w, len(plans), plans)
+			if sharded.stats.epochs != 4 {
+				t.Fatalf("planted %d epochs, want 4", sharded.stats.epochs)
+			}
+			same("sharded", sharded.res, sharded.decisions, sharded.processed)
+
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin(w); err != nil {
+				t.Fatal(err)
+			}
+			for tick := 1000.0; !s.Drained(); tick += 1000 {
+				if err := s.StepTo(tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("stepped", res, s.Decisions(), s.Processed())
+		})
 	}
 }
 

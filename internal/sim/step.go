@@ -69,8 +69,8 @@ func (s *Simulator) Begin(w workload.Workload) error {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return err
 	}
-	order := submissionOrder(w)
-	s.prepare(w, order, submissionRanks(w, order), model.Specs(), 0, 0, window{})
+	jobs, widxs := submissionView(w)
+	s.prepare(jobs, widxs, model.Specs(), 0, 0, window{})
 	return nil
 }
 
@@ -100,7 +100,7 @@ func (s *Simulator) StepTo(t float64) error {
 // index past the last submission strictly before t.
 func (s *Simulator) submittedBefore(t float64) int {
 	subHi := s.subHi
-	for subHi < len(s.order) && s.w.Jobs[s.order[subHi]].SubmitAt < t {
+	for subHi < len(s.jobs) && s.jobs[subHi].SubmitAt < t {
 		subHi++
 	}
 	return subHi
@@ -124,17 +124,17 @@ func (s *Simulator) DueBefore(t float64) int {
 // Finish opens the window over everything that remains, drains the timeline
 // and collects the result. Straight after Begin that is the whole batch run.
 func (s *Simulator) Finish() (Result, error) {
-	s.extend(window{subHi: len(s.order), capHi: len(s.cfg.Availability.Events), horizon: math.Inf(1), final: true})
+	s.extend(window{subHi: len(s.jobs), capHi: len(s.cfg.Availability.Events), horizon: math.Inf(1), final: true})
 	if err := s.runWindow(); err != nil {
 		return Result{}, err
 	}
-	return s.collect(s.w)
+	return s.collect()
 }
 
 // Drained reports whether every submission has been ingested and no job is
 // running or waiting — nothing remains but (droppable) stale heap events.
 func (s *Simulator) Drained() bool {
-	return s.cursor >= len(s.order) && s.sched.NumRunning() == 0 && s.sched.NumQueued() == 0
+	return s.cursor >= len(s.jobs) && s.sched.NumRunning() == 0 && s.sched.NumQueued() == 0
 }
 
 // Idle reports whether no job is running or waiting right now (submissions
@@ -146,10 +146,10 @@ func (s *Simulator) Idle() bool {
 // NextSubmitAt returns the submission instant of the next job the stepped
 // run has not ingested yet, if any.
 func (s *Simulator) NextSubmitAt() (float64, bool) {
-	if s.cursor >= len(s.order) {
+	if s.cursor >= len(s.jobs) {
 		return 0, false
 	}
-	return s.w.Jobs[s.order[s.cursor]].SubmitAt, true
+	return s.jobs[s.cursor].SubmitAt, true
 }
 
 // Processed returns the cumulative count of events processed — the
