@@ -40,6 +40,34 @@ func BenchmarkSim100kJobs(b *testing.B) {
 	benchSim(b, 100_000, 1)
 }
 
+// BenchmarkSimRetained is bench/'s poisson_retained run in process: 12 k
+// Poisson jobs, mean gap 170 s, under all four policies, retained and logged,
+// at the default Shards. B/job is the bytes a workload job costs its four
+// runs: the simulation's share of bench/'s alloc_kb_per_job, which adds
+// loading the trace and encoding the streams and the report.
+func BenchmarkSimRetained(b *testing.B) {
+	const jobs = 12000
+	w, err := workload.Poisson{Jobs: jobs, MeanGap: 170}.Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		for _, p := range core.AllPolicies() {
+			cfg := DefaultConfig(p)
+			cfg.LogDecisions = true
+			if res, err := Run(cfg, w); err != nil || len(res.Jobs) != jobs {
+				b.Fatalf("%v: %d records, err %v", p, len(res.Jobs), err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs*b.N), "B/job")
+}
+
 func benchSim(b *testing.B, jobs, shards int) {
 	benchSimAvail(b, jobs, burstBacklog(b, jobs), workload.AvailabilityTrace{}, shards)
 }

@@ -61,8 +61,9 @@ func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Resul
 	res := s.ledger.Result(s.cfg.Policy, s.cfg.Capacity, 0, cs, last.sched.Capacity())
 	if !s.cfg.Streaming {
 		// Every job lives entirely inside one segment (segments are
-		// bounded by drained instants), so the retained records merge by
-		// concatenation in segment order.
+		// bounded by drained instants), so the later segments' done logs
+		// are appended to the first's and ordered by workload index, as a
+		// sequential run's is.
 		retainedRecords(&res, true, segs...)
 		for _, sg := range segs {
 			res.UtilTimeline = append(res.UtilTimeline, sg.utilTL...)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -32,39 +33,14 @@ type JobMetrics struct {
 	Timeline []ReplicaSample
 }
 
-// jobMeta is a JobMetrics without its timeline: what a job slot's cold half
-// and a done-log entry hold, so neither carries a slice header that only
-// collection fills.
+// jobMeta is a job slot's cold half: what only the job's record and the
+// stepping API read, kept off the hot record.
 type jobMeta struct {
-	ID             string
-	Class          model.Class
-	Priority       int
-	Replicas       int
-	SubmitAt       float64
-	StartAt        float64
-	EndAt          float64
-	Rescales       int
-	OverheadSec    float64
-	ResponseTime   float64
-	CompletionTime float64
-}
-
-// metrics is the job's record with the timeline collection built for it.
-func (m *jobMeta) metrics(tl []ReplicaSample) JobMetrics {
-	return JobMetrics{
-		ID:             m.ID,
-		Class:          m.Class,
-		Priority:       m.Priority,
-		Replicas:       m.Replicas,
-		SubmitAt:       m.SubmitAt,
-		StartAt:        m.StartAt,
-		EndAt:          m.EndAt,
-		Rescales:       m.Rescales,
-		OverheadSec:    m.OverheadSec,
-		ResponseTime:   m.ResponseTime,
-		CompletionTime: m.CompletionTime,
-		Timeline:       tl,
-	}
+	ID          string
+	Class       model.Class
+	Priority    int
+	Rescales    int
+	OverheadSec float64
 }
 
 // UtilSample is one step of the cluster-utilization timeline.
@@ -130,7 +106,8 @@ type Result struct {
 	EndCapacity      int
 	// Jobs and UtilTimeline are nil in streaming mode (Config.Streaming);
 	// the aggregate metrics above are always computed. Each job record
-	// carries its own replica timeline (JobMetrics.Timeline).
+	// carries its own replica timeline (JobMetrics.Timeline). Jobs is the
+	// run's done log itself, put in order in place, not a copy of it.
 	Jobs         []JobMetrics
 	UtilTimeline []UtilSample
 }
@@ -228,13 +205,10 @@ type simJob struct {
 	migratedCkpt bool
 }
 
-// doneRecord is one entry of a retained run's done log, appended when a job
-// completes: its metrics, where the batch path places it (widx), and the
-// serial its replica samples carry.
-type doneRecord struct {
-	meta   jobMeta
-	widx   int32
-	serial int32
+// doneKey places a done-log record: the workload index the batch path puts
+// it at, and the serial its replica samples carry.
+type doneKey struct {
+	widx, serial int32
 }
 
 // replicaSample is one entry of a retained run's sample log: a job's replica
@@ -290,9 +264,11 @@ type Simulator struct {
 	serials  int32 // submissions so far: the next job's serial
 
 	// The retained run's append-only logs (nil in streaming mode): done
-	// holds a record per completed job, samples a replica sample per
-	// allocation change, beside utilTL's utilization sample.
-	done    []doneRecord
+	// holds each completed job's final record and keys where it goes,
+	// samples a replica sample per allocation change, beside utilTL's
+	// utilization sample.
+	done    []JobMetrics
+	keys    []doneKey
 	samples []replicaSample
 
 	// Cursor window (set by prepare, consumed by runWindow). A sequential
@@ -443,7 +419,7 @@ func (s *Simulator) newSimJob(js *workload.JobSpec, spec model.Spec, widx int32)
 	if sj.job.MaxReplicas > s.cfg.Capacity {
 		sj.job.MaxReplicas = s.cfg.Capacity
 	}
-	s.cold[sj.ref] = jobMeta{ID: js.ID, Class: js.Class, Priority: js.Priority, SubmitAt: js.SubmitAt}
+	s.cold[sj.ref] = jobMeta{ID: js.ID, Class: js.Class, Priority: js.Priority}
 	return sj
 }
 
@@ -615,7 +591,8 @@ func (s *Simulator) prepare(jobs []workload.JobSpec, widxs []int32, specs map[mo
 	if !s.cfg.Streaming {
 		// The retained logs, sized the same way: a window's completions, and
 		// its allocation changes as far as samplesPerJob foresees them.
-		s.done = make([]doneRecord, 0, n)
+		s.done = make([]JobMetrics, 0, n)
+		s.keys = make([]doneKey, 0, n)
 		s.samples = make([]replicaSample, 0, samplesPerJob*n)
 		s.utilTL = make([]UtilSample, 0, samplesPerJob*n)
 	}
@@ -756,21 +733,20 @@ func (s *Simulator) runWindow() error {
 }
 
 // finish folds a completed job into the ledger — from the hot record alone —
-// and, in a retained run, appends its completed metrics to the done log; then
-// it recycles the job's slot.
+// and, in a retained run, appends the job's final record to the done log,
+// filled from the slot's cold half and the hot record, and its key beside it;
+// collection attaches the record's Timeline. Then it recycles the job's slot.
 func (s *Simulator) finish(sj *simJob) {
 	resp := sj.startAt - sj.submitAt
 	comp := s.now - sj.submitAt
 	s.ledger.Finished(float64(sj.job.Priority), resp, comp, s.now)
 	s.completed++
 	if !s.cfg.Streaming {
-		s.done = append(s.done, doneRecord{meta: s.cold[sj.ref], widx: sj.widx, serial: sj.serial})
-		m := &s.done[len(s.done)-1].meta
-		m.Replicas = int(sj.peak)
-		m.StartAt = sj.startAt
-		m.EndAt = s.now
-		m.ResponseTime = resp
-		m.CompletionTime = comp
+		c := &s.cold[sj.ref]
+		s.done = append(s.done, JobMetrics{ID: c.ID, Class: c.Class, Priority: c.Priority,
+			Replicas: int(sj.peak), SubmitAt: sj.submitAt, StartAt: sj.startAt, EndAt: s.now,
+			Rescales: c.Rescales, OverheadSec: c.OverheadSec, ResponseTime: resp, CompletionTime: comp})
+		s.keys = append(s.keys, doneKey{widx: sj.widx, serial: sj.serial})
 	}
 	s.freeJobs = append(s.freeJobs, sj)
 }
@@ -975,13 +951,16 @@ func (s *Simulator) collect() (Result, error) {
 
 // SortJobs orders per-job records by (SubmitAt, ID) — the submission order a
 // report lists jobs in wherever workload indices cannot place them: after a
-// stepped run that migrated jobs, and always in the emulation.
+// stepped run that migrated jobs, and always in the emulation. It is stable:
+// records that tie, a repeated ID submitted twice at one instant, keep the
+// order they are handed in, which for a simulator's records is (simulator,
+// submission serial) order.
 func SortJobs(jobs []JobMetrics) {
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].SubmitAt != jobs[b].SubmitAt {
-			return jobs[a].SubmitAt < jobs[b].SubmitAt
+	slices.SortStableFunc(jobs, func(a, b JobMetrics) int {
+		if c := cmp.Compare(a.SubmitAt, b.SubmitAt); c != 0 {
+			return c
 		}
-		return jobs[a].ID < jobs[b].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }
 
@@ -999,10 +978,14 @@ func unfinished(completed, expected int, sims ...*Simulator) error {
 	return fmt.Errorf("sim: %d of %d jobs completed", completed, expected)
 }
 
-// retainedRecords fills res.Jobs from the done and sample logs of sims.
-// byWidx says the simulators between them ran every job of the workload and
-// moved none: each record goes back to its workload index. Otherwise the
-// records are listed and sorted by SortJobs.
+// retainedRecords makes res.Jobs of the done logs of sims: the later
+// simulators' logs are appended to the first's, each record gets its replica
+// timeline, and the log is put in order in place — res.Jobs is its own
+// backing array, one record array a run. byWidx says the simulators between
+// them ran every job of the workload and moved none: a cycle-following
+// permutation puts each record back at its workload index. Otherwise sims is
+// one simulator, whose records are put in submission serial order the same
+// way and then sorted by SortJobs.
 //
 // One counting pass per simulator buckets its sample log by submission serial
 // into one backing array shared by every timeline; each record's Timeline is
@@ -1016,14 +999,15 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 		samples += len(sg.samples)
 		serials = max(serials, sg.serials)
 	}
-	if byWidx {
-		res.Jobs = make([]JobMetrics, jobs)
-	} else {
-		res.Jobs = make([]JobMetrics, 0, jobs)
+	done := slices.Grow(sims[0].done, jobs-len(sims[0].done))
+	keys := slices.Grow(sims[0].keys, jobs-len(sims[0].keys))
+	for _, sg := range sims[1:] {
+		done = append(done, sg.done...)
+		keys = append(keys, sg.keys...)
 	}
 	timelines := make([]ReplicaSample, samples)
 	ends := make([]int32, serials+1) // per serial: its bucket's end, once filled
-	dones := make([]int32, serials)  // per serial: its done-log index, or -1
+	off := 0
 	for _, sg := range sims {
 		tl := timelines[:len(sg.samples)]
 		timelines = timelines[len(sg.samples):]
@@ -1039,31 +1023,39 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 			tl[end[x.serial]] = ReplicaSample{At: x.at, Replicas: int(x.replicas)}
 			end[x.serial]++
 		}
-		doneAt := dones[:sg.serials]
-		for i := range doneAt {
-			doneAt[i] = -1
-		}
-		for i := range sg.done {
-			doneAt[sg.done[i].serial] = int32(i)
-		}
-		lo := int32(0)
-		for serial, i := range doneAt {
-			hi := end[serial]
-			if i >= 0 {
-				d := &sg.done[i]
-				m := d.meta.metrics(tl[lo:hi:hi])
-				if byWidx {
-					res.Jobs[d.widx] = m
-				} else {
-					res.Jobs = append(res.Jobs, m)
-				}
+		for i, k := range sg.keys {
+			lo, hi := int32(0), end[k.serial]
+			if k.serial > 0 {
+				lo = end[k.serial-1]
 			}
-			lo = hi
+			done[off+i].Timeline = tl[lo:hi:hi]
+		}
+		off += len(sg.keys)
+	}
+	if !byWidx {
+		// A record's place in serial order is the count of completed serials
+		// before its own.
+		clear(ends)
+		for _, k := range keys {
+			ends[k.serial+1] = 1
+		}
+		for i := 1; i < len(ends); i++ {
+			ends[i] += ends[i-1]
+		}
+		for i := range keys {
+			keys[i].widx = ends[keys[i].serial]
+		}
+	}
+	for i := range keys {
+		for j := keys[i].widx; j != int32(i); j = keys[i].widx {
+			done[i], done[j] = done[j], done[i]
+			keys[i], keys[j] = keys[j], keys[i]
 		}
 	}
 	if !byWidx {
-		SortJobs(res.Jobs)
+		SortJobs(done)
 	}
+	res.Jobs = done
 }
 
 // Run constructs a simulator for cfg and runs w to completion — the entry

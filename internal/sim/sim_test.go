@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -635,6 +636,98 @@ func TestRetainedAllocsDoNotScale(t *testing.T) {
 	}
 }
 
+// TestRetainedBytesPerJob holds the bytes of a sequential, retained, logged
+// elastic run of 32 k Poisson jobs, beside TestRetainedAllocsDoNotScale's
+// count, which a second n-record array — a single allocation — would pass:
+// at most 470 bytes a job, 428 measured. A second record array beside the
+// done log adds 120.
+func TestRetainedBytesPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes allocation sizes")
+	}
+	const jobs, bound = 32000, 470.0
+	w, err := workload.Poisson{Jobs: jobs, MeanGap: 170}.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(core.Elastic)
+	cfg.Shards = 1
+	cfg.LogDecisions = true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg, w)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.Jobs) != jobs {
+		t.Fatalf("%d records, err %v", len(res.Jobs), err)
+	}
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("%.1f bytes a job", perJob)
+	if perJob > bound {
+		t.Errorf("a retained, logged run allocates %.1f bytes a job, want <= %g", perJob, bound)
+	}
+}
+
+// TestRetainedRecordsCarryEveryField: finish fills a record field by field,
+// so a JobMetrics field it forgets stays zero. On every retained path — by
+// workload index sequential and sharded, and listed after an Inject — some
+// job the timeline shows rescaled must carry every field set, Timeline
+// included.
+func TestRetainedRecordsCarryEveryField(t *testing.T) {
+	w, err := (workload.Burst{Waves: 4, PerWave: 30, WaveGap: 5000}).Generate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(core.Elastic)
+	check := func(path string, res Result) {
+		t.Helper()
+		set := map[string]bool{}
+		rescaled := 0
+		for _, j := range res.Jobs {
+			// Samples at start and end, and one more a rescale.
+			if len(j.Timeline) < 3 {
+				continue
+			}
+			rescaled++
+			v := reflect.ValueOf(j)
+			for i := range v.NumField() {
+				if !v.Field(i).IsZero() {
+					set[v.Type().Field(i).Name] = true
+				}
+			}
+		}
+		if rescaled == 0 {
+			t.Fatalf("%s: no job rescaled", path)
+		}
+		for _, f := range reflect.VisibleFields(reflect.TypeFor[JobMetrics]()) {
+			if !set[f.Name] {
+				t.Errorf("%s: JobMetrics.%s is zero in all %d rescaled jobs' records", path, f.Name, rescaled)
+			}
+		}
+	}
+	check("sequential", runShards(t, cfg, w, 1, nil).res)
+	check("sharded", runShards(t, cfg, w, 4, waveStartPlans(w, cfg.Capacity)).res)
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(w.Jobs) - 1
+	if err := s.Begin(workload.Workload{Jobs: w.Jobs[:last]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepTo(w.Jobs[last].SubmitAt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Inject(MigratedJob{Spec: w.Jobs[last]}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("listed", res)
+}
+
 // TestDuplicateIDsKeepTheirOwnTimelines pins what a workload that repeats a
 // job ID gets: a record per submission, each carrying the replica timeline of
 // its own run, on the path that places records by workload index and on the
@@ -682,4 +775,40 @@ func TestDuplicateIDsKeepTheirOwnTimelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("listed and sorted", res)
+
+	// Two submissions of one ID at one instant tie on (SubmitAt, ID): listed,
+	// they keep submission serial order, though the second completes first,
+	// and each its own timeline.
+	tie := []workload.JobSpec{
+		{ID: "dup", Class: model.Large, Priority: 1, SubmitAt: 0},
+		{ID: "dup", Class: model.Small, Priority: 1, SubmitAt: 0},
+	}
+	if s, err = New(DefaultConfig(core.Elastic)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Begin(workload.Workload{Jobs: tie}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepTo(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Inject(MigratedJob{Spec: workload.JobSpec{ID: "other", Class: model.Small, Priority: 1, SubmitAt: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != 3 || res.Jobs[0].Class != model.Large || res.Jobs[1].Class != model.Small {
+		t.Fatalf("tied: records %+v, want the Large dup, the Small dup, other", res.Jobs)
+	}
+	if res.Jobs[1].EndAt >= res.Jobs[0].EndAt {
+		t.Errorf("tied: the second dup ends at %g, the first at %g: completion order is serial order", res.Jobs[1].EndAt, res.Jobs[0].EndAt)
+	}
+	for _, j := range res.Jobs[:2] {
+		tl := j.Timeline
+		if len(tl) < 2 || tl[0].At != j.StartAt || tl[len(tl)-1].At != j.EndAt || tl[len(tl)-1].Replicas != 0 ||
+			slices.MaxFunc(tl, func(a, b ReplicaSample) int { return a.Replicas - b.Replicas }).Replicas != j.Replicas {
+			t.Errorf("tied: %v dup started %g, ended %g, peaked at %d, carries timeline %v", j.Class, j.StartAt, j.EndAt, j.Replicas, tl)
+		}
+	}
 }
