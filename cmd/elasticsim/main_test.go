@@ -126,8 +126,9 @@ func TestFlagsRejectedWhereIgnored(t *testing.T) {
 // stream's meta and dropped from the run: the emulation has no shards or
 // streaming, one cluster no fleet flag, and the emulation records no fleet.
 // So are -migrate-running with no rebalancer to heed it, a second mode, a
-// flag no mode has, a backend elasticsim does not run, and a negative value
-// that ran as the default; -record writes no report.
+// flag no mode has, a backend elasticsim does not run, a negative value
+// that ran as the default, and a capacity a decision record cannot carry;
+// -record writes no report.
 func TestRecordFlagsRejectedWhereIgnored(t *testing.T) {
 	rejectedBeforeOutput(t, []rejection{
 		{"-table1 -policy moldable", "-policy"},
@@ -145,6 +146,7 @@ func TestRecordFlagsRejectedWhereIgnored(t *testing.T) {
 		{"-record x.json -backend federation", "-backend federation"},
 		{"-record x.json -backend cluster -clusters 2", "-clusters 2"},
 		{"-record x.json -capacity -8", "-capacity"},
+		{"-record x.json -capacity 2147483648", "-capacity 2147483648"},
 		{"-record x.json -rescale-gap -5", "-rescale-gap"},
 		{"-record x.json -rescale-gap 1e300", "-rescale-gap"},
 		{"-record x.json -scenario uniform -jobs 3 -gap 1e308", "-gap"},

@@ -276,25 +276,20 @@ func (c *Cluster) onJobEvent(ev k8s.Event) {
 	}})
 }
 
-// replicaTimelines buckets the replica log by job into one backing array
-// shared by every timeline, indexed by Ref; each timeline is a capped
-// sub-slice of it, so a caller appending to one cannot overwrite the next,
-// and the log's later samples never reach a timeline handed out earlier.
-func (c *Cluster) replicaTimelines() [][]sim.ReplicaSample {
-	timelines := make([][]sim.ReplicaSample, len(c.jobs))
-	all := make([]sim.ReplicaSample, len(c.replicaLog))
-	next := make([]int, len(c.jobs)) // per job: where its next sample goes
-	end := 0
-	for i, r := range c.jobs {
-		next[i] = end
-		end += r.samples
-		timelines[i] = all[next[i]:end:end]
+// replicaTimelines copies the replica log's samples and their Refs apart and
+// buckets the copy by Ref in place (sim.BucketSamples, as the simulator's
+// collection does): the job with Ref r's timeline is
+// samples[bounds[r]:bounds[r+1]]. The copy is the caller's, so the log's
+// later samples never reach a timeline handed out earlier.
+func (c *Cluster) replicaTimelines() (samples []sim.ReplicaSample, bounds []int32) {
+	samples = make([]sim.ReplicaSample, len(c.replicaLog))
+	refs := make([]int32, len(c.replicaLog))
+	for i, x := range c.replicaLog {
+		samples[i], refs[i] = x.sample, x.ref
 	}
-	for _, x := range c.replicaLog {
-		all[next[x.ref]] = x.sample
-		next[x.ref]++
-	}
-	return timelines
+	bounds = make([]int32, len(c.jobs)+1)
+	sim.BucketSamples(samples, refs, bounds)
+	return samples, bounds
 }
 
 // submission is a job a submission's timer hands the manager, and its class.
@@ -380,7 +375,7 @@ func (c *Cluster) Run(expectJobs int, maxSteps int) error {
 // Result taken earlier. Jobs is sorted by (SubmitAt, ID), matching the
 // simulator's submission ordering, so JSON reports diff cleanly run to run.
 func (c *Cluster) Result() sim.Result {
-	timelines := c.replicaTimelines()
+	samples, bounds := c.replicaTimelines()
 	var jobs []sim.JobMetrics
 	for ref := range c.jobs {
 		r := &c.jobs[ref]
@@ -401,7 +396,9 @@ func (c *Cluster) Result() sim.Result {
 			CompletionTime: cj.CompletionTime().Seconds(),
 		}
 		if r.samples > 0 {
-			m.Timeline = timelines[ref]
+			// Capped, so an append to one timeline cannot overwrite the next.
+			lo, hi := bounds[ref], bounds[ref+1]
+			m.Timeline = samples[lo:hi:hi]
 		}
 		for _, s := range m.Timeline {
 			if s.Replicas > m.Replicas {

@@ -89,7 +89,7 @@ func randomStream(rng *rand.Rand, members int) *Stream {
 		for i := range s.Decisions {
 			s.Decisions[i] = Decision{
 				AtNs: rng.Int63() - rng.Int63(), Kind: core.DecisionStart + core.DecisionKind(rng.Intn(8)), JobID: hostileString(rng, 5),
-				Replicas: rng.Intn(200) - 20, FreeSlots: rng.Intn(200) - 20,
+				Replicas: int32(rng.Intn(200) - 20), FreeSlots: int32(rng.Intn(200) - 20),
 			}
 		}
 	}

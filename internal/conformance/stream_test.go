@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -122,6 +123,29 @@ func TestStreamRejectsDecisionKinds(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestStreamRejectsSlotCountsPastInt32: a decision's replicas and free
+// pool are int32, so a count outside it fails to load instead of wrapping
+// into some other count; the bounds themselves load as written.
+func TestStreamRejectsSlotCountsPastInt32(t *testing.T) {
+	doc := func(replicas, free string) string {
+		return `{"version": 2, "decisions": [{"at_ns": 1, "kind": "capacity", "replicas": ` + replicas + `, "free": ` + free + `}]}`
+	}
+	for _, c := range []struct{ replicas, free string }{
+		{"2147483648", "0"},
+		{"4294967298", "0"},
+		{"8", "2147483648"},
+		{"8", "-2147483649"},
+	} {
+		if st, err := Load(strings.NewReader(doc(c.replicas, c.free))); err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("replicas %s free %s: loaded %+v (%v), want an int32 overflow refused", c.replicas, c.free, st, err)
+		}
+	}
+	st, err := Load(strings.NewReader(doc("2147483647", "-2147483648")))
+	if err != nil || len(st.Decisions) != 1 || st.Decisions[0].Replicas != math.MaxInt32 || st.Decisions[0].FreeSlots != math.MinInt32 {
+		t.Errorf("the int32 bounds: %+v (%v)", st, err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CapacityStats counts the scheduler's forced-reclaim actions — the
 // resilience ledger behind the availability experiments: how many
@@ -15,6 +18,19 @@ type CapacityStats struct {
 	Requeues int
 	// SlotsReclaimed is the total worker slots taken back by reclaims.
 	SlotsReclaimed int
+}
+
+// checkCapacity refuses a slot capacity the scheduler cannot run at: below
+// one slot, or past math.MaxInt32, where a Decision's int32 slot counts would
+// wrap.
+func checkCapacity(n int) error {
+	if n < 1 {
+		return fmt.Errorf("core: capacity %d < 1", n)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: capacity %d > %d, the most a decision record carries", n, math.MaxInt32)
+	}
+	return nil
 }
 
 // Capacity reports the scheduler's current total slot capacity.
@@ -48,8 +64,8 @@ func (s *Scheduler) Reclaiming() bool { return s.reclaiming }
 // returns an error with the accounting left consistent at the new capacity
 // (free slots temporarily negative; the next completion absorbs the debt).
 func (s *Scheduler) SetCapacity(n int) error {
-	if n < 1 {
-		return fmt.Errorf("core: capacity %d < 1", n)
+	if err := checkCapacity(n); err != nil {
+		return err
 	}
 	old := s.cfg.Capacity
 	if n == old {

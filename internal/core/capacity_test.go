@@ -1,22 +1,40 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestSetCapacityValidation: a capacity is 1 to math.MaxInt32 slots, the
+// most a decision record's int32 counts carry, at construction and at every
+// change; a refused change leaves the capacity as it was.
 func TestSetCapacityValidation(t *testing.T) {
-	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8})
+	s, _, _ := newSched(t, Config{Policy: Elastic, Capacity: 8, EnableLog: true})
 	if err := s.SetCapacity(0); err == nil {
 		t.Error("accepted capacity 0")
+	}
+	if err := s.SetCapacity(math.MaxInt32 + 1); err == nil || !strings.Contains(err.Error(), "2147483648") {
+		t.Errorf("capacity 2^31: %v, want an error naming it", err)
 	}
 	if err := s.SetCapacity(8); err != nil {
 		t.Errorf("no-op SetCapacity: %v", err)
 	}
-	if got := s.Capacity(); got != 8 {
-		t.Errorf("Capacity() = %d, want 8", got)
+	if got := s.Capacity(); got != 8 || len(s.Log()) != 0 {
+		t.Errorf("Capacity() = %d with %d decisions logged, want 8 and none", got, len(s.Log()))
+	}
+	if err := s.SetCapacity(math.MaxInt32); err != nil {
+		t.Fatalf("capacity 2^31-1: %v", err)
+	}
+	if log := s.Log(); len(log) != 1 || log[0].Replicas != math.MaxInt32 || log[0].FreeSlots != 8 {
+		t.Errorf("growth to 2^31-1 logged %v", log)
+	}
+	for _, c := range []int{0, math.MaxInt32 + 1} {
+		if _, err := NewScheduler(Config{Policy: Elastic, Capacity: c}, &fakeActuator{}, newTestClock().now); err == nil {
+			t.Errorf("NewScheduler accepted capacity %d", c)
+		}
 	}
 }
 

@@ -77,16 +77,21 @@ func (k *DecisionKind) UnmarshalText(text []byte) error {
 // The record is also the decision stream's serialized form: its JSON tags
 // are the stream fields, in order, and the timestamp is the decision's
 // exact Unix-nanosecond instant, so a round trip cannot lose a bit.
+//
+// It is 40 bytes. The two slot counts are int32: a scheduler's capacity is
+// at most math.MaxInt32 (NewScheduler and SetCapacity refuse more), so an
+// allocation and the free pool — which lies between 1 − capacity and
+// capacity — always fit.
 type Decision struct {
 	AtNs     int64        `json:"at_ns"`
 	Kind     DecisionKind `json:"kind"`
 	JobID    string       `json:"job,omitempty"`
-	Replicas int          `json:"replicas"` // allocation after the decision (0 for enqueue/complete; the new total for capacity)
+	Replicas int32        `json:"replicas"` // allocation after the decision (0 for enqueue/complete; the new total for capacity)
 	// FreeSlots is the free pool after the decision — except for a capacity
 	// entry, which is logged before the new capacity applies and so carries
 	// the pool as it was (16 → 8 slots with none free logs free=0, and the
 	// pool then stands at −8 until a reclaim or a completion pays it back).
-	FreeSlots int `json:"free"`
+	FreeSlots int32 `json:"free"`
 }
 
 // String formats a decision as one log line.
@@ -155,7 +160,7 @@ func (s *Scheduler) record(kind DecisionKind, j *Job) {
 		return
 	}
 	s.log.add(Decision{
-		AtNs: s.tnowNs, Kind: kind, JobID: j.ID, Replicas: j.Replicas, FreeSlots: s.free,
+		AtNs: s.tnowNs, Kind: kind, JobID: j.ID, Replicas: int32(j.Replicas), FreeSlots: int32(s.free),
 	})
 }
 
@@ -165,7 +170,7 @@ func (s *Scheduler) recordCapacity(n int) {
 		return
 	}
 	s.log.add(Decision{
-		AtNs: s.tnowNs, Kind: DecisionCapacity, JobID: "", Replicas: n, FreeSlots: s.free,
+		AtNs: s.tnowNs, Kind: DecisionCapacity, JobID: "", Replicas: int32(n), FreeSlots: int32(s.free),
 	})
 }
 

@@ -132,10 +132,10 @@ func TestDecisionLogIsTheRing(t *testing.T) {
 }
 
 // TestDecisionRecordSize pins the record the ring, the streams and their
-// files share: 48 bytes, one pointer (the job ID).
+// files share: 40 bytes, one pointer (the job ID).
 func TestDecisionRecordSize(t *testing.T) {
-	if size := unsafe.Sizeof(Decision{}); size != 48 {
-		t.Errorf("core.Decision is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(Decision{}); size != 40 {
+		t.Errorf("core.Decision is %d bytes, want 40", size)
 	}
 }
 

@@ -83,7 +83,7 @@ func (r *refScheduler) gapOK(j *Job) bool {
 }
 
 func (r *refScheduler) record(kind DecisionKind, id string, replicas int) {
-	r.log = append(r.log, Decision{AtNs: r.now().UnixNano(), Kind: kind, JobID: id, Replicas: replicas, FreeSlots: r.free})
+	r.log = append(r.log, Decision{AtNs: r.now().UnixNano(), Kind: kind, JobID: id, Replicas: int32(replicas), FreeSlots: int32(r.free)})
 }
 
 func without(jobs []*Job, j *Job) []*Job {

@@ -171,10 +171,11 @@ type priceStep struct {
 }
 
 // NewScheduler creates a scheduler over an empty cluster with the given
-// capacity. now supplies the current time (virtual or real).
+// capacity, 1 to math.MaxInt32 slots (a Decision carries its slot counts in
+// int32). now supplies the current time (virtual or real).
 func NewScheduler(cfg Config, act Actuator, now func() time.Time) (*Scheduler, error) {
-	if cfg.Capacity < 1 {
-		return nil, fmt.Errorf("core: capacity %d < 1", cfg.Capacity)
+	if err := checkCapacity(cfg.Capacity); err != nil {
+		return nil, err
 	}
 	if act == nil || now == nil {
 		return nil, fmt.Errorf("core: actuator and clock are required")

@@ -113,6 +113,7 @@ func TestValidateDependencies(t *testing.T) {
 		"-gap 1e+308":         {Clusters: 1, Scenario: "uniform", Gap: 1e308},
 		"-rescale-gap 1e+300": {Clusters: 1, RescaleGap: 1e300},
 		"-parallel -3":        {Clusters: 1, Parallel: -3},
+		"at most 2147483647":  {Clusters: 1, Capacity: math.MaxInt32 + 1}, // -capacity
 		"-waves 4 needs":      {Clusters: 1, Scenario: "poisson", Jobs: 16, Waves: 4},
 		"size of its own":     {Clusters: 1, Scenario: "tail-heavy", Jobs: 40},
 		"tsunami":             {Clusters: 1, Scenario: "tsunami"},

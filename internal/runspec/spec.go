@@ -185,7 +185,8 @@ func (s *Spec) Resolve() {
 // any -gap or -waves, or -jobs other than the default) — and rejects a
 // backend other than sim or cluster, an unknown scenario, a trace path TracePath rejects, a negative or NaN count,
 // gap or rate that would read as its default, a gap past model.MaxSeconds, a
-// skew no member capacity can be computed from, and a rebalance period that
+// capacity past the scheduler's math.MaxInt32 slots, a skew no member
+// capacity can be computed from, and a rebalance period that
 // is negative, NaN or infinite.
 func (s Spec) Validate() error {
 	s.Resolve()
@@ -226,6 +227,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("burst needs jobs (%d) divisible by waves (%d)", s.Jobs, s.Waves)
 	case s.Capacity < 0:
 		return fmt.Errorf("-capacity %d: 0 = the backend's default", s.Capacity)
+	case s.Capacity > math.MaxInt32:
+		return fmt.Errorf("-capacity %d: want at most %d slots", s.Capacity, math.MaxInt32)
 	case !(s.RescaleGap >= 0):
 		return fmt.Errorf("-rescale-gap %g: 0 = the default", s.RescaleGap)
 	case s.RescaleGap > model.MaxSeconds:

@@ -41,9 +41,11 @@ func BenchmarkSim100kJobs(b *testing.B) {
 }
 
 // BenchmarkSimRetained is bench/'s poisson_retained run in process: 12 k
-// Poisson jobs, mean gap 170 s, under all four policies, retained and logged,
-// at the default Shards. B/job is the bytes a workload job costs its four
-// runs: the simulation's share of bench/'s alloc_kb_per_job, which adds
+// Poisson jobs, mean gap 170 s, retained and logged, at the default Shards —
+// under all four policies (policy=all), and under rigid-min alone
+// (policy=min_replicas), a policy that never rescales a running job and so
+// reserves less. B/job is the bytes a workload job costs the runs: for
+// policy=all the simulation's share of bench/'s alloc_kb_per_job, which adds
 // loading the trace and encoding the streams and the report.
 func BenchmarkSimRetained(b *testing.B) {
 	const jobs = 12000
@@ -51,21 +53,31 @@ func BenchmarkSimRetained(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	b.ReportAllocs()
-	b.ResetTimer()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < b.N; i++ {
-		for _, p := range core.AllPolicies() {
-			cfg := DefaultConfig(p)
-			cfg.LogDecisions = true
-			if res, err := Run(cfg, w); err != nil || len(res.Jobs) != jobs {
-				b.Fatalf("%v: %d records, err %v", p, len(res.Jobs), err)
+	for _, c := range []struct {
+		name     string
+		policies []core.Policy
+	}{
+		{"policy=all", core.AllPolicies()},
+		{"policy=min_replicas", []core.Policy{core.RigidMin}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				for _, p := range c.policies {
+					cfg := DefaultConfig(p)
+					cfg.LogDecisions = true
+					if res, err := Run(cfg, w); err != nil || len(res.Jobs) != jobs {
+						b.Fatalf("%v: %d records, err %v", p, len(res.Jobs), err)
+					}
+				}
 			}
-		}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs*b.N), "B/job")
+		})
 	}
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(jobs*b.N), "B/job")
 }
 
 func benchSim(b *testing.B, jobs, shards int) {

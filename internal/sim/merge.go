@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"elastichpc/internal/core"
 	"elastichpc/internal/workload"
 )
@@ -63,9 +65,15 @@ func (s *Simulator) mergeSegments(w workload.Workload, segs []*Simulator) (Resul
 		// Every job lives entirely inside one segment (segments are
 		// bounded by drained instants), so the later segments' done logs
 		// are appended to the first's and ordered by workload index, as a
-		// sequential run's is.
+		// sequential run's is, and their utilization logs are appended to
+		// the first's, grown once to the total.
 		retainedRecords(&res, true, segs...)
+		n := 0
 		for _, sg := range segs {
+			n += len(sg.utilTL)
+		}
+		res.UtilTimeline = slices.Grow(segs[0].utilTL, n-len(segs[0].utilTL))
+		for _, sg := range segs[1:] {
 			res.UtilTimeline = append(res.UtilTimeline, sg.utilTL...)
 		}
 	}

@@ -211,27 +211,31 @@ type doneKey struct {
 	widx, serial int32
 }
 
-// replicaSample is one entry of a retained run's sample log: a job's replica
-// count from At on, keyed by its submission serial. Collection buckets the
-// log by serial into the job records' replica timelines.
-type replicaSample struct {
-	serial   int32
-	replicas int32
-	at       float64
-}
-
-// samplesPerJob is what prepare reserves in a retained run's sample and
-// utilization logs for each job: every job logs a sample when it starts and
-// one when it completes, and each rescale or preemption adds one.
-const samplesPerJob = 3
+// samplesPerJob is what prepare reserves in an elastic retained run's sample
+// and utilization logs for each job: every job logs a sample when it starts
+// and one when it completes, and each rescale or preemption adds one.
+// fixedSamplesPerJob is the same for a policy that never rescales a running
+// job (rigid-min, rigid-max, moldable): exactly the start and the completion,
+// unless a capacity loss preempts the job or shrinks it.
+const (
+	samplesPerJob      = 3
+	fixedSamplesPerJob = 2
+)
 
 // decisionsPerJob is what prepare reserves in the decision ring for each job
-// of a logged run: the four policies record 2.4–3.0 (rigid and moldable) and
-// 3.3–4.2 (elastic) decisions a job on Poisson, burst and uniform traces, so
-// four is one allocation for nearly every run and a single 1.25× regrowth
-// for the rest — where growing from empty reallocates a dozen times and
-// clears ≈ 5× the final buffer (16 % of a logged 12 k-job run).
-const decisionsPerJob = 4
+// of a logged elastic run, which records 3.3–4.2 decisions a job on Poisson,
+// burst and uniform traces (3.34 on the 12 k-job Poisson trace): four is one
+// allocation for nearly every run and a single 1.25× regrowth for the rest,
+// where growing from empty reallocates a dozen times and clears ≈ 5× the
+// final buffer. fixedDecisionsPerJob is the same for a policy that never
+// rescales a running job: it logs at most an enqueue, a start and a
+// completion a job (2.43 rigid-min, 2.74 rigid-max, 2.62 moldable on that
+// trace), so three never regrows the ring without capacity events. Each
+// capacity event in the window adds one entry to either reservation.
+const (
+	decisionsPerJob      = 4
+	fixedDecisionsPerJob = 3
+)
 
 // jobSlabSize is the simJob pool's allocation chunk. Slab entries are
 // addressed by pointer and chunks are never appended to, so the pointers
@@ -264,12 +268,15 @@ type Simulator struct {
 	serials  int32 // submissions so far: the next job's serial
 
 	// The retained run's append-only logs (nil in streaming mode): done
-	// holds each completed job's final record and keys where it goes,
-	// samples a replica sample per allocation change, beside utilTL's
-	// utilization sample.
+	// holds each completed job's final record and keys where it goes;
+	// samples holds a replica sample per allocation change, beside utilTL's
+	// utilization sample, and sampled the submission serial of each sample's
+	// job. Collection buckets samples by serial in place into the records'
+	// timelines.
 	done    []JobMetrics
 	keys    []doneKey
-	samples []replicaSample
+	samples []ReplicaSample
+	sampled []int32
 
 	// Cursor window (set by prepare, consumed by runWindow). A sequential
 	// run owns the whole workload and trace with an infinite horizon; a
@@ -581,20 +588,26 @@ func (s *Simulator) prepare(jobs []workload.JobSpec, widxs []int32, specs map[mo
 	s.specs = specs
 	s.cursor, s.capi = subLo, capLo
 	s.extend(win)
-	// Size the decision ring once: a window of its own for a shard epoch, the
-	// whole workload otherwise (Begin's window is empty and only grows).
-	n := win.subHi - subLo
+	// Size the decision ring once, for what the policy records: a window of
+	// its own for a shard epoch, the whole workload and trace otherwise
+	// (Begin's window is empty and only grows).
+	n, events := win.subHi-subLo, win.capHi-capLo
 	if n <= 0 {
-		n = len(jobs) - subLo
+		n, events = len(jobs)-subLo, len(s.cfg.Availability.Events)-capLo
 	}
-	s.sched.ReserveLog(decisionsPerJob * n)
+	decisions, samples := decisionsPerJob, samplesPerJob
+	if s.cfg.Policy != core.Elastic {
+		decisions, samples = fixedDecisionsPerJob, fixedSamplesPerJob
+	}
+	s.sched.ReserveLog(decisions*n + events)
 	if !s.cfg.Streaming {
 		// The retained logs, sized the same way: a window's completions, and
-		// its allocation changes as far as samplesPerJob foresees them.
+		// its allocation changes as far as the policy's samples foresee them.
 		s.done = make([]JobMetrics, 0, n)
 		s.keys = make([]doneKey, 0, n)
-		s.samples = make([]replicaSample, 0, samplesPerJob*n)
-		s.utilTL = make([]UtilSample, 0, samplesPerJob*n)
+		s.samples = make([]ReplicaSample, 0, samples*n)
+		s.sampled = make([]int32, 0, samples*n)
+		s.utilTL = make([]UtilSample, 0, samples*n)
 	}
 	s.limit = 5_000_000 + 64*len(jobs) + 16*len(s.cfg.Availability.Events)
 }
@@ -851,7 +864,8 @@ func (s *Simulator) record(delta int, sj *simJob, replicas int) {
 	}
 	if !s.cfg.Streaming {
 		s.utilTL = append(s.utilTL, UtilSample{At: s.now, Used: s.used})
-		s.samples = append(s.samples, replicaSample{serial: sj.serial, replicas: int32(replicas), at: s.now})
+		s.samples = append(s.samples, ReplicaSample{At: s.now, Replicas: replicas})
+		s.sampled = append(s.sampled, sj.serial)
 	}
 }
 
@@ -987,16 +1001,15 @@ func unfinished(completed, expected int, sims ...*Simulator) error {
 // one simulator, whose records are put in submission serial order the same
 // way and then sorted by SortJobs.
 //
-// One counting pass per simulator buckets its sample log by submission serial
-// into one backing array shared by every timeline; each record's Timeline is
-// a capped sub-slice of it, so a caller appending to one cannot overwrite the
-// next. A job ID repeated in the workload keeps a record, and a timeline, per
+// Each simulator's sample log is bucketed by submission serial in place
+// (BucketSamples), so a timeline is a capped sub-slice of its own
+// simulator's log, and a caller appending to one cannot overwrite the next.
+// A job ID repeated in the workload keeps a record, and a timeline, per
 // submission.
 func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
-	jobs, samples, serials := 0, 0, int32(0)
+	jobs, serials := 0, int32(0)
 	for _, sg := range sims {
 		jobs += len(sg.done)
-		samples += len(sg.samples)
 		serials = max(serials, sg.serials)
 	}
 	done := slices.Grow(sims[0].done, jobs-len(sims[0].done))
@@ -1005,45 +1018,29 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 		done = append(done, sg.done...)
 		keys = append(keys, sg.keys...)
 	}
-	timelines := make([]ReplicaSample, samples)
-	ends := make([]int32, serials+1) // per serial: its bucket's end, once filled
+	bounds := make([]int32, serials+1) // per serial: where its bucket starts
 	off := 0
 	for _, sg := range sims {
-		tl := timelines[:len(sg.samples)]
-		timelines = timelines[len(sg.samples):]
-		end := ends[:sg.serials+1]
-		clear(end)
-		for _, x := range sg.samples {
-			end[x.serial+1]++
-		}
-		for i := 1; i < len(end); i++ {
-			end[i] += end[i-1]
-		}
-		for _, x := range sg.samples {
-			tl[end[x.serial]] = ReplicaSample{At: x.at, Replicas: int(x.replicas)}
-			end[x.serial]++
-		}
+		b := bounds[:sg.serials+1]
+		BucketSamples(sg.samples, sg.sampled, b)
 		for i, k := range sg.keys {
-			lo, hi := int32(0), end[k.serial]
-			if k.serial > 0 {
-				lo = end[k.serial-1]
-			}
-			done[off+i].Timeline = tl[lo:hi:hi]
+			lo, hi := b[k.serial], b[k.serial+1]
+			done[off+i].Timeline = sg.samples[lo:hi:hi]
 		}
 		off += len(sg.keys)
 	}
 	if !byWidx {
 		// A record's place in serial order is the count of completed serials
 		// before its own.
-		clear(ends)
+		clear(bounds)
 		for _, k := range keys {
-			ends[k.serial+1] = 1
+			bounds[k.serial+1] = 1
 		}
-		for i := 1; i < len(ends); i++ {
-			ends[i] += ends[i-1]
+		for i := 1; i < len(bounds); i++ {
+			bounds[i] += bounds[i-1]
 		}
 		for i := range keys {
-			keys[i].widx = ends[keys[i].serial]
+			keys[i].widx = bounds[keys[i].serial]
 		}
 	}
 	for i := range keys {
@@ -1056,6 +1053,36 @@ func retainedRecords(res *Result, byWidx bool, sims ...*Simulator) {
 		SortJobs(done)
 	}
 	res.Jobs = done
+}
+
+// BucketSamples groups a replica-sample log by job in place, stably: keys[i]
+// is the job of samples[i], a number below len(bounds)-1. On return job k's
+// samples, in the order they were logged, are samples[bounds[k]:bounds[k+1]];
+// keys is overwritten. One counting pass over keys fills bounds, keys becomes
+// each sample's destination, and a cycle-following permutation moves both
+// arrays, each swap placing one sample for good, so bucketing allocates
+// nothing: the simulator's collection and the emulation's Result both cut
+// their jobs' timelines from the bucketed log.
+func BucketSamples(samples []ReplicaSample, keys, bounds []int32) {
+	clear(bounds)
+	for _, k := range keys {
+		bounds[k]++
+	}
+	for k := 1; k < len(bounds); k++ {
+		bounds[k] += bounds[k-1] // the end of job k's bucket
+	}
+	// Filled from the back, each bucket's end moves to its start.
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
+		bounds[k]--
+		keys[i] = bounds[k]
+	}
+	for i := range keys {
+		for j := keys[i]; j != int32(i); j = keys[i] {
+			samples[i], samples[j] = samples[j], samples[i]
+			keys[i], keys[j] = keys[j], keys[i]
+		}
+	}
 }
 
 // Run constructs a simulator for cfg and runs w to completion — the entry

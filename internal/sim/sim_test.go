@@ -637,33 +637,89 @@ func TestRetainedAllocsDoNotScale(t *testing.T) {
 }
 
 // TestRetainedBytesPerJob holds the bytes of a sequential, retained, logged
-// elastic run of 32 k Poisson jobs, beside TestRetainedAllocsDoNotScale's
-// count, which a second n-record array — a single allocation — would pass:
-// at most 470 bytes a job, 428 measured. A second record array beside the
-// done log adds 120.
+// run of 32 k Poisson jobs under each policy, beside
+// TestRetainedAllocsDoNotScale's count, which a second n-record array — a
+// single allocation — would pass: at most 345 bytes a job for the three
+// policies that never rescale a running job (329.6 measured) and 390 for
+// elastic (370.8). A second record array beside the done log adds 120 bytes
+// a job, and reserving elastic's three samples a job for the other three
+// policies 36.
 func TestRetainedBytesPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes allocation sizes")
 	}
-	const jobs, bound = 32000, 470.0
+	const jobs = 32000
 	w, err := workload.Poisson{Jobs: jobs, MeanGap: 170}.Generate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(core.Elastic)
-	cfg.Shards = 1
-	cfg.LogDecisions = true
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := Run(cfg, w)
-	runtime.ReadMemStats(&after)
-	if err != nil || len(res.Jobs) != jobs {
-		t.Fatalf("%d records, err %v", len(res.Jobs), err)
+	for _, c := range []struct {
+		policy core.Policy
+		bound  float64
+	}{
+		{core.RigidMin, 345},
+		{core.RigidMax, 345},
+		{core.Moldable, 345},
+		{core.Elastic, 390},
+	} {
+		cfg := DefaultConfig(c.policy)
+		cfg.Shards = 1
+		cfg.LogDecisions = true
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg, w)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(res.Jobs) != jobs {
+			t.Fatalf("%v: %d records, err %v", c.policy, len(res.Jobs), err)
+		}
+		perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+		t.Logf("%v: %.1f bytes a job", c.policy, perJob)
+		if perJob > c.bound {
+			t.Errorf("a retained, logged %v run allocates %.1f bytes a job, want <= %g", c.policy, perJob, c.bound)
+		}
 	}
-	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
-	t.Logf("%.1f bytes a job", perJob)
-	if perJob > bound {
-		t.Errorf("a retained, logged run allocates %.1f bytes a job, want <= %g", perJob, bound)
+}
+
+// TestFixedPoliciesFitTheirReservation: a policy that never rescales a
+// running job logs at most an enqueue, a start and a completion a job, and
+// exactly a start and a completion sample, so with no capacity events the
+// reservation prepare makes for it holds a logged, retained run whole —
+// neither the decision ring (which regrows only past the entries reserved)
+// nor the sample and utilization logs regrow — on the Poisson, burst and
+// uniform generators, with and without a standing queue.
+func TestFixedPoliciesFitTheirReservation(t *testing.T) {
+	for _, g := range []workload.Generator{
+		workload.Poisson{Jobs: 3000, MeanGap: 170},
+		workload.Poisson{Jobs: 3000, MeanGap: 60},
+		workload.Burst{Waves: 15, PerWave: 200, WaveGap: 29000},
+		workload.Uniform{Jobs: 3000, Gap: 90},
+		workload.Uniform{Jobs: 3000, Gap: 30},
+	} {
+		w, err := g.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(w.Jobs)
+		for _, p := range []core.Policy{core.RigidMin, core.RigidMax, core.Moldable} {
+			cfg := DefaultConfig(p)
+			cfg.Shards = 1
+			cfg.LogDecisions = true
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(w); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(s.Decisions()); got > fixedDecisionsPerJob*n {
+				t.Errorf("%s %v: %d decisions for %d jobs: the ring regrew past the %d reserved", g.Name(), p, got, n, fixedDecisionsPerJob*n)
+			}
+			want := fixedSamplesPerJob * n
+			if len(s.samples) != want || cap(s.samples) != want || cap(s.sampled) != want || cap(s.utilTL) != want {
+				t.Errorf("%s %v: %d samples, logs of capacity %d, %d and %d: want %d, reserved once",
+					g.Name(), p, len(s.samples), cap(s.samples), cap(s.sampled), cap(s.utilTL), want)
+			}
+		}
 	}
 }
 
