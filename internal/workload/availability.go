@@ -177,12 +177,12 @@ func (p FailureRepair) Events(seed int64, base int, horizon float64) (Availabili
 		slots := base/p.Nodes + boolToInt(node < base%p.Nodes)
 		at := 0.0
 		for {
-			at += rng.ExpFloat64() * p.MTTF // lifetime
+			at += float64(rng.ExpFloat64() * p.MTTF) // lifetime
 			if at >= horizon {
 				break
 			}
 			deltas = append(deltas, capDelta{at: at, delta: -slots})
-			at += rng.ExpFloat64() * p.MTTR // repair
+			at += float64(rng.ExpFloat64() * p.MTTR) // repair
 			if at >= horizon {
 				break
 			}
@@ -225,12 +225,12 @@ func (p SpotPreemption) Events(seed int64, base int, horizon float64) (Availabil
 	var deltas []capDelta
 	at := 0.0
 	for {
-		at += rng.ExpFloat64() * p.MeanGap
+		at += float64(rng.ExpFloat64() * p.MeanGap)
 		if at >= horizon {
 			break
 		}
 		deltas = append(deltas, capDelta{at: at, delta: -p.Slots})
-		back := at + rng.ExpFloat64()*p.MeanOutage
+		back := at + float64(rng.ExpFloat64()*p.MeanOutage)
 		if back < horizon {
 			deltas = append(deltas, capDelta{at: back, delta: +p.Slots})
 		}
@@ -302,7 +302,7 @@ func (p DiurnalCapacity) Events(_ int64, base int, horizon float64) (Availabilit
 	prev := base
 	for at := p.Step; at < horizon; at += p.Step {
 		level := (1 + math.Cos(2*math.Pi*at/p.Period)) / 2 // 1 at peak, 0 in trough
-		cap := int(math.Round(float64(base) * (p.Floor + (1-p.Floor)*level)))
+		cap := int(math.Round(float64(base) * (p.Floor + float64((1-p.Floor)*level))))
 		if cap < 1 {
 			cap = 1
 		}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -37,12 +36,8 @@ func SaveAvailabilityFile(path string, tr AvailabilityTrace, comment string) err
 	return closeWritten(f, saveAvailabilityCSV(f, tr))
 }
 
-// LoadAvailabilityFile reads a CSV capacity trace from path. The file is read
-// whole, as LoadFile reads one.
+// LoadAvailabilityFile reads a CSV capacity trace from path, through a
+// window as LoadFile reads a job trace.
 func LoadAvailabilityFile(path string) (AvailabilityTrace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return AvailabilityTrace{}, fmt.Errorf("workload: %w", err)
-	}
-	return loadAvailabilityCSV(bytesString(data))
+	return loadPath(path, loadAvailabilityCSV)
 }

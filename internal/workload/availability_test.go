@@ -220,13 +220,13 @@ func TestLoadAvailabilityValidates(t *testing.T) {
 		"second document": header + "0,4\n" + header + "10,8\n",
 	}
 	for name, doc := range cases {
-		if _, err := loadAvailabilityCSV(doc); err == nil {
+		if _, err := loadAvailabilityCSVDoc(doc, len(doc)); err == nil {
 			t.Errorf("%s: accepted invalid document", name)
 		}
 	}
 	// Out-of-order events are sorted on load, mirroring the job-trace
 	// loader.
-	tr, err := loadAvailabilityCSV(header + "50,8\n10,4\n")
+	tr, err := loadAvailabilityCSVDoc(header+"50,8\n10,4\n", 64)
 	if err != nil {
 		t.Fatal(err)
 	}

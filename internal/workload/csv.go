@@ -14,7 +14,7 @@ import (
 
 // The CSV trace formats: the savers build each row in one reused buffer and
 // write it through one bufio.Writer, quoting as encoding/csv.Writer quotes,
-// and csvScanner reads them from the whole document held in one string.
+// and csvScanner reads them through one window, never holding the whole file.
 
 // csvHeader is the column layout of the CSV trace format.
 var csvHeader = []string{"id", "class", "priority", "submit_at"}
@@ -52,18 +52,23 @@ func saveCSV(w io.Writer, workload Workload) error {
 	return flushRows(bw, row, "csv")
 }
 
-// loadCSV decodes a CSV trace held in one string, validating it through
-// jobList. A job's ID is a substring of doc, so the decoder allocates nothing
-// per row. A row's submit_at is parsed only when its text differs from the
-// row before's: a burst's jobs share one submit time, which its saver
-// formats once, so a burst-shaped trace parses one time per wave.
-func loadCSV(doc string) (Workload, error) {
-	rows, err := csvBody(doc, "csv", csvHeader)
+// loadCSV decodes a CSV trace, the size bytes of r read through a window of
+// window bytes, validating it through jobList. A first pass over the document
+// counts its rows and the bytes of their first fields, so the job list and
+// one ID buffer are each allocated once, at their final size, and every job's
+// ID is copied into that buffer: the decoded workload holds its jobs, not the
+// file. A row's submit_at is parsed only when its text differs from the row
+// before's: a burst's jobs share one submit time, which its saver formats
+// once, so a burst-shaped trace parses one time per wave.
+func loadCSV(r io.ReaderAt, size int64, window int) (Workload, error) {
+	rows, n, idBytes, err := csvBody(r, size, window, "csv", csvHeader)
 	if err != nil {
 		return Workload{}, err
 	}
-	jobs := make(jobList, 0, strings.Count(doc, "\n"))
-	var atText string // the submit_at text at holds
+	jobs := make(jobList, 0, n)
+	ids := make(idBuffer, 0, idBytes)
+	var atBuf [32]byte  // the longest float64 'g', -1 text is 24 bytes
+	atText := atBuf[:0] // the submit_at text at holds
 	var at float64
 	for row := 1; ; row++ {
 		ok, err := rows.next()
@@ -78,13 +83,13 @@ func loadCSV(doc string) (Workload, error) {
 		if err != nil {
 			return Workload{}, fmt.Errorf("workload: csv row %d priority: %w", row, err)
 		}
-		if row == 1 || rec[3] != atText {
+		if row == 1 || rec[3] != string(atText) {
 			if at, err = strconv.ParseFloat(rec[3], 64); err != nil {
 				return Workload{}, fmt.Errorf("workload: csv row %d submit_at: %w", row, err)
 			}
-			atText = rec[3]
+			atText = append(atText[:0], rec[3]...)
 		}
-		if err := jobs.add(rec[0], rec[1], prio, at); err != nil {
+		if err := jobs.add(ids.clone(rec[0]), rec[1], prio, at); err != nil {
 			return Workload{}, err
 		}
 	}
@@ -167,14 +172,14 @@ func needsQuotes(s string) bool {
 	return unicode.IsSpace(r)
 }
 
-// loadAvailabilityCSV decodes a CSV capacity trace held in one string,
-// validating it through availabilityFromEvents.
-func loadAvailabilityCSV(doc string) (AvailabilityTrace, error) {
-	rows, err := csvBody(doc, "availability csv", availabilityCSVHeader)
+// loadAvailabilityCSV decodes a CSV capacity trace, read as loadCSV reads a
+// job trace, validating it through availabilityFromEvents.
+func loadAvailabilityCSV(r io.ReaderAt, size int64, window int) (AvailabilityTrace, error) {
+	rows, n, _, err := csvBody(r, size, window, "availability csv", availabilityCSVHeader)
 	if err != nil {
 		return AvailabilityTrace{}, err
 	}
-	events := make([]CapacityEvent, 0, strings.Count(doc, "\n"))
+	events := make([]CapacityEvent, 0, n)
 	for row := 1; ; row++ {
 		ok, err := rows.next()
 		if err != nil {
@@ -196,23 +201,31 @@ func loadAvailabilityCSV(doc string) (AvailabilityTrace, error) {
 	}
 }
 
-// csvBody returns a scanner over the rows that follow doc's header row, which
-// must name header's columns (case and surrounding space aside); every row
-// after it must have as many fields. what names the format in errors.
-func csvBody(doc, what string, header []string) (*csvScanner, error) {
-	rows := &csvScanner{rest: doc, line: 1}
+// csvBody counts the rows of the size bytes of r and returns a scanner over
+// those that follow its header row, which must name header's columns (case
+// and surrounding space aside); every row after it must have as many fields.
+// n is at least the number of rows after the header and idBytes at least the
+// bytes of their unquoted first fields. what names the format in errors.
+func csvBody(r io.ReaderAt, size int64, window int, what string, header []string) (rows *csvScanner, n, idBytes int, err error) {
+	rows = &csvScanner{
+		r: r, size: size, win: make([]byte, 0, max(window, 1)),
+		line: 1, row: make([]string, 0, len(header)),
+	}
+	if n, idBytes, err = rows.count(); err != nil {
+		return nil, 0, 0, fmt.Errorf("workload: %s: %w", what, err)
+	}
 	ok, err := rows.next()
 	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", what, err)
+		return nil, 0, 0, fmt.Errorf("workload: %s: %w", what, err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("workload: %s document is empty", what)
+		return nil, 0, 0, fmt.Errorf("workload: %s document is empty", what)
 	}
 	if len(rows.row) != len(header) || !equalFold(rows.row, header) {
-		return nil, fmt.Errorf("workload: %s header %v, want %v", what, rows.row, header)
+		return nil, 0, 0, fmt.Errorf("workload: %s header %v, want %v", what, rows.row, header)
 	}
 	rows.fields = len(header)
-	return rows, nil
+	return rows, max(n-1, 0), idBytes, nil
 }
 
 func equalFold(a, b []string) bool {
@@ -224,9 +237,10 @@ func equalFold(a, b []string) bool {
 	return true
 }
 
-// bytesString returns b's bytes as a string without copying them. The caller
-// hands b over: nothing may write to it afterwards, because the decoded
-// values keep substrings of the result.
+// bytesString returns b's bytes as a string without copying them, so the
+// string reads whatever b holds. An idBuffer never writes the bytes under an
+// ID it has handed out; the CSV scanner rewrites its window, so its fields
+// are read before its next row and a decoder copies what it keeps.
 func bytesString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }

@@ -25,13 +25,15 @@
 // with a Unicode space, and never when it is empty; inside quotes every '"'
 // is doubled. So neither side allocates per job.
 //
-// A CSV trace is read whole into one string and scanned once, in the
+// A CSV trace file is read through one window of at most 64 kB, twice: once
+// to count its rows and their ID bytes, so the job list and one ID buffer
+// are each allocated once at their final size, and once to scan it, in the
 // language encoding/csv reads with TrimLeadingSpace (held to that reader by
-// the tests' ReadAll oracle). Field values are substrings of the document,
-// so the decoders' allocations do not grow with the trace's length, and a
-// trace already in submission order is not sorted again. A quoted "\r\n"
-// reads back as "\n", as encoding/csv reads it; every other field reads back
-// as it was written.
+// the tests' ReadAll oracle). Each job's ID is copied into the ID buffer and
+// nothing else of the file is kept, so the decoders' allocations do not grow
+// with the trace's length, and a trace already in submission order is not
+// sorted again. A quoted "\r\n" reads back as "\n", as encoding/csv reads
+// it; every other field reads back as it was written.
 //
 // # Availability scenarios
 //

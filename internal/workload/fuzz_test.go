@@ -28,18 +28,21 @@ func goldenInput(f *testing.F, name string) []byte {
 // whatever decodes re-encodes to a document that decodes to the same
 // workload; and the scanner agrees with the encoding/csv ReadAll-based
 // decoder it replaced (persist_ref_test.go) on every input — both reject, or
-// both accept the same workload.
+// both accept the same workload. The document is read through a window the
+// fuzzer chooses (window mod its length, plus one byte), which must decode it
+// as the whole document in one window does, error text included.
 func FuzzLoadWorkload(f *testing.F) {
-	f.Add(goldenInput(f, "wl.csv"))
+	f.Add(goldenInput(f, "wl.csv"), uint16(7))
 	// Out of submission order, with a tie: the loader's stable sort, which a
 	// saved trace never takes.
-	f.Add([]byte("id,class,priority,submit_at\nb,large,2,5\na,small,1,0\nc,medium,3,0\n"))
-	f.Add([]byte("id,class,priority,submit_at\n\" a\",small,1,-0\n"))
-	for _, seed := range scannerJobDocs {
-		f.Add([]byte(seed))
+	f.Add([]byte("id,class,priority,submit_at\nb,large,2,5\na,small,1,0\nc,medium,3,0\n"), uint16(0))
+	f.Add([]byte("id,class,priority,submit_at\n\" a\",small,1,-0\n"), uint16(2))
+	for i, seed := range scannerJobDocs {
+		f.Add([]byte(seed), uint16(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := loadCSVReader(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, data []byte, window uint16) {
+		doc := string(data)
+		w, err := requireWindowUnseen(t, doc, 1+int(window)%(len(doc)+1), loadCSV)
 		requireSameVerdict(t, data, w, err, loadCSVReference)
 		if err != nil {
 			return
@@ -63,13 +66,14 @@ func FuzzLoadWorkload(f *testing.F) {
 
 // FuzzLoadAvailability is FuzzLoadWorkload for the capacity-trace decoder.
 func FuzzLoadAvailability(f *testing.F) {
-	f.Add(goldenInput(f, "cap.csv"))
-	f.Add([]byte("at,capacity\n50,8\n10,4\n10,6\n0,64\n")) // out of order, with a tie
-	for _, seed := range scannerAvailabilityDocs {
-		f.Add([]byte(seed))
+	f.Add(goldenInput(f, "cap.csv"), uint16(5))
+	f.Add([]byte("at,capacity\n50,8\n10,4\n10,6\n0,64\n"), uint16(3)) // out of order, with a tie
+	for i, seed := range scannerAvailabilityDocs {
+		f.Add([]byte(seed), uint16(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := loadAvailabilityCSVReader(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, data []byte, window uint16) {
+		doc := string(data)
+		tr, err := requireWindowUnseen(t, doc, 1+int(window)%(len(doc)+1), loadAvailabilityCSV)
 		requireSameVerdict(t, data, tr, err, loadAvailabilityCSVReference)
 		if err != nil {
 			return
@@ -181,7 +185,7 @@ func FuzzSaveWorkload(f *testing.F) {
 		if wantErr == nil {
 			wantW, wantErr = jobs.workload()
 		}
-		back, err := loadCSV(got.String())
+		back, err := loadCSVDoc(got.String(), got.Len())
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decoding what was saved: %v; the validator: %v\n%q", err, wantErr, got.Bytes())
 		}
@@ -219,7 +223,7 @@ func FuzzSaveAvailability(f *testing.F) {
 			t.Fatalf("saveAvailabilityCSV wrote\n%q\nencoding/csv writes\n%q", got.Bytes(), want.Bytes())
 		}
 		wantTr, wantErr := availabilityFromEvents(slices.Clone(tr.Events))
-		back, err := loadAvailabilityCSV(got.String())
+		back, err := loadAvailabilityCSVDoc(got.String(), got.Len())
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decoding what was saved: %v; the validator: %v\n%q", err, wantErr, got.Bytes())
 		}

@@ -81,7 +81,7 @@ func (g Poisson) Generate(seed int64) (Workload, error) {
 			Priority: 1 + rng.Intn(5),
 			SubmitAt: at,
 		}
-		at += rng.ExpFloat64() * g.MeanGap
+		at += float64(rng.ExpFloat64() * g.MeanGap)
 	}
 	return Workload{Jobs: jobs}, nil
 }
@@ -168,9 +168,9 @@ func (g Diurnal) Generate(seed int64) (Workload, error) {
 			SubmitAt: at,
 		}
 		// load = 1 at the start of each period (peak), 0 half a period in.
-		load := (1 + math.Cos(2*math.Pi*at/g.Period)) / 2
-		mean := g.PeakGap*load + g.OffPeakGap*(1-load)
-		at += rng.ExpFloat64() * mean
+		load := float64((1 + math.Cos(2*math.Pi*at/g.Period)) / 2)
+		mean := float64(g.PeakGap*load) + float64(g.OffPeakGap*(1-load))
+		at += float64(rng.ExpFloat64() * mean)
 	}
 	return Workload{Jobs: jobs}, nil
 }
@@ -208,11 +208,10 @@ func lateJob(id []byte, at float64) error {
 	return fmt.Errorf("workload: job %s submitted at %g s, past %g s", id, at, model.MaxSeconds)
 }
 
-// idBuffer holds a generated workload's job IDs back to back in one
-// allocation sized for all of them. Each ID is a substring of it, as a loaded
-// trace's IDs are substrings of its file: the bytes under an ID are never
-// written again, and a JobSpec kept from the workload keeps the whole buffer
-// alive.
+// idBuffer holds a workload's job IDs back to back in one allocation sized
+// for all of them, generated or copied from a trace as it is decoded. Each ID
+// is a substring of it: the bytes under an ID are never written again, and a
+// JobSpec kept from the workload keeps the whole buffer alive.
 type idBuffer []byte
 
 // next appends the ID prefix followed by i as %02d formats it, and returns
@@ -220,6 +219,18 @@ type idBuffer []byte
 func (b *idBuffer) next(prefix []byte, i int) string {
 	start := len(*b)
 	*b = append02d(append(*b, prefix...), i)
+	return bytesString((*b)[start:])
+}
+
+// clone copies id into the buffer and returns the copy. An ID that does not
+// fit starts a new buffer, twice the size of the old one or the ID's, so an
+// undersized buffer costs a few more allocations, not one an ID.
+func (b *idBuffer) clone(id string) string {
+	if len(*b)+len(id) > cap(*b) {
+		*b = make(idBuffer, 0, max(2*cap(*b), len(id)))
+	}
+	start := len(*b)
+	*b = append(*b, id...)
 	return bytesString((*b)[start:])
 }
 

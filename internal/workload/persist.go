@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"hash/maphash"
+	"io"
 	"math/bits"
 	"os"
 	"sort"
@@ -58,20 +60,32 @@ func (l jobList) workload() (Workload, error) {
 }
 
 // duplicateID returns the first job ID in l that an earlier job has too. The
-// set of IDs seen is one open-addressed table of job indices, so the check
-// costs one allocation however long the trace is (a map grows a table per
-// thousand or so keys).
+// set of IDs seen is one open-addressed table, ⌈1.5·len(l)⌉ slots probed
+// linearly from a multiply-shift of the ID's hash, so the check costs one
+// allocation of 6 bytes a job however long the trace is (a map grows a table
+// per thousand or so keys). A slot holds a job's index + 1 and, in the bits
+// above it, bits of its hash, so a probe reads the job it holds only when
+// those match.
 func duplicateID(l []JobSpec) (string, bool) {
-	slots := make([]int32, 1<<bits.Len(uint(2*len(l)))) // job index + 1; 0 = free
-	mask := uint64(len(slots) - 1)
+	n := uint64(len(l) + (len(l)+1)/2)
+	slots := make([]uint32, n) // 0 = free
+	shift := uint(bits.Len(uint(len(l))))
+	hashBits := ^uint32(0) << shift // 0 once an index takes all 32 bits
 	seed := maphash.MakeSeed()
 	for i, j := range l {
-		for h := maphash.String(seed, j.ID) & mask; ; h = (h + 1) & mask {
-			if slots[h] == 0 {
-				slots[h] = int32(i + 1)
+		hash := maphash.String(seed, j.ID)
+		mark := uint32(hash)<<shift | uint32(i+1)
+		h, _ := bits.Mul64(hash, n) // in [0, n)
+		for ; ; h++ {
+			if h == n {
+				h = 0
+			}
+			slot := slots[h]
+			if slot == 0 {
+				slots[h] = mark
 				break
 			}
-			if l[slots[h]-1].ID == j.ID {
+			if (slot^mark)&hashBits == 0 && l[slot&^hashBits-1].ID == j.ID {
 				return j.ID, true
 			}
 		}
@@ -112,12 +126,34 @@ func closeWritten(f *os.File, writeErr error) error {
 	return writeErr
 }
 
-// LoadFile reads a CSV workload trace from path. The file is read whole, in
-// one read sized from its length.
+// LoadFile reads a CSV workload trace from path through a window of at most
+// 64 kB (loadCSV): the workload keeps its jobs and a copy of their IDs, never
+// the file.
 func LoadFile(path string) (Workload, error) {
-	data, err := os.ReadFile(path)
+	return loadPath(path, loadCSV)
+}
+
+// loadPath decodes the file at path with decode. A regular file is read in
+// place, at offsets; anything else — a FIFO, /dev/stdin — cannot be, so it is
+// read whole first and decoded from memory.
+func loadPath[T any](path string, decode func(io.ReaderAt, int64, int) (T, error)) (T, error) {
+	var zero T
+	f, err := os.Open(path)
 	if err != nil {
-		return Workload{}, fmt.Errorf("workload: %w", err)
+		return zero, fmt.Errorf("workload: %w", err)
 	}
-	return loadCSV(bytesString(data))
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return zero, fmt.Errorf("workload: %w", err)
+	}
+	if fi.Mode().IsRegular() {
+		return decode(f, fi.Size(), csvWindow(fi.Size()))
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return zero, fmt.Errorf("workload: %w", err)
+	}
+	size := int64(len(data))
+	return decode(bytes.NewReader(data), size, csvWindow(size))
 }

@@ -200,13 +200,14 @@ func saveAvailabilityCSVReference(w io.Writer, tr AvailabilityTrace) error {
 }
 
 // loadCSVReader and loadAvailabilityCSVReader put the CSV decoders behind an
-// io.Reader, the shape of their references.
+// io.Reader, the shape of their references, reading through the window a
+// file of that length gets.
 func loadCSVReader(r io.Reader) (Workload, error) {
 	doc, err := io.ReadAll(r)
 	if err != nil {
 		return Workload{}, err
 	}
-	return loadCSV(string(doc))
+	return loadCSVDoc(string(doc), csvWindow(int64(len(doc))))
 }
 
 func loadAvailabilityCSVReader(r io.Reader) (AvailabilityTrace, error) {
@@ -214,7 +215,31 @@ func loadAvailabilityCSVReader(r io.Reader) (AvailabilityTrace, error) {
 	if err != nil {
 		return AvailabilityTrace{}, err
 	}
-	return loadAvailabilityCSV(string(doc))
+	return loadAvailabilityCSVDoc(string(doc), csvWindow(int64(len(doc))))
+}
+
+// loadCSVDoc and loadAvailabilityCSVDoc decode a document held in memory
+// through a window of window bytes.
+func loadCSVDoc(doc string, window int) (Workload, error) {
+	return loadCSV(strings.NewReader(doc), int64(len(doc)), window)
+}
+
+func loadAvailabilityCSVDoc(doc string, window int) (AvailabilityTrace, error) {
+	return loadAvailabilityCSV(strings.NewReader(doc), int64(len(doc)), window)
+}
+
+// requireWindowUnseen decodes doc through a window of window bytes and fails
+// unless that gives what decoding doc held whole in one window gives: the
+// same value, or the same error text, line number and all.
+func requireWindowUnseen[T any](t *testing.T, doc string, window int, decode func(io.ReaderAt, int64, int) (T, error)) (T, error) {
+	t.Helper()
+	got, err := decode(strings.NewReader(doc), int64(len(doc)), window)
+	want, wantErr := decode(strings.NewReader(doc), int64(len(doc)), len(doc))
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a %d-byte window decodes %q as %+v, %v; the whole document as %+v, %v",
+			window, doc, got, err, want, wantErr)
+	}
+	return got, err
 }
 
 // requireSameVerdict fails unless a decoder and its reference both reject the
@@ -246,6 +271,7 @@ var scannerJobDocs = []string{
 	"id,class,priority,submit_at\n\"a\",small,1,\"0\"\r\n\"b\",small,1,\"1\"\r",    // quote then line end
 	"id,class,priority,submit_at\n\u00a0a,\u0085small, 1,\t0\n\u2028b,small,1,1\n", // Unicode space
 	"id,class,priority,submit_at\n\xffa,small,1,0\n",                               // not UTF-8, not space
+	"id,class,priority,submit_at\n\"a\",\u00a0small,\u2028 1,\u00850\n",            // ... after a quoted field
 	"id,class,priority,submit_at\na\"b,small,1,0\n",                                // a bare quote
 	"id,class,priority,submit_at\n\"a\"b,small,1,0\n",                              // text after a closing quote
 	"id,class,priority,submit_at\n\"a\"\r,small,1,0\n",                             // ... a '\r' not ending the input
@@ -281,45 +307,52 @@ var scannerAvailabilityDocs = []string{
 	"at,capacity\n\"1\r\n\",4\n",
 }
 
+// referenceJobDocs and referenceAvailabilityDocs are the documents
+// TestLoadCSVMatchesReference holds to the oracle: every exit of both
+// decoders, the scanner's among them.
+var referenceJobDocs = append([]string{
+	"", "\n", "id,class,priority\n", "ID, Class ,PRIORITY,submit_at\nA,small,1,0\n",
+	"id,class,priority,submit_at\n", "id,class,priority,submit_at\na,small,x,0\n",
+	"id,class,priority,submit_at\na,small,1,zzz\n", "id,class,priority,submit_at\na,gigantic,1,0\n",
+	"id,class,priority,submit_at\na,small,1,0\na,small,1,1\n", "id,class,priority,submit_at\n,small,1,0\n",
+	"id,class,priority,submit_at\na,small,0,0\n", "id,class,priority,submit_at\na,small,1,NaN\n",
+	"id,class,priority,submit_at\na,small,1,0\nb,small,1\n", "id,class,priority,submit_at\na,small,1,0\n\"b,small,1,0\n",
+	"id,class,priority,submit_at\nb,xlarge,2,7\n\" a\",small,1,-0\nc,medium,5,7\nd,large,1,1e3\n",
+	"bogus\na,small,x,0\n\"", "id,class,priority,submit_at\na,small,x,0\nb,small\n",
+}, scannerJobDocs...)
+
+var referenceAvailabilityDocs = append([]string{
+	"", "at\n", "AT, capacity\n0,4\n", "at,capacity\n", "at,capacity\nx,4\n", "at,capacity\n0,x\n",
+	"at,capacity\n0,0\n", "at,capacity\n-1,4\n", "at,capacity\nInf,4\n", "at,capacity\n0,4\n5\n",
+	"at,capacity\n50,8\n10,4\n10,6\n0,64\n", "at,capacity\n0,4\n\"",
+}, scannerAvailabilityDocs...)
+
 // TestLoadCSVMatchesReference runs the differential on inputs chosen to take
 // every exit of both decoders, so it holds without the fuzzer.
 func TestLoadCSVMatchesReference(t *testing.T) {
-	for _, doc := range append([]string{
-		"", "\n", "id,class,priority\n", "ID, Class ,PRIORITY,submit_at\nA,small,1,0\n",
-		"id,class,priority,submit_at\n", "id,class,priority,submit_at\na,small,x,0\n",
-		"id,class,priority,submit_at\na,small,1,zzz\n", "id,class,priority,submit_at\na,gigantic,1,0\n",
-		"id,class,priority,submit_at\na,small,1,0\na,small,1,1\n", "id,class,priority,submit_at\n,small,1,0\n",
-		"id,class,priority,submit_at\na,small,0,0\n", "id,class,priority,submit_at\na,small,1,NaN\n",
-		"id,class,priority,submit_at\na,small,1,0\nb,small,1\n", "id,class,priority,submit_at\na,small,1,0\n\"b,small,1,0\n",
-		"id,class,priority,submit_at\nb,xlarge,2,7\n\" a\",small,1,-0\nc,medium,5,7\nd,large,1,1e3\n",
-		"bogus\na,small,x,0\n\"", "id,class,priority,submit_at\na,small,x,0\nb,small\n",
-	}, scannerJobDocs...) {
+	for _, doc := range referenceJobDocs {
 		w, err := loadCSVReader(strings.NewReader(doc))
 		requireSameVerdict(t, []byte(doc), w, err, loadCSVReference)
 	}
 	// A repeated submit_at text is parsed once, yet a bad one must still be
 	// reported at the first row that holds it.
 	doc := scannerJobDocs[len(scannerJobDocs)-1]
-	_, err := loadCSV(doc)
+	_, err := loadCSVDoc(doc, len(doc))
 	_, refErr := loadCSVReference(strings.NewReader(doc))
 	if err == nil || refErr == nil || err.Error() != refErr.Error() {
 		t.Errorf("decoder error %v, want %v", err, refErr)
 	}
-	for _, doc := range append([]string{
-		"", "at\n", "AT, capacity\n0,4\n", "at,capacity\n", "at,capacity\nx,4\n", "at,capacity\n0,x\n",
-		"at,capacity\n0,0\n", "at,capacity\n-1,4\n", "at,capacity\nInf,4\n", "at,capacity\n0,4\n5\n",
-		"at,capacity\n50,8\n10,4\n10,6\n0,64\n", "at,capacity\n0,4\n\"",
-	}, scannerAvailabilityDocs...) {
+	for _, doc := range referenceAvailabilityDocs {
 		tr, err := loadAvailabilityCSVReader(strings.NewReader(doc))
 		requireSameVerdict(t, []byte(doc), tr, err, loadAvailabilityCSVReference)
 	}
 }
 
 // TestLoadCSVAllocsDoNotScale is the decoder's runner-independent regression
-// row: a trace 16 times longer costs the same allocations, decoded from a
-// string or read from its file, up to the validated workload. (The reference
-// costs two a row — the row's string and its []string — before its entries
-// and jobs.)
+// row: a trace 16 times longer costs the same allocations, decoded from
+// memory or read from its file, up to the validated workload (7 and 10 at
+// either size). (The reference costs two a row — the row's string and its
+// []string — before its entries and jobs.)
 func TestLoadCSVAllocsDoNotScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes allocation counts")
@@ -342,7 +375,7 @@ func TestLoadCSVAllocsDoNotScale(t *testing.T) {
 		}
 		doc := string(data)
 		perSize[i][0] = testing.AllocsPerRun(3, func() {
-			if _, err := loadCSV(doc); err != nil {
+			if _, err := loadCSVDoc(doc, csvWindow(int64(len(doc)))); err != nil {
 				t.Fatal(err)
 			}
 		})

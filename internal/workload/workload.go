@@ -11,9 +11,10 @@ import (
 // JobSpec is one job submission: what runs, how urgent, and when it arrives.
 //
 // A generated or loaded job's ID is a substring of one buffer its workload
-// shares: the generator's ID buffer, or the trace file read whole. A JobSpec
-// kept after the rest of its workload is dropped keeps that whole buffer
-// alive; strings.Clone the ID to keep it alone.
+// shares: the ID buffer the generator or the trace decoder fills (a loaded
+// trace's IDs are copied out of the file, which is not kept). A JobSpec kept
+// after the rest of its workload is dropped keeps that whole buffer alive;
+// strings.Clone the ID to keep it alone.
 type JobSpec struct {
 	ID       string
 	Class    model.Class

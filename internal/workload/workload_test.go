@@ -303,14 +303,14 @@ func TestLoadCSVValidates(t *testing.T) {
 		"second document": header + "a,small,1,0\n" + header + "b,small,1,1\n",
 	}
 	for name, doc := range cases {
-		if _, err := loadCSV(doc); err == nil {
+		if _, err := loadCSVDoc(doc, len(doc)); err == nil {
 			t.Errorf("%s: loadCSV accepted invalid document", name)
 		}
 	}
 }
 
 func TestLoadSortsBySubmitTime(t *testing.T) {
-	w, err := loadCSV("id,class,priority,submit_at\nlate,small,1,100\nearly,medium,2,10\n")
+	w, err := loadCSVDoc("id,class,priority,submit_at\nlate,small,1,100\nearly,medium,2,10\n", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
